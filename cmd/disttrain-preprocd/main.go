@@ -5,8 +5,10 @@
 //
 // -addr accepts a comma-separated list to run a whole producer pool in
 // one process — each address gets its own independent (stateless)
-// server, the layout the consumer-side preprocess.Pool load-balances
-// and fails over across.
+// server, the layout the consumer-side preprocess.Service
+// load-balances and fails over across. Service tenants send their own
+// DP width with every fetch; -dp only sizes the untenanted fetch a bare
+// Client or Prefetcher issues.
 //
 // Examples:
 //

@@ -5,10 +5,11 @@
 // with checkpoint-restore recovery), and -trace captures the full
 // execution timeline in Chrome trace format.
 //
-// The batch front-end can source microbatches from a live TCP producer
-// pool: -preproc points at running disttrain-preprocd instances, and
-// -local-producers runs an in-process fleet — which scenario
-// producer-fail / producer-join events can kill and restore mid-run.
+// The batch front-end can source microbatches from live TCP
+// preprocessing producers: -preproc points at running
+// disttrain-preprocd instances, and -local-producers runs an in-process
+// fleet — which scenario producer-fail / producer-join events can kill
+// and restore mid-run.
 //
 // Examples:
 //
@@ -114,8 +115,9 @@ func main() {
 	}
 
 	// Live disaggregated preprocessing: point the batch front-end at a
-	// producer pool — external (-preproc) or in-process
-	// (-local-producers, controllable by producer-fail/join events).
+	// producer fleet — external (-preproc) or in-process
+	// (-local-producers, controllable by producer-fail/join events) —
+	// through a one-tenant preprocessing service.
 	var poolStats *disttrain.PoolMetrics
 	if *preproc != "" || *localProd > 0 {
 		if *preproc != "" && *localProd > 0 {
@@ -124,12 +126,12 @@ func main() {
 		if *colocate {
 			fatal(fmt.Errorf("-colocate-preprocess cannot be combined with a live producer pool"))
 		}
+		pcfg, err := disttrain.PreprocessConfigFor(cfg)
+		if err != nil {
+			fatal(err)
+		}
 		var addrs []string
 		if *localProd > 0 {
-			pcfg, err := disttrain.PreprocessConfigFor(cfg)
-			if err != nil {
-				fatal(err)
-			}
 			fleet, err := disttrain.StartProducerFleet(pcfg, *localProd)
 			if err != nil {
 				fatal(err)
@@ -146,15 +148,19 @@ func main() {
 			}
 		}
 		poolStats = &disttrain.PoolMetrics{}
-		pool, err := disttrain.NewPreprocessPool(disttrain.PreprocessPoolConfig{
+		svc, err := disttrain.NewPreprocessService(disttrain.PreprocessServiceConfig{
 			Addrs: addrs,
 			Stats: poolStats,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		defer pool.Close()
-		disttrain.UsePreprocessPool(&cfg, pool)
+		defer svc.Close()
+		tenant, err := svc.Register(disttrain.PreprocessTenantConfig{Name: "sim", DP: pcfg.DPSize})
+		if err != nil {
+			fatal(err)
+		}
+		disttrain.UsePreprocessPool(&cfg, tenant)
 		cfg.PoolStats = poolStats
 	}
 

@@ -31,6 +31,7 @@ package disttrain
 
 import (
 	"context"
+	"fmt"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/controller"
@@ -97,28 +98,21 @@ type (
 	// PreprocessConfig parameterises one disaggregated-preprocessing
 	// producer (batch geometry, reordering, worker pool, readahead).
 	PreprocessConfig = preprocess.Config
-	// PreprocessPool load-balances (iteration, rank) fetches across N
-	// producer servers with deterministic assignment, health tracking,
-	// failover and bounded admission.
-	PreprocessPool = preprocess.Pool
-	// PreprocessPoolConfig parameterises a PreprocessPool.
-	PreprocessPoolConfig = preprocess.PoolConfig
 	// ProducerFleet runs N in-process producers; it satisfies the
 	// trainer's ProducerControl, so scenario producer-fail /
 	// producer-join events kill and restore members mid-run.
 	ProducerFleet = preprocess.Fleet
-	// PreprocessService is the fleet-shared preprocessing tier: one
-	// producer fleet multiplexing every tenant's fetches with
-	// weighted fair queueing, per-tenant admission quotas and
-	// partitioned caches. PreprocessTenant is one tenant's fetch
-	// handle on it (a drop-in Fetcher for the trainer's PoolSource).
+	// PreprocessService is the consumer side of disaggregated
+	// preprocessing: it load-balances every tenant's (iteration, rank)
+	// fetches across N producers with deterministic assignment, health
+	// tracking and failover, weighted fair queueing, per-tenant
+	// admission quotas and partitioned caches. PreprocessTenant is one
+	// tenant's fetch handle on it — a single trainer is the only tenant
+	// of its own service.
 	PreprocessService       = preprocess.Service
 	PreprocessServiceConfig = preprocess.ServiceConfig
 	PreprocessTenant        = preprocess.Tenant
 	PreprocessTenantConfig  = preprocess.TenantConfig
-	// PreprocessFetcher is the consumer seam both PreprocessPool and
-	// PreprocessTenant satisfy.
-	PreprocessFetcher = preprocess.Fetcher
 	// PoolMetrics collects pool fetch latency, failovers, rejections
 	// and cache hit rate; PoolSnapshot is its point-in-time copy.
 	PoolMetrics  = metrics.PoolStats
@@ -393,14 +387,10 @@ type UnplannedConfigError struct{}
 
 func (e *UnplannedConfigError) Error() string { return "disttrain: config has no plan" }
 
-// NewPreprocessPool builds a consumer-side producer pool.
-func NewPreprocessPool(cfg PreprocessPoolConfig) (*PreprocessPool, error) {
-	return preprocess.NewPool(cfg)
-}
-
-// NewPreprocessService builds the fleet-shared preprocessing tier over
-// a set of producers: register tenants with Service.Register and point
-// each training configuration at its handle with UsePreprocessPool.
+// NewPreprocessService builds the preprocessing consumer over a set
+// of producers: register tenants with Service.Register (one for a
+// single trainer) and point each training configuration at its handle
+// with UsePreprocessPool.
 func NewPreprocessService(cfg PreprocessServiceConfig) (*PreprocessService, error) {
 	return preprocess.NewService(cfg)
 }
@@ -412,11 +402,11 @@ func StartProducerFleet(cfg PreprocessConfig, n int) (*ProducerFleet, error) {
 }
 
 // UsePreprocessPool points a training configuration's batch front-end
-// at a live producer fetcher — a private *PreprocessPool or a
-// *PreprocessTenant handle on a shared service: microbatches come over
-// TCP with failover instead of from the synthetic corpus path.
-func UsePreprocessPool(cfg *TrainConfig, pool PreprocessFetcher) {
-	cfg.Source = &trainer.PoolSource{Pool: pool, Samples: cfg.Corpus}
+// at a tenant handle on a live preprocessing service: microbatches
+// come over TCP with failover instead of from the synthetic corpus
+// path.
+func UsePreprocessPool(cfg *TrainConfig, tenant *PreprocessTenant) {
+	cfg.Source = &trainer.PoolSource{Pool: tenant, Samples: cfg.Corpus}
 	cfg.DisaggregatedPreprocess = true
 }
 
@@ -493,10 +483,15 @@ func NewLease(nodes ...int) Lease { return cluster.NewLease(nodes...) }
 
 // ParseFleetPolicy resolves a policy name (fifo, fair-share,
 // priority, or any name registered via RegisterFleetScheduler) to its
-// FleetScheduler.
+// FleetScheduler. "fair" is accepted as an alias for "fair-share".
 func ParseFleetPolicy(s string) (FleetPolicy, error) {
-	//lint:ignore SA1019 this facade is the compatibility surface the deprecated shim exists for; it keeps the "fair" alias that LookupScheduler alone drops.
-	return fleet.ParsePolicy(s)
+	if s == "fair" {
+		s = "fair-share"
+	}
+	if sched, ok := fleet.LookupScheduler(s); ok {
+		return sched, nil
+	}
+	return nil, fmt.Errorf("fleet: unknown policy %q (registered: %v)", s, fleet.SchedulerNames())
 }
 
 // ParseFleetClass validates a priority-class name ("" means normal).

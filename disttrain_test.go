@@ -1,6 +1,7 @@
 package disttrain
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -85,8 +86,16 @@ func TestFacadeFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseFleetPolicy("nope"); err == nil {
-		t.Error("unknown fleet policy accepted")
+	for name, want := range map[string]string{
+		"fifo": "fifo", "fair-share": "fair-share", "fair": "fair-share", "priority": "priority",
+	} {
+		if got, err := ParseFleetPolicy(name); err != nil || got.Name() != want {
+			t.Errorf("ParseFleetPolicy(%q) = %v, %v, want %s", name, got, err, want)
+		}
+	}
+	// The unknown-name error lists the registered schedulers.
+	if _, err := ParseFleetPolicy("nope"); err == nil || !strings.Contains(err.Error(), "fifo") {
+		t.Errorf("ParseFleetPolicy(nope) error %v should list registered names", err)
 	}
 	pol, err := ParseFleetPolicy("fair-share")
 	if err != nil {

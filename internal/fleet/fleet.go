@@ -58,9 +58,7 @@ type Config struct {
 	Jobs []JobSpec
 	// Policy is the Scheduler deciding admission order, lease sizing
 	// and placement: one of the built-ins (FIFO, FairShare, Priority),
-	// a registered custom scheduler, or nil for FIFO. The field keeps
-	// its historical name — Policy: FairShare literals predating the
-	// Scheduler interface still compile and mean the same thing.
+	// a registered custom scheduler, or nil for FIFO.
 	Policy Scheduler
 	// Scenario carries fleet-scope events only (job-arrive, job-depart,
 	// node-fail, node-join) and must be a fixed schedule — generators
@@ -552,7 +550,7 @@ func fleetEvents(s scenario.Scenario) ([]scenario.Event, error) {
 	evs := sched.Events()
 	for _, e := range evs {
 		// Producer events are dual-scope: addressed to one training run
-		// they act on its private pool (Train.Scenario); here they act
+		// they act on its own producers (Train.Scenario); here they act
 		// on the fleet-shared producer tier.
 		if e.Kind == scenario.ProducerFail || e.Kind == scenario.ProducerJoin {
 			continue

@@ -23,10 +23,10 @@ type PreprocessConfig struct {
 	Producers int
 	// Server configures each producer (Source, GlobalBatch, Microbatch,
 	// Workers, Readahead, ...). Every tenant fetches tenant-keyed at
-	// its own DP width, so DPSize only backs the legacy single-tenant
-	// opcode and defaults to 1. The batch geometry is fleet-wide: jobs
-	// whose GlobalBatch is not divisible by their DP×Microbatch get a
-	// deterministic producer rejection.
+	// its own DP width, so DPSize only backs the untenanted opcode
+	// (Prefetcher) and defaults to 1. The batch geometry is fleet-wide:
+	// jobs whose GlobalBatch is not divisible by their DP×Microbatch get
+	// a deterministic producer rejection.
 	Server preprocess.Config
 	// SlotsPerNode scales per-tenant admission quotas with lease size:
 	// quota = SlotsPerNode × leased nodes (default 2). A tenant
@@ -103,9 +103,8 @@ func (f *runner) stopPreprocess() {
 
 // registerTenant gives a fresh tenant its handle on the shared service
 // and rebases its training config onto it: the trainer's PoolSource
-// runs over the tenant handle exactly as it would over a private pool.
-// Weights come from the priority class (low 1×, normal 2×, high 3×),
-// quotas from the lease size.
+// fetches through the tenant handle. Weights come from the priority
+// class (low 1×, normal 2×, high 3×), quotas from the lease size.
 func (f *runner) registerTenant(t *tenant, tcfg *trainer.Config, nodes int) error {
 	if f.service == nil {
 		return nil
@@ -159,16 +158,18 @@ func (f *runner) producerEvent(ev scenario.Event) {
 	f.note(ev.Kind.String(), map[string]any{"producer": ev.Producer})
 }
 
-// snapshotPool captures a retiring tenant's preprocessing counters.
-// Called after Job.Finish has drained the prefetch, so the counters
-// are quiescent; the trace note carries only the deterministic part
-// (the fetch count — latency and failovers are wall-clock).
+// snapshotPool captures a retiring tenant's preprocessing counters and
+// closes its handle, so a churny fleet does not keep every tenant it
+// ever admitted pinning a cache partition. Called after Job.Finish has
+// drained the prefetch, so the counters are quiescent; the trace note
+// carries only the deterministic part (the fetch count — latency and
+// failovers are wall-clock).
 func (f *runner) snapshotPool(t *tenant) {
 	if t.pool == nil {
 		return
 	}
 	snap := t.pool.Snapshot()
 	t.poolSnap = &snap
-	t.pool.SetQuota(0)
+	t.pool.Close()
 	f.note("pool-stats", map[string]any{"job": t.id, "fetches": snap.Fetches})
 }

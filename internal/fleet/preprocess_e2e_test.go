@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,5 +188,30 @@ func TestFleetPreprocessDeterminism(t *testing.T) {
 		if !bytes.Equal(got.trace, want.trace) {
 			t.Errorf("workers %d: merged trace diverged (%d vs %d bytes)", workers, len(got.trace), len(want.trace))
 		}
+	}
+}
+
+// A retiring tenant gives its handle on the shared tier back: the
+// counters are snapshotted, then the handle is closed, so a churny
+// fleet does not keep every job it ever admitted pinning a cache
+// partition until the run ends.
+func TestSnapshotPoolClosesRetiredTenant(t *testing.T) {
+	svc, err := preprocess.NewService(preprocess.ServiceConfig{Addrs: []string{"127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	handle, err := svc.Register(preprocess.TenantConfig{Name: "job-0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn := &tenant{pool: handle}
+	(&runner{}).snapshotPool(tn)
+	if tn.poolSnap == nil {
+		t.Fatal("retired tenant has no pool snapshot")
+	}
+	_, err = handle.Fetch(context.Background(), 0, 0)
+	if err == nil || !strings.Contains(err.Error(), "tenant closed") {
+		t.Fatalf("retired tenant's handle fetched with %v, want a fail-fast tenant-closed error", err)
 	}
 }

@@ -390,8 +390,7 @@ func TestPriorityAgingBoundsStarvation(t *testing.T) {
 	}
 }
 
-// TestSchedulerRegistry covers registration, lookup and the deprecated
-// ParsePolicy shim.
+// TestSchedulerRegistry covers registration and lookup.
 func TestSchedulerRegistry(t *testing.T) {
 	names := SchedulerNames()
 	for _, want := range []string{"fair-share", "fifo", "priority"} {
@@ -415,25 +414,16 @@ func TestSchedulerRegistry(t *testing.T) {
 	if err := RegisterScheduler(FIFO); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	// Custom schedulers register by name and resolve through ParsePolicy.
-	// Register once: the registry is process-global, so -count reruns
+	// Custom schedulers register by name and resolve through
+	// LookupScheduler. Register once: the registry is process-global, so -count reruns
 	// must tolerate the name already existing.
 	if _, ok := LookupScheduler("test-custom"); !ok {
 		if err := RegisterScheduler(renamedScheduler{FIFO}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := ParsePolicy("test-custom")
-	if err != nil || got.Name() != "test-custom" {
-		t.Errorf("ParsePolicy(test-custom) = %v, %v", got, err)
-	}
-	// The shim's error names the registered schedulers.
-	if _, err := ParsePolicy("lifo"); err == nil || !strings.Contains(err.Error(), "fifo") {
-		t.Errorf("ParsePolicy(lifo) error %v should list registered names", err)
-	}
-	// The historical alias survives.
-	if s, err := ParsePolicy("fair"); err != nil || s.Name() != "fair-share" {
-		t.Errorf("ParsePolicy(fair) = %v, %v", s, err)
+	if got, ok := LookupScheduler("test-custom"); !ok || got.Name() != "test-custom" {
+		t.Errorf("LookupScheduler(test-custom) = %v, %v", got, ok)
 	}
 }
 

@@ -169,18 +169,16 @@ func shadowLeased(shadow map[int]int) []int {
 	return out
 }
 
-// TestPolicyParse covers the CLI policy names.
-func TestPolicyParse(t *testing.T) {
+// TestPolicyNames covers the CLI policy names (the "fair" alias and the
+// unknown-name error live in disttrain.ParseFleetPolicy).
+func TestPolicyNames(t *testing.T) {
 	for s, want := range map[string]Scheduler{
-		"fifo": FIFO, "fair-share": FairShare, "fair": FairShare, "priority": Priority,
+		"fifo": FIFO, "fair-share": FairShare, "priority": Priority,
 	} {
-		got, err := ParsePolicy(s)
-		if err != nil || got.Name() != want.Name() {
-			t.Errorf("ParsePolicy(%q) = %v, %v", s, got, err)
+		got, ok := LookupScheduler(s)
+		if !ok || got.Name() != want.Name() {
+			t.Errorf("LookupScheduler(%q) = %v, %v", s, got, ok)
 		}
-	}
-	if _, err := ParsePolicy("lifo"); err == nil {
-		t.Error("unknown policy accepted")
 	}
 	if FIFO.Name() != "fifo" || FairShare.Name() != "fair-share" || Priority.Name() != "priority" {
 		t.Error("policy names changed")

@@ -11,35 +11,17 @@ import (
 	"disttrain/internal/metrics"
 )
 
-// Fetcher is the consumer seam over disaggregated preprocessing: one
-// (iteration, rank) batch per call, plus the admission bound a caller
-// fanning out concurrent fetches must respect. *Pool satisfies it (a
-// private producer pool), and so does the per-tenant handle a shared
-// Service issues — the trainer's PoolSource runs on either without
-// knowing which.
-type Fetcher interface {
-	Fetch(ctx context.Context, iter int64, rank int) (*RankBatch, error)
-	MaxInflight() int
-}
-
-// DPAware is implemented by fetchers that multiplex tenants with
-// differing data-parallel widths (the Service's tenant handle): the
-// front-end announces its current width before fanning out, so elastic
-// lease resizes reshape the producer-side split without re-registering.
-type DPAware interface {
-	SetDP(dp int)
-}
-
-// Service is the fleet-shared preprocessing tier (§5 at fleet scope):
-// one elastic producer fleet multiplexing every tenant's (tenant,
-// iteration, rank) fetches. Where a Pool is one job's private consumer,
-// the Service multiplexes many tenants over the same members and makes
-// the sharing safe and fair:
+// Service is the consumer side of disaggregated preprocessing (§5): one
+// elastic producer fleet serving every tenant's (tenant, iteration,
+// rank) fetches. A single trainer is a service with one tenant; a fleet
+// registers one tenant per job, and the service makes the sharing safe
+// and fair:
 //
 //   - Per-tenant admission quotas: each tenant holds at most its quota
 //     of in-flight fetches; a tenant saturating its quota is rejected
 //     with ErrPoolSaturated after AdmitTimeout while every other tenant
-//     keeps fetching — one tenant cannot starve the tier.
+//     keeps fetching — one tenant cannot starve the tier, and callers
+//     see backpressure instead of an unbounded readahead fan-out.
 //   - Deterministic weighted fair queueing over the shared capacity:
 //     when more fetches want producers than Capacity allows, grants go
 //     to the eligible tenant with the smallest virtual finish tag
@@ -50,12 +32,14 @@ type DPAware interface {
 //     its own watermark floor, so one tenant's lagging rank can never
 //     evict another tenant's batches.
 //
-// Failover is the Pool's: every fetch has a deterministic primary
-// member (tenant 0's assignment is identical to a private Pool's, which
-// pins the 1-tenant service byte-identical to the pool it replaces),
-// dead members sit out a cooldown, and batch contents never change
-// across members — producers are deterministic functions of the
-// request.
+// Every fetch has a deterministic primary member — a pure function of
+// (tenant, iteration, rank) — so a healthy fleet spreads load evenly
+// and two services over the same fleet make identical choices. When a
+// producer dies the fetch fails over to the next healthy member, the
+// dead member sits out a cooldown, and batch contents never change
+// across members: producers are deterministic functions of the
+// request, which is exactly what makes preprocessing elastically
+// scalable.
 type Service struct {
 	cfg     ServiceConfig
 	members []*poolMember
@@ -75,19 +59,25 @@ type ServiceConfig struct {
 	Addrs []string
 	// Capacity bounds in-flight fetches across all tenants — the
 	// producer-side concurrency the weighted fair queue arbitrates
-	// (default 2*len(Addrs), the Pool's MaxInflight default).
+	// (default 2*len(Addrs)).
 	Capacity int
 	// AdmitTimeout is how long a fetch waits for admission (quota and
 	// shared capacity) before being rejected with ErrPoolSaturated
 	// (default 5s).
 	AdmitTimeout time.Duration
-	// FailureCooldown, DialTimeout and FetchTimeout are the Pool's
-	// failover knobs (defaults 2s, 2s, 60s).
+	// FailureCooldown is how long a failed producer sits out before it
+	// is retried (default 2s). DialTimeout bounds one connection attempt
+	// (default 2s): a dead producer fails over in milliseconds instead
+	// of hanging a fetch. FetchTimeout bounds one request round trip
+	// (default 60s).
 	FailureCooldown time.Duration
 	DialTimeout     time.Duration
 	FetchTimeout    time.Duration
 	// CacheCap bounds each tenant's private batch cache in entries
-	// (default 256).
+	// (default 256). The watermark eviction keeps what lagging ranks
+	// still need, but a rank that stops fetching freezes the floor;
+	// beyond CacheCap the oldest entries drop anyway — the same backstop
+	// the producer's cache carries.
 	CacheCap int
 	// Stats, when non-nil, receives the aggregate counters; per-tenant
 	// counters land in labeled children (metrics.PoolStats.Labeled).
@@ -117,7 +107,13 @@ type svcWaiter struct {
 	granted bool
 }
 
-var errServiceClosed = errors.New("preprocess: service closed")
+// ErrPoolSaturated reports a fetch rejected by bounded admission.
+var ErrPoolSaturated = errors.New("preprocess: pool saturated, fetch rejected")
+
+var (
+	errServiceClosed = errors.New("preprocess: service closed")
+	errTenantClosed  = errors.New("preprocess: tenant closed")
+)
 
 // NewService builds a shared service over the given producer
 // addresses. Connections are dialed lazily on first use.
@@ -214,13 +210,7 @@ func (s *Service) Close() {
 		close(w.ch) // granted stays false: acquire reports the close
 	}
 	for _, m := range s.members {
-		m.mu.Lock()
-		m.closed = true
-		if m.client != nil {
-			m.client.Close()
-			m.client = nil
-		}
-		m.mu.Unlock()
+		m.close()
 	}
 }
 
@@ -233,6 +223,10 @@ func (s *Service) acquire(ctx context.Context, t *Tenant) error {
 	if s.closed {
 		s.mu.Unlock()
 		return errServiceClosed
+	}
+	if t.closed {
+		s.mu.Unlock()
+		return errTenantClosed
 	}
 	// Uncontended fast path — only when nobody is queued, so a waiter
 	// can never be overtaken by a later arrival.
@@ -335,10 +329,14 @@ func (s *Service) grantLocked() {
 	}
 }
 
-// fetchWithFailover walks the failover ring starting at the tenant's
-// deterministic primary — the Pool's walk, tenant-offset so different
-// tenants spread their load across different members. Tenant 0's
-// primaries are exactly a private Pool's.
+// fetchWithFailover walks the failover ring starting at the fetch's
+// deterministic primary. The multiplier decorrelates adjacent
+// iterations so each iteration's rank fan-out starts on a different
+// member, and the tenant offset spreads tenants across members. Members
+// inside their failure cooldown are skipped (each skip is a failover)
+// unless every member is down, in which case all are retried — the path
+// through which a recovered fleet comes back without external
+// coordination.
 func (s *Service) fetchWithFailover(ctx context.Context, t *Tenant, dp int, iter int64, rank int) (*RankBatch, error) {
 	n := len(s.members)
 	prim := int((uint64(iter)*1000003 + uint64(rank) + uint64(t.id)*7919) % uint64(n))
@@ -386,9 +384,8 @@ type tenantKey struct {
 	dp   int
 }
 
-// Tenant is one tenant's fetch handle on a shared Service. It
-// implements Fetcher (and DPAware), so the trainer's PoolSource drives
-// it exactly like a private Pool.
+// Tenant is one tenant's fetch handle on a Service — what the trainer's
+// PoolSource fetches through.
 type Tenant struct {
 	svc    *Service
 	id     int
@@ -396,11 +393,12 @@ type Tenant struct {
 	weight int
 	dp     atomic.Int64
 
-	// quota, inflight and granted are guarded by svc.mu (they are the
-	// fair queue's state).
+	// quota, inflight, granted and closed are guarded by svc.mu (they
+	// are the fair queue's state).
 	quota    int
 	inflight int
 	granted  int64
+	closed   bool
 
 	// The tenant-private cache partition, guarded by the tenant's own
 	// lock: per-tenant watermark floors mean one tenant's laggard can
@@ -436,9 +434,11 @@ func (t *Tenant) SetQuota(n int) {
 	t.svc.mu.Unlock()
 }
 
-// SetDP announces the tenant's current data-parallel width
-// (DPAware). Watermark entries for ranks the new geometry no longer
-// has are dropped so they cannot freeze the eviction floor.
+// SetDP announces the tenant's current data-parallel width: the
+// front-end calls it before fanning out, so elastic lease resizes
+// reshape the producer-side split without re-registering. Watermark
+// entries for ranks the new geometry no longer has are dropped so they
+// cannot freeze the eviction floor.
 func (t *Tenant) SetDP(dp int) {
 	if dp < 1 {
 		return
@@ -457,6 +457,20 @@ func (t *Tenant) SetDP(dp int) {
 
 // Snapshot returns the tenant's counters.
 func (t *Tenant) Snapshot() metrics.PoolSnapshot { return t.stats.Snapshot() }
+
+// Close retires the tenant: its cache partition and watermarks are
+// freed and later fetches fail fast (one already admitted finishes,
+// uncached). The id slot stays taken, so the other tenants' ids — and
+// with them primary assignment and registration-order determinism —
+// are unchanged.
+func (t *Tenant) Close() {
+	t.svc.mu.Lock()
+	t.closed = true
+	t.svc.mu.Unlock()
+	t.cmu.Lock()
+	t.cache, t.watermark = nil, nil
+	t.cmu.Unlock()
+}
 
 // Fetch returns one (iteration, rank) batch for this tenant at its
 // announced DP width, serving from the tenant's cache partition when
@@ -490,19 +504,23 @@ func (t *Tenant) Fetch(ctx context.Context, iter int64, rank int) (*RankBatch, e
 	t.stats.RecordFetch(time.Since(start).Seconds())
 
 	t.cmu.Lock()
-	t.cache[key] = rb
-	if w, ok := t.watermark[rank]; !ok || iter > w {
-		t.watermark[rank] = iter
+	if t.cache != nil { // nil once closed
+		t.cache[key] = rb
+		if w, ok := t.watermark[rank]; !ok || iter > w {
+			t.watermark[rank] = iter
+		}
+		t.evictLocked()
 	}
-	t.evictLocked()
 	t.cmu.Unlock()
 	return rb, nil
 }
 
 // evictLocked drops cache entries below the tenant's own minimum
-// per-rank watermark, with the service CacheCap as the oldest-first
-// backstop — the Pool's eviction contract, scoped to one tenant's
-// partition. Callers hold t.cmu.
+// per-rank fetch watermark — the same eviction contract as the
+// producer's cache: an iteration leaves the partition only once every
+// rank the tenant has seen fetched past it. CacheCap backstops the size
+// (oldest entries first) so a rank that stops fetching cannot freeze
+// the floor and grow the cache without bound. Callers hold t.cmu.
 func (t *Tenant) evictLocked() {
 	if len(t.watermark) > 0 {
 		min := int64(0)

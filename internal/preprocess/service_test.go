@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"disttrain/internal/data"
 	"disttrain/internal/metrics"
 )
 
@@ -27,47 +29,315 @@ func testService(t *testing.T, fleet *Fleet, cfg ServiceConfig) *Service {
 	return svc
 }
 
-// Tenant 0 of a shared service is byte-identical to a private pool
-// over the same producer fleet: same deterministic primary assignment
-// (the tenant offset vanishes at id 0), same tenant-0 server batches —
-// the pin that makes the service a drop-in replacement for the pool.
-func TestServiceTenantZeroMatchesPool(t *testing.T) {
+func fleetConfig() Config {
+	return Config{
+		Source:      fixedSource{images: 1, resolution: 32, seqLen: 128},
+		GlobalBatch: 8, DPSize: 2, Microbatch: 1, Workers: 4,
+	}
+}
+
+// slowSource delays every sample, making builds take visible time.
+type slowSource struct {
+	inner fixedSource
+	delay time.Duration
+}
+
+func (s slowSource) Sample(index int64) data.Sample {
+	time.Sleep(s.delay)
+	return s.inner.Sample(index)
+}
+
+// oneTenant registers the single tenant of a one-trainer service at the
+// fleetConfig DP width.
+func oneTenant(t *testing.T, svc *Service) *Tenant {
+	t.Helper()
+	tn, err := svc.Register(TenantConfig{Name: "only", DP: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tn
+}
+
+// A service fetch must return exactly what the in-process producer
+// computes for the same request: producers are stateless deterministic
+// functions of (iteration, dp, rank), so neither the route (which of
+// the three members, over TCP) nor the tenant id (whose offset moves
+// the primary assignment) can change the data.
+func TestServiceMatchesInProcessServer(t *testing.T) {
 	fleet, err := StartFleet(fleetConfig(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	pool := testPool(t, fleet, nil)
 	svc := testService(t, fleet, ServiceConfig{})
-	tn, err := svc.Register(TenantConfig{Name: "only", DP: 2})
+	zero := oneTenant(t, svc)
+	one, err := svc.Register(TenantConfig{Name: "second", DP: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := NewServer(fleetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ref.Close)
 
 	ctx := context.Background()
 	for iter := int64(0); iter < 4; iter++ {
 		for rank := 0; rank < 2; rank++ {
-			got, err := tn.Fetch(ctx, iter, rank)
+			want, err := ref.FetchTenant(0, 2, iter, rank)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := pool.Fetch(ctx, iter, rank)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Microbatches) != len(want.Microbatches) {
-				t.Fatalf("iter %d rank %d: %d microbatches, want %d",
-					iter, rank, len(got.Microbatches), len(want.Microbatches))
-			}
-			for j := range got.Microbatches {
-				for k := range got.Microbatches[j] {
-					g, w := got.Microbatches[j][k], want.Microbatches[j][k]
-					if g.SampleIndex != w.SampleIndex || !bytes.Equal(g.TokenPayload, w.TokenPayload) {
-						t.Fatalf("iter %d rank %d mb %d sample %d differs between service and pool", iter, rank, j, k)
+			for _, tn := range []*Tenant{zero, one} {
+				got, err := tn.Fetch(ctx, iter, rank)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Microbatches) != len(want.Microbatches) {
+					t.Fatalf("tenant %s iter %d rank %d: %d microbatches, want %d",
+						tn.Name(), iter, rank, len(got.Microbatches), len(want.Microbatches))
+				}
+				for j := range got.Microbatches {
+					for k := range got.Microbatches[j] {
+						g, w := got.Microbatches[j][k], want.Microbatches[j][k]
+						if g.SampleIndex != w.SampleIndex || !bytes.Equal(g.TokenPayload, w.TokenPayload) {
+							t.Fatalf("tenant %s iter %d rank %d mb %d sample %d differs from the in-process server",
+								tn.Name(), iter, rank, j, k)
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// Killing a producer mid-stream must not fail a single fetch: the
+// service fails over to survivors, records the failovers, and picks the
+// dead member back up after it rejoins and its cooldown expires.
+func TestServiceFailoverAndRecovery(t *testing.T) {
+	fleet, err := StartFleet(fleetConfig(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	stats := &metrics.PoolStats{}
+	tn := oneTenant(t, testService(t, fleet, ServiceConfig{Stats: stats}))
+
+	ctx := context.Background()
+	fetchAll := func(lo, hi int64) {
+		t.Helper()
+		for iter := lo; iter < hi; iter++ {
+			for rank := 0; rank < 2; rank++ {
+				if _, err := tn.Fetch(ctx, iter, rank); err != nil {
+					t.Fatalf("iter %d rank %d: %v", iter, rank, err)
+				}
+			}
+		}
+	}
+	fetchAll(0, 2)
+	if got := stats.Snapshot().Failovers; got != 0 {
+		t.Fatalf("healthy fleet recorded %d failovers", got)
+	}
+
+	if err := fleet.FailProducer(1); err != nil {
+		t.Fatal(err)
+	}
+	fetchAll(2, 6) // primaries rotate over all members, so some land on 1
+	snap := stats.Snapshot()
+	if snap.Failovers == 0 {
+		t.Fatal("no failovers recorded with a dead producer")
+	}
+
+	if err := fleet.JoinProducer(1); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(80 * time.Millisecond) // past the failure cooldown
+	fetchAll(6, 10)
+	after := stats.Snapshot()
+	if after.Fetches != 20 {
+		t.Fatalf("fetches = %d, want 20", after.Fetches)
+	}
+	// The rejoined member serves again: over iters 6..9 x 2 ranks, at
+	// least one primary lands on member 1, and those fetches must not
+	// add failovers once it is back.
+	if after.Failovers != snap.Failovers {
+		t.Errorf("failovers kept climbing after rejoin: %d -> %d", snap.Failovers, after.Failovers)
+	}
+}
+
+// Bounded admission on the shared capacity: with every slot taken by a
+// fetch in flight, the next one is rejected with ErrPoolSaturated
+// instead of queueing unboundedly.
+func TestServiceBoundedAdmission(t *testing.T) {
+	cfg := fleetConfig()
+	cfg.Source = slowSource{fixedSource{images: 1, resolution: 32, seqLen: 128}, 300 * time.Millisecond}
+	fleet, err := StartFleet(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	stats := &metrics.PoolStats{}
+	tn := oneTenant(t, testService(t, fleet, ServiceConfig{
+		Capacity:     1,
+		AdmitTimeout: 30 * time.Millisecond,
+		Stats:        stats,
+	}))
+
+	ctx := context.Background()
+	started := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		close(started)
+		_, err := tn.Fetch(ctx, 0, 0) // slow build holds the only slot
+		done <- err
+	}()
+	<-started
+	time.Sleep(20 * time.Millisecond)
+	if _, err := tn.Fetch(ctx, 0, 1); !errors.Is(err, ErrPoolSaturated) {
+		t.Fatalf("saturated service returned %v, want ErrPoolSaturated", err)
+	}
+	if got := stats.Snapshot().Rejections; got != 1 {
+		t.Errorf("rejections = %d, want 1", got)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("admitted fetch failed: %v", err)
+	}
+}
+
+// The tenant cache serves repeated fetches (failure-recovery rewinds)
+// and evicts against the minimum per-rank watermark.
+func TestServiceCacheHitAndWatermarkEviction(t *testing.T) {
+	fleet, err := StartFleet(fleetConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	stats := &metrics.PoolStats{}
+	tn := oneTenant(t, testService(t, fleet, ServiceConfig{Stats: stats}))
+
+	ctx := context.Background()
+	if _, err := tn.Fetch(ctx, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.Fetch(ctx, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	snap := stats.Snapshot()
+	if snap.CacheHits != 1 || snap.CacheMisses != 1 {
+		t.Fatalf("cache hits/misses = %d/%d, want 1/1", snap.CacheHits, snap.CacheMisses)
+	}
+	if snap.CacheHitRate != 0.5 {
+		t.Errorf("hit rate = %g, want 0.5", snap.CacheHitRate)
+	}
+	// Advance rank 0's watermark: iterations below it leave the cache.
+	for iter := int64(1); iter < 4; iter++ {
+		if _, err := tn.Fetch(ctx, iter, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tn.Fetch(ctx, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Snapshot().CacheMisses; got != snap.CacheMisses+4 {
+		t.Errorf("evicted iteration 0 should re-fetch as a miss: misses = %d, want %d",
+			got, snap.CacheMisses+4)
+	}
+}
+
+// CacheCap backstops the tenant cache: a rank that stops fetching
+// freezes the watermark floor, but the cache still stays bounded.
+func TestServiceCacheCapBoundsStalledRank(t *testing.T) {
+	fleet, err := StartFleet(fleetConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	tn := oneTenant(t, testService(t, fleet, ServiceConfig{CacheCap: 4}))
+
+	ctx := context.Background()
+	if _, err := tn.Fetch(ctx, 0, 1); err != nil { // rank 1 stalls at 0
+		t.Fatal(err)
+	}
+	for iter := int64(0); iter < 10; iter++ {
+		if _, err := tn.Fetch(ctx, iter, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tn.cmu.Lock()
+	n := len(tn.cache)
+	tn.cmu.Unlock()
+	if n > 4 {
+		t.Fatalf("tenant cache grew to %d entries with CacheCap 4", n)
+	}
+}
+
+// A protocol-level server rejection is deterministic, so the service
+// must not fail over on it — every producer would answer the same.
+func TestServiceServerErrorDoesNotFailOver(t *testing.T) {
+	fleet, err := StartFleet(fleetConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	stats := &metrics.PoolStats{}
+	tn := oneTenant(t, testService(t, fleet, ServiceConfig{Stats: stats}))
+
+	_, err = tn.Fetch(context.Background(), 0, 99)
+	var se *ServerError
+	if !errors.As(err, &se) {
+		t.Fatalf("bad rank returned %v, want ServerError", err)
+	}
+	if got := stats.Snapshot().Failovers; got != 0 {
+		t.Errorf("server error triggered %d failovers", got)
+	}
+}
+
+// Closing a tenant frees its cache partition: a churny fleet that
+// registers, fetches and retires tenants leaves no batches cached in
+// the service. A closed handle fails fast, and its id slot stays taken
+// so later tenants' ids (and primaries) do not shift.
+func TestTenantCloseFreesCachePartition(t *testing.T) {
+	fleet, err := StartFleet(fleetConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	svc := testService(t, fleet, ServiceConfig{})
+
+	ctx := context.Background()
+	const cycles = 5
+	for i := 0; i < cycles; i++ {
+		tn, err := svc.Register(TenantConfig{Name: fmt.Sprintf("job%d", i), DP: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tn.id != i {
+			t.Fatalf("tenant %d got id %d: closed tenants must keep their slot", i, tn.id)
+		}
+		for rank := 0; rank < 2; rank++ {
+			if _, err := tn.Fetch(ctx, 0, rank); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tn.Close()
+		if _, err := tn.Fetch(ctx, 1, 0); !errors.Is(err, errTenantClosed) {
+			t.Fatalf("closed tenant fetched with %v, want errTenantClosed", err)
+		}
+	}
+	svc.mu.Lock()
+	tenants := append([]*Tenant(nil), svc.tenants...)
+	svc.mu.Unlock()
+	cached := 0
+	for _, tn := range tenants {
+		tn.cmu.Lock()
+		cached += len(tn.cache) + len(tn.watermark)
+		tn.cmu.Unlock()
+	}
+	if cached != 0 {
+		t.Errorf("%d cache/watermark entries survive %d register-fetch-close cycles", cached, cycles)
+	}
+	if got := svc.Snapshot().Fetches; got != 2*cycles {
+		t.Errorf("fetches = %d, want %d (a closed tenant's fetch must not count)", got, 2*cycles)
 	}
 }
 
@@ -166,6 +436,127 @@ func TestServiceWFQGrantOrder(t *testing.T) {
 	for i := range want {
 		if i >= len(order) || order[i] != want[i] {
 			t.Fatalf("grant order %v, want %v", order, want)
+		}
+	}
+}
+
+// admissionHarness is a service with one shared slot, held by tenant a,
+// and no producers behind it: acquire/release only.
+func admissionHarness(t *testing.T) (svc *Service, a, b *Tenant) {
+	t.Helper()
+	svc, err := NewService(ServiceConfig{Addrs: []string{"127.0.0.1:1"}, Capacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	if a, err = svc.Register(TenantConfig{Name: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = svc.Register(TenantConfig{Name: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.acquire(context.Background(), a); err != nil {
+		t.Fatal(err)
+	}
+	return svc, a, b
+}
+
+// queue starts one acquire for tn and returns once it is waiting.
+func queue(t *testing.T, svc *Service, ctx context.Context, tn *Tenant) <-chan error {
+	t.Helper()
+	svc.mu.Lock()
+	want := len(svc.waiters) + 1
+	svc.mu.Unlock()
+	errc := make(chan error, 1)
+	go func() { errc <- svc.acquire(ctx, tn) }()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		svc.mu.Lock()
+		n := len(svc.waiters)
+		svc.mu.Unlock()
+		if n == want {
+			return errc
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("acquire never queued (%d waiters, want %d)", n, want)
+		}
+	}
+}
+
+// granted waits for a queued acquire to be admitted.
+func granted(t *testing.T, errc <-chan error) {
+	t.Helper()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("queued fetch admitted with %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("waiter stalled behind a cancelled fetch")
+	}
+}
+
+// assertIdle checks slot conservation once nothing is in flight.
+func assertIdle(t *testing.T, svc *Service) {
+	t.Helper()
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	sum := 0
+	for _, tn := range svc.tenants {
+		sum += tn.inflight
+	}
+	if svc.shared != 0 || sum != 0 || len(svc.waiters) != 0 {
+		t.Fatalf("idle service holds shared=%d, sum(inflight)=%d, waiters=%d; want all 0",
+			svc.shared, sum, len(svc.waiters))
+	}
+}
+
+// A fetch cancelled while it waits for admission gives nothing back
+// (it held nothing) and must not stall the waiter behind it.
+func TestServiceCancelWhileQueuedConservesSlots(t *testing.T) {
+	svc, a, b := admissionHarness(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := queue(t, svc, ctx, b)
+	behind := queue(t, svc, context.Background(), b)
+
+	cancel()
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+	}
+	svc.release(a)
+	granted(t, behind)
+	svc.release(b)
+	assertIdle(t, svc)
+}
+
+// A grant that races its fetch's cancellation: the slot was handed
+// over before the waiter could withdraw, so the fetch owns it (acquire
+// reports success whichever select arm wins), its release hands the
+// slot on, and nothing leaks.
+func TestServiceGrantRacingCancelConservesSlots(t *testing.T) {
+	svc, a, b := admissionHarness(t)
+	for i := 0; i < 100; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		raced := queue(t, svc, ctx, b)
+		behind := queue(t, svc, context.Background(), b)
+
+		// release(a) with the cancel inside the critical section: the
+		// waiter wakes to a closed grant channel and a done context.
+		svc.mu.Lock()
+		a.inflight--
+		svc.shared--
+		svc.grantLocked()
+		cancel()
+		svc.mu.Unlock()
+
+		if err := <-raced; err != nil {
+			t.Fatalf("round %d: granted-then-cancelled fetch returned %v, want the slot", i, err)
+		}
+		svc.release(b)
+		granted(t, behind)
+		svc.release(b)
+		assertIdle(t, svc)
+		if err := svc.acquire(context.Background(), a); err != nil { // re-arm
+			t.Fatal(err)
 		}
 	}
 }

@@ -13,7 +13,8 @@ import (
 	"disttrain/internal/scenario"
 )
 
-// poolHarness wires a training spec to an in-process producer fleet:
+// poolHarness wires a training spec to an in-process producer fleet
+// behind a one-tenant preprocessing service:
 // a shrunken (but LAION-shaped) corpus keeps the real pixel pipeline
 // fast enough for the test cadence.
 type poolHarness struct {
@@ -52,6 +53,23 @@ func newPoolHarness(t *testing.T) *poolHarness {
 	}
 }
 
+// tenant registers the trainer as the only tenant of a fresh service
+// over the fleet.
+func (h *poolHarness) tenant(t *testing.T, fleet *preprocess.Fleet, cfg preprocess.ServiceConfig) *preprocess.Tenant {
+	t.Helper()
+	cfg.Addrs = fleet.Addrs()
+	svc, err := preprocess.NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	tenant, err := svc.Register(preprocess.TenantConfig{Name: "only", DP: h.pcfg.DPSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tenant
+}
+
 // run trains iters iterations against a fresh fleet of n producers,
 // optionally under a scenario wired to kill/restore fleet members.
 func (h *poolHarness) run(t *testing.T, producers, iters int, scenSpec string) (*Result, metrics.PoolSnapshot) {
@@ -62,19 +80,14 @@ func (h *poolHarness) run(t *testing.T, producers, iters int, scenSpec string) (
 	}
 	defer fleet.Close()
 	stats := &metrics.PoolStats{}
-	pool, err := preprocess.NewPool(preprocess.PoolConfig{
-		Addrs:           fleet.Addrs(),
+	tenant := h.tenant(t, fleet, preprocess.ServiceConfig{
 		FailureCooldown: 100 * time.Millisecond,
 		DialTimeout:     500 * time.Millisecond,
 		Stats:           stats,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
 
 	cfg := DistTrainConfig(h.spec, h.plan, h.corpus)
-	cfg.Source = &PoolSource{Pool: pool, Samples: h.corpus}
+	cfg.Source = &PoolSource{Pool: tenant, Samples: h.corpus}
 	if scenSpec != "" {
 		sc, err := scenario.Parse(scenSpec)
 		if err != nil {
@@ -96,17 +109,22 @@ func (h *poolHarness) run(t *testing.T, producers, iters int, scenSpec string) (
 }
 
 // The acceptance pin for elastic preprocessing: the concurrent trainer
-// runs against a 3-producer pool, one producer is killed mid-run by a
-// scenario event and later rejoins, and the results are identical to
-// the single-producer reference — elasticity changes who serves, never
-// what trains. The pool metrics must show the churn as failovers.
+// runs on a tenant handle over 3 producers, one producer is killed
+// mid-run by a scenario event and later rejoins, and the results are
+// identical to the single-producer reference — elasticity changes who
+// serves, never what trains. The tenant metrics must show the churn as
+// failovers, and nothing else: same fetch count, no rejections.
 func TestRunWithProducerPoolSurvivesChurn(t *testing.T) {
 	h := newPoolHarness(t)
 	const iters = 6
 
 	ref, refSnap := h.run(t, 1, iters, "")
-	if refSnap.Failovers != 0 {
-		t.Fatalf("reference run recorded %d failovers", refSnap.Failovers)
+	if refSnap.Failovers != 0 || refSnap.Rejections != 0 {
+		t.Fatalf("healthy reference run recorded failovers=%d rejections=%d",
+			refSnap.Failovers, refSnap.Rejections)
+	}
+	if want := int64(iters * h.pcfg.DPSize); refSnap.Fetches != want {
+		t.Fatalf("reference run fetched %d rank batches, want %d (iterations x DP)", refSnap.Fetches, want)
 	}
 
 	res, snap := h.run(t, 3, iters,
@@ -126,8 +144,8 @@ func TestRunWithProducerPoolSurvivesChurn(t *testing.T) {
 	if snap.Failovers < 1 {
 		t.Errorf("producer churn recorded %d failovers, want >= 1", snap.Failovers)
 	}
-	if snap.Fetches == 0 || snap.MeanFetchSeconds < 0 {
-		t.Errorf("implausible pool metrics: %+v", snap)
+	if snap.Fetches != refSnap.Fetches || snap.Rejections != 0 || snap.MeanFetchSeconds < 0 {
+		t.Errorf("implausible pool metrics: %+v (reference fetched %d)", snap, refSnap.Fetches)
 	}
 	// No iteration is cost-perturbed: pool membership is not a cost
 	// event.
@@ -152,17 +170,13 @@ func TestPoolSourceMatchesSyntheticFrontEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	pool, err := preprocess.NewPool(preprocess.PoolConfig{Addrs: fleet.Addrs()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+	tenant := h.tenant(t, fleet, preprocess.ServiceConfig{})
 
 	base := DistTrainConfig(h.spec, h.plan, h.corpus)
 	base.Reorder = false
 
 	pooled := base
-	pooled.Source = &PoolSource{Pool: pool, Samples: h.corpus}
+	pooled.Source = &PoolSource{Pool: tenant, Samples: h.corpus}
 
 	runCfg := func(cfg Config) *Result {
 		rt, err := New(cfg)

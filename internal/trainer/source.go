@@ -106,15 +106,16 @@ func TrialMeanIterTime(cfg Config, batches [][]data.Sample) (float64, error) {
 }
 
 // PoolSource sources each iteration's microbatches from a live
-// disaggregated-preprocessing producer pool over TCP: every rank's
-// preprocessed batch is fetched (with failover) from the pool, then
-// mapped back to corpus samples by index so the runtime can price the
-// iteration's compute. The producers own assignment and reordering;
-// the trainer consumes their decisions — the §5 division of labour.
+// disaggregated-preprocessing producer fleet over TCP: every rank's
+// preprocessed batch is fetched (with failover) through the trainer's
+// tenant handle, then mapped back to corpus samples by index so the
+// runtime can price the iteration's compute. The producers own
+// assignment and reordering; the trainer consumes their decisions —
+// the §5 division of labour.
 type PoolSource struct {
-	// Pool is the producer fetcher: a private *preprocess.Pool or a
-	// tenant handle on a fleet-shared *preprocess.Service.
-	Pool preprocess.Fetcher
+	// Pool is the trainer's tenant handle on a preprocess.Service (the
+	// only tenant of its own service, or one of a fleet's).
+	Pool *preprocess.Tenant
 	// Samples recovers full sample metadata by index (*data.Corpus
 	// satisfies it); producers ship token payloads, not the simulation
 	// shapes.
@@ -122,18 +123,16 @@ type PoolSource struct {
 }
 
 // Assign implements BatchSource: rank fetches fan out concurrently,
-// bounded by the pool's admission limit so the front-end itself never
-// trips ErrPoolSaturated.
+// bounded by the tenant's admission quota so the front-end itself
+// never trips ErrPoolSaturated.
 func (ps *PoolSource) Assign(iter, dp int) ([]data.Sample, [][]data.Sample, error) {
 	if ps.Pool == nil || ps.Samples == nil {
 		return nil, nil, fmt.Errorf("trainer: PoolSource needs both Pool and Samples")
 	}
-	// A DP-aware fetcher (a shared-service tenant) learns the current
-	// geometry before the fan-out: elastic resizes reshape the
-	// producer-side split without re-registering the tenant.
-	if s, ok := ps.Pool.(preprocess.DPAware); ok {
-		s.SetDP(dp)
-	}
+	// The tenant learns the current geometry before the fan-out:
+	// elastic resizes and plan switches reshape the producer-side split
+	// without re-registering.
+	ps.Pool.SetDP(dp)
 	ranks := make([][]data.Sample, dp)
 	errs := make([]error, dp)
 	workers := ps.Pool.MaxInflight()
