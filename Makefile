@@ -9,7 +9,7 @@ GO ?= go
 # change in.
 COVER_FLOOR ?= 73
 
-.PHONY: all build fmt vet test race bench bench-json bench-diff fuzz cover profile staticcheck ci
+.PHONY: all build fmt vet test race bench bench-json bench-diff fuzz cover profile profile-plan staticcheck ci
 
 all: build
 
@@ -132,6 +132,23 @@ profile: build
 		-mutexprofile $(PROF_DIR)/fleet-mutex.pprof
 	@echo "profiles written to $(PROF_DIR)/"
 
+# profile-plan is the planner's counterpart: the §4.3 search alone, the
+# 72B model at Table 3's four cluster sizes. One sweep is four searches
+# — tens of milliseconds, a handful of CPU samples — so the size list
+# is repeated PROF_PLAN_REPS times inside the one PlanMany call (every
+# entry is searched on its own; nothing is cached without
+# -plan-cache-dir). The table goes to $(PROF_DIR)/plan-sweep.txt.
+#   go tool pprof -top -focus=orchestrator $(PROF_DIR)/plan-cpu.pprof
+PROF_PLAN_REPS ?= 25
+profile-plan: build
+	@mkdir -p $(PROF_DIR)
+	$(GO) run ./cmd/disttrain-plan -model 72b -batch 1920 \
+		-sweep $$(yes 14,41,81,162 | head -n $(PROF_PLAN_REPS) | paste -sd, -) \
+		-cpuprofile $(PROF_DIR)/plan-cpu.pprof \
+		-memprofile $(PROF_DIR)/plan-mem.pprof \
+		-mutexprofile $(PROF_DIR)/plan-mutex.pprof > $(PROF_DIR)/plan-sweep.txt
+	@echo "profiles written to $(PROF_DIR)/"
+
 # staticcheck runs honnef.co/go/tools with the checks pinned in
 # staticcheck.conf. The binary is not vendored: CI installs a pinned
 # version; locally the target skips (with a note) when the tool is
@@ -145,10 +162,13 @@ staticcheck:
 
 # fuzz smoke: hammer the user-facing parsers with generated inputs for
 # a few seconds each — the preprocessing wire protocol and the scenario
-# grammar (the seeded corpora always run in plain `make test`).
+# grammar — and the §4.3 subproblem kernel against its closure-based
+# oracle, bit for bit (the seeded corpora always run in plain `make
+# test`).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseBatch -fuzztime=5s ./internal/preprocess
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario
+	$(GO) test -run='^$$' -fuzz=FuzzSubproblemRefine -fuzztime=5s ./internal/orchestrator
 
 # cover fails when total statement coverage regresses below
 # COVER_FLOOR. Writes cover.out for per-package reporting.

@@ -93,9 +93,9 @@ func main() {
 // parse extracts benchmark result lines: `BenchmarkName-P  N  V ns/op
 // [V unit]...`. Non-benchmark lines (experiment tables, PASS/ok) are
 // skipped. Repeated names (-count=N) collapse to one representative
-// sample: the median gated rate (norm-iters/s, else cpu-iters/s) for
-// benchmarks reporting a throughput metric, the fastest wall clock
-// otherwise. A single -benchtime=1x run of the fleet loop swings tens
+// sample, one-iteration smoke samples aside: the median gated rate
+// (norm-iters/s, else cpu-iters/s) for benchmarks reporting a
+// throughput metric, the fastest wall clock otherwise. A single -benchtime=1x run of the fleet loop swings tens
 // of percent with GC timing and scheduler preemption; the per-sample
 // jitter left after spin normalization is roughly symmetric, so the
 // median of N samples is stable to a few percent where both the
@@ -150,7 +150,22 @@ func parse(r io.Reader) (*Report, error) {
 // gated rate when the samples report one, else the fastest by wall
 // clock. The whole sample is kept (its allocs/op rides along with its
 // rate) rather than mixing metrics across samples.
+//
+// bench-json's first pass runs every benchmark once (-benchtime=1x)
+// before the measured -count passes append their samples under the
+// same name. A one-iteration sample is a smoke run, not a measurement:
+// it is dropped whenever the name has a sample with more iterations, so
+// it can neither win the median nor be the fastest wall clock.
 func collapse(samples []Benchmark) Benchmark {
+	measured := samples[:0:0]
+	for _, b := range samples {
+		if b.Iterations > 1 {
+			measured = append(measured, b)
+		}
+	}
+	if len(measured) > 0 {
+		samples = measured
+	}
 	for _, unit := range []string{normUnit, throughputUnit} {
 		rated := samples[:0:0]
 		for _, b := range samples {

@@ -22,64 +22,83 @@ import (
 	"strings"
 
 	"disttrain"
+	"disttrain/internal/prof"
+)
+
+var (
+	modelName   = flag.String("model", "9b", "model preset: 9b, 15b or 72b")
+	nodes       = flag.Int("nodes", 12, "cluster size in 8-GPU nodes")
+	batch       = flag.Int("batch", 128, "global batch size (samples per iteration)")
+	strategy    = flag.String("strategy", "all", "disttrain, megatron, distmm or all")
+	freeze      = flag.String("freeze", "full", "full, all-frozen, encoder-only, llm-only or generator-only")
+	parallelism = flag.Int("parallelism", 0, "plan-search worker count (0 = GOMAXPROCS)")
+	sweep       = flag.String("sweep", "", "comma-separated node counts to plan concurrently (overrides -nodes/-strategy)")
+	cacheDir    = flag.String("plan-cache-dir", "", "durable plan-cache directory: previously planned tasks load from disk instead of re-searching, and new sizes warm-start from their neighbours")
+	planners    = flag.Int("planners", 0, "async planner pool for the sweep (0 = synchronous): sizes are enqueued up front, duplicate tasks coalesce onto one in-flight search, and results publish in sweep order")
 )
 
 func main() {
-	var (
-		modelName   = flag.String("model", "9b", "model preset: 9b, 15b or 72b")
-		nodes       = flag.Int("nodes", 12, "cluster size in 8-GPU nodes")
-		batch       = flag.Int("batch", 128, "global batch size (samples per iteration)")
-		strategy    = flag.String("strategy", "all", "disttrain, megatron, distmm or all")
-		freeze      = flag.String("freeze", "full", "full, all-frozen, encoder-only, llm-only or generator-only")
-		parallelism = flag.Int("parallelism", 0, "plan-search worker count (0 = GOMAXPROCS)")
-		sweep       = flag.String("sweep", "", "comma-separated node counts to plan concurrently (overrides -nodes/-strategy)")
-		cacheDir    = flag.String("plan-cache-dir", "", "durable plan-cache directory: previously planned tasks load from disk instead of re-searching, and new sizes warm-start from their neighbours")
-		planners    = flag.Int("planners", 0, "async planner pool for the sweep (0 = synchronous): sizes are enqueued up front, duplicate tasks coalesce onto one in-flight search, and results publish in sweep order")
-	)
+	profile := prof.Register(flag.CommandLine)
 	flag.Parse()
 
-	m, err := modelByName(*modelName)
+	stopProfile, err := profile.Start()
 	if err != nil {
 		fatal(err)
 	}
-	fr, err := freezeByName(*freeze)
+	err = run()
+	if perr := stopProfile(); perr != nil {
+		fatal(perr)
+	}
 	if err != nil {
 		fatal(err)
+	}
+}
+
+// run is the whole command after flag parsing; main brackets it with
+// the pprof start/stop pair, so it returns errors instead of exiting.
+func run() error {
+	m, err := modelByName(*modelName)
+	if err != nil {
+		return err
+	}
+	fr, err := freezeByName(*freeze)
+	if err != nil {
+		return err
 	}
 	opts := disttrain.SearchOptions{Parallelism: *parallelism}
 	var cache *disttrain.PlanCache
 	if *cacheDir != "" {
 		st, err := disttrain.NewDiskPlanStore(*cacheDir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cache = disttrain.NewPersistentPlanCache(opts, st)
 	}
 
 	if *planners < 0 {
-		fatal(fmt.Errorf("-planners %d invalid (want >= 0)", *planners))
+		return fmt.Errorf("-planners %d invalid (want >= 0)", *planners)
 	}
 	if *planners > 0 {
 		if cache == nil {
 			cache = disttrain.NewPlanCache(opts)
 		}
 		if err := cache.StartPlanners(*planners); err != nil {
-			fatal(err)
+			return err
 		}
 		defer cache.StopPlanners()
 	}
 
 	if *sweep != "" {
 		if err := runSweep(m, fr, *batch, *sweep, opts, cache, *planners); err != nil {
-			fatal(err)
+			return err
 		}
 		reportCache(cache)
-		return
+		return nil
 	}
 
 	spec, _, err := disttrain.NewSpecFrozen(m, *nodes, *batch, fr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("task: %s on %d GPUs, global batch %d, freeze=%s\n\n",
 		m.Name, *nodes*8, *batch, fr.Name)
@@ -110,6 +129,7 @@ func main() {
 		fmt.Println(plan)
 	}
 	reportCache(cache)
+	return nil
 }
 
 // reportCache summarises the durable cache's work, when one is in use.

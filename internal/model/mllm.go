@@ -315,7 +315,12 @@ func (mm ModuleMemory) Total() float64 {
 //	frozen   — frozen modules keep parameters but need no gradients or
 //	           optimizer states
 func (m MLLM) MemoryModel(mod Module, gpus, dp, pp int, actBytes float64, frozen bool) ModuleMemory {
-	p := m.Params(mod)
+	return MemoryForParams(m.Params(mod), gpus, dp, pp, actBytes, frozen)
+}
+
+// MemoryForParams is MemoryModel for a module of p parameters; callers
+// that size one module many times derive p once.
+func MemoryForParams(p float64, gpus, dp, pp int, actBytes float64, frozen bool) ModuleMemory {
 	var mm ModuleMemory
 	perParam := float64(BytesPerParam)
 	optim := 0.0

@@ -9,11 +9,10 @@ import (
 )
 
 // Reentrancy audit (parallel search engine): both baseline planners
-// are pure functions of the spec — they share no mutable state, call
-// llmMemoryFloor directly (a single floor query each, so the engine's
-// per-search floorCache would buy nothing), and touch the profiler
-// only through its thread-safe query methods. Callers may therefore
-// score baselines concurrently with a DistTrain plan search.
+// are pure functions of the spec — they share no mutable state (each
+// builds its own searchCtx) and touch the profiler only through its
+// thread-safe query methods. Callers may therefore score baselines
+// concurrently with a DistTrain plan search.
 
 // megatronPPTable holds the §7.1 pipeline sizes: "we set the PP size of
 // the LLM backbone to 1, 2, and 10 for Llama3-7B, Llama3-13B, and
@@ -34,21 +33,22 @@ func PlanMegatron(s Spec) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	sc := newSearchCtx(&s)
 	tp := s.Cluster.GPUsPerNode
 	ppLM, ok := megatronPPTable[s.Model.Backbone.Name]
 	if !ok {
 		// Fallback for non-preset backbones: the memory floor at DP=1.
 		var err error
-		ppLM, err = llmMemoryFloor(s, tp, 1)
+		ppLM, err = sc.llmMemoryFloor(tp, 1)
 		if err != nil {
 			return nil, err
 		}
 	}
 	stages := ppLM + 2 // encoder stage + LLM stages + generator stage
-	maxDP := s.maxGPUs() / (tp * stages)
+	maxDP := sc.n / (tp * stages)
 	if maxDP < 1 {
 		return nil, fmt.Errorf("orchestrator: megatron needs %d GPUs for one replica, budget %d",
-			tp*stages, s.maxGPUs())
+			tp*stages, sc.n)
 	}
 	dp := largestDPDivisor(s, maxDP)
 	if dp == 0 {
@@ -63,7 +63,7 @@ func PlanMegatron(s Spec) (*Plan, error) {
 			{Module: model.Generator, Config: parallel.Plain(tp, 1, dp), Replicated: true},
 		},
 	}
-	if err := Evaluate(s, plan); err != nil {
+	if err := sc.evaluate(plan); err != nil {
 		return nil, err
 	}
 	return plan, nil
@@ -78,7 +78,8 @@ func PlanDistMM(s Spec) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	n := s.maxGPUs()
+	sc := newSearchCtx(&s)
+	n := sc.n
 	tp := s.Cluster.GPUsPerNode
 	// DistMM* runs on DistTrain's execution stack (§7.2), so the
 	// modality modules use DistTrain's width-1 replication; only the
@@ -113,11 +114,11 @@ func PlanDistMM(s Spec) (*Plan, error) {
 	if dp == 0 {
 		return nil, errors.New("orchestrator: distmm cannot fit one backbone replica")
 	}
-	ppFloor, err := llmMemoryFloor(s, tp, dp)
+	ppFloor, err := sc.llmMemoryFloor(tp, dp)
 	if err != nil {
 		return nil, err
 	}
-	pp := snapPPToLayers(yTarget/(tp*dp), s.Model.Backbone.Layers, ppFloor)
+	pp := sc.divisors.snapPPToLayers(yTarget/(tp*dp), ppFloor)
 	if pp == 0 {
 		return nil, errors.New("orchestrator: distmm cannot satisfy backbone memory floor")
 	}
@@ -141,7 +142,7 @@ func PlanDistMM(s Spec) (*Plan, error) {
 			{Module: model.Generator, Config: parallel.Plain(modalityWidth, 1, z), Replicated: true},
 		},
 	}
-	if err := Evaluate(s, plan); err != nil {
+	if err := sc.evaluate(plan); err != nil {
 		return nil, err
 	}
 	return plan, nil

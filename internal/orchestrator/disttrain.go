@@ -3,9 +3,7 @@ package orchestrator
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
-	"sort"
 
 	"disttrain/internal/model"
 	"disttrain/internal/parallel"
@@ -48,13 +46,11 @@ func PlanDistTrainSequential(s Spec) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	n := s.maxGPUs()
-	replicate := s.Profiler.Options().ReplicateSmallModules
-	floors := &floorCache{}
+	sc := newSearchCtx(&s)
 
 	var candidates []*Plan
-	for _, c := range enumerateCandidates(s, n) {
-		cand, err := solveSubproblem(s, c, n, replicate, floors, math.Inf(1))
+	for _, c := range sc.strategySet() {
+		cand, err := sc.solveSubproblem(c, math.Inf(1))
 		if err != nil {
 			continue // infeasible combination
 		}
@@ -116,133 +112,87 @@ func dpCandidates(s Spec, tpLM, n int) []int {
 	return out
 }
 
-// llmMemoryFloor returns the minimum GPU count for the backbone at
-// (tp, dp): the smallest PP whose per-GPU footprint fits, scanning PP
-// over divisors of the layer count.
-func llmMemoryFloor(s Spec, tp, dp int) (int, error) {
-	layers := s.Model.Backbone.Layers
-	for pp := 1; pp <= layers; pp++ {
-		if layers%pp != 0 {
-			continue
-		}
-		mp := ModulePlan{
-			Module: model.Backbone,
-			Config: parallel.Plain(tp, pp, dp),
-		}
-		probe := Plan{Modules: [3]ModulePlan{
-			{Module: model.Encoder, Config: parallel.Plain(1, 1, 1), Replicated: true},
-			mp,
-			{Module: model.Generator, Config: parallel.Plain(1, 1, 1), Replicated: true},
-		}}
-		if err := moduleMemoryOK(s, probe.Modules[model.Backbone]); err == nil {
-			return pp, nil
-		}
+// Why a strategy combination yields no plan. Static values: a cold
+// search rejects hundreds of combinations and reports each to its
+// OnCandidate observer.
+var (
+	errNoMicrobatch       = errors.New("orchestrator: fewer than one microbatch")
+	errLowerExceedsBudget = errors.New("orchestrator: lower bounds exceed budget")
+	errNoValidPP          = errors.New("orchestrator: no valid PP for backbone")
+	errRoundingOverBudget = errors.New("orchestrator: rounding exceeded budget")
+)
+
+// subproblemFor folds candidate c's constants into its convex program.
+// ppFloor is the backbone's memory floor at c's (TP, DP).
+func (sc *searchCtx) subproblemFor(c Candidate) (sub subproblem, ppFloor int, err error) {
+	tpLM, dpLM, wME, wMG := c.TPLM, c.DPLM, c.WME, c.WMG
+	s, m := sc.spec, sc.m
+	k := s.GlobalBatch / (dpLM * s.Microbatch) // microbatches per iteration
+	if k < 1 {
+		return sub, 0, errNoMicrobatch
 	}
-	return 0, fmt.Errorf("orchestrator: %s cannot fit at TP=%d DP=%d", s.Model.Backbone.Name, tp, dp)
+	cLM := sc.cTrain(model.Backbone, tpLM)
+	cME := sc.cTrain(model.Encoder, wME)
+	cMG := sc.cTrain(model.Generator, wMG)
+
+	floor := sc.floors[[2]int{tpLM, dpLM}]
+	if floor.err != nil {
+		return sub, 0, floor.err
+	}
+	sub = subproblem{
+		// Warm-up terms (Eq. 1): M*C_lm/VPP + DP_lm*M*w/x * C (PP_me = 1
+		// for the modality modules).
+		base: m * cLM / float64(sc.vpp),
+		a:    float64(dpLM) * m * float64(wME) * cME,
+		c:    float64(dpLM) * m * float64(wMG) * cMG,
+		// Steady-phase weights: T_mod = w_mod / alloc.
+		w: [3]float64{
+			float64(dpLM) * float64(wME) * m * cME,  // x: encoder
+			float64(dpLM) * float64(tpLM) * m * cLM, // y: backbone
+			float64(dpLM) * float64(wMG) * m * cMG,  // z: generator
+		},
+		kk:     float64(k - 1),
+		budget: float64(sc.n),
+		// Lower bounds: memory floors and granularity minimums.
+		lower: [3]float64{float64(wME), float64(tpLM * dpLM * floor.pp), float64(wMG)},
+	}
+	if sub.lower[0]+sub.lower[1]+sub.lower[2] > sub.budget {
+		return sub, 0, errLowerExceedsBudget
+	}
+	return sub, floor.pp, nil
 }
 
-// moduleMemoryOK checks a single module's footprint.
-func moduleMemoryOK(s Spec, mp ModulePlan) error {
-	probe := Plan{Modules: [3]ModulePlan{
-		{Module: model.Encoder, Config: parallel.Plain(1, 1, 1), Replicated: true},
-		{Module: model.Backbone, Config: parallel.Plain(1, 1, 1)},
-		{Module: model.Generator, Config: parallel.Plain(1, 1, 1), Replicated: true},
-	}}
-	probe.Modules[mp.Module] = mp
-	// Evaluate only the module in question by constructing a plan where
-	// the others are trivially small; CheckMemory validates all three,
-	// so tiny placeholder configs must themselves fit — they always do
-	// for the encoder/generator (sub-2B modules) but the probe for the
-	// backbone needs real sizes, handled by the caller.
-	if mp.Module != model.Backbone {
-		probe.Modules[model.Backbone] = ModulePlan{
-			Module: model.Backbone,
-			Config: parallel.Plain(s.Cluster.GPUsPerNode, s.Model.Backbone.Layers, 1),
-		}
-	}
-	return CheckMemory(s, probe)
-}
-
-// solveSubproblem handles one enumerated strategy combination. It is
-// called concurrently by the search engine's workers: it must stay
-// free of shared mutable state beyond the thread-safe floor cache and
-// the profiler's memoized cost queries.
+// solveSubproblem handles one enumerated strategy combination of the
+// context's spec. It is called concurrently by the search engine's
+// workers and only reads the context.
 //
 // bound is a known-achievable iteration time (+Inf to disable):
 // candidates whose convex lower bound proves they cannot beat
 // bound*selectBand are skipped with ErrCandidatePruned before the
 // expensive water-fill + golden-section stages.
-func solveSubproblem(s Spec, c Candidate, n int, replicate bool, floors *floorCache, bound float64) (*Plan, error) {
-	tpLM, dpLM, wME, wMG := c.TPLM, c.DPLM, c.WME, c.WMG
-	m := float64(s.Microbatch)
-	k := s.GlobalBatch / (dpLM * s.Microbatch) // microbatches per iteration
-	if k < 1 {
-		return nil, errors.New("orchestrator: fewer than one microbatch")
-	}
-	cLM := s.Profiler.CTrain(model.Backbone, tpLM)
-	cME := s.Profiler.CTrain(model.Encoder, wME)
-	cMG := s.Profiler.CTrain(model.Generator, wMG)
-
-	// Steady-phase weights: T_mod = w_mod / alloc.
-	weights := []float64{
-		float64(dpLM) * float64(wME) * m * cME,  // x: encoder
-		float64(dpLM) * float64(tpLM) * m * cLM, // y: backbone
-		float64(dpLM) * float64(wMG) * m * cMG,  // z: generator
-	}
-
-	// Lower bounds: memory floors and granularity minimums. The floor
-	// depends only on (TP, DP), so the per-search cache shares it
-	// across the 16 (w_me, w_mg) combinations of the same backbone
-	// shape.
-	ppFloor, err := floors.floor(s, tpLM, dpLM)
+func (sc *searchCtx) solveSubproblem(c Candidate, bound float64) (*Plan, error) {
+	sub, ppFloor, err := sc.subproblemFor(c)
 	if err != nil {
 		return nil, err
 	}
-	lower := []float64{
-		float64(wME),
-		float64(tpLM * dpLM * ppFloor),
-		float64(wMG),
-	}
-	if lower[0]+lower[1]+lower[2] > float64(n) {
-		return nil, errors.New("orchestrator: lower bounds exceed budget")
-	}
+	tpLM, dpLM, wME, wMG := c.TPLM, c.DPLM, c.WME, c.WMG
+	n := sc.n
+	prune := !math.IsInf(bound, 1)
+	cutoff := bound * selectBand * (1 + pruneSlack)
 
-	// Warm-up terms (Eq. 1): M*C_lm/VPP + DP_lm*M*w/x * C (PP_me = 1 for
-	// the modality modules).
-	warmup := func(x, z float64) float64 {
-		return m*cLM/float64(s.vpp()) +
-			float64(dpLM)*m*float64(wME)*cME/x +
-			float64(dpLM)*m*float64(wMG)*cMG/z
-	}
-	objective := func(x, y, z float64) float64 {
-		steady := math.Max(weights[0]/x, math.Max(weights[1]/y, weights[2]/z)) * float64(k-1)
-		return warmup(x, z) + steady
-	}
-
-	// Branch-and-bound prune. objective is decreasing in each argument,
-	// and any feasible allocation satisfies alloc_i <= u_i = n − Σ_{j≠i}
-	// lower_j, so objective(u_x, u_y, u_z) lower-bounds every iteration
-	// time this candidate can achieve — including the exact integer
-	// time, because Evaluate's stage/warm-up algebra equals this closure
-	// at the rounded allocation for plans of the searched shape. A
-	// candidate whose bound exceeds bound*selectBand can therefore be
-	// neither the fastest plan nor inside selectPlan's tie-break band:
-	// skipping it cannot change the selected plan.
-	if !math.IsInf(bound, 1) {
-		sumLower := lower[0] + lower[1] + lower[2]
-		ux := float64(n) - (sumLower - lower[0])
-		uy := float64(n) - (sumLower - lower[1])
-		uz := float64(n) - (sumLower - lower[2])
-		lb := objective(ux, uy, uz)
-		// Mediant bound on the steady phase: any split of at most n GPUs
-		// has max_i(w_i/a_i) >= (w_x+w_y+w_z)/n (the max of ratios is at
-		// least their combined ratio), and warmup is decreasing in (x, z),
-		// so this second lower bound holds too — and is tighter than the
-		// corner bound whenever the three weights are balanced.
-		if alt := warmup(ux, uz) + (weights[0]+weights[1]+weights[2])/float64(n)*float64(k-1); alt > lb {
+	// Branch-and-bound prune. Each bound below is a lower bound on every
+	// iteration time this candidate can achieve — including the exact
+	// integer time, because evaluate's stage/warm-up algebra equals the
+	// subproblem objective at the rounded allocation for plans of the
+	// searched shape. A candidate whose bound exceeds bound*selectBand
+	// can therefore be neither the fastest plan nor inside selectPlan's
+	// tie-break band: skipping it cannot change the selected plan.
+	if prune {
+		lb := sub.cornerBound()
+		if alt := sub.mediantBound(); alt > lb {
 			lb = alt
 		}
-		if alt := dualBound(weights, m*cLM/float64(s.vpp()), float64(n), float64(k-1)); alt > lb {
+		if alt := sub.dualBound(); alt > lb {
 			lb = alt
 		}
 		// Integer-aware corner: the final allocation is built from unit
@@ -251,9 +201,8 @@ func solveSubproblem(s Spec, c Candidate, n int, replicate bool, floors *floorCa
 		// largest *constructible* value under the budget, not the
 		// continuous corner. On small leases the granularity gap dwarfs
 		// the continuous one, and these caps are where the spread shows.
-		layers := s.Model.Backbone.Layers
-		minPP := smallestDivisorAtLeast(layers, ppFloor)
-		maxPP := largestDivisorBetween(layers, ppFloor, (n-wME-wMG)/(tpLM*dpLM))
+		minPP := sc.divisors.smallestDivisorAtLeast(ppFloor)
+		maxPP := sc.divisors.largestDivisorBetween(ppFloor, (n-wME-wMG)/(tpLM*dpLM))
 		if minPP == 0 || maxPP == 0 {
 			return nil, ErrCandidatePruned // no pp can divide the layers: unbuildable
 		}
@@ -264,43 +213,32 @@ func solveSubproblem(s Spec, c Candidate, n int, replicate bool, floors *floorCa
 			return nil, ErrCandidatePruned // no room for a single modality unit
 		}
 		yCap := tpLM * dpLM * maxPP
-		if alt := objective(float64(xCap), float64(yCap), float64(zCap)); alt > lb {
+		if alt := sub.objective(float64(xCap), float64(yCap), float64(zCap)); alt > lb {
 			lb = alt
 		}
-		if lb > bound*selectBand*(1+pruneSlack) {
+		if lb > cutoff {
 			return nil, ErrCandidatePruned
 		}
 	}
 
 	// Stage 1: exact water-filling on the steady term gives the optimum
 	// of the dominant component.
-	wf := solve.WaterFillProblem{Weights: weights, Lower: lower, Budget: float64(n)}
+	wf := solve.WaterFillProblem{Weights: sub.w[:], Lower: sub.lower[:], Budget: sub.budget}
 	xs, steadyOpt, err := wf.Solve()
 	if err != nil {
 		return nil, err
 	}
 	// Second prune, after the cheap water-fill but before the expensive
-	// golden-section refine: steadyOpt is the exact continuous minimum of
-	// the steady term (KKT water level), so warmup(corner) + (k−1)·steadyOpt
-	// lower-bounds the continuous optimum — and hence the rounded integer
-	// time — more tightly than the mediant whenever a lower bound binds
-	// (typically the backbone's memory floor).
-	if !math.IsInf(bound, 1) {
-		sumLower := lower[0] + lower[1] + lower[2]
-		ux := float64(n) - (sumLower - lower[0])
-		uz := float64(n) - (sumLower - lower[2])
-		if lb := warmup(ux, uz) + steadyOpt*float64(k-1); lb > bound*selectBand*(1+pruneSlack) {
-			return nil, ErrCandidatePruned
-		}
+	// golden-section refine.
+	if prune && sub.waterFillBound(steadyOpt) > cutoff {
+		return nil, ErrCandidatePruned
 	}
-	// Stage 2: 2-D golden-section refinement of the full convex
-	// objective (warm-up shifts the optimum slightly toward the
-	// modality modules when K is small).
-	xs = refine(objective, xs, lower, float64(n))
+	// Stage 2: 2-D golden-section refinement of the full convex objective.
+	refined := sub.refine([3]float64{xs[0], xs[1], xs[2]})
 
 	// Stage 3: integer rounding to unit granularities.
-	granule := []int{wME, tpLM * dpLM, wMG}
-	alloc := solve.RoundAllocation(xs, weights, granule, n)
+	granule := [3]int{wME, tpLM * dpLM, wMG}
+	alloc := solve.RoundAllocation(refined[:], sub.w[:], granule[:], n)
 
 	// The backbone's PP must divide its layer count: snap down, then
 	// hand freed GPUs to the bottleneck modality module.
@@ -308,159 +246,25 @@ func solveSubproblem(s Spec, c Candidate, n int, replicate bool, floors *floorCa
 	if ppLM < ppFloor {
 		ppLM = ppFloor
 	}
-	ppLM = snapPPToLayers(ppLM, s.Model.Backbone.Layers, ppFloor)
+	ppLM = sc.divisors.snapPPToLayers(ppLM, ppFloor)
 	if ppLM == 0 {
-		return nil, errors.New("orchestrator: no valid PP for backbone")
+		return nil, errNoValidPP
 	}
 	alloc[1] = ppLM * tpLM * dpLM
 	if alloc[0]+alloc[1]+alloc[2] > n {
-		return nil, errors.New("orchestrator: rounding exceeded budget")
+		return nil, errRoundingOverBudget
 	}
 
 	plan := &Plan{
 		Strategy: "disttrain",
 		Modules: [3]ModulePlan{
-			{Module: model.Encoder, Config: parallel.Config{TP: wME, PP: 1, DP: alloc[0] / wME, VPP: 1, EP: 1}, Replicated: replicate},
-			{Module: model.Backbone, Config: parallel.Config{TP: tpLM, PP: ppLM, DP: dpLM, VPP: s.vpp(), EP: 1, SP: s.Profiler.Options().SeqParallel}},
-			{Module: model.Generator, Config: parallel.Config{TP: wMG, PP: 1, DP: alloc[2] / wMG, VPP: 1, EP: 1}, Replicated: replicate},
+			{Module: model.Encoder, Config: parallel.Config{TP: wME, PP: 1, DP: alloc[0] / wME, VPP: 1, EP: 1}, Replicated: sc.replicate},
+			{Module: model.Backbone, Config: parallel.Config{TP: tpLM, PP: ppLM, DP: dpLM, VPP: sc.vpp, EP: 1, SP: sc.seqPar}},
+			{Module: model.Generator, Config: parallel.Config{TP: wMG, PP: 1, DP: alloc[2] / wMG, VPP: 1, EP: 1}, Replicated: sc.replicate},
 		},
 	}
-	if err := Evaluate(s, plan); err != nil {
+	if err := sc.evaluate(plan); err != nil {
 		return nil, err
 	}
 	return plan, nil
-}
-
-// dualBound lower-bounds the candidate's continuous optimum without
-// touching its lower bounds: for any simplex weights (λ, μ, ν), the
-// steady max dominates the convex combination λ·w0/x + μ·w1/y + ν·w2/z,
-// so with kk = k−1 and the warm-up sharing the same per-GPU
-// coefficients (warmup = base + w0/x + w2/z),
-//
-//	objective ≥ base + (w0 + λ·kk·w0)/x + μ·kk·w1/y + (w2 + ν·kk·w2)/z
-//
-// and minimising P/x + Q/y + R/z over x+y+z ≤ n has the closed form
-// (√P + √Q + √R)²/n. The bound is maximised over the simplex by KKT —
-// P, Q, R must share a common c with P = c·(kk·w0)², etc. — clamping λ
-// or ν to zero when the unconstrained stationary point leaves the
-// simplex. Tight whenever the candidate's memory floors don't bind,
-// which is exactly where the corner and water-fill bounds are loose.
-func dualBound(weights []float64, base, n, kk float64) float64 {
-	w0, w1, w2 := weights[0], weights[1], weights[2]
-	if kk <= 0 {
-		r := math.Sqrt(w0) + math.Sqrt(w2)
-		return base + r*r/n
-	}
-	lam := 0.0
-	nu := 0.0
-	c := (1 + 2/kk) / (kk * (w0 + w1 + w2))
-	lam = c*kk*w0 - 1/kk
-	nu = c*kk*w2 - 1/kk
-	if lam < 0 && nu < 0 {
-		lam, nu = 0, 0
-	} else if lam < 0 {
-		lam = 0
-		nu = (1+1/kk)/(kk*(w1+w2))*kk*w2 - 1/kk
-		if nu < 0 {
-			nu = 0
-		}
-	} else if nu < 0 {
-		nu = 0
-		lam = (1+1/kk)/(kk*(w0+w1))*kk*w0 - 1/kk
-		if lam < 0 {
-			lam = 0
-		}
-	}
-	mu := 1 - lam - nu
-	r := math.Sqrt(w0*(1+lam*kk)) + math.Sqrt(mu*kk*w1) + math.Sqrt(w2*(1+nu*kk))
-	return base + r*r/n
-}
-
-// refine performs nested golden-section over (x, z) with y = budget -
-// x - z, honouring lower bounds; it returns the better of the seed and
-// the refined point.
-func refine(objective func(x, y, z float64) float64, seed, lower []float64, budget float64) []float64 {
-	evalAt := func(x, z float64) float64 {
-		y := budget - x - z
-		if y < lower[1] {
-			return math.Inf(1)
-		}
-		return objective(x, y, z)
-	}
-	xHi := budget - lower[1] - lower[2]
-	if xHi <= lower[0] {
-		return seed
-	}
-	bestX := solve.MinimizeConvex1D(lower[0], xHi, 1e-4, func(x float64) float64 {
-		zHi := budget - lower[1] - x
-		if zHi <= lower[2] {
-			return math.Inf(1)
-		}
-		z := solve.MinimizeConvex1D(lower[2], zHi, 1e-4, func(z float64) float64 { return evalAt(x, z) })
-		return evalAt(x, z)
-	})
-	zHi := budget - lower[1] - bestX
-	if zHi <= lower[2] {
-		return seed
-	}
-	bestZ := solve.MinimizeConvex1D(lower[2], zHi, 1e-4, func(z float64) float64 { return evalAt(bestX, z) })
-
-	refined := []float64{bestX, budget - bestX - bestZ, bestZ}
-	if evalAt(bestX, bestZ) <= objective(seed[0], seed[1], seed[2]) {
-		return refined
-	}
-	return seed
-}
-
-// snapPPToLayers rounds pp down to the nearest divisor of layers that
-// is at least floor; returns 0 when impossible.
-// smallestDivisorAtLeast returns the smallest divisor of layers that
-// is >= floor, or 0 if none exists.
-func smallestDivisorAtLeast(layers, floor int) int {
-	for d := 1; d <= layers; d++ {
-		if layers%d == 0 && d >= floor {
-			return d
-		}
-	}
-	return 0
-}
-
-// largestDivisorBetween returns the largest divisor of layers in
-// [floor, cap], or 0 if none exists. Unlike snapPPToLayers it never
-// snaps above cap: callers use it to bound what a budget can build.
-func largestDivisorBetween(layers, floor, cap int) int {
-	if cap > layers {
-		cap = layers
-	}
-	for d := cap; d >= floor && d >= 1; d-- {
-		if layers%d == 0 {
-			return d
-		}
-	}
-	return 0
-}
-
-func snapPPToLayers(pp, layers, floor int) int {
-	if pp > layers {
-		pp = layers
-	}
-	var divisors []int
-	for d := 1; d <= layers; d++ {
-		if layers%d == 0 {
-			divisors = append(divisors, d)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(divisors)))
-	for _, d := range divisors {
-		if d <= pp && d >= floor {
-			return d
-		}
-	}
-	// Nothing between floor and pp: take the smallest divisor >= floor.
-	for i := len(divisors) - 1; i >= 0; i-- {
-		if divisors[i] >= floor {
-			return divisors[i]
-		}
-	}
-	return 0
 }

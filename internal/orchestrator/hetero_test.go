@@ -102,11 +102,12 @@ func TestHeterogeneousMemoryBudget(t *testing.T) {
 	small := Spec{Cluster: cl, Model: m, GlobalBatch: 40, Microbatch: 1, Profiler: p, VPP: 1}
 
 	big := newSpec(t, m, 12, 40, model.FullTraining)
-	floorBig, err := llmMemoryFloor(big, 8, 1)
+	bigCtx, smallCtx := newSearchCtx(&big), newSearchCtx(&small)
+	floorBig, err := bigCtx.llmMemoryFloor(8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	floorSmall, err := llmMemoryFloor(small, 8, 1)
+	floorSmall, err := smallCtx.llmMemoryFloor(8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

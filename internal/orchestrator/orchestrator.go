@@ -12,7 +12,6 @@ package orchestrator
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/model"
@@ -172,21 +171,6 @@ func (p Plan) PlacedUnits(base cluster.Cluster, l cluster.Lease) ([3]*parallel.U
 	return units, ranks, brokers, nil
 }
 
-// stageTime returns T_mod: the per-PP-stage time of the module for one
-// microbatch, using the paper's §4.2 formulas with the fwd+bwd C
-// functions.
-func stageTime(s Spec, mp ModulePlan, dpLM int) float64 {
-	c := s.Profiler.CTrain(mp.Module, mp.Config.ModelParallelWidth())
-	switch mp.Module {
-	case model.Backbone:
-		return c * float64(s.Microbatch) / float64(mp.Config.PP)
-	default:
-		// T = DP_lm * TP * M / alloc * C(TP)  (alloc = TP*DP*PP)
-		return float64(dpLM) * float64(mp.Config.ModelParallelWidth()) * float64(s.Microbatch) *
-			c / float64(mp.GPUs())
-	}
-}
-
 // Evaluate scores a candidate plan with the Eq. 1 + Eq. 2 objective and
 // fills in the estimate fields. It returns an error when the plan
 // violates resource or memory constraints.
@@ -194,62 +178,8 @@ func Evaluate(s Spec, p *Plan) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	dpLM := p.Modules[model.Backbone].Config.DP
-	if dpLM <= 0 {
-		return errors.New("orchestrator: plan has no backbone DP")
-	}
-	if p.TotalGPUs() > s.maxGPUs() {
-		return fmt.Errorf("orchestrator: plan wants %d GPUs, budget %d", p.TotalGPUs(), s.maxGPUs())
-	}
-	samplesPerIter := s.GlobalBatch
-	if samplesPerIter%(dpLM*s.Microbatch) != 0 {
-		return fmt.Errorf("orchestrator: DP_lm*M=%d does not divide BS=%d", dpLM*s.Microbatch, samplesPerIter)
-	}
-	p.Microbatches = samplesPerIter / (dpLM * s.Microbatch)
-
-	if err := CheckMemory(s, *p); err != nil {
-		return err
-	}
-
-	// Eq. 1: warm-up = sum over modules of T_mod * PP_mod, with the LLM
-	// term divided by VPP (§4.3).
-	var warmup float64
-	var steady float64
-	for _, mp := range p.Modules {
-		t := stageTime(s, mp, dpLM)
-		w := t * float64(mp.Config.PP)
-		if mp.Module == model.Backbone {
-			w /= float64(s.vpp())
-		}
-		warmup += w
-		steady = math.Max(steady, t)
-	}
-	// Eq. 2: steady phase = bottleneck stage time * (microbatches - 1).
-	steady *= float64(p.Microbatches - 1)
-
-	p.Warmup, p.Steady = warmup, steady
-	p.IterTime = warmup + steady
-	p.EstMFU = estimateMFU(s, *p)
-	p.Brokers[0] = gcd(p.Modules[model.Encoder].Config.DP, dpLM)
-	p.Brokers[1] = gcd(dpLM, p.Modules[model.Generator].Config.DP)
-	return nil
-}
-
-// estimateMFU computes model FLOPs executed per iteration divided by
-// fleet capacity over the estimated iteration time.
-func estimateMFU(s Spec, p Plan) float64 {
-	if p.IterTime <= 0 {
-		return 0
-	}
-	shape := s.Profiler.MeanShape()
-	freeze := s.Profiler.Options().Freeze
-	var flops float64
-	for _, mod := range model.Modules {
-		fwd, bwd := s.Model.ModuleTrainFLOPs(mod, shape, freeze)
-		flops += (fwd + bwd) * float64(s.GlobalBatch)
-	}
-	cap := float64(p.TotalGPUs()) * s.Cluster.GPU.PeakFLOPS * p.IterTime
-	return flops / cap
+	sc := newSearchCtx(&s)
+	return sc.evaluate(p)
 }
 
 // CheckMemory enforces the §4.2 memory constraint for every module:
@@ -258,32 +188,8 @@ func estimateMFU(s Spec, p Plan) float64 {
 // Under heterogeneous hardware (§8) each module is checked against its
 // own SKU's capacity.
 func CheckMemory(s Spec, p Plan) error {
-	freeze := s.Profiler.Options().Freeze
-	shape := s.Profiler.MeanShape()
-	for _, mp := range p.Modules {
-		budget := s.Profiler.Options().GPUFor(mp.Module).MemoryBytes * 0.92
-		var act float64
-		switch mp.Module {
-		case model.Backbone:
-			act = s.Model.Backbone.ActivationBytesPerToken() * float64(s.Model.SeqLen) * float64(s.Microbatch)
-		case model.Encoder:
-			act = s.Model.Encoder.ActivationBytesPerToken() * float64(shape.TotalImageTokens()) * float64(s.Microbatch)
-		case model.Generator:
-			act = s.Model.Generator.ActivationBytesPerImage(s.Model.GenResolution) *
-				float64(maxInt(shape.GenImages, 1)) * float64(s.Microbatch)
-		}
-		dp := mp.Config.DP
-		if mp.Replicated {
-			// Every GPU of a replicated group holds a full model copy.
-			dp = mp.GPUs() / mp.Config.PP
-		}
-		mm := s.Model.MemoryModel(mp.Module, mp.GPUs(), dp, mp.Config.PP, act, freeze.Frozen(mp.Module))
-		if mm.Total() > budget {
-			return fmt.Errorf("orchestrator: %v needs %.1f GiB/GPU, capacity %.1f GiB",
-				mp.Module, mm.Total()/(1<<30), budget/(1<<30))
-		}
-	}
-	return nil
+	sc := newSearchCtx(&s)
+	return sc.checkMemory(&p)
 }
 
 func gcd(a, b int) int {

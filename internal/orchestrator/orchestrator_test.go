@@ -338,7 +338,8 @@ func TestMemoryFloorRejectsTinyCluster(t *testing.T) {
 	// 70B cannot fit on a single 8-GPU node alongside its optimizer
 	// states at DP=1, PP=1; the floor must force PP > 1.
 	s := newSpec(t, model.MLLM72B(), 12, 40, model.FullTraining)
-	pp, err := llmMemoryFloor(s, 8, 1)
+	sc := newSearchCtx(&s)
+	pp, err := sc.llmMemoryFloor(8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

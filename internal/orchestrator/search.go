@@ -145,29 +145,6 @@ func enumerateCandidates(s Spec, n int) []Candidate {
 	return out
 }
 
-// floorCache memoizes llmMemoryFloor per (TP, DP): the floor scan is
-// the most expensive part of a subproblem and every (w_me, w_mg) pair
-// repeats it for the same backbone shape, so one search shares each
-// floor across all workers. The compute is deterministic, so a
-// sync.Once per key gives exactly-once evaluation without a global
-// lock.
-type floorCache struct {
-	entries sync.Map // [2]int{tp, dp} -> *floorEntry
-}
-
-type floorEntry struct {
-	once sync.Once
-	pp   int
-	err  error
-}
-
-func (fc *floorCache) floor(s Spec, tp, dp int) (int, error) {
-	v, _ := fc.entries.LoadOrStore([2]int{tp, dp}, &floorEntry{})
-	e := v.(*floorEntry)
-	e.once.Do(func() { e.pp, e.err = llmMemoryFloor(s, tp, dp) })
-	return e.pp, e.err
-}
-
 // PlanDistTrainCtx is PlanDistTrain with cancellation and search
 // tuning: it runs the §4.3 enumeration on a bounded worker pool and
 // reduces deterministically, returning the same plan as the sequential
@@ -195,27 +172,25 @@ func PlanMany(ctx context.Context, specs []Spec, opts SearchOptions) []PlanResul
 	// Per-spec search state; invalid specs fail fast and contribute no
 	// work items.
 	type search struct {
-		spec      Spec
-		n         int
-		replicate bool
-		cands     []Candidate
-		results   []*Plan
-		floors    *floorCache
-		bound     float64      // fixed branch-and-bound bound (+Inf unless seeded)
-		done      atomic.Int64 // candidates evaluated so far
-		pruned    atomic.Int64 // candidates skipped by the bound
+		ctx     searchCtx
+		cands   []Candidate
+		results []*Plan
+		bound   float64      // fixed branch-and-bound bound (+Inf unless seeded)
+		done    atomic.Int64 // candidates evaluated so far
+		pruned  atomic.Int64 // candidates skipped by the bound
 	}
 	searches := make([]*search, len(specs))
 	type job struct{ spec, cand int }
 	var jobs []job    // bounded fan-out (the only fan-out without SampleBound)
 	var sampled []job // SampleBound phase-1 jobs, evaluated unbounded
-	for i, s := range specs {
+	for i := range specs {
+		s := &specs[i]
 		if err := s.Validate(); err != nil {
 			out[i].Err = err
 			continue
 		}
-		se := &search{spec: s, n: s.maxGPUs(), replicate: s.Profiler.Options().ReplicateSmallModules, floors: &floorCache{}, bound: math.Inf(1)}
-		se.cands = enumerateCandidates(s, se.n)
+		se := &search{ctx: newSearchCtx(s), bound: math.Inf(1)}
+		se.cands = se.ctx.strategySet()
 		se.results = make([]*Plan, len(se.cands))
 		searches[i] = se
 		seed := opts.seedFor(i)
@@ -240,7 +215,7 @@ func PlanMany(ctx context.Context, specs []Spec, opts SearchOptions) []PlanResul
 		// so its iteration time is a FIXED bound for every worker — no
 		// running best-so-far, hence deterministic prune counts.
 		if seeded >= 0 && ctx.Err() == nil {
-			plan, err := solveSubproblem(s, se.cands[seeded], se.n, se.replicate, se.floors, math.Inf(1))
+			plan, err := se.ctx.solveSubproblem(se.cands[seeded], math.Inf(1))
 			if err == nil {
 				se.results[seeded] = plan
 				se.bound = plan.IterTime
@@ -261,7 +236,7 @@ func PlanMany(ctx context.Context, specs []Spec, opts SearchOptions) []PlanResul
 
 	eval := func(specIdx, c int, bound float64) {
 		se := searches[specIdx]
-		plan, err := solveSubproblem(se.spec, se.cands[c], se.n, se.replicate, se.floors, bound)
+		plan, err := se.ctx.solveSubproblem(se.cands[c], bound)
 		if err == nil {
 			se.results[c] = plan
 		} else if errors.Is(err, ErrCandidatePruned) {

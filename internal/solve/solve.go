@@ -10,9 +10,11 @@
 //
 // Reentrancy: every entry point is a pure function of its arguments —
 // value receivers, no package-level mutable state, fresh output slices
-// on every call. The parallel plan-search engine calls Solve,
-// RoundAllocation and MinimizeConvex1D from many goroutines at once;
-// callers only need their own callback closures to be goroutine-safe.
+// on every call. The parallel plan-search engine calls Solve and
+// RoundAllocation from many goroutines at once (its subproblem kernel
+// carries its own inlined copy of MinimizeConvex1D, pinned to this one
+// bit for bit by the orchestrator's tests); callers only need their own
+// callback closures to be goroutine-safe.
 // TestSolveReentrancy pins this property under the race detector.
 package solve
 
@@ -83,11 +85,11 @@ type WaterFillProblem struct {
 	Budget  float64
 }
 
-// Solve returns the exact continuous optimum. The KKT conditions give
+// Solve returns the continuous optimum. The KKT conditions give
 // x_i = max(Lower[i], Weights[i]/t) with t the smallest value whose
-// total allocation fits the budget; t is found in closed form by
-// accumulating the unconstrained variables, with a fallback bisection
-// retained for clarity and cross-checking.
+// total allocation fits the budget; total need is decreasing in t, so
+// t is bisected to a relative 1e-12 between the unconstrained optimum
+// sum(w)/budget and the level of an equal-slack feasible point.
 func (p WaterFillProblem) Solve() ([]float64, float64, error) {
 	n := len(p.Weights)
 	if n == 0 {
