@@ -9,7 +9,7 @@ GO ?= go
 # change in.
 COVER_FLOOR ?= 73
 
-.PHONY: all build fmt vet test race bench bench-json bench-diff fuzz cover profile profile-plan staticcheck ci
+.PHONY: all build fmt vet test race bench bench-json bench-diff fuzz cover loc profile profile-plan staticcheck ci
 
 all: build
 
@@ -133,17 +133,19 @@ profile: build
 	@echo "profiles written to $(PROF_DIR)/"
 
 # profile-plan is the planner's counterpart: the §4.3 search alone, the
-# 72B model at Table 3's four cluster sizes. One sweep is four searches
-# — tens of milliseconds, a handful of CPU samples — so the size list
-# is repeated PROF_PLAN_REPS times inside the one PlanMany call (every
-# entry is searched on its own; nothing is cached without
-# -plan-cache-dir). The table goes to $(PROF_DIR)/plan-sweep.txt.
+# 72B model across Table 3's range of cluster sizes. A sweep of the
+# table's four sizes is four searches — a few milliseconds, a handful
+# of CPU samples — and a repeated size coalesces onto one search, so
+# the sweep covers every PROF_PLAN_STEP-th size from 14 to 162 nodes
+# instead: ~75 distinct cold searches in the one sweep (seeds are
+# captured at enqueue, so none warm-starts another). The table goes to
+# $(PROF_DIR)/plan-sweep.txt.
 #   go tool pprof -top -focus=orchestrator $(PROF_DIR)/plan-cpu.pprof
-PROF_PLAN_REPS ?= 25
+PROF_PLAN_STEP ?= 2
 profile-plan: build
 	@mkdir -p $(PROF_DIR)
 	$(GO) run ./cmd/disttrain-plan -model 72b -batch 1920 \
-		-sweep $$(yes 14,41,81,162 | head -n $(PROF_PLAN_REPS) | paste -sd, -) \
+		-sweep $$(seq -s, 14 $(PROF_PLAN_STEP) 162) \
 		-cpuprofile $(PROF_DIR)/plan-cpu.pprof \
 		-memprofile $(PROF_DIR)/plan-mem.pprof \
 		-mutexprofile $(PROF_DIR)/plan-mutex.pprof > $(PROF_DIR)/plan-sweep.txt
@@ -178,5 +180,10 @@ cover:
 	echo "total coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "FAIL: total coverage $$total% regressed below the $(COVER_FLOOR)% floor"; exit 1; }
+
+# loc prints the number ROADMAP aim 2 tracks and every simplicity PR's
+# CHANGES.md entry quotes: lines of non-test Go outside benchmark/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
 
 ci: build fmt vet staticcheck test race bench bench-diff fuzz cover

@@ -65,10 +65,3 @@ func main() {
 		fmt.Println(ch.ImageCounts.Render("Fig 5(c): image subsequences per sample", 50))
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

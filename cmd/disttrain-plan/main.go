@@ -6,9 +6,11 @@
 //
 //	disttrain-plan -model 72b -nodes 162 -batch 1920 -strategy all
 //
-// The DistTrain planner runs on the parallel plan-search engine; tune
-// the worker pool with -parallelism (0 = GOMAXPROCS). A fleet sweep
-// plans one task per cluster size concurrently over a shared pool:
+// The DistTrain planner runs on the parallel plan-search engine behind
+// a plan cache; tune the worker pool with -parallelism (0 =
+// GOMAXPROCS). A fleet sweep enqueues one task per cluster size onto
+// the cache's planner pool — duplicate sizes coalesce onto one search,
+// the rest share batched waves over the pool:
 //
 //	disttrain-plan -model 9b -batch 128 -sweep 4,8,12,24
 package main
@@ -18,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -34,7 +37,6 @@ var (
 	parallelism = flag.Int("parallelism", 0, "plan-search worker count (0 = GOMAXPROCS)")
 	sweep       = flag.String("sweep", "", "comma-separated node counts to plan concurrently (overrides -nodes/-strategy)")
 	cacheDir    = flag.String("plan-cache-dir", "", "durable plan-cache directory: previously planned tasks load from disk instead of re-searching, and new sizes warm-start from their neighbours")
-	planners    = flag.Int("planners", 0, "async planner pool for the sweep (0 = synchronous): sizes are enqueued up front, duplicate tasks coalesce onto one in-flight search, and results publish in sweep order")
 )
 
 func main() {
@@ -66,7 +68,7 @@ func run() error {
 		return err
 	}
 	opts := disttrain.SearchOptions{Parallelism: *parallelism}
-	var cache *disttrain.PlanCache
+	cache := disttrain.NewPlanCache(opts)
 	if *cacheDir != "" {
 		st, err := disttrain.NewDiskPlanStore(*cacheDir)
 		if err != nil {
@@ -75,21 +77,8 @@ func run() error {
 		cache = disttrain.NewPersistentPlanCache(opts, st)
 	}
 
-	if *planners < 0 {
-		return fmt.Errorf("-planners %d invalid (want >= 0)", *planners)
-	}
-	if *planners > 0 {
-		if cache == nil {
-			cache = disttrain.NewPlanCache(opts)
-		}
-		if err := cache.StartPlanners(*planners); err != nil {
-			return err
-		}
-		defer cache.StopPlanners()
-	}
-
 	if *sweep != "" {
-		if err := runSweep(m, fr, *batch, *sweep, opts, cache, *planners); err != nil {
+		if err := runSweep(m, fr, *batch, *sweep, cache); err != nil {
 			return err
 		}
 		reportCache(cache)
@@ -109,10 +98,7 @@ func run() error {
 	}
 	strategies := []planner{
 		{"disttrain", func(s disttrain.Spec) (*disttrain.Plan, error) {
-			if cache != nil {
-				return cache.Plan(context.Background(), s)
-			}
-			return disttrain.PlanDistTrainCtx(context.Background(), s, opts)
+			return cache.Plan(context.Background(), s)
 		}},
 		{"megatron", disttrain.PlanMegatron},
 		{"distmm", disttrain.PlanDistMM},
@@ -132,23 +118,19 @@ func run() error {
 	return nil
 }
 
-// reportCache summarises the durable cache's work, when one is in use.
+// reportCache summarises the plan cache's work.
 func reportCache(cache *disttrain.PlanCache) {
-	if cache == nil {
-		return
-	}
 	fmt.Printf("plan cache: %d searches, %d warm hits, %d warm-seeded, %d coalesced, %d candidates pruned\n",
 		cache.Searches(), cache.WarmHits(), cache.WarmSeeds(), cache.Coalesced(), cache.Pruned())
 }
 
-// runSweep plans the model at every requested cluster size — in one
-// PlanMany call over a shared worker pool, or through the durable
-// cache when one is configured (sequential, so each size can
-// warm-start from the previous one). With -planners the cache's async
-// tier takes over: every size is enqueued before any result is
-// awaited, duplicates coalesce onto one in-flight search, and plans
-// publish in sweep order. Prints a comparison table.
-func runSweep(m disttrain.MLLM, fr disttrain.FreezeSpec, batch int, sweep string, opts disttrain.SearchOptions, cache *disttrain.PlanCache, planners int) error {
+// runSweep plans the model at every requested cluster size through
+// the cache's planner pool (-parallelism workers): every size is
+// enqueued before any result is awaited, duplicates coalesce onto one
+// in-flight search, the rest share batched waves, and sizes an earlier
+// run left in the durable cache load from disk. Prints a comparison
+// table.
+func runSweep(m disttrain.MLLM, fr disttrain.FreezeSpec, batch int, sweep string, cache *disttrain.PlanCache) error {
 	var nodeCounts []int
 	for _, f := range strings.Split(sweep, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -167,33 +149,27 @@ func runSweep(m disttrain.MLLM, fr disttrain.FreezeSpec, batch int, sweep string
 	}
 	fmt.Printf("sweep: %s, global batch %d, freeze=%s, %d cluster sizes\n\n", m.Name, batch, fr.Name, len(specs))
 	fmt.Printf("%6s %6s %6s %10s %7s\n", "nodes", "gpus", "used", "iter(s)", "mfu%")
-	var results []disttrain.PlanResult
-	if planners > 0 {
-		tickets := make([]*disttrain.PlanTicket, len(specs))
-		for i, s := range specs {
-			tickets[i] = cache.PlanAsync(context.Background(), s)
-		}
-		results = make([]disttrain.PlanResult, len(specs))
-		for i, tk := range tickets {
-			results[i].Plan, results[i].Err = tk.Wait(context.Background())
-			tk.Publish()
-		}
-	} else if cache != nil {
-		results = make([]disttrain.PlanResult, len(specs))
-		for i, s := range specs {
-			results[i].Plan, results[i].Err = cache.Plan(context.Background(), s)
-		}
-	} else {
-		results = disttrain.PlanMany(context.Background(), specs, opts)
+	workers := *parallelism
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	for i, r := range results {
+	if err := cache.StartPlanners(workers); err != nil {
+		return err
+	}
+	defer cache.StopPlanners()
+	tickets := make([]*disttrain.PlanTicket, len(specs))
+	for i, s := range specs {
+		tickets[i] = cache.PlanAsync(context.Background(), s)
+	}
+	for i, tk := range tickets {
 		fleet := specs[i].Cluster.TotalGPUs()
-		if r.Err != nil {
-			fmt.Printf("%6d %6d      - infeasible: %v\n", nodeCounts[i], fleet, r.Err)
+		plan, err := tk.Wait(context.Background())
+		if err != nil {
+			fmt.Printf("%6d %6d      - infeasible: %v\n", nodeCounts[i], fleet, err)
 			continue
 		}
 		fmt.Printf("%6d %6d %6d %10.3f %7.1f\n",
-			nodeCounts[i], fleet, r.Plan.TotalGPUs(), r.Plan.IterTime, 100*r.Plan.EstMFU)
+			nodeCounts[i], fleet, plan.TotalGPUs(), plan.IterTime, 100*plan.EstMFU)
 	}
 	return nil
 }

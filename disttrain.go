@@ -77,6 +77,10 @@ type (
 	// Candidate is one (TP_lm, DP_lm, w_me, w_mg) strategy combination
 	// of the §4.3 enumeration.
 	Candidate = orchestrator.Candidate
+	// PlanRequest is one PlanMany problem: a spec plus an optional
+	// seed candidate (a neighbouring plan's strategy) that tightens the
+	// search bound without changing the chosen plan.
+	PlanRequest = orchestrator.PlanRequest
 	// PlanResult is one PlanMany outcome: a plan or that spec's error.
 	PlanResult = orchestrator.PlanResult
 	// TrainConfig configures the training runtime.
@@ -289,14 +293,9 @@ func NewSpecFrozen(m MLLM, nodes, globalBatch int, freeze FreezeSpec) (Spec, *Co
 // PlanDistTrain runs the adaptive disaggregated model orchestration
 // (§4.3) and returns the optimal plan. The strategy enumeration runs
 // on the parallel search engine with default options; the chosen plan
-// is identical at any parallelism level.
+// is identical at any parallelism level. It is the zero-option,
+// one-spec PlanMany call.
 func PlanDistTrain(s Spec) (*Plan, error) { return orchestrator.PlanDistTrain(s) }
-
-// PlanDistTrainCtx is PlanDistTrain with context cancellation and
-// search tuning (worker count, per-candidate observer).
-func PlanDistTrainCtx(ctx context.Context, s Spec, opts SearchOptions) (*Plan, error) {
-	return orchestrator.PlanDistTrainCtx(ctx, s, opts)
-}
 
 // PlanDistTrainSequential is the single-threaded reference
 // implementation of the §4.3 enumeration, kept as the equivalence and
@@ -305,11 +304,13 @@ func PlanDistTrainSequential(s Spec) (*Plan, error) {
 	return orchestrator.PlanDistTrainSequential(s)
 }
 
-// PlanMany plans many specs concurrently over one shared worker pool —
-// the fleet-sweep path for scoring multiple cluster shapes or model
-// configurations in a single call. Results are positional.
-func PlanMany(ctx context.Context, specs []Spec, opts SearchOptions) []PlanResult {
-	return orchestrator.PlanMany(ctx, specs, opts)
+// PlanMany is the search engine's one entry point: it plans every
+// request concurrently over one shared worker pool, with context
+// cancellation and search tuning (worker count, per-candidate
+// observer) — one spec, or a sweep scoring many cluster shapes or
+// model configurations in a single call. Results are positional.
+func PlanMany(ctx context.Context, reqs []PlanRequest, opts SearchOptions) []PlanResult {
+	return orchestrator.PlanMany(ctx, reqs, opts)
 }
 
 // PlanMegatron returns the monolithic Megatron-LM baseline plan (§2.1).

@@ -124,10 +124,3 @@ func simulate(mbs []reorder.Microbatch) *pipeline.Result {
 	}
 	return res
 }
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

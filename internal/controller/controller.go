@@ -15,7 +15,7 @@
 // This is the model/data heterogeneity drift the paper argues must be
 // handled continuously (cf. Entrain's variable-heterogeneity
 // scheduling, PAPERS.md): the repo's orchestrator was adaptive only
-// ahead of time — PlanDistTrainCtx picked a plan once — and the
+// ahead of time — the planner picked a plan once — and the
 // runtime then weathered stragglers, producer churn and distribution
 // shift with no way to change its mind. The controller gives it one.
 //
@@ -345,11 +345,12 @@ func runSearch(cfg Config, incumbent orchestrator.Plan, shapes []model.SampleSha
 	}
 	spec := cfg.Train.Spec
 	spec.Profiler = fresh
-	plan, err := orchestrator.PlanDistTrainCtx(context.Background(), spec,
-		orchestrator.SearchOptions{Parallelism: cfg.Parallelism})
-	if err != nil {
+	r := orchestrator.PlanMany(context.Background(), []orchestrator.PlanRequest{{Spec: spec}},
+		orchestrator.SearchOptions{Parallelism: cfg.Parallelism})[0]
+	if r.Err != nil {
 		return nil
 	}
+	plan := r.Plan
 	if samePlacement(&incumbent, plan) {
 		return nil
 	}

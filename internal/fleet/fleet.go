@@ -93,8 +93,8 @@ type Config struct {
 	// admission inline: the head's cold §4.3 search runs synchronously
 	// and stalls the round. Values > 0 pipeline admission: the lease is
 	// reserved immediately, the search runs on a background planner
-	// pool of that size (misses batch into shared sample-bounded
-	// waves), running tenants keep stepping, and the plan lands at a
+	// pool of that size (misses batch into shared waves), running
+	// tenants keep stepping, and the plan lands at a
 	// deterministic round from the costed planning-latency model.
 	// SequentialPlanners (-1) runs the same pipelined admission logic
 	// with synchronous searches — the reference mode whose results and
@@ -1268,11 +1268,4 @@ func (f *runner) roundInfo() RoundInfo {
 		}
 	}
 	return info
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

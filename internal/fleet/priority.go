@@ -123,7 +123,7 @@ func (p *PriorityScheduler) Order(a, b JobView) bool {
 
 // GrantSize is greedy like FIFO: the head takes min(MaxNodes, free).
 func (p *PriorityScheduler) GrantSize(ops Ops, head JobView) int {
-	return minInt(head.Max, ops.FreeCount())
+	return min(head.Max, ops.FreeCount())
 }
 
 // MakeRoom preempts running tenants of strictly lower class until the

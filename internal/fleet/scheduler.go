@@ -197,7 +197,7 @@ func (fifoScheduler) Order(a, b JobView) bool     { return false }
 func (fifoScheduler) MakeRoom(ops Ops, _ JobView) {}
 func (fifoScheduler) Rebalance(ops Ops)           {}
 func (fifoScheduler) GrantSize(ops Ops, head JobView) int {
-	return minInt(head.Max, ops.FreeCount())
+	return min(head.Max, ops.FreeCount())
 }
 func (fifoScheduler) PlaceNodes(ops Ops, _ JobView, grant int) []int {
 	return ops.Free()[:grant]
@@ -229,7 +229,7 @@ func (fairShareScheduler) GrantSize(ops Ops, head JobView) int {
 	running := ops.Running()
 	k := rankAmong(running, head.ID, head.ID)
 	target := fairShare(ops.Healthy(), len(running)+1, k)
-	return clamp(target, head.Min, minInt(head.Max, ops.FreeCount()))
+	return clamp(target, head.Min, min(head.Max, ops.FreeCount()))
 }
 
 // MakeRoom shrinks running tenants above their fair share — in
@@ -251,7 +251,7 @@ func (fairShareScheduler) MakeRoom(ops Ops, head JobView) {
 		if excess <= 0 {
 			continue
 		}
-		drop := minInt(excess, needed)
+		drop := min(excess, needed)
 		// Drop the highest-index nodes: deterministic, and it keeps
 		// low-index nodes packed.
 		dropNodes := append([]int(nil), t.Nodes[len(t.Nodes)-drop:]...)
@@ -278,7 +278,7 @@ func (fairShareScheduler) Rebalance(ops Ops) {
 			return
 		}
 		target := clamp(fairShare(healthy, n, k), t.Min, t.Max)
-		take := minInt(target-len(t.Nodes), len(free))
+		take := min(target-len(t.Nodes), len(free))
 		if take <= 0 {
 			continue
 		}

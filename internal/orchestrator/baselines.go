@@ -158,10 +158,3 @@ func largestDPDivisor(s Spec, maxDP int) int {
 	}
 	return 0
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

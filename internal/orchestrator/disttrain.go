@@ -31,10 +31,11 @@ import (
 // reduce iteration time (§7.1).
 //
 // The enumeration runs on the parallel search engine (search.go) with
-// default options; use PlanDistTrainCtx for cancellation, a custom
-// worker count, or per-candidate observation.
+// default options; call PlanMany for cancellation, a custom worker
+// count, per-candidate observation, a seed, or many specs at once.
 func PlanDistTrain(s Spec) (*Plan, error) {
-	return PlanDistTrainCtx(context.Background(), s, SearchOptions{})
+	r := PlanMany(context.Background(), []PlanRequest{{Spec: s}}, SearchOptions{})[0]
+	return r.Plan, r.Err
 }
 
 // PlanDistTrainSequential is the single-threaded reference

@@ -198,17 +198,3 @@ func gcd(a, b int) int {
 	}
 	return a
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -30,19 +30,20 @@ import (
 // process (or a later cache instance) serves them as warm hits with
 // zero searches. On a true miss the cache warm-starts the search from
 // the incumbent plan of a neighbouring lease size (Nodes±1, same spec
-// family): the incumbent's strategy is evaluated first and its known
-// iteration time prunes the rest of the enumeration, without ever
-// changing the chosen plan.
+// family): the incumbent's strategy joins the search's first phase, so
+// its known iteration time tightens the bound that prunes the rest of
+// the enumeration, without ever changing the chosen plan.
 //
-// Beyond the synchronous Plan, the cache exposes an asynchronous tier
-// for pipelined admission: PlanAsync enqueues a miss onto a bounded
-// planner pool (StartPlanners) and returns a PlanTicket immediately.
-// Misses enqueued while a wave is in flight batch into the next wave
-// and share one sample-bounded PlanMany call; same-fingerprint
-// requests coalesce onto one ticket. Async results stay invisible to
-// warm-seed lookups and PlanIfSettled until the caller Publishes the
-// ticket — the fleet publishes at deterministic landing rounds, so
-// cache visibility never depends on wall clock.
+// The cache has two doors onto one resolve routine (executeWave). The
+// synchronous Plan resolves a miss as a wave of one under the caller's
+// context. PlanAsync, the door for pipelined admission, enqueues a
+// miss onto a bounded planner pool (StartPlanners) and returns a
+// PlanTicket immediately. Misses enqueued while a wave is in flight
+// batch into the next wave and share one PlanMany call;
+// same-fingerprint requests coalesce onto one ticket. Async results
+// stay invisible to warm-seed lookups and PlanIfSettled until the
+// caller Publishes the ticket — the fleet publishes at deterministic
+// landing rounds, so cache visibility never depends on wall clock.
 type PlanCache struct {
 	opts  SearchOptions
 	store store.Store // nil for a purely in-memory cache
@@ -59,9 +60,9 @@ type PlanCache struct {
 	poolDone chan struct{}
 	queue    []planReq
 
-	// loopHook, when non-nil, observes each retry-loop iteration of
-	// Plan — a test seam for the eviction/retry path.
-	loopHook func()
+	// joinHook, when non-nil, runs after Plan joins an existing entry
+	// and before it waits on it — a test seam for the retry path.
+	joinHook func()
 
 	searches  atomic.Int64
 	hits      atomic.Int64
@@ -75,7 +76,9 @@ type PlanCache struct {
 // Entry lifecycle: created running (claimed by its producer), settled
 // exactly once when the outcome lands. Synchronous entries publish at
 // settle; async entries stay unpublished — invisible to incumbent and
-// PlanIfSettled — until their ticket's Publish.
+// PlanIfSettled — until their ticket's Publish. An outcome cut short
+// by a context leaves the map as it settles, so it is only ever seen
+// by callers already holding the entry.
 const (
 	entryRunning = iota
 	entrySettled
@@ -91,12 +94,7 @@ type planEntry struct {
 	err       error
 	published bool
 	async     bool
-	seed      *Candidate // captured at enqueue for async entries
-	seeded    bool
-}
-
-func newEntry(async bool) *planEntry {
-	return &planEntry{state: entryRunning, done: make(chan struct{}), async: async}
+	seed      *Candidate // captured at claim, immutable afterwards
 }
 
 func settledEntry(plan *Plan, err error) *planEntry {
@@ -105,7 +103,7 @@ func settledEntry(plan *Plan, err error) *planEntry {
 	return e
 }
 
-// planReq is one queued async miss awaiting the next planner wave.
+// planReq is one claimed miss awaiting resolution by executeWave.
 type planReq struct {
 	e    *planEntry
 	key  string
@@ -185,53 +183,69 @@ const planEnvelopeV = 1
 // search, warm-seeded from a neighbouring lease size when an incumbent
 // exists, and writes the result through. Infeasibility errors are
 // cached too — a spec that cannot be planned today cannot be planned
-// by retrying — but a search cut short by the caller's context
-// (cancellation, deadline) is evicted, so a later caller with a
-// healthy context retries instead of inheriting the poisoned entry.
-// The returned plan is a private copy.
+// by retrying — but a search cut short by a context (cancellation,
+// deadline) is never cached, so a caller with a healthy context
+// retries instead of inheriting the poisoned outcome. The returned
+// plan is a private copy.
 func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
 	key := fingerprintSpec(s)
 	counted := false // a call is at most one hit, however often it loops
 	for {
-		if c.loopHook != nil {
-			c.loopHook()
-		}
-		c.mu.Lock()
-		e, ok := c.entries[key]
-		if !ok {
-			e = newEntry(false)
-			c.entries[key] = e
-		}
-		c.mu.Unlock()
-		if ok {
+		e, claimed := c.claim(key, s, false)
+		if claimed {
+			c.executeWave(ctx, []planReq{{e: e, key: key, spec: s}}, c.opts.Parallelism)
+		} else {
 			if !counted {
 				c.hits.Add(1)
 				counted = true
 			}
+			if c.joinHook != nil {
+				c.joinHook()
+			}
 			<-e.done
-		} else {
-			c.runSearch(ctx, e, key, s)
 		}
 		if e.err == nil {
 			cp := *e.plan // Plan holds no reference types: a value copy is private
 			return &cp, nil
 		}
-		if !errors.Is(e.err, context.Canceled) && !errors.Is(e.err, context.DeadlineExceeded) {
-			return nil, e.err
-		}
-		// The search was cut short by a context — possibly another
-		// caller's. Evict the poisoned entry; a caller whose own
-		// context is still healthy retries (and leads the next
-		// singleflight under it), everyone else propagates the error.
-		c.mu.Lock()
-		if c.entries[key] == e {
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-		if ctx.Err() != nil {
+		// A search cut short by a context — possibly another caller's —
+		// was evicted as it settled: a caller whose own context is still
+		// healthy retries (and leads the next singleflight under it),
+		// everyone else propagates the error.
+		if !contextCut(e.err) || ctx.Err() != nil {
 			return nil, e.err
 		}
 	}
+}
+
+// contextCut reports whether err is a search cut short by a context
+// rather than an answer about the spec.
+func contextCut(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// claim returns the entry for key, registering a running one when the
+// fingerprint is unclaimed; claimed tells the caller it must resolve
+// the entry. The warm seed is captured here, before the entry exists —
+// not when its search executes — so the seed (and everything
+// downstream: prune counts, Seeded latency costing) depends only on
+// what was published before the claiming call.
+func (c *PlanCache) claim(key string, s Spec, async bool) (e *planEntry, claimed bool) {
+	c.mu.Lock()
+	e, ok := c.entries[key]
+	c.mu.Unlock()
+	if ok {
+		return e, false
+	}
+	seed := c.neighborSeed(s)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
+		return e, false
+	}
+	e = &planEntry{state: entryRunning, done: make(chan struct{}), async: async, seed: seed}
+	c.entries[key] = e
+	return e, true
 }
 
 // PlanTicket is a claim on an in-flight (or settled) async plan.
@@ -240,10 +254,8 @@ func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
 // only at deterministic landing rounds, so two runs with different
 // planner-pool sizes see identical cache states at every round.
 type PlanTicket struct {
-	c      *PlanCache
-	e      *planEntry
-	key    string
-	seeded bool
+	c *PlanCache
+	e *planEntry
 }
 
 // Wait blocks until the plan settles (or ctx is done) and returns a
@@ -271,76 +283,40 @@ func (t *PlanTicket) Publish() {
 	t.c.mu.Unlock()
 }
 
-// Seeded reports whether the underlying search was warm-seeded from a
-// neighbouring lease size — captured at enqueue, so it is identical
-// across planner-pool sizes and usable in costed latency models.
-func (t *PlanTicket) Seeded() bool { return t.seeded }
+// Seeded reports whether the underlying search was handed a warm seed
+// from a neighbouring lease size — captured at claim, so it is
+// identical across planner-pool sizes and usable in costed latency
+// models.
+func (t *PlanTicket) Seeded() bool { return t.e.seed != nil }
 
 // PlanAsync requests the plan for s without blocking. A published
 // settled fingerprint is a hit; an in-flight or unpublished one
-// coalesces onto the existing ticket; a true miss claims the entry,
-// captures its warm seed from the incumbents published so far, and
+// coalesces onto the existing ticket; a true miss claims the entry and
 // enqueues it for the next planner wave. Without a started planner
-// pool the search runs synchronously before returning (the
+// pool the wave of one runs before returning, under ctx (the
 // sequential-admission reference mode) — logically identical, only
 // the physical execution time differs.
 func (c *PlanCache) PlanAsync(ctx context.Context, s Spec) *PlanTicket {
 	key := fingerprintSpec(s)
-	if t := c.joinTicket(key); t != nil {
-		return t
-	}
-	// Seed capture happens here, at enqueue — not at execution — so the
-	// seed (and everything downstream: prune counts, Seeded latency
-	// costing) depends only on what was published before this call.
-	seed := c.neighborSeed(s)
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		t := c.ticketLocked(e, key)
+	e, claimed := c.claim(key, s, true)
+	if !claimed {
+		c.mu.Lock()
+		if e.state == entrySettled && e.published {
+			c.hits.Add(1)
+		} else {
+			c.coalesced.Add(1)
+		}
 		c.mu.Unlock()
-		return t
+	} else if r := (planReq{e: e, key: key, spec: s}); !c.enqueue(r) {
+		c.executeWave(ctx, []planReq{r}, c.opts.Parallelism)
 	}
-	e = newEntry(true)
-	e.seed = seed
-	e.seeded = seed != nil
-	c.entries[key] = e
-	c.mu.Unlock()
-	if seed != nil {
-		c.warmSeeds.Add(1)
-	}
-	t := &PlanTicket{c: c, e: e, key: key, seeded: e.seeded}
-	if !c.enqueue(planReq{e: e, key: key, spec: s}) {
-		c.runSearch(ctx, e, key, s)
-	}
-	return t
-}
-
-// joinTicket returns a ticket onto an existing entry, or nil when the
-// fingerprint is unclaimed.
-func (c *PlanCache) joinTicket(key string) *PlanTicket {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return nil
-	}
-	return c.ticketLocked(e, key)
-}
-
-func (c *PlanCache) ticketLocked(e *planEntry, key string) *PlanTicket {
-	if e.state == entrySettled && e.published {
-		c.hits.Add(1)
-	} else {
-		c.coalesced.Add(1)
-	}
-	return &PlanTicket{c: c, e: e, key: key, seeded: e.seeded}
+	return &PlanTicket{c: c, e: e}
 }
 
 // PlanIfSettled returns the cached outcome for s only if it is already
 // settled and published — it never blocks and never starts a search.
 // ok reports whether an outcome was available; a cached infeasibility
-// error returns (nil, true, err). Context-cancelled entries are
-// evicted and read as misses, mirroring Plan's retry semantics.
+// error returns (nil, true, err).
 func (c *PlanCache) PlanIfSettled(s Spec) (plan *Plan, ok bool, err error) {
 	key := fingerprintSpec(s)
 	c.mu.Lock()
@@ -350,11 +326,6 @@ func (c *PlanCache) PlanIfSettled(s Spec) (plan *Plan, ok bool, err error) {
 			return nil, false, nil
 		}
 		if e.err != nil {
-			if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
-				delete(c.entries, key)
-				c.mu.Unlock()
-				return nil, false, nil
-			}
 			c.mu.Unlock()
 			c.hits.Add(1)
 			return nil, true, e.err
@@ -398,9 +369,8 @@ func (c *PlanCache) Settled(s Spec) bool {
 
 // StartPlanners launches the async planner pool: a dispatcher that
 // drains queued misses in waves, running each wave as one batched
-// sample-bounded PlanMany over n candidate workers. Requests arriving
-// while a wave runs batch into the next wave. Errors if already
-// started.
+// PlanMany over n candidate workers. Requests arriving while a wave
+// runs batch into the next wave. Errors if already started.
 func (c *PlanCache) StartPlanners(n int) error {
 	if n < 1 {
 		return errors.New("orchestrator: planner pool size must be >= 1")
@@ -434,7 +404,7 @@ func (c *PlanCache) StopPlanners() {
 }
 
 // enqueue hands a request to the planner pool; false when no pool is
-// running (the caller searches synchronously instead).
+// running (the caller resolves it as a wave of one instead).
 func (c *PlanCache) enqueue(r planReq) bool {
 	c.poolMu.Lock()
 	defer c.poolMu.Unlock()
@@ -467,95 +437,68 @@ func (c *PlanCache) dispatch() {
 		c.queue = nil
 		n := c.poolN
 		c.poolMu.Unlock()
-		c.executeWave(wave, n)
+		c.executeWave(context.Background(), wave, n)
 		c.poolMu.Lock()
 	}
 }
 
-// executeWave resolves one batch of async misses: store hits settle
-// immediately, the rest share a single sample-bounded PlanMany whose
-// per-spec bounds come from each spec's own deterministic sample (and
-// seed), so prune counts and plans are identical whether a spec runs
-// alone or batched. Results persist before they settle, and settle
-// before anyone can publish them.
-func (c *PlanCache) executeWave(wave []planReq, workers int) {
+// executeWave is the cache's one resolve routine — a planner-pool
+// wave, a synchronous Plan, a poolless PlanAsync (the last two are
+// waves of one under the caller's context). Store hits settle
+// immediately; the rest share a single PlanMany, each request carrying
+// the seed its entry captured at claim. Per-spec bounds come from each
+// spec's own deterministic sample (and seed), so prune counts and
+// plans are identical whether a spec runs alone or batched. Results
+// persist before they settle, and settle before anyone can publish
+// them.
+func (c *PlanCache) executeWave(ctx context.Context, wave []planReq, workers int) {
 	var live []planReq
-	var specs []Spec
-	var seeds []*Candidate
+	var reqs []PlanRequest
 	for _, r := range wave {
 		if plan, ok := c.loadStored(r.key); ok {
 			c.warmHits.Add(1)
 			r.e.plan = plan
-			c.settle(r.e)
+			c.settle(r)
 			continue
 		}
 		c.searches.Add(1)
+		if r.e.seed != nil {
+			c.warmSeeds.Add(1)
+		}
 		live = append(live, r)
-		specs = append(specs, r.spec)
-		seeds = append(seeds, r.e.seed)
+		reqs = append(reqs, PlanRequest{Spec: r.spec, Seed: r.e.seed})
 	}
 	if len(live) == 0 {
 		return
 	}
 	opts := c.opts
 	opts.Parallelism = workers
-	opts.Seed = nil
-	opts.Seeds = seeds
-	opts.SampleBound = true
-	opts.Prune = false
-	rs := PlanMany(context.Background(), specs, opts)
-	for i, r := range live {
-		r.e.plan, r.e.err = rs[i].Plan, rs[i].Err
-		c.pruned.Add(int64(rs[i].Pruned))
+	for i, res := range PlanMany(ctx, reqs, opts) {
+		r := live[i]
+		r.e.plan, r.e.err = res.Plan, res.Err
+		c.pruned.Add(int64(res.Pruned))
 		if r.e.err == nil {
 			c.persist(r.key, r.e.plan)
 		}
-		c.settle(r.e)
+		c.settle(r)
 	}
 }
 
-// runSearch resolves one entry synchronously: the sync Plan path and
-// the poolless async reference mode. Async entries use the same
-// sample-bounded search (and enqueue-captured seed) the pool would,
-// so both modes count and prune identically.
-func (c *PlanCache) runSearch(ctx context.Context, e *planEntry, key string, s Spec) {
-	if plan, ok := c.loadStored(key); ok {
-		c.warmHits.Add(1)
-		e.plan = plan
-		c.settle(e)
-		return
-	}
-	c.searches.Add(1)
-	opts := c.opts
-	if e.async {
-		opts.Seed = e.seed
-		opts.SampleBound = true
-		opts.Prune = false
-	} else if seed := c.neighborSeed(s); seed != nil {
-		opts.Seed = seed
-		opts.Prune = true
-		c.warmSeeds.Add(1)
-	}
-	r := PlanMany(ctx, []Spec{s}, opts)[0]
-	e.plan, e.err = r.Plan, r.Err
-	c.pruned.Add(int64(r.Pruned))
-	if e.err == nil {
-		c.persist(key, e.plan)
-	}
-	c.settle(e)
-}
-
-// settle transitions an entry to settled and wakes its waiters. Sync
-// entries publish immediately; async entries wait for their ticket's
-// Publish.
-func (c *PlanCache) settle(e *planEntry) {
+// settle transitions a request's entry to settled and wakes its
+// waiters. Sync entries publish immediately; async entries wait for
+// their ticket's Publish. An outcome cut short by a context is evicted
+// in the same step — whichever door produced it — so the next request
+// for the fingerprint claims a fresh entry instead of coalescing onto
+// the poisoned one.
+func (c *PlanCache) settle(r planReq) {
 	c.mu.Lock()
-	e.state = entrySettled
-	if !e.async {
-		e.published = true
+	r.e.state = entrySettled
+	r.e.published = !r.e.async
+	if contextCut(r.e.err) {
+		delete(c.entries, r.key)
 	}
 	c.mu.Unlock()
-	close(e.done)
+	close(r.e.done)
 }
 
 // loadStored reads and decodes a durable entry. Any failure — store
@@ -663,9 +606,10 @@ func (c *PlanCache) Hits() int64     { return c.hits.Load() }
 func (c *PlanCache) Coalesced() int64 { return c.coalesced.Load() }
 
 // WarmHits counts fingerprints served from the durable store with no
-// search; WarmSeeds counts searches seeded from a neighbouring size;
-// Pruned counts candidates those seeds' (or sample waves') bounds
-// skipped; StoreErrs counts store failures the cache degraded around.
+// search; WarmSeeds counts searches that started from a neighbouring
+// size's seed (a durable hit starts no search, so it never counts);
+// Pruned counts candidates the searches' bounds skipped; StoreErrs
+// counts store failures the cache degraded around.
 func (c *PlanCache) WarmHits() int64  { return c.warmHits.Load() }
 func (c *PlanCache) WarmSeeds() int64 { return c.warmSeeds.Load() }
 func (c *PlanCache) Pruned() int64    { return c.pruned.Load() }

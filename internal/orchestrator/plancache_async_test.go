@@ -2,10 +2,12 @@ package orchestrator
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
 	"disttrain/internal/model"
+	"disttrain/internal/store"
 )
 
 // TestPlanAsyncCoalescing: K async requests for one fingerprint run
@@ -176,4 +178,108 @@ func TestPlannerPoolLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.StopPlanners()
+}
+
+// TestPlanAsyncCancelledNotCached: a poolless PlanAsync under a
+// cancelled context settles its ticket with the cancellation, but the
+// outcome must not stay in the cache — a later PlanAsync for the same
+// fingerprint used to coalesce onto the poisoned, never-published
+// entry forever. It now claims a fresh entry and plans.
+func TestPlanAsyncCancelledNotCached(t *testing.T) {
+	spec := cacheSpec(t, 4, 32)
+	c := NewPlanCache(SearchOptions{})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.PlanAsync(cancelled, spec).Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled PlanAsync: got %v, want context.Canceled", err)
+	}
+	if c.Len() != 0 {
+		t.Errorf("cancelled search left %d cache entries", c.Len())
+	}
+	tk := c.PlanAsync(context.Background(), spec)
+	plan, err := tk.Wait(context.Background())
+	if err != nil || plan == nil {
+		t.Fatalf("PlanAsync after a cancelled one: plan %v, err %v", plan, err)
+	}
+	if c.Coalesced() != 0 {
+		t.Errorf("retry coalesced onto the cancelled ticket (%d coalesced)", c.Coalesced())
+	}
+	if c.Searches() != 2 {
+		t.Errorf("Searches() = %d, want 2 (one cancelled, one real)", c.Searches())
+	}
+}
+
+// TestPlanCacheDoorsCountAlike: the synchronous door and the ticket
+// door are one resolve path, so the same request sequence — cold
+// sizes, warm-seeded neighbours, a repeat, then a restart over the same
+// store — leaves identical search, warm-seed, prune and warm-hit
+// counts (and plans) on fresh caches, with or without a planner pool.
+// A durable hit starts no search and therefore counts no warm seed,
+// even though its neighbours are right there in the store.
+func TestPlanCacheDoorsCountAlike(t *testing.T) {
+	base := cacheSpec(t, 4, 32)
+	var seq []Spec
+	for _, nodes := range []int{4, 5, 3, 5, 8} {
+		s := base
+		s.Cluster.Nodes = nodes
+		seq = append(seq, s)
+	}
+	ctx := context.Background()
+	type counts struct{ searches, warmSeeds, pruned, warmHits int64 }
+	run := func(t *testing.T, c *PlanCache, async bool) (counts, []*Plan) {
+		var plans []*Plan
+		for _, s := range seq {
+			var p *Plan
+			var err error
+			if async {
+				tk := c.PlanAsync(ctx, s)
+				p, err = tk.Wait(ctx)
+				tk.Publish()
+			} else {
+				p, err = c.Plan(ctx, s)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans = append(plans, p)
+		}
+		return counts{c.Searches(), c.WarmSeeds(), c.Pruned(), c.WarmHits()}, plans
+	}
+	var want [2]counts
+	var wantPlans []*Plan
+	for _, door := range []struct {
+		name  string
+		async bool
+		pool  int
+	}{{"sync", false, 0}, {"ticket", true, 0}, {"ticket-pool", true, 2}} {
+		t.Run(door.name, func(t *testing.T) {
+			st := store.NewMem()
+			for phase := range want { // cold store, then a restart over it
+				c := NewPersistentPlanCache(SearchOptions{Parallelism: 2}, st)
+				if door.pool > 0 {
+					if err := c.StartPlanners(door.pool); err != nil {
+						t.Fatal(err)
+					}
+					defer c.StopPlanners()
+				}
+				got, plans := run(t, c, door.async)
+				if wantPlans == nil {
+					wantPlans = plans
+				} else if !reflect.DeepEqual(plans, wantPlans) {
+					t.Errorf("phase %d: plans diverged from the sync door's", phase)
+				}
+				if want[phase] == (counts{}) {
+					want[phase] = got
+				} else if got != want[phase] {
+					t.Errorf("phase %d: counts %+v, sync door had %+v", phase, got, want[phase])
+				}
+			}
+		})
+	}
+	if want[0].searches != 4 || want[0].warmSeeds != 2 || want[0].pruned == 0 || want[0].warmHits != 0 {
+		t.Errorf("cold phase counts %+v, want 4 searches, 2 warm seeds, pruning, no warm hits", want[0])
+	}
+	if want[1] != (counts{warmHits: 4}) {
+		t.Errorf("restart phase counts %+v, want 4 warm hits and nothing else", want[1])
+	}
 }

@@ -158,26 +158,35 @@ func TestPlanCacheKeyedOnPlacement(t *testing.T) {
 }
 
 // TestPlanCacheHitsCountedOncePerCall pins the fix for the hit
-// double-count: a call that loops through several poisoned entries
-// before leading its own search must record at most one hit — the old
-// per-iteration counting inflated Hits past the call count.
+// double-count: a call that joins several searches cut short by their
+// leaders' contexts before leading its own must record at most one
+// hit — the old per-iteration counting inflated Hits past the call
+// count.
 func TestPlanCacheHitsCountedOncePerCall(t *testing.T) {
 	spec := cacheSpec(t, 4, 32)
 	c := NewPlanCache(SearchOptions{})
 	key := fingerprintSpec(spec)
-	poison := func() {
-		e := settledEntry(nil, context.Canceled)
-		c.mu.Lock()
-		c.entries[key] = e
-		c.mu.Unlock()
+	// lead claims the fingerprint the way a concurrent caller would.
+	lead := func() planReq {
+		e, claimed := c.claim(key, spec, false)
+		if !claimed {
+			t.Fatal("fingerprint already claimed")
+		}
+		return planReq{e: e, key: key, spec: spec}
 	}
-	inserted := 0
-	c.loopHook = func() {
-		// The first two loop iterations find a freshly poisoned entry;
-		// the third finds an empty slot and leads the real search.
-		if inserted < 2 {
-			poison()
-			inserted++
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	leader := lead()
+	joins := 0
+	c.joinHook = func() {
+		// The call under test has joined leader; its search now dies with
+		// its context. The first time, another doomed leader takes the
+		// slot before the call retries; the second time the slot stays
+		// empty and the call leads the real search.
+		joins++
+		c.executeWave(cancelled, []planReq{leader}, 1)
+		if joins < 2 {
+			leader = lead()
 		}
 	}
 	plan, err := c.Plan(context.Background(), spec)
@@ -187,11 +196,14 @@ func TestPlanCacheHitsCountedOncePerCall(t *testing.T) {
 	if plan == nil {
 		t.Fatal("no plan after retries")
 	}
-	if c.Hits() != 1 {
-		t.Errorf("one call through %d poisoned entries counted %d hits, want 1", inserted, c.Hits())
+	if joins != 2 {
+		t.Fatalf("call joined %d cancelled searches, want 2", joins)
 	}
-	if c.Searches() != 1 {
-		t.Errorf("Searches() = %d, want 1", c.Searches())
+	if c.Hits() != 1 {
+		t.Errorf("one call through %d cancelled searches counted %d hits, want 1", joins, c.Hits())
+	}
+	if c.Searches() != 3 {
+		t.Errorf("Searches() = %d, want 3 (two cancelled, one real)", c.Searches())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,56 +48,24 @@ type SearchOptions struct {
 	// It is invoked from worker goroutines and must be safe for
 	// concurrent use.
 	OnCandidate func(c Candidate, plan *Plan, err error)
-	// Seed, when non-nil, names a candidate to evaluate synchronously
-	// before the parallel fan-out — typically the incumbent strategy of
-	// a cached plan for a neighbouring spec. Its iteration time becomes
-	// a fixed branch-and-bound bound for the whole search when Prune is
-	// set; because the bound never moves after the fan-out starts,
-	// prune decisions (and the Pruned count) are deterministic at any
-	// parallelism. A seed outside the spec's strategy set is ignored.
-	// Seeding never changes the chosen plan.
+}
+
+// PlanRequest is one PlanMany problem: the spec to plan and,
+// optionally, a candidate to evaluate in the search's first phase —
+// typically the incumbent strategy of a cached plan for a neighbouring
+// spec. A seed only ever tightens the search bound; it never changes
+// the chosen plan, and a seed outside the spec's strategy set is
+// ignored.
+type PlanRequest struct {
+	Spec Spec
 	Seed *Candidate
-	// Seeds, when non-nil, gives PlanMany one seed per spec: Seeds[i]
-	// seeds specs[i] (nil entries stay unseeded), overriding Seed. The
-	// coalescing planner tier uses it to carry each fingerprint's own
-	// incumbent through one batched PlanMany call.
-	Seeds []*Candidate
-	// Prune enables branch-and-bound pruning against the seed's
-	// iteration time: subproblems whose convex lower bound provably
-	// exceeds every selectable time are skipped before the expensive
-	// water-fill. Conservative by construction — the returned plan is
-	// byte-identical to the unpruned search.
-	Prune bool
-	// SampleBound switches each spec to the two-phase sample-bounded
-	// search: phase 1 evaluates a deterministic stratified sample of the
-	// strategy set (every sampleStride-th candidate, plus the seed)
-	// without a bound; the fastest feasible sampled time then becomes a
-	// fixed branch-and-bound bound for phase 2 over the remaining
-	// candidates, pruning regardless of Prune. The bound is frozen at
-	// the phase barrier, so prune counts stay deterministic at any
-	// parallelism, and it is an achievable iteration time, so — exactly
-	// like a seed bound — no pruned candidate can be the fastest plan or
-	// enter selectPlan's tie-break band: the chosen plan is
-	// byte-identical to the unsampled search.
-	SampleBound bool
 }
 
-// seedFor resolves the seed for spec i: Seeds wins over Seed.
-func (o SearchOptions) seedFor(i int) *Candidate {
-	if o.Seeds != nil {
-		if i < len(o.Seeds) {
-			return o.Seeds[i]
-		}
-		return nil
-	}
-	return o.Seed
-}
-
-// sampleStride is the SampleBound phase-1 sampling interval. The
-// enumeration order is (TP_lm, DP_lm)-major with 16 (w_me, w_mg)
-// combinations innermost, so a stride of 8 lands two probes in every
-// backbone shape's block — enough to bound each shape family tightly
-// while evaluating only ~1/8th of the set unbounded.
+// sampleStride is the phase-1 sampling interval. The enumeration order
+// is (TP_lm, DP_lm)-major with 16 (w_me, w_mg) combinations innermost,
+// so a stride of 8 lands two probes in every backbone shape's block —
+// enough to bound each shape family tightly while evaluating only
+// ~1/8th of the set unbounded.
 const sampleStride = 8
 
 func (o SearchOptions) workers() int {
@@ -113,17 +82,6 @@ var errNoFeasiblePlan = errors.New("orchestrator: no feasible plan (cluster too 
 // be the fastest plan nor enter selectPlan's tie-break band. Reported
 // to OnCandidate observers in place of an infeasibility error.
 var ErrCandidatePruned = errors.New("orchestrator: candidate pruned by search bound")
-
-// candidateIndex returns c's position in the enumeration, or -1 when c
-// is not a member of the strategy set (a stale or cross-geometry seed).
-func candidateIndex(cands []Candidate, c Candidate) int {
-	for i, x := range cands {
-		if x == c {
-			return i
-		}
-	}
-	return -1
-}
 
 // enumerateCandidates materialises the finite strategy set in the
 // deterministic order of the original nested-loop enumeration. The
@@ -145,29 +103,31 @@ func enumerateCandidates(s Spec, n int) []Candidate {
 	return out
 }
 
-// PlanDistTrainCtx is PlanDistTrain with cancellation and search
-// tuning: it runs the §4.3 enumeration on a bounded worker pool and
-// reduces deterministically, returning the same plan as the sequential
-// reference regardless of parallelism. It is the one-spec case of
-// PlanMany.
-func PlanDistTrainCtx(ctx context.Context, s Spec, opts SearchOptions) (*Plan, error) {
-	r := PlanMany(ctx, []Spec{s}, opts)[0]
-	return r.Plan, r.Err
-}
-
-// PlanMany evaluates one orchestration problem per spec — the
-// fleet-sweep / planning-as-a-service path: many cluster shapes or
-// model configurations scored concurrently in a single call. All specs
-// share one worker pool, so a sweep saturates the machine even when
-// individual strategy spaces are small. Results are positional; each
-// entry carries either the plan or that spec's own error, and the
-// plans are byte-identical to planning each spec alone.
+// PlanMany is the engine's one entry point: it evaluates one
+// orchestration problem per request — a single plan, a fleet sweep, a
+// planner wave — on one shared worker pool, so a sweep saturates the
+// machine even when individual strategy spaces are small. Results are
+// positional; each entry carries either the plan or that request's own
+// error.
+//
+// Every search is the same two-phase branch-and-bound. Phase 1
+// evaluates a deterministic stratified sample of the strategy set —
+// every sampleStride-th candidate, plus the request's seed — without a
+// bound. The fastest feasible phase-1 time is then frozen as that
+// spec's bound, and phase 2 skips every remaining subproblem whose
+// convex lower bound provably exceeds every selectable time before the
+// expensive water-fill. The bound is an achievable iteration time, so
+// no pruned candidate can be the fastest plan or enter selectPlan's
+// tie-break band: plans are byte-identical to PlanDistTrainSequential.
+// It never moves after the phase barrier and depends on the request
+// alone, so prune decisions (and the Pruned count) are the same at any
+// parallelism and whether a spec is planned alone or batched.
 //
 // On cancellation, specs whose strategy set was already fully
 // evaluated still reduce to their (deterministic) plan; only specs
 // with unevaluated candidates report the cancellation error.
-func PlanMany(ctx context.Context, specs []Spec, opts SearchOptions) []PlanResult {
-	out := make([]PlanResult, len(specs))
+func PlanMany(ctx context.Context, reqs []PlanRequest, opts SearchOptions) []PlanResult {
+	out := make([]PlanResult, len(reqs))
 
 	// Per-spec search state; invalid specs fail fast and contribute no
 	// work items.
@@ -175,16 +135,15 @@ func PlanMany(ctx context.Context, specs []Spec, opts SearchOptions) []PlanResul
 		ctx     searchCtx
 		cands   []Candidate
 		results []*Plan
-		bound   float64      // fixed branch-and-bound bound (+Inf unless seeded)
+		bound   float64      // +Inf until the phase barrier, fixed after it
 		done    atomic.Int64 // candidates evaluated so far
 		pruned  atomic.Int64 // candidates skipped by the bound
 	}
-	searches := make([]*search, len(specs))
+	searches := make([]*search, len(reqs))
 	type job struct{ spec, cand int }
-	var jobs []job    // bounded fan-out (the only fan-out without SampleBound)
-	var sampled []job // SampleBound phase-1 jobs, evaluated unbounded
-	for i := range specs {
-		s := &specs[i]
+	var sampled, rest []job // phase 1, phase 2
+	for i := range reqs {
+		s := &reqs[i].Spec
 		if err := s.Validate(); err != nil {
 			out[i].Err = err
 			continue
@@ -193,89 +152,51 @@ func PlanMany(ctx context.Context, specs []Spec, opts SearchOptions) []PlanResul
 		se.cands = se.ctx.strategySet()
 		se.results = make([]*Plan, len(se.cands))
 		searches[i] = se
-		seed := opts.seedFor(i)
-		seeded := -1
-		if seed != nil {
-			seeded = candidateIndex(se.cands, *seed)
+		seeded := -1 // stays -1 for a stale or cross-geometry seed
+		if seed := reqs[i].Seed; seed != nil {
+			seeded = slices.Index(se.cands, *seed)
 		}
-		if opts.SampleBound {
-			// Phase-1 sample: the seed plus every sampleStride-th
-			// candidate. Deterministic membership, so the phase-2 bound —
-			// and every prune decision — is independent of parallelism.
-			for c := range se.cands {
-				if c == seeded || c%sampleStride == 0 {
-					sampled = append(sampled, job{spec: i, cand: c})
-				} else {
-					jobs = append(jobs, job{spec: i, cand: c})
-				}
+		for c := range se.cands {
+			if c == seeded || c%sampleStride == 0 {
+				sampled = append(sampled, job{spec: i, cand: c})
+			} else {
+				rest = append(rest, job{spec: i, cand: c})
 			}
-			continue
 		}
-		// A seed candidate is evaluated synchronously before the fan-out
-		// so its iteration time is a FIXED bound for every worker — no
-		// running best-so-far, hence deterministic prune counts.
-		if seeded >= 0 && ctx.Err() == nil {
-			plan, err := se.ctx.solveSubproblem(se.cands[seeded], math.Inf(1))
+	}
+
+	// run evaluates one phase's jobs against each spec's current bound.
+	run := func(jobs []job) {
+		runWorkers(ctx, opts.workers(), len(jobs), func(j int) {
+			se := searches[jobs[j].spec]
+			c := se.cands[jobs[j].cand]
+			plan, err := se.ctx.solveSubproblem(c, se.bound)
 			if err == nil {
-				se.results[seeded] = plan
-				se.bound = plan.IterTime
+				se.results[jobs[j].cand] = plan
+			} else if errors.Is(err, ErrCandidatePruned) {
+				se.pruned.Add(1)
 			}
 			se.done.Add(1)
 			if opts.OnCandidate != nil {
-				opts.OnCandidate(se.cands[seeded], plan, err)
+				opts.OnCandidate(c, plan, err)
 			}
-		} else {
-			seeded = -1
-		}
-		for c := range se.cands {
-			if c != seeded {
-				jobs = append(jobs, job{spec: i, cand: c})
-			}
-		}
-	}
-
-	eval := func(specIdx, c int, bound float64) {
-		se := searches[specIdx]
-		plan, err := se.ctx.solveSubproblem(se.cands[c], bound)
-		if err == nil {
-			se.results[c] = plan
-		} else if errors.Is(err, ErrCandidatePruned) {
-			se.pruned.Add(1)
-		}
-		se.done.Add(1)
-		if opts.OnCandidate != nil {
-			opts.OnCandidate(se.cands[c], plan, err)
-		}
-	}
-
-	if opts.SampleBound {
-		runWorkers(ctx, opts.workers(), len(sampled), func(j int) {
-			eval(sampled[j].spec, sampled[j].cand, math.Inf(1))
 		})
-		// Phase barrier: the fastest feasible sampled time is each
-		// spec's fixed phase-2 bound. It is achievable by construction,
-		// so pruning against it is exactly as conservative as pruning
-		// against a seed's iteration time.
-		for _, se := range searches {
-			if se == nil {
-				continue
-			}
-			for _, p := range se.results {
-				if p != nil && p.IterTime < se.bound {
-					se.bound = p.IterTime
-				}
+	}
+
+	run(sampled)
+	// Phase barrier: the fastest feasible sampled time is each spec's
+	// fixed phase-2 bound.
+	for _, se := range searches {
+		if se == nil {
+			continue
+		}
+		for _, p := range se.results {
+			if p != nil && p.IterTime < se.bound {
+				se.bound = p.IterTime
 			}
 		}
 	}
-
-	runWorkers(ctx, opts.workers(), len(jobs), func(j int) {
-		se := searches[jobs[j].spec]
-		bound := math.Inf(1)
-		if opts.Prune || opts.SampleBound {
-			bound = se.bound
-		}
-		eval(jobs[j].spec, jobs[j].cand, bound)
-	})
+	run(rest)
 
 	for i, se := range searches {
 		if se == nil {
@@ -298,9 +219,7 @@ func PlanMany(ctx context.Context, specs []Spec, opts SearchOptions) []PlanResul
 type PlanResult struct {
 	Plan *Plan
 	Err  error
-	// Pruned counts candidates the branch-and-bound bound skipped;
-	// always zero unless a seed (Seed or Seeds) and Prune were both
-	// set, or SampleBound was.
+	// Pruned counts candidates the phase-2 bound skipped.
 	Pruned int
 }
 

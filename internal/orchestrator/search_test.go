@@ -11,6 +11,12 @@ import (
 	"disttrain/internal/model"
 )
 
+// planOne is the one-spec, unseeded PlanMany call.
+func planOne(ctx context.Context, s Spec, opts SearchOptions) (*Plan, error) {
+	r := PlanMany(ctx, []PlanRequest{{Spec: s}}, opts)[0]
+	return r.Plan, r.Err
+}
+
 // TestPlanSearchEquivalence is the engine's core guarantee: the
 // parallel search returns a plan byte-identical to the sequential
 // reference at every parallelism level. Run under -race by the CI
@@ -33,7 +39,7 @@ func TestPlanSearchEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				got, err := PlanDistTrainCtx(context.Background(), s, SearchOptions{Parallelism: par})
+				got, err := planOne(context.Background(), s, SearchOptions{Parallelism: par})
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
 				}
@@ -62,7 +68,7 @@ func TestPlanSearchCancellation(t *testing.T) {
 	t.Run("pre-cancelled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := PlanDistTrainCtx(ctx, s, SearchOptions{Parallelism: 4}); !errors.Is(err, context.Canceled) {
+		if _, err := planOne(ctx, s, SearchOptions{Parallelism: 4}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("got %v, want context.Canceled", err)
 		}
 	})
@@ -78,7 +84,7 @@ func TestPlanSearchCancellation(t *testing.T) {
 				}
 			},
 		}
-		if _, err := PlanDistTrainCtx(ctx, s, opts); !errors.Is(err, context.Canceled) {
+		if _, err := planOne(ctx, s, opts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("got %v, want context.Canceled", err)
 		}
 		if n := seen.Load(); n >= int64(len(enumerateCandidates(s, s.maxGPUs()))) {
@@ -93,7 +99,7 @@ func TestPlanSearchOnCandidate(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	total := len(enumerateCandidates(s, s.maxGPUs()))
 	var calls, feasible atomic.Int64
-	_, err := PlanDistTrainCtx(context.Background(), s, SearchOptions{
+	_, err := planOne(context.Background(), s, SearchOptions{
 		Parallelism: 4,
 		OnCandidate: func(c Candidate, p *Plan, err error) {
 			calls.Add(1)
@@ -126,7 +132,8 @@ func TestPlanMany(t *testing.T) {
 	tiny := newSpec(t, model.MLLM72B(), 12, 96, model.FullTraining)
 	tiny.MaxGPUs = 8 // feasibility failure: 72B cannot fit on one node
 
-	results := PlanMany(context.Background(), []Spec{small, bad, big, tiny}, SearchOptions{Parallelism: 4})
+	results := PlanMany(context.Background(),
+		[]PlanRequest{{Spec: small}, {Spec: bad}, {Spec: big}, {Spec: tiny}}, SearchOptions{Parallelism: 4})
 	if len(results) != 4 {
 		t.Fatalf("got %d results, want 4", len(results))
 	}
@@ -156,7 +163,7 @@ func TestPlanManyCancellation(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, r := range PlanMany(ctx, []Spec{s, s}, SearchOptions{Parallelism: 2}) {
+	for _, r := range PlanMany(ctx, []PlanRequest{{Spec: s}, {Spec: s}}, SearchOptions{Parallelism: 2}) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("got %v, want context.Canceled", r.Err)
 		}

@@ -79,7 +79,7 @@ func newSearchCtx(s *Spec) searchCtx {
 	sc.mem[model.Encoder].act = s.Model.Encoder.ActivationBytesPerToken() * float64(shape.TotalImageTokens()) * float64(s.Microbatch)
 	sc.mem[model.Backbone].act = s.Model.Backbone.ActivationBytesPerToken() * float64(s.Model.SeqLen) * float64(s.Microbatch)
 	sc.mem[model.Generator].act = s.Model.Generator.ActivationBytesPerImage(s.Model.GenResolution) *
-		float64(maxInt(shape.GenImages, 1)) * float64(s.Microbatch)
+		float64(max(shape.GenImages, 1)) * float64(s.Microbatch)
 	return sc
 }
 

@@ -375,8 +375,8 @@ func TestPlanSearchAllocBudget(t *testing.T) {
 	// kernel; the budget is half of that.
 	opts := SearchOptions{Parallelism: 1}
 	if got := testing.AllocsPerRun(3, func() {
-		if r := PlanMany(context.Background(), []Spec{s}, opts)[0]; r.Err != nil {
-			t.Fatal(r.Err)
+		if _, err := planOne(context.Background(), s, opts); err != nil {
+			t.Fatal(err)
 		}
 	}); got > 3541 {
 		t.Errorf("cold PlanMany: %.0f allocs for %d candidates, budget 3541", got, len(cands))

@@ -453,10 +453,3 @@ func (p *Profiler) InterpForward(mod model.Module, tp int, tokens float64) (floa
 	frac := (tokens - a.tokens) / (b.tokens - a.tokens)
 	return a.fwd + frac*(b.fwd-a.fwd), nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

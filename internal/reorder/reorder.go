@@ -319,7 +319,7 @@ func InterReorder(mbs []Microbatch, p2p []float64) ([]Microbatch, error) {
 	pool = pool[1:]
 
 	// Line 4: reserve the p-1 smallest for the rear.
-	rear := pool[:minInt(p-1, len(pool))]
+	rear := pool[:min(p-1, len(pool))]
 	pool = pool[len(rear):]
 
 	// Lines 5-11: fill intervals. used marks in-place what selectClosest
@@ -461,11 +461,4 @@ func (m Microbatch) encFwd() float64 {
 		return 0
 	}
 	return m.Fwd[0]
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
