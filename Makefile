@@ -30,8 +30,12 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -C benchmark ./...
 
+# benchmark/'s own tests ride along: its generated-scenario "planner
+# pool == sequential reference" oracle and per-round lease-partition
+# assertion are the strongest guard on a fleet-core edit.
 test:
 	$(GO) test ./...
+	$(GO) test -C benchmark ./...
 
 # race runs -short: the full scenario matrix (trainer scenario tests)
 # runs without the race detector in `make test`, keeping the slow
@@ -73,10 +77,11 @@ BENCH_TIME ?= 100x
 # cold search) is the deterministic allocs/op count, which would jump
 # two orders of magnitude.
 BENCH_WARM_TIME ?= 5000x
-# The cold-admission storm pays 16 full cold searches per op (~25-60ms
-# each way), so BENCH_TIME=100x would burn minutes measuring a number
-# whose band is self-widened to ±60% anyway; 20x keeps the recording
-# honest (a second-plus of measured work per sample) without
+# The cold-admission storm pays 16 full cold searches per op (~12-15ms
+# on either executor: /sequential and /pool-4 run the same admission
+# flow and the same searches), and its rate band is self-widened to
+# ±60% anyway, so 20x per sample — a quarter-second of measured work,
+# times BENCH_COUNT — is enough for the executor comparison without
 # dominating the bench-json run. Its tight gate is the one-sided
 # allocs/op tripwire, which two ops already pin exactly.
 BENCH_STORM_TIME ?= 20x

@@ -40,11 +40,17 @@ import (
 	"disttrain/internal/metrics"
 )
 
-// Benchmark is one parsed result line.
+// Benchmark is one benchmark's representative sample.
 type Benchmark struct {
+	// Name is the benchmark name without go test's -GOMAXPROCS suffix,
+	// so a baseline diffs cleanly against a run on a different core
+	// count.
 	Name       string  `json:"name"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
+	// Samples is how many result lines the representative was picked
+	// from (smoke samples a measured one displaced are not counted).
+	Samples int `json:"samples"`
 	// Metrics carries every extra `<value> <unit>` pair the benchmark
 	// reported (b.ReportMetric, -benchmem): bubble%, iters/s, B/op...
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -52,6 +58,9 @@ type Benchmark struct {
 
 // Report is the output document.
 type Report struct {
+	// GOMAXPROCS is the value go test ran the benchmarks under,
+	// recovered from the name suffix (see gomaxprocs).
+	GOMAXPROCS int         `json:"gomaxprocs"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -92,7 +101,8 @@ func main() {
 
 // parse extracts benchmark result lines: `BenchmarkName-P  N  V ns/op
 // [V unit]...`. Non-benchmark lines (experiment tables, PASS/ok) are
-// skipped. Repeated names (-count=N) collapse to one representative
+// skipped, and the -P suffix is stripped from every name (see
+// gomaxprocs). Repeated names (-count=N) collapse to one representative
 // sample, one-iteration smoke samples aside: the median gated rate
 // (norm-iters/s, else cpu-iters/s) for benchmarks reporting a
 // throughput metric, the fastest wall clock otherwise. A single -benchtime=1x run of the fleet loop swings tens
@@ -102,9 +112,7 @@ func main() {
 // fastest-wall-clock sample and the peak rate wobbled run to run by
 // more than the regression band.
 func parse(r io.Reader) (*Report, error) {
-	report := &Report{Benchmarks: []Benchmark{}}
-	seen := map[string][]Benchmark{}
-	order := []string{}
+	var lines []Benchmark
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -134,6 +142,16 @@ func parse(r io.Reader) (*Report, error) {
 		if b.NsPerOp <= 0 {
 			continue
 		}
+		lines = append(lines, b)
+	}
+	report := &Report{GOMAXPROCS: gomaxprocs(lines), Benchmarks: []Benchmark{}}
+	suffix := fmt.Sprintf("-%d", report.GOMAXPROCS)
+	seen := map[string][]Benchmark{}
+	order := []string{}
+	for _, b := range lines {
+		if report.GOMAXPROCS > 1 {
+			b.Name = strings.TrimSuffix(b.Name, suffix)
+		}
 		if _, ok := seen[b.Name]; !ok {
 			order = append(order, b.Name)
 		}
@@ -143,6 +161,25 @@ func parse(r io.Reader) (*Report, error) {
 		report.Benchmarks = append(report.Benchmarks, collapse(seen[name]))
 	}
 	return report, sc.Err()
+}
+
+// gomaxprocs recovers the GOMAXPROCS the benchmarks ran under. go test
+// appends "-P" to every benchmark name when GOMAXPROCS is P > 1 and
+// nothing at 1, and its output says the value nowhere else — so P is
+// the numeric suffix every result line shares, and 1 when they share
+// none (a sub-benchmark such as pool-4 ends in a number on its own,
+// but its siblings do not end in the same one).
+func gomaxprocs(lines []Benchmark) int {
+	procs := 1
+	for i, b := range lines {
+		// No dash leaves the whole name, which is not a number either.
+		p, err := strconv.Atoi(b.Name[strings.LastIndexByte(b.Name, '-')+1:])
+		if err != nil || p < 2 || (i > 0 && p != procs) {
+			return 1
+		}
+		procs = p
+	}
+	return procs
 }
 
 // collapse reduces repeated samples of one benchmark to the
@@ -166,6 +203,12 @@ func collapse(samples []Benchmark) Benchmark {
 	if len(measured) > 0 {
 		samples = measured
 	}
+	pick := samples[0]
+	for _, b := range samples[1:] {
+		if b.NsPerOp < pick.NsPerOp {
+			pick = b
+		}
+	}
 	for _, unit := range []string{normUnit, throughputUnit} {
 		rated := samples[:0:0]
 		for _, b := range samples {
@@ -179,15 +222,11 @@ func collapse(samples []Benchmark) Benchmark {
 		sort.SliceStable(rated, func(i, j int) bool {
 			return rated[i].Metrics[unit] < rated[j].Metrics[unit]
 		})
-		return rated[len(rated)/2]
+		pick = rated[len(rated)/2]
+		break
 	}
-	best := samples[0]
-	for _, b := range samples[1:] {
-		if b.NsPerOp < best.NsPerOp {
-			best = b
-		}
-	}
-	return best
+	pick.Samples = len(samples)
+	return pick
 }
 
 // throughputUnit is the fleet throughput metric the diff gate
@@ -249,6 +288,9 @@ func diff(w io.Writer, base, cur *Report, band, allocBand float64) error {
 	byName := map[string]Benchmark{}
 	for _, b := range cur.Benchmarks {
 		byName[b.Name] = b
+	}
+	if base.GOMAXPROCS > 0 && base.GOMAXPROCS != cur.GOMAXPROCS {
+		fmt.Fprintf(w, "note: baseline recorded at GOMAXPROCS=%d, this run at %d\n", base.GOMAXPROCS, cur.GOMAXPROCS)
 	}
 	rateCompared, allocCompared, failed := 0, 0, 0
 	for _, b := range base.Benchmarks {

@@ -27,8 +27,11 @@ ok  	disttrain	1.234s
 	if len(report.Benchmarks) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3: %+v", len(report.Benchmarks), report.Benchmarks)
 	}
+	if report.GOMAXPROCS != 8 {
+		t.Errorf("gomaxprocs = %d, want the shared -8 suffix", report.GOMAXPROCS)
+	}
 	b := report.Benchmarks[1]
-	if b.Name != "BenchmarkFleetThroughput/jobs=4-8" || b.NsPerOp != 9100509 || b.Iterations != 1 {
+	if b.Name != "BenchmarkFleetThroughput/jobs=4" || b.NsPerOp != 9100509 || b.Iterations != 1 || b.Samples != 1 {
 		t.Errorf("benchmark 1 = %+v", b)
 	}
 	if got := b.Metrics["iters/s"]; got != 879.1 {
@@ -122,11 +125,49 @@ BenchmarkColdAdmissionStorm/pipelined 	 20 	 24000000 ns/op 	 60.00 band% 	 1380
 		t.Fatalf("parsed %d benchmarks, want 2: %+v", len(report.Benchmarks), report.Benchmarks)
 	}
 	storm := report.Benchmarks[0]
-	if storm.Iterations != 20 || storm.Metrics[normUnit] != 2760 || storm.Metrics[allocUnit] != 24604 {
+	if storm.Iterations != 20 || storm.Samples != 5 || storm.Metrics[normUnit] != 2760 || storm.Metrics[allocUnit] != 24604 {
 		t.Errorf("kept sample %+v, want the median of the five 20x samples (2760 norm-iters/s)", storm)
 	}
 	if only := report.Benchmarks[1]; only.Iterations != 1 || only.NsPerOp != 500 {
 		t.Errorf("kept sample %+v, want the lone smoke sample", only)
+	}
+}
+
+// TestParseStripsProcsSuffix is the multi-core bench-diff regression:
+// go test names every benchmark "<name>-P" when GOMAXPROCS is P > 1,
+// the committed baseline carries bare names, and the gate used to fail
+// every entry as "in baseline but missing from this run" on anything
+// but a single-core runner. The suffix all lines share is stripped and
+// recorded; a numeric tail that is part of a sub-benchmark's own name
+// (pool-4) survives, at GOMAXPROCS 1 and above.
+func TestParseStripsProcsSuffix(t *testing.T) {
+	base := &Report{GOMAXPROCS: 1, Benchmarks: []Benchmark{
+		{Name: "BenchmarkX/sub", Iterations: 20, NsPerOp: 2e6, Metrics: map[string]float64{normUnit: 500, allocUnit: 100}},
+		{Name: "BenchmarkX/pool-4", Iterations: 20, NsPerOp: 2e6, Metrics: map[string]float64{normUnit: 400, allocUnit: 100}},
+	}}
+	for procs, out := range map[int]string{
+		2: `BenchmarkX/sub-2 	 20 	 1900000 ns/op 	 520.0 norm-iters/s 	 100 allocs/op
+BenchmarkX/sub-2 	 20 	 1950000 ns/op 	 510.0 norm-iters/s 	 100 allocs/op
+BenchmarkX/pool-4-2 	 20 	 1900000 ns/op 	 410.0 norm-iters/s 	 100 allocs/op
+`,
+		1: `BenchmarkX/sub 	 20 	 1900000 ns/op 	 520.0 norm-iters/s 	 100 allocs/op
+BenchmarkX/pool-4 	 20 	 1900000 ns/op 	 410.0 norm-iters/s 	 100 allocs/op
+`,
+	} {
+		cur, err := parse(strings.NewReader(out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.GOMAXPROCS != procs {
+			t.Errorf("GOMAXPROCS=%d output parsed as gomaxprocs %d", procs, cur.GOMAXPROCS)
+		}
+		if len(cur.Benchmarks) != 2 || cur.Benchmarks[0].Name != "BenchmarkX/sub" || cur.Benchmarks[1].Name != "BenchmarkX/pool-4" {
+			t.Errorf("GOMAXPROCS=%d names = %+v, want BenchmarkX/sub and BenchmarkX/pool-4", procs, cur.Benchmarks)
+		}
+		var buf strings.Builder
+		if err := diff(&buf, base, cur, 10, 10); err != nil {
+			t.Errorf("GOMAXPROCS=%d run failed the gate against bare baseline names: %v\n%s", procs, err, buf.String())
+		}
 	}
 }
 
@@ -335,7 +376,7 @@ func TestDiffAllocGate(t *testing.T) {
 func TestDiffRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "base.json")
 	base := &Report{Benchmarks: []Benchmark{{
-		Name: "BenchmarkFleetThroughput/jobs=1-8", Iterations: 1, NsPerOp: 2e6,
+		Name: "BenchmarkFleetThroughput/jobs=1", Iterations: 1, NsPerOp: 2e6,
 		Metrics: map[string]float64{throughputUnit: 500},
 	}}}
 	if err := writeAtomic(path, base); err != nil {

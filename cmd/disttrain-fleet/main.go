@@ -7,11 +7,12 @@
 // cache — identical jobs pay for a single §4.3 search. The fleet-scope
 // scenario grammar injects arrivals, departures, node failures/rejoins,
 // priority storms and herd bursts; -trace writes the merged per-job
-// Chrome-trace timeline (atomically: temp file + rename). With
-// -planners N admission is pipelined: the lease is reserved up front,
-// the plan search runs on an async pool overlapping running tenants,
-// and the job lands at a deterministic round from a costed
-// planning-latency model.
+// Chrome-trace timeline (atomically: temp file + rename). Admission
+// reserves then lands: the lease is reserved up front, the plan search
+// is requested while running tenants keep stepping, and the job lands
+// at a deterministic round from a costed planning-latency model;
+// -planners N only moves those searches onto an async pool of N, the
+// output is byte-identical at every value.
 //
 // Examples:
 //
@@ -56,7 +57,7 @@ func main() {
 		producers = flag.Int("producers", 0, "shared preprocessing producers (0 = no shared tier); jobs fetch batches over TCP with per-tenant quotas and weighted fair queueing")
 		slots     = flag.Int("preprocess-slots", 2, "per-tenant admission quota per leased node on the shared tier")
 		cacheDir  = flag.String("plan-cache-dir", "", "durable plan-cache directory: plans persist across runs, repeated specs skip the search entirely, and new lease sizes warm-start from their neighbours")
-		planners  = flag.Int("planners", 0, "async planner pool size for pipelined admission (0 = legacy inline search, -1 = sequential pipelined reference); admission reserves the lease and overlaps the §4.3 search with running tenants, landing at a deterministic round")
+		planners  = flag.Int("planners", 0, "async planner pool size (<= 0 = run each §4.3 search synchronously where it is requested); admission always reserves the lease and lands the plan at a deterministic round, so output is byte-identical at every value")
 	)
 	profile := prof.Register(flag.CommandLine)
 	flag.Parse()
@@ -155,10 +156,8 @@ func main() {
 	fmt.Printf("fleet: %d nodes, %s policy, %d rounds, %d tenants\n",
 		*nodes, pol.Name(), res.Rounds, len(res.Jobs))
 	fmt.Printf("plan cache: %d searches, %d hits\n", res.PlanSearches, res.PlanHits)
-	if *planners != 0 {
-		fmt.Printf("pipelined admission: %d coalesced plan requests, %d rounds of planning overlapped with training\n",
-			res.PlanCoalesced, res.PlanOverlapRounds)
-	}
+	fmt.Printf("pipelined admission: %d coalesced plan requests, %d rounds of planning overlapped with training\n",
+		res.PlanCoalesced, res.PlanOverlapRounds)
 	if *cacheDir != "" {
 		fmt.Printf("durable plan cache (%s): %d warm hits, %d warm-seeded searches, %d candidates pruned\n",
 			*cacheDir, res.PlanWarmHits, res.PlanWarmSeeds, res.PlanPruned)

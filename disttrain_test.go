@@ -118,8 +118,8 @@ func TestFacadeFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PlanSearches != 1 || res.PlanHits != 1 {
-		t.Errorf("shared cache: %d searches, %d hits", res.PlanSearches, res.PlanHits)
+	if res.PlanSearches != 1 || res.PlanCoalesced != 1 {
+		t.Errorf("shared cache: %d searches, %d coalesced", res.PlanSearches, res.PlanCoalesced)
 	}
 	for _, jr := range res.Jobs {
 		if jr.Err != nil {

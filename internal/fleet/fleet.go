@@ -66,8 +66,9 @@ type Config struct {
 	// JobSpec's Train.Scenario.
 	Scenario scenario.Scenario
 	// Cache, when non-nil, is the shared plan cache to consult (and
-	// warm); nil builds a private one with Search options. Result
-	// search/hit counts are deltas over this run either way.
+	// warm); nil builds a private one with default search options (a
+	// caller who wants others builds the cache). Result search/hit
+	// counts are deltas over this run either way.
 	Cache *orchestrator.PlanCache
 	// PlanCacheDir, when non-empty, makes the control plane durable:
 	// the fleet builds its plan cache over an on-disk store rooted
@@ -76,8 +77,6 @@ type Config struct {
 	// from their neighbours. Mutually exclusive with Cache — a caller
 	// supplying its own cache owns its persistence.
 	PlanCacheDir string
-	// Search tunes plan searches when the fleet builds its own cache.
-	Search orchestrator.SearchOptions
 	// Preprocess, when non-nil, attaches the fleet-shared
 	// disaggregated preprocessing tier: one producer fleet plus one
 	// multiplexing service every tenant sources its batches from, with
@@ -89,16 +88,15 @@ type Config struct {
 	// mean GOMAXPROCS. Results and traces are byte-identical at any
 	// value.
 	Workers int
-	// Planners selects the admission mode. 0 (the default) keeps
-	// admission inline: the head's cold §4.3 search runs synchronously
-	// and stalls the round. Values > 0 pipeline admission: the lease is
-	// reserved immediately, the search runs on a background planner
-	// pool of that size (misses batch into shared waves), running
-	// tenants keep stepping, and the plan lands at a
-	// deterministic round from the costed planning-latency model.
-	// SequentialPlanners (-1) runs the same pipelined admission logic
-	// with synchronous searches — the reference mode whose results and
-	// traces every pool size must reproduce byte-identically.
+	// Planners sizes the plan-search executor; it never changes what a
+	// run computes. Admission always reserves then lands: the lease
+	// leaves the free pool at once, the §4.3 search is only requested,
+	// running tenants keep stepping, and the plan lands at a
+	// deterministic round from the costed planning-latency model. Values
+	// > 0 execute those searches on a background planner pool of that
+	// size (misses batch into shared waves); anything <= 0 runs each
+	// search synchronously at its enqueue point. Results and traces are
+	// byte-identical at any value.
 	Planners int
 	// Trace enables per-job Chrome-trace timelines and the merged
 	// fleet timeline on the Result.
@@ -109,10 +107,10 @@ type Config struct {
 	OnRound func(RoundInfo)
 }
 
-// SequentialPlanners is the Config.Planners reference mode: pipelined
-// admission semantics (reservations, landing rounds, coalescing) with
-// every search executed synchronously at its enqueue point. Planner
-// pools of any size must reproduce this mode's results byte for byte.
+// SequentialPlanners names the synchronous executor — the default any
+// Config.Planners <= 0 selects: every search runs at its enqueue
+// point. It is the reference planner pools of any size must reproduce
+// byte for byte.
 const SequentialPlanners = -1
 
 // RoundInfo is one round's lease-table snapshot.
@@ -187,7 +185,7 @@ type Result struct {
 	// search instead of starting one (herds of near-identical
 	// admissions collapse here); PlanOverlapRounds counts rounds where
 	// at least one background search overlapped at least one training
-	// step. Both zero unless Config.Planners is non-zero.
+	// step.
 	PlanCoalesced     int64
 	PlanOverlapRounds int
 	// Trace is the merged fleet timeline (per-job lanes PID-offset
@@ -204,8 +202,8 @@ const (
 	stateQueued = iota
 	stateRunning
 	stateDone
-	// statePlanning: lease reserved, §4.3 search in flight, plan lands
-	// at tenant.landing. Pipelined admission modes only.
+	// statePlanning: lease reserved, §4.3 search requested, plan lands
+	// at tenant.landing. Every cold admission passes through it.
 	statePlanning
 )
 
@@ -237,11 +235,10 @@ type tenant struct {
 	state    int
 	stepErr  error
 
-	// Pipelined admission state: the in-flight plan claim, its cache
-	// fingerprint, and the deterministic round the plan lands (-1 when
-	// none is pending).
+	// Reservation state (statePlanning only): the in-flight plan claim
+	// and the deterministic round the plan lands (-1 when none is
+	// pending).
 	ticket  *orchestrator.PlanTicket
-	planFp  string
 	landing int
 
 	// Incrementally maintained scheduler snapshot: valid while viewOK,
@@ -284,10 +281,9 @@ type runner struct {
 	queueDirty bool
 	runBuf     []*tenant // running() scratch, reused across rounds
 
-	// Pipelined admission: in-flight plan waves keyed by fingerprint,
-	// plus the same waves in enqueue order (landing processing must be
-	// deterministic). overlapRounds counts rounds where background
-	// planning overlapped training.
+	// In-flight plan waves keyed by fingerprint, plus the same waves in
+	// enqueue order (landing processing must be deterministic).
+	// overlapRounds counts rounds where planning overlapped training.
 	pending       map[string]*pendingPlan
 	pendList      []*pendingPlan
 	overlapRounds int
@@ -301,10 +297,6 @@ type pendingPlan struct {
 	ticket  *orchestrator.PlanTicket
 	landing int
 }
-
-// pipelined reports whether admission reserves leases and defers plans
-// (Planners != 0) rather than searching inline.
-func (f *runner) pipelined() bool { return f.cfg.Planners != 0 }
 
 // dirtyView invalidates a tenant's cached scheduler snapshot; every
 // mutation of a JobView key (state, lease, waited, started) calls it.
@@ -402,13 +394,10 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: plan cache dir: %w", err)
 		}
-		cache = orchestrator.NewPersistentPlanCache(cfg.Search, st)
+		cache = orchestrator.NewPersistentPlanCache(orchestrator.SearchOptions{}, st)
 	}
 	if cache == nil {
-		cache = orchestrator.NewPlanCache(cfg.Search)
-	}
-	if cfg.Planners < SequentialPlanners {
-		return nil, fmt.Errorf("fleet: Planners %d invalid (0 inline, N > 0 pooled, -1 sequential reference)", cfg.Planners)
+		cache = orchestrator.NewPlanCache(orchestrator.SearchOptions{})
 	}
 	if cfg.Planners > 0 {
 		if err := cache.StartPlanners(cfg.Planners); err != nil {
@@ -452,8 +441,7 @@ func Run(cfg Config) (*Result, error) {
 	for f.round = 0; ; f.round++ {
 		f.admitted, f.retired = 0, 0
 		// Plans whose deterministic landing round arrived commit first:
-		// the tenants they admit join this round's scheduling exactly
-		// like the legacy inline path would have admitted them.
+		// the tenants they start join this round's scheduling.
 		f.landPlans()
 		// Queue aging: tenants still queued from earlier rounds have
 		// waited one more full round (this round's arrivals start at 0).
@@ -471,7 +459,7 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.OnRound != nil {
 			cfg.OnRound(f.roundInfo())
 		}
-		if f.pipelined() && f.planningCount() > 0 && f.runningCount() > 0 {
+		if f.planningCount() > 0 && f.runningCount() > 0 {
 			f.overlapRounds++
 		}
 		f.stepRunning()
@@ -682,33 +670,16 @@ func (f *runner) failNode(node int) {
 		return
 	}
 	t := f.tenants[owner]
-	if t.state == statePlanning {
-		// The reservation is void before its plan ever landed: requeue
-		// the tenant (it will re-reserve at whatever capacity remains).
-		// Its in-flight search stays pending and still publishes at its
-		// landing round — the shape may serve someone else.
-		f.table.Release(t.id)
-		t.lease = cluster.Lease{}
-		t.state = stateQueued
-		t.waited = 0
-		t.landing = -1
-		t.ticket = nil
-		t.planFp = ""
-		f.dirtyView(t)
-		f.requeueFront(t)
-		f.note("job-suspend", map[string]any{"job": t.id})
-		return
-	}
-	shrunk := t.lease.Without(node)
-	if shrunk.NodeCount() >= t.min {
+	// A planning tenant's reservation is void before its plan ever
+	// landed: it requeues (and re-reserves at whatever capacity remains)
+	// while its in-flight search stays pending and still publishes at
+	// its landing round — the shape may serve someone else. A running
+	// one shrinks onto the survivors when they can still run the job.
+	if shrunk := t.lease.Without(node); t.state == stateRunning && shrunk.NodeCount() >= t.min {
 		if plan, perr := f.planFor(t, shrunk); perr == nil {
 			reason := fmt.Sprintf("node %d failed: lease shrinks to %d nodes", node, shrunk.NodeCount())
 			if rerr := t.job.Resize(shrunk, plan, reason); rerr == nil {
-				t.lease = shrunk
-				t.plan = plan
-				t.resizes++
-				f.dirtyView(t)
-				f.resizeQuota(t, shrunk.NodeCount())
+				f.commitResize(t, shrunk, plan)
 				f.note("lease-shrink", map[string]any{"job": t.id, "nodes": shrunk.NodeCount()})
 				return
 			}
@@ -718,16 +689,46 @@ func (f *runner) failNode(node int) {
 	// checkpoints, optimizer state) stays with the runtime; the tenant
 	// rejoins the queue ahead of never-started jobs and resumes when
 	// capacity returns.
-	f.table.Release(t.id)
-	t.lease = cluster.Lease{}
-	t.state = stateQueued
-	t.waited = 0
-	f.dirtyView(t)
-	// A suspended tenant holds no nodes, so it earns no admission
-	// quota either; resumption re-grants it with the new lease.
-	f.resizeQuota(t, 0)
+	f.suspend(t)
 	f.requeueFront(t)
 	f.note("job-suspend", map[string]any{"job": t.id})
+}
+
+// transition is the one writer of tenant state. Every move between
+// queued, planning, running and done funnels through it, so the
+// bookkeeping a move implies cannot be half-done: a destination that
+// holds no nodes (queued, done) gives the lease back, the reservation
+// pair is cleared (park sets it again on the way into planning), the
+// queue-wait clock restarts and the scheduler snapshot is invalidated.
+// Trace notes and queue position stay with the caller.
+func (f *runner) transition(t *tenant, to int) {
+	if to == stateQueued || to == stateDone {
+		f.table.Release(t.id)
+		t.lease = cluster.Lease{}
+	}
+	t.state = to
+	t.ticket, t.landing = nil, -1
+	t.waited = 0
+	f.dirtyView(t)
+}
+
+// suspend takes a lease-holding tenant (running or planning) back to
+// queued. A suspended tenant holds no nodes, so it earns no admission
+// quota either; resumption re-grants it with the new lease.
+func (f *runner) suspend(t *tenant) {
+	f.transition(t, stateQueued)
+	f.resizeQuota(t, 0)
+}
+
+// commitResize records an applied Job.Resize on the tenant: the new
+// lease and plan, the resize count, and the admission quota the lease
+// size earns.
+func (f *runner) commitResize(t *tenant, lease cluster.Lease, plan *orchestrator.Plan) {
+	t.lease = lease
+	t.plan = plan
+	t.resizes++
+	f.dirtyView(t)
+	f.resizeQuota(t, lease.NodeCount())
 }
 
 // requeueFront inserts a suspended tenant before every never-started
@@ -770,15 +771,9 @@ func (f *runner) retire(t *tenant, departed bool) {
 	// Finish drained the prefetch, so the tenant's pool counters are
 	// quiescent — snapshot them now, exactly once.
 	f.snapshotPool(t)
-	f.table.Release(t.id)
-	t.lease = cluster.Lease{}
-	t.state = stateDone
+	f.transition(t, stateDone)
 	t.finished = f.round
 	t.departed = departed
-	t.ticket = nil
-	t.planFp = ""
-	t.landing = -1
-	f.dirtyView(t)
 	f.retired++
 }
 
@@ -803,19 +798,18 @@ func (f *runner) leaseSpec(t *tenant, l cluster.Lease) orchestrator.Spec {
 // size. All instances of a template share the template's spec (same
 // profiler pointer, same model and batch geometry), so equal lease
 // sizes fingerprint identically — K identical tenants pay for one
-// §4.3 search and K-1 cache hits. In pipelined modes a shape already
-// in flight on the planner pool is consumed (and published) here —
-// this call site is a deterministic decision point, so an early
-// publish keeps pool sizes byte-identical.
+// §4.3 search and K-1 coalesced or cached requests. Resizes plan
+// synchronously through here; a shape already in flight (a speculated
+// neighbour size, another tenant's admission) is consumed and
+// published first — this call site is a deterministic decision point,
+// so an early publish keeps executor sizes byte-identical.
 func (f *runner) planFor(t *tenant, l cluster.Lease) (*orchestrator.Plan, error) {
 	spec := f.leaseSpec(t, l)
-	if f.pipelined() {
-		fp := f.cache.Fingerprint(spec)
-		if pe, ok := f.pending[fp]; ok {
-			_, _ = pe.ticket.Wait(f.ctx) // outcome served via the cache below
-			pe.ticket.Publish()
-			f.removePending(fp)
-		}
+	fp := f.cache.Fingerprint(spec)
+	if pe, ok := f.pending[fp]; ok {
+		_, _ = pe.ticket.Wait(f.ctx) // outcome served via the cache below
+		pe.ticket.Publish()
+		f.removePending(fp)
 	}
 	return f.cache.Plan(f.ctx, spec)
 }
@@ -851,11 +845,11 @@ func (f *runner) sortQueue() {
 	})
 }
 
-// admit places queued tenants in scheduler order until the head
-// cannot be placed. The head blocks the queue (no backfilling), so
-// admission latency stays predictable: once a job reaches the head —
-// by submission order or by aging — the next feasible capacity is
-// its.
+// admit reserves leases for queued tenants in scheduler order until
+// the head cannot be placed. The head blocks the queue (no
+// backfilling), so admission latency stays predictable: once a job
+// reaches the head — by submission order or by aging — the next
+// feasible capacity is its.
 func (f *runner) admit() {
 	for len(f.queue) > 0 {
 		f.sortQueue()
@@ -887,13 +881,7 @@ func (f *runner) admit() {
 			f.note("job-rejected", map[string]any{"job": t.id, "reason": err.Error()})
 			continue
 		}
-		admitErr := error(nil)
-		if f.pipelined() {
-			admitErr = f.reserve(t, lease)
-		} else {
-			admitErr = f.place(t, lease)
-		}
-		if admitErr != nil {
+		if admitErr := f.reserve(t, lease); admitErr != nil {
 			// Unplannable at its granted size (model too big for
 			// MinNodes, degenerate batch geometry): the job can never
 			// run — fail it and keep the queue moving.
@@ -925,19 +913,6 @@ func (f *runner) checkPlacement(l cluster.Lease, grant int) error {
 		}
 	}
 	return nil
-}
-
-// place grants the lease inline (legacy admission): plan, acquire,
-// commit — the admission round pays the whole search.
-func (f *runner) place(t *tenant, lease cluster.Lease) error {
-	plan, err := f.planFor(t, lease)
-	if err != nil {
-		return err
-	}
-	if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
-		return err
-	}
-	return f.finishPlacement(t, lease, plan)
 }
 
 // finishPlacement commits an already-acquired lease with its landed
@@ -978,51 +953,33 @@ func (f *runner) finishPlacement(t *tenant, lease cluster.Lease, plan *orchestra
 		}
 		t.rt, t.job = rt, job
 		t.strategy = plan.Strategy
+		t.lease, t.plan = lease, plan
 	} else {
 		if err := t.job.Resize(lease, plan, fmt.Sprintf("resumed on %d nodes", lease.NodeCount())); err != nil {
 			return err
 		}
-		t.resizes++
-		f.resizeQuota(t, lease.NodeCount())
+		f.commitResize(t, lease, plan)
 	}
-	t.lease = lease
-	t.plan = plan
-	t.state = stateRunning
-	t.waited = 0
-	t.ticket = nil
-	t.planFp = ""
-	t.landing = -1
 	if t.started < 0 {
 		t.started = f.round
 	}
-	f.dirtyView(t)
+	f.transition(t, stateRunning)
 	f.note("job-start", map[string]any{"job": t.id, "nodes": lease.NodeCount(), "strategy": plan.Strategy})
 	return nil
 }
 
-// reserve is pipelined admission: the scheduler's grant is locked in
+// reserve is admission: the scheduler's grant is locked in
 // immediately (the lease leaves the free pool), but the plan is only
 // requested, not awaited. A shape already in flight coalesces onto
 // its wave and shares its landing round; an already-visible plan
-// places inline this round — warm admissions stay as fast as the
-// legacy path; a true miss enqueues on the planner pool and lands at
-// a round from the costed latency model, never from wall clock.
+// starts the tenant this round, so warm admissions pay no landing
+// delay; a true miss requests the search and lands at a round from
+// the costed latency model, never from wall clock.
 func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 	spec := f.leaseSpec(t, lease)
 	fp := f.cache.Fingerprint(spec)
 	if pe, ok := f.pending[fp]; ok {
-		ticket := f.cache.PlanAsync(f.ctx, spec)
-		if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
-			return err
-		}
-		t.lease = lease
-		t.ticket = ticket
-		t.planFp = fp
-		t.landing = pe.landing
-		t.state = statePlanning
-		f.dirtyView(t)
-		f.note("job-plan", map[string]any{"job": t.id, "nodes": lease.NodeCount(), "landing": pe.landing})
-		return nil
+		return f.park(t, lease, f.cache.PlanAsync(f.ctx, spec), pe.landing)
 	}
 	if plan, ok, err := f.cache.PlanIfSettled(spec); ok {
 		if err != nil {
@@ -1037,22 +994,32 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 		f.speculate(t)
 		return nil
 	}
-	ticket := f.cache.PlanAsync(f.ctx, spec)
-	landing := f.round + planLatency(spec, ticket.Seeded())
-	pe := &pendingPlan{fp: fp, ticket: ticket, landing: landing}
-	f.pending[fp] = pe
-	f.pendList = append(f.pendList, pe)
+	pe := f.request(spec, fp)
+	return f.park(t, lease, pe.ticket, pe.landing)
+}
+
+// park commits a reservation: the lease leaves the free pool and the
+// tenant waits in statePlanning on ticket until the landing round.
+func (f *runner) park(t *tenant, lease cluster.Lease, ticket *orchestrator.PlanTicket, landing int) error {
 	if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
 		return err
 	}
+	f.transition(t, statePlanning)
 	t.lease = lease
-	t.ticket = ticket
-	t.planFp = fp
-	t.landing = landing
-	t.state = statePlanning
-	f.dirtyView(t)
+	t.ticket, t.landing = ticket, landing
 	f.note("job-plan", map[string]any{"job": t.id, "nodes": lease.NodeCount(), "landing": landing})
 	return nil
+}
+
+// request starts the search for an unclaimed, unsettled fingerprint
+// and tracks its wave: it lands — publishes — at a round from the
+// costed latency model, whether or not a tenant waits on it.
+func (f *runner) request(spec orchestrator.Spec, fp string) *pendingPlan {
+	ticket := f.cache.PlanAsync(f.ctx, spec)
+	pe := &pendingPlan{fp: fp, ticket: ticket, landing: f.round + planLatency(spec, ticket.Seeded())}
+	f.pending[fp] = pe
+	f.pendList = append(f.pendList, pe)
+	return pe
 }
 
 // planCandidatesPerRound calibrates the costed planning-latency
@@ -1073,15 +1040,12 @@ func planLatency(spec orchestrator.Spec, seeded bool) int {
 	return rounds
 }
 
-// landPlans opens a pipelined round: waves whose landing round
-// arrived publish (entering the cache's warm-seed and settled-read
-// surfaces), then planning tenants whose landing round arrived commit
-// their reserved leases. Both walks are in deterministic order, so
-// every pool size lands identically.
+// landPlans opens a round: waves whose landing round arrived publish
+// (entering the cache's warm-seed and settled-read surfaces), then
+// planning tenants whose landing round arrived commit their reserved
+// leases. Both walks are in deterministic order, so every executor
+// size lands identically.
 func (f *runner) landPlans() {
-	if !f.pipelined() {
-		return
-	}
 	keep := f.pendList[:0]
 	for _, pe := range f.pendList {
 		if pe.landing > f.round {
@@ -1118,7 +1082,7 @@ func (f *runner) landPlans() {
 // unknowable before the grant. Only the lease size matters, so a
 // synthetic lease of the right count stands in for the real one.
 func (f *runner) speculate(t *tenant) {
-	if !f.pipelined() || f.shaped {
+	if f.shaped {
 		return
 	}
 	n := t.lease.NodeCount()
@@ -1138,10 +1102,7 @@ func (f *runner) speculate(t *tenant) {
 		if f.cache.Settled(spec) {
 			continue
 		}
-		ticket := f.cache.PlanAsync(f.ctx, spec)
-		pe := &pendingPlan{fp: fp, ticket: ticket, landing: f.round + planLatency(spec, ticket.Seeded())}
-		f.pending[fp] = pe
-		f.pendList = append(f.pendList, pe)
+		pe := f.request(spec, fp)
 		f.note("plan-ahead", map[string]any{"job": t.id, "nodes": target, "landing": pe.landing})
 	}
 }

@@ -21,9 +21,10 @@ func newTrainTemplate(spec orchestrator.Spec, corpus *data.Corpus) trainer.Confi
 }
 
 // -update rewrites the golden lease-table fixtures. The committed
-// goldens were captured on the pre-redesign runner (Policy as an int
-// enum); the Scheduler-interface reimplementation of FIFO and
-// FairShare must reproduce them byte-for-byte.
+// goldens are what the last commit that still had inline admission
+// wrote for these fixtures at Planners: SequentialPlanners: deleting
+// that mode had to reproduce them byte-for-byte, and so must any later
+// fleet-core refactor.
 var updateGolden = flag.Bool("update", false, "rewrite golden lease-table fixtures")
 
 // leaseTableLog renders a fleet run's complete scheduling story as a
@@ -84,14 +85,13 @@ func goldenCompare(t *testing.T, name, got string) {
 		t.Fatalf("missing golden %s (run with -update to create): %v", path, err)
 	}
 	if got != string(want) {
-		t.Errorf("%s diverged from the pre-redesign golden:\n--- got ---\n%s--- want ---\n%s", name, got, want)
+		t.Errorf("%s diverged from the golden:\n--- got ---\n%s--- want ---\n%s", name, got, want)
 	}
 }
 
 // TestGoldenFIFOLeaseTable pins FIFO's scheduling decisions — lease
-// sizing, placement, suspend-on-failure, head-of-line blocking —
-// against the golden captured before the Policy enum became the
-// Scheduler interface.
+// sizing, placement, reserve-then-land rounds, shrink-on-failure,
+// head-of-line blocking — against the golden.
 func TestGoldenFIFOLeaseTable(t *testing.T) {
 	spec, corpus := buildSpec(t, 8, 32)
 	tmpl := newTrainTemplate(spec, corpus)
@@ -109,10 +109,12 @@ func TestGoldenFIFOLeaseTable(t *testing.T) {
 }
 
 // TestGoldenFairShareLeaseTable pins FairShare's decisions — equal
-// shares, shrink-to-admit, grow-on-departure — against the
-// pre-redesign golden. The fixture keeps every share division even
-// (8 nodes, at most 2 active tenants), so the deliberate remainder
-// bugfix (fairShare distributing healthy%tenants) does not perturb it.
+// shares, shrink-to-admit, grow-on-departure — against the golden.
+// The fixture keeps every share division even (8 nodes, at most 2
+// active tenants), so the deliberate remainder bugfix (fairShare
+// distributing healthy%tenants) does not perturb it. Tenant a's cold
+// plan lands at round 2, so its departure sits at round 5: it leaves
+// after 3 of its 6 iterations, with b running beside it.
 func TestGoldenFairShareLeaseTable(t *testing.T) {
 	spec, corpus := buildSpec(t, 8, 32)
 	tmpl := newTrainTemplate(spec, corpus)
@@ -123,7 +125,7 @@ func TestGoldenFairShareLeaseTable(t *testing.T) {
 			{Name: "b", Train: tmpl, Iters: 6, MinNodes: 2, MaxNodes: 8, Arrive: 1},
 		},
 		Policy:   FairShare,
-		Scenario: mustParse(t, "job-depart:iter=3,job=0"),
+		Scenario: mustParse(t, "job-depart:iter=5,job=0"),
 	}
 	goldenCompare(t, "fairshare_lease_table", leaseTableLog(t, cfg))
 }

@@ -103,11 +103,7 @@ func (o schedOps) Shrink(id int, drop []int, reason string) bool {
 		f.retire(t, false)
 		return false
 	}
-	t.lease = shrunk
-	t.plan = plan
-	t.resizes++
-	f.dirtyView(t)
-	f.resizeQuota(t, shrunk.NodeCount())
+	f.commitResize(t, shrunk, plan)
 	f.note("lease-shrink", map[string]any{"job": t.id, "nodes": shrunk.NodeCount()})
 	f.speculate(t)
 	return true
@@ -142,11 +138,7 @@ func (o schedOps) Grow(id int, take []int, reason string) bool {
 		f.retire(t, false)
 		return false
 	}
-	t.lease = grown
-	t.plan = plan
-	t.resizes++
-	f.dirtyView(t)
-	f.resizeQuota(t, grown.NodeCount())
+	f.commitResize(t, grown, plan)
 	f.note("lease-grow", map[string]any{"job": t.id, "nodes": grown.NodeCount()})
 	f.speculate(t)
 	return true
@@ -163,13 +155,8 @@ func (o schedOps) Preempt(id int, reason string) bool {
 	if t == nil {
 		return false
 	}
-	f.table.Release(t.id)
-	t.lease = cluster.Lease{}
-	t.state = stateQueued
-	t.waited = 0
+	f.suspend(t)
 	t.preempts++
-	f.dirtyView(t)
-	f.resizeQuota(t, 0)
 	f.queue = append(f.queue, t)
 	f.queueDirty = true
 	f.note("job-preempt", map[string]any{"job": t.id, "reason": reason})

@@ -84,15 +84,13 @@ func herdConfig(t *testing.T, nodes, count int) Config {
 
 // TestFleetHerdCoalescing pins the herd regression: K near-identical
 // tenants arriving the same round pay for exactly one §4.3 search —
-// K-1 admissions coalesce onto the in-flight wave in pipelined mode,
-// and score plain cache hits in legacy inline mode.
+// K-1 admissions coalesce onto the in-flight wave, on either executor.
 func TestFleetHerdCoalescing(t *testing.T) {
 	const k = 4
 	for _, tc := range []struct {
 		name     string
 		planners int
 	}{
-		{"inline", 0},
 		{"sequential", SequentialPlanners},
 		{"pool", 2},
 	} {
@@ -114,15 +112,8 @@ func TestFleetHerdCoalescing(t *testing.T) {
 			if res.PlanSearches != 1 {
 				t.Errorf("herd of %d ran %d plan searches, want exactly 1", k, res.PlanSearches)
 			}
-			if tc.planners == 0 {
-				if res.PlanHits != k-1 {
-					t.Errorf("inline herd scored %d hits, want %d", res.PlanHits, k-1)
-				}
-				if res.PlanCoalesced != 0 {
-					t.Errorf("inline herd coalesced %d requests, want 0", res.PlanCoalesced)
-				}
-			} else if res.PlanCoalesced != k-1 {
-				t.Errorf("pipelined herd coalesced %d requests, want %d", res.PlanCoalesced, k-1)
+			if res.PlanCoalesced != k-1 {
+				t.Errorf("herd coalesced %d requests, want %d", res.PlanCoalesced, k-1)
 			}
 			// Identical tenants on identical leases train identically.
 			for _, jr := range res.Jobs[1:] {
@@ -183,10 +174,10 @@ func TestFleetHerdLandingDeterminism(t *testing.T) {
 	}
 }
 
-// TestFleetOverlappedPlanning pins the pipelining win itself: while
+// TestFleetOverlappedPlanning pins what reserve-then-land buys: while
 // one tenant's cold search is in flight, already-admitted tenants
 // keep stepping — the run records rounds where planning and training
-// overlapped instead of the round-blocking stall of inline admission.
+// overlapped.
 func TestFleetOverlappedPlanning(t *testing.T) {
 	spec, corpus := buildSpec(t, 8, 32)
 	tmpl := trainer.DistTrainConfig(spec, nil, corpus)
@@ -213,11 +204,11 @@ func TestFleetOverlappedPlanning(t *testing.T) {
 		t.Errorf("distinct fingerprints ran %d searches, want 2", res.PlanSearches)
 	}
 	if res.PlanOverlapRounds == 0 {
-		t.Error("no round overlapped planning with training; pipelining never engaged")
+		t.Error("no round overlapped planning with training")
 	}
-	inline := res.Jobs[0]
-	if inline.Started < 0 || len(inline.Result.Iterations) != 6 {
-		t.Errorf("early tenant did not run to completion: %+v", inline)
+	early := res.Jobs[0]
+	if early.Started < 0 || len(early.Result.Iterations) != 6 {
+		t.Errorf("early tenant did not run to completion: %+v", early)
 	}
 }
 

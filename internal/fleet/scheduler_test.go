@@ -62,7 +62,9 @@ func TestFairSharePure(t *testing.T) {
 // 5-node fleet with two elastic tenants, a node failure and rejoin,
 // no healthy node may idle while any tenant sits below MaxNodes. The
 // pre-fix floor target (5/2 = 2) left the rejoined node unleased
-// forever.
+// forever. Both tenants are running from round 3 (a's cold plan lands
+// at round 2, b's warm-seeded one a round later), so the failure and
+// the rejoin sit at rounds 4 and 6.
 func TestFairShareNoIdleNodes(t *testing.T) {
 	spec, corpus := buildSpec(t, 5, 32)
 	tmpl := trainerTemplate(t, spec, corpus)
@@ -74,7 +76,7 @@ func TestFairShareNoIdleNodes(t *testing.T) {
 			{Name: "b", Train: tmpl, Iters: 6, MinNodes: 2, MaxNodes: 5},
 		},
 		Policy:   FairShare,
-		Scenario: mustParse(t, "node-fail:iter=1,node=2; node-join:iter=3,node=2"),
+		Scenario: mustParse(t, "node-fail:iter=4,node=2; node-join:iter=6,node=2"),
 		OnRound: func(info RoundInfo) {
 			// Both tenants cap at the whole fleet, so any round with both
 			// running and a free healthy node is a stranded remainder.
