@@ -22,6 +22,10 @@ func main() {
 		quick      = flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "disttrain-bench: unexpected argument %q (select an experiment with -experiment)\n", flag.Arg(0))
+		os.Exit(1)
+	}
 
 	ids := disttrain.ExperimentIDs()
 	if *experiment != "all" {

@@ -1,10 +1,9 @@
 // Command disttrain-benchjson converts `go test -bench` output on
 // stdin into machine-readable JSON, so every PR can record a
 // performance baseline (`make bench-json` writes BENCH_fleet.json)
-// and future changes can diff ns/op per benchmark instead of
-// eyeballing logs.
+// and future changes can diff it instead of eyeballing logs.
 //
-//	go test -bench=. -benchtime=1x -run='^$' ./... | disttrain-benchjson -o BENCH_fleet.json
+//	go test -bench=BenchmarkFleetThroughput -benchtime=100x -count=5 -benchmem -run='^$' . | disttrain-benchjson -o BENCH_fleet.json
 //
 // With -diff, the tool compares the run on stdin against a committed
 // baseline instead of writing one: every baseline benchmark reporting
@@ -49,7 +48,7 @@ type Benchmark struct {
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	// Samples is how many result lines the representative was picked
-	// from (smoke samples a measured one displaced are not counted).
+	// from.
 	Samples int `json:"samples"`
 	// Metrics carries every extra `<value> <unit>` pair the benchmark
 	// reported (b.ReportMetric, -benchmem): bubble%, iters/s, B/op...
@@ -103,9 +102,9 @@ func main() {
 // [V unit]...`. Non-benchmark lines (experiment tables, PASS/ok) are
 // skipped, and the -P suffix is stripped from every name (see
 // gomaxprocs). Repeated names (-count=N) collapse to one representative
-// sample, one-iteration smoke samples aside: the median gated rate
-// (norm-iters/s, else cpu-iters/s) for benchmarks reporting a
-// throughput metric, the fastest wall clock otherwise. A single -benchtime=1x run of the fleet loop swings tens
+// sample: the median gated rate (norm-iters/s, else cpu-iters/s) for
+// benchmarks reporting a throughput metric, the fastest wall clock
+// otherwise. A single -benchtime=1x run of the fleet loop swings tens
 // of percent with GC timing and scheduler preemption; the per-sample
 // jitter left after spin normalization is roughly symmetric, so the
 // median of N samples is stable to a few percent where both the
@@ -187,22 +186,7 @@ func gomaxprocs(lines []Benchmark) int {
 // gated rate when the samples report one, else the fastest by wall
 // clock. The whole sample is kept (its allocs/op rides along with its
 // rate) rather than mixing metrics across samples.
-//
-// bench-json's first pass runs every benchmark once (-benchtime=1x)
-// before the measured -count passes append their samples under the
-// same name. A one-iteration sample is a smoke run, not a measurement:
-// it is dropped whenever the name has a sample with more iterations, so
-// it can neither win the median nor be the fastest wall clock.
 func collapse(samples []Benchmark) Benchmark {
-	measured := samples[:0:0]
-	for _, b := range samples {
-		if b.Iterations > 1 {
-			measured = append(measured, b)
-		}
-	}
-	if len(measured) > 0 {
-		samples = measured
-	}
 	pick := samples[0]
 	for _, b := range samples[1:] {
 		if b.NsPerOp < pick.NsPerOp {
@@ -256,10 +240,8 @@ const normUnit = "norm-iters/s"
 const bandUnit = "band%"
 
 // allocUnit is the allocation metric the diff gate also checks, on
-// the benchmarks that report the throughput metric (the fleet sweep —
-// the baseline records allocs/op for every -benchmem benchmark, but
-// bench-diff only reruns the fleet loop). Allocation counts are
-// near-deterministic, so the gate is one-sided: allocating more than
+// the benchmarks that report the throughput metric. Allocation counts
+// are near-deterministic, so the gate is one-sided: allocating more than
 // band percent over the baseline fails, allocating less only reports
 // — an improvement is re-recorded with `make bench-json`, not flagged
 // as suspicious the way a throughput jump is.

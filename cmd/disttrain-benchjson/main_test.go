@@ -102,37 +102,6 @@ BenchmarkRawOnly-8 	 40 	 1900000 ns/op 	 650.0 cpu-iters/s
 	}
 }
 
-// TestParseDropsSmokeSample: the input that recorded
-// BenchmarkColdAdmissionStorm/pipelined at iterations 1 — bench-json's
-// -benchtime=1x smoke pass followed by five 20x samples. With six
-// samples the upper median fell on the smoke run; a one-iteration
-// sample must not join samples that measured more. A benchmark that
-// only ever ran once keeps its single sample.
-func TestParseDropsSmokeSample(t *testing.T) {
-	out := `BenchmarkColdAdmissionStorm/pipelined 	 1 	 24021242 ns/op 	 60.00 band% 	 1332 cpu-iters/s 	 2833 norm-iters/s 	 24731 allocs/op
-BenchmarkSmokeOnly 	 1 	 500 ns/op
-BenchmarkColdAdmissionStorm/pipelined 	 20 	 26000000 ns/op 	 60.00 band% 	 1240 cpu-iters/s 	 2650 norm-iters/s 	 24604 allocs/op
-BenchmarkColdAdmissionStorm/pipelined 	 20 	 25500000 ns/op 	 60.00 band% 	 1260 cpu-iters/s 	 2700 norm-iters/s 	 24604 allocs/op
-BenchmarkColdAdmissionStorm/pipelined 	 20 	 25000000 ns/op 	 60.00 band% 	 1290 cpu-iters/s 	 2760 norm-iters/s 	 24604 allocs/op
-BenchmarkColdAdmissionStorm/pipelined 	 20 	 24500000 ns/op 	 60.00 band% 	 1350 cpu-iters/s 	 2900 norm-iters/s 	 24604 allocs/op
-BenchmarkColdAdmissionStorm/pipelined 	 20 	 24000000 ns/op 	 60.00 band% 	 1380 cpu-iters/s 	 2950 norm-iters/s 	 24604 allocs/op
-`
-	report, err := parse(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Benchmarks) != 2 {
-		t.Fatalf("parsed %d benchmarks, want 2: %+v", len(report.Benchmarks), report.Benchmarks)
-	}
-	storm := report.Benchmarks[0]
-	if storm.Iterations != 20 || storm.Samples != 5 || storm.Metrics[normUnit] != 2760 || storm.Metrics[allocUnit] != 24604 {
-		t.Errorf("kept sample %+v, want the median of the five 20x samples (2760 norm-iters/s)", storm)
-	}
-	if only := report.Benchmarks[1]; only.Iterations != 1 || only.NsPerOp != 500 {
-		t.Errorf("kept sample %+v, want the lone smoke sample", only)
-	}
-}
-
 // TestParseStripsProcsSuffix is the multi-core bench-diff regression:
 // go test names every benchmark "<name>-P" when GOMAXPROCS is P > 1,
 // the committed baseline carries bare names, and the gate used to fail

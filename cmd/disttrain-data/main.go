@@ -21,6 +21,10 @@ func main() {
 		seed       = flag.Int64("seed", 0, "override corpus seed (0 = default)")
 	)
 	flag.Parse()
+	if *samples < 1 {
+		fmt.Fprintln(os.Stderr, "disttrain-data: -samples must be at least 1")
+		os.Exit(1)
+	}
 
 	spec := data.LAION400M()
 	if *seed != 0 {

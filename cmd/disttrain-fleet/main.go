@@ -61,8 +61,11 @@ func main() {
 	)
 	profile := prof.Register(flag.CommandLine)
 	flag.Parse()
+	if *jobs < 1 {
+		fatal(fmt.Errorf("-jobs must be at least 1"))
+	}
 
-	m, err := modelByName(*modelName)
+	m, err := disttrain.ModelByName(*modelName)
 	if err != nil {
 		fatal(err)
 	}
@@ -204,18 +207,6 @@ func main() {
 		}
 		fmt.Printf("timeline: %s (%d events; open in chrome://tracing or Perfetto)\n", *traceFile, res.Trace.Len())
 	}
-}
-
-func modelByName(name string) (disttrain.MLLM, error) {
-	switch strings.ToLower(name) {
-	case "9b", "mllm-9b":
-		return disttrain.MLLM9B(), nil
-	case "15b", "mllm-15b":
-		return disttrain.MLLM15B(), nil
-	case "72b", "mllm-72b":
-		return disttrain.MLLM72B(), nil
-	}
-	return disttrain.MLLM{}, fmt.Errorf("unknown model %q (want 9b, 15b or 72b)", name)
 }
 
 func fatal(err error) {

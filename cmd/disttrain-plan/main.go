@@ -59,11 +59,11 @@ func main() {
 // run is the whole command after flag parsing; main brackets it with
 // the pprof start/stop pair, so it returns errors instead of exiting.
 func run() error {
-	m, err := modelByName(*modelName)
+	m, err := disttrain.ModelByName(*modelName)
 	if err != nil {
 		return err
 	}
-	fr, err := freezeByName(*freeze)
+	fr, err := disttrain.FreezeByName(*freeze)
 	if err != nil {
 		return err
 	}
@@ -172,30 +172,6 @@ func runSweep(m disttrain.MLLM, fr disttrain.FreezeSpec, batch int, sweep string
 			nodeCounts[i], fleet, plan.TotalGPUs(), plan.IterTime, 100*plan.EstMFU)
 	}
 	return nil
-}
-
-func modelByName(name string) (disttrain.MLLM, error) {
-	switch strings.ToLower(name) {
-	case "9b", "mllm-9b":
-		return disttrain.MLLM9B(), nil
-	case "15b", "mllm-15b":
-		return disttrain.MLLM15B(), nil
-	case "72b", "mllm-72b":
-		return disttrain.MLLM72B(), nil
-	}
-	return disttrain.MLLM{}, fmt.Errorf("unknown model %q (want 9b, 15b or 72b)", name)
-}
-
-func freezeByName(name string) (disttrain.FreezeSpec, error) {
-	for _, f := range []disttrain.FreezeSpec{
-		disttrain.FullTraining, disttrain.AllFrozen, disttrain.EncoderOnly,
-		disttrain.LLMOnly, disttrain.GeneratorOnly,
-	} {
-		if f.Name == name {
-			return f, nil
-		}
-	}
-	return disttrain.FreezeSpec{}, fmt.Errorf("unknown freeze setting %q", name)
 }
 
 func fatal(err error) {

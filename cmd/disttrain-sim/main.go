@@ -56,11 +56,11 @@ func main() {
 	profile := prof.Register(flag.CommandLine)
 	flag.Parse()
 
-	m, err := modelByName(*modelName)
+	m, err := disttrain.ModelByName(*modelName)
 	if err != nil {
 		fatal(err)
 	}
-	fr, err := freezeByName(*freeze)
+	fr, err := disttrain.FreezeByName(*freeze)
 	if err != nil {
 		fatal(err)
 	}
@@ -243,30 +243,6 @@ func main() {
 		}
 		fmt.Printf("timeline: %s (%d events; open in chrome://tracing or Perfetto)\n", *traceFile, trace.Len())
 	}
-}
-
-func modelByName(name string) (disttrain.MLLM, error) {
-	switch strings.ToLower(name) {
-	case "9b", "mllm-9b":
-		return disttrain.MLLM9B(), nil
-	case "15b", "mllm-15b":
-		return disttrain.MLLM15B(), nil
-	case "72b", "mllm-72b":
-		return disttrain.MLLM72B(), nil
-	}
-	return disttrain.MLLM{}, fmt.Errorf("unknown model %q (want 9b, 15b or 72b)", name)
-}
-
-func freezeByName(name string) (disttrain.FreezeSpec, error) {
-	for _, f := range []disttrain.FreezeSpec{
-		disttrain.FullTraining, disttrain.AllFrozen, disttrain.EncoderOnly,
-		disttrain.LLMOnly, disttrain.GeneratorOnly,
-	} {
-		if f.Name == name {
-			return f, nil
-		}
-	}
-	return disttrain.FreezeSpec{}, fmt.Errorf("unknown freeze setting %q", name)
 }
 
 func fatal(err error) {

@@ -30,8 +30,9 @@
 package disttrain
 
 import (
-	"context"
+	"errors"
 	"fmt"
+	"strings"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/controller"
@@ -51,50 +52,29 @@ import (
 // Re-exported core types. The internal packages carry the full APIs;
 // these aliases are the supported surface.
 type (
-	// Cluster describes the GPU fleet (nodes, NVLink, RDMA fabric).
-	Cluster = cluster.Cluster
 	// MLLM is a multimodal model: encoder + projectors + backbone +
 	// generator (+ frozen VAE).
 	MLLM = model.MLLM
-	// Module identifies encoder, backbone or generator.
-	Module = model.Module
 	// FreezeSpec selects which modules are frozen (§7.3).
 	FreezeSpec = model.FreezeSpec
-	// SampleShape characterises one sample's modality composition.
-	SampleShape = model.SampleShape
 	// Corpus is the synthetic LAION-400M-like dataset.
 	Corpus = data.Corpus
-	// Sample is one packed multimodal training sample.
-	Sample = data.Sample
 	// Spec is an orchestration problem: cluster + model + batch +
 	// calibrated profiler.
 	Spec = orchestrator.Spec
 	// Plan is a complete orchestration decision for the three modules.
 	Plan = orchestrator.Plan
 	// SearchOptions tunes the parallel plan-search engine (worker
-	// count, per-candidate observer).
+	// count, per-candidate observer) behind a PlanCache.
 	SearchOptions = orchestrator.SearchOptions
-	// Candidate is one (TP_lm, DP_lm, w_me, w_mg) strategy combination
-	// of the §4.3 enumeration.
-	Candidate = orchestrator.Candidate
-	// PlanRequest is one PlanMany problem: a spec plus an optional
-	// seed candidate (a neighbouring plan's strategy) that tightens the
-	// search bound without changing the chosen plan.
-	PlanRequest = orchestrator.PlanRequest
-	// PlanResult is one PlanMany outcome: a plan or that spec's error.
-	PlanResult = orchestrator.PlanResult
 	// TrainConfig configures the training runtime.
 	TrainConfig = trainer.Config
 	// TrainResult aggregates a training run's measurements.
 	TrainResult = trainer.Result
-	// Recovery records one survived node failure (checkpoint restore).
-	Recovery = trainer.Recovery
 	// Scenario injects timed perturbation events (stragglers, link
 	// congestion, preprocessing degradation, node failures) into a
 	// training run; see ParseScenario for the CLI grammar.
 	Scenario = scenario.Scenario
-	// ScenarioEvent is one timed perturbation.
-	ScenarioEvent = scenario.Event
 	// Trace accumulates a run's Chrome-trace-format timeline.
 	Trace = metrics.Trace
 	// ExperimentTable is one regenerated paper table/figure.
@@ -118,26 +98,12 @@ type (
 	PreprocessTenant        = preprocess.Tenant
 	PreprocessTenantConfig  = preprocess.TenantConfig
 	// PoolMetrics collects pool fetch latency, failovers, rejections
-	// and cache hit rate; PoolSnapshot is its point-in-time copy.
-	PoolMetrics  = metrics.PoolStats
-	PoolSnapshot = metrics.PoolSnapshot
-	// BatchSource is the trainer's batch/assignment front-end seam; the
-	// synthetic corpus path and PoolSource both satisfy it.
-	BatchSource = trainer.BatchSource
-	// PoolSource sources the trainer's microbatches from a live
-	// producer pool over TCP.
-	PoolSource = trainer.PoolSource
+	// and cache hit rate; its Snapshot method prints them.
+	PoolMetrics = metrics.PoolStats
 	// TrainController is the runtime's re-planning seam: it observes
 	// every iteration's signals and may hand the run a new plan at an
 	// iteration boundary (TrainConfig.Controller).
 	TrainController = trainer.Controller
-	// ControllerObservation is one iteration's signals as the runtime
-	// feeds them to the controller.
-	ControllerObservation = trainer.Observation
-	// PlanSwitch is a controller decision to reconfigure onto a new
-	// plan; Replan is the record of one applied switch in TrainResult.
-	PlanSwitch = trainer.PlanSwitch
-	Replan     = trainer.Replan
 	// ReplanController is the drift-detecting TrainController: it
 	// recalibrates the profiler from observed samples, re-runs the §4.3
 	// search concurrently with training, trial-scores the winner under
@@ -147,51 +113,22 @@ type (
 	// ControllerConfig parameterises a ReplanController (drift
 	// threshold, observation window, cooldown, switch budget).
 	ControllerConfig = controller.Config
-	// DriftReport is one windowed drift evaluation (cost drift vs the
-	// planned profile, DP-rank spread, pool failovers/rejections).
-	DriftReport = controller.DriftReport
-	// Lease is a job's explicit, resizable claim on whole nodes of a
-	// shared cluster — the multi-tenant unit of GPU ownership.
-	Lease = cluster.Lease
-	// TrainJob is one training run as a schedulable unit: built with
-	// NewJob on a trainer runtime, advanced step by step, resizable at
-	// iteration boundaries. The fleet runtime drives these.
-	TrainJob = trainer.Job
-	// LeaseAware is the optional TrainController extension notified
-	// when the fleet resizes a job's lease mid-run.
-	LeaseAware = trainer.LeaseAware
 	// FleetConfig drives a multi-tenant fleet run: shared cluster, job
 	// submissions, placement policy, fleet-scope scenario, plan cache.
 	FleetConfig = fleet.Config
 	// FleetJobSpec is one submission: a training template plus its
 	// scheduling envelope (iterations, node range, arrival round).
 	FleetJobSpec = fleet.JobSpec
-	// FleetResult aggregates a fleet run; FleetJobResult is one
-	// tenant's outcome.
-	FleetResult    = fleet.Result
-	FleetJobResult = fleet.JobResult
+	// FleetResult aggregates a fleet run: rounds, plan-cache traffic,
+	// the merged trace and one JobResult per tenant.
+	FleetResult = fleet.Result
 	// FleetScheduler decides admission order, lease sizing and
-	// placement for a fleet run: FleetFIFO, FleetFairShare,
-	// FleetPriority, or a custom implementation registered with
-	// RegisterFleetScheduler. FleetPolicy is the historical name of
-	// the same interface (it predates the redesign, when policies
-	// were an int enum).
+	// placement for a fleet run (FleetConfig.Policy): FleetFairShare,
+	// or any built-in resolved by name with ParseFleetPolicy.
 	FleetScheduler = fleet.Scheduler
-	FleetPolicy    = fleet.Scheduler
-	// FleetJobView and FleetOps are what a custom FleetScheduler
-	// sees: read-only tenant views and the runner's mutation surface
-	// (shrink / grow / preempt, all costed checkpoint-reconfigures).
-	FleetJobView = fleet.JobView
-	FleetOps     = fleet.Ops
 	// FleetClass is a job's priority class (low, normal, high); the
 	// priority scheduler orders, preempts and ages by it.
 	FleetClass = fleet.Class
-	// FleetPriorityScheduler is the configurable priority scheduler
-	// (aging horizon); FleetPriority is its ready-to-use default.
-	FleetPriorityScheduler = fleet.PriorityScheduler
-	// FleetRoundInfo is one scheduling round's lease-table snapshot,
-	// delivered to FleetConfig.OnRound observers.
-	FleetRoundInfo = fleet.RoundInfo
 	// FleetPreprocessConfig attaches the fleet-shared disaggregated
 	// preprocessing tier to a fleet run (FleetConfig.Preprocess).
 	FleetPreprocessConfig = fleet.PreprocessConfig
@@ -210,28 +147,12 @@ type (
 	PlanStore = store.Store
 )
 
-// Fleet schedulers (policies). FIFO and FairShare are the historical
-// count-based policies; Priority adds priority classes, preemption,
-// aging and placement scoring.
-var (
-	FleetFIFO      = fleet.FIFO
-	FleetFairShare = fleet.FairShare
-	FleetPriority  = fleet.Priority
-)
+// FleetFairShare is the elastic fair-share scheduler: tenants are
+// sized toward an equal share of the healthy fleet, shrink to admit a
+// starved queue head and grow back into freed capacity.
+var FleetFairShare = fleet.FairShare
 
-// Fleet priority classes.
-const (
-	FleetClassLow    = fleet.ClassLow
-	FleetClassNormal = fleet.ClassNormal
-	FleetClassHigh   = fleet.ClassHigh
-)
-
-// RegisterFleetScheduler adds a custom FleetScheduler to the
-// name-keyed registry ParseFleetPolicy (and the disttrain-fleet
-// -policy flag) resolves against.
-func RegisterFleetScheduler(s FleetScheduler) error { return fleet.RegisterScheduler(s) }
-
-// FleetSchedulerNames lists the registered scheduler names, sorted.
+// FleetSchedulerNames lists the built-in scheduler names, sorted.
 func FleetSchedulerNames() []string { return fleet.SchedulerNames() }
 
 // Model presets of the paper's evaluation (§7).
@@ -239,29 +160,45 @@ func MLLM9B() MLLM  { return model.MLLM9B() }
 func MLLM15B() MLLM { return model.MLLM15B() }
 func MLLM72B() MLLM { return model.MLLM72B() }
 
-// Freeze settings of §7.3.
+// ModelByName resolves a CLI model name (9b, 15b or 72b, case
+// insensitive, with or without the mllm- prefix) to its preset.
+func ModelByName(name string) (MLLM, error) {
+	switch strings.ToLower(name) {
+	case "9b", "mllm-9b":
+		return MLLM9B(), nil
+	case "15b", "mllm-15b":
+		return MLLM15B(), nil
+	case "72b", "mllm-72b":
+		return MLLM72B(), nil
+	}
+	return MLLM{}, fmt.Errorf("unknown model %q (want 9b, 15b or 72b)", name)
+}
+
+// Freeze settings of §7.3; NewSpec is full training.
 var (
-	FullTraining  = model.FullTraining
 	AllFrozen     = model.AllFrozen
 	EncoderOnly   = model.EncoderOnly
 	LLMOnly       = model.LLMOnly
 	GeneratorOnly = model.GeneratorOnly
 )
 
-// ProductionCluster returns the paper's evaluation fleet shape: nodes
-// of eight Ampere-class GPUs on NVLink with 4x200 Gbps RoCEv2.
-func ProductionCluster(nodes int) Cluster { return cluster.Production(nodes) }
-
-// NewCorpus returns the deterministic synthetic corpus calibrated to
-// the Figure 5 distributions.
-func NewCorpus() (*Corpus, error) { return data.NewCorpus(data.LAION400M()) }
+// FreezeByName resolves a CLI freeze-setting name: full, all-frozen,
+// encoder-only, llm-only or generator-only.
+func FreezeByName(name string) (FreezeSpec, error) {
+	for _, f := range append([]FreezeSpec{model.FullTraining}, model.FrozenSettings()...) {
+		if f.Name == name {
+			return f, nil
+		}
+	}
+	return FreezeSpec{}, fmt.Errorf("unknown freeze setting %q", name)
+}
 
 // NewSpec assembles a calibrated orchestration spec: a production
 // cluster of the given node count, the model, the global batch size,
 // a profiler calibrated on the synthetic corpus, and full training.
 // Use NewSpecFrozen for the §7.3 settings.
 func NewSpec(m MLLM, nodes, globalBatch int) (Spec, *Corpus, error) {
-	return NewSpecFrozen(m, nodes, globalBatch, FullTraining)
+	return NewSpecFrozen(m, nodes, globalBatch, model.FullTraining)
 }
 
 // NewSpecFrozen is NewSpec with an explicit freeze setting.
@@ -273,7 +210,7 @@ func NewSpecFrozen(m MLLM, nodes, globalBatch int, freeze FreezeSpec) (Spec, *Co
 	if err != nil {
 		return Spec{}, nil, err
 	}
-	corpus, err := NewCorpus()
+	corpus, err := data.NewCorpus(data.LAION400M())
 	if err != nil {
 		return Spec{}, nil, err
 	}
@@ -293,25 +230,8 @@ func NewSpecFrozen(m MLLM, nodes, globalBatch int, freeze FreezeSpec) (Spec, *Co
 // PlanDistTrain runs the adaptive disaggregated model orchestration
 // (§4.3) and returns the optimal plan. The strategy enumeration runs
 // on the parallel search engine with default options; the chosen plan
-// is identical at any parallelism level. It is the zero-option,
-// one-spec PlanMany call.
+// is identical at any parallelism level.
 func PlanDistTrain(s Spec) (*Plan, error) { return orchestrator.PlanDistTrain(s) }
-
-// PlanDistTrainSequential is the single-threaded reference
-// implementation of the §4.3 enumeration, kept as the equivalence and
-// benchmarking baseline for the parallel engine.
-func PlanDistTrainSequential(s Spec) (*Plan, error) {
-	return orchestrator.PlanDistTrainSequential(s)
-}
-
-// PlanMany is the search engine's one entry point: it plans every
-// request concurrently over one shared worker pool, with context
-// cancellation and search tuning (worker count, per-candidate
-// observer) — one spec, or a sweep scoring many cluster shapes or
-// model configurations in a single call. Results are positional.
-func PlanMany(ctx context.Context, reqs []PlanRequest, opts SearchOptions) []PlanResult {
-	return orchestrator.PlanMany(ctx, reqs, opts)
-}
 
 // PlanMegatron returns the monolithic Megatron-LM baseline plan (§2.1).
 func PlanMegatron(s Spec) (*Plan, error) { return orchestrator.PlanMegatron(s) }
@@ -336,10 +256,10 @@ func NewMegatronTrainConfig(spec Spec, plan *Plan, corpus *Corpus) TrainConfig {
 // MFU, throughput and per-iteration breakdowns. The runtime is the
 // concurrent engine: per-DP-rank pipeline workers on a bounded pool
 // (TrainConfig.Parallelism) with the batch/assignment front-end
-// prefetched one iteration ahead; results are byte-identical to
-// TrainSequential at any worker count. Scenario-injected node
-// failures recover from the latest DFS checkpoint and re-execute the
-// lost iterations.
+// prefetched one iteration ahead; results are byte-identical to the
+// sequential reference (trainer.Runtime.RunSequential) at any worker
+// count. Scenario-injected node failures recover from the latest DFS
+// checkpoint and re-execute the lost iterations.
 func Train(cfg TrainConfig, n int) (*TrainResult, error) {
 	rt, err := trainer.New(cfg)
 	if err != nil {
@@ -349,18 +269,6 @@ func Train(cfg TrainConfig, n int) (*TrainResult, error) {
 	return rt.Run(n)
 }
 
-// TrainSequential is the single-threaded reference runtime, kept as
-// the equivalence and benchmarking baseline for the concurrent engine
-// (mirroring PlanDistTrainSequential).
-func TrainSequential(cfg TrainConfig, n int) (*TrainResult, error) {
-	rt, err := trainer.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Close()
-	return rt.RunSequential(n)
-}
-
 // PreprocessConfigFor derives the producer configuration matching a
 // training configuration: same corpus, batch geometry from the spec,
 // DP size and pipeline stage count from the plan, reordering as
@@ -368,7 +276,7 @@ func TrainSequential(cfg TrainConfig, n int) (*TrainResult, error) {
 // PoolSource can consume directly.
 func PreprocessConfigFor(cfg TrainConfig) (PreprocessConfig, error) {
 	if cfg.Plan == nil {
-		return PreprocessConfig{}, &UnplannedConfigError{}
+		return PreprocessConfig{}, errors.New("disttrain: config has no plan")
 	}
 	lm := cfg.Plan.Modules[model.Backbone].Config
 	return PreprocessConfig{
@@ -381,12 +289,6 @@ func PreprocessConfigFor(cfg TrainConfig) (PreprocessConfig, error) {
 		Readahead:      1,
 	}, nil
 }
-
-// UnplannedConfigError reports a TrainConfig without a plan where one
-// is required.
-type UnplannedConfigError struct{}
-
-func (e *UnplannedConfigError) Error() string { return "disttrain: config has no plan" }
 
 // NewPreprocessService builds the preprocessing consumer over a set
 // of producers: register tenants with Service.Register (one for a
@@ -469,23 +371,15 @@ func NewPersistentPlanCache(opts SearchOptions, st PlanStore) *PlanCache {
 	return orchestrator.NewPersistentPlanCache(opts, st)
 }
 
-// NewMemPlanStore returns an in-process PlanStore — persistence across
-// cache instances within one process (mostly for tests and tooling).
-func NewMemPlanStore() PlanStore { return store.NewMem() }
-
 // NewDiskPlanStore opens (creating if needed) an on-disk PlanStore
 // rooted at dir: one integrity-checked entry file per fingerprint,
 // written atomically, corrupt entries skipped with a warning on read.
 func NewDiskPlanStore(dir string) (PlanStore, error) { return store.OpenDisk(dir) }
 
-// NewLease builds a lease over the given node indices of a shared
-// cluster.
-func NewLease(nodes ...int) Lease { return cluster.NewLease(nodes...) }
-
-// ParseFleetPolicy resolves a policy name (fifo, fair-share,
-// priority, or any name registered via RegisterFleetScheduler) to its
-// FleetScheduler. "fair" is accepted as an alias for "fair-share".
-func ParseFleetPolicy(s string) (FleetPolicy, error) {
+// ParseFleetPolicy resolves a policy name (fifo, fair-share or
+// priority) to its FleetScheduler. "fair" is accepted as an alias for
+// "fair-share".
+func ParseFleetPolicy(s string) (FleetScheduler, error) {
 	if s == "fair" {
 		s = "fair-share"
 	}
@@ -511,15 +405,6 @@ func ParseFleetClass(s string) (FleetClass, error) { return fleet.ParseClass(s) 
 // seeded generator `random-stragglers:seed=7,ranks=8,prob=0.3,max=3`.
 func ParseScenario(spec string) (Scenario, error) { return scenario.Parse(spec) }
 
-// NewScenario builds a fixed-event scenario from explicit events.
-func NewScenario(name string, events ...ScenarioEvent) (Scenario, error) {
-	s, err := scenario.New(name, events...)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // NewTrace returns an empty execution-timeline collector; attach it to
 // TrainConfig.Trace and write it out with its WriteJSON method after
 // training (chrome://tracing / Perfetto format).
@@ -531,7 +416,7 @@ func NewTrace() *Trace { return metrics.NewTrace() }
 func Experiment(id string, quick bool) (*ExperimentTable, error) {
 	fn, ok := experiments.Registry[id]
 	if !ok {
-		return nil, &UnknownExperimentError{ID: id}
+		return nil, fmt.Errorf("disttrain: unknown experiment %s", id)
 	}
 	scale := experiments.Full
 	if quick {
@@ -542,10 +427,3 @@ func Experiment(id string, quick bool) (*ExperimentTable, error) {
 
 // ExperimentIDs lists the regenerable experiments in paper order.
 func ExperimentIDs() []string { return append([]string(nil), experiments.Order...) }
-
-// UnknownExperimentError reports a bad experiment ID.
-type UnknownExperimentError struct{ ID string }
-
-func (e *UnknownExperimentError) Error() string {
-	return "disttrain: unknown experiment " + e.ID
-}

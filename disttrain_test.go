@@ -1,6 +1,14 @@
 package disttrain
 
 import (
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -101,9 +109,6 @@ func TestFacadeFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l := NewLease(1, 0); l.NodeCount() != 2 {
-		t.Fatalf("lease %v", l)
-	}
 	cache := NewPlanCache(SearchOptions{})
 	tmpl := NewTrainConfig(spec, nil, corpus)
 	res, err := RunFleet(FleetConfig{
@@ -132,5 +137,136 @@ func TestFacadeFleet(t *testing.T) {
 	// The shared cache is warm for the next fleet with the same spec.
 	if cache.Len() != 1 {
 		t.Errorf("cache holds %d fingerprints", cache.Len())
+	}
+}
+
+// TestFacadeNamesHaveCallers keeps the facade caller-backed: every
+// exported top-level name of disttrain.go must be referenced as
+// disttrain.<Name> somewhere under cmd/ or examples/, or be spelled in
+// the signature of a name that is. Tests do not count as callers —
+// they reach anything else through internal/ directly.
+func TestFacadeNamesHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "disttrain.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// signature[name] lists the identifiers name's declaration spells
+	// outside any function body: a func's parameter and result types, a
+	// var's declared type.
+	signature := map[string][]string{}
+	spelled := func(n ast.Node) (out []string) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				out = append(out, id.Name)
+			}
+			return true
+		})
+		return out
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				signature[d.Name.Name] = spelled(d.Type)
+			}
+		case *ast.GenDecl:
+			for _, sp := range d.Specs {
+				switch sp := sp.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() {
+						signature[sp.Name.Name] = nil
+					}
+				case *ast.ValueSpec:
+					for _, n := range sp.Names {
+						if n.IsExported() {
+							// The type only: a bare `var X = pkg.Y`
+							// spells nothing.
+							var typ []string
+							if sp.Type != nil {
+								typ = spelled(sp.Type)
+							}
+							signature[n.Name] = typ
+						}
+					}
+				}
+			}
+		}
+	}
+
+	var src bytes.Buffer
+	for _, root := range []string{"cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			src.Write(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	called := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\bdisttrain\.([A-Z]\w*)`).FindAllSubmatch(src.Bytes(), -1) {
+		called[string(m[1])] = true
+	}
+	backed := map[string]bool{}
+	for name := range signature {
+		if called[name] {
+			backed[name] = true
+			for _, id := range signature[name] {
+				backed[id] = true
+			}
+		}
+	}
+	for name := range signature {
+		if !backed[name] {
+			t.Errorf("facade exports %s, which nothing under cmd/ or examples/ references and no referenced name's signature spells", name)
+		}
+	}
+}
+
+// TestCLIRejectsBadArguments runs the real binaries on the argument
+// holes that used to panic, print a table of zeros, or silently
+// regenerate every experiment: each must exit 1 with one line on
+// stderr.
+func TestCLIRejectsBadArguments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds three binaries")
+	}
+	bin := t.TempDir()
+	for _, cmd := range []string{"disttrain-fleet", "disttrain-data", "disttrain-bench"} {
+		if out, err := exec.Command("go", "build", "-o", filepath.Join(bin, cmd), "./cmd/"+cmd).CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", cmd, err, out)
+		}
+	}
+	for _, tc := range []struct {
+		cmd  string
+		args []string
+		want string
+	}{
+		{"disttrain-fleet", []string{"-jobs", "-1"}, "disttrain-fleet: -jobs must be at least 1\n"},
+		{"disttrain-data", []string{"-samples", "0"}, "disttrain-data: -samples must be at least 1\n"},
+		{"disttrain-data", []string{"-samples", "-1"}, "disttrain-data: -samples must be at least 1\n"},
+		{"disttrain-bench", []string{"fig13"}, "disttrain-bench: unexpected argument \"fig13\" (select an experiment with -experiment)\n"},
+	} {
+		t.Run(tc.cmd+" "+strings.Join(tc.args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			c := exec.Command(filepath.Join(bin, tc.cmd), tc.args...)
+			c.Stdout, c.Stderr = &stdout, &stderr
+			err := c.Run()
+			ee, ok := err.(*exec.ExitError)
+			if !ok || ee.ExitCode() != 1 {
+				t.Errorf("exit = %v, want status 1", err)
+			}
+			if stderr.String() != tc.want {
+				t.Errorf("stderr = %q, want %q", stderr.String(), tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("stdout not empty: %q", stdout.String())
+			}
+		})
 	}
 }

@@ -2,8 +2,8 @@
 // paper's evaluation (§2.2-§2.3 characterisation, §7 evaluation,
 // Appendix A.1). Each experiment returns a Table whose rows mirror the
 // series the paper plots; cmd/disttrain-bench prints them and
-// bench_test.go wraps them in testing.B benchmarks. EXPERIMENTS.md
-// records the shape comparison against the paper.
+// testdata/<id>.golden pins the ten deterministic ones at full scale.
+// EXPERIMENTS.md records the shape comparison against the paper.
 package experiments
 
 import (

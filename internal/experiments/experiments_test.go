@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -117,6 +120,92 @@ func TestTable3UnderOneSecond(t *testing.T) {
 		}
 		if d > time.Second {
 			t.Errorf("planner overhead %v exceeds the paper's <1s bound", d)
+		}
+	}
+}
+
+// -update rewrites the paper-table goldens. They were generated at the
+// tree before the caller-backed-surface cut and are the byte-identity
+// oracle for any refactor of the model, planner or trainer cost path.
+var updateGolden = flag.Bool("update", false, "rewrite the paper-table goldens")
+
+// TestPaperTableGoldens pins the ten deterministic paper tables at
+// full scale. fig17 and table3 are absent on purpose: their cells are
+// wall-clock measurements (TestFig17ShapeQuick and
+// TestTable3UnderOneSecond check their shape instead).
+func TestPaperTableGoldens(t *testing.T) {
+	for _, id := range []string{"fig3", "fig5", "fig13", "fig14", "fig15",
+		"fig16", "fig18", "fig19", "fig22", "table2"} {
+		t.Run(id, func(t *testing.T) {
+			tb, err := Registry[id](Full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tb.Render()
+			path := filepath.Join("testdata", id+".golden")
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if got != string(want) {
+				t.Errorf("%s drifted from its golden\n--- want\n%s--- got\n%s", id, want, got)
+			}
+		})
+	}
+}
+
+// TestFig17ShapeQuick checks the one result Figure 17 reports:
+// disaggregation takes preprocessing off the training critical path by
+// orders of magnitude. The cells are host wall-clock, so only the gap
+// is asserted — and a fetch is either served from the producer's
+// readahead in microseconds or stalls for a whole build when another
+// test process steals the producer's CPU mid-measurement, so each row
+// keeps its best ratio over a few attempts.
+func TestFig17ShapeQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real pixel pipeline: seconds of CPU")
+	}
+	const attempts = 4
+	best := map[string]float64{}
+	for try := 0; try < attempts; try++ {
+		tb, err := Fig17(Quick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tb.Rows) != 2 {
+			t.Fatalf("fig17 rows = %d, want 2", len(tb.Rows))
+		}
+		done := true
+		for _, row := range tb.Rows {
+			col, err := time.ParseDuration(row[1])
+			if err != nil {
+				t.Fatalf("cannot parse co-located %q: %v", row[1], err)
+			}
+			dis, err := time.ParseDuration(row[2])
+			if err != nil {
+				t.Fatalf("cannot parse disaggregated %q: %v", row[2], err)
+			}
+			if r := float64(col) / float64(dis); r > best[row[0]] {
+				best[row[0]] = r
+			}
+			done = done && best[row[0]] >= 100
+		}
+		if done {
+			return
+		}
+	}
+	for cfg, r := range best {
+		if r < 100 {
+			t.Errorf("%s: co-located only %.0fx above disaggregated in %d attempts, want 100x", cfg, r, attempts)
 		}
 	}
 }

@@ -58,7 +58,7 @@ type Config struct {
 	Jobs []JobSpec
 	// Policy is the Scheduler deciding admission order, lease sizing
 	// and placement: one of the built-ins (FIFO, FairShare, Priority),
-	// a registered custom scheduler, or nil for FIFO.
+	// any custom implementation, or nil for FIFO.
 	Policy Scheduler
 	// Scenario carries fleet-scope events only (job-arrive, job-depart,
 	// node-fail, node-join) and must be a fixed schedule — generators

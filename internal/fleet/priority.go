@@ -79,7 +79,8 @@ const DefaultAgingRounds = 8
 //     placement (ShapedPlacement), so a fragmented lease pays the
 //     derated fabric.
 //
-// The zero value is ready to use and registered as "priority".
+// The zero value is ready to use; Priority is that zero value, listed
+// as "priority".
 type PriorityScheduler struct {
 	// AgingRounds is the queue age worth one full priority class;
 	// values < 1 mean DefaultAgingRounds. Smaller values age faster

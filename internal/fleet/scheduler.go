@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // JobView is a scheduler's read-only view of one tenant. Schedulers
 // never touch tenants directly: they read views and act through Ops,
@@ -81,10 +77,10 @@ type Ops interface {
 // on the views and Ops state, never on wall clock or map order — and
 // stateless across rounds (any state would break the fleet's
 // byte-identity contract across worker counts and reruns).
-// Implementations are registered by name via RegisterScheduler and
-// selected by Config.Policy.
+// Config.Policy selects one: a built-in looked up by name
+// (LookupScheduler) or any custom implementation passed directly.
 type Scheduler interface {
-	// Name is the registry key and CLI name.
+	// Name is the CLI name and the label in traces and results.
 	Name() string
 	// Order sorts the admission queue (stable; false everywhere keeps
 	// strict submission order).
@@ -138,55 +134,28 @@ var (
 	Priority Scheduler = &PriorityScheduler{}
 )
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Scheduler{}
-)
+// schedulers is the name-keyed table LookupScheduler and the CLI
+// -policy flag resolve against, in name order. A custom Scheduler
+// needs no entry: it goes straight into Config.Policy.
+var schedulers = []Scheduler{FairShare, FIFO, Priority}
 
-// RegisterScheduler adds a Scheduler to the name-keyed registry that
-// LookupScheduler and the CLI -policy flag resolve against. The built-in
-// fifo, fair-share and priority schedulers are pre-registered;
-// re-registering an existing name is an error.
-func RegisterScheduler(s Scheduler) error {
-	if s == nil || s.Name() == "" {
-		return fmt.Errorf("fleet: scheduler must have a name")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[s.Name()]; dup {
-		return fmt.Errorf("fleet: scheduler %q already registered", s.Name())
-	}
-	registry[s.Name()] = s
-	return nil
-}
-
-// LookupScheduler returns the registered Scheduler with the given
-// name.
+// LookupScheduler returns the built-in Scheduler with the given name.
 func LookupScheduler(name string) (Scheduler, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := registry[name]
-	return s, ok
-}
-
-// SchedulerNames lists the registered scheduler names, sorted.
-func SchedulerNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	for _, s := range []Scheduler{FIFO, FairShare, Priority} {
-		if err := RegisterScheduler(s); err != nil {
-			panic(err)
+	for _, s := range schedulers {
+		if s.Name() == name {
+			return s, true
 		}
 	}
+	return nil, false
+}
+
+// SchedulerNames lists the built-in scheduler names, sorted.
+func SchedulerNames() []string {
+	out := make([]string, len(schedulers))
+	for i, s := range schedulers {
+		out[i] = s.Name()
+	}
+	return out
 }
 
 // fifoScheduler implements the FIFO policy.

@@ -237,9 +237,13 @@ func TestServerReordersWhenAsked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every sample appears exactly once across the two ranks.
+	// Every sample appears exactly once across the two ranks, and the
+	// cardinality rebalance leaves each rank exactly its K microbatches.
 	seen := map[int64]bool{}
 	for _, rb := range []*RankBatch{a, b} {
+		if len(rb.Microbatches) != 8 {
+			t.Fatalf("rank holds %d microbatches, want 8", len(rb.Microbatches))
+		}
 		for _, mb := range rb.Microbatches {
 			for _, p := range mb {
 				if seen[p.SampleIndex] {

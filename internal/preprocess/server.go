@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -492,18 +491,28 @@ func (s *Server) build(iter int64, dp int) ([][]Processed, error) {
 		return out, nil
 	}
 	// Algorithm 1 across ranks, with the modality token count as the
-	// heterogeneous-cost proxy.
-	_, groups, err := reorder.IntraReorder(processed, modalitySize, dp)
+	// heterogeneous-cost proxy: price every sample once, then partition
+	// and rebalance over indices. LPT balances load but may leave ranks
+	// of unequal cardinality; the rebalance moves the surplus
+	// smallest-cost first (the least damage to the balance), preserving
+	// the sample multiset.
+	costs := make([]float64, len(processed))
+	for i := range processed {
+		costs[i] = modalitySize(processed[i])
+	}
+	var part reorder.Partitioner
+	idxGroups, err := part.Partition(costs, dp)
 	if err != nil {
 		return nil, err
 	}
-	groups = rebalanceProcessed(groups, perRank)
+	idxGroups = part.Rebalance(idxGroups, perRank, costs)
 	// Algorithm 2 within each rank over a stage-time proxy: encoder
 	// time tracks image tokens, generator time tracks generated images,
 	// the LLM stages are constant.
-	for d := range groups {
-		mbs := make([]reorder.Microbatch, len(groups[d]))
-		for j, p := range groups[d] {
+	for d, group := range idxGroups {
+		mbs := make([]reorder.Microbatch, len(group))
+		for j, i := range group {
+			p := processed[i]
 			fwd := make([]float64, s.cfg.PipelineStages)
 			bwd := make([]float64, s.cfg.PipelineStages)
 			for st := range fwd {
@@ -525,7 +534,7 @@ func (s *Server) build(iter int64, dp int) ([][]Processed, error) {
 		}
 		reordered := make([]Processed, len(order))
 		for j, mb := range order {
-			reordered[j] = groups[d][mb.Index]
+			reordered[j] = processed[group[mb.Index]]
 		}
 		out[d] = reordered
 	}
@@ -534,36 +543,9 @@ func (s *Server) build(iter int64, dp int) ([][]Processed, error) {
 
 // modalitySize is the heterogeneous-cost proxy of a processed sample:
 // modality tokens plus a fixed charge per generated image. Algorithm
-// 1's partition and the rebalance below both order by it.
+// 1's partition and the rebalance both order by it.
 func modalitySize(p Processed) float64 {
 	return float64(p.ImageTokens) + 64*float64(p.GenImages)
-}
-
-// rebalanceProcessed equalises group cardinalities after LPT, moving
-// surplus samples smallest-cost first — the same contract the
-// trainer's rebalance pins: moving the cheapest samples does the least
-// damage to the partition balance. The multiset of samples is
-// preserved; only ownership moves.
-func rebalanceProcessed(groups [][]Processed, perRank int) [][]Processed {
-	var surplus []Processed
-	for d := range groups {
-		if len(groups[d]) > perRank {
-			surplus = append(surplus, groups[d][perRank:]...)
-			groups[d] = groups[d][:perRank]
-		}
-	}
-	// Smallest first; stable so ties keep the deterministic group
-	// emission order.
-	sort.SliceStable(surplus, func(a, b int) bool {
-		return modalitySize(surplus[a]) < modalitySize(surplus[b])
-	})
-	for d := range groups {
-		for len(groups[d]) < perRank && len(surplus) > 0 {
-			groups[d] = append(groups[d], surplus[0])
-			surplus = surplus[1:]
-		}
-	}
-	return groups
 }
 
 // --- wire helpers ---

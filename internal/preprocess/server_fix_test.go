@@ -156,50 +156,3 @@ func TestPrefetcherRedeliversTerminalError(t *testing.T) {
 		t.Fatalf("drained prefetcher blocked for %v", d)
 	}
 }
-
-// rebalanceProcessed moves surplus smallest-cost first and preserves
-// the sample multiset — the contract pinned for the trainer in PR 2.
-func TestRebalanceProcessedSmallestFirstAndPreservesMultiset(t *testing.T) {
-	mk := func(idx int64, imageTokens int32) Processed {
-		return Processed{SampleIndex: idx, ImageTokens: imageTokens}
-	}
-	// Group 0's surplus holds the cheapest sample first, so the old
-	// tail-first movement would hand group 1 the most expensive one.
-	groups := [][]Processed{
-		{mk(0, 10), mk(1, 10), mk(2, 100), mk(3, 900)},
-		{mk(4, 10)},
-		{mk(5, 10)},
-	}
-	count := func(groups [][]Processed) map[int64]int {
-		m := map[int64]int{}
-		for _, g := range groups {
-			for _, p := range g {
-				m[p.SampleIndex]++
-			}
-		}
-		return m
-	}
-	before := count(groups)
-
-	out := rebalanceProcessed(groups, 2)
-	for d, g := range out {
-		if len(g) != 2 {
-			t.Fatalf("group %d has %d samples, want 2", d, len(g))
-		}
-	}
-	after := count(out)
-	for idx, n := range before {
-		if after[idx] != n {
-			t.Fatalf("sample %d count changed: %d -> %d", idx, n, after[idx])
-		}
-	}
-	// Group 1 was 1 short: it must receive the cheapest surplus sample
-	// (index 2, cost 100), not the tail (index 3, cost 900).
-	if got := out[1][1].SampleIndex; got != 2 {
-		t.Errorf("group 1 received sample %d, want smallest-first sample 2", got)
-	}
-	// Group 2 takes the remaining (expensive) one.
-	if got := out[2][1].SampleIndex; got != 3 {
-		t.Errorf("group 2 received sample %d, want 3", got)
-	}
-}

@@ -165,7 +165,7 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 	colocatedCPU := 0.0
 	if cfg.DisaggregatedPreprocess {
 		tokens := float64(perRank) * float64(spec.Model.SeqLen)
-		bd.PreprocessStall = (tokens*2/spec.Cluster.CrossNodeBandwidthPerGPU() + cfg.PreprocessFetchLatency) * ppFactor
+		bd.PreprocessStall = (tokens*2/spec.Cluster.CrossNodeBandwidthPerGPU() + preprocessFetchLatency) * ppFactor
 	} else {
 		for d := 0; d < dp; d++ {
 			stall := cfg.PreprocessCost.NodeStallSeconds(p.batch[d*perRank : (d+1)*perRank])
@@ -194,8 +194,8 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 	// whatever does overlap still interferes with the host-side
 	// training path.
 	if !cfg.DisaggregatedPreprocess {
-		hidden := math.Min(colocatedCPU, cfg.ColocOverlapCapacity*worstPipe)
-		bd.PreprocessStall = (colocatedCPU - hidden) + cfg.ColocInterference*hidden
+		hidden := math.Min(colocatedCPU, colocOverlapCapacity*worstPipe)
+		bd.PreprocessStall = (colocatedCPU - hidden) + colocInterference*hidden
 	}
 
 	// Gradient synchronisation (ZeRO-1) per module, concurrent on
@@ -299,16 +299,16 @@ func (r *Runtime) outcomes(n int) []rankOutcome {
 	return r.outcomesBuf[:n]
 }
 
-// iterationConcurrent executes one prepared iteration with rank
-// workers fanned out over the bounded pool.
-func (r *Runtime) iterationConcurrent(p preparedBatch) (IterationStats, error) {
+// iteration executes one prepared iteration with the rank workers
+// fanned out over a pool of the given size; one worker or fewer runs
+// them inline on the calling goroutine — the pinned serial path.
+func (r *Runtime) iteration(p preparedBatch, workers int) (IterationStats, error) {
 	if p.err != nil {
 		return IterationStats{}, p.err
 	}
 	pert := scenario.At(r.cfg.Scenario, p.iter)
 	p2p := r.iterP2P(pert)
 	outcomes := r.outcomes(len(p.ranks))
-	workers := r.workers()
 	if workers > len(p.ranks) {
 		workers = len(p.ranks)
 	}
@@ -337,34 +337,18 @@ func (r *Runtime) iterationConcurrent(p preparedBatch) (IterationStats, error) {
 	return r.finishIteration(p, pert, outcomes)
 }
 
-// iterationSequential is the pinned serial path: the same stages, run
-// inline on the calling goroutine.
-func (r *Runtime) iterationSequential(p preparedBatch) (IterationStats, error) {
-	if p.err != nil {
-		return IterationStats{}, p.err
-	}
-	pert := scenario.At(r.cfg.Scenario, p.iter)
-	p2p := r.iterP2P(pert)
-	outcomes := r.outcomes(len(p.ranks))
-	for d := range p.ranks {
-		outcomes[d] = r.runRank(d, p.ranks[d], p2p, pert)
-	}
-	return r.finishIteration(p, pert, outcomes)
-}
-
 // RunIteration executes one training iteration on the concurrent
 // engine and returns its stats.
 func (r *Runtime) RunIteration(iter int) (IterationStats, error) {
-	return r.iterationConcurrent(r.prepare(iter))
+	return r.iteration(r.prepare(iter), r.workers())
 }
 
 // RunIterationSequential is the single-threaded reference
-// implementation, kept as the equivalence and benchmarking baseline
-// for the concurrent engine (mirroring PlanDistTrainSequential): the
-// concurrent path must return byte-identical stats at any worker
-// count.
+// implementation, kept as the equivalence baseline for the concurrent
+// engine (mirroring PlanDistTrainSequential): the concurrent path must
+// return byte-identical stats at any worker count.
 func (r *Runtime) RunIterationSequential(iter int) (IterationStats, error) {
-	return r.iterationSequential(r.prepare(iter))
+	return r.iteration(r.prepare(iter), 1)
 }
 
 // Run executes n iterations on the concurrent engine and aggregates.
@@ -373,21 +357,21 @@ func (r *Runtime) RunIterationSequential(iter int) (IterationStats, error) {
 // node failures trigger checkpoint-restore recovery with the lost
 // iterations re-executed.
 func (r *Runtime) Run(n int) (*Result, error) {
-	return r.runLoop(n, r.iterationConcurrent, true)
+	return r.runLoop(n, true)
 }
 
 // RunSequential is the pinned serial counterpart of Run: no rank
-// workers, no prefetch. Byte-identical results; the benchmark
-// baseline.
+// workers, no prefetch. Byte-identical results; the reference tests
+// compare the concurrent engine against.
 func (r *Runtime) RunSequential(n int) (*Result, error) {
-	return r.runLoop(n, r.iterationSequential, false)
+	return r.runLoop(n, false)
 }
 
 // runLoop drives a Job to completion: the loop body lives in
 // (*Job).Step so the fleet runtime can interleave many jobs over one
 // shared cluster; a standalone run is simply the 1-job schedule.
-func (r *Runtime) runLoop(n int, step func(preparedBatch) (IterationStats, error), prefetch bool) (*Result, error) {
-	j, err := r.newJob(n, step, prefetch)
+func (r *Runtime) runLoop(n int, prefetch bool) (*Result, error) {
+	j, err := r.newJob(n, prefetch)
 	if err != nil {
 		return nil, err
 	}

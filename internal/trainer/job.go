@@ -35,10 +35,11 @@ type poolEventKey struct {
 // concurrency lives inside Step (rank workers, prefetch), not across
 // callers — the same contract as Runtime.
 type Job struct {
-	r        *Runtime
-	n        int
+	r *Runtime
+	n int
+	// prefetch is off only on the pinned serial reference
+	// (RunSequential), which also runs the rank workers inline.
 	prefetch bool
-	step     func(preparedBatch) (IterationStats, error)
 
 	res                  *Result
 	timeSum, usefulFlops float64
@@ -61,15 +62,15 @@ type Job struct {
 // engine with the async data service — the same path Run drives. The
 // fleet runtime advances it with Step and finalises with Finish.
 func (r *Runtime) NewJob(n int) (*Job, error) {
-	return r.newJob(n, r.iterationConcurrent, true)
+	return r.newJob(n, true)
 }
 
-func (r *Runtime) newJob(n int, step func(preparedBatch) (IterationStats, error), prefetch bool) (*Job, error) {
+func (r *Runtime) newJob(n int, prefetch bool) (*Job, error) {
 	if n <= 0 {
 		return nil, errors.New("trainer: need at least one iteration")
 	}
 	j := &Job{
-		r: r, n: n, prefetch: prefetch, step: step,
+		r: r, n: n, prefetch: prefetch,
 		res:           &Result{Strategy: r.cfg.Plan.Strategy, GPUs: r.cfg.Plan.TotalGPUs()},
 		executedOnce:  make(map[int]bool, n),
 		firedFailures: make(map[int]bool),
@@ -344,7 +345,11 @@ func (j *Job) Step() error {
 		}
 	}
 	j.launch(i + 1)
-	st, err := j.step(p)
+	workers := 1
+	if j.prefetch {
+		workers = r.workers()
+	}
+	st, err := r.iteration(p, workers)
 	if err != nil {
 		return err
 	}

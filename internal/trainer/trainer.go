@@ -37,22 +37,25 @@ import (
 	"disttrain/internal/scenario"
 )
 
-// Defaults for the cost-model knobs below; a zero-valued field means
-// "use the default", so hand-built Configs keep the historical
-// behaviour.
+// Cost-model constants of the runtime's data path and inter-unit
+// sends. Every caller runs the same values, so they are constants
+// rather than Config fields.
 const (
-	// DefaultPreprocessFetchLatency is the fixed per-iteration latency
-	// of fetching preprocessed tensors from the CPU nodes.
-	DefaultPreprocessFetchLatency = 2e-3
-	// DefaultAsyncP2PExposed is the fraction of each inter-unit
-	// transfer asynchronous sends leave on the critical path (§6).
-	DefaultAsyncP2PExposed = 0.2
-	// DefaultColocOverlapCapacity is the fraction of pipeline time
-	// dataloader workers can hide co-located preprocessing behind.
-	DefaultColocOverlapCapacity = 0.5
-	// DefaultColocInterference is the CPU-interference tax charged on
-	// whatever co-located preprocessing does overlap with training.
-	DefaultColocInterference = 0.15
+	// preprocessFetchLatency is the fixed per-iteration latency, in
+	// seconds, of fetching preprocessed tensors from the disaggregated
+	// CPU nodes.
+	preprocessFetchLatency = 2e-3
+	// asyncP2PExposed is the fraction of each inter-unit activation
+	// transfer asynchronous sends leave on the critical path (§6);
+	// synchronous sends always expose the full transfer.
+	asyncP2PExposed = 0.2
+	// colocOverlapCapacity is the fraction of pipeline time co-located
+	// dataloader workers can hide preprocessing behind (§2.3, Figure
+	// 17).
+	colocOverlapCapacity = 0.5
+	// colocInterference is the CPU-interference tax charged on whatever
+	// co-located preprocessing does overlap with training.
+	colocInterference = 0.15
 )
 
 // Config describes one training run.
@@ -139,24 +142,6 @@ type Config struct {
 	// Trace, when non-nil, receives the run's execution timeline in
 	// Chrome trace format (load in chrome://tracing or Perfetto).
 	Trace *metrics.Trace
-
-	// PreprocessFetchLatency is the fixed per-iteration latency of
-	// fetching preprocessed tensors from the disaggregated CPU nodes,
-	// in seconds; 0 means DefaultPreprocessFetchLatency.
-	PreprocessFetchLatency float64
-	// AsyncP2PExposed is the fraction of each inter-unit activation
-	// transfer that asynchronous sends leave exposed on the critical
-	// path (§6); synchronous sends always expose the full transfer.
-	// 0 means DefaultAsyncP2PExposed.
-	AsyncP2PExposed float64
-	// ColocOverlapCapacity is the fraction of pipeline time the
-	// co-located dataloader workers can hide preprocessing behind
-	// (§2.3, Figure 17); 0 means DefaultColocOverlapCapacity.
-	ColocOverlapCapacity float64
-	// ColocInterference is the CPU-interference tax charged on the
-	// hidden fraction of co-located preprocessing; 0 means
-	// DefaultColocInterference.
-	ColocInterference float64
 }
 
 // DistTrainConfig returns the production configuration for a plan: all
@@ -169,10 +154,6 @@ func DistTrainConfig(spec orchestrator.Spec, plan *orchestrator.Plan, corpus *da
 		AsyncP2P:                true,
 		PreprocessCost:          data.DefaultCostModel(),
 		SyncOverlap:             0.7,
-		PreprocessFetchLatency:  DefaultPreprocessFetchLatency,
-		AsyncP2PExposed:         DefaultAsyncP2PExposed,
-		ColocOverlapCapacity:    DefaultColocOverlapCapacity,
-		ColocInterference:       DefaultColocInterference,
 	}
 }
 
@@ -184,24 +165,6 @@ func MegatronConfig(spec orchestrator.Spec, plan *orchestrator.Plan, corpus *dat
 	cfg.DisaggregatedPreprocess = false
 	cfg.AsyncP2P = false
 	return cfg
-}
-
-// withDefaults resolves zero-valued cost-model knobs to the documented
-// defaults.
-func (c Config) withDefaults() Config {
-	if c.PreprocessFetchLatency == 0 {
-		c.PreprocessFetchLatency = DefaultPreprocessFetchLatency
-	}
-	if c.AsyncP2PExposed == 0 {
-		c.AsyncP2PExposed = DefaultAsyncP2PExposed
-	}
-	if c.ColocOverlapCapacity == 0 {
-		c.ColocOverlapCapacity = DefaultColocOverlapCapacity
-	}
-	if c.ColocInterference == 0 {
-		c.ColocInterference = DefaultColocInterference
-	}
-	return c
 }
 
 // Validate checks the configuration.
@@ -217,18 +180,6 @@ func (c Config) Validate() error {
 	}
 	if c.SyncOverlap < 0 || c.SyncOverlap > 1 {
 		return fmt.Errorf("trainer: SyncOverlap %g outside [0,1]", c.SyncOverlap)
-	}
-	if c.PreprocessFetchLatency < 0 {
-		return fmt.Errorf("trainer: PreprocessFetchLatency %g negative", c.PreprocessFetchLatency)
-	}
-	if c.AsyncP2PExposed < 0 || c.AsyncP2PExposed > 1 {
-		return fmt.Errorf("trainer: AsyncP2PExposed %g outside [0,1]", c.AsyncP2PExposed)
-	}
-	if c.ColocOverlapCapacity < 0 || c.ColocOverlapCapacity > 1 {
-		return fmt.Errorf("trainer: ColocOverlapCapacity %g outside [0,1]", c.ColocOverlapCapacity)
-	}
-	if c.ColocInterference < 0 {
-		return fmt.Errorf("trainer: ColocInterference %g negative", c.ColocInterference)
 	}
 	if c.GradientDim < 0 {
 		return fmt.Errorf("trainer: GradientDim %d negative", c.GradientDim)
@@ -382,7 +333,7 @@ func New(cfg Config) (*Runtime, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runtime{cfg: cfg.withDefaults(), base: base}
+	r := &Runtime{cfg: cfg, base: base}
 	r.rankScratch.New = func() any { return new(rankScratch) }
 	r.source = cfg.Source
 	if r.source == nil {
@@ -443,7 +394,7 @@ func (r *Runtime) buildP2P() []float64 {
 	}
 	exposed := 1.0
 	if r.cfg.AsyncP2P {
-		exposed = r.cfg.AsyncP2PExposed
+		exposed = asyncP2PExposed
 	}
 	p2p := make([]float64, r.stages-1)
 	for i := range p2p {
@@ -467,19 +418,11 @@ func (r *Runtime) iterP2P(pert scenario.Perturbation) []float64 {
 	return scaled
 }
 
-// microbatchWork builds the per-stage fwd/bwd durations of one
-// microbatch (one sample when M=1) by charging each module's share of
-// the sample through the profiler and the plan's allocation ratios.
-func (r *Runtime) microbatchWork(shape model.SampleShape) (fwd, bwd []float64) {
-	fwd = make([]float64, r.stages)
-	bwd = make([]float64, r.stages)
-	r.microbatchWorkInto(shape, fwd, bwd)
-	return fwd, bwd
-}
-
 // microbatchWorkInto fills caller-provided stage slices (len r.stages)
-// with the microbatch's fwd/bwd durations — the scratch-reusing form
-// the rank workers price every microbatch through.
+// with the per-stage fwd/bwd durations of one microbatch (one sample
+// when M=1), charging each module's share of the sample through the
+// profiler and the plan's allocation ratios. The rank workers price
+// every microbatch through it with pooled scratch.
 func (r *Runtime) microbatchWorkInto(shape model.SampleShape, fwd, bwd []float64) {
 	spec := r.cfg.Spec
 	plan := r.cfg.Plan
@@ -713,11 +656,6 @@ func (r *Runtime) iterationFLOPs(batch []data.Sample) float64 {
 		}
 	}
 	return total
-}
-
-// aggregateShape merges the shapes of a microbatch's samples.
-func aggregateShape(samples []data.Sample) model.SampleShape {
-	return aggregateShapeInto(samples, nil)
 }
 
 // aggregateShapeInto merges the shapes of a microbatch's samples into
