@@ -2,8 +2,11 @@ package controller
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -267,5 +270,69 @@ func TestReplanAgainstEvaluateEstimate(t *testing.T) {
 	// not shrink to fewer GPUs than the incumbent gave them.
 	if got, was := next.Modules[model.Encoder].GPUs(), plan.Modules[model.Encoder].GPUs(); got < was {
 		t.Errorf("3x image shift shrank the encoder allocation %d -> %d", was, got)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden trace digest")
+
+// TestGoldenTraceBytes pins the written trace bytes of one standalone
+// run that exercises every trainer-side event shape: VPP 2 pipeline
+// lanes, a node-failure instant with its recovery span, and a
+// controller replan with its reconfigure span. The committed digest
+// was written by the sharded per-lane recorder that encoded
+// []TraceEvent through encoding/json; a recorder or encoder change has
+// to reproduce it byte for byte.
+func TestGoldenTraceBytes(t *testing.T) {
+	spec, corpus := buildSpec(t, 4, 32)
+	spec.VPP = 2
+	plan := planFor(t, spec)
+	if vpp := plan.Modules[model.Backbone].Config.VPP; vpp < 2 {
+		t.Fatalf("backbone VPP = %d, want > 1", vpp)
+	}
+	sc, err := scenario.Parse("workload-shift:iters=1-11,factor=4; failure:iter=8,downtime=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2, MaxReplans: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := trainer.DistTrainConfig(spec, plan, corpus)
+	cfg.Scenario = sc
+	cfg.Parallelism = 4
+	cfg.Controller = ctrl
+	cfg.CheckpointEvery = 2
+	tr := metrics.NewTrace()
+	cfg.Trace = tr
+	res := runConfig(t, cfg, 12)
+	if res.PlanSwitches < 1 || res.Failures != 1 {
+		t.Fatalf("fixture fired %d plan switches and %d failures, want >= 1 and 1", res.PlanSwitches, res.Failures)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, needle := range []string{`"replan"`, `"reconfigure"`, `"node-failure"`, `"recovery"`} {
+		if !bytes.Contains(buf.Bytes(), []byte(needle)) {
+			t.Errorf("trace has no %s event", needle)
+		}
+	}
+	got := fmt.Sprintf("events=%d bytes=%d sha256=%x\n", tr.Len(), buf.Len(), sha256.Sum256(buf.Bytes()))
+	const path = "testdata/trainer_trace_digest.golden"
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update to create): %v", path, err)
+	}
+	if got != string(want) {
+		t.Errorf("trace digest diverged from the golden:\ngot  %swant %s", got, want)
 	}
 }

@@ -550,11 +550,33 @@ func fleetEvents(s scenario.Scenario) ([]scenario.Event, error) {
 	return evs, nil
 }
 
+// noteArg is one key of a note's payload, by value: the Args map the
+// trace wants is built only when a trace is attached, so an untraced
+// fleet does not pay for the events it drops.
+type noteArg struct {
+	key   string
+	str   string
+	num   int
+	isStr bool
+}
+
+func noteInt(key string, v int) noteArg    { return noteArg{key: key, num: v} }
+func noteStr(key string, v string) noteArg { return noteArg{key: key, str: v, isStr: true} }
+
 // note emits a scheduler-lane trace instant at the current round.
-func (f *runner) note(name string, args map[string]any) {
-	if f.fleetTrace != nil {
-		f.fleetTrace.Instant(name, "fleet", 0, float64(f.round), args)
+func (f *runner) note(name string, args ...noteArg) {
+	if f.fleetTrace == nil {
+		return
 	}
+	m := make(map[string]any, len(args))
+	for _, a := range args {
+		if a.isStr {
+			m[a.key] = a.str
+		} else {
+			m[a.key] = a.num
+		}
+	}
+	f.fleetTrace.Instant(name, "fleet", 0, float64(f.round), m)
 }
 
 // arrivalKind reports whether a fleet-scope event kind instantiates
@@ -587,7 +609,7 @@ func (f *runner) newTenant(si int, class Class) {
 	f.tenants = append(f.tenants, t)
 	f.queue = append(f.queue, t)
 	f.queueDirty = true
-	f.note("job-arrive", map[string]any{"job": t.id, "name": t.name, "class": t.class.String()})
+	f.note("job-arrive", noteInt("job", t.id), noteStr("name", t.name), noteStr("class", t.class.String()))
 }
 
 // enqueueArrivals submits this round's arrivals: Config.Jobs entries
@@ -604,7 +626,7 @@ func (f *runner) enqueueArrivals() {
 			continue
 		}
 		if ev.Job < 0 || ev.Job >= len(f.cfg.Jobs) {
-			f.note("job-arrive-ignored", map[string]any{"job": ev.Job, "reason": "no such job spec"})
+			f.note("job-arrive-ignored", noteInt("job", ev.Job), noteStr("reason", "no such job spec"))
 			continue
 		}
 		switch ev.Kind {
@@ -639,10 +661,10 @@ func (f *runner) applyEvents() {
 	for _, ev := range f.events {
 		if ev.Kind == scenario.FleetNodeJoin && ev.Start == f.round {
 			if err := f.table.Join(ev.Node); err != nil {
-				f.note("node-join-ignored", map[string]any{"node": ev.Node, "reason": err.Error()})
+				f.note("node-join-ignored", noteInt("node", ev.Node), noteStr("reason", err.Error()))
 				continue
 			}
-			f.note("node-join", map[string]any{"node": ev.Node})
+			f.note("node-join", noteInt("node", ev.Node))
 		}
 	}
 	for _, ev := range f.events {
@@ -662,10 +684,10 @@ func (f *runner) applyEvents() {
 func (f *runner) failNode(node int) {
 	owner, err := f.table.Fail(node)
 	if err != nil {
-		f.note("node-fail-ignored", map[string]any{"node": node, "reason": err.Error()})
+		f.note("node-fail-ignored", noteInt("node", node), noteStr("reason", err.Error()))
 		return
 	}
-	f.note("node-fail", map[string]any{"node": node, "owner": owner})
+	f.note("node-fail", noteInt("node", node), noteInt("owner", owner))
 	if owner < 0 {
 		return
 	}
@@ -680,7 +702,7 @@ func (f *runner) failNode(node int) {
 			reason := fmt.Sprintf("node %d failed: lease shrinks to %d nodes", node, shrunk.NodeCount())
 			if rerr := t.job.Resize(shrunk, plan, reason); rerr == nil {
 				f.commitResize(t, shrunk, plan)
-				f.note("lease-shrink", map[string]any{"job": t.id, "nodes": shrunk.NodeCount()})
+				f.note("lease-shrink", noteInt("job", t.id), noteInt("nodes", shrunk.NodeCount()))
 				return
 			}
 		}
@@ -691,7 +713,7 @@ func (f *runner) failNode(node int) {
 	// capacity returns.
 	f.suspend(t)
 	f.requeueFront(t)
-	f.note("job-suspend", map[string]any{"job": t.id})
+	f.note("job-suspend", noteInt("job", t.id))
 }
 
 // transition is the one writer of tenant state. Every move between
@@ -747,7 +769,7 @@ func (f *runner) requeueFront(t *tenant) {
 // departJob terminates tenant id at this round.
 func (f *runner) departJob(id int) {
 	if id < 0 || id >= len(f.tenants) || f.tenants[id].state == stateDone {
-		f.note("job-depart-ignored", map[string]any{"job": id})
+		f.note("job-depart-ignored", noteInt("job", id))
 		return
 	}
 	t := f.tenants[id]
@@ -760,7 +782,7 @@ func (f *runner) departJob(id int) {
 		}
 	}
 	f.retire(t, true)
-	f.note("job-depart", map[string]any{"job": id})
+	f.note("job-depart", noteInt("job", id))
 }
 
 // retire finalises a tenant and frees its lease.
@@ -878,7 +900,7 @@ func (f *runner) admit() {
 			f.queue = f.queue[1:]
 			t.err = err
 			f.retire(t, false)
-			f.note("job-rejected", map[string]any{"job": t.id, "reason": err.Error()})
+			f.note("job-rejected", noteInt("job", t.id), noteStr("reason", err.Error()))
 			continue
 		}
 		if admitErr := f.reserve(t, lease); admitErr != nil {
@@ -888,7 +910,7 @@ func (f *runner) admit() {
 			f.queue = f.queue[1:]
 			t.err = admitErr
 			f.retire(t, false)
-			f.note("job-rejected", map[string]any{"job": t.id, "reason": admitErr.Error()})
+			f.note("job-rejected", noteInt("job", t.id), noteStr("reason", admitErr.Error()))
 			continue
 		}
 		f.queue = f.queue[1:]
@@ -964,7 +986,7 @@ func (f *runner) finishPlacement(t *tenant, lease cluster.Lease, plan *orchestra
 		t.started = f.round
 	}
 	f.transition(t, stateRunning)
-	f.note("job-start", map[string]any{"job": t.id, "nodes": lease.NodeCount(), "strategy": plan.Strategy})
+	f.note("job-start", noteInt("job", t.id), noteInt("nodes", lease.NodeCount()), noteStr("strategy", plan.Strategy))
 	return nil
 }
 
@@ -1007,7 +1029,7 @@ func (f *runner) park(t *tenant, lease cluster.Lease, ticket *orchestrator.PlanT
 	f.transition(t, statePlanning)
 	t.lease = lease
 	t.ticket, t.landing = ticket, landing
-	f.note("job-plan", map[string]any{"job": t.id, "nodes": lease.NodeCount(), "landing": landing})
+	f.note("job-plan", noteInt("job", t.id), noteInt("nodes", lease.NodeCount()), noteInt("landing", landing))
 	return nil
 }
 
@@ -1068,7 +1090,7 @@ func (f *runner) landPlans() {
 		if err != nil {
 			t.err = err
 			f.retire(t, false)
-			f.note("job-rejected", map[string]any{"job": t.id, "reason": err.Error()})
+			f.note("job-rejected", noteInt("job", t.id), noteStr("reason", err.Error()))
 			continue
 		}
 		f.speculate(t)
@@ -1103,7 +1125,7 @@ func (f *runner) speculate(t *tenant) {
 			continue
 		}
 		pe := f.request(spec, fp)
-		f.note("plan-ahead", map[string]any{"job": t.id, "nodes": target, "landing": pe.landing})
+		f.note("plan-ahead", noteInt("job", t.id), noteInt("nodes", target), noteInt("landing", pe.landing))
 	}
 }
 
@@ -1187,7 +1209,7 @@ func (f *runner) stepRunning() {
 		if t.stepErr != nil {
 			t.err = t.stepErr
 			f.retire(t, false)
-			f.note("job-failed", map[string]any{"job": t.id, "reason": t.stepErr.Error()})
+			f.note("job-failed", noteInt("job", t.id), noteStr("reason", t.stepErr.Error()))
 		}
 	}
 }
@@ -1198,7 +1220,7 @@ func (f *runner) completeFinished() {
 	for _, t := range f.tenants {
 		if t.state == stateRunning && t.job.Done() {
 			f.retire(t, false)
-			f.note("job-done", map[string]any{"job": t.id})
+			f.note("job-done", noteInt("job", t.id))
 		}
 	}
 }
@@ -1210,7 +1232,7 @@ func (f *runner) starveQueue() {
 		t.err = fmt.Errorf("fleet: %s starved: %d free of %d nodes, needs %d",
 			t.name, f.table.FreeCount(), f.table.Nodes(), t.min)
 		f.retire(t, false)
-		f.note("job-starved", map[string]any{"job": t.id})
+		f.note("job-starved", noteInt("job", t.id))
 	}
 	f.queue = nil
 }

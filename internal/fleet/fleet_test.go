@@ -447,3 +447,27 @@ func mustParse(t *testing.T, spec string) scenario.Scenario {
 	}
 	return sc
 }
+
+// TestNoteCostsNothingUntraced: a note's payload travels by value and
+// becomes an Args map only when a trace is attached, so an untraced
+// fleet allocates nothing for the events it drops — and a traced one
+// writes the same sorted-key args a map literal did.
+func TestNoteCostsNothingUntraced(t *testing.T) {
+	f := &runner{round: 3}
+	name, reason := "g7", "preempted by high"
+	emit := func() {
+		f.note("job-arrive", noteInt("job", 300), noteStr("name", name), noteStr("class", ClassHigh.String()))
+		f.note("job-preempt", noteInt("job", 300), noteStr("reason", reason))
+	}
+	if got := testing.AllocsPerRun(100, emit); got != 0 {
+		t.Errorf("two notes with tracing off allocated %v times, want 0", got)
+	}
+	f.fleetTrace = metrics.NewTrace()
+	emit()
+	const want = `{"traceEvents":[` +
+		`{"name":"job-arrive","cat":"fleet","ph":"i","ts":3000000,"pid":0,"tid":0,"args":{"class":"high","job":300,"name":"g7"}},` +
+		`{"name":"job-preempt","cat":"fleet","ph":"i","ts":3000000,"pid":0,"tid":0,"args":{"job":300,"reason":"preempted by high"}}]}` + "\n"
+	if got := string(traceBytes(t, f.fleetTrace)); got != want {
+		t.Errorf("traced notes wrote\n%swant\n%s", got, want)
+	}
+}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"disttrain/internal/data"
+	"disttrain/internal/metrics"
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/trainer"
 )
@@ -89,13 +91,12 @@ func goldenCompare(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenFIFOLeaseTable pins FIFO's scheduling decisions — lease
-// sizing, placement, reserve-then-land rounds, shrink-on-failure,
-// head-of-line blocking — against the golden.
-func TestGoldenFIFOLeaseTable(t *testing.T) {
+// fifoGoldenFleet is the FIFO golden fixture: lease sizing, placement,
+// reserve-then-land rounds, shrink-on-failure, head-of-line blocking.
+func fifoGoldenFleet(t *testing.T) Config {
 	spec, corpus := buildSpec(t, 8, 32)
 	tmpl := newTrainTemplate(spec, corpus)
-	cfg := Config{
+	return Config{
 		Cluster: spec.Cluster,
 		Jobs: []JobSpec{
 			{Name: "a", Train: tmpl, Iters: 5, MinNodes: 2, MaxNodes: 4},
@@ -105,20 +106,19 @@ func TestGoldenFIFOLeaseTable(t *testing.T) {
 		Policy:   FIFO,
 		Scenario: mustParse(t, "node-fail:iter=2,node=1; node-join:iter=4,node=1"),
 	}
-	goldenCompare(t, "fifo_lease_table", leaseTableLog(t, cfg))
 }
 
-// TestGoldenFairShareLeaseTable pins FairShare's decisions — equal
-// shares, shrink-to-admit, grow-on-departure — against the golden.
-// The fixture keeps every share division even (8 nodes, at most 2
-// active tenants), so the deliberate remainder bugfix (fairShare
-// distributing healthy%tenants) does not perturb it. Tenant a's cold
-// plan lands at round 2, so its departure sits at round 5: it leaves
-// after 3 of its 6 iterations, with b running beside it.
-func TestGoldenFairShareLeaseTable(t *testing.T) {
+// fairShareGoldenFleet is the FairShare golden fixture: equal shares,
+// shrink-to-admit, grow-on-departure. It keeps every share division
+// even (8 nodes, at most 2 active tenants), so the deliberate
+// remainder bugfix (fairShare distributing healthy%tenants) does not
+// perturb it. Tenant a's cold plan lands at round 2, so its departure
+// sits at round 5: it leaves after 3 of its 6 iterations, with b
+// running beside it.
+func fairShareGoldenFleet(t *testing.T) Config {
 	spec, corpus := buildSpec(t, 8, 32)
 	tmpl := newTrainTemplate(spec, corpus)
-	cfg := Config{
+	return Config{
 		Cluster: spec.Cluster,
 		Jobs: []JobSpec{
 			{Name: "a", Train: tmpl, Iters: 6, MinNodes: 2, MaxNodes: 8},
@@ -127,5 +127,58 @@ func TestGoldenFairShareLeaseTable(t *testing.T) {
 		Policy:   FairShare,
 		Scenario: mustParse(t, "job-depart:iter=5,job=0"),
 	}
-	goldenCompare(t, "fairshare_lease_table", leaseTableLog(t, cfg))
+}
+
+// TestGoldenFIFOLeaseTable pins FIFO's scheduling decisions against
+// the golden.
+func TestGoldenFIFOLeaseTable(t *testing.T) {
+	goldenCompare(t, "fifo_lease_table", leaseTableLog(t, fifoGoldenFleet(t)))
+}
+
+// TestGoldenFairShareLeaseTable pins FairShare's decisions against the
+// golden.
+func TestGoldenFairShareLeaseTable(t *testing.T) {
+	goldenCompare(t, "fairshare_lease_table", leaseTableLog(t, fairShareGoldenFleet(t)))
+}
+
+// traceDigest is one line of a trace-bytes golden: the event count and
+// the size and hash of the trace's WriteJSON output.
+func traceDigest(t *testing.T, tr *metrics.Trace) string {
+	t.Helper()
+	b := traceBytes(t, tr)
+	return fmt.Sprintf("events=%d bytes=%d sha256=%x", tr.Len(), len(b), sha256.Sum256(b))
+}
+
+// TestGoldenTraceBytes pins the written trace bytes — the merged fleet
+// timeline and every tenant's own — of the two lease-table fixtures
+// and the mixed-priority fixture (one preemption, one resize). The
+// committed digests were written by the sharded per-lane recorder that
+// encoded []TraceEvent through encoding/json; a recorder or encoder
+// change has to reproduce them byte for byte.
+func TestGoldenTraceBytes(t *testing.T) {
+	for _, fx := range []struct {
+		name string
+		cfg  func(*testing.T) Config
+	}{
+		{"fifo", fifoGoldenFleet},
+		{"fairshare", fairShareGoldenFleet},
+		{"priority", func(t *testing.T) Config { return priorityFleet(t, 0) }},
+	} {
+		cfg := fx.cfg(t)
+		cfg.Trace = true
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "merged %s\n", traceDigest(t, res.Trace))
+		for _, jr := range res.Jobs {
+			if jr.Trace == nil {
+				fmt.Fprintf(&b, "job %d %s no trace\n", jr.ID, jr.Name)
+				continue
+			}
+			fmt.Fprintf(&b, "job %d %s %s\n", jr.ID, jr.Name, traceDigest(t, jr.Trace))
+		}
+		goldenCompare(t, fx.name+"_trace_digest", b.String())
+	}
 }

@@ -104,7 +104,7 @@ func (o schedOps) Shrink(id int, drop []int, reason string) bool {
 		return false
 	}
 	f.commitResize(t, shrunk, plan)
-	f.note("lease-shrink", map[string]any{"job": t.id, "nodes": shrunk.NodeCount()})
+	f.note("lease-shrink", noteInt("job", t.id), noteInt("nodes", shrunk.NodeCount()))
 	f.speculate(t)
 	return true
 }
@@ -139,7 +139,7 @@ func (o schedOps) Grow(id int, take []int, reason string) bool {
 		return false
 	}
 	f.commitResize(t, grown, plan)
-	f.note("lease-grow", map[string]any{"job": t.id, "nodes": grown.NodeCount()})
+	f.note("lease-grow", noteInt("job", t.id), noteInt("nodes", grown.NodeCount()))
 	f.speculate(t)
 	return true
 }
@@ -159,6 +159,6 @@ func (o schedOps) Preempt(id int, reason string) bool {
 	t.preempts++
 	f.queue = append(f.queue, t)
 	f.queueDirty = true
-	f.note("job-preempt", map[string]any{"job": t.id, "reason": reason})
+	f.note("job-preempt", noteInt("job", t.id), noteStr("reason", reason))
 	return true
 }

@@ -120,9 +120,7 @@ func (f *runner) registerTenant(t *tenant, tcfg *trainer.Config, nodes int) erro
 	t.pool = handle
 	tcfg.Source = &trainer.PoolSource{Pool: handle, Samples: tcfg.Corpus}
 	tcfg.DisaggregatedPreprocess = true
-	f.note("pool-register", map[string]any{
-		"job": t.id, "weight": t.class.Rank() + 1, "quota": f.quotaFor(nodes),
-	})
+	f.note("pool-register", noteInt("job", t.id), noteInt("weight", t.class.Rank()+1), noteInt("quota", f.quotaFor(nodes)))
 	return nil
 }
 
@@ -152,10 +150,10 @@ func (f *runner) producerEvent(ev scenario.Event) {
 		err = f.producers.JoinProducer(ev.Producer)
 	}
 	if err != nil {
-		f.note(ev.Kind.String()+"-ignored", map[string]any{"producer": ev.Producer, "reason": err.Error()})
+		f.note(ev.Kind.String()+"-ignored", noteInt("producer", ev.Producer), noteStr("reason", err.Error()))
 		return
 	}
-	f.note(ev.Kind.String(), map[string]any{"producer": ev.Producer})
+	f.note(ev.Kind.String(), noteInt("producer", ev.Producer))
 }
 
 // snapshotPool captures a retiring tenant's preprocessing counters and
@@ -171,5 +169,5 @@ func (f *runner) snapshotPool(t *tenant) {
 	snap := t.pool.Snapshot()
 	t.poolSnap = &snap
 	t.pool.Close()
-	f.note("pool-stats", map[string]any{"job": t.id, "fetches": snap.Fetches})
+	f.note("pool-stats", noteInt("job", t.id), noteInt("fetches", int(snap.Fetches)))
 }

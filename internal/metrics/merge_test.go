@@ -22,7 +22,7 @@ func TestTraceAppendOffset(t *testing.T) {
 
 	merged := NewTrace()
 	merged.AppendOffset(job, 10, "jobA/")
-	evs := merged.Events()
+	evs := decodeEvents(t, merged)
 	if len(evs) != 4 {
 		t.Fatalf("merged %d events, want 4", len(evs))
 	}
@@ -33,7 +33,7 @@ func TestTraceAppendOffset(t *testing.T) {
 		t.Fatalf("process name %v, want jobA/runtime", got)
 	}
 	// Source must be untouched (args maps not shared after rename).
-	src := job.Events()
+	src := decodeEvents(t, job)
 	if src[0].Args["name"] != "runtime" || src[0].PID != 0 {
 		t.Fatalf("AppendOffset mutated the source: %+v", src[0])
 	}

@@ -1,312 +1,307 @@
 package metrics
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"syscall"
 )
 
 // Chrome-trace-format timeline emission: the runtime records every
 // phase of every iteration (preprocess stall, per-rank pipeline ops,
 // gradient sync, optimizer, checkpoint back-pressure, failures and
-// recoveries) as "trace event format" JSON, loadable in
-// chrome://tracing or Perfetto. Process IDs partition the timeline:
-// pid 0 is the runtime's serial phases, pid d+1 is DP rank d, whose
-// thread IDs are pipeline stages.
+// recoveries) and WriteJSON renders it as "trace event format" JSON,
+// loadable in chrome://tracing or Perfetto. Process IDs partition the
+// timeline: pid 0 is the runtime's serial phases, pid d+1 is DP rank d,
+// whose thread IDs are pipeline stages.
+//
+// A Trace is one append-only log of fixed-size, pointer-free records
+// behind one mutex. Event names and categories are interned per trace
+// (a run has a few dozen distinct strings; the hot path records them
+// by Label), the rare Args maps live in a side table, and JSON exists
+// only while WriteJSON streams it out.
+// The log is not sharded: every Trace has one writer at a time (the
+// trainer emits an iteration after its rank workers have joined, a
+// fleet hands each tenant a private trace and notes its own events on
+// the runner goroutine), so append order is the log order and the
+// mutex is there for the race detector, not for throughput.
 
-// TraceEvent is one trace entry. Ph "X" is a complete (duration)
-// event, "i" an instant, "M" metadata; TS and Dur are microseconds,
-// per the format spec.
-type TraceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
+// Label is an event name or category interned in one Trace: resolved
+// once, recorded by id. It means nothing to any other trace.
+type Label uint32
+
+// record is one event. ph 'X' is a complete (duration) event, 'i' an
+// instant, 'M' metadata; ts and dur are microseconds, per the format
+// spec. It holds no pointers, so the collector never scans the log.
+type record struct {
+	ts, dur   float64
+	name, cat Label // ids into traceLog.strs
+	pid, tid  int32
+	args      int32 // 1-based index into traceLog.args; 0 is none
+	ph        byte
 }
 
-// Trace accumulates trace events; safe for concurrent use. The
-// recorder is sharded: every PID lane owns its own append buffer and
-// lock, so concurrent writers on different lanes (DP-rank workers,
-// fleet tenants) never contend on a global mutex. A global atomic
-// sequence number stamps every event, and reads merge the lanes by
-// sequence — exactly the recorder's append order — so flush output is
-// byte-identical to the single-buffer recorder this replaces.
+// traceLog is the recorded state. Every slice is append-only, so a
+// copy of the struct is an immutable snapshot: later appends land
+// beyond the copy's lengths and never rewrite what it can see.
+type traceLog struct {
+	recs   []record
+	strs   []string         // interned names and categories, by Label
+	args   []map[string]any // Args side table
+	segs   []segment        // merged traces, by position
+	n      int              // events, own and merged
+	maxPID int
+}
+
+// segment is one AppendOffset: a snapshot of the source, held by
+// reference and rendered before recs[at] with its PIDs shifted and its
+// process names prefixed.
+type segment struct {
+	at      int
+	src     traceLog
+	pidBase int
+	prefix  string
+}
+
+// Trace accumulates trace events; safe for concurrent use. PIDs and
+// TIDs are small non-negative lane numbers (stored as int32).
 type Trace struct {
-	mu    sync.RWMutex // guards the lane table, not the events
-	lanes map[int]*traceLane
-
-	seq    atomic.Uint64
-	count  atomic.Int64
-	maxPID atomic.Int64
-}
-
-// traceLane is one PID's private append buffer.
-type traceLane struct {
-	mu  sync.Mutex
-	evs []seqEvent
-}
-
-// seqEvent pairs an event with its global append sequence.
-type seqEvent struct {
-	seq uint64
-	ev  TraceEvent
+	mu     sync.Mutex
+	log    traceLog
+	labels map[string]Label // the interning index over log.strs
 }
 
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// lane returns PID's lane, creating it on first use.
-func (t *Trace) lane(pid int) *traceLane {
-	t.mu.RLock()
-	l := t.lanes[pid]
-	t.mu.RUnlock()
-	if l != nil {
-		return l
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if l = t.lanes[pid]; l != nil {
-		return l
-	}
-	if t.lanes == nil {
-		t.lanes = make(map[int]*traceLane)
-	}
-	l = &traceLane{}
-	t.lanes[pid] = l
-	return l
-}
-
-// bumpMaxPID raises the incremental MaxPID watermark to at least pid.
-func (t *Trace) bumpMaxPID(pid int) {
-	for {
-		cur := t.maxPID.Load()
-		if int64(pid) <= cur || t.maxPID.CompareAndSwap(cur, int64(pid)) {
-			return
-		}
-	}
-}
-
-// Reserve pre-grows PID's lane for n more events without recording
+// Reserve pre-grows the log for n more events without recording
 // anything — callers that know the run length (iterations × ops per
 // iteration) preallocate capacity instead of amortized re-growing.
-func (t *Trace) Reserve(pid, n int) {
+func (t *Trace) Reserve(n int) {
 	if n <= 0 {
 		return
 	}
-	l := t.lane(pid)
-	l.mu.Lock()
-	if free := cap(l.evs) - len(l.evs); free < n {
-		grown := make([]seqEvent, len(l.evs), len(l.evs)+n)
-		copy(grown, l.evs)
-		l.evs = grown
-	}
-	l.mu.Unlock()
+	t.mu.Lock()
+	t.log.recs = slices.Grow(t.log.recs, n)
+	t.mu.Unlock()
 }
 
 // Complete records a duration event. start and dur are in simulated
 // seconds; the trace stores microseconds.
 func (t *Trace) Complete(name, cat string, pid, tid int, start, dur float64) {
-	t.add(TraceEvent{Name: name, Cat: cat, Ph: "X", TS: start * 1e6, Dur: dur * 1e6, PID: pid, TID: tid})
+	b := t.Batch()
+	b.Complete(b.Label(name), b.Label(cat), pid, tid, start, dur)
+	b.Done()
 }
 
 // Instant records a point event at start seconds.
 func (t *Trace) Instant(name, cat string, pid int, start float64, args map[string]any) {
-	t.add(TraceEvent{Name: name, Cat: cat, Ph: "i", TS: start * 1e6, PID: pid, Args: args})
+	t.mu.Lock()
+	t.add(record{ph: 'i', name: t.intern(name), cat: t.intern(cat), pid: int32(pid), ts: start * 1e6}, args)
+	t.mu.Unlock()
 }
 
 // NameProcess attaches a human-readable name to a pid lane.
 func (t *Trace) NameProcess(pid int, name string) {
-	t.add(TraceEvent{Name: "process_name", Ph: "M", PID: pid, Args: map[string]any{"name": name}})
+	t.mu.Lock()
+	t.add(record{ph: 'M', name: t.intern("process_name"), cat: t.intern(""), pid: int32(pid)}, map[string]any{"name": name})
+	t.mu.Unlock()
 }
 
-func (t *Trace) add(ev TraceEvent) {
-	l := t.lane(ev.PID)
-	l.mu.Lock()
-	// The sequence is claimed under the lane lock: two writers on the
-	// same lane serialise here, so every lane is (absent bulk merges)
-	// already sorted by sequence and the read side can k-way merge
-	// sorted runs instead of sorting the whole trace.
-	seq := t.seq.Add(1) - 1
-	l.evs = append(l.evs, seqEvent{seq, ev})
-	l.mu.Unlock()
-	t.count.Add(1)
-	t.bumpMaxPID(ev.PID)
+// Batch is an open run of appends under one acquisition of the trace
+// lock, with names resolved to Labels by the caller: the trainer
+// records a whole iteration's pipeline ops through one, looking no
+// string up per op. Done closes it; the trace is locked until then.
+type Batch struct{ t *Trace }
+
+// Batch opens a batch append.
+func (t *Trace) Batch() Batch {
+	t.mu.Lock()
+	return Batch{t}
 }
 
-// Len returns the recorded event count.
-func (t *Trace) Len() int {
-	return int(t.count.Load())
+// Label interns s in the batch's trace.
+func (b Batch) Label(s string) Label { return b.t.intern(s) }
+
+// Complete records a duration event, like Trace.Complete.
+func (b Batch) Complete(name, cat Label, pid, tid int, start, dur float64) {
+	b.t.add(record{ph: 'X', name: name, cat: cat, pid: int32(pid), tid: int32(tid), ts: start * 1e6, dur: dur * 1e6}, nil)
 }
 
-// Events returns a snapshot of the recorded events in append order.
-func (t *Trace) Events() []TraceEvent {
-	return t.merged()
+// Done releases the trace.
+func (b Batch) Done() { b.t.mu.Unlock() }
+
+// add appends one record, its Args (if any) in the side table; the
+// caller holds t.mu.
+func (t *Trace) add(r record, args map[string]any) {
+	if len(args) > 0 {
+		t.log.args = append(t.log.args, args)
+		r.args = int32(len(t.log.args))
+	}
+	t.log.recs = append(t.log.recs, r)
+	t.log.n++
+	if pid := int(r.pid); pid > t.log.maxPID {
+		t.log.maxPID = pid
+	}
 }
 
-// merged collects every lane and restores the global append order by
-// sequence number — a k-way merge over the lanes' sequence-sorted
-// runs, not a global sort: merging k sorted runs of n total events is
-// O(n log k) with no comparison-sort constant, and k (the lane count)
-// is small. Sequences are claimed under the lane lock, so lanes are
-// sorted by construction; a lane that a concurrent AppendOffset raced
-// out of order (its bulk block claims sequences before taking lane
-// locks) is detected and sorted first, preserving correctness on the
-// slow path.
-func (t *Trace) merged() []TraceEvent {
-	t.mu.RLock()
-	lanes := make([]*traceLane, 0, len(t.lanes))
-	for _, l := range t.lanes {
-		lanes = append(lanes, l)
-	}
-	t.mu.RUnlock()
-	runs := make([][]seqEvent, 0, len(lanes))
-	total := 0
-	for _, l := range lanes {
-		l.mu.Lock()
-		run := l.evs[:len(l.evs):len(l.evs)]
-		l.mu.Unlock()
-		if len(run) == 0 {
-			continue
+func (t *Trace) intern(s string) Label {
+	id, ok := t.labels[s]
+	if !ok {
+		if t.labels == nil {
+			t.labels = make(map[string]Label, 64) // a run's few dozen names, without rehashing
 		}
-		if !sortedBySeq(run) {
-			run = append([]seqEvent(nil), run...)
-			sort.Slice(run, func(a, b int) bool { return run[a].seq < run[b].seq })
-		}
-		runs = append(runs, run)
-		total += len(run)
+		id = Label(len(t.log.strs))
+		t.log.strs = append(t.log.strs, s)
+		t.labels[s] = id
 	}
-	out := make([]TraceEvent, 0, total)
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		for _, se := range runs[0] {
-			out = append(out, se.ev)
-		}
-		return out
-	}
-
-	// Binary min-heap of run indices, keyed by each run's head sequence.
-	cursor := make([]int, len(runs))
-	head := func(i int) uint64 { return runs[i][cursor[i]].seq }
-	h := make([]int, len(runs))
-	for i := range h {
-		h[i] = i
-	}
-	siftDown := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				return
-			}
-			if r := c + 1; r < len(h) && head(h[r]) < head(h[c]) {
-				c = r
-			}
-			if head(h[i]) <= head(h[c]) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(h) > 0 {
-		r := h[0]
-		out = append(out, runs[r][cursor[r]].ev)
-		cursor[r]++
-		if cursor[r] == len(runs[r]) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(0)
-	}
-	return out
+	return id
 }
 
-// sortedBySeq reports whether the run is ascending in sequence.
-func sortedBySeq(run []seqEvent) bool {
-	for i := 1; i < len(run); i++ {
-		if run[i].seq < run[i-1].seq {
-			return false
-		}
-	}
-	return true
+// snapshot returns the log as of now.
+func (t *Trace) snapshot() traceLog {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.log
 }
+
+// Len returns the recorded event count, merged events included. O(1).
+func (t *Trace) Len() int { return t.snapshot().n }
 
 // MaxPID returns the highest process ID any recorded event uses (0 for
-// an empty trace) — the lane width a merge must step over. Tracked
-// incrementally; O(1).
-func (t *Trace) MaxPID() int {
-	return int(t.maxPID.Load())
-}
+// an empty trace) — the lane width a merge must step over. O(1).
+func (t *Trace) MaxPID() int { return t.snapshot().maxPID }
 
 // AppendOffset merges another trace into this one as a block of
-// private lanes: every event of src is appended in order with its PID
-// shifted by pidBase, and process_name metadata gets the given prefix
-// so lanes stay attributable after the merge. The fleet runtime uses
-// it to fold per-job timelines into one fleet Chrome trace — job j's
-// lanes land at [base_j, base_j + MaxPID_j], disjoint from every other
-// tenant's. Deterministic: same src contents and arguments, same
-// appended events. Bulk: one contiguous sequence block is claimed for
-// the whole merge and each destination lane is locked exactly once.
+// private lanes: every event src holds now is appended in order with
+// its PID shifted by pidBase, and process_name metadata gets the given
+// prefix so lanes stay attributable after the merge. The fleet runtime
+// uses it to fold per-job timelines into one fleet Chrome trace — job
+// j's lanes land at [base_j, base_j + MaxPID_j], disjoint from every
+// other tenant's. The merge copies no events: it splices a snapshot of
+// src in by reference, and the shift and prefix are applied when the
+// trace is written. Events recorded in src afterwards are not part of
+// the snapshot.
 func (t *Trace) AppendOffset(src *Trace, pidBase int, prefix string) {
-	evs := src.merged()
-	if len(evs) == 0 {
+	s := src.snapshot()
+	if s.n == 0 {
 		return
 	}
-	base := t.seq.Add(uint64(len(evs))) - uint64(len(evs))
-	perLane := make(map[int][]seqEvent)
-	maxPID := 0
-	for i, ev := range evs {
-		ev.PID += pidBase
-		if ev.Ph == "M" && ev.Name == "process_name" && prefix != "" {
-			args := make(map[string]any, len(ev.Args))
-			for k, v := range ev.Args {
-				args[k] = v
-			}
-			if name, ok := args["name"].(string); ok {
-				args["name"] = prefix + name
-			}
-			ev.Args = args
-		}
-		if ev.PID > maxPID {
-			maxPID = ev.PID
-		}
-		perLane[ev.PID] = append(perLane[ev.PID], seqEvent{base + uint64(i), ev})
+	t.mu.Lock()
+	t.log.segs = append(t.log.segs, segment{at: len(t.log.recs), src: s, pidBase: pidBase, prefix: prefix})
+	t.log.n += s.n
+	if m := s.maxPID + pidBase; m > t.log.maxPID {
+		t.log.maxPID = m
 	}
-	for pid, run := range perLane {
-		l := t.lane(pid)
-		l.mu.Lock()
-		l.evs = append(l.evs, run...)
-		l.mu.Unlock()
-	}
-	t.count.Add(int64(len(evs)))
-	t.bumpMaxPID(maxPID)
+	t.mu.Unlock()
 }
 
-// WriteJSON emits the Chrome trace file ({"traceEvents": [...]}).
+// WriteJSON emits the Chrome trace file ({"traceEvents": [...]}),
+// streamed record by record: byte for byte what encoding/json writes
+// for the equivalent []struct{name, cat, ph, ts, dur, pid, tid, args}
+// (cat, dur and args omitted when empty), without building it. A value
+// JSON cannot carry (a NaN timestamp, an unencodable Args value) is
+// returned as encoding/json's error, after a partial write.
 func (t *Trace) WriteJSON(w io.Writer) error {
-	events := t.merged()
-	if events == nil {
-		events = []TraceEvent{}
+	// A merged fleet trace is megabytes: the default 4 KB buffer would
+	// be a write call every ~40 events.
+	e := traceEncoder{w: bufio.NewWriterSize(w, 64<<10)}
+	e.w.WriteString(`{"traceEvents":[`)
+	e.log(t.snapshot(), 0, "")
+	if e.err != nil {
+		return e.err
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		TraceEvents []TraceEvent `json:"traceEvents"`
-	}{events})
+	e.w.WriteString("]}\n")
+	return e.w.Flush()
+}
+
+// traceEncoder streams a log's events as JSON array elements.
+type traceEncoder struct {
+	w   *bufio.Writer
+	buf []byte // one event's scratch
+	n   int    // events written so far
+	err error  // first value JSON cannot carry (NaN, ±Inf, a bad Args value)
+}
+
+// log writes l's events, merged segments at their positions, with the
+// PID shift and process-name prefix of the merges it is nested in.
+func (e *traceEncoder) log(l traceLog, pidShift int, prefix string) {
+	// Each interned string is encoded once, not once per event.
+	quoted := make([][]byte, len(l.strs))
+	for i, s := range l.strs {
+		quoted[i], _ = json.Marshal(s)
+	}
+	seg := 0
+	for i := 0; e.err == nil; i++ {
+		for ; seg < len(l.segs) && l.segs[seg].at == i; seg++ {
+			s := l.segs[seg]
+			e.log(s.src, pidShift+s.pidBase, prefix+s.prefix)
+		}
+		if i == len(l.recs) {
+			return
+		}
+		r := &l.recs[i]
+		b := e.buf[:0]
+		if e.n > 0 {
+			b = append(b, ',')
+		}
+		e.n++
+		b = append(append(b, `{"name":`...), quoted[r.name]...)
+		if l.strs[r.cat] != "" {
+			b = append(append(b, `,"cat":`...), quoted[r.cat]...)
+		}
+		b = append(append(append(b, `,"ph":"`...), r.ph), `","ts":`...)
+		b = e.float(b, r.ts)
+		if r.dur != 0 {
+			b = e.float(append(b, `,"dur":`...), r.dur)
+		}
+		b = strconv.AppendInt(append(b, `,"pid":`...), int64(int(r.pid)+pidShift), 10)
+		b = strconv.AppendInt(append(b, `,"tid":`...), int64(r.tid), 10)
+		if r.args != 0 {
+			args := l.args[r.args-1]
+			if r.ph == 'M' && prefix != "" { // a merged lane's process_name
+				name, _ := args["name"].(string)
+				args = map[string]any{"name": prefix + name}
+			}
+			j, err := json.Marshal(args)
+			if e.err == nil {
+				e.err = err
+			}
+			b = append(append(b, `,"args":`...), j...)
+		}
+		b = append(b, '}')
+		e.w.Write(b)
+		e.buf = b
+	}
+}
+
+// float appends f the way encoding/json formats a float64: shortest
+// round-trip digits, exponent form below 1e-6 and from 1e21 up.
+func (e *traceEncoder) float(b []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if e.err == nil {
+			_, e.err = json.Marshal(f) // encoding/json's own error
+		}
+		return b
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 is written e-9
+		b = b[:n-1]
+	}
+	return b
 }
 
 // WriteJSONFile writes the trace to path atomically: the JSON is

@@ -47,7 +47,7 @@ func (f *Flags) Start() (stop func() error, err error) {
 	if *f.mutex != "" {
 		// Sample every contention event: the simulated workloads are
 		// short-lived, and full sampling keeps small contention sites
-		// (trace lanes, plan cache) visible.
+		// (the trace lock, the plan cache) visible.
 		runtime.SetMutexProfileFraction(1)
 	}
 	return func() error {

@@ -230,29 +230,33 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 		Perturbed:       !pert.Steady(),
 	}
 	r.emitTrace(stats, outcomes)
+	r.clock += total
 	return stats, nil
 }
 
-// emitTrace appends the iteration's timeline to the configured trace:
-// the serial phases on pid 0, every rank's pipeline ops on pid d+1
-// (tid = stage), all offset by the run's wall-clock cursor.
+// emitTrace appends the iteration's timeline to the configured trace
+// as one batch: the serial phases on pid 0, every rank's pipeline ops
+// on pid d+1 (tid = stage), all offset by the run's wall-clock cursor.
 func (r *Runtime) emitTrace(stats IterationStats, outcomes []rankOutcome) {
-	tr := r.cfg.Trace
-	if tr == nil {
+	if r.cfg.Trace == nil {
 		return
 	}
+	tr := r.cfg.Trace.Batch()
+	defer tr.Done()
 	bd := stats.Breakdown
 	t := r.clock
 	if bd.PreprocessStall > 0 {
-		tr.Complete("preprocess", "data", 0, 0, t, bd.PreprocessStall)
+		tr.Complete(tr.Label("preprocess"), tr.Label("data"), 0, 0, t, bd.PreprocessStall)
 	}
 	pipeStart := t + bd.PreprocessStall
+	pipelineCat := tr.Label("pipeline")
 	for d, out := range outcomes {
 		for _, op := range out.ops {
-			tr.Complete(r.opName(op.Kind, op.MB), "pipeline", d+1, op.Stage, pipeStart+op.Start, op.End-op.Start)
+			tr.Complete(r.opLabel(tr, op.Kind, op.MB), pipelineCat, d+1, op.Stage, pipeStart+op.Start, op.End-op.Start)
 		}
 	}
 	cur := pipeStart + bd.Pipeline
+	runtimeCat := tr.Label("runtime")
 	for _, phase := range []struct {
 		name string
 		dur  float64
@@ -262,22 +266,21 @@ func (r *Runtime) emitTrace(stats IterationStats, outcomes []rankOutcome) {
 		{"checkpoint-stall", bd.CheckpointStall},
 	} {
 		if phase.dur > 0 {
-			tr.Complete(phase.name, "runtime", 0, 0, cur, phase.dur)
+			tr.Complete(tr.Label(phase.name), runtimeCat, 0, 0, cur, phase.dur)
 		}
 		cur += phase.dur
 	}
-	r.clock += bd.Total()
 }
 
-// opName returns the trace event name for a pipeline op ("F3", "B0"),
-// cached per (kind, microbatch) — the per-event Sprintf was a top
-// allocation site in traced runs.
-func (r *Runtime) opName(kind pipeline.OpKind, mb int) string {
-	names := &r.opNames[kind]
-	for len(*names) <= mb {
-		*names = append(*names, fmt.Sprintf("%s%d", kind, len(*names)))
+// opLabel returns the trace label of a pipeline op's name ("F3",
+// "B0"), cached per (kind, microbatch) for the runtime's one trace: no
+// Sprintf and no string lookup per recorded op.
+func (r *Runtime) opLabel(tr metrics.Batch, kind pipeline.OpKind, mb int) metrics.Label {
+	labels := &r.opLabels[kind]
+	for len(*labels) <= mb {
+		*labels = append(*labels, tr.Label(fmt.Sprintf("%s%d", kind, len(*labels))))
 	}
-	return (*names)[mb]
+	return (*labels)[mb]
 }
 
 // workers resolves the rank-worker pool size.

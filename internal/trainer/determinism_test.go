@@ -103,13 +103,13 @@ func TestConcurrentRuntimeEquivalence(t *testing.T) {
 	}
 }
 
-// TestTraceByteIdenticalAcrossWorkers pins the sharded trace recorder
-// against the scratch-reusing iteration loop: a trace-enabled run
-// serializes byte-identically to the pinned sequential reference at
-// every worker-pool size, steady state and perturbed alike. Rank
-// workers write distinct trace lanes concurrently, so this is the test
-// (run under -race by CI) that the per-lane buffers plus the global
-// sequence reconstruct the exact single-recorder byte stream.
+// TestTraceByteIdenticalAcrossWorkers pins the trace against the
+// scratch-reusing iteration loop: a trace-enabled run serializes
+// byte-identically to the pinned sequential reference at every
+// worker-pool size, steady state and perturbed alike. Rank workers
+// only hand their ops back; the iteration is recorded as one batch
+// after they join, so this is the test (run under -race by CI) that
+// the hand-off is ordered and the batch order is the rank order.
 func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 	spec, corpus := buildSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	plan, err := orchestrator.PlanDistTrain(spec)

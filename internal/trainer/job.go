@@ -6,7 +6,6 @@ import (
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/metrics"
-	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/scenario"
 )
@@ -84,25 +83,20 @@ func (r *Runtime) newJob(n int, prefetch bool) (*Job, error) {
 	return j, nil
 }
 
-// reserveTrace preallocates the trace lanes' event capacity from the
-// run length: the runtime lane records a handful of serial phases per
-// iteration, and every DP-rank lane records 2 ops (fwd+bwd) per
-// microbatch per stage per iteration.
+// reserveTrace preallocates the trace's event capacity from the run
+// length: an iteration records a handful of serial phases and 2 ops
+// (fwd+bwd) per microbatch per stage — GlobalBatch/Microbatch
+// microbatches in all, however the plan splits them over DP ranks.
 func (r *Runtime) reserveTrace(n int) {
 	tr := r.cfg.Trace
 	if tr == nil {
 		return
 	}
-	cfg := r.cfg.Plan.Modules[model.Backbone].Config
-	dp := cfg.DP
-	k := 0
-	if per := r.cfg.Spec.GlobalBatch / max(dp, 1); r.cfg.Spec.Microbatch > 0 {
-		k = per / r.cfg.Spec.Microbatch
+	mbs := 0
+	if r.cfg.Spec.Microbatch > 0 {
+		mbs = r.cfg.Spec.GlobalBatch / r.cfg.Spec.Microbatch
 	}
-	tr.Reserve(0, n*4+4)
-	for d := 0; d < dp; d++ {
-		tr.Reserve(d+1, n*2*k*r.stages+1)
-	}
+	tr.Reserve(n*(2*mbs*r.stages+4) + 4)
 }
 
 // Done reports whether every iteration has executed. Finish is still

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -185,13 +186,14 @@ func TestJobAppliesAndRejectsPlanSwitches(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// The clock cursor advances only with tracing or downtime; a
-		// rejected switch leaves it at zero, an applied one charges its
-		// reconfiguration.
-		if j.Clock() < 0 {
-			t.Fatal("clock went backwards")
+		// The clock cursor covers every executed iteration plus the
+		// downtime charged: a rejected switch adds nothing, an applied
+		// one charges its reconfiguration.
+		clock, res := j.Clock(), j.Finish()
+		if want := simulatedWall(res); math.Abs(clock-want) > 1e-9*want {
+			t.Fatalf("clock %g, iterations + downtime %g", clock, want)
 		}
-		return j.Finish()
+		return res
 	}
 
 	applied := run(&switchOnce{at: 1, plan: alt})

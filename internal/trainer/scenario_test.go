@@ -1,9 +1,11 @@
 package trainer
 
 import (
+	"math"
 	"testing"
 
 	"disttrain/internal/dfs"
+	"disttrain/internal/metrics"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/scenario"
@@ -261,5 +263,58 @@ func TestScenarioMatrix(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// simulatedWall is what a finished job's clock must read: every
+// executed iteration (re-executions included) plus charged downtime.
+func simulatedWall(res *Result) float64 {
+	wall := res.DowntimeSeconds
+	for _, it := range res.Iterations {
+		wall += it.Breakdown.Total()
+	}
+	return wall
+}
+
+// TestClockIndependentOfTrace: the simulated wall-clock cursor is a
+// property of the run, not of its observer — it advances by iteration
+// time and downtime alike whether or not a trace is attached.
+func TestClockIndependentOfTrace(t *testing.T) {
+	sc, err := scenario.New("kill", scenario.Event{Kind: scenario.NodeFailure, Start: 4, Downtime: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(tr *metrics.Trace) (float64, *Result) {
+		cfg, _ := scenarioConfig(t, 4, 16)
+		cfg.CheckpointEvery = 2
+		cfg.Scenario = sc
+		cfg.Trace = tr
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		j, err := rt.NewJob(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !j.Done() {
+			if err := j.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return j.Clock(), j.Finish()
+	}
+	plain, res := run(nil)
+	traced, _ := run(metrics.NewTrace())
+	if res.DowntimeSeconds <= 0 || len(res.Iterations) <= 5 {
+		t.Fatalf("fixture charged %g s downtime over %d executed iterations: want a failure and a re-execution",
+			res.DowntimeSeconds, len(res.Iterations))
+	}
+	if plain != traced {
+		t.Errorf("clock reads %g untraced, %g traced", plain, traced)
+	}
+	if want := simulatedWall(res); math.Abs(plain-want) > 1e-9*want {
+		t.Errorf("clock %g, iterations + downtime %g", plain, want)
 	}
 }

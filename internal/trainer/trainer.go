@@ -288,8 +288,9 @@ type Runtime struct {
 	flopsShape  []int
 	rankScratch sync.Pool
 	outcomesBuf []rankOutcome
-	// opNames caches the fwd/bwd trace event names per microbatch index.
-	opNames [2][]string
+	// opLabels caches the fwd/bwd trace event names per microbatch
+	// index, as labels of cfg.Trace.
+	opLabels [2][]metrics.Label
 }
 
 // leaseCluster scopes the run's cluster to a lease: its concrete
