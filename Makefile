@@ -171,15 +171,17 @@ staticcheck:
 
 # fuzz smoke: hammer the user-facing parsers with generated inputs for
 # a few seconds each — the preprocessing wire protocol and the scenario
-# grammar — and two rewrites against the code they replaced, bit for
-# bit: the §4.3 subproblem kernel against its closure-based oracle and
-# the trace log against the sharded recorder (the seeded corpora always
-# run in plain `make test`).
+# grammar — and three rewrites against the code they replaced, bit for
+# bit: the §4.3 subproblem kernel against its closure-based oracle, the
+# trace log against the sharded recorder and the compiled sample cost
+# model against the formulas it was compiled from (the seeded corpora
+# always run in plain `make test`).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseBatch -fuzztime=5s ./internal/preprocess
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzSubproblemRefine -fuzztime=5s ./internal/orchestrator
 	$(GO) test -run='^$$' -fuzz=FuzzTraceEquivalence -fuzztime=5s ./internal/metrics
+	$(GO) test -run='^$$' -fuzz=FuzzSamplePricing -fuzztime=5s ./internal/profiler
 
 # cover fails when total statement coverage regresses below
 # COVER_FLOOR. Writes cover.out for per-package reporting.

@@ -221,16 +221,14 @@ func New(cfg Config) (*Controller, error) {
 		lastTrig: math.MinInt32,
 		current:  cfg.Train.Plan,
 	}
-	c.refCost = sampleCost(cfg.Train.Spec, cfg.Train.Spec.Profiler.MeanShape())
+	c.refCost = shapeCost(cfg.Train.Spec.Profiler, cfg.Train.Spec.Profiler.MeanShape())
 	return c, nil
 }
 
-// sampleCost prices the data-heterogeneous per-sample work (encoder +
-// generator) of one shape — the quantity whose distribution the plan
-// was optimised for.
-func sampleCost(s orchestrator.Spec, shape model.SampleShape) float64 {
-	return s.Profiler.SampleTrain(model.Encoder, 1, shape) +
-		s.Profiler.SampleTrain(model.Generator, 1, shape)
+// shapeCost is Profiler.SampleCost of one sample shape — the quantity
+// whose distribution the plan was optimised for.
+func shapeCost(p *profiler.Profiler, shape model.SampleShape) float64 {
+	return p.SampleCost(p.Kernel().Fold(shape))
 }
 
 // Observe implements trainer.Controller. It folds the iteration into
@@ -294,7 +292,7 @@ func (c *Controller) driftLocked(iter int) DriftReport {
 	// profiler.MeanShapeOf is the same fold CalibrateShapes stores, so
 	// the observed cost is measured in the coordinates a re-plan would
 	// optimise.
-	obsCost := sampleCost(c.cfg.Train.Spec, profiler.MeanShapeOf(shapes))
+	obsCost := shapeCost(c.cfg.Train.Spec.Profiler, profiler.MeanShapeOf(shapes))
 	if c.refCost > 0 {
 		rep.CostDrift = math.Abs(obsCost-c.refCost) / c.refCost
 	}
@@ -407,7 +405,7 @@ func (c *Controller) Pending(iter int) *trainer.PlanSwitch {
 	}
 	c.mu.Lock()
 	c.current = out.plan
-	c.refCost = sampleCost(c.cfg.Train.Spec, out.refShape)
+	c.refCost = shapeCost(c.cfg.Train.Spec.Profiler, out.refShape)
 	c.window = nil
 	c.applied++
 	c.mu.Unlock()
@@ -429,7 +427,7 @@ func (c *Controller) LeaseChanged(iter int, spec orchestrator.Spec, plan *orches
 	c.cfg.Train.Spec = spec
 	c.cfg.Train.Plan = plan
 	c.current = plan
-	c.refCost = sampleCost(spec, spec.Profiler.MeanShape())
+	c.refCost = shapeCost(spec.Profiler, spec.Profiler.MeanShape())
 	// Abandon any in-flight search: its boundary would apply a plan
 	// built for the old geometry. The channel is buffered, so the
 	// searcher's single send never blocks and the channel is simply

@@ -80,19 +80,25 @@ func (s Sample) TextTokens() int {
 // ImageTokenSizes returns the token count of each image subsequence in
 // order.
 func (s Sample) ImageTokenSizes() []int {
-	return s.AppendImageTokens(nil)
-}
-
-// AppendImageTokens appends the token count of each image subsequence,
-// in order, to dst and returns the extended slice. Hot paths pass a
-// reused buffer (dst[:0]) to price samples without allocating.
-func (s Sample) AppendImageTokens(dst []int) []int {
+	var sizes []int
 	for _, ss := range s.Subsequences {
 		if ss.Modality == Image {
-			dst = append(dst, ss.Tokens)
+			sizes = append(sizes, ss.Tokens)
 		}
 	}
-	return dst
+	return sizes
+}
+
+// AddTo folds the sample's modality mix into w through a compiled cost
+// kernel, walking the image subsequences in order: the workload of
+// Shape() (of the concatenated shapes, accumulated over a microbatch).
+func (s Sample) AddTo(w *model.Workload, k *model.CostKernel) {
+	for i := range s.Subsequences {
+		if ss := &s.Subsequences[i]; ss.Modality == Image {
+			k.AddImage(w, ss.Tokens)
+		}
+	}
+	w.GenImages += s.GenImages
 }
 
 // NumImages returns the image subsequence count.
@@ -121,15 +127,6 @@ func (s Sample) TotalImageTokens() int {
 // characterisation.
 func (s Sample) Shape() model.SampleShape {
 	return model.SampleShape{ImageTokens: s.ImageTokenSizes(), GenImages: s.GenImages}
-}
-
-// ShapeInto is the allocation-free variant of Shape: the shape's
-// ImageTokens field is built in buf (grown as needed). The returned
-// shape aliases the buffer, so it is only valid until the caller's
-// next ShapeInto call with the same buffer; callees must not retain
-// it.
-func (s Sample) ShapeInto(buf []int) model.SampleShape {
-	return model.SampleShape{ImageTokens: s.AppendImageTokens(buf[:0]), GenImages: s.GenImages}
 }
 
 // PixelBytes returns the decoded RGB payload size of all source images,

@@ -161,20 +161,8 @@ func (s SampleShape) TotalImageTokens() int {
 func (s SampleShape) NumImages() int { return len(s.ImageTokens) }
 
 // EncoderFwdFLOPs returns forward FLOPs the encoder spends on one
-// sample: a ViT pass per image subsequence (attention is quadratic in
-// the per-image token count, not the packed sequence), plus the input
-// projector over all image tokens.
-func (m MLLM) EncoderFwdFLOPs(s SampleShape) float64 {
-	total := 0.0
-	for _, tokens := range s.ImageTokens {
-		if tokens <= 0 {
-			continue
-		}
-		total += m.Encoder.FwdFLOPs(tokens)
-	}
-	total += float64(s.TotalImageTokens()) * m.InProj.FwdFLOPsPerToken()
-	return total
-}
+// sample: a ViT pass per image plus the input projector.
+func (m MLLM) EncoderFwdFLOPs(s SampleShape) float64 { return m.ModuleFwdFLOPs(Encoder, s) }
 
 // BackboneFwdFLOPs returns forward FLOPs for the LLM backbone over one
 // packed sequence. It is independent of the sample's modality mix —
@@ -183,49 +171,20 @@ func (m MLLM) EncoderFwdFLOPs(s SampleShape) float64 {
 func (m MLLM) BackboneFwdFLOPs() float64 { return m.Backbone.FwdFLOPs(m.SeqLen) }
 
 // GeneratorFwdFLOPs returns forward FLOPs the generator spends on one
-// sample: the output projector over the sequence, a frozen VAE encode of
-// each target image at full pixel resolution, and one UNet denoising
-// pass per generated image at the training resolution.
-func (m MLLM) GeneratorFwdFLOPs(s SampleShape) float64 {
-	proj := float64(m.SeqLen) * m.OutProj.FwdFLOPsPerToken()
-	perImage := m.Generator.FwdFLOPsPerImage(m.GenResolution) +
-		m.VAE.EncodeFLOPsPerImage(m.GenResolution)
-	return proj + float64(s.GenImages)*perImage
-}
-
-// generatorTrainableFwdFLOPs is the portion of generator forward cost
-// whose backward pass exists (UNet + projector; the VAE is frozen and
-// outside the gradient path).
-func (m MLLM) generatorTrainableFwdFLOPs(s SampleShape) float64 {
-	proj := float64(m.SeqLen) * m.OutProj.FwdFLOPsPerToken()
-	return proj + float64(s.GenImages)*m.Generator.FwdFLOPsPerImage(m.GenResolution)
-}
+// sample: output projector, frozen VAE encodes and UNet passes.
+func (m MLLM) GeneratorFwdFLOPs(s SampleShape) float64 { return m.ModuleFwdFLOPs(Generator, s) }
 
 // ModuleTrainFLOPs returns forward and backward FLOPs for one sample in
-// the given module under a freeze setting. The backward factor follows
-// FreezeSpec.BackwardFactor; the generator's VAE contributes forward
-// cost only.
+// a module under a freeze setting, on a kernel compiled for the call.
 func (m MLLM) ModuleTrainFLOPs(mod Module, s SampleShape, f FreezeSpec) (fwd, bwd float64) {
-	fwd = m.ModuleFwdFLOPs(mod, s)
-	factor := f.BackwardFactor(mod)
-	if mod == Generator {
-		bwd = factor * m.generatorTrainableFwdFLOPs(s)
-		return fwd, bwd
-	}
-	return fwd, factor * fwd
+	k := m.Compile(f)
+	return k.TrainFLOPs(mod, k.Fold(s))
 }
 
 // ModuleFwdFLOPs dispatches per-module forward cost for one sample.
 func (m MLLM) ModuleFwdFLOPs(mod Module, s SampleShape) float64 {
-	switch mod {
-	case Encoder:
-		return m.EncoderFwdFLOPs(s)
-	case Backbone:
-		return m.BackboneFwdFLOPs()
-	case Generator:
-		return m.GeneratorFwdFLOPs(s)
-	}
-	return 0
+	fwd, _ := m.ModuleTrainFLOPs(mod, s, FullTraining)
+	return fwd
 }
 
 // FreezeSpec captures which modules are frozen during a training phase

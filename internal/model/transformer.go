@@ -122,21 +122,7 @@ func (c TransformerConfig) Params() float64 {
 // context length. Matrix multiplies contribute 2*params; attention adds
 // the score/context products, which depend on sequence length.
 func (c TransformerConfig) FwdFLOPsPerToken(seqLen int) float64 {
-	h := float64(c.HiddenSize)
-	l := float64(c.Layers)
-	s := float64(seqLen)
-	matmul := 2 * l * c.ParamsPerLayer()
-	// Per token per layer: QK^T is 2*s*h FLOPs, attention-weighted V sum
-	// another 2*s*h. Causal masking halves the effective length.
-	attn := l * 2 * s * h // (2*s*h + 2*s*h) / 2 for causal
-	if c.VocabSize == 0 {
-		attn = l * 4 * s * h / 2 // bidirectional encoder: same cost, kept explicit
-	}
-	head := 0.0
-	if c.VocabSize > 0 {
-		head = 2 * float64(c.VocabSize) * h
-	}
-	return matmul + attn + head
+	return c.compile().perToken(seqLen)
 }
 
 // FwdFLOPs returns forward FLOPs for a whole sequence of the given length.

@@ -85,13 +85,13 @@ func PlanDistMM(s Spec) (*Plan, error) {
 	// modality modules use DistTrain's width-1 replication; only the
 	// resource split differs.
 	modalityWidth := 1
-	shape := s.Profiler.MeanShape()
-	freeze := s.Profiler.Options().Freeze
+	kern := s.Profiler.Kernel()
+	work := kern.Fold(s.Profiler.MeanShape())
 
 	flops := make([]float64, 3)
 	var total float64
 	for _, mod := range model.Modules {
-		fwd, bwd := s.Model.ModuleTrainFLOPs(mod, shape, freeze)
+		fwd, bwd := kern.TrainFLOPs(mod, work)
 		flops[mod] = fwd + bwd
 		total += fwd + bwd
 	}

@@ -12,6 +12,7 @@ package orchestrator
 import (
 	"errors"
 	"fmt"
+	"reflect"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/model"
@@ -51,6 +52,10 @@ func (s Spec) Validate() error {
 	}
 	if s.Profiler == nil {
 		return errors.New("orchestrator: nil profiler")
+	}
+	// Seconds come from the profiler's model, FLOPs and memory from Spec.Model.
+	if pm := s.Profiler.Options().Model; !reflect.DeepEqual(s.Model, pm) {
+		return fmt.Errorf("orchestrator: Spec.Model (%s) is not the model the profiler times (%s)", s.Model.Name, pm.Name)
 	}
 	if s.GlobalBatch <= 0 || s.Microbatch <= 0 {
 		return fmt.Errorf("orchestrator: batch sizes must be positive (BS=%d M=%d)", s.GlobalBatch, s.Microbatch)

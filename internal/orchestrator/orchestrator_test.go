@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,22 @@ func TestSpecValidate(t *testing.T) {
 	bad.Microbatch = 3 // does not divide 16
 	if err := bad.Validate(); err == nil {
 		t.Error("indivisible microbatch accepted")
+	}
+	// The profiler times MLLM-9B; a spec naming another model — or the
+	// same one with a single dimension changed — would report an MFU for
+	// a model it did not time. Every planner entry point rejects it.
+	bad = s
+	bad.Model = model.MLLM15B()
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "MLLM-15B") {
+		t.Errorf("spec/profiler model mismatch: %v", err)
+	}
+	if _, err := PlanDistTrain(bad); err == nil {
+		t.Error("PlanDistTrain accepted a spec whose model the profiler did not time")
+	}
+	bad.Model = model.MLLM9B()
+	bad.Model.Generator.StageChannels = []int{320, 640, 1280}
+	if err := bad.Validate(); err == nil {
+		t.Error("one-field model mismatch accepted")
 	}
 }
 

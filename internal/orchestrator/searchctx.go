@@ -11,7 +11,7 @@ import (
 // searchCtx is everything about one spec that all of its candidates
 // share, derived once: a §4.3 search scores ~1400 strategy combinations
 // against the same spec, and none of them should copy the 512-byte
-// Spec, re-validate it, re-query the profiler's memo table or re-derive
+// Spec, re-validate it, re-query the profiler or re-derive
 // model FLOPs. The exported Evaluate and CheckMemory build one for a
 // single plan, so searched and hand-built plans are scored by the same
 // arithmetic.
@@ -53,6 +53,8 @@ type ppFloor struct {
 func newSearchCtx(s *Spec) searchCtx {
 	opts := s.Profiler.Options()
 	shape := s.Profiler.MeanShape()
+	kern := s.Profiler.Kernel()
+	work := kern.Fold(shape)
 	sc := searchCtx{
 		spec:      s,
 		n:         s.maxGPUs(),
@@ -68,7 +70,7 @@ func newSearchCtx(s *Spec) searchCtx {
 		for i, tp := range sc.tpSizes {
 			sc.cTrainTP[mod][i] = s.Profiler.CTrain(mod, tp)
 		}
-		fwd, bwd := s.Model.ModuleTrainFLOPs(mod, shape, opts.Freeze)
+		fwd, bwd := kern.TrainFLOPs(mod, work)
 		sc.mfuFLOPs += (fwd + bwd) * float64(s.GlobalBatch)
 		sc.mem[mod] = moduleMemory{
 			budget: opts.GPUFor(mod).MemoryBytes * 0.92,

@@ -118,7 +118,7 @@ func (w Work) Validate() error {
 	return nil
 }
 
-func (w Work) p2p(link int) float64 {
+func (w *Work) p2p(link int) float64 {
 	if w.P2P == nil {
 		return 0
 	}

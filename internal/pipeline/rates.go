@@ -64,7 +64,7 @@ func (rs RateSchedule) FinishAt(start, d float64) float64 {
 }
 
 // rate returns stage s's schedule (nil when rates are unset).
-func (w Work) rate(s int) RateSchedule {
+func (w *Work) rate(s int) RateSchedule {
 	if w.Rates == nil {
 		return nil
 	}
@@ -85,7 +85,7 @@ func busy(start, finish, d float64, sched RateSchedule) float64 {
 // finish completes an op of nominal duration d starting at start on
 // stage s, honouring the stage's rate schedule. The empty-schedule
 // fast path reproduces the historical start+d arithmetic exactly.
-func (w Work) finish(s int, start, d float64) float64 {
+func (w *Work) finish(s int, start, d float64) float64 {
 	sched := w.rate(s)
 	if len(sched) == 0 {
 		return start + d

@@ -11,13 +11,22 @@
 // C_lm(TP) and C_mg(TP), the forward time of an entire module for one
 // sample at a given tensor-parallel width, communication included —
 // plus their fwd+bwd variants used by the orchestration objective.
+//
+// Pricing is compiled, not re-derived per call. New compiles the model
+// and freeze setting into a model.CostKernel (FLOPs constants, fixed
+// for the profiler's life) and tabulates a Rate — achieved FLOP/s and
+// exposed TP communication — per (module, width); rates read the
+// calibrated mean image size, so CalibrateShapes rebuilds the table and
+// outdates every Rate handed out. Rate.Price is the whole per-sample
+// evaluation; SampleForward/SampleTrain wrap it, and the trainer prices
+// every sample through rates it resolves once per plan.
 package profiler
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
-	"sync"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/comm"
@@ -52,7 +61,7 @@ type Options struct {
 }
 
 // GPUFor returns the accelerator SKU a module runs on.
-func (o Options) GPUFor(mod model.Module) cluster.GPUSpec {
+func (o *Options) GPUFor(mod model.Module) cluster.GPUSpec {
 	if g, ok := o.ModuleGPUs[mod]; ok {
 		return g
 	}
@@ -77,36 +86,27 @@ func DefaultOptions(cl cluster.Cluster, m model.MLLM) Options {
 // Profiler converts module workloads into seconds.
 //
 // Concurrency: query methods (CFwd, CTrain, SampleForward, SampleTrain,
-// InterpForward, MeanShape, Options) are safe for concurrent use — the
-// parallel plan-search engine issues them from many goroutines at once.
-// Calibrate mutates the profiler and must not run concurrently with
-// queries; calibrate once, then share.
+// SampleCost, Resolve, Kernel, InterpForward, MeanShape, Options) and
+// resolved Rates are safe for concurrent use — the parallel plan-search
+// engine and the trainer's rank workers issue them from many goroutines
+// at once. Calibrate mutates the profiler and must not run concurrently
+// with queries; it outdates every Rate resolved before it (the kernel
+// stays valid). Calibrate once, then share.
 type Profiler struct {
-	opts Options
+	opts   Options
+	kernel model.CostKernel // compiled from (opts.Model, opts.Freeze)
+	rates  [3][4]Rate       // resolve at widths 1, 2, 4, 8; CalibrateShapes rebuilds it
 	// meanShape is the corpus-calibrated average sample composition,
 	// gathered by Calibrate (the manager "samples a subset of training
 	// data to analyze the data distribution").
 	meanShape   model.SampleShape
 	calibrated  bool
 	interpTable map[interpKey][]interpPoint
-	// costs memoizes the C_mod(width) queries on the calibrated mean
-	// shape: the orchestration search evaluates thousands of strategy
-	// candidates that all ask for the same handful of (module, width)
-	// costs, so workers hit this lock-free cache instead of re-running
-	// the analytic model. Invalidated by Calibrate.
-	costs sync.Map // costKey -> float64
 	// fp is the cached CalibrationFingerprint, recomputed whenever the
 	// hashed state changes (New, CalibrateShapes). A plain field is safe
 	// under the same contract as meanShape: calibration never races
 	// queries.
 	fp string
-}
-
-// costKey identifies one memoized mean-shape cost query.
-type costKey struct {
-	mod   model.Module
-	width int
-	train bool
 }
 
 type interpKey struct {
@@ -133,7 +133,8 @@ func New(opts Options) (*Profiler, error) {
 	if opts.StepCCLOverlap < 0 || opts.StepCCLOverlap > 1 {
 		return nil, fmt.Errorf("profiler: StepCCLOverlap %g outside [0,1]", opts.StepCCLOverlap)
 	}
-	p := &Profiler{opts: opts, interpTable: map[interpKey][]interpPoint{}}
+	p := &Profiler{opts: opts, interpTable: map[interpKey][]interpPoint{}, kernel: opts.Model.Compile(opts.Freeze)}
+	p.tabulate()
 	p.fp = p.computeFingerprint()
 	return p, nil
 }
@@ -166,15 +167,15 @@ func (p *Profiler) efficiency(mod model.Module, width int) float64 {
 }
 
 // tpComm returns the exposed tensor-parallel communication time for one
-// microbatch across a whole module at the given TP width.
-func (p *Profiler) tpComm(mod model.Module, tp int, samples int) float64 {
+// sample across a whole module at the given TP width.
+func (p *Profiler) tpComm(mod model.Module, tp int) float64 {
 	if tp <= 1 {
 		return 0
 	}
 	if p.opts.ReplicateSmallModules && mod != model.Backbone {
 		return 0 // replicated modules do not communicate within the group
 	}
-	m := p.opts.Model
+	m := &p.opts.Model
 	cost := comm.CollectiveCost{
 		BandwidthBps: p.opts.Cluster.GroupBandwidth(tp),
 		Latency:      p.opts.Cluster.LinkLatency,
@@ -184,14 +185,14 @@ func (p *Profiler) tpComm(mod model.Module, tp int, samples int) float64 {
 	switch mod {
 	case model.Backbone:
 		layers = m.Backbone.Layers
-		actBytes = float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2 * float64(samples)
+		actBytes = float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2
 	case model.Encoder:
 		layers = m.Encoder.Layers
-		actBytes = float64(p.meanImageTokens()) * float64(m.Encoder.HiddenSize) * 2 * float64(samples)
+		actBytes = float64(p.meanImageTokens()) * float64(m.Encoder.HiddenSize) * 2
 	case model.Generator:
 		layers = len(m.Generator.StageChannels) * (m.Generator.DownBlocks + m.Generator.UpBlocks)
 		latent := float64(m.GenResolution / m.Generator.LatentScale)
-		actBytes = latent * latent * float64(m.Generator.StageChannels[0]) * 2 * float64(samples)
+		actBytes = latent * latent * float64(m.Generator.StageChannels[0]) * 2
 	}
 	per := comm.TPOverheadPerLayer(cost, actBytes, tp, p.opts.SeqParallel && mod == model.Backbone, p.opts.StepCCLOverlap)
 	return per * float64(layers)
@@ -215,46 +216,89 @@ func balanceFactor(images, width int) float64 {
 	return perGPU * float64(width) / float64(images)
 }
 
-// SampleForward returns C_mod(width) evaluated on one concrete sample:
-// the forward seconds for the entire module's work on that sample over
-// a width-GPU tensor-parallel (or replication) group, communication
-// included.
-func (p *Profiler) SampleForward(mod model.Module, width int, s model.SampleShape) float64 {
-	flops := p.opts.Model.ModuleFwdFLOPs(mod, s)
-	eff := p.efficiency(mod, width)
-	gpu := p.opts.GPUFor(mod).PeakFLOPS
-	t := flops / (float64(width) * gpu * eff)
-	if p.opts.ReplicateSmallModules && mod != model.Backbone {
-		// Image-granular replication: imbalance when images % width != 0.
-		n := s.NumImages()
-		if mod == model.Generator {
-			n = s.GenImages
-		}
-		t *= balanceFactor(n, width)
-	}
-	return t + p.tpComm(mod, width, 1)
+// Rate is a (module, width) pair resolved against the options and the
+// calibration: read-only, valid until the profiler is recalibrated.
+type Rate struct {
+	k        *model.CostKernel
+	mod      model.Module
+	width    int
+	flops    float64 // width · peak FLOP/s · efficiency
+	comm     float64 // exposed TP communication of one forward pass
+	perImage bool    // replicas take whole images: imbalanced when images % width != 0
 }
 
-// SampleTrain returns forward+backward seconds for one sample under the
-// profiler's freeze setting.
-func (p *Profiler) SampleTrain(mod model.Module, width int, s model.SampleShape) float64 {
-	fwdFLOPs, bwdFLOPs := p.opts.Model.ModuleTrainFLOPs(mod, s, p.opts.Freeze)
-	eff := p.efficiency(mod, width)
-	gpu := p.opts.GPUFor(mod).PeakFLOPS
-	t := (fwdFLOPs + bwdFLOPs) / (float64(width) * gpu * eff)
-	if p.opts.ReplicateSmallModules && mod != model.Backbone {
-		n := s.NumImages()
-		if mod == model.Generator {
-			n = s.GenImages
+// Resolve returns the rate of a module over a width-GPU tensor-parallel
+// (or replication) group.
+func (p *Profiler) Resolve(mod model.Module, width int) Rate {
+	if i := bits.TrailingZeros(uint(width)); width == 1<<i && i < len(p.rates[mod]) {
+		return p.rates[mod][i]
+	}
+	return p.resolve(mod, width)
+}
+
+func (p *Profiler) resolve(mod model.Module, width int) Rate {
+	return Rate{
+		k: &p.kernel, mod: mod, width: width,
+		flops:    float64(width) * p.opts.GPUFor(mod).PeakFLOPS * p.efficiency(mod, width),
+		comm:     p.tpComm(mod, width),
+		perImage: p.opts.ReplicateSmallModules && mod != model.Backbone,
+	}
+}
+
+func (p *Profiler) tabulate() {
+	for _, mod := range model.Modules {
+		for i := range p.rates[mod] {
+			p.rates[mod][i] = p.resolve(mod, 1<<i)
 		}
-		t *= balanceFactor(n, width)
+	}
+}
+
+// Price returns C_mod(width) on one concrete workload — the forward
+// seconds of the entire module's work on it over the group, communication
+// included — and its forward+backward seconds, from one FLOPs evaluation.
+func (r Rate) Price(w model.Workload) (fwd, train float64) {
+	fwdFLOPs, bwdFLOPs := r.k.TrainFLOPs(r.mod, w)
+	fwd = fwdFLOPs / r.flops
+	train = (fwdFLOPs + bwdFLOPs) / r.flops
+	if r.perImage {
+		n := w.Images
+		if r.mod == model.Generator {
+			n = w.GenImages
+		}
+		b := balanceFactor(n, r.width)
+		fwd *= b
+		train *= b
 	}
 	// Backward mirrors forward communication.
 	commMult := 1.0
 	if bwdFLOPs > 0 {
 		commMult = 2
 	}
-	return t + commMult*p.tpComm(mod, width, 1)
+	return fwd + r.comm, train + commMult*r.comm
+}
+
+// Kernel returns the compiled FLOPs model of the options' model and freeze.
+func (p *Profiler) Kernel() *model.CostKernel { return &p.kernel }
+
+// SampleForward is Price's forward seconds for one sample shape.
+func (p *Profiler) SampleForward(mod model.Module, width int, s model.SampleShape) float64 {
+	fwd, _ := p.Resolve(mod, width).Price(p.kernel.Fold(s))
+	return fwd
+}
+
+// SampleTrain is Price's forward+backward seconds for one sample shape.
+func (p *Profiler) SampleTrain(mod model.Module, width int, s model.SampleShape) float64 {
+	_, train := p.Resolve(mod, width).Price(p.kernel.Fold(s))
+	return train
+}
+
+// SampleCost prices a workload's data-heterogeneous compute — encoder
+// plus generator train seconds at width 1 — the size Algorithm 1
+// orders samples by and the re-planning controller measures drift in.
+func (p *Profiler) SampleCost(w model.Workload) float64 {
+	_, enc := p.rates[model.Encoder][0].Price(w)
+	_, gen := p.rates[model.Generator][0].Price(w)
+	return enc + gen
 }
 
 // Calibrate samples the corpus and records the mean sample shape; it
@@ -285,10 +329,7 @@ func (p *Profiler) CalibrateShapes(shapes []model.SampleShape) error {
 	}
 	p.meanShape = MeanShapeOf(shapes)
 	p.calibrated = true
-	p.costs.Range(func(k, _ any) bool { // drop costs memoized on the old shape
-		p.costs.Delete(k)
-		return true
-	})
+	p.tabulate()
 	p.buildInterpolation()
 	p.fp = p.computeFingerprint()
 	return nil
@@ -331,35 +372,16 @@ func (p *Profiler) Calibrated() bool { return p.calibrated }
 
 // CFwd returns the paper's C function: mean forward seconds per sample
 // for the module at the given width, from the calibrated shape.
-// Memoized; safe for concurrent use.
 func (p *Profiler) CFwd(mod model.Module, width int) float64 {
-	return p.cachedCost(costKey{mod, width, false})
+	return p.SampleForward(mod, width, p.shapeOrDefault())
 }
 
 // CTrain returns the fwd+bwd variant of the C function, which the
 // orchestration objective uses ("changing C_lm, C_me, and C_mg from
 // forward time functions to the sum functions of forward and backward
-// time", §4.2). Memoized; safe for concurrent use.
+// time", §4.2). The search tabulates it once per (module, width).
 func (p *Profiler) CTrain(mod model.Module, width int) float64 {
-	return p.cachedCost(costKey{mod, width, true})
-}
-
-// cachedCost serves a mean-shape cost query through the memo table.
-// The underlying evaluation is deterministic, so racing computations of
-// the same key store identical values and LoadOrStore keeps whichever
-// lands first.
-func (p *Profiler) cachedCost(k costKey) float64 {
-	if v, ok := p.costs.Load(k); ok {
-		return v.(float64)
-	}
-	var t float64
-	if k.train {
-		t = p.SampleTrain(k.mod, k.width, p.shapeOrDefault())
-	} else {
-		t = p.SampleForward(k.mod, k.width, p.shapeOrDefault())
-	}
-	v, _ := p.costs.LoadOrStore(k, t)
-	return v.(float64)
+	return p.SampleTrain(mod, width, p.shapeOrDefault())
 }
 
 func (p *Profiler) shapeOrDefault() model.SampleShape {

@@ -246,10 +246,11 @@ func TestReplicationAvoidsTPComm(t *testing.T) {
 	}
 }
 
-// TestCostCacheConcurrent pins the memoized C-function contract: all
-// concurrent queries agree with the uncached evaluation, and
-// recalibration invalidates the memo so cached values track the new
-// mean shape. Run under -race by the CI race gate.
+// TestCostCacheConcurrent pins the C-function contract: all concurrent
+// queries agree with the evaluation on the mean shape, and after a
+// recalibration they track the new mean shape. CFwd/CTrain sat behind
+// a memo table until pricing was compiled (the name dates from then);
+// the contract is the same. Run under -race by the CI race gate.
 func TestCostCacheConcurrent(t *testing.T) {
 	p := calibrated(t, model.MLLM9B())
 	type query struct {
@@ -296,7 +297,7 @@ func TestCostCacheConcurrent(t *testing.T) {
 	}
 
 	// Recalibrating on far fewer samples shifts the mean shape; the
-	// memo must follow, not serve stale costs.
+	// C functions must follow, not serve stale costs.
 	corpus, err := data.NewCorpus(data.LAION400M())
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,10 @@
 package reorder
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"disttrain/internal/pipeline"
 )
@@ -97,9 +98,7 @@ func (p *Partitioner) Partition(sizes []float64, m int) ([][]int, error) {
 	}
 	// Sort descending by size (line 3); stable so equal sizes keep
 	// corpus order and the result is deterministic.
-	sort.SliceStable(p.idx, func(a, b int) bool {
-		return sizes[p.idx[a]] > sizes[p.idx[b]]
-	})
+	slices.SortStableFunc(p.idx, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
 	for g := 0; g < m; g++ {
 		p.loads[g] = 0
 		p.counts[g] = 0
@@ -402,12 +401,8 @@ func InterReorderVPP(mbs []Microbatch, p2p []float64, vpp int) ([]Microbatch, er
 
 // sortBySize orders ascending by heterogeneous size, stable on index.
 func sortBySize(mbs []Microbatch) {
-	sort.SliceStable(mbs, func(a, b int) bool {
-		sa, sb := mbs[a].HeteroSize(), mbs[b].HeteroSize()
-		if sa != sb {
-			return sa < sb
-		}
-		return mbs[a].Index < mbs[b].Index
+	slices.SortStableFunc(mbs, func(a, b Microbatch) int {
+		return cmp.Or(cmp.Compare(a.HeteroSize(), b.HeteroSize()), cmp.Compare(a.Index, b.Index))
 	})
 }
 

@@ -61,18 +61,17 @@ type rankOutcome struct {
 }
 
 // rankScratch is one worker's reusable pipeline buffers: microbatch
-// headers, a flat float backing for their stage times and the
-// simulator's work rows, and the shape-aggregation token buffer.
+// headers and a flat float backing for their stage times and the
+// simulator's work rows.
 // Pooled per runtime; a worker holds one for the duration of a
 // runRank call. Nothing scratch-backed escapes the call: the
 // simulator's op timeline (the only retained output) is freshly
 // allocated inside pipeline.Simulate.
 type rankScratch struct {
-	mbs   []reorder.Microbatch
-	buf   []float64
-	fwd   [][]float64
-	bwd   [][]float64
-	shape []int
+	mbs []reorder.Microbatch
+	buf []float64
+	fwd [][]float64
+	bwd [][]float64
 }
 
 // runRank executes one DP rank's pipeline: microbatch construction,
@@ -81,9 +80,10 @@ type rankScratch struct {
 // mutable state lives in the pooled scratch), so rank workers may run
 // concurrently.
 func (r *Runtime) runRank(d int, samples []data.Sample, p2p []float64, pert scenario.Perturbation) rankOutcome {
-	cfg := r.cfg
+	cfg := &r.cfg
 	m := cfg.Spec.Microbatch
 	k := len(samples) / m
+	kern := cfg.Spec.Profiler.Kernel()
 	sc := r.rankScratch.Get().(*rankScratch)
 	defer r.rankScratch.Put(sc)
 	// Flat layout: k*stages fwd + k*stages bwd microbatch times, then
@@ -98,12 +98,15 @@ func (r *Runtime) runRank(d int, samples []data.Sample, p2p []float64, pert scen
 	}
 	mbs := sc.mbs[:k]
 	for j := 0; j < k; j++ {
-		// A microbatch of M samples: aggregate their shapes.
-		shape := aggregateShapeInto(samples[j*m:(j+1)*m], sc.shape)
-		sc.shape = shape.ImageTokens
+		// A microbatch of M samples: their images fold into one
+		// workload in sample order.
+		var w model.Workload
+		for i := j * m; i < (j+1)*m; i++ {
+			samples[i].AddTo(&w, kern)
+		}
 		fwd := buf[2*j*r.stages : (2*j+1)*r.stages]
 		bwd := buf[(2*j+1)*r.stages : (2*j+2)*r.stages]
-		r.microbatchWorkInto(shape, fwd, bwd)
+		r.microbatchWorkInto(w, fwd, bwd)
 		mbs[j] = reorder.Microbatch{Index: j, Fwd: fwd, Bwd: bwd}
 	}
 	if cfg.Reorder {
@@ -149,8 +152,8 @@ func (r *Runtime) runRank(d int, samples []data.Sample, p2p []float64, pert scen
 // phases. Both the sequential reference and the concurrent engine end
 // here, so their results agree bit for bit.
 func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, outcomes []rankOutcome) (IterationStats, error) {
-	cfg := r.cfg
-	spec := cfg.Spec
+	cfg := &r.cfg
+	spec := &cfg.Spec
 	var bd metrics.Breakdown
 
 	// Data arrival. Disaggregated preprocessing only pays the
@@ -428,7 +431,6 @@ func (r *Runtime) checkPlan(p *orchestrator.Plan) error {
 // failure resumes past the switch), and rebuild the runtime's stage
 // geometry.
 func (r *Runtime) reconfigure(p *orchestrator.Plan, iter int) (float64, error) {
-	lm := p.Modules[model.Backbone].Config
 	down := r.checkpointSeconds() // write: the outgoing geometry streams its state
 	if r.ckpt != nil && iter > 0 {
 		state := []byte(fmt.Sprintf("reconfig-%d", iter-1))
@@ -440,10 +442,8 @@ func (r *Runtime) reconfigure(p *orchestrator.Plan, iter int) (float64, error) {
 		r.ckpt.Flush()
 	}
 	r.cfg.Plan = p
-	r.stages = 1 + lm.PP + 1
-	r.genStage = r.stages - 1
-	r.p2p = r.buildP2P()
-	r.nameRankLanes(lm.DP)
+	r.resolvePlan()
+	r.nameRankLanes(p.Modules[model.Backbone].Config.DP)
 	down += r.restoreSeconds() // read: the incoming geometry restores it
 	return down, nil
 }

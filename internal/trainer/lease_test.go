@@ -241,3 +241,82 @@ func TestJobAppliesAndRejectsPlanSwitches(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPlanChangeRepricesLikeFreshRuntime is the staleness check on
+// what the runtime resolves once per plan (stage geometry, link
+// prices, the encoder/generator rates and the backbone stage pair):
+// after a controller plan switch or a Job.Resize onto a plan with
+// other encoder/generator widths and another DP, every later iteration
+// reports the IterationStats of a fresh Runtime built on that plan.
+func TestPlanChangeRepricesLikeFreshRuntime(t *testing.T) {
+	spec, corpus := buildSpec(t, model.MLLM9B(), 8, 32, model.FullTraining)
+	smaller := spec
+	smaller.Cluster = cluster.Production(4)
+	from, err := orchestrator.PlanDistTrain(smaller) // widths 1/2/1, DP 8
+	if err != nil {
+		t.Fatal(err)
+	}
+	to, err := orchestrator.PlanMegatron(spec) // widths 8/8/8, DP 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mod := range []model.Module{model.Encoder, model.Generator} {
+		if from.Modules[mod].Config.ModelParallelWidth() == to.Modules[mod].Config.ModelParallelWidth() {
+			t.Fatalf("fixture: %v width does not change across the switch", mod)
+		}
+	}
+	if from.Modules[model.Backbone].Config.DP == to.Modules[model.Backbone].Config.DP {
+		t.Fatal("fixture: DP does not change across the switch")
+	}
+	four, eight := cluster.NewLease(0, 1, 2, 3), cluster.NewLease(0, 1, 2, 3, 4, 5, 6, 7)
+	start := func(lease cluster.Lease, plan *orchestrator.Plan, ctl Controller) *Runtime {
+		t.Helper()
+		cfg := DistTrainConfig(spec, plan, corpus)
+		cfg.Lease = &lease
+		cfg.Controller = ctl
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		return rt
+	}
+	var want []IterationStats
+	fresh := start(eight, to, nil)
+	for i := 1; i < 3; i++ {
+		st, err := fresh.RunIteration(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, st)
+	}
+	for name, c := range map[string]struct {
+		rt     *Runtime
+		resize bool
+	}{
+		"plan switch": {rt: start(eight, from, &switchOnce{at: 1, plan: to})},
+		"resize":      {rt: start(four, from, nil), resize: true},
+	} {
+		j, err := c.rt.NewJob(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !j.Done() {
+			if c.resize && j.Iteration() == 1 && j.res.PlanSwitches == 0 {
+				if err := j.Resize(eight, to, "grow"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res := j.Finish()
+		if res.PlanSwitches != 1 {
+			t.Fatalf("%s: %d plan switches, want 1", name, res.PlanSwitches)
+		}
+		if got := res.Iterations[1:]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: iterations after the change\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+}

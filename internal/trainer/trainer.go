@@ -33,6 +33,7 @@ import (
 	"disttrain/internal/metrics"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
+	"disttrain/internal/profiler"
 	"disttrain/internal/reorder"
 	"disttrain/internal/scenario"
 )
@@ -265,27 +266,24 @@ type Runtime struct {
 	// base is the shared cluster a leased run was scoped out of; the
 	// zero value (standalone runs) is never read.
 	base cluster.Cluster
-	// stage geometry
+	// stage geometry and prices of cfg.Plan, set by resolvePlan
 	stages   int
 	llmFirst int // index of first LLM stage
 	genStage int
 	p2p      []float64
+	costs    planCosts
 	// clock is the trace emission cursor in simulated seconds.
 	clock float64
 	// namedRanks tracks how many dp-rank trace lanes carry names, so a
 	// plan switch that grows DP names only the new lanes.
 	namedRanks int
 
-	// Hot-loop scratch. part/costBuf/costShape belong to the
-	// batch-assignment path (at most one prepare is outstanding, so no
-	// locking); flopsShape belongs to the reduce path, which may run
-	// concurrently with a prefetching prepare; rankScratch pools
-	// per-worker pipeline buffers; outcomesBuf is the per-iteration
-	// outcome slots, reused because iterations are serial.
+	// Hot-loop scratch. part/costBuf belong to the batch-assignment
+	// path (at most one prepare is outstanding, so no locking);
+	// rankScratch pools per-worker pipeline buffers; outcomesBuf is the
+	// per-iteration outcome slots, reused because iterations are serial.
 	part        reorder.Partitioner
 	costBuf     []float64
-	costShape   []int
-	flopsShape  []int
 	rankScratch sync.Pool
 	outcomesBuf []rankOutcome
 	// opLabels caches the fwd/bwd trace event names per microbatch
@@ -340,11 +338,8 @@ func New(cfg Config) (*Runtime, error) {
 	if r.source == nil {
 		r.source = corpusFrontEnd{r}
 	}
-	lm := cfg.Plan.Modules[model.Backbone].Config
-	r.stages = 1 + lm.PP + 1
 	r.llmFirst = 1
-	r.genStage = r.stages - 1
-	r.p2p = r.buildP2P()
+	r.resolvePlan()
 	if cfg.CheckpointEvery > 0 {
 		r.fs = cfg.FS
 		if r.fs == nil {
@@ -354,7 +349,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if tr := r.cfg.Trace; tr != nil {
 		tr.NameProcess(0, "runtime")
-		r.nameRankLanes(lm.DP)
+		r.nameRankLanes(cfg.Plan.Modules[model.Backbone].Config.DP)
 	}
 	return r, nil
 }
@@ -386,7 +381,7 @@ func (r *Runtime) Close() {
 // internal links are plain pipeline sends. Asynchronous sends hide
 // most of the transfer (§6); synchronous batched sends expose it all.
 func (r *Runtime) buildP2P() []float64 {
-	spec := r.cfg.Spec
+	spec := &r.cfg.Spec
 	m := spec.Model
 	bytesLM := float64(spec.Microbatch) * float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2
 	cost := comm.CollectiveCost{
@@ -419,58 +414,54 @@ func (r *Runtime) iterP2P(pert scenario.Perturbation) []float64 {
 	return scaled
 }
 
-// microbatchWorkInto fills caller-provided stage slices (len r.stages)
-// with the per-stage fwd/bwd durations of one microbatch (one sample
-// when M=1), charging each module's share of the sample through the
-// profiler and the plan's allocation ratios. The rank workers price
-// every microbatch through it with pooled scratch.
-func (r *Runtime) microbatchWorkInto(shape model.SampleShape, fwd, bwd []float64) {
-	spec := r.cfg.Spec
-	plan := r.cfg.Plan
-	p := spec.Profiler
-	mbs := float64(spec.Microbatch)
-	dpLM := float64(plan.Modules[model.Backbone].Config.DP)
-
-	// Encoder stage: per-LLM-rank share of the encoder pool.
-	enc := plan.Modules[model.Encoder]
-	wE := enc.Config.ModelParallelWidth()
-	scaleE := float64(wE) * dpLM * mbs / float64(enc.GPUs())
-	fwdE := p.SampleForward(model.Encoder, wE, shape)
-	totE := p.SampleTrain(model.Encoder, wE, shape)
-	fwd[0] = fwdE * scaleE
-	bwd[0] = (totE - fwdE) * scaleE
-
-	// LLM stages: homogeneous across microbatches (fixed-length packed
-	// sequences, §2.3).
-	lm := plan.Modules[model.Backbone]
-	fwdL := p.SampleForward(model.Backbone, lm.Config.ModelParallelWidth(), shape)
-	totL := p.SampleTrain(model.Backbone, lm.Config.ModelParallelWidth(), shape)
-	perStageF := fwdL * mbs / float64(lm.Config.PP)
-	perStageB := (totL - fwdL) * mbs / float64(lm.Config.PP)
-	for s := r.llmFirst; s < r.genStage; s++ {
-		fwd[s] = perStageF
-		bwd[s] = perStageB
-	}
-
-	// Generator stage.
-	gen := plan.Modules[model.Generator]
-	wG := gen.Config.ModelParallelWidth()
-	scaleG := float64(wG) * dpLM * mbs / float64(gen.GPUs())
-	fwdG := p.SampleForward(model.Generator, wG, shape)
-	totG := p.SampleTrain(model.Generator, wG, shape)
-	fwd[r.genStage] = fwdG * scaleG
-	bwd[r.genStage] = (totG - fwdG) * scaleG
+// planCosts is what pricing a microbatch reads of the profiler and the
+// plan, resolved once per plan: no query, lock or map per sample.
+type planCosts struct {
+	enc, gen       profiler.Rate
+	scaleE, scaleG float64 // per-LLM-rank share of the encoder / generator pool
+	lmFwd, lmBwd   float64 // one LLM stage: fixed-length packed sequences (§2.3) price alike
 }
 
-// sampleCost prices one sample's data-heterogeneous compute (encoder
-// plus generator), the size notion Algorithms 1's partition and the
-// rebalance both order by. It reuses the assignment path's shape
-// buffer, so it must only be called from that path (prepare/assign).
-func (r *Runtime) sampleCost(s data.Sample) float64 {
-	p := r.cfg.Spec.Profiler
-	sh := s.ShapeInto(r.costShape)
-	r.costShape = sh.ImageTokens
-	return p.SampleTrain(model.Encoder, 1, sh) + p.SampleTrain(model.Generator, 1, sh)
+// resolvePlan derives everything the runtime caches of cfg.Plan; New
+// and reconfigure, the two places the plan is set, call it.
+func (r *Runtime) resolvePlan() {
+	spec, plan := &r.cfg.Spec, r.cfg.Plan
+	p := spec.Profiler
+	lm := plan.Modules[model.Backbone].Config
+	r.stages = 1 + lm.PP + 1
+	r.genStage = r.stages - 1
+	r.p2p = r.buildP2P()
+
+	mbs := float64(spec.Microbatch)
+	edge := func(mod model.Module) (profiler.Rate, float64) {
+		mp := plan.Modules[mod]
+		w := mp.Config.ModelParallelWidth()
+		return p.Resolve(mod, w), float64(w) * float64(lm.DP) * mbs / float64(mp.GPUs())
+	}
+	c := &r.costs
+	c.enc, c.scaleE = edge(model.Encoder)
+	c.gen, c.scaleG = edge(model.Generator)
+	fwdL, totL := p.Resolve(model.Backbone, lm.ModelParallelWidth()).Price(model.Workload{})
+	c.lmFwd = fwdL * mbs / float64(lm.PP)
+	c.lmBwd = (totL - fwdL) * mbs / float64(lm.PP)
+}
+
+// microbatchWorkInto fills caller-provided stage slices (len r.stages)
+// with the per-stage fwd/bwd durations of one microbatch (one sample
+// when M=1), charging each module's share of its workload through the
+// plan's resolved rates and allocation ratios.
+func (r *Runtime) microbatchWorkInto(w model.Workload, fwd, bwd []float64) {
+	c := &r.costs
+	fwdE, totE := c.enc.Price(w)
+	fwd[0] = fwdE * c.scaleE
+	bwd[0] = (totE - fwdE) * c.scaleE
+	for s := r.llmFirst; s < r.genStage; s++ {
+		fwd[s] = c.lmFwd
+		bwd[s] = c.lmBwd
+	}
+	fwdG, totG := c.gen.Price(w)
+	fwd[r.genStage] = fwdG * c.scaleG
+	bwd[r.genStage] = (totG - fwdG) * c.scaleG
 }
 
 // assign distributes the global batch across DP ranks: DistTrain's
@@ -498,8 +489,12 @@ func (r *Runtime) assign(batch []data.Sample) ([][]data.Sample, error) {
 		r.costBuf = make([]float64, len(batch))
 	}
 	costs := r.costBuf[:len(batch)]
+	p := r.cfg.Spec.Profiler
+	k := p.Kernel()
 	for i := range batch {
-		costs[i] = r.sampleCost(batch[i])
+		var w model.Workload
+		batch[i].AddTo(&w, k)
+		costs[i] = p.SampleCost(w)
 	}
 	groups, err := r.part.Partition(costs, dp)
 	if err != nil {
@@ -555,7 +550,7 @@ func rebalance(groups [][]data.Sample, perRank int, size func(data.Sample) float
 // each module reduce-scatters gradients and all-gathers parameters
 // across its DP group, partially hidden behind backward compute.
 func (r *Runtime) gradSync() float64 {
-	spec := r.cfg.Spec
+	spec := &r.cfg.Spec
 	freeze := spec.Profiler.Options().Freeze
 	cost := comm.CollectiveCost{
 		BandwidthBps: spec.Cluster.CrossNodeBandwidthPerGPU(),
@@ -581,7 +576,7 @@ func (r *Runtime) gradSync() float64 {
 // optimizerStep prices the ZeRO-1 sharded Adam update: ~32 bytes of
 // reads+writes per locally owned parameter, memory-bound.
 func (r *Runtime) optimizerStep() float64 {
-	spec := r.cfg.Spec
+	spec := &r.cfg.Spec
 	freeze := spec.Profiler.Options().Freeze
 	worst := 0.0
 	for _, mp := range r.cfg.Plan.Modules {
@@ -601,7 +596,7 @@ func (r *Runtime) optimizerStep() float64 {
 // so all of a trainable module's GPUs transfer their own shards in
 // parallel.
 func (r *Runtime) stateBytes() (bytes float64, clients int) {
-	spec := r.cfg.Spec
+	spec := &r.cfg.Spec
 	freeze := spec.Profiler.Options().Freeze
 	for _, mp := range r.cfg.Plan.Modules {
 		if freeze.Frozen(mp.Module) {
@@ -642,30 +637,17 @@ func (r *Runtime) restoreSeconds() float64 {
 }
 
 // iterationFLOPs sums the model FLOPs executed for the batch under the
-// freeze setting. Runs on the reduce path; its shape buffer is
-// disjoint from the assignment path's, which may be prefetching
-// concurrently.
+// freeze setting, from the kernel that priced its stage times.
 func (r *Runtime) iterationFLOPs(batch []data.Sample) float64 {
-	freeze := r.cfg.Spec.Profiler.Options().Freeze
+	k := r.cfg.Spec.Profiler.Kernel()
 	var total float64
-	for _, s := range batch {
-		shape := s.ShapeInto(r.flopsShape)
-		r.flopsShape = shape.ImageTokens
+	for i := range batch {
+		var w model.Workload
+		batch[i].AddTo(&w, k)
 		for _, mod := range model.Modules {
-			fwd, bwd := r.cfg.Spec.Model.ModuleTrainFLOPs(mod, shape, freeze)
+			fwd, bwd := k.TrainFLOPs(mod, w)
 			total += fwd + bwd
 		}
 	}
 	return total
-}
-
-// aggregateShapeInto merges the shapes of a microbatch's samples into
-// a caller-provided token buffer; the result aliases it.
-func aggregateShapeInto(samples []data.Sample, buf []int) model.SampleShape {
-	out := model.SampleShape{ImageTokens: buf[:0:cap(buf)]}
-	for _, s := range samples {
-		out.ImageTokens = s.AppendImageTokens(out.ImageTokens)
-		out.GenImages += s.GenImages
-	}
-	return out
 }

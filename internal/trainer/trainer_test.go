@@ -15,7 +15,7 @@ import (
 
 // buildSpec wires a calibrated orchestration spec for tests at the
 // §7.2 ablation scale (96 GPUs).
-func buildSpec(t *testing.T, m model.MLLM, nodes, bs int, freeze model.FreezeSpec) (orchestrator.Spec, *data.Corpus) {
+func buildSpec(t testing.TB, m model.MLLM, nodes, bs int, freeze model.FreezeSpec) (orchestrator.Spec, *data.Corpus) {
 	t.Helper()
 	cl := cluster.Production(nodes)
 	opts := profiler.DefaultOptions(cl, m)
@@ -76,6 +76,11 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := New(bad); err == nil {
 		t.Error("New accepted invalid config")
+	}
+	bad = good
+	bad.Spec.Model = model.MLLM72B() // not the model the spec's profiler times
+	if _, err := New(bad); err == nil {
+		t.Error("New accepted a spec whose model differs from its profiler's")
 	}
 }
 
