@@ -143,19 +143,6 @@ func (c Cluster) GroupBandwidth(groupSize int) float64 {
 	return per
 }
 
-// P2PBandwidth returns the point-to-point bandwidth in bytes/s between
-// two global ranks.
-func (c Cluster) P2PBandwidth(a, b int) float64 {
-	if c.SameNode(a, b) {
-		return c.NVLinkBps
-	}
-	bw := c.InterNodeBps / 4 // one NIC of the four per node serves a single stream
-	if !c.RailOptimized {
-		bw /= 2
-	}
-	return bw
-}
-
 // CrossNodeBandwidthPerGPU is the RDMA bandwidth available to one GPU
 // when all eight GPUs of a node stream simultaneously (the data-parallel
 // gradient synchronisation pattern).
@@ -179,9 +166,6 @@ func (s Slice) End() int { return s.First + s.Count }
 
 // Contains reports whether the slice includes the given global rank.
 func (s Slice) Contains(rank int) bool { return rank >= s.First && rank < s.End() }
-
-// Overlaps reports whether two slices share any rank.
-func (s Slice) Overlaps(t Slice) bool { return s.First < t.End() && t.First < s.End() }
 
 func (s Slice) String() string {
 	return fmt.Sprintf("[%d,%d)", s.First, s.End())

@@ -83,18 +83,6 @@ func TestZeRO1GradSync(t *testing.T) {
 	}
 }
 
-func TestOverlapExposed(t *testing.T) {
-	if got := OverlapExposed(10, 8, 1); got != 2 {
-		t.Errorf("exposed = %g, want 2", got)
-	}
-	if got := OverlapExposed(5, 8, 1); got != 0 {
-		t.Errorf("fully hidden comm exposed = %g, want 0", got)
-	}
-	if got := OverlapExposed(10, 8, 0.5); got != 6 {
-		t.Errorf("half-hidable exposed = %g, want 6", got)
-	}
-}
-
 // --- Broker fabric ---
 
 func payloadFor(seq uint64, part int, size int) []byte {

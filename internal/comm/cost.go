@@ -5,8 +5,6 @@
 // communication broker that bridges adjacent parallelism units (§6).
 package comm
 
-import "math"
-
 // CollectiveCost parameterises the ring-collective model: per-message
 // latency and the per-GPU link bandwidth the ring runs over.
 type CollectiveCost struct {
@@ -90,11 +88,4 @@ func ZeRO1GradSync(c CollectiveCost, params float64, dp int) float64 {
 	gradBytes := params * 2
 	paramBytes := params * 2
 	return c.ReduceScatter(gradBytes, dp) + c.AllGather(paramBytes, dp)
-}
-
-// OverlapExposed models communication partially hidden behind an
-// independent compute span: the exposed remainder is
-// max(0, comm - compute*hidableFraction).
-func OverlapExposed(comm, compute, hidableFraction float64) float64 {
-	return math.Max(0, comm-compute*hidableFraction)
 }

@@ -444,18 +444,11 @@ func (c *Controller) CurrentPlan() *orchestrator.Plan {
 	return c.current
 }
 
-// Triggers returns how many re-planning searches drift launched;
-// Applied how many produced a switch the runtime was handed.
+// Triggers returns how many re-planning searches drift launched.
 func (c *Controller) Triggers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.triggers
-}
-
-func (c *Controller) Applied() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.applied
 }
 
 // Reports returns the drift evaluations in observation order.

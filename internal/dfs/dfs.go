@@ -99,12 +99,10 @@ type CheckpointManager struct {
 	// write.
 	pending *Checkpoint
 	saving  bool
-	// lastDuration is the simulated duration of the most recent write.
-	lastDuration float64
-	saved        int
-	wake         chan struct{}
-	done         chan struct{}
-	closed       bool
+	saved   int
+	wake    chan struct{}
+	done    chan struct{}
+	closed  bool
 }
 
 // NewCheckpointManager starts the background writer.
@@ -137,10 +135,9 @@ func (m *CheckpointManager) loop() {
 			m.mu.Unlock()
 
 			name := fmt.Sprintf("%s/ckpt-%08d", m.prefix, ck.Step)
-			d, err := m.fs.Write(name, encode(ck))
+			_, err := m.fs.Write(name, encode(ck))
 			m.mu.Lock()
 			if err == nil {
-				m.lastDuration = d
 				m.saved++
 			}
 			m.mu.Unlock()
@@ -183,15 +180,6 @@ func (m *CheckpointManager) Saved() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.saved
-}
-
-// LastDuration returns the simulated duration of the most recent
-// completed save; the trainer uses it to decide whether asynchronous
-// saving ever backs up behind the iteration cadence.
-func (m *CheckpointManager) LastDuration() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastDuration
 }
 
 // Close stops the writer after draining pending work.

@@ -7,10 +7,9 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"disttrain/internal/cluster"
+	"disttrain/internal/fanout"
 	"disttrain/internal/metrics"
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/preprocess"
@@ -197,15 +196,31 @@ type Result struct {
 	Preprocess *metrics.PoolSnapshot
 }
 
-// tenant states.
+// tenant states, in lifecycle order.
 const (
 	stateQueued = iota
+	// statePlanning: lease reserved, §4.3 search requested, plan lands
+	// at tenant.pend.landing. Every cold admission passes through it.
+	statePlanning
 	stateRunning
 	stateDone
-	// statePlanning: lease reserved, §4.3 search requested, plan lands
-	// at tenant.landing. Every cold admission passes through it.
-	statePlanning
 )
+
+var stateNames = [...]string{"queued", "planning", "running", "done"}
+
+// legalMoves is the tenant lifecycle, legalMoves[from][to]: the eight
+// moves the runner makes. A queued tenant reserves (planning), starts
+// on a visible plan (running) or is rejected, starved or departs
+// (done); a reservation is voided by a node failure (queued), lands
+// (running) or is rejected or departs (done); a running tenant is
+// suspended (queued) or finishes, fails or departs (done). Done is
+// terminal, and no move is a self-move.
+var legalMoves = [...][len(stateNames)]bool{
+	stateQueued:   {statePlanning: true, stateRunning: true, stateDone: true},
+	statePlanning: {stateQueued: true, stateRunning: true, stateDone: true},
+	stateRunning:  {stateQueued: true, stateDone: true},
+	stateDone:     {},
+}
 
 type tenant struct {
 	id, spec int
@@ -235,19 +250,9 @@ type tenant struct {
 	state    int
 	stepErr  error
 
-	// Reservation state (statePlanning only): the in-flight plan claim
-	// and the deterministic round the plan lands (-1 when none is
-	// pending).
-	ticket  *orchestrator.PlanTicket
-	landing int
-
-	// Incrementally maintained scheduler snapshot: valid while viewOK,
-	// invalidated by dirtyView at every key mutation. Schedulers must
-	// treat JobView.Nodes as read-only (the built-ins copy before
-	// mutating) — the slice is shared across reads until the next
-	// invalidation.
-	view   JobView
-	viewOK bool
+	// pend is the wave the reservation waits on (statePlanning only):
+	// its ticket and the deterministic round the plan lands.
+	pend *pendingPlan
 }
 
 // runner is one fleet run's mutable state.
@@ -281,11 +286,10 @@ type runner struct {
 	queueDirty bool
 	runBuf     []*tenant // running() scratch, reused across rounds
 
-	// In-flight plan waves keyed by fingerprint, plus the same waves in
-	// enqueue order (landing processing must be deterministic).
+	// In-flight plan waves in enqueue order (landing processing must be
+	// deterministic); a handful at a time, so look-ups scan.
 	// overlapRounds counts rounds where planning overlapped training.
-	pending       map[string]*pendingPlan
-	pendList      []*pendingPlan
+	pending       []*pendingPlan
 	overlapRounds int
 }
 
@@ -297,10 +301,6 @@ type pendingPlan struct {
 	ticket  *orchestrator.PlanTicket
 	landing int
 }
-
-// dirtyView invalidates a tenant's cached scheduler snapshot; every
-// mutation of a JobView key (state, lease, waited, started) calls it.
-func (f *runner) dirtyView(t *tenant) { t.viewOK = false }
 
 // Run executes the fleet to completion: every submitted (and
 // scenario-arrived) job is admitted, run, resized and finalised under
@@ -412,7 +412,6 @@ func Run(cfg Config) (*Result, error) {
 		ctx:   context.Background(),
 		table: NewLeaseTable(cfg.Cluster.Nodes),
 		cache: cache, events: events,
-		pending: map[string]*pendingPlan{},
 	}
 	if cfg.Trace {
 		f.fleetTrace = metrics.NewTrace()
@@ -449,7 +448,6 @@ func Run(cfg Config) (*Result, error) {
 		// queue order.
 		for _, t := range f.queue {
 			t.waited++
-			f.dirtyView(t)
 			f.queueDirty = true
 		}
 		f.enqueueArrivals()
@@ -481,7 +479,7 @@ func Run(cfg Config) (*Result, error) {
 	// Resolve leftover speculative waves (publishing them warms a
 	// shared cache for the next run), then quiesce the pool so the
 	// counter deltas below are final.
-	f.drainPending()
+	f.land(func(*pendingPlan) bool { return true })
 	if cfg.Planners > 0 {
 		cache.StopPlanners()
 	}
@@ -601,7 +599,7 @@ func (f *runner) newTenant(si int, class Class) {
 		min:   js.MinNodes, max: js.MaxNodes,
 		class:   f.classes[si],
 		arrived: f.round, started: -1, finished: -1,
-		state: stateQueued, landing: -1,
+		state: stateQueued,
 	}
 	if class != "" {
 		t.class = class
@@ -698,20 +696,17 @@ func (f *runner) failNode(node int) {
 	// its landing round — the shape may serve someone else. A running
 	// one shrinks onto the survivors when they can still run the job.
 	if shrunk := t.lease.Without(node); t.state == stateRunning && shrunk.NodeCount() >= t.min {
-		if plan, perr := f.planFor(t, shrunk); perr == nil {
-			reason := fmt.Sprintf("node %d failed: lease shrinks to %d nodes", node, shrunk.NodeCount())
-			if rerr := t.job.Resize(shrunk, plan, reason); rerr == nil {
-				f.commitResize(t, shrunk, plan)
-				f.note("lease-shrink", noteInt("job", t.id), noteInt("nodes", shrunk.NodeCount()))
-				return
-			}
+		reason := fmt.Sprintf("node %d failed: lease shrinks to %d nodes", node, shrunk.NodeCount())
+		if f.resize(t, shrunk, nil, reason) == nil {
+			f.note("lease-shrink", noteInt("job", t.id), noteInt("nodes", shrunk.NodeCount()))
+			return
 		}
 	}
 	// The survivor set cannot run the job: suspend it. Progress (DFS
 	// checkpoints, optimizer state) stays with the runtime; the tenant
 	// rejoins the queue ahead of never-started jobs and resumes when
 	// capacity returns.
-	f.suspend(t)
+	f.suspend(t, "node failed")
 	f.requeueFront(t)
 	f.note("job-suspend", noteInt("job", t.id))
 }
@@ -720,37 +715,53 @@ func (f *runner) failNode(node int) {
 // queued, planning, running and done funnels through it, so the
 // bookkeeping a move implies cannot be half-done: a destination that
 // holds no nodes (queued, done) gives the lease back, the reservation
-// pair is cleared (park sets it again on the way into planning), the
-// queue-wait clock restarts and the scheduler snapshot is invalidated.
-// Trace notes and queue position stay with the caller.
-func (f *runner) transition(t *tenant, to int) {
+// is cleared (park sets it again on the way into planning) and the
+// queue-wait clock restarts. Trace notes and queue position stay with
+// the caller. A move outside legalMoves is a runner bug, never an
+// input: it panics, naming the tenant, the move and why the caller
+// made it.
+func (f *runner) transition(t *tenant, to int, reason string) {
+	if !legalMoves[t.state][to] {
+		panic(fmt.Sprintf("fleet: illegal move %s -> %s of tenant %s at round %d (%s)",
+			stateNames[t.state], stateNames[to], t.name, f.round, reason))
+	}
 	if to == stateQueued || to == stateDone {
 		f.table.Release(t.id)
 		t.lease = cluster.Lease{}
 	}
 	t.state = to
-	t.ticket, t.landing = nil, -1
+	t.pend = nil
 	t.waited = 0
-	f.dirtyView(t)
 }
 
 // suspend takes a lease-holding tenant (running or planning) back to
 // queued. A suspended tenant holds no nodes, so it earns no admission
 // quota either; resumption re-grants it with the new lease.
-func (f *runner) suspend(t *tenant) {
-	f.transition(t, stateQueued)
+func (f *runner) suspend(t *tenant, reason string) {
+	f.transition(t, stateQueued, reason)
 	f.resizeQuota(t, 0)
 }
 
-// commitResize records an applied Job.Resize on the tenant: the new
-// lease and plan, the resize count, and the admission quota the lease
-// size earns.
-func (f *runner) commitResize(t *tenant, lease cluster.Lease, plan *orchestrator.Plan) {
-	t.lease = lease
-	t.plan = plan
+// resize is the one costed lease change of a tenant that has run: the
+// plan for the new lease (asked of the shared cache when the caller
+// holds none), the trainer's checkpoint-reconfigure, then the tenant's
+// lease, plan, resize count and the admission quota the lease size
+// earns. An error leaves the tenant on its old lease and plan. Lease
+// table accounting stays with the caller.
+func (f *runner) resize(t *tenant, lease cluster.Lease, plan *orchestrator.Plan, reason string) error {
+	if plan == nil {
+		var err error
+		if plan, err = f.planFor(t, lease); err != nil {
+			return err
+		}
+	}
+	if err := t.job.Resize(lease, plan, reason); err != nil {
+		return err
+	}
+	t.lease, t.plan = lease, plan
 	t.resizes++
-	f.dirtyView(t)
 	f.resizeQuota(t, lease.NodeCount())
+	return nil
 }
 
 // requeueFront inserts a suspended tenant before every never-started
@@ -793,27 +804,27 @@ func (f *runner) retire(t *tenant, departed bool) {
 	// Finish drained the prefetch, so the tenant's pool counters are
 	// quiescent — snapshot them now, exactly once.
 	f.snapshotPool(t)
-	f.transition(t, stateDone)
+	f.transition(t, stateDone, "retire")
 	t.finished = f.round
 	t.departed = departed
 	f.retired++
 }
 
+// fail retires a tenant on an admission or runtime error, with the
+// scheduler-lane note naming what kind of failure it was.
+func (f *runner) fail(t *tenant, kind string, err error) {
+	t.err = err
+	f.retire(t, false)
+	f.note(kind, noteInt("job", t.id), noteStr("reason", err.Error()))
+}
+
 // leaseSpec scopes the tenant's training spec to a lease — the exact
-// spec the plan cache keys on for that lease.
+// spec the plan cache keys on for that lease and, by the same
+// Spec.ForLease, the one the tenant's runtime prices. Placement-scoring
+// schedulers price the lease's concrete shape: a fragmented lease
+// loses rail alignment, and its plan is cached under that shape.
 func (f *runner) leaseSpec(t *tenant, l cluster.Lease) orchestrator.Spec {
-	spec := t.cfg.Spec
-	if f.shaped {
-		// Placement-scoring schedulers price the lease's concrete
-		// shape: a fragmented lease loses rail alignment, and its plan
-		// is cached under that shape.
-		spec.Cluster = l.Placed(f.cfg.Cluster)
-		spec.Placement = l.Shape()
-	} else {
-		spec.Cluster = l.Subcluster(f.cfg.Cluster)
-	}
-	spec.MaxGPUs = 0
-	return spec
+	return t.cfg.Spec.ForLease(f.cfg.Cluster, l, f.shaped)
 }
 
 // planFor asks the shared cache for the tenant's plan at a lease
@@ -828,32 +839,44 @@ func (f *runner) leaseSpec(t *tenant, l cluster.Lease) orchestrator.Spec {
 func (f *runner) planFor(t *tenant, l cluster.Lease) (*orchestrator.Plan, error) {
 	spec := f.leaseSpec(t, l)
 	fp := f.cache.Fingerprint(spec)
-	if pe, ok := f.pending[fp]; ok {
-		_, _ = pe.ticket.Wait(f.ctx) // outcome served via the cache below
-		pe.ticket.Publish()
-		f.removePending(fp)
-	}
+	f.land(func(pe *pendingPlan) bool { return pe.fp == fp })
 	return f.cache.Plan(f.ctx, spec)
 }
 
-// removePending drops a resolved wave from both pending structures.
-func (f *runner) removePending(fp string) {
-	delete(f.pending, fp)
-	for i, pe := range f.pendList {
+// inFlight returns the pending wave for a fingerprint, nil when none.
+func (f *runner) inFlight(fp string) *pendingPlan {
+	for _, pe := range f.pending {
 		if pe.fp == fp {
-			f.pendList = append(f.pendList[:i], f.pendList[i+1:]...)
-			return
+			return pe
 		}
 	}
+	return nil
+}
+
+// land resolves the pending waves due selects, in enqueue order: each
+// outcome is awaited and published — entering the cache's warm-seed
+// and settled-read surfaces, whether or not a tenant still waits on it
+// — and the wave leaves the pending list. A tenant parked on a landed
+// wave keeps its pendingPlan and starts at its own landing round.
+func (f *runner) land(due func(*pendingPlan) bool) {
+	keep := f.pending[:0]
+	for _, pe := range f.pending {
+		if !due(pe) {
+			keep = append(keep, pe)
+			continue
+		}
+		_, _ = pe.ticket.Wait(f.ctx) // outcome served via the cache or the tenant's own Wait
+		pe.ticket.Publish()
+	}
+	f.pending = keep
 }
 
 // sortQueue orders the admission queue by the scheduler's Order
 // (stable, so always-false comparators keep strict submission order).
 // No-op while queueDirty is clear: removals keep a sorted queue
 // sorted, so only key mutations (arrivals, requeues, preemptions,
-// aging) force a re-sort. The comparator reads the incrementally
-// maintained per-tenant views, so steady-state sorts neither rebuild
-// snapshots nor allocate.
+// aging) force a re-sort. Views are built on read and alias the lease,
+// so the comparator does not allocate.
 func (f *runner) sortQueue() {
 	if !f.queueDirty {
 		return
@@ -878,13 +901,11 @@ func (f *runner) admit() {
 		t := f.queue[0]
 		ops := schedOps{f}
 		// One view serves the whole attempt: MakeRoom mutates other
-		// tenants, never the head, so only a paranoid refresh after it
-		// is needed — not a rebuild per scheduler call.
+		// tenants, never the head.
 		v := f.view(t)
 		grant := f.sched.GrantSize(ops, v)
 		if grant < t.min {
 			f.sched.MakeRoom(ops, v)
-			v = f.view(t)
 			grant = f.sched.GrantSize(ops, v)
 		}
 		if grant < t.min {
@@ -892,28 +913,22 @@ func (f *runner) admit() {
 		}
 		nodes := f.sched.PlaceNodes(ops, v, grant)
 		lease := cluster.NewLease(nodes...)
-		if err := f.checkPlacement(lease, grant); err != nil {
-			// A scheduler returning an invalid placement is a bug in
-			// the scheduler, not the tenant: fail the tenant loudly
-			// rather than corrupting the lease table.
+		// Two ways the head can never run, one exit. An invalid placement
+		// is a bug in the scheduler, not the tenant: failing the tenant
+		// loudly beats corrupting the lease table. A lease unplannable at
+		// its granted size (model too big for MinNodes, degenerate batch
+		// geometry) stays unplannable. Either way the queue keeps moving.
+		err := f.checkPlacement(lease, grant)
+		if err != nil {
 			err = fmt.Errorf("fleet: scheduler %s: %w", f.sched.Name(), err)
-			f.queue = f.queue[1:]
-			t.err = err
-			f.retire(t, false)
-			f.note("job-rejected", noteInt("job", t.id), noteStr("reason", err.Error()))
-			continue
-		}
-		if admitErr := f.reserve(t, lease); admitErr != nil {
-			// Unplannable at its granted size (model too big for
-			// MinNodes, degenerate batch geometry): the job can never
-			// run — fail it and keep the queue moving.
-			f.queue = f.queue[1:]
-			t.err = admitErr
-			f.retire(t, false)
-			f.note("job-rejected", noteInt("job", t.id), noteStr("reason", admitErr.Error()))
-			continue
+		} else {
+			err = f.reserve(t, lease)
 		}
 		f.queue = f.queue[1:]
+		if err != nil {
+			f.fail(t, "job-rejected", err)
+			continue
+		}
 		f.admitted++
 	}
 }
@@ -976,16 +991,13 @@ func (f *runner) finishPlacement(t *tenant, lease cluster.Lease, plan *orchestra
 		t.rt, t.job = rt, job
 		t.strategy = plan.Strategy
 		t.lease, t.plan = lease, plan
-	} else {
-		if err := t.job.Resize(lease, plan, fmt.Sprintf("resumed on %d nodes", lease.NodeCount())); err != nil {
-			return err
-		}
-		f.commitResize(t, lease, plan)
+	} else if err := f.resize(t, lease, plan, fmt.Sprintf("resumed on %d nodes", lease.NodeCount())); err != nil {
+		return err
 	}
 	if t.started < 0 {
 		t.started = f.round
 	}
-	f.transition(t, stateRunning)
+	f.transition(t, stateRunning, "placed")
 	f.note("job-start", noteInt("job", t.id), noteInt("nodes", lease.NodeCount()), noteStr("strategy", plan.Strategy))
 	return nil
 }
@@ -1000,8 +1012,11 @@ func (f *runner) finishPlacement(t *tenant, lease cluster.Lease, plan *orchestra
 func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 	spec := f.leaseSpec(t, lease)
 	fp := f.cache.Fingerprint(spec)
-	if pe, ok := f.pending[fp]; ok {
-		return f.park(t, lease, f.cache.PlanAsync(f.ctx, spec), pe.landing)
+	if pe := f.inFlight(fp); pe != nil {
+		// Joining a wave is a request like any other: the cache counts
+		// it coalesced, and the ticket it returns is the wave's.
+		f.cache.PlanAsync(f.ctx, spec)
+		return f.park(t, lease, pe)
 	}
 	if plan, ok, err := f.cache.PlanIfSettled(spec); ok {
 		if err != nil {
@@ -1016,20 +1031,19 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 		f.speculate(t)
 		return nil
 	}
-	pe := f.request(spec, fp)
-	return f.park(t, lease, pe.ticket, pe.landing)
+	return f.park(t, lease, f.request(spec, fp))
 }
 
 // park commits a reservation: the lease leaves the free pool and the
-// tenant waits in statePlanning on ticket until the landing round.
-func (f *runner) park(t *tenant, lease cluster.Lease, ticket *orchestrator.PlanTicket, landing int) error {
+// tenant waits in statePlanning on the wave until its landing round.
+func (f *runner) park(t *tenant, lease cluster.Lease, pe *pendingPlan) error {
 	if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
 		return err
 	}
-	f.transition(t, statePlanning)
+	f.transition(t, statePlanning, "reserved")
 	t.lease = lease
-	t.ticket, t.landing = ticket, landing
-	f.note("job-plan", noteInt("job", t.id), noteInt("nodes", lease.NodeCount()), noteInt("landing", landing))
+	t.pend = pe
+	f.note("job-plan", noteInt("job", t.id), noteInt("nodes", lease.NodeCount()), noteInt("landing", pe.landing))
 	return nil
 }
 
@@ -1039,8 +1053,7 @@ func (f *runner) park(t *tenant, lease cluster.Lease, ticket *orchestrator.PlanT
 func (f *runner) request(spec orchestrator.Spec, fp string) *pendingPlan {
 	ticket := f.cache.PlanAsync(f.ctx, spec)
 	pe := &pendingPlan{fp: fp, ticket: ticket, landing: f.round + planLatency(spec, ticket.Seeded())}
-	f.pending[fp] = pe
-	f.pendList = append(f.pendList, pe)
+	f.pending = append(f.pending, pe)
 	return pe
 }
 
@@ -1062,35 +1075,22 @@ func planLatency(spec orchestrator.Spec, seeded bool) int {
 	return rounds
 }
 
-// landPlans opens a round: waves whose landing round arrived publish
-// (entering the cache's warm-seed and settled-read surfaces), then
-// planning tenants whose landing round arrived commit their reserved
-// leases. Both walks are in deterministic order, so every executor
-// size lands identically.
+// landPlans opens a round: waves whose landing round arrived land,
+// then planning tenants whose landing round arrived commit their
+// reserved leases. Both walks are in deterministic order, so every
+// executor size lands identically.
 func (f *runner) landPlans() {
-	keep := f.pendList[:0]
-	for _, pe := range f.pendList {
-		if pe.landing > f.round {
-			keep = append(keep, pe)
-			continue
-		}
-		_, _ = pe.ticket.Wait(f.ctx)
-		pe.ticket.Publish()
-		delete(f.pending, pe.fp)
-	}
-	f.pendList = keep
+	f.land(func(pe *pendingPlan) bool { return pe.landing <= f.round })
 	for _, t := range f.tenants {
-		if t.state != statePlanning || t.landing > f.round {
+		if t.state != statePlanning || t.pend.landing > f.round {
 			continue
 		}
-		plan, err := t.ticket.Wait(f.ctx)
+		plan, err := t.pend.ticket.Wait(f.ctx)
 		if err == nil {
 			err = f.finishPlacement(t, t.lease, plan)
 		}
 		if err != nil {
-			t.err = err
-			f.retire(t, false)
-			f.note("job-rejected", noteInt("job", t.id), noteStr("reason", err.Error()))
+			f.fail(t, "job-rejected", err)
 			continue
 		}
 		f.speculate(t)
@@ -1118,26 +1118,12 @@ func (f *runner) speculate(t *tenant) {
 		}
 		spec := f.leaseSpec(t, cluster.NewLease(nodes...))
 		fp := f.cache.Fingerprint(spec)
-		if _, ok := f.pending[fp]; ok {
-			continue
-		}
-		if f.cache.Settled(spec) {
+		if f.inFlight(fp) != nil || f.cache.Settled(spec) {
 			continue
 		}
 		pe := f.request(spec, fp)
 		f.note("plan-ahead", noteInt("job", t.id), noteInt("nodes", target), noteInt("landing", pe.landing))
 	}
-}
-
-// drainPending resolves every wave still pending at run end —
-// publishing warms a shared cache for the next run.
-func (f *runner) drainPending() {
-	for _, pe := range f.pendList {
-		_, _ = pe.ticket.Wait(f.ctx)
-		pe.ticket.Publish()
-		delete(f.pending, pe.fp)
-	}
-	f.pendList = nil
 }
 
 // planningCount counts tenants parked in statePlanning.
@@ -1180,36 +1166,12 @@ func (f *runner) stepRunning() {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(run) {
-		workers = len(run)
-	}
-	if workers <= 1 {
-		for _, t := range run {
-			t.stepErr = t.job.Step()
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(run) {
-						return
-					}
-					run[i].stepErr = run[i].job.Step()
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	fanout.Run(f.ctx, workers, len(run), func(i int) {
+		run[i].stepErr = run[i].job.Step()
+	})
 	for _, t := range run {
 		if t.stepErr != nil {
-			t.err = t.stepErr
-			f.retire(t, false)
-			f.note("job-failed", noteInt("job", t.id), noteStr("reason", t.stepErr.Error()))
+			f.fail(t, "job-failed", t.stepErr)
 		}
 	}
 }

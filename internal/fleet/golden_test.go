@@ -52,7 +52,7 @@ func leaseTableLog(t *testing.T, cfg Config) string {
 		}
 		b.WriteString("}\n")
 	}
-	res, err := Run(cfg)
+	res, err := runChecked(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestGoldenTraceBytes(t *testing.T) {
 	} {
 		cfg := fx.cfg(t)
 		cfg.Trace = true
-		res, err := Run(cfg)
+		res, err := runChecked(t, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

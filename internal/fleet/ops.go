@@ -4,15 +4,12 @@ import (
 	"disttrain/internal/cluster"
 )
 
-// view returns the tenant's scheduler snapshot, rebuilding it only
-// when a key mutation invalidated the cached copy (dirtyView). The
-// Nodes slice is shared across reads until the next invalidation;
-// schedulers treat it as read-only (the built-ins copy before
-// mutating).
+// view builds the tenant's scheduler snapshot on read, so there is no
+// cached copy to keep in step with the tenant. Nodes aliases the lease:
+// a cluster.Lease is never mutated in place (NewLease and Without
+// copy), and schedulers treat the slice as read-only (the built-ins
+// copy before mutating).
 func (f *runner) view(t *tenant) JobView {
-	if t.viewOK {
-		return t.view
-	}
 	v := JobView{
 		ID: t.id, Name: t.name, Priority: t.class,
 		Min: t.min, Max: t.max,
@@ -21,10 +18,8 @@ func (f *runner) view(t *tenant) JobView {
 		Suspended: t.state == stateQueued && t.started >= 0,
 	}
 	if t.state == stateRunning {
-		v.Nodes = append([]int(nil), t.lease.Nodes...)
+		v.Nodes = t.lease.Nodes
 	}
-	t.view = v
-	t.viewOK = true
 	return v
 }
 
@@ -89,21 +84,15 @@ func (o schedOps) Shrink(id int, drop []int, reason string) bool {
 	if shrunk.NodeCount() == 0 {
 		return false // shrink-to-nothing is a preemption, not a resize
 	}
-	plan, err := f.planFor(t, shrunk)
-	if err != nil {
-		return false
-	}
-	if err := t.job.Resize(shrunk, plan, reason); err != nil {
+	if f.resize(t, shrunk, nil, reason) != nil {
 		return false
 	}
 	if err := f.table.ReleaseNodes(t.id, drop); err != nil {
 		// Table and tenant state diverged: fail loudly via the tenant
 		// rather than corrupting accounting.
-		t.err = err
-		f.retire(t, false)
+		f.fail(t, "job-failed", err)
 		return false
 	}
-	f.commitResize(t, shrunk, plan)
 	f.note("lease-shrink", noteInt("job", t.id), noteInt("nodes", shrunk.NodeCount()))
 	f.speculate(t)
 	return true
@@ -126,19 +115,13 @@ func (o schedOps) Grow(id int, take []int, reason string) bool {
 	if grown.NodeCount() != t.lease.NodeCount()+len(take) {
 		return false // duplicate nodes in take
 	}
-	plan, err := f.planFor(t, grown)
-	if err != nil {
-		return false
-	}
-	if err := t.job.Resize(grown, plan, reason); err != nil {
+	if f.resize(t, grown, nil, reason) != nil {
 		return false
 	}
 	if err := f.table.Acquire(t.id, take); err != nil {
-		t.err = err
-		f.retire(t, false)
+		f.fail(t, "job-failed", err)
 		return false
 	}
-	f.commitResize(t, grown, plan)
 	f.note("lease-grow", noteInt("job", t.id), noteInt("nodes", grown.NodeCount()))
 	f.speculate(t)
 	return true
@@ -155,7 +138,7 @@ func (o schedOps) Preempt(id int, reason string) bool {
 	if t == nil {
 		return false
 	}
-	f.suspend(t)
+	f.suspend(t, "preempted")
 	t.preempts++
 	f.queue = append(f.queue, t)
 	f.queueDirty = true

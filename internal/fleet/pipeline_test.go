@@ -41,7 +41,7 @@ func TestFleetPipelinedByteIdentity(t *testing.T) {
 	for i, planners := range []int{SequentialPlanners, 1, 4, runtime.GOMAXPROCS(0)} {
 		cfg := perturbedFleet(t, spec, corpus, 0)
 		cfg.Planners = planners
-		res, err := Run(cfg)
+		res, err := runChecked(t, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestFleetHerdCoalescing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := herdConfig(t, 2*k, k)
 			cfg.Planners = tc.planners
-			res, err := Run(cfg)
+			res, err := runChecked(t, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestFleetHerdLandingDeterminism(t *testing.T) {
 	tmpl := trainer.DistTrainConfig(spec, nil, corpus)
 	sc := fmt.Sprintf("herd:iter=0,job=0,count=2; job-arrive:iter=%d,job=0", cold+1)
 	for _, planners := range []int{SequentialPlanners, 1, 4, runtime.GOMAXPROCS(0)} {
-		res, err := Run(Config{
+		res, err := runChecked(t, Config{
 			Cluster:  spec.Cluster,
 			Jobs:     []JobSpec{{Name: "h", Train: tmpl, Iters: 4, MinNodes: 2, MaxNodes: 2}},
 			Scenario: mustParse(t, sc),
@@ -184,7 +184,7 @@ func TestFleetOverlappedPlanning(t *testing.T) {
 	spec48 := spec
 	spec48.GlobalBatch = 48 // distinct fingerprint, same calibration
 	tmpl48 := trainer.DistTrainConfig(spec48, nil, corpus)
-	res, err := Run(Config{
+	res, err := runChecked(t, Config{
 		Cluster: spec.Cluster,
 		Jobs: []JobSpec{
 			{Name: "early", Train: tmpl, Iters: 6, MinNodes: 2, MaxNodes: 2},
@@ -222,7 +222,7 @@ func TestFleetHerdFailureCoalesced(t *testing.T) {
 	badSpec.Model = model.MLLM72B() // cannot fit a 1-node lease
 	badTmpl := trainer.DistTrainConfig(badSpec, nil, corpus)
 	goodTmpl := trainer.DistTrainConfig(spec, nil, corpus)
-	res, err := Run(Config{
+	res, err := runChecked(t, Config{
 		Cluster: spec.Cluster,
 		Jobs: []JobSpec{
 			{Name: "bad", Train: badTmpl, Iters: 1, MinNodes: 1, MaxNodes: 1},

@@ -96,7 +96,7 @@ func preprocFleet(t *testing.T, spec orchestrator.Spec, corpus *data.Corpus, wor
 // counters roll up into the fleet aggregate.
 func TestFleetPreprocessFairness(t *testing.T) {
 	spec, corpus := buildPreprocSpec(t, 6, 32)
-	res, err := Run(preprocFleet(t, spec, corpus, 0))
+	res, err := runChecked(t, preprocFleet(t, spec, corpus, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFleetPreprocessDeterminism(t *testing.T) {
 	}
 	var want outcome
 	for i, workers := range []int{1, 1, 4, runtime.GOMAXPROCS(0)} {
-		res, err := Run(preprocFleet(t, spec, corpus, workers))
+		res, err := runChecked(t, preprocFleet(t, spec, corpus, workers))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func TestFairShareNoIdleNodes(t *testing.T) {
 	spec, corpus := buildSpec(t, 5, 32)
 	tmpl := trainerTemplate(t, spec, corpus)
 	sawThree := false
-	res, err := Run(Config{
+	res, err := runChecked(t, Config{
 		Cluster: spec.Cluster,
 		Jobs: []JobSpec{
 			{Name: "a", Train: tmpl, Iters: 6, MinNodes: 2, MaxNodes: 5},
@@ -180,7 +180,7 @@ func TestPriorityOrderAging(t *testing.T) {
 func TestJobSpecPriorityValidation(t *testing.T) {
 	spec, corpus := buildSpec(t, 2, 16)
 	tmpl := trainerTemplate(t, spec, corpus)
-	_, err := Run(Config{
+	_, err := runChecked(t, Config{
 		Cluster: spec.Cluster,
 		Jobs:    []JobSpec{{Train: tmpl, Iters: 1, Priority: Class("urgent")}},
 	})
@@ -225,7 +225,7 @@ func priorityFleet(t *testing.T, workers int) Config {
 // storm runs on packed placements, and the low tenant resumes via the
 // costed checkpoint-restore and still finishes every iteration.
 func TestPriorityPreemptResume(t *testing.T) {
-	res, err := Run(priorityFleet(t, 0))
+	res, err := runChecked(t, priorityFleet(t, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestPriorityDeterminism(t *testing.T) {
 			rounds = append(rounds, fmt.Sprintf("r%d free=%v failed=%v leases=%v",
 				info.Round, info.Free, info.Failed, leaseLines(info.Leases)))
 		}
-		res, err := Run(cfg)
+		res, err := runChecked(t, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestPriorityAgingBoundsStarvation(t *testing.T) {
 	spec, corpus := buildSpec(t, 2, 16)
 	tmpl := trainerTemplate(t, spec, corpus)
 	run := func(aging int) *Result {
-		res, err := Run(Config{
+		res, err := runChecked(t, Config{
 			Cluster: spec.Cluster,
 			Jobs: []JobSpec{
 				{Name: "hog", Train: tmpl, Iters: 2, MinNodes: 2, MaxNodes: 2},

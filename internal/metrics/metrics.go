@@ -78,21 +78,6 @@ func (s *Series) Mean() float64 {
 	return t / float64(len(s.values))
 }
 
-// Std returns the population standard deviation.
-func (s *Series) Std() float64 {
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Percentile returns the p-th percentile (0..100) by nearest-rank.
 func (s *Series) Percentile(p float64) float64 {
 	if len(s.values) == 0 {

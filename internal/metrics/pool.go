@@ -47,21 +47,6 @@ func (p *PoolStats) Labeled(name string) *PoolStats {
 	return c
 }
 
-// LabeledSnapshots returns a snapshot of every labeled child, keyed by
-// label (nil when no children exist).
-func (p *PoolStats) LabeledSnapshots() map[string]PoolSnapshot {
-	p.lmu.Lock()
-	defer p.lmu.Unlock()
-	if len(p.labeled) == 0 {
-		return nil
-	}
-	out := make(map[string]PoolSnapshot, len(p.labeled))
-	for name, c := range p.labeled {
-		out[name] = c.Snapshot()
-	}
-	return out
-}
-
 // RecordFetch records one successful fetch and its latency in seconds.
 func (p *PoolStats) RecordFetch(seconds float64) {
 	p.fetches.Add(1)

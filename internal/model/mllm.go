@@ -131,11 +131,6 @@ func (m MLLM) Params(mod Module) float64 {
 	return 0
 }
 
-// TotalParams returns the full model size (the "9B" in MLLM-9B).
-func (m MLLM) TotalParams() float64 {
-	return m.Params(Encoder) + m.Params(Backbone) + m.Params(Generator)
-}
-
 // SampleShape characterises one training sample's modality composition:
 // how many image subsequences it interleaves and how many tokens each
 // contributes. Text tokens fill the remainder of the fixed SeqLen
@@ -241,12 +236,6 @@ func (f FreezeSpec) BackwardFactor(mod Module) float64 {
 		return 0
 	}
 	return 1
-}
-
-// TrainFLOPsMultiplier returns (forward + backward) cost as a multiple
-// of forward cost for the module under this freeze setting.
-func (f FreezeSpec) TrainFLOPsMultiplier(mod Module) float64 {
-	return 1 + f.BackwardFactor(mod)
 }
 
 // ModuleMemory describes the per-GPU memory model of §4.2 for one module

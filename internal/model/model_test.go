@@ -63,7 +63,10 @@ func TestMLLMTotals(t *testing.T) {
 		if err := c.m.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.m.Name, err)
 		}
-		gotB := c.m.TotalParams() / 1e9
+		gotB := 0.0 // the "9B" in MLLM-9B: every module's parameters
+		for _, mod := range Modules {
+			gotB += c.m.Params(mod) / 1e9
+		}
 		if math.Abs(gotB-c.wantB)/c.wantB > 0.20 {
 			t.Errorf("%s = %.2fB params, want ~%.0fB", c.m.Name, gotB, c.wantB)
 		}

@@ -11,13 +11,6 @@ func ImageTokens(resolution int) int {
 	return side * side
 }
 
-// EncoderFwdFLOPsPerImage returns forward FLOPs for encoding one square
-// image of the given resolution with a ViT-style encoder.
-func EncoderFwdFLOPsPerImage(cfg TransformerConfig, resolution int) float64 {
-	tokens := ImageTokens(resolution)
-	return cfg.FwdFLOPs(tokens)
-}
-
 // DiffusionConfig describes a latent-diffusion UNet generator
 // (Stable-Diffusion 2.1-class, ~1B parameters in the paper's setup).
 // The UNet is a multi-scale stack: residual conv blocks at every scale

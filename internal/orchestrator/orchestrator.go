@@ -69,6 +69,24 @@ func (s Spec) Validate() error {
 	return nil
 }
 
+// ForLease scopes the spec to a lease carved out of base — the one
+// place a lease becomes a planning and pricing spec, so the spec the
+// plan cache keys on and the spec a leased runtime prices agree by
+// construction. placed prices the lease's concrete placement (a
+// fragmented lease loses rail alignment) and records its shape for the
+// fingerprint; otherwise only the node count matters, so equal-size
+// leases share a spec wherever their nodes land. The lease is the GPU
+// budget: MaxGPUs is cleared.
+func (s Spec) ForLease(base cluster.Cluster, l cluster.Lease, placed bool) Spec {
+	if placed {
+		s.Cluster, s.Placement = l.Placed(base), l.Shape()
+	} else {
+		s.Cluster, s.Placement = l.Subcluster(base), ""
+	}
+	s.MaxGPUs = 0
+	return s
+}
+
 func (s Spec) maxGPUs() int {
 	if s.MaxGPUs > 0 && s.MaxGPUs <= s.Cluster.TotalGPUs() {
 		return s.MaxGPUs

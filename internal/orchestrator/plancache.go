@@ -301,7 +301,7 @@ func (c *PlanCache) PlanAsync(ctx context.Context, s Spec) *PlanTicket {
 	e, claimed := c.claim(key, s, true)
 	if !claimed {
 		c.mu.Lock()
-		if e.state == entrySettled && e.published {
+		if e.visible() {
 			c.hits.Add(1)
 		} else {
 			c.coalesced.Add(1)
@@ -319,34 +319,25 @@ func (c *PlanCache) PlanAsync(ctx context.Context, s Spec) *PlanTicket {
 // error returns (nil, true, err).
 func (c *PlanCache) PlanIfSettled(s Spec) (plan *Plan, ok bool, err error) {
 	key := fingerprintSpec(s)
-	c.mu.Lock()
-	if e, found := c.entries[key]; found {
-		if e.state != entrySettled || !e.published {
-			c.mu.Unlock()
-			return nil, false, nil
-		}
-		if e.err != nil {
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return nil, true, e.err
-		}
-		cp := *e.plan
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return &cp, true, nil
+	e, warm := c.visible(key)
+	if e == nil {
+		return nil, false, nil
 	}
-	c.mu.Unlock()
-	if stored, found := c.loadStored(key); found {
+	if warm {
 		c.mu.Lock()
 		if _, raced := c.entries[key]; !raced {
-			c.entries[key] = settledEntry(stored, nil)
+			c.entries[key] = e
 		}
 		c.mu.Unlock()
 		c.warmHits.Add(1)
-		cp := *stored
-		return &cp, true, nil
+	} else {
+		c.hits.Add(1)
 	}
-	return nil, false, nil
+	if e.err != nil {
+		return nil, true, e.err
+	}
+	cp := *e.plan
+	return &cp, true, nil
 }
 
 // Settled reports whether a plan (or cached error) for s is already
@@ -354,18 +345,37 @@ func (c *PlanCache) PlanIfSettled(s Spec) (plan *Plan, ok bool, err error) {
 // without counting a hit or starting anything. Speculative pre-planners
 // use it to skip shapes that are already covered.
 func (c *PlanCache) Settled(s Spec) bool {
-	key := fingerprintSpec(s)
+	e, _ := c.visible(fingerprintSpec(s))
+	return e != nil
+}
+
+// visible is the cache's one read of "is there an outcome for key that
+// callers may see": the in-memory entry when it is settled and
+// published (a plan or a cached error), else a fresh settled entry
+// around the durable store's plan (warm), else nil. It never blocks,
+// counts nothing and starts nothing. An in-memory entry in any state is
+// authoritative — an unpublished async result also lives in the durable
+// store, and falling through to the store would leak it ahead of its
+// landing round.
+func (c *PlanCache) visible(key string) (e *planEntry, warm bool) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		settled := e.state == entrySettled && e.published
-		c.mu.Unlock()
-		return settled
+	e, found := c.entries[key]
+	if found && !e.visible() {
+		e = nil
 	}
 	c.mu.Unlock()
-	_, found := c.loadStored(key)
-	return found
+	if found {
+		return e, false
+	}
+	if plan, ok := c.loadStored(key); ok {
+		return settledEntry(plan, nil), true
+	}
+	return nil, false
 }
+
+// visible reports a settled, published entry; the caller holds
+// PlanCache.mu.
+func (e *planEntry) visible() bool { return e.state == entrySettled && e.published }
 
 // StartPlanners launches the async planner pool: a dispatcher that
 // drains queued misses in waves, running each wave as one batched
@@ -571,25 +581,11 @@ func (c *PlanCache) neighborSeed(s Spec) *Candidate {
 	return nil
 }
 
-// incumbent returns a settled, published, successful plan for key
-// without blocking on in-flight searches. When an in-memory entry
-// exists in any state it is authoritative — an unpublished async
-// result also lives in the durable store, and falling through to the
-// store would leak it ahead of its landing round.
+// incumbent returns a visible, successful plan for key without
+// blocking on in-flight searches.
 func (c *PlanCache) incumbent(key string) *Plan {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		var p *Plan
-		if e.state == entrySettled && e.published && e.err == nil {
-			p = e.plan
-		}
-		c.mu.Unlock()
-		return p
-	}
-	c.mu.Unlock()
-	if plan, ok := c.loadStored(key); ok {
-		return plan
+	if e, _ := c.visible(key); e != nil && e.err == nil {
+		return e.plan
 	}
 	return nil
 }

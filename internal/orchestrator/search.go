@@ -7,9 +7,9 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
+	"disttrain/internal/fanout"
 	"disttrain/internal/parallel"
 )
 
@@ -167,7 +167,7 @@ func PlanMany(ctx context.Context, reqs []PlanRequest, opts SearchOptions) []Pla
 
 	// run evaluates one phase's jobs against each spec's current bound.
 	run := func(jobs []job) {
-		runWorkers(ctx, opts.workers(), len(jobs), func(j int) {
+		fanout.Run(ctx, opts.workers(), len(jobs), func(j int) {
 			se := searches[jobs[j].spec]
 			c := se.cands[jobs[j].cand]
 			plan, err := se.ctx.solveSubproblem(c, se.bound)
@@ -232,32 +232,6 @@ func CandidateCount(s Spec) int {
 		return 0
 	}
 	return len(enumerateCandidates(s, s.maxGPUs()))
-}
-
-// runWorkers evaluates eval(0..n-1) on a pool of the given size,
-// handing out indices through an atomic cursor. It returns once every
-// claimed index finishes; on context cancellation workers stop
-// claiming and the remaining indices are never evaluated.
-func runWorkers(ctx context.Context, workers, n int, eval func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				eval(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // reducePlans applies the selectPlan tie-breaking over the feasible

@@ -464,6 +464,11 @@ func (s *Server) build(iter int64, dp int) ([][]Processed, error) {
 	}
 	processed := make([]Processed, bs)
 	errs := make([]error, bs)
+	// One goroutine per sample behind a semaphore, deliberately not
+	// fanout.Run: a sample allocates ~2 MB of pixel temporaries, and
+	// cursor-fed workers keep both cores allocating through every GC
+	// mark phase — measured on the preprocess-fanin workload as the same
+	// op time and 20% more peak RSS (37 -> 45 MB).
 	sem := make(chan struct{}, s.cfg.Workers)
 	var wg sync.WaitGroup
 	for i := range raw {

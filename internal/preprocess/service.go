@@ -156,12 +156,6 @@ func (s *Service) Size() int { return len(s.members) }
 // Snapshot returns the aggregate counters across all tenants.
 func (s *Service) Snapshot() metrics.PoolSnapshot { return s.stats.Snapshot() }
 
-// TenantSnapshots returns the per-tenant counters, keyed by tenant
-// name.
-func (s *Service) TenantSnapshots() map[string]metrics.PoolSnapshot {
-	return s.stats.LabeledSnapshots()
-}
-
 // Register adds a tenant and returns its fetch handle. Tenant ids are
 // assigned in registration order — the id feeds the deterministic
 // primary-member assignment, so registration order is part of the

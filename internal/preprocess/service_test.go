@@ -598,11 +598,10 @@ func TestServiceQuotaSaturationIsolatesTenants(t *testing.T) {
 	}
 	svc.release(a)
 
-	snaps := svc.TenantSnapshots()
-	if got := snaps["a"].Rejections; got != 1 {
+	if got := a.Snapshot().Rejections; got != 1 {
 		t.Errorf("tenant a rejections = %d, want 1", got)
 	}
-	if got := snaps["b"].Rejections; got != 0 {
+	if got := b.Snapshot().Rejections; got != 0 {
 		t.Errorf("tenant b rejections = %d, want 0", got)
 	}
 	if got := svc.Snapshot().Rejections; got != 1 {
@@ -722,10 +721,8 @@ func TestServiceFailoverAcrossTenants(t *testing.T) {
 			}
 		}
 	}
-	snaps := svc.TenantSnapshots()
-	if snaps["a"].Failovers == 0 || snaps["b"].Failovers == 0 {
-		t.Fatalf("failovers a=%d b=%d, want both > 0 (fair degradation)",
-			snaps["a"].Failovers, snaps["b"].Failovers)
+	if fa, fb := a.Snapshot().Failovers, b.Snapshot().Failovers; fa == 0 || fb == 0 {
+		t.Fatalf("failovers a=%d b=%d, want both > 0 (fair degradation)", fa, fb)
 	}
 
 	if err := fleet.JoinProducer(0); err != nil {

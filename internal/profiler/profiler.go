@@ -367,9 +367,6 @@ func MeanShapeOf(shapes []model.SampleShape) model.SampleShape {
 // MeanShape returns the calibrated average sample composition.
 func (p *Profiler) MeanShape() model.SampleShape { return p.meanShape }
 
-// Calibrated reports whether Calibrate has run.
-func (p *Profiler) Calibrated() bool { return p.calibrated }
-
 // CFwd returns the paper's C function: mean forward seconds per sample
 // for the module at the given width, from the calibrated shape.
 func (p *Profiler) CFwd(mod model.Module, width int) float64 {

@@ -232,20 +232,6 @@ func growGroups(s [][]int, m int) [][]int {
 	return s[:m]
 }
 
-// MaxGroupLoad returns the heaviest group's total size — the
-// intra-microbatch straggler's cost.
-func MaxGroupLoad[T any](groups [][]T, size func(T) float64) float64 {
-	worst := 0.0
-	for _, g := range groups {
-		load := 0.0
-		for _, it := range g {
-			load += size(it)
-		}
-		worst = math.Max(worst, load)
-	}
-	return worst
-}
-
 // Microbatch carries one microbatch's per-pipeline-stage compute times
 // for inter-microbatch reordering. Fwd[0] is the modality encoder
 // stage; Fwd[len-1] the modality generator stage. Index is an opaque

@@ -38,7 +38,7 @@ func TestIntraReorderFigure11(t *testing.T) {
 	}
 	// Naive split straggler = 19; LPT must beat it.
 	naive := math.Max(sizes[1]+sizes[3], sizes[2]+sizes[4])
-	if got := MaxGroupLoad(groups, func(i int) float64 { return sizes[i] }); got >= naive {
+	if got := maxGroupLoad(groups, func(i int) float64 { return sizes[i] }); got >= naive {
 		t.Errorf("LPT max load %g not better than naive %g", got, naive)
 	}
 }
@@ -100,12 +100,26 @@ func TestIntraReorderPermutationAndBound(t *testing.T) {
 		// 4/3-approximation against brute force (m^n assignments).
 		if n <= 7 {
 			opt := bruteForcePartition(sizes, m)
-			got := MaxGroupLoad(groups, size)
+			got := maxGroupLoad(groups, size)
 			if got > opt*(4.0/3.0)+1e-9 {
 				t.Fatalf("LPT load %g exceeds 4/3 * OPT %g", got, opt)
 			}
 		}
 	}
+}
+
+// maxGroupLoad is the heaviest group's total size — the
+// intra-microbatch straggler's cost the partition tests bound.
+func maxGroupLoad(groups [][]int, size func(int) float64) float64 {
+	worst := 0.0
+	for _, g := range groups {
+		load := 0.0
+		for _, it := range g {
+			load += size(it)
+		}
+		worst = math.Max(worst, load)
+	}
+	return worst
 }
 
 func bruteForcePartition(sizes []float64, m int) float64 {

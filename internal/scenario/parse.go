@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -95,97 +96,43 @@ func eventErr(i int, part string, err error) error {
 	return fmt.Errorf("scenario: event %d: %q: %w", i, part, err)
 }
 
-func splitEvent(part string) (kind string, kvs map[string]string, err error) {
+// kv is one key=value pair of an event, kept in spec order so that a
+// spec with several faults always reports the same one: the first.
+type kv struct{ k, v string }
+
+func splitEvent(part string) (kind string, kvs []kv, err error) {
 	kind, rest, found := strings.Cut(part, ":")
 	kind = strings.TrimSpace(kind)
-	kvs = map[string]string{}
 	if !found || strings.TrimSpace(rest) == "" {
-		return kind, kvs, nil
+		return kind, nil, nil
 	}
-	for _, kv := range strings.Split(rest, ",") {
-		k, v, ok := strings.Cut(kv, "=")
+	for _, pair := range strings.Split(rest, ",") {
+		k, v, ok := strings.Cut(pair, "=")
 		if !ok {
-			return "", nil, fmt.Errorf("malformed key=value %q", kv)
+			return "", nil, fmt.Errorf("malformed key=value %q", pair)
 		}
 		k = strings.TrimSpace(k)
-		if _, dup := kvs[k]; dup {
-			return "", nil, fmt.Errorf("duplicate key %q", k)
+		for _, seen := range kvs {
+			if seen.k == k {
+				return "", nil, fmt.Errorf("duplicate key %q", k)
+			}
 		}
-		kvs[k] = strings.TrimSpace(v)
+		kvs = append(kvs, kv{k, strings.TrimSpace(v)})
 	}
 	return kind, kvs, nil
 }
 
-// eventKeys lists, per kind, the keys beyond the iteration window that
-// the kind actually consumes. Keys outside the list are rejected
-// instead of silently ignored: an event that parses must mean what it
-// says.
-var eventKeys = map[Kind]string{
-	Straggler:         "rank stage factor from until",
-	PreprocessDegrade: "factor",
-	LinkCongestion:    "factor",
-	WorkloadShift:     "factor",
-	NodeFailure:       "downtime",
-	ProducerFail:      "producer",
-	ProducerJoin:      "producer",
-	JobArrive:         "job",
-	JobDepart:         "job",
-	FleetNodeFail:     "node",
-	FleetNodeJoin:     "node",
-	PriorityArrive:    "job class",
-	PreemptStorm:      "job class count",
-	Herd:              "job count",
-}
-
-func keyAllowed(k Kind, key string) bool {
-	for _, a := range strings.Fields(eventKeys[k]) {
-		if a == key {
-			return true
-		}
-	}
-	return false
-}
-
-func parseEvent(kind string, kvs map[string]string) (Event, error) {
-	e := Event{Rank: -1, Stage: -1, Factor: 2}
-	switch kind {
-	case "straggler":
-		e.Kind = Straggler
-	case "preprocess", "preproc":
-		e.Kind = PreprocessDegrade
-	case "congestion":
-		e.Kind = LinkCongestion
-	case "workload-shift":
-		e.Kind = WorkloadShift
-	case "failure":
-		e.Kind = NodeFailure
-		e.Downtime = 30
-	case "producer-fail":
-		e.Kind = ProducerFail
-	case "producer-join":
-		e.Kind = ProducerJoin
-	case "job-arrive":
-		e.Kind = JobArrive
-	case "job-depart":
-		e.Kind = JobDepart
-	case "node-fail":
-		e.Kind = FleetNodeFail
-	case "node-join":
-		e.Kind = FleetNodeJoin
-	case "priority-arrive":
-		e.Kind = PriorityArrive
-	case "preempt-storm":
-		e.Kind = PreemptStorm
-		e.Class = "high"
-		e.Count = 2
-	case "herd":
-		e.Kind = Herd
-		e.Count = 2
-	default:
+func parseEvent(kind string, kvs []kv) (Event, error) {
+	id, ok := kindByName(kind)
+	if !ok {
 		return Event{}, fmt.Errorf("unknown event kind %q", kind)
 	}
+	info := kinds[id]
+	e := info.defaults
+	e.Kind, e.Rank, e.Stage, e.Factor = id, -1, -1, 2
 	haveIter, haveRange := false, false
-	for k, v := range kvs {
+	for _, p := range kvs {
+		k, v := p.k, p.v
 		var err error
 		switch k {
 		case "iter":
@@ -193,7 +140,7 @@ func parseEvent(kind string, kvs map[string]string) (Event, error) {
 			e.End = e.Start + 1
 			haveIter = true
 		case "iters":
-			if e.Kind.fireOnce() {
+			if info.fireOnce {
 				return Event{}, fmt.Errorf("%s fires once: use iter=N, not a window", kind)
 			}
 			lo, hi, ok := strings.Cut(v, "-")
@@ -233,12 +180,11 @@ func parseEvent(kind string, kvs map[string]string) (Event, error) {
 		if err != nil {
 			return Event{}, fmt.Errorf("bad %s=%q: %w", k, v, err)
 		}
-		if k != "iter" && k != "iters" && !keyAllowed(e.Kind, k) {
-			return Event{}, fmt.Errorf("key %q does not apply to %s (allowed: iter/iters %s)", k, kind, eventKeys[e.Kind])
+		if k != "iter" && k != "iters" && !slices.Contains(strings.Fields(info.keys), k) {
+			return Event{}, fmt.Errorf("key %q does not apply to %s (allowed: iter/iters %s)", k, kind, info.keys)
 		}
 	}
-	// iter and iters are exclusive: with both present, map iteration
-	// order would decide the window — a nondeterministic parse.
+	// iter and iters are exclusive: one event has one window.
 	if haveIter && haveRange {
 		return Event{}, fmt.Errorf("%s specifies both iter and iters", kind)
 	}
@@ -253,9 +199,10 @@ func parseEvent(kind string, kvs map[string]string) (Event, error) {
 // into a denial of service. Real DP degrees sit far below this.
 const maxGeneratorRanks = 1 << 16
 
-func parseRandomStragglers(kvs map[string]string) (Scenario, error) {
+func parseRandomStragglers(kvs []kv) (Scenario, error) {
 	g := RandomStragglers{Seed: 1, Ranks: 1, Prob: 0.2, MaxFactor: 3}
-	for k, v := range kvs {
+	for _, p := range kvs {
+		k, v := p.k, p.v
 		var err error
 		switch k {
 		case "seed":

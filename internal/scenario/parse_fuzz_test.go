@@ -8,11 +8,11 @@ import (
 
 // FuzzScenarioParse hammers the -scenario grammar — the only
 // user-facing parser in the repo beyond the preprocessing wire
-// protocol. The oracle: Parse must never panic, and anything it
-// accepts must be a well-formed scenario — every event it yields
-// revalidates cleanly, resolves deterministically, and carries finite
-// cost factors (no NaN/Inf smuggled through the grammar into the cost
-// model).
+// protocol. The oracle: Parse must never panic, a rejection must read
+// the same every time, and anything it accepts must be a well-formed
+// scenario — every event it yields revalidates cleanly, resolves
+// deterministically, and carries finite cost factors (no NaN/Inf
+// smuggled through the grammar into the cost model).
 func FuzzScenarioParse(f *testing.F) {
 	for _, seed := range []string{
 		// Every documented event kind, including the new workload-shift.
@@ -70,6 +70,8 @@ func FuzzScenarioParse(f *testing.F) {
 		"straggler:",
 		"straggler:iter",
 		"straggler:iters=9223372036854775807-9223372036854775807",
+		// Several faults at once: the first in spec order is the one reported.
+		"straggler:iters=2-5,rank=x,stage=y,factor=z",
 	} {
 		f.Add(seed)
 	}
@@ -78,6 +80,9 @@ func FuzzScenarioParse(f *testing.F) {
 		if err != nil {
 			if sc != nil {
 				t.Fatalf("Parse(%q) returned both a scenario and %v", spec, err)
+			}
+			if _, again := Parse(spec); again == nil || again.Error() != err.Error() {
+				t.Fatalf("Parse(%q) rejected with %q, then with %v", spec, err, again)
 			}
 			return
 		}

@@ -102,57 +102,72 @@ const (
 	Herd
 )
 
+// kindInfo is everything the package knows about a kind beyond its cost
+// semantics; kinds holds one row per Kind, so adding a kind is adding a
+// row.
+type kindInfo struct {
+	// name is the kind's name in the -scenario grammar and in traces;
+	// alias a second spelling Parse accepts.
+	name, alias string
+	// keys lists the keys beyond the iteration window that the kind
+	// consumes. Parse rejects the rest instead of silently ignoring
+	// them: an event that parses must mean what it says.
+	keys string
+	// fireOnce kinds fire exactly once, at Start, rather than covering
+	// an iteration window; fleet kinds address the multi-tenant fleet
+	// runtime rather than one training run's cost model.
+	fireOnce, fleet bool
+	// defaults are the kind's own parse defaults, on top of the ones
+	// every kind shares (rank and stage -1, factor 2).
+	defaults Event
+}
+
+var kinds = [...]kindInfo{
+	Straggler:         {name: "straggler", keys: "rank stage factor from until"},
+	PreprocessDegrade: {name: "preprocess", alias: "preproc", keys: "factor"},
+	LinkCongestion:    {name: "congestion", keys: "factor"},
+	NodeFailure:       {name: "failure", keys: "downtime", fireOnce: true, defaults: Event{Downtime: 30}},
+	ProducerFail:      {name: "producer-fail", keys: "producer", fireOnce: true},
+	ProducerJoin:      {name: "producer-join", keys: "producer", fireOnce: true},
+	WorkloadShift:     {name: "workload-shift", keys: "factor"},
+	JobArrive:         {name: "job-arrive", keys: "job", fireOnce: true, fleet: true},
+	JobDepart:         {name: "job-depart", keys: "job", fireOnce: true, fleet: true},
+	FleetNodeFail:     {name: "node-fail", keys: "node", fireOnce: true, fleet: true},
+	FleetNodeJoin:     {name: "node-join", keys: "node", fireOnce: true, fleet: true},
+	PriorityArrive:    {name: "priority-arrive", keys: "job class", fireOnce: true, fleet: true},
+	PreemptStorm:      {name: "preempt-storm", keys: "job class count", fireOnce: true, fleet: true, defaults: Event{Class: "high", Count: 2}},
+	Herd:              {name: "herd", keys: "job count", fireOnce: true, fleet: true, defaults: Event{Count: 2}},
+}
+
+// known reports whether k has a row in kinds.
+func (k Kind) known() bool { return k >= 0 && int(k) < len(kinds) }
+
+// kindByName resolves a grammar name or alias.
+func kindByName(name string) (Kind, bool) {
+	for k, info := range kinds {
+		if name == info.name || (info.alias != "" && name == info.alias) {
+			return Kind(k), true
+		}
+	}
+	return 0, false
+}
+
 func (k Kind) String() string {
-	switch k {
-	case Straggler:
-		return "straggler"
-	case PreprocessDegrade:
-		return "preprocess"
-	case LinkCongestion:
-		return "congestion"
-	case NodeFailure:
-		return "failure"
-	case ProducerFail:
-		return "producer-fail"
-	case ProducerJoin:
-		return "producer-join"
-	case WorkloadShift:
-		return "workload-shift"
-	case JobArrive:
-		return "job-arrive"
-	case JobDepart:
-		return "job-depart"
-	case FleetNodeFail:
-		return "node-fail"
-	case FleetNodeJoin:
-		return "node-join"
-	case PriorityArrive:
-		return "priority-arrive"
-	case PreemptStorm:
-		return "preempt-storm"
-	case Herd:
-		return "herd"
+	if k.known() {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("scenario.Kind(%d)", int(k))
 }
 
 // fireOnce reports whether the kind fires exactly once, at Start,
 // rather than covering an iteration window.
-func (k Kind) fireOnce() bool {
-	return k == NodeFailure || k == ProducerFail || k == ProducerJoin || k.FleetScope()
-}
+func (k Kind) fireOnce() bool { return k.known() && kinds[k].fireOnce }
 
 // FleetScope reports whether the kind addresses the multi-tenant fleet
 // runtime (job arrivals/departures, fleet node membership) rather than
 // one training run's cost model. The trainer ignores fleet-scope
 // events; internal/fleet consumes them through FleetEvents.
-func (k Kind) FleetScope() bool {
-	switch k {
-	case JobArrive, JobDepart, FleetNodeFail, FleetNodeJoin, PriorityArrive, PreemptStorm, Herd:
-		return true
-	}
-	return false
-}
+func (k Kind) FleetScope() bool { return k.known() && kinds[k].fleet }
 
 // Event is one timed perturbation. Iteration windows are half-open:
 // the event affects iterations Start <= i < End (NodeFailure fires
@@ -209,7 +224,7 @@ const MaxStormCount = 256
 
 // Validate checks one event.
 func (e Event) Validate() error {
-	if e.Kind < Straggler || e.Kind > Herd {
+	if !e.Kind.known() {
 		return fmt.Errorf("scenario: unknown kind %d", int(e.Kind))
 	}
 	if e.Start < 0 {

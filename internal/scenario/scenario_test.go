@@ -405,6 +405,21 @@ func TestParseErrorsCarryEventContext(t *testing.T) {
 // their target keys; the trainer-facing resolution treats them as
 // steady (they address the fleet scheduler, not one run's cost model)
 // and FleetEvents surfaces them in schedule order.
+// TestParseErrorIsDeterministic pins which fault a spec with several
+// reports: the first offending pair in spec order, every time. (The
+// pairs used to live in a map, so this spec named rank, stage or factor
+// at random.)
+func TestParseErrorIsDeterministic(t *testing.T) {
+	const spec = "straggler:iters=2-5,rank=x,stage=y,factor=z"
+	const want = `bad rank="x"`
+	for i := 0; i < 200; i++ {
+		_, err := Parse(spec)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("parse %d: error %v, want it to name %s", i, err, want)
+		}
+	}
+}
+
 func TestParseFleetEvents(t *testing.T) {
 	sc, err := Parse("job-arrive:iter=2,job=1; node-fail:iter=2,node=3; node-join:iter=4,node=3; job-depart:iter=5,job=0")
 	if err != nil {

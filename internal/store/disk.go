@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"disttrain/internal/metrics"
@@ -119,22 +118,6 @@ func (d *Disk) Put(key string, payload []byte) error {
 		_, err := w.Write(payload)
 		return err
 	})
-}
-
-// Keys lists the stored keys (including ones whose entries would fail
-// the integrity check — Keys reads directory names only).
-func (d *Disk) Keys() ([]string, error) {
-	ents, err := os.ReadDir(d.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: list %s: %w", d.dir, err)
-	}
-	var keys []string
-	for _, e := range ents {
-		if name, ok := strings.CutSuffix(e.Name(), ".entry"); ok && name != "" && !e.IsDir() {
-			keys = append(keys, name)
-		}
-	}
-	return keys, nil
 }
 
 // decodeEntry validates "<magic> <sha256 hex> <len>\n<payload>".

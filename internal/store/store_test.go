@@ -96,10 +96,6 @@ func TestDiskSurvivesReopen(t *testing.T) {
 	if err != nil || !ok || string(got) != "across restarts" {
 		t.Fatalf("reopened store: got %q ok=%v err=%v", got, ok, err)
 	}
-	keys, err := d2.Keys()
-	if err != nil || len(keys) != 1 || keys[0] != "persisted" {
-		t.Fatalf("Keys() = %v err=%v, want [persisted]", keys, err)
-	}
 }
 
 // corruptDisk opens a disk store whose corruption hook records into a

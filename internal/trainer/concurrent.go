@@ -1,14 +1,14 @@
 package trainer
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"disttrain/internal/data"
 	"disttrain/internal/dfs"
+	"disttrain/internal/fanout"
 	"disttrain/internal/metrics"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
@@ -315,31 +315,9 @@ func (r *Runtime) iteration(p preparedBatch, workers int) (IterationStats, error
 	pert := scenario.At(r.cfg.Scenario, p.iter)
 	p2p := r.iterP2P(pert)
 	outcomes := r.outcomes(len(p.ranks))
-	if workers > len(p.ranks) {
-		workers = len(p.ranks)
-	}
-	if workers <= 1 {
-		for d := range p.ranks {
-			outcomes[d] = r.runRank(d, p.ranks[d], p2p, pert)
-		}
-		return r.finishIteration(p, pert, outcomes)
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				d := int(cursor.Add(1)) - 1
-				if d >= len(p.ranks) {
-					return
-				}
-				outcomes[d] = r.runRank(d, p.ranks[d], p2p, pert)
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Run(context.Background(), workers, len(p.ranks), func(d int) {
+		outcomes[d] = r.runRank(d, p.ranks[d], p2p, pert)
+	})
 	return r.finishIteration(p, pert, outcomes)
 }
 

@@ -204,19 +204,29 @@ func (j *Job) applySwitch(i int, sw *PlanSwitch) error {
 		return nil
 	}
 	j.discardPrefetch()
-	down, err := r.reconfigure(sw.Plan, i)
+	return j.switchPlan(i, sw.Plan, sw.Reason, "controller", "replan",
+		map[string]any{"iter": i, "strategy": sw.Plan.Strategy, "reason": sw.Reason})
+}
+
+// switchPlan is the one costed reconfiguration, at the boundary before
+// iteration i: the checkpoint write and restore read are priced,
+// charged to the job as downtime and recorded as a Replan. The trace
+// gets the caller's instant plus the reconfigure span on the caller's
+// lane. The caller has discarded any prefetched batch.
+func (j *Job) switchPlan(i int, p *orchestrator.Plan, reason, cat, event string, args map[string]any) error {
+	r := j.r
+	down, err := r.reconfigure(p, i)
 	if err != nil {
 		return err
 	}
 	j.res.PlanSwitches++
 	j.res.DowntimeSeconds += down
 	j.res.Replans = append(j.res.Replans, Replan{
-		AppliedAt: i, Strategy: sw.Plan.Strategy, Reason: sw.Reason, Downtime: down,
+		AppliedAt: i, Strategy: p.Strategy, Reason: reason, Downtime: down,
 	})
 	if tr := r.cfg.Trace; tr != nil {
-		tr.Instant("replan", "controller", 0, r.clock,
-			map[string]any{"iter": i, "strategy": sw.Plan.Strategy, "reason": sw.Reason})
-		tr.Complete("reconfigure", "controller", 0, 0, r.clock, down)
+		tr.Instant(event, cat, 0, r.clock, args)
+		tr.Complete("reconfigure", cat, 0, 0, r.clock, down)
 	}
 	r.clock += down
 	return nil
@@ -247,39 +257,25 @@ func (j *Job) Resize(l cluster.Lease, p *orchestrator.Plan, reason string) error
 	// semantically free: a later fetch re-prepares the identical
 	// batch.
 	j.discardPrefetch()
-	sub := r.cfg.leaseCluster(l, r.base)
-	oldCluster, oldPlace := r.cfg.Spec.Cluster, r.cfg.Spec.Placement
-	r.cfg.Spec.Cluster = sub
-	r.cfg.Spec.Placement = r.cfg.leaseShape(l)
-	r.cfg.Spec.MaxGPUs = 0
+	// The plan is checked, and the switch priced, under the incoming
+	// geometry; any failure — an infeasible plan, a reconfiguration
+	// checkpoint that did not write — puts the old spec back with the
+	// old lease and plan.
+	old := r.cfg.Spec
+	r.cfg.Spec = old.ForLease(r.base, l, r.cfg.PlacementPricing)
 	err := r.checkPlan(p)
 	if err == nil && p.TotalGPUs() > l.GPUs(r.base) {
 		err = fmt.Errorf("trainer: resize plan wants %d GPUs, lease has %d", p.TotalGPUs(), l.GPUs(r.base))
 	}
+	if err == nil {
+		err = j.switchPlan(j.i, p, reason, "fleet", "lease-resize",
+			map[string]any{"iter": j.i, "nodes": l.NodeCount(), "reason": reason})
+	}
 	if err != nil {
-		r.cfg.Spec.Cluster, r.cfg.Spec.Placement = oldCluster, oldPlace
+		r.cfg.Spec = old
 		return err
 	}
-	down, err := r.reconfigure(p, j.i)
-	if err != nil {
-		// The reconfiguration checkpoint failed: the job keeps its old
-		// lease and plan, so its spec must keep the old geometry too.
-		r.cfg.Spec.Cluster, r.cfg.Spec.Placement = oldCluster, oldPlace
-		return err
-	}
-	lease := l
-	r.cfg.Lease = &lease
-	j.res.PlanSwitches++
-	j.res.DowntimeSeconds += down
-	j.res.Replans = append(j.res.Replans, Replan{
-		AppliedAt: j.i, Strategy: p.Strategy, Reason: reason, Downtime: down,
-	})
-	if tr := r.cfg.Trace; tr != nil {
-		tr.Instant("lease-resize", "fleet", 0, r.clock,
-			map[string]any{"iter": j.i, "nodes": lease.NodeCount(), "reason": reason})
-		tr.Complete("reconfigure", "fleet", 0, 0, r.clock, down)
-	}
-	r.clock += down
+	r.cfg.Lease = &l
 	if la, ok := r.cfg.Controller.(LeaseAware); ok {
 		la.LeaseChanged(j.i, r.cfg.Spec, p)
 	}

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"disttrain/internal/data"
+	"disttrain/internal/fanout"
 	"disttrain/internal/preprocess"
 	"disttrain/internal/scenario"
 )
@@ -135,29 +135,9 @@ func (ps *PoolSource) Assign(iter, dp int) ([]data.Sample, [][]data.Sample, erro
 	ps.Pool.SetDP(dp)
 	ranks := make([][]data.Sample, dp)
 	errs := make([]error, dp)
-	workers := ps.Pool.MaxInflight()
-	if workers > dp {
-		workers = dp
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for d := range next {
-				ranks[d], errs[d] = ps.fetchRank(iter, d)
-			}
-		}()
-	}
-	for d := 0; d < dp; d++ {
-		next <- d
-	}
-	close(next)
-	wg.Wait()
+	fanout.Run(context.Background(), ps.Pool.MaxInflight(), dp, func(d int) {
+		ranks[d], errs[d] = ps.fetchRank(iter, d)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err

@@ -291,24 +291,6 @@ type Runtime struct {
 	opLabels [2][]metrics.Label
 }
 
-// leaseCluster scopes the run's cluster to a lease: its concrete
-// placement under PlacementPricing, its bare node count otherwise.
-func (cfg Config) leaseCluster(l cluster.Lease, base cluster.Cluster) cluster.Cluster {
-	if cfg.PlacementPricing {
-		return l.Placed(base)
-	}
-	return l.Subcluster(base)
-}
-
-// leaseShape is the placement shape the spec should carry for a
-// lease: meaningful only under PlacementPricing.
-func (cfg Config) leaseShape(l cluster.Lease) string {
-	if cfg.PlacementPricing {
-		return l.Shape()
-	}
-	return ""
-}
-
 // New validates the config and builds a runtime. A leased config is
 // rescoped first: the runtime's effective cluster becomes the lease's
 // subcluster (or its placement-priced view under PlacementPricing),
@@ -322,9 +304,7 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		lease := *cfg.Lease // defensive copy: Resize swaps the pointer
 		cfg.Lease = &lease
-		cfg.Spec.Cluster = cfg.leaseCluster(lease, base)
-		cfg.Spec.Placement = cfg.leaseShape(lease)
-		cfg.Spec.MaxGPUs = 0
+		cfg.Spec = cfg.Spec.ForLease(base, lease, cfg.PlacementPricing)
 		if cfg.Plan != nil && cfg.Plan.TotalGPUs() > lease.GPUs(base) {
 			return nil, fmt.Errorf("trainer: plan wants %d GPUs, lease holds %d", cfg.Plan.TotalGPUs(), lease.GPUs(base))
 		}
