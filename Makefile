@@ -10,10 +10,12 @@ GO ?= go
 COVER_FLOOR ?= 73
 
 # LOC_CEILING is the line-count gate: `make loc` measured 18,373 when
-# the gate was added (PR 21). ROADMAP aim 2 wants the number to shrink,
-# so lower it when a PR removes code; raising it is a deliberate edit
-# that says in CHANGES.md what the added lines buy.
-LOC_CEILING ?= 18373
+# the gate was added (PR 21) and 18,430 after PR 22, whose +57 are the
+# scratch-owning Simulator / Reorderer and the trainer's one-walk
+# front-end (fleet-steady op_ms_p50 52 -> 21 ms). ROADMAP aim 2 wants
+# the number to shrink, so lower it when a PR removes code; raising it
+# is a deliberate edit that says in CHANGES.md what the added lines buy.
+LOC_CEILING ?= 18430
 
 .PHONY: all build fmt vet test race bench bench-json bench-diff fuzz cover loc loc-gate profile profile-plan staticcheck ci
 
@@ -177,17 +179,21 @@ staticcheck:
 
 # fuzz smoke: hammer the user-facing parsers with generated inputs for
 # a few seconds each — the preprocessing wire protocol and the scenario
-# grammar — and three rewrites against the code they replaced, bit for
+# grammar — three rewrites against the code they replaced, bit for
 # bit: the §4.3 subproblem kernel against its closure-based oracle, the
 # trace log against the sharded recorder and the compiled sample cost
-# model against the formulas it was compiled from (the seeded corpora
-# always run in plain `make test`).
+# model against the formulas it was compiled from — and the two
+# scratch-owning kernels, one long-lived Simulator / Reorderer against
+# a fresh one per call (the seeded corpora always run in plain
+# `make test`).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseBatch -fuzztime=5s ./internal/preprocess
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzSubproblemRefine -fuzztime=5s ./internal/orchestrator
 	$(GO) test -run='^$$' -fuzz=FuzzTraceEquivalence -fuzztime=5s ./internal/metrics
 	$(GO) test -run='^$$' -fuzz=FuzzSamplePricing -fuzztime=5s ./internal/profiler
+	$(GO) test -run='^$$' -fuzz=FuzzSimulatorReuse -fuzztime=5s ./internal/pipeline
+	$(GO) test -run='^$$' -fuzz=FuzzReordererReuse -fuzztime=5s ./internal/reorder
 
 # cover fails when total statement coverage regresses below
 # COVER_FLOOR. Writes cover.out for per-package reporting.

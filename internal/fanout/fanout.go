@@ -14,10 +14,10 @@ import (
 
 // Run evaluates eval(0..n-1) on at most workers goroutines, handing out
 // indices through an atomic cursor, and returns once every claimed
-// index has finished. One worker or fewer runs inline on the calling
-// goroutine, in index order — the serial reference path. Once ctx is
-// done no further index is claimed; the remaining ones are never
-// evaluated.
+// index has finished. The calling goroutine is one of the workers, so
+// only workers-1 are spawned; one worker or fewer runs inline, in index
+// order — the serial reference path. Once ctx is done no further index
+// is claimed; the remaining ones are never evaluated.
 func Run(ctx context.Context, workers, n int, eval func(i int)) {
 	if workers > n {
 		workers = n
@@ -29,19 +29,23 @@ func Run(ctx context.Context, workers, n int, eval func(i int)) {
 		return
 	}
 	var cursor atomic.Int64
+	drain := func() {
+		for ctx.Err() == nil {
+			i := int(cursor.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			eval(i)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				eval(i)
-			}
+			drain()
 		}()
 	}
+	drain()
 	wg.Wait()
 }

@@ -27,6 +27,7 @@ import (
 type Hash struct {
 	h   hash.Hash
 	buf [8]byte
+	str [64]byte // Str's staging chunk: one SHA-256 block
 }
 
 // New returns an empty Hash seeded with the given domain tag, so hashes
@@ -38,10 +39,15 @@ func New(domain string) *Hash {
 	return h
 }
 
-// Str hashes a length-prefixed string.
+// Str hashes a length-prefixed string, staged through a fixed chunk so
+// no per-call []byte copy of s is allocated.
 func (h *Hash) Str(s string) {
 	h.Int(len(s))
-	h.h.Write([]byte(s))
+	for len(s) > 0 {
+		n := copy(h.str[:], s)
+		h.h.Write(h.str[:n])
+		s = s[n:]
+	}
 }
 
 // Int hashes an integer as fixed 8 bytes.

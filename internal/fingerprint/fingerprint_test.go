@@ -3,6 +3,7 @@ package fingerprint
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"disttrain/internal/cluster"
@@ -102,5 +103,28 @@ func TestHashStable(t *testing.T) {
 	}
 	if len(mk()) != 64 {
 		t.Errorf("digest length %d, want 64 hex chars", len(mk()))
+	}
+}
+
+// TestHashStrAllocFree pins Str's staging buffer: hashing a string —
+// shorter than, equal to and longer than one 64-byte chunk — allocates
+// nothing, and chunking leaves the digest what one whole Write gives.
+func TestHashStrAllocFree(t *testing.T) {
+	long := strings.Repeat("disttrain/", 20) // 200 bytes: three full chunks and a tail
+	h := New("test/v1")
+	if got := testing.AllocsPerRun(100, func() {
+		h.Str("9b")
+		h.Str(long[:64])
+		h.Str(long)
+	}); got != 0 {
+		t.Errorf("Hash.Str allocated %v times per three strings, want 0", got)
+	}
+	chunked := New("test/v1")
+	chunked.Str(long)
+	whole := New("test/v1")
+	whole.Int(len(long))
+	whole.h.Write([]byte(long))
+	if chunked.Sum() != whole.Sum() {
+		t.Error("chunked Str digest differs from a single Write of the same bytes")
 	}
 }

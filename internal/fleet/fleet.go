@@ -286,6 +286,13 @@ type runner struct {
 	queueDirty bool
 	runBuf     []*tenant // running() scratch, reused across rounds
 
+	// gen is bumped by transition and resize — the only writers of
+	// tenant state and of a running tenant's lease — and by nothing
+	// else; runViews is Ops.Running's snapshot, current while
+	// runViewsGen == gen (both start at 0: no tenant runs, nil is right).
+	gen, runViewsGen uint64
+	runViews         []JobView
+
 	// In-flight plan waves in enqueue order (landing processing must be
 	// deterministic); a handful at a time, so look-ups scan.
 	// overlapRounds counts rounds where planning overlapped training.
@@ -732,6 +739,7 @@ func (f *runner) transition(t *tenant, to int, reason string) {
 	t.state = to
 	t.pend = nil
 	t.waited = 0
+	f.gen++
 }
 
 // suspend takes a lease-holding tenant (running or planning) back to
@@ -760,6 +768,7 @@ func (f *runner) resize(t *tenant, lease cluster.Lease, plan *orchestrator.Plan,
 	}
 	t.lease, t.plan = lease, plan
 	t.resizes++
+	f.gen++
 	f.resizeQuota(t, lease.NodeCount())
 	return nil
 }
@@ -800,6 +809,9 @@ func (f *runner) departJob(id int) {
 func (f *runner) retire(t *tenant, departed bool) {
 	if t.job != nil && t.result == nil {
 		t.result = t.job.Finish()
+	}
+	if t.rt != nil {
+		t.rt.Close() // stops the checkpoint writer trainer.New started
 	}
 	// Finish drained the prefetch, so the tenant's pool counters are
 	// quiescent — snapshot them now, exactly once.

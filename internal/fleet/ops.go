@@ -36,14 +36,21 @@ func (o schedOps) FreeCount() int {
 	return o.f.table.FreeCount()
 }
 
+// Running serves one exact-size snapshot per generation of tenant
+// state. A rebuild allocates rather than overwrites, so a scheduler
+// ranging over one result while it shrinks or preempts keeps its view.
 func (o schedOps) Running() []JobView {
-	var out []JobView
-	for _, t := range o.f.tenants {
-		if t.state == stateRunning {
-			out = append(out, o.f.view(t))
+	f := o.f
+	if f.runViewsGen != f.gen {
+		f.runViews, f.runViewsGen = nil, f.gen
+		if run := f.running(); len(run) > 0 {
+			f.runViews = make([]JobView, len(run))
+			for i, t := range run {
+				f.runViews[i] = f.view(t)
+			}
 		}
 	}
-	return out
+	return f.runViews
 }
 
 func (o schedOps) Queued() []JobView {

@@ -15,7 +15,8 @@ type JobView struct {
 	Priority Class
 	// Min and Max bound the tenant's elastic lease, in nodes.
 	Min, Max int
-	// Nodes is a copy of the tenant's current lease; nil while queued.
+	// Nodes aliases the tenant's current lease — read-only, copy before
+	// sorting or editing; nil while queued.
 	Nodes []int
 	// Arrived is the round the tenant entered the queue; Started the
 	// round it was first placed (-1 if never).
@@ -48,7 +49,9 @@ type Ops interface {
 	Free() []int
 	FreeCount() int
 	// Running returns the running tenants in submission order; Queued
-	// the queued tenants in current queue order.
+	// the queued tenants in current queue order. Running's slice is
+	// shared, read-only, valid until the next mutation (Shrink, Grow,
+	// Preempt or any tenant state change): copy before sorting.
 	Running() []JobView
 	Queued() []JobView
 	// Shrink releases the given nodes from a running tenant's lease as

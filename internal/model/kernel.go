@@ -86,6 +86,15 @@ func (k *CostKernel) AddImage(w *Workload, tokens int) {
 	}
 }
 
+// Add folds o into w: the two image sequences concatenated. ViT FLOPs
+// are integers far below 2^53, so this matches folding image by image.
+func (w *Workload) Add(o Workload) {
+	w.vit += o.vit
+	w.tokens += o.tokens
+	w.Images += o.Images
+	w.GenImages += o.GenImages
+}
+
 // Fold returns the workload of one sample shape.
 func (k *CostKernel) Fold(s SampleShape) Workload {
 	w := Workload{GenImages: s.GenImages}

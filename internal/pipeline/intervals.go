@@ -93,11 +93,15 @@ type IntervalPredictor struct {
 // NewIntervalPredictor creates a predictor for a pipeline with the
 // given stage count; p2p may be nil for free links.
 func NewIntervalPredictor(stages int, p2p []float64) *IntervalPredictor {
-	return &IntervalPredictor{
-		p2p: p2p,
-		fe:  make([]float64, stages),
-		be:  make([]float64, stages),
-	}
+	ip := new(IntervalPredictor)
+	ip.Reset(stages, p2p)
+	return ip
+}
+
+// Reset re-arms the predictor for a fresh microbatch sequence over a
+// pipeline of the given depth, reusing its per-stage buffers.
+func (ip *IntervalPredictor) Reset(stages int, p2p []float64) {
+	*ip = IntervalPredictor{p2p: p2p, fe: zeroed(ip.fe, stages), be: zeroed(ip.be, stages)}
 }
 
 func (ip *IntervalPredictor) link(i int) float64 {
@@ -160,20 +164,6 @@ func (ip *IntervalPredictor) Append(fwd, bwd []float64) Interval {
 		end = start
 	}
 	return Interval{Index: ip.placed, Start: start, End: end}
-}
-
-// Clone deep-copies the predictor, letting Algorithm 2 evaluate
-// tentative placements.
-func (ip *IntervalPredictor) Clone() *IntervalPredictor {
-	c := &IntervalPredictor{
-		p2p:        ip.p2p,
-		fe:         append([]float64(nil), ip.fe...),
-		be:         append([]float64(nil), ip.be...),
-		feFirstEnd: ip.feFirstEnd,
-		bePrev0:    ip.bePrev0,
-		placed:     ip.placed,
-	}
-	return c
 }
 
 // Gantt renders the timeline as ASCII art, one row per stage — the

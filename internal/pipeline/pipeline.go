@@ -6,11 +6,17 @@
 // (Figure 4), and the first-stage intervals of Figure 12 are derived.
 // It also implements the O(p) interval-prediction dynamic program that
 // Algorithm 2's GETINTERVAL uses.
+//
+// Aliasing: a Result from the package-level Simulate / SimulateVPP is
+// the caller's to keep; one from a (*Simulator).Simulate aliases that
+// simulator's buffers (Ops, StageBusy) until its next call. Either way
+// Result.Work still points at the caller's rows.
 package pipeline
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Schedule selects the pipeline schedule.
@@ -196,8 +202,9 @@ type opRef struct {
 	kind  OpKind
 }
 
-// appendStageProgram appends one stage's fixed op order to prog, so
-// Simulate can lay all stage programs out in a single backing slice.
+// appendStageProgram appends one stage's fixed op order — 2l ops under
+// either schedule — to prog, so Simulate can lay all stage programs
+// out in a single backing slice.
 func appendStageProgram(prog []opRef, sch Schedule, stage, stages, l int) []opRef {
 	switch sch {
 	case GPipe:
@@ -226,6 +233,28 @@ func appendStageProgram(prog []opRef, sch Schedule, stage, stages, l int) []opRe
 	return prog
 }
 
+// Simulator owns every buffer a simulation fills — completion tables,
+// stage programs and clocks, the Result with its StageBusy and op
+// timeline — so a long-lived one stops allocating once it has seen its
+// largest shape. Not safe for concurrent use; the zero value is ready.
+type Simulator struct {
+	// Op completion times, indexed stage*l+mb; done marks executed ops
+	// (an end time of 0 is legal for zero-duration work).
+	endF, endB   []float64
+	doneF, doneB []bool
+	prog         []opRef // every stage's program (2l ops each), back to back
+	pos          []int   // next unexecuted op per stage
+	stageClock   []float64
+	res          Result
+}
+
+// zeroed resizes a scratch slice to n zero elements, reusing capacity.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
 // Simulate computes the exact timeline of the schedule over the given
 // work. The dependency structure is:
 //
@@ -234,30 +263,25 @@ func appendStageProgram(prog []opRef, sch Schedule, stage, stages, l int) []opRe
 //	       stage's previous op
 //
 // Op order within a stage is fixed by the schedule; a stage blocked on
-// a dependency idles (a pipeline bubble).
-func Simulate(sch Schedule, w Work) (*Result, error) {
+// a dependency idles (a pipeline bubble). The returned Result aliases
+// the simulator's scratch, valid until its next call — copy out what
+// must outlive it. A failed call leaves the simulator usable.
+func (sim *Simulator) Simulate(sch Schedule, w Work) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	S, l := w.Stages(), w.Microbatches()
 
-	// Op completion times in flat slices indexed by stage*l+mb — the
-	// map this replaces was a top allocation and hash-cost site in the
-	// rank workers' profile. done marks executed ops (an end time of 0
-	// is legal for zero-duration work).
-	endF := make([]float64, S*l)
-	endB := make([]float64, S*l)
-	doneF := make([]bool, S*l)
-	doneB := make([]bool, S*l)
-	progBacking := make([]opRef, 0, 2*S*l)
-	progs := make([][]opRef, S)
-	pos := make([]int, S) // next unexecuted op per stage
-	stageClock := make([]float64, S)
+	sim.endF, sim.endB = zeroed(sim.endF, S*l), zeroed(sim.endB, S*l)
+	sim.doneF, sim.doneB = zeroed(sim.doneF, S*l), zeroed(sim.doneB, S*l)
+	sim.pos, sim.stageClock = zeroed(sim.pos, S), zeroed(sim.stageClock, S)
+	endF, endB, doneF, doneB := sim.endF, sim.endB, sim.doneF, sim.doneB
+	pos, stageClock := sim.pos, sim.stageClock
+	prog := slices.Grow(sim.prog[:0], 2*S*l)
 	for s := 0; s < S; s++ {
-		start := len(progBacking)
-		progBacking = appendStageProgram(progBacking, sch, s, S, l)
-		progs[s] = progBacking[start:len(progBacking):len(progBacking)]
+		prog = appendStageProgram(prog, sch, s, S, l)
 	}
+	sim.prog = prog
 
 	duration := func(r opRef) float64 {
 		if r.kind == Forward {
@@ -283,13 +307,14 @@ func Simulate(sch Schedule, w Work) (*Result, error) {
 		return endB[i] + w.p2p(r.stage), doneB[i]
 	}
 
-	res := &Result{Schedule: sch, Work: w, StageBusy: make([]float64, S), Ops: make([]Op, 0, 2*S*l)}
+	res := &sim.res
+	*res = Result{Schedule: sch, Work: w, StageBusy: zeroed(res.StageBusy, S), Ops: slices.Grow(res.Ops[:0], 2*S*l)}
 	remaining := 2 * S * l
 	for remaining > 0 {
 		advanced := false
 		for s := 0; s < S; s++ {
-			for pos[s] < len(progs[s]) {
-				r := progs[s][pos[s]]
+			for pos[s] < 2*l {
+				r := prog[s*2*l+pos[s]]
 				dep, ok := depEnd(r)
 				if !ok {
 					break
@@ -320,4 +345,9 @@ func Simulate(sch Schedule, w Work) (*Result, error) {
 		res.IterTime = math.Max(res.IterTime, c)
 	}
 	return res, nil
+}
+
+// Simulate simulates on a fresh Simulator: the Result is the caller's.
+func Simulate(sch Schedule, w Work) (*Result, error) {
+	return new(Simulator).Simulate(sch, w)
 }

@@ -265,6 +265,20 @@ func TestIntervalPredictorMatchesSimulator(t *testing.T) {
 	}
 }
 
+// Clone deep-copies the predictor. Algorithm 2 places greedily and
+// never evaluates tentative placements, so only this test calls it.
+func (ip *IntervalPredictor) Clone() *IntervalPredictor {
+	c := &IntervalPredictor{
+		p2p:        ip.p2p,
+		fe:         append([]float64(nil), ip.fe...),
+		be:         append([]float64(nil), ip.be...),
+		feFirstEnd: ip.feFirstEnd,
+		bePrev0:    ip.bePrev0,
+		placed:     ip.placed,
+	}
+	return c
+}
+
 func TestIntervalPredictorClone(t *testing.T) {
 	ip := NewIntervalPredictor(3, nil)
 	ip.Append([]float64{1, 1, 1}, []float64{2, 2, 2})

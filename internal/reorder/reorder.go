@@ -10,6 +10,11 @@
 // merely reorder the commutative gradient-accumulation sum and preserve
 // the training's convergence semantics — a property the tests verify
 // numerically.
+//
+// Aliasing: the package-level functions return slices the caller owns;
+// a Partitioner's groups and a Reorderer's order alias that value's
+// scratch until its next call. Microbatch.Fwd/Bwd are never copied —
+// every returned Microbatch carries the caller's own slices.
 package reorder
 
 import (
@@ -59,9 +64,9 @@ func IntraReorder[T any](items []T, size func(T) float64, m int) (ordered []T, g
 
 // Partitioner runs Algorithm 1's LPT partition over item indices with
 // all scratch (index permutation, group assignments, group backing)
-// reused across calls — the per-iteration microbatch-assignment path
-// uses one per runtime so pricing and partitioning a global batch does
-// not allocate. Not safe for concurrent use; the returned groups alias
+// reused across calls — the trainer's per-iteration assignment path
+// pools them so pricing and partitioning a global batch does not
+// allocate. Not safe for concurrent use; the returned groups alias
 // the partitioner's scratch and are valid until the next Partition
 // call.
 type Partitioner struct {
@@ -92,17 +97,15 @@ func (p *Partitioner) Partition(sizes []float64, m int) ([][]int, error) {
 	p.assign = grow(p.assign, n)
 	p.loads = grow(p.loads, m)
 	p.counts = grow(p.counts, m)
-	p.groups = growGroups(p.groups, m)
+	p.groups = grow(p.groups, m)
 	for i := range p.idx {
 		p.idx[i] = i
 	}
 	// Sort descending by size (line 3); stable so equal sizes keep
 	// corpus order and the result is deterministic.
 	slices.SortStableFunc(p.idx, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
-	for g := 0; g < m; g++ {
-		p.loads[g] = 0
-		p.counts[g] = 0
-	}
+	clear(p.loads)
+	clear(p.counts)
 	for pos, i := range p.idx {
 		min := 0
 		for g := 1; g < m; g++ {
@@ -197,7 +200,7 @@ func (p *Partitioner) Rebalance(groups [][]int, perRank int, sizes []float64) []
 	// Rebuild balanced groups in a second flat backing: kept prefixes,
 	// then surplus refills in group order.
 	p.balFlat = grow(p.balFlat, n)
-	p.balGroups = growGroups(p.balGroups, m)
+	p.balGroups = grow(p.balGroups, m)
 	si := 0
 	off := 0
 	for d, g := range groups {
@@ -219,17 +222,7 @@ func (p *Partitioner) Rebalance(groups [][]int, perRank int, sizes []float64) []
 
 // grow resizes a scratch slice to length n, reusing capacity.
 func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-func growGroups(s [][]int, m int) [][]int {
-	if cap(s) < m {
-		return make([][]int, m)
-	}
-	return s[:m]
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // Microbatch carries one microbatch's per-pipeline-stage compute times
@@ -253,6 +246,27 @@ func (m Microbatch) HeteroSize() float64 {
 	return m.Fwd[0] + m.Fwd[len(m.Fwd)-1]
 }
 
+// Reorderer runs Algorithm 2 with all scratch (candidate pool, result
+// order, interval predictions, pick marks, the duplicate-index set)
+// reused across calls: a long-lived one stops allocating once it has
+// seen its largest rank. Not safe for concurrent use; the zero value is
+// ready. The returned order aliases the scratch, valid until the next
+// call — which must not be handed that order as its input.
+type Reorderer struct {
+	pool, ret, picked, scaled []Microbatch
+	intervals                 []pipeline.Interval // intervals[i-1] = interval_i
+	used                      []bool
+	at                        map[int]int // Index -> input position: the duplicate check
+	backing                   []float64   // the vpp > 1 virtual-chunk stage times
+	pred                      pipeline.IntervalPredictor
+}
+
+// place appends m to the order and predicts the interval it closes.
+func (r *Reorderer) place(m Microbatch) {
+	r.ret = append(r.ret, m)
+	r.intervals = append(r.intervals, r.pred.Append(m.Fwd, m.Bwd))
+}
+
 // InterReorder is Algorithm 2: reorder the microbatches of one DP rank
 // for the 1F1B schedule with p pipeline stages (p = len(Fwd) of every
 // microbatch).
@@ -265,7 +279,7 @@ func (m Microbatch) HeteroSize() float64 {
 //     dynamic program and place the microbatch(es) whose encoder
 //     forward time best fits it — p-1 of them for the first (warmup)
 //     interval, one for each subsequent interval.
-func InterReorder(mbs []Microbatch, p2p []float64) ([]Microbatch, error) {
+func (r *Reorderer) InterReorder(mbs []Microbatch, p2p []float64) ([]Microbatch, error) {
 	l := len(mbs)
 	if l == 0 {
 		return nil, nil
@@ -274,33 +288,33 @@ func InterReorder(mbs []Microbatch, p2p []float64) ([]Microbatch, error) {
 	if p == 0 {
 		return nil, fmt.Errorf("reorder: microbatches carry no stage times")
 	}
-	seen := make(map[int]bool, l)
-	for _, m := range mbs {
+	if r.at == nil {
+		r.at = make(map[int]int, l)
+	}
+	clear(r.at)
+	for i, m := range mbs {
 		if len(m.Fwd) != p || len(m.Bwd) != p {
 			return nil, fmt.Errorf("reorder: microbatch %d has inconsistent stage count", m.Index)
 		}
-		if seen[m.Index] {
+		if _, dup := r.at[m.Index]; dup {
 			return nil, fmt.Errorf("reorder: duplicate microbatch index %d", m.Index)
 		}
-		seen[m.Index] = true
+		r.at[m.Index] = i
 	}
 	if l <= 2 || p == 1 {
-		return append([]Microbatch(nil), mbs...), nil
+		r.ret = append(r.ret[:0], mbs...)
+		return r.ret, nil
 	}
 
-	pool := append(make([]Microbatch, 0, l), mbs...)
+	r.pool = append(r.pool[:0], mbs...)
+	pool := r.pool
 	sortBySize(pool)
 
-	ret := make([]Microbatch, 0, l)
-	predictor := pipeline.NewIntervalPredictor(p, p2p)
-	intervals := make([]pipeline.Interval, 0, l) // intervals[i-1] = interval_i
-	place := func(m Microbatch) {
-		ret = append(ret, m)
-		intervals = append(intervals, predictor.Append(m.Fwd, m.Bwd))
-	}
+	r.ret, r.intervals, r.picked = grow(r.ret, l)[:0], grow(r.intervals, l)[:0], grow(r.picked, p)
+	r.pred.Reset(p, p2p)
 
 	// Line 3: smallest first.
-	place(pool[0])
+	r.place(pool[0])
 	pool = pool[1:]
 
 	// Line 4: reserve the p-1 smallest for the rear.
@@ -310,34 +324,34 @@ func InterReorder(mbs []Microbatch, p2p []float64) ([]Microbatch, error) {
 	// Lines 5-11: fill intervals. used marks in-place what selectClosest
 	// picked, so no per-interval pool copies are taken; left counts the
 	// unpicked remainder.
-	used := make([]bool, len(pool))
-	picked := make([]Microbatch, 0, p)
+	r.used = grow(r.used, len(pool))
+	clear(r.used)
 	left := len(pool)
 	for i := 1; left > 0 && i <= l-p; i++ {
-		iv := intervals[i-1]
+		iv := r.intervals[i-1]
 		want := 1
 		if i == 1 {
 			want = p - 1
 		}
-		picked = selectClosest(pool, used, want, iv.Volume(), picked[:0])
-		for _, m := range picked {
-			place(m)
+		r.picked = selectClosest(pool, r.used, want, iv.Volume(), r.picked[:0])
+		for _, m := range r.picked {
+			r.place(m)
 		}
-		left -= len(picked)
+		left -= len(r.picked)
 	}
 	// Defensive drain: the paper's loop bound can leave items when l is
 	// small relative to p; keep them before the rear reserve.
 	for i, m := range pool {
-		if !used[i] {
-			place(m)
+		if !r.used[i] {
+			r.place(m)
 		}
 	}
 	// Line 12: rear microbatches close the pipeline.
-	ret = append(ret, rear...)
-	if len(ret) != l {
-		return nil, fmt.Errorf("reorder: produced %d microbatches from %d", len(ret), l)
+	r.ret = append(r.ret, rear...)
+	if len(r.ret) != l {
+		return nil, fmt.Errorf("reorder: produced %d microbatches from %d", len(r.ret), l)
 	}
-	return ret, nil
+	return r.ret, nil
 }
 
 // InterReorderVPP retrofits Algorithm 2 to interleaved 1F1B (§5.3): a
@@ -346,18 +360,17 @@ func InterReorder(mbs []Microbatch, p2p []float64) ([]Microbatch, error) {
 // fundamental insights carry over unchanged; we model the finer
 // granularity by splitting every stage time into vpp equal virtual
 // chunks before reordering.
-func InterReorderVPP(mbs []Microbatch, p2p []float64, vpp int) ([]Microbatch, error) {
+func (r *Reorderer) InterReorderVPP(mbs []Microbatch, p2p []float64, vpp int) ([]Microbatch, error) {
 	if vpp <= 1 {
-		return InterReorder(mbs, p2p)
+		return r.InterReorder(mbs, p2p)
 	}
-	scaled := make([]Microbatch, len(mbs))
 	// One flat backing for every scaled stage-time slice.
 	total := 0
 	for _, m := range mbs {
 		total += len(m.Fwd) + len(m.Bwd)
 	}
-	backing := make([]float64, 0, total)
-	for i, m := range mbs {
+	backing, scaled := grow(r.backing, total)[:0], grow(r.scaled, len(mbs))[:0]
+	for _, m := range mbs {
 		s := Microbatch{Index: m.Index}
 		for _, v := range m.Fwd {
 			backing = append(backing, v/float64(vpp))
@@ -367,22 +380,30 @@ func InterReorderVPP(mbs []Microbatch, p2p []float64, vpp int) ([]Microbatch, er
 			backing = append(backing, v/float64(vpp))
 		}
 		s.Bwd = backing[len(backing)-len(m.Bwd):]
-		scaled[i] = s
+		scaled = append(scaled, s)
 	}
-	order, err := InterReorder(scaled, p2p)
+	r.backing, r.scaled = backing, scaled
+	order, err := r.InterReorder(scaled, p2p)
 	if err != nil {
 		return nil, err
 	}
-	// Map the virtual-chunk order back onto the original microbatches.
-	byIndex := make(map[int]Microbatch, len(mbs))
-	for _, m := range mbs {
-		byIndex[m.Index] = m
-	}
-	out := make([]Microbatch, len(order))
+	// Map the virtual-chunk order back onto the original microbatches
+	// through the positions the duplicate check recorded.
 	for i, m := range order {
-		out[i] = byIndex[m.Index]
+		order[i] = mbs[r.at[m.Index]]
 	}
-	return out, nil
+	return order, nil
+}
+
+// InterReorder runs Algorithm 2 on a fresh Reorderer: the order is the
+// caller's.
+func InterReorder(mbs []Microbatch, p2p []float64) ([]Microbatch, error) {
+	return new(Reorderer).InterReorder(mbs, p2p)
+}
+
+// InterReorderVPP is its interleaved-1F1B form, on a fresh Reorderer.
+func InterReorderVPP(mbs []Microbatch, p2p []float64, vpp int) ([]Microbatch, error) {
+	return new(Reorderer).InterReorderVPP(mbs, p2p, vpp)
 }
 
 // sortBySize orders ascending by heterogeneous size, stable on index.

@@ -39,21 +39,28 @@ func BenchmarkTrainerIteration(b *testing.B) {
 	}
 }
 
-// TestIterationAllocBudget pins the iteration's allocation count: 75
-// were recorded per sequential fleet-steady iteration (89 before the
-// cost model was compiled and the reorder sorts lost their reflection
-// swappers) — the assignment's per-rank slices, Algorithm 2's pools and
-// maps, the simulator's timeline — and none per priced sample. The
-// bound is 95: under the race detector sync.Pool drops the rank scratch
-// at random, up to 5 allocations for each of the 4 ranks, while one
-// allocation per sample would add 32.
+// TestIterationAllocBudget pins the iteration's allocation count: 2
+// are recorded per sequential fleet-steady iteration — the corpus's
+// fresh batch slice (a controller may retain it) and the closure the
+// rank fan-out hands to fanout.Run — where 75 were before every buffer
+// of the assignment, Algorithm 2 and the simulator outlived the call,
+// and none per priced sample. The budget is 4. Under the race detector
+// sync.Pool drops a quarter of its Puts, so a rank or the front-end
+// regrows a whole scratch now and then (and instrumented builds pay
+// two allocations per slices.Grow): 44-51 per iteration were measured
+// as means of 400 runs, and the bound kept there, 62, is the one an
+// allocation per sample (+32) would still break.
 func TestIterationAllocBudget(t *testing.T) {
 	rt := steadyRuntime(t)
-	if got := testing.AllocsPerRun(20, func() {
+	runs, budget, recorded := 100, 4.0, "2"
+	if raceEnabled {
+		runs, budget, recorded = 400, 62, "44-51 under -race"
+	}
+	if got := testing.AllocsPerRun(runs, func() {
 		if _, err := rt.RunIterationSequential(1); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 95 {
-		t.Errorf("one iteration allocated %v times, recorded 75, budget 95", got)
+	}); got > budget {
+		t.Errorf("one iteration allocated %v times, recorded %s, budget %v", got, recorded, budget)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sync"
 
 	"disttrain/internal/data"
 	"disttrain/internal/dfs"
@@ -33,76 +35,138 @@ import (
 // is fixed, the concurrent engine returns results byte-identical to
 // the sequential reference at any worker count — the same contract as
 // the orchestrator's parallel plan search.
+//
+// What outlives what: preparedBatch.batch is fresh per iteration and
+// may be retained (Observation.Batch); its work/ranks live in one of
+// the runtime's two prepBufs until iteration i+2 is prepared; a pooled
+// scratch is held for one runRank or assign call and nothing backed by
+// it escapes (a traced rank's ops are copied into its outcome slot).
 
-// preparedBatch is the front-end's output for one iteration.
+// preparedBatch is the front-end's output for one iteration: the
+// global batch, each sample's workload in batch order (the order
+// iteration FLOPs sum in) and the same workloads gathered per DP rank.
 type preparedBatch struct {
 	iter  int
 	batch []data.Sample
-	ranks [][]data.Sample
+	work  []model.Workload
+	ranks [][]model.Workload
 	err   error
 }
 
-// prepare fetches and assigns the global batch of one iteration
-// through the configured BatchSource — the synthetic corpus front-end
-// by default, a live TCP producer pool when Config.Source is set.
+// prepBuf backs one preparedBatch: iteration i reads prep[i&1] while
+// the prefetch of i+1 (the one prepare ever outstanding) fills the other.
+type prepBuf struct {
+	work, flat []model.Workload // batch order; rank-major
+	ranks      [][]model.Workload
+}
+
+// fold appends each sample's workload to dst: the one walk over a
+// sample's subsequences, made where the batch enters the runtime.
+func fold(dst []model.Workload, samples []data.Sample, k *model.CostKernel) []model.Workload {
+	dst = slices.Grow(dst, len(samples))
+	for i := range samples {
+		var w model.Workload
+		samples[i].AddTo(&w, k)
+		dst = append(dst, w)
+	}
+	return dst
+}
+
+// prepare fetches, folds and assigns the global batch of one
+// iteration: through Config.Source when set (a live producer pool hands
+// over its own per-rank split), else from the synthetic corpus (or a
+// trial's fixed batches) through Algorithm 1. Scenario workload-shift
+// events transform a corpus batch before assignment, so Algorithm 1
+// balances the shifted costs — the drift the re-planning controller
+// watches for; live pools own their preprocessing and see no scenario.
 func (r *Runtime) prepare(iter int) preparedBatch {
 	dp := r.cfg.Plan.Modules[model.Backbone].Config.DP
-	batch, ranks, err := r.source.Assign(iter, dp)
-	return preparedBatch{iter: iter, batch: batch, ranks: ranks, err: err}
+	k := r.cfg.Spec.Profiler.Kernel()
+	buf := &r.prep[iter&1]
+	p := preparedBatch{iter: iter}
+	if src := r.cfg.Source; src != nil {
+		var ranks [][]data.Sample
+		if p.batch, ranks, p.err = src.Assign(iter, dp); p.err != nil {
+			return p
+		}
+		buf.work = fold(buf.work[:0], p.batch, k)
+		buf.flat, buf.ranks = slices.Grow(buf.flat[:0], len(p.batch)), slices.Grow(buf.ranks[:0], dp)
+		for _, rank := range ranks {
+			n := len(buf.flat)
+			buf.flat = fold(buf.flat, rank, k)
+			buf.ranks = append(buf.ranks, buf.flat[n:])
+		}
+	} else {
+		if r.trial != nil {
+			p.batch = r.trial[iter%len(r.trial)]
+		} else {
+			p.batch = r.cfg.Corpus.GlobalBatch(int64(iter), r.cfg.Spec.GlobalBatch)
+			p.batch = scenario.At(r.cfg.Scenario, iter).ShiftBatch(p.batch)
+		}
+		buf.work = fold(buf.work[:0], p.batch, k)
+		p.err = r.assign(buf, dp)
+	}
+	p.work, p.ranks = buf.work, buf.ranks
+	return p
 }
 
 // rankOutcome is one DP rank's pipeline execution.
 type rankOutcome struct {
 	iterTime float64
 	bubble   float64
-	// ops is the rank's full timeline, captured only when tracing.
+	// ops is the rank's full timeline, copied out only when tracing.
 	ops []pipeline.Op
 	err error
 }
 
-// rankScratch is one worker's reusable pipeline buffers: microbatch
-// headers and a flat float backing for their stage times and the
-// simulator's work rows.
-// Pooled per runtime; a worker holds one for the duration of a
-// runRank call. Nothing scratch-backed escapes the call: the
-// simulator's op timeline (the only retained output) is freshly
-// allocated inside pipeline.Simulate.
+// rankScratch is one rank worker's reusable buffers: microbatch
+// headers, a flat float backing for their stage times and the
+// simulator's work rows (headed by rows: fwd then bwd), and the
+// Algorithm 2 and 1F1B scratch. assignScratch is the front-end's:
+// Algorithm 1's partitioner and the per-sample cost column. Neither
+// holds per-runtime state, so process-wide pools serve every runtime: a
+// fleet tenant's first iteration finds buffers its predecessors warmed.
 type rankScratch struct {
-	mbs []reorder.Microbatch
-	buf []float64
-	fwd [][]float64
-	bwd [][]float64
+	mbs  []reorder.Microbatch
+	buf  []float64
+	rows [][]float64
+	reo  reorder.Reorderer
+	sim  pipeline.Simulator
 }
+
+type assignScratch struct {
+	part  reorder.Partitioner
+	costs []float64
+}
+
+var (
+	rankScratchPool   = sync.Pool{New: func() any { return new(rankScratch) }}
+	assignScratchPool = sync.Pool{New: func() any { return new(assignScratch) }}
+)
 
 // runRank executes one DP rank's pipeline: microbatch construction,
 // Algorithm 2 ordering, exact 1F1B simulation — under the iteration's
 // scenario perturbation. Pure with respect to runtime state (all
 // mutable state lives in the pooled scratch), so rank workers may run
-// concurrently.
-func (r *Runtime) runRank(d int, samples []data.Sample, p2p []float64, pert scenario.Perturbation) rankOutcome {
+// concurrently. When tracing, the timeline is appended to ops.
+func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scenario.Perturbation, ops []pipeline.Op) rankOutcome {
 	cfg := &r.cfg
 	m := cfg.Spec.Microbatch
-	k := len(samples) / m
-	kern := cfg.Spec.Profiler.Kernel()
-	sc := r.rankScratch.Get().(*rankScratch)
-	defer r.rankScratch.Put(sc)
+	k := len(work) / m
+	sc := rankScratchPool.Get().(*rankScratch)
+	defer rankScratchPool.Put(sc)
 	// Flat layout: k*stages fwd + k*stages bwd microbatch times, then
 	// stages*k + stages*k simulator work rows.
-	need := 4 * k * r.stages
-	if cap(sc.buf) < need {
-		sc.buf = make([]float64, need)
-	}
-	buf := sc.buf[:need]
-	if cap(sc.mbs) < k {
-		sc.mbs = make([]reorder.Microbatch, k)
-	}
-	mbs := sc.mbs[:k]
+	sc.buf = slices.Grow(sc.buf[:0], 4*k*r.stages)[:4*k*r.stages]
+	sc.mbs = slices.Grow(sc.mbs[:0], k)[:k]
+	sc.rows = slices.Grow(sc.rows[:0], 2*r.stages)[:2*r.stages]
+	buf, mbs := sc.buf, sc.mbs
 	for j := 0; j < k; j++ {
-		// A microbatch of M samples: their images fold into one
-		// workload in sample order.
-		var w model.Workload
-		for i := j * m; i < (j+1)*m; i++ {
-			samples[i].AddTo(&w, kern)
+		// A microbatch of M samples: their workloads add up in sample
+		// order.
+		w := work[j*m]
+		for _, o := range work[j*m+1 : (j+1)*m] {
+			w.Add(o)
 		}
 		fwd := buf[2*j*r.stages : (2*j+1)*r.stages]
 		bwd := buf[(2*j+1)*r.stages : (2*j+2)*r.stages]
@@ -112,37 +176,33 @@ func (r *Runtime) runRank(d int, samples []data.Sample, p2p []float64, pert scen
 	if cfg.Reorder {
 		vpp := cfg.Plan.Modules[model.Backbone].Config.VPP
 		var err error
-		mbs, err = reorder.InterReorderVPP(mbs, p2p, vpp)
+		mbs, err = sc.reo.InterReorderVPP(mbs, p2p, vpp)
 		if err != nil {
 			return rankOutcome{err: err}
 		}
 	}
-	if cap(sc.fwd) < r.stages {
-		sc.fwd = make([][]float64, r.stages)
-		sc.bwd = make([][]float64, r.stages)
-	}
-	work := pipeline.Work{
-		Fwd:   sc.fwd[:r.stages],
-		Bwd:   sc.bwd[:r.stages],
+	rows := pipeline.Work{
+		Fwd:   sc.rows[:r.stages],
+		Bwd:   sc.rows[r.stages:],
 		P2P:   p2p,
 		Rates: pert.RateSchedules(d, r.stages),
 	}
-	rows := buf[2*k*r.stages:]
+	flat := buf[2*k*r.stages:]
 	for s := 0; s < r.stages; s++ {
-		work.Fwd[s] = rows[s*k : (s+1)*k]
-		work.Bwd[s] = rows[(r.stages+s)*k : (r.stages+s+1)*k]
+		rows.Fwd[s] = flat[s*k : (s+1)*k]
+		rows.Bwd[s] = flat[(r.stages+s)*k : (r.stages+s+1)*k]
 		for j, mb := range mbs {
-			work.Fwd[s][j] = mb.Fwd[s]
-			work.Bwd[s][j] = mb.Bwd[s]
+			rows.Fwd[s][j] = mb.Fwd[s]
+			rows.Bwd[s][j] = mb.Bwd[s]
 		}
 	}
-	res, err := pipeline.Simulate(pipeline.OneFOneB, work)
+	res, err := sc.sim.Simulate(pipeline.OneFOneB, rows)
 	if err != nil {
 		return rankOutcome{err: err}
 	}
 	out := rankOutcome{iterTime: res.IterTime, bubble: res.MeanBubbleFraction()}
 	if cfg.Trace != nil {
-		out.ops = res.Ops
+		out.ops = append(ops, res.Ops...)
 	}
 	return out
 }
@@ -221,7 +281,7 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 		}
 	}
 
-	flops := r.iterationFLOPs(p.batch)
+	flops := r.batchFLOPs(p.work)
 	total := bd.Total()
 	stats := IterationStats{
 		Index:           p.iter,
@@ -294,17 +354,6 @@ func (r *Runtime) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// outcomes returns the per-rank outcome slots for one iteration,
-// reused across iterations (they are serial) and fully overwritten —
-// every slot is assigned by exactly one runRank before the reduce
-// reads it.
-func (r *Runtime) outcomes(n int) []rankOutcome {
-	if cap(r.outcomesBuf) < n {
-		r.outcomesBuf = make([]rankOutcome, n)
-	}
-	return r.outcomesBuf[:n]
-}
-
 // iteration executes one prepared iteration with the rank workers
 // fanned out over a pool of the given size; one worker or fewer runs
 // them inline on the calling goroutine — the pinned serial path.
@@ -314,9 +363,12 @@ func (r *Runtime) iteration(p preparedBatch, workers int) (IterationStats, error
 	}
 	pert := scenario.At(r.cfg.Scenario, p.iter)
 	p2p := r.iterP2P(pert)
-	outcomes := r.outcomes(len(p.ranks))
+	// The outcome slots are reused across (serial) iterations: exactly
+	// one runRank overwrites each, refilling its previous ops buffer.
+	r.outcomes = slices.Grow(r.outcomes[:0], len(p.ranks))[:len(p.ranks)]
+	outcomes := r.outcomes
 	fanout.Run(context.Background(), workers, len(p.ranks), func(d int) {
-		outcomes[d] = r.runRank(d, p.ranks[d], p2p, pert)
+		outcomes[d] = r.runRank(d, p.ranks[d], p2p, pert, outcomes[d].ops[:0])
 	})
 	return r.finishIteration(p, pert, outcomes)
 }

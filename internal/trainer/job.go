@@ -49,7 +49,7 @@ type Job struct {
 
 	// The async data service: at most one outstanding prepare, consumed
 	// (or discarded, after a failure rewind or reconfiguration) before
-	// the next launches.
+	// the next launches; pendingIter is its iteration, -1 for none.
 	pendingIter int
 	pending     chan preparedBatch
 
@@ -74,6 +74,8 @@ func (r *Runtime) newJob(n int, prefetch bool) (*Job, error) {
 		executedOnce:  make(map[int]bool, n),
 		firedFailures: make(map[int]bool),
 		firedPool:     make(map[poolEventKey]bool),
+		pendingIter:   -1,
+		pending:       make(chan preparedBatch, 1),
 	}
 	if r.cfg.GradientDim > 0 {
 		j.grad = GradientAccumulator{Dim: r.cfg.GradientDim}
@@ -125,19 +127,19 @@ func (j *Job) Lease() (cluster.Lease, bool) {
 // discardPrefetch drains an outstanding prepare whose assignment is no
 // longer valid (failure rewind, plan switch, lease change).
 func (j *Job) discardPrefetch() {
-	if j.pending != nil {
+	if j.pendingIter >= 0 {
 		<-j.pending
-		j.pending = nil
+		j.pendingIter = -1
 	}
 }
 
 // fetch returns iteration i's prepared batch, consuming the prefetched
 // one when it matches.
 func (j *Job) fetch(i int) preparedBatch {
-	if j.pending != nil {
+	if was := j.pendingIter; was >= 0 {
 		p := <-j.pending
-		j.pending = nil
-		if j.pendingIter == i {
+		j.pendingIter = -1
+		if was == i {
 			return p
 		}
 	}
@@ -149,9 +151,8 @@ func (j *Job) launch(i int) {
 	if !j.prefetch || i >= j.n {
 		return
 	}
-	ch := make(chan preparedBatch, 1)
-	go func() { ch <- j.r.prepare(i) }()
-	j.pending, j.pendingIter = ch, i
+	go func() { j.pending <- j.r.prepare(i) }()
+	j.pendingIter = i
 }
 
 // firePoolEvents dispatches iteration iter's pool-membership events:

@@ -8,7 +8,6 @@ import (
 	"disttrain/internal/data"
 	"disttrain/internal/fanout"
 	"disttrain/internal/preprocess"
-	"disttrain/internal/scenario"
 )
 
 // BatchSource supplies the batch/assignment front-end: each
@@ -34,36 +33,6 @@ type BatchSource interface {
 type ProducerControl interface {
 	FailProducer(i int) error
 	JoinProducer(i int) error
-}
-
-// corpusFrontEnd is the synthetic source: fetch the global batch from
-// the corpus and run Algorithm 1's assignment locally — the historical
-// front-end, now behind the BatchSource seam. Scenario workload-shift
-// events transform the batch before assignment, so Algorithm 1
-// balances the shifted costs — the data-distribution drift the
-// re-planning controller watches for. (Live producer pools own their
-// preprocessing and do not observe scenarios.)
-type corpusFrontEnd struct{ r *Runtime }
-
-func (c corpusFrontEnd) Assign(iter, dp int) ([]data.Sample, [][]data.Sample, error) {
-	batch := c.r.cfg.Corpus.GlobalBatch(int64(iter), c.r.cfg.Spec.GlobalBatch)
-	batch = scenario.At(c.r.cfg.Scenario, iter).ShiftBatch(batch)
-	ranks, err := c.r.assign(batch)
-	return batch, ranks, err
-}
-
-// fixedBatches serves a fixed list of global batches (iteration i
-// gets batches[i mod len]) through the runtime's own Algorithm 1
-// assignment — the trial front-end behind TrialMeanIterTime.
-type fixedBatches struct {
-	r       *Runtime
-	batches [][]data.Sample
-}
-
-func (f fixedBatches) Assign(iter, dp int) ([]data.Sample, [][]data.Sample, error) {
-	b := f.batches[iter%len(f.batches)]
-	ranks, err := f.r.assign(b)
-	return b, ranks, err
 }
 
 // TrialMeanIterTime prices one iteration per given global batch under
@@ -93,7 +62,7 @@ func TrialMeanIterTime(cfg Config, batches [][]data.Sample) (float64, error) {
 		return 0, err
 	}
 	defer rt.Close()
-	rt.source = fixedBatches{r: rt, batches: batches}
+	rt.trial = batches
 	var sum float64
 	for i := range batches {
 		st, err := rt.RunIterationSequential(i)

@@ -23,8 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"slices"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/comm"
@@ -34,7 +33,6 @@ import (
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/profiler"
-	"disttrain/internal/reorder"
 	"disttrain/internal/scenario"
 )
 
@@ -259,10 +257,11 @@ type Result struct {
 // are not safe for concurrent use — the concurrency lives inside the
 // engine, not across callers.
 type Runtime struct {
-	cfg    Config
-	source BatchSource
-	ckpt   *dfs.CheckpointManager
-	fs     *dfs.FS
+	cfg  Config
+	ckpt *dfs.CheckpointManager
+	fs   *dfs.FS
+	// trial (TrialMeanIterTime) replaces the corpus: i trains trial[i%len].
+	trial [][]data.Sample
 	// base is the shared cluster a leased run was scoped out of; the
 	// zero value (standalone runs) is never read.
 	base cluster.Cluster
@@ -278,14 +277,11 @@ type Runtime struct {
 	// plan switch that grows DP names only the new lanes.
 	namedRanks int
 
-	// Hot-loop scratch. part/costBuf belong to the batch-assignment
-	// path (at most one prepare is outstanding, so no locking);
-	// rankScratch pools per-worker pipeline buffers; outcomesBuf is the
-	// per-iteration outcome slots, reused because iterations are serial.
-	part        reorder.Partitioner
-	costBuf     []float64
-	rankScratch sync.Pool
-	outcomesBuf []rankOutcome
+	// Per-runtime hot-loop state: the front-end's double-buffered
+	// workload slices and the per-iteration outcome slots. All other
+	// scratch comes from the process-wide pools (concurrent.go).
+	prep     [2]prepBuf
+	outcomes []rankOutcome
 	// opLabels caches the fwd/bwd trace event names per microbatch
 	// index, as labels of cfg.Trace.
 	opLabels [2][]metrics.Label
@@ -313,11 +309,6 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	r := &Runtime{cfg: cfg, base: base}
-	r.rankScratch.New = func() any { return new(rankScratch) }
-	r.source = cfg.Source
-	if r.source == nil {
-		r.source = corpusFrontEnd{r}
-	}
 	r.llmFirst = 1
 	r.resolvePlan()
 	if cfg.CheckpointEvery > 0 {
@@ -444,86 +435,49 @@ func (r *Runtime) microbatchWorkInto(w model.Workload, fwd, bwd []float64) {
 	bwd[r.genStage] = (totG - fwdG) * c.scaleG
 }
 
-// assign distributes the global batch across DP ranks: DistTrain's
-// Algorithm 1 when reordering, contiguous blocks (the framework
-// default) otherwise. Each rank's samples are then grouped into
-// K microbatches of M samples.
-func (r *Runtime) assign(batch []data.Sample) ([][]data.Sample, error) {
-	dp := r.cfg.Plan.Modules[model.Backbone].Config.DP
-	perRank := len(batch) / dp
-	if perRank*dp != len(batch) {
-		return nil, fmt.Errorf("trainer: batch %d not divisible by DP %d", len(batch), dp)
+// assign distributes buf.work, the folded global batch, across dp
+// ranks into buf.ranks: DistTrain's Algorithm 1 when reordering,
+// contiguous blocks (the framework default) otherwise. Each rank's
+// samples are then grouped into K microbatches of M samples.
+func (r *Runtime) assign(buf *prepBuf, dp int) error {
+	work := buf.work
+	perRank := len(work) / dp
+	if perRank*dp != len(work) {
+		return fmt.Errorf("trainer: batch %d not divisible by DP %d", len(work), dp)
 	}
+	buf.ranks = slices.Grow(buf.ranks[:0], dp)
 	if !r.cfg.Reorder {
-		out := make([][]data.Sample, dp)
 		for d := 0; d < dp; d++ {
-			out[d] = batch[d*perRank : (d+1)*perRank]
+			buf.ranks = append(buf.ranks, work[d*perRank:(d+1)*perRank])
 		}
-		return out, nil
+		return nil
 	}
 	// Price every sample exactly once, then partition and rebalance
-	// over indices with the runtime's scratch partitioner — only the
-	// materialised per-rank slices allocate (they outlive the call:
-	// the prefetched assignment is consumed an iteration later).
-	if cap(r.costBuf) < len(batch) {
-		r.costBuf = make([]float64, len(batch))
+	// over indices with a pooled partitioner and gather the workloads
+	// rank by rank.
+	sc := assignScratchPool.Get().(*assignScratch)
+	defer assignScratchPool.Put(sc)
+	sc.costs = slices.Grow(sc.costs[:0], len(work))[:len(work)]
+	for i, w := range work {
+		sc.costs[i] = r.cfg.Spec.Profiler.SampleCost(w)
 	}
-	costs := r.costBuf[:len(batch)]
-	p := r.cfg.Spec.Profiler
-	k := p.Kernel()
-	for i := range batch {
-		var w model.Workload
-		batch[i].AddTo(&w, k)
-		costs[i] = p.SampleCost(w)
-	}
-	groups, err := r.part.Partition(costs, dp)
+	groups, err := sc.part.Partition(sc.costs, dp)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The LPT partition balances load but may leave groups of unequal
 	// cardinality; rebalance counts while preserving the size ordering
 	// (each rank must own exactly K*M samples for synchronous 1F1B).
-	groups = r.part.Rebalance(groups, perRank, costs)
-	flat := make([]data.Sample, len(batch))
-	out := make([][]data.Sample, dp)
-	off := 0
-	for d, g := range groups {
-		dst := flat[off : off+len(g)]
-		for j, i := range g {
-			dst[j] = batch[i]
+	groups = sc.part.Rebalance(groups, perRank, sc.costs)
+	buf.flat = slices.Grow(buf.flat[:0], len(work))
+	for _, g := range groups {
+		n := len(buf.flat)
+		for _, i := range g {
+			buf.flat = append(buf.flat, work[i])
 		}
-		out[d] = dst
-		off += len(g)
+		buf.ranks = append(buf.ranks, buf.flat[n:])
 	}
-	return out, nil
-}
-
-// rebalance moves surplus samples (smallest first, so balance damage is
-// minimal) from overfull groups to underfull ones. The multiset of
-// samples is preserved: only ownership moves. This sort-based form is
-// the pinned reference; the hot path runs the sort-free
-// reorder.(*Partitioner).Rebalance, which tests hold byte-identical to
-// this.
-func rebalance(groups [][]data.Sample, perRank int, size func(data.Sample) float64) [][]data.Sample {
-	var surplus []data.Sample
-	for d := range groups {
-		if len(groups[d]) > perRank {
-			surplus = append(surplus, groups[d][perRank:]...)
-			groups[d] = groups[d][:perRank]
-		}
-	}
-	// Smallest first; stable so ties keep the deterministic group
-	// emission order.
-	sort.SliceStable(surplus, func(a, b int) bool {
-		return size(surplus[a]) < size(surplus[b])
-	})
-	for d := range groups {
-		for len(groups[d]) < perRank && len(surplus) > 0 {
-			groups[d] = append(groups[d], surplus[0])
-			surplus = surplus[1:]
-		}
-	}
-	return groups
+	return nil
 }
 
 // gradSync returns the exposed gradient/parameter synchronisation time:
@@ -616,14 +570,13 @@ func (r *Runtime) restoreSeconds() float64 {
 	return fs.Latency + bytes/(fs.ReadBps*float64(readers))
 }
 
-// iterationFLOPs sums the model FLOPs executed for the batch under the
-// freeze setting, from the kernel that priced its stage times.
-func (r *Runtime) iterationFLOPs(batch []data.Sample) float64 {
+// batchFLOPs sums the model FLOPs executed for the batch under the
+// freeze setting, from the kernel that priced its stage times — sample
+// by sample in batch order, the order that fixes the float sum.
+func (r *Runtime) batchFLOPs(work []model.Workload) float64 {
 	k := r.cfg.Spec.Profiler.Kernel()
 	var total float64
-	for i := range batch {
-		var w model.Workload
-		batch[i].AddTo(&w, k)
+	for _, w := range work {
 		for _, mod := range model.Modules {
 			fwd, bwd := k.TrainFLOPs(mod, w)
 			total += fwd + bwd

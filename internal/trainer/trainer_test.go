@@ -284,6 +284,69 @@ func TestReorderingPreservesGradients(t *testing.T) {
 	}
 }
 
+// iterationFLOPs prices a batch the way an iteration does — fold every
+// sample once, sum in batch order — so the unmodified pricing oracle
+// (TestRuntimePricingMatchesReference) exercises the production path.
+func (r *Runtime) iterationFLOPs(batch []data.Sample) float64 {
+	return r.batchFLOPs(fold(nil, batch, r.cfg.Spec.Profiler.Kernel()))
+}
+
+// TestMicrobatchWorkloadAddMatchesFold pins what lets runRank add M
+// per-sample workloads instead of re-walking the samples: on real
+// batches the sum equals folding the microbatch image by image, bit for
+// bit (DeepEqual compares the unexported float exactly).
+func TestMicrobatchWorkloadAddMatchesFold(t *testing.T) {
+	spec, corpus := buildSpec(t, model.MLLM9B(), 2, 48, model.FullTraining)
+	k := spec.Profiler.Kernel()
+	for iter := int64(0); iter < 8; iter++ {
+		batch := corpus.GlobalBatch(iter, 48)
+		work := fold(nil, batch, k)
+		for _, m := range []int{2, 3, 8} {
+			for j := 0; j+m <= len(batch); j += m {
+				var want model.Workload
+				for _, s := range batch[j : j+m] {
+					s.AddTo(&want, k)
+				}
+				got := work[j]
+				for _, o := range work[j+1 : j+m] {
+					got.Add(o)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("iter %d M=%d microbatch at %d: added %+v, folded %+v", iter, m, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// rebalance moves surplus samples (smallest first, so balance damage is
+// minimal) from overfull groups to underfull ones. The multiset of
+// samples is preserved: only ownership moves. This sort-based form is
+// the pinned reference, kept with the tests that pin it; the hot path
+// runs the sort-free reorder.(*Partitioner).Rebalance, which the
+// reorder tests hold byte-identical to the same rule.
+func rebalance(groups [][]data.Sample, perRank int, size func(data.Sample) float64) [][]data.Sample {
+	var surplus []data.Sample
+	for d := range groups {
+		if len(groups[d]) > perRank {
+			surplus = append(surplus, groups[d][perRank:]...)
+			groups[d] = groups[d][:perRank]
+		}
+	}
+	// Smallest first; stable so ties keep the deterministic group
+	// emission order.
+	sort.SliceStable(surplus, func(a, b int) bool {
+		return size(surplus[a]) < size(surplus[b])
+	})
+	for d := range groups {
+		for len(groups[d]) < perRank && len(surplus) > 0 {
+			groups[d] = append(groups[d], surplus[0])
+			surplus = surplus[1:]
+		}
+	}
+	return groups
+}
+
 func TestRebalanceKeepsCounts(t *testing.T) {
 	corpus, _ := data.NewCorpus(data.LAION400M())
 	batch := corpus.GlobalBatch(0, 12)
