@@ -6,14 +6,13 @@
 // -addr accepts a comma-separated list to run a whole producer pool in
 // one process — each address gets its own independent (stateless)
 // server, the layout the consumer-side preprocess.Service
-// load-balances and fails over across. Service tenants send their own
-// DP width with every fetch; -dp only sizes the untenanted fetch a bare
-// Client or Prefetcher issues.
+// load-balances and fails over across. Every fetch names its own DP
+// width, so a producer is configured with the batch geometry only.
 //
 // Examples:
 //
-//	disttrain-preprocd -addr :7420 -batch 128 -dp 8 -reorder
-//	disttrain-preprocd -addr :7420,:7421,:7422 -batch 128 -dp 8
+//	disttrain-preprocd -addr :7420 -batch 128 -reorder
+//	disttrain-preprocd -addr :7420,:7421,:7422 -batch 128
 package main
 
 import (
@@ -35,11 +34,10 @@ func main() {
 	var (
 		addrs     = flag.String("addr", "127.0.0.1:7420", "listen address, or comma-separated list for a pool")
 		batch     = flag.Int("batch", 128, "global batch size")
-		dp        = flag.Int("dp", 8, "data-parallel consumer count")
 		micro     = flag.Int("micro", 1, "microbatch size")
 		reorderOn = flag.Bool("reorder", true, "apply Algorithms 1 and 2")
 		stages    = flag.Int("stages", 4, "pipeline stages (for Algorithm 2's interval model)")
-		workers   = flag.Int("workers", 0, "preprocessing worker goroutines per producer (0 = 2*dp)")
+		workers   = flag.Int("workers", 16, "preprocessing worker goroutines per producer")
 		readahead = flag.Int("readahead", 2, "iterations to prefetch")
 	)
 	profFlags := prof.Register(flag.CommandLine)
@@ -56,7 +54,7 @@ func main() {
 	cfg := preprocess.Config{
 		Source:         corpus,
 		GlobalBatch:    *batch,
-		DPSize:         *dp,
+		DPSize:         1, // fetches carry their own width; this only has to validate
 		Microbatch:     *micro,
 		Reorder:        *reorderOn,
 		PipelineStages: *stages,
@@ -83,8 +81,8 @@ func main() {
 		}
 		servers = append(servers, srv)
 		listeners = append(listeners, ln)
-		fmt.Printf("disttrain-preprocd: serving %d-sample batches to %d consumers on %s (reorder=%v)\n",
-			*batch, *dp, ln.Addr(), *reorderOn)
+		fmt.Printf("disttrain-preprocd: serving %d-sample batches on %s (reorder=%v)\n",
+			*batch, ln.Addr(), *reorderOn)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -82,9 +82,9 @@ type (
 	// PreprocessConfig parameterises one disaggregated-preprocessing
 	// producer (batch geometry, reordering, worker pool, readahead).
 	PreprocessConfig = preprocess.Config
-	// ProducerFleet runs N in-process producers; it satisfies the
-	// trainer's ProducerControl, so scenario producer-fail /
-	// producer-join events kill and restore members mid-run.
+	// ProducerFleet runs N in-process producers; set as the trainer's
+	// ProducerControl, scenario producer-fail / producer-join events
+	// kill and restore its members mid-run.
 	ProducerFleet = preprocess.Fleet
 	// PreprocessService is the consumer side of disaggregated
 	// preprocessing: it load-balances every tenant's (iteration, rank)

@@ -228,6 +228,99 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 	}
 }
 
+// TestPreprocessNamesHaveCallers holds internal/preprocess to the same
+// rule as the facade: every exported top-level func, type and var of
+// the package is referenced as preprocess.<Name> from non-test Go
+// outside it — this module or benchmark/ — or spelled in the signature
+// of a func that is. A name only the package and its tests use is
+// unexported or deleted, not kept for a caller that does not exist.
+func TestPreprocessNamesHaveCallers(t *testing.T) {
+	const pkgDir = "internal/preprocess"
+	files, err := filepath.Glob(pkgDir + "/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	signature := map[string][]string{} // exported name -> identifiers its func signature spells
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					var ids []string
+					ast.Inspect(d.Type, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							ids = append(ids, id.Name)
+						}
+						return true
+					})
+					signature[d.Name.Name] = ids
+				}
+			case *ast.GenDecl:
+				for _, sp := range d.Specs {
+					switch sp := sp.(type) {
+					case *ast.TypeSpec:
+						if sp.Name.IsExported() {
+							signature[sp.Name.Name] = nil
+						}
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							if n.IsExported() && d.Tok == token.VAR {
+								signature[n.Name] = nil
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(signature) == 0 {
+		t.Fatal("found no exported names: the guard is looking in the wrong place")
+	}
+
+	var src bytes.Buffer
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == pkgDir || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		src.Write(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\bpreprocess\.([A-Z]\w*)`).FindAllSubmatch(src.Bytes(), -1) {
+		name := string(m[1])
+		backed[name] = true
+		for _, id := range signature[name] {
+			backed[id] = true
+		}
+	}
+	for name := range signature {
+		if !backed[name] {
+			t.Errorf("%s exports %s, which no non-test Go outside the package references and no referenced func's signature spells", pkgDir, name)
+		}
+	}
+}
+
 // TestCLIRejectsBadArguments runs the real binaries on the argument
 // holes that used to panic, print a table of zeros, or silently
 // regenerate every experiment: each must exit 1 with one line on

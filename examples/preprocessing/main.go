@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"net"
 	"time"
 
 	"disttrain/internal/data"
@@ -40,28 +39,23 @@ func main() {
 	}
 
 	// Producer: dedicated "CPU node" on a loopback TCP socket.
-	srv, err := preprocess.NewServer(cfg)
+	fleet, err := preprocess.StartFleet(cfg, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ln.Close()
-	go srv.Serve(ln) //nolint:errcheck
-	defer srv.Close()
-	fmt.Printf("producer listening on %s\n\n", ln.Addr())
+	defer fleet.Close()
+	addr := fleet.Addrs()[0]
+	fmt.Printf("producer listening on %s\n\n", addr)
 
 	// Consumer: DP rank 0's training process with a prefetcher.
-	client, err := preprocess.Dial(ln.Addr().String())
+	client, err := preprocess.Dial(addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer client.Close()
 	ctx := context.Background()
 
-	pf := preprocess.NewPrefetcher(client, 0, 0, 2)
+	pf := preprocess.NewPrefetcher(client, cfg.DPSize, 0, 0, 2)
 	defer pf.Close()
 
 	fmt.Println("disaggregated mode (producer works ahead):")

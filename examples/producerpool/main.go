@@ -62,7 +62,7 @@ func main() {
 	disttrain.UsePreprocessPool(&cfg, tenant)
 
 	// Producer 1 dies at iteration 2 and rejoins at iteration 4; the
-	// fleet implements ProducerControl, so the events act on real TCP
+	// fleet is the run's ProducerControl, so the events act on real TCP
 	// servers.
 	sc, err := disttrain.ParseScenario(
 		"producer-fail:iter=2,producer=1; producer-join:iter=4,producer=1")

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net"
 	"sort"
 	"time"
 
@@ -95,24 +94,18 @@ func measurePreprocess(cfg preprocess.Config) (colocated, disagg time.Duration, 
 
 	// Disaggregated: a producer on a loopback TCP socket works ahead; we
 	// measure the steady-state stall of the consumer.
-	srv, err := preprocess.NewServer(cfg)
+	fleet, err := preprocess.StartFleet(cfg, 1)
 	if err != nil {
 		return 0, 0, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer ln.Close()
-	go srv.Serve(ln) //nolint:errcheck
-	defer srv.Close()
+	defer fleet.Close()
 
-	client, err := preprocess.Dial(ln.Addr().String())
+	client, err := preprocess.Dial(fleet.Addrs()[0])
 	if err != nil {
 		return 0, 0, err
 	}
 	defer client.Close()
-	pf := preprocess.NewPrefetcher(client, 0, 0, 3)
+	pf := preprocess.NewPrefetcher(client, cfg.DPSize, 0, 0, 3)
 	defer pf.Close()
 
 	if _, err := pf.Next(ctx); err != nil { // fills the pipeline

@@ -22,16 +22,17 @@ type PreprocessConfig struct {
 	// Producers is how many producer servers the fleet starts.
 	Producers int
 	// Server configures each producer (Source, GlobalBatch, Microbatch,
-	// Workers, Readahead, ...). Every tenant fetches tenant-keyed at
-	// its own DP width, so DPSize only backs the untenanted opcode
-	// (Prefetcher) and defaults to 1. The batch geometry is fleet-wide:
+	// Workers, Readahead, ...). Every fetch names its tenant's own DP
+	// width, so DPSize splits nothing here: it only has to validate
+	// against the batch geometry and defaults to 1 (the worker-pool
+	// default, 2×DPSize, follows it). The batch geometry is fleet-wide:
 	// jobs whose GlobalBatch is not divisible by their DP×Microbatch get
 	// a deterministic producer rejection.
 	Server preprocess.Config
 	// SlotsPerNode scales per-tenant admission quotas with lease size:
 	// quota = SlotsPerNode × leased nodes (default 2). A tenant
-	// saturating its quota is rejected with ErrPoolSaturated; other
-	// tenants keep fetching.
+	// saturating its quota has the fetch rejected as pool-saturated;
+	// other tenants keep fetching.
 	SlotsPerNode int
 	// Service overrides the shared-service knobs (Capacity,
 	// AdmitTimeout, FailureCooldown, DialTimeout, FetchTimeout,

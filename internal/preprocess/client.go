@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -22,14 +21,16 @@ type Client struct {
 	timeout time.Duration
 }
 
-// Dial connects to a producer.
-func Dial(addr string) (*Client, error) { return DialTimeout(addr, 0) }
+// Dial connects to a producer under the operating system's connect
+// timeout, bounding each request round trip at 120 s.
+func Dial(addr string) (*Client, error) { return dial(addr, 0, 120*time.Second) }
 
-// DialTimeout connects to a producer, bounding the connection attempt
-// (0 means the operating system default). The Service uses a short bound
-// so a dead producer fails over in milliseconds, not minutes.
-func DialTimeout(addr string, d time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, d)
+// dial is the one place a connection gets its timeouts: connect bounds
+// the connection attempt (0 means the operating system default),
+// roundTrip one request. The Service dials with short bounds so a dead
+// producer fails over in milliseconds, not minutes.
+func dial(addr string, connect, roundTrip time.Duration) (*Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, connect)
 	if err != nil {
 		return nil, fmt.Errorf("preprocess: dial %s: %w", addr, err)
 	}
@@ -37,39 +38,18 @@ func DialTimeout(addr string, d time.Duration) (*Client, error) {
 		conn:    conn,
 		br:      bufio.NewReaderSize(conn, 1<<20),
 		bw:      bufio.NewWriter(conn),
-		timeout: 120 * time.Second,
+		timeout: roundTrip,
 	}, nil
-}
-
-// SetTimeout bounds one request round trip (default 120s).
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d > 0 {
-		c.timeout = d
-	}
 }
 
 // Close tears down the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Fetch requests one (iteration, rank) batch at the producer's
-// configured DP width. Requests on one client are serialised; use one
-// client per consumer rank (the production layout).
-func (c *Client) Fetch(ctx context.Context, iter int64, rank int) (*RankBatch, error) {
-	req := make([]byte, 0, 13)
-	req = append(req, opFetch)
-	req = binary.BigEndian.AppendUint64(req, uint64(iter))
-	req = binary.BigEndian.AppendUint32(req, uint32(rank))
-	return c.roundTrip(ctx, req)
-}
-
 // FetchTenant requests one (tenant, iteration, rank) batch split
-// across dp data-parallel ranks — the fleet-shared form of Fetch, for
-// consumers multiplexing one producer fleet across tenants with
-// differing geometries.
+// across dp data-parallel ranks. Requests on one client are serialised;
+// use one client per consumer rank (the production layout).
 func (c *Client) FetchTenant(ctx context.Context, tenant uint32, dp int, iter int64, rank int) (*RankBatch, error) {
-	req := make([]byte, 0, 21)
+	req := make([]byte, 0, fetchRequestLen)
 	req = append(req, opFetchTenant)
 	req = binary.BigEndian.AppendUint32(req, tenant)
 	req = binary.BigEndian.AppendUint32(req, uint32(dp))
@@ -97,7 +77,7 @@ func (c *Client) roundTrip(ctx context.Context, req []byte) (*RankBatch, error) 
 	if err := c.bw.Flush(); err != nil {
 		return nil, err
 	}
-	body, err := readFrame(c.br)
+	body, err := readFrame(c.br, maxFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -109,10 +89,9 @@ func (c *Client) roundTrip(ctx context.Context, req []byte) (*RankBatch, error) 
 // i+1 — this is what turns data-arrival stalls from seconds into
 // milliseconds (Figure 17).
 type Prefetcher struct {
-	client *Client
-	rank   int
+	client   *Client
+	dp, rank int
 
-	next    int64
 	pending chan fetchResult
 	cancel  context.CancelFunc
 	done    chan struct{}
@@ -127,34 +106,33 @@ type fetchResult struct {
 	err error
 }
 
-// NewPrefetcher starts prefetching from the given iteration with the
-// given queue depth.
-func NewPrefetcher(client *Client, rank int, startIter int64, depth int) *Prefetcher {
+// NewPrefetcher starts prefetching one of dp ranks' batches (as tenant
+// 0) from the given iteration with the given queue depth.
+func NewPrefetcher(client *Client, dp, rank int, startIter int64, depth int) *Prefetcher {
 	if depth < 1 {
 		depth = 1
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Prefetcher{
 		client:  client,
+		dp:      dp,
 		rank:    rank,
-		next:    startIter,
 		pending: make(chan fetchResult, depth),
 		cancel:  cancel,
 		done:    make(chan struct{}),
 	}
-	go p.loop(ctx)
+	go p.loop(ctx, startIter)
 	return p
 }
 
-func (p *Prefetcher) loop(ctx context.Context) {
+func (p *Prefetcher) loop(ctx context.Context, iter int64) {
 	defer close(p.done)
 	// Closing pending after the terminal error is queued hands every
 	// subsequent Next the stored error (the close is the happens-before
 	// edge for p.terminal).
 	defer close(p.pending)
-	iter := p.next
 	for {
-		rb, err := p.client.Fetch(ctx, iter, p.rank)
+		rb, err := p.client.FetchTenant(ctx, 0, p.dp, iter, p.rank)
 		if err != nil {
 			p.terminal = err
 			select {
@@ -183,10 +161,7 @@ func (p *Prefetcher) Next(ctx context.Context) (*RankBatch, error) {
 		return nil, ctx.Err()
 	case r, ok := <-p.pending:
 		if !ok {
-			if p.terminal != nil {
-				return nil, p.terminal
-			}
-			return nil, errors.New("preprocess: prefetcher closed")
+			return nil, p.terminal // set before pending closed, on every path
 		}
 		return r.rb, r.err
 	}

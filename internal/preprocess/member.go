@@ -11,6 +11,8 @@ import (
 // state.
 type poolMember struct {
 	addr string
+	// dialTO and fetchTO are the service's connect and round-trip bounds.
+	dialTO, fetchTO time.Duration
 
 	mu        sync.Mutex
 	client    *Client
@@ -43,25 +45,24 @@ func (m *poolMember) markDown(until time.Time) {
 // against this member, dialing lazily. The member lock serialises
 // requests on the shared connection (the Client serialises anyway;
 // holding the lock keeps dial/teardown atomic with the request). The
-// connection is dropped on transport failure (a ServerError is a
+// connection is dropped on transport failure (a serverError is a
 // protocol answer: the connection stays).
-func (m *poolMember) fetchTenant(ctx context.Context, dialTO, fetchTO time.Duration, tenant uint32, dp int, iter int64, rank int) (*RankBatch, error) {
+func (m *poolMember) fetchTenant(ctx context.Context, tenant uint32, dp int, iter int64, rank int) (*RankBatch, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, errServiceClosed
 	}
 	if m.client == nil {
-		c, err := DialTimeout(m.addr, dialTO)
+		c, err := dial(m.addr, m.dialTO, m.fetchTO)
 		if err != nil {
 			return nil, err
 		}
-		c.SetTimeout(fetchTO)
 		m.client = c
 	}
 	rb, err := m.client.FetchTenant(ctx, tenant, dp, iter, rank)
 	if err != nil {
-		var se *ServerError
+		var se *serverError
 		if !errors.As(err, &se) {
 			// Transport failure: the connection is suspect either way.
 			m.client.Close()

@@ -39,8 +39,8 @@ func (f fixedSource) Sample(index int64) data.Sample {
 
 func TestCompressDecodeRoundTrip(t *testing.T) {
 	for _, res := range []int{32, 64, 128} {
-		comp := CompressImage(42, res)
-		rgb, err := DecodeImage(comp, res)
+		comp := compressImage(42, res)
+		rgb, err := decodeImage(comp, res)
 		if err != nil {
 			t.Fatalf("res %d: %v", res, err)
 		}
@@ -48,7 +48,7 @@ func TestCompressDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("res %d: decoded %d bytes", res, len(rgb))
 		}
 		// Deterministic.
-		comp2 := CompressImage(42, res)
+		comp2 := compressImage(42, res)
 		if !bytes.Equal(comp, comp2) {
 			t.Fatal("compression not deterministic")
 		}
@@ -57,7 +57,7 @@ func TestCompressDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("res %d: %d compressed >= %d raw", res, len(comp), len(rgb))
 		}
 	}
-	if _, err := DecodeImage([]byte{255, 0, 0, 0}, 64); err == nil {
+	if _, err := decodeImage([]byte{255, 0, 0, 0}, 64); err == nil {
 		t.Error("corrupt stream decoded")
 	}
 }
@@ -67,7 +67,7 @@ func TestResize(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i)
 	}
-	out, err := ResizeRGB(src, 64, 32)
+	out, err := resizeRGB(src, 64, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,16 +75,16 @@ func TestResize(t *testing.T) {
 		t.Fatalf("resized to %d bytes", len(out))
 	}
 	// Identity resize returns the input.
-	same, err := ResizeRGB(src, 64, 64)
+	same, err := resizeRGB(src, 64, 64)
 	if err != nil || !bytes.Equal(same, src) {
 		t.Error("identity resize should be a no-op")
 	}
-	if _, err := ResizeRGB(src, 64, 48); err == nil {
+	if _, err := resizeRGB(src, 64, 48); err == nil {
 		t.Error("non-divisible resize accepted")
 	}
 	// A constant image stays constant through the box filter.
 	flat := bytes.Repeat([]byte{100}, 64*64*3)
-	out, _ = ResizeRGB(flat, 64, 16)
+	out, _ = resizeRGB(flat, 64, 16)
 	for _, b := range out {
 		if b != 100 {
 			t.Fatal("box filter distorted a constant image")
@@ -95,7 +95,7 @@ func TestResize(t *testing.T) {
 func TestPackPatches(t *testing.T) {
 	res := 64
 	rgb := bytes.Repeat([]byte{7}, res*res*3)
-	out := PackPatches(rgb, res)
+	out := packPatches(rgb, res)
 	side := res / model.PatchSize
 	if len(out) != side*side*3 {
 		t.Fatalf("packed %d bytes, want %d", len(out), side*side*3)
@@ -183,7 +183,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 	defer client.Close()
 
 	ctx := context.Background()
-	rb, err := client.Fetch(ctx, 0, 1)
+	rb, err := client.FetchTenant(ctx, 0, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +203,10 @@ func TestServerClientRoundTrip(t *testing.T) {
 		t.Error("payload corrupted in transit")
 	}
 	// Out-of-range rank errors without killing the connection.
-	if _, err := client.Fetch(ctx, 0, 99); err == nil {
+	if _, err := client.FetchTenant(ctx, 0, 2, 0, 99); err == nil {
 		t.Error("bad rank accepted")
 	}
-	if _, err := client.Fetch(ctx, 1, 0); err != nil {
+	if _, err := client.FetchTenant(ctx, 0, 2, 1, 0); err != nil {
 		t.Errorf("connection unusable after server-side error: %v", err)
 	}
 }
@@ -229,11 +229,11 @@ func TestServerReordersWhenAsked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	a, err := srv.Fetch(0, 0)
+	a, err := srv.FetchTenant(0, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := srv.Fetch(0, 1)
+	b, err := srv.FetchTenant(0, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestDisaggregationBeatsColocated(t *testing.T) {
 	defer client.Close()
 	ctx := context.Background()
 
-	pf := NewPrefetcher(client, 0, 0, 2)
+	pf := NewPrefetcher(client, 1, 0, 0, 2)
 	defer pf.Close()
 	if _, err := pf.Next(ctx); err != nil { // warm the pipeline
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestConcurrentConsumers(t *testing.T) {
 			}
 			defer client.Close()
 			for iter := int64(0); iter < 3; iter++ {
-				rb, err := client.Fetch(context.Background(), iter, rank)
+				rb, err := client.FetchTenant(context.Background(), 0, 4, iter, rank)
 				if err != nil {
 					errs <- err
 					return

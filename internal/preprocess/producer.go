@@ -6,69 +6,46 @@ import (
 	"sync"
 )
 
-// LocalProducer is one in-process producer: a Server plus its TCP
-// listener, with Stop/Restart lifecycle so scenario events can kill
-// and restore pool members mid-run. A restarted producer gets a fresh
-// Server (empty cache, zero watermarks) — exactly what a replacement
-// CPU node looks like, and safe because producers are stateless
-// deterministic functions of the iteration.
-type LocalProducer struct {
-	cfg  Config
-	addr string
+// producer is one in-process fleet member: a Server plus its TCP
+// listener. A restarted producer gets a fresh Server (empty cache, zero
+// watermarks) on its old address — exactly what a replacement CPU node
+// looks like, and safe because producers are stateless deterministic
+// functions of the request.
+type producer struct {
+	cfg Config
 
-	mu  sync.Mutex
-	srv *Server
-	ln  net.Listener
+	mu   sync.Mutex
+	addr string // listen address; the bound one once started
+	srv  *Server
+	ln   net.Listener
 }
 
-// StartLocalProducer launches a producer on addr ("" or ":0" picks a
-// random loopback port).
-func StartLocalProducer(cfg Config, addr string) (*LocalProducer, error) {
-	if addr == "" {
-		addr = "127.0.0.1:0"
+// start brings a stopped producer up on its address; starting a running
+// producer is a no-op.
+func (p *producer) start() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.srv != nil {
+		return nil
 	}
-	p := &LocalProducer{cfg: cfg}
-	if err := p.start(addr); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func (p *LocalProducer) start(addr string) error {
 	srv, err := NewServer(p.cfg)
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", p.addr)
 	if err != nil {
 		srv.Close()
 		return err
 	}
-	p.mu.Lock()
 	p.srv, p.ln, p.addr = srv, ln, ln.Addr().String()
-	p.mu.Unlock()
-	go srv.Serve(ln) //nolint:errcheck // terminated by Stop
+	go srv.Serve(ln) //nolint:errcheck // terminated by stop
 	return nil
 }
 
-// Addr returns the producer's listen address.
-func (p *LocalProducer) Addr() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.addr
-}
-
-// Running reports whether the producer is currently serving.
-func (p *LocalProducer) Running() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.srv != nil
-}
-
-// Stop kills the producer: the listener closes and every active
+// stop kills the producer: the listener closes and every active
 // connection is torn down, so consumers see connection errors and fail
 // over. Stopping a stopped producer is a no-op.
-func (p *LocalProducer) Stop() {
+func (p *producer) stop() {
 	p.mu.Lock()
 	srv, ln := p.srv, p.ln
 	p.srv, p.ln = nil, nil
@@ -81,26 +58,12 @@ func (p *LocalProducer) Stop() {
 	}
 }
 
-// Restart brings a stopped producer back on its previous address.
-// Restarting a running producer is a no-op.
-func (p *LocalProducer) Restart() error {
-	p.mu.Lock()
-	running := p.srv != nil
-	addr := p.addr
-	p.mu.Unlock()
-	if running {
-		return nil
-	}
-	return p.start(addr)
-}
-
 // Fleet is a set of local producers sharing one configuration — the
-// in-process stand-in for the paper's elastic CPU-node fleet. It
-// implements the trainer's ProducerControl interface, so scenario
-// producer-fail / producer-join events kill and restore members
-// mid-run.
+// in-process stand-in for the paper's elastic CPU-node fleet. Scenario
+// producer-fail / producer-join events kill and restore its members
+// mid-run through FailProducer and JoinProducer.
 type Fleet struct {
-	producers []*LocalProducer
+	producers []*producer
 }
 
 // StartFleet launches n producers on random loopback ports.
@@ -110,8 +73,8 @@ func StartFleet(cfg Config, n int) (*Fleet, error) {
 	}
 	f := &Fleet{}
 	for i := 0; i < n; i++ {
-		p, err := StartLocalProducer(cfg, "")
-		if err != nil {
+		p := &producer{cfg: cfg, addr: "127.0.0.1:0"}
+		if err := p.start(); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -124,41 +87,42 @@ func StartFleet(cfg Config, n int) (*Fleet, error) {
 func (f *Fleet) Addrs() []string {
 	out := make([]string, len(f.producers))
 	for i, p := range f.producers {
-		out[i] = p.Addr()
+		p.mu.Lock()
+		out[i] = p.addr
+		p.mu.Unlock()
 	}
 	return out
 }
 
-// Producer returns member i.
-func (f *Fleet) Producer(i int) (*LocalProducer, error) {
+func (f *Fleet) member(i int) (*producer, error) {
 	if i < 0 || i >= len(f.producers) {
 		return nil, fmt.Errorf("preprocess: producer %d outside fleet of %d", i, len(f.producers))
 	}
 	return f.producers[i], nil
 }
 
-// FailProducer kills member i (trainer.ProducerControl).
+// FailProducer kills member i.
 func (f *Fleet) FailProducer(i int) error {
-	p, err := f.Producer(i)
+	p, err := f.member(i)
 	if err != nil {
 		return err
 	}
-	p.Stop()
+	p.stop()
 	return nil
 }
 
-// JoinProducer restores member i (trainer.ProducerControl).
+// JoinProducer restores member i on its previous address.
 func (f *Fleet) JoinProducer(i int) error {
-	p, err := f.Producer(i)
+	p, err := f.member(i)
 	if err != nil {
 		return err
 	}
-	return p.Restart()
+	return p.start()
 }
 
 // Close stops every producer.
 func (f *Fleet) Close() {
 	for _, p := range f.producers {
-		p.Stop()
+		p.stop()
 	}
 }

@@ -21,31 +21,36 @@ import (
 //	byte     opcode
 //	...      opcode-specific body
 //
-// opFetch requests one DP rank's microbatches for one iteration;
-// opBatch answers it. opFetchTenant is the fleet-shared form: the
-// request additionally carries a tenant id and the tenant's DP width,
-// so one producer fleet serves many training jobs with different
-// geometries at once — opFetch is exactly opFetchTenant with tenant 0
-// and the producer's configured DPSize. The protocol is deliberately
-// minimal: producers are stateless per request, so any consumer can
-// fetch any (tenant, iteration, rank) triple — the property that makes
-// preprocessing elastically scalable (§8).
+// There is one request: opFetchTenant asks for one DP rank's
+// microbatches of one iteration and names everything the answer depends
+// on — tenant id (uint32), the tenant's DP width (uint32), iteration
+// (uint64), rank (uint32) — so one producer fleet serves many training
+// jobs at different, and changing, geometries at once. opBatch answers
+// it; opError carries a deterministic rejection. The protocol is
+// deliberately minimal: producers are stateless per request, so any
+// consumer can fetch any (tenant, iteration, rank) triple — the
+// property that makes preprocessing elastically scalable (§8).
 const (
-	opFetch       byte = 0x01
 	opFetchTenant byte = 0x02
 	opBatch       byte = 0x81
 	opError       byte = 0xee
 
-	maxFrame = 1 << 30
+	// fetchRequestLen is the one legal request body: opcode, tenant, dp,
+	// iteration, rank. A producer reads no request frame longer than
+	// this; maxFrame bounds the replies a client reads.
+	fetchRequestLen = 1 + 4 + 4 + 8 + 4
+	maxFrame        = 1 << 30
 )
 
 // Config parameterises a producer.
 type Config struct {
 	// Source supplies raw samples.
 	Source Source
-	// GlobalBatch, DPSize and Microbatch shape each iteration's
-	// assignment; GlobalBatch must divide evenly across DPSize ranks in
-	// multiples of Microbatch.
+	// GlobalBatch and Microbatch shape each iteration's assignment.
+	// Every fetch names its own DP width, so DPSize splits nothing a
+	// Server serves: it is the co-located baseline's split (Colocated)
+	// and the worker-pool default. GlobalBatch must divide evenly across
+	// DPSize ranks in multiples of Microbatch.
 	GlobalBatch, DPSize, Microbatch int
 	// Reorder applies Algorithm 1 across ranks and Algorithm 2 within
 	// each rank (using a token-count cost proxy over PipelineStages).
@@ -100,7 +105,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	cache    map[buildKey][][]Processed // (iter, dp) -> [rank][mb*... flattened per rank]
-	inflight map[buildKey]chan struct{}
+	inflight map[buildKey]*inflightBuild
 	// watermark tracks each (tenant, rank)'s highest fetched iteration;
 	// the cache evicts only below the minimum across every tenant's
 	// ranks, so a lagging consumer never has its batch evicted and
@@ -130,16 +135,13 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2 * cfg.DPSize
 	}
-	if cfg.Readahead < 0 {
-		cfg.Readahead = 0
-	}
 	if cfg.CacheCap <= 0 {
 		cfg.CacheCap = 64
 	}
 	return &Server{
 		cfg:       cfg,
 		cache:     map[buildKey][][]Processed{},
-		inflight:  map[buildKey]chan struct{}{},
+		inflight:  map[buildKey]*inflightBuild{},
 		watermark: map[wmKey]int64{},
 		tenantDP:  map[uint32]int{},
 		conns:     map[net.Conn]struct{}{},
@@ -234,81 +236,54 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		default:
 		}
-		body, err := readFrame(br)
+		body, err := readFrame(br, fetchRequestLen)
 		if err != nil {
-			return // EOF or broken peer: drop the connection
+			return // EOF, broken peer or oversized request: drop the connection
 		}
 		if len(body) == 0 {
 			return
 		}
-		switch body[0] {
-		case opFetch, opFetchTenant:
-			var (
-				tenant uint32
-				dp     int
-				iter   int64
-				rank   int
-			)
-			switch body[0] {
-			case opFetch:
-				if len(body) != 1+8+4 {
-					writeError(bw, "malformed fetch")
-					return
-				}
-				dp = s.cfg.DPSize
-				iter = int64(binary.BigEndian.Uint64(body[1:9]))
-				rank = int(binary.BigEndian.Uint32(body[9:13]))
-			case opFetchTenant:
-				if len(body) != 1+4+4+8+4 {
-					writeError(bw, "malformed tenant fetch")
-					return
-				}
-				tenant = binary.BigEndian.Uint32(body[1:5])
-				dp = int(binary.BigEndian.Uint32(body[5:9]))
-				iter = int64(binary.BigEndian.Uint64(body[9:17]))
-				rank = int(binary.BigEndian.Uint32(body[17:21]))
-			}
-			rb, err := s.FetchTenant(tenant, dp, iter, rank)
-			if err != nil {
-				// Shutdown is a transport event, not a protocol answer:
-				// dropping the connection makes the client's pool fail
-				// over, whereas an opError frame would be classified as
-				// a deterministic ServerError and returned to the
-				// caller unretried.
-				if errors.Is(err, errServerClosed) {
-					return
-				}
-				writeError(bw, err.Error())
-				bw.Flush()
-				continue
-			}
-			if err := writeBatch(bw, rb); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		default:
+		if body[0] != opFetchTenant {
 			writeError(bw, fmt.Sprintf("unknown opcode %#x", body[0]))
-			bw.Flush()
+			return
+		}
+		if len(body) != fetchRequestLen {
+			writeError(bw, "malformed tenant fetch")
+			return
+		}
+		tenant := binary.BigEndian.Uint32(body[1:5])
+		dp := int(binary.BigEndian.Uint32(body[5:9]))
+		iter := int64(binary.BigEndian.Uint64(body[9:17]))
+		rank := int(binary.BigEndian.Uint32(body[17:21]))
+		rb, err := s.FetchTenant(tenant, dp, iter, rank)
+		if err != nil {
+			// Shutdown is a transport event, not a protocol answer:
+			// dropping the connection makes the client's pool fail over,
+			// whereas an opError frame would be classified as a
+			// deterministic serverError and returned to the caller
+			// unretried.
+			if errors.Is(err, errServerClosed) {
+				return
+			}
+			writeError(bw, err.Error())
+			continue
+		}
+		if err := writeBatch(bw, rb); err != nil {
+			return
+		}
+		if err := bw.Flush(); err != nil {
 			return
 		}
 	}
 }
 
-// Fetch returns one rank's batch at the producer's configured DP
-// width, materialising the iteration if needed and kicking off
-// readahead for subsequent iterations — the single-tenant path,
-// identical to FetchTenant with tenant 0.
-func (s *Server) Fetch(iter int64, rank int) (*RankBatch, error) {
-	return s.FetchTenant(0, s.cfg.DPSize, iter, rank)
-}
-
 // FetchTenant returns one (tenant, iteration, rank) batch split across
-// dp data-parallel ranks. The tenant id partitions the fetch watermark
-// (each tenant's laggard is tracked separately); dp must divide the
-// global batch in multiples of the microbatch — a deterministic
-// protocol rejection otherwise, never a failover.
+// dp data-parallel ranks, materialising the iteration if needed and
+// kicking off readahead for the iterations after it. The tenant id
+// partitions the fetch watermark (each tenant's laggard is tracked
+// separately); dp must divide the global batch in multiples of the
+// microbatch — a deterministic protocol rejection otherwise, never a
+// failover.
 func (s *Server) FetchTenant(tenant uint32, dp int, iter int64, rank int) (*RankBatch, error) {
 	if dp < 1 || s.cfg.GlobalBatch%(dp*s.cfg.Microbatch) != 0 {
 		return nil, fmt.Errorf("preprocess: DP*M=%d must divide BS=%d", dp*s.cfg.Microbatch, s.cfg.GlobalBatch)
@@ -370,6 +345,15 @@ func (s *Server) FetchTenant(tenant uint32, dp int, iter int64, rank int) (*Rank
 	return rb, nil
 }
 
+// inflightBuild is one materialisation in progress. Waiters read the
+// result off the record, not the cache: a re-fetch below the watermark
+// floor (a restarted consumer) is evicted the moment it is cached.
+type inflightBuild struct {
+	done chan struct{}
+	out  [][]Processed
+	err  error
+}
+
 // iteration materialises (or waits for) one preprocessed iteration at
 // one DP width.
 func (s *Server) iteration(iter int64, dp int) ([][]Processed, error) {
@@ -379,32 +363,26 @@ func (s *Server) iteration(iter int64, dp int) ([][]Processed, error) {
 		s.mu.Unlock()
 		return got, nil
 	}
-	if ch, ok := s.inflight[key]; ok {
+	if b, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
-		<-ch
-		s.mu.Lock()
-		got, ok := s.cache[key]
-		s.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("preprocess: iteration %d failed", iter)
-		}
-		return got, nil
+		<-b.done
+		return b.out, b.err
 	}
-	done := make(chan struct{})
-	s.inflight[key] = done
+	b := &inflightBuild{done: make(chan struct{})}
+	s.inflight[key] = b
 	s.mu.Unlock()
 
-	out, err := s.build(iter, dp)
+	b.out, b.err = s.build(iter, dp)
 
 	s.mu.Lock()
 	delete(s.inflight, key)
-	if err == nil {
-		s.cache[key] = out
+	if b.err == nil {
+		s.cache[key] = b.out
 		s.evictLocked()
 	}
 	s.mu.Unlock()
-	close(done)
-	return out, err
+	close(b.done)
+	return b.out, b.err
 }
 
 // evictLocked bounds the cache against the minimum fetch watermark
@@ -555,13 +533,15 @@ func modalitySize(p Processed) float64 {
 
 // --- wire helpers ---
 
-func readFrame(r *bufio.Reader) ([]byte, error) {
+// readFrame reads one frame whose body is at most limit bytes. The
+// length prefix is untrusted: it is checked before it sizes the body.
+func readFrame(r *bufio.Reader, limit uint32) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > maxFrame {
+	if n > limit {
 		return nil, fmt.Errorf("preprocess: frame of %d bytes exceeds limit", n)
 	}
 	body := make([]byte, n)
@@ -581,9 +561,12 @@ func writeFrame(w *bufio.Writer, body []byte) error {
 	return err
 }
 
+// writeError sends one opError frame. A failed write is dropped: the
+// next read on the broken connection ends the handler.
 func writeError(w *bufio.Writer, msg string) {
 	body := append([]byte{opError}, msg...)
-	writeFrame(w, body) //nolint:errcheck // connection teardown follows
+	writeFrame(w, body) //nolint:errcheck
+	w.Flush()           //nolint:errcheck
 }
 
 func writeBatch(w *bufio.Writer, rb *RankBatch) error {
@@ -615,12 +598,12 @@ func writeBatch(w *bufio.Writer, rb *RankBatch) error {
 	return writeFrame(w, body)
 }
 
-// ServerError is a protocol-level error frame sent by a producer — a
+// serverError is a protocol-level error frame sent by a producer — a
 // deterministic rejection (bad rank, failed build), not a transport
 // failure, so pool clients must not fail over on it.
-type ServerError struct{ Msg string }
+type serverError struct{ Msg string }
 
-func (e *ServerError) Error() string { return "preprocess: server error: " + e.Msg }
+func (e *serverError) Error() string { return "preprocess: server error: " + e.Msg }
 
 // sampleHeaderLen is the fixed wire size of one sample's metadata:
 // index (8) + image/text/gen token counts (4 each) + payload length (4).
@@ -629,7 +612,7 @@ const sampleHeaderLen = 8 + 4 + 4 + 4 + 4
 func parseBatch(body []byte) (*RankBatch, error) {
 	if len(body) < 1+8+4+4 || body[0] != opBatch {
 		if len(body) > 0 && body[0] == opError {
-			return nil, &ServerError{Msg: string(body[1:])}
+			return nil, &serverError{Msg: string(body[1:])}
 		}
 		return nil, errors.New("preprocess: malformed batch frame")
 	}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"disttrain/internal/data"
 )
 
 // Close must wait for readahead builds: the readahead goroutines are
@@ -20,7 +22,7 @@ func TestCloseWaitsForReadahead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Fetch(0, 0); err != nil {
+	if _, err := srv.FetchTenant(0, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -32,7 +34,7 @@ func TestCloseWaitsForReadahead(t *testing.T) {
 	// A closed server refuses new work with the shutdown sentinel — a
 	// transport-level condition the handler must never answer as an
 	// opError frame (the pool would refuse to fail over on it).
-	if _, err := srv.Fetch(1, 0); !errors.Is(err, errServerClosed) {
+	if _, err := srv.FetchTenant(0, 1, 1, 0); !errors.Is(err, errServerClosed) {
 		t.Errorf("closed server returned %v, want errServerClosed", err)
 	}
 	if srv.begin() {
@@ -57,12 +59,12 @@ func TestEvictionHonoursLaggingRank(t *testing.T) {
 	// Both ranks fetch iteration 0, then rank 0 races far ahead of the
 	// old Readahead+2 eviction horizon.
 	for rank := 0; rank < 2; rank++ {
-		if _, err := srv.Fetch(0, rank); err != nil {
+		if _, err := srv.FetchTenant(0, 2, 0, rank); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for iter := int64(1); iter <= 10; iter++ {
-		if _, err := srv.Fetch(iter, 0); err != nil {
+		if _, err := srv.FetchTenant(0, 2, iter, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +72,7 @@ func TestEvictionHonoursLaggingRank(t *testing.T) {
 	// Rank 1 is 10 iterations behind: its next batches must all be
 	// cache hits, not rebuilds.
 	for iter := int64(1); iter <= 10; iter++ {
-		if _, err := srv.Fetch(iter, 1); err != nil {
+		if _, err := srv.FetchTenant(0, 2, iter, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +106,7 @@ func TestCacheCapBoundsDeadRank(t *testing.T) {
 	}
 	defer srv.Close()
 	for iter := int64(0); iter < 20; iter++ {
-		if _, err := srv.Fetch(iter, 0); err != nil {
+		if _, err := srv.FetchTenant(0, 2, iter, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +137,7 @@ func TestPrefetcherRedeliversTerminalError(t *testing.T) {
 	defer client.Close()
 
 	// Rank 99 is out of range: the first fetch fails terminally.
-	pf := NewPrefetcher(client, 99, 0, 2)
+	pf := NewPrefetcher(client, 2, 99, 0, 2)
 	defer pf.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -154,5 +156,51 @@ func TestPrefetcherRedeliversTerminalError(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("drained prefetcher blocked for %v", d)
+	}
+}
+
+// gatedSource holds iteration 0's samples back until the gate opens.
+type gatedSource struct {
+	fixedSource
+	gate chan struct{}
+}
+
+func (g gatedSource) Sample(index int64) data.Sample {
+	if index < 4 {
+		<-g.gate
+	}
+	return g.fixedSource.Sample(index)
+}
+
+// A consumer restarted against a long-lived producer re-fetches
+// iterations below the watermark floor its previous run left behind:
+// the build is evicted the moment it is cached. Ranks waiting on that
+// build must still get it — they read the in-flight record, not the
+// cache.
+func TestRefetchBelowWatermarkServesWaiters(t *testing.T) {
+	src := gatedSource{fixedSource{images: 1, resolution: 32, seqLen: 128}, make(chan struct{})}
+	srv, err := NewServer(Config{Source: src, GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for rank := 0; rank < 2; rank++ {
+		if _, err := srv.FetchTenant(0, 2, 5, rank); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, 2)
+	for rank := 0; rank < 2; rank++ {
+		go func(rank int) {
+			_, err := srv.FetchTenant(0, 2, 0, rank)
+			errs <- err
+		}(rank)
+	}
+	time.Sleep(20 * time.Millisecond) // both ranks in: one building, one waiting on it
+	close(src.gate)
+	for rank := 0; rank < 2; rank++ {
+		if err := <-errs; err != nil {
+			t.Errorf("re-fetch below the watermark floor: %v", err)
+		}
 	}
 }

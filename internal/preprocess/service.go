@@ -19,7 +19,7 @@ import (
 //
 //   - Per-tenant admission quotas: each tenant holds at most its quota
 //     of in-flight fetches; a tenant saturating its quota is rejected
-//     with ErrPoolSaturated after AdmitTimeout while every other tenant
+//     with errPoolSaturated after AdmitTimeout while every other tenant
 //     keeps fetching — one tenant cannot starve the tier, and callers
 //     see backpressure instead of an unbounded readahead fan-out.
 //   - Deterministic weighted fair queueing over the shared capacity:
@@ -62,7 +62,7 @@ type ServiceConfig struct {
 	// (default 2*len(Addrs)).
 	Capacity int
 	// AdmitTimeout is how long a fetch waits for admission (quota and
-	// shared capacity) before being rejected with ErrPoolSaturated
+	// shared capacity) before being rejected with errPoolSaturated
 	// (default 5s).
 	AdmitTimeout time.Duration
 	// FailureCooldown is how long a failed producer sits out before it
@@ -107,8 +107,8 @@ type svcWaiter struct {
 	granted bool
 }
 
-// ErrPoolSaturated reports a fetch rejected by bounded admission.
-var ErrPoolSaturated = errors.New("preprocess: pool saturated, fetch rejected")
+// errPoolSaturated reports a fetch rejected by bounded admission.
+var errPoolSaturated = errors.New("preprocess: pool saturated, fetch rejected")
 
 var (
 	errServiceClosed = errors.New("preprocess: service closed")
@@ -145,13 +145,10 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	s := &Service{cfg: cfg, stats: stats}
 	for _, addr := range cfg.Addrs {
-		s.members = append(s.members, &poolMember{addr: addr})
+		s.members = append(s.members, &poolMember{addr: addr, dialTO: cfg.DialTimeout, fetchTO: cfg.FetchTimeout})
 	}
 	return s, nil
 }
-
-// Size returns the number of producer members.
-func (s *Service) Size() int { return len(s.members) }
 
 // Snapshot returns the aggregate counters across all tenants.
 func (s *Service) Snapshot() metrics.PoolSnapshot { return s.stats.Snapshot() }
@@ -211,7 +208,7 @@ func (s *Service) Close() {
 // acquire admits one fetch for tenant t: the tenant must be under its
 // quota and the tier under its shared capacity. Contended admissions
 // queue and are granted in weighted-fair order; after AdmitTimeout the
-// fetch is rejected with ErrPoolSaturated.
+// fetch is rejected with errPoolSaturated.
 func (s *Service) acquire(ctx context.Context, t *Tenant) error {
 	s.mu.Lock()
 	if s.closed {
@@ -253,7 +250,7 @@ func (s *Service) acquire(ctx context.Context, t *Tenant) error {
 	case <-timer.C:
 		if s.abandon(w) {
 			t.stats.RecordRejection()
-			return ErrPoolSaturated
+			return errPoolSaturated
 		}
 		return nil
 	}
@@ -349,11 +346,11 @@ func (s *Service) fetchWithFailover(ctx context.Context, t *Tenant, dp int, iter
 			t.stats.RecordFailover()
 			continue
 		}
-		rb, err := m.fetchTenant(ctx, s.cfg.DialTimeout, s.cfg.FetchTimeout, uint32(t.id), dp, iter, rank)
+		rb, err := m.fetchTenant(ctx, uint32(t.id), dp, iter, rank)
 		if err == nil {
 			return rb, nil
 		}
-		var se *ServerError
+		var se *serverError
 		if errors.As(err, &se) {
 			// A protocol-level rejection is deterministic: every
 			// producer would answer the same, so failing over only
@@ -403,12 +400,9 @@ type Tenant struct {
 	stats     *metrics.PoolStats
 }
 
-// Name returns the tenant's registered name.
-func (t *Tenant) Name() string { return t.name }
-
 // MaxInflight returns the tenant's admission quota; callers fanning
 // out concurrent fetches should not exceed it or they will see
-// ErrPoolSaturated under load.
+// errPoolSaturated under load.
 func (t *Tenant) MaxInflight() int {
 	t.svc.mu.Lock()
 	defer t.svc.mu.Unlock()

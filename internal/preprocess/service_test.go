@@ -95,14 +95,14 @@ func TestServiceMatchesInProcessServer(t *testing.T) {
 				}
 				if len(got.Microbatches) != len(want.Microbatches) {
 					t.Fatalf("tenant %s iter %d rank %d: %d microbatches, want %d",
-						tn.Name(), iter, rank, len(got.Microbatches), len(want.Microbatches))
+						tn.name, iter, rank, len(got.Microbatches), len(want.Microbatches))
 				}
 				for j := range got.Microbatches {
 					for k := range got.Microbatches[j] {
 						g, w := got.Microbatches[j][k], want.Microbatches[j][k]
 						if g.SampleIndex != w.SampleIndex || !bytes.Equal(g.TokenPayload, w.TokenPayload) {
 							t.Fatalf("tenant %s iter %d rank %d mb %d sample %d differs from the in-process server",
-								tn.Name(), iter, rank, j, k)
+								tn.name, iter, rank, j, k)
 						}
 					}
 				}
@@ -166,7 +166,7 @@ func TestServiceFailoverAndRecovery(t *testing.T) {
 }
 
 // Bounded admission on the shared capacity: with every slot taken by a
-// fetch in flight, the next one is rejected with ErrPoolSaturated
+// fetch in flight, the next one is rejected with errPoolSaturated
 // instead of queueing unboundedly.
 func TestServiceBoundedAdmission(t *testing.T) {
 	cfg := fleetConfig()
@@ -193,8 +193,8 @@ func TestServiceBoundedAdmission(t *testing.T) {
 	}()
 	<-started
 	time.Sleep(20 * time.Millisecond)
-	if _, err := tn.Fetch(ctx, 0, 1); !errors.Is(err, ErrPoolSaturated) {
-		t.Fatalf("saturated service returned %v, want ErrPoolSaturated", err)
+	if _, err := tn.Fetch(ctx, 0, 1); !errors.Is(err, errPoolSaturated) {
+		t.Fatalf("saturated service returned %v, want errPoolSaturated", err)
 	}
 	if got := stats.Snapshot().Rejections; got != 1 {
 		t.Errorf("rejections = %d, want 1", got)
@@ -283,9 +283,9 @@ func TestServiceServerErrorDoesNotFailOver(t *testing.T) {
 	tn := oneTenant(t, testService(t, fleet, ServiceConfig{Stats: stats}))
 
 	_, err = tn.Fetch(context.Background(), 0, 99)
-	var se *ServerError
+	var se *serverError
 	if !errors.As(err, &se) {
-		t.Fatalf("bad rank returned %v, want ServerError", err)
+		t.Fatalf("bad rank returned %v, want serverError", err)
 	}
 	if got := stats.Snapshot().Failovers; got != 0 {
 		t.Errorf("server error triggered %d failovers", got)
@@ -562,7 +562,7 @@ func TestServiceGrantRacingCancelConservesSlots(t *testing.T) {
 }
 
 // Per-tenant quotas isolate tenants: a tenant saturating its own quota
-// is rejected with ErrPoolSaturated (and only its rejection counter
+// is rejected with errPoolSaturated (and only its rejection counter
 // moves) while another tenant keeps fetching through the same shared
 // tier.
 func TestServiceQuotaSaturationIsolatesTenants(t *testing.T) {
@@ -590,8 +590,8 @@ func TestServiceQuotaSaturationIsolatesTenants(t *testing.T) {
 	if err := svc.acquire(ctx, a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Fetch(ctx, 0, 0); !errors.Is(err, ErrPoolSaturated) {
-		t.Fatalf("saturated tenant fetched with %v, want ErrPoolSaturated", err)
+	if _, err := a.Fetch(ctx, 0, 0); !errors.Is(err, errPoolSaturated) {
+		t.Fatalf("saturated tenant fetched with %v, want errPoolSaturated", err)
 	}
 	if _, err := b.Fetch(ctx, 0, 0); err != nil {
 		t.Fatalf("tenant b starved by tenant a's saturation: %v", err)
@@ -673,8 +673,8 @@ func TestServiceSetQuota(t *testing.T) {
 
 	ctx := context.Background()
 	tn.SetQuota(0)
-	if _, err := tn.Fetch(ctx, 0, 0); !errors.Is(err, ErrPoolSaturated) {
-		t.Fatalf("zero-quota tenant fetched with %v, want ErrPoolSaturated", err)
+	if _, err := tn.Fetch(ctx, 0, 0); !errors.Is(err, errPoolSaturated) {
+		t.Fatalf("zero-quota tenant fetched with %v, want errPoolSaturated", err)
 	}
 	tn.SetQuota(2)
 	if got := tn.MaxInflight(); got != 2 {

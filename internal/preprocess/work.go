@@ -21,11 +21,11 @@ type Source interface {
 	Sample(index int64) data.Sample
 }
 
-// CompressImage synthesises the stored (compressed) form of one square
+// compressImage synthesises the stored (compressed) form of one square
 // RGB image: a run-length encoded byte stream generated
 // deterministically from the seed. Decoding it costs a pass over every
 // output pixel, like a real image codec.
-func CompressImage(seed uint64, resolution int) []byte {
+func compressImage(seed uint64, resolution int) []byte {
 	pixels := resolution * resolution
 	out := make([]byte, 0, pixels/2)
 	z := seed | 1
@@ -45,8 +45,8 @@ func CompressImage(seed uint64, resolution int) []byte {
 	return out
 }
 
-// DecodeImage expands an RLE payload into res*res*3 RGB bytes.
-func DecodeImage(compressed []byte, resolution int) ([]byte, error) {
+// decodeImage expands an RLE payload into res*res*3 RGB bytes.
+func decodeImage(compressed []byte, resolution int) ([]byte, error) {
 	pixels := resolution * resolution
 	out := make([]byte, 0, pixels*3)
 	for i := 0; i+3 < len(compressed); i += 4 {
@@ -62,9 +62,9 @@ func DecodeImage(compressed []byte, resolution int) ([]byte, error) {
 	return out, nil
 }
 
-// ResizeRGB box-filters a square RGB image from srcRes to dstRes
+// resizeRGB box-filters a square RGB image from srcRes to dstRes
 // (dstRes must divide srcRes, the snap-to-patch-grid case).
-func ResizeRGB(src []byte, srcRes, dstRes int) ([]byte, error) {
+func resizeRGB(src []byte, srcRes, dstRes int) ([]byte, error) {
 	if dstRes <= 0 || srcRes%dstRes != 0 {
 		return nil, fmt.Errorf("preprocess: cannot resize %d -> %d", srcRes, dstRes)
 	}
@@ -95,10 +95,10 @@ func ResizeRGB(src []byte, srcRes, dstRes int) ([]byte, error) {
 	return out, nil
 }
 
-// PackPatches converts an RGB image into patch tokens: one 3-byte mean
+// packPatches converts an RGB image into patch tokens: one 3-byte mean
 // per 16x16 patch (the input layout the modality encoder's patch
 // embedding consumes).
-func PackPatches(rgb []byte, resolution int) []byte {
+func packPatches(rgb []byte, resolution int) []byte {
 	side := resolution / model.PatchSize
 	out := make([]byte, 0, side*side*3)
 	p := model.PatchSize
@@ -147,16 +147,16 @@ func ProcessSample(s data.Sample) (Processed, error) {
 			// at 2x, then resize down — the production decode-then-
 			// resize path.
 			srcRes := ss.Resolution * 2
-			comp := CompressImage(uint64(s.Index)*1000003+uint64(ss.Resolution), srcRes)
-			rgb, err := DecodeImage(comp, srcRes)
+			comp := compressImage(uint64(s.Index)*1000003+uint64(ss.Resolution), srcRes)
+			rgb, err := decodeImage(comp, srcRes)
 			if err != nil {
 				return Processed{}, err
 			}
-			resized, err := ResizeRGB(rgb, srcRes, ss.Resolution)
+			resized, err := resizeRGB(rgb, srcRes, ss.Resolution)
 			if err != nil {
 				return Processed{}, err
 			}
-			out.TokenPayload = append(out.TokenPayload, PackPatches(resized, ss.Resolution)...)
+			out.TokenPayload = append(out.TokenPayload, packPatches(resized, ss.Resolution)...)
 			out.ImageTokens += int32(ss.Tokens)
 		case data.Text:
 			// Tokenised text: 2 bytes per token id.

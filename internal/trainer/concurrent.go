@@ -54,9 +54,11 @@ type preparedBatch struct {
 }
 
 // prepBuf backs one preparedBatch: iteration i reads prep[i&1] while
-// the prefetch of i+1 (the one prepare ever outstanding) fills the other.
+// the prefetch of i+1 (the one prepare ever outstanding) fills the
+// other. ranks slices work itself when ranks own contiguous blocks of
+// the batch, flat (work gathered rank-major) when Algorithm 1 assigned.
 type prepBuf struct {
-	work, flat []model.Workload // batch order; rank-major
+	work, flat []model.Workload
 	ranks      [][]model.Workload
 }
 
@@ -74,38 +76,30 @@ func fold(dst []model.Workload, samples []data.Sample, k *model.CostKernel) []mo
 
 // prepare fetches, folds and assigns the global batch of one
 // iteration: through Config.Source when set (a live producer pool hands
-// over its own per-rank split), else from the synthetic corpus (or a
-// trial's fixed batches) through Algorithm 1. Scenario workload-shift
-// events transform a corpus batch before assignment, so Algorithm 1
-// balances the shifted costs — the drift the re-planning controller
-// watches for; live pools own their preprocessing and see no scenario.
+// the batch over already assigned, rank after rank), else from the
+// synthetic corpus (or a trial's fixed batches) through Algorithm 1.
+// Scenario workload-shift events transform a corpus batch before
+// assignment, so Algorithm 1 balances the shifted costs — the drift the
+// re-planning controller watches for; live pools own their
+// preprocessing and see no scenario.
 func (r *Runtime) prepare(iter int) preparedBatch {
 	dp := r.cfg.Plan.Modules[model.Backbone].Config.DP
-	k := r.cfg.Spec.Profiler.Kernel()
 	buf := &r.prep[iter&1]
 	p := preparedBatch{iter: iter}
-	if src := r.cfg.Source; src != nil {
-		var ranks [][]data.Sample
-		if p.batch, ranks, p.err = src.Assign(iter, dp); p.err != nil {
+	src := r.cfg.Source
+	switch {
+	case src != nil:
+		if p.batch, p.err = src.Assign(iter, dp); p.err != nil {
 			return p
 		}
-		buf.work = fold(buf.work[:0], p.batch, k)
-		buf.flat, buf.ranks = slices.Grow(buf.flat[:0], len(p.batch)), slices.Grow(buf.ranks[:0], dp)
-		for _, rank := range ranks {
-			n := len(buf.flat)
-			buf.flat = fold(buf.flat, rank, k)
-			buf.ranks = append(buf.ranks, buf.flat[n:])
-		}
-	} else {
-		if r.trial != nil {
-			p.batch = r.trial[iter%len(r.trial)]
-		} else {
-			p.batch = r.cfg.Corpus.GlobalBatch(int64(iter), r.cfg.Spec.GlobalBatch)
-			p.batch = scenario.At(r.cfg.Scenario, iter).ShiftBatch(p.batch)
-		}
-		buf.work = fold(buf.work[:0], p.batch, k)
-		p.err = r.assign(buf, dp)
+	case r.trial != nil:
+		p.batch = r.trial[iter%len(r.trial)]
+	default:
+		p.batch = r.cfg.Corpus.GlobalBatch(int64(iter), r.cfg.Spec.GlobalBatch)
+		p.batch = scenario.At(r.cfg.Scenario, iter).ShiftBatch(p.batch)
 	}
+	buf.work = fold(buf.work[:0], p.batch, r.cfg.Spec.Profiler.Kernel())
+	p.err = r.assign(buf, dp, r.cfg.Reorder && src == nil)
 	p.work, p.ranks = buf.work, buf.ranks
 	return p
 }

@@ -11,10 +11,9 @@ import (
 // runtime signals and may hand the runtime a new orchestration plan to
 // apply at an iteration boundary — a costed reconfiguration priced
 // like failure recovery (checkpoint write + restore read through the
-// DFS), but with no lost work. The interface lives here (like
-// BatchSource and ProducerControl) so the runtime depends only on the
-// seam; internal/controller provides the drift-detecting
-// implementation.
+// DFS), but with no lost work. The interface lives here so the
+// runtime depends only on the seam; internal/controller provides the
+// drift-detecting implementation.
 
 // Observation is one completed iteration's runtime signals, fed to the
 // re-planning controller in execution order. Failure-recovery rewinds

@@ -22,13 +22,6 @@ import (
 // completion themselves, so a standalone run and a fleet-driven 1-job
 // run execute byte-identical code.
 
-// poolEventKey dedupes fire-once pool-membership events across
-// failure-recovery rewinds.
-type poolEventKey struct {
-	kind            scenario.Kind
-	start, producer int
-}
-
 // Job is one training run in progress: the runtime plus the loop state
 // of its n-iteration run. A Job is not safe for concurrent use; the
 // concurrency lives inside Step (rank workers, prefetch), not across
@@ -42,10 +35,14 @@ type Job struct {
 
 	res                  *Result
 	timeSum, usefulFlops float64
-	executedOnce         map[int]bool
-	firedFailures        map[int]bool
-	firedPool            map[poolEventKey]bool
-	grad                 GradientAccumulator
+	// Iterations execute in order and a failure rewind only goes back,
+	// so "has iteration i happened before" is a high-water mark, -1
+	// before the first: maxExecuted is the highest iteration completed,
+	// lastFailure the highest whose node failure fired, poolFired the
+	// highest whose pool events fired. Fire-once events cover exactly
+	// their Start iteration, so a replayed window re-fires nothing.
+	maxExecuted, lastFailure, poolFired int
+	grad                                GradientAccumulator
 
 	// The async data service: at most one outstanding prepare, consumed
 	// (or discarded, after a failure rewind or reconfiguration) before
@@ -70,12 +67,10 @@ func (r *Runtime) newJob(n int, prefetch bool) (*Job, error) {
 	}
 	j := &Job{
 		r: r, n: n, prefetch: prefetch,
-		res:           &Result{Strategy: r.cfg.Plan.Strategy, GPUs: r.cfg.Plan.TotalGPUs()},
-		executedOnce:  make(map[int]bool, n),
-		firedFailures: make(map[int]bool),
-		firedPool:     make(map[poolEventKey]bool),
-		pendingIter:   -1,
-		pending:       make(chan preparedBatch, 1),
+		res:         &Result{Strategy: r.cfg.Plan.Strategy, GPUs: r.cfg.Plan.TotalGPUs()},
+		maxExecuted: -1, lastFailure: -1, poolFired: -1,
+		pendingIter: -1,
+		pending:     make(chan preparedBatch, 1),
 	}
 	if r.cfg.GradientDim > 0 {
 		j.grad = GradientAccumulator{Dim: r.cfg.GradientDim}
@@ -163,13 +158,12 @@ func (j *Job) launch(i int) {
 // launch(iter), one loop pass early — so an event at iteration N
 // deterministically affects iteration N's fetches.
 func (j *Job) firePoolEvents(iter int) error {
+	if iter <= j.poolFired {
+		return nil
+	}
+	j.poolFired = iter
 	r := j.r
 	for _, ev := range scenario.At(r.cfg.Scenario, iter).PoolEvents() {
-		key := poolEventKey{ev.Kind, ev.Start, ev.Producer}
-		if j.firedPool[key] {
-			continue
-		}
-		j.firedPool[key] = true
 		if pc := r.cfg.ProducerControl; pc != nil {
 			var err error
 			if ev.Kind == scenario.ProducerFail {
@@ -300,8 +294,8 @@ func (j *Job) Step() error {
 	// A node failure interrupts the iteration it lands on: pay the
 	// downtime, restore the latest DFS checkpoint, re-execute the
 	// iterations lost since it. Each failure event fires once.
-	if ev, ok := pert.Failure(); ok && !j.firedFailures[ev.Start] {
-		j.firedFailures[ev.Start] = true
+	if ev, ok := pert.Failure(); ok && i > j.lastFailure {
+		j.lastFailure = i
 		resume, restore := r.recoverFromFailure()
 		down := ev.Downtime + restore
 		j.res.Failures++
@@ -346,8 +340,8 @@ func (j *Job) Step() error {
 	}
 	j.res.Iterations = append(j.res.Iterations, st)
 	j.timeSum += st.Breakdown.Total()
-	if !j.executedOnce[i] {
-		j.executedOnce[i] = true
+	if i > j.maxExecuted {
+		j.maxExecuted = i
 		j.usefulFlops += st.FLOPs
 		if j.res.GradientSum != nil {
 			// Exact commutative accumulation over the global batch:
@@ -392,7 +386,7 @@ func (j *Job) Finish() *Result {
 			// Useful tokens over total wall-clock: redone iterations,
 			// recovery downtime and reconfiguration downtime all cost
 			// throughput — they don't produce tokens twice (or at all).
-			res.TokensPerSec = float64(j.executedCount()) * float64(r.cfg.Spec.GlobalBatch) * float64(r.cfg.Spec.Model.SeqLen) / wall
+			res.TokensPerSec = float64(j.maxExecuted+1) * float64(r.cfg.Spec.GlobalBatch) * float64(r.cfg.Spec.Model.SeqLen) / wall
 		}
 	}
 	if r.ckpt != nil {
@@ -401,7 +395,3 @@ func (j *Job) Finish() *Result {
 	}
 	return res
 }
-
-// executedCount returns how many distinct iterations completed at
-// least once — n for a full run, fewer for a departed job.
-func (j *Job) executedCount() int { return len(j.executedOnce) }

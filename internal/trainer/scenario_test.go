@@ -1,7 +1,10 @@
 package trainer
 
 import (
+	"bytes"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"disttrain/internal/dfs"
@@ -199,6 +202,75 @@ func TestNodeFailureWithoutCheckpointsRestartsFromZero(t *testing.T) {
 	}
 	if len(res.Iterations) != 6 { // 0,1 then 0,1,2,3
 		t.Errorf("executed %d iterations, want 6", len(res.Iterations))
+	}
+}
+
+// TestOverlappingRewindsFireEachEventOnce pins the Job's three
+// high-water marks: two failures whose rewinds both restart from zero
+// replay iterations 0..1 twice and 2 once more, with pool events
+// sitting inside the replayed window. Every fire-once event must fire
+// exactly once, and every iteration must count once towards the
+// gradient and the useful-token rate, whichever pass executed it.
+func TestOverlappingRewindsFireEachEventOnce(t *testing.T) {
+	cfg, _ := scenarioConfig(t, 4, 16)
+	cfg.GradientDim = 8
+	const n = 5
+	clean, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+	ref, err := clean.Run(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sc, err := scenario.Parse("failure:iter=2,downtime=1; failure:iter=3,downtime=1; " +
+		"producer-fail:iter=1,producer=0; producer-join:iter=2,producer=0; producer-fail:iter=4,producer=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scenario = sc
+	cfg.Trace = metrics.NewTrace()
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	res, err := rt.Run(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var order []int
+	for _, it := range res.Iterations {
+		order = append(order, it.Index)
+	}
+	if want := []int{0, 1, 0, 1, 2, 0, 1, 2, 3, 4}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("execution order %v, want %v", order, want)
+	}
+	if res.Failures != 2 || res.ReExecutedIterations != 2+3 {
+		t.Errorf("failures = %d, re-executed = %d, want 2 and 5", res.Failures, res.ReExecutedIterations)
+	}
+	if !reflect.DeepEqual(res.GradientSum, ref.GradientSum) {
+		t.Errorf("re-executed iterations leaked into the gradient:\n got %v\nwant %v", res.GradientSum, ref.GradientSum)
+	}
+	var wall float64
+	for _, it := range res.Iterations {
+		wall += it.Breakdown.Total()
+	}
+	wall += res.DowntimeSeconds
+	if want := float64(n) * float64(cfg.Spec.GlobalBatch) * float64(cfg.Spec.Model.SeqLen) / wall; res.TokensPerSec != want {
+		t.Errorf("tokens/s = %g, want %g (%d distinct iterations over the whole wall-clock)", res.TokensPerSec, want, n)
+	}
+	var js bytes.Buffer
+	if err := cfg.Trace.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int{"node-failure": 2, "producer-fail": 2, "producer-join": 1} {
+		if got := strings.Count(js.String(), `"name":"`+name+`"`); got != want {
+			t.Errorf("trace holds %d %s instants, want %d", got, name, want)
+		}
 	}
 }
 

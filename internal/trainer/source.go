@@ -10,31 +10,6 @@ import (
 	"disttrain/internal/preprocess"
 )
 
-// BatchSource supplies the batch/assignment front-end: each
-// iteration's global batch and its per-DP-rank split. The synthetic
-// corpus front-end (corpus fetch + Algorithm 1 assignment) and the
-// live TCP producer pool (PoolSource) both satisfy it, so the
-// concurrent runtime sources microbatches from either without knowing
-// which. Implementations must be deterministic in iter — the async
-// data service prefetches and failure recovery re-fetches, and both
-// must observe identical batches — and safe for concurrent use.
-type BatchSource interface {
-	// Assign returns iteration iter's global batch and its split across
-	// dp data-parallel ranks (rank d owns ranks[d]; batch is the
-	// concatenation in rank order).
-	Assign(iter, dp int) (batch []data.Sample, ranks [][]data.Sample, err error)
-}
-
-// ProducerControl lets scenario producer-fail / producer-join events
-// act on a live producer fleet mid-run. preprocess.Fleet implements it
-// for in-process fleets; deployments with external producers supply
-// their own (or leave Config.ProducerControl nil to ignore the
-// events).
-type ProducerControl interface {
-	FailProducer(i int) error
-	JoinProducer(i int) error
-}
-
 // TrialMeanIterTime prices one iteration per given global batch under
 // cfg's plan with the sequential engine — no prefetch, no scenario, no
 // traces, no checkpoints — and returns the mean iteration time. The
@@ -91,12 +66,16 @@ type PoolSource struct {
 	Samples preprocess.Source
 }
 
-// Assign implements BatchSource: rank fetches fan out concurrently,
-// bounded by the tenant's admission quota so the front-end itself
-// never trips ErrPoolSaturated.
-func (ps *PoolSource) Assign(iter, dp int) ([]data.Sample, [][]data.Sample, error) {
+// Assign returns iteration iter's global batch as the producers split
+// it across dp data-parallel ranks: the concatenation, in rank order,
+// of dp equally long rank batches. Deterministic in iter — the async
+// data service prefetches and failure recovery re-fetches, and both
+// observe identical batches. Rank fetches fan out concurrently, bounded
+// by the tenant's admission quota so the front-end itself never trips
+// the pool-saturated rejection.
+func (ps *PoolSource) Assign(iter, dp int) ([]data.Sample, error) {
 	if ps.Pool == nil || ps.Samples == nil {
-		return nil, nil, fmt.Errorf("trainer: PoolSource needs both Pool and Samples")
+		return nil, fmt.Errorf("trainer: PoolSource needs both Pool and Samples")
 	}
 	// The tenant learns the current geometry before the fan-out:
 	// elastic resizes and plan switches reshape the producer-side split
@@ -109,19 +88,19 @@ func (ps *PoolSource) Assign(iter, dp int) ([]data.Sample, [][]data.Sample, erro
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	perRank := len(ranks[0])
 	batch := make([]data.Sample, 0, perRank*dp)
 	for d := range ranks {
 		if len(ranks[d]) != perRank {
-			return nil, nil, fmt.Errorf("trainer: pool rank %d delivered %d samples, rank 0 delivered %d",
+			return nil, fmt.Errorf("trainer: pool rank %d delivered %d samples, rank 0 delivered %d",
 				d, len(ranks[d]), perRank)
 		}
 		batch = append(batch, ranks[d]...)
 	}
-	return batch, ranks, nil
+	return batch, nil
 }
 
 func (ps *PoolSource) fetchRank(iter, d int) ([]data.Sample, error) {

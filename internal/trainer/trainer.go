@@ -32,6 +32,7 @@ import (
 	"disttrain/internal/metrics"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
+	"disttrain/internal/preprocess"
 	"disttrain/internal/profiler"
 	"disttrain/internal/scenario"
 )
@@ -102,15 +103,15 @@ type Config struct {
 	FS *dfs.FS
 
 	// Source overrides the batch/assignment front-end: when non-nil,
-	// every iteration's per-rank sample assignment comes from it — e.g.
-	// a live TCP producer pool via PoolSource — instead of the
-	// synthetic corpus + Algorithm 1 path. The Corpus is still required
-	// (profiler calibration and sample-shape recovery read it).
-	Source BatchSource
+	// every iteration's per-rank sample assignment comes from a live
+	// TCP producer pool instead of the synthetic corpus + Algorithm 1
+	// path. The Corpus is still required (profiler calibration and
+	// sample-shape recovery read it).
+	Source *PoolSource
 	// ProducerControl receives scenario producer-fail / producer-join
-	// events, killing and restoring live pool members mid-run
-	// (preprocess.Fleet implements it); nil ignores those events.
-	ProducerControl ProducerControl
+	// events, killing and restoring members of an in-process producer
+	// fleet mid-run; nil (external producers) ignores those events.
+	ProducerControl *preprocess.Fleet
 
 	// Controller, when non-nil, closes the §4.3 adaptive loop at
 	// runtime: it observes every iteration's signals and may hand the
@@ -436,17 +437,18 @@ func (r *Runtime) microbatchWorkInto(w model.Workload, fwd, bwd []float64) {
 }
 
 // assign distributes buf.work, the folded global batch, across dp
-// ranks into buf.ranks: DistTrain's Algorithm 1 when reordering,
-// contiguous blocks (the framework default) otherwise. Each rank's
-// samples are then grouped into K microbatches of M samples.
-func (r *Runtime) assign(buf *prepBuf, dp int) error {
+// ranks into buf.ranks: DistTrain's Algorithm 1 when balancing,
+// contiguous blocks otherwise (the framework default, and how a live
+// pool's already-assigned batch arrives). Each rank's samples are then
+// grouped into K microbatches of M samples.
+func (r *Runtime) assign(buf *prepBuf, dp int, balance bool) error {
 	work := buf.work
 	perRank := len(work) / dp
 	if perRank*dp != len(work) {
 		return fmt.Errorf("trainer: batch %d not divisible by DP %d", len(work), dp)
 	}
 	buf.ranks = slices.Grow(buf.ranks[:0], dp)
-	if !r.cfg.Reorder {
+	if !balance {
 		for d := 0; d < dp; d++ {
 			buf.ranks = append(buf.ranks, work[d*perRank:(d+1)*perRank])
 		}
