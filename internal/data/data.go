@@ -213,13 +213,21 @@ func (sp Spec) Validate() error {
 type Corpus struct {
 	spec Spec
 
-	mu   sync.RWMutex
-	memo map[int64]Sample
+	mu sync.RWMutex
+	// cur takes new entries and prev, the generation before it, is
+	// still read; a full cur becomes prev and the old prev is dropped.
+	cur, prev map[int64]Sample
 }
 
-// memoLimit bounds the sample memo; on overflow the map is dropped and
-// rebuilt, keeping steady-state memory flat for arbitrarily long runs.
-const memoLimit = 1 << 16
+// memoGeneration bounds one memo generation, so the memo holds between
+// one and two of them (~1.5 KB a LAION sample, ~6 MB) however many
+// distinct indices a run streams through: a preprocessing producer
+// reads each index once and must not grow by what it has read. The
+// re-read windows callers have size it — fleet tenants sharing a corpus
+// re-read the same 128 samples within an op, calibration the first 300,
+// a trainer rewind at most checkpoint interval x global batch; beyond
+// the bound a re-read regenerates the same sample.
+const memoGeneration = 2048
 
 // NewCorpus builds a corpus from a validated spec.
 func NewCorpus(spec Spec) (*Corpus, error) {
@@ -253,17 +261,25 @@ func logNormal(rng *rand.Rand, median, sigma float64) float64 {
 // mutating).
 func (c *Corpus) Sample(index int64) Sample {
 	c.mu.RLock()
-	s, ok := c.memo[index]
+	s, ok := c.cur[index]
+	if !ok {
+		s, ok = c.prev[index]
+	}
 	c.mu.RUnlock()
 	if ok {
 		return s
 	}
 	s = c.generate(index)
 	c.mu.Lock()
-	if c.memo == nil || len(c.memo) >= memoLimit {
-		c.memo = make(map[int64]Sample, 1024)
+	if len(c.cur) >= memoGeneration {
+		// Rotate, reusing the dropped generation's buckets.
+		c.cur, c.prev = c.prev, c.cur
+		clear(c.cur)
 	}
-	c.memo[index] = s
+	if c.cur == nil {
+		c.cur = make(map[int64]Sample)
+	}
+	c.cur[index] = s
 	c.mu.Unlock()
 	return s
 }

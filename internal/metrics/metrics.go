@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -66,18 +65,6 @@ func (s *Series) Add(v float64) { s.values = append(s.values, v) }
 // N returns the observation count.
 func (s *Series) N() int { return len(s.values) }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (s *Series) Mean() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	t := 0.0
-	for _, v := range s.values {
-		t += v
-	}
-	return t / float64(len(s.values))
-}
-
 // Percentile returns the p-th percentile (0..100) by nearest-rank.
 func (s *Series) Percentile(p float64) float64 {
 	if len(s.values) == 0 {
@@ -87,27 +74,4 @@ func (s *Series) Percentile(p float64) float64 {
 	sort.Float64s(sorted)
 	idx := int(p / 100 * float64(len(sorted)-1))
 	return sorted[idx]
-}
-
-// Min and Max return the extremes (0 when empty).
-func (s *Series) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		m = math.Min(m, v)
-	}
-	return m
-}
-
-func (s *Series) Max() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		m = math.Max(m, v)
-	}
-	return m
 }

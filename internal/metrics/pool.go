@@ -2,9 +2,16 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
+
+// latencyWindow is how many of the most recent fetch latencies a
+// PoolStats keeps for its p99: a collector lives as long as training
+// does and records every fetch, so it holds a fixed ring (8 KB), not
+// the run's history. 1,024 leaves ten samples beyond the percentile.
+const latencyWindow = 1024
 
 // PoolStats collects the consumer-side observables of an elastic
 // preprocessing producer pool: fetch latency, failovers away from the
@@ -18,8 +25,13 @@ type PoolStats struct {
 	cacheHits  atomic.Int64
 	cacheMiss  atomic.Int64
 
-	mu      sync.Mutex
-	latency Series
+	// Mean and max are exact over every fetch (a running sum and max);
+	// recent is the ring the p99 is taken over, written at latN modulo
+	// latencyWindow once full.
+	mu             sync.Mutex
+	latN           int
+	latSum, latMax float64
+	recent         Series
 
 	// parent, when non-nil, receives a copy of every record — labeled
 	// children roll up into the aggregate they were created from.
@@ -51,7 +63,14 @@ func (p *PoolStats) Labeled(name string) *PoolStats {
 func (p *PoolStats) RecordFetch(seconds float64) {
 	p.fetches.Add(1)
 	p.mu.Lock()
-	p.latency.Add(seconds)
+	if p.recent.N() < latencyWindow {
+		p.recent.Add(seconds)
+	} else {
+		p.recent.values[p.latN%latencyWindow] = seconds
+	}
+	p.latN++
+	p.latSum += seconds
+	p.latMax = math.Max(p.latMax, seconds)
 	p.mu.Unlock()
 	if p.parent != nil {
 		p.parent.RecordFetch(seconds)
@@ -104,8 +123,8 @@ type PoolSnapshot struct {
 	CacheHits    int64
 	CacheMisses  int64
 	CacheHitRate float64
-	// MeanFetchSeconds / MaxFetchSeconds / P99FetchSeconds summarise
-	// successful fetch latency.
+	// MeanFetchSeconds / MaxFetchSeconds summarise every successful
+	// fetch's latency; P99FetchSeconds the most recent 1,024.
 	MeanFetchSeconds float64
 	MaxFetchSeconds  float64
 	P99FetchSeconds  float64
@@ -124,9 +143,11 @@ func (p *PoolStats) Snapshot() PoolSnapshot {
 		s.CacheHitRate = float64(s.CacheHits) / float64(lookups)
 	}
 	p.mu.Lock()
-	s.MeanFetchSeconds = p.latency.Mean()
-	s.MaxFetchSeconds = p.latency.Max()
-	s.P99FetchSeconds = p.latency.Percentile(99)
+	if p.latN > 0 {
+		s.MeanFetchSeconds = p.latSum / float64(p.latN)
+	}
+	s.MaxFetchSeconds = p.latMax
+	s.P99FetchSeconds = p.recent.Percentile(99)
 	p.mu.Unlock()
 	return s
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -66,5 +67,36 @@ func TestPoolStatsConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := s.Snapshot().Fetches; got != 400 {
 		t.Errorf("fetches = %d, want 400", got)
+	}
+}
+
+// A collector lives as long as training does: 100k fetches keep the
+// latency state at its fixed ring (it was 8 bytes per fetch, forever),
+// mean and max stay exact over all of them, and the p99 follows the
+// most recent window.
+func TestPoolStatsLatencyBounded(t *testing.T) {
+	var s PoolStats
+	child := s.Labeled("t0")
+	const n = 100_000
+	for i := 0; i < n; i++ {
+		child.RecordFetch(0.001) // 1 ms, except one early 1 s outlier
+		if i == 10 {
+			child.RecordFetch(1)
+		}
+	}
+	for _, p := range []*PoolStats{&s, child} {
+		if ring := p.recent.values; len(ring) != latencyWindow || cap(ring) >= 2*latencyWindow {
+			t.Errorf("latency ring is %d long (cap %d) after %d fetches, want %d", len(ring), cap(ring), n, latencyWindow)
+		}
+		snap := p.Snapshot()
+		if snap.Fetches != n+1 || snap.MaxFetchSeconds != 1 {
+			t.Errorf("fetches %d max %g, want %d and the 1 s outlier", snap.Fetches, snap.MaxFetchSeconds, n+1)
+		}
+		if want := (n*0.001 + 1) / (n + 1); math.Abs(snap.MeanFetchSeconds-want) > 1e-9 {
+			t.Errorf("mean = %g, want %g over every fetch", snap.MeanFetchSeconds, want)
+		}
+		if snap.P99FetchSeconds != 0.001 {
+			t.Errorf("p99 = %g, want 0.001: the outlier left the recent window long ago", snap.P99FetchSeconds)
+		}
 	}
 }

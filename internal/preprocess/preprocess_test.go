@@ -38,27 +38,36 @@ func (f fixedSource) Sample(index int64) data.Sample {
 }
 
 func TestCompressDecodeRoundTrip(t *testing.T) {
+	var reused []byte
 	for _, res := range []int{32, 64, 128} {
-		comp := compressImage(42, res)
-		rgb, err := decodeImage(comp, res)
-		if err != nil {
+		comp := appendCompressed(nil, 42, res*res)
+		rgb := make([]byte, res*res*3+decodeSlack)
+		if err := decodeInto(rgb, comp, res*res); err != nil {
 			t.Fatalf("res %d: %v", res, err)
 		}
-		if len(rgb) != res*res*3 {
-			t.Fatalf("res %d: decoded %d bytes", res, len(rgb))
-		}
-		// Deterministic.
-		comp2 := compressImage(42, res)
-		if !bytes.Equal(comp, comp2) {
+		// Deterministic, into a reused buffer as into a fresh one.
+		reused = appendCompressed(reused[:0], 42, res*res)
+		if !bytes.Equal(comp, reused) {
 			t.Fatal("compression not deterministic")
 		}
 		// Compression actually compresses.
-		if len(comp) >= len(rgb) {
-			t.Fatalf("res %d: %d compressed >= %d raw", res, len(comp), len(rgb))
+		if len(comp) >= res*res*3 {
+			t.Fatalf("res %d: %d compressed >= %d raw", res, len(comp), res*res*3)
 		}
 	}
-	if _, err := decodeImage([]byte{255, 0, 0, 0}, 64); err == nil {
+	if err := decodeInto(make([]byte, 64*64*3+decodeSlack), []byte{255, 0, 0, 0}, 64*64); err == nil {
 		t.Error("corrupt stream decoded")
+	}
+	// Runs longer than the codec's own 15 pixels, and empty ones, decode
+	// like any other.
+	foreign := []byte{100, 1, 2, 3, 0, 9, 9, 9, 16, 4, 5, 6, 17, 7, 8, 9, 96, 10, 11, 12, 1, 13, 14, 15, 26, 16, 17, 18}
+	want, err := decodeImage(foreign, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rgb := make([]byte, 16*16*3+decodeSlack)
+	if err := decodeInto(rgb, foreign, 16*16); err != nil || !bytes.Equal(rgb[:16*16*3], want) {
+		t.Errorf("long-run stream: err %v, pixels equal %v", err, bytes.Equal(rgb[:16*16*3], want))
 	}
 }
 
@@ -67,25 +76,25 @@ func TestResize(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i)
 	}
-	out, err := resizeRGB(src, 64, 32)
+	// The kernel's 2x box filter is the general resize at factor 2.
+	half, err := resizeRGB(src, 64, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 32*32*3 {
-		t.Fatalf("resized to %d bytes", len(out))
+	if len(half) != 32*32*3 {
+		t.Fatalf("resized to %d bytes", len(half))
 	}
-	// Identity resize returns the input.
-	same, err := resizeRGB(src, 64, 64)
-	if err != nil || !bytes.Equal(same, src) {
-		t.Error("identity resize should be a no-op")
+	if got, want := appendPatchTokens(nil, src, 32), packPatches(half, 32); !bytes.Equal(got, want) {
+		t.Errorf("halved patch tokens = %v, want %v", got, want)
 	}
-	if _, err := resizeRGB(src, 64, 48); err == nil {
-		t.Error("non-divisible resize accepted")
+	// A size the filter cannot produce is rejected.
+	var sc pixelScratch
+	if _, err := sc.appendImage(nil, 1, 0); err == nil {
+		t.Error("resize to 0 accepted")
 	}
 	// A constant image stays constant through the box filter.
 	flat := bytes.Repeat([]byte{100}, 64*64*3)
-	out, _ = resizeRGB(flat, 64, 16)
-	for _, b := range out {
+	for _, b := range appendPatchTokens(nil, flat, 32) {
 		if b != 100 {
 			t.Fatal("box filter distorted a constant image")
 		}
@@ -94,8 +103,8 @@ func TestResize(t *testing.T) {
 
 func TestPackPatches(t *testing.T) {
 	res := 64
-	rgb := bytes.Repeat([]byte{7}, res*res*3)
-	out := packPatches(rgb, res)
+	rgb := bytes.Repeat([]byte{7}, 4*res*res*3)
+	out := appendPatchTokens(nil, rgb, res)
 	side := res / model.PatchSize
 	if len(out) != side*side*3 {
 		t.Fatalf("packed %d bytes, want %d", len(out), side*side*3)
