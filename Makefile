@@ -17,10 +17,14 @@ COVER_FLOOR ?= 73
 # scratch-backed pixel kernel, the two-generation corpus memo and the
 # PoolStats latency ring (preprocess-fanin op_ms_p50 12.1 -> 3.2 ms,
 # peak_rss_mb 35-43 -> 27-29), net of the build semaphore and the
-# Series methods they made dead. ROADMAP aim 2 wants the number to
-# shrink, so lower it when a PR removes code; raising it is a
-# deliberate edit that says in CHANGES.md what the added lines buy.
-LOC_CEILING ?= 18325
+# Series methods they made dead, and 17,209 once what no program
+# reaches was deleted (the broker actor, the parallel.Unit layer, the
+# VPP simulator and GPipe arm, the profiler's interpolation tables and
+# four never-varied profiler options; TestInternalFuncsReachable keeps
+# it that way). ROADMAP aim 2 wants the number to shrink, so lower it
+# when a PR removes code; raising it is a deliberate edit that says in
+# CHANGES.md what the added lines buy.
+LOC_CEILING ?= 17209
 
 .PHONY: all build fmt vet test race bench bench-json bench-diff fuzz cover loc loc-gate profile profile-plan staticcheck ci
 

@@ -3,9 +3,9 @@ package disttrain
 // The root benchmark file holds what `make bench-diff` gates against
 // BENCH_fleet.json — fleet, shared-preprocessing-service, plan-cache
 // and cold-admission throughput, each with a measurement loop, a
-// spin-normalized rate and an allocs/op tripwire — plus three
-// mechanism ablations nothing else measures (broker fabric, StepCCL
-// executor, VPP bubbles). The paper's tables and figures are
+// spin-normalized rate and an allocs/op tripwire — plus the one
+// mechanism ablation nothing else measures, the StepCCL executor. The
+// paper's tables and figures are
 // experiments pinned by goldens (internal/experiments/testdata), and
 // per-layer microsecond numbers come from the benchmark/ ledger.
 
@@ -16,11 +16,9 @@ import (
 	"sync"
 	"testing"
 
-	"disttrain/internal/comm"
 	"disttrain/internal/data"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
-	"disttrain/internal/pipeline"
 	"disttrain/internal/preprocess"
 	"disttrain/internal/profiler"
 	"disttrain/internal/stepccl"
@@ -45,57 +43,6 @@ func benchSpec(b *testing.B, m model.MLLM, nodes, bs int) orchestrator.Spec {
 	return orchestrator.Spec{Cluster: cl, Model: m, GlobalBatch: bs, Microbatch: 1, Profiler: p, VPP: 1}
 }
 
-func repeatF(v float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
-// BenchmarkBrokerFabric measures the communication broker's
-// concentrate/scatter throughput across a gcd(8,4)=4 broker fabric.
-func BenchmarkBrokerFabric(b *testing.B) {
-	payload := make([]byte, 64<<10)
-	b.SetBytes(int64(len(payload) * 2)) // 2 upstream parts per seq
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := comm.NewFabric(4, 8, 2, 4, 4, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := context.Background()
-		const seqs = 64
-		var wg sync.WaitGroup
-		for d := 0; d < 8; d++ {
-			for p := 0; p < 2; p++ {
-				wg.Add(1)
-				go func(d, p int) {
-					defer wg.Done()
-					for seq := uint64(d); seq < seqs; seq += 8 {
-						f.Send(ctx, d, p, seq, payload) //nolint:errcheck
-					}
-				}(d, p)
-			}
-		}
-		for d := 0; d < 4; d++ {
-			for q := 0; q < 4; q++ {
-				wg.Add(1)
-				go func(d, q int) {
-					defer wg.Done()
-					for n := 0; n < seqs/4; n++ {
-						f.Recv(ctx, d, q) //nolint:errcheck
-					}
-				}(d, q)
-			}
-		}
-		if err := f.RunAll(ctx, seqs); err != nil {
-			b.Fatal(err)
-		}
-		wg.Wait()
-	}
-}
-
 // BenchmarkStepCCLExecutor compares the strawman and overlapped
 // executors on a realistic shard shape.
 func BenchmarkStepCCLExecutor(b *testing.B) {
@@ -113,27 +60,6 @@ func BenchmarkStepCCLExecutor(b *testing.B) {
 			e.RunOverlapped()
 		}
 	})
-}
-
-// BenchmarkVPPAblation quantifies the §4.3 design choice: interleaved
-// 1F1B (VPP) shrinks warm-up bubbles at the cost of chunked
-// communication. Reported per chunk count on the Megatron-72B pipeline
-// shape; the printed bubble fractions are the ablation result.
-func BenchmarkVPPAblation(b *testing.B) {
-	w := pipeline.UniformWork(repeatF(0.1, 12), repeatF(0.2, 12), 156)
-	for _, chunks := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("vpp=%d", chunks), func(b *testing.B) {
-			var bubble float64
-			for i := 0; i < b.N; i++ {
-				res, err := pipeline.SimulateVPP(w, chunks)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bubble = res.MeanBubbleFraction()
-			}
-			b.ReportMetric(bubble*100, "bubble%")
-		})
-	}
 }
 
 // BenchmarkFleetThroughput sweeps the multi-tenant fleet runtime over

@@ -16,10 +16,9 @@
 //
 // This package is the public facade: it wires the calibrated cost
 // model, the planners, and the training runtime together. GPU kernels
-// are simulated by a production-calibrated analytic model (see
-// DESIGN.md for the substitution argument); scheduling, reordering,
-// brokered communication, preprocessing and checkpointing execute for
-// real.
+// are simulated by a production-calibrated analytic model, and so is
+// the brokered traffic between modules; scheduling, reordering,
+// preprocessing and checkpointing execute for real.
 //
 // Quickstart:
 //

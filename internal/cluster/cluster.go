@@ -6,16 +6,11 @@
 // a device have.
 package cluster
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Well-known unit multipliers. The simulation uses bytes and bytes/second
 // throughout; FLOP rates are FLOP/second.
 const (
-	KiB = 1 << 10
-	MiB = 1 << 20
 	GiB = 1 << 30
 
 	// Gbps converts gigabits per second to bytes per second.
@@ -36,23 +31,14 @@ type GPUSpec struct {
 	MemoryBWBytes float64
 }
 
-// Predefined SKUs. AmpereSXM is the paper's production accelerator
-// ("NVIDIA Ampere GPUs", A100-SXM-class). L20Class is the cheaper part
-// referenced by the heterogeneous-hardware discussion in §8.
-var (
-	AmpereSXM = GPUSpec{
-		Name:          "ampere-sxm-80g",
-		PeakFLOPS:     312e12,
-		MemoryBytes:   80 * GiB,
-		MemoryBWBytes: 2.0e12,
-	}
-	L20Class = GPUSpec{
-		Name:          "l20-48g",
-		PeakFLOPS:     119e12,
-		MemoryBytes:   48 * GiB,
-		MemoryBWBytes: 0.864e12,
-	}
-)
+// AmpereSXM is the paper's production accelerator ("NVIDIA Ampere
+// GPUs", A100-SXM-class).
+var AmpereSXM = GPUSpec{
+	Name:          "ampere-sxm-80g",
+	PeakFLOPS:     312e12,
+	MemoryBytes:   80 * GiB,
+	MemoryBWBytes: 2.0e12,
+}
 
 // Cluster is an immutable description of the training fleet.
 type Cluster struct {
@@ -113,13 +99,6 @@ func (c Cluster) Validate() error {
 // TotalGPUs returns the number of accelerators in the fleet.
 func (c Cluster) TotalGPUs() int { return c.Nodes * c.GPUsPerNode }
 
-// NodeOf returns the node index hosting a global rank.
-func (c Cluster) NodeOf(rank int) int { return rank / c.GPUsPerNode }
-
-// SameNode reports whether two global ranks share a server (and hence
-// NVLink connectivity).
-func (c Cluster) SameNode(a, b int) bool { return c.NodeOf(a) == c.NodeOf(b) }
-
 // GroupBandwidth returns the effective per-GPU collective bandwidth in
 // bytes/s for a communication group of the given size, assuming the
 // group is packed onto consecutive ranks (the placement every plan in
@@ -152,40 +131,4 @@ func (c Cluster) CrossNodeBandwidthPerGPU() float64 {
 		per /= 2
 	}
 	return per
-}
-
-// Slice carves a contiguous range of ranks out of the cluster, used when
-// the orchestrator assigns disjoint GPU sets to parallelism units.
-type Slice struct {
-	First int // first global rank, inclusive
-	Count int // number of GPUs
-}
-
-// End returns one past the last rank of the slice.
-func (s Slice) End() int { return s.First + s.Count }
-
-// Contains reports whether the slice includes the given global rank.
-func (s Slice) Contains(rank int) bool { return rank >= s.First && rank < s.End() }
-
-func (s Slice) String() string {
-	return fmt.Sprintf("[%d,%d)", s.First, s.End())
-}
-
-// Partition splits the first total ranks of the cluster into consecutive
-// slices of the given sizes. It returns an error if the sizes exceed the
-// fleet.
-func (c Cluster) Partition(sizes ...int) ([]Slice, error) {
-	out := make([]Slice, 0, len(sizes))
-	next := 0
-	for i, n := range sizes {
-		if n < 0 {
-			return nil, fmt.Errorf("cluster: partition size %d is negative", i)
-		}
-		out = append(out, Slice{First: next, Count: n})
-		next += n
-	}
-	if next > c.TotalGPUs() {
-		return nil, fmt.Errorf("cluster: partition needs %d GPUs, fleet has %d", next, c.TotalGPUs())
-	}
-	return out, nil
 }

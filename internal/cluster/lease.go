@@ -106,9 +106,6 @@ func (l Lease) Runs() []Run {
 	return runs
 }
 
-// Fragments returns the number of runs (0 for an empty lease).
-func (l Lease) Fragments() int { return len(l.Runs()) }
-
 // Shape renders the lease's canonical placement shape: run lengths
 // sorted descending, joined by "+" — "8" for a packed 8-node lease,
 // "4+2+2" for a fragmented one; "" for an empty lease. Two leases
@@ -144,20 +141,6 @@ func (l Lease) Placed(base Cluster) Cluster {
 		sub.RailOptimized = false
 	}
 	return sub
-}
-
-// GlobalRanks maps the lease-local GPU ranks (0..GPUs-1, the packed
-// view every plan's Units are expressed in) to the global ranks they
-// occupy on the shared cluster, in lease-local order: local rank r
-// lives on leased node r/GPUsPerNode at slot r%GPUsPerNode.
-func (l Lease) GlobalRanks(base Cluster) []int {
-	out := make([]int, 0, l.GPUs(base))
-	for _, node := range l.Nodes {
-		for g := 0; g < base.GPUsPerNode; g++ {
-			out = append(out, node*base.GPUsPerNode+g)
-		}
-	}
-	return out
 }
 
 func (l Lease) String() string {

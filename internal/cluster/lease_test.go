@@ -49,8 +49,8 @@ func TestLeasePlacement(t *testing.T) {
 	if got := packed.Runs(); !reflect.DeepEqual(got, []Run{{First: 2, Count: 4}}) {
 		t.Errorf("packed runs = %v", got)
 	}
-	if packed.Fragments() != 1 || packed.Shape() != "4" {
-		t.Errorf("packed fragments=%d shape=%q", packed.Fragments(), packed.Shape())
+	if len(packed.Runs()) != 1 || packed.Shape() != "4" {
+		t.Errorf("packed fragments=%d shape=%q", len(packed.Runs()), packed.Shape())
 	}
 	if got := packed.Placed(base); got != packed.Subcluster(base) {
 		t.Errorf("packed lease must price like its subcluster: %+v", got)
@@ -64,8 +64,8 @@ func TestLeasePlacement(t *testing.T) {
 	if got := frag.Runs(); !reflect.DeepEqual(got, wantRuns) {
 		t.Errorf("fragmented runs = %v, want %v", got, wantRuns)
 	}
-	if frag.Fragments() != 3 || frag.Shape() != "2+2+1" {
-		t.Errorf("fragmented fragments=%d shape=%q", frag.Fragments(), frag.Shape())
+	if len(frag.Runs()) != 3 || frag.Shape() != "2+2+1" {
+		t.Errorf("fragmented fragments=%d shape=%q", len(frag.Runs()), frag.Shape())
 	}
 	placed := frag.Placed(base)
 	if placed.RailOptimized {
@@ -82,24 +82,8 @@ func TestLeasePlacement(t *testing.T) {
 	}
 
 	var empty Lease
-	if empty.Fragments() != 0 || empty.Shape() != "" {
-		t.Errorf("empty lease fragments=%d shape=%q", empty.Fragments(), empty.Shape())
-	}
-}
-
-// TestLeaseGlobalRanks pins the lease-local -> global rank mapping
-// PlacedUnits builds on: local rank r lives on leased node
-// r/GPUsPerNode, at slot r%GPUsPerNode.
-func TestLeaseGlobalRanks(t *testing.T) {
-	base := Production(8)
-	base.GPUsPerNode = 2 // small enough to spell out
-	l := NewLease(1, 4)
-	want := []int{2, 3, 8, 9}
-	if got := l.GlobalRanks(base); !reflect.DeepEqual(got, want) {
-		t.Errorf("GlobalRanks = %v, want %v", got, want)
-	}
-	if got := len(NewLease(0, 5, 7).GlobalRanks(Production(8))); got != 24 {
-		t.Errorf("3 leased production nodes map %d global ranks, want 24", got)
+	if len(empty.Runs()) != 0 || empty.Shape() != "" {
+		t.Errorf("empty lease fragments=%d shape=%q", len(empty.Runs()), empty.Shape())
 	}
 }
 

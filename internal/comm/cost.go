@@ -1,8 +1,6 @@
-// Package comm provides the two communication layers of DistTrain:
-// analytic cost models for the collectives that dominate distributed
-// training (ring all-reduce/all-gather/reduce-scatter, point-to-point
-// pipeline transfers), and a real, concurrent implementation of the
-// communication broker that bridges adjacent parallelism units (§6).
+// Package comm provides the analytic cost models for the collectives
+// that dominate distributed training: ring all-reduce, all-gather and
+// reduce-scatter, and point-to-point pipeline transfers.
 package comm
 
 // CollectiveCost parameterises the ring-collective model: per-message

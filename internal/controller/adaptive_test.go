@@ -65,7 +65,7 @@ func TestAdaptiveReplanEndToEnd(t *testing.T) {
 
 	if on.PlanSwitches < 1 {
 		t.Fatalf("controller applied %d plan switches, want >= 1 (triggers: %d, reports: %+v)",
-			on.PlanSwitches, ctrl.Triggers(), ctrl.Reports())
+			on.PlanSwitches, triggered(ctrl), ctrl.Reports())
 	}
 	if len(on.Replans) != on.PlanSwitches {
 		t.Errorf("Replans records %d switches, counter says %d", len(on.Replans), on.PlanSwitches)
@@ -112,8 +112,8 @@ func TestControllerSteadyByteIdentical(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("steady controller run diverged from controller-free run:\ngot  %+v\nwant %+v", got, want)
 	}
-	if ctrl.Triggers() != 0 {
-		t.Errorf("steady run triggered %d searches", ctrl.Triggers())
+	if triggered(ctrl) != 0 {
+		t.Errorf("steady run triggered %d searches", triggered(ctrl))
 	}
 }
 

@@ -197,7 +197,6 @@ type Controller struct {
 	// current is the incumbent plan (updated when a switch applies).
 	current  *orchestrator.Plan
 	pending  *pendingSearch
-	triggers int
 	lastTrig int
 	applied  int
 	reports  []DriftReport
@@ -271,7 +270,6 @@ func (c *Controller) Observe(obs trainer.Observation) {
 	rep := c.driftLocked(obs.Iter)
 	if rep.Score > c.cfg.Threshold {
 		rep.Triggered = true
-		c.triggers++
 		c.lastTrig = obs.Iter
 		c.launchLocked(obs.Iter, rep)
 	}
@@ -442,13 +440,6 @@ func (c *Controller) CurrentPlan() *orchestrator.Plan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.current
-}
-
-// Triggers returns how many re-planning searches drift launched.
-func (c *Controller) Triggers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.triggers
 }
 
 // Reports returns the drift evaluations in observation order.

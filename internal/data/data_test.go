@@ -225,26 +225,6 @@ func TestSkewnessSigns(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	vals := []int{9, 1, 5, 3, 7}
-	if got := Percentile(vals, 0); got != 1 {
-		t.Errorf("P0 = %d", got)
-	}
-	if got := Percentile(vals, 100); got != 9 {
-		t.Errorf("P100 = %d", got)
-	}
-	if got := Percentile(vals, 50); got != 5 {
-		t.Errorf("P50 = %d", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("empty percentile = %d", got)
-	}
-	// Input must not be mutated.
-	if !reflect.DeepEqual(vals, []int{9, 1, 5, 3, 7}) {
-		t.Error("Percentile mutated its input")
-	}
-}
-
 // Property: every sample, at any index, packs exactly SeqLen tokens and
 // respects the image cap.
 func TestSampleInvariants(t *testing.T) {

@@ -3,7 +3,6 @@ package data
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -120,17 +119,6 @@ func Skewness(values []int) float64 {
 		return 0
 	}
 	return m3 / math.Pow(m2, 1.5)
-}
-
-// Percentile returns the p-th percentile (0..100) of the values.
-func Percentile(values []int, p float64) int {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := append([]int(nil), values...)
-	sort.Ints(sorted)
-	idx := int(p / 100 * float64(len(sorted)-1))
-	return sorted[idx]
 }
 
 // Characterization aggregates the three Figure 5 distributions over a

@@ -71,13 +71,6 @@ func (f *FS) List(prefix string) []string {
 	return out
 }
 
-// Delete removes a file (idempotent).
-func (f *FS) Delete(name string) {
-	f.mu.Lock()
-	delete(f.files, name)
-	f.mu.Unlock()
-}
-
 // Checkpoint is one saved training state.
 type Checkpoint struct {
 	Step  int
@@ -196,15 +189,9 @@ func (m *CheckpointManager) Close() {
 }
 
 // Latest recovers the newest checkpoint from the DFS — the §6 failure
-// recovery path.
-func (m *CheckpointManager) Latest() (Checkpoint, error) {
-	ck, _, err := m.LatestWithCost()
-	return ck, err
-}
-
-// LatestWithCost is Latest plus the simulated DFS read duration, so
-// the recovery path can charge the restore time against the run.
-func (m *CheckpointManager) LatestWithCost() (Checkpoint, float64, error) {
+// recovery path — with the simulated DFS read duration, so the
+// recovery path can charge the restore time against the run.
+func (m *CheckpointManager) Latest() (Checkpoint, float64, error) {
 	names := m.fs.List(m.prefix + "/ckpt-")
 	if len(names) == 0 {
 		return Checkpoint{}, 0, errors.New("dfs: no checkpoints")

@@ -148,8 +148,7 @@ type JobResult struct {
 	// Strategy names the plan the job started on.
 	Strategy string
 	// Plan is the orchestration plan of the job's final geometry (nil
-	// when it never started). Plan.PlacedUnits maps it onto the
-	// lease's concrete nodes.
+	// when it never started).
 	Plan *orchestrator.Plan
 	// Result is the training result (nil when the job never started);
 	// Trace its timeline when Config.Trace was set.

@@ -28,8 +28,6 @@ func (f *runner) view(t *tenant) JobView {
 // trainer resizes and trace notes the built-in policies use.
 type schedOps struct{ f *runner }
 
-func (o schedOps) Round() int   { return o.f.round }
-func (o schedOps) Nodes() int   { return o.f.table.Nodes() }
 func (o schedOps) Healthy() int { return o.f.table.Nodes() - len(o.f.table.Failed()) }
 func (o schedOps) Free() []int  { return o.f.table.Free() }
 func (o schedOps) FreeCount() int {
@@ -51,14 +49,6 @@ func (o schedOps) Running() []JobView {
 		}
 	}
 	return f.runViews
-}
-
-func (o schedOps) Queued() []JobView {
-	var out []JobView
-	for _, t := range o.f.queue {
-		out = append(out, o.f.view(t))
-	}
-	return out
 }
 
 // runningTenant resolves an Ops target id to a running tenant.

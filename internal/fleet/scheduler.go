@@ -38,22 +38,17 @@ type JobView struct {
 // infeasible at the new size, for example, leaves the tenant
 // untouched and returns false).
 type Ops interface {
-	// Round is the current scheduling round.
-	Round() int
-	// Nodes is the fleet size including failed nodes; Healthy excludes
-	// them.
-	Nodes() int
+	// Healthy is the fleet size excluding failed nodes.
 	Healthy() int
 	// Free returns the free node indices, ascending; FreeCount their
 	// count without the copy.
 	Free() []int
 	FreeCount() int
-	// Running returns the running tenants in submission order; Queued
-	// the queued tenants in current queue order. Running's slice is
-	// shared, read-only, valid until the next mutation (Shrink, Grow,
-	// Preempt or any tenant state change): copy before sorting.
+	// Running returns the running tenants in submission order. The
+	// slice is shared, read-only, valid until the next mutation
+	// (Shrink, Grow, Preempt or any tenant state change): copy before
+	// sorting.
 	Running() []JobView
-	Queued() []JobView
 	// Shrink releases the given nodes from a running tenant's lease as
 	// a costed resize (checkpoint write + restore read charged to the
 	// tenant). The nodes must all belong to the lease and must not

@@ -152,35 +152,11 @@ func (s SampleShape) TotalImageTokens() int {
 	return t
 }
 
-// NumImages returns the number of image subsequences.
-func (s SampleShape) NumImages() int { return len(s.ImageTokens) }
-
-// EncoderFwdFLOPs returns forward FLOPs the encoder spends on one
-// sample: a ViT pass per image plus the input projector.
-func (m MLLM) EncoderFwdFLOPs(s SampleShape) float64 { return m.ModuleFwdFLOPs(Encoder, s) }
-
 // BackboneFwdFLOPs returns forward FLOPs for the LLM backbone over one
 // packed sequence. It is independent of the sample's modality mix —
 // the root cause of the paper's observation that LLM stage time is
 // constant while encoder/generator stage times vary (Figure 3).
 func (m MLLM) BackboneFwdFLOPs() float64 { return m.Backbone.FwdFLOPs(m.SeqLen) }
-
-// GeneratorFwdFLOPs returns forward FLOPs the generator spends on one
-// sample: output projector, frozen VAE encodes and UNet passes.
-func (m MLLM) GeneratorFwdFLOPs(s SampleShape) float64 { return m.ModuleFwdFLOPs(Generator, s) }
-
-// ModuleTrainFLOPs returns forward and backward FLOPs for one sample in
-// a module under a freeze setting, on a kernel compiled for the call.
-func (m MLLM) ModuleTrainFLOPs(mod Module, s SampleShape, f FreezeSpec) (fwd, bwd float64) {
-	k := m.Compile(f)
-	return k.TrainFLOPs(mod, k.Fold(s))
-}
-
-// ModuleFwdFLOPs dispatches per-module forward cost for one sample.
-func (m MLLM) ModuleFwdFLOPs(mod Module, s SampleShape) float64 {
-	fwd, _ := m.ModuleTrainFLOPs(mod, s, FullTraining)
-	return fwd
-}
 
 // FreezeSpec captures which modules are frozen during a training phase
 // (§7.3). Frozen modules still run forward passes but skip weight
@@ -255,19 +231,14 @@ func (mm ModuleMemory) Total() float64 {
 	return mm.ParamAndGradBytes + mm.OptimizerBytes + mm.ActivationBytes
 }
 
-// MemoryModel computes the §4.2 memory constraint terms for a module.
+// MemoryForParams computes the §4.2 memory constraint terms for a
+// module of p parameters.
 //
 //	gpus     — GPUs allocated to the module (x, y or z)
 //	dp, pp   — the module's data- and pipeline-parallel sizes
 //	actBytes — activation bytes for ONE microbatch across the whole module
 //	frozen   — frozen modules keep parameters but need no gradients or
 //	           optimizer states
-func (m MLLM) MemoryModel(mod Module, gpus, dp, pp int, actBytes float64, frozen bool) ModuleMemory {
-	return MemoryForParams(m.Params(mod), gpus, dp, pp, actBytes, frozen)
-}
-
-// MemoryForParams is MemoryModel for a module of p parameters; callers
-// that size one module many times derive p once.
 func MemoryForParams(p float64, gpus, dp, pp int, actBytes float64, frozen bool) ModuleMemory {
 	var mm ModuleMemory
 	perParam := float64(BytesPerParam)

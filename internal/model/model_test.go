@@ -109,11 +109,11 @@ func TestFigure3CostShape(t *testing.T) {
 	if m.BackboneFwdFLOPs() != m.BackboneFwdFLOPs() {
 		t.Fatal("backbone cost must be deterministic")
 	}
-	encLight, encHeavy := m.EncoderFwdFLOPs(light), m.EncoderFwdFLOPs(heavy)
+	encLight, encHeavy := fwdFLOPs(m, Encoder, light), fwdFLOPs(m, Encoder, heavy)
 	if encHeavy <= 4*encLight {
 		t.Errorf("encoder cost should grow superlinearly with image tokens: light=%g heavy=%g", encLight, encHeavy)
 	}
-	genLight, genHeavy := m.GeneratorFwdFLOPs(light), m.GeneratorFwdFLOPs(heavy)
+	genLight, genHeavy := fwdFLOPs(m, Generator, light), fwdFLOPs(m, Generator, heavy)
 	if genHeavy <= genLight {
 		t.Errorf("generator cost should grow with generated images: %g vs %g", genLight, genHeavy)
 	}
@@ -157,7 +157,7 @@ func TestMemoryModelZeRO1(t *testing.T) {
 
 	// 70B backbone on y GPUs with DP=2, PP=10, TP=4: y = 80.
 	act := m.Backbone.ActivationBytesPerToken() * float64(m.SeqLen)
-	mm := m.MemoryModel(Backbone, 80, 2, 10, act, false)
+	mm := MemoryForParams(p, 80, 2, 10, act, false)
 
 	wantParamGrad := 2 * p * 4 / 80 // DP*P*(2+2 bytes)/y
 	if math.Abs(mm.ParamAndGradBytes-wantParamGrad)/wantParamGrad > 1e-9 {
@@ -172,7 +172,7 @@ func TestMemoryModelZeRO1(t *testing.T) {
 	}
 
 	// Frozen modules keep parameters only.
-	frozen := m.MemoryModel(Backbone, 80, 2, 10, act, true)
+	frozen := MemoryForParams(p, 80, 2, 10, act, true)
 	if frozen.OptimizerBytes != 0 {
 		t.Error("frozen module must not hold optimizer state")
 	}
@@ -207,10 +207,10 @@ func TestEncoderFLOPsAdditive(t *testing.T) {
 		for _, r := range raw {
 			tokens = append(tokens, int(r)%4096+1)
 		}
-		joint := m.EncoderFwdFLOPs(SampleShape{ImageTokens: tokens})
+		joint := fwdFLOPs(m, Encoder, SampleShape{ImageTokens: tokens})
 		var sum float64
 		for _, tk := range tokens {
-			sum += m.EncoderFwdFLOPs(SampleShape{ImageTokens: []int{tk}})
+			sum += fwdFLOPs(m, Encoder, SampleShape{ImageTokens: []int{tk}})
 		}
 		if len(tokens) == 0 {
 			return joint == 0
@@ -258,8 +258,8 @@ func TestModuleTrainFLOPsFreezeInteraction(t *testing.T) {
 	m := MLLM9B()
 	s := SampleShape{ImageTokens: []int{1024, 1024}, GenImages: 1}
 
-	fwdFull, bwdFull := m.ModuleTrainFLOPs(Generator, s, FullTraining)
-	fwdFrozen, bwdFrozen := m.ModuleTrainFLOPs(Generator, s, AllFrozen)
+	fwdFull, bwdFull := trainFLOPs(m, Generator, s, FullTraining)
+	fwdFrozen, bwdFrozen := trainFLOPs(m, Generator, s, AllFrozen)
 	if fwdFull != fwdFrozen {
 		t.Error("freezing must not change forward cost")
 	}
@@ -275,7 +275,7 @@ func TestModuleTrainFLOPsFreezeInteraction(t *testing.T) {
 	}
 
 	// Encoder skips backward entirely when frozen.
-	_, encBwd := m.ModuleTrainFLOPs(Encoder, s, LLMOnly)
+	_, encBwd := trainFLOPs(m, Encoder, s, LLMOnly)
 	if encBwd != 0 {
 		t.Errorf("frozen encoder backward = %g, want 0", encBwd)
 	}
@@ -283,10 +283,19 @@ func TestModuleTrainFLOPsFreezeInteraction(t *testing.T) {
 
 func TestSampleShapeAccessors(t *testing.T) {
 	s := SampleShape{ImageTokens: []int{100, 200, 300}, GenImages: 2}
-	if s.NumImages() != 3 {
-		t.Errorf("NumImages = %d", s.NumImages())
-	}
 	if s.TotalImageTokens() != 600 {
 		t.Errorf("TotalImageTokens = %d", s.TotalImageTokens())
 	}
+}
+
+// trainFLOPs prices one sample's module FLOPs on a kernel compiled for
+// the call.
+func trainFLOPs(m MLLM, mod Module, s SampleShape, f FreezeSpec) (fwd, bwd float64) {
+	k := m.Compile(f)
+	return k.TrainFLOPs(mod, k.Fold(s))
+}
+
+func fwdFLOPs(m MLLM, mod Module, s SampleShape) float64 {
+	fwd, _ := trainFLOPs(m, mod, s, FullTraining)
+	return fwd
 }

@@ -259,9 +259,9 @@ func (sc *searchCtx) solveSubproblem(c Candidate, bound float64) (*Plan, error) 
 	plan := &Plan{
 		Strategy: "disttrain",
 		Modules: [3]ModulePlan{
-			{Module: model.Encoder, Config: parallel.Config{TP: wME, PP: 1, DP: alloc[0] / wME, VPP: 1, EP: 1}, Replicated: sc.replicate},
-			{Module: model.Backbone, Config: parallel.Config{TP: tpLM, PP: ppLM, DP: dpLM, VPP: sc.vpp, EP: 1, SP: sc.seqPar}},
-			{Module: model.Generator, Config: parallel.Config{TP: wMG, PP: 1, DP: alloc[2] / wMG, VPP: 1, EP: 1}, Replicated: sc.replicate},
+			{Module: model.Encoder, Config: parallel.Config{TP: wME, PP: 1, DP: alloc[0] / wME, VPP: 1, EP: 1}, Replicated: true},
+			{Module: model.Backbone, Config: parallel.Config{TP: tpLM, PP: ppLM, DP: dpLM, VPP: sc.vpp, EP: 1, SP: true}},
+			{Module: model.Generator, Config: parallel.Config{TP: wMG, PP: 1, DP: alloc[2] / wMG, VPP: 1, EP: 1}, Replicated: true},
 		},
 	}
 	if err := sc.evaluate(plan); err != nil {

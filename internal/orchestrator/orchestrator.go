@@ -150,50 +150,6 @@ func (p Plan) String() string {
 	return s
 }
 
-// Units instantiates the three parallelism units over consecutive
-// cluster slices, plus the broker assignments between them.
-func (p Plan) Units(cl cluster.Cluster) ([3]*parallel.Unit, [2]parallel.BrokerAssignment, error) {
-	var units [3]*parallel.Unit
-	var brokers [2]parallel.BrokerAssignment
-	slices, err := cl.Partition(p.Modules[0].GPUs(), p.Modules[1].GPUs(), p.Modules[2].GPUs())
-	if err != nil {
-		return units, brokers, err
-	}
-	for i, mp := range p.Modules {
-		u, err := parallel.NewUnit(mp.Module.String(), mp.Config, slices[i], cl.GPUsPerNode)
-		if err != nil {
-			return units, brokers, err
-		}
-		units[i] = u
-	}
-	brokers[0] = parallel.AssignBrokers(units[0], units[1])
-	brokers[1] = parallel.AssignBrokers(units[1], units[2])
-	return units, brokers, nil
-}
-
-// PlacedUnits instantiates the plan over a lease's concrete node
-// identities on the shared cluster. Units assigns each module a
-// packed slice of lease-local ranks; PlacedUnits additionally maps
-// every slice through the lease to the global ranks it occupies, so
-// fleet schedulers that hand out real node sets (not just counts) can
-// see exactly which cluster GPUs each parallelism unit lands on. The
-// returned ranks are indexed by model.Module, in unit-local order.
-func (p Plan) PlacedUnits(base cluster.Cluster, l cluster.Lease) ([3]*parallel.Unit, [3][]int, [2]parallel.BrokerAssignment, error) {
-	var ranks [3][]int
-	units, brokers, err := p.Units(l.Subcluster(base))
-	if err != nil {
-		return units, ranks, brokers, err
-	}
-	all := l.GlobalRanks(base)
-	if p.TotalGPUs() > len(all) {
-		return units, ranks, brokers, fmt.Errorf("orchestrator: plan wants %d GPUs, lease holds %d", p.TotalGPUs(), len(all))
-	}
-	for i, u := range units {
-		ranks[i] = append([]int(nil), all[u.Slice.First:u.Slice.End()]...)
-	}
-	return units, ranks, brokers, nil
-}
-
 // Evaluate scores a candidate plan with the Eq. 1 + Eq. 2 objective and
 // fills in the estimate fields. It returns an error when the plan
 // violates resource or memory constraints.
@@ -208,8 +164,6 @@ func Evaluate(s Spec, p *Plan) error {
 // CheckMemory enforces the §4.2 memory constraint for every module:
 // parameters+gradients, ZeRO-1 optimizer shards, and 1F1B peak
 // activations must fit per-GPU capacity (with an 8% runtime reserve).
-// Under heterogeneous hardware (§8) each module is checked against its
-// own SKU's capacity.
 func CheckMemory(s Spec, p Plan) error {
 	sc := newSearchCtx(&s)
 	return sc.checkMemory(&p)

@@ -19,17 +19,15 @@ import (
 // A searchCtx is read-only once built and safe to share across the
 // search's workers. It assumes spec.Validate() passed.
 type searchCtx struct {
-	spec      *Spec
-	n         int     // GPU budget
-	m         float64 // microbatch size M
-	vpp       int
-	replicate bool
-	seqPar    bool
-	tpSizes   []int
-	cTrainTP  [3][]float64 // C_mod(width) for every width in tpSizes
-	divisors  divisorTable // of the backbone's layer count
-	mem       [3]moduleMemory
-	mfuFLOPs  float64 // model FLOPs per iteration, the MFU estimate's numerator
+	spec     *Spec
+	n        int     // GPU budget
+	m        float64 // microbatch size M
+	vpp      int
+	tpSizes  []int
+	cTrainTP [3][]float64 // C_mod(width) for every width in tpSizes
+	divisors divisorTable // of the backbone's layer count
+	mem      [3]moduleMemory
+	mfuFLOPs float64 // model FLOPs per iteration, the MFU estimate's numerator
 	// floors holds llmMemoryFloor per backbone shape {TP, DP} of the
 	// strategy set; filled by strategySet, nil for a context that only
 	// evaluates plans.
@@ -39,7 +37,7 @@ type searchCtx struct {
 // moduleMemory is the plan-independent half of one module's §4.2
 // memory constraint.
 type moduleMemory struct {
-	budget float64 // per-GPU capacity of the module's SKU, less the 8% runtime reserve
+	budget float64 // per-GPU capacity of the cluster's SKU, less the 8% runtime reserve
 	act    float64 // activation bytes of one microbatch across the whole module
 	params float64
 	frozen bool
@@ -56,14 +54,12 @@ func newSearchCtx(s *Spec) searchCtx {
 	kern := s.Profiler.Kernel()
 	work := kern.Fold(shape)
 	sc := searchCtx{
-		spec:      s,
-		n:         s.maxGPUs(),
-		m:         float64(s.Microbatch),
-		vpp:       s.vpp(),
-		replicate: opts.ReplicateSmallModules,
-		seqPar:    opts.SeqParallel,
-		tpSizes:   parallel.TPSizes(s.Cluster.GPUsPerNode),
-		divisors:  divisorsOf(s.Model.Backbone.Layers),
+		spec:     s,
+		n:        s.maxGPUs(),
+		m:        float64(s.Microbatch),
+		vpp:      s.vpp(),
+		tpSizes:  parallel.TPSizes(s.Cluster.GPUsPerNode),
+		divisors: divisorsOf(s.Model.Backbone.Layers),
 	}
 	for _, mod := range model.Modules {
 		sc.cTrainTP[mod] = make([]float64, len(sc.tpSizes))
@@ -73,7 +69,7 @@ func newSearchCtx(s *Spec) searchCtx {
 		fwd, bwd := kern.TrainFLOPs(mod, work)
 		sc.mfuFLOPs += (fwd + bwd) * float64(s.GlobalBatch)
 		sc.mem[mod] = moduleMemory{
-			budget: opts.GPUFor(mod).MemoryBytes * 0.92,
+			budget: opts.Cluster.GPU.MemoryBytes * 0.92,
 			params: s.Model.Params(mod),
 			frozen: opts.Freeze.Frozen(mod),
 		}
@@ -128,7 +124,7 @@ func (sc *searchCtx) llmMemoryFloor(tp, dp int) (int, error) {
 
 // moduleMemoryOK enforces the §4.2 memory constraint for one module:
 // parameters+gradients, ZeRO-1 optimizer shards and 1F1B peak
-// activations must fit the per-GPU budget of the module's own SKU.
+// activations must fit the per-GPU budget.
 func (sc *searchCtx) moduleMemoryOK(mp *ModulePlan) error {
 	mem := &sc.mem[mp.Module]
 	gpus := mp.Config.GPUs()

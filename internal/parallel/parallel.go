@@ -1,17 +1,11 @@
 // Package parallel models the distributed-training parallelism
 // strategies of the paper: tensor (TP), pipeline (PP), data (DP) and
 // virtual-pipeline (VPP) parallelism, plus the sequence (SP) and expert
-// (EP) extensions of §4.1. Its central type is the Unit — the paper's
-// "parallelism unit" — a group of pipeline stages that owns its own
-// DP/TP configuration and communication groups, connected to adjacent
-// units only through communication brokers.
+// (EP) extensions of §4.1. A Config is one module's strategy: every
+// module of a disaggregated plan owns its own.
 package parallel
 
-import (
-	"fmt"
-
-	"disttrain/internal/cluster"
-)
+import "fmt"
 
 // Config is a parallelism strategy for one module.
 type Config struct {
@@ -50,24 +44,6 @@ func (c Config) ModelParallelWidth() int {
 	return c.TP
 }
 
-// Validate reports whether the configuration is usable on nodes with
-// the given GPU count.
-func (c Config) Validate(gpusPerNode int) error {
-	switch {
-	case c.TP < 1 || c.PP < 1 || c.DP < 1:
-		return fmt.Errorf("parallel: non-positive sizes in %+v", c)
-	case c.VPP < 1:
-		return fmt.Errorf("parallel: VPP %d must be >= 1", c.VPP)
-	case c.EP < 1:
-		return fmt.Errorf("parallel: EP %d must be >= 1", c.EP)
-	case gpusPerNode > 0 && c.TP > gpusPerNode:
-		return fmt.Errorf("parallel: TP %d exceeds node size %d", c.TP, gpusPerNode)
-	case gpusPerNode > 0 && gpusPerNode%c.TP != 0:
-		return fmt.Errorf("parallel: TP %d does not divide node size %d", c.TP, gpusPerNode)
-	}
-	return nil
-}
-
 func (c Config) String() string {
 	s := fmt.Sprintf("TP=%d PP=%d DP=%d", c.TP, c.PP, c.DP)
 	if c.VPP > 1 {
@@ -91,137 +67,4 @@ func TPSizes(gpusPerNode int) []int {
 		out = append(out, tp)
 	}
 	return out
-}
-
-// Coord locates one rank inside a unit's (dp, pp, tp) grid.
-type Coord struct{ DP, PP, TP int }
-
-// Unit is the paper's parallelism unit (§4.1): one or more PP stages
-// with their own DP and TP strategy and a dedicated communication
-// group. The rank layout places TP innermost (so TP groups sit inside a
-// node), DP next, PP outermost — the Megatron-LM ordering.
-type Unit struct {
-	Name   string
-	Config Config
-	// Slice is the contiguous range of global ranks the unit occupies.
-	Slice cluster.Slice
-}
-
-// NewUnit validates and creates a parallelism unit over a rank slice.
-func NewUnit(name string, cfg Config, slice cluster.Slice, gpusPerNode int) (*Unit, error) {
-	if err := cfg.Validate(gpusPerNode); err != nil {
-		return nil, fmt.Errorf("unit %s: %w", name, err)
-	}
-	if cfg.GPUs() != slice.Count {
-		return nil, fmt.Errorf("unit %s: config needs %d GPUs, slice has %d", name, cfg.GPUs(), slice.Count)
-	}
-	return &Unit{Name: name, Config: cfg, Slice: slice}, nil
-}
-
-// Rank converts a grid coordinate to a global rank.
-func (u *Unit) Rank(c Coord) int {
-	cfg := u.Config
-	return u.Slice.First + (c.PP*cfg.DP+c.DP)*cfg.TP + c.TP
-}
-
-// CoordOf converts a global rank to its grid coordinate.
-func (u *Unit) CoordOf(rank int) (Coord, error) {
-	if !u.Slice.Contains(rank) {
-		return Coord{}, fmt.Errorf("unit %s: rank %d outside %v", u.Name, rank, u.Slice)
-	}
-	local := rank - u.Slice.First
-	cfg := u.Config
-	return Coord{
-		TP: local % cfg.TP,
-		DP: (local / cfg.TP) % cfg.DP,
-		PP: local / (cfg.TP * cfg.DP),
-	}, nil
-}
-
-// TPGroup returns the global ranks of one tensor-parallel group.
-func (u *Unit) TPGroup(dp, pp int) []int {
-	out := make([]int, u.Config.TP)
-	for t := range out {
-		out[t] = u.Rank(Coord{DP: dp, PP: pp, TP: t})
-	}
-	return out
-}
-
-// DPGroup returns the global ranks that all-reduce gradients together:
-// same pp stage, same tp index, across DP.
-func (u *Unit) DPGroup(tp, pp int) []int {
-	out := make([]int, u.Config.DP)
-	for d := range out {
-		out[d] = u.Rank(Coord{DP: d, PP: pp, TP: tp})
-	}
-	return out
-}
-
-// PPGroup returns the global ranks forming one pipeline: same dp and tp
-// index across stages.
-func (u *Unit) PPGroup(tp, dp int) []int {
-	out := make([]int, u.Config.PP)
-	for p := range out {
-		out[p] = u.Rank(Coord{DP: dp, PP: p, TP: tp})
-	}
-	return out
-}
-
-// StageRanks returns all ranks of one pipeline stage.
-func (u *Unit) StageRanks(pp int) []int {
-	cfg := u.Config
-	out := make([]int, 0, cfg.DP*cfg.TP)
-	for d := 0; d < cfg.DP; d++ {
-		for t := 0; t < cfg.TP; t++ {
-			out = append(out, u.Rank(Coord{DP: d, PP: pp, TP: t}))
-		}
-	}
-	return out
-}
-
-// FirstStageRanks and LastStageRanks expose the unit's boundary stages,
-// where communication brokers attach (§6).
-func (u *Unit) FirstStageRanks() []int { return u.StageRanks(0) }
-func (u *Unit) LastStageRanks() []int  { return u.StageRanks(u.Config.PP - 1) }
-
-// BrokerCount returns the number of communication brokers deployed
-// between an upstream and a downstream unit: the greatest common
-// divisor of their DP sizes, so total inter-unit bandwidth scales with
-// the workload while preserving per-broker data order (§6).
-func BrokerCount(upstream, downstream *Unit) int {
-	return gcd(upstream.Config.DP, downstream.Config.DP)
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// BrokerAssignment maps DP ranks of adjacent units onto brokers: broker
-// b serves upstream DP ranks u with u % brokers == b and downstream DP
-// ranks d with d % brokers == b. The modulo assignment keeps every
-// broker's load within one microbatch of even.
-type BrokerAssignment struct {
-	Brokers    int
-	Upstream   [][]int // broker -> upstream DP ranks
-	Downstream [][]int // broker -> downstream DP ranks
-}
-
-// AssignBrokers computes the broker fan-in/fan-out between two units.
-func AssignBrokers(upstream, downstream *Unit) BrokerAssignment {
-	n := BrokerCount(upstream, downstream)
-	a := BrokerAssignment{
-		Brokers:    n,
-		Upstream:   make([][]int, n),
-		Downstream: make([][]int, n),
-	}
-	for d := 0; d < upstream.Config.DP; d++ {
-		a.Upstream[d%n] = append(a.Upstream[d%n], d)
-	}
-	for d := 0; d < downstream.Config.DP; d++ {
-		a.Downstream[d%n] = append(a.Downstream[d%n], d)
-	}
-	return a
 }

@@ -2,40 +2,8 @@ package parallel
 
 import (
 	"reflect"
-	"sort"
 	"testing"
-	"testing/quick"
-
-	"disttrain/internal/cluster"
 )
-
-func mustUnit(t *testing.T, name string, cfg Config, first int) *Unit {
-	t.Helper()
-	u, err := NewUnit(name, cfg, cluster.Slice{First: first, Count: cfg.GPUs()}, 8)
-	if err != nil {
-		t.Fatalf("NewUnit: %v", err)
-	}
-	return u
-}
-
-func TestConfigValidate(t *testing.T) {
-	good := Plain(4, 2, 3)
-	if err := good.Validate(8); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
-	}
-	bad := []Config{
-		{TP: 0, PP: 1, DP: 1, VPP: 1, EP: 1},
-		{TP: 16, PP: 1, DP: 1, VPP: 1, EP: 1}, // TP > node
-		{TP: 3, PP: 1, DP: 1, VPP: 1, EP: 1},  // TP does not divide 8
-		{TP: 1, PP: 1, DP: 1, VPP: 0, EP: 1},
-		{TP: 1, PP: 1, DP: 1, VPP: 1, EP: 0},
-	}
-	for i, c := range bad {
-		if err := c.Validate(8); err == nil {
-			t.Errorf("case %d: accepted %+v", i, c)
-		}
-	}
-}
 
 func TestTPSizes(t *testing.T) {
 	if got := TPSizes(8); !reflect.DeepEqual(got, []int{1, 2, 4, 8}) {
@@ -54,196 +22,18 @@ func TestModelParallelWidth(t *testing.T) {
 	}
 }
 
-func TestRankCoordRoundTrip(t *testing.T) {
-	u := mustUnit(t, "llm", Plain(4, 3, 2), 16)
-	seen := map[int]bool{}
-	for pp := 0; pp < 3; pp++ {
-		for dp := 0; dp < 2; dp++ {
-			for tp := 0; tp < 4; tp++ {
-				c := Coord{DP: dp, PP: pp, TP: tp}
-				r := u.Rank(c)
-				if seen[r] {
-					t.Fatalf("rank %d assigned twice", r)
-				}
-				seen[r] = true
-				got, err := u.CoordOf(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != c {
-					t.Fatalf("round trip %v -> %d -> %v", c, r, got)
-				}
-			}
-		}
+// TestConfigString pins the rendering plan output prints and the GPU
+// count every resource constraint sums.
+func TestConfigString(t *testing.T) {
+	c := Plain(4, 3, 2)
+	if got := c.GPUs(); got != 24 {
+		t.Errorf("GPUs = %d, want TP*PP*DP = 24", got)
 	}
-	if len(seen) != 24 {
-		t.Fatalf("covered %d ranks, want 24", len(seen))
+	if got := c.String(); got != "TP=4 PP=3 DP=2" {
+		t.Errorf("String = %q", got)
 	}
-	if _, err := u.CoordOf(15); err == nil {
-		t.Error("CoordOf should reject ranks outside the slice")
-	}
-	if _, err := u.CoordOf(40); err == nil {
-		t.Error("CoordOf should reject ranks past the slice")
-	}
-}
-
-func TestTPGroupsStayWithinNodes(t *testing.T) {
-	// TP innermost means a TP<=8 group never crosses a node boundary
-	// when the slice starts on a node boundary.
-	u := mustUnit(t, "llm", Plain(8, 2, 4), 0)
-	cl := cluster.Production(16)
-	for pp := 0; pp < 2; pp++ {
-		for dp := 0; dp < 4; dp++ {
-			g := u.TPGroup(dp, pp)
-			for _, r := range g[1:] {
-				if !cl.SameNode(g[0], r) {
-					t.Fatalf("TP group %v crosses nodes", g)
-				}
-			}
-		}
-	}
-}
-
-func TestGroupShapes(t *testing.T) {
-	u := mustUnit(t, "llm", Plain(2, 3, 4), 8)
-	if g := u.TPGroup(1, 2); len(g) != 2 {
-		t.Errorf("TP group size %d", len(g))
-	}
-	if g := u.DPGroup(0, 1); len(g) != 4 {
-		t.Errorf("DP group size %d", len(g))
-	}
-	if g := u.PPGroup(1, 3); len(g) != 3 {
-		t.Errorf("PP group size %d", len(g))
-	}
-	stage := u.StageRanks(0)
-	if len(stage) != 8 {
-		t.Errorf("stage size %d, want DP*TP=8", len(stage))
-	}
-	// Stage 0 must be the lowest ranks (PP outermost).
-	sorted := append([]int(nil), stage...)
-	sort.Ints(sorted)
-	if sorted[0] != 8 || sorted[len(sorted)-1] != 15 {
-		t.Errorf("stage 0 ranks = %v, want [8,16)", sorted)
-	}
-	if !reflect.DeepEqual(u.FirstStageRanks(), u.StageRanks(0)) {
-		t.Error("FirstStageRanks mismatch")
-	}
-	if !reflect.DeepEqual(u.LastStageRanks(), u.StageRanks(2)) {
-		t.Error("LastStageRanks mismatch")
-	}
-}
-
-func TestNewUnitRejectsMismatchedSlice(t *testing.T) {
-	_, err := NewUnit("x", Plain(2, 2, 2), cluster.Slice{First: 0, Count: 7}, 8)
-	if err == nil {
-		t.Error("slice/config size mismatch accepted")
-	}
-}
-
-func TestBrokerCountIsGCD(t *testing.T) {
-	up := mustUnit(t, "enc", Plain(1, 1, 6), 0)
-	down := mustUnit(t, "llm", Plain(2, 1, 4), 6)
-	if got := BrokerCount(up, down); got != 2 {
-		t.Errorf("BrokerCount = %d, want gcd(6,4)=2", got)
-	}
-}
-
-func TestAssignBrokersCoversAllDPRanks(t *testing.T) {
-	up := mustUnit(t, "enc", Plain(1, 1, 6), 0)
-	down := mustUnit(t, "llm", Plain(1, 1, 4), 6)
-	a := AssignBrokers(up, down)
-	if a.Brokers != 2 {
-		t.Fatalf("brokers = %d", a.Brokers)
-	}
-	var upAll, downAll []int
-	for b := 0; b < a.Brokers; b++ {
-		upAll = append(upAll, a.Upstream[b]...)
-		downAll = append(downAll, a.Downstream[b]...)
-		// Per-broker load is balanced within one unit.
-		if len(a.Upstream[b]) != 3 {
-			t.Errorf("broker %d upstream load %d, want 3", b, len(a.Upstream[b]))
-		}
-		if len(a.Downstream[b]) != 2 {
-			t.Errorf("broker %d downstream load %d, want 2", b, len(a.Downstream[b]))
-		}
-	}
-	sort.Ints(upAll)
-	sort.Ints(downAll)
-	if !reflect.DeepEqual(upAll, []int{0, 1, 2, 3, 4, 5}) {
-		t.Errorf("upstream coverage = %v", upAll)
-	}
-	if !reflect.DeepEqual(downAll, []int{0, 1, 2, 3}) {
-		t.Errorf("downstream coverage = %v", downAll)
-	}
-}
-
-// Property: for any valid configuration, ranks form a bijection over
-// the slice.
-func TestRankBijection(t *testing.T) {
-	f := func(tpExp, pp, dp uint8) bool {
-		tp := 1 << (tpExp % 4) // 1,2,4,8
-		cfg := Plain(tp, int(pp%4)+1, int(dp%5)+1)
-		u, err := NewUnit("u", cfg, cluster.Slice{First: 0, Count: cfg.GPUs()}, 8)
-		if err != nil {
-			return false
-		}
-		seen := map[int]bool{}
-		for p := 0; p < cfg.PP; p++ {
-			for d := 0; d < cfg.DP; d++ {
-				for tt := 0; tt < cfg.TP; tt++ {
-					r := u.Rank(Coord{DP: d, PP: p, TP: tt})
-					if r < 0 || r >= cfg.GPUs() || seen[r] {
-						return false
-					}
-					seen[r] = true
-				}
-			}
-		}
-		return len(seen) == cfg.GPUs()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: broker assignment always covers every DP rank exactly once
-// on both sides.
-func TestAssignBrokersPartition(t *testing.T) {
-	f := func(upDP, downDP uint8) bool {
-		u := int(upDP%12) + 1
-		d := int(downDP%12) + 1
-		up, err1 := NewUnit("u", Plain(1, 1, u), cluster.Slice{First: 0, Count: u}, 8)
-		down, err2 := NewUnit("d", Plain(1, 1, d), cluster.Slice{First: u, Count: d}, 8)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		a := AssignBrokers(up, down)
-		seenUp := map[int]int{}
-		seenDown := map[int]int{}
-		for b := 0; b < a.Brokers; b++ {
-			for _, r := range a.Upstream[b] {
-				seenUp[r]++
-			}
-			for _, r := range a.Downstream[b] {
-				seenDown[r]++
-			}
-		}
-		if len(seenUp) != u || len(seenDown) != d {
-			return false
-		}
-		for _, c := range seenUp {
-			if c != 1 {
-				return false
-			}
-		}
-		for _, c := range seenDown {
-			if c != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	c.VPP, c.SP, c.EP = 2, true, 8
+	if got := c.String(); got != "TP=4 PP=3 DP=2 VPP=2 SP EP=8" {
+		t.Errorf("String with extensions = %q", got)
 	}
 }

@@ -27,9 +27,6 @@ func (iv Interval) Volume() float64 { return iv.End - iv.Start }
 // i-1 (or the end of the first forward, for i=1) to the start of
 // backward i at stage 0.
 func (r *Result) FirstStageIntervals() ([]Interval, error) {
-	if r.Schedule != OneFOneB {
-		return nil, fmt.Errorf("pipeline: intervals are defined for 1F1B, not %v", r.Schedule)
-	}
 	ops := r.StageOps(0)
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
 
@@ -90,14 +87,6 @@ type IntervalPredictor struct {
 	placed  int
 }
 
-// NewIntervalPredictor creates a predictor for a pipeline with the
-// given stage count; p2p may be nil for free links.
-func NewIntervalPredictor(stages int, p2p []float64) *IntervalPredictor {
-	ip := new(IntervalPredictor)
-	ip.Reset(stages, p2p)
-	return ip
-}
-
 // Reset re-arms the predictor for a fresh microbatch sequence over a
 // pipeline of the given depth, reusing its per-stage buffers.
 func (ip *IntervalPredictor) Reset(stages int, p2p []float64) {
@@ -113,9 +102,6 @@ func (ip *IntervalPredictor) link(i int) float64 {
 
 // Stages returns the pipeline depth.
 func (ip *IntervalPredictor) Stages() int { return len(ip.fe) }
-
-// Placed returns how many microbatches have been appended.
-func (ip *IntervalPredictor) Placed() int { return ip.placed }
 
 // Append places the next microbatch (its per-stage forward and backward
 // times) and returns the predicted interval bounded by its backward at

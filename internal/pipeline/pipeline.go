@@ -1,16 +1,16 @@
-// Package pipeline simulates pipeline-parallel training schedules
-// exactly: GPipe and 1F1B (the paper's production schedule), over
-// stages whose per-microbatch compute times may differ — the setting
-// created by data heterogeneity (§2.3). The simulator produces the full
-// operation timeline, from which iteration time, pipeline bubbles
-// (Figure 4), and the first-stage intervals of Figure 12 are derived.
-// It also implements the O(p) interval-prediction dynamic program that
-// Algorithm 2's GETINTERVAL uses.
+// Package pipeline simulates the paper's production pipeline schedule,
+// 1F1B, exactly over stages whose per-microbatch compute times may
+// differ — the setting created by data heterogeneity (§2.3). The
+// simulator produces the full operation timeline, from which iteration
+// time, pipeline bubbles (Figure 4), and the first-stage intervals of
+// Figure 12 are derived. It also implements the O(p)
+// interval-prediction dynamic program that Algorithm 2's GETINTERVAL
+// uses.
 //
-// Aliasing: a Result from the package-level Simulate / SimulateVPP is
-// the caller's to keep; one from a (*Simulator).Simulate aliases that
-// simulator's buffers (Ops, StageBusy) until its next call. Either way
-// Result.Work still points at the caller's rows.
+// Aliasing: a Result from the package-level Simulate is the caller's
+// to keep; one from a (*Simulator).Simulate aliases that simulator's
+// buffers (Ops, StageBusy) until its next call. Either way Result.Work
+// still points at the caller's rows.
 package pipeline
 
 import (
@@ -19,25 +19,15 @@ import (
 	"slices"
 )
 
-// Schedule selects the pipeline schedule.
+// Schedule names a pipeline schedule.
 type Schedule int
 
-const (
-	// OneFOneB is the 1F1B schedule (DAPPLE/PipeDream-flush): warmup
-	// forwards, steady one-forward-one-backward, cooldown backwards.
-	// DistTrain uses 1F1B; GPipe "consumes more memory without offering
-	// better training efficiency" (§4.2).
-	OneFOneB Schedule = iota
-	// GPipe runs all forwards, then all backwards.
-	GPipe
-)
-
-func (s Schedule) String() string {
-	if s == GPipe {
-		return "gpipe"
-	}
-	return "1f1b"
-}
+// OneFOneB is the 1F1B schedule (DAPPLE/PipeDream-flush): warmup
+// forwards, steady one-forward-one-backward, cooldown backwards.
+// DistTrain uses 1F1B; GPipe "consumes more memory without offering
+// better training efficiency" (§4.2), so 1F1B is the one schedule
+// simulated.
+const OneFOneB Schedule = 0
 
 // OpKind distinguishes forward and backward work.
 type OpKind int
@@ -131,30 +121,9 @@ func (w *Work) p2p(link int) float64 {
 	return w.P2P[link]
 }
 
-// UniformWork builds a Work with identical per-microbatch times per
-// stage — the homogeneous baseline of Figure 7(a).
-func UniformWork(fwd, bwd []float64, microbatches int) Work {
-	s := len(fwd)
-	w := Work{Fwd: make([][]float64, s), Bwd: make([][]float64, s)}
-	for i := 0; i < s; i++ {
-		w.Fwd[i] = repeat(fwd[i], microbatches)
-		w.Bwd[i] = repeat(bwd[i], microbatches)
-	}
-	return w
-}
-
-func repeat(v float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
 // Result is a completed simulation.
 type Result struct {
-	Schedule Schedule
-	Work     Work
+	Work Work
 	// Ops in execution order per stage.
 	Ops []Op
 	// IterTime is the makespan of the pipeline (excludes optimizer).
@@ -202,33 +171,20 @@ type opRef struct {
 	kind  OpKind
 }
 
-// appendStageProgram appends one stage's fixed op order — 2l ops under
-// either schedule — to prog, so Simulate can lay all stage programs
-// out in a single backing slice.
-func appendStageProgram(prog []opRef, sch Schedule, stage, stages, l int) []opRef {
-	switch sch {
-	case GPipe:
-		for m := 0; m < l; m++ {
-			prog = append(prog, opRef{stage, m, Forward})
-		}
-		for m := l - 1; m >= 0; m-- {
-			prog = append(prog, opRef{stage, m, Backward})
-		}
-	default: // OneFOneB
-		warmup := stages - stage - 1
-		if warmup > l {
-			warmup = l
-		}
-		for m := 0; m < warmup; m++ {
-			prog = append(prog, opRef{stage, m, Forward})
-		}
-		for i := 0; i < l-warmup; i++ {
-			prog = append(prog, opRef{stage, warmup + i, Forward})
-			prog = append(prog, opRef{stage, i, Backward})
-		}
-		for m := l - warmup; m < l; m++ {
-			prog = append(prog, opRef{stage, m, Backward})
-		}
+// appendStageProgram appends one stage's fixed 1F1B op order — 2l ops
+// — to prog, so Simulate can lay all stage programs out in a single
+// backing slice.
+func appendStageProgram(prog []opRef, stage, stages, l int) []opRef {
+	warmup := min(stages-stage-1, l)
+	for m := 0; m < warmup; m++ {
+		prog = append(prog, opRef{stage, m, Forward})
+	}
+	for i := 0; i < l-warmup; i++ {
+		prog = append(prog, opRef{stage, warmup + i, Forward})
+		prog = append(prog, opRef{stage, i, Backward})
+	}
+	for m := l - warmup; m < l; m++ {
+		prog = append(prog, opRef{stage, m, Backward})
 	}
 	return prog
 }
@@ -255,8 +211,8 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// Simulate computes the exact timeline of the schedule over the given
-// work. The dependency structure is:
+// Simulate computes the exact 1F1B timeline over the given work (the
+// schedule argument can only name OneFOneB). The dependency structure is:
 //
 //	F(s,m) after F(s-1,m) + p2p  and the stage's previous op
 //	B(s,m) after B(s+1,m) + p2p  (last stage: after F(s,m)) and the
@@ -266,7 +222,7 @@ func zeroed[T any](s []T, n int) []T {
 // a dependency idles (a pipeline bubble). The returned Result aliases
 // the simulator's scratch, valid until its next call — copy out what
 // must outlive it. A failed call leaves the simulator usable.
-func (sim *Simulator) Simulate(sch Schedule, w Work) (*Result, error) {
+func (sim *Simulator) Simulate(_ Schedule, w Work) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -279,7 +235,7 @@ func (sim *Simulator) Simulate(sch Schedule, w Work) (*Result, error) {
 	pos, stageClock := sim.pos, sim.stageClock
 	prog := slices.Grow(sim.prog[:0], 2*S*l)
 	for s := 0; s < S; s++ {
-		prog = appendStageProgram(prog, sch, s, S, l)
+		prog = appendStageProgram(prog, s, S, l)
 	}
 	sim.prog = prog
 
@@ -308,7 +264,7 @@ func (sim *Simulator) Simulate(sch Schedule, w Work) (*Result, error) {
 	}
 
 	res := &sim.res
-	*res = Result{Schedule: sch, Work: w, StageBusy: zeroed(res.StageBusy, S), Ops: slices.Grow(res.Ops[:0], 2*S*l)}
+	*res = Result{Work: w, StageBusy: zeroed(res.StageBusy, S), Ops: slices.Grow(res.Ops[:0], 2*S*l)}
 	remaining := 2 * S * l
 	for remaining > 0 {
 		advanced := false

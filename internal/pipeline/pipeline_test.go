@@ -9,6 +9,26 @@ import (
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// UniformWork builds a Work with identical per-microbatch times per
+// stage — the homogeneous baseline of Figure 7(a).
+func UniformWork(fwd, bwd []float64, microbatches int) Work {
+	s := len(fwd)
+	w := Work{Fwd: make([][]float64, s), Bwd: make([][]float64, s)}
+	for i := 0; i < s; i++ {
+		w.Fwd[i] = repeat(fwd[i], microbatches)
+		w.Bwd[i] = repeat(bwd[i], microbatches)
+	}
+	return w
+}
+
+func repeat(v float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
 func TestValidate(t *testing.T) {
 	if err := (Work{}).Validate(); err == nil {
 		t.Error("empty work accepted")
@@ -42,21 +62,6 @@ func TestHomogeneous1F1BClosedForm(t *testing.T) {
 		if !almostEq(res.IterTime, want) {
 			t.Errorf("S=%d l=%d: iter=%g want %g", tc.S, tc.l, res.IterTime, want)
 		}
-	}
-}
-
-// GPipe with homogeneous stages: (S-1+l)*f + (S-1+l)*b.
-func TestHomogeneousGPipeClosedForm(t *testing.T) {
-	S, l := 4, 6
-	f, b := 1.0, 2.0
-	w := UniformWork(repeat(f, S), repeat(b, S), l)
-	res, err := Simulate(GPipe, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := float64(S-1+l)*f + float64(S-1+l)*b
-	if !almostEq(res.IterTime, want) {
-		t.Errorf("gpipe iter=%g want %g", res.IterTime, want)
 	}
 }
 
@@ -114,11 +119,7 @@ func TestTimelineRespectsDependencies(t *testing.T) {
 		for i := range w.P2P {
 			w.P2P[i] = rng.Float64() * 0.05
 		}
-		sch := OneFOneB
-		if trial%2 == 1 {
-			sch = GPipe
-		}
-		res, err := Simulate(sch, w)
+		res, err := Simulate(OneFOneB, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,11 +207,6 @@ func TestFirstStageIntervals(t *testing.T) {
 	if ivs[0].Filled <= 0 {
 		t.Error("interval 1 should hold the warmup forwards")
 	}
-	// GPipe has no interval decomposition.
-	resG, _ := Simulate(GPipe, w)
-	if _, err := resG.FirstStageIntervals(); err == nil {
-		t.Error("intervals must reject GPipe results")
-	}
 }
 
 // The predictor must reproduce the simulator's interval boundaries on
@@ -242,7 +238,8 @@ func TestIntervalPredictorMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ip := NewIntervalPredictor(S, nil)
+		var ip IntervalPredictor
+		ip.Reset(S, nil)
 		for m := 0; m < l; m++ {
 			fwd := make([]float64, S)
 			bwd := make([]float64, S)
@@ -280,7 +277,8 @@ func (ip *IntervalPredictor) Clone() *IntervalPredictor {
 }
 
 func TestIntervalPredictorClone(t *testing.T) {
-	ip := NewIntervalPredictor(3, nil)
+	ip := new(IntervalPredictor)
+	ip.Reset(3, nil)
 	ip.Append([]float64{1, 1, 1}, []float64{2, 2, 2})
 	c := ip.Clone()
 	a := ip.Append([]float64{1, 1, 1}, []float64{2, 2, 2})
@@ -288,7 +286,7 @@ func TestIntervalPredictorClone(t *testing.T) {
 	if !almostEq(a.Start, b.Start) || !almostEq(a.End, b.End) {
 		t.Error("clone diverged from original")
 	}
-	if ip.Placed() != 2 || c.Placed() != 2 {
+	if ip.placed != 2 || c.placed != 2 {
 		t.Error("placed counts wrong")
 	}
 }

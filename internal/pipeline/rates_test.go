@@ -102,22 +102,3 @@ func TestSimulateSlowdownStretchesStage(t *testing.T) {
 		t.Errorf("post-iteration slowdown window changed makespan: %g vs %g", got2.IterTime, base.IterTime)
 	}
 }
-
-// TestSimulateVPPHonoursRates: the interleaved simulator integrates
-// through the same schedules.
-func TestSimulateVPPHonoursRates(t *testing.T) {
-	w := UniformWork([]float64{1, 1}, []float64{2, 2}, 4)
-	base, err := SimulateVPP(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slowed := w
-	slowed.Rates = []RateSchedule{{{Until: 6, Rate: 0.5}}, nil}
-	got, err := SimulateVPP(slowed, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.IterTime <= base.IterTime {
-		t.Errorf("VPP slowdown did not stretch the pipeline: %g <= %g", got.IterTime, base.IterTime)
-	}
-}

@@ -25,9 +25,8 @@ func (s *byteSrc) next(mod int) int {
 // 1-40 microbatches, durations on a quarter grid (zero included), P2P
 // and Rates each nil or set, and now and then a shape Validate rejects
 // (a ragged row, a short P2P, a non-increasing rate bound).
-func fuzzWork(src *byteSrc) (Schedule, Work) {
+func fuzzWork(src *byteSrc) Work {
 	S, l := 1+src.next(8), 1+src.next(40)
-	sch := Schedule(src.next(2))
 	w := Work{Fwd: make([][]float64, S), Bwd: make([][]float64, S)}
 	for s := 0; s < S; s++ {
 		w.Fwd[s], w.Bwd[s] = make([]float64, l), make([]float64, l)
@@ -62,7 +61,7 @@ func fuzzWork(src *byteSrc) (Schedule, Work) {
 		w.Rates = make([]RateSchedule, S)
 		w.Rates[S-1] = RateSchedule{{Until: 2, Rate: 1}, {Until: 2, Rate: 2}}
 	}
-	return sch, w
+	return w
 }
 
 // sameResult compares two simulations bit for bit.
@@ -71,9 +70,9 @@ func sameResult(t *testing.T, step int, got, want *Result) {
 	if math.Float64bits(got.IterTime) != math.Float64bits(want.IterTime) {
 		t.Fatalf("step %d: IterTime %v, fresh %v", step, got.IterTime, want.IterTime)
 	}
-	if got.Schedule != want.Schedule || len(got.StageBusy) != len(want.StageBusy) || len(got.Ops) != len(want.Ops) {
-		t.Fatalf("step %d: shape (%v, %d stages, %d ops), fresh (%v, %d, %d)", step,
-			got.Schedule, len(got.StageBusy), len(got.Ops), want.Schedule, len(want.StageBusy), len(want.Ops))
+	if len(got.StageBusy) != len(want.StageBusy) || len(got.Ops) != len(want.Ops) {
+		t.Fatalf("step %d: shape (%d stages, %d ops), fresh (%d, %d)", step,
+			len(got.StageBusy), len(got.Ops), len(want.StageBusy), len(want.Ops))
 	}
 	for s := range want.StageBusy {
 		if math.Float64bits(got.StageBusy[s]) != math.Float64bits(want.StageBusy[s]) {
@@ -103,9 +102,9 @@ func FuzzSimulatorReuse(f *testing.F) {
 		src := &byteSrc{b: data}
 		var sim Simulator
 		for step := 0; step < 12; step++ {
-			sch, w := fuzzWork(src)
-			want, wantErr := Simulate(sch, w)
-			got, gotErr := sim.Simulate(sch, w)
+			w := fuzzWork(src)
+			want, wantErr := Simulate(OneFOneB, w)
+			got, gotErr := sim.Simulate(OneFOneB, w)
 			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 				t.Fatalf("step %d: error %v, fresh %v", step, gotErr, wantErr)
 			}
@@ -118,7 +117,7 @@ func FuzzSimulatorReuse(f *testing.F) {
 
 // TestSimulatorAllocFree pins the point of the Simulator: after one
 // warm-up call at its largest shape, simulating allocates nothing —
-// at that shape or a smaller one, either schedule, rates or none.
+// at that shape or a smaller one, rates or none.
 func TestSimulatorAllocFree(t *testing.T) {
 	big := UniformWork([]float64{1, 2, 3, 2, 1, 2}, []float64{2, 4, 6, 4, 2, 4}, 16)
 	big.P2P = []float64{0.1, 0.1, 0.1, 0.1, 0.1}
@@ -129,11 +128,8 @@ func TestSimulatorAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(50, func() {
-		for _, c := range []struct {
-			sch Schedule
-			w   Work
-		}{{OneFOneB, big}, {GPipe, small}, {GPipe, big}, {OneFOneB, small}} {
-			if _, err := sim.Simulate(c.sch, c.w); err != nil {
+		for _, w := range []Work{big, small, big, small} {
+			if _, err := sim.Simulate(OneFOneB, w); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,15 +1,11 @@
 package profiler
 
-import (
-	"disttrain/internal/fingerprint"
-	"disttrain/internal/model"
-)
+import "disttrain/internal/fingerprint"
 
 // CalibrationFingerprint returns a content hash of everything a plan
 // search reads from this profiler: the full Options (cluster, model,
-// freeze setting, overlap/parallelism knobs, per-module SKU overrides)
-// plus the calibrated state — mean sample shape and the interpolation
-// trial tables. Two profilers with identical options and identical
+// freeze setting, StepCCL overlap) plus the calibrated state, the mean
+// sample shape. Two profilers with identical options and identical
 // calibrations fingerprint identically, whatever their pointer
 // identity, so the durable plan cache can share plans across processes
 // and across independently calibrated instances.
@@ -20,35 +16,13 @@ import (
 func (p *Profiler) CalibrationFingerprint() string { return p.fp }
 
 func (p *Profiler) computeFingerprint() string {
-	h := fingerprint.New("disttrain-profiler/v1")
+	h := fingerprint.New("disttrain-profiler/v2")
 	o := p.opts
 	fingerprint.Cluster(h, o.Cluster)
 	fingerprint.Model(h, o.Model)
 	fingerprint.Freeze(h, o.Freeze)
 	h.F64(o.StepCCLOverlap)
-	h.Bool(o.SeqParallel)
-	h.Bool(o.ReplicateSmallModules)
-	h.Int(o.MicrobatchSize)
-	// ModuleGPUs in fixed module order, presence-tagged: map iteration
-	// order must never leak into the hash.
-	for _, mod := range model.Modules {
-		g, ok := o.ModuleGPUs[mod]
-		h.Bool(ok)
-		if ok {
-			fingerprint.GPU(h, g)
-		}
-	}
 	h.Bool(p.calibrated)
 	fingerprint.Shape(h, p.meanShape)
-	for _, mod := range model.Modules {
-		for _, tp := range []int{1, 2, 4, 8} {
-			pts := p.interpTable[interpKey{mod, tp}]
-			h.Int(len(pts))
-			for _, pt := range pts {
-				h.F64(pt.tokens)
-				h.F64(pt.fwd)
-			}
-		}
-	}
 	return h.Sum()
 }

@@ -66,16 +66,10 @@ func TestCalibrationFingerprintDiscriminates(t *testing.T) {
 	}
 
 	mut := map[string]func(*Options){
-		"cluster":   func(o *Options) { o.Cluster = cluster.Production(5) },
-		"model":     func(o *Options) { o.Model = model.MLLM15B() },
-		"freeze":    func(o *Options) { o.Freeze = model.EncoderOnly },
-		"overlap":   func(o *Options) { o.StepCCLOverlap = 0.5 },
-		"seqpar":    func(o *Options) { o.SeqParallel = false },
-		"replicate": func(o *Options) { o.ReplicateSmallModules = false },
-		"mbs":       func(o *Options) { o.MicrobatchSize = 2 },
-		"modulegpus": func(o *Options) {
-			o.ModuleGPUs = map[model.Module]cluster.GPUSpec{model.Encoder: cluster.L20Class}
-		},
+		"cluster": func(o *Options) { o.Cluster = cluster.Production(5) },
+		"model":   func(o *Options) { o.Model = model.MLLM15B() },
+		"freeze":  func(o *Options) { o.Freeze = model.EncoderOnly },
+		"overlap": func(o *Options) { o.StepCCLOverlap = 0.5 },
 	}
 	for name, m := range mut {
 		opts := base
@@ -98,8 +92,7 @@ func TestCalibrationFingerprintDiscriminates(t *testing.T) {
 // TestOptionsFieldSetPinned mirrors the fingerprint package's guard:
 // new Options fields must enter computeFingerprint before this list.
 func TestOptionsFieldSetPinned(t *testing.T) {
-	want := []string{"Cluster", "Model", "Freeze", "StepCCLOverlap", "SeqParallel",
-		"ReplicateSmallModules", "MicrobatchSize", "ModuleGPUs"}
+	want := []string{"Cluster", "Model", "Freeze", "StepCCLOverlap"}
 	rt := reflect.TypeOf(Options{})
 	var got []string
 	for i := 0; i < rt.NumField(); i++ {

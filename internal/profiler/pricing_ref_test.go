@@ -12,7 +12,10 @@ import (
 // bodies of TransformerConfig.FwdFLOPsPerToken, MLLM.EncoderFwdFLOPs /
 // GeneratorFwdFLOPs / generatorTrainableFwdFLOPs / ModuleTrainFLOPs /
 // ModuleFwdFLOPs and Profiler.efficiency / tpComm / SampleForward /
-// SampleTrain, verbatim but for receivers becoming parameters. They
+// SampleTrain, verbatim but for receivers becoming parameters and the
+// deployment options the profiler no longer has (replicated encoder and
+// generator, sequence parallelism, the cluster's SKU for every module)
+// becoming their one value. They
 // re-derive every constant from the configs on every call, which is
 // what made them slow and what makes them a reference: the compiled
 // path must agree with them bit for bit (FuzzSamplePricing).
@@ -97,7 +100,7 @@ func refEfficiency(p *Profiler, mod model.Module, width int) float64 {
 	case model.Generator:
 		base = 0.44
 	}
-	if p.opts.ReplicateSmallModules && mod != model.Backbone {
+	if mod != model.Backbone {
 		// Replication keeps full-size kernels on every GPU.
 		return base
 	}
@@ -108,7 +111,7 @@ func refTPComm(p *Profiler, mod model.Module, tp int, samples int) float64 {
 	if tp <= 1 {
 		return 0
 	}
-	if p.opts.ReplicateSmallModules && mod != model.Backbone {
+	if mod != model.Backbone {
 		return 0 // replicated modules do not communicate within the group
 	}
 	m := p.opts.Model
@@ -116,32 +119,20 @@ func refTPComm(p *Profiler, mod model.Module, tp int, samples int) float64 {
 		BandwidthBps: p.opts.Cluster.GroupBandwidth(tp),
 		Latency:      p.opts.Cluster.LinkLatency,
 	}
-	var layers int
-	var actBytes float64
-	switch mod {
-	case model.Backbone:
-		layers = m.Backbone.Layers
-		actBytes = float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2 * float64(samples)
-	case model.Encoder:
-		layers = m.Encoder.Layers
-		actBytes = float64(p.meanImageTokens()) * float64(m.Encoder.HiddenSize) * 2 * float64(samples)
-	case model.Generator:
-		layers = len(m.Generator.StageChannels) * (m.Generator.DownBlocks + m.Generator.UpBlocks)
-		latent := float64(m.GenResolution / m.Generator.LatentScale)
-		actBytes = latent * latent * float64(m.Generator.StageChannels[0]) * 2 * float64(samples)
-	}
-	per := comm.TPOverheadPerLayer(cost, actBytes, tp, p.opts.SeqParallel && mod == model.Backbone, p.opts.StepCCLOverlap)
+	layers := m.Backbone.Layers
+	actBytes := float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2 * float64(samples)
+	per := comm.TPOverheadPerLayer(cost, actBytes, tp, true, p.opts.StepCCLOverlap)
 	return per * float64(layers)
 }
 
 func refSampleForward(p *Profiler, mod model.Module, width int, s model.SampleShape) float64 {
 	flops := refModuleFwdFLOPs(p.opts.Model, mod, s)
 	eff := refEfficiency(p, mod, width)
-	gpu := p.opts.GPUFor(mod).PeakFLOPS
+	gpu := p.opts.Cluster.GPU.PeakFLOPS
 	t := flops / (float64(width) * gpu * eff)
-	if p.opts.ReplicateSmallModules && mod != model.Backbone {
+	if mod != model.Backbone {
 		// Image-granular replication: imbalance when images % width != 0.
-		n := s.NumImages()
+		n := len(s.ImageTokens)
 		if mod == model.Generator {
 			n = s.GenImages
 		}
@@ -153,10 +144,10 @@ func refSampleForward(p *Profiler, mod model.Module, width int, s model.SampleSh
 func refSampleTrain(p *Profiler, mod model.Module, width int, s model.SampleShape) float64 {
 	fwdFLOPs, bwdFLOPs := refModuleTrainFLOPs(p.opts.Model, mod, s, p.opts.Freeze)
 	eff := refEfficiency(p, mod, width)
-	gpu := p.opts.GPUFor(mod).PeakFLOPS
+	gpu := p.opts.Cluster.GPU.PeakFLOPS
 	t := (fwdFLOPs + bwdFLOPs) / (float64(width) * gpu * eff)
-	if p.opts.ReplicateSmallModules && mod != model.Backbone {
-		n := s.NumImages()
+	if mod != model.Backbone {
+		n := len(s.ImageTokens)
 		if mod == model.Generator {
 			n = s.GenImages
 		}

@@ -30,30 +30,23 @@ func pricingModels() []model.MLLM {
 
 // pricingGrid builds one profiler per point of the option grid the
 // compiled cost model must cover: pricingModels × full training and
-// the four frozen settings × ReplicateSmallModules × SeqParallel ×
-// StepCCLOverlap 0/0.85 × a ModuleGPUs override × calibrated (on a
+// the four frozen settings × StepCCLOverlap 0/0.85 × calibrated (on a
 // mean image of 300 tokens) or not.
 func pricingGrid(tb testing.TB) []*Profiler {
 	tb.Helper()
 	var grid []*Profiler
 	cl := cluster.Production(4)
-	onOff := []bool{false, true}
 	for _, m := range pricingModels() {
 		for _, freeze := range append([]model.FreezeSpec{model.FullTraining}, model.FrozenSettings()...) {
-			for bits := 0; bits < 32; bits++ {
+			for bits := 0; bits < 4; bits++ {
 				opts := DefaultOptions(cl, m)
 				opts.Freeze = freeze
-				opts.ReplicateSmallModules = onOff[bits&1]
-				opts.SeqParallel = onOff[bits>>1&1]
-				opts.StepCCLOverlap = []float64{0, 0.85}[bits>>2&1]
-				if bits>>3&1 == 1 {
-					opts.ModuleGPUs = map[model.Module]cluster.GPUSpec{model.Encoder: cluster.L20Class}
-				}
+				opts.StepCCLOverlap = []float64{0, 0.85}[bits&1]
 				p, err := New(opts)
 				if err != nil {
 					tb.Fatal(err)
 				}
-				if bits>>4&1 == 1 {
+				if bits>>1&1 == 1 {
 					if err := p.CalibrateShapes([]model.SampleShape{{ImageTokens: []int{300, 300}, GenImages: 1}}); err != nil {
 						tb.Fatal(err)
 					}
@@ -73,9 +66,9 @@ func checkPricing(t *testing.T, p *Profiler, s model.SampleShape, w model.Worklo
 	same := func(got, want float64, what string, args ...any) {
 		t.Helper()
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s on %+v (%s, %s, replicate=%v seqpar=%v overlap=%g gpus=%d calibrated=%v): got %v, reference %v",
-				fmt.Sprintf(what, args...), s, p.opts.Model.Name, p.opts.Freeze.Name, p.opts.ReplicateSmallModules,
-				p.opts.SeqParallel, p.opts.StepCCLOverlap, len(p.opts.ModuleGPUs), p.calibrated, got, want)
+			t.Fatalf("%s on %+v (%s, %s, overlap=%g calibrated=%v): got %v, reference %v",
+				fmt.Sprintf(what, args...), s, p.opts.Model.Name, p.opts.Freeze.Name,
+				p.opts.StepCCLOverlap, p.calibrated, got, want)
 		}
 	}
 	for _, mod := range model.Modules {
@@ -83,10 +76,6 @@ func checkPricing(t *testing.T, p *Profiler, s model.SampleShape, w model.Worklo
 		gotF, gotB := p.kernel.TrainFLOPs(mod, w)
 		same(gotF, wantF, "%v kernel fwd FLOPs", mod)
 		same(gotB, wantB, "%v kernel bwd FLOPs", mod)
-		gotF, gotB = p.opts.Model.ModuleTrainFLOPs(mod, s, p.opts.Freeze)
-		same(gotF, wantF, "%v ModuleTrainFLOPs fwd", mod)
-		same(gotB, wantB, "%v ModuleTrainFLOPs bwd", mod)
-		same(p.opts.Model.ModuleFwdFLOPs(mod, s), refModuleFwdFLOPs(p.opts.Model, mod, s), "%v ModuleFwdFLOPs", mod)
 		for _, width := range pricingWidths {
 			r := p.Resolve(mod, width)
 			fwd, train := r.Price(w)
@@ -112,8 +101,8 @@ func sampleOf(s model.SampleShape) data.Sample {
 }
 
 // FuzzSamplePricing holds the compiled cost model — CostKernel, Rate,
-// the SampleForward/SampleTrain wrappers, SampleCost, the MLLM value
-// methods and the data.Sample walk — to the formulas it was compiled
+// the SampleForward/SampleTrain wrappers, SampleCost and the
+// data.Sample walk — to the formulas it was compiled
 // from (pricing_ref_test.go) on byte-driven shapes: b[0] picks 0-12
 // images and 0-4 generated images, then two bytes per image give a
 // signed 16-bit token count (zero, negative and > 4096 included).
@@ -174,14 +163,12 @@ func TestAggregatedMicrobatchPricing(t *testing.T) {
 }
 
 // TestCalibrateShapesAfterQueries is the staleness check on what the
-// profiler compiles: with tensor-parallel small modules the encoder's
-// communication term reads the calibrated mean image size, so a
-// recalibration after queries must move SampleTrain(Encoder, 8, s) to
-// exactly what a profiler built on the new calibration answers — and
-// SampleCost, served from rates resolved before it, likewise.
+// profiler compiles: queries before a recalibration leave nothing
+// behind, so afterwards CTrain — which reads the calibrated mean shape
+// — SampleTrain and SampleCost answer exactly what a profiler built on
+// the new calibration answers.
 func TestCalibrateShapesAfterQueries(t *testing.T) {
 	opts := DefaultOptions(cluster.Production(4), model.MLLM9B())
-	opts.ReplicateSmallModules = false
 	s := model.SampleShape{ImageTokens: []int{256, 1024, 64}, GenImages: 2}
 	build := func(calib ...[]model.SampleShape) *Profiler {
 		p, err := New(opts)
@@ -208,8 +195,8 @@ func TestCalibrateShapesAfterQueries(t *testing.T) {
 	if want := refSampleTrain(recal, model.Encoder, 8, s); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("recalibrated SampleTrain(Encoder, 8) = %v, the reference on its calibration = %v", got, want)
 	}
-	if before := build(small).SampleTrain(model.Encoder, 8, s); before == got {
-		t.Errorf("SampleTrain(Encoder, 8) = %v on mean images of 100 and of 4000 tokens: calibration not read", got)
+	if before, after := build(small).CTrain(model.Encoder, 8), recal.CTrain(model.Encoder, 8); before == after {
+		t.Errorf("CTrain(Encoder, 8) = %v on mean images of 100 and of 4000 tokens: calibration not read", after)
 	}
 	w := recal.Kernel().Fold(s)
 	if got, want := recal.SampleCost(w), fresh.SampleCost(w); math.Float64bits(got) != math.Float64bits(want) {

@@ -1,32 +1,28 @@
-// Package profiler is DistTrain's performance profiler (§3): it "runs a
-// series of benchmarking training trials and constructs a performance
-// profiler with linear interpolation to estimate each module's
-// computation and communication time". The trials here evaluate the
-// analytic cost model of internal/model on a calibrated GPU efficiency
-// curve; the interpolation layer then answers arbitrary workload
-// queries, exactly as the production profiler answers them from
-// measured trials.
+// Package profiler is DistTrain's performance profiler (§3): it
+// estimates each module's computation and communication time. Where
+// the paper's profiler interpolates over measured benchmarking trials,
+// this one evaluates the analytic cost model of internal/model on a
+// calibrated GPU efficiency curve directly, for every workload.
 //
 // The profiler exposes the paper's three cost functions — C_me(TP),
-// C_lm(TP) and C_mg(TP), the forward time of an entire module for one
-// sample at a given tensor-parallel width, communication included —
-// plus their fwd+bwd variants used by the orchestration objective.
+// C_lm(TP) and C_mg(TP), the time of an entire module for one sample
+// at a given tensor-parallel width, communication included — in the
+// fwd+bwd form the orchestration objective uses (CTrain), and prices
+// any one sample's forward and forward+backward seconds.
 //
 // Pricing is compiled, not re-derived per call. New compiles the model
-// and freeze setting into a model.CostKernel (FLOPs constants, fixed
-// for the profiler's life) and tabulates a Rate — achieved FLOP/s and
-// exposed TP communication — per (module, width); rates read the
-// calibrated mean image size, so CalibrateShapes rebuilds the table and
-// outdates every Rate handed out. Rate.Price is the whole per-sample
-// evaluation; SampleForward/SampleTrain wrap it, and the trainer prices
-// every sample through rates it resolves once per plan.
+// and freeze setting into a model.CostKernel and tabulates a Rate —
+// achieved FLOP/s and exposed TP communication — per (module, width);
+// both are fixed for the profiler's life, since neither reads the
+// calibration. Rate.Price is the whole per-sample evaluation;
+// SampleForward/SampleTrain wrap it, and the trainer prices every sample
+// through rates it resolves once per plan.
 package profiler
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/comm"
@@ -34,7 +30,13 @@ import (
 	"disttrain/internal/model"
 )
 
-// Options configures a profiler.
+// Options configures a profiler. The rest of the deployment it prices
+// is the paper's production one (§7.1): every module runs on the
+// cluster's SKU, and the encoder and generator replicate the model
+// across the GPUs of their group instead of TP-sharding it ("we
+// replicate the modality encoder and generator across the GPUs within
+// the TP group... whereas TP itself is not used"), so only the backbone
+// communicates within a layer, with sequence parallelism on.
 type Options struct {
 	Cluster cluster.Cluster
 	Model   model.MLLM
@@ -43,80 +45,41 @@ type Options struct {
 	// hidden behind computation by StepCCL (Appendix A.1); 0 models the
 	// baseline without overlap.
 	StepCCLOverlap float64
-	// SeqParallel enables sequence parallelism inside the LLM backbone.
-	SeqParallel bool
-	// ReplicateSmallModules processes different images on different
-	// GPUs of an encoder/generator group instead of tensor-parallelism
-	// ("we replicate the modality encoder and generator across the GPUs
-	// within the TP group... whereas TP itself is not used", §7.1).
-	ReplicateSmallModules bool
-	// MicrobatchSize is the per-microbatch sample count M (§4.2 sets it
-	// to a small predefined constant to avoid memory overflow).
-	MicrobatchSize int
-	// ModuleGPUs optionally assigns a different accelerator SKU to a
-	// module — the heterogeneous-hardware deployment of §8 ("we can
-	// place [the] ViT encoder on more economical GPUs, e.g. NVIDIA
-	// L20"). Modules absent from the map use the cluster's SKU.
-	ModuleGPUs map[model.Module]cluster.GPUSpec
-}
-
-// GPUFor returns the accelerator SKU a module runs on.
-func (o *Options) GPUFor(mod model.Module) cluster.GPUSpec {
-	if g, ok := o.ModuleGPUs[mod]; ok {
-		return g
-	}
-	return o.Cluster.GPU
 }
 
 // DefaultOptions returns the production configuration for a model on a
-// cluster: StepCCL enabled, sequence parallelism on, replicated small
-// modules, M = 1.
+// cluster: full training with StepCCL enabled.
 func DefaultOptions(cl cluster.Cluster, m model.MLLM) Options {
 	return Options{
-		Cluster:               cl,
-		Model:                 m,
-		Freeze:                model.FullTraining,
-		StepCCLOverlap:        0.85,
-		SeqParallel:           true,
-		ReplicateSmallModules: true,
-		MicrobatchSize:        1,
+		Cluster:        cl,
+		Model:          m,
+		Freeze:         model.FullTraining,
+		StepCCLOverlap: 0.85,
 	}
 }
 
 // Profiler converts module workloads into seconds.
 //
-// Concurrency: query methods (CFwd, CTrain, SampleForward, SampleTrain,
-// SampleCost, Resolve, Kernel, InterpForward, MeanShape, Options) and
+// Concurrency: query methods (CTrain, SampleForward, SampleTrain,
+// SampleCost, Resolve, Kernel, MeanShape, Options) and
 // resolved Rates are safe for concurrent use — the parallel plan-search
 // engine and the trainer's rank workers issue them from many goroutines
-// at once. Calibrate mutates the profiler and must not run concurrently
-// with queries; it outdates every Rate resolved before it (the kernel
-// stays valid). Calibrate once, then share.
+// at once. Calibrate mutates the profiler's mean shape and must not run
+// concurrently with queries. Calibrate once, then share.
 type Profiler struct {
 	opts   Options
 	kernel model.CostKernel // compiled from (opts.Model, opts.Freeze)
-	rates  [3][4]Rate       // resolve at widths 1, 2, 4, 8; CalibrateShapes rebuilds it
+	rates  [3][4]Rate       // resolve at widths 1, 2, 4, 8
 	// meanShape is the corpus-calibrated average sample composition,
 	// gathered by Calibrate (the manager "samples a subset of training
 	// data to analyze the data distribution").
-	meanShape   model.SampleShape
-	calibrated  bool
-	interpTable map[interpKey][]interpPoint
+	meanShape  model.SampleShape
+	calibrated bool
 	// fp is the cached CalibrationFingerprint, recomputed whenever the
 	// hashed state changes (New, CalibrateShapes). A plain field is safe
 	// under the same contract as meanShape: calibration never races
 	// queries.
 	fp string
-}
-
-type interpKey struct {
-	mod model.Module
-	tp  int
-}
-
-type interpPoint struct {
-	tokens float64 // workload size proxy (modality tokens or gen images)
-	fwd    float64
 }
 
 // New creates a profiler. Options must carry a valid cluster and model.
@@ -127,14 +90,15 @@ func New(opts Options) (*Profiler, error) {
 	if err := opts.Model.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.MicrobatchSize <= 0 {
-		return nil, fmt.Errorf("profiler: MicrobatchSize %d must be positive", opts.MicrobatchSize)
-	}
 	if opts.StepCCLOverlap < 0 || opts.StepCCLOverlap > 1 {
 		return nil, fmt.Errorf("profiler: StepCCLOverlap %g outside [0,1]", opts.StepCCLOverlap)
 	}
-	p := &Profiler{opts: opts, interpTable: map[interpKey][]interpPoint{}, kernel: opts.Model.Compile(opts.Freeze)}
-	p.tabulate()
+	p := &Profiler{opts: opts, kernel: opts.Model.Compile(opts.Freeze)}
+	for _, mod := range model.Modules {
+		for i := range p.rates[mod] {
+			p.rates[mod][i] = p.resolve(mod, 1<<i)
+		}
+	}
 	p.fp = p.computeFingerprint()
 	return p, nil
 }
@@ -143,66 +107,39 @@ func New(opts Options) (*Profiler, error) {
 func (p *Profiler) Options() Options { return p.opts }
 
 // efficiency returns the fraction of peak FLOP/s a module achieves on
-// one GPU, degraded as tensor parallelism shrinks the per-GPU matrix
-// shards. Values are calibrated so the end-to-end evaluation reproduces
-// the paper's MFU bands (EXPERIMENTS.md): dense 8K-context transformer
-// GEMMs near 0.68 of bf16 peak, ViT's smaller GEMMs near 0.57, and the
-// generator mix (UNet convolutions plus the memory-bound VAE) near
-// 0.44.
-func (p *Profiler) efficiency(mod model.Module, width int) float64 {
-	var base float64
+// one GPU. Values are calibrated so the end-to-end evaluation
+// reproduces the paper's MFU bands (EXPERIMENTS.md): dense 8K-context
+// transformer GEMMs near 0.68 of bf16 peak, degraded as tensor
+// parallelism shrinks the backbone's per-GPU matrix shards; ViT's
+// smaller GEMMs near 0.57 and the generator mix (UNet convolutions plus
+// the memory-bound VAE) near 0.44, replicated at full kernel size on
+// every GPU.
+func efficiency(mod model.Module, width int) float64 {
 	switch mod {
-	case model.Backbone:
-		base = 0.68
 	case model.Encoder:
-		base = 0.57
+		return 0.57
 	case model.Generator:
-		base = 0.44
+		return 0.44
 	}
-	if p.opts.ReplicateSmallModules && mod != model.Backbone {
-		// Replication keeps full-size kernels on every GPU.
-		return base
-	}
-	return base * (1 - 0.02*math.Log2(float64(width)))
+	return 0.68 * (1 - 0.02*math.Log2(float64(width)))
 }
 
 // tpComm returns the exposed tensor-parallel communication time for one
-// sample across a whole module at the given TP width.
+// sample across a whole module at the given TP width: the backbone's
+// sequence-parallel collectives; replicated modules do not communicate
+// within the group.
 func (p *Profiler) tpComm(mod model.Module, tp int) float64 {
-	if tp <= 1 {
+	if tp <= 1 || mod != model.Backbone {
 		return 0
-	}
-	if p.opts.ReplicateSmallModules && mod != model.Backbone {
-		return 0 // replicated modules do not communicate within the group
 	}
 	m := &p.opts.Model
 	cost := comm.CollectiveCost{
 		BandwidthBps: p.opts.Cluster.GroupBandwidth(tp),
 		Latency:      p.opts.Cluster.LinkLatency,
 	}
-	var layers int
-	var actBytes float64
-	switch mod {
-	case model.Backbone:
-		layers = m.Backbone.Layers
-		actBytes = float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2
-	case model.Encoder:
-		layers = m.Encoder.Layers
-		actBytes = float64(p.meanImageTokens()) * float64(m.Encoder.HiddenSize) * 2
-	case model.Generator:
-		layers = len(m.Generator.StageChannels) * (m.Generator.DownBlocks + m.Generator.UpBlocks)
-		latent := float64(m.GenResolution / m.Generator.LatentScale)
-		actBytes = latent * latent * float64(m.Generator.StageChannels[0]) * 2
-	}
-	per := comm.TPOverheadPerLayer(cost, actBytes, tp, p.opts.SeqParallel && mod == model.Backbone, p.opts.StepCCLOverlap)
-	return per * float64(layers)
-}
-
-func (p *Profiler) meanImageTokens() int {
-	if p.calibrated && len(p.meanShape.ImageTokens) > 0 {
-		return p.meanShape.ImageTokens[0]
-	}
-	return 1024
+	actBytes := float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2
+	per := comm.TPOverheadPerLayer(cost, actBytes, tp, true, p.opts.StepCCLOverlap)
+	return per * float64(m.Backbone.Layers)
 }
 
 // balanceFactor models per-image granularity when a sample's images are
@@ -216,15 +153,14 @@ func balanceFactor(images, width int) float64 {
 	return perGPU * float64(width) / float64(images)
 }
 
-// Rate is a (module, width) pair resolved against the options and the
-// calibration: read-only, valid until the profiler is recalibrated.
+// Rate is a (module, width) pair resolved against the options:
+// read-only, valid for the profiler's life.
 type Rate struct {
-	k        *model.CostKernel
-	mod      model.Module
-	width    int
-	flops    float64 // width · peak FLOP/s · efficiency
-	comm     float64 // exposed TP communication of one forward pass
-	perImage bool    // replicas take whole images: imbalanced when images % width != 0
+	k     *model.CostKernel
+	mod   model.Module
+	width int
+	flops float64 // width · peak FLOP/s · efficiency
+	comm  float64 // exposed TP communication of one forward pass
 }
 
 // Resolve returns the rate of a module over a width-GPU tensor-parallel
@@ -239,17 +175,8 @@ func (p *Profiler) Resolve(mod model.Module, width int) Rate {
 func (p *Profiler) resolve(mod model.Module, width int) Rate {
 	return Rate{
 		k: &p.kernel, mod: mod, width: width,
-		flops:    float64(width) * p.opts.GPUFor(mod).PeakFLOPS * p.efficiency(mod, width),
-		comm:     p.tpComm(mod, width),
-		perImage: p.opts.ReplicateSmallModules && mod != model.Backbone,
-	}
-}
-
-func (p *Profiler) tabulate() {
-	for _, mod := range model.Modules {
-		for i := range p.rates[mod] {
-			p.rates[mod][i] = p.resolve(mod, 1<<i)
-		}
+		flops: float64(width) * p.opts.Cluster.GPU.PeakFLOPS * efficiency(mod, width),
+		comm:  p.tpComm(mod, width),
 	}
 }
 
@@ -260,7 +187,7 @@ func (r Rate) Price(w model.Workload) (fwd, train float64) {
 	fwdFLOPs, bwdFLOPs := r.k.TrainFLOPs(r.mod, w)
 	fwd = fwdFLOPs / r.flops
 	train = (fwdFLOPs + bwdFLOPs) / r.flops
-	if r.perImage {
+	if r.mod != model.Backbone { // replicas take whole images: imbalanced when images % width != 0
 		n := w.Images
 		if r.mod == model.Generator {
 			n = w.GenImages
@@ -301,10 +228,8 @@ func (p *Profiler) SampleCost(w model.Workload) float64 {
 	return enc + gen
 }
 
-// Calibrate samples the corpus and records the mean sample shape; it
-// also (re)builds the interpolation tables for every module and TP
-// width. n is the number of profiling samples (§3's "subset of
-// training data").
+// Calibrate samples the corpus and records the mean sample shape. n is
+// the number of profiling samples (§3's "subset of training data").
 func (p *Profiler) Calibrate(corpus *data.Corpus, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("profiler: need at least one calibration sample")
@@ -329,8 +254,6 @@ func (p *Profiler) CalibrateShapes(shapes []model.SampleShape) error {
 	}
 	p.meanShape = MeanShapeOf(shapes)
 	p.calibrated = true
-	p.tabulate()
-	p.buildInterpolation()
 	p.fp = p.computeFingerprint()
 	return nil
 }
@@ -367,16 +290,12 @@ func MeanShapeOf(shapes []model.SampleShape) model.SampleShape {
 // MeanShape returns the calibrated average sample composition.
 func (p *Profiler) MeanShape() model.SampleShape { return p.meanShape }
 
-// CFwd returns the paper's C function: mean forward seconds per sample
-// for the module at the given width, from the calibrated shape.
-func (p *Profiler) CFwd(mod model.Module, width int) float64 {
-	return p.SampleForward(mod, width, p.shapeOrDefault())
-}
-
-// CTrain returns the fwd+bwd variant of the C function, which the
-// orchestration objective uses ("changing C_lm, C_me, and C_mg from
-// forward time functions to the sum functions of forward and backward
-// time", §4.2). The search tabulates it once per (module, width).
+// CTrain returns the fwd+bwd variant of the paper's C function — mean
+// seconds per sample for the module at the given width, from the
+// calibrated shape — which the orchestration objective uses
+// ("changing C_lm, C_me, and C_mg from forward time functions to the
+// sum functions of forward and backward time", §4.2). The search
+// tabulates it once per (module, width).
 func (p *Profiler) CTrain(mod model.Module, width int) float64 {
 	return p.SampleTrain(mod, width, p.shapeOrDefault())
 }
@@ -386,89 +305,4 @@ func (p *Profiler) shapeOrDefault() model.SampleShape {
 		return p.meanShape
 	}
 	return model.SampleShape{ImageTokens: []int{1024, 1024, 1024, 1024}, GenImages: 1}
-}
-
-// --- linear interpolation layer ---
-
-// buildInterpolation evaluates trial workloads on a grid per module and
-// TP width, mimicking the production profiler's benchmark trials. The
-// encoder/generator grids step in half-image increments of the
-// calibrated mean image size, because their cost functions are
-// piecewise in whole images (a group of k GPUs finishes ceil(n/k)
-// image-times); the backbone grid steps in sequence tokens.
-func (p *Profiler) buildInterpolation() {
-	per := float64(p.meanImageTokens())
-	var modalityGrid []float64
-	for k := 0.0; k <= 24; k += 0.5 {
-		modalityGrid = append(modalityGrid, k*per)
-	}
-	seqGrid := []float64{0, 1024, 2048, 4096, 8192, 16384, 32768}
-	for _, mod := range model.Modules {
-		grid := modalityGrid
-		if mod == model.Backbone {
-			grid = seqGrid
-		}
-		for _, tp := range []int{1, 2, 4, 8} {
-			key := interpKey{mod, tp}
-			var pts []interpPoint
-			for _, tokens := range grid {
-				pts = append(pts, interpPoint{tokens: tokens, fwd: p.trialForward(mod, tp, tokens)})
-			}
-			p.interpTable[key] = pts
-		}
-	}
-}
-
-// trialForward runs one synthetic trial: a sample whose modality volume
-// equals the given token count.
-func (p *Profiler) trialForward(mod model.Module, tp int, tokens float64) float64 {
-	shape := p.trialShape(mod, tokens)
-	return p.SampleForward(mod, tp, shape)
-}
-
-func (p *Profiler) trialShape(mod model.Module, tokens float64) model.SampleShape {
-	switch mod {
-	case model.Encoder:
-		// Split the token volume into mean-sized images.
-		per := p.meanImageTokens()
-		n := int(tokens) / per
-		s := model.SampleShape{}
-		for i := 0; i < n; i++ {
-			s.ImageTokens = append(s.ImageTokens, per)
-		}
-		if rem := int(tokens) % per; rem > 0 {
-			s.ImageTokens = append(s.ImageTokens, rem)
-		}
-		return s
-	case model.Generator:
-		// tokens proxy: generated images in units of mean image tokens.
-		per := p.meanImageTokens()
-		return model.SampleShape{GenImages: int(math.Round(tokens / float64(per)))}
-	default:
-		return model.SampleShape{}
-	}
-}
-
-// InterpForward estimates forward time for a workload of the given
-// modality-token volume by linear interpolation over the trial table —
-// the estimation path the production manager uses instead of running
-// the analytic model everywhere.
-func (p *Profiler) InterpForward(mod model.Module, tp int, tokens float64) (float64, error) {
-	pts, ok := p.interpTable[interpKey{mod, tp}]
-	if !ok || len(pts) == 0 {
-		return 0, fmt.Errorf("profiler: no trials for %v tp=%d (run Calibrate)", mod, tp)
-	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].tokens >= tokens })
-	if i == 0 {
-		return pts[0].fwd, nil
-	}
-	if i == len(pts) {
-		// Extrapolate from the last segment.
-		a, b := pts[len(pts)-2], pts[len(pts)-1]
-		slope := (b.fwd - a.fwd) / (b.tokens - a.tokens)
-		return b.fwd + slope*(tokens-b.tokens), nil
-	}
-	a, b := pts[i-1], pts[i]
-	frac := (tokens - a.tokens) / (b.tokens - a.tokens)
-	return a.fwd + frac*(b.fwd-a.fwd), nil
 }

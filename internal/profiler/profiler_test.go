@@ -35,11 +35,6 @@ func calibrated(t *testing.T, m model.MLLM) *Profiler {
 
 func TestNewValidation(t *testing.T) {
 	opts := DefaultOptions(cluster.Production(1), model.MLLM9B())
-	opts.MicrobatchSize = 0
-	if _, err := New(opts); err == nil {
-		t.Error("zero microbatch size accepted")
-	}
-	opts = DefaultOptions(cluster.Production(1), model.MLLM9B())
 	opts.StepCCLOverlap = 1.5
 	if _, err := New(opts); err == nil {
 		t.Error("overlap > 1 accepted")
@@ -163,49 +158,8 @@ func TestCalibrate(t *testing.T) {
 	if p.CTrain(model.Backbone, 8) >= p.CTrain(model.Backbone, 1) {
 		t.Error("C_lm(8) should be below C_lm(1)")
 	}
-	if p.CFwd(model.Backbone, 8) >= p.CTrain(model.Backbone, 8) {
+	if p.SampleForward(model.Backbone, 8, shape) >= p.CTrain(model.Backbone, 8) {
 		t.Error("fwd-only C must be below fwd+bwd C")
-	}
-}
-
-func TestInterpolationApproximatesModel(t *testing.T) {
-	p := calibrated(t, model.MLLM9B())
-	per := float64(p.MeanShape().ImageTokens[0])
-	// Exact at trial grid points (whole-image workloads).
-	for _, k := range []float64{1, 2, 4, 8} {
-		est, err := p.InterpForward(model.Encoder, 4, k*per)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct := p.trialForward(model.Encoder, 4, k*per)
-		if math.Abs(est-direct) > 1e-12 {
-			t.Errorf("interpolation at grid point %g images off: est %g direct %g", k, est, direct)
-		}
-	}
-	// Off-grid queries land within the per-image step granularity that
-	// bounds any trial-based profiler.
-	for _, tokens := range []float64{700, 3000, 10000} {
-		est, err := p.InterpForward(model.Encoder, 4, tokens)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct := p.trialForward(model.Encoder, 4, tokens)
-		if direct == 0 {
-			continue
-		}
-		if rel := math.Abs(est-direct) / direct; rel > 0.5 {
-			t.Errorf("interpolation at %g tokens off by %.0f%% (est %.3gms direct %.3gms)",
-				tokens, rel*100, est*1e3, direct*1e3)
-		}
-	}
-	// Unknown keys error.
-	if _, err := p.InterpForward(model.Encoder, 3, 100); err == nil {
-		t.Error("interpolation accepted unknown TP width")
-	}
-	// Uncalibrated profilers have no table.
-	fresh := newProfiler(t, model.MLLM9B())
-	if _, err := fresh.InterpForward(model.Encoder, 4, 100); err == nil {
-		t.Error("uncalibrated interpolation should error")
 	}
 }
 
@@ -225,28 +179,28 @@ func TestBalanceFactor(t *testing.T) {
 	}
 }
 
+// TestReplicationAvoidsTPComm: the encoder and generator replicate
+// across their group (§7.1), so a balanced image count scales perfectly
+// — no TP communication, no shard-size efficiency loss — while the
+// TP-sharded backbone pays both.
 func TestReplicationAvoidsTPComm(t *testing.T) {
-	m := model.MLLM9B()
-	opts := DefaultOptions(cluster.Production(2), m)
-	opts.ReplicateSmallModules = true
-	rep, _ := New(opts)
-	opts2 := opts
-	opts2.ReplicateSmallModules = false
-	tp, _ := New(opts2)
-
-	s := model.SampleShape{ImageTokens: []int{1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024}}
-	tRep := rep.SampleForward(model.Encoder, 8, s)
-	tTP := tp.SampleForward(model.Encoder, 8, s)
-	if tRep >= tTP {
-		t.Errorf("replicated encoder (%.3fms) should beat TP-sharded (%.3fms) for balanced image counts",
-			tRep*1e3, tTP*1e3)
+	p := newProfiler(t, model.MLLM9B())
+	s := model.SampleShape{ImageTokens: []int{1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024}, GenImages: 8}
+	for _, mod := range []model.Module{model.Encoder, model.Generator} {
+		t1, t8 := p.SampleForward(mod, 1, s), p.SampleForward(mod, 8, s)
+		if rel := math.Abs(8*t8-t1) / t1; rel > 1e-12 {
+			t.Errorf("%v: 8 replicas take %.4fms, want 1/8 of %.4fms", mod, t8*1e3, t1*1e3)
+		}
+	}
+	if t1, t8 := p.SampleForward(model.Backbone, 1, s), p.SampleForward(model.Backbone, 8, s); 8*t8 <= t1 {
+		t.Errorf("TP-8 backbone %.4fms scales perfectly from %.4fms: no TP cost", t8*1e3, t1*1e3)
 	}
 }
 
 // TestCostCacheConcurrent pins the C-function contract: all concurrent
 // queries agree with the evaluation on the mean shape, and after a
-// recalibration they track the new mean shape. CFwd/CTrain sat behind
-// a memo table until pricing was compiled (the name dates from then);
+// recalibration they track the new mean shape. CTrain sat behind a
+// memo table until pricing was compiled (the name dates from then);
 // the contract is the same. Run under -race by the CI race gate.
 func TestCostCacheConcurrent(t *testing.T) {
 	p := calibrated(t, model.MLLM9B())
@@ -259,13 +213,9 @@ func TestCostCacheConcurrent(t *testing.T) {
 		{model.Backbone, 2}, {model.Backbone, 8},
 		{model.Generator, 1}, {model.Generator, 2},
 	}
-	want := make(map[query][2]float64)
+	want := make(map[query]float64)
 	for _, q := range queries {
-		// Direct evaluation bypasses the memo.
-		want[q] = [2]float64{
-			p.SampleForward(q.mod, q.width, p.MeanShape()),
-			p.SampleTrain(q.mod, q.width, p.MeanShape()),
-		}
+		want[q] = p.SampleTrain(q.mod, q.width, p.MeanShape())
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -275,12 +225,8 @@ func TestCostCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				for _, q := range queries {
-					if got := p.CFwd(q.mod, q.width); got != want[q][0] {
-						errs <- fmt.Errorf("CFwd(%v,%d) = %g, want %g", q.mod, q.width, got, want[q][0])
-						return
-					}
-					if got := p.CTrain(q.mod, q.width); got != want[q][1] {
-						errs <- fmt.Errorf("CTrain(%v,%d) = %g, want %g", q.mod, q.width, got, want[q][1])
+					if got := p.CTrain(q.mod, q.width); got != want[q] {
+						errs <- fmt.Errorf("CTrain(%v,%d) = %g, want %g", q.mod, q.width, got, want[q])
 						return
 					}
 				}

@@ -401,11 +401,6 @@ func InterReorder(mbs []Microbatch, p2p []float64) ([]Microbatch, error) {
 	return new(Reorderer).InterReorder(mbs, p2p)
 }
 
-// InterReorderVPP is its interleaved-1F1B form, on a fresh Reorderer.
-func InterReorderVPP(mbs []Microbatch, p2p []float64, vpp int) ([]Microbatch, error) {
-	return new(Reorderer).InterReorderVPP(mbs, p2p, vpp)
-}
-
 // sortBySize orders ascending by heterogeneous size, stable on index.
 func sortBySize(mbs []Microbatch) {
 	slices.SortStableFunc(mbs, func(a, b Microbatch) int {

@@ -315,7 +315,7 @@ func TestInterReorderVPP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vpp, err := InterReorderVPP(mbs, nil, 2)
+	vpp, err := new(Reorderer).InterReorderVPP(mbs, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestInterReorderVPP(t *testing.T) {
 		}
 	}
 	// vpp=1 falls back to the plain algorithm.
-	one, err := InterReorderVPP(mbs, nil, 1)
+	one, err := new(Reorderer).InterReorderVPP(mbs, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func FuzzReordererReuse(f *testing.F) {
 		var r Reorderer
 		for step := 0; step < 12; step++ {
 			mbs, p2p, vpp := fuzzRank(src)
-			want, wantErr := InterReorderVPP(mbs, p2p, vpp)
+			want, wantErr := new(Reorderer).InterReorderVPP(mbs, p2p, vpp)
 			got, gotErr := r.InterReorderVPP(mbs, p2p, vpp)
 			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 				t.Fatalf("step %d: error %v, fresh %v", step, gotErr, wantErr)

@@ -166,7 +166,7 @@ func (k Kind) fireOnce() bool { return k.known() && kinds[k].fireOnce }
 // FleetScope reports whether the kind addresses the multi-tenant fleet
 // runtime (job arrivals/departures, fleet node membership) rather than
 // one training run's cost model. The trainer ignores fleet-scope
-// events; internal/fleet consumes them through FleetEvents.
+// events; internal/fleet reads them off the Schedule.
 func (k Kind) FleetScope() bool { return k.known() && kinds[k].fleet }
 
 // Event is one timed perturbation. Iteration windows are half-open:
@@ -403,19 +403,6 @@ func (p Perturbation) PoolEvents() []Event {
 	var out []Event
 	for _, e := range p.events {
 		if e.Kind == ProducerFail || e.Kind == ProducerJoin {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// FleetEvents returns the round's fleet-scope events (job-arrive,
-// job-depart, node-fail, node-join, priority-arrive, preempt-storm),
-// in schedule order.
-func (p Perturbation) FleetEvents() []Event {
-	var out []Event
-	for _, e := range p.events {
-		if e.Kind.FleetScope() {
 			out = append(out, e)
 		}
 	}

@@ -70,9 +70,6 @@ func OpenDisk(dir string, opts ...DiskOption) (*Disk, error) {
 	return d, nil
 }
 
-// Dir returns the backing directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // CorruptSkips returns how many corrupt entries Get has skipped.
 func (d *Disk) CorruptSkips() int64 { return d.corrupt.Load() }
 

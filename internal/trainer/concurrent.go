@@ -367,12 +367,6 @@ func (r *Runtime) iteration(p preparedBatch, workers int) (IterationStats, error
 	return r.finishIteration(p, pert, outcomes)
 }
 
-// RunIteration executes one training iteration on the concurrent
-// engine and returns its stats.
-func (r *Runtime) RunIteration(iter int) (IterationStats, error) {
-	return r.iteration(r.prepare(iter), r.workers())
-}
-
 // RunIterationSequential is the single-threaded reference
 // implementation, kept as the equivalence baseline for the concurrent
 // engine (mirroring PlanDistTrainSequential): the concurrent path must
@@ -423,7 +417,7 @@ func (r *Runtime) recoverFromFailure() (resume int, restoreSeconds float64) {
 		return 0, 0
 	}
 	r.ckpt.Flush()
-	ck, d, err := r.ckpt.LatestWithCost()
+	ck, d, err := r.ckpt.Latest()
 	if err != nil {
 		return 0, 0
 	}

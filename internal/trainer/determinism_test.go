@@ -91,7 +91,7 @@ func TestConcurrentRuntimeEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				conc, err := rt.RunIteration(i)
+				conc, err := rt.iteration(rt.prepare(i), rt.workers())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,23 +1,14 @@
 package trainer
 
-import (
-	"math"
-	"sort"
-
-	"disttrain/internal/data"
-)
+import "disttrain/internal/data"
 
 // GradientAccumulator demonstrates the convergence-semantics argument
 // of §5: both reordering levels only permute the order in which
 // per-sample gradients enter the gradient-accumulation sum, and
 // summation is commutative, so the global gradient of an iteration is
 // unchanged. The accumulator computes a deterministic pseudo-gradient
-// per sample and folds it in two ways:
-//
-//   - an exact integer path (wrap-around int64 vector addition), where
-//     permutation invariance holds bit-for-bit;
-//   - a float64 path, where invariance holds up to rounding —
-//     quantified against the order-canonical (sorted) summation.
+// per sample and folds it with exact wrap-around int64 vector
+// addition, where permutation invariance holds bit-for-bit.
 type GradientAccumulator struct {
 	Dim int
 }
@@ -50,64 +41,4 @@ func (g GradientAccumulator) AccumulateInt(samples []data.Sample) []int64 {
 		}
 	}
 	return acc
-}
-
-// AccumulateFloat folds float64 projections of the gradients in order
-// and returns the accumulated vector.
-func (g GradientAccumulator) AccumulateFloat(samples []data.Sample) []float64 {
-	acc := make([]float64, g.Dim)
-	for _, s := range samples {
-		grad := g.SampleGradient(s)
-		for k := range acc {
-			acc[k] += float64(grad[k]) / (1 << 32)
-		}
-	}
-	return acc
-}
-
-// CanonicalFloat computes the order-independent reference: per
-// dimension, the summands are sorted before summation.
-func (g GradientAccumulator) CanonicalFloat(samples []data.Sample) []float64 {
-	cols := make([][]float64, g.Dim)
-	for _, s := range samples {
-		grad := g.SampleGradient(s)
-		for k := range cols {
-			cols[k] = append(cols[k], float64(grad[k])/(1<<32))
-		}
-	}
-	acc := make([]float64, g.Dim)
-	for k, col := range cols {
-		sort.Float64s(col)
-		for _, v := range col {
-			acc[k] += v
-		}
-	}
-	return acc
-}
-
-// MaxRelError returns the worst per-dimension relative error between
-// two accumulations.
-func MaxRelError(a, b []float64) float64 {
-	worst := 0.0
-	for k := range a {
-		denom := math.Max(math.Abs(a[k]), math.Abs(b[k]))
-		if denom == 0 {
-			continue
-		}
-		worst = math.Max(worst, math.Abs(a[k]-b[k])/denom)
-	}
-	return worst
-}
-
-// EqualInt reports exact equality of integer gradients.
-func EqualInt(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
 }

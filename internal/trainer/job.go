@@ -104,21 +104,6 @@ func (j *Job) Done() bool { return j.i >= j.n }
 // Step will execute (or rewind across).
 func (j *Job) Iteration() int { return j.i }
 
-// Iterations returns the job's configured run length.
-func (j *Job) Iterations() int { return j.n }
-
-// Clock returns the job's simulated wall-clock cursor in seconds.
-func (j *Job) Clock() float64 { return j.r.clock }
-
-// Lease returns the job's current GPU lease and whether it holds one
-// (standalone runs own their whole cluster and hold none).
-func (j *Job) Lease() (cluster.Lease, bool) {
-	if j.r.cfg.Lease == nil {
-		return cluster.Lease{}, false
-	}
-	return *j.r.cfg.Lease, true
-}
-
 // discardPrefetch drains an outstanding prepare whose assignment is no
 // longer valid (failure rewind, plan switch, lease change).
 func (j *Job) discardPrefetch() {

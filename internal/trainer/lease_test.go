@@ -108,14 +108,14 @@ func TestJobResizeContract(t *testing.T) {
 	if err := lj.Resize(cluster.NewLease(0), bigPlan, "x"); err == nil {
 		t.Error("plan larger than the lease accepted")
 	}
-	if got, ok := lj.Lease(); !ok || !reflect.DeepEqual(got, lease) {
+	if got := lj.r.cfg.Lease; got == nil || !reflect.DeepEqual(*got, lease) {
 		t.Fatalf("rejected resizes moved the lease: %v", got)
 	}
 	grown := cluster.NewLease(0, 1, 2, 3, 4, 5, 6, 7)
 	if err := lj.Resize(grown, bigPlan, "grow to 8 nodes"); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := lj.Lease(); !reflect.DeepEqual(got, grown) {
+	if got := lj.r.cfg.Lease; got == nil || !reflect.DeepEqual(*got, grown) {
 		t.Fatalf("lease after grow = %v", got)
 	}
 	for !lj.Done() {
@@ -178,8 +178,8 @@ func TestJobAppliesAndRejectsPlanSwitches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.Iterations() != 3 || j.Iteration() != 0 || j.Clock() != 0 {
-			t.Fatalf("fresh job state: n=%d i=%d clock=%g", j.Iterations(), j.Iteration(), j.Clock())
+		if j.n != 3 || j.Iteration() != 0 || j.r.clock != 0 {
+			t.Fatalf("fresh job state: n=%d i=%d clock=%g", j.n, j.Iteration(), j.r.clock)
 		}
 		for !j.Done() {
 			if err := j.Step(); err != nil {
@@ -189,7 +189,7 @@ func TestJobAppliesAndRejectsPlanSwitches(t *testing.T) {
 		// The clock cursor covers every executed iteration plus the
 		// downtime charged: a rejected switch adds nothing, an applied
 		// one charges its reconfiguration.
-		clock, res := j.Clock(), j.Finish()
+		clock, res := j.r.clock, j.Finish()
 		if want := simulatedWall(res); math.Abs(clock-want) > 1e-9*want {
 			t.Fatalf("clock %g, iterations + downtime %g", clock, want)
 		}
@@ -284,7 +284,7 @@ func TestPlanChangeRepricesLikeFreshRuntime(t *testing.T) {
 	var want []IterationStats
 	fresh := start(eight, to, nil)
 	for i := 1; i < 3; i++ {
-		st, err := fresh.RunIteration(i)
+		st, err := fresh.iteration(fresh.prepare(i), fresh.workers())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,9 +12,10 @@ import (
 // The runtime's pricing as it read before the plan's rates were
 // resolved once and samples were walked directly: every call asks the
 // profiler again and aggregates a microbatch into a concatenated
-// shape first. Verbatim but for the scratch buffers; the profiler's
-// SampleForward/SampleTrain and the model's ModuleTrainFLOPs they call
-// are themselves held to the uncompiled formulas by FuzzSamplePricing.
+// shape first. Verbatim but for the scratch buffers and the FLOPs,
+// which come from a kernel compiled per call; the profiler's
+// SampleForward/SampleTrain and that kernel are themselves held to the
+// uncompiled formulas by FuzzSamplePricing.
 
 func refMicrobatchWorkInto(r *Runtime, shape model.SampleShape, fwd, bwd []float64) {
 	spec := r.cfg.Spec
@@ -66,7 +67,8 @@ func refIterationFLOPs(r *Runtime, batch []data.Sample) float64 {
 	for _, s := range batch {
 		shape := s.Shape()
 		for _, mod := range model.Modules {
-			fwd, bwd := r.cfg.Spec.Model.ModuleTrainFLOPs(mod, shape, freeze)
+			k := r.cfg.Spec.Model.Compile(freeze)
+			fwd, bwd := k.TrainFLOPs(mod, k.Fold(shape))
 			total += fwd + bwd
 		}
 	}

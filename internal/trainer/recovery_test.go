@@ -38,7 +38,7 @@ func TestFailureRecovery(t *testing.T) {
 	// last completed save (iteration 6).
 	mgr := dfs.NewCheckpointManager(fs, "train")
 	defer mgr.Close()
-	ck, err := mgr.Latest()
+	ck, _, err := mgr.Latest()
 	if err != nil {
 		t.Fatalf("no checkpoint to recover: %v", err)
 	}
@@ -54,11 +54,11 @@ func TestFailureRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt2.Close()
-	resumed, err := rt2.RunIteration(ck.Step + 1)
+	resumed, err := rt2.iteration(rt2.prepare(ck.Step+1), rt2.workers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := rt2.RunIteration(ck.Step + 1)
+	direct, err := rt2.iteration(rt2.prepare(ck.Step+1), rt2.workers())
 	if err != nil {
 		t.Fatal(err)
 	}

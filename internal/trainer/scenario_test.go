@@ -170,7 +170,7 @@ func TestNodeFailureRecoveryScenario(t *testing.T) {
 	// failure time was step 4 — after completion step 6 is saved too.
 	mgr := dfs.NewCheckpointManager(fs, "train")
 	defer mgr.Close()
-	ck, err := mgr.Latest()
+	ck, _, err := mgr.Latest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestClockIndependentOfTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return j.Clock(), j.Finish()
+		return j.r.clock, j.Finish()
 	}
 	plain, res := run(nil)
 	traced, _ := run(metrics.NewTrace())
