@@ -48,10 +48,10 @@ func buildPreprocSpec(t *testing.T, nodes, bs int) (orchestrator.Spec, *data.Cor
 // three tenants (one per priority class, so WFQ weights differ) on
 // fixed 2-node leases, all fetching through one 2-producer service,
 // with producer 0 killed at round 1 and rejoining at round 4. With two
-// producers a tenant's primary for (iter, rank) has parity
-// iter+rank+id, so three dead rounds guarantee every tenant's primary
-// lands on the corpse at least once — failover is fleet-wide, not one
-// unlucky tenant's.
+// producers the primary for (iter, dp) has the parity of iter+dp, so
+// consecutive iterations alternate members and three dead rounds
+// guarantee every tenant's primary lands on the corpse at least once —
+// failover is fleet-wide, not one unlucky tenant's.
 func preprocFleet(t *testing.T, spec orchestrator.Spec, corpus *data.Corpus, workers int) Config {
 	t.Helper()
 	sc, err := scenario.Parse("producer-fail:iter=1,producer=0; producer-join:iter=4,producer=0")

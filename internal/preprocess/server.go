@@ -2,6 +2,7 @@ package preprocess
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -60,16 +61,17 @@ type Config struct {
 	// Workers bounds the goroutines one iteration's samples are
 	// preprocessed on, the building one included (default 2*DPSize).
 	Workers int
-	// Readahead prefetches this many future iterations after each
-	// fetch, so consumers find their next batch already materialised.
+	// Readahead prefetches this many future iterations along the route
+	// each consumer rank reaches this producer by, so consumers find
+	// their next batch built.
 	Readahead int
 	// CacheCap bounds the iteration cache (default 64 iterations). The
-	// watermark eviction keeps everything a lagging rank still needs,
-	// but a dead consumer's watermark freezes forever; beyond CacheCap
-	// iterations the oldest entries are dropped anyway, so a stalled
-	// rank costs a bounded cache, never unbounded growth. A laggard
-	// farther behind than CacheCap rebuilds on return — a cost event,
-	// not a correctness one.
+	// watermark eviction keeps everything a lagging rank still needs;
+	// beyond CacheCap iterations the oldest entries drop anyway, and a
+	// rank silent while CacheCap iterations were built is forgotten, so
+	// a stalled or retired rank costs a bounded cache, never unbounded
+	// growth. A laggard farther behind than CacheCap rebuilds on return —
+	// a cost event, not a correctness one.
 	CacheCap int
 }
 
@@ -107,13 +109,14 @@ type Server struct {
 	mu       sync.Mutex
 	cache    map[buildKey][][]Processed // (iter, dp) -> [rank][mb*... flattened per rank]
 	inflight map[buildKey]*inflightBuild
-	// watermark tracks each (tenant, rank)'s highest fetched iteration;
-	// the cache evicts only below the minimum across every tenant's
-	// ranks, so a lagging consumer never has its batch evicted and
-	// rebuilt under it — and one tenant's laggard holds the floor for
-	// every tenant's entries alike (the shared producer cache is not
-	// partitioned; the consumer-side Service cache is).
-	watermark map[wmKey]int64
+	// watermark tracks each (tenant, rank)'s highest fetched iteration
+	// and the route it arrives by (mark); the cache evicts only below the
+	// minimum across every tenant's ranks, so a lagging consumer never
+	// has its batch evicted and rebuilt under it — and one tenant's
+	// laggard holds the floor for every tenant's entries alike (the
+	// shared producer cache is not partitioned; the consumer-side
+	// Service cache is).
+	watermark map[wmKey]mark
 	// tenantDP remembers each tenant's last-seen DP width: the floor is
 	// only trusted once every rank of every known tenant has fetched.
 	tenantDP map[uint32]int
@@ -124,7 +127,8 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	// builds counts iteration materialisations — the cache-behaviour
-	// observable the eviction tests pin.
+	// observable the eviction tests pin, and the clock a silent rank is
+	// forgotten by.
 	builds atomic.Int64
 }
 
@@ -143,7 +147,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		cache:     map[buildKey][][]Processed{},
 		inflight:  map[buildKey]*inflightBuild{},
-		watermark: map[wmKey]int64{},
+		watermark: map[wmKey]mark{},
 		tenantDP:  map[uint32]int{},
 		conns:     map[net.Conn]struct{}{},
 		closed:    make(chan struct{}),
@@ -164,6 +168,18 @@ type wmKey struct {
 	tenant uint32
 	rank   int
 }
+
+// mark is one (tenant, rank)'s place at this server: the highest
+// iteration it fetched, the last two gaps between the iterations it
+// advanced to (0 until seen) and the build count at its last fetch.
+// Consumers send every fetch of an (iteration, width) to one primary
+// and fail over along a ring, so the gaps repeat with period two at
+// most — n on a healthy fleet of n, 1 on the survivor of two, 1 and n-1
+// alternating on a member absorbing its dead ring predecessor's share —
+// and readahead steps along them, the older gap first. Each rank keeps
+// its own route, so tenants at different iterations (jobs admitted at
+// different times each start at 0) never disturb each other's.
+type mark struct{ iter, gap, prev, at int64 }
 
 // Close stops the server: no new work starts, active connections are
 // torn down, and Close blocks until every tracked goroutine (handlers
@@ -280,7 +296,7 @@ func (s *Server) handle(conn net.Conn) {
 
 // FetchTenant returns one (tenant, iteration, rank) batch split across
 // dp data-parallel ranks, materialising the iteration if needed and
-// kicking off readahead for the iterations after it. The tenant id
+// kicking off readahead along the rank's route here. The tenant id
 // partitions the fetch watermark (each tenant's laggard is tracked
 // separately); dp must divide the global batch in multiples of the
 // microbatch — a deterministic protocol rejection otherwise, never a
@@ -310,8 +326,18 @@ func (s *Server) FetchTenant(tenant uint32, dp int, iter int64, rank int) (*Rank
 		s.tenantDP[tenant] = dp
 	}
 	wk := wmKey{tenant, rank}
-	if w, ok := s.watermark[wk]; !ok || iter > w {
-		s.watermark[wk] = iter
+	w, seen := s.watermark[wk]
+	advanced := !seen || iter > w.iter
+	if advanced {
+		if seen {
+			gap := iter - w.iter
+			w.prev, w.gap = cmp.Or(w.gap, gap), gap
+		}
+		w.iter = iter
+	}
+	w.at = s.builds.Load()
+	s.watermark[wk] = w
+	if advanced {
 		s.evictLocked()
 	}
 	s.mu.Unlock()
@@ -319,12 +345,14 @@ func (s *Server) FetchTenant(tenant uint32, dp int, iter int64, rank int) (*Rank
 	if err != nil {
 		return nil, err
 	}
-	// Asynchronous readahead: the producer works ahead of training. Each
-	// warmup goroutine is registered with the server's WaitGroup and
-	// re-checks closed before building, so Close never returns while a
-	// build is still touching the Source.
-	for ahead := int64(1); ahead <= int64(s.cfg.Readahead); ahead++ {
-		it := iter + ahead
+	// Asynchronous readahead: the producer works ahead of this rank along
+	// its route (a lone producer's steps are 1). Each warmup goroutine is
+	// registered with the server's WaitGroup and re-checks closed before
+	// building, so Close never returns while a build is still touching
+	// the Source.
+	steps := [2]int64{cmp.Or(w.prev, 1), cmp.Or(w.gap, 1)}
+	for k, it := 0, iter; k < s.cfg.Readahead; k++ {
+		it += steps[k%2]
 		if !s.begin() {
 			break
 		}
@@ -394,27 +422,37 @@ func (s *Server) iteration(iter int64, dp int) ([][]Processed, error) {
 // fetch at least once there is no safe floor from the watermarks.
 // Either way CacheCap backstops the cache size — oldest iterations
 // drop first — so a dead or never-connecting rank cannot grow the
-// cache without bound. Callers hold s.mu.
+// cache without bound. A rank that fetched nothing while this server
+// built more than CacheCap iterations is forgotten, and a tenant with no
+// rank left, so a retired tenant pins no floor and holds no entry. The
+// clock is builds, not iteration numbers: tenants count iterations
+// independently (every job starts at 0), so a live tenant far behind
+// another is not mistaken for a retired one. Callers hold s.mu.
 func (s *Server) evictLocked() {
-	complete := len(s.tenantDP) > 0
-	min := int64(0)
-	first := true
+	now := s.builds.Load()
+	floor, first := int64(0), true
 	ranksSeen := make(map[uint32]int, len(s.tenantDP))
 	for k, w := range s.watermark {
+		if now-w.at > int64(s.cfg.CacheCap) {
+			delete(s.watermark, k)
+			continue
+		}
 		ranksSeen[k.tenant]++
-		if first || w < min {
-			min, first = w, false
+		if first || w.iter < floor {
+			floor, first = w.iter, false
 		}
 	}
+	complete := len(ranksSeen) > 0
 	for tn, dp := range s.tenantDP {
-		if ranksSeen[tn] != dp {
+		if ranksSeen[tn] == 0 {
+			delete(s.tenantDP, tn)
+		} else if ranksSeen[tn] != dp {
 			complete = false
-			break
 		}
 	}
 	if complete {
 		for k := range s.cache {
-			if k.iter < min {
+			if k.iter < floor {
 				delete(s.cache, k)
 			}
 		}

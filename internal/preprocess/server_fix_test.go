@@ -122,6 +122,61 @@ func TestCacheCapBoundsDeadRank(t *testing.T) {
 	}
 }
 
+// A producer outlives its consumers: tenants that fetch once and retire
+// must neither grow the watermark maps by one entry per tenant id nor
+// pin the eviction floor with a frozen watermark. A rank more than
+// CacheCap iterations behind the newest fetch is forgotten, so once the
+// last retired tenant falls that far behind, the cache evicts below the
+// live tenant's floor again.
+func TestServerForgetsRetiredTenants(t *testing.T) {
+	cfg := Config{
+		Source:      fixedSource{images: 1, resolution: 32, seqLen: 128},
+		GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2, CacheCap: 4,
+	}
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	fetch := func(tenant uint32, iter int64) {
+		t.Helper()
+		for rank := 0; rank < 2; rank++ {
+			if _, err := srv.FetchTenant(tenant, 2, iter, rank); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sizes := func() (watermarks, tenants int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.watermark), len(srv.tenantDP)
+	}
+	const retired = 500
+	for i := int64(0); i < retired; i++ {
+		fetch(0, i)           // the live tenant
+		fetch(uint32(1+i), i) // fetches once and leaves
+	}
+	// Left: the live tenant and the retired tenants of the last
+	// CacheCap+1 iterations, two ranks each.
+	if w, tn := sizes(); w > 2*(cfg.CacheCap+2) || tn > cfg.CacheCap+2 {
+		t.Fatalf("after %d retired tenants: %d watermarks, %d tenant widths", retired, w, tn)
+	}
+	last := int64(retired + cfg.CacheCap)
+	for iter := int64(retired); iter <= last; iter++ {
+		fetch(0, iter)
+	}
+	if w, tn := sizes(); w != 2 || tn != 1 {
+		t.Fatalf("live tenant alone: %d watermarks, %d tenant widths, want 2 and 1", w, tn)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for k := range srv.cache {
+		if k.iter < last {
+			t.Errorf("iteration %d cached below the live tenant's floor %d", k.iter, last)
+		}
+	}
+}
+
 // Once the prefetch loop dies, Next must re-deliver the terminal error
 // on every call instead of blocking on a channel nothing feeds.
 func TestPrefetcherRedeliversTerminalError(t *testing.T) {

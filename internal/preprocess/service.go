@@ -33,8 +33,8 @@ import (
 //     evict another tenant's batches.
 //
 // Every fetch has a deterministic primary member — a pure function of
-// (tenant, iteration, rank) — so a healthy fleet spreads load evenly
-// and two services over the same fleet make identical choices. When a
+// (iteration, DP width) — so the fleet builds each iteration once and
+// two services over the same fleet make identical choices. When a
 // producer dies the fetch fails over to the next healthy member, the
 // dead member sits out a cooldown, and batch contents never change
 // across members: producers are deterministic functions of the
@@ -154,9 +154,8 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 func (s *Service) Snapshot() metrics.PoolSnapshot { return s.stats.Snapshot() }
 
 // Register adds a tenant and returns its fetch handle. Tenant ids are
-// assigned in registration order — the id feeds the deterministic
-// primary-member assignment, so registration order is part of the
-// determinism contract.
+// assigned in registration order; a producer partitions its fetch
+// watermarks by the id, and WFQ breaks grant ties by it.
 func (s *Service) Register(cfg TenantConfig) (*Tenant, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("preprocess: tenant needs a name")
@@ -321,16 +320,16 @@ func (s *Service) grantLocked() {
 }
 
 // fetchWithFailover walks the failover ring starting at the fetch's
-// deterministic primary. The multiplier decorrelates adjacent
-// iterations so each iteration's rank fan-out starts on a different
-// member, and the tenant offset spreads tenants across members. Members
-// inside their failure cooldown are skipped (each skip is a failover)
-// unless every member is down, in which case all are retried — the path
-// through which a recovered fleet comes back without external
-// coordination.
+// deterministic primary. Every rank and tenant at one (iteration, DP
+// width) shares one build, so they all ask one member, whose readahead
+// follows the iterations it is asked for; consecutive iterations rotate
+// over the members, each width offset by 7919. Members inside their
+// failure cooldown are skipped (each skip is a failover) unless every
+// member is down, in which case all are retried — the path through
+// which a recovered fleet comes back without external coordination.
 func (s *Service) fetchWithFailover(ctx context.Context, t *Tenant, dp int, iter int64, rank int) (*RankBatch, error) {
 	n := len(s.members)
-	prim := int((uint64(iter)*1000003 + uint64(rank) + uint64(t.id)*7919) % uint64(n))
+	prim := int((uint64(iter) + uint64(dp)*7919) % uint64(n))
 	now := time.Now()
 	allDown := true
 	for _, m := range s.members {
@@ -448,9 +447,9 @@ func (t *Tenant) Snapshot() metrics.PoolSnapshot { return t.stats.Snapshot() }
 
 // Close retires the tenant: its cache partition and watermarks are
 // freed and later fetches fail fast (one already admitted finishes,
-// uncached). The id slot stays taken, so the other tenants' ids — and
-// with them primary assignment and registration-order determinism —
-// are unchanged.
+// uncached). The id slot stays taken, so the other tenants' ids — the
+// producers' watermark partitions and the WFQ tie order — are
+// unchanged.
 func (t *Tenant) Close() {
 	t.svc.mu.Lock()
 	t.closed = true

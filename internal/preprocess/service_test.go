@@ -61,8 +61,8 @@ func oneTenant(t *testing.T, svc *Service) *Tenant {
 // A service fetch must return exactly what the in-process producer
 // computes for the same request: producers are stateless deterministic
 // functions of (iteration, dp, rank), so neither the route (which of
-// the three members, over TCP) nor the tenant id (whose offset moves
-// the primary assignment) can change the data.
+// the three members, over TCP) nor the tenant id (which partitions the
+// producers' watermarks) can change the data.
 func TestServiceMatchesInProcessServer(t *testing.T) {
 	fleet, err := StartFleet(fleetConfig(), 3)
 	if err != nil {
@@ -162,6 +162,150 @@ func TestServiceFailoverAndRecovery(t *testing.T) {
 	// add failovers once it is back.
 	if after.Failovers != snap.Failovers {
 		t.Errorf("failovers kept climbing after rejoin: %d -> %d", snap.Failovers, after.Failovers)
+	}
+}
+
+// Every fetch of one (iteration, DP width) goes to one producer, whose
+// readahead prebuilds the iterations its route brings next, so the fleet
+// builds each iteration once. Over 40 iterations of the fan-in shape (4
+// tenants x DP 2) the fleet may add, per producer, one readahead off the
+// route before its gaps are known and one past the last iteration. With
+// producer 1 killed halfway the survivors absorb its iterations and
+// their readahead follows the failed-over route, within the same bound:
+// every member's builds count, the dead one's included.
+func TestFleetBuildsEachIterationOnce(t *testing.T) {
+	const tenants, dp, iters = 4, 2, 40
+	for _, producers := range []int{2, 3} {
+		for _, kill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("producers=%d/kill=%v", producers, kill), func(t *testing.T) {
+				cfg := fleetConfig()
+				cfg.Readahead = 1
+				fleet, err := StartFleet(cfg, producers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(fleet.Close)
+				servers := make([]*Server, producers)
+				for i, p := range fleet.producers {
+					servers[i] = p.srv
+				}
+				svc := testService(t, fleet, ServiceConfig{})
+				var handles []*Tenant
+				for i := 0; i < tenants; i++ {
+					tn, err := svc.Register(TenantConfig{Name: fmt.Sprintf("t%d", i), MaxInflight: dp, DP: dp})
+					if err != nil {
+						t.Fatal(err)
+					}
+					handles = append(handles, tn)
+				}
+				ctx := context.Background()
+				for iter := int64(0); iter < iters; iter++ {
+					if kill && iter == iters/2 {
+						if err := fleet.FailProducer(1); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, tn := range handles {
+						for rank := 0; rank < dp; rank++ {
+							if _, err := tn.Fetch(ctx, iter, rank); err != nil {
+								t.Fatalf("iter %d rank %d: %v", iter, rank, err)
+							}
+						}
+					}
+				}
+				fleet.Close() // waits for every readahead build
+				var builds int64
+				for _, srv := range servers {
+					builds += srv.builds.Load()
+				}
+				if limit := int64(iters + 2*producers); builds > limit {
+					t.Errorf("%d producers built %d iterations for %d, want at most %d", producers, builds, iters, limit)
+				}
+			})
+		}
+	}
+}
+
+// Tenants at one DP width count iterations independently (every job
+// starts at 0), so readahead follows each tenant's own route: a tenant
+// far behind another, and one registered at iteration 0 halfway through
+// on the long-lived fleet, each find their next iteration prebuilt on
+// the member that serves it once their route there is known (two
+// fetches per member). Each tenant's iterations are still built once,
+// plus, per tenant and member, one readahead off the route and one past
+// its end.
+func TestReadaheadFollowsEachTenant(t *testing.T) {
+	const dp, steps = 2, 24
+	for _, producers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("producers=%d", producers), func(t *testing.T) {
+			cfg := fleetConfig()
+			cfg.Readahead = 1
+			fleet, err := StartFleet(cfg, producers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(fleet.Close)
+			servers := make([]*Server, producers)
+			for i, p := range fleet.producers {
+				servers[i] = p.srv
+			}
+			svc := testService(t, fleet, ServiceConfig{})
+			type job struct {
+				tn            *Tenant
+				next, fetches int64
+			}
+			start := func(name string, at int64) *job {
+				tn, err := svc.Register(TenantConfig{Name: name, MaxInflight: dp, DP: dp})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return &job{tn: tn, next: at}
+			}
+			// prebuilt waits for the readahead that should hold iter on the
+			// member fetchWithFailover asks first.
+			prebuilt := func(iter int64) bool {
+				srv := servers[(iter+dp*7919)%int64(producers)]
+				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+					srv.mu.Lock()
+					_, ok := srv.cache[buildKey{iter, dp}]
+					srv.mu.Unlock()
+					if ok {
+						return true
+					}
+				}
+				return false
+			}
+			jobs := []*job{start("ahead", 100), start("behind", 0)}
+			ctx := context.Background()
+			for step := 0; step < steps; step++ {
+				if step == steps/2 {
+					jobs = append(jobs, start("late", 0))
+				}
+				for _, j := range jobs {
+					for rank := 0; rank < dp; rank++ {
+						if _, err := j.tn.Fetch(ctx, j.next, rank); err != nil {
+							t.Fatalf("%s iter %d rank %d: %v", j.tn.name, j.next, rank, err)
+						}
+					}
+					j.next++
+					j.fetches++
+					if j.fetches >= int64(2*producers) && !prebuilt(j.next) {
+						t.Fatalf("%s: iteration %d not prebuilt after %d fetches", j.tn.name, j.next, j.fetches)
+					}
+				}
+			}
+			fleet.Close() // waits for every readahead build
+			var builds, fetched int64
+			for _, srv := range servers {
+				builds += srv.builds.Load()
+			}
+			for _, j := range jobs {
+				fetched += j.fetches
+			}
+			if limit := fetched + int64(2*len(jobs)*producers); builds > limit {
+				t.Errorf("%d producers built %d iterations for %d fetched, want at most %d", producers, builds, fetched, limit)
+			}
+		})
 	}
 }
 
@@ -708,9 +852,9 @@ func TestServiceFailoverAcrossTenants(t *testing.T) {
 	if err := fleet.FailProducer(0); err != nil {
 		t.Fatal(err)
 	}
-	// Two consecutive iterations cover both parities of the primary
-	// assignment, so every tenant lands on the dead member at least
-	// once whatever its id offset.
+	// The primary is (iter + dp·7919) mod 2, the same for both tenants:
+	// two consecutive iterations cover both members, so every tenant
+	// lands on the dead one at least once.
 	for iter := int64(0); iter < 2; iter++ {
 		for rank := 0; rank < 2; rank++ {
 			if _, err := a.Fetch(ctx, iter, rank); err != nil {
