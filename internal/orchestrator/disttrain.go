@@ -51,7 +51,7 @@ func PlanDistTrainSequential(s Spec) (*Plan, error) {
 
 	var candidates []*Plan
 	for _, c := range sc.strategySet() {
-		cand, err := sc.solveSubproblem(c, math.Inf(1))
+		cand, err := sc.solveSubproblem(c, math.Inf(1), true)
 		if err != nil {
 			continue // infeasible combination
 		}
@@ -168,78 +168,69 @@ func (sc *searchCtx) subproblemFor(c Candidate) (sub subproblem, ppFloor int, er
 // workers and only reads the context.
 //
 // bound is a known-achievable iteration time (+Inf to disable):
-// candidates whose convex lower bound proves they cannot beat
-// bound*selectBand are skipped with ErrCandidatePruned before the
-// expensive water-fill + golden-section stages.
-func (sc *searchCtx) solveSubproblem(c Candidate, bound float64) (*Plan, error) {
+// candidates whose lower bound proves they cannot beat bound*selectBand
+// are skipped with ErrCandidatePruned before the water-fill. Without
+// refine, the plan is built straight from the water-fill seed: the
+// probe the search's first phase ranks candidates by.
+func (sc *searchCtx) solveSubproblem(c Candidate, bound float64, refine bool) (*Plan, error) {
 	sub, ppFloor, err := sc.subproblemFor(c)
 	if err != nil {
 		return nil, err
 	}
-	tpLM, dpLM, wME, wMG := c.TPLM, c.DPLM, c.WME, c.WMG
-	n := sc.n
-	prune := !math.IsInf(bound, 1)
-	cutoff := bound * selectBand * (1 + pruneSlack)
-
-	// Branch-and-bound prune. Each bound below is a lower bound on every
-	// iteration time this candidate can achieve — including the exact
-	// integer time, because evaluate's stage/warm-up algebra equals the
-	// subproblem objective at the rounded allocation for plans of the
-	// searched shape. A candidate whose bound exceeds bound*selectBand
-	// can therefore be neither the fastest plan nor inside selectPlan's
-	// tie-break band: skipping it cannot change the selected plan.
-	if prune {
-		lb := sub.cornerBound()
-		if alt := sub.mediantBound(); alt > lb {
-			lb = alt
-		}
-		if alt := sub.dualBound(); alt > lb {
-			lb = alt
-		}
-		// Integer-aware corner: the final allocation is built from unit
-		// granules (x a multiple of wME, z of wMG, y = TP·DP·pp with pp a
-		// divisor of the layer count ≥ ppFloor), so each axis caps at the
-		// largest *constructible* value under the budget, not the
-		// continuous corner. On small leases the granularity gap dwarfs
-		// the continuous one, and these caps are where the spread shows.
-		minPP := sc.divisors.smallestDivisorAtLeast(ppFloor)
-		maxPP := sc.divisors.largestDivisorBetween(ppFloor, (n-wME-wMG)/(tpLM*dpLM))
-		if minPP == 0 || maxPP == 0 {
-			return nil, ErrCandidatePruned // no pp can divide the layers: unbuildable
-		}
-		minY := tpLM * dpLM * minPP
-		xCap := (n - minY - wMG) / wME * wME
-		zCap := (n - minY - wME) / wMG * wMG
-		if xCap < wME || zCap < wMG {
-			return nil, ErrCandidatePruned // no room for a single modality unit
-		}
-		yCap := tpLM * dpLM * maxPP
-		if alt := sub.objective(float64(xCap), float64(yCap), float64(zCap)); alt > lb {
-			lb = alt
-		}
-		if lb > cutoff {
-			return nil, ErrCandidatePruned
-		}
+	if !math.IsInf(bound, 1) && sc.lowerBound(c, &sub, ppFloor) > bound*selectBand*(1+pruneSlack) {
+		return nil, ErrCandidatePruned
 	}
-
 	// Stage 1: exact water-filling on the steady term gives the optimum
 	// of the dominant component.
 	wf := solve.WaterFillProblem{Weights: sub.w[:], Lower: sub.lower[:], Budget: sub.budget}
-	xs, steadyOpt, err := wf.Solve()
+	xs, _, err := wf.Solve()
 	if err != nil {
 		return nil, err
 	}
-	// Second prune, after the cheap water-fill but before the expensive
-	// golden-section refine.
-	if prune && sub.waterFillBound(steadyOpt) > cutoff {
-		return nil, ErrCandidatePruned
+	at := [3]float64{xs[0], xs[1], xs[2]}
+	if refine {
+		// Stage 2: 2-D golden-section refinement of the full objective.
+		at = sub.refine(at)
 	}
-	// Stage 2: 2-D golden-section refinement of the full convex objective.
-	refined := sub.refine([3]float64{xs[0], xs[1], xs[2]})
+	return sc.build(c, &sub, ppFloor, at)
+}
 
-	// Stage 3: integer rounding to unit granularities.
+// lowerBound bounds from below every iteration time candidate c can
+// reach — including the exact integer time, because evaluate's
+// stage/warm-up algebra equals the subproblem objective at the rounded
+// allocation for plans of the searched shape (up to float ordering,
+// which pruneSlack absorbs). A candidate whose lower bound exceeds an
+// achievable time's selectBand can be neither the fastest plan nor
+// inside selectPlan's tie-break band. +Inf: stage 3 can build nothing.
+//
+// Both bounds use what stage 3 can build: x a positive multiple of wME,
+// z of wMG (RoundAllocation never rounds below one granule), and
+// y = TP·DP·pp for a divisor pp of the layer count at least ppFloor,
+// with x + y + z <= n — so pp is also at most the largest divisor that
+// leaves one granule each to the modality modules.
+func (sc *searchCtx) lowerBound(c Candidate, sub *subproblem, ppFloor int) float64 {
+	unit, n := c.TPLM*c.DPLM, sc.n
+	pps := sc.divisors.between(ppFloor, (n-c.WME-c.WMG)/unit)
+	if len(pps) == 0 {
+		return math.Inf(1)
+	}
+	// Integer corner: each axis at the largest constructible value the
+	// others' minimums leave it. On small leases the granularity gap
+	// dwarfs the continuous one, and these caps are where it shows.
+	minY, yCap := unit*pps[0], unit*pps[len(pps)-1]
+	xCap := (n - minY - c.WMG) / c.WME * c.WME
+	zCap := (n - minY - c.WME) / c.WMG * c.WMG
+	return max(sub.objective(float64(xCap), float64(yCap), float64(zCap)), sub.discreteBound(unit, pps))
+}
+
+// build is stage 3: round the continuous allocation to unit
+// granularities, snap the backbone's PP to a layer divisor, and score
+// the resulting plan exactly.
+func (sc *searchCtx) build(c Candidate, sub *subproblem, ppFloor int, at [3]float64) (*Plan, error) {
+	tpLM, dpLM, wME, wMG := c.TPLM, c.DPLM, c.WME, c.WMG
+	n := sc.n
 	granule := [3]int{wME, tpLM * dpLM, wMG}
-	alloc := solve.RoundAllocation(refined[:], sub.w[:], granule[:], n)
+	alloc := solve.RoundAllocation(at[:], sub.w[:], granule[:], n)
 
 	// The backbone's PP must divide its layer count: snap down, then
 	// hand freed GPUs to the bottleneck modality module.

@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -61,11 +62,11 @@ type PlanRequest struct {
 	Seed *Candidate
 }
 
-// sampleStride is the phase-1 sampling interval. The enumeration order
+// sampleStride is the phase-1 probing interval. The enumeration order
 // is (TP_lm, DP_lm)-major with 16 (w_me, w_mg) combinations innermost,
-// so a stride of 8 lands two probes in every backbone shape's block —
-// enough to bound each shape family tightly while evaluating only
-// ~1/8th of the set unbounded.
+// so a stride of 8 lands two probes in every backbone shape's block.
+// A probe skips the refine, so probing every shape costs about as much
+// as solving a handful of candidates.
 const sampleStride = 8
 
 func (o SearchOptions) workers() int {
@@ -110,16 +111,18 @@ func enumerateCandidates(s Spec, n int) []Candidate {
 // positional; each entry carries either the plan or that request's own
 // error.
 //
-// Every search is the same two-phase branch-and-bound. Phase 1
-// evaluates a deterministic stratified sample of the strategy set —
-// every sampleStride-th candidate, plus the request's seed — without a
-// bound. The fastest feasible phase-1 time is then frozen as that
-// spec's bound, and phase 2 skips every remaining subproblem whose
-// convex lower bound provably exceeds every selectable time before the
-// expensive water-fill. The bound is an achievable iteration time, so
-// no pruned candidate can be the fastest plan or enter selectPlan's
+// Every search is the same two-phase branch-and-bound. Phase 1 probes
+// every sampleStride-th candidate — the plan built from its water-fill
+// seed, without the refine — then fully solves the request's seed and
+// the fastest probe (the next-fastest when that solve fails). The
+// fastest of those solved plans is frozen as that spec's bound, and
+// phase 2 solves every other candidate, probed ones included, skipping
+// each whose lower bound provably exceeds every selectable time. The
+// bound is the time of a plan the sequential reference also produces,
+// so no pruned candidate can be the fastest plan or enter selectPlan's
 // tie-break band: plans are byte-identical to PlanDistTrainSequential.
-// It never moves after the phase barrier and depends on the request
+// Probes are ranked after their barrier with a lowest-index tie-break,
+// and the bound never moves after phase 1 and depends on the request
 // alone, so prune decisions (and the Pruned count) are the same at any
 // parallelism and whether a spec is planned alone or batched.
 //
@@ -132,16 +135,18 @@ func PlanMany(ctx context.Context, reqs []PlanRequest, opts SearchOptions) []Pla
 	// Per-spec search state; invalid specs fail fast and contribute no
 	// work items.
 	type search struct {
-		ctx     searchCtx
-		cands   []Candidate
-		results []*Plan
-		bound   float64      // +Inf until the phase barrier, fixed after it
-		done    atomic.Int64 // candidates evaluated so far
-		pruned  atomic.Int64 // candidates skipped by the bound
+		ctx       searchCtx
+		cands     []Candidate
+		results   []*Plan
+		probeTime []float64    // probe time of every sampleStride-th candidate, +Inf if it built nothing
+		first     []int        // candidates phase 1 solved: the seed, then probes in time order
+		bound     float64      // +Inf until phase 1 is solved, fixed after it
+		done      atomic.Int64 // candidates evaluated so far
+		pruned    atomic.Int64 // candidates skipped by the bound
 	}
 	searches := make([]*search, len(reqs))
 	type job struct{ spec, cand int }
-	var sampled, rest []job // phase 1, phase 2
+	var probes []job
 	for i := range reqs {
 		s := &reqs[i].Spec
 		if err := s.Validate(); err != nil {
@@ -151,52 +156,98 @@ func PlanMany(ctx context.Context, reqs []PlanRequest, opts SearchOptions) []Pla
 		se := &search{ctx: newSearchCtx(s), bound: math.Inf(1)}
 		se.cands = se.ctx.strategySet()
 		se.results = make([]*Plan, len(se.cands))
+		se.probeTime = make([]float64, (len(se.cands)+sampleStride-1)/sampleStride)
 		searches[i] = se
-		seeded := -1 // stays -1 for a stale or cross-geometry seed
 		if seed := reqs[i].Seed; seed != nil {
-			seeded = slices.Index(se.cands, *seed)
+			// A stale or cross-geometry seed is not in the set: ignored.
+			if c := slices.Index(se.cands, *seed); c >= 0 {
+				se.first = append(se.first, c)
+			}
 		}
+		for c := 0; c < len(se.cands); c += sampleStride {
+			probes = append(probes, job{spec: i, cand: c})
+		}
+	}
+
+	// solve evaluates one candidate against its spec's current bound.
+	solve := func(se *search, c int) {
+		plan, err := se.ctx.solveSubproblem(se.cands[c], se.bound, true)
+		if err == nil {
+			se.results[c] = plan
+		} else if errors.Is(err, ErrCandidatePruned) {
+			se.pruned.Add(1)
+		}
+		se.done.Add(1)
+		if opts.OnCandidate != nil {
+			opts.OnCandidate(se.cands[c], plan, err)
+		}
+	}
+
+	// Probes are not candidates' evaluations: they fill no result slot
+	// and are not reported to OnCandidate.
+	fanout.Run(ctx, opts.workers(), len(probes), func(j int) {
+		se := searches[probes[j].spec]
+		t := math.Inf(1)
+		if plan, err := se.ctx.solveSubproblem(se.cands[probes[j].cand], math.Inf(1), false); err == nil {
+			t = plan.IterTime
+		}
+		se.probeTime[probes[j].cand/sampleStride] = t
+	})
+	// Phase 1, one job per spec: solve the seed, then the probed
+	// candidates fastest first until one yields a plan.
+	fanout.Run(ctx, opts.workers(), len(searches), func(i int) {
+		se := searches[i]
+		if se == nil {
+			return
+		}
+		for _, c := range se.first {
+			solve(se, c)
+		}
+		order := make([]int, 0, len(se.probeTime))
+		for k, t := range se.probeTime {
+			if !math.IsInf(t, 1) {
+				order = append(order, k)
+			}
+		}
+		slices.SortStableFunc(order, func(a, b int) int {
+			return cmp.Compare(se.probeTime[a], se.probeTime[b])
+		})
+		for _, k := range order {
+			if ctx.Err() != nil {
+				return
+			}
+			c := k * sampleStride
+			if !slices.Contains(se.first, c) {
+				se.first = append(se.first, c)
+				solve(se, c)
+			}
+			if se.results[c] != nil {
+				break
+			}
+		}
+	})
+	// Phase barrier: the fastest plan phase 1 solved is each spec's
+	// fixed phase-2 bound.
+	var rest []job
+	for i, se := range searches {
+		if se == nil {
+			continue
+		}
+		for _, c := range se.first {
+			if p := se.results[c]; p != nil && p.IterTime < se.bound {
+				se.bound = p.IterTime
+			}
+		}
+		out[i].bound = se.bound
 		for c := range se.cands {
-			if c == seeded || c%sampleStride == 0 {
-				sampled = append(sampled, job{spec: i, cand: c})
-			} else {
+			if !slices.Contains(se.first, c) {
 				rest = append(rest, job{spec: i, cand: c})
 			}
 		}
 	}
-
-	// run evaluates one phase's jobs against each spec's current bound.
-	run := func(jobs []job) {
-		fanout.Run(ctx, opts.workers(), len(jobs), func(j int) {
-			se := searches[jobs[j].spec]
-			c := se.cands[jobs[j].cand]
-			plan, err := se.ctx.solveSubproblem(c, se.bound)
-			if err == nil {
-				se.results[jobs[j].cand] = plan
-			} else if errors.Is(err, ErrCandidatePruned) {
-				se.pruned.Add(1)
-			}
-			se.done.Add(1)
-			if opts.OnCandidate != nil {
-				opts.OnCandidate(c, plan, err)
-			}
-		})
-	}
-
-	run(sampled)
-	// Phase barrier: the fastest feasible sampled time is each spec's
-	// fixed phase-2 bound.
-	for _, se := range searches {
-		if se == nil {
-			continue
-		}
-		for _, p := range se.results {
-			if p != nil && p.IterTime < se.bound {
-				se.bound = p.IterTime
-			}
-		}
-	}
-	run(rest)
+	fanout.Run(ctx, opts.workers(), len(rest), func(j int) {
+		solve(searches[rest[j].spec], rest[j].cand)
+	})
 
 	for i, se := range searches {
 		if se == nil {
@@ -221,6 +272,7 @@ type PlanResult struct {
 	Err  error
 	// Pruned counts candidates the phase-2 bound skipped.
 	Pruned int
+	bound  float64 // the phase-2 bound, for tests
 }
 
 // CandidateCount returns the size of a spec's §4.3 strategy set — the

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"disttrain/internal/model"
 	"disttrain/internal/parallel"
@@ -115,17 +116,16 @@ func (sc *searchCtx) strategySet() []Candidate {
 func (sc *searchCtx) llmMemoryFloor(tp, dp int) (int, error) {
 	for _, pp := range sc.divisors {
 		mp := ModulePlan{Module: model.Backbone, Config: parallel.Plain(tp, pp, dp)}
-		if sc.moduleMemoryOK(&mp) == nil {
+		if sc.fits(&mp) {
 			return pp, nil
 		}
 	}
 	return 0, fmt.Errorf("orchestrator: %s cannot fit at TP=%d DP=%d", sc.spec.Model.Backbone.Name, tp, dp)
 }
 
-// moduleMemoryOK enforces the §4.2 memory constraint for one module:
-// parameters+gradients, ZeRO-1 optimizer shards and 1F1B peak
-// activations must fit the per-GPU budget.
-func (sc *searchCtx) moduleMemoryOK(mp *ModulePlan) error {
+// footprint is one module's §4.2 per-GPU memory: parameters+gradients,
+// ZeRO-1 optimizer shards and 1F1B peak activations.
+func (sc *searchCtx) footprint(mp *ModulePlan) float64 {
 	mem := &sc.mem[mp.Module]
 	gpus := mp.Config.GPUs()
 	dp := mp.Config.DP
@@ -133,18 +133,23 @@ func (sc *searchCtx) moduleMemoryOK(mp *ModulePlan) error {
 		// Every GPU of a replicated group holds a full model copy.
 		dp = gpus / mp.Config.PP
 	}
-	mm := model.MemoryForParams(mem.params, gpus, dp, mp.Config.PP, mem.act, mem.frozen)
-	if mm.Total() > mem.budget {
-		return fmt.Errorf("orchestrator: %v needs %.1f GiB/GPU, capacity %.1f GiB",
-			mp.Module, mm.Total()/(1<<30), mem.budget/(1<<30))
-	}
-	return nil
+	return model.MemoryForParams(mem.params, gpus, dp, mp.Config.PP, mem.act, mem.frozen).Total()
+}
+
+// fits enforces the §4.2 memory constraint for one module: its
+// footprint must not exceed the per-GPU budget. The search's floor scan
+// calls it for every divisor that does not fit, so it reports a bool;
+// checkMemory words the rejection. Written as "not over" so that an
+// empty hand-built module's NaN footprint passes, as it always has.
+func (sc *searchCtx) fits(mp *ModulePlan) bool {
+	return !(sc.footprint(mp) > sc.mem[mp.Module].budget)
 }
 
 func (sc *searchCtx) checkMemory(p *Plan) error {
 	for i := range p.Modules {
-		if err := sc.moduleMemoryOK(&p.Modules[i]); err != nil {
-			return err
+		if mp := &p.Modules[i]; !sc.fits(mp) {
+			return fmt.Errorf("orchestrator: %v needs %.1f GiB/GPU, capacity %.1f GiB",
+				mp.Module, sc.footprint(mp)/(1<<30), sc.mem[mp.Module].budget/(1<<30))
 		}
 	}
 	return nil
@@ -228,38 +233,28 @@ func divisorsOf(layers int) divisorTable {
 	return ds
 }
 
-// smallestDivisorAtLeast returns the smallest divisor that is >= floor,
-// or 0 if none exists.
-func (ds divisorTable) smallestDivisorAtLeast(floor int) int {
-	for _, d := range ds {
-		if d >= floor {
-			return d
-		}
+// between returns the divisors in [floor, cap], ascending: the PP
+// sizes a backbone with that memory floor can take within cap stages.
+func (ds divisorTable) between(floor, cap int) divisorTable {
+	lo, hi := 0, len(ds)
+	for lo < hi && ds[lo] < floor {
+		lo++
 	}
-	return 0
-}
-
-// largestDivisorBetween returns the largest divisor in [floor, cap], or
-// 0 if none exists. Unlike snapPPToLayers it never snaps above cap:
-// callers use it to bound what a budget can build.
-func (ds divisorTable) largestDivisorBetween(floor, cap int) int {
-	for i := len(ds) - 1; i >= 0; i-- {
-		if ds[i] <= cap {
-			if ds[i] >= floor {
-				return ds[i]
-			}
-			break
-		}
+	for hi > lo && ds[hi-1] > cap {
+		hi--
 	}
-	return 0
+	return ds[lo:hi]
 }
 
 // snapPPToLayers rounds pp down to the nearest divisor that is at least
 // floor; when nothing lies between floor and pp it takes the smallest
 // divisor >= floor instead. Returns 0 when no divisor is >= floor.
 func (ds divisorTable) snapPPToLayers(pp, floor int) int {
-	if d := ds.largestDivisorBetween(floor, pp); d != 0 {
-		return d
+	if in := ds.between(floor, pp); len(in) > 0 {
+		return in[len(in)-1]
 	}
-	return ds.smallestDivisorAtLeast(floor)
+	if in := ds.between(floor, math.MaxInt); len(in) > 0 {
+		return in[0]
+	}
+	return 0
 }

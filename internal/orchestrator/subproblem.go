@@ -13,10 +13,12 @@ import "math"
 // and lower bounds are positive and finite, which is what lets the
 // methods compare instead of calling math.Max.
 //
-// Every method keeps one fixed floating-point evaluation order —
+// objective and refine keep one fixed floating-point evaluation order —
 // ((base + a/x) + c/z) + steady·kk — because the search's contract is
-// bit-identical plans: subproblem_test.go pins each method to the
-// closure-based formulation it replaced with math.Float64bits equality.
+// bit-identical plans: subproblem_test.go pins both to the closure-based
+// formulation they replaced with math.Float64bits equality. The one
+// prune bound, discreteBound, only has to stay below every buildable
+// plan's time; FuzzDiscreteBound checks it against brute force.
 type subproblem struct {
 	base   float64    // M·C_lm/VPP: the backbone's warm-up share
 	a, c   float64    // warm-up numerators of the encoder (x) and generator (z)
@@ -41,81 +43,30 @@ func (p *subproblem) objective(x, y, z float64) float64 {
 	return p.warmup(x, z) + steady*p.kk
 }
 
-// corner returns u_i = budget − Σ_{j≠i} lower_j, the largest value any
-// feasible allocation can give axis i.
-func (p *subproblem) corner() (ux, uy, uz float64) {
-	sumLower := p.lower[0] + p.lower[1] + p.lower[2]
-	return p.budget - (sumLower - p.lower[0]),
-		p.budget - (sumLower - p.lower[1]),
-		p.budget - (sumLower - p.lower[2])
-}
-
-// cornerBound: the objective is decreasing in each argument, so its
-// value at the corner lower-bounds every feasible allocation.
-func (p *subproblem) cornerBound() float64 {
-	return p.objective(p.corner())
-}
-
-// mediantBound: any split of at most budget GPUs has max_i(w_i/a_i) >=
-// (w_x+w_y+w_z)/budget (the max of ratios is at least their combined
-// ratio), and warmup is decreasing in (x, z) — tighter than the corner
-// bound whenever the three weights are balanced.
-func (p *subproblem) mediantBound() float64 {
-	ux, _, uz := p.corner()
-	return p.warmup(ux, uz) + (p.w[0]+p.w[1]+p.w[2])/p.budget*p.kk
-}
-
-// waterFillBound: steadyOpt is the exact continuous minimum of the
-// steady term (the KKT water level), so warmup(corner) + kk·steadyOpt
-// lower-bounds the continuous optimum — more tightly than the mediant
-// whenever a lower bound binds (typically the backbone's memory floor).
-func (p *subproblem) waterFillBound(steadyOpt float64) float64 {
-	ux, _, uz := p.corner()
-	return p.warmup(ux, uz) + steadyOpt*p.kk
-}
-
-// dualBound lower-bounds the continuous optimum without touching the
-// lower bounds: for any simplex weights (λ, μ, ν), the steady max
-// dominates the convex combination λ·w0/x + μ·w1/y + ν·w2/z, so with
-// the warm-up sharing the same per-GPU coefficients (warmup = base +
-// w0/x + w2/z),
-//
-//	objective ≥ base + (w0 + λ·kk·w0)/x + μ·kk·w1/y + (w2 + ν·kk·w2)/z
-//
-// and minimising P/x + Q/y + R/z over x+y+z ≤ n has the closed form
-// (√P + √Q + √R)²/n. The bound is maximised over the simplex by KKT —
-// P, Q, R must share a common c with P = c·(kk·w0)², etc. — clamping λ
-// or ν to zero when the unconstrained stationary point leaves the
-// simplex. Tight whenever the candidate's memory floors don't bind,
-// which is exactly where the corner and water-fill bounds are loose.
-func (p *subproblem) dualBound() float64 {
-	w0, w1, w2 := p.w[0], p.w[1], p.w[2]
-	kk, n := p.kk, p.budget
-	if kk <= 0 {
-		r := math.Sqrt(w0) + math.Sqrt(w2)
-		return p.base + r*r/n
-	}
-	c := (1 + 2/kk) / (kk * (w0 + w1 + w2))
-	lam := c*kk*w0 - 1/kk
-	nu := c*kk*w2 - 1/kk
-	if lam < 0 && nu < 0 {
-		lam, nu = 0, 0
-	} else if lam < 0 {
-		lam = 0
-		nu = (1+1/kk)/(kk*(w1+w2))*kk*w2 - 1/kk
-		if nu < 0 {
-			nu = 0
+// discreteBound lower-bounds every plan stage 3 can build from this
+// subproblem. The backbone takes y = unit·pp GPUs for one of the layer
+// divisors pps, leaving x + z <= budget − y to the modality modules, so
+// by Cauchy–Schwarz a/x + c/z >= (√a+√c)²/(budget−y) and by the mediant
+// max(w[0]/x, w[2]/z) >= (w[0]+w[2])/(budget−y); the minimum over the
+// constructible y is the bound. Knowing that y only takes the
+// backbone's few divisor sizes is what makes it tight where continuous
+// relaxations are loose.
+func (p *subproblem) discreteBound(unit int, pps divisorTable) float64 {
+	r := math.Sqrt(p.a) + math.Sqrt(p.c)
+	warm, side := r*r, p.w[0]+p.w[2]
+	lb := math.Inf(1)
+	for _, pp := range pps {
+		y := float64(unit * pp)
+		rest := p.budget - y
+		steady := side / rest
+		if t := p.w[1] / y; t > steady {
+			steady = t
 		}
-	} else if nu < 0 {
-		nu = 0
-		lam = (1+1/kk)/(kk*(w0+w1))*kk*w0 - 1/kk
-		if lam < 0 {
-			lam = 0
+		if b := p.base + warm/rest + steady*p.kk; b < lb {
+			lb = b
 		}
 	}
-	mu := 1 - lam - nu
-	r := math.Sqrt(w0*(1+lam*kk)) + math.Sqrt(mu*kk*w1) + math.Sqrt(w2*(1+nu*kk))
-	return p.base + r*r/n
+	return lb
 }
 
 // invPhi and goldenTol are solve.MinimizeConvex1D's constants: the
