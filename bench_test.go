@@ -279,7 +279,7 @@ func BenchmarkWarmPlanSearch(b *testing.B) {
 	opts := orchestrator.SearchOptions{Parallelism: 1}
 	// Warm the profiler's cost memo so both variants measure search
 	// vs load, not first-touch cost fills.
-	want, err := orchestrator.PlanDistTrainSequential(spec)
+	want, err := orchestrator.PlanDistTrain(spec)
 	if err != nil {
 		b.Fatal(err)
 	}

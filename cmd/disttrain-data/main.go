@@ -45,27 +45,26 @@ func main() {
 	fmt.Printf("  image subseqs per sample: mean %5.1f, skewness %+.2f\n\n",
 		ch.ImageCounts.Mean(), ch.CountSkewness())
 
-	cost := data.DefaultCostModel()
 	var heavy, light data.Sample
 	heavySeen := 0.0
 	for i := 0; i < min(*samples, 1000); i++ {
 		s := corpus.Sample(int64(i))
-		if c := cost.SampleCPUSeconds(s); c > heavySeen {
+		if c := data.SampleCPUSeconds(s); c > heavySeen {
 			heavySeen, heavy = c, s
 		}
-		if light.SeqLen == 0 || cost.SampleCPUSeconds(s) < cost.SampleCPUSeconds(light) {
+		if light.SeqLen == 0 || data.SampleCPUSeconds(s) < data.SampleCPUSeconds(light) {
 			light = s
 		}
 	}
-	fmt.Printf("preprocessing cost model (%d-core nodes):\n", cost.Cores)
+	fmt.Printf("preprocessing cost model (%d-core nodes):\n", data.PreprocessCores)
 	fmt.Printf("  heaviest sample: %d images, %.1f MB pixels -> %.2fs CPU\n",
-		heavy.NumImages(), float64(heavy.PixelBytes())/(1<<20), cost.SampleCPUSeconds(heavy))
+		heavy.NumImages(), float64(heavy.PixelBytes())/(1<<20), data.SampleCPUSeconds(heavy))
 	fmt.Printf("  lightest sample: %d images, %.1f MB pixels -> %.3fs CPU\n\n",
-		light.NumImages(), float64(light.PixelBytes())/(1<<20), cost.SampleCPUSeconds(light))
+		light.NumImages(), float64(light.PixelBytes())/(1<<20), data.SampleCPUSeconds(light))
 
 	if *histograms {
-		fmt.Println(ch.TextSizes.Render("Fig 5(a): text subsequence size (tokens)", 50))
-		fmt.Println(ch.ImageSizes.Render("Fig 5(b): image subsequence size (tokens)", 50))
-		fmt.Println(ch.ImageCounts.Render("Fig 5(c): image subsequences per sample", 50))
+		fmt.Println(ch.TextSizes.Render("Fig 5(a): text subsequence size (tokens)"))
+		fmt.Println(ch.ImageSizes.Render("Fig 5(b): image subsequence size (tokens)"))
+		fmt.Println(ch.ImageCounts.Render("Fig 5(c): image subsequences per sample"))
 	}
 }

@@ -110,7 +110,7 @@ type (
 	// iteration boundaries.
 	ReplanController = controller.Controller
 	// ControllerConfig parameterises a ReplanController (drift
-	// threshold, observation window, cooldown, switch budget).
+	// threshold, observation window).
 	ControllerConfig = controller.Config
 	// FleetConfig drives a multi-tenant fleet run: shared cluster, job
 	// submissions, placement policy, fleet-scope scenario, plan cache.

@@ -55,7 +55,7 @@ func main() {
 	defer client.Close()
 	ctx := context.Background()
 
-	pf := preprocess.NewPrefetcher(client, cfg.DPSize, 0, 0, 2)
+	pf := preprocess.NewPrefetcher(client, cfg.DPSize, 2)
 	defer pf.Close()
 
 	fmt.Println("disaggregated mode (producer works ahead):")
@@ -85,7 +85,7 @@ func main() {
 	fmt.Println("\nco-located mode (training blocks on preprocessing):")
 	for iter := int64(10); iter < 12; iter++ {
 		start := time.Now()
-		if _, err := col.Fetch(ctx, iter, 0); err != nil {
+		if _, err := col.Fetch(ctx, iter); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  iter %d: stall %v\n", iter, time.Since(start).Round(time.Millisecond))

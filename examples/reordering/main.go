@@ -43,7 +43,7 @@ func interMicrobatch() {
 
 	before := simulate(mbs)
 	fmt.Printf("\n-- corpus order (iteration %.2f, mean bubble %.1f%%):\n%s",
-		before.IterTime, 100*before.MeanBubbleFraction(), before.Gantt(100))
+		before.IterTime, 100*before.MeanBubbleFraction(), before.Gantt())
 
 	ordered, err := reorder.InterReorder(mbs, nil)
 	if err != nil {
@@ -51,7 +51,7 @@ func interMicrobatch() {
 	}
 	after := simulate(ordered)
 	fmt.Printf("\n-- Algorithm 2 order (iteration %.2f, mean bubble %.1f%%):\n%s",
-		after.IterTime, 100*after.MeanBubbleFraction(), after.Gantt(100))
+		after.IterTime, 100*after.MeanBubbleFraction(), after.Gantt())
 	fmt.Printf("\nreordering speedup: %.3fx\n\n", before.IterTime/after.IterTime)
 
 	ivs, err := after.FirstStageIntervals()

@@ -1,6 +1,6 @@
 // Package cluster models the production GPU cluster DistTrain runs on:
 // nodes of eight NVLink-connected accelerators joined by a rail-optimised
-// RDMA fabric (4x200 Gbps RoCEv2 per node), as described in §7 of the
+// RDMA fabric (4x200 gbps RoCEv2 per node), as described in §7 of the
 // paper. The package answers the two questions every other layer asks:
 // how fast is a link between two ranks, and how much compute/memory does
 // a device have.
@@ -11,10 +11,10 @@ import "errors"
 // Well-known unit multipliers. The simulation uses bytes and bytes/second
 // throughout; FLOP rates are FLOP/second.
 const (
-	GiB = 1 << 30
+	giB = 1 << 30
 
-	// Gbps converts gigabits per second to bytes per second.
-	Gbps = 1e9 / 8
+	// gbps converts gigabits per second to bytes per second.
+	gbps = 1e9 / 8
 )
 
 // GPUSpec describes a single accelerator SKU. Peak numbers follow the
@@ -31,12 +31,12 @@ type GPUSpec struct {
 	MemoryBWBytes float64
 }
 
-// AmpereSXM is the paper's production accelerator ("NVIDIA Ampere
+// ampereSXM is the paper's production accelerator ("NVIDIA Ampere
 // GPUs", A100-SXM-class).
-var AmpereSXM = GPUSpec{
+var ampereSXM = GPUSpec{
 	Name:          "ampere-sxm-80g",
 	PeakFLOPS:     312e12,
-	MemoryBytes:   80 * GiB,
+	MemoryBytes:   80 * giB,
 	MemoryBWBytes: 2.0e12,
 }
 
@@ -52,7 +52,7 @@ type Cluster struct {
 	// bytes/s shared by collectives inside one node (300 GB/s in §7).
 	NVLinkBps float64
 	// InterNodeBps is the per-node RDMA bandwidth in bytes/s
-	// (4 x 200 Gbps RoCEv2 in §7).
+	// (4 x 200 gbps RoCEv2 in §7).
 	InterNodeBps float64
 	// RailOptimized reports whether the RDMA fabric is rail-optimised:
 	// rank i of every node shares a rail, so cross-node collectives
@@ -66,14 +66,14 @@ type Cluster struct {
 }
 
 // Production returns the evaluation cluster of the paper: n nodes of
-// eight Ampere GPUs, 300 GB/s NVLink, 4x200 Gbps RoCEv2, rail-optimised.
+// eight Ampere GPUs, 300 GB/s NVLink, 4x200 gbps RoCEv2, rail-optimised.
 func Production(nodes int) Cluster {
 	return Cluster{
 		Nodes:         nodes,
 		GPUsPerNode:   8,
-		GPU:           AmpereSXM,
+		GPU:           ampereSXM,
 		NVLinkBps:     300e9,
-		InterNodeBps:  4 * 200 * Gbps,
+		InterNodeBps:  4 * 200 * gbps,
 		RailOptimized: true,
 		LinkLatency:   8e-6,
 	}

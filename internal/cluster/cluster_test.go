@@ -23,8 +23,8 @@ func TestValidateRejectsBadClusters(t *testing.T) {
 		{},
 		{Nodes: 1},
 		{Nodes: 1, GPUsPerNode: 8},
-		{Nodes: -3, GPUsPerNode: 8, GPU: AmpereSXM, NVLinkBps: 1, InterNodeBps: 1},
-		{Nodes: 1, GPUsPerNode: 8, GPU: AmpereSXM, NVLinkBps: 0, InterNodeBps: 1},
+		{Nodes: -3, GPUsPerNode: 8, GPU: ampereSXM, NVLinkBps: 1, InterNodeBps: 1},
+		{Nodes: 1, GPUsPerNode: 8, GPU: ampereSXM, NVLinkBps: 0, InterNodeBps: 1},
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {

@@ -5,13 +5,24 @@ import (
 	"testing"
 )
 
+// allReduce is the ring all-reduce classic TP would issue: 2(n-1)/n of
+// the data crosses each link, in 2(n-1) latency-bound steps. Sequence
+// parallelism replaces it; TestTPOverhead compares the two volumes.
+func allReduce(c CollectiveCost, bytes float64, n int) float64 {
+	if n <= 1 {
+		return 0
+	}
+	f := float64(n-1) / float64(n)
+	return 2*f*bytes/c.BandwidthBps + 2*float64(n-1)*c.Latency
+}
+
 func TestAllReduceCost(t *testing.T) {
 	c := CollectiveCost{BandwidthBps: 100e9, Latency: 1e-6}
-	if got := c.AllReduce(1e9, 1); got != 0 {
+	if got := allReduce(c, 1e9, 1); got != 0 {
 		t.Errorf("single-rank all-reduce = %g, want 0", got)
 	}
 	// 8-rank ring: 2*(7/8) of the volume per link.
-	got := c.AllReduce(1e9, 8)
+	got := allReduce(c, 1e9, 8)
 	want := 2*(7.0/8)*1e9/100e9 + 14e-6
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("AllReduce = %g, want %g", got, want)
@@ -42,26 +53,26 @@ func TestTPOverhead(t *testing.T) {
 	c := CollectiveCost{BandwidthBps: 300e9, Latency: 1e-6}
 	act := 8192.0 * 8192 * 2
 
-	if got := TPOverheadPerLayer(c, act, 1, false, 0); got != 0 {
+	if got := TPOverheadPerLayer(c, act, 1, 0); got != 0 {
 		t.Errorf("TP=1 overhead = %g, want 0", got)
 	}
-	plain := TPOverheadPerLayer(c, act, 8, false, 0)
-	if plain <= 0 {
+	exposed := TPOverheadPerLayer(c, act, 8, 0)
+	if exposed <= 0 {
 		t.Fatal("TP=8 overhead must be positive")
 	}
 	// StepCCL overlap shrinks exposed time proportionally.
-	overlapped := TPOverheadPerLayer(c, act, 8, false, 0.85)
-	if math.Abs(overlapped-plain*0.15) > 1e-12 {
-		t.Errorf("85%% overlap: got %g, want %g", overlapped, plain*0.15)
+	overlapped := TPOverheadPerLayer(c, act, 8, 0.85)
+	if math.Abs(overlapped-exposed*0.15) > 1e-12 {
+		t.Errorf("85%% overlap: got %g, want %g", overlapped, exposed*0.15)
 	}
-	if got := TPOverheadPerLayer(c, act, 8, false, 2.0); got != 0 {
+	if got := TPOverheadPerLayer(c, act, 8, 2.0); got != 0 {
 		t.Errorf("overlap > 1 must clamp to zero exposure, got %g", got)
 	}
-	// Sequence parallelism moves the same volume.
-	sp := TPOverheadPerLayer(c, act, 8, true, 0)
-	ratio := sp / plain
+	// Sequence parallelism moves the volume of classic TP's two
+	// all-reduces per layer.
+	ratio := exposed / (2 * allReduce(c, act, 8))
 	if ratio < 0.9 || ratio > 1.2 {
-		t.Errorf("SP/plain volume ratio = %g, want ~1", ratio)
+		t.Errorf("SP/all-reduce volume ratio = %g, want ~1", ratio)
 	}
 }
 

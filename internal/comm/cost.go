@@ -1,5 +1,5 @@
 // Package comm provides the analytic cost models for the collectives
-// that dominate distributed training: ring all-reduce, all-gather and
+// that dominate distributed training: ring all-gather and
 // reduce-scatter, and point-to-point pipeline transfers.
 package comm
 
@@ -11,17 +11,6 @@ type CollectiveCost struct {
 	BandwidthBps float64
 	// Latency is the per-step message latency in seconds.
 	Latency float64
-}
-
-// AllReduce returns the time to all-reduce the given byte volume across
-// n ranks with a ring algorithm: 2(n-1)/n of the data crosses each
-// link, in 2(n-1) latency-bound steps.
-func (c CollectiveCost) AllReduce(bytes float64, n int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	f := float64(n-1) / float64(n)
-	return 2*f*bytes/c.BandwidthBps + 2*float64(n-1)*c.Latency
 }
 
 // AllGather returns ring all-gather time: (n-1)/n of the full volume
@@ -45,28 +34,21 @@ func (c CollectiveCost) P2P(bytes float64) float64 {
 }
 
 // TPOverheadPerLayer returns the exposed tensor-parallel communication
-// time for one transformer layer over one microbatch:
-//
-//   - classic TP: two all-reduces (attention out, MLP out) of the full
-//     activation in forward, mirrored in backward;
-//   - with sequence parallelism the all-reduces become
-//     all-gather + reduce-scatter pairs of the same total volume.
+// time for one transformer layer over one microbatch under sequence
+// parallelism (§4.1): the two all-reduces of classic TP (attention out,
+// MLP out) become all-gather + reduce-scatter pairs of the same total
+// volume, in forward.
 //
 // activationBytes is seq*hidden*2 (bf16) for the microbatch.
 // overlapFraction is how much of the communication StepCCL hides
 // (Appendix A.1); 0 means fully exposed.
-func TPOverheadPerLayer(c CollectiveCost, activationBytes float64, tp int, seqParallel bool, overlapFraction float64) float64 {
+func TPOverheadPerLayer(c CollectiveCost, activationBytes float64, tp int, overlapFraction float64) float64 {
 	if tp <= 1 {
 		return 0
 	}
-	var t float64
-	if seqParallel {
-		// 2x (AG + RS) per layer, forward; volume identical to the two
-		// all-reduces but latency count doubles.
-		t = 2 * (c.AllGather(activationBytes, tp) + c.ReduceScatter(activationBytes, tp))
-	} else {
-		t = 2 * c.AllReduce(activationBytes, tp)
-	}
+	// 2x (AG + RS) per layer: the volume of the two all-reduces, twice
+	// their latency count.
+	t := 2 * (c.AllGather(activationBytes, tp) + c.ReduceScatter(activationBytes, tp))
 	exposed := 1 - overlapFraction
 	if exposed < 0 {
 		exposed = 0

@@ -17,6 +17,18 @@ import (
 	"disttrain/internal/trainer"
 )
 
+// budgeted builds a controller whose switch budget is n plan switches
+// instead of maxReplans.
+func budgeted(t *testing.T, cfg Config, n int) *Controller {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.maxReplans = n
+	return c
+}
+
 func runConfig(t *testing.T, cfg trainer.Config, iters int) *trainer.Result {
 	t.Helper()
 	rt, err := trainer.New(cfg)
@@ -53,12 +65,7 @@ func TestAdaptiveReplanEndToEnd(t *testing.T) {
 
 	off := runConfig(t, base, iters)
 
-	ctrl, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus),
-		Threshold: 0.5, Window: 2, ApplyDelay: 1, MaxReplans: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2}, 1)
 	adaptive := base
 	adaptive.Controller = ctrl
 	on := runConfig(t, adaptive, iters)
@@ -154,12 +161,8 @@ func TestReconfigurationPreservesGradients(t *testing.T) {
 				t.Fatal("reference run produced no gradient sums")
 			}
 			for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				ctrl, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus),
-					Threshold: 0.4, Window: 2, ApplyDelay: 1, MaxReplans: 2, Cooldown: 3,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.4, Window: 2}, 2)
+				ctrl.cooldown = 3
 				cfg := mk()
 				cfg.Parallelism = workers
 				cfg.Controller = ctrl
@@ -193,10 +196,7 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	}
 
 	run := func() []byte {
-		ctrl, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2, MaxReplans: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2}, 1)
 		cfg := trainer.DistTrainConfig(spec, plan, corpus)
 		cfg.Scenario = sc
 		cfg.Parallelism = 4
@@ -248,10 +248,7 @@ func TestReplanAgainstEvaluateEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2, MaxReplans: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2}, 1)
 	cfg := trainer.DistTrainConfig(spec, plan, corpus)
 	cfg.Scenario = sc
 	cfg.Controller = ctrl
@@ -293,10 +290,7 @@ func TestGoldenTraceBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2, MaxReplans: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2}, 1)
 	cfg := trainer.DistTrainConfig(spec, plan, corpus)
 	cfg.Scenario = sc
 	cfg.Parallelism = 4

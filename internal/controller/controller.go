@@ -23,7 +23,7 @@
 // observation sequence. The plan search is the engine's deterministic
 // parallel enumeration, the trigger is computed from deterministic
 // runtime stats, and the switch boundary is fixed at trigger +
-// 1 + ApplyDelay iterations (training overlaps the search; the runtime
+// 1 + applyDelay iterations (training overlaps the search; the runtime
 // blocks at the boundary if the search hasn't finished). Two identical
 // runs therefore trigger, search and switch identically — which is
 // what lets the golden-trace test pin byte-identical timelines, and
@@ -46,14 +46,32 @@ import (
 
 // Defaults for Config's zero values.
 const (
-	DefaultThreshold  = 0.25
-	DefaultWindow     = 3
-	DefaultApplyDelay = 1
-	DefaultMaxReplans = 3
-	DefaultMinGain    = 0.02
+	defaultThreshold = 0.25
+	defaultWindow    = 3
 )
 
-// Config parameterises a re-planning controller.
+// The controller's calibrated constants.
+const (
+	// applyDelay is how many iterations of training overlap the
+	// concurrent plan search before the switch boundary: a trigger while
+	// observing iteration i applies before iteration i+1+applyDelay.
+	applyDelay = 1
+	// maxReplans caps applied plan switches for a run. Triggered
+	// searches that decline to switch (no better plan under the
+	// recalibrated profile) do not consume the budget — the cooldown of
+	// twice the window throttles search frequency.
+	maxReplans = 3
+	// minGain is the minimum relative improvement of the candidate
+	// plan's trial-evaluated mean iteration time over the incumbent's —
+	// both scored on the observed window under the full runtime cost
+	// model — for a switch to apply.
+	minGain float64 = 0.02
+)
+
+// Config parameterises a re-planning controller: the run it watches,
+// the drift threshold and the observation window. The switch delay,
+// switch budget and minimum gain are the constants applyDelay,
+// maxReplans and minGain.
 type Config struct {
 	// Train is the run's training configuration, used two ways: its
 	// Spec (cluster, model, batch geometry, calibrated profiler — the
@@ -62,37 +80,19 @@ type Config struct {
 	// the whole Config is the template for trial evaluations — every
 	// candidate plan is scored on the observed window under the full
 	// runtime cost model (trainer.TrialMeanIterTime) with the same
-	// cost-model knobs as the live run. Train.Plan is the incumbent;
+	// switches as the live run. Train.Plan is the incumbent;
 	// Train's Scenario/Controller/Trace/Source fields are ignored.
 	Train trainer.Config
 
 	// Threshold is the drift score that triggers a re-plan; 0 means
-	// DefaultThreshold. The score is the maximum of the three
-	// normalized drift signals (see DriftReport).
+	// 0.25. The score is the maximum of the three normalized drift
+	// signals (see DriftReport).
 	Threshold float64
 	// Window is how many recent iterations feed drift estimation (and
-	// profiler recalibration); 0 means DefaultWindow. No decision fires
-	// before a full window has been observed.
+	// profiler recalibration); 0 means 3. No decision fires before a
+	// full window has been observed, and two triggers are at least two
+	// windows apart.
 	Window int
-	// Cooldown is the minimum number of iterations between triggers;
-	// 0 means 2*Window.
-	Cooldown int
-	// ApplyDelay is how many iterations of training overlap the
-	// concurrent plan search before the switch boundary; 0 means
-	// DefaultApplyDelay. A trigger while observing iteration i applies
-	// before iteration i+1+ApplyDelay.
-	ApplyDelay int
-	// MaxReplans caps applied plan switches for the run; 0 means
-	// DefaultMaxReplans, negative means unlimited. Triggered searches
-	// that decline to switch (no better plan under the recalibrated
-	// profile) do not consume the budget — Cooldown throttles search
-	// frequency.
-	MaxReplans int
-	// MinGain is the minimum relative improvement of the candidate
-	// plan's trial-evaluated mean iteration time over the incumbent's
-	// — both scored on the observed window under the full runtime cost
-	// model — for a switch to apply; 0 means DefaultMinGain.
-	MinGain float64
 	// Parallelism bounds the plan-search worker pool; values < 1 mean
 	// GOMAXPROCS. The chosen plan is independent of this value.
 	Parallelism int
@@ -100,22 +100,10 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Threshold == 0 {
-		c.Threshold = DefaultThreshold
+		c.Threshold = defaultThreshold
 	}
 	if c.Window == 0 {
-		c.Window = DefaultWindow
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 2 * c.Window
-	}
-	if c.ApplyDelay == 0 {
-		c.ApplyDelay = DefaultApplyDelay
-	}
-	if c.MaxReplans == 0 {
-		c.MaxReplans = DefaultMaxReplans
-	}
-	if c.MinGain == 0 {
-		c.MinGain = DefaultMinGain
+		c.Window = defaultWindow
 	}
 	return c
 }
@@ -128,11 +116,8 @@ func (c Config) Validate() error {
 	if c.Threshold < 0 || math.IsNaN(c.Threshold) {
 		return fmt.Errorf("controller: threshold %g must be non-negative", c.Threshold)
 	}
-	if c.Window < 0 || c.Cooldown < 0 || c.ApplyDelay < 0 {
-		return fmt.Errorf("controller: window/cooldown/apply-delay must be non-negative")
-	}
-	if c.MinGain < 0 || c.MinGain >= 1 {
-		return fmt.Errorf("controller: min gain %g outside [0,1)", c.MinGain)
+	if c.Window < 0 {
+		return fmt.Errorf("controller: window must be non-negative")
 	}
 	return nil
 }
@@ -186,6 +171,10 @@ type pendingSearch struct {
 // detection, concurrent re-planning, boundary-synchronised switches.
 type Controller struct {
 	cfg Config
+	// cooldown is the minimum number of iterations between triggers
+	// (twice the window) and maxReplans the switch budget; tests
+	// tighten both.
+	cooldown, maxReplans int
 
 	mu       sync.Mutex
 	lastIter int
@@ -215,10 +204,12 @@ func New(cfg Config) (*Controller, error) {
 	}
 	cfg = cfg.withDefaults()
 	c := &Controller{
-		cfg:      cfg,
-		lastIter: -1,
-		lastTrig: math.MinInt32,
-		current:  cfg.Train.Plan,
+		cfg:        cfg,
+		cooldown:   2 * cfg.Window,
+		maxReplans: maxReplans,
+		lastIter:   -1,
+		lastTrig:   math.MinInt32,
+		current:    cfg.Train.Plan,
 	}
 	c.refCost = shapeCost(cfg.Train.Spec.Profiler, cfg.Train.Spec.Profiler.MeanShape())
 	return c, nil
@@ -260,10 +251,10 @@ func (c *Controller) Observe(obs trainer.Observation) {
 	if len(c.window) < c.cfg.Window || c.pending != nil {
 		return
 	}
-	if c.cfg.MaxReplans >= 0 && c.applied >= c.cfg.MaxReplans {
+	if c.applied >= c.maxReplans {
 		return
 	}
-	if obs.Iter-c.lastTrig < c.cfg.Cooldown {
+	if obs.Iter-c.lastTrig < c.cooldown {
 		return
 	}
 
@@ -318,7 +309,7 @@ func (c *Controller) launchLocked(iter int, rep DriftReport) {
 	}
 	incumbent := *c.current
 	ch := make(chan *searchOutcome, 1) // buffered: never strands the search goroutine
-	c.pending = &pendingSearch{applyAt: iter + 1 + c.cfg.ApplyDelay, ch: ch}
+	c.pending = &pendingSearch{applyAt: iter + 1 + applyDelay, ch: ch}
 	cfg := c.cfg
 	go func() { ch <- runSearch(cfg, incumbent, shapes, batches, rep) }()
 }
@@ -330,7 +321,7 @@ func (c *Controller) launchLocked(iter int, rep DriftReport) {
 // estimate and the runtime regularly disagree on close plans, and
 // MeanIterTime is measured by the runtime). It returns nil (no switch)
 // when the search fails, the winner equals the incumbent, or the
-// winner's trial time does not beat the incumbent's by MinGain.
+// winner's trial time does not beat the incumbent's by minGain.
 func runSearch(cfg Config, incumbent orchestrator.Plan, shapes []model.SampleShape, batches [][]data.Sample, rep DriftReport) *searchOutcome {
 	fresh, err := profiler.New(cfg.Train.Spec.Profiler.Options())
 	if err != nil {
@@ -360,7 +351,7 @@ func runSearch(cfg Config, incumbent orchestrator.Plan, shapes []model.SampleSha
 		curCost = math.Inf(1) // incumbent no longer executes the observed load
 	}
 	newCost, err := trial(plan)
-	if err != nil || newCost >= curCost*(1-cfg.MinGain) {
+	if err != nil || newCost >= curCost*(1-minGain) {
 		return nil
 	}
 	return &searchOutcome{

@@ -53,7 +53,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Train.Plan = nil },
 		func(c *Config) { c.Threshold = -1 },
 		func(c *Config) { c.Window = -1 },
-		func(c *Config) { c.MinGain = 1 },
 		func(c *Config) { c.Train.Spec.Profiler = nil },
 	} {
 		bad := good

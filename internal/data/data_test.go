@@ -187,40 +187,40 @@ func TestBatchAndGlobalBatch(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	for i := 0; i < 100; i++ {
+	h := newHistogram(128) // 32 bins of width 4
+	for i := 0; i < 128; i++ {
 		h.Add(i)
 	}
 	dens := h.Density()
 	for i, d := range dens {
-		if math.Abs(d-0.1) > 1e-9 {
-			t.Fatalf("bin %d density %g, want 0.1", i, d)
+		if math.Abs(d-1.0/histBins) > 1e-9 {
+			t.Fatalf("bin %d density %g, want 1/%d", i, d, histBins)
 		}
 	}
-	if h.Mean() != 49.5 {
-		t.Errorf("Mean = %g, want 49.5", h.Mean())
+	if h.Mean() != 63.5 {
+		t.Errorf("Mean = %g, want 63.5", h.Mean())
 	}
 	// Clamping.
 	h.Add(-5)
 	h.Add(500)
-	if h.Counts[0] != 11 || h.Counts[9] != 11 {
-		t.Errorf("edge bins = %d,%d, want 11,11", h.Counts[0], h.Counts[9])
+	if h.Counts[0] != 5 || h.Counts[histBins-1] != 5 {
+		t.Errorf("edge bins = %d,%d, want 5,5", h.Counts[0], h.Counts[histBins-1])
 	}
-	if out := h.Render("test", 20); len(out) == 0 {
+	if out := h.Render("test"); len(out) == 0 {
 		t.Error("Render produced nothing")
 	}
 }
 
 func TestSkewnessSigns(t *testing.T) {
 	rightSkewed := []int{1, 1, 1, 2, 2, 3, 10, 50}
-	if Skewness(rightSkewed) <= 0 {
+	if skewness(rightSkewed) <= 0 {
 		t.Error("right-skewed data should have positive skewness")
 	}
 	symmetric := []int{1, 2, 3, 4, 5, 6, 7}
-	if math.Abs(Skewness(symmetric)) > 0.01 {
+	if math.Abs(skewness(symmetric)) > 0.01 {
 		t.Error("symmetric data should have ~zero skewness")
 	}
-	if Skewness([]int{5}) != 0 || Skewness(nil) != 0 {
+	if skewness([]int{5}) != 0 || skewness(nil) != 0 {
 		t.Error("degenerate inputs should return 0")
 	}
 }

@@ -9,30 +9,28 @@ import (
 // Histogram is a fixed-width binned density over integer observations,
 // used to regenerate the Figure 5 characterisation plots.
 type Histogram struct {
-	Min, Max  int
 	BinWidth  int
 	Counts    []int
 	Total     int
 	sumValues float64
 }
 
-// NewHistogram builds a histogram over [min, max] with the given number
-// of bins.
-func NewHistogram(min, max, bins int) *Histogram {
-	if bins <= 0 || max <= min {
-		panic(fmt.Sprintf("data: bad histogram bounds [%d,%d] bins=%d", min, max, bins))
-	}
-	width := (max - min + bins - 1) / bins
-	if width == 0 {
-		width = 1
-	}
-	return &Histogram{Min: min, Max: max, BinWidth: width, Counts: make([]int, bins)}
+// The Figure 5 plots' geometry: every histogram has histBins bins from
+// 0, and Render draws bars up to renderWidth characters long.
+const (
+	histBins    = 32
+	renderWidth = 50
+)
+
+// newHistogram builds a histogram over [0, max], max > 0.
+func newHistogram(max int) *Histogram {
+	return &Histogram{BinWidth: (max + histBins - 1) / histBins, Counts: make([]int, histBins)}
 }
 
 // Add records one observation; out-of-range values clamp to the edge
 // bins.
 func (h *Histogram) Add(v int) {
-	bin := (v - h.Min) / h.BinWidth
+	bin := v / h.BinWidth
 	if bin < 0 {
 		bin = 0
 	}
@@ -72,11 +70,11 @@ func (h *Histogram) Mode() int {
 			best = i
 		}
 	}
-	return h.Min + best*h.BinWidth + h.BinWidth/2
+	return best*h.BinWidth + h.BinWidth/2
 }
 
-// Render draws a horizontal ASCII density plot with the given bar width.
-func (h *Histogram) Render(label string, barWidth int) string {
+// Render draws a horizontal ASCII density plot.
+func (h *Histogram) Render(label string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (n=%d, mean=%.1f)\n", label, h.Total, h.Mean())
 	dens := h.Density()
@@ -85,19 +83,19 @@ func (h *Histogram) Render(label string, barWidth int) string {
 		maxD = math.Max(maxD, d)
 	}
 	for i, d := range dens {
-		lo := h.Min + i*h.BinWidth
+		lo := i * h.BinWidth
 		n := 0
 		if maxD > 0 {
-			n = int(d / maxD * float64(barWidth))
+			n = int(d / maxD * renderWidth)
 		}
-		fmt.Fprintf(&b, "%6d | %-*s %.4f\n", lo, barWidth, strings.Repeat("#", n), d)
+		fmt.Fprintf(&b, "%6d | %-*s %.4f\n", lo, renderWidth, strings.Repeat("#", n), d)
 	}
 	return b.String()
 }
 
-// Skewness returns the standardised third moment computed from raw
+// skewness returns the standardised third moment computed from raw
 // values (used to verify the "highly skewed" claim of §2.3).
-func Skewness(values []int) float64 {
+func skewness(values []int) float64 {
 	n := float64(len(values))
 	if n < 2 {
 		return 0
@@ -135,9 +133,9 @@ type Characterization struct {
 // histograms.
 func Characterize(c *Corpus, n int) *Characterization {
 	ch := &Characterization{
-		TextSizes:   NewHistogram(0, 128, 32),
-		ImageSizes:  NewHistogram(0, 4096, 32),
-		ImageCounts: NewHistogram(0, 32, 32),
+		TextSizes:   newHistogram(128),
+		ImageSizes:  newHistogram(4096),
+		ImageCounts: newHistogram(32),
 	}
 	for i := 0; i < n; i++ {
 		s := c.Sample(int64(i))
@@ -159,6 +157,6 @@ func Characterize(c *Corpus, n int) *Characterization {
 
 // TextSkewness, ImageSkewness and CountSkewness expose the raw
 // skewness of each distribution.
-func (ch *Characterization) TextSkewness() float64  { return Skewness(ch.textRaw) }
-func (ch *Characterization) ImageSkewness() float64 { return Skewness(ch.imageRaw) }
-func (ch *Characterization) CountSkewness() float64 { return Skewness(ch.countRaw) }
+func (ch *Characterization) TextSkewness() float64  { return skewness(ch.textRaw) }
+func (ch *Characterization) ImageSkewness() float64 { return skewness(ch.imageRaw) }
+func (ch *Characterization) CountSkewness() float64 { return skewness(ch.countRaw) }

@@ -3,46 +3,61 @@
 // dedicated process to periodically and asynchronously save model
 // checkpoints... for fault tolerance" and "handles failures by
 // automatically recovering the training from the latest model
-// checkpoint" (§6). The store is in-memory with a bandwidth/latency
-// model so the trainer can charge realistic (simulated) durations while
-// the checkpoint manager exercises real concurrency.
+// checkpoint" (§6). The store is in-memory with a fixed
+// bandwidth/latency model — a few GB/s per client and millisecond
+// metadata operations — so the trainer can charge realistic (simulated)
+// durations while the checkpoint manager exercises real concurrency.
 package dfs
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
+// The DFS's production-like characteristics: a few GB/s per client and
+// millisecond metadata operations.
+const (
+	// writeBps and readBps are per-client bandwidths in bytes/s.
+	writeBps, readBps = 3e9, 5e9
+	// latency is the per-operation metadata latency in seconds.
+	latency = 2e-3
+)
+
+// WriteSeconds returns the simulated time for clients to write bytes
+// in parallel, equal shards.
+func WriteSeconds(bytes float64, clients int) float64 {
+	return latency + bytes/(writeBps*float64(clients))
+}
+
+// ReadSeconds returns the simulated time for clients to read bytes in
+// parallel, equal shards.
+func ReadSeconds(bytes float64, clients int) float64 {
+	return latency + bytes/(readBps*float64(clients))
+}
+
 // FS is a simulated distributed file system.
 type FS struct {
-	// WriteBps and ReadBps are per-client bandwidths in bytes/s.
-	WriteBps, ReadBps float64
-	// Latency is the per-operation metadata latency in seconds.
-	Latency float64
-
 	mu    sync.RWMutex
 	files map[string][]byte
 }
 
-// New returns a DFS with production-like characteristics: a few GB/s
-// per client and millisecond metadata operations.
+// New returns an empty DFS.
 func New() *FS {
-	return &FS{WriteBps: 3e9, ReadBps: 5e9, Latency: 2e-3, files: map[string][]byte{}}
+	return &FS{files: map[string][]byte{}}
 }
 
-// Write stores a file and returns the simulated transfer duration.
-func (f *FS) Write(name string, data []byte) (float64, error) {
+// Write stores a file.
+func (f *FS) Write(name string, data []byte) error {
 	if name == "" {
-		return 0, errors.New("dfs: empty file name")
+		return errors.New("dfs: empty file name")
 	}
 	stored := append([]byte(nil), data...)
 	f.mu.Lock()
 	f.files[name] = stored
 	f.mu.Unlock()
-	return f.Latency + float64(len(data))/f.WriteBps, nil
+	return nil
 }
 
 // Read fetches a file and its simulated transfer duration.
@@ -54,18 +69,16 @@ func (f *FS) Read(name string) ([]byte, float64, error) {
 		return nil, 0, fmt.Errorf("dfs: %s not found", name)
 	}
 	out := append([]byte(nil), data...)
-	return out, f.Latency + float64(len(out))/f.ReadBps, nil
+	return out, ReadSeconds(float64(len(out)), 1), nil
 }
 
-// List returns file names with the given prefix, sorted.
-func (f *FS) List(prefix string) []string {
+// List returns every file name, sorted.
+func (f *FS) List() []string {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	var out []string
+	out := make([]string, 0, len(f.files))
 	for name := range f.files {
-		if strings.HasPrefix(name, prefix) {
-			out = append(out, name)
-		}
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
@@ -78,13 +91,13 @@ type Checkpoint struct {
 }
 
 // CheckpointManager saves checkpoints asynchronously on a dedicated
-// goroutine (§3's "dedicated process") and recovers the latest on
-// demand. Saves never block training: if the writer is still busy when
-// the next save arrives, the new state replaces the pending one (only
-// the freshest state matters for recovery).
+// goroutine (§3's "dedicated process") to a DFS of its own and
+// recovers the latest on demand. Saves never block training: if the
+// writer is still busy when the next save arrives, the new state
+// replaces the pending one (only the freshest state matters for
+// recovery).
 type CheckpointManager struct {
-	fs     *FS
-	prefix string
+	fs *FS
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -99,12 +112,11 @@ type CheckpointManager struct {
 }
 
 // NewCheckpointManager starts the background writer.
-func NewCheckpointManager(fs *FS, prefix string) *CheckpointManager {
+func NewCheckpointManager(fs *FS) *CheckpointManager {
 	m := &CheckpointManager{
-		fs:     fs,
-		prefix: prefix,
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
+		fs:   fs,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	go m.loop()
@@ -127,8 +139,8 @@ func (m *CheckpointManager) loop() {
 			m.saving = true
 			m.mu.Unlock()
 
-			name := fmt.Sprintf("%s/ckpt-%08d", m.prefix, ck.Step)
-			_, err := m.fs.Write(name, encode(ck))
+			name := fmt.Sprintf("ckpt-%08d", ck.Step)
+			err := m.fs.Write(name, encode(ck))
 			m.mu.Lock()
 			if err == nil {
 				m.saved++
@@ -192,7 +204,7 @@ func (m *CheckpointManager) Close() {
 // recovery path — with the simulated DFS read duration, so the
 // recovery path can charge the restore time against the run.
 func (m *CheckpointManager) Latest() (Checkpoint, float64, error) {
-	names := m.fs.List(m.prefix + "/ckpt-")
+	names := m.fs.List()
 	if len(names) == 0 {
 		return Checkpoint{}, 0, errors.New("dfs: no checkpoints")
 	}

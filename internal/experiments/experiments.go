@@ -149,11 +149,11 @@ func ms(seconds float64) string  { return fmt.Sprintf("%.1f", seconds*1e3) }
 func pct(frac float64) string    { return fmt.Sprintf("%.1f%%", frac*100) }
 func toks(perSec float64) string { return fmt.Sprintf("%.2fM", perSec/1e6) }
 
-// Fig3 reproduces the per-stage forward-time characterisation: one PP
+// fig3 reproduces the per-stage forward-time characterisation: one PP
 // stage of Llama3-70B (PP=10, TP=8) against ViT-Huge and
 // Stable-Diffusion on an 8-GPU group, across {8,16} images at
 // {512^2, 1024^2} in an 8K sequence.
-func Fig3(scale Scale) (*Table, error) {
+func fig3(scale Scale) (*Table, error) {
 	e, err := newEnv(scale)
 	if err != nil {
 		return nil, err
@@ -194,9 +194,9 @@ func Fig3(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// Fig5 regenerates the data-heterogeneity characterisation over the
+// fig5 regenerates the data-heterogeneity characterisation over the
 // synthetic LAION-400M-like corpus.
-func Fig5(scale Scale) (*Table, error) {
+func fig5(scale Scale) (*Table, error) {
 	e, err := newEnv(scale)
 	if err != nil {
 		return nil, err
@@ -227,10 +227,10 @@ func Fig5(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// Fig13 reproduces the overall MFU comparison at full scale; Fig14 the
+// fig13 reproduces the overall MFU comparison at full scale; fig14 the
 // throughput view of the same runs.
-func Fig13(scale Scale) (*Table, error) { return overall(scale, "fig13") }
-func Fig14(scale Scale) (*Table, error) { return overall(scale, "fig14") }
+func fig13(scale Scale) (*Table, error) { return overall(scale, "fig13") }
+func fig14(scale Scale) (*Table, error) { return overall(scale, "fig14") }
 
 func overall(scale Scale, id string) (*Table, error) {
 	e, err := newEnv(scale)
@@ -281,9 +281,9 @@ func overall(scale Scale, id string) (*Table, error) {
 	return t, nil
 }
 
-// Fig15 reproduces the disaggregated model orchestration ablation:
+// fig15 reproduces the disaggregated model orchestration ablation:
 // DistTrain vs Megatron-LM vs DistMM* on 96 GPUs.
-func Fig15(scale Scale) (*Table, error) {
+func fig15(scale Scale) (*Table, error) {
 	e, err := newEnv(scale)
 	if err != nil {
 		return nil, err
@@ -324,10 +324,10 @@ func Fig15(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// Fig16 reproduces the disaggregated data preprocessing ablation:
+// fig16 reproduces the disaggregated data preprocessing ablation:
 // DistTrain's dual-level reordering vs Megatron-LM's random order,
 // with the model orchestration held fixed at DistTrain's plan.
-func Fig16(scale Scale) (*Table, error) {
+func fig16(scale Scale) (*Table, error) {
 	e, err := newEnv(scale)
 	if err != nil {
 		return nil, err
@@ -372,10 +372,10 @@ func Fig16(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// Fig18 and Fig19 reproduce frozen training MFU and throughput across
+// fig18 and fig19 reproduce frozen training MFU and throughput across
 // the four §7.3 settings.
-func Fig18(scale Scale) (*Table, error) { return frozen(scale, "fig18") }
-func Fig19(scale Scale) (*Table, error) { return frozen(scale, "fig19") }
+func fig18(scale Scale) (*Table, error) { return frozen(scale, "fig18") }
+func fig19(scale Scale) (*Table, error) { return frozen(scale, "fig19") }
 
 func frozen(scale Scale, id string) (*Table, error) {
 	e, err := newEnv(scale)
@@ -431,9 +431,9 @@ func frozen(scale Scale, id string) (*Table, error) {
 	return t, nil
 }
 
-// Table2 prints the backbone configurations (verification of the model
+// table2 prints the backbone configurations (verification of the model
 // substrate against the paper).
-func Table2(Scale) (*Table, error) {
+func table2(Scale) (*Table, error) {
 	t := &Table{
 		ID:     "table2",
 		Title:  "LLM backbone configurations",
@@ -447,9 +447,9 @@ func Table2(Scale) (*Table, error) {
 	return t, nil
 }
 
-// Table3 measures the orchestration algorithm's wall-clock overhead at
+// table3 measures the orchestration algorithm's wall-clock overhead at
 // the paper's four scales.
-func Table3(scale Scale) (*Table, error) {
+func table3(scale Scale) (*Table, error) {
 	e, err := newEnv(scale)
 	if err != nil {
 		return nil, err

@@ -50,7 +50,7 @@ func TestTableRender(t *testing.T) {
 // TestFig3Shape checks the characterisation that motivates the whole
 // paper: constant LLM time, growing encoder/generator time.
 func TestFig3Shape(t *testing.T) {
-	tb, err := Fig3(Quick)
+	tb, err := fig3(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFig15ShapeQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full trainer runs")
 	}
-	tb, err := Fig15(Quick)
+	tb, err := fig15(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestFig15ShapeQuick(t *testing.T) {
 }
 
 func TestTable3UnderOneSecond(t *testing.T) {
-	tb, err := Table3(Quick)
+	tb, err := table3(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFig17ShapeQuick(t *testing.T) {
 	const attempts = 4
 	best := map[string]float64{}
 	for try := 0; try < attempts; try++ {
-		tb, err := Fig17(Quick)
+		tb, err := fig17(Quick)
 		if err != nil {
 			t.Fatal(err)
 		}

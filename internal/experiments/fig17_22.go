@@ -36,10 +36,10 @@ func (f fixedShapeSource) Sample(index int64) data.Sample {
 	return s
 }
 
-// Fig17 measures real preprocessing overhead per iteration on the
+// fig17 measures real preprocessing overhead per iteration on the
 // training side, with and without disaggregation, over the real TCP
 // producer/consumer. DP size is 1, matching §7.3.
-func Fig17(scale Scale) (*Table, error) {
+func fig17(scale Scale) (*Table, error) {
 	t := &Table{
 		ID:     "fig17",
 		Title:  "Overhead of data preprocessing per iteration (measured, real CPU work + TCP)",
@@ -87,7 +87,7 @@ func measurePreprocess(cfg preprocess.Config) (colocated, disagg time.Duration, 
 		return 0, 0, err
 	}
 	start := time.Now()
-	if _, err := col.Fetch(ctx, 0, 0); err != nil {
+	if _, err := col.Fetch(ctx, 0); err != nil {
 		return 0, 0, err
 	}
 	colocated = time.Since(start)
@@ -105,7 +105,7 @@ func measurePreprocess(cfg preprocess.Config) (colocated, disagg time.Duration, 
 		return 0, 0, err
 	}
 	defer client.Close()
-	pf := preprocess.NewPrefetcher(client, cfg.DPSize, 0, 0, 3)
+	pf := preprocess.NewPrefetcher(client, cfg.DPSize, 3)
 	defer pf.Close()
 
 	if _, err := pf.Next(ctx); err != nil { // fills the pipeline
@@ -131,12 +131,12 @@ func measurePreprocess(cfg preprocess.Config) (colocated, disagg time.Duration, 
 	return colocated, disagg, nil
 }
 
-// Fig22 reproduces the StepCCL evaluation: iteration time of one PP
+// fig22 reproduces the StepCCL evaluation: iteration time of one PP
 // stage of the LLM backbone (one minimal TP group) with and without
 // communication overlap, at TP=4 and TP=8. The hidden fraction comes
 // from the chunked-overlap timeline model at the production chunk
 // count.
-func Fig22(scale Scale) (*Table, error) {
+func fig22(scale Scale) (*Table, error) {
 	e, err := newEnv(scale)
 	if err != nil {
 		return nil, err
@@ -201,18 +201,18 @@ func commExposed(p *profiler.Profiler, tp int, fullFwd float64) float64 {
 
 // Registry maps experiment IDs to their functions.
 var Registry = map[string]func(Scale) (*Table, error){
-	"fig3":   Fig3,
-	"fig5":   Fig5,
-	"fig13":  Fig13,
-	"fig14":  Fig14,
-	"fig15":  Fig15,
-	"fig16":  Fig16,
-	"fig17":  Fig17,
-	"fig18":  Fig18,
-	"fig19":  Fig19,
-	"fig22":  Fig22,
-	"table2": Table2,
-	"table3": Table3,
+	"fig3":   fig3,
+	"fig5":   fig5,
+	"fig13":  fig13,
+	"fig14":  fig14,
+	"fig15":  fig15,
+	"fig16":  fig16,
+	"fig17":  fig17,
+	"fig18":  fig18,
+	"fig19":  fig19,
+	"fig22":  fig22,
+	"table2": table2,
+	"table3": table3,
 }
 
 // Order lists experiments in paper order.

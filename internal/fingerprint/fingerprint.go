@@ -89,15 +89,15 @@ func (h *Hash) Sum() string {
 func Cluster(h *Hash, c cluster.Cluster) {
 	h.Int(c.Nodes)
 	h.Int(c.GPUsPerNode)
-	GPU(h, c.GPU)
+	gpu(h, c.GPU)
 	h.F64(c.NVLinkBps)
 	h.F64(c.InterNodeBps)
 	h.Bool(c.RailOptimized)
 	h.F64(c.LinkLatency)
 }
 
-// GPU encodes every cluster.GPUSpec field.
-func GPU(h *Hash, g cluster.GPUSpec) {
+// gpu encodes every cluster.GPUSpec field.
+func gpu(h *Hash, g cluster.GPUSpec) {
 	h.Str(g.Name)
 	h.F64(g.PeakFLOPS)
 	h.F64(g.MemoryBytes)

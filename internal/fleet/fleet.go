@@ -30,7 +30,8 @@ type JobSpec struct {
 	// cache's decision for that lease size, and replaces Trace with a
 	// private per-job trace (Config.Trace) — a shared one would
 	// interleave tenants nondeterministically. Scenario, Controller
-	// and the cost-model knobs are the tenant's own business and pass
+	// and the DistTrain-vs-Megatron switches (Reorder, AsyncP2P,
+	// DisaggregatedPreprocess) are the tenant's own business and pass
 	// through untouched.
 	Train trainer.Config
 	// Iters is the run length in training iterations.
@@ -261,7 +262,7 @@ type runner struct {
 	sched      Scheduler
 	shaped     bool    // scheduler placements are priced (ShapedScheduler)
 	classes    []Class // validated per-JobSpec priority classes
-	table      *LeaseTable
+	table      *leaseTable
 	cache      *orchestrator.PlanCache
 	events     []scenario.Event
 	tenants    []*tenant
@@ -325,7 +326,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	sched := cfg.Policy
 	if sched == nil {
-		sched = FIFO
+		sched = fifo
 	}
 	shaped := false
 	if ss, ok := sched.(ShapedScheduler); ok {
@@ -416,7 +417,7 @@ func Run(cfg Config) (*Result, error) {
 	f := &runner{
 		cfg: cfg, sched: sched, shaped: shaped, classes: classes,
 		ctx:   context.Background(),
-		table: NewLeaseTable(cfg.Cluster.Nodes),
+		table: newLeaseTable(cfg.Cluster.Nodes),
 		cache: cache, events: events,
 	}
 	if cfg.Trace {
@@ -580,7 +581,7 @@ func (f *runner) note(name string, args ...noteArg) {
 			m[a.key] = a.num
 		}
 	}
-	f.fleetTrace.Instant(name, "fleet", 0, float64(f.round), m)
+	f.fleetTrace.Instant(name, "fleet", float64(f.round), m)
 }
 
 // arrivalKind reports whether a fleet-scope event kind instantiates

@@ -365,7 +365,7 @@ func TestFleetConfigValidation(t *testing.T) {
 		"max above fleet": func(c *Config) { c.Jobs[0].MaxNodes = 99 },
 		"wrong cluster":   func(c *Config) { c.Cluster = cluster.Production(3) },
 		"generator scenario": func(c *Config) {
-			c.Scenario = scenario.RandomStragglers{Seed: 1, Ranks: 2, Prob: 0.5, MaxFactor: 2}
+			c.Scenario = mustParse(t, "random-stragglers:seed=1,ranks=2,prob=0.5,max=2")
 		},
 	} {
 		cfg := base
@@ -400,7 +400,7 @@ func TestFleetStarvation(t *testing.T) {
 			{Name: "hog", Train: tmpl, Iters: 2, MinNodes: 2, MaxNodes: 2},
 			{Name: "late", Train: tmpl, Iters: 2, MinNodes: 2, MaxNodes: 2, Arrive: 1},
 		},
-		Policy: FIFO, // no shrink-to-admit: late waits for hog
+		Policy: fifo, // no shrink-to-admit: late waits for hog
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +454,7 @@ func TestNoteCostsNothingUntraced(t *testing.T) {
 	f := &runner{round: 3}
 	name, reason := "g7", "preempted by high"
 	emit := func() {
-		f.note("job-arrive", noteInt("job", 300), noteStr("name", name), noteStr("class", ClassHigh.String()))
+		f.note("job-arrive", noteInt("job", 300), noteStr("name", name), noteStr("class", classHigh.String()))
 		f.note("job-preempt", noteInt("job", 300), noteStr("reason", reason))
 	}
 	if got := testing.AllocsPerRun(100, emit); got != 0 {

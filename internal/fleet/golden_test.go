@@ -103,7 +103,7 @@ func fifoGoldenFleet(t *testing.T) Config {
 			{Name: "b", Train: tmpl, Iters: 4, MinNodes: 2, MaxNodes: 4},
 			{Name: "c", Train: tmpl, Iters: 3, MinNodes: 2, MaxNodes: 8, Arrive: 1},
 		},
-		Policy:   FIFO,
+		Policy:   fifo,
 		Scenario: mustParse(t, "node-fail:iter=2,node=1; node-join:iter=4,node=1"),
 	}
 }

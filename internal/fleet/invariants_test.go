@@ -95,7 +95,7 @@ func TestTransitionLegality(t *testing.T) {
 	for from := range stateNames {
 		for to := range stateNames {
 			name := stateNames[from] + "->" + stateNames[to]
-			f := &runner{table: NewLeaseTable(4), round: 7}
+			f := &runner{table: newLeaseTable(4), round: 7}
 			tn := &tenant{id: 0, name: "probe-0", state: from, waited: 3}
 			holds := from == statePlanning || from == stateRunning
 			if holds {

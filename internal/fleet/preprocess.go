@@ -17,7 +17,8 @@ import (
 // first placement — weight from the job's priority class, admission
 // quota scaled to its lease — and their quotas resize alongside every
 // lease resize, so the fair share of the shared CPU tier tracks the
-// fair share of the GPU fleet.
+// fair share of the GPU fleet. The service's timeouts and cache bound
+// are the preprocess package's constants.
 type PreprocessConfig struct {
 	// Producers is how many producer servers the fleet starts.
 	Producers int
@@ -32,16 +33,11 @@ type PreprocessConfig struct {
 	// SlotsPerNode scales per-tenant admission quotas with lease size:
 	// quota = SlotsPerNode × leased nodes (default 2). A tenant
 	// saturating its quota has the fetch rejected as pool-saturated;
-	// other tenants keep fetching.
+	// other tenants keep fetching. The shared service's capacity is the
+	// cluster-wide slot budget (SlotsPerNode × cluster nodes), not the
+	// service's single-tenant sizing: admission must gate per tenant,
+	// not on the fleet's aggregate demand.
 	SlotsPerNode int
-	// Service overrides the shared-service knobs (Capacity,
-	// AdmitTimeout, FailureCooldown, DialTimeout, FetchTimeout,
-	// CacheCap); zero values keep the defaults, except Capacity, which
-	// defaults to the cluster-wide slot budget (SlotsPerNode × cluster
-	// nodes) rather than the service's single-tenant sizing — admission
-	// must gate per tenant, not on the fleet's aggregate demand. Addrs
-	// and Stats are fleet-owned and ignored here.
-	Service preprocess.ServiceConfig
 }
 
 func (pc *PreprocessConfig) slotsPerNode() int {
@@ -71,19 +67,16 @@ func (f *runner) startPreprocess() error {
 		return fmt.Errorf("fleet: start producers: %w", err)
 	}
 	f.poolStats = &metrics.PoolStats{}
-	svcCfg := pc.Service
-	svcCfg.Addrs = producers.Addrs()
-	svcCfg.Stats = f.poolStats
-	if svcCfg.Capacity == 0 {
-		// The service's own default (2 slots per producer) sizes a
-		// single tenant's pool. The shared tier must admit every
-		// tenant's quota at once: leases cover at most the whole
-		// cluster, so the cluster-wide slot budget is the capacity at
-		// which admission is gated per tenant (by quota), never by the
-		// fleet's aggregate demand.
-		svcCfg.Capacity = f.quotaFor(f.cfg.Cluster.Nodes)
-	}
-	svc, err := preprocess.NewService(svcCfg)
+	// The service's own default capacity (2 slots per producer) sizes a
+	// single tenant's pool. The shared tier must admit every tenant's
+	// quota at once: leases cover at most the whole cluster, so the
+	// cluster-wide slot budget is the capacity at which admission is
+	// gated per tenant (by quota), never by the fleet's aggregate demand.
+	svc, err := preprocess.NewService(preprocess.ServiceConfig{
+		Addrs:    producers.Addrs(),
+		Capacity: f.quotaFor(f.cfg.Cluster.Nodes),
+		Stats:    f.poolStats,
+	})
 	if err != nil {
 		producers.Close()
 		return fmt.Errorf("fleet: start preprocessing service: %w", err)

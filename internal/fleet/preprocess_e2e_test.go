@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/data"
@@ -63,9 +62,9 @@ func preprocFleet(t *testing.T, spec orchestrator.Spec, corpus *data.Corpus, wor
 	return Config{
 		Cluster: spec.Cluster,
 		Jobs: []JobSpec{
-			{Name: "bulk", Train: tmpl, Iters: 5, MinNodes: 2, MaxNodes: 2, Priority: ClassLow},
+			{Name: "bulk", Train: tmpl, Iters: 5, MinNodes: 2, MaxNodes: 2, Priority: classLow},
 			{Name: "base", Train: tmpl, Iters: 5, MinNodes: 2, MaxNodes: 2},
-			{Name: "prio", Train: tmpl, Iters: 5, MinNodes: 2, MaxNodes: 2, Priority: ClassHigh},
+			{Name: "prio", Train: tmpl, Iters: 5, MinNodes: 2, MaxNodes: 2, Priority: classHigh},
 		},
 		Policy:   FairShare,
 		Scenario: sc,
@@ -79,11 +78,6 @@ func preprocFleet(t *testing.T, spec orchestrator.Spec, corpus *data.Corpus, wor
 				Microbatch:  spec.Microbatch,
 				Workers:     8,
 				Readahead:   1,
-			},
-			Service: preprocess.ServiceConfig{
-				Capacity:        12,
-				FailureCooldown: 100 * time.Millisecond,
-				DialTimeout:     500 * time.Millisecond,
 			},
 		},
 	}

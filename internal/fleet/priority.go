@@ -5,24 +5,24 @@ import (
 	"sort"
 )
 
-// Class is a job's priority class. The empty string means ClassNormal,
+// Class is a job's priority class. The empty string means classNormal,
 // so existing JobSpec literals keep their behaviour.
 type Class string
 
 // The well-known priority classes, lowest to highest.
 const (
-	ClassLow    Class = "low"
-	ClassNormal Class = "normal"
-	ClassHigh   Class = "high"
+	classLow    Class = "low"
+	classNormal Class = "normal"
+	classHigh   Class = "high"
 )
 
 // Rank orders classes: low=0, normal=1 (including the empty default),
 // high=2.
 func (c Class) Rank() int {
 	switch c {
-	case ClassLow:
+	case classLow:
 		return 0
-	case ClassHigh:
+	case classHigh:
 		return 2
 	}
 	return 1
@@ -30,37 +30,37 @@ func (c Class) Rank() int {
 
 func (c Class) String() string {
 	if c == "" {
-		return string(ClassNormal)
+		return string(classNormal)
 	}
 	return string(c)
 }
 
 // ParseClass validates a priority-class name. The empty string is
-// ClassNormal.
+// classNormal.
 func ParseClass(s string) (Class, error) {
 	switch Class(s) {
-	case "", ClassNormal:
-		return ClassNormal, nil
-	case ClassLow:
-		return ClassLow, nil
-	case ClassHigh:
-		return ClassHigh, nil
+	case "", classNormal:
+		return classNormal, nil
+	case classLow:
+		return classLow, nil
+	case classHigh:
+		return classHigh, nil
 	}
 	return "", fmt.Errorf("fleet: unknown priority class %q (want low, normal or high)", s)
 }
 
-// DefaultAgingRounds is the queue age, in scheduling rounds, worth one
-// full priority class when PriorityScheduler.AgingRounds is unset.
-const DefaultAgingRounds = 8
+// agingRounds is the queue age, in scheduling rounds, worth one full
+// priority class.
+const agingRounds = 8
 
-// PriorityScheduler schedules by priority class with preemption,
+// priorityScheduler schedules by priority class with preemption,
 // aging and placement scoring:
 //
 //   - Admission order is effective priority — class rank times
-//     AgingRounds plus rounds waited — so a queued job gains one
-//     class worth of priority every AgingRounds rounds. Starvation is
+//     agingRounds plus rounds waited — so a queued job gains one
+//     class worth of priority every agingRounds rounds. Starvation is
 //     bounded: a low job waiting w rounds outranks every fresher
-//     arrival (any class) once w exceeds 2*AgingRounds plus the
+//     arrival (any class) once w exceeds 2*agingRounds plus the
 //     competitor's wait, and strict head-blocking then reserves the
 //     next freed capacity for it.
 //   - MakeRoom preempts running tenants of strictly lower class
@@ -79,39 +79,26 @@ const DefaultAgingRounds = 8
 //     placement (ShapedPlacement), so a fragmented lease pays the
 //     derated fabric.
 //
-// The zero value is ready to use; Priority is that zero value, listed
-// as "priority".
-type PriorityScheduler struct {
-	// AgingRounds is the queue age worth one full priority class;
-	// values < 1 mean DefaultAgingRounds. Smaller values age faster
-	// (tighter starvation bound, more queue-jumping).
-	AgingRounds int
-}
+// Priority is the one instance, listed as "priority".
+type priorityScheduler struct{}
 
-func (p *PriorityScheduler) Name() string { return "priority" }
+func (p *priorityScheduler) Name() string { return "priority" }
 
 // ShapedPlacement marks the scheduler's placements as meaningful, so
 // the fleet prices leases against their concrete node sets.
-func (p *PriorityScheduler) ShapedPlacement() bool { return true }
-
-func (p *PriorityScheduler) aging() int {
-	if p.AgingRounds < 1 {
-		return DefaultAgingRounds
-	}
-	return p.AgingRounds
-}
+func (p *priorityScheduler) ShapedPlacement() bool { return true }
 
 // Effective returns a view's effective priority: class rank scaled by
 // the aging horizon, plus rounds waited. Uncapped, so any job
 // eventually outranks any fixed class.
-func (p *PriorityScheduler) Effective(v JobView) int {
-	return v.Priority.Rank()*p.aging() + v.Waited
+func (p *priorityScheduler) Effective(v JobView) int {
+	return v.Priority.Rank()*agingRounds + v.Waited
 }
 
 // Order sorts by effective priority (descending), suspended tenants
 // first within a tie (their progress is sunk cost), then submission
 // order.
-func (p *PriorityScheduler) Order(a, b JobView) bool {
+func (p *priorityScheduler) Order(a, b JobView) bool {
 	ea, eb := p.Effective(a), p.Effective(b)
 	if ea != eb {
 		return ea > eb
@@ -123,7 +110,7 @@ func (p *PriorityScheduler) Order(a, b JobView) bool {
 }
 
 // GrantSize is greedy like FIFO: the head takes min(MaxNodes, free).
-func (p *PriorityScheduler) GrantSize(ops Ops, head JobView) int {
+func (p *priorityScheduler) GrantSize(ops Ops, head JobView) int {
 	return min(head.Max, ops.FreeCount())
 }
 
@@ -131,7 +118,7 @@ func (p *PriorityScheduler) GrantSize(ops Ops, head JobView) int {
 // head's MinNodes gang fits, cheapest class first and newest tenant
 // first within a class — or not at all when even preempting every
 // candidate could not fit the gang.
-func (p *PriorityScheduler) MakeRoom(ops Ops, head JobView) {
+func (p *priorityScheduler) MakeRoom(ops Ops, head JobView) {
 	needed := head.Min - ops.FreeCount()
 	if needed <= 0 {
 		return
@@ -165,14 +152,14 @@ func (p *PriorityScheduler) MakeRoom(ops Ops, head JobView) {
 
 // PlaceNodes picks the grant's nodes by fragmentation score; see the
 // type comment.
-func (p *PriorityScheduler) PlaceNodes(ops Ops, _ JobView, grant int) []int {
+func (p *priorityScheduler) PlaceNodes(ops Ops, _ JobView, grant int) []int {
 	return packNodes(ops.Free(), grant)
 }
 
 // Rebalance is a no-op: the priority fleet does not grow running
 // tenants elastically — freed capacity goes to the aged queue, and
 // growth would only create more preemption churn later.
-func (p *PriorityScheduler) Rebalance(ops Ops) {}
+func (p *priorityScheduler) Rebalance(ops Ops) {}
 
 // nodeRun is a maximal stretch of consecutive free node indices.
 type nodeRun struct{ first, count int }

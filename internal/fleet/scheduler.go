@@ -10,7 +10,7 @@ type JobView struct {
 	// instance label.
 	ID   int
 	Name string
-	// Priority is the tenant's priority class (ClassNormal when the
+	// Priority is the tenant's priority class (classNormal when the
 	// submission left it empty).
 	Priority Class
 	// Min and Max bound the tenant's elastic lease, in nodes.
@@ -109,16 +109,16 @@ type ShapedScheduler interface {
 	ShapedPlacement() bool
 }
 
-// Built-in schedulers, exported as package variables so existing
-// Config literals (Policy: FairShare) keep working across the enum ->
-// interface redesign.
+// Built-in schedulers, package variables so Config literals name them
+// (Policy: FairShare); fifo, the nil-Policy default, is otherwise
+// reached by name.
 var (
-	// FIFO is the greedy baseline: strict submission order, each
+	// fifo is the greedy baseline: strict submission order, each
 	// admitted job takes min(MaxNodes, free) nodes and keeps that
 	// lease until it completes, departs, or loses nodes to failures.
 	// Capacity freed by completions serves the queue, never running
 	// tenants.
-	FIFO Scheduler = fifoScheduler{}
+	fifo Scheduler = fifoScheduler{}
 	// FairShare adds elasticity on top of FIFO admission: tenants are
 	// sized toward an equal share of the healthy fleet (clamped to
 	// their [MinNodes, MaxNodes] range), running tenants above their
@@ -128,14 +128,14 @@ var (
 	// checkpoint-reconfigure.
 	FairShare Scheduler = fairShareScheduler{}
 	// Priority schedules by priority class with preemption and aging;
-	// see PriorityScheduler.
-	Priority Scheduler = &PriorityScheduler{}
+	// see priorityScheduler.
+	Priority Scheduler = &priorityScheduler{}
 )
 
 // schedulers is the name-keyed table LookupScheduler and the CLI
 // -policy flag resolve against, in name order. A custom Scheduler
 // needs no entry: it goes straight into Config.Policy.
-var schedulers = []Scheduler{FairShare, FIFO, Priority}
+var schedulers = []Scheduler{FairShare, fifo, Priority}
 
 // LookupScheduler returns the built-in Scheduler with the given name.
 func LookupScheduler(name string) (Scheduler, bool) {

@@ -135,39 +135,41 @@ func TestPackNodes(t *testing.T) {
 }
 
 // TestPriorityOrderAging pins the effective-priority arithmetic: class
-// rank is worth AgingRounds rounds of waiting, so a queued job ages
+// rank is worth agingRounds rounds of waiting, so a queued job ages
 // past any fixed class in bounded time; suspended tenants win ties.
 func TestPriorityOrderAging(t *testing.T) {
-	p := &PriorityScheduler{AgingRounds: 4}
-	high := JobView{ID: 2, Priority: ClassHigh}
-	low := JobView{ID: 1, Priority: ClassLow}
+	p := &priorityScheduler{}
+	high := JobView{ID: 2, Priority: classHigh}
+	low := JobView{ID: 1, Priority: classLow}
 	if !p.Order(high, low) || p.Order(low, high) {
 		t.Error("fresh high must outrank fresh low")
 	}
 	agedLow := low
-	agedLow.Waited = 9 // 9 > 2*AgingRounds: past high's head start
+	agedLow.Waited = 2*agingRounds - 1
+	if p.Order(agedLow, high) {
+		t.Error("low aged less than 2*agingRounds must not outrank a fresh high")
+	}
+	agedLow.Waited = 2*agingRounds + 1
 	if !p.Order(agedLow, high) {
-		t.Error("low aged past 2*AgingRounds must outrank a fresh high")
+		t.Error("low aged past 2*agingRounds must outrank a fresh high")
 	}
 	// Ties: suspended first (progress is sunk cost), then submission id.
-	susp := JobView{ID: 5, Priority: ClassLow, Waited: 8, Suspended: true}
-	fresh := JobView{ID: 0, Priority: ClassHigh}
+	susp := JobView{ID: 5, Priority: classLow, Waited: 2 * agingRounds, Suspended: true}
+	fresh := JobView{ID: 0, Priority: classHigh}
 	if p.Effective(susp) != p.Effective(fresh) {
 		t.Fatalf("fixture broken: eff %d vs %d", p.Effective(susp), p.Effective(fresh))
 	}
 	if !p.Order(susp, fresh) {
 		t.Error("suspended tenant must win an effective-priority tie")
 	}
-	a, b := JobView{ID: 0, Priority: ClassNormal}, JobView{ID: 1, Priority: ClassNormal}
+	a, b := JobView{ID: 0, Priority: classNormal}, JobView{ID: 1, Priority: classNormal}
 	if !p.Order(a, b) || p.Order(b, a) {
 		t.Error("equal class and wait must fall back to submission order")
 	}
-	// Zero value ages at the default horizon.
-	var zero PriorityScheduler
-	if got := zero.Effective(JobView{Priority: ClassHigh}); got != 2*DefaultAgingRounds {
-		t.Errorf("zero-value high effective = %d, want %d", got, 2*DefaultAgingRounds)
+	if got := p.Effective(JobView{Priority: classHigh, Waited: 3}); got != 2*agingRounds+3 {
+		t.Errorf("high effective after 3 rounds = %d, want %d", got, 2*agingRounds+3)
 	}
-	if ClassLow.Rank() != 0 || Class("").Rank() != 1 || ClassNormal.Rank() != 1 || ClassHigh.Rank() != 2 {
+	if classLow.Rank() != 0 || Class("").Rank() != 1 || classNormal.Rank() != 1 || classHigh.Rank() != 2 {
 		t.Error("class ranks changed")
 	}
 	if Class("").String() != "normal" {
@@ -210,8 +212,8 @@ func priorityFleet(t *testing.T, workers int) Config {
 	return Config{
 		Cluster: spec.Cluster,
 		Jobs: []JobSpec{
-			{Name: "low", Train: tmpl, Iters: 4, MinNodes: 2, MaxNodes: 4, Priority: ClassLow},
-			{Name: "high", Train: tmpl, Iters: 2, MinNodes: 2, MaxNodes: 2, Priority: ClassHigh, Arrive: 2},
+			{Name: "low", Train: tmpl, Iters: 4, MinNodes: 2, MaxNodes: 4, Priority: classLow},
+			{Name: "high", Train: tmpl, Iters: 2, MinNodes: 2, MaxNodes: 2, Priority: classHigh, Arrive: 2},
 		},
 		Policy:   Priority,
 		Scenario: mustParse(t, "preempt-storm:iter=2,job=1,count=2"),
@@ -236,7 +238,7 @@ func TestPriorityPreemptResume(t *testing.T) {
 	if low.Err != nil {
 		t.Fatal(low.Err)
 	}
-	if low.Priority != ClassLow || low.Preemptions != 1 {
+	if low.Priority != classLow || low.Preemptions != 1 {
 		t.Errorf("low: class %q preemptions %d, want low/1", low.Priority, low.Preemptions)
 	}
 	if low.Resizes != 1 {
@@ -256,7 +258,7 @@ func TestPriorityPreemptResume(t *testing.T) {
 		if hi.Err != nil {
 			t.Fatalf("high %s: %v", hi.Name, hi.Err)
 		}
-		if hi.Priority != ClassHigh || hi.Preemptions != 0 {
+		if hi.Priority != classHigh || hi.Preemptions != 0 {
 			t.Errorf("high %s: class %q preemptions %d", hi.Name, hi.Priority, hi.Preemptions)
 		}
 		if hi.Started < 2 {
@@ -338,57 +340,52 @@ func leaseLines(leases map[int][]int) string {
 }
 
 // TestPriorityAgingBoundsStarvation: under a steady stream of
-// higher-class arrivals, a low job with aging enabled starts in
-// bounded time — and strictly earlier than with aging effectively
-// disabled, where it runs dead last.
+// higher-class arrivals, a low job starts in bounded time — once it has
+// waited agingRounds rounds longer than the freshest normal arrival —
+// instead of running dead last, after the stream.
 func TestPriorityAgingBoundsStarvation(t *testing.T) {
 	spec, corpus := buildSpec(t, 2, 16)
 	tmpl := trainerTemplate(t, spec, corpus)
-	run := func(aging int) *Result {
-		res, err := runChecked(t, Config{
-			Cluster: spec.Cluster,
-			Jobs: []JobSpec{
-				{Name: "hog", Train: tmpl, Iters: 2, MinNodes: 2, MaxNodes: 2},
-				{Name: "low", Train: tmpl, Iters: 2, MinNodes: 2, MaxNodes: 2, Priority: ClassLow},
-				{Name: "norm", Train: tmpl, Iters: 2, MinNodes: 2, MaxNodes: 2, Arrive: 1},
-			},
-			Policy: &PriorityScheduler{AgingRounds: aging},
-			Scenario: mustParse(t,
-				"priority-arrive:iter=2,job=2; priority-arrive:iter=3,job=2; priority-arrive:iter=4,job=2; "+
-					"priority-arrive:iter=5,job=2; priority-arrive:iter=6,job=2"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, jr := range res.Jobs {
-			if jr.Err != nil {
-				t.Fatalf("aging %d: job %s: %v", aging, jr.Name, jr.Err)
-			}
-			if got := len(jr.Result.Iterations); got != 2 {
-				t.Errorf("aging %d: %s finished %d iterations, want 2", aging, jr.Name, got)
-			}
-			// Preemption crosses class boundaries only: the normal-class
-			// stream may evict the running low tenant, but nothing
-			// outranks the normals themselves, and an aged queue position
-			// never evicts (it only jumps the queue).
-			if jr.Priority != ClassLow && jr.Preemptions != 0 {
-				t.Errorf("aging %d: %s preempted %d times with no higher class in the fleet",
-					aging, jr.Name, jr.Preemptions)
-			}
-		}
-		return res
+	// One normal-class arrival per round, each a one-iteration job on
+	// the whole fleet, from round 1 to well past the aging horizon.
+	const last = 3 * agingRounds
+	var stream []string
+	for r := 2; r <= last; r++ {
+		stream = append(stream, fmt.Sprintf("priority-arrive:iter=%d,job=2", r))
 	}
-	aged := run(2)
-	unaged := run(1000) // one class is worth 1000 rounds: aging never decides
-	agedStart, unagedStart := aged.Jobs[1].Started, unaged.Jobs[1].Started
-	if agedStart >= unagedStart {
-		t.Errorf("aging did not help: low started round %d aged vs %d unaged", agedStart, unagedStart)
+	res, err := runChecked(t, Config{
+		Cluster: spec.Cluster,
+		Jobs: []JobSpec{
+			{Name: "hog", Train: tmpl, Iters: 1, MinNodes: 2, MaxNodes: 2},
+			{Name: "low", Train: tmpl, Iters: 1, MinNodes: 2, MaxNodes: 2, Priority: classLow},
+			{Name: "norm", Train: tmpl, Iters: 1, MinNodes: 2, MaxNodes: 2, Arrive: 1},
+		},
+		Policy:   Priority,
+		Scenario: mustParse(t, strings.Join(stream, "; ")),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The bound: with AgingRounds=2 the low job outranks fresh
-	// normal-class arrivals after ~2 rounds of waiting and starts while
-	// the stream is still arriving, not after it.
-	if agedStart > 6 {
-		t.Errorf("aged low started round %d, after the whole arrival stream", agedStart)
+	for _, jr := range res.Jobs {
+		if jr.Err != nil {
+			t.Fatalf("job %s: %v", jr.Name, jr.Err)
+		}
+		if got := len(jr.Result.Iterations); got != 1 {
+			t.Errorf("%s finished %d iterations, want 1", jr.Name, got)
+		}
+		// Preemption crosses class boundaries only: the normal-class
+		// stream may evict the running low tenant, but nothing outranks
+		// the normals themselves, and an aged queue position never
+		// evicts (it only jumps the queue).
+		if jr.Priority != classLow && jr.Preemptions != 0 {
+			t.Errorf("%s preempted %d times with no higher class in the fleet", jr.Name, jr.Preemptions)
+		}
+	}
+	// Until it has waited agingRounds rounds the low job loses to every
+	// fresh normal arrival; from then on it outranks them, and it starts
+	// while the stream is still arriving, not after it.
+	if start := res.Jobs[1].Started; start < agingRounds || start >= last {
+		t.Errorf("low started round %d, want in [%d, %d)", start, agingRounds, last)
 	}
 }
 

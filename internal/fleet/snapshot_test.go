@@ -96,7 +96,7 @@ func TestRunningSnapshotMatchesFreshBuild(t *testing.T) {
 			}
 			cfg := tc.cfg
 			if cfg.Policy == nil {
-				cfg.Policy = FIFO
+				cfg.Policy = fifo
 			}
 			checks := 0
 			cfg.Policy = snapshotAuditor{cfg.Policy, t, &checks}
@@ -127,7 +127,7 @@ func TestRunningSnapshotMatchesFreshBuild(t *testing.T) {
 // allocates nothing; a transition or a resize invalidates it, and the
 // rebuild is a new slice, so a result taken earlier keeps its contents.
 func TestRunningSnapshotAllocFree(t *testing.T) {
-	f := &runner{table: NewLeaseTable(8)}
+	f := &runner{table: newLeaseTable(8)}
 	for i := 0; i < 3; i++ {
 		tn := &tenant{id: i, name: "t", min: 1, max: 4, started: -1, state: stateQueued}
 		f.tenants = append(f.tenants, tn)
@@ -170,7 +170,7 @@ func TestRetireClosesRuntime(t *testing.T) {
 	config := func(every int) Config {
 		tmpl := newTrainTemplate(spec, corpus)
 		tmpl.CheckpointEvery = every
-		cfg := Config{Cluster: spec.Cluster, Policy: FIFO}
+		cfg := Config{Cluster: spec.Cluster, Policy: fifo}
 		for i := 0; i < 16; i++ {
 			cfg.Jobs = append(cfg.Jobs, JobSpec{Name: "ck", Train: tmpl, Iters: 4, MinNodes: 2, MaxNodes: 2})
 		}

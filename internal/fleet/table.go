@@ -25,20 +25,20 @@ const (
 	nodeFailed = -2
 )
 
-// LeaseTable is the fleet's ground truth for node ownership: every
+// leaseTable is the fleet's ground truth for node ownership: every
 // node of the shared cluster is free, failed, or leased by exactly one
 // tenant. The representation (one owner slot per node) makes double
 // leasing structurally impossible; the methods reject every transition
 // that would need it — acquiring a non-free node, rejoining a node
 // that never failed — so a scheduling bug surfaces as an error, not as
 // two tenants pricing the same GPUs.
-type LeaseTable struct {
+type leaseTable struct {
 	owner []int // per node: nodeFree, nodeFailed, or owning tenant id
 }
 
-// NewLeaseTable builds a table of n free nodes.
-func NewLeaseTable(n int) *LeaseTable {
-	t := &LeaseTable{owner: make([]int, n)}
+// newLeaseTable builds a table of n free nodes.
+func newLeaseTable(n int) *leaseTable {
+	t := &leaseTable{owner: make([]int, n)}
 	for i := range t.owner {
 		t.owner[i] = nodeFree
 	}
@@ -46,10 +46,10 @@ func NewLeaseTable(n int) *LeaseTable {
 }
 
 // Nodes returns the table size.
-func (t *LeaseTable) Nodes() int { return len(t.owner) }
+func (t *leaseTable) Nodes() int { return len(t.owner) }
 
 // Free returns the free node indices, ascending.
-func (t *LeaseTable) Free() []int {
+func (t *leaseTable) Free() []int {
 	var out []int
 	for i, o := range t.owner {
 		if o == nodeFree {
@@ -60,7 +60,7 @@ func (t *LeaseTable) Free() []int {
 }
 
 // Failed returns the failed node indices, ascending.
-func (t *LeaseTable) Failed() []int {
+func (t *leaseTable) Failed() []int {
 	var out []int
 	for i, o := range t.owner {
 		if o == nodeFailed {
@@ -71,7 +71,7 @@ func (t *LeaseTable) Failed() []int {
 }
 
 // FreeCount returns how many nodes are free.
-func (t *LeaseTable) FreeCount() int {
+func (t *leaseTable) FreeCount() int {
 	n := 0
 	for _, o := range t.owner {
 		if o == nodeFree {
@@ -82,7 +82,7 @@ func (t *LeaseTable) FreeCount() int {
 }
 
 // LeasedCount returns how many nodes are leased across all tenants.
-func (t *LeaseTable) LeasedCount() int {
+func (t *leaseTable) LeasedCount() int {
 	n := 0
 	for _, o := range t.owner {
 		if o >= 0 {
@@ -93,7 +93,7 @@ func (t *LeaseTable) LeasedCount() int {
 }
 
 // LeasedBy returns the nodes tenant job holds, ascending.
-func (t *LeaseTable) LeasedBy(job int) []int {
+func (t *leaseTable) LeasedBy(job int) []int {
 	var out []int
 	for i, o := range t.owner {
 		if o == job {
@@ -106,7 +106,7 @@ func (t *LeaseTable) LeasedBy(job int) []int {
 // Acquire leases the given free nodes to the tenant. It is
 // all-or-nothing: any node that is failed, out of range, or owned —
 // by anyone, including the tenant itself — rejects the whole call.
-func (t *LeaseTable) Acquire(job int, nodes []int) error {
+func (t *leaseTable) Acquire(job int, nodes []int) error {
 	if job < 0 {
 		return fmt.Errorf("fleet: tenant id %d negative", job)
 	}
@@ -134,7 +134,7 @@ func (t *LeaseTable) Acquire(job int, nodes []int) error {
 
 // ReleaseNodes returns specific nodes of a tenant's lease to the free
 // pool. Releasing a node the tenant does not own is an error.
-func (t *LeaseTable) ReleaseNodes(job int, nodes []int) error {
+func (t *leaseTable) ReleaseNodes(job int, nodes []int) error {
 	for _, n := range nodes {
 		if n < 0 || n >= len(t.owner) || t.owner[n] != job {
 			return fmt.Errorf("fleet: tenant %d does not own node %d", job, n)
@@ -147,7 +147,7 @@ func (t *LeaseTable) ReleaseNodes(job int, nodes []int) error {
 }
 
 // Release frees every node the tenant holds and returns them.
-func (t *LeaseTable) Release(job int) []int {
+func (t *leaseTable) Release(job int) []int {
 	var out []int
 	for i, o := range t.owner {
 		if o == job {
@@ -160,7 +160,7 @@ func (t *LeaseTable) Release(job int) []int {
 
 // ownerOf returns the node's owner slot (nodeFree, nodeFailed, or a
 // tenant id); out-of-range nodes read as failed.
-func (t *LeaseTable) ownerOf(node int) int {
+func (t *leaseTable) ownerOf(node int) int {
 	if node < 0 || node >= len(t.owner) {
 		return nodeFailed
 	}
@@ -170,7 +170,7 @@ func (t *LeaseTable) ownerOf(node int) int {
 // Fail marks a node failed and returns its previous owner (nodeFree
 // when it was free). Failing an already-failed node is an error — a
 // node cannot die twice without rejoining in between.
-func (t *LeaseTable) Fail(node int) (owner int, err error) {
+func (t *leaseTable) Fail(node int) (owner int, err error) {
 	if node < 0 || node >= len(t.owner) {
 		return 0, fmt.Errorf("fleet: node %d outside fleet [0,%d)", node, len(t.owner))
 	}
@@ -185,7 +185,7 @@ func (t *LeaseTable) Fail(node int) (owner int, err error) {
 // Join returns a failed node to the free pool. Joining a node that is
 // not failed is an error: the node is either already free (a double
 // join) or leased (joining it would double-lease its GPUs).
-func (t *LeaseTable) Join(node int) error {
+func (t *leaseTable) Join(node int) error {
 	if node < 0 || node >= len(t.owner) {
 		return fmt.Errorf("fleet: node %d outside fleet [0,%d)", node, len(t.owner))
 	}
@@ -200,7 +200,7 @@ func (t *LeaseTable) Join(node int) error {
 // counts partition the fleet. With the owner-slot representation this
 // cannot fail; it exists so invariant tests state the property they
 // rely on.
-func (t *LeaseTable) Check() error {
+func (t *leaseTable) Check() error {
 	if got := t.FreeCount() + len(t.Failed()) + t.LeasedCount(); got != len(t.owner) {
 		return fmt.Errorf("fleet: node states sum to %d, fleet has %d", got, len(t.owner))
 	}

@@ -8,7 +8,7 @@ import (
 
 // TestLeaseTableBasics covers the explicit transition rules.
 func TestLeaseTableBasics(t *testing.T) {
-	tb := NewLeaseTable(4)
+	tb := newLeaseTable(4)
 	if err := tb.Acquire(0, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestLeaseTableAccountingProperty(t *testing.T) {
 	const nodes, tenants = 9, 4
 	prop := func(seed int64, ops []uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tb := NewLeaseTable(nodes)
+		tb := newLeaseTable(nodes)
 		shadow := make(map[int]int) // node -> owner; absent = free; -2 = failed
 		for _, op := range ops {
 			node := int(op>>2) % nodes
@@ -173,14 +173,14 @@ func shadowLeased(shadow map[int]int) []int {
 // unknown-name error live in disttrain.ParseFleetPolicy).
 func TestPolicyNames(t *testing.T) {
 	for s, want := range map[string]Scheduler{
-		"fifo": FIFO, "fair-share": FairShare, "priority": Priority,
+		"fifo": fifo, "fair-share": FairShare, "priority": Priority,
 	} {
 		got, ok := LookupScheduler(s)
 		if !ok || got.Name() != want.Name() {
 			t.Errorf("LookupScheduler(%q) = %v, %v", s, got, ok)
 		}
 	}
-	if FIFO.Name() != "fifo" || FairShare.Name() != "fair-share" || Priority.Name() != "priority" {
+	if fifo.Name() != "fifo" || FairShare.Name() != "fair-share" || Priority.Name() != "priority" {
 		t.Error("policy names changed")
 	}
 }

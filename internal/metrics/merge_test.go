@@ -17,8 +17,8 @@ func TestTraceAppendOffset(t *testing.T) {
 	job := NewTrace()
 	job.NameProcess(0, "runtime")
 	job.NameProcess(1, "dp-rank 0")
-	job.Complete("fwd0", "pipeline", 1, 2, 0.5, 0.25)
-	job.Instant("replan", "controller", 0, 1.0, map[string]any{"iter": 3})
+	completeOn(job, "fwd0", "pipeline", 1, 2, 0.5, 0.25)
+	job.Instant("replan", "controller", 1.0, map[string]any{"iter": 3})
 
 	merged := NewTrace()
 	merged.AppendOffset(job, 10, "jobA/")
@@ -48,7 +48,7 @@ func TestTraceAppendOffset(t *testing.T) {
 func TestWriteJSONFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	tr := NewTrace()
-	tr.Complete("x", "c", 0, 0, 0, 1)
+	tr.Complete("x", "c", 0, 1)
 	path := filepath.Join(dir, "out.json")
 	if err := tr.WriteJSONFile(path); err != nil {
 		t.Fatal(err)

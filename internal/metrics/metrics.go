@@ -54,24 +54,24 @@ func (b Breakdown) String() string {
 		b.PreprocessStall*1e3, b.Pipeline*1e3, b.GradSync*1e3, b.Optimizer*1e3, b.CheckpointStall*1e3)
 }
 
-// Series summarises a sequence of observations.
-type Series struct {
+// series summarises a sequence of observations.
+type series struct {
 	values []float64
 }
 
 // Add appends an observation.
-func (s *Series) Add(v float64) { s.values = append(s.values, v) }
+func (s *series) Add(v float64) { s.values = append(s.values, v) }
 
 // N returns the observation count.
-func (s *Series) N() int { return len(s.values) }
+func (s *series) N() int { return len(s.values) }
 
-// Percentile returns the p-th percentile (0..100) by nearest-rank.
-func (s *Series) Percentile(p float64) float64 {
+// P99 returns the 99th percentile by nearest-rank.
+func (s *series) P99() float64 {
 	if len(s.values) == 0 {
 		return 0
 	}
 	sorted := append([]float64(nil), s.values...)
 	sort.Float64s(sorted)
-	idx := int(p / 100 * float64(len(sorted)-1))
+	idx := int(0.99 * float64(len(sorted)-1))
 	return sorted[idx]
 }

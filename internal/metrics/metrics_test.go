@@ -41,8 +41,8 @@ func TestBreakdown(t *testing.T) {
 }
 
 func TestSeries(t *testing.T) {
-	var s Series
-	if s.Percentile(50) != 0 {
+	var s series
+	if s.P99() != 0 {
 		t.Error("empty series should read zero")
 	}
 	for _, v := range []float64{4, 2, 8, 6} {
@@ -51,26 +51,33 @@ func TestSeries(t *testing.T) {
 	if s.N() != 4 {
 		t.Errorf("N = %d", s.N())
 	}
-	if got := s.Percentile(0); got != 2 {
-		t.Errorf("P0 = %g", got)
+	// Nearest rank: index int(0.99*3) = 2 of the sorted {2, 4, 6, 8}.
+	if got := s.P99(); got != 6 {
+		t.Errorf("P99 = %g, want 6", got)
 	}
-	if got := s.Percentile(100); got != 8 {
-		t.Errorf("P100 = %g", got)
+	for i := 0; i < 96; i++ {
+		s.Add(1)
+	}
+	// 100 observations: index int(0.99*99) = 98, the second largest.
+	if got := s.P99(); got != 6 {
+		t.Errorf("P99 of 100 = %g, want 6", got)
 	}
 }
 
-// Property: MFU is linear in FLOPs and inverse in time; the median is
+// Property: MFU is linear in FLOPs and inverse in time; the p99 is
 // always between the extremes.
 func TestMetricProperties(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw) == 0 {
 			return true
 		}
-		var s Series
+		var s series
+		lo, hi := float64(raw[0]), float64(raw[0])
 		for _, r := range raw {
 			s.Add(float64(r))
+			lo, hi = math.Min(lo, float64(r)), math.Max(hi, float64(r))
 		}
-		return s.Percentile(0) <= s.Percentile(50) && s.Percentile(50) <= s.Percentile(100)
+		return lo <= s.P99() && s.P99() <= hi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

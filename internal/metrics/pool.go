@@ -31,7 +31,7 @@ type PoolStats struct {
 	mu             sync.Mutex
 	latN           int
 	latSum, latMax float64
-	recent         Series
+	recent         series
 
 	// parent, when non-nil, receives a copy of every record — labeled
 	// children roll up into the aggregate they were created from.
@@ -147,7 +147,7 @@ func (p *PoolStats) Snapshot() PoolSnapshot {
 		s.MeanFetchSeconds = p.latSum / float64(p.latN)
 	}
 	s.MaxFetchSeconds = p.latMax
-	s.P99FetchSeconds = p.recent.Percentile(99)
+	s.P99FetchSeconds = p.recent.P99()
 	p.mu.Unlock()
 	return s
 }

@@ -94,18 +94,20 @@ func (t *Trace) Reserve(n int) {
 	t.mu.Unlock()
 }
 
-// Complete records a duration event. start and dur are in simulated
-// seconds; the trace stores microseconds.
-func (t *Trace) Complete(name, cat string, pid, tid int, start, dur float64) {
+// Complete records a duration event on the runtime lane (pid 0, tid
+// 0); the pipeline lanes are written through a Batch. start and dur are
+// in simulated seconds; the trace stores microseconds.
+func (t *Trace) Complete(name, cat string, start, dur float64) {
 	b := t.Batch()
-	b.Complete(b.Label(name), b.Label(cat), pid, tid, start, dur)
+	b.Complete(b.Label(name), b.Label(cat), 0, 0, start, dur)
 	b.Done()
 }
 
-// Instant records a point event at start seconds.
-func (t *Trace) Instant(name, cat string, pid int, start float64, args map[string]any) {
+// Instant records a point event on the runtime lane (pid 0) at start
+// seconds.
+func (t *Trace) Instant(name, cat string, start float64, args map[string]any) {
 	t.mu.Lock()
-	t.add(record{ph: 'i', name: t.intern(name), cat: t.intern(cat), pid: int32(pid), ts: start * 1e6}, args)
+	t.add(record{ph: 'i', name: t.intern(name), cat: t.intern(cat), ts: start * 1e6}, args)
 	t.mu.Unlock()
 }
 
@@ -131,7 +133,7 @@ func (t *Trace) Batch() Batch {
 // Label interns s in the batch's trace.
 func (b Batch) Label(s string) Label { return b.t.intern(s) }
 
-// Complete records a duration event, like Trace.Complete.
+// Complete records a duration event on lane (pid, tid).
 func (b Batch) Complete(name, cat Label, pid, tid int, start, dur float64) {
 	b.t.add(record{ph: 'X', name: name, cat: cat, pid: int32(pid), tid: int32(tid), ts: start * 1e6, dur: dur * 1e6}, nil)
 }

@@ -75,12 +75,12 @@ func FuzzTraceEquivalence(f *testing.F) {
 			ts, dur := fuzzSeconds[int(d&15)%len(fuzzSeconds)], fuzzSeconds[int(d>>4)%len(fuzzSeconds)]
 			switch prog[0] % 5 {
 			case complete:
-				got[i].Complete(str(a), str(b), pid, tid, ts, dur)
+				completeOn(got[i], str(a), str(b), pid, tid, ts, dur)
 				want[i].Complete(str(a), str(b), pid, tid, ts, dur)
 			case instant:
 				args := fuzzArgs[int(d>>4)%len(fuzzArgs)]
-				got[i].Instant(str(a), str(b), pid, ts, args)
-				want[i].Instant(str(a), str(b), pid, ts, args)
+				got[i].Instant(str(a), str(b), ts, args)
+				want[i].Instant(str(a), str(b), 0, ts, args)
 			case nameProcess:
 				got[i].NameProcess(pid, str(a))
 				want[i].NameProcess(pid, str(a))

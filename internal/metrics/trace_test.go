@@ -27,9 +27,9 @@ func decodeEvents(t *testing.T, tr *Trace) []TraceEvent {
 func TestTraceWriteJSON(t *testing.T) {
 	tr := NewTrace()
 	tr.NameProcess(0, "runtime")
-	tr.Complete("preprocess", "data", 0, 0, 0, 0.25)
-	tr.Complete("F0", "pipeline", 1, 2, 0.25, 0.1)
-	tr.Instant("failure", "scenario", 0, 1.5, map[string]any{"iter": 3})
+	tr.Complete("preprocess", "data", 0, 0.25)
+	completeOn(tr, "F0", "pipeline", 1, 2, 0.25, 0.1)
+	tr.Instant("failure", "scenario", 1.5, map[string]any{"iter": 3})
 
 	decoded := decodeEvents(t, tr)
 	if len(decoded) != tr.Len() || tr.Len() != 4 {
@@ -64,7 +64,7 @@ func TestTraceConcurrentAdds(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.Complete("op", "x", w, 0, float64(i), 1)
+				completeOn(tr, "op", "x", w, 0, float64(i), 1)
 			}
 		}(w)
 	}
@@ -87,7 +87,7 @@ func TestTraceConcurrentWritersKeepOrder(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				tr.Complete("op", "x", w, 0, float64(i), 1)
+				completeOn(tr, "op", "x", w, 0, float64(i), 1)
 			}
 		}(w)
 	}
@@ -116,7 +116,7 @@ func TestTraceConcurrentWritersKeepOrder(t *testing.T) {
 // reserved capacity absorbs that many appends without allocating.
 func TestTraceReserve(t *testing.T) {
 	tr := NewTrace()
-	tr.Complete("op", "x", 3, 0, 0, 1) // interns the strings
+	completeOn(tr, "op", "x", 3, 0, 0, 1) // interns the strings
 	const runs, per = 10, 64
 	tr.Reserve((runs + 1) * per) // AllocsPerRun warms up with one extra run
 	if tr.Len() != 1 || tr.MaxPID() != 3 {
@@ -124,7 +124,7 @@ func TestTraceReserve(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(runs, func() {
 		for i := 0; i < per; i++ {
-			tr.Complete("op", "x", 3, 0, float64(i), 1)
+			completeOn(tr, "op", "x", 3, 0, float64(i), 1)
 		}
 	}); got != 0 {
 		t.Errorf("%d reserved appends allocated %v times", per, got)
@@ -149,9 +149,9 @@ func TestTraceDeterministicBytes(t *testing.T) {
 		tr.NameProcess(0, "runtime")
 		for i := 0; i < 50; i++ {
 			pid := i % 3
-			tr.Complete("op", "x", pid, i%2, float64(i), 0.5)
+			completeOn(tr, "op", "x", pid, i%2, float64(i), 0.5)
 			if i%7 == 0 {
-				tr.Instant("mark", "x", pid, float64(i), map[string]any{"i": i})
+				tr.Instant("mark", "x", float64(i), map[string]any{"i": i})
 			}
 		}
 		return tr
@@ -182,9 +182,9 @@ func TestTraceSnapshotWhileWriting(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			for i := 0; i < 300; i++ {
-				src.Complete("op", "x", w, 0, float64(i), 1)
+				completeOn(src, "op", "x", w, 0, float64(i), 1)
 				if i%50 == 0 {
-					src.Instant("mark", "x", w, float64(i), map[string]any{"i": i})
+					src.Instant("mark", "x", float64(i), map[string]any{"i": i})
 				}
 			}
 		}(w)
@@ -207,4 +207,12 @@ func TestTraceSnapshotWhileWriting(t *testing.T) {
 	if src.Len() != 4*(300+6) {
 		t.Errorf("source holds %d events, want %d", src.Len(), 4*(300+6))
 	}
+}
+
+// completeOn records a duration event on lane (pid, tid) through a
+// one-event batch, the way the trainer records pipeline ops.
+func completeOn(tr *Trace, name, cat string, pid, tid int, start, dur float64) {
+	b := tr.Batch()
+	b.Complete(b.Label(name), b.Label(cat), pid, tid, start, dur)
+	b.Done()
 }

@@ -81,12 +81,12 @@ func MLLM72B() MLLM { return newMLLM("MLLM-72B", Llama3_70B, 1024) }
 func newMLLM(name string, backbone TransformerConfig, genRes int) MLLM {
 	return MLLM{
 		Name:          name,
-		Encoder:       ViTHuge,
-		InProj:        ProjectorConfig{InDim: ViTHuge.HiddenSize, Hidden: 4 * ViTHuge.HiddenSize, OutDim: backbone.HiddenSize},
+		Encoder:       vitHuge,
+		InProj:        ProjectorConfig{InDim: vitHuge.HiddenSize, Hidden: 4 * vitHuge.HiddenSize, OutDim: backbone.HiddenSize},
 		Backbone:      backbone,
-		OutProj:       ProjectorConfig{InDim: backbone.HiddenSize, Hidden: 4 * SD21.ContextDim, OutDim: SD21.ContextDim},
-		Generator:     SD21,
-		VAE:           SDVAE,
+		OutProj:       ProjectorConfig{InDim: backbone.HiddenSize, Hidden: 4 * sd21.ContextDim, OutDim: sd21.ContextDim},
+		Generator:     sd21,
+		VAE:           sdVAE,
 		GenResolution: genRes,
 		SeqLen:        8192,
 	}
@@ -244,7 +244,7 @@ func MemoryForParams(p float64, gpus, dp, pp int, actBytes float64, frozen bool)
 	perParam := float64(BytesPerParam)
 	optim := 0.0
 	if !frozen {
-		perParam += float64(BytesPerGrad)
+		perParam += float64(bytesPerGrad)
 		optim = p * BytesPerOptimState / float64(gpus) // ZeRO-1 shards across DP
 	}
 	mm.ParamAndGradBytes = float64(dp) * p * perParam / float64(gpus)

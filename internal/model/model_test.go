@@ -38,8 +38,8 @@ func TestParamCounts(t *testing.T) {
 		{"Llama3-7B", Llama3_7B.Params(), 7, 0.10},
 		{"Llama3-13B", Llama3_13B.Params(), 13, 0.10},
 		{"Llama3-70B", Llama3_70B.Params(), 70, 0.05},
-		{"ViT-Huge", ViTHuge.Params(), 0.63, 0.05},
-		{"SD-2.1", SD21.Params(), 1.0, 0.35}, // paper rounds the 0.87B UNet to "1B"
+		{"ViT-Huge", vitHuge.Params(), 0.63, 0.05},
+		{"SD-2.1", sd21.Params(), 1.0, 0.35}, // paper rounds the 0.87B UNet to "1B"
 	}
 	for _, c := range cases {
 		gotB := c.got / 1e9
@@ -120,8 +120,8 @@ func TestFigure3CostShape(t *testing.T) {
 
 	// Resolution scaling: a 1024^2 UNet pass costs ~4x a 512^2 pass
 	// (conv cost is linear in pixels; attention adds more).
-	r512 := SD21.FwdFLOPsPerImage(512)
-	r1024 := SD21.FwdFLOPsPerImage(1024)
+	r512 := sd21.FwdFLOPsPerImage(512)
+	r1024 := sd21.FwdFLOPsPerImage(1024)
 	if ratio := r1024 / r512; ratio < 3.5 || ratio > 8 {
 		t.Errorf("SD 1024/512 FLOPs ratio = %.2f, want ~4-6x", ratio)
 	}
@@ -247,8 +247,8 @@ func TestVAEDominatesGeneratorForwardAtHighRes(t *testing.T) {
 	// At 1024^2 the full-pixel-resolution VAE encode costs more than the
 	// latent-space UNet pass; this is what makes the generator the
 	// tallest bar in Figure 3 at high resolution.
-	vae := SDVAE.EncodeFLOPsPerImage(1024)
-	unet := SD21.FwdFLOPsPerImage(1024)
+	vae := sdVAE.EncodeFLOPsPerImage(1024)
+	unet := sd21.FwdFLOPsPerImage(1024)
 	if vae <= unet {
 		t.Errorf("VAE encode (%g) should exceed UNet pass (%g) at 1024^2", vae, unet)
 	}

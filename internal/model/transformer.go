@@ -58,10 +58,10 @@ var (
 	}
 )
 
-// ViTHuge is the paper's modality encoder (0.63B parameters), aligned
+// vitHuge is the paper's modality encoder (0.63B parameters), aligned
 // with the encoders of Qwen2.5-VL and Seed1.5-VL per §7. Images are
 // split into 16x16 patches, each becoming one modality token (§2.3).
-var ViTHuge = TransformerConfig{
+var vitHuge = TransformerConfig{
 	Name: "ViT-Huge", Layers: 32, HiddenSize: 1280, FFNHiddenSize: 5120,
 	Heads: 16, KVGroups: 16, VocabSize: 0, GatedFFN: false,
 }
@@ -135,8 +135,8 @@ func (c TransformerConfig) FwdFLOPs(seqLen int) float64 {
 const (
 	// BytesPerParam is bf16 weight storage.
 	BytesPerParam = 2
-	// BytesPerGrad is bf16 gradient storage.
-	BytesPerGrad = 2
+	// bytesPerGrad is bf16 gradient storage.
+	bytesPerGrad = 2
 	// BytesPerOptimState covers the fp32 master copy plus Adam first and
 	// second moments (4+4+4).
 	BytesPerOptimState = 12

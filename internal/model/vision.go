@@ -38,8 +38,8 @@ type DiffusionConfig struct {
 	ContextDim int
 }
 
-// SD21 is the paper's modality generator: Stable Diffusion 2.1.
-var SD21 = DiffusionConfig{
+// sd21 is the paper's modality generator: Stable Diffusion 2.1.
+var sd21 = DiffusionConfig{
 	Name:               "SD-2.1",
 	LatentScale:        8,
 	LatentChannels:     4,
@@ -162,8 +162,8 @@ type VAEConfig struct {
 	InChannels int
 }
 
-// SDVAE is the Stable-Diffusion autoencoder (f=8).
-var SDVAE = VAEConfig{
+// sdVAE is the Stable-Diffusion autoencoder (f=8).
+var sdVAE = VAEConfig{
 	Name:           "SD-VAE",
 	StageChannels:  []int{128, 256, 512, 512},
 	BlocksPerStage: 2,

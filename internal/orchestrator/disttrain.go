@@ -38,31 +38,6 @@ func PlanDistTrain(s Spec) (*Plan, error) {
 	return r.Plan, r.Err
 }
 
-// PlanDistTrainSequential is the single-threaded reference
-// implementation of the §4.3 enumeration: the plain nested loop over
-// the strategy set, solving each subproblem inline. The parallel
-// engine must return byte-identical plans to this function
-// (TestPlanSearchEquivalence); it also anchors BenchmarkPlanSearch.
-func PlanDistTrainSequential(s Spec) (*Plan, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	sc := newSearchCtx(&s)
-
-	var candidates []*Plan
-	for _, c := range sc.strategySet() {
-		cand, err := sc.solveSubproblem(c, math.Inf(1), true)
-		if err != nil {
-			continue // infeasible combination
-		}
-		candidates = append(candidates, cand)
-	}
-	if len(candidates) == 0 {
-		return nil, errNoFeasiblePlan
-	}
-	return selectPlan(candidates), nil
-}
-
 // selectBand is selectPlan's tie-break width: any candidate within 1%
 // of the fastest iteration time competes on GPU count (§7.1). The
 // branch-and-bound prune in solveSubproblem shares this constant — a
@@ -250,9 +225,9 @@ func (sc *searchCtx) build(c Candidate, sub *subproblem, ppFloor int, at [3]floa
 	plan := &Plan{
 		Strategy: "disttrain",
 		Modules: [3]ModulePlan{
-			{Module: model.Encoder, Config: parallel.Config{TP: wME, PP: 1, DP: alloc[0] / wME, VPP: 1, EP: 1}, Replicated: true},
-			{Module: model.Backbone, Config: parallel.Config{TP: tpLM, PP: ppLM, DP: dpLM, VPP: sc.vpp, EP: 1, SP: true}},
-			{Module: model.Generator, Config: parallel.Config{TP: wMG, PP: 1, DP: alloc[2] / wMG, VPP: 1, EP: 1}, Replicated: true},
+			{Module: model.Encoder, Config: parallel.Config{TP: wME, PP: 1, DP: alloc[0] / wME, VPP: 1}, Replicated: true},
+			{Module: model.Backbone, Config: parallel.Config{TP: tpLM, PP: ppLM, DP: dpLM, VPP: sc.vpp, SP: true}},
+			{Module: model.Generator, Config: parallel.Config{TP: wMG, PP: 1, DP: alloc[2] / wMG, VPP: 1}, Replicated: true},
 		},
 	}
 	if err := sc.evaluate(plan); err != nil {

@@ -150,17 +150,6 @@ func (p Plan) String() string {
 	return s
 }
 
-// Evaluate scores a candidate plan with the Eq. 1 + Eq. 2 objective and
-// fills in the estimate fields. It returns an error when the plan
-// violates resource or memory constraints.
-func Evaluate(s Spec, p *Plan) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	sc := newSearchCtx(&s)
-	return sc.evaluate(p)
-}
-
 // CheckMemory enforces the §4.2 memory constraint for every module:
 // parameters+gradients, ZeRO-1 optimizer shards, and 1F1B peak
 // activations must fit per-GPU capacity (with an 8% runtime reserve).

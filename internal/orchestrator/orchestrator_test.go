@@ -220,11 +220,11 @@ func TestDistTrainMatchesBruteForce(t *testing.T) {
 									continue
 								}
 								p := &Plan{Modules: [3]ModulePlan{
-									{Module: model.Encoder, Config: parallel.Config{TP: wME, PP: 1, DP: x / wME, VPP: 1, EP: 1}, Replicated: true},
-									{Module: model.Backbone, Config: parallel.Config{TP: tpLM, PP: pp, DP: dpLM, VPP: 1, EP: 1}},
-									{Module: model.Generator, Config: parallel.Config{TP: wMG, PP: 1, DP: z / wMG, VPP: 1, EP: 1}, Replicated: true},
+									{Module: model.Encoder, Config: parallel.Config{TP: wME, PP: 1, DP: x / wME, VPP: 1}, Replicated: true},
+									{Module: model.Backbone, Config: parallel.Config{TP: tpLM, PP: pp, DP: dpLM, VPP: 1}},
+									{Module: model.Generator, Config: parallel.Config{TP: wMG, PP: 1, DP: z / wMG, VPP: 1}, Replicated: true},
 								}}
-								if err := Evaluate(s, p); err == nil && p.IterTime < best {
+								if err := evaluatePlan(s, p); err == nil && p.IterTime < best {
 									best = p.IterTime
 								}
 								break // only the largest feasible PP matters per (x,z)
@@ -343,7 +343,7 @@ func TestEvaluateRejectsBadPlans(t *testing.T) {
 		{Module: model.Backbone, Config: parallel.Plain(8, 1, 2)},
 		{Module: model.Generator, Config: parallel.Plain(1, 1, 1), Replicated: true},
 	}}
-	if err := Evaluate(s, p); err == nil {
+	if err := evaluatePlan(s, p); err == nil {
 		t.Error("oversubscribed plan accepted")
 	}
 	// DP does not divide BS.
@@ -352,7 +352,7 @@ func TestEvaluateRejectsBadPlans(t *testing.T) {
 		{Module: model.Backbone, Config: parallel.Plain(1, 1, 3)},
 		{Module: model.Generator, Config: parallel.Plain(1, 1, 1), Replicated: true},
 	}}
-	if err := Evaluate(s, p2); err == nil {
+	if err := evaluatePlan(s, p2); err == nil {
 		t.Error("indivisible DP accepted")
 	}
 }
@@ -392,4 +392,16 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// evaluatePlan scores a candidate plan with the Eq. 1 + Eq. 2 objective
+// and fills in the estimate fields — the brute-force oracle's scorer.
+// It returns an error when the plan violates resource or memory
+// constraints.
+func evaluatePlan(s Spec, p *Plan) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	sc := newSearchCtx(&s)
+	return sc.evaluate(p)
 }

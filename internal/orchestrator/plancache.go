@@ -97,8 +97,9 @@ type planEntry struct {
 	seed      *Candidate // captured at claim, immutable afterwards
 }
 
-func settledEntry(plan *Plan, err error) *planEntry {
-	e := &planEntry{state: entrySettled, published: true, plan: plan, err: err, done: make(chan struct{})}
+// settledEntry is a published entry already holding plan.
+func settledEntry(plan *Plan) *planEntry {
+	e := &planEntry{state: entrySettled, published: true, plan: plan, done: make(chan struct{})}
 	close(e.done)
 	return e
 }
@@ -368,7 +369,7 @@ func (c *PlanCache) visible(key string) (e *planEntry, warm bool) {
 		return e, false
 	}
 	if plan, ok := c.loadStored(key); ok {
-		return settledEntry(plan, nil), true
+		return settledEntry(plan), true
 	}
 	return nil, false
 }

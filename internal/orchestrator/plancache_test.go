@@ -288,7 +288,7 @@ func TestPersistentPlanCacheWarmSeed(t *testing.T) {
 	if c.Pruned() == 0 {
 		t.Error("warm-seeded search pruned no candidates")
 	}
-	want, err := PlanDistTrainSequential(spec5)
+	want, err := planDistTrainSequential(spec5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestPersistentPlanCacheCorruptEntry(t *testing.T) {
 	ctx := context.Background()
 	key := fingerprintSpec(spec)
 
-	st, err := store.OpenDisk(dir, store.WithCorruptHandler(func(string, error) {}))
+	st, err := store.OpenDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestPersistentPlanCacheCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := store.OpenDisk(dir, store.WithCorruptHandler(func(string, error) {}))
+	st2, err := store.OpenDisk(dir) // logs the corrupt entry it skips
 	if err != nil {
 		t.Fatal(err)
 	}

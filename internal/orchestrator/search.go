@@ -120,7 +120,8 @@ func enumerateCandidates(s Spec, n int) []Candidate {
 // each whose lower bound provably exceeds every selectable time. The
 // bound is the time of a plan the sequential reference also produces,
 // so no pruned candidate can be the fastest plan or enter selectPlan's
-// tie-break band: plans are byte-identical to PlanDistTrainSequential.
+// tie-break band: plans are byte-identical to the tests' sequential
+// reference, one unpruned solve per candidate.
 // Probes are ranked after their barrier with a lowest-index tie-break,
 // and the bound never moves after phase 1 and depends on the request
 // alone, so prune decisions (and the Pruned count) are the same at any

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -34,7 +35,7 @@ func TestPlanSearchEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newSpec(t, tc.m, tc.nodes, tc.batch, tc.freeze)
-			want, err := PlanDistTrainSequential(s)
+			want, err := planDistTrainSequential(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +143,7 @@ func TestPlanMany(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("spec %d: %v", i*2, r.Err)
 		}
-		want, err := PlanDistTrainSequential(s)
+		want, err := planDistTrainSequential(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,4 +169,29 @@ func TestPlanManyCancellation(t *testing.T) {
 			t.Errorf("got %v, want context.Canceled", r.Err)
 		}
 	}
+}
+
+// planDistTrainSequential is the single-threaded reference
+// implementation of the §4.3 enumeration: the plain nested loop over
+// the strategy set, solving each subproblem inline. The parallel
+// engine must return byte-identical plans to this function
+// (TestPlanSearchEquivalence).
+func planDistTrainSequential(s Spec) (*Plan, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	sc := newSearchCtx(&s)
+
+	var candidates []*Plan
+	for _, c := range sc.strategySet() {
+		cand, err := sc.solveSubproblem(c, math.Inf(1), true)
+		if err != nil {
+			continue // infeasible combination
+		}
+		candidates = append(candidates, cand)
+	}
+	if len(candidates) == 0 {
+		return nil, errNoFeasiblePlan
+	}
+	return selectPlan(candidates), nil
 }

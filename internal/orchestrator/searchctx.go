@@ -13,9 +13,8 @@ import (
 // share, derived once: a §4.3 search scores ~1400 strategy combinations
 // against the same spec, and none of them should copy the 512-byte
 // Spec, re-validate it, re-query the profiler or re-derive
-// model FLOPs. The exported Evaluate and CheckMemory build one for a
-// single plan, so searched and hand-built plans are scored by the same
-// arithmetic.
+// model FLOPs. The exported CheckMemory builds one for a single plan,
+// so searched and hand-built plans are checked by the same arithmetic.
 //
 // A searchCtx is read-only once built and safe to share across the
 // search's workers. It assumes spec.Validate() passed.
@@ -83,8 +82,8 @@ func newSearchCtx(s *Spec) searchCtx {
 }
 
 // cTrain is Profiler.CTrain served from the per-search table; widths
-// outside the §4.3 strategy set (a hand-built plan's EP or odd TP) go
-// to the profiler.
+// outside the §4.3 strategy set (a hand-built plan's odd TP) go to the
+// profiler.
 func (sc *searchCtx) cTrain(mod model.Module, width int) float64 {
 	for i, tp := range sc.tpSizes {
 		if tp == width {
@@ -168,7 +167,9 @@ func (sc *searchCtx) stageTime(mp *ModulePlan, dpLM int) float64 {
 	return float64(dpLM) * float64(width) * sc.m * c / float64(mp.Config.GPUs())
 }
 
-// evaluate is Evaluate against a built context.
+// evaluate scores a candidate plan with the Eq. 1 + Eq. 2 objective and
+// fills in the estimate fields. It returns an error when the plan
+// violates resource or memory constraints.
 func (sc *searchCtx) evaluate(p *Plan) error {
 	s := sc.spec
 	dpLM := p.Modules[model.Backbone].Config.DP

@@ -54,13 +54,13 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 	for _, tc := range twoPhaseShapes {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newSpec(t, tc.m, tc.nodes, tc.batch, tc.freeze)
-			want, err := PlanDistTrainSequential(s)
+			want, err := planDistTrainSequential(s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			neighbor := s
 			neighbor.Cluster.Nodes = tc.nodes + 1
-			inc, err := PlanDistTrainSequential(neighbor)
+			inc, err := planDistTrainSequential(neighbor)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 			// which must not leak into s's bound.
 			other := s
 			other.GlobalBatch = 2 * tc.batch
-			otherWant, err := PlanDistTrainSequential(other)
+			otherWant, err := planDistTrainSequential(other)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,8 @@
 // Package parallel models the distributed-training parallelism
 // strategies of the paper: tensor (TP), pipeline (PP), data (DP) and
-// virtual-pipeline (VPP) parallelism, plus the sequence (SP) and expert
-// (EP) extensions of §4.1. A Config is one module's strategy: every
-// module of a disaggregated plan owns its own.
+// virtual-pipeline (VPP) parallelism, plus the sequence (SP) extension
+// of §4.1. A Config is one module's strategy: every module of a
+// disaggregated plan owns its own.
 package parallel
 
 import "fmt"
@@ -22,27 +22,18 @@ type Config struct {
 	// sequence dimension is split across the TP group; it changes
 	// communication shape, not GPU count.
 	SP bool
-	// EP is expert-parallel size for MoE backbones; 1 disables it. EP
-	// and TP both parallelise within a layer, so formulas involving TP
-	// remain valid with TP replaced by EP (§4.1).
-	EP int
 }
 
 // Plain returns a minimal configuration with the given sizes and no
-// VPP/SP/EP extensions.
-func Plain(tp, pp, dp int) Config { return Config{TP: tp, PP: pp, DP: dp, VPP: 1, EP: 1} }
+// VPP/SP extensions.
+func Plain(tp, pp, dp int) Config { return Config{TP: tp, PP: pp, DP: dp, VPP: 1} }
 
 // GPUs returns the GPU count the configuration occupies.
 func (c Config) GPUs() int { return c.TP * c.PP * c.DP }
 
-// ModelParallelWidth returns the within-layer parallel degree: EP when
-// expert parallelism is active, TP otherwise (§4.1).
-func (c Config) ModelParallelWidth() int {
-	if c.EP > 1 {
-		return c.EP
-	}
-	return c.TP
-}
+// ModelParallelWidth returns the within-layer parallel degree, TP:
+// the width every per-layer cost divides by (§4.1).
+func (c Config) ModelParallelWidth() int { return c.TP }
 
 func (c Config) String() string {
 	s := fmt.Sprintf("TP=%d PP=%d DP=%d", c.TP, c.PP, c.DP)
@@ -51,9 +42,6 @@ func (c Config) String() string {
 	}
 	if c.SP {
 		s += " SP"
-	}
-	if c.EP > 1 {
-		s += fmt.Sprintf(" EP=%d", c.EP)
 	}
 	return s
 }

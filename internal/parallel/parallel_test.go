@@ -16,10 +16,6 @@ func TestModelParallelWidth(t *testing.T) {
 	if c.ModelParallelWidth() != 4 {
 		t.Error("TP width expected")
 	}
-	c.EP = 16
-	if c.ModelParallelWidth() != 16 {
-		t.Error("EP should supersede TP when active (§4.1)")
-	}
 }
 
 // TestConfigString pins the rendering plan output prints and the GPU
@@ -32,8 +28,8 @@ func TestConfigString(t *testing.T) {
 	if got := c.String(); got != "TP=4 PP=3 DP=2" {
 		t.Errorf("String = %q", got)
 	}
-	c.VPP, c.SP, c.EP = 2, true, 8
-	if got := c.String(); got != "TP=4 PP=3 DP=2 VPP=2 SP EP=8" {
+	c.VPP, c.SP = 2, true
+	if got := c.String(); got != "TP=4 PP=3 DP=2 VPP=2 SP" {
 		t.Errorf("String with extensions = %q", got)
 	}
 }

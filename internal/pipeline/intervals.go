@@ -33,7 +33,7 @@ func (r *Result) FirstStageIntervals() ([]Interval, error) {
 	var bwd []Op
 	var fwd []Op
 	for _, op := range ops {
-		if op.Kind == Backward {
+		if op.Kind == backward {
 			bwd = append(bwd, op)
 		} else {
 			fwd = append(fwd, op)
@@ -152,32 +152,32 @@ func (ip *IntervalPredictor) Append(fwd, bwd []float64) Interval {
 	return Interval{Index: ip.placed, Start: start, End: end}
 }
 
+// ganttWidth is the number of character cells Gantt maps the full
+// iteration onto.
+const ganttWidth = 100
+
 // Gantt renders the timeline as ASCII art, one row per stage — the
-// visual of Figures 4, 7, 10 and 12. width is the number of character
-// cells the full iteration maps onto.
-func (r *Result) Gantt(width int) string {
-	if width < 10 {
-		width = 10
-	}
-	scale := float64(width) / r.IterTime
+// visual of Figures 4, 7, 10 and 12.
+func (r *Result) Gantt() string {
+	scale := ganttWidth / r.IterTime
 	var b strings.Builder
 	S := len(r.StageBusy)
 	for s := 0; s < S; s++ {
-		row := make([]byte, width)
+		row := make([]byte, ganttWidth)
 		for i := range row {
 			row[i] = '.'
 		}
 		for _, op := range r.StageOps(s) {
 			lo := int(op.Start * scale)
 			hi := int(op.End * scale)
-			if hi >= width {
-				hi = width - 1
+			if hi >= ganttWidth {
+				hi = ganttWidth - 1
 			}
 			ch := byte('a' + op.MB%26)
-			if op.Kind == Backward {
+			if op.Kind == backward {
 				ch = byte('A' + op.MB%26)
 			}
-			for i := lo; i <= hi && i < width; i++ {
+			for i := lo; i <= hi && i < ganttWidth; i++ {
 				row[i] = ch
 			}
 		}

@@ -33,12 +33,12 @@ const OneFOneB Schedule = 0
 type OpKind int
 
 const (
-	Forward OpKind = iota
-	Backward
+	forward OpKind = iota
+	backward
 )
 
 func (k OpKind) String() string {
-	if k == Forward {
+	if k == forward {
 		return "F"
 	}
 	return "B"
@@ -177,14 +177,14 @@ type opRef struct {
 func appendStageProgram(prog []opRef, stage, stages, l int) []opRef {
 	warmup := min(stages-stage-1, l)
 	for m := 0; m < warmup; m++ {
-		prog = append(prog, opRef{stage, m, Forward})
+		prog = append(prog, opRef{stage, m, forward})
 	}
 	for i := 0; i < l-warmup; i++ {
-		prog = append(prog, opRef{stage, warmup + i, Forward})
-		prog = append(prog, opRef{stage, i, Backward})
+		prog = append(prog, opRef{stage, warmup + i, forward})
+		prog = append(prog, opRef{stage, i, backward})
 	}
 	for m := l - warmup; m < l; m++ {
-		prog = append(prog, opRef{stage, m, Backward})
+		prog = append(prog, opRef{stage, m, backward})
 	}
 	return prog
 }
@@ -240,7 +240,7 @@ func (sim *Simulator) Simulate(_ Schedule, w Work) (*Result, error) {
 	sim.prog = prog
 
 	duration := func(r opRef) float64 {
-		if r.kind == Forward {
+		if r.kind == forward {
 			return w.Fwd[r.stage][r.mb]
 		}
 		return w.Bwd[r.stage][r.mb]
@@ -248,7 +248,7 @@ func (sim *Simulator) Simulate(_ Schedule, w Work) (*Result, error) {
 	// depEnd returns the cross-stage dependency completion time; ok is
 	// false if the dependency has not executed yet.
 	depEnd := func(r opRef) (float64, bool) {
-		if r.kind == Forward {
+		if r.kind == forward {
 			if r.stage == 0 {
 				return 0, true
 			}
@@ -278,7 +278,7 @@ func (sim *Simulator) Simulate(_ Schedule, w Work) (*Result, error) {
 				start := math.Max(stageClock[s], dep)
 				d := duration(r)
 				finish := w.finish(s, start, d)
-				if r.kind == Forward {
+				if r.kind == forward {
 					endF[r.stage*l+r.mb] = finish
 					doneF[r.stage*l+r.mb] = true
 				} else {

@@ -128,18 +128,18 @@ func TestTimelineRespectsDependencies(t *testing.T) {
 			endOf[[3]int{op.Stage, op.MB, int(op.Kind)}] = op.End
 		}
 		for _, op := range res.Ops {
-			if op.Kind == Forward && op.Stage > 0 {
-				dep := endOf[[3]int{op.Stage - 1, op.MB, int(Forward)}] + w.P2P[op.Stage-1]
+			if op.Kind == forward && op.Stage > 0 {
+				dep := endOf[[3]int{op.Stage - 1, op.MB, int(forward)}] + w.P2P[op.Stage-1]
 				if op.Start < dep-1e-9 {
 					t.Fatalf("F(%d,%d) starts %g before upstream %g", op.Stage, op.MB, op.Start, dep)
 				}
 			}
-			if op.Kind == Backward {
+			if op.Kind == backward {
 				var dep float64
 				if op.Stage == S-1 {
-					dep = endOf[[3]int{op.Stage, op.MB, int(Forward)}]
+					dep = endOf[[3]int{op.Stage, op.MB, int(forward)}]
 				} else {
-					dep = endOf[[3]int{op.Stage + 1, op.MB, int(Backward)}] + w.P2P[op.Stage]
+					dep = endOf[[3]int{op.Stage + 1, op.MB, int(backward)}] + w.P2P[op.Stage]
 				}
 				if op.Start < dep-1e-9 {
 					t.Fatalf("B(%d,%d) starts %g before dep %g", op.Stage, op.MB, op.Start, dep)
@@ -297,7 +297,7 @@ func TestGanttRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := res.Gantt(60)
+	g := res.Gantt()
 	if len(g) == 0 {
 		t.Fatal("empty gantt")
 	}

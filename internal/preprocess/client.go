@@ -89,8 +89,8 @@ func (c *Client) roundTrip(ctx context.Context, req []byte) (*RankBatch, error) 
 // i+1 — this is what turns data-arrival stalls from seconds into
 // milliseconds (Figure 17).
 type Prefetcher struct {
-	client   *Client
-	dp, rank int
+	client *Client
+	dp     int
 
 	pending chan fetchResult
 	cancel  context.CancelFunc
@@ -106,9 +106,9 @@ type fetchResult struct {
 	err error
 }
 
-// NewPrefetcher starts prefetching one of dp ranks' batches (as tenant
-// 0) from the given iteration with the given queue depth.
-func NewPrefetcher(client *Client, dp, rank int, startIter int64, depth int) *Prefetcher {
+// NewPrefetcher starts prefetching rank 0's batches of a dp-wide
+// split (as tenant 0) from iteration 0 with the given queue depth.
+func NewPrefetcher(client *Client, dp, depth int) *Prefetcher {
 	if depth < 1 {
 		depth = 1
 	}
@@ -116,23 +116,22 @@ func NewPrefetcher(client *Client, dp, rank int, startIter int64, depth int) *Pr
 	p := &Prefetcher{
 		client:  client,
 		dp:      dp,
-		rank:    rank,
 		pending: make(chan fetchResult, depth),
 		cancel:  cancel,
 		done:    make(chan struct{}),
 	}
-	go p.loop(ctx, startIter)
+	go p.loop(ctx)
 	return p
 }
 
-func (p *Prefetcher) loop(ctx context.Context, iter int64) {
+func (p *Prefetcher) loop(ctx context.Context) {
 	defer close(p.done)
 	// Closing pending after the terminal error is queued hands every
 	// subsequent Next the stored error (the close is the happens-before
 	// edge for p.terminal).
 	defer close(p.pending)
-	for {
-		rb, err := p.client.FetchTenant(ctx, 0, p.dp, iter, p.rank)
+	for iter := int64(0); ; iter++ {
+		rb, err := p.client.FetchTenant(ctx, 0, p.dp, iter, 0)
 		if err != nil {
 			p.terminal = err
 			select {
@@ -147,7 +146,6 @@ func (p *Prefetcher) loop(ctx context.Context, iter int64) {
 			return
 		case p.pending <- fetchResult{rb, nil}:
 		}
-		iter++
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 // state.
 type poolMember struct {
 	addr string
-	// dialTO and fetchTO are the service's connect and round-trip bounds.
-	dialTO, fetchTO time.Duration
 
 	mu        sync.Mutex
 	client    *Client
@@ -54,7 +52,7 @@ func (m *poolMember) fetchTenant(ctx context.Context, tenant uint32, dp int, ite
 		return nil, errServiceClosed
 	}
 	if m.client == nil {
-		c, err := dial(m.addr, m.dialTO, m.fetchTO)
+		c, err := dial(m.addr, dialTimeout, fetchTimeout)
 		if err != nil {
 			return nil, err
 		}

@@ -300,7 +300,7 @@ func TestDisaggregationBeatsColocated(t *testing.T) {
 	defer client.Close()
 	ctx := context.Background()
 
-	pf := NewPrefetcher(client, 1, 0, 0, 2)
+	pf := NewPrefetcher(client, 1, 2)
 	defer pf.Close()
 	if _, err := pf.Next(ctx); err != nil { // warm the pipeline
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestDisaggregationBeatsColocated(t *testing.T) {
 		t.Fatal(err)
 	}
 	start = time.Now()
-	if _, err := col.Fetch(ctx, 10, 0); err != nil {
+	if _, err := col.Fetch(ctx, 10); err != nil {
 		t.Fatal(err)
 	}
 	coloc := time.Since(start)

@@ -65,15 +65,16 @@ type Config struct {
 	// each consumer rank reaches this producer by, so consumers find
 	// their next batch built.
 	Readahead int
-	// CacheCap bounds the iteration cache (default 64 iterations). The
-	// watermark eviction keeps everything a lagging rank still needs;
-	// beyond CacheCap iterations the oldest entries drop anyway, and a
-	// rank silent while CacheCap iterations were built is forgotten, so
-	// a stalled or retired rank costs a bounded cache, never unbounded
-	// growth. A laggard farther behind than CacheCap rebuilds on return —
-	// a cost event, not a correctness one.
-	CacheCap int
 }
+
+// producerCacheCap bounds a producer's iteration cache. The watermark
+// eviction keeps everything a lagging rank still needs; beyond
+// producerCacheCap iterations the oldest entries drop anyway, and a
+// rank silent while producerCacheCap iterations were built is
+// forgotten, so a stalled or retired rank costs a bounded cache, never
+// unbounded growth. A laggard farther behind rebuilds on return — a
+// cost event, not a correctness one.
+const producerCacheCap = 64
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -105,6 +106,8 @@ type RankBatch struct {
 // caches them, and serves fetch requests over TCP.
 type Server struct {
 	cfg Config
+	// cacheCap starts at producerCacheCap; tests shrink it.
+	cacheCap int
 
 	mu       sync.Mutex
 	cache    map[buildKey][][]Processed // (iter, dp) -> [rank][mb*... flattened per rank]
@@ -140,11 +143,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2 * cfg.DPSize
 	}
-	if cfg.CacheCap <= 0 {
-		cfg.CacheCap = 64
-	}
 	return &Server{
 		cfg:       cfg,
+		cacheCap:  producerCacheCap,
 		cache:     map[buildKey][][]Processed{},
 		inflight:  map[buildKey]*inflightBuild{},
 		watermark: map[wmKey]mark{},
@@ -420,10 +421,10 @@ func (s *Server) iteration(iter int64, dp int) ([][]Processed, error) {
 // the newest build instead would rebuild a lagging rank's batch on
 // every fetch. Until every known tenant has had all of its DP ranks
 // fetch at least once there is no safe floor from the watermarks.
-// Either way CacheCap backstops the cache size — oldest iterations
+// Either way cacheCap backstops the cache size — oldest iterations
 // drop first — so a dead or never-connecting rank cannot grow the
 // cache without bound. A rank that fetched nothing while this server
-// built more than CacheCap iterations is forgotten, and a tenant with no
+// built more than cacheCap iterations is forgotten, and a tenant with no
 // rank left, so a retired tenant pins no floor and holds no entry. The
 // clock is builds, not iteration numbers: tenants count iterations
 // independently (every job starts at 0), so a live tenant far behind
@@ -433,7 +434,7 @@ func (s *Server) evictLocked() {
 	floor, first := int64(0), true
 	ranksSeen := make(map[uint32]int, len(s.tenantDP))
 	for k, w := range s.watermark {
-		if now-w.at > int64(s.cfg.CacheCap) {
+		if now-w.at > int64(s.cacheCap) {
 			delete(s.watermark, k)
 			continue
 		}
@@ -457,7 +458,7 @@ func (s *Server) evictLocked() {
 			}
 		}
 	}
-	for len(s.cache) > s.cfg.CacheCap {
+	for len(s.cache) > s.cacheCap {
 		var oldest buildKey
 		first := true
 		for k := range s.cache {
@@ -707,14 +708,14 @@ func NewColocated(cfg Config) (*Colocated, error) {
 	return &Colocated{cfg: cfg}, nil
 }
 
-// Fetch preprocesses one rank's batch on the calling goroutine,
-// blocking the training loop for the full CPU cost.
-func (c *Colocated) Fetch(ctx context.Context, iter int64, rank int) (*RankBatch, error) {
+// Fetch preprocesses rank 0's batch of the iteration on the calling
+// goroutine, blocking the training loop for the full CPU cost.
+func (c *Colocated) Fetch(ctx context.Context, iter int64) (*RankBatch, error) {
 	bs := c.cfg.GlobalBatch
 	perRank := bs / c.cfg.DPSize
 	m := c.cfg.Microbatch
-	rb := &RankBatch{Iter: iter, Rank: rank}
-	start := iter*int64(bs) + int64(rank*perRank)
+	rb := &RankBatch{Iter: iter}
+	start := iter * int64(bs)
 	var mb []Processed
 	for i := 0; i < perRank; i++ {
 		if err := ctx.Err(); err != nil {

@@ -92,19 +92,20 @@ func TestEvictionHonoursLaggingRank(t *testing.T) {
 	}
 }
 
-// CacheCap backstops the watermark eviction: a rank that never fetches
+// cacheCap backstops the watermark eviction: a rank that never fetches
 // (a dead consumer) freezes the watermark floor, but the cache still
 // stays bounded — the oldest iterations drop first.
 func TestCacheCapBoundsDeadRank(t *testing.T) {
 	cfg := Config{
 		Source:      fixedSource{images: 1, resolution: 32, seqLen: 128},
-		GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2, CacheCap: 4,
+		GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2,
 	}
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.cacheCap = 4
 	for iter := int64(0); iter < 20; iter++ {
 		if _, err := srv.FetchTenant(0, 2, iter, 0); err != nil {
 			t.Fatal(err)
@@ -115,7 +116,7 @@ func TestCacheCapBoundsDeadRank(t *testing.T) {
 	_, newestCached := srv.cache[buildKey{19, 2}]
 	srv.mu.Unlock()
 	if n > 4 {
-		t.Fatalf("cache grew to %d iterations with CacheCap 4", n)
+		t.Fatalf("cache grew to %d iterations with cacheCap 4", n)
 	}
 	if !newestCached {
 		t.Error("cap evicted the newest iteration instead of the oldest")
@@ -125,19 +126,19 @@ func TestCacheCapBoundsDeadRank(t *testing.T) {
 // A producer outlives its consumers: tenants that fetch once and retire
 // must neither grow the watermark maps by one entry per tenant id nor
 // pin the eviction floor with a frozen watermark. A rank more than
-// CacheCap iterations behind the newest fetch is forgotten, so once the
+// cacheCap iterations behind the newest fetch is forgotten, so once the
 // last retired tenant falls that far behind, the cache evicts below the
 // live tenant's floor again.
 func TestServerForgetsRetiredTenants(t *testing.T) {
-	cfg := Config{
+	srv, err := NewServer(Config{
 		Source:      fixedSource{images: 1, resolution: 32, seqLen: 128},
-		GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2, CacheCap: 4,
-	}
-	srv, err := NewServer(cfg)
+		GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.cacheCap = 4
 	fetch := func(tenant uint32, iter int64) {
 		t.Helper()
 		for rank := 0; rank < 2; rank++ {
@@ -157,11 +158,11 @@ func TestServerForgetsRetiredTenants(t *testing.T) {
 		fetch(uint32(1+i), i) // fetches once and leaves
 	}
 	// Left: the live tenant and the retired tenants of the last
-	// CacheCap+1 iterations, two ranks each.
-	if w, tn := sizes(); w > 2*(cfg.CacheCap+2) || tn > cfg.CacheCap+2 {
+	// cacheCap+1 iterations, two ranks each.
+	if w, tn := sizes(); w > 2*(srv.cacheCap+2) || tn > srv.cacheCap+2 {
 		t.Fatalf("after %d retired tenants: %d watermarks, %d tenant widths", retired, w, tn)
 	}
-	last := int64(retired + cfg.CacheCap)
+	last := int64(retired + srv.cacheCap)
 	for iter := int64(retired); iter <= last; iter++ {
 		fetch(0, iter)
 	}
@@ -191,15 +192,16 @@ func TestPrefetcherRedeliversTerminalError(t *testing.T) {
 	}
 	defer client.Close()
 
-	// Rank 99 is out of range: the first fetch fails terminally.
-	pf := NewPrefetcher(client, 2, 99, 0, 2)
+	// A 3-wide split does not divide the 4-sample batch: the first
+	// fetch fails terminally.
+	pf := NewPrefetcher(client, 3, 2)
 	defer pf.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	first := func() error { _, err := pf.Next(ctx); return err }
 	if err := first(); err == nil {
-		t.Fatal("bad rank prefetch succeeded")
+		t.Fatal("bad split prefetch succeeded")
 	}
 	// The queue is drained now; every further Next must return the same
 	// terminal error immediately, not block until the context dies.

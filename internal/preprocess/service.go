@@ -19,7 +19,7 @@ import (
 //
 //   - Per-tenant admission quotas: each tenant holds at most its quota
 //     of in-flight fetches; a tenant saturating its quota is rejected
-//     with errPoolSaturated after AdmitTimeout while every other tenant
+//     with errPoolSaturated after admitTimeout while every other tenant
 //     keeps fetching — one tenant cannot starve the tier, and callers
 //     see backpressure instead of an unbounded readahead fan-out.
 //   - Deterministic weighted fair queueing over the shared capacity:
@@ -44,6 +44,10 @@ type Service struct {
 	cfg     ServiceConfig
 	members []*poolMember
 	stats   *metrics.PoolStats // aggregate; tenants record into labeled children
+	// admitTimeout, cooldown and cacheCap start at the constants of the
+	// same names; tests shorten them.
+	admitTimeout, cooldown time.Duration
+	cacheCap               int
 
 	mu      sync.Mutex
 	tenants []*Tenant
@@ -52,7 +56,10 @@ type Service struct {
 	closed  bool
 }
 
-// ServiceConfig parameterises a shared preprocessing service.
+// ServiceConfig parameterises a shared preprocessing service: its
+// producers, slot budget and counters. Its timeouts and per-tenant
+// cache bound are the constants admitTimeout, cooldown, dialTimeout,
+// fetchTimeout and cacheCap.
 type ServiceConfig struct {
 	// Addrs lists the producer servers. Assignment and failover order
 	// are deterministic in this order.
@@ -61,24 +68,6 @@ type ServiceConfig struct {
 	// producer-side concurrency the weighted fair queue arbitrates
 	// (default 2*len(Addrs)).
 	Capacity int
-	// AdmitTimeout is how long a fetch waits for admission (quota and
-	// shared capacity) before being rejected with errPoolSaturated
-	// (default 5s).
-	AdmitTimeout time.Duration
-	// FailureCooldown is how long a failed producer sits out before it
-	// is retried (default 2s). DialTimeout bounds one connection attempt
-	// (default 2s): a dead producer fails over in milliseconds instead
-	// of hanging a fetch. FetchTimeout bounds one request round trip
-	// (default 60s).
-	FailureCooldown time.Duration
-	DialTimeout     time.Duration
-	FetchTimeout    time.Duration
-	// CacheCap bounds each tenant's private batch cache in entries
-	// (default 256). The watermark eviction keeps what lagging ranks
-	// still need, but a rank that stops fetching freezes the floor;
-	// beyond CacheCap the oldest entries drop anyway — the same backstop
-	// the producer's cache carries.
-	CacheCap int
 	// Stats, when non-nil, receives the aggregate counters; per-tenant
 	// counters land in labeled children (metrics.PoolStats.Labeled).
 	// Nil builds a private aggregate, still readable via Snapshot.
@@ -107,6 +96,27 @@ type svcWaiter struct {
 	granted bool
 }
 
+// The service's calibrated bounds.
+const (
+	// admitTimeout is how long a fetch waits for admission (quota and
+	// shared capacity) before being rejected with errPoolSaturated.
+	admitTimeout = 5 * time.Second
+	// cooldown is how long a failed producer sits out before it is
+	// retried.
+	cooldown = 2 * time.Second
+	// dialTimeout bounds one connection attempt, so a dead producer
+	// fails over in milliseconds instead of hanging a fetch;
+	// fetchTimeout bounds one request round trip.
+	dialTimeout  = 2 * time.Second
+	fetchTimeout = 60 * time.Second
+	// cacheCap bounds each tenant's private batch cache in entries. The
+	// watermark eviction keeps what lagging ranks still need, but a rank
+	// that stops fetching freezes the floor; beyond cacheCap the oldest
+	// entries drop anyway — the same backstop the producer's cache
+	// carries.
+	cacheCap = 256
+)
+
 // errPoolSaturated reports a fetch rejected by bounded admission.
 var errPoolSaturated = errors.New("preprocess: pool saturated, fetch rejected")
 
@@ -124,28 +134,13 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 2 * len(cfg.Addrs)
 	}
-	if cfg.AdmitTimeout <= 0 {
-		cfg.AdmitTimeout = 5 * time.Second
-	}
-	if cfg.FailureCooldown <= 0 {
-		cfg.FailureCooldown = 2 * time.Second
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 60 * time.Second
-	}
-	if cfg.CacheCap <= 0 {
-		cfg.CacheCap = 256
-	}
 	stats := cfg.Stats
 	if stats == nil {
 		stats = &metrics.PoolStats{}
 	}
-	s := &Service{cfg: cfg, stats: stats}
+	s := &Service{cfg: cfg, stats: stats, admitTimeout: admitTimeout, cooldown: cooldown, cacheCap: cacheCap}
 	for _, addr := range cfg.Addrs {
-		s.members = append(s.members, &poolMember{addr: addr, dialTO: cfg.DialTimeout, fetchTO: cfg.FetchTimeout})
+		s.members = append(s.members, &poolMember{addr: addr})
 	}
 	return s, nil
 }
@@ -206,7 +201,7 @@ func (s *Service) Close() {
 
 // acquire admits one fetch for tenant t: the tenant must be under its
 // quota and the tier under its shared capacity. Contended admissions
-// queue and are granted in weighted-fair order; after AdmitTimeout the
+// queue and are granted in weighted-fair order; after admitTimeout the
 // fetch is rejected with errPoolSaturated.
 func (s *Service) acquire(ctx context.Context, t *Tenant) error {
 	s.mu.Lock()
@@ -232,7 +227,7 @@ func (s *Service) acquire(ctx context.Context, t *Tenant) error {
 	s.grantLocked()
 	s.mu.Unlock()
 
-	timer := time.NewTimer(s.cfg.AdmitTimeout)
+	timer := time.NewTimer(s.admitTimeout)
 	defer timer.Stop()
 	select {
 	case <-w.ch:
@@ -357,7 +352,7 @@ func (s *Service) fetchWithFailover(ctx context.Context, t *Tenant, dp int, iter
 			return nil, err
 		}
 		lastErr = err
-		m.markDown(now.Add(s.cfg.FailureCooldown))
+		m.markDown(now.Add(s.cooldown))
 		t.stats.RecordFailover()
 	}
 	return nil, fmt.Errorf("preprocess: all %d producers failed for tenant %s iter %d rank %d: %w",
@@ -505,7 +500,7 @@ func (t *Tenant) Fetch(ctx context.Context, iter int64, rank int) (*RankBatch, e
 // evictLocked drops cache entries below the tenant's own minimum
 // per-rank fetch watermark — the same eviction contract as the
 // producer's cache: an iteration leaves the partition only once every
-// rank the tenant has seen fetched past it. CacheCap backstops the size
+// rank the tenant has seen fetched past it. cacheCap backstops the size
 // (oldest entries first) so a rank that stops fetching cannot freeze
 // the floor and grow the cache without bound. Callers hold t.cmu.
 func (t *Tenant) evictLocked() {
@@ -523,7 +518,7 @@ func (t *Tenant) evictLocked() {
 			}
 		}
 	}
-	for len(t.cache) > t.svc.cfg.CacheCap {
+	for len(t.cache) > t.svc.cacheCap {
 		var oldest tenantKey
 		first := true
 		for k := range t.cache {

@@ -12,19 +12,16 @@ import (
 	"disttrain/internal/metrics"
 )
 
+// testService builds a service over the fleet whose failed producers
+// sit out 50ms instead of the production cooldown.
 func testService(t *testing.T, fleet *Fleet, cfg ServiceConfig) *Service {
 	t.Helper()
 	cfg.Addrs = fleet.Addrs()
-	if cfg.FailureCooldown == 0 {
-		cfg.FailureCooldown = 50 * time.Millisecond
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 500 * time.Millisecond
-	}
 	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.cooldown = 50 * time.Millisecond
 	t.Cleanup(svc.Close)
 	return svc
 }
@@ -321,11 +318,9 @@ func TestServiceBoundedAdmission(t *testing.T) {
 	}
 	t.Cleanup(fleet.Close)
 	stats := &metrics.PoolStats{}
-	tn := oneTenant(t, testService(t, fleet, ServiceConfig{
-		Capacity:     1,
-		AdmitTimeout: 30 * time.Millisecond,
-		Stats:        stats,
-	}))
+	svc := testService(t, fleet, ServiceConfig{Capacity: 1, Stats: stats})
+	svc.admitTimeout = 30 * time.Millisecond
+	tn := oneTenant(t, svc)
 
 	ctx := context.Background()
 	started := make(chan struct{})
@@ -388,7 +383,7 @@ func TestServiceCacheHitAndWatermarkEviction(t *testing.T) {
 	}
 }
 
-// CacheCap backstops the tenant cache: a rank that stops fetching
+// cacheCap backstops the tenant cache: a rank that stops fetching
 // freezes the watermark floor, but the cache still stays bounded.
 func TestServiceCacheCapBoundsStalledRank(t *testing.T) {
 	fleet, err := StartFleet(fleetConfig(), 1)
@@ -396,7 +391,9 @@ func TestServiceCacheCapBoundsStalledRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	tn := oneTenant(t, testService(t, fleet, ServiceConfig{CacheCap: 4}))
+	svc := testService(t, fleet, ServiceConfig{})
+	svc.cacheCap = 4
+	tn := oneTenant(t, svc)
 
 	ctx := context.Background()
 	if _, err := tn.Fetch(ctx, 0, 1); err != nil { // rank 1 stalls at 0
@@ -411,7 +408,7 @@ func TestServiceCacheCapBoundsStalledRank(t *testing.T) {
 	n := len(tn.cache)
 	tn.cmu.Unlock()
 	if n > 4 {
-		t.Fatalf("tenant cache grew to %d entries with CacheCap 4", n)
+		t.Fatalf("tenant cache grew to %d entries with cacheCap 4", n)
 	}
 }
 
@@ -716,10 +713,8 @@ func TestServiceQuotaSaturationIsolatesTenants(t *testing.T) {
 	}
 	t.Cleanup(fleet.Close)
 	stats := &metrics.PoolStats{}
-	svc := testService(t, fleet, ServiceConfig{
-		AdmitTimeout: 30 * time.Millisecond,
-		Stats:        stats,
-	})
+	svc := testService(t, fleet, ServiceConfig{Stats: stats})
+	svc.admitTimeout = 30 * time.Millisecond
 	a, err := svc.Register(TenantConfig{Name: "a", MaxInflight: 1, DP: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -766,7 +761,8 @@ func TestServiceCachePartitioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	svc := testService(t, fleet, ServiceConfig{CacheCap: 4})
+	svc := testService(t, fleet, ServiceConfig{})
+	svc.cacheCap = 4
 	lag, err := svc.Register(TenantConfig{Name: "laggard", DP: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -780,7 +776,7 @@ func TestServiceCachePartitioning(t *testing.T) {
 	if _, err := lag.Fetch(ctx, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	// The fast tenant churns far past its own CacheCap.
+	// The fast tenant churns far past its own cacheCap.
 	for iter := int64(0); iter < 12; iter++ {
 		if _, err := fast.Fetch(ctx, iter, 0); err != nil {
 			t.Fatal(err)
@@ -790,7 +786,7 @@ func TestServiceCachePartitioning(t *testing.T) {
 	fastN := len(fast.cache)
 	fast.cmu.Unlock()
 	if fastN > 4 {
-		t.Fatalf("fast tenant's partition grew to %d entries with CacheCap 4", fastN)
+		t.Fatalf("fast tenant's partition grew to %d entries with cacheCap 4", fastN)
 	}
 	// The laggard's batch survived the other tenant's churn.
 	if _, err := lag.Fetch(ctx, 0, 0); err != nil {
@@ -802,14 +798,15 @@ func TestServiceCachePartitioning(t *testing.T) {
 }
 
 // Quota resizes act immediately: shrinking to zero blocks the tenant
-// (rejection after AdmitTimeout), growing re-grants queued waiters.
+// (rejection after admitTimeout), growing re-grants queued waiters.
 func TestServiceSetQuota(t *testing.T) {
 	fleet, err := StartFleet(fleetConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	svc := testService(t, fleet, ServiceConfig{AdmitTimeout: 30 * time.Millisecond})
+	svc := testService(t, fleet, ServiceConfig{})
+	svc.admitTimeout = 30 * time.Millisecond
 	tn, err := svc.Register(TenantConfig{Name: "t", DP: 2})
 	if err != nil {
 		t.Fatal(err)

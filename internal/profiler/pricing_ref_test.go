@@ -121,7 +121,7 @@ func refTPComm(p *Profiler, mod model.Module, tp int, samples int) float64 {
 	}
 	layers := m.Backbone.Layers
 	actBytes := float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2 * float64(samples)
-	per := comm.TPOverheadPerLayer(cost, actBytes, tp, true, p.opts.StepCCLOverlap)
+	per := comm.TPOverheadPerLayer(cost, actBytes, tp, p.opts.StepCCLOverlap)
 	return per * float64(layers)
 }
 

@@ -138,7 +138,7 @@ func (p *Profiler) tpComm(mod model.Module, tp int) float64 {
 		Latency:      p.opts.Cluster.LinkLatency,
 	}
 	actBytes := float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2
-	per := comm.TPOverheadPerLayer(cost, actBytes, tp, true, p.opts.StepCCLOverlap)
+	per := comm.TPOverheadPerLayer(cost, actBytes, tp, p.opts.StepCCLOverlap)
 	return per * float64(m.Backbone.Layers)
 }
 

@@ -87,7 +87,7 @@ func Parse(spec string) (Scenario, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("scenario: no events in %q", spec)
 	}
-	return New(spec, events...)
+	return newSchedule(spec, events...)
 }
 
 // eventErr stamps every parse failure with the offending event's index
@@ -200,7 +200,7 @@ func parseEvent(kind string, kvs []kv) (Event, error) {
 const maxGeneratorRanks = 1 << 16
 
 func parseRandomStragglers(kvs []kv) (Scenario, error) {
-	g := RandomStragglers{Seed: 1, Ranks: 1, Prob: 0.2, MaxFactor: 3}
+	g := randomStragglers{Seed: 1, Ranks: 1, Prob: 0.2, Max: 3}
 	for _, p := range kvs {
 		k, v := p.k, p.v
 		var err error
@@ -212,7 +212,7 @@ func parseRandomStragglers(kvs []kv) (Scenario, error) {
 		case "prob":
 			g.Prob, err = strconv.ParseFloat(v, 64)
 		case "max":
-			g.MaxFactor, err = strconv.ParseFloat(v, 64)
+			g.Max, err = strconv.ParseFloat(v, 64)
 		default:
 			return nil, fmt.Errorf("unknown key %q for random-stragglers", k)
 		}
@@ -225,8 +225,8 @@ func parseRandomStragglers(kvs []kv) (Scenario, error) {
 		return nil, fmt.Errorf("random-stragglers wants ranks in [1, %d], got %d", maxGeneratorRanks, g.Ranks)
 	case math.IsNaN(g.Prob) || g.Prob < 0 || g.Prob > 1:
 		return nil, fmt.Errorf("random-stragglers wants prob in [0,1], got %g", g.Prob)
-	case math.IsNaN(g.MaxFactor) || g.MaxFactor < 1 || g.MaxFactor > MaxFactor:
-		return nil, fmt.Errorf("random-stragglers wants max in [1, %g], got %g", MaxFactor, g.MaxFactor)
+	case math.IsNaN(g.Max) || g.Max < 1 || g.Max > maxFactor:
+		return nil, fmt.Errorf("random-stragglers wants max in [1, %g], got %g", maxFactor, g.Max)
 	}
 	return g, nil
 }

@@ -90,10 +90,10 @@ func FuzzScenarioParse(f *testing.F) {
 			t.Fatalf("Parse(%q) returned nil scenario with nil error", spec)
 		}
 		_ = sc.Name()
-		if g, ok := sc.(RandomStragglers); ok {
+		if g, ok := sc.(randomStragglers); ok {
 			if g.Ranks < 1 || g.Ranks > maxGeneratorRanks ||
 				math.IsNaN(g.Prob) || g.Prob < 0 || g.Prob > 1 ||
-				math.IsNaN(g.MaxFactor) || g.MaxFactor < 1 || g.MaxFactor > MaxFactor {
+				math.IsNaN(g.Max) || g.Max < 1 || g.Max > maxFactor {
 				t.Fatalf("Parse(%q) accepted out-of-range generator %+v", spec, g)
 			}
 		}

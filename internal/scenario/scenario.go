@@ -25,26 +25,26 @@ import (
 type Kind int
 
 const (
-	// Straggler slows pipeline-stage compute: a degraded GPU, thermal
+	// straggler slows pipeline-stage compute: a degraded GPU, thermal
 	// throttling, a noisy neighbour. Factor is the slowdown (2 = half
 	// speed); Rank/Stage restrict the blast radius; From/Until bound
 	// the slowdown within each affected iteration's pipeline phase.
-	Straggler Kind = iota
-	// PreprocessDegrade slows the data path: disaggregated
+	straggler Kind = iota
+	// preprocessDegrade slows the data path: disaggregated
 	// preprocessing nodes (or co-located dataloader workers) deliver
 	// the batch Factor times slower.
-	PreprocessDegrade
-	// LinkCongestion scales inter-stage activation/gradient transfer
+	preprocessDegrade
+	// linkCongestion scales inter-stage activation/gradient transfer
 	// (P2P) costs by Factor — a congested RDMA fabric.
-	LinkCongestion
-	// NodeFailure kills the training job at iteration Start: the
+	linkCongestion
+	// nodeFailure kills the training job at iteration Start: the
 	// runtime pays Downtime seconds of detection/restart, restores the
 	// latest DFS checkpoint, and re-executes the lost iterations.
-	NodeFailure
+	nodeFailure
 	// ProducerFail kills one disaggregated-preprocessing producer at
 	// iteration Start: subsequent fetches assigned to it fail over to
 	// the surviving pool members (§5's elasticity under churn). Fires
-	// once, like NodeFailure. Dual-scope: in a job's Train.Scenario it
+	// once, like nodeFailure. Dual-scope: in a job's Train.Scenario it
 	// acts on the job's private producer pool at iteration Start; in a
 	// fleet scenario it acts on the fleet-shared producer tier at
 	// round Start, degrading every tenant fairly.
@@ -53,7 +53,7 @@ const (
 	// iteration Start — the elastic scale-up counterpart of
 	// ProducerFail. Fires once; dual-scope like ProducerFail.
 	ProducerJoin
-	// WorkloadShift changes the sample-cost distribution mid-run: for
+	// workloadShift changes the sample-cost distribution mid-run: for
 	// the covered iterations every sample's image subsequences are
 	// scaled by Factor (resolution by sqrt(Factor), tokens following
 	// the patch grid), so encoder/generator work per sample grows while
@@ -63,7 +63,7 @@ const (
 	// re-planning controller reacts to it. Applied by the corpus batch
 	// front-end (live producer pools own their preprocessing and do not
 	// observe scenarios).
-	WorkloadShift
+	workloadShift
 	// JobArrive submits one more instance of fleet job spec Job to the
 	// multi-tenant fleet runtime's admission queue at round Start — the
 	// production stream of training jobs (§7) made explicit. Fleet
@@ -76,7 +76,7 @@ const (
 	// FleetNodeFail removes node Node from the shared fleet at round
 	// Start: every job whose lease places it on that node shrinks — a
 	// costed lease reconfiguration — and the node stays out until a
-	// matching node-join. Unlike the job-level NodeFailure (which kills
+	// matching node-join. Unlike the job-level nodeFailure (which kills
 	// one run and restores its checkpoint), this hits every tenant
 	// placed on the node. Fleet scope; fires once.
 	FleetNodeFail
@@ -123,13 +123,13 @@ type kindInfo struct {
 }
 
 var kinds = [...]kindInfo{
-	Straggler:         {name: "straggler", keys: "rank stage factor from until"},
-	PreprocessDegrade: {name: "preprocess", alias: "preproc", keys: "factor"},
-	LinkCongestion:    {name: "congestion", keys: "factor"},
-	NodeFailure:       {name: "failure", keys: "downtime", fireOnce: true, defaults: Event{Downtime: 30}},
+	straggler:         {name: "straggler", keys: "rank stage factor from until"},
+	preprocessDegrade: {name: "preprocess", alias: "preproc", keys: "factor"},
+	linkCongestion:    {name: "congestion", keys: "factor"},
+	nodeFailure:       {name: "failure", keys: "downtime", fireOnce: true, defaults: Event{Downtime: 30}},
 	ProducerFail:      {name: "producer-fail", keys: "producer", fireOnce: true},
 	ProducerJoin:      {name: "producer-join", keys: "producer", fireOnce: true},
-	WorkloadShift:     {name: "workload-shift", keys: "factor"},
+	workloadShift:     {name: "workload-shift", keys: "factor"},
 	JobArrive:         {name: "job-arrive", keys: "job", fireOnce: true, fleet: true},
 	JobDepart:         {name: "job-depart", keys: "job", fireOnce: true, fleet: true},
 	FleetNodeFail:     {name: "node-fail", keys: "node", fireOnce: true, fleet: true},
@@ -170,24 +170,24 @@ func (k Kind) fireOnce() bool { return k.known() && kinds[k].fireOnce }
 func (k Kind) FleetScope() bool { return k.known() && kinds[k].fleet }
 
 // Event is one timed perturbation. Iteration windows are half-open:
-// the event affects iterations Start <= i < End (NodeFailure fires
+// the event affects iterations Start <= i < End (nodeFailure fires
 // once, at Start).
 type Event struct {
 	Kind       Kind
 	Start, End int
-	// Rank restricts Straggler events to one DP rank; -1 = all ranks.
+	// Rank restricts straggler events to one DP rank; -1 = all ranks.
 	Rank int
-	// Stage restricts Straggler events to one pipeline stage; -1 = all
+	// Stage restricts straggler events to one pipeline stage; -1 = all
 	// stages.
 	Stage int
 	// Factor is the slowdown / scale multiplier, >= 1.
 	Factor float64
-	// From and Until bound a Straggler within the iteration's
+	// From and Until bound a straggler within the iteration's
 	// pipeline-local time in seconds. Until <= From leaves the window
 	// open-ended — it runs from From to the end of the iteration — so
 	// the zero value (both zero) covers the whole iteration.
 	From, Until float64
-	// Downtime is NodeFailure's detection + restart cost in simulated
+	// Downtime is nodeFailure's detection + restart cost in simulated
 	// seconds, paid before the checkpoint restore read.
 	Downtime float64
 	// Producer is the pool-member index a ProducerFail / ProducerJoin
@@ -207,20 +207,20 @@ type Event struct {
 	// so a spec that parses cannot fail fleet-side.
 	Class string
 	// Count is how many instances a PreemptStorm or Herd submits, in
-	// [1, MaxStormCount].
+	// [1, maxStormCount].
 	Count int
 }
 
-// MaxFactor bounds every slowdown / scale multiplier. Factors beyond
+// maxFactor bounds every slowdown / scale multiplier. Factors beyond
 // it are not physically meaningful and only serve to overflow
 // downstream cost arithmetic (products of stacked events reaching
 // +Inf), so validation rejects them — a bound the fuzzer leans on.
-const MaxFactor = 1e9
+const maxFactor = 1e9
 
-// MaxStormCount bounds PreemptStorm and Herd fan-out: each instance becomes a
+// maxStormCount bounds PreemptStorm and Herd fan-out: each instance becomes a
 // real fleet tenant, so an absurd count turns one event into a denial
 // of service. Real bursts sit far below this.
-const MaxStormCount = 256
+const maxStormCount = 256
 
 // Validate checks one event.
 func (e Event) Validate() error {
@@ -234,8 +234,8 @@ func (e Event) Validate() error {
 		if e.End <= e.Start {
 			return fmt.Errorf("scenario: %s window [%d,%d) empty", e.Kind, e.Start, e.End)
 		}
-		if e.Factor < 1 || e.Factor > MaxFactor || math.IsNaN(e.Factor) {
-			return fmt.Errorf("scenario: %s factor %g must be in [1, %g]", e.Kind, e.Factor, MaxFactor)
+		if e.Factor < 1 || e.Factor > maxFactor || math.IsNaN(e.Factor) {
+			return fmt.Errorf("scenario: %s factor %g must be in [1, %g]", e.Kind, e.Factor, maxFactor)
 		}
 		if e.From < 0 || math.IsNaN(e.From) || math.IsInf(e.From, 0) {
 			return fmt.Errorf("scenario: %s from %g must be finite and non-negative", e.Kind, e.From)
@@ -260,8 +260,8 @@ func (e Event) Validate() error {
 			return fmt.Errorf("scenario: %s class %q (want low, normal or high)", e.Kind, e.Class)
 		}
 	}
-	if (e.Kind == PreemptStorm || e.Kind == Herd) && (e.Count < 1 || e.Count > MaxStormCount) {
-		return fmt.Errorf("scenario: %s count %d must be in [1, %d]", e.Kind, e.Count, MaxStormCount)
+	if (e.Kind == PreemptStorm || e.Kind == Herd) && (e.Count < 1 || e.Count > maxStormCount) {
+		return fmt.Errorf("scenario: %s count %d must be in [1, %d]", e.Kind, e.Count, maxStormCount)
 	}
 	if (e.Kind == FleetNodeFail || e.Kind == FleetNodeJoin) && e.Node < 0 {
 		return fmt.Errorf("scenario: %s node %d negative", e.Kind, e.Node)
@@ -293,7 +293,7 @@ type Schedule struct {
 }
 
 // New builds a fixed-event schedule. Events are validated eagerly.
-func New(name string, events ...Event) (*Schedule, error) {
+func newSchedule(name string, events ...Event) (*Schedule, error) {
 	for _, e := range events {
 		if err := e.Validate(); err != nil {
 			return nil, err
@@ -324,26 +324,26 @@ func (s *Schedule) EventsAt(iter int) []Event {
 	return out
 }
 
-// RandomStragglers is a seeded straggler generator: each iteration,
+// randomStragglers is a seeded straggler generator: each iteration,
 // each DP rank independently straggles with probability Prob, slowed
-// by a factor drawn uniformly from [1, MaxFactor]. The draw for
+// by a factor drawn uniformly from [1, maxFactor]. The draw for
 // iteration i uses an RNG keyed on (Seed, i), so the sequence is
 // reproducible and independent of evaluation order — prefetchers and
 // failure-recovery replays see the same stragglers.
-type RandomStragglers struct {
-	Seed      int64
-	Ranks     int
-	Prob      float64
-	MaxFactor float64
+type randomStragglers struct {
+	Seed  int64
+	Ranks int
+	Prob  float64
+	Max   float64
 }
 
 // Name implements Scenario.
-func (g RandomStragglers) Name() string {
-	return fmt.Sprintf("random-stragglers(seed=%d,p=%g,max=%g)", g.Seed, g.Prob, g.MaxFactor)
+func (g randomStragglers) Name() string {
+	return fmt.Sprintf("random-stragglers(seed=%d,p=%g,max=%g)", g.Seed, g.Prob, g.Max)
 }
 
 // EventsAt implements Scenario.
-func (g RandomStragglers) EventsAt(iter int) []Event {
+func (g randomStragglers) EventsAt(iter int) []Event {
 	// splitmix64-style mix of (seed, iter) so adjacent iterations get
 	// decorrelated streams.
 	z := uint64(g.Seed)*0x9e3779b97f4a7c15 + uint64(iter+1)*0xbf58476d1ce4e5b9
@@ -352,10 +352,10 @@ func (g RandomStragglers) EventsAt(iter int) []Event {
 	var out []Event
 	for rank := 0; rank < g.Ranks; rank++ {
 		p := rng.Float64()
-		f := 1 + rng.Float64()*(g.MaxFactor-1)
+		f := 1 + rng.Float64()*(g.Max-1)
 		if p < g.Prob {
 			out = append(out, Event{
-				Kind: Straggler, Start: iter, End: iter + 1,
+				Kind: straggler, Start: iter, End: iter + 1,
 				Rank: rank, Stage: -1, Factor: f,
 			})
 		}
@@ -410,10 +410,10 @@ func (p Perturbation) PoolEvents() []Event {
 }
 
 // PreprocessFactor returns the combined data-path slowdown (1 = none).
-func (p Perturbation) PreprocessFactor() float64 { return p.product(PreprocessDegrade) }
+func (p Perturbation) PreprocessFactor() float64 { return p.product(preprocessDegrade) }
 
 // ShiftFactor returns the combined workload-shift scale (1 = none).
-func (p Perturbation) ShiftFactor() float64 { return p.product(WorkloadShift) }
+func (p Perturbation) ShiftFactor() float64 { return p.product(workloadShift) }
 
 // ShiftBatch applies the iteration's workload shift to a batch,
 // returning the input untouched (no allocation) when no shift covers
@@ -426,18 +426,18 @@ func (p Perturbation) ShiftBatch(batch []data.Sample) []data.Sample {
 	}
 	out := make([]data.Sample, len(batch))
 	for i, s := range batch {
-		out[i] = ShiftSample(s, f)
+		out[i] = shiftSample(s, f)
 	}
 	return out
 }
 
-// ShiftSample scales a sample's image subsequences by factor: each
+// shiftSample scales a sample's image subsequences by factor: each
 // source resolution grows by sqrt(factor) (snapped to the patch grid,
 // so token counts track (res/patch)^2 ≈ tokens*factor), modelling a
 // corpus whose images got heavier mid-run. Text subsequences, sample
 // identity and generation targets are untouched — the shift changes
 // what a sample costs, never which samples an iteration trains on.
-func ShiftSample(s data.Sample, factor float64) data.Sample {
+func shiftSample(s data.Sample, factor float64) data.Sample {
 	if factor == 1 {
 		return s
 	}
@@ -460,12 +460,12 @@ func ShiftSample(s data.Sample, factor float64) data.Sample {
 }
 
 // P2PFactor returns the combined link-congestion scale (1 = none).
-func (p Perturbation) P2PFactor() float64 { return p.product(LinkCongestion) }
+func (p Perturbation) P2PFactor() float64 { return p.product(linkCongestion) }
 
 // product folds the factors of every covering event of one kind.
-// Validation bounds each factor by MaxFactor, but nothing bounds how
+// Validation bounds each factor by maxFactor, but nothing bounds how
 // many events may stack on one iteration, so the combined factor is
-// clamped to MaxFactor too — the physical bound applies to the total
+// clamped to maxFactor too — the physical bound applies to the total
 // slowdown, and the clamp keeps stacked schedules finite.
 func (p Perturbation) product(k Kind) float64 {
 	f := 1.0
@@ -474,13 +474,13 @@ func (p Perturbation) product(k Kind) float64 {
 			f *= e.Factor
 		}
 	}
-	return math.Min(f, MaxFactor)
+	return math.Min(f, maxFactor)
 }
 
-// Failure returns the iteration's NodeFailure event, if any.
+// Failure returns the iteration's nodeFailure event, if any.
 func (p Perturbation) Failure() (Event, bool) {
 	for _, e := range p.events {
-		if e.Kind == NodeFailure {
+		if e.Kind == nodeFailure {
 			return e, true
 		}
 	}
@@ -493,7 +493,7 @@ func (p Perturbation) Failure() (Event, bool) {
 func (p Perturbation) RateSchedules(rank, stages int) []pipeline.RateSchedule {
 	var hits []Event
 	for _, e := range p.events {
-		if e.Kind == Straggler && (e.Rank < 0 || e.Rank == rank) {
+		if e.Kind == straggler && (e.Rank < 0 || e.Rank == rank) {
 			hits = append(hits, e)
 		}
 	}
@@ -552,9 +552,9 @@ func combineRates(events []Event, stage int) pipeline.RateSchedule {
 			}
 		}
 		// Stacked stragglers clamp like product(): a combined slowdown
-		// beyond MaxFactor would underflow the rate toward zero and
+		// beyond maxFactor would underflow the rate toward zero and
 		// stall the pipeline simulation.
-		rate = math.Max(rate, 1/MaxFactor)
+		rate = math.Max(rate, 1/maxFactor)
 		// Merge equal-rate neighbours to keep schedules minimal.
 		if n := len(sched); n > 0 && sched[n-1].Rate == rate {
 			sched[n-1].Until = c

@@ -12,10 +12,10 @@ import (
 )
 
 func TestScheduleEventsAt(t *testing.T) {
-	s, err := New("t",
-		Event{Kind: Straggler, Start: 2, End: 5, Rank: 0, Stage: -1, Factor: 2},
-		Event{Kind: LinkCongestion, Start: 3, End: 4, Rank: -1, Stage: -1, Factor: 3},
-		Event{Kind: NodeFailure, Start: 4, Downtime: 10},
+	s, err := newSchedule("t",
+		Event{Kind: straggler, Start: 2, End: 5, Rank: 0, Stage: -1, Factor: 2},
+		Event{Kind: linkCongestion, Start: 3, End: 4, Rank: -1, Stage: -1, Factor: 3},
+		Event{Kind: nodeFailure, Start: 4, Downtime: 10},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +23,7 @@ func TestScheduleEventsAt(t *testing.T) {
 	if got := s.EventsAt(0); len(got) != 0 {
 		t.Errorf("iteration 0 perturbed: %v", got)
 	}
-	if got := s.EventsAt(2); len(got) != 1 || got[0].Kind != Straggler {
+	if got := s.EventsAt(2); len(got) != 1 || got[0].Kind != straggler {
 		t.Errorf("iteration 2 = %v, want one straggler", got)
 	}
 	if got := s.EventsAt(3); len(got) != 2 {
@@ -40,19 +40,19 @@ func TestScheduleEventsAt(t *testing.T) {
 
 func TestEventValidate(t *testing.T) {
 	for _, bad := range []Event{
-		{Kind: Straggler, Start: 2, End: 2, Factor: 2},
-		{Kind: Straggler, Start: -1, End: 3, Factor: 2},
-		{Kind: LinkCongestion, Start: 0, End: 1, Factor: 0.5},
-		{Kind: PreprocessDegrade, Start: 0, End: 1, Factor: math.NaN()},
-		{Kind: NodeFailure, Start: 0, Downtime: -1},
-		{Kind: NodeFailure, Start: 0, Downtime: math.NaN()},
-		{Kind: NodeFailure, Start: 0, Downtime: math.Inf(1)},
-		{Kind: WorkloadShift, Start: 0, End: 1, Factor: 0.5},
-		{Kind: Straggler, Start: 0, End: 1, Factor: 2e9},
-		{Kind: Straggler, Start: 0, End: 1, Factor: math.Inf(1)},
-		{Kind: Straggler, Start: 0, End: 1, Factor: 2, From: math.NaN()},
-		{Kind: Straggler, Start: 0, End: 1, Factor: 2, Until: math.Inf(1)},
-		{Kind: Straggler, Start: 0, End: 1, Factor: 2, From: -1},
+		{Kind: straggler, Start: 2, End: 2, Factor: 2},
+		{Kind: straggler, Start: -1, End: 3, Factor: 2},
+		{Kind: linkCongestion, Start: 0, End: 1, Factor: 0.5},
+		{Kind: preprocessDegrade, Start: 0, End: 1, Factor: math.NaN()},
+		{Kind: nodeFailure, Start: 0, Downtime: -1},
+		{Kind: nodeFailure, Start: 0, Downtime: math.NaN()},
+		{Kind: nodeFailure, Start: 0, Downtime: math.Inf(1)},
+		{Kind: workloadShift, Start: 0, End: 1, Factor: 0.5},
+		{Kind: straggler, Start: 0, End: 1, Factor: 2e9},
+		{Kind: straggler, Start: 0, End: 1, Factor: math.Inf(1)},
+		{Kind: straggler, Start: 0, End: 1, Factor: 2, From: math.NaN()},
+		{Kind: straggler, Start: 0, End: 1, Factor: 2, Until: math.Inf(1)},
+		{Kind: straggler, Start: 0, End: 1, Factor: 2, From: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("event %+v accepted", bad)
@@ -61,10 +61,10 @@ func TestEventValidate(t *testing.T) {
 }
 
 func TestPerturbationFactors(t *testing.T) {
-	s, err := New("t",
-		Event{Kind: PreprocessDegrade, Start: 0, End: 2, Factor: 4},
-		Event{Kind: LinkCongestion, Start: 1, End: 2, Factor: 3},
-		Event{Kind: LinkCongestion, Start: 1, End: 3, Factor: 2},
+	s, err := newSchedule("t",
+		Event{Kind: preprocessDegrade, Start: 0, End: 2, Factor: 4},
+		Event{Kind: linkCongestion, Start: 1, End: 2, Factor: 3},
+		Event{Kind: linkCongestion, Start: 1, End: 3, Factor: 2},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -85,27 +85,27 @@ func TestPerturbationFactors(t *testing.T) {
 }
 
 // TestStackedFactorsStayFinite: per-event validation bounds each
-// factor by MaxFactor, but events may stack without limit on one
+// factor by maxFactor, but events may stack without limit on one
 // iteration — the combined factor (and the combined straggler rate)
 // must clamp instead of overflowing to +Inf / underflowing to 0.
 func TestStackedFactorsStayFinite(t *testing.T) {
 	var events []Event
 	for i := 0; i < 40; i++ {
 		events = append(events,
-			Event{Kind: LinkCongestion, Start: 0, End: 1, Factor: MaxFactor},
-			Event{Kind: Straggler, Start: 0, End: 1, Rank: -1, Stage: -1, Factor: MaxFactor})
+			Event{Kind: linkCongestion, Start: 0, End: 1, Factor: maxFactor},
+			Event{Kind: straggler, Start: 0, End: 1, Rank: -1, Stage: -1, Factor: maxFactor})
 	}
-	s, err := New("stack", events...)
+	s, err := newSchedule("stack", events...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := At(s, 0)
-	if got := p.P2PFactor(); got != MaxFactor {
-		t.Errorf("stacked congestion factor = %g, want clamped to %g", got, MaxFactor)
+	if got := p.P2PFactor(); got != maxFactor {
+		t.Errorf("stacked congestion factor = %g, want clamped to %g", got, maxFactor)
 	}
 	for _, sched := range p.RateSchedules(0, 2) {
 		for _, seg := range sched {
-			if seg.Rate < 1/MaxFactor || math.IsNaN(seg.Rate) {
+			if seg.Rate < 1/maxFactor || math.IsNaN(seg.Rate) {
 				t.Errorf("stacked straggler rate %g below the 1/MaxFactor clamp", seg.Rate)
 			}
 		}
@@ -113,9 +113,9 @@ func TestStackedFactorsStayFinite(t *testing.T) {
 }
 
 func TestRateSchedules(t *testing.T) {
-	s, err := New("t",
-		Event{Kind: Straggler, Start: 0, End: 1, Rank: 1, Stage: 2, Factor: 2},
-		Event{Kind: Straggler, Start: 0, End: 1, Rank: -1, Stage: 0, Factor: 4, From: 1, Until: 3},
+	s, err := newSchedule("t",
+		Event{Kind: straggler, Start: 0, End: 1, Rank: 1, Stage: 2, Factor: 2},
+		Event{Kind: straggler, Start: 0, End: 1, Rank: -1, Stage: 0, Factor: 4, From: 1, Until: 3},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -145,14 +145,14 @@ func TestRateSchedules(t *testing.T) {
 
 	// Unaffected rank stays rate-free... rank 2 still matches the
 	// all-rank event, so check a scenario without it.
-	only, _ := New("t2", Event{Kind: Straggler, Start: 0, End: 1, Rank: 0, Stage: -1, Factor: 2})
+	only, _ := newSchedule("t2", Event{Kind: straggler, Start: 0, End: 1, Rank: 0, Stage: -1, Factor: 2})
 	if got := At(only, 0).RateSchedules(3, 4); got != nil {
 		t.Errorf("unaffected rank got schedules: %v", got)
 	}
 
 	// A from-only window is open-ended from From — it must NOT widen to
 	// the whole iteration.
-	tail, err := New("t3", Event{Kind: Straggler, Start: 0, End: 1, Rank: -1, Stage: -1, Factor: 2, From: 0.5})
+	tail, err := newSchedule("t3", Event{Kind: straggler, Start: 0, End: 1, Rank: -1, Stage: -1, Factor: 2, From: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestRateSchedules(t *testing.T) {
 }
 
 func TestRandomStragglersDeterministic(t *testing.T) {
-	g := RandomStragglers{Seed: 7, Ranks: 8, Prob: 0.5, MaxFactor: 3}
+	g := randomStragglers{Seed: 7, Ranks: 8, Prob: 0.5, Max: 3}
 	sawOne := false
 	for i := 0; i < 20; i++ {
 		a, b := g.EventsAt(i), g.EventsAt(i)
@@ -184,7 +184,7 @@ func TestRandomStragglersDeterministic(t *testing.T) {
 		t.Error("p=0.5 over 20 iterations x 8 ranks produced no stragglers")
 	}
 	// Different seeds diverge somewhere.
-	other := RandomStragglers{Seed: 8, Ranks: 8, Prob: 0.5, MaxFactor: 3}
+	other := randomStragglers{Seed: 8, Ranks: 8, Prob: 0.5, Max: 3}
 	same := true
 	for i := 0; i < 20; i++ {
 		if !reflect.DeepEqual(g.EventsAt(i), other.EventsAt(i)) {
@@ -199,7 +199,7 @@ func TestRandomStragglersDeterministic(t *testing.T) {
 // Pool-membership events fire once, don't perturb the cost model, and
 // surface through PoolEvents.
 func TestProducerEvents(t *testing.T) {
-	s, err := New("t",
+	s, err := newSchedule("t",
 		Event{Kind: ProducerFail, Start: 2, Producer: 1},
 		Event{Kind: ProducerJoin, Start: 4, Producer: 1},
 	)
@@ -224,9 +224,9 @@ func TestProducerEvents(t *testing.T) {
 		t.Errorf("PoolEvents at 4 = %v", ev)
 	}
 	// A cost event still breaks steadiness even alongside pool events.
-	mixed, err := New("m",
+	mixed, err := newSchedule("m",
 		Event{Kind: ProducerFail, Start: 0, Producer: 0},
-		Event{Kind: Straggler, Start: 0, End: 1, Rank: -1, Stage: -1, Factor: 2},
+		Event{Kind: straggler, Start: 0, End: 1, Rank: -1, Stage: -1, Factor: 2},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.EventsAt(5); len(got) != 1 || got[0].Kind != Straggler {
+	if got := s.EventsAt(5); len(got) != 1 || got[0].Kind != straggler {
 		t.Errorf("inclusive iters upper bound broken: %v", got)
 	}
 	if got := s.EventsAt(3); len(got) != 2 {
@@ -271,7 +271,7 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.(RandomStragglers); !ok {
+	if _, ok := g.(randomStragglers); !ok {
 		t.Fatalf("got %T, want RandomStragglers", g)
 	}
 
@@ -295,7 +295,7 @@ func TestParse(t *testing.T) {
 		"failure:iters=2-5",                         // window on a fire-once event
 		"preprocess:iter=1,downtime=3",              // downtime on a windowed event
 		"straggler:iter=1,factor=2,factor=3",        // duplicate key
-		"workload-shift:iter=1,factor=1e308",        // factor beyond MaxFactor
+		"workload-shift:iter=1,factor=1e308",        // factor beyond maxFactor
 		"random-stragglers:prob=nan",                // non-finite generator prob
 		"random-stragglers:max=inf",                 // non-finite generator factor
 		"random-stragglers:ranks=99999999",          // generator fan-out bound
@@ -342,7 +342,7 @@ func TestShiftSample(t *testing.T) {
 	for s.NumImages() == 0 {
 		s = corpus.Sample(s.Index + 1)
 	}
-	shifted := ShiftSample(s, 4)
+	shifted := shiftSample(s, 4)
 	if shifted.Index != s.Index || shifted.GenImages != s.GenImages || shifted.TextTokens() != s.TextTokens() {
 		t.Errorf("shift changed sample identity: %+v vs %+v", shifted, s)
 	}
@@ -351,13 +351,13 @@ func TestShiftSample(t *testing.T) {
 		t.Errorf("4x shift moved image tokens %d -> %g, want within [%g, %g]",
 			s.TotalImageTokens(), got, lo, hi)
 	}
-	if !reflect.DeepEqual(ShiftSample(s, 4), shifted) {
+	if !reflect.DeepEqual(shiftSample(s, 4), shifted) {
 		t.Error("ShiftSample is not deterministic")
 	}
-	if got := ShiftSample(s, 1); !reflect.DeepEqual(got, s) {
+	if got := shiftSample(s, 1); !reflect.DeepEqual(got, s) {
 		t.Error("factor 1 must be the identity")
 	}
-	sc, err := New("t", Event{Kind: WorkloadShift, Start: 0, End: 1, Factor: 4})
+	sc, err := newSchedule("t", Event{Kind: workloadShift, Start: 0, End: 1, Factor: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestParsePriorityEvents(t *testing.T) {
 	for _, bad := range []string{
 		"priority-arrive:iter=1,job=0,class=urgent", // unknown class
 		"preempt-storm:iter=1,job=0,count=0",        // storm needs at least one arrival
-		"preempt-storm:iter=1,job=0,count=1000",     // beyond MaxStormCount
+		"preempt-storm:iter=1,job=0,count=1000",     // beyond maxStormCount
 		"preempt-storm:iters=1-3,job=0",             // fire-once rejects windows
 		"priority-arrive:iter=1,job=0,count=2",      // count is storm-only
 		"job-arrive:iter=1,job=0,class=high",        // class is priority-only
@@ -563,7 +563,7 @@ func TestParseHerdEvents(t *testing.T) {
 
 	for _, bad := range []string{
 		"herd:iter=1,job=0,count=0",    // needs at least one arrival
-		"herd:iter=1,job=0,count=1000", // beyond MaxStormCount
+		"herd:iter=1,job=0,count=1000", // beyond maxStormCount
 		"herd:iters=1-3,job=0",         // fire-once rejects windows
 		"herd:iter=1,job=0,class=high", // class belongs to preempt-storm
 		"herd:iter=1,job=-1",           // negative job

@@ -5,8 +5,8 @@
 // subproblem — minimise a max of c_i/x_i terms over a capped simplex
 // with lower bounds — admits an exact water-filling solution, so no
 // general-purpose solver is needed; this package provides that solver
-// plus the generic 1-D primitives (bisection, golden-section) used to
-// calibrate cost models.
+// plus the golden-section search the orchestrator's subproblem kernel
+// inlines.
 //
 // Reentrancy: every entry point is a pure function of its arguments —
 // value receivers, no package-level mutable state, fresh output slices
@@ -24,10 +24,11 @@ import (
 	"math"
 )
 
-// Bisect finds the smallest t in [lo, hi] with feasible(t) == true,
-// assuming feasibility is monotone (false below the threshold, true
-// above). It returns an error if feasible(hi) is false.
-func Bisect(lo, hi float64, tol float64, feasible func(float64) bool) (float64, error) {
+// bisect finds the smallest t in [lo, hi] with feasible(t) == true, to
+// a relative 1e-12, assuming feasibility is monotone (false below the
+// threshold, true above). It returns an error if feasible(hi) is false.
+func bisect(lo, hi float64, feasible func(float64) bool) (float64, error) {
+	const tol = 1e-12
 	if lo > hi {
 		return 0, fmt.Errorf("solve: empty interval [%g,%g]", lo, hi)
 	}
@@ -138,7 +139,7 @@ func (p WaterFillProblem) Solve() ([]float64, float64, error) {
 	if need(tLo) <= p.Budget {
 		tHi = tLo
 	}
-	t, err := Bisect(tLo, tHi*(1+1e-12), 1e-12, func(t float64) bool {
+	t, err := bisect(tLo, tHi*(1+1e-12), func(t float64) bool {
 		return need(t) <= p.Budget
 	})
 	if err != nil {

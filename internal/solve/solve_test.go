@@ -11,23 +11,23 @@ import (
 )
 
 func TestBisect(t *testing.T) {
-	got, err := Bisect(0, 100, 1e-9, func(x float64) bool { return x >= 37.5 })
+	got, err := bisect(0, 100, func(x float64) bool { return x >= 37.5 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-37.5) > 1e-6 {
-		t.Errorf("Bisect = %g, want 37.5", got)
+	if math.Abs(got-37.5) > 1e-9 {
+		t.Errorf("bisect = %g, want 37.5", got)
 	}
-	if _, err := Bisect(0, 10, 1e-9, func(float64) bool { return false }); err == nil {
-		t.Error("Bisect should fail when infeasible at hi")
+	if _, err := bisect(0, 10, func(float64) bool { return false }); err == nil {
+		t.Error("bisect should fail when infeasible at hi")
 	}
-	if _, err := Bisect(5, 1, 1e-9, func(float64) bool { return true }); err == nil {
-		t.Error("Bisect should reject empty interval")
+	if _, err := bisect(5, 1, func(float64) bool { return true }); err == nil {
+		t.Error("bisect should reject empty interval")
 	}
 	// Feasible everywhere returns lo.
-	got, err = Bisect(2, 10, 1e-9, func(float64) bool { return true })
+	got, err = bisect(2, 10, func(float64) bool { return true })
 	if err != nil || got != 2 {
-		t.Errorf("Bisect trivial = %g, %v", got, err)
+		t.Errorf("bisect trivial = %g, %v", got, err)
 	}
 }
 

@@ -75,8 +75,8 @@ type Matrix struct {
 	Data       []float32
 }
 
-// NewMatrix allocates a zero matrix.
-func NewMatrix(rows, cols int) *Matrix {
+// newMatrix allocates a zero matrix.
+func newMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
@@ -90,8 +90,8 @@ func (m *Matrix) FillDeterministic(seed uint64) {
 	}
 }
 
-// MatMul computes dst = a x b for the row range [rowLo, rowHi) of a.
-func MatMul(dst, a, b *Matrix, rowLo, rowHi int) {
+// matMul computes dst = a x b for the row range [rowLo, rowHi) of a.
+func matMul(dst, a, b *Matrix, rowLo, rowHi int) {
 	k := a.Cols
 	n := b.Cols
 	for i := rowLo; i < rowHi; i++ {
@@ -136,11 +136,11 @@ func NewExecutor(ranks, pieces, rowsPerShard, k, n int) (*Executor, error) {
 	}
 	e := &Executor{Ranks: ranks, Pieces: pieces, RowsPerShard: rowsPerShard, K: k, N: n}
 	for r := 0; r < ranks; r++ {
-		s := NewMatrix(rowsPerShard, k)
+		s := newMatrix(rowsPerShard, k)
 		s.FillDeterministic(uint64(r) + 1)
 		e.shards = append(e.shards, s)
 	}
-	e.w = NewMatrix(k, n)
+	e.w = newMatrix(k, n)
 	e.w.FillDeterministic(0xabcdef)
 	return e, nil
 }
@@ -151,12 +151,12 @@ func (e *Executor) totalRows() int { return e.Ranks * e.RowsPerShard }
 // RunStrawman gathers the full input rank-major (rank 0's rows, then
 // rank 1's, ...) and only then multiplies — the baseline of Figure 20a.
 func (e *Executor) RunStrawman() *Matrix {
-	a := NewMatrix(e.totalRows(), e.K)
+	a := newMatrix(e.totalRows(), e.K)
 	for r, s := range e.shards {
 		copy(a.Data[r*e.RowsPerShard*e.K:], s.Data)
 	}
-	out := NewMatrix(e.totalRows(), e.N)
-	MatMul(out, a, e.w, 0, e.totalRows())
+	out := newMatrix(e.totalRows(), e.N)
+	matMul(out, a, e.w, 0, e.totalRows())
 	return out
 }
 
@@ -169,8 +169,8 @@ func (e *Executor) RunStrawman() *Matrix {
 func (e *Executor) RunOverlapped() *Matrix {
 	pieceRows := e.RowsPerShard / e.Pieces
 	chunkRows := pieceRows * e.Ranks
-	a := NewMatrix(e.totalRows(), e.K)
-	raw := NewMatrix(e.totalRows(), e.N)
+	a := newMatrix(e.totalRows(), e.K)
+	raw := newMatrix(e.totalRows(), e.N)
 
 	ready := make(chan int, e.Pieces)
 	// DMA engine: copy chunk p (piece p of every rank) into rows
@@ -189,7 +189,7 @@ func (e *Executor) RunOverlapped() *Matrix {
 	}()
 	// Compute stream: GEMM per chunk as it arrives.
 	for p := range ready {
-		MatMul(raw, a, e.w, p*chunkRows, (p+1)*chunkRows)
+		matMul(raw, a, e.w, p*chunkRows, (p+1)*chunkRows)
 	}
 	return e.remap(raw)
 }
@@ -197,7 +197,7 @@ func (e *Executor) RunOverlapped() *Matrix {
 // remap converts piece-major row order back to rank-major (Figure 21).
 func (e *Executor) remap(raw *Matrix) *Matrix {
 	pieceRows := e.RowsPerShard / e.Pieces
-	out := NewMatrix(e.totalRows(), e.N)
+	out := newMatrix(e.totalRows(), e.N)
 	for p := 0; p < e.Pieces; p++ {
 		for r := 0; r < e.Ranks; r++ {
 			srcRow := (p*e.Ranks + r) * pieceRows

@@ -135,15 +135,15 @@ func TestRemapIsNecessary(t *testing.T) {
 	// Re-run the overlapped path but skip the remap.
 	pieceRows := e.RowsPerShard / e.Pieces
 	chunkRows := pieceRows * e.Ranks
-	a := NewMatrix(e.totalRows(), e.K)
-	raw := NewMatrix(e.totalRows(), e.N)
+	a := newMatrix(e.totalRows(), e.K)
+	raw := newMatrix(e.totalRows(), e.N)
 	for p := 0; p < e.Pieces; p++ {
 		base := p * chunkRows
 		for r := 0; r < e.Ranks; r++ {
 			src := e.shards[r].Data[p*pieceRows*e.K : (p+1)*pieceRows*e.K]
 			copy(a.Data[(base+r*pieceRows)*e.K:], src)
 		}
-		MatMul(raw, a, e.w, p*chunkRows, (p+1)*chunkRows)
+		matMul(raw, a, e.w, p*chunkRows, (p+1)*chunkRows)
 	}
 	same := true
 	for i := range straw.Data {
@@ -158,15 +158,15 @@ func TestRemapIsNecessary(t *testing.T) {
 }
 
 func TestMatMulRowRange(t *testing.T) {
-	a := NewMatrix(4, 3)
-	b := NewMatrix(3, 2)
+	a := newMatrix(4, 3)
+	b := newMatrix(3, 2)
 	a.FillDeterministic(1)
 	b.FillDeterministic(2)
-	full := NewMatrix(4, 2)
-	MatMul(full, a, b, 0, 4)
-	half := NewMatrix(4, 2)
-	MatMul(half, a, b, 0, 2)
-	MatMul(half, a, b, 2, 4)
+	full := newMatrix(4, 2)
+	matMul(full, a, b, 0, 4)
+	half := newMatrix(4, 2)
+	matMul(half, a, b, 0, 2)
+	matMul(half, a, b, 2, 4)
 	for i := range full.Data {
 		if full.Data[i] != half.Data[i] {
 			t.Fatal("row-range matmul diverges from full matmul")

@@ -35,39 +35,27 @@ const entryMagic = "disttrain-store/v1"
 // corruption hook instead of failing the caller.
 type Disk struct {
 	dir string
-	// onCorrupt observes every entry skipped by an integrity failure.
+	// onCorrupt observes every entry skipped by an integrity failure:
+	// it logs to stderr, and the store's fault tests replace it. It may
+	// be called from any goroutine that hits a corrupt entry.
 	onCorrupt func(key string, err error)
 	corrupt   atomic.Int64
 }
 
-// DiskOption configures OpenDisk.
-type DiskOption func(*Disk)
-
-// WithCorruptHandler replaces the default corruption logger (stderr via
-// the log package). The handler may be called from any goroutine that
-// hits a corrupt entry.
-func WithCorruptHandler(fn func(key string, err error)) DiskOption {
-	return func(d *Disk) { d.onCorrupt = fn }
-}
-
 // OpenDisk opens (creating if needed) a directory-backed store.
-func OpenDisk(dir string, opts ...DiskOption) (*Disk, error) {
+func OpenDisk(dir string) (*Disk, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	d := &Disk{
+	return &Disk{
 		dir: dir,
 		onCorrupt: func(key string, err error) {
 			log.Printf("store: skipping corrupt entry %s: %v", key, err)
 		},
-	}
-	for _, o := range opts {
-		o(d)
-	}
-	return d, nil
+	}, nil
 }
 
 // CorruptSkips returns how many corrupt entries Get has skipped.
@@ -82,7 +70,7 @@ func (d *Disk) path(key string) string {
 // payload, hash mismatch) counts as a corruption skip and is also a
 // miss.
 func (d *Disk) Get(key string) ([]byte, bool, error) {
-	if err := ValidateKey(key); err != nil {
+	if err := validateKey(key); err != nil {
 		return nil, false, err
 	}
 	raw, err := os.ReadFile(d.path(key))
@@ -103,7 +91,7 @@ func (d *Disk) Get(key string) ([]byte, bool, error) {
 
 // Put atomically replaces the entry for key.
 func (d *Disk) Put(key string, payload []byte) error {
-	if err := ValidateKey(key); err != nil {
+	if err := validateKey(key); err != nil {
 		return err
 	}
 	sum := sha256.Sum256(payload)

@@ -33,11 +33,11 @@ type Store interface {
 	Put(key string, payload []byte) error
 }
 
-// ValidateKey enforces the portable key alphabet shared by all
+// validateKey enforces the portable key alphabet shared by all
 // backends, so a key that works in memory also names a file on disk:
 // non-empty, and every byte from [A-Za-z0-9._-], not starting with a
 // dot.
-func ValidateKey(key string) error {
+func validateKey(key string) error {
 	if key == "" {
 		return fmt.Errorf("store: empty key")
 	}
@@ -70,7 +70,7 @@ func NewMem() *Mem {
 
 // Get returns a private copy of the stored payload.
 func (s *Mem) Get(key string) ([]byte, bool, error) {
-	if err := ValidateKey(key); err != nil {
+	if err := validateKey(key); err != nil {
 		return nil, false, err
 	}
 	s.mu.RLock()
@@ -84,7 +84,7 @@ func (s *Mem) Get(key string) ([]byte, bool, error) {
 
 // Put stores a private copy of payload under key.
 func (s *Mem) Put(key string, payload []byte) error {
-	if err := ValidateKey(key); err != nil {
+	if err := validateKey(key); err != nil {
 		return err
 	}
 	s.mu.Lock()

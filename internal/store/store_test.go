@@ -104,13 +104,14 @@ func corruptDisk(t *testing.T, dir string) (*Disk, *[]string) {
 	t.Helper()
 	var mu sync.Mutex
 	var seen []string
-	d, err := OpenDisk(dir, WithCorruptHandler(func(key string, err error) {
+	d, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.onCorrupt = func(key string, err error) {
 		mu.Lock()
 		seen = append(seen, fmt.Sprintf("%s: %v", key, err))
 		mu.Unlock()
-	}))
-	if err != nil {
-		t.Fatal(err)
 	}
 	return d, &seen
 }

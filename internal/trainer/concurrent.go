@@ -225,7 +225,7 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 		bd.PreprocessStall = (tokens*2/spec.Cluster.CrossNodeBandwidthPerGPU() + preprocessFetchLatency) * ppFactor
 	} else {
 		for d := 0; d < dp; d++ {
-			stall := cfg.PreprocessCost.NodeStallSeconds(p.batch[d*perRank : (d+1)*perRank])
+			stall := data.NodeStallSeconds(p.batch[d*perRank : (d+1)*perRank])
 			colocatedCPU = math.Max(colocatedCPU, stall)
 		}
 		colocatedCPU *= ppFactor
@@ -369,8 +369,9 @@ func (r *Runtime) iteration(p preparedBatch, workers int) (IterationStats, error
 
 // RunIterationSequential is the single-threaded reference
 // implementation, kept as the equivalence baseline for the concurrent
-// engine (mirroring PlanDistTrainSequential): the concurrent path must
-// return byte-identical stats at any worker count.
+// engine (mirroring the planner's sequential reference): the
+// concurrent path must return byte-identical stats at any worker
+// count.
 func (r *Runtime) RunIterationSequential(iter int) (IterationStats, error) {
 	return r.iteration(r.prepare(iter), 1)
 }

@@ -24,12 +24,13 @@ func TestConcurrentRuntimeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perturbed, err := scenario.New("mixed",
-		scenario.Event{Kind: scenario.Straggler, Start: 1, End: 3, Rank: 0, Stage: -1, Factor: 2.5},
-		scenario.Event{Kind: scenario.Straggler, Start: 2, End: 4, Rank: -1, Stage: 0, Factor: 3, From: 0.01, Until: 0.05},
-		scenario.Event{Kind: scenario.LinkCongestion, Start: 0, End: 2, Factor: 4},
-		scenario.Event{Kind: scenario.PreprocessDegrade, Start: 1, End: 4, Factor: 6},
-	)
+	perturbed, err := scenario.Parse("straggler:iters=1-2,rank=0,factor=2.5; " +
+		"straggler:iters=2-3,stage=0,factor=3,from=0.01,until=0.05; " +
+		"congestion:iters=0-1,factor=4; preprocess:iters=1-3,factor=6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stragglers, err := scenario.Parse("random-stragglers:seed=11,ranks=16,prob=0.4,max=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestConcurrentRuntimeEquivalence(t *testing.T) {
 		}},
 		{"random-stragglers", func() Config {
 			c := DistTrainConfig(spec, plan, corpus)
-			c.Scenario = scenario.RandomStragglers{Seed: 11, Ranks: 16, Prob: 0.4, MaxFactor: 3}
+			c.Scenario = stragglers
 			return c
 		}},
 	} {
@@ -116,9 +117,7 @@ func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perturbed, err := scenario.New("straggler",
-		scenario.Event{Kind: scenario.Straggler, Start: 1, End: 2, Rank: 0, Stage: -1, Factor: 2.5},
-	)
+	perturbed, err := scenario.Parse("straggler:iter=1,rank=0,factor=2.5")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,14 +2,14 @@ package trainer
 
 import "disttrain/internal/data"
 
-// GradientAccumulator demonstrates the convergence-semantics argument
+// gradientAccumulator demonstrates the convergence-semantics argument
 // of §5: both reordering levels only permute the order in which
 // per-sample gradients enter the gradient-accumulation sum, and
 // summation is commutative, so the global gradient of an iteration is
 // unchanged. The accumulator computes a deterministic pseudo-gradient
 // per sample and folds it with exact wrap-around int64 vector
 // addition, where permutation invariance holds bit-for-bit.
-type GradientAccumulator struct {
+type gradientAccumulator struct {
 	Dim int
 }
 
@@ -17,7 +17,7 @@ type GradientAccumulator struct {
 // sample from its identity and shape. The derivation mixes the sample
 // index through a splitmix64 round per dimension so distinct samples
 // contribute distinct, uncorrelated vectors.
-func (g GradientAccumulator) SampleGradient(s data.Sample) []int64 {
+func (g gradientAccumulator) SampleGradient(s data.Sample) []int64 {
 	out := make([]int64, g.Dim)
 	seed := uint64(s.Index)*0x9e3779b97f4a7c15 + uint64(s.TotalImageTokens())
 	for k := range out {
@@ -32,7 +32,7 @@ func (g GradientAccumulator) SampleGradient(s data.Sample) []int64 {
 // AccumulateInt folds the samples' gradients in the given order with
 // exact wrap-around addition. Any permutation of samples yields an
 // identical result.
-func (g GradientAccumulator) AccumulateInt(samples []data.Sample) []int64 {
+func (g gradientAccumulator) AccumulateInt(samples []data.Sample) []int64 {
 	acc := make([]int64, g.Dim)
 	for _, s := range samples {
 		grad := g.SampleGradient(s)

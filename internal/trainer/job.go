@@ -42,7 +42,7 @@ type Job struct {
 	// highest whose pool events fired. Fire-once events cover exactly
 	// their Start iteration, so a replayed window re-fires nothing.
 	maxExecuted, lastFailure, poolFired int
-	grad                                GradientAccumulator
+	grad                                gradientAccumulator
 
 	// The async data service: at most one outstanding prepare, consumed
 	// (or discarded, after a failure rewind or reconfiguration) before
@@ -73,7 +73,7 @@ func (r *Runtime) newJob(n int, prefetch bool) (*Job, error) {
 		pending:     make(chan preparedBatch, 1),
 	}
 	if r.cfg.GradientDim > 0 {
-		j.grad = GradientAccumulator{Dim: r.cfg.GradientDim}
+		j.grad = gradientAccumulator{Dim: r.cfg.GradientDim}
 		j.res.GradientSum = make([]int64, r.cfg.GradientDim)
 	}
 	r.reserveTrace(n)
@@ -161,7 +161,7 @@ func (j *Job) firePoolEvents(iter int) error {
 			}
 		}
 		if tr := r.cfg.Trace; tr != nil {
-			tr.Instant(ev.Kind.String(), "scenario", 0, r.clock, map[string]any{"iter": iter, "producer": ev.Producer})
+			tr.Instant(ev.Kind.String(), "scenario", r.clock, map[string]any{"iter": iter, "producer": ev.Producer})
 		}
 	}
 	return nil
@@ -178,7 +178,7 @@ func (j *Job) applySwitch(i int, sw *PlanSwitch) error {
 	r := j.r
 	if err := r.checkPlan(sw.Plan); err != nil {
 		if tr := r.cfg.Trace; tr != nil {
-			tr.Instant("replan-rejected", "controller", 0, r.clock,
+			tr.Instant("replan-rejected", "controller", r.clock,
 				map[string]any{"iter": i, "error": err.Error()})
 		}
 		return nil
@@ -205,8 +205,8 @@ func (j *Job) switchPlan(i int, p *orchestrator.Plan, reason, cat, event string,
 		AppliedAt: i, Strategy: p.Strategy, Reason: reason, Downtime: down,
 	})
 	if tr := r.cfg.Trace; tr != nil {
-		tr.Instant(event, cat, 0, r.clock, args)
-		tr.Complete("reconfigure", cat, 0, 0, r.clock, down)
+		tr.Instant(event, cat, r.clock, args)
+		tr.Complete("reconfigure", cat, r.clock, down)
 	}
 	r.clock += down
 	return nil
@@ -288,8 +288,8 @@ func (j *Job) Step() error {
 		j.res.ReExecutedIterations += i - resume
 		j.res.Recoveries = append(j.res.Recoveries, Recovery{FailedAt: i, ResumedFrom: resume, Downtime: down})
 		if tr := r.cfg.Trace; tr != nil {
-			tr.Instant("node-failure", "scenario", 0, r.clock, map[string]any{"iter": i})
-			tr.Complete("recovery", "scenario", 0, 0, r.clock, down)
+			tr.Instant("node-failure", "scenario", r.clock, map[string]any{"iter": i})
+			tr.Complete("recovery", "scenario", r.clock, down)
 		}
 		r.clock += down
 		j.i = resume

@@ -3,7 +3,6 @@ package trainer
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"disttrain/internal/data"
 	"disttrain/internal/metrics"
@@ -80,11 +79,7 @@ func (h *poolHarness) run(t *testing.T, producers, iters int, scenSpec string) (
 	}
 	defer fleet.Close()
 	stats := &metrics.PoolStats{}
-	tenant := h.tenant(t, fleet, preprocess.ServiceConfig{
-		FailureCooldown: 100 * time.Millisecond,
-		DialTimeout:     500 * time.Millisecond,
-		Stats:           stats,
-	})
+	tenant := h.tenant(t, fleet, preprocess.ServiceConfig{Stats: stats})
 
 	cfg := DistTrainConfig(h.spec, h.plan, h.corpus)
 	cfg.Source = &PoolSource{Pool: tenant, Samples: h.corpus}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"disttrain/internal/dfs"
 	"disttrain/internal/metrics"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
@@ -29,8 +28,7 @@ func scenarioConfig(t *testing.T, nodes, batch int) (Config, *orchestrator.Plan)
 // scheduled iterations.
 func TestStragglerScenarioSlowsIteration(t *testing.T) {
 	cfg, _ := scenarioConfig(t, 12, 96)
-	sc, err := scenario.New("straggler",
-		scenario.Event{Kind: scenario.Straggler, Start: 1, End: 2, Rank: 0, Stage: -1, Factor: 3})
+	sc, err := scenario.Parse("straggler:iter=1,rank=0,factor=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +62,7 @@ func TestStragglerScenarioSlowsIteration(t *testing.T) {
 // the data stall, and both restrict themselves to their windows.
 func TestCongestionAndPreprocessScenarios(t *testing.T) {
 	cfg, _ := scenarioConfig(t, 12, 96)
-	sc, err := scenario.New("net",
-		scenario.Event{Kind: scenario.LinkCongestion, Start: 1, End: 2, Factor: 10},
-		scenario.Event{Kind: scenario.PreprocessDegrade, Start: 2, End: 3, Factor: 8})
+	sc, err := scenario.Parse("congestion:iter=1,factor=10; preprocess:iter=2,factor=8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +106,8 @@ func TestCongestionAndPreprocessScenarios(t *testing.T) {
 // full schedule.
 func TestNodeFailureRecoveryScenario(t *testing.T) {
 	cfg, _ := scenarioConfig(t, 4, 16)
-	fs := dfs.New()
-	cfg.FS = fs
 	cfg.CheckpointEvery = 2
-	sc, err := scenario.New("kill",
-		scenario.Event{Kind: scenario.NodeFailure, Start: 6, Downtime: 5})
+	sc, err := scenario.Parse("failure:iter=6,downtime=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,9 +161,7 @@ func TestNodeFailureRecoveryScenario(t *testing.T) {
 
 	// Recovery really came from the DFS: the latest checkpoint at
 	// failure time was step 4 — after completion step 6 is saved too.
-	mgr := dfs.NewCheckpointManager(fs, "train")
-	defer mgr.Close()
-	ck, _, err := mgr.Latest()
+	ck, _, err := rt.ckpt.Latest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +174,7 @@ func TestNodeFailureRecoveryScenario(t *testing.T) {
 // manager means the whole prefix is lost and re-executed.
 func TestNodeFailureWithoutCheckpointsRestartsFromZero(t *testing.T) {
 	cfg, _ := scenarioConfig(t, 4, 16)
-	sc, err := scenario.New("kill", scenario.Event{Kind: scenario.NodeFailure, Start: 2, Downtime: 1})
+	sc, err := scenario.Parse("failure:iter=2,downtime=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +303,6 @@ func TestScenarioMatrix(t *testing.T) {
 				cfg := v.cfg
 				cfg.Scenario = sc
 				cfg.CheckpointEvery = 2
-				cfg.FS = dfs.New()
 				rt, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -352,7 +342,7 @@ func simulatedWall(res *Result) float64 {
 // property of the run, not of its observer — it advances by iteration
 // time and downtime alike whether or not a trace is attached.
 func TestClockIndependentOfTrace(t *testing.T) {
-	sc, err := scenario.New("kill", scenario.Event{Kind: scenario.NodeFailure, Start: 4, Downtime: 5})
+	sc, err := scenario.Parse("failure:iter=4,downtime=5")
 	if err != nil {
 		t.Fatal(err)
 	}

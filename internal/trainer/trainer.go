@@ -56,6 +56,11 @@ const (
 	// colocInterference is the CPU-interference tax charged on whatever
 	// co-located preprocessing does overlap with training.
 	colocInterference = 0.15
+	// syncOverlap is the fraction of gradient synchronisation hidden
+	// behind backward compute (production overlapping, §9-cited works).
+	// Typed, so 1-syncOverlap rounds the way the float64 field it
+	// replaced did.
+	syncOverlap float64 = 0.7
 )
 
 // Config describes one training run.
@@ -92,15 +97,9 @@ type Config struct {
 	// off, Megatron-LM's synchronous batched send/receive exposes the
 	// full transfer on the critical path.
 	AsyncP2P bool
-	// PreprocessCost prices co-located preprocessing CPU work.
-	PreprocessCost data.CostModel
-	// SyncOverlap is the fraction of gradient synchronisation hidden
-	// behind backward compute (production overlapping, §9-cited works).
-	SyncOverlap float64
-	// CheckpointEvery saves a checkpoint every n iterations (0 = off).
+	// CheckpointEvery saves a checkpoint every n iterations (0 = off) to
+	// a simulated DFS of the runtime's own.
 	CheckpointEvery int
-	// FS receives checkpoints; defaults to a fresh simulated DFS.
-	FS *dfs.FS
 
 	// Source overrides the batch/assignment front-end: when non-nil,
 	// every iteration's per-rank sample assignment comes from a live
@@ -152,8 +151,6 @@ func DistTrainConfig(spec orchestrator.Spec, plan *orchestrator.Plan, corpus *da
 		Reorder:                 true,
 		DisaggregatedPreprocess: true,
 		AsyncP2P:                true,
-		PreprocessCost:          data.DefaultCostModel(),
-		SyncOverlap:             0.7,
 	}
 }
 
@@ -177,9 +174,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Spec.Validate(); err != nil {
 		return err
-	}
-	if c.SyncOverlap < 0 || c.SyncOverlap > 1 {
-		return fmt.Errorf("trainer: SyncOverlap %g outside [0,1]", c.SyncOverlap)
 	}
 	if c.GradientDim < 0 {
 		return fmt.Errorf("trainer: GradientDim %d negative", c.GradientDim)
@@ -260,7 +254,6 @@ type Result struct {
 type Runtime struct {
 	cfg  Config
 	ckpt *dfs.CheckpointManager
-	fs   *dfs.FS
 	// trial (TrialMeanIterTime) replaces the corpus: i trains trial[i%len].
 	trial [][]data.Sample
 	// base is the shared cluster a leased run was scoped out of; the
@@ -313,11 +306,7 @@ func New(cfg Config) (*Runtime, error) {
 	r.llmFirst = 1
 	r.resolvePlan()
 	if cfg.CheckpointEvery > 0 {
-		r.fs = cfg.FS
-		if r.fs == nil {
-			r.fs = dfs.New()
-		}
-		r.ckpt = dfs.NewCheckpointManager(r.fs, "train")
+		r.ckpt = dfs.NewCheckpointManager(dfs.New())
 	}
 	if tr := r.cfg.Trace; tr != nil {
 		tr.NameProcess(0, "runtime")
@@ -504,7 +493,7 @@ func (r *Runtime) gradSync() float64 {
 			params = spec.Model.Params(mp.Module)
 		}
 		t := comm.ZeRO1GradSync(cost, params, dp)
-		worst = math.Max(worst, t*(1-r.cfg.SyncOverlap))
+		worst = math.Max(worst, t*(1-syncOverlap))
 	}
 	return worst
 }
@@ -544,21 +533,13 @@ func (r *Runtime) stateBytes() (bytes float64, clients int) {
 	return bytes, clients
 }
 
-func (r *Runtime) stateFS() *dfs.FS {
-	if r.fs != nil {
-		return r.fs
-	}
-	return dfs.New()
-}
-
 // checkpointSeconds prices one full checkpoint write to the DFS.
 func (r *Runtime) checkpointSeconds() float64 {
 	bytes, writers := r.stateBytes()
 	if writers == 0 {
 		return 0
 	}
-	fs := r.stateFS()
-	return fs.Latency + bytes/(fs.WriteBps*float64(writers))
+	return dfs.WriteSeconds(bytes, writers)
 }
 
 // restoreSeconds prices reading one full training state back from the
@@ -568,8 +549,7 @@ func (r *Runtime) restoreSeconds() float64 {
 	if readers == 0 {
 		return 0
 	}
-	fs := r.stateFS()
-	return fs.Latency + bytes/(fs.ReadBps*float64(readers))
+	return dfs.ReadSeconds(bytes, readers)
 }
 
 // batchFLOPs sums the model FLOPs executed for the batch under the

@@ -71,9 +71,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("nil corpus accepted")
 	}
 	bad = good
-	bad.SyncOverlap = 2
+	bad.GradientDim = -1
 	if err := bad.Validate(); err == nil {
-		t.Error("bad overlap accepted")
+		t.Error("negative gradient dimension accepted")
 	}
 	if _, err := New(bad); err == nil {
 		t.Error("New accepted invalid config")
@@ -261,7 +261,7 @@ func TestReorderingPreservesGradients(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := corpus.GlobalBatch(0, 64)
-	acc := GradientAccumulator{Dim: 16}
+	acc := gradientAccumulator{Dim: 16}
 
 	base := acc.AccumulateInt(batch)
 
