@@ -205,11 +205,11 @@ func (sp Spec) Validate() error {
 }
 
 // Corpus is a deterministic, indexable synthetic dataset. Sample
-// results are memoized: materialising a sample seeds a fresh legacy
-// math/rand generator, which dominates CPU profiles of the training
-// loop, while the same indices are requested over and over (prefetch,
-// calibration, many fleet tenants sharing one corpus). The memo is
-// bounded and safe for concurrent use.
+// results are memoized because the same indices are requested over and
+// over (prefetch, calibration, many fleet tenants sharing one corpus):
+// a re-read shares one materialisation, its draws and its subsequence
+// slice, instead of rebuilding them. The memo is bounded and safe for
+// concurrent use.
 type Corpus struct {
 	spec Spec
 
@@ -223,10 +223,11 @@ type Corpus struct {
 // one and two of them (~1.5 KB a LAION sample, ~6 MB) however many
 // distinct indices a run streams through: a preprocessing producer
 // reads each index once and must not grow by what it has read. The
-// re-read windows callers have size it — fleet tenants sharing a corpus
-// re-read the same 128 samples within an op, calibration the first 300,
-// a trainer rewind at most checkpoint interval x global batch; beyond
-// the bound a re-read regenerates the same sample.
+// shared re-read windows callers have size it — fleet tenants sharing a
+// corpus re-read the same 128 samples within an op, calibration the
+// first 300, a trainer rewind at most checkpoint interval x global
+// batch; beyond the bound a re-read regenerates the same sample, at the
+// cost of its few dozen draws (NewRand seeds in closed form).
 const memoGeneration = 2048
 
 // NewCorpus builds a corpus from a validated spec.
@@ -240,14 +241,14 @@ func NewCorpus(spec Spec) (*Corpus, error) {
 // Spec returns the corpus specification.
 func (c *Corpus) Spec() Spec { return c.spec }
 
-// rngFor derives an independent generator for one sample index.
-func (c *Corpus) rngFor(index int64) *rand.Rand {
+// sampleSeed derives the seed of one sample index's generator.
+func (c *Corpus) sampleSeed(index int64) int64 {
 	// splitmix64-style scramble so consecutive indices decorrelate.
 	z := uint64(index) + uint64(c.spec.Seed)*0x9e3779b97f4a7c15 + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
+	return int64(z)
 }
 
 // logNormal draws from a log-normal with the given median and sigma.
@@ -269,7 +270,7 @@ func (c *Corpus) Sample(index int64) Sample {
 	if ok {
 		return s
 	}
-	s = c.generate(index)
+	s = c.generate(index, NewRand(c.sampleSeed(index)))
 	c.mu.Lock()
 	if len(c.cur) >= memoGeneration {
 		// Rotate, reusing the dropped generation's buckets.
@@ -284,12 +285,12 @@ func (c *Corpus) Sample(index int64) Sample {
 	return s
 }
 
-// generate materialises the sample at the given index from scratch.
-// The construction interleaves text and image subsequences until the
-// fixed sequence length is reached, mirroring §2.3's packing of
-// modality subsequences into fixed-length training sequences.
-func (c *Corpus) generate(index int64) Sample {
-	rng := c.rngFor(index)
+// generate materialises the sample at the given index from scratch,
+// drawing from rng, the generator seeded with sampleSeed(index). The
+// construction interleaves text and image subsequences until the fixed
+// sequence length is reached, mirroring §2.3's packing of modality
+// subsequences into fixed-length training sequences.
+func (c *Corpus) generate(index int64, rng *rand.Rand) Sample {
 	sp := c.spec
 	s := Sample{Index: index, SeqLen: sp.SeqLen}
 	remaining := sp.SeqLen

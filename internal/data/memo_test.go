@@ -70,7 +70,7 @@ func TestMemoConcurrentReaders(t *testing.T) {
 	const readers, span = 4, 3 * memoGeneration / 2
 	want := make([]Sample, span+readers*64)
 	for i := range want {
-		want[i] = ref.generate(int64(i))
+		want[i] = ref.Sample(int64(i))
 	}
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {

@@ -13,7 +13,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"disttrain/internal/data"
@@ -348,7 +347,7 @@ func (g randomStragglers) EventsAt(iter int) []Event {
 	// decorrelated streams.
 	z := uint64(g.Seed)*0x9e3779b97f4a7c15 + uint64(iter+1)*0xbf58476d1ce4e5b9
 	z ^= z >> 31
-	rng := rand.New(rand.NewSource(int64(z)))
+	rng := data.NewRand(int64(z))
 	var out []Event
 	for rank := 0; rank < g.Ranks; rank++ {
 		p := rng.Float64()

@@ -58,6 +58,7 @@ var reachAllow = map[string]string{
 	"fleet.leaseTable.Check":        "the lease-partition invariant the fleet tests assert every round",
 	"fleet.leaseTable.LeasedCount":  "the leased-node count the fleet tests assert",
 	"store.Disk.CorruptSkips":       "counts corrupt entries served as misses; the store's fault tests read it",
+	"data.seededSource.Int63":       "rand.Source's method: math/rand.Rand calls it through that interface for Float64 and NormFloat64",
 }
 
 // fieldAllow names the input fields the fields pass lets hold one
