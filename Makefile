@@ -34,11 +34,13 @@ COVER_FLOOR ?= 73
 # data.NewRand, a math/rand source exact to the draw that skips the
 # legacy source's 1,841-step seeding loop (37 of them the derivation
 # and docs in comments), which took fleet-churn work_per_cpu_s from
-# 5,536 to 7,897 and a cold Corpus.Sample from ~15 to ~4 µs.
+# 5,536 to 7,897 and a cold Corpus.Sample from ~15 to ~4 µs, and
+# 16,928 once the root disttrain.go facade (66 re-exported names over
+# internal/) was deleted and every program imported the owning package.
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 17225
+LOC_CEILING ?= 16928
 
 .PHONY: all build fmt vet test race bench bench-json bench-diff fuzz cover loc loc-gate profile profile-plan staticcheck ci
 

@@ -17,11 +17,14 @@ import (
 	"testing"
 
 	"disttrain/internal/data"
+	"disttrain/internal/fleet"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/preprocess"
 	"disttrain/internal/profiler"
 	"disttrain/internal/stepccl"
+	"disttrain/internal/store"
+	"disttrain/internal/trainer"
 
 	clusterpkg "disttrain/internal/cluster"
 )
@@ -88,11 +91,11 @@ func BenchmarkFleetThroughput(b *testing.B) {
 		itersPerJob := max(2, 32/jobs)
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			spec := benchSpec(b, model.MLLM9B(), 2*jobs, 32)
-			tmpl := NewTrainConfig(spec, nil, corpus)
+			tmpl := trainer.DistTrainConfig(spec, nil, corpus)
 			tmpl.Parallelism = 2 // rank workers per job; scaling comes from cross-job fan-out
-			cfg := FleetConfig{Cluster: spec.Cluster}
+			cfg := fleet.Config{Cluster: spec.Cluster}
 			for j := 0; j < jobs; j++ {
-				cfg.Jobs = append(cfg.Jobs, FleetJobSpec{
+				cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
 					Name: fmt.Sprintf("t%d", j), Train: tmpl,
 					Iters: itersPerJob, MinNodes: 2, MaxNodes: 2,
 				})
@@ -101,7 +104,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 			b.ResetTimer()
 			cpuStart := processCPUTime()
 			for i := 0; i < b.N; i++ {
-				res, err := RunFleet(cfg)
+				res, err := fleet.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -312,7 +315,7 @@ func BenchmarkWarmPlanSearch(b *testing.B) {
 
 	b.Run("cold", func(b *testing.B) {
 		run(b, func() (*orchestrator.Plan, error) {
-			return NewPlanCache(opts).Plan(context.Background(), spec)
+			return orchestrator.NewPlanCache(opts).Plan(context.Background(), spec)
 		})
 		// Both variants gate their rate as a wholesale-collapse
 		// detector, self-widened to ±60% via the band% metric (see
@@ -331,15 +334,15 @@ func BenchmarkWarmPlanSearch(b *testing.B) {
 		if dir == "" {
 			dir = b.TempDir()
 		}
-		st, err := NewDiskPlanStore(dir)
+		st, err := store.OpenDisk(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := NewPersistentPlanCache(opts, st).Plan(context.Background(), spec); err != nil {
+		if _, err := orchestrator.NewPersistentPlanCache(opts, st).Plan(context.Background(), spec); err != nil {
 			b.Fatal(err)
 		}
 		run(b, func() (*orchestrator.Plan, error) {
-			c := NewPersistentPlanCache(opts, st)
+			c := orchestrator.NewPersistentPlanCache(opts, st)
 			plan, err := c.Plan(context.Background(), spec)
 			if err == nil && (c.Searches() != 0 || c.WarmHits() != 1) {
 				return nil, fmt.Errorf("warm op ran %d searches, %d warm hits; want 0 and 1", c.Searches(), c.WarmHits())
@@ -376,14 +379,14 @@ func BenchmarkColdAdmissionStorm(b *testing.B) {
 	const jobs = 16
 	const itersPerJob = 2
 	spec := benchSpec(b, model.MLLM9B(), 2*jobs, 32)
-	cfgFor := func(planners int) FleetConfig {
-		cfg := FleetConfig{Cluster: spec.Cluster, Planners: planners}
+	cfgFor := func(planners int) fleet.Config {
+		cfg := fleet.Config{Cluster: spec.Cluster, Planners: planners}
 		for j := 0; j < jobs; j++ {
 			js := spec
 			js.GlobalBatch = 32 + 8*j // distinct fingerprint, shared calibration
-			tmpl := NewTrainConfig(js, nil, corpus)
+			tmpl := trainer.DistTrainConfig(js, nil, corpus)
 			tmpl.Parallelism = 2
-			cfg.Jobs = append(cfg.Jobs, FleetJobSpec{
+			cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
 				Name: fmt.Sprintf("t%d", j), Train: tmpl,
 				Iters: itersPerJob, MinNodes: 2, MaxNodes: 2,
 			})
@@ -401,7 +404,7 @@ func BenchmarkColdAdmissionStorm(b *testing.B) {
 			b.ResetTimer()
 			cpuStart := processCPUTime()
 			for i := 0; i < b.N; i++ {
-				res, err := RunFleet(cfg)
+				res, err := fleet.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -13,7 +13,7 @@ import (
 	"os"
 	"time"
 
-	"disttrain"
+	"disttrain/internal/experiments"
 )
 
 func main() {
@@ -27,13 +27,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	ids := disttrain.ExperimentIDs()
+	ids := experiments.Order
 	if *experiment != "all" {
 		ids = []string{*experiment}
 	}
 	for _, id := range ids {
 		start := time.Now()
-		tb, err := disttrain.Experiment(id, *quick)
+		tb, err := experiments.Run(id, *quick)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "disttrain-bench: %s: %v\n", id, err)
 			os.Exit(1)

@@ -36,8 +36,12 @@ import (
 	"strconv"
 	"strings"
 
-	"disttrain"
+	"disttrain/internal/experiments"
+	"disttrain/internal/fleet"
+	"disttrain/internal/model"
 	"disttrain/internal/prof"
+	"disttrain/internal/scenario"
+	"disttrain/internal/trainer"
 )
 
 func main() {
@@ -49,7 +53,7 @@ func main() {
 		batch     = flag.Int("batch", 32, "global batch size per job")
 		jobNodes  = flag.String("job-nodes", "", "per-job lease range min-max in nodes (default 1-<nodes>)")
 		arrive    = flag.String("arrive", "", "comma-separated arrival rounds, one per job (default all 0)")
-		policy    = flag.String("policy", "fair-share", "scheduling policy: "+strings.Join(disttrain.FleetSchedulerNames(), ", "))
+		policy    = flag.String("policy", "fair-share", "scheduling policy: "+strings.Join(fleet.SchedulerNames(), ", "))
 		priority  = flag.String("priority", "", "comma-separated priority classes (low, normal, high), one per job (default all normal)")
 		scenSpec  = flag.String("scenario", "", "fleet-scope scenario, e.g. 'job-arrive:iter=2,job=0; node-fail:iter=3,node=1; priority-arrive:iter=4,job=0,class=high; preempt-storm:iter=5,job=1,count=2'")
 		workers   = flag.Int("workers", 0, "per-round job-step worker pool size (0 = GOMAXPROCS)")
@@ -65,15 +69,15 @@ func main() {
 		fatal(fmt.Errorf("-jobs must be at least 1"))
 	}
 
-	m, err := disttrain.ModelByName(*modelName)
+	m, err := model.ByName(*modelName)
 	if err != nil {
 		fatal(err)
 	}
-	spec, corpus, err := disttrain.NewSpec(m, *nodes, *batch)
+	spec, corpus, err := experiments.NewSpec(m, *nodes, *batch, model.FullTraining)
 	if err != nil {
 		fatal(err)
 	}
-	pol, err := disttrain.ParseFleetPolicy(*policy)
+	pol, err := fleet.LookupScheduler(*policy)
 	if err != nil {
 		fatal(err)
 	}
@@ -102,21 +106,21 @@ func main() {
 			}
 		}
 	}
-	classes := make([]disttrain.FleetClass, *jobs)
+	classes := make([]fleet.Class, *jobs)
 	if *priority != "" {
 		parts := strings.Split(*priority, ",")
 		if len(parts) != *jobs {
 			fatal(fmt.Errorf("-priority lists %d classes for %d jobs", len(parts), *jobs))
 		}
 		for i, p := range parts {
-			if classes[i], err = disttrain.ParseFleetClass(strings.TrimSpace(p)); err != nil {
+			if classes[i], err = fleet.ParseClass(strings.TrimSpace(p)); err != nil {
 				fatal(err)
 			}
 		}
 	}
 
-	tmpl := disttrain.NewTrainConfig(spec, nil, corpus)
-	cfg := disttrain.FleetConfig{
+	tmpl := trainer.DistTrainConfig(spec, nil, corpus)
+	cfg := fleet.Config{
 		Cluster:      spec.Cluster,
 		Policy:       pol,
 		Workers:      *workers,
@@ -125,19 +129,19 @@ func main() {
 		Planners:     *planners,
 	}
 	for i := 0; i < *jobs; i++ {
-		cfg.Jobs = append(cfg.Jobs, disttrain.FleetJobSpec{
+		cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
 			Name: fmt.Sprintf("job%d", i), Train: tmpl, Iters: *jobIters,
 			MinNodes: minN, MaxNodes: maxN, Arrive: arrivals[i],
 			Priority: classes[i],
 		})
 	}
 	if *producers > 0 {
-		pc := disttrain.FleetPreprocessFor(tmpl, *producers)
+		pc := fleet.PreprocessFor(tmpl, *producers)
 		pc.SlotsPerNode = *slots
 		cfg.Preprocess = pc
 	}
 	if *scenSpec != "" {
-		sc, err := disttrain.ParseScenario(*scenSpec)
+		sc, err := scenario.Parse(*scenSpec)
 		if err != nil {
 			fatal(err)
 		}
@@ -148,7 +152,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := disttrain.RunFleet(cfg)
+	res, err := fleet.Run(cfg)
 	if perr := stopProfile(); perr != nil {
 		fatal(perr)
 	}

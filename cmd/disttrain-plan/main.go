@@ -24,8 +24,11 @@ import (
 	"strconv"
 	"strings"
 
-	"disttrain"
+	"disttrain/internal/experiments"
+	"disttrain/internal/model"
+	"disttrain/internal/orchestrator"
 	"disttrain/internal/prof"
+	"disttrain/internal/store"
 )
 
 var (
@@ -59,22 +62,22 @@ func main() {
 // run is the whole command after flag parsing; main brackets it with
 // the pprof start/stop pair, so it returns errors instead of exiting.
 func run() error {
-	m, err := disttrain.ModelByName(*modelName)
+	m, err := model.ByName(*modelName)
 	if err != nil {
 		return err
 	}
-	fr, err := disttrain.FreezeByName(*freeze)
+	fr, err := model.FreezeByName(*freeze)
 	if err != nil {
 		return err
 	}
-	opts := disttrain.SearchOptions{Parallelism: *parallelism}
-	cache := disttrain.NewPlanCache(opts)
+	opts := orchestrator.SearchOptions{Parallelism: *parallelism}
+	cache := orchestrator.NewPlanCache(opts)
 	if *cacheDir != "" {
-		st, err := disttrain.NewDiskPlanStore(*cacheDir)
+		st, err := store.OpenDisk(*cacheDir)
 		if err != nil {
 			return err
 		}
-		cache = disttrain.NewPersistentPlanCache(opts, st)
+		cache = orchestrator.NewPersistentPlanCache(opts, st)
 	}
 
 	if *sweep != "" {
@@ -85,7 +88,7 @@ func run() error {
 		return nil
 	}
 
-	spec, _, err := disttrain.NewSpecFrozen(m, *nodes, *batch, fr)
+	spec, _, err := experiments.NewSpec(m, *nodes, *batch, fr)
 	if err != nil {
 		return err
 	}
@@ -94,14 +97,14 @@ func run() error {
 
 	type planner struct {
 		name string
-		fn   func(disttrain.Spec) (*disttrain.Plan, error)
+		fn   func(orchestrator.Spec) (*orchestrator.Plan, error)
 	}
 	strategies := []planner{
-		{"disttrain", func(s disttrain.Spec) (*disttrain.Plan, error) {
+		{"disttrain", func(s orchestrator.Spec) (*orchestrator.Plan, error) {
 			return cache.Plan(context.Background(), s)
 		}},
-		{"megatron", disttrain.PlanMegatron},
-		{"distmm", disttrain.PlanDistMM},
+		{"megatron", orchestrator.PlanMegatron},
+		{"distmm", orchestrator.PlanDistMM},
 	}
 	for _, p := range strategies {
 		if *strategy != "all" && *strategy != p.name {
@@ -119,7 +122,7 @@ func run() error {
 }
 
 // reportCache summarises the plan cache's work.
-func reportCache(cache *disttrain.PlanCache) {
+func reportCache(cache *orchestrator.PlanCache) {
 	fmt.Printf("plan cache: %d searches, %d warm hits, %d warm-seeded, %d coalesced, %d candidates pruned\n",
 		cache.Searches(), cache.WarmHits(), cache.WarmSeeds(), cache.Coalesced(), cache.Pruned())
 }
@@ -130,7 +133,7 @@ func reportCache(cache *disttrain.PlanCache) {
 // in-flight search, the rest share batched waves, and sizes an earlier
 // run left in the durable cache load from disk. Prints a comparison
 // table.
-func runSweep(m disttrain.MLLM, fr disttrain.FreezeSpec, batch int, sweep string, cache *disttrain.PlanCache) error {
+func runSweep(m model.MLLM, fr model.FreezeSpec, batch int, sweep string, cache *orchestrator.PlanCache) error {
 	var nodeCounts []int
 	for _, f := range strings.Split(sweep, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -139,9 +142,9 @@ func runSweep(m disttrain.MLLM, fr disttrain.FreezeSpec, batch int, sweep string
 		}
 		nodeCounts = append(nodeCounts, n)
 	}
-	specs := make([]disttrain.Spec, len(nodeCounts))
+	specs := make([]orchestrator.Spec, len(nodeCounts))
 	for i, n := range nodeCounts {
-		s, _, err := disttrain.NewSpecFrozen(m, n, batch, fr)
+		s, _, err := experiments.NewSpec(m, n, batch, fr)
 		if err != nil {
 			return fmt.Errorf("nodes=%d: %w", n, err)
 		}
@@ -157,7 +160,7 @@ func runSweep(m disttrain.MLLM, fr disttrain.FreezeSpec, batch int, sweep string
 		return err
 	}
 	defer cache.StopPlanners()
-	tickets := make([]*disttrain.PlanTicket, len(specs))
+	tickets := make([]*orchestrator.PlanTicket, len(specs))
 	for i, s := range specs {
 		tickets[i] = cache.PlanAsync(context.Background(), s)
 	}

@@ -30,8 +30,15 @@ import (
 	"os"
 	"strings"
 
-	"disttrain"
+	"disttrain/internal/controller"
+	"disttrain/internal/experiments"
+	"disttrain/internal/metrics"
+	"disttrain/internal/model"
+	"disttrain/internal/orchestrator"
+	"disttrain/internal/preprocess"
 	"disttrain/internal/prof"
+	"disttrain/internal/scenario"
+	"disttrain/internal/trainer"
 )
 
 func main() {
@@ -56,36 +63,36 @@ func main() {
 	profile := prof.Register(flag.CommandLine)
 	flag.Parse()
 
-	m, err := disttrain.ModelByName(*modelName)
+	m, err := model.ByName(*modelName)
 	if err != nil {
 		fatal(err)
 	}
-	fr, err := disttrain.FreezeByName(*freeze)
+	fr, err := model.FreezeByName(*freeze)
 	if err != nil {
 		fatal(err)
 	}
-	spec, corpus, err := disttrain.NewSpecFrozen(m, *nodes, *batch, fr)
+	spec, corpus, err := experiments.NewSpec(m, *nodes, *batch, fr)
 	if err != nil {
 		fatal(err)
 	}
 
-	var plan *disttrain.Plan
-	var cfg disttrain.TrainConfig
+	var plan *orchestrator.Plan
+	var cfg trainer.Config
 	switch *strategy {
 	case "disttrain":
-		plan, err = disttrain.PlanDistTrain(spec)
+		plan, err = orchestrator.PlanDistTrain(spec)
 		if err == nil {
-			cfg = disttrain.NewTrainConfig(spec, plan, corpus)
+			cfg = trainer.DistTrainConfig(spec, plan, corpus)
 		}
 	case "megatron":
-		plan, err = disttrain.PlanMegatron(spec)
+		plan, err = orchestrator.PlanMegatron(spec)
 		if err == nil {
-			cfg = disttrain.NewMegatronTrainConfig(spec, plan, corpus)
+			cfg = trainer.MegatronConfig(spec, plan, corpus)
 		}
 	case "distmm":
-		plan, err = disttrain.PlanDistMM(spec)
+		plan, err = orchestrator.PlanDistMM(spec)
 		if err == nil {
-			cfg = disttrain.NewTrainConfig(spec, plan, corpus)
+			cfg = trainer.DistTrainConfig(spec, plan, corpus)
 		}
 	default:
 		err = fmt.Errorf("unknown strategy %q", *strategy)
@@ -102,15 +109,15 @@ func main() {
 	cfg.CheckpointEvery = *ckpt
 	cfg.Parallelism = *workers
 	if *scenSpec != "" {
-		sc, err := disttrain.ParseScenario(*scenSpec)
+		sc, err := scenario.Parse(*scenSpec)
 		if err != nil {
 			fatal(err)
 		}
 		cfg.Scenario = sc
 	}
-	var trace *disttrain.Trace
+	var trace *metrics.Trace
 	if *traceFile != "" {
-		trace = disttrain.NewTrace()
+		trace = metrics.NewTrace()
 		cfg.Trace = trace
 	}
 
@@ -118,7 +125,7 @@ func main() {
 	// producer fleet — external (-preproc) or in-process
 	// (-local-producers, controllable by producer-fail/join events) —
 	// through a one-tenant preprocessing service.
-	var poolStats *disttrain.PoolMetrics
+	var poolStats *metrics.PoolStats
 	if *preproc != "" || *localProd > 0 {
 		if *preproc != "" && *localProd > 0 {
 			fatal(fmt.Errorf("-preproc and -local-producers are mutually exclusive"))
@@ -126,13 +133,13 @@ func main() {
 		if *colocate {
 			fatal(fmt.Errorf("-colocate-preprocess cannot be combined with a live producer pool"))
 		}
-		pcfg, err := disttrain.PreprocessConfigFor(cfg)
+		pcfg, err := trainer.PreprocessConfigFor(cfg)
 		if err != nil {
 			fatal(err)
 		}
 		var addrs []string
 		if *localProd > 0 {
-			fleet, err := disttrain.StartProducerFleet(pcfg, *localProd)
+			fleet, err := preprocess.StartFleet(pcfg, *localProd)
 			if err != nil {
 				fatal(err)
 			}
@@ -147,8 +154,8 @@ func main() {
 				}
 			}
 		}
-		poolStats = &disttrain.PoolMetrics{}
-		svc, err := disttrain.NewPreprocessService(disttrain.PreprocessServiceConfig{
+		poolStats = &metrics.PoolStats{}
+		svc, err := preprocess.NewService(preprocess.ServiceConfig{
 			Addrs: addrs,
 			Stats: poolStats,
 		})
@@ -156,21 +163,22 @@ func main() {
 			fatal(err)
 		}
 		defer svc.Close()
-		tenant, err := svc.Register(disttrain.PreprocessTenantConfig{Name: "sim", DP: pcfg.DPSize})
+		tenant, err := svc.Register(preprocess.TenantConfig{Name: "sim", DP: pcfg.DPSize})
 		if err != nil {
 			fatal(err)
 		}
-		disttrain.UsePreprocessPool(&cfg, tenant)
+		cfg.Source = &trainer.PoolSource{Pool: tenant, Samples: cfg.Corpus}
+		cfg.DisaggregatedPreprocess = true
 		cfg.PoolStats = poolStats
 	}
 
 	// Adaptive re-planning: the controller watches drift and re-runs
 	// the orchestrator mid-run, switching plans at iteration
 	// boundaries via costed reconfigurations.
-	var ctrl *disttrain.ReplanController
+	var ctrl *controller.Controller
 	if *adapt {
 		var err error
-		ctrl, err = disttrain.NewReplanController(disttrain.ControllerConfig{
+		ctrl, err = controller.New(controller.Config{
 			Train:       cfg,
 			Threshold:   *replanThr,
 			Parallelism: *workers,
@@ -178,7 +186,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		disttrain.UseReplanController(&cfg, ctrl)
+		cfg.Controller = ctrl
 	}
 
 	fmt.Println(plan)
@@ -186,7 +194,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := disttrain.Train(cfg, *iters)
+	res, err := trainer.Run(cfg, *iters)
 	if perr := stopProfile(); perr != nil {
 		fatal(perr)
 	}

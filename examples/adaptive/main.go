@@ -17,15 +17,20 @@ import (
 	"fmt"
 	"log"
 
-	"disttrain"
+	"disttrain/internal/controller"
+	"disttrain/internal/experiments"
+	"disttrain/internal/model"
+	"disttrain/internal/orchestrator"
+	"disttrain/internal/scenario"
+	"disttrain/internal/trainer"
 )
 
 func main() {
-	spec, corpus, err := disttrain.NewSpec(disttrain.MLLM9B(), 4, 32)
+	spec, corpus, err := experiments.NewSpec(model.MLLM9B(), 4, 32, model.FullTraining)
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := disttrain.PlanDistTrain(spec)
+	plan, err := orchestrator.PlanDistTrain(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,26 +39,26 @@ func main() {
 
 	// Iterations 2..13 draw from a distribution whose images carry 3x
 	// the tokens the profiler was calibrated on.
-	sc, err := disttrain.ParseScenario("workload-shift:iters=2-13,factor=3")
+	sc, err := scenario.Parse("workload-shift:iters=2-13,factor=3")
 	if err != nil {
 		log.Fatal(err)
 	}
 	const iters = 14
 
-	mkConfig := func() disttrain.TrainConfig {
-		cfg := disttrain.NewTrainConfig(spec, plan, corpus)
+	mkConfig := func() trainer.Config {
+		cfg := trainer.DistTrainConfig(spec, plan, corpus)
 		cfg.Scenario = sc
 		cfg.GradientDim = 8
 		return cfg
 	}
 
-	static, err := disttrain.Train(mkConfig(), iters)
+	static, err := trainer.Run(mkConfig(), iters)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	cfg := mkConfig()
-	ctrl, err := disttrain.NewReplanController(disttrain.ControllerConfig{
+	ctrl, err := controller.New(controller.Config{
 		Train:     cfg,
 		Threshold: 0.3,
 		Window:    2,
@@ -61,8 +66,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	disttrain.UseReplanController(&cfg, ctrl)
-	adaptive, err := disttrain.Train(cfg, iters)
+	cfg.Controller = ctrl
+	adaptive, err := trainer.Run(cfg, iters)
 	if err != nil {
 		log.Fatal(err)
 	}

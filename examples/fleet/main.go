@@ -13,32 +13,36 @@ import (
 	"fmt"
 	"log"
 
-	"disttrain"
+	"disttrain/internal/experiments"
+	"disttrain/internal/fleet"
+	"disttrain/internal/model"
+	"disttrain/internal/scenario"
+	"disttrain/internal/trainer"
 )
 
 func main() {
-	spec, corpus, err := disttrain.NewSpec(disttrain.MLLM9B(), 8, 32)
+	spec, corpus, err := experiments.NewSpec(model.MLLM9B(), 8, 32, model.FullTraining)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tmpl := disttrain.NewTrainConfig(spec, nil, corpus)
+	tmpl := trainer.DistTrainConfig(spec, nil, corpus)
 
 	// Fleet-scope events ride the same grammar as the trainer's
 	// -scenario flag; iter is the fleet scheduling round.
-	scenario, err := disttrain.ParseScenario("node-fail:iter=2,node=0; node-join:iter=4,node=0")
+	sc, err := scenario.Parse("node-fail:iter=2,node=0; node-join:iter=4,node=0")
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	res, err := disttrain.RunFleet(disttrain.FleetConfig{
+	res, err := fleet.Run(fleet.Config{
 		Cluster: spec.Cluster,
-		Jobs: []disttrain.FleetJobSpec{
+		Jobs: []fleet.JobSpec{
 			{Name: "short", Train: tmpl, Iters: 2, MinNodes: 2, MaxNodes: 4},
 			{Name: "long", Train: tmpl, Iters: 6, MinNodes: 2, MaxNodes: 8},
 			{Name: "late", Train: tmpl, Iters: 3, MinNodes: 2, MaxNodes: 4, Arrive: 2},
 		},
-		Policy:   disttrain.FleetFairShare,
-		Scenario: scenario,
+		Policy:   fleet.FairShare,
+		Scenario: sc,
 		Trace:    true,
 	})
 	if err != nil {

@@ -10,37 +10,40 @@ import (
 	"fmt"
 	"log"
 
-	"disttrain"
+	"disttrain/internal/experiments"
+	"disttrain/internal/model"
+	"disttrain/internal/orchestrator"
+	"disttrain/internal/trainer"
 )
 
 func main() {
-	m := disttrain.MLLM9B()
-	settings := []disttrain.FreezeSpec{
-		disttrain.AllFrozen,
-		disttrain.EncoderOnly,
-		disttrain.LLMOnly,
-		disttrain.GeneratorOnly,
+	m := model.MLLM9B()
+	settings := []model.FreezeSpec{
+		model.AllFrozen,
+		model.EncoderOnly,
+		model.LLMOnly,
+		model.GeneratorOnly,
 	}
 	fmt.Printf("%-16s %-26s %-13s %-13s %s\n",
 		"setting", "DistTrain GPUs (E/B/G)", "DistTrain MFU", "Megatron MFU", "ratio")
 	for _, freeze := range settings {
-		spec, corpus, err := disttrain.NewSpecFrozen(m, 12, 128, freeze)
+		spec, corpus, err := experiments.NewSpec(m, 12, 128, freeze)
 		if err != nil {
 			log.Fatal(err)
 		}
-		dtPlan, err := disttrain.PlanDistTrain(spec)
+		dtPlan, err := orchestrator.PlanDistTrain(spec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mgPlan, err := disttrain.PlanMegatron(spec)
+		mgPlan, err := orchestrator.PlanMegatron(spec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		dt, err := disttrain.Train(disttrain.NewTrainConfig(spec, dtPlan, corpus), 3)
+		dt, err := trainer.Run(trainer.DistTrainConfig(spec, dtPlan, corpus), 3)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mg, err := disttrain.Train(disttrain.NewMegatronTrainConfig(spec, mgPlan, corpus), 3)
+		mg, err := trainer.Run(trainer.MegatronConfig(spec, mgPlan, corpus), 3)
 		if err != nil {
 			log.Fatal(err)
 		}

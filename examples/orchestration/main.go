@@ -10,13 +10,17 @@ import (
 	"fmt"
 	"log"
 
-	"disttrain"
+	"disttrain/internal/data"
+	"disttrain/internal/experiments"
+	"disttrain/internal/model"
+	"disttrain/internal/orchestrator"
+	"disttrain/internal/trainer"
 )
 
 func main() {
 	batches := map[string]int{"MLLM-9B": 128, "MLLM-15B": 64, "MLLM-72B": 40}
-	for _, m := range []disttrain.MLLM{disttrain.MLLM9B(), disttrain.MLLM15B(), disttrain.MLLM72B()} {
-		spec, corpus, err := disttrain.NewSpec(m, 12, batches[m.Name])
+	for _, m := range model.Presets() {
+		spec, corpus, err := experiments.NewSpec(m, 12, batches[m.Name], model.FullTraining)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -24,13 +28,13 @@ func main() {
 			m.Name, batches[m.Name])
 
 		type strategy struct {
-			plan func(disttrain.Spec) (*disttrain.Plan, error)
-			cfg  func(disttrain.Spec, *disttrain.Plan, *disttrain.Corpus) disttrain.TrainConfig
+			plan func(orchestrator.Spec) (*orchestrator.Plan, error)
+			cfg  func(orchestrator.Spec, *orchestrator.Plan, *data.Corpus) trainer.Config
 		}
 		for _, s := range []strategy{
-			{disttrain.PlanMegatron, disttrain.NewMegatronTrainConfig},
-			{disttrain.PlanDistMM, disttrain.NewTrainConfig}, // DistMM* runs on DistTrain's stack (§7.2)
-			{disttrain.PlanDistTrain, disttrain.NewTrainConfig},
+			{orchestrator.PlanMegatron, trainer.MegatronConfig},
+			{orchestrator.PlanDistMM, trainer.DistTrainConfig}, // DistMM* runs on DistTrain's stack (§7.2)
+			{orchestrator.PlanDistTrain, trainer.DistTrainConfig},
 		} {
 			plan, err := s.plan(spec)
 			if err != nil {
@@ -38,7 +42,7 @@ func main() {
 				continue
 			}
 			fmt.Println(plan)
-			res, err := disttrain.Train(s.cfg(spec, plan, corpus), 3)
+			res, err := trainer.Run(s.cfg(spec, plan, corpus), 3)
 			if err != nil {
 				log.Fatal(err)
 			}

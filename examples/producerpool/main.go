@@ -13,27 +13,33 @@ import (
 	"fmt"
 	"log"
 
-	"disttrain"
+	"disttrain/internal/experiments"
+	"disttrain/internal/metrics"
+	"disttrain/internal/model"
+	"disttrain/internal/orchestrator"
+	"disttrain/internal/preprocess"
+	"disttrain/internal/scenario"
+	"disttrain/internal/trainer"
 )
 
 func main() {
-	spec, corpus, err := disttrain.NewSpec(disttrain.MLLM9B(), 4, 16)
+	spec, corpus, err := experiments.NewSpec(model.MLLM9B(), 4, 16, model.FullTraining)
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := disttrain.PlanDistTrain(spec)
+	plan, err := orchestrator.PlanDistTrain(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := disttrain.NewTrainConfig(spec, plan, corpus)
+	cfg := trainer.DistTrainConfig(spec, plan, corpus)
 
 	// Three in-process producers, each an independent stateless TCP
 	// server — one laptop playing the paper's elastic CPU-node fleet.
-	pcfg, err := disttrain.PreprocessConfigFor(cfg)
+	pcfg, err := trainer.PreprocessConfigFor(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fleet, err := disttrain.StartProducerFleet(pcfg, 3)
+	fleet, err := preprocess.StartFleet(pcfg, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,8 +52,8 @@ func main() {
 	// The consumer side in three calls — service, tenant, source:
 	// deterministic (iteration, rank) assignment, health tracking,
 	// failover, bounded admission.
-	stats := &disttrain.PoolMetrics{}
-	svc, err := disttrain.NewPreprocessService(disttrain.PreprocessServiceConfig{
+	stats := &metrics.PoolStats{}
+	svc, err := preprocess.NewService(preprocess.ServiceConfig{
 		Addrs: fleet.Addrs(),
 		Stats: stats,
 	})
@@ -55,16 +61,17 @@ func main() {
 		log.Fatal(err)
 	}
 	defer svc.Close()
-	tenant, err := svc.Register(disttrain.PreprocessTenantConfig{Name: "trainer", DP: pcfg.DPSize})
+	tenant, err := svc.Register(preprocess.TenantConfig{Name: "trainer", DP: pcfg.DPSize})
 	if err != nil {
 		log.Fatal(err)
 	}
-	disttrain.UsePreprocessPool(&cfg, tenant)
+	cfg.Source = &trainer.PoolSource{Pool: tenant, Samples: cfg.Corpus}
+	cfg.DisaggregatedPreprocess = true
 
 	// Producer 1 dies at iteration 2 and rejoins at iteration 4; the
 	// fleet is the run's ProducerControl, so the events act on real TCP
 	// servers.
-	sc, err := disttrain.ParseScenario(
+	sc, err := scenario.Parse(
 		"producer-fail:iter=2,producer=1; producer-join:iter=4,producer=1")
 	if err != nil {
 		log.Fatal(err)
@@ -73,7 +80,7 @@ func main() {
 	cfg.ProducerControl = fleet
 
 	fmt.Println("\ntraining 6 iterations (producer 1 dies at iter 2, rejoins at iter 4):")
-	res, err := disttrain.Train(cfg, 6)
+	res, err := trainer.Run(cfg, 6)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,15 +13,20 @@ import (
 	"os"
 	"path/filepath"
 
-	"disttrain"
+	"disttrain/internal/experiments"
+	"disttrain/internal/metrics"
+	"disttrain/internal/model"
+	"disttrain/internal/orchestrator"
+	"disttrain/internal/scenario"
+	"disttrain/internal/trainer"
 )
 
 func main() {
-	spec, corpus, err := disttrain.NewSpec(disttrain.MLLM9B(), 4, 16)
+	spec, corpus, err := experiments.NewSpec(model.MLLM9B(), 4, 16, model.FullTraining)
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := disttrain.PlanDistTrain(spec)
+	plan, err := orchestrator.PlanDistTrain(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -29,7 +34,7 @@ func main() {
 	// The scenario grammar is the CLI's -scenario flag: iteration
 	// windows are inclusive; the failure pays 20s of detection/restart
 	// before restoring the latest DFS checkpoint.
-	sc, err := disttrain.ParseScenario(
+	sc, err := scenario.Parse(
 		"straggler:iters=1-2,rank=0,factor=3;" +
 			"congestion:iters=3-4,factor=5;" +
 			"preprocess:iters=3-4,factor=8;" +
@@ -38,13 +43,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	trace := disttrain.NewTrace()
-	cfg := disttrain.NewTrainConfig(spec, plan, corpus)
+	trace := metrics.NewTrace()
+	cfg := trainer.DistTrainConfig(spec, plan, corpus)
 	cfg.Scenario = sc
 	cfg.CheckpointEvery = 2 // the failure recovers from these
 	cfg.Trace = trace
 
-	res, err := disttrain.Train(cfg, 8)
+	res, err := trainer.Run(cfg, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

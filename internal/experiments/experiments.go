@@ -66,28 +66,43 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// Scale selects how faithfully experiments reproduce the paper's
-// cluster sizes; Full matches the paper (1296 GPUs, GBS 1920), Quick
-// shrinks batch sizes for CI-speed runs with the same mechanisms.
-type Scale int
-
-const (
-	Full Scale = iota
-	Quick
-)
+// Run regenerates one paper table/figure by ID (fig3, fig5,
+// fig13..fig19, fig22, table2, table3; Order lists them). The full run
+// matches the paper's cluster sizes (1296 GPUs, GBS 1920); quick
+// shrinks batch sizes for smoke runs with the same mechanisms.
+func Run(id string, quick bool) (*Table, error) {
+	fn, ok := registry[id]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown experiment %s", id)
+	}
+	return fn(quick)
+}
 
 // env bundles the shared experimental setup.
 type env struct {
 	corpus *data.Corpus
-	scale  Scale
+	quick  bool
 }
 
-func newEnv(scale Scale) (*env, error) {
+func newEnv(quick bool) (*env, error) {
 	corpus, err := data.NewCorpus(data.LAION400M())
 	if err != nil {
 		return nil, err
 	}
-	return &env{corpus: corpus, scale: scale}, nil
+	return &env{corpus: corpus, quick: quick}, nil
+}
+
+// NewSpec builds the calibrated orchestration spec the programs plan
+// and train on: a production cluster of the given node count, the
+// model, the global batch size and a profiler calibrated under the
+// freeze setting on a fresh synthetic corpus, which it returns too.
+func NewSpec(m model.MLLM, nodes, globalBatch int, freeze model.FreezeSpec) (orchestrator.Spec, *data.Corpus, error) {
+	e, err := newEnv(false)
+	if err != nil {
+		return orchestrator.Spec{}, nil, err
+	}
+	spec, err := e.spec(m, nodes, globalBatch, freeze)
+	return spec, e.corpus, err
 }
 
 // spec builds a calibrated orchestration spec.
@@ -107,10 +122,10 @@ func (e *env) spec(m model.MLLM, nodes, bs int, freeze model.FreezeSpec) (orches
 
 // overallScale returns the Figure 13/14 cluster geometry.
 func (e *env) overallScale() (nodes, bs, iters int) {
-	if e.scale == Full {
-		return 162, 1920, 2
+	if e.quick {
+		return 162, 480, 1
 	}
-	return 162, 480, 1
+	return 162, 1920, 2
 }
 
 // ablationScale returns the §7.2 geometry: 96 GPUs, GBS 128/64/40.
@@ -121,21 +136,10 @@ func (e *env) ablationScale(m model.MLLM) (nodes, bs, iters int) {
 		bs = 64
 	}
 	iters = 3
-	if e.scale == Quick {
+	if e.quick {
 		iters = 1
 	}
 	return 12, bs, iters
-}
-
-// run executes a strategy end to end and returns the result.
-func (e *env) run(spec orchestrator.Spec, plan *orchestrator.Plan,
-	mk func(orchestrator.Spec, *orchestrator.Plan, *data.Corpus) trainer.Config, iters int) (*trainer.Result, error) {
-	rt, err := trainer.New(mk(spec, plan, e.corpus))
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Close()
-	return rt.Run(iters)
 }
 
 // distmmConfig runs DistMM*'s plan on DistTrain's execution stack
@@ -153,8 +157,8 @@ func toks(perSec float64) string { return fmt.Sprintf("%.2fM", perSec/1e6) }
 // stage of Llama3-70B (PP=10, TP=8) against ViT-Huge and
 // Stable-Diffusion on an 8-GPU group, across {8,16} images at
 // {512^2, 1024^2} in an 8K sequence.
-func fig3(scale Scale) (*Table, error) {
-	e, err := newEnv(scale)
+func fig3(quick bool) (*Table, error) {
+	e, err := newEnv(quick)
 	if err != nil {
 		return nil, err
 	}
@@ -196,13 +200,13 @@ func fig3(scale Scale) (*Table, error) {
 
 // fig5 regenerates the data-heterogeneity characterisation over the
 // synthetic LAION-400M-like corpus.
-func fig5(scale Scale) (*Table, error) {
-	e, err := newEnv(scale)
+func fig5(quick bool) (*Table, error) {
+	e, err := newEnv(quick)
 	if err != nil {
 		return nil, err
 	}
 	n := 20000
-	if scale == Quick {
+	if quick {
 		n = 2000
 	}
 	ch := data.Characterize(e.corpus, n)
@@ -229,11 +233,11 @@ func fig5(scale Scale) (*Table, error) {
 
 // fig13 reproduces the overall MFU comparison at full scale; fig14 the
 // throughput view of the same runs.
-func fig13(scale Scale) (*Table, error) { return overall(scale, "fig13") }
-func fig14(scale Scale) (*Table, error) { return overall(scale, "fig14") }
+func fig13(quick bool) (*Table, error) { return overall(quick, "fig13") }
+func fig14(quick bool) (*Table, error) { return overall(quick, "fig14") }
 
-func overall(scale Scale, id string) (*Table, error) {
-	e, err := newEnv(scale)
+func overall(quick bool, id string) (*Table, error) {
+	e, err := newEnv(quick)
 	if err != nil {
 		return nil, err
 	}
@@ -261,11 +265,11 @@ func overall(scale Scale, id string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dt, err := e.run(spec, dtPlan, trainer.DistTrainConfig, iters)
+		dt, err := trainer.Run(trainer.DistTrainConfig(spec, dtPlan, e.corpus), iters)
 		if err != nil {
 			return nil, err
 		}
-		mg, err := e.run(spec, mgPlan, trainer.MegatronConfig, iters)
+		mg, err := trainer.Run(trainer.MegatronConfig(spec, mgPlan, e.corpus), iters)
 		if err != nil {
 			return nil, err
 		}
@@ -283,8 +287,8 @@ func overall(scale Scale, id string) (*Table, error) {
 
 // fig15 reproduces the disaggregated model orchestration ablation:
 // DistTrain vs Megatron-LM vs DistMM* on 96 GPUs.
-func fig15(scale Scale) (*Table, error) {
-	e, err := newEnv(scale)
+func fig15(quick bool) (*Table, error) {
+	e, err := newEnv(quick)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +318,7 @@ func fig15(scale Scale) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", m.Name, s.name, err)
 			}
-			res, err := e.run(spec, plan, s.cfg, iters)
+			res, err := trainer.Run(s.cfg(spec, plan, e.corpus), iters)
 			if err != nil {
 				return nil, err
 			}
@@ -327,8 +331,8 @@ func fig15(scale Scale) (*Table, error) {
 // fig16 reproduces the disaggregated data preprocessing ablation:
 // DistTrain's dual-level reordering vs Megatron-LM's random order,
 // with the model orchestration held fixed at DistTrain's plan.
-func fig16(scale Scale) (*Table, error) {
-	e, err := newEnv(scale)
+func fig16(quick bool) (*Table, error) {
+	e, err := newEnv(quick)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +346,7 @@ func fig16(scale Scale) (*Table, error) {
 	}
 	for _, m := range model.Presets() {
 		nodes, bs, iters := e.ablationScale(m)
-		if scale == Full {
+		if !quick {
 			iters = 5
 		}
 		spec, err := e.spec(m, nodes, bs, model.FullTraining)
@@ -353,15 +357,13 @@ func fig16(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		with, err := e.run(spec, plan, trainer.DistTrainConfig, iters)
+		cfg := trainer.DistTrainConfig(spec, plan, e.corpus)
+		with, err := trainer.Run(cfg, iters)
 		if err != nil {
 			return nil, err
 		}
-		without, err := e.run(spec, plan, func(s orchestrator.Spec, p *orchestrator.Plan, c *data.Corpus) trainer.Config {
-			cfg := trainer.DistTrainConfig(s, p, c)
-			cfg.Reorder = false
-			return cfg
-		}, iters)
+		cfg.Reorder = false
+		without, err := trainer.Run(cfg, iters)
 		if err != nil {
 			return nil, err
 		}
@@ -374,11 +376,11 @@ func fig16(scale Scale) (*Table, error) {
 
 // fig18 and fig19 reproduce frozen training MFU and throughput across
 // the four §7.3 settings.
-func fig18(scale Scale) (*Table, error) { return frozen(scale, "fig18") }
-func fig19(scale Scale) (*Table, error) { return frozen(scale, "fig19") }
+func fig18(quick bool) (*Table, error) { return frozen(quick, "fig18") }
+func fig19(quick bool) (*Table, error) { return frozen(quick, "fig19") }
 
-func frozen(scale Scale, id string) (*Table, error) {
-	e, err := newEnv(scale)
+func frozen(quick bool, id string) (*Table, error) {
+	e, err := newEnv(quick)
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +395,7 @@ func frozen(scale Scale, id string) (*Table, error) {
 		t.Notes = []string{"paper: DistTrain 1.2-2.9x higher throughput"}
 	}
 	models := model.Presets()
-	if scale == Quick {
+	if quick {
 		models = models[:1]
 	}
 	for _, freeze := range model.FrozenSettings() {
@@ -411,11 +413,11 @@ func frozen(scale Scale, id string) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			dt, err := e.run(spec, dtPlan, trainer.DistTrainConfig, iters)
+			dt, err := trainer.Run(trainer.DistTrainConfig(spec, dtPlan, e.corpus), iters)
 			if err != nil {
 				return nil, err
 			}
-			mg, err := e.run(spec, mgPlan, trainer.MegatronConfig, iters)
+			mg, err := trainer.Run(trainer.MegatronConfig(spec, mgPlan, e.corpus), iters)
 			if err != nil {
 				return nil, err
 			}
@@ -433,7 +435,7 @@ func frozen(scale Scale, id string) (*Table, error) {
 
 // table2 prints the backbone configurations (verification of the model
 // substrate against the paper).
-func table2(Scale) (*Table, error) {
+func table2(bool) (*Table, error) {
 	t := &Table{
 		ID:     "table2",
 		Title:  "LLM backbone configurations",
@@ -449,8 +451,8 @@ func table2(Scale) (*Table, error) {
 
 // table3 measures the orchestration algorithm's wall-clock overhead at
 // the paper's four scales.
-func table3(scale Scale) (*Table, error) {
-	e, err := newEnv(scale)
+func table3(quick bool) (*Table, error) {
+	e, err := newEnv(quick)
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +463,7 @@ func table3(scale Scale) (*Table, error) {
 		Notes:  []string{"paper: 133ms-922ms, always <1s, growing with scale"},
 	}
 	rows := []struct{ nodes, bs int }{{14, 240}, {41, 480}, {81, 960}, {162, 1920}}
-	if scale == Quick {
+	if quick {
 		rows = rows[:2]
 	}
 	m := model.MLLM72B()

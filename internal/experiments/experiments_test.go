@@ -8,6 +8,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"disttrain/internal/model"
+	"disttrain/internal/orchestrator"
+	"disttrain/internal/trainer"
 )
 
 // TestRegistryComplete ensures every experiment the paper's evaluation
@@ -16,12 +20,12 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig3", "fig5", "fig13", "fig14", "fig15", "fig16",
 		"fig17", "fig18", "fig19", "fig22", "table2", "table3"}
 	for _, id := range want {
-		if _, ok := Registry[id]; !ok {
+		if _, ok := registry[id]; !ok {
 			t.Errorf("experiment %s missing from registry", id)
 		}
 	}
-	if len(Order) != len(Registry) {
-		t.Errorf("Order lists %d experiments, registry has %d", len(Order), len(Registry))
+	if len(Order) != len(registry) {
+		t.Errorf("Order lists %d experiments, registry has %d", len(Order), len(registry))
 	}
 	seen := map[string]bool{}
 	for _, id := range Order {
@@ -29,9 +33,73 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("duplicate %s in Order", id)
 		}
 		seen[id] = true
-		if _, ok := Registry[id]; !ok {
+		if _, ok := registry[id]; !ok {
 			t.Errorf("Order references unknown %s", id)
 		}
+	}
+}
+
+// TestExperimentRegistry drives Run, the CLI's path: an unknown ID is
+// refused and table2 renders its three backbones.
+func TestExperimentRegistry(t *testing.T) {
+	if _, err := Run("nope", true); err == nil || err.Error() != "experiments: unknown experiment nope" {
+		t.Errorf("Run(nope) error = %v", err)
+	}
+	tb, err := Run("table2", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 3 {
+		t.Errorf("table2 rows = %d", len(tb.Rows))
+	}
+	if out := tb.Render(); len(out) == 0 {
+		t.Error("empty render")
+	}
+}
+
+// TestNewSpecEndToEnd takes a NewSpec spec through the planner and two
+// trainer.Run iterations, the programs' path.
+func TestNewSpecEndToEnd(t *testing.T) {
+	spec, corpus, err := NewSpec(model.MLLM9B(), 4, 32, model.FullTraining)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := orchestrator.PlanDistTrain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.TotalGPUs() > 32 {
+		t.Fatalf("plan exceeds fleet: %d GPUs", plan.TotalGPUs())
+	}
+	res, err := trainer.Run(trainer.DistTrainConfig(spec, plan, corpus), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MFU <= 0 || res.TokensPerSec <= 0 {
+		t.Fatalf("implausible result: %+v", res)
+	}
+}
+
+// TestNewSpecFrozen checks NewSpec carries the freeze setting into a
+// plannable, trainable spec.
+func TestNewSpecFrozen(t *testing.T) {
+	spec, corpus, err := NewSpec(model.MLLM9B(), 4, 32, model.LLMOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := spec.Profiler.Options().Freeze; got != model.LLMOnly {
+		t.Fatalf("profiler freeze = %+v, want llm-only", got)
+	}
+	plan, err := orchestrator.PlanDistTrain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := trainer.Run(trainer.DistTrainConfig(spec, plan, corpus), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MFU <= 0 {
+		t.Fatal("frozen run produced no MFU")
 	}
 }
 
@@ -50,7 +118,7 @@ func TestTableRender(t *testing.T) {
 // TestFig3Shape checks the characterisation that motivates the whole
 // paper: constant LLM time, growing encoder/generator time.
 func TestFig3Shape(t *testing.T) {
-	tb, err := fig3(Quick)
+	tb, err := fig3(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +155,7 @@ func TestFig15ShapeQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full trainer runs")
 	}
-	tb, err := fig15(Quick)
+	tb, err := fig15(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +177,7 @@ func TestFig15ShapeQuick(t *testing.T) {
 }
 
 func TestTable3UnderOneSecond(t *testing.T) {
-	tb, err := table3(Quick)
+	tb, err := table3(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +205,7 @@ func TestPaperTableGoldens(t *testing.T) {
 	for _, id := range []string{"fig3", "fig5", "fig13", "fig14", "fig15",
 		"fig16", "fig18", "fig19", "fig22", "table2"} {
 		t.Run(id, func(t *testing.T) {
-			tb, err := Registry[id](Full)
+			tb, err := Run(id, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +245,7 @@ func TestFig17ShapeQuick(t *testing.T) {
 	const attempts = 4
 	best := map[string]float64{}
 	for try := 0; try < attempts; try++ {
-		tb, err := fig17(Quick)
+		tb, err := fig17(true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func (f fixedShapeSource) Sample(index int64) data.Sample {
 // fig17 measures real preprocessing overhead per iteration on the
 // training side, with and without disaggregation, over the real TCP
 // producer/consumer. DP size is 1, matching §7.3.
-func fig17(scale Scale) (*Table, error) {
+func fig17(quick bool) (*Table, error) {
 	t := &Table{
 		ID:     "fig17",
 		Title:  "Overhead of data preprocessing per iteration (measured, real CPU work + TCP)",
@@ -52,7 +52,7 @@ func fig17(scale Scale) (*Table, error) {
 	configs := []struct{ images, res int }{
 		{8, 512}, {8, 1024}, {16, 512}, {16, 1024},
 	}
-	if scale == Quick {
+	if quick {
 		configs = []struct{ images, res int }{{8, 512}, {16, 512}}
 	}
 	for _, c := range configs {
@@ -136,8 +136,8 @@ func measurePreprocess(cfg preprocess.Config) (colocated, disagg time.Duration, 
 // communication overlap, at TP=4 and TP=8. The hidden fraction comes
 // from the chunked-overlap timeline model at the production chunk
 // count.
-func fig22(scale Scale) (*Table, error) {
-	e, err := newEnv(scale)
+func fig22(quick bool) (*Table, error) {
+	e, err := newEnv(quick)
 	if err != nil {
 		return nil, err
 	}
@@ -199,8 +199,8 @@ func commExposed(p *profiler.Profiler, tp int, fullFwd float64) float64 {
 	return fullFwd - pure.SampleForward(model.Backbone, tp, model.SampleShape{})
 }
 
-// Registry maps experiment IDs to their functions.
-var Registry = map[string]func(Scale) (*Table, error){
+// registry maps experiment IDs to their functions.
+var registry = map[string]func(bool) (*Table, error){
 	"fig3":   fig3,
 	"fig5":   fig5,
 	"fig13":  fig13,

@@ -280,7 +280,8 @@ func TestFleetPlanCacheSingleflight(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = JobSpec{Name: fmt.Sprintf("clone%d", i), Train: tmpl, Iters: 2, MinNodes: 2, MaxNodes: 2}
 	}
-	res, err := runChecked(t, Config{Cluster: spec.Cluster, Jobs: jobs})
+	cache := orchestrator.NewPlanCache(orchestrator.SearchOptions{})
+	res, err := runChecked(t, Config{Cluster: spec.Cluster, Jobs: jobs, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,6 +289,10 @@ func TestFleetPlanCacheSingleflight(t *testing.T) {
 		if jr.Err != nil {
 			t.Fatalf("job %s: %v", jr.Name, jr.Err)
 		}
+	}
+	// The caller's cache is warm for the next fleet with the same spec.
+	if cache.Len() != 1 {
+		t.Errorf("shared cache holds %d fingerprints, want 1", cache.Len())
 	}
 	if res.PlanSearches != 1 {
 		t.Errorf("%d identical tenants ran %d plan searches, want exactly 1", k, res.PlanSearches)

@@ -40,6 +40,24 @@ type PreprocessConfig struct {
 	SlotsPerNode int
 }
 
+// PreprocessFor derives the shared-tier configuration for a fleet whose
+// jobs share tmpl's corpus and batch geometry: n producers, each
+// serving tenant-keyed fetches at the tenant's own DP width.
+// Reordering is off — the producer's Algorithm 2 interval model is
+// plan-dependent, and tenants on elastic leases have no single plan.
+func PreprocessFor(tmpl trainer.Config, n int) *PreprocessConfig {
+	return &PreprocessConfig{
+		Producers: n,
+		Server: preprocess.Config{
+			Source:      tmpl.Corpus,
+			GlobalBatch: tmpl.Spec.GlobalBatch,
+			DPSize:      1,
+			Microbatch:  tmpl.Spec.Microbatch,
+			Readahead:   1,
+		},
+	}
+}
+
 func (pc *PreprocessConfig) slotsPerNode() int {
 	if pc.SlotsPerNode <= 0 {
 		return 2

@@ -83,6 +83,25 @@ func preprocFleet(t *testing.T, spec orchestrator.Spec, corpus *data.Corpus, wor
 	}
 }
 
+// TestPreprocessFor pins the shared tier a job template derives: n
+// producers over the template's corpus and batch geometry, one split
+// per fetch at the tenant's own DP width, no reordering.
+func TestPreprocessFor(t *testing.T) {
+	corpus, err := data.NewCorpus(data.LAION400M())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := trainer.Config{Spec: orchestrator.Spec{GlobalBatch: 32, Microbatch: 2}, Corpus: corpus, Reorder: true}
+	pc := PreprocessFor(tmpl, 3)
+	want := preprocess.Config{Source: corpus, GlobalBatch: 32, DPSize: 1, Microbatch: 2, Readahead: 1}
+	if pc.Producers != 3 || pc.Server != want || pc.SlotsPerNode != 0 {
+		t.Errorf("PreprocessFor = %+v, want 3 producers serving %+v", pc, want)
+	}
+	if err := pc.Server.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestFleetPreprocessFairness runs the K-tenant shared tier through a
 // producer kill and checks the elasticity story: every tenant failed
 // over (none was starved or shielded), no tenant was rejected (quotas

@@ -137,14 +137,18 @@ var (
 // needs no entry: it goes straight into Config.Policy.
 var schedulers = []Scheduler{FairShare, fifo, Priority}
 
-// LookupScheduler returns the built-in Scheduler with the given name.
-func LookupScheduler(name string) (Scheduler, bool) {
+// LookupScheduler returns the built-in Scheduler with the given name;
+// "fair" is accepted as an alias for "fair-share".
+func LookupScheduler(name string) (Scheduler, error) {
+	if name == "fair" {
+		name = "fair-share"
+	}
 	for _, s := range schedulers {
 		if s.Name() == name {
-			return s, true
+			return s, nil
 		}
 	}
-	return nil, false
+	return nil, fmt.Errorf("fleet: unknown policy %q (registered: %v)", name, SchedulerNames())
 }
 
 // SchedulerNames lists the built-in scheduler names, sorted.

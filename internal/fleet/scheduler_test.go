@@ -394,10 +394,10 @@ func TestSchedulerRegistry(t *testing.T) {
 	if got, want := SchedulerNames(), []string{"fair-share", "fifo", "priority"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("SchedulerNames() = %v, want %v (sorted)", got, want)
 	}
-	if s, ok := LookupScheduler("fifo"); !ok || s.Name() != "fifo" {
-		t.Error("LookupScheduler(fifo) failed")
+	if s, err := LookupScheduler("fifo"); err != nil || s.Name() != "fifo" {
+		t.Errorf("LookupScheduler(fifo) = %v, %v", s, err)
 	}
-	if _, ok := LookupScheduler("lifo"); ok {
+	if _, err := LookupScheduler("lifo"); err == nil {
 		t.Error("LookupScheduler invented a scheduler")
 	}
 }

@@ -169,18 +169,23 @@ func shadowLeased(shadow map[int]int) []int {
 	return out
 }
 
-// TestPolicyNames covers the CLI policy names (the "fair" alias and the
-// unknown-name error live in disttrain.ParseFleetPolicy).
+// TestPolicyNames covers the CLI policy names, the "fair" alias and
+// the unknown-name error.
 func TestPolicyNames(t *testing.T) {
 	for s, want := range map[string]Scheduler{
-		"fifo": fifo, "fair-share": FairShare, "priority": Priority,
+		"fifo": fifo, "fair-share": FairShare, "fair": FairShare, "priority": Priority,
 	} {
-		got, ok := LookupScheduler(s)
-		if !ok || got.Name() != want.Name() {
-			t.Errorf("LookupScheduler(%q) = %v, %v", s, got, ok)
+		got, err := LookupScheduler(s)
+		if err != nil || got.Name() != want.Name() {
+			t.Errorf("LookupScheduler(%q) = %v, %v", s, got, err)
 		}
 	}
 	if fifo.Name() != "fifo" || FairShare.Name() != "fair-share" || Priority.Name() != "priority" {
 		t.Error("policy names changed")
+	}
+	// The unknown-name error lists the registered schedulers.
+	_, err := LookupScheduler("nope")
+	if want := `fleet: unknown policy "nope" (registered: [fair-share fifo priority])`; err == nil || err.Error() != want {
+		t.Errorf("LookupScheduler(nope) error = %v, want %s", err, want)
 	}
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Module identifies one of the three trainable components of a
@@ -95,6 +96,18 @@ func newMLLM(name string, backbone TransformerConfig, genRes int) MLLM {
 // Presets returns the three evaluation models in paper order.
 func Presets() []MLLM { return []MLLM{MLLM9B(), MLLM15B(), MLLM72B()} }
 
+// ByName resolves a CLI model name (9b, 15b or 72b, case insensitive,
+// with or without the mllm- prefix) to its preset.
+func ByName(name string) (MLLM, error) {
+	l := strings.ToLower(name)
+	for _, m := range Presets() {
+		if p := strings.ToLower(m.Name); l == p || "mllm-"+l == p {
+			return m, nil
+		}
+	}
+	return MLLM{}, fmt.Errorf("unknown model %q (want 9b, 15b or 72b)", name)
+}
+
 // Validate checks the assembled model.
 func (m MLLM) Validate() error {
 	if err := m.Encoder.Validate(); err != nil {
@@ -178,6 +191,17 @@ var (
 // FrozenSettings lists the §7.3 experiment settings in paper order.
 func FrozenSettings() []FreezeSpec {
 	return []FreezeSpec{AllFrozen, EncoderOnly, LLMOnly, GeneratorOnly}
+}
+
+// FreezeByName resolves a CLI freeze-setting name: full, all-frozen,
+// encoder-only, llm-only or generator-only.
+func FreezeByName(name string) (FreezeSpec, error) {
+	for _, f := range append([]FreezeSpec{FullTraining}, FrozenSettings()...) {
+		if f.Name == name {
+			return f, nil
+		}
+	}
+	return FreezeSpec{}, fmt.Errorf("unknown freeze setting %q", name)
 }
 
 // Frozen reports whether the given module is frozen.

@@ -27,6 +27,37 @@ func TestTable2Configs(t *testing.T) {
 	}
 }
 
+// TestNameLookups resolves every model and freeze preset by its CLI
+// name and refuses unknown names.
+func TestNameLookups(t *testing.T) {
+	for name, want := range map[string]string{
+		"9b": "MLLM-9B", "15B": "MLLM-15B", "72b": "MLLM-72B",
+		"mllm-9b": "MLLM-9B", "MLLM-15B": "MLLM-15B", "Mllm-72b": "MLLM-72B",
+	} {
+		if m, err := ByName(name); err != nil || m.Name != want {
+			t.Errorf("ByName(%q) = %s, %v, want %s", name, m.Name, err, want)
+		}
+	}
+	for _, name := range []string{"7b", "mllm-", "", "9b "} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) accepted", name)
+		}
+	}
+	if _, err := ByName("7b"); err == nil || err.Error() != `unknown model "7b" (want 9b, 15b or 72b)` {
+		t.Errorf("ByName(7b) error = %v", err)
+	}
+	for _, want := range append([]FreezeSpec{FullTraining}, FrozenSettings()...) {
+		if f, err := FreezeByName(want.Name); err != nil || f != want {
+			t.Errorf("FreezeByName(%q) = %+v, %v", want.Name, f, err)
+		}
+	}
+	for _, name := range []string{"nope", "Full", ""} {
+		if _, err := FreezeByName(name); err == nil {
+			t.Errorf("FreezeByName(%q) accepted", name)
+		}
+	}
+}
+
 // Parameter counts must land near the nominal model sizes.
 func TestParamCounts(t *testing.T) {
 	cases := []struct {

@@ -91,12 +91,7 @@ func (h *poolHarness) run(t *testing.T, producers, iters int, scenSpec string) (
 		cfg.Scenario = sc
 		cfg.ProducerControl = fleet
 	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	res, err := rt.Run(iters)
+	res, err := Run(cfg, iters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +169,7 @@ func TestPoolSourceMatchesSyntheticFrontEnd(t *testing.T) {
 	pooled.Source = &PoolSource{Pool: tenant, Samples: h.corpus}
 
 	runCfg := func(cfg Config) *Result {
-		rt, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		res, err := rt.Run(iters)
+		res, err := Run(cfg, iters)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,5 +179,34 @@ func TestPoolSourceMatchesSyntheticFrontEnd(t *testing.T) {
 	if !reflect.DeepEqual(a.Iterations, b.Iterations) {
 		t.Errorf("pool-backed front-end diverged from synthetic:\n got %+v\nwant %+v",
 			b.Iterations, a.Iterations)
+	}
+}
+
+// TestPreprocessConfigFor pins the producer configuration a training
+// configuration derives: its corpus and batch geometry, the backbone's
+// DP width, and the backbone's PP stages plus the encoder and generator
+// stages Algorithm 2 fills; an unplanned configuration is refused.
+func TestPreprocessConfigFor(t *testing.T) {
+	spec, corpus := buildSpec(t, model.MLLM9B(), 4, 16, model.FullTraining)
+	plan, err := orchestrator.PlanDistTrain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcfg, err := PreprocessConfigFor(DistTrainConfig(spec, plan, corpus))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm := plan.Modules[model.Backbone].Config
+	if pcfg.DPSize != lm.DP || pcfg.PipelineStages != lm.PP+2 {
+		t.Errorf("DPSize %d, PipelineStages %d; plan has DP %d, PP %d", pcfg.DPSize, pcfg.PipelineStages, lm.DP, lm.PP)
+	}
+	if pcfg.Source != preprocess.Source(corpus) || pcfg.GlobalBatch != spec.GlobalBatch || pcfg.Microbatch != spec.Microbatch || !pcfg.Reorder {
+		t.Errorf("producer config %+v does not follow the training config", pcfg)
+	}
+	if err := pcfg.Validate(); err != nil {
+		t.Error(err)
+	}
+	if _, err := PreprocessConfigFor(DistTrainConfig(spec, nil, corpus)); err == nil {
+		t.Error("unplanned config accepted")
 	}
 }

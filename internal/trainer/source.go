@@ -7,6 +7,7 @@ import (
 
 	"disttrain/internal/data"
 	"disttrain/internal/fanout"
+	"disttrain/internal/model"
 	"disttrain/internal/preprocess"
 )
 
@@ -64,6 +65,27 @@ type PoolSource struct {
 	// satisfies it); producers ship token payloads, not the simulation
 	// shapes.
 	Samples preprocess.Source
+}
+
+// PreprocessConfigFor derives the producer configuration matching a
+// training configuration: same corpus, batch geometry from the spec,
+// DP size and pipeline stage count from the plan, reordering as
+// configured. Producers built from it serve batches a PoolSource over
+// cfg can consume directly.
+func PreprocessConfigFor(cfg Config) (preprocess.Config, error) {
+	if cfg.Plan == nil {
+		return preprocess.Config{}, errors.New("trainer: config has no plan")
+	}
+	lm := cfg.Plan.Modules[model.Backbone].Config
+	return preprocess.Config{
+		Source:         cfg.Corpus,
+		GlobalBatch:    cfg.Spec.GlobalBatch,
+		DPSize:         lm.DP,
+		Microbatch:     cfg.Spec.Microbatch,
+		Reorder:        cfg.Reorder,
+		PipelineStages: 1 + lm.PP + 1,
+		Readahead:      1,
+	}, nil
 }
 
 // Assign returns iteration iter's global batch as the producers split

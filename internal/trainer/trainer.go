@@ -337,6 +337,20 @@ func (r *Runtime) Close() {
 	}
 }
 
+// Run builds a runtime for cfg, executes n iterations on the
+// concurrent engine and closes it: results are byte-identical to the
+// sequential reference (Runtime.RunSequential) at any worker count, and
+// scenario-injected node failures recover from the latest DFS
+// checkpoint and re-execute the lost iterations.
+func Run(cfg Config, n int) (*Result, error) {
+	rt, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer rt.Close()
+	return rt.Run(n)
+}
+
 // buildP2P prices the inter-stage activation transfers. Links between
 // parallelism units ride the communication brokers over RDMA; LLM-
 // internal links are plain pipeline sends. Asynchronous sends hide

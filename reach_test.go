@@ -17,11 +17,11 @@ import (
 	"testing"
 )
 
-// TestReachability holds the library packages — internal/ and this
-// facade — to what the programs use. The programs are the main packages
-// under cmd/, examples/ and benchmark/; tests never count as users. Both
-// modules' non-test sources are type-checked with go/types, and four
-// passes run over them:
+// TestReachability holds the library packages under internal/ to what
+// the programs use. The programs are the main packages under cmd/,
+// examples/ and benchmark/; tests never count as users. Both modules'
+// non-test sources are type-checked with go/types, and four passes run
+// over them:
 //
 //   - funcs: every function and method is reached from a program's
 //     main or a package initialiser;
@@ -153,7 +153,7 @@ func loadProgram(t *testing.T) *program {
 	return prog
 }
 
-// lib reports whether p is a library package: internal/ or the facade.
+// lib reports whether p is a library package, one under internal/.
 func (p *srcPkg) lib() bool { return p.types.Name() != "main" }
 
 // srcLoader type-checks this module's packages from source, importing
