@@ -36,7 +36,11 @@ COVER_FLOOR ?= 73
 # and docs in comments), which took fleet-churn work_per_cpu_s from
 # 5,536 to 7,897 and a cold Corpus.Sample from ~15 to ~4 µs, and
 # 16,928 once the root disttrain.go facade (66 re-exported names over
-# internal/) was deleted and every program imported the owning package.
+# internal/) was deleted and every program imported the owning package,
+# and still 16,928 once plan-store puts stopped fsyncing: deleting the
+# store's corruption hook paid for splitting store.ReplaceFile (the
+# unsynced temp file + rename) out of the durable
+# metrics.WriteFileAtomic.
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
@@ -215,7 +219,8 @@ staticcheck:
 # the two scratch-owning kernels, one long-lived Simulator / Reorderer
 # against a fresh one per call, and the corpus's closed-form generator
 # against math/rand (the seeded corpora always run in plain `make
-# test`).
+# test`) — and the plan store's entry check, the whole of what an
+# unsynced entry promises.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseBatch -fuzztime=5s ./internal/preprocess
 	$(GO) test -run='^$$' -fuzz=FuzzServerRequest -fuzztime=5s ./internal/preprocess
@@ -228,6 +233,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSimulatorReuse -fuzztime=5s ./internal/pipeline
 	$(GO) test -run='^$$' -fuzz=FuzzReordererReuse -fuzztime=5s ./internal/reorder
 	$(GO) test -run='^$$' -fuzz=FuzzSeededRand -fuzztime=5s ./internal/data
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeEntry -fuzztime=5s ./internal/store
 
 # cover fails when total statement coverage regresses below
 # COVER_FLOOR. Writes cover.out for per-package reporting.

@@ -72,19 +72,19 @@ func run() error {
 	}
 	opts := orchestrator.SearchOptions{Parallelism: *parallelism}
 	cache := orchestrator.NewPlanCache(opts)
+	var disk *store.Disk
 	if *cacheDir != "" {
-		st, err := store.OpenDisk(*cacheDir)
-		if err != nil {
+		if disk, err = store.OpenDisk(*cacheDir); err != nil {
 			return err
 		}
-		cache = orchestrator.NewPersistentPlanCache(opts, st)
+		cache = orchestrator.NewPersistentPlanCache(opts, disk)
 	}
 
 	if *sweep != "" {
 		if err := runSweep(m, fr, *batch, *sweep, cache); err != nil {
 			return err
 		}
-		reportCache(cache)
+		reportCache(cache, disk)
 		return nil
 	}
 
@@ -117,14 +117,19 @@ func run() error {
 		}
 		fmt.Println(plan)
 	}
-	reportCache(cache)
+	reportCache(cache, disk)
 	return nil
 }
 
-// reportCache summarises the plan cache's work.
-func reportCache(cache *orchestrator.PlanCache) {
-	fmt.Printf("plan cache: %d searches, %d warm hits, %d warm-seeded, %d coalesced, %d candidates pruned\n",
+// reportCache summarises the plan cache's work and, when it persists
+// to disk (non-nil disk), the corrupt entries it read as misses.
+func reportCache(cache *orchestrator.PlanCache, disk *store.Disk) {
+	fmt.Printf("plan cache: %d searches, %d warm hits, %d warm-seeded, %d coalesced, %d candidates pruned",
 		cache.Searches(), cache.WarmHits(), cache.WarmSeeds(), cache.Coalesced(), cache.Pruned())
+	if disk != nil {
+		fmt.Printf(", %d corrupt entries skipped", disk.CorruptSkips())
+	}
+	fmt.Println()
 }
 
 // runSweep plans the model at every requested cluster size through

@@ -13,6 +13,8 @@ import (
 	"strconv"
 	"sync"
 	"syscall"
+
+	"disttrain/internal/store"
 )
 
 // Chrome-trace-format timeline emission: the runtime records every
@@ -315,47 +317,30 @@ func (t *Trace) WriteJSONFile(path string) error {
 	return WriteFileAtomic(path, t.WriteJSON)
 }
 
-// WriteFileAtomic streams write's output into a temporary file next to
-// path and renames it into place on success. On any failure the
-// temporary file is removed and the destination is left untouched.
+// WriteFileAtomic is store.ReplaceFile made durable: it fsyncs the
+// temporary file before the rename and the parent directory after it,
+// so a completed write survives power loss (a directory fsync failing
+// with EINVAL is tolerated: such filesystems order the rename
+// themselves). Its callers write a run's record — Trace.WriteJSONFile
+// and disttrain-benchjson's baseline; plan-cache entries need only
+// ReplaceFile's atomicity.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("metrics: atomic write %s: %w", path, err)
-	}
-	if err := write(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("metrics: atomic write %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("metrics: atomic write %s: %w", path, err)
-	}
-	// The rename is atomic but not durable until the directory entry
-	// itself is on stable storage: a crash after rename but before the
-	// metadata flush can forget the file entirely. Fsync the parent
-	// directory to close that window (EINVAL is tolerated — some
-	// filesystems reject fsync on directories and provide the ordering
-	// themselves).
-	if d, derr := os.Open(dir); derr == nil {
-		serr := d.Sync()
-		d.Close()
-		if serr != nil && !errors.Is(serr, syscall.EINVAL) {
-			return fmt.Errorf("metrics: atomic write %s: sync dir: %w", path, serr)
+	err := store.ReplaceFile(path, func(f *os.File) error {
+		if err := write(f); err != nil {
+			return err
 		}
+		return f.Sync()
+	})
+	if err == nil {
+		if d, derr := os.Open(filepath.Dir(path)); derr == nil {
+			if err = d.Sync(); errors.Is(err, syscall.EINVAL) {
+				err = nil
+			}
+			d.Close()
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("metrics: atomic write %s: %w", path, err)
 	}
 	return nil
 }

@@ -298,7 +298,7 @@ func TestPersistentPlanCacheWarmSeed(t *testing.T) {
 }
 
 // TestPersistentPlanCacheCorruptEntry: a corrupted store entry is a
-// warned miss — the cache re-searches, returns a correct plan, and
+// counted miss — the cache re-searches, returns a correct plan, and
 // heals the entry for the next instance.
 func TestPersistentPlanCacheCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
@@ -325,7 +325,7 @@ func TestPersistentPlanCacheCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := store.OpenDisk(dir) // logs the corrupt entry it skips
+	st2, err := store.OpenDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,6 +336,9 @@ func TestPersistentPlanCacheCorruptEntry(t *testing.T) {
 	}
 	if c2.Searches() != 1 || c2.WarmHits() != 0 {
 		t.Errorf("corrupt entry: searches %d warm hits %d, want a re-search", c2.Searches(), c2.WarmHits())
+	}
+	if st2.CorruptSkips() != 1 {
+		t.Errorf("corrupt entry counted %d skips, want 1", st2.CorruptSkips())
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("re-searched plan diverged")

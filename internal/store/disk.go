@@ -6,15 +6,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
-	"log"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync/atomic"
-
-	"disttrain/internal/metrics"
 )
 
 // entryMagic versions the on-disk entry format. Bumping it orphans old
@@ -26,20 +22,14 @@ const entryMagic = "disttrain-store/v1"
 // directory, each entry a header naming the payload's SHA-256 and
 // length followed by the payload bytes.
 //
-// Writes go through metrics.WriteFileAtomic (temp file in the same
-// directory, fsync, rename, parent-directory fsync), so concurrent
-// writers are last-write-wins at rename granularity and a reader can
-// never observe a torn entry — it sees either the old complete file or
-// the new complete file. Crash-truncated or bit-flipped entries fail
-// the header check on load and degrade to a miss, reported through the
-// corruption hook instead of failing the caller.
+// Writes go through ReplaceFile, so concurrent writers are
+// last-write-wins at rename granularity and a reader never observes a
+// torn entry. Nothing is fsynced: power loss may leave an entry
+// missing, truncated or empty, which — like a bit flip — fails the
+// header check on load and reads as a miss that CorruptSkips counts.
 type Disk struct {
-	dir string
-	// onCorrupt observes every entry skipped by an integrity failure:
-	// it logs to stderr, and the store's fault tests replace it. It may
-	// be called from any goroutine that hits a corrupt entry.
-	onCorrupt func(key string, err error)
-	corrupt   atomic.Int64
+	dir     string
+	corrupt atomic.Int64
 }
 
 // OpenDisk opens (creating if needed) a directory-backed store.
@@ -50,12 +40,7 @@ func OpenDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	return &Disk{
-		dir: dir,
-		onCorrupt: func(key string, err error) {
-			log.Printf("store: skipping corrupt entry %s: %v", key, err)
-		},
-	}, nil
+	return &Disk{dir: dir}, nil
 }
 
 // CorruptSkips returns how many corrupt entries Get has skipped.
@@ -80,10 +65,9 @@ func (d *Disk) Get(key string) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("store: read %s: %w", key, err)
 	}
-	payload, err := decodeEntry(raw)
-	if err != nil {
+	payload, ok := decodeEntry(raw)
+	if !ok {
 		d.corrupt.Add(1)
-		d.onCorrupt(key, err)
 		return nil, false, nil
 	}
 	return payload, true, nil
@@ -94,38 +78,60 @@ func (d *Disk) Put(key string, payload []byte) error {
 	if err := validateKey(key); err != nil {
 		return err
 	}
-	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("%s %s %d\n", entryMagic, hex.EncodeToString(sum[:]), len(payload))
-	return metrics.WriteFileAtomic(d.path(key), func(w io.Writer) error {
-		if _, err := io.WriteString(w, header); err != nil {
-			return err
-		}
-		_, err := w.Write(payload)
+	err := ReplaceFile(d.path(key), func(f *os.File) error {
+		_, err := f.Write(encodeEntry(payload))
 		return err
 	})
+	if err != nil {
+		return fmt.Errorf("store: put %s: %w", key, err)
+	}
+	return nil
 }
 
-// decodeEntry validates "<magic> <sha256 hex> <len>\n<payload>".
-func decodeEntry(raw []byte) ([]byte, error) {
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
-		return nil, errors.New("truncated header")
+// ReplaceFile fills a temporary file next to path through write and
+// renames it over path, so readers see the old file or the new one,
+// never a mix; on failure it removes the temporary file and leaves path
+// alone. It syncs nothing: the file survives process exit, not
+// necessarily power loss (metrics.WriteFileAtomic adds the fsyncs).
+func ReplaceFile(path string, write func(*os.File) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
 	}
-	fields := bytes.Fields(raw[:nl])
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// encodeEntry frames payload as "<magic> <sha256 hex> <len>\n<payload>".
+func encodeEntry(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return append(fmt.Appendf(nil, "%s %x %d\n", entryMagic, sum[:], len(payload)), payload...)
+}
+
+// decodeEntry returns the payload of an entry encodeEntry framed; ok is
+// false for anything else (truncated, empty, bit-flipped, foreign).
+func decodeEntry(raw []byte) (payload []byte, ok bool) {
+	header, payload, found := bytes.Cut(raw, []byte{'\n'})
+	if !found {
+		return nil, false
+	}
+	fields := bytes.Fields(header)
 	if len(fields) != 3 || string(fields[0]) != entryMagic {
-		return nil, fmt.Errorf("bad header %q", raw[:nl])
+		return nil, false
 	}
-	wantLen, err := strconv.Atoi(string(fields[2]))
-	if err != nil || wantLen < 0 {
-		return nil, fmt.Errorf("bad payload length %q", fields[2])
-	}
-	payload := raw[nl+1:]
-	if len(payload) != wantLen {
-		return nil, fmt.Errorf("payload is %d bytes, header says %d", len(payload), wantLen)
+	n, err := strconv.Atoi(string(fields[2]))
+	if err != nil || n != len(payload) {
+		return nil, false
 	}
 	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != string(fields[1]) {
-		return nil, errors.New("payload hash mismatch")
-	}
-	return payload, nil
+	return payload, hex.EncodeToString(sum[:]) == string(fields[1])
 }

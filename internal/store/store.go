@@ -1,20 +1,23 @@
-// Package store is the durable control plane's storage seam: a minimal
-// key-value Store interface with two backends — an in-memory map for
-// ephemeral runs and tests, and an on-disk directory whose entries are
-// written atomically (temp file + rename + directory fsync) and
+// Package store is the persistent control plane's storage seam: a
+// minimal key-value Store interface with two backends — an in-memory
+// map for ephemeral runs and tests, and an on-disk directory whose
+// entries are written atomically (temp file + rename) and
 // integrity-checked on load. The orchestrator's plan cache persists
-// through this seam; traces and benchmark baselines can move onto it
-// later.
+// through this seam; ReplaceFile, its atomic write, also underlies
+// metrics.WriteFileAtomic.
 //
 // The contract every backend honours:
 //
 //   - Get never returns a torn or corrupt payload. Entries that fail
-//     the integrity check are reported to the corruption hook and
-//     treated as absent, so one bad file degrades to a cache miss
-//     instead of poisoning startup.
+//     the integrity check are counted (Disk.CorruptSkips) and treated
+//     as absent, so one bad file degrades to a cache miss instead of
+//     poisoning startup.
 //   - Put is last-write-wins under concurrent writers, and a reader
 //     concurrent with any number of writers sees exactly one complete
 //     payload (never a mix).
+//   - Put buys integrity, not durability: an entry survives process
+//     exit, but power loss may lose it, and a lost entry reads as a
+//     miss.
 package store
 
 import (
@@ -28,8 +31,9 @@ type Store interface {
 	// key is absent or its entry failed the integrity check; err is
 	// reserved for real I/O failures.
 	Get(key string) (payload []byte, ok bool, err error)
-	// Put durably stores payload under key, replacing any previous
-	// entry.
+	// Put atomically replaces the entry under key with payload. The
+	// entry survives process exit; it may be lost on power loss, which
+	// reads as a miss.
 	Put(key string, payload []byte) error
 }
 

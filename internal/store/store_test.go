@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -98,30 +99,21 @@ func TestDiskSurvivesReopen(t *testing.T) {
 	}
 }
 
-// corruptDisk opens a disk store whose corruption hook records into a
-// counter instead of logging.
-func corruptDisk(t *testing.T, dir string) (*Disk, *[]string) {
+func openDisk(t *testing.T, dir string) *Disk {
 	t.Helper()
-	var mu sync.Mutex
-	var seen []string
 	d, err := OpenDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.onCorrupt = func(key string, err error) {
-		mu.Lock()
-		seen = append(seen, fmt.Sprintf("%s: %v", key, err))
-		mu.Unlock()
-	}
-	return d, &seen
+	return d
 }
 
 // TestDiskCorruptionPaths is the integrity-model gate: truncated
-// entries, bit flips and garbage headers must all read as warned
+// entries, bit flips and garbage headers must all read as counted
 // misses, never as payloads and never as errors that poison startup.
 func TestDiskCorruptionPaths(t *testing.T) {
 	dir := t.TempDir()
-	d, seen := corruptDisk(t, dir)
+	d := openDisk(t, dir)
 	payload := bytes.Repeat([]byte("plan-bytes "), 100)
 	if err := d.Put("victim", payload); err != nil {
 		t.Fatal(err)
@@ -145,19 +137,19 @@ func TestDiskCorruptionPaths(t *testing.T) {
 		"empty file": func([]byte) []byte { return nil },
 	} {
 		t.Run(name, func(t *testing.T) {
-			before := len(*seen)
+			before := d.CorruptSkips()
 			if err := os.WriteFile(path, mutate(original), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			got, ok, err := d.Get("victim")
 			if err != nil {
-				t.Fatalf("corrupt entry returned error %v, want warned miss", err)
+				t.Fatalf("corrupt entry returned error %v, want counted miss", err)
 			}
 			if ok {
 				t.Fatalf("corrupt entry returned payload %q", got)
 			}
-			if len(*seen) != before+1 {
-				t.Fatalf("corruption hook fired %d times, want 1", len(*seen)-before)
+			if n := d.CorruptSkips() - before; n != 1 {
+				t.Fatalf("corrupt read counted %d skips, want 1", n)
 			}
 			// A rewrite heals the slot.
 			if err := d.Put("victim", payload); err != nil {
@@ -179,7 +171,7 @@ func TestDiskCorruptionPaths(t *testing.T) {
 // one writer's complete payload (last-write-wins, never a torn read).
 // Large payloads make torn writes observable if atomicity ever breaks.
 func TestDiskConcurrentWriters(t *testing.T) {
-	d, _ := corruptDisk(t, t.TempDir())
+	d := openDisk(t, t.TempDir())
 	const writers, rounds = 4, 8
 	payloads := make(map[string]bool)
 	for w := 0; w < writers; w++ {
@@ -248,4 +240,48 @@ func TestDiskConcurrentWriters(t *testing.T) {
 
 func writerPayload(w int) []byte {
 	return bytes.Repeat([]byte{byte('a' + w)}, 64<<10)
+}
+
+// TestDiskPutFailure: a Put whose rename fails (a directory squats on
+// the entry's path) names the store and key in its error, leaves the
+// squatter alone and removes its temporary file.
+func TestDiskPutFailure(t *testing.T) {
+	dir := t.TempDir()
+	d := openDisk(t, dir)
+	if err := os.MkdirAll(filepath.Join(dir, "victim.entry", "squatter"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err := d.Put("victim", []byte("payload"))
+	if err == nil || !strings.HasPrefix(err.Error(), "store: put victim: ") {
+		t.Fatalf("Put onto a directory: err = %v, want a \"store: put victim: \" error", err)
+	}
+	if temps, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(temps) != 0 {
+		t.Fatalf("failed Put left temp files %v", temps)
+	}
+}
+
+// FuzzDecodeEntry holds the integrity check to its contract, which is
+// the whole of what an unsynced entry promises: decodeEntry never
+// panics, an encoded entry decodes to its payload, and any one-byte
+// mutation or truncation of an entry is rejected or decodes to the
+// identical payload.
+func FuzzDecodeEntry(f *testing.F) {
+	f.Add([]byte(`{"v":1,"plan":"x"}`), 0, byte(0x01), 7)
+	f.Add([]byte{}, 5, byte(' '), 0)
+	f.Add(bytes.Repeat([]byte("plan-bytes "), 100), 19, byte('\n'^' '), 90)
+	f.Fuzz(func(t *testing.T, payload []byte, pos int, xor byte, cut int) {
+		decodeEntry(payload) // arbitrary bytes: must not panic
+		entry := encodeEntry(payload)
+		if got, ok := decodeEntry(entry); !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("round trip: got %q ok=%v, want %q", got, ok, payload)
+		}
+		mutated := bytes.Clone(entry)
+		mutated[uint(pos)%uint(len(mutated))] ^= xor
+		truncated := entry[:uint(cut)%uint(len(entry)+1)]
+		for name, raw := range map[string][]byte{"mutated": mutated, "truncated": truncated} {
+			if got, ok := decodeEntry(raw); ok && !bytes.Equal(got, payload) {
+				t.Fatalf("%s entry accepted with payload %q, want %q", name, got, payload)
+			}
+		}
+	})
 }

@@ -57,7 +57,6 @@ var reachAllow = map[string]string{
 	"solve.MinimizeConvex1D":        "the golden section the subproblem kernel inlines, pinned to it bit for bit",
 	"fleet.leaseTable.Check":        "the lease-partition invariant the fleet tests assert every round",
 	"fleet.leaseTable.LeasedCount":  "the leased-node count the fleet tests assert",
-	"store.Disk.CorruptSkips":       "counts corrupt entries served as misses; the store's fault tests read it",
 	"data.seededSource.Int63":       "rand.Source's method: math/rand.Rand calls it through that interface for Float64 and NormFloat64",
 }
 
