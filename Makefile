@@ -40,11 +40,13 @@ COVER_FLOOR ?= 73
 # and still 16,928 once plan-store puts stopped fsyncing: deleting the
 # store's corruption hook paid for splitting store.ReplaceFile (the
 # unsynced temp file + rename) out of the durable
-# metrics.WriteFileAtomic.
+# metrics.WriteFileAtomic, and 16,376 once admission planned
+# synchronously at reservation and the planning state, the planner
+# pool, the async ticket door and plan-ahead speculation were deleted.
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 16928
+LOC_CEILING ?= 16376
 
 .PHONY: all build fmt vet test race bench bench-json bench-diff fuzz cover loc loc-gate profile profile-plan staticcheck ci
 
@@ -67,9 +69,9 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -C benchmark ./...
 
-# benchmark/'s own tests ride along: its generated-scenario "planner
-# pool == sequential reference" oracle and per-round lease-partition
-# assertion are the strongest guard on a fleet-core edit.
+# benchmark/'s own tests ride along: its generated-scenario reference
+# oracle and per-round lease-partition assertion are the strongest
+# guard on a fleet-core edit.
 test:
 	$(GO) test ./...
 	$(GO) test -C benchmark ./...
@@ -114,15 +116,13 @@ BENCH_TIME ?= 100x
 # cold search) is the deterministic allocs/op count, which would jump
 # two orders of magnitude.
 BENCH_WARM_TIME ?= 5000x
-# The cold-admission storm pays 16 full cold searches per op (~12-15ms
-# on either executor: /sequential and /pool-4 run the same admission
-# flow and the same searches), and its rate band is self-widened to
-# ±60% anyway, so 20x per sample — a quarter-second of measured work,
-# times BENCH_COUNT — is enough for the executor comparison without
-# dominating the bench-json run. Its tight gate is the one-sided
-# allocs/op tripwire, which two ops already pin exactly.
+# The cold-admission storm pays 16 full cold searches per op (~10ms),
+# and its rate band is self-widened to ±60% anyway, so 20x per sample
+# — a fifth of a second of measured work, times BENCH_COUNT — is enough
+# without dominating the bench-json run. Its tight gate is the
+# one-sided allocs/op tripwire, which two ops already pin exactly.
 BENCH_STORM_TIME ?= 20x
-# gated_benchmarks samples the ten gated benchmarks into bench.out;
+# gated_benchmarks samples the nine gated benchmarks into bench.out;
 # bench-json records it, bench-diff compares it.
 define gated_benchmarks
 	$(GO) test -bench='BenchmarkFleetThroughput|BenchmarkServiceThroughput|BenchmarkWarmPlanSearch/cold' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -benchmem -run='^$$' . > bench.out
@@ -179,10 +179,10 @@ profile: build
 # profile-plan is the planner's counterpart: the §4.3 search alone, the
 # 72B model across Table 3's range of cluster sizes. A sweep of the
 # table's four sizes is four searches — a few milliseconds, a handful
-# of CPU samples — and a repeated size coalesces onto one search, so
-# the sweep covers every PROF_PLAN_STEP-th size from 14 to 162 nodes
-# instead: ~75 distinct cold searches in the one sweep (seeds are
-# captured at enqueue, so none warm-starts another). The table goes to
+# of CPU samples — and a repeated size is a cache hit, so the sweep
+# covers every PROF_PLAN_STEP-th size from 14 to 162 nodes instead:
+# ~75 distinct cold searches in the one sweep (each size calibrates its
+# own profiler, so none warm-starts another). The table goes to
 # $(PROF_DIR)/plan-sweep.txt.
 #   go tool pprof -top -focus=orchestrator $(PROF_DIR)/plan-cpu.pprof
 PROF_PLAN_STEP ?= 2

@@ -357,20 +357,13 @@ func BenchmarkWarmPlanSearch(b *testing.B) {
 // BenchmarkColdAdmissionStorm measures admission under the worst-case
 // cold burst: 16 jobs with distinct batch geometries — 16 distinct
 // plan fingerprints — all arriving at round 0 against a fresh private
-// plan cache, so every op pays 16 cold §4.3 searches. Admission is the
-// same reserve-then-land flow in both sub-benchmarks and the results
-// are byte-identical; what differs is the executor. /sequential
-// (Planners <= 0, the default) runs each search synchronously at its
-// enqueue point; /pool-4 batches the misses into shared waves on a
-// 4-planner pool. The gated rate — cpu-iters/s, training iterations
-// per process-CPU second — prices the pool's dispatch overhead:
-// overlap cannot hide in it, and neither executor does less planning
-// arithmetic than the other. Whether the pool earns its keep is the
-// wall-clock iters/s pair on a record with >= 2 cores (the JSON
-// records gomaxprocs). The deterministic tripwire is allocs/op
-// (one-sided, like every fleet gate); the rate band self-widens to
-// ±60% because 16 cold searches allocate enough per op for GC
-// scheduling to move medians.
+// plan cache, so every op pays 16 cold §4.3 searches, each run
+// synchronously by the admission that needs it. The gated rate —
+// cpu-iters/s, training iterations per process-CPU second — prices
+// planning against the training it admits. The deterministic tripwire
+// is allocs/op (one-sided, like every fleet gate); the rate band
+// self-widens to ±60% because 16 cold searches allocate enough per op
+// for GC scheduling to move medians.
 func BenchmarkColdAdmissionStorm(b *testing.B) {
 	corpus, err := data.NewCorpus(data.LAION400M())
 	if err != nil {
@@ -379,60 +372,48 @@ func BenchmarkColdAdmissionStorm(b *testing.B) {
 	const jobs = 16
 	const itersPerJob = 2
 	spec := benchSpec(b, model.MLLM9B(), 2*jobs, 32)
-	cfgFor := func(planners int) fleet.Config {
-		cfg := fleet.Config{Cluster: spec.Cluster, Planners: planners}
-		for j := 0; j < jobs; j++ {
-			js := spec
-			js.GlobalBatch = 32 + 8*j // distinct fingerprint, shared calibration
-			tmpl := trainer.DistTrainConfig(js, nil, corpus)
-			tmpl.Parallelism = 2
-			cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
-				Name: fmt.Sprintf("t%d", j), Train: tmpl,
-				Iters: itersPerJob, MinNodes: 2, MaxNodes: 2,
-			})
-		}
-		return cfg
-	}
-	for _, mode := range []struct {
-		name     string
-		planners int
-	}{{"sequential", 0}, {"pool-4", 4}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := cfgFor(mode.planners)
-			spinBefore := spinRate()
-			b.ReportAllocs()
-			b.ResetTimer()
-			cpuStart := processCPUTime()
-			for i := 0; i < b.N; i++ {
-				res, err := fleet.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, jr := range res.Jobs {
-					if jr.Err != nil {
-						b.Fatal(jr.Err)
-					}
-				}
-				if res.PlanSearches != jobs {
-					b.Fatalf("storm ran %d plan searches, want %d cold", res.PlanSearches, jobs)
-				}
-			}
-			cpu := processCPUTime() - cpuStart
-			b.StopTimer()
-			spin := (spinBefore + spinRate()) / 2
-			totalIters := float64(jobs * itersPerJob * b.N)
-			b.ReportMetric(totalIters/b.Elapsed().Seconds(), "iters/s")
-			if cpu > 0 {
-				rate := totalIters / cpu.Seconds()
-				b.ReportMetric(rate, "cpu-iters/s")
-				if spin > 0 {
-					b.ReportMetric(rate*refSpinRate/spin, "norm-iters/s")
-				}
-			}
-			// Self-widened collapse detector; allocs/op is the tight
-			// gate (reported after the run: ResetTimer deletes user
-			// metrics).
-			b.ReportMetric(60, "band%")
+	cfg := fleet.Config{Cluster: spec.Cluster}
+	for j := 0; j < jobs; j++ {
+		js := spec
+		js.GlobalBatch = 32 + 8*j // distinct fingerprint, shared calibration
+		tmpl := trainer.DistTrainConfig(js, nil, corpus)
+		tmpl.Parallelism = 2
+		cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
+			Name: fmt.Sprintf("t%d", j), Train: tmpl,
+			Iters: itersPerJob, MinNodes: 2, MaxNodes: 2,
 		})
 	}
+	spinBefore := spinRate()
+	b.ReportAllocs()
+	b.ResetTimer()
+	cpuStart := processCPUTime()
+	for i := 0; i < b.N; i++ {
+		res, err := fleet.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, jr := range res.Jobs {
+			if jr.Err != nil {
+				b.Fatal(jr.Err)
+			}
+		}
+		if res.PlanSearches != jobs {
+			b.Fatalf("storm ran %d plan searches, want %d cold", res.PlanSearches, jobs)
+		}
+	}
+	cpu := processCPUTime() - cpuStart
+	b.StopTimer()
+	spin := (spinBefore + spinRate()) / 2
+	totalIters := float64(jobs * itersPerJob * b.N)
+	b.ReportMetric(totalIters/b.Elapsed().Seconds(), "iters/s")
+	if cpu > 0 {
+		rate := totalIters / cpu.Seconds()
+		b.ReportMetric(rate, "cpu-iters/s")
+		if spin > 0 {
+			b.ReportMetric(rate*refSpinRate/spin, "norm-iters/s")
+		}
+	}
+	// Self-widened collapse detector; allocs/op is the tight gate
+	// (reported after the run: ResetTimer deletes user metrics).
+	b.ReportMetric(60, "band%")
 }

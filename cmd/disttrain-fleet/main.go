@@ -7,12 +7,9 @@
 // cache — identical jobs pay for a single §4.3 search. The fleet-scope
 // scenario grammar injects arrivals, departures, node failures/rejoins,
 // priority storms and herd bursts; -trace writes the merged per-job
-// Chrome-trace timeline (atomically: temp file + rename). Admission
-// reserves then lands: the lease is reserved up front, the plan search
-// is requested while running tenants keep stepping, and the job lands
-// at a deterministic round from a costed planning-latency model;
-// -planners N only moves those searches onto an async pool of N, the
-// output is byte-identical at every value.
+// Chrome-trace timeline (atomically: temp file + rename). Admission is
+// one synchronous step: a granted lease is planned through the cache
+// and the job starts on it the round it is granted.
 //
 // Examples:
 //
@@ -23,7 +20,7 @@
 //	disttrain-fleet -nodes 8 -jobs 2 -policy priority \
 //	    -scenario 'preempt-storm:iter=2,job=1,class=high,count=2'
 //	disttrain-fleet -nodes 16 -jobs 4 -job-nodes 4-4 -trace fleet.json
-//	disttrain-fleet -nodes 8 -jobs 1 -job-nodes 2-2 -planners 4 \
+//	disttrain-fleet -nodes 8 -jobs 1 -job-nodes 2-2 \
 //	    -scenario 'herd:iter=0,job=0,count=3'
 //	disttrain-fleet -nodes 8 -jobs 3 -producers 2 \
 //	    -scenario 'producer-fail:iter=1,producer=0; producer-join:iter=4,producer=0'
@@ -61,7 +58,6 @@ func main() {
 		producers = flag.Int("producers", 0, "shared preprocessing producers (0 = no shared tier); jobs fetch batches over TCP with per-tenant quotas and weighted fair queueing")
 		slots     = flag.Int("preprocess-slots", 2, "per-tenant admission quota per leased node on the shared tier")
 		cacheDir  = flag.String("plan-cache-dir", "", "durable plan-cache directory: plans persist across runs, repeated specs skip the search entirely, and new lease sizes warm-start from their neighbours")
-		planners  = flag.Int("planners", 0, "async planner pool size (<= 0 = run each §4.3 search synchronously where it is requested); admission always reserves the lease and lands the plan at a deterministic round, so output is byte-identical at every value")
 	)
 	profile := prof.Register(flag.CommandLine)
 	flag.Parse()
@@ -126,7 +122,6 @@ func main() {
 		Workers:      *workers,
 		Trace:        *traceFile != "",
 		PlanCacheDir: *cacheDir,
-		Planners:     *planners,
 	}
 	for i := 0; i < *jobs; i++ {
 		cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
@@ -163,8 +158,6 @@ func main() {
 	fmt.Printf("fleet: %d nodes, %s policy, %d rounds, %d tenants\n",
 		*nodes, pol.Name(), res.Rounds, len(res.Jobs))
 	fmt.Printf("plan cache: %d searches, %d hits\n", res.PlanSearches, res.PlanHits)
-	fmt.Printf("pipelined admission: %d coalesced plan requests, %d rounds of planning overlapped with training\n",
-		res.PlanCoalesced, res.PlanOverlapRounds)
 	if *cacheDir != "" {
 		fmt.Printf("durable plan cache (%s): %d warm hits, %d warm-seeded searches, %d candidates pruned\n",
 			*cacheDir, res.PlanWarmHits, res.PlanWarmSeeds, res.PlanPruned)

@@ -7,10 +7,9 @@
 //	disttrain-plan -model 72b -nodes 162 -batch 1920 -strategy all
 //
 // The DistTrain planner runs on the parallel plan-search engine behind
-// a plan cache; tune the worker pool with -parallelism (0 =
-// GOMAXPROCS). A fleet sweep enqueues one task per cluster size onto
-// the cache's planner pool — duplicate sizes coalesce onto one search,
-// the rest share batched waves over the pool:
+// a plan cache; tune each search's worker pool with -parallelism (0 =
+// GOMAXPROCS). A fleet sweep plans one task per cluster size, in
+// order, through the cache — a duplicate size is a cache hit:
 //
 //	disttrain-plan -model 9b -batch 128 -sweep 4,8,12,24
 package main
@@ -20,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -38,7 +36,7 @@ var (
 	strategy    = flag.String("strategy", "all", "disttrain, megatron, distmm or all")
 	freeze      = flag.String("freeze", "full", "full, all-frozen, encoder-only, llm-only or generator-only")
 	parallelism = flag.Int("parallelism", 0, "plan-search worker count (0 = GOMAXPROCS)")
-	sweep       = flag.String("sweep", "", "comma-separated node counts to plan concurrently (overrides -nodes/-strategy)")
+	sweep       = flag.String("sweep", "", "comma-separated node counts to plan in order (overrides -nodes/-strategy)")
 	cacheDir    = flag.String("plan-cache-dir", "", "durable plan-cache directory: previously planned tasks load from disk instead of re-searching, and new sizes warm-start from their neighbours")
 )
 
@@ -124,18 +122,16 @@ func run() error {
 // reportCache summarises the plan cache's work and, when it persists
 // to disk (non-nil disk), the corrupt entries it read as misses.
 func reportCache(cache *orchestrator.PlanCache, disk *store.Disk) {
-	fmt.Printf("plan cache: %d searches, %d warm hits, %d warm-seeded, %d coalesced, %d candidates pruned",
-		cache.Searches(), cache.WarmHits(), cache.WarmSeeds(), cache.Coalesced(), cache.Pruned())
+	fmt.Printf("plan cache: %d searches, %d warm hits, %d warm-seeded, %d candidates pruned",
+		cache.Searches(), cache.WarmHits(), cache.WarmSeeds(), cache.Pruned())
 	if disk != nil {
 		fmt.Printf(", %d corrupt entries skipped", disk.CorruptSkips())
 	}
 	fmt.Println()
 }
 
-// runSweep plans the model at every requested cluster size through
-// the cache's planner pool (-parallelism workers): every size is
-// enqueued before any result is awaited, duplicates coalesce onto one
-// in-flight search, the rest share batched waves, and sizes an earlier
+// runSweep plans the model at every requested cluster size, in order,
+// through the cache: a repeated size is a hit, and sizes an earlier
 // run left in the durable cache load from disk. Prints a comparison
 // table.
 func runSweep(m model.MLLM, fr model.FreezeSpec, batch int, sweep string, cache *orchestrator.PlanCache) error {
@@ -157,21 +153,9 @@ func runSweep(m model.MLLM, fr model.FreezeSpec, batch int, sweep string, cache 
 	}
 	fmt.Printf("sweep: %s, global batch %d, freeze=%s, %d cluster sizes\n\n", m.Name, batch, fr.Name, len(specs))
 	fmt.Printf("%6s %6s %6s %10s %7s\n", "nodes", "gpus", "used", "iter(s)", "mfu%")
-	workers := *parallelism
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if err := cache.StartPlanners(workers); err != nil {
-		return err
-	}
-	defer cache.StopPlanners()
-	tickets := make([]*orchestrator.PlanTicket, len(specs))
 	for i, s := range specs {
-		tickets[i] = cache.PlanAsync(context.Background(), s)
-	}
-	for i, tk := range tickets {
-		fleet := specs[i].Cluster.TotalGPUs()
-		plan, err := tk.Wait(context.Background())
+		fleet := s.Cluster.TotalGPUs()
+		plan, err := cache.Plan(context.Background(), s)
 		if err != nil {
 			fmt.Printf("%6d %6d      - infeasible: %v\n", nodeCounts[i], fleet, err)
 			continue

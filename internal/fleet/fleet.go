@@ -88,15 +88,7 @@ type Config struct {
 	// mean GOMAXPROCS. Results and traces are byte-identical at any
 	// value.
 	Workers int
-	// Planners sizes the plan-search executor; it never changes what a
-	// run computes. Admission always reserves then lands: the lease
-	// leaves the free pool at once, the §4.3 search is only requested,
-	// running tenants keep stepping, and the plan lands at a
-	// deterministic round from the costed planning-latency model. Values
-	// > 0 execute those searches on a background planner pool of that
-	// size (misses batch into shared waves); anything <= 0 runs each
-	// search synchronously at its enqueue point. Results and traces are
-	// byte-identical at any value.
+	// Planners is inert (ignored), kept only for benchmark/ until a later benchmark change deletes it.
 	Planners int
 	// Trace enables per-job Chrome-trace timelines and the merged
 	// fleet timeline on the Result.
@@ -107,10 +99,7 @@ type Config struct {
 	OnRound func(RoundInfo)
 }
 
-// SequentialPlanners names the synchronous executor — the default any
-// Config.Planners <= 0 selects: every search runs at its enqueue
-// point. It is the reference planner pools of any size must reproduce
-// byte for byte.
+// SequentialPlanners is inert, kept only for benchmark/ until a later benchmark change deletes it.
 const SequentialPlanners = -1
 
 // RoundInfo is one round's lease-table snapshot.
@@ -173,20 +162,15 @@ type Result struct {
 	// PlanSearches and PlanHits are the plan cache's delta over this
 	// run: searches actually executed vs calls served from the cache.
 	PlanSearches, PlanHits int64
-	// PlanWarmHits, PlanWarmSeeds and PlanPruned are the durable
-	// control plane's deltas: specs served from the on-disk store with
-	// no search, searches warm-started from a neighbouring lease size,
-	// and candidates those seeds' bounds pruned. All zero unless the
-	// cache is persistent (Config.PlanCacheDir or a persistent
-	// Config.Cache).
+	// PlanWarmHits, PlanWarmSeeds and PlanPruned are the warm-start
+	// deltas: specs served from the on-disk store with no search (zero
+	// unless the cache is persistent: Config.PlanCacheDir or a
+	// persistent Config.Cache), searches warm-started from a
+	// neighbouring lease size's plan, and candidates the searches'
+	// bounds pruned.
 	PlanWarmHits, PlanWarmSeeds, PlanPruned int64
-	// PlanCoalesced counts async plan requests that joined an in-flight
-	// search instead of starting one (herds of near-identical
-	// admissions collapse here); PlanOverlapRounds counts rounds where
-	// at least one background search overlapped at least one training
-	// step.
-	PlanCoalesced     int64
-	PlanOverlapRounds int
+	// PlanCoalesced is inert (always 0), kept only for benchmark/ until a later benchmark change deletes it.
+	PlanCoalesced int64
 	// Trace is the merged fleet timeline (per-job lanes PID-offset
 	// into disjoint blocks, scheduler lane last); nil unless
 	// Config.Trace.
@@ -199,27 +183,21 @@ type Result struct {
 // tenant states, in lifecycle order.
 const (
 	stateQueued = iota
-	// statePlanning: lease reserved, §4.3 search requested, plan lands
-	// at tenant.pend.landing. Every cold admission passes through it.
-	statePlanning
 	stateRunning
 	stateDone
 )
 
-var stateNames = [...]string{"queued", "planning", "running", "done"}
+var stateNames = [...]string{"queued", "running", "done"}
 
-// legalMoves is the tenant lifecycle, legalMoves[from][to]: the eight
-// moves the runner makes. A queued tenant reserves (planning), starts
-// on a visible plan (running) or is rejected, starved or departs
-// (done); a reservation is voided by a node failure (queued), lands
-// (running) or is rejected or departs (done); a running tenant is
-// suspended (queued) or finishes, fails or departs (done). Done is
-// terminal, and no move is a self-move.
+// legalMoves is the tenant lifecycle, legalMoves[from][to]: the four
+// moves the runner makes. A queued tenant is placed (running) or is
+// rejected, starved or departs (done); a running tenant is suspended
+// (queued) or finishes, fails or departs (done). Done is terminal, and
+// no move is a self-move.
 var legalMoves = [...][len(stateNames)]bool{
-	stateQueued:   {statePlanning: true, stateRunning: true, stateDone: true},
-	statePlanning: {stateQueued: true, stateRunning: true, stateDone: true},
-	stateRunning:  {stateQueued: true, stateDone: true},
-	stateDone:     {},
+	stateQueued:  {stateRunning: true, stateDone: true},
+	stateRunning: {stateQueued: true, stateDone: true},
+	stateDone:    {},
 }
 
 type tenant struct {
@@ -249,10 +227,6 @@ type tenant struct {
 	strategy string
 	state    int
 	stepErr  error
-
-	// pend is the wave the reservation waits on (statePlanning only):
-	// its ticket and the deterministic round the plan lands.
-	pend *pendingPlan
 }
 
 // runner is one fleet run's mutable state.
@@ -292,21 +266,6 @@ type runner struct {
 	// runViewsGen == gen (both start at 0: no tenant runs, nil is right).
 	gen, runViewsGen uint64
 	runViews         []JobView
-
-	// In-flight plan waves in enqueue order (landing processing must be
-	// deterministic); a handful at a time, so look-ups scan.
-	// overlapRounds counts rounds where planning overlapped training.
-	pending       []*pendingPlan
-	overlapRounds int
-}
-
-// pendingPlan is one in-flight async search the runner is tracking: it
-// publishes (becomes visible to warm seeds and settled-plan reads) at
-// its landing round, whether or not a tenant still waits on it.
-type pendingPlan struct {
-	fp      string
-	ticket  *orchestrator.PlanTicket
-	landing int
 }
 
 // Run executes the fleet to completion: every submitted (and
@@ -406,14 +365,6 @@ func Run(cfg Config) (*Result, error) {
 	if cache == nil {
 		cache = orchestrator.NewPlanCache(orchestrator.SearchOptions{})
 	}
-	if cfg.Planners > 0 {
-		if err := cache.StartPlanners(cfg.Planners); err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
-		}
-		// Idempotent safety net; the explicit stop below runs first so
-		// counter deltas read a quiesced pool.
-		defer cache.StopPlanners()
-	}
 	f := &runner{
 		cfg: cfg, sched: sched, shaped: shaped, classes: classes,
 		ctx:   context.Background(),
@@ -430,7 +381,6 @@ func Run(cfg Config) (*Result, error) {
 	defer f.stopPreprocess()
 	baseSearches, baseHits := cache.Searches(), cache.Hits()
 	baseWarmHits, baseWarmSeeds, basePruned := cache.WarmHits(), cache.WarmSeeds(), cache.Pruned()
-	baseCoalesced := cache.Coalesced()
 
 	lastRound := 0
 	for _, js := range cfg.Jobs {
@@ -446,9 +396,6 @@ func Run(cfg Config) (*Result, error) {
 
 	for f.round = 0; ; f.round++ {
 		f.admitted, f.retired = 0, 0
-		// Plans whose deterministic landing round arrived commit first:
-		// the tenants they start join this round's scheduling.
-		f.landPlans()
 		// Queue aging: tenants still queued from earlier rounds have
 		// waited one more full round (this round's arrivals start at 0).
 		// Waited is an Order key (aging promotion), so aging dirties the
@@ -464,12 +411,9 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.OnRound != nil {
 			cfg.OnRound(f.roundInfo())
 		}
-		if f.planningCount() > 0 && f.runningCount() > 0 {
-			f.overlapRounds++
-		}
 		f.stepRunning()
 		f.completeFinished()
-		if f.round >= lastRound && f.runningCount() == 0 && f.planningCount() == 0 {
+		if f.round >= lastRound && f.runningCount() == 0 {
 			if len(f.queue) == 0 {
 				break
 			}
@@ -483,23 +427,13 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Resolve leftover speculative waves (publishing them warms a
-	// shared cache for the next run), then quiesce the pool so the
-	// counter deltas below are final.
-	f.land(func(*pendingPlan) bool { return true })
-	if cfg.Planners > 0 {
-		cache.StopPlanners()
-	}
-
 	res := &Result{
-		Rounds:            f.round + 1,
-		PlanSearches:      cache.Searches() - baseSearches,
-		PlanHits:          cache.Hits() - baseHits,
-		PlanWarmHits:      cache.WarmHits() - baseWarmHits,
-		PlanWarmSeeds:     cache.WarmSeeds() - baseWarmSeeds,
-		PlanPruned:        cache.Pruned() - basePruned,
-		PlanCoalesced:     cache.Coalesced() - baseCoalesced,
-		PlanOverlapRounds: f.overlapRounds,
+		Rounds:        f.round + 1,
+		PlanSearches:  cache.Searches() - baseSearches,
+		PlanHits:      cache.Hits() - baseHits,
+		PlanWarmHits:  cache.WarmHits() - baseWarmHits,
+		PlanWarmSeeds: cache.WarmSeeds() - baseWarmSeeds,
+		PlanPruned:    cache.Pruned() - basePruned,
 	}
 	for _, t := range f.tenants {
 		res.Jobs = append(res.Jobs, JobResult{
@@ -646,7 +580,7 @@ func (f *runner) enqueueArrivals() {
 			}
 		case scenario.Herd:
 			// K near-identical tenants, same round, same plan
-			// fingerprint: the coalescing admission burst.
+			// fingerprint: one search, K-1 cache hits.
 			for k := 0; k < ev.Count; k++ {
 				f.newTenant(ev.Job, "")
 			}
@@ -696,13 +630,10 @@ func (f *runner) failNode(node int) {
 	if owner < 0 {
 		return
 	}
+	// Only a running tenant holds nodes. It shrinks onto the survivors
+	// when they can still run the job.
 	t := f.tenants[owner]
-	// A planning tenant's reservation is void before its plan ever
-	// landed: it requeues (and re-reserves at whatever capacity remains)
-	// while its in-flight search stays pending and still publishes at
-	// its landing round — the shape may serve someone else. A running
-	// one shrinks onto the survivors when they can still run the job.
-	if shrunk := t.lease.Without(node); t.state == stateRunning && shrunk.NodeCount() >= t.min {
+	if shrunk := t.lease.Without(node); shrunk.NodeCount() >= t.min {
 		reason := fmt.Sprintf("node %d failed: lease shrinks to %d nodes", node, shrunk.NodeCount())
 		if f.resize(t, shrunk, nil, reason) == nil {
 			f.note("lease-shrink", noteInt("job", t.id), noteInt("nodes", shrunk.NodeCount()))
@@ -719,14 +650,12 @@ func (f *runner) failNode(node int) {
 }
 
 // transition is the one writer of tenant state. Every move between
-// queued, planning, running and done funnels through it, so the
-// bookkeeping a move implies cannot be half-done: a destination that
-// holds no nodes (queued, done) gives the lease back, the reservation
-// is cleared (park sets it again on the way into planning) and the
-// queue-wait clock restarts. Trace notes and queue position stay with
-// the caller. A move outside legalMoves is a runner bug, never an
-// input: it panics, naming the tenant, the move and why the caller
-// made it.
+// queued, running and done funnels through it, so the bookkeeping a
+// move implies cannot be half-done: a destination that holds no nodes
+// (queued, done) gives the lease back and the queue-wait clock
+// restarts. Trace notes and queue position stay with the caller. A
+// move outside legalMoves is a runner bug, never an input: it panics,
+// naming the tenant, the move and why the caller made it.
 func (f *runner) transition(t *tenant, to int, reason string) {
 	if !legalMoves[t.state][to] {
 		panic(fmt.Sprintf("fleet: illegal move %s -> %s of tenant %s at round %d (%s)",
@@ -737,14 +666,13 @@ func (f *runner) transition(t *tenant, to int, reason string) {
 		t.lease = cluster.Lease{}
 	}
 	t.state = to
-	t.pend = nil
 	t.waited = 0
 	f.gen++
 }
 
-// suspend takes a lease-holding tenant (running or planning) back to
-// queued. A suspended tenant holds no nodes, so it earns no admission
-// quota either; resumption re-grants it with the new lease.
+// suspend takes a running tenant back to queued. A suspended tenant
+// holds no nodes, so it earns no admission quota either; resumption
+// re-grants it with the new lease.
 func (f *runner) suspend(t *tenant, reason string) {
 	f.transition(t, stateQueued, reason)
 	f.resizeQuota(t, 0)
@@ -759,7 +687,7 @@ func (f *runner) suspend(t *tenant, reason string) {
 func (f *runner) resize(t *tenant, lease cluster.Lease, plan *orchestrator.Plan, reason string) error {
 	if plan == nil {
 		var err error
-		if plan, err = f.planFor(t, lease); err != nil {
+		if plan, err = f.cache.Plan(f.ctx, f.leaseSpec(t, lease)); err != nil {
 			return err
 		}
 	}
@@ -837,50 +765,6 @@ func (f *runner) fail(t *tenant, kind string, err error) {
 // loses rail alignment, and its plan is cached under that shape.
 func (f *runner) leaseSpec(t *tenant, l cluster.Lease) orchestrator.Spec {
 	return t.cfg.Spec.ForLease(f.cfg.Cluster, l, f.shaped)
-}
-
-// planFor asks the shared cache for the tenant's plan at a lease
-// size. All instances of a template share the template's spec (same
-// profiler pointer, same model and batch geometry), so equal lease
-// sizes fingerprint identically — K identical tenants pay for one
-// §4.3 search and K-1 coalesced or cached requests. Resizes plan
-// synchronously through here; a shape already in flight (a speculated
-// neighbour size, another tenant's admission) is consumed and
-// published first — this call site is a deterministic decision point,
-// so an early publish keeps executor sizes byte-identical.
-func (f *runner) planFor(t *tenant, l cluster.Lease) (*orchestrator.Plan, error) {
-	spec := f.leaseSpec(t, l)
-	fp := f.cache.Fingerprint(spec)
-	f.land(func(pe *pendingPlan) bool { return pe.fp == fp })
-	return f.cache.Plan(f.ctx, spec)
-}
-
-// inFlight returns the pending wave for a fingerprint, nil when none.
-func (f *runner) inFlight(fp string) *pendingPlan {
-	for _, pe := range f.pending {
-		if pe.fp == fp {
-			return pe
-		}
-	}
-	return nil
-}
-
-// land resolves the pending waves due selects, in enqueue order: each
-// outcome is awaited and published — entering the cache's warm-seed
-// and settled-read surfaces, whether or not a tenant still waits on it
-// — and the wave leaves the pending list. A tenant parked on a landed
-// wave keeps its pendingPlan and starts at its own landing round.
-func (f *runner) land(due func(*pendingPlan) bool) {
-	keep := f.pending[:0]
-	for _, pe := range f.pending {
-		if !due(pe) {
-			keep = append(keep, pe)
-			continue
-		}
-		_, _ = pe.ticket.Wait(f.ctx) // outcome served via the cache or the tenant's own Wait
-		pe.ticket.Publish()
-	}
-	f.pending = keep
 }
 
 // sortQueue orders the admission queue by the scheduler's Order
@@ -964,19 +848,30 @@ func (f *runner) checkPlacement(l cluster.Lease, grant int) error {
 	return nil
 }
 
-// finishPlacement commits an already-acquired lease with its landed
-// plan: a fresh tenant builds its runtime and Job, a suspended one
-// resumes through a costed lease resize. Errors leave the lease to
-// the caller's retire path (retire releases whatever the tenant
-// holds).
-func (f *runner) finishPlacement(t *tenant, lease cluster.Lease, plan *orchestrator.Plan) error {
+// reserve is admission, one synchronous step: plan the granted lease
+// through the shared cache, take the lease out of the free pool, and
+// start the tenant on it — a fresh tenant builds its runtime and Job, a
+// suspended one resumes through a costed lease resize. All instances of
+// a template share the template's spec (same profiler pointer, same
+// model and batch geometry), so equal lease sizes fingerprint
+// identically: K identical tenants pay for one §4.3 search and K-1
+// hits. Errors leave whatever the tenant holds to the caller's retire
+// path.
+func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
+	plan, err := f.cache.Plan(f.ctx, f.leaseSpec(t, lease))
+	if err != nil {
+		return err
+	}
+	if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
+		return err
+	}
 	if t.rt == nil {
 		tcfg := t.cfg
 		l := lease
 		tcfg.Lease = &l
 		tcfg.Plan = plan
 		// Shaped schedulers price the run against the lease's concrete
-		// placement — the same cluster view planFor planned it on.
+		// placement — the same cluster view leaseSpec planned it on.
 		tcfg.PlacementPricing = f.shaped
 		// Tracing is fleet-owned: a template Trace shared by K tenants
 		// would interleave their lanes nondeterministically, so it is
@@ -1012,141 +907,6 @@ func (f *runner) finishPlacement(t *tenant, lease cluster.Lease, plan *orchestra
 	f.transition(t, stateRunning, "placed")
 	f.note("job-start", noteInt("job", t.id), noteInt("nodes", lease.NodeCount()), noteStr("strategy", plan.Strategy))
 	return nil
-}
-
-// reserve is admission: the scheduler's grant is locked in
-// immediately (the lease leaves the free pool), but the plan is only
-// requested, not awaited. A shape already in flight coalesces onto
-// its wave and shares its landing round; an already-visible plan
-// starts the tenant this round, so warm admissions pay no landing
-// delay; a true miss requests the search and lands at a round from
-// the costed latency model, never from wall clock.
-func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
-	spec := f.leaseSpec(t, lease)
-	fp := f.cache.Fingerprint(spec)
-	if pe := f.inFlight(fp); pe != nil {
-		// Joining a wave is a request like any other: the cache counts
-		// it coalesced, and the ticket it returns is the wave's.
-		f.cache.PlanAsync(f.ctx, spec)
-		return f.park(t, lease, pe)
-	}
-	if plan, ok, err := f.cache.PlanIfSettled(spec); ok {
-		if err != nil {
-			return err
-		}
-		if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
-			return err
-		}
-		if err := f.finishPlacement(t, lease, plan); err != nil {
-			return err
-		}
-		f.speculate(t)
-		return nil
-	}
-	return f.park(t, lease, f.request(spec, fp))
-}
-
-// park commits a reservation: the lease leaves the free pool and the
-// tenant waits in statePlanning on the wave until its landing round.
-func (f *runner) park(t *tenant, lease cluster.Lease, pe *pendingPlan) error {
-	if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
-		return err
-	}
-	f.transition(t, statePlanning, "reserved")
-	t.lease = lease
-	t.pend = pe
-	f.note("job-plan", noteInt("job", t.id), noteInt("nodes", lease.NodeCount()), noteInt("landing", pe.landing))
-	return nil
-}
-
-// request starts the search for an unclaimed, unsettled fingerprint
-// and tracks its wave: it lands — publishes — at a round from the
-// costed latency model, whether or not a tenant waits on it.
-func (f *runner) request(spec orchestrator.Spec, fp string) *pendingPlan {
-	ticket := f.cache.PlanAsync(f.ctx, spec)
-	pe := &pendingPlan{fp: fp, ticket: ticket, landing: f.round + planLatency(spec, ticket.Seeded())}
-	f.pending = append(f.pending, pe)
-	return pe
-}
-
-// planCandidatesPerRound calibrates the costed planning-latency
-// model: a cold search lands ceil(candidates/planCandidatesPerRound)
-// rounds after its reservation; a warm-seeded one lands the next
-// round. A pure cost model — landing rounds depend only on the spec,
-// never on how fast the pool physically ran.
-const planCandidatesPerRound = 256
-
-func planLatency(spec orchestrator.Spec, seeded bool) int {
-	if seeded {
-		return 1
-	}
-	rounds := (orchestrator.CandidateCount(spec) + planCandidatesPerRound - 1) / planCandidatesPerRound
-	if rounds < 1 {
-		rounds = 1
-	}
-	return rounds
-}
-
-// landPlans opens a round: waves whose landing round arrived land,
-// then planning tenants whose landing round arrived commit their
-// reserved leases. Both walks are in deterministic order, so every
-// executor size lands identically.
-func (f *runner) landPlans() {
-	f.land(func(pe *pendingPlan) bool { return pe.landing <= f.round })
-	for _, t := range f.tenants {
-		if t.state != statePlanning || t.pend.landing > f.round {
-			continue
-		}
-		plan, err := t.pend.ticket.Wait(f.ctx)
-		if err == nil {
-			err = f.finishPlacement(t, t.lease, plan)
-		}
-		if err != nil {
-			f.fail(t, "job-rejected", err)
-			continue
-		}
-		f.speculate(t)
-	}
-}
-
-// speculate pre-plans the tenant's neighbouring lease sizes — the
-// shapes Rebalance-driven grows/shrinks and failure resizes reach for
-// — so those searches overlap training instead of stalling the round
-// that needs them. Count-based policies only: a shaped placement is
-// unknowable before the grant. Only the lease size matters, so a
-// synthetic lease of the right count stands in for the real one.
-func (f *runner) speculate(t *tenant) {
-	if f.shaped {
-		return
-	}
-	n := t.lease.NodeCount()
-	for _, target := range []int{n - 1, n + 1} {
-		if target == n || target < 1 || target < t.min || target > t.max {
-			continue
-		}
-		nodes := make([]int, target)
-		for i := range nodes {
-			nodes[i] = i
-		}
-		spec := f.leaseSpec(t, cluster.NewLease(nodes...))
-		fp := f.cache.Fingerprint(spec)
-		if f.inFlight(fp) != nil || f.cache.Settled(spec) {
-			continue
-		}
-		pe := f.request(spec, fp)
-		f.note("plan-ahead", noteInt("job", t.id), noteInt("nodes", target), noteInt("landing", pe.landing))
-	}
-}
-
-// planningCount counts tenants parked in statePlanning.
-func (f *runner) planningCount() int {
-	n := 0
-	for _, t := range f.tenants {
-		if t.state == statePlanning {
-			n++
-		}
-	}
-	return n
 }
 
 // running returns the running tenants in submission order. The

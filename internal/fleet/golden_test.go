@@ -23,10 +23,9 @@ func newTrainTemplate(spec orchestrator.Spec, corpus *data.Corpus) trainer.Confi
 }
 
 // -update rewrites the golden lease-table fixtures. The committed
-// goldens are what the last commit that still had inline admission
-// wrote for these fixtures at Planners: SequentialPlanners: deleting
-// that mode had to reproduce them byte-for-byte, and so must any later
-// fleet-core refactor.
+// goldens were written when admission became one synchronous step
+// (plan, acquire, start in the round the lease is granted); any later
+// fleet-core refactor must reproduce them byte for byte.
 var updateGolden = flag.Bool("update", false, "rewrite golden lease-table fixtures")
 
 // leaseTableLog renders a fleet run's complete scheduling story as a
@@ -92,7 +91,7 @@ func goldenCompare(t *testing.T, name, got string) {
 }
 
 // fifoGoldenFleet is the FIFO golden fixture: lease sizing, placement,
-// reserve-then-land rounds, shrink-on-failure, head-of-line blocking.
+// shrink-on-failure, head-of-line blocking.
 func fifoGoldenFleet(t *testing.T) Config {
 	spec, corpus := buildSpec(t, 8, 32)
 	tmpl := newTrainTemplate(spec, corpus)
@@ -112,9 +111,9 @@ func fifoGoldenFleet(t *testing.T) Config {
 // shrink-to-admit, grow-on-departure. It keeps every share division
 // even (8 nodes, at most 2 active tenants), so the deliberate
 // remainder bugfix (fairShare distributing healthy%tenants) does not
-// perturb it. Tenant a's cold plan lands at round 2, so its departure
-// sits at round 5: it leaves after 3 of its 6 iterations, with b
-// running beside it.
+// perturb it. Tenant a starts at round 0 and departs at round 5: it
+// leaves after 5 of its 6 iterations, with b running beside it from
+// round 1.
 func fairShareGoldenFleet(t *testing.T) Config {
 	spec, corpus := buildSpec(t, 8, 32)
 	tmpl := newTrainTemplate(spec, corpus)

@@ -41,8 +41,10 @@ func checkRound(t *testing.T, nodes int, info RoundInfo) {
 // fleet scenario test runs through. checkRound rides the OnRound seam
 // ahead of the test's own observer; once the run is over (a RoundInfo
 // names tenants by id only, and the Result says which JobSpec each id
-// was built from) every lease any tenant held in any round is held to
-// its [MinNodes, MaxNodes] envelope.
+// was built from and when it ran) every lease any tenant held in any
+// round is held to its [MinNodes, MaxNodes] envelope, and belongs to a
+// tenant that had started and not yet finished: nodes are held only by
+// running tenants.
 func runChecked(t *testing.T, cfg Config) (*Result, error) {
 	t.Helper()
 	var rounds []RoundInfo
@@ -63,7 +65,12 @@ func runChecked(t *testing.T, cfg Config) (*Result, error) {
 	}
 	for _, info := range rounds {
 		for id, ns := range info.Leases {
-			js := cfg.Jobs[res.Jobs[id].Spec]
+			jr := res.Jobs[id]
+			if jr.Started < 0 || info.Round < jr.Started || info.Round > jr.Finished {
+				t.Errorf("round %d: tenant %d holds %v outside its run (started %d, finished %d)",
+					info.Round, id, ns, jr.Started, jr.Finished)
+			}
+			js := cfg.Jobs[jr.Spec]
 			lo, hi := max(js.MinNodes, 1), js.MaxNodes
 			if hi == 0 {
 				hi = cfg.Cluster.Nodes
@@ -77,19 +84,15 @@ func runChecked(t *testing.T, cfg Config) (*Result, error) {
 }
 
 // TestTransitionLegality drives the one writer of tenant state through
-// all 16 (from, to) pairs: exactly the eight moves of legalMoves apply
-// — with the bookkeeping each implies — and the other eight panic,
+// all 9 (from, to) pairs: exactly the four moves of legalMoves apply
+// — with the bookkeeping each implies — and the other five panic,
 // naming the move, leaving the tenant and the lease table untouched.
 func TestTransitionLegality(t *testing.T) {
 	legal := map[[2]int]bool{
-		{stateQueued, statePlanning}:  true,
-		{stateQueued, stateRunning}:   true,
-		{stateQueued, stateDone}:      true,
-		{statePlanning, stateQueued}:  true,
-		{statePlanning, stateRunning}: true,
-		{statePlanning, stateDone}:    true,
-		{stateRunning, stateQueued}:   true,
-		{stateRunning, stateDone}:     true,
+		{stateQueued, stateRunning}: true,
+		{stateQueued, stateDone}:    true,
+		{stateRunning, stateQueued}: true,
+		{stateRunning, stateDone}:   true,
 	}
 	passed := 0
 	for from := range stateNames {
@@ -97,15 +100,12 @@ func TestTransitionLegality(t *testing.T) {
 			name := stateNames[from] + "->" + stateNames[to]
 			f := &runner{table: newLeaseTable(4), round: 7}
 			tn := &tenant{id: 0, name: "probe-0", state: from, waited: 3}
-			holds := from == statePlanning || from == stateRunning
+			holds := from == stateRunning
 			if holds {
 				tn.lease = cluster.NewLease(1, 2)
 				if err := f.table.Acquire(tn.id, tn.lease.Nodes); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if from == statePlanning {
-				tn.pend = &pendingPlan{landing: 9}
 			}
 			var panicked any
 			func() {
@@ -128,21 +128,17 @@ func TestTransitionLegality(t *testing.T) {
 				continue
 			}
 			passed++
-			if tn.state != to || tn.pend != nil || tn.waited != 0 {
-				t.Errorf("%s: left state %s, pend %v, waited %d", name, stateNames[tn.state], tn.pend, tn.waited)
+			if tn.state != to || tn.waited != 0 {
+				t.Errorf("%s: left state %s, waited %d", name, stateNames[tn.state], tn.waited)
 			}
-			// Queued and done hold no nodes; planning and running keep
-			// whatever the tenant held going in.
-			wantFree := 4
-			if holds && (to == statePlanning || to == stateRunning) {
-				wantFree = 2
-			}
-			if got := f.table.FreeCount(); got != wantFree || (wantFree == 4 && tn.lease.NodeCount() != 0) {
-				t.Errorf("%s: %d nodes free, lease %v; want %d free", name, got, tn.lease, wantFree)
+			// Queued and done hold no nodes, and a queued tenant brings
+			// none into running: every legal move leaves the table free.
+			if got := f.table.FreeCount(); got != 4 || tn.lease.NodeCount() != 0 {
+				t.Errorf("%s: %d nodes free, lease %v; want all 4 free", name, got, tn.lease)
 			}
 		}
 	}
-	if passed != 8 {
-		t.Errorf("%d moves passed, want the 8 legal ones", passed)
+	if passed != 4 {
+		t.Errorf("%d moves passed, want the 4 legal ones", passed)
 	}
 }

@@ -5,22 +5,20 @@ import (
 )
 
 // view builds the tenant's scheduler snapshot on read, so there is no
-// cached copy to keep in step with the tenant. Nodes aliases the lease:
+// cached copy to keep in step with the tenant. Nodes aliases the lease
+// (empty unless the tenant runs: only running tenants hold nodes):
 // a cluster.Lease is never mutated in place (NewLease and Without
 // copy), and schedulers treat the slice as read-only (the built-ins
 // copy before mutating).
 func (f *runner) view(t *tenant) JobView {
-	v := JobView{
+	return JobView{
 		ID: t.id, Name: t.name, Priority: t.class,
 		Min: t.min, Max: t.max,
 		Arrived: t.arrived, Started: t.started,
 		Waited:    t.waited,
 		Suspended: t.state == stateQueued && t.started >= 0,
+		Nodes:     t.lease.Nodes,
 	}
-	if t.state == stateRunning {
-		v.Nodes = t.lease.Nodes
-	}
-	return v
 }
 
 // schedOps is the runner's Ops implementation: every scheduler
@@ -91,7 +89,6 @@ func (o schedOps) Shrink(id int, drop []int, reason string) bool {
 		return false
 	}
 	f.note("lease-shrink", noteInt("job", t.id), noteInt("nodes", shrunk.NodeCount()))
-	f.speculate(t)
 	return true
 }
 
@@ -120,7 +117,6 @@ func (o schedOps) Grow(id int, take []int, reason string) bool {
 		return false
 	}
 	f.note("lease-grow", noteInt("job", t.id), noteInt("nodes", grown.NodeCount()))
-	f.speculate(t)
 	return true
 }
 

@@ -33,17 +33,6 @@ import (
 // family): the incumbent's strategy joins the search's first phase, so
 // its known iteration time tightens the bound that prunes the rest of
 // the enumeration, without ever changing the chosen plan.
-//
-// The cache has two doors onto one resolve routine (executeWave). The
-// synchronous Plan resolves a miss as a wave of one under the caller's
-// context. PlanAsync, the door for pipelined admission, enqueues a
-// miss onto a bounded planner pool (StartPlanners) and returns a
-// PlanTicket immediately. Misses enqueued while a wave is in flight
-// batch into the next wave and share one PlanMany call;
-// same-fingerprint requests coalesce onto one ticket. Async results
-// stay invisible to warm-seed lookups and PlanIfSettled until the
-// caller Publishes the ticket — the fleet publishes at deterministic
-// landing rounds, so cache visibility never depends on wall clock.
 type PlanCache struct {
 	opts  SearchOptions
 	store store.Store // nil for a purely in-memory cache
@@ -51,73 +40,35 @@ type PlanCache struct {
 	mu      sync.Mutex
 	entries map[string]*planEntry
 
-	// Planner pool: a single dispatcher goroutine drains queue in
-	// waves; poolN > 0 while started.
-	poolMu   sync.Mutex
-	poolCond *sync.Cond
-	poolN    int
-	poolStop bool
-	poolDone chan struct{}
-	queue    []planReq
-
 	// joinHook, when non-nil, runs after Plan joins an existing entry
 	// and before it waits on it — a test seam for the retry path.
 	joinHook func()
 
 	searches  atomic.Int64
 	hits      atomic.Int64
-	coalesced atomic.Int64
 	warmHits  atomic.Int64
 	warmSeeds atomic.Int64
 	pruned    atomic.Int64
 	storeErrs atomic.Int64
 }
 
-// Entry lifecycle: created running (claimed by its producer), settled
-// exactly once when the outcome lands. Synchronous entries publish at
-// settle; async entries stay unpublished — invisible to incumbent and
-// PlanIfSettled — until their ticket's Publish. An outcome cut short
-// by a context leaves the map as it settles, so it is only ever seen
-// by callers already holding the entry.
-const (
-	entryRunning = iota
-	entrySettled
-)
-
-// planEntry is one fingerprint's singleflight slot. done closes at
-// settle; plan/err are written before the close and are safe to read
-// after it. state and published are guarded by PlanCache.mu.
+// planEntry is one fingerprint's singleflight slot, created by the
+// caller that claims it. done closes when the outcome lands; plan/err
+// are written before the close and are safe to read after it. An
+// outcome cut short by a context leaves the map as it settles, so it
+// is only ever seen by callers already holding the entry.
 type planEntry struct {
-	state     int
-	done      chan struct{}
-	plan      *Plan
-	err       error
-	published bool
-	async     bool
-	seed      *Candidate // captured at claim, immutable afterwards
-}
-
-// settledEntry is a published entry already holding plan.
-func settledEntry(plan *Plan) *planEntry {
-	e := &planEntry{state: entrySettled, published: true, plan: plan, done: make(chan struct{})}
-	close(e.done)
-	return e
-}
-
-// planReq is one claimed miss awaiting resolution by executeWave.
-type planReq struct {
-	e    *planEntry
-	key  string
-	spec Spec
+	done chan struct{}
+	plan *Plan
+	err  error
+	seed *Candidate // captured at claim, immutable afterwards
 }
 
 // NewPlanCache builds an empty in-memory cache; opts tunes every
 // search it runs (the chosen plans are independent of
 // opts.Parallelism).
 func NewPlanCache(opts SearchOptions) *PlanCache {
-	c := &PlanCache{opts: opts, entries: make(map[string]*planEntry)}
-	c.poolCond = sync.NewCond(&c.poolMu)
-	return c
+	return &PlanCache{opts: opts, entries: make(map[string]*planEntry)}
 }
 
 // NewPersistentPlanCache builds a cache written through to st:
@@ -158,11 +109,6 @@ func fingerprintSpec(s Spec) string {
 	return h.Sum()
 }
 
-// Fingerprint exposes the cache key for a spec, so callers building
-// their own coalescing structures (the fleet's pending-plan table) key
-// them identically to the cache.
-func (c *PlanCache) Fingerprint(s Spec) string { return fingerprintSpec(s) }
-
 // planEnvelope is the durable store's payload: a versioned JSON
 // wrapper so the format can evolve without poisoning old caches, with
 // the fingerprint inside as a self-check against misfiled entries.
@@ -192,9 +138,9 @@ func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
 	key := fingerprintSpec(s)
 	counted := false // a call is at most one hit, however often it loops
 	for {
-		e, claimed := c.claim(key, s, false)
+		e, claimed := c.claim(key, s)
 		if claimed {
-			c.executeWave(ctx, []planReq{{e: e, key: key, spec: s}}, c.opts.Parallelism)
+			c.resolve(ctx, e, key, s)
 		} else {
 			if !counted {
 				c.hits.Add(1)
@@ -225,13 +171,11 @@ func contextCut(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// claim returns the entry for key, registering a running one when the
+// claim returns the entry for key, registering a new one when the
 // fingerprint is unclaimed; claimed tells the caller it must resolve
-// the entry. The warm seed is captured here, before the entry exists —
-// not when its search executes — so the seed (and everything
-// downstream: prune counts, Seeded latency costing) depends only on
-// what was published before the claiming call.
-func (c *PlanCache) claim(key string, s Spec, async bool) (e *planEntry, claimed bool) {
+// the entry. The warm seed is captured here, before the entry exists,
+// so it depends only on what had settled before the claiming call.
+func (c *PlanCache) claim(key string, s Spec) (e *planEntry, claimed bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	c.mu.Unlock()
@@ -244,272 +188,45 @@ func (c *PlanCache) claim(key string, s Spec, async bool) (e *planEntry, claimed
 	if e, ok := c.entries[key]; ok {
 		return e, false
 	}
-	e = &planEntry{state: entryRunning, done: make(chan struct{}), async: async, seed: seed}
+	e = &planEntry{done: make(chan struct{}), seed: seed}
 	c.entries[key] = e
 	return e, true
 }
 
-// PlanTicket is a claim on an in-flight (or settled) async plan.
-// Wait blocks for the outcome; Publish makes a settled outcome
-// visible to warm-seed lookups and PlanIfSettled. The fleet publishes
-// only at deterministic landing rounds, so two runs with different
-// planner-pool sizes see identical cache states at every round.
-type PlanTicket struct {
-	c *PlanCache
-	e *planEntry
-}
-
-// Wait blocks until the plan settles (or ctx is done) and returns a
-// private copy of the outcome.
-func (t *PlanTicket) Wait(ctx context.Context) (*Plan, error) {
-	select {
-	case <-t.e.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if t.e.err != nil {
-		return nil, t.e.err
-	}
-	cp := *t.e.plan
-	return &cp, nil
-}
-
-// Publish marks a settled outcome visible to incumbent warm-seed
-// lookups and PlanIfSettled. Idempotent; a no-op before settle.
-func (t *PlanTicket) Publish() {
-	t.c.mu.Lock()
-	if t.e.state == entrySettled {
-		t.e.published = true
-	}
-	t.c.mu.Unlock()
-}
-
-// Seeded reports whether the underlying search was handed a warm seed
-// from a neighbouring lease size — captured at claim, so it is
-// identical across planner-pool sizes and usable in costed latency
-// models.
-func (t *PlanTicket) Seeded() bool { return t.e.seed != nil }
-
-// PlanAsync requests the plan for s without blocking. A published
-// settled fingerprint is a hit; an in-flight or unpublished one
-// coalesces onto the existing ticket; a true miss claims the entry and
-// enqueues it for the next planner wave. Without a started planner
-// pool the wave of one runs before returning, under ctx (the
-// sequential-admission reference mode) — logically identical, only
-// the physical execution time differs.
-func (c *PlanCache) PlanAsync(ctx context.Context, s Spec) *PlanTicket {
-	key := fingerprintSpec(s)
-	e, claimed := c.claim(key, s, true)
-	if !claimed {
-		c.mu.Lock()
-		if e.visible() {
-			c.hits.Add(1)
-		} else {
-			c.coalesced.Add(1)
-		}
-		c.mu.Unlock()
-	} else if r := (planReq{e: e, key: key, spec: s}); !c.enqueue(r) {
-		c.executeWave(ctx, []planReq{r}, c.opts.Parallelism)
-	}
-	return &PlanTicket{c: c, e: e}
-}
-
-// PlanIfSettled returns the cached outcome for s only if it is already
-// settled and published — it never blocks and never starts a search.
-// ok reports whether an outcome was available; a cached infeasibility
-// error returns (nil, true, err).
-func (c *PlanCache) PlanIfSettled(s Spec) (plan *Plan, ok bool, err error) {
-	key := fingerprintSpec(s)
-	e, warm := c.visible(key)
-	if e == nil {
-		return nil, false, nil
-	}
-	if warm {
-		c.mu.Lock()
-		if _, raced := c.entries[key]; !raced {
-			c.entries[key] = e
-		}
-		c.mu.Unlock()
-		c.warmHits.Add(1)
-	} else {
-		c.hits.Add(1)
-	}
-	if e.err != nil {
-		return nil, true, e.err
-	}
-	cp := *e.plan
-	return &cp, true, nil
-}
-
-// Settled reports whether a plan (or cached error) for s is already
-// visible — published in memory, or present in the durable store —
-// without counting a hit or starting anything. Speculative pre-planners
-// use it to skip shapes that are already covered.
-func (c *PlanCache) Settled(s Spec) bool {
-	e, _ := c.visible(fingerprintSpec(s))
-	return e != nil
-}
-
-// visible is the cache's one read of "is there an outcome for key that
-// callers may see": the in-memory entry when it is settled and
-// published (a plan or a cached error), else a fresh settled entry
-// around the durable store's plan (warm), else nil. It never blocks,
-// counts nothing and starts nothing. An in-memory entry in any state is
-// authoritative — an unpublished async result also lives in the durable
-// store, and falling through to the store would leak it ahead of its
-// landing round.
-func (c *PlanCache) visible(key string) (e *planEntry, warm bool) {
-	c.mu.Lock()
-	e, found := c.entries[key]
-	if found && !e.visible() {
-		e = nil
-	}
-	c.mu.Unlock()
-	if found {
-		return e, false
-	}
+// resolve produces a claimed entry's outcome under the claiming
+// caller's context: a durable-store hit settles at once; anything else
+// runs the search, seeded with what the entry captured at claim, and
+// persists a successful plan before settling it.
+func (c *PlanCache) resolve(ctx context.Context, e *planEntry, key string, s Spec) {
 	if plan, ok := c.loadStored(key); ok {
-		return settledEntry(plan), true
-	}
-	return nil, false
-}
-
-// visible reports a settled, published entry; the caller holds
-// PlanCache.mu.
-func (e *planEntry) visible() bool { return e.state == entrySettled && e.published }
-
-// StartPlanners launches the async planner pool: a dispatcher that
-// drains queued misses in waves, running each wave as one batched
-// PlanMany over n candidate workers. Requests arriving while a wave
-// runs batch into the next wave. Errors if already started.
-func (c *PlanCache) StartPlanners(n int) error {
-	if n < 1 {
-		return errors.New("orchestrator: planner pool size must be >= 1")
-	}
-	c.poolMu.Lock()
-	defer c.poolMu.Unlock()
-	if c.poolN != 0 {
-		return errors.New("orchestrator: planner pool already started")
-	}
-	c.poolN = n
-	c.poolStop = false
-	c.poolDone = make(chan struct{})
-	go c.dispatch()
-	return nil
-}
-
-// StopPlanners drains every queued request (their searches still run,
-// as one final wave) and stops the pool. Safe to call when no pool is
-// running.
-func (c *PlanCache) StopPlanners() {
-	c.poolMu.Lock()
-	if c.poolN == 0 {
-		c.poolMu.Unlock()
+		c.warmHits.Add(1)
+		e.plan = plan
+		c.settle(e, key)
 		return
 	}
-	c.poolStop = true
-	done := c.poolDone
-	c.poolCond.Broadcast()
-	c.poolMu.Unlock()
-	<-done
+	c.searches.Add(1)
+	if e.seed != nil {
+		c.warmSeeds.Add(1)
+	}
+	res := PlanMany(ctx, []PlanRequest{{Spec: s, Seed: e.seed}}, c.opts)[0]
+	e.plan, e.err = res.Plan, res.Err
+	c.pruned.Add(int64(res.Pruned))
+	if e.err == nil {
+		c.persist(key, e.plan)
+	}
+	c.settle(e, key)
 }
 
-// enqueue hands a request to the planner pool; false when no pool is
-// running (the caller resolves it as a wave of one instead).
-func (c *PlanCache) enqueue(r planReq) bool {
-	c.poolMu.Lock()
-	defer c.poolMu.Unlock()
-	if c.poolN == 0 || c.poolStop {
-		return false
+// settle wakes an entry's waiters. An outcome cut short by a context
+// is evicted first, so the next request for the fingerprint claims a
+// fresh entry instead of joining the poisoned one.
+func (c *PlanCache) settle(e *planEntry, key string) {
+	if contextCut(e.err) {
+		c.mu.Lock()
+		delete(c.entries, key)
+		c.mu.Unlock()
 	}
-	c.queue = append(c.queue, r)
-	c.poolCond.Signal()
-	return true
-}
-
-// dispatch is the pool's single dispatcher goroutine: it grabs the
-// entire queue as one wave, executes it, and repeats; on stop it
-// drains what remains before exiting.
-func (c *PlanCache) dispatch() {
-	c.poolMu.Lock()
-	for {
-		for len(c.queue) == 0 && !c.poolStop {
-			c.poolCond.Wait()
-		}
-		if len(c.queue) == 0 {
-			done := c.poolDone
-			c.poolN = 0
-			c.poolStop = false
-			c.poolMu.Unlock()
-			close(done)
-			return
-		}
-		wave := c.queue
-		c.queue = nil
-		n := c.poolN
-		c.poolMu.Unlock()
-		c.executeWave(context.Background(), wave, n)
-		c.poolMu.Lock()
-	}
-}
-
-// executeWave is the cache's one resolve routine — a planner-pool
-// wave, a synchronous Plan, a poolless PlanAsync (the last two are
-// waves of one under the caller's context). Store hits settle
-// immediately; the rest share a single PlanMany, each request carrying
-// the seed its entry captured at claim. Per-spec bounds come from each
-// spec's own deterministic sample (and seed), so prune counts and
-// plans are identical whether a spec runs alone or batched. Results
-// persist before they settle, and settle before anyone can publish
-// them.
-func (c *PlanCache) executeWave(ctx context.Context, wave []planReq, workers int) {
-	var live []planReq
-	var reqs []PlanRequest
-	for _, r := range wave {
-		if plan, ok := c.loadStored(r.key); ok {
-			c.warmHits.Add(1)
-			r.e.plan = plan
-			c.settle(r)
-			continue
-		}
-		c.searches.Add(1)
-		if r.e.seed != nil {
-			c.warmSeeds.Add(1)
-		}
-		live = append(live, r)
-		reqs = append(reqs, PlanRequest{Spec: r.spec, Seed: r.e.seed})
-	}
-	if len(live) == 0 {
-		return
-	}
-	opts := c.opts
-	opts.Parallelism = workers
-	for i, res := range PlanMany(ctx, reqs, opts) {
-		r := live[i]
-		r.e.plan, r.e.err = res.Plan, res.Err
-		c.pruned.Add(int64(res.Pruned))
-		if r.e.err == nil {
-			c.persist(r.key, r.e.plan)
-		}
-		c.settle(r)
-	}
-}
-
-// settle transitions a request's entry to settled and wakes its
-// waiters. Sync entries publish immediately; async entries wait for
-// their ticket's Publish. An outcome cut short by a context is evicted
-// in the same step — whichever door produced it — so the next request
-// for the fingerprint claims a fresh entry instead of coalescing onto
-// the poisoned one.
-func (c *PlanCache) settle(r planReq) {
-	c.mu.Lock()
-	r.e.state = entrySettled
-	r.e.published = !r.e.async
-	if contextCut(r.e.err) {
-		delete(c.entries, r.key)
-	}
-	c.mu.Unlock()
-	close(r.e.done)
+	close(e.done)
 }
 
 // loadStored reads and decodes a durable entry. Any failure — store
@@ -582,11 +299,22 @@ func (c *PlanCache) neighborSeed(s Spec) *Candidate {
 	return nil
 }
 
-// incumbent returns a visible, successful plan for key without
-// blocking on in-flight searches.
+// incumbent returns a settled, successful plan for key — in memory,
+// else in the durable store — without blocking on in-flight searches.
 func (c *PlanCache) incumbent(key string) *Plan {
-	if e, _ := c.visible(key); e != nil && e.err == nil {
-		return e.plan
+	c.mu.Lock()
+	e, found := c.entries[key]
+	c.mu.Unlock()
+	if !found {
+		plan, _ := c.loadStored(key)
+		return plan
+	}
+	select {
+	case <-e.done:
+		if e.err == nil {
+			return e.plan
+		}
+	default: // still searching
 	}
 	return nil
 }
@@ -597,10 +325,8 @@ func (c *PlanCache) incumbent(key string) *Plan {
 func (c *PlanCache) Searches() int64 { return c.searches.Load() }
 func (c *PlanCache) Hits() int64     { return c.hits.Load() }
 
-// Coalesced counts PlanAsync calls that joined an in-flight (or
-// not-yet-published) search instead of starting one — the herd
-// collapse the async tier exists for.
-func (c *PlanCache) Coalesced() int64 { return c.coalesced.Load() }
+// Coalesced is inert (always 0), kept only for benchmark/ until a later benchmark change deletes it.
+func (c *PlanCache) Coalesced() int64 { return 0 }
 
 // WarmHits counts fingerprints served from the durable store with no
 // search; WarmSeeds counts searches that started from a neighbouring

@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -167,12 +168,12 @@ func TestPlanCacheHitsCountedOncePerCall(t *testing.T) {
 	c := NewPlanCache(SearchOptions{})
 	key := fingerprintSpec(spec)
 	// lead claims the fingerprint the way a concurrent caller would.
-	lead := func() planReq {
-		e, claimed := c.claim(key, spec, false)
+	lead := func() *planEntry {
+		e, claimed := c.claim(key, spec)
 		if !claimed {
 			t.Fatal("fingerprint already claimed")
 		}
-		return planReq{e: e, key: key, spec: spec}
+		return e
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -184,7 +185,7 @@ func TestPlanCacheHitsCountedOncePerCall(t *testing.T) {
 		// slot before the call retries; the second time the slot stays
 		// empty and the call leads the real search.
 		joins++
-		c.executeWave(cancelled, []planReq{leader}, 1)
+		c.resolve(cancelled, leader, key, spec)
 		if joins < 2 {
 			leader = lead()
 		}
@@ -390,5 +391,169 @@ func TestPlanCacheCachesErrors(t *testing.T) {
 	}
 	if c.Searches() != 1 {
 		t.Errorf("failed search ran %d times", c.Searches())
+	}
+}
+
+// planAll calls c.Plan for s from k goroutines at once and returns
+// every caller's plan and error.
+func planAll(c *PlanCache, s Spec, k int) ([]*Plan, []error) {
+	plans := make([]*Plan, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			plans[i], errs[i] = c.Plan(context.Background(), s)
+		}(i)
+	}
+	wg.Wait()
+	return plans, errs
+}
+
+// TestPlanAsyncCoalescing: K requests for one fingerprint issued
+// asynchronously, each from its own goroutine, against a cache whose
+// search runs on two workers, run exactly one search — the first
+// claims the entry, the other K-1 join it as hits — and every caller
+// gets the plan a serial search finds. Once settled, a further request
+// is one plain hit.
+func TestPlanAsyncCoalescing(t *testing.T) {
+	spec := cacheSpec(t, 4, 32)
+	want, err := NewPlanCache(SearchOptions{}).Plan(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewPlanCache(SearchOptions{Parallelism: 2})
+	const k = 4
+	plans, errs := planAll(c, spec, k)
+	for i := range plans {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(plans[i], want) {
+			t.Errorf("caller %d: plan diverged from the serial reference", i)
+		}
+	}
+	if c.Searches() != 1 || c.Hits() != k-1 {
+		t.Errorf("%d searches, %d hits; want 1 and %d", c.Searches(), c.Hits(), k-1)
+	}
+	if _, err := c.Plan(context.Background(), spec); err != nil || c.Hits() != k {
+		t.Errorf("request after settling: err %v, %d hits; want one more hit (%d)", err, c.Hits(), k)
+	}
+}
+
+// TestPlanAsyncFailureCoalesced: when a coalesced search fails, every
+// concurrent caller sees the one cached error from the single search,
+// a later caller reuses it, and the failure poisons no other
+// fingerprint.
+func TestPlanAsyncFailureCoalesced(t *testing.T) {
+	good := cacheSpec(t, 4, 32)
+	bad := good
+	bad.Model = model.MLLM72B() // cannot fit a 4-node lease
+	c := NewPlanCache(SearchOptions{Parallelism: 2})
+	const k = 3
+	_, errs := planAll(c, bad, k)
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("caller %d: infeasible spec planned", i)
+		}
+		if err != errs[0] {
+			t.Errorf("caller %d saw a different error: %v vs %v", i, err, errs[0])
+		}
+	}
+	if _, err := c.Plan(context.Background(), bad); err != errs[0] {
+		t.Fatalf("cached failure lost: %v", err)
+	}
+	if c.Searches() != 1 || c.Hits() != k {
+		t.Errorf("failed spec: %d searches, %d hits; want 1 and %d", c.Searches(), c.Hits(), k)
+	}
+	if _, err := c.Plan(context.Background(), good); err != nil {
+		t.Errorf("feasible spec after a failed herd: %v", err)
+	}
+}
+
+// TestPlanCacheCancelledNotCached: a Plan under a cancelled context
+// returns the cancellation, but the outcome must not stay in the cache
+// — a later caller with a healthy context claims a fresh entry and
+// plans instead of inheriting the poisoned one.
+func TestPlanCacheCancelledNotCached(t *testing.T) {
+	spec := cacheSpec(t, 4, 32)
+	c := NewPlanCache(SearchOptions{})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Plan(cancelled, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Plan: got %v, want context.Canceled", err)
+	}
+	if c.Len() != 0 {
+		t.Errorf("cancelled search left %d cache entries", c.Len())
+	}
+	plan, err := c.Plan(context.Background(), spec)
+	if err != nil || plan == nil {
+		t.Fatalf("Plan after a cancelled one: plan %v, err %v", plan, err)
+	}
+	if c.Searches() != 2 || c.Hits() != 0 {
+		t.Errorf("%d searches, %d hits; want 2 (one cancelled, one real) and 0", c.Searches(), c.Hits())
+	}
+}
+
+// TestPlanCacheDoorsCountAlike: a request sequence — cold sizes,
+// warm-seeded neighbours, a repeat — then a restart over the same
+// store leaves exact search, warm-seed, prune and warm-hit counts, and
+// the restart serves the same plans. The counts and plans are the same
+// whether each request comes from one caller or from a herd of
+// concurrent callers: only the hit count depends on how many ask. A
+// durable hit starts no search and therefore counts no warm seed, even
+// though its neighbours are right there in the store.
+func TestPlanCacheDoorsCountAlike(t *testing.T) {
+	base := cacheSpec(t, 4, 32)
+	var seq []Spec
+	for _, nodes := range []int{4, 5, 3, 5, 8} {
+		s := base
+		s.Cluster.Nodes = nodes
+		seq = append(seq, s)
+	}
+	type counts struct{ searches, warmSeeds, pruned, warmHits int64 }
+	var want [2]counts
+	var wantPlans []*Plan
+	for _, door := range []struct {
+		name    string
+		callers int
+	}{{"sync", 1}, {"herd", 3}} {
+		t.Run(door.name, func(t *testing.T) {
+			st := store.NewMem()
+			for phase := range want { // cold store, then a restart over it
+				c := NewPersistentPlanCache(SearchOptions{Parallelism: 2}, st)
+				var plans []*Plan
+				for _, s := range seq {
+					got, errs := planAll(c, s, door.callers)
+					for i := range got {
+						if errs[i] != nil {
+							t.Fatal(errs[i])
+						}
+						if !reflect.DeepEqual(got[i], got[0]) {
+							t.Fatalf("phase %d: callers of one spec got different plans", phase)
+						}
+					}
+					plans = append(plans, got[0])
+				}
+				if wantPlans == nil {
+					wantPlans = plans
+				} else if !reflect.DeepEqual(plans, wantPlans) {
+					t.Errorf("phase %d: plans diverged from the first phase's", phase)
+				}
+				got := counts{c.Searches(), c.WarmSeeds(), c.Pruned(), c.WarmHits()}
+				if want[phase] == (counts{}) {
+					want[phase] = got
+				} else if got != want[phase] {
+					t.Errorf("phase %d: counts %+v, sync door had %+v", phase, got, want[phase])
+				}
+			}
+		})
+	}
+	if want[0].searches != 4 || want[0].warmSeeds != 2 || want[0].pruned == 0 || want[0].warmHits != 0 {
+		t.Errorf("cold phase counts %+v, want 4 searches, 2 warm seeds, pruning, no warm hits", want[0])
+	}
+	if want[1] != (counts{warmHits: 4}) {
+		t.Errorf("restart phase counts %+v, want 4 warm hits and nothing else", want[1])
 	}
 }

@@ -276,17 +276,6 @@ type PlanResult struct {
 	bound  float64 // the phase-2 bound, for tests
 }
 
-// CandidateCount returns the size of a spec's §4.3 strategy set — the
-// number of subproblems a cold search must cover. The fleet runtime's
-// costed planning-latency model divides it by a per-round budget to
-// derive a deterministic plan-landing round. Invalid specs count zero.
-func CandidateCount(s Spec) int {
-	if s.Validate() != nil {
-		return 0
-	}
-	return len(enumerateCandidates(s, s.maxGPUs()))
-}
-
 // reducePlans applies the selectPlan tie-breaking over the feasible
 // result slots in enumeration order — the deterministic reduce that
 // makes the parallel search equivalent to the sequential loop. It must
