@@ -42,11 +42,17 @@ COVER_FLOOR ?= 73
 # unsynced temp file + rename) out of the durable
 # metrics.WriteFileAtomic, and 16,376 once admission planned
 # synchronously at reservation and the planning state, the planner
-# pool, the async ticket door and plan-ahead speculation were deleted.
+# pool, the async ticket door and plan-ahead speculation were deleted,
+# and 16,468 once a trainer iteration stopped paying for work it does
+# not need: the +92 are Algorithms 1 and 2 sorting pointer-free
+# (sizeRank, index) keys and the Reorderer ordering input positions,
+# the untraced Simulator.SimulateUntraced path and its cached stage
+# program, and the corpus's pooled subsequence scratch and AppendBatch
+# (fleet-steady work_per_cpu_s 30.4k -> 37.9k, op_ms_p50 17.9 -> 14.5 ms).
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 16376
+LOC_CEILING ?= 16468
 
 .PHONY: all build fmt vet test race bench bench-json bench-diff fuzz cover loc loc-gate profile profile-plan staticcheck ci
 

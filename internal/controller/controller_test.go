@@ -73,7 +73,7 @@ func TestObserveDedupesRewinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := corpus.Batch(0, 4)
+	batch := corpus.AppendBatch(nil, 0, 4)
 	obs := func(iter int) trainer.Observation {
 		return trainer.Observation{Iter: iter, Batch: batch}
 	}
@@ -193,7 +193,7 @@ func TestLeaseChangedResetsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := corpus.Batch(0, 4)
+	batch := corpus.AppendBatch(nil, 0, 4)
 	c.Observe(trainer.Observation{Iter: 0, Batch: batch})
 	c.Observe(trainer.Observation{Iter: 1, Batch: batch})
 	// Fake an in-flight search scheduled for iter 3.

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"disttrain/internal/model"
@@ -285,6 +286,10 @@ func (c *Corpus) Sample(index int64) Sample {
 	return s
 }
 
+// subsScratch lends generate a list to grow a sample's subsequences
+// in, so the sample itself allocates one exact-size copy.
+var subsScratch = sync.Pool{New: func() any { return new([]Subsequence) }}
+
 // generate materialises the sample at the given index from scratch,
 // drawing from rng, the generator seeded with sampleSeed(index). The
 // construction interleaves text and image subsequences until the fixed
@@ -294,6 +299,8 @@ func (c *Corpus) generate(index int64, rng *rand.Rand) Sample {
 	sp := c.spec
 	s := Sample{Index: index, SeqLen: sp.SeqLen}
 	remaining := sp.SeqLen
+	scratch := subsScratch.Get().(*[]Subsequence)
+	subs := (*scratch)[:0]
 
 	drawText := func() int {
 		t := int(logNormal(rng, sp.TextMedian, sp.TextSigma)) + 1
@@ -309,7 +316,7 @@ func (c *Corpus) generate(index int64, rng *rand.Rand) Sample {
 		// Merge adjacent text runs only when the draw was clipped to a
 		// sliver; otherwise keep distinct subsequences, matching the
 		// per-subsequence statistics of Fig. 5(a).
-		s.Subsequences = append(s.Subsequences, Subsequence{Modality: Text, Tokens: tokens})
+		subs = append(subs, Subsequence{Modality: Text, Tokens: tokens})
 		remaining -= tokens
 	}
 	fillTailWithText := func() {
@@ -344,26 +351,30 @@ func (c *Corpus) generate(index int64, rng *rand.Rand) Sample {
 			fillTailWithText()
 			break
 		}
-		s.Subsequences = append(s.Subsequences, Subsequence{Modality: Image, Tokens: tokens, Resolution: res})
+		subs = append(subs, Subsequence{Modality: Image, Tokens: tokens, Resolution: res})
 		images++
 		remaining -= tokens
 		if rng.Float64() < sp.GenImageFraction {
 			s.GenImages++
 		}
 	}
+	s.Subsequences = slices.Clone(subs)
+	*scratch = subs
+	subsScratch.Put(scratch)
 	return s
 }
 
-// Batch materialises n consecutive samples starting at first.
-func (c *Corpus) Batch(first int64, n int) []Sample {
-	out := make([]Sample, n)
-	for i := range out {
-		out[i] = c.Sample(first + int64(i))
+// AppendBatch appends the n consecutive samples starting at first to
+// dst and returns the extended slice.
+func (c *Corpus) AppendBatch(dst []Sample, first int64, n int) []Sample {
+	dst = slices.Grow(dst, n)
+	for i := range n {
+		dst = append(dst, c.Sample(first+int64(i)))
 	}
-	return out
+	return dst
 }
 
 // GlobalBatch returns the samples of global batch g under batch size bs.
 func (c *Corpus) GlobalBatch(g int64, bs int) []Sample {
-	return c.Batch(g*int64(bs), bs)
+	return c.AppendBatch(nil, g*int64(bs), bs)
 }

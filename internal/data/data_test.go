@@ -168,11 +168,12 @@ func TestPixelBytesScale(t *testing.T) {
 
 func TestBatchAndGlobalBatch(t *testing.T) {
 	c := testCorpus(t)
-	b := c.Batch(10, 5)
-	if len(b) != 5 {
-		t.Fatalf("Batch returned %d samples", len(b))
+	head := []Sample{c.Sample(0)}
+	b := c.AppendBatch(head, 10, 5)
+	if len(b) != 6 || b[0].Index != 0 {
+		t.Fatalf("AppendBatch returned %d samples, first %d", len(b), b[0].Index)
 	}
-	for i, s := range b {
+	for i, s := range b[1:] {
 		if s.Index != int64(10+i) {
 			t.Errorf("batch sample %d has index %d", i, s.Index)
 		}

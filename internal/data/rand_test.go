@@ -94,10 +94,17 @@ func TestLAIONStaysOnFastPath(t *testing.T) {
 // has not seen) allocates: the sample's subsequences and its generator.
 // The memo is filled past two rotations first, so it has stopped
 // growing. Seeding rand.NewSource allocated a 607-word register per
-// sample, 9,053 B a sample in all; the closed-form source allocates
-// 3,680 B.
+// sample, 9,053 B a sample in all; the closed-form source brought that
+// to 3,680 B, and growing the subsequences in pooled scratch, so the
+// sample keeps one exact-size copy instead of every append doubling,
+// to 1,397 B. Under the race detector sync.Pool drops a quarter of its
+// Puts, so the scratch regrows now and then: 2,751-2,785 B were
+// measured there, held to the 4 KB the doubling appends were.
 func TestColdSampleAllocBudget(t *testing.T) {
-	const budget = 4096
+	budget := uint64(2048)
+	if raceEnabled {
+		budget = 4096
+	}
 	c := testCorpus(t)
 	for i := int64(0); i <= 2*memoGeneration; i++ {
 		c.Sample(i)

@@ -733,7 +733,10 @@ func (f *runner) departJob(id int) {
 	f.note("job-depart", noteInt("job", id))
 }
 
-// retire finalises a tenant and frees its lease.
+// retire finalises a tenant and frees its lease. The result and trace
+// are all that outlive it: the runtime and Job are dropped, so a long
+// fleet does not keep (and the GC does not re-mark) every runtime it
+// ever ran.
 func (f *runner) retire(t *tenant, departed bool) {
 	if t.job != nil && t.result == nil {
 		t.result = t.job.Finish()
@@ -741,6 +744,7 @@ func (f *runner) retire(t *tenant, departed bool) {
 	if t.rt != nil {
 		t.rt.Close() // stops the checkpoint writer trainer.New started
 	}
+	t.rt, t.job = nil, nil
 	// Finish drained the prefetch, so the tenant's pool counters are
 	// quiescent — snapshot them now, exactly once.
 	f.snapshotPool(t)

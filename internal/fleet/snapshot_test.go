@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
 	"testing"
@@ -192,5 +193,48 @@ func TestRetireClosesRuntime(t *testing.T) {
 		if jr.Err != nil || jr.Result == nil || len(jr.Result.Iterations) != 4 || jr.Result.CheckpointsSaved != 1 {
 			t.Fatalf("tenant %d: %+v (result %+v)", jr.ID, jr, jr.Result)
 		}
+	}
+}
+
+// TestRetiredTenantsKeepResultsAndTraces guards retire dropping each
+// tenant's runtime and Job: sixteen identical tenants on 2-node leases
+// retire in four waves with the GC run every round, and every tenant's
+// JobResult.Result and trace must still equal every other's — what its
+// Job.Finish returned and what its runtime recorded — with the merged
+// trace carrying all of their events.
+func TestRetiredTenantsKeepResultsAndTraces(t *testing.T) {
+	spec, corpus := buildSpec(t, 8, 32)
+	tmpl := newTrainTemplate(spec, corpus)
+	cfg := Config{Cluster: spec.Cluster, Policy: fifo, Trace: true, OnRound: func(RoundInfo) { runtime.GC() }}
+	for i := 0; i < 16; i++ {
+		cfg.Jobs = append(cfg.Jobs, JobSpec{Name: "r", Train: tmpl, Iters: 3, MinNodes: 2, MaxNodes: 2})
+	}
+	res, err := runChecked(t, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := res.Jobs[0]
+	if first.Err != nil || first.Result == nil || len(first.Result.Iterations) != 3 || first.Trace == nil {
+		t.Fatalf("tenant 0: %+v", first)
+	}
+	want := traceBytes(t, first.Trace)
+	waves := map[int]bool{}
+	events := 0
+	for _, jr := range res.Jobs {
+		waves[jr.Finished] = true
+		if !reflect.DeepEqual(jr.Result, first.Result) {
+			t.Errorf("tenant %d (retired round %d): result %+v, tenant 0's %+v", jr.ID, jr.Finished, jr.Result, first.Result)
+		}
+		if jr.Trace == nil || !bytes.Equal(traceBytes(t, jr.Trace), want) {
+			t.Errorf("tenant %d (retired round %d): trace differs from tenant 0's", jr.ID, jr.Finished)
+		} else {
+			events += jr.Trace.Len()
+		}
+	}
+	if len(waves) != 4 {
+		t.Errorf("tenants retired in %d rounds, want 4 waves", len(waves))
+	}
+	if got := res.Trace.Len(); got <= events {
+		t.Errorf("merged trace holds %d events, the tenants' traces %d", got, events)
 	}
 }

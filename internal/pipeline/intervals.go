@@ -117,7 +117,7 @@ func (ip *IntervalPredictor) Append(fwd, bwd []float64) Interval {
 	// Forward cascade left to right.
 	avail := 0.0
 	for s := 0; s < S; s++ {
-		start := math.Max(avail, ip.fe[s])
+		start := max(avail, ip.fe[s])
 		ip.fe[s] = start + fwd[s]
 		avail = ip.fe[s]
 		if s < S-1 {
@@ -130,7 +130,7 @@ func (ip *IntervalPredictor) Append(fwd, bwd []float64) Interval {
 	// Backward cascade right to left.
 	avail = ip.fe[S-1]
 	for s := S - 1; s >= 0; s-- {
-		start := math.Max(avail, ip.be[s])
+		start := max(avail, ip.be[s])
 		ip.be[s] = start + bwd[s]
 		if s > 0 {
 			avail = ip.be[s] + ip.link(s-1)

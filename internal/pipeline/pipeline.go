@@ -8,14 +8,13 @@
 // uses.
 //
 // Aliasing: a Result from the package-level Simulate is the caller's
-// to keep; one from a (*Simulator).Simulate aliases that simulator's
-// buffers (Ops, StageBusy) until its next call. Either way Result.Work
-// still points at the caller's rows.
+// to keep; one from a Simulator's Simulate or SimulateUntraced aliases
+// that simulator's buffers (Ops, StageBusy) until its next call. Either
+// way Result.Work still points at the caller's rows.
 package pipeline
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -199,6 +198,7 @@ type Simulator struct {
 	endF, endB   []float64
 	doneF, doneB []bool
 	prog         []opRef // every stage's program (2l ops each), back to back
+	progS, progL int     // the (stages, microbatches) prog was built for
 	pos          []int   // next unexecuted op per stage
 	stageClock   []float64
 	res          Result
@@ -223,6 +223,19 @@ func zeroed[T any](s []T, n int) []T {
 // the simulator's scratch, valid until its next call — copy out what
 // must outlive it. A failed call leaves the simulator usable.
 func (sim *Simulator) Simulate(_ Schedule, w Work) (*Result, error) {
+	return sim.simulate(w, true)
+}
+
+// SimulateUntraced is Simulate without the op timeline: the same
+// IterTime and StageBusy, bit for bit, and an empty Result.Ops — for
+// callers that read only the totals.
+func (sim *Simulator) SimulateUntraced(w Work) (*Result, error) {
+	return sim.simulate(w, false)
+}
+
+// simulate runs the 1F1B loop, appending every executed op to
+// Result.Ops when record is set.
+func (sim *Simulator) simulate(w Work, record bool) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -233,11 +246,14 @@ func (sim *Simulator) Simulate(_ Schedule, w Work) (*Result, error) {
 	sim.pos, sim.stageClock = zeroed(sim.pos, S), zeroed(sim.stageClock, S)
 	endF, endB, doneF, doneB := sim.endF, sim.endB, sim.doneF, sim.doneB
 	pos, stageClock := sim.pos, sim.stageClock
-	prog := slices.Grow(sim.prog[:0], 2*S*l)
-	for s := 0; s < S; s++ {
-		prog = appendStageProgram(prog, s, S, l)
+	if S != sim.progS || l != sim.progL {
+		sim.prog = slices.Grow(sim.prog[:0], 2*S*l)
+		for s := 0; s < S; s++ {
+			sim.prog = appendStageProgram(sim.prog, s, S, l)
+		}
+		sim.progS, sim.progL = S, l
 	}
-	sim.prog = prog
+	prog := sim.prog
 
 	duration := func(r opRef) float64 {
 		if r.kind == forward {
@@ -264,7 +280,10 @@ func (sim *Simulator) Simulate(_ Schedule, w Work) (*Result, error) {
 	}
 
 	res := &sim.res
-	*res = Result{Work: w, StageBusy: zeroed(res.StageBusy, S), Ops: slices.Grow(res.Ops[:0], 2*S*l)}
+	*res = Result{Work: w, StageBusy: zeroed(res.StageBusy, S), Ops: res.Ops[:0]}
+	if record {
+		res.Ops = slices.Grow(res.Ops, 2*S*l)
+	}
 	remaining := 2 * S * l
 	for remaining > 0 {
 		advanced := false
@@ -275,7 +294,7 @@ func (sim *Simulator) Simulate(_ Schedule, w Work) (*Result, error) {
 				if !ok {
 					break
 				}
-				start := math.Max(stageClock[s], dep)
+				start := max(stageClock[s], dep)
 				d := duration(r)
 				finish := w.finish(s, start, d)
 				if r.kind == forward {
@@ -287,7 +306,9 @@ func (sim *Simulator) Simulate(_ Schedule, w Work) (*Result, error) {
 				}
 				stageClock[s] = finish
 				res.StageBusy[s] += busy(start, finish, d, w.rate(s))
-				res.Ops = append(res.Ops, Op{Stage: s, MB: r.mb, Kind: r.kind, Start: start, End: finish})
+				if record {
+					res.Ops = append(res.Ops, Op{Stage: s, MB: r.mb, Kind: r.kind, Start: start, End: finish})
+				}
 				pos[s]++
 				remaining--
 				advanced = true
@@ -298,7 +319,7 @@ func (sim *Simulator) Simulate(_ Schedule, w Work) (*Result, error) {
 		}
 	}
 	for _, c := range stageClock {
-		res.IterTime = math.Max(res.IterTime, c)
+		res.IterTime = max(res.IterTime, c)
 	}
 	return res, nil
 }

@@ -92,7 +92,10 @@ func sameResult(t *testing.T, step int, got, want *Result) {
 // byte-derived sequence of shapes that grow and shrink, valid and
 // invalid, and holds every call to a fresh Simulate of the same input:
 // same error text, or the same result bit for bit. Reuse must be
-// invisible, and a failed call must leave the scratch usable.
+// invisible, and a failed call must leave the scratch usable. Each
+// input also runs untraced on the same Simulator, which must give the
+// same error text, or the same IterTime and StageBusy bit for bit and
+// no ops.
 func FuzzSimulatorReuse(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{7, 39, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -111,13 +114,23 @@ func FuzzSimulatorReuse(f *testing.F) {
 			if wantErr == nil {
 				sameResult(t, step, got, want)
 			}
+			quiet, quietErr := sim.SimulateUntraced(w)
+			if (quietErr == nil) != (wantErr == nil) || (quietErr != nil && quietErr.Error() != wantErr.Error()) {
+				t.Fatalf("step %d: untraced error %v, traced %v", step, quietErr, wantErr)
+			}
+			if wantErr == nil {
+				if len(quiet.Ops) != 0 {
+					t.Fatalf("step %d: untraced simulation recorded %d ops", step, len(quiet.Ops))
+				}
+				sameResult(t, step, quiet, &Result{IterTime: want.IterTime, StageBusy: want.StageBusy})
+			}
 		}
 	})
 }
 
 // TestSimulatorAllocFree pins the point of the Simulator: after one
 // warm-up call at its largest shape, simulating allocates nothing —
-// at that shape or a smaller one, rates or none.
+// at that shape or a smaller one, rates or none, traced or not.
 func TestSimulatorAllocFree(t *testing.T) {
 	big := UniformWork([]float64{1, 2, 3, 2, 1, 2}, []float64{2, 4, 6, 4, 2, 4}, 16)
 	big.P2P = []float64{0.1, 0.1, 0.1, 0.1, 0.1}
@@ -132,8 +145,11 @@ func TestSimulatorAllocFree(t *testing.T) {
 			if _, err := sim.Simulate(OneFOneB, w); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := sim.SimulateUntraced(w); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}); got != 0 {
-		t.Errorf("a warm Simulator allocated %v times per 4 simulations, want 0", got)
+		t.Errorf("a warm Simulator allocated %v times per 8 simulations, want 0", got)
 	}
 }

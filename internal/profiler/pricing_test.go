@@ -147,7 +147,7 @@ func TestAggregatedMicrobatchPricing(t *testing.T) {
 	grid := pricingGrid(t)
 	for _, first := range []int64{0, 3, 40, 1000} {
 		var concat model.SampleShape
-		samples := corpus.Batch(first, 3)
+		samples := corpus.AppendBatch(nil, first, 3)
 		for _, s := range samples {
 			concat.ImageTokens = append(concat.ImageTokens, s.ImageTokenSizes()...)
 			concat.GenImages += s.GenImages

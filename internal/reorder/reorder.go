@@ -15,6 +15,11 @@
 // a Partitioner's groups and a Reorderer's order alias that value's
 // scratch until its next call. Microbatch.Fwd/Bwd are never copied —
 // every returned Microbatch carries the caller's own slices.
+//
+// Both algorithms sort keys, not items: each item is priced once into a
+// pointer-free (size, index) key, the keys are sorted and the items
+// gathered. Ties on size break on the item's unique index, so the order
+// is total and equals the stable sort on size.
 package reorder
 
 import (
@@ -70,7 +75,7 @@ func IntraReorder[T any](items []T, size func(T) float64, m int) (ordered []T, g
 // the partitioner's scratch and are valid until the next Partition
 // call.
 type Partitioner struct {
-	idx    []int
+	keys   []key
 	assign []int
 	loads  []float64
 	counts []int
@@ -93,20 +98,21 @@ func (p *Partitioner) Partition(sizes []float64, m int) ([][]int, error) {
 		return nil, fmt.Errorf("reorder: DP size %d must be positive", m)
 	}
 	n := len(sizes)
-	p.idx = grow(p.idx, n)
+	p.keys = grow(p.keys, n)
 	p.assign = grow(p.assign, n)
 	p.loads = grow(p.loads, m)
 	p.counts = grow(p.counts, m)
 	p.groups = grow(p.groups, m)
-	for i := range p.idx {
-		p.idx[i] = i
+	// Sort descending by size (line 3): the complemented rank reverses
+	// the order, and equal sizes keep corpus order.
+	for i, sz := range sizes {
+		p.keys[i] = key{rank: ^sizeRank(sz), index: i}
 	}
-	// Sort descending by size (line 3); stable so equal sizes keep
-	// corpus order and the result is deterministic.
-	slices.SortStableFunc(p.idx, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
+	slices.SortFunc(p.keys, key.compare)
 	clear(p.loads)
 	clear(p.counts)
-	for pos, i := range p.idx {
+	for pos, k := range p.keys {
+		i := k.index
 		min := 0
 		for g := 1; g < m; g++ {
 			if p.loads[g] < p.loads[min] {
@@ -126,9 +132,9 @@ func (p *Partitioner) Partition(sizes []float64, m int) ([][]int, error) {
 		p.groups[g] = p.flat[off : off : off+p.counts[g]]
 		off += p.counts[g]
 	}
-	for pos, i := range p.idx {
+	for pos, k := range p.keys {
 		g := p.assign[pos]
-		p.groups[g] = append(p.groups[g], i)
+		p.groups[g] = append(p.groups[g], k.index)
 	}
 	return p.groups[:m], nil
 }
@@ -225,6 +231,44 @@ func grow[T any](s []T, n int) []T {
 	return slices.Grow(s[:0], n)[:n]
 }
 
+// key is an item priced once for sorting: rank, its size mapped onto
+// the integers in cmp.Compare's order, and index, its unique identity,
+// which breaks ties — so any sort of the keys yields the stable sort on
+// size. Keys hold no pointers: sorting them moves no slice headers and
+// pays no write barriers.
+type key struct {
+	rank  uint64
+	index int
+}
+
+// compare orders keys by (rank, index).
+func (a key) compare(b key) int {
+	return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.index, b.index))
+}
+
+// mbKey is Algorithm 2's key: a microbatch's (size, Index) key plus its
+// input position and encoder forward time.
+type mbKey struct {
+	key
+	pos int
+	enc float64
+}
+
+// sizeRank maps a size onto the integers in cmp.Compare's order: NaN
+// below everything, -0 equal to +0.
+func sizeRank(f float64) uint64 {
+	switch b := math.Float64bits(f); {
+	case f != f:
+		return 0
+	case f == 0:
+		return 1 << 63
+	case b>>63 == 1:
+		return ^b
+	default:
+		return b | 1<<63
+	}
+}
+
 // Microbatch carries one microbatch's per-pipeline-stage compute times
 // for inter-microbatch reordering. Fwd[0] is the modality encoder
 // stage; Fwd[len-1] the modality generator stage. Index is an opaque
@@ -246,25 +290,31 @@ func (m Microbatch) HeteroSize() float64 {
 	return m.Fwd[0] + m.Fwd[len(m.Fwd)-1]
 }
 
-// Reorderer runs Algorithm 2 with all scratch (candidate pool, result
-// order, interval predictions, pick marks, the duplicate-index set)
-// reused across calls: a long-lived one stops allocating once it has
-// seen its largest rank. Not safe for concurrent use; the zero value is
-// ready. The returned order aliases the scratch, valid until the next
-// call — which must not be handed that order as its input.
+// Reorderer runs Algorithm 2 with all scratch (the priced keys, the
+// order, interval predictions, pick marks) reused across calls: a
+// long-lived one stops allocating once it has seen its largest rank.
+// Not safe for concurrent use; the zero value is ready. The returned
+// order aliases the scratch, valid until the next call — which must not
+// be handed that order as its input.
+//
+// Indices are expected to increase along the input: an Index not above
+// every earlier one is checked for duplicates by a scan of the earlier
+// keys, so a rank of l such microbatches pays O(l²) for the check.
 type Reorderer struct {
-	pool, ret, picked, scaled []Microbatch
-	intervals                 []pipeline.Interval // intervals[i-1] = interval_i
-	used                      []bool
-	at                        map[int]int // Index -> input position: the duplicate check
-	backing                   []float64   // the vpp > 1 virtual-chunk stage times
-	pred                      pipeline.IntervalPredictor
+	keys, picked []mbKey
+	order        []int // input positions, in Algorithm 2's order
+	ret, scaled  []Microbatch
+	intervals    []pipeline.Interval // intervals[i-1] = interval_i
+	used         []bool
+	backing      []float64 // the vpp > 1 virtual-chunk stage times
+	pred         pipeline.IntervalPredictor
 }
 
-// place appends m to the order and predicts the interval it closes.
-func (r *Reorderer) place(m Microbatch) {
-	r.ret = append(r.ret, m)
-	r.intervals = append(r.intervals, r.pred.Append(m.Fwd, m.Bwd))
+// place appends mbs[pos] to the order and predicts the interval it
+// closes.
+func (r *Reorderer) place(mbs []Microbatch, pos int) {
+	r.order = append(r.order, pos)
+	r.intervals = append(r.intervals, r.pred.Append(mbs[pos].Fwd, mbs[pos].Bwd))
 }
 
 // InterReorder is Algorithm 2: reorder the microbatches of one DP rank
@@ -280,41 +330,48 @@ func (r *Reorderer) place(m Microbatch) {
 //     forward time best fits it — p-1 of them for the first (warmup)
 //     interval, one for each subsequent interval.
 func (r *Reorderer) InterReorder(mbs []Microbatch, p2p []float64) ([]Microbatch, error) {
-	l := len(mbs)
+	return r.reorder(mbs, mbs, p2p)
+}
+
+// reorder runs Algorithm 2 over priced and returns the microbatches of
+// out (the same microbatches, perhaps at other stage times) in that
+// order.
+func (r *Reorderer) reorder(priced, out []Microbatch, p2p []float64) ([]Microbatch, error) {
+	l := len(priced)
 	if l == 0 {
 		return nil, nil
 	}
-	p := len(mbs[0].Fwd)
+	p := len(priced[0].Fwd)
 	if p == 0 {
 		return nil, fmt.Errorf("reorder: microbatches carry no stage times")
 	}
-	if r.at == nil {
-		r.at = make(map[int]int, l)
-	}
-	clear(r.at)
-	for i, m := range mbs {
+	// Price every microbatch once. An Index above every earlier one is
+	// new; any other is looked for among the earlier keys, a scan that
+	// increasing indices never take.
+	r.keys = grow(r.keys, l)
+	top := math.MinInt
+	for i, m := range priced {
 		if len(m.Fwd) != p || len(m.Bwd) != p {
 			return nil, fmt.Errorf("reorder: microbatch %d has inconsistent stage count", m.Index)
 		}
-		if _, dup := r.at[m.Index]; dup {
+		if m.Index <= top && slices.ContainsFunc(r.keys[:i], func(k mbKey) bool { return k.index == m.Index }) {
 			return nil, fmt.Errorf("reorder: duplicate microbatch index %d", m.Index)
 		}
-		r.at[m.Index] = i
+		top = max(top, m.Index)
+		r.keys[i] = mbKey{key{sizeRank(m.HeteroSize()), m.Index}, i, m.Fwd[0]}
 	}
 	if l <= 2 || p == 1 {
-		r.ret = append(r.ret[:0], mbs...)
+		r.ret = append(r.ret[:0], out...)
 		return r.ret, nil
 	}
 
-	r.pool = append(r.pool[:0], mbs...)
-	pool := r.pool
-	sortBySize(pool)
-
-	r.ret, r.intervals, r.picked = grow(r.ret, l)[:0], grow(r.intervals, l)[:0], grow(r.picked, p)
+	pool := r.keys
+	slices.SortFunc(pool, func(a, b mbKey) int { return a.compare(b.key) })
+	r.order, r.intervals, r.picked = grow(r.order, l)[:0], grow(r.intervals, l)[:0], grow(r.picked, p)
 	r.pred.Reset(p, p2p)
 
 	// Line 3: smallest first.
-	r.place(pool[0])
+	r.place(priced, pool[0].pos)
 	pool = pool[1:]
 
 	// Line 4: reserve the p-1 smallest for the rear.
@@ -334,22 +391,28 @@ func (r *Reorderer) InterReorder(mbs []Microbatch, p2p []float64) ([]Microbatch,
 			want = p - 1
 		}
 		r.picked = selectClosest(pool, r.used, want, iv.Volume(), r.picked[:0])
-		for _, m := range r.picked {
-			r.place(m)
+		for _, k := range r.picked {
+			r.place(priced, k.pos)
 		}
 		left -= len(r.picked)
 	}
 	// Defensive drain: the paper's loop bound can leave items when l is
 	// small relative to p; keep them before the rear reserve.
-	for i, m := range pool {
+	for i, k := range pool {
 		if !r.used[i] {
-			r.place(m)
+			r.place(priced, k.pos)
 		}
 	}
 	// Line 12: rear microbatches close the pipeline.
-	r.ret = append(r.ret, rear...)
-	if len(r.ret) != l {
-		return nil, fmt.Errorf("reorder: produced %d microbatches from %d", len(r.ret), l)
+	for _, k := range rear {
+		r.order = append(r.order, k.pos)
+	}
+	if len(r.order) != l {
+		return nil, fmt.Errorf("reorder: produced %d microbatches from %d", len(r.order), l)
+	}
+	r.ret = grow(r.ret, l)
+	for i, pos := range r.order {
+		r.ret[i] = out[pos]
 	}
 	return r.ret, nil
 }
@@ -383,29 +446,15 @@ func (r *Reorderer) InterReorderVPP(mbs []Microbatch, p2p []float64, vpp int) ([
 		scaled = append(scaled, s)
 	}
 	r.backing, r.scaled = backing, scaled
-	order, err := r.InterReorder(scaled, p2p)
-	if err != nil {
-		return nil, err
-	}
-	// Map the virtual-chunk order back onto the original microbatches
-	// through the positions the duplicate check recorded.
-	for i, m := range order {
-		order[i] = mbs[r.at[m.Index]]
-	}
-	return order, nil
+	// Order the virtual-chunk microbatches; hand back the originals.
+	return r.reorder(scaled, mbs, p2p)
 }
 
 // InterReorder runs Algorithm 2 on a fresh Reorderer: the order is the
-// caller's.
+// caller's. As there, non-increasing indices make the duplicate check
+// quadratic.
 func InterReorder(mbs []Microbatch, p2p []float64) ([]Microbatch, error) {
 	return new(Reorderer).InterReorder(mbs, p2p)
-}
-
-// sortBySize orders ascending by heterogeneous size, stable on index.
-func sortBySize(mbs []Microbatch) {
-	slices.SortStableFunc(mbs, func(a, b Microbatch) int {
-		return cmp.Or(cmp.Compare(a.HeteroSize(), b.HeteroSize()), cmp.Compare(a.Index, b.Index))
-	})
 }
 
 // selectClosest greedily picks up to k microbatches whose cumulative
@@ -414,7 +463,7 @@ func sortBySize(mbs []Microbatch) {
 // any candidate would move further from it. Picked entries are marked
 // in used (and skipped when already marked), so callers never copy the
 // pool; picks are appended to the passed slice and returned.
-func selectClosest(pool []Microbatch, used []bool, k int, target float64, picked []Microbatch) []Microbatch {
+func selectClosest(pool []mbKey, used []bool, k int, target float64, picked []mbKey) []mbKey {
 	avail := 0
 	for i := range pool {
 		if !used[i] {
@@ -428,11 +477,11 @@ func selectClosest(pool []Microbatch, used []bool, k int, target float64, picked
 	for len(picked) < k {
 		bestIdx := -1
 		bestDist := math.Abs(sum - target)
-		for i, m := range pool {
+		for i, c := range pool {
 			if used[i] {
 				continue
 			}
-			d := math.Abs(sum + m.encFwd() - target)
+			d := math.Abs(sum + c.enc - target)
 			if bestIdx == -1 || d < bestDist {
 				bestIdx, bestDist = i, d
 			}
@@ -445,17 +494,10 @@ func selectClosest(pool []Microbatch, used []bool, k int, target float64, picked
 		if len(picked) > 0 && bestDist >= math.Abs(sum-target) {
 			break
 		}
-		m := pool[bestIdx]
-		picked = append(picked, m)
-		sum += m.encFwd()
+		c := pool[bestIdx]
+		picked = append(picked, c)
+		sum += c.enc
 		used[bestIdx] = true
 	}
 	return picked
-}
-
-func (m Microbatch) encFwd() float64 {
-	if len(m.Fwd) == 0 {
-		return 0
-	}
-	return m.Fwd[0]
 }

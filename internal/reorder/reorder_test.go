@@ -1,8 +1,11 @@
 package reorder
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -390,6 +393,164 @@ func TestHeteroSize(t *testing.T) {
 	}
 	if (Microbatch{}).HeteroSize() != 0 {
 		t.Error("empty microbatch size should be 0")
+	}
+}
+
+// --- the keyed Reorderer vs Algorithm 2 over microbatch structs ---
+
+// sortBySize orders ascending by heterogeneous size, stable on index:
+// the struct sort Algorithm 2 ran before it sorted keys.
+func sortBySize(mbs []Microbatch) {
+	slices.SortStableFunc(mbs, func(a, b Microbatch) int {
+		return cmp.Or(cmp.Compare(a.HeteroSize(), b.HeteroSize()), cmp.Compare(a.Index, b.Index))
+	})
+}
+
+// referenceInterReorderVPP is Algorithm 2 as it ran on microbatch
+// structs: a map duplicate check, sortBySize over a copy of the rank,
+// closest-fit placement from that pool, and the vpp > 1 virtual chunks
+// mapped back to the caller's microbatches through the map. The
+// Reorderer must reproduce it index for index, errors included.
+func referenceInterReorderVPP(mbs []Microbatch, p2p []float64, vpp int) ([]Microbatch, error) {
+	in := mbs
+	if vpp > 1 {
+		in = make([]Microbatch, len(mbs))
+		for i, m := range mbs {
+			in[i] = Microbatch{Index: m.Index, Fwd: make([]float64, len(m.Fwd)), Bwd: make([]float64, len(m.Bwd))}
+			for s, v := range m.Fwd {
+				in[i].Fwd[s] = v / float64(vpp)
+			}
+			for s, v := range m.Bwd {
+				in[i].Bwd[s] = v / float64(vpp)
+			}
+		}
+	}
+	l := len(in)
+	if l == 0 {
+		return nil, nil
+	}
+	p := len(in[0].Fwd)
+	if p == 0 {
+		return nil, fmt.Errorf("reorder: microbatches carry no stage times")
+	}
+	at := map[int]int{}
+	for i, m := range in {
+		if len(m.Fwd) != p || len(m.Bwd) != p {
+			return nil, fmt.Errorf("reorder: microbatch %d has inconsistent stage count", m.Index)
+		}
+		if _, dup := at[m.Index]; dup {
+			return nil, fmt.Errorf("reorder: duplicate microbatch index %d", m.Index)
+		}
+		at[m.Index] = i
+	}
+	order := append([]Microbatch(nil), in...)
+	if l > 2 && p > 1 {
+		pool := append([]Microbatch(nil), in...)
+		sortBySize(pool)
+		var pred pipeline.IntervalPredictor
+		pred.Reset(p, p2p)
+		var intervals []pipeline.Interval
+		order = order[:0]
+		place := func(m Microbatch) {
+			order = append(order, m)
+			intervals = append(intervals, pred.Append(m.Fwd, m.Bwd))
+		}
+		place(pool[0])
+		pool = pool[1:]
+		rear := pool[:min(p-1, len(pool))]
+		pool = pool[len(rear):]
+		used := make([]bool, len(pool))
+		for i, left := 1, len(pool); left > 0 && i <= l-p; i++ {
+			want := 1
+			if i == 1 {
+				want = p - 1
+			}
+			picked := referenceClosest(pool, used, want, intervals[i-1].Volume())
+			for _, m := range picked {
+				place(m)
+			}
+			left -= len(picked)
+		}
+		for i, m := range pool {
+			if !used[i] {
+				place(m)
+			}
+		}
+		order = append(order, rear...)
+	}
+	for i, m := range order {
+		order[i] = mbs[at[m.Index]]
+	}
+	return order, nil
+}
+
+// referenceClosest is selectClosest over microbatch structs.
+func referenceClosest(pool []Microbatch, used []bool, k int, target float64) []Microbatch {
+	var picked []Microbatch
+	sum := 0.0
+	for len(picked) < k {
+		bestIdx := -1
+		bestDist := math.Abs(sum - target)
+		for i, m := range pool {
+			if used[i] {
+				continue
+			}
+			if d := math.Abs(sum + m.Fwd[0] - target); bestIdx == -1 || d < bestDist {
+				bestIdx, bestDist = i, d
+			}
+		}
+		if bestIdx == -1 || (len(picked) > 0 && bestDist >= math.Abs(sum-target)) {
+			break
+		}
+		picked = append(picked, pool[bestIdx])
+		sum += pool[bestIdx].Fwd[0]
+		used[bestIdx] = true
+	}
+	return picked
+}
+
+// TestSortKeysIsStableSizeOrder pins the keyed sort to the stable sort
+// on size it replaced, at lengths from a DP rank's microbatches to well
+// past a global batch, over sizes full of ties and of the values where
+// integer ranks could disagree with cmp.Compare: NaN, ±0, ±Inf and the
+// smallest denormals.
+func TestSortKeysIsStableSizeOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	values := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1),
+		-math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64, -1.5, 1.5, 2, -2}
+	for _, n := range []int{0, 1, 2, 7, 13, 96, 300} {
+		for trial := 0; trial < 20; trial++ {
+			sizes := make([]float64, n)
+			for i := range sizes {
+				sizes[i] = values[rng.Intn(len(values))]
+			}
+			for _, desc := range []bool{false, true} {
+				keys := make([]key, n)
+				for i, sz := range sizes {
+					keys[i] = key{rank: sizeRank(sz), index: i}
+					if desc {
+						keys[i].rank = ^keys[i].rank
+					}
+				}
+				slices.SortFunc(keys, key.compare)
+				want := make([]int, n)
+				for i := range want {
+					want[i] = i
+				}
+				slices.SortStableFunc(want, func(a, b int) int {
+					if desc {
+						return cmp.Compare(sizes[b], sizes[a])
+					}
+					return cmp.Compare(sizes[a], sizes[b])
+				})
+				for i, k := range keys {
+					if k.index != want[i] {
+						t.Fatalf("n=%d desc=%v: position %d holds %d (size %v), stable sort %d (size %v)",
+							n, desc, i, k.index, sizes[k.index], want[i], sizes[want[i]])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"math"
 	"testing"
 )
 
@@ -20,9 +21,11 @@ func (s *byteSrc) next(mod int) int {
 }
 
 // fuzzRank derives one Algorithm 2 input: 0-40 microbatches of 1-8
-// stages on a quarter grid, p2p nil or set, vpp 1-3, and now and then
-// an input that must be rejected — a duplicate index, a ragged
-// microbatch, no stage times at all.
+// stages on a quarter grid (forward times now and then NaN or -0, where
+// a size order could slip), indices increasing or, now and then,
+// shuffled, p2p nil or set, vpp 1-3, and now and then an input that
+// must be rejected — a duplicate index, a ragged microbatch, no stage
+// times at all.
 func fuzzRank(src *byteSrc) (mbs []Microbatch, p2p []float64, vpp int) {
 	l, p := src.next(41), 1+src.next(8)
 	vpp = 1 + src.next(3)
@@ -30,8 +33,21 @@ func fuzzRank(src *byteSrc) (mbs []Microbatch, p2p []float64, vpp int) {
 	for i := range mbs {
 		mbs[i] = Microbatch{Index: 3*i - 7, Fwd: make([]float64, p), Bwd: make([]float64, p)}
 		for s := 0; s < p; s++ {
-			mbs[i].Fwd[s] = float64(src.next(13)) * 0.25
+			switch v := src.next(15); v {
+			case 13:
+				mbs[i].Fwd[s] = math.NaN()
+			case 14:
+				mbs[i].Fwd[s] = math.Copysign(0, -1)
+			default:
+				mbs[i].Fwd[s] = float64(v) * 0.25
+			}
 			mbs[i].Bwd[s] = float64(src.next(25)) * 0.25
+		}
+	}
+	if l > 1 && src.next(4) == 0 {
+		for i := range mbs {
+			j := src.next(l)
+			mbs[i].Index, mbs[j].Index = mbs[j].Index, mbs[i].Index
 		}
 	}
 	if src.next(2) == 1 {
@@ -55,9 +71,11 @@ func fuzzRank(src *byteSrc) (mbs []Microbatch, p2p []float64, vpp int) {
 
 // FuzzReordererReuse drives one long-lived Reorderer through a
 // byte-derived sequence of ranks that grow and shrink, valid and
-// invalid, at mixed vpp, and holds every call to a fresh
-// InterReorderVPP of the same input: same error text, or the same
-// order index for index carrying the caller's own stage-time slices.
+// invalid, at mixed vpp, and holds every call to the struct-sorting
+// reference (referenceInterReorderVPP) on the same input: same error
+// text, or the same order index for index carrying the caller's own
+// stage-time slices. The quarter grid makes size ties common, so the
+// tie order is exercised on most inputs.
 func FuzzReordererReuse(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{40, 7, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24})
@@ -68,17 +86,17 @@ func FuzzReordererReuse(f *testing.F) {
 		var r Reorderer
 		for step := 0; step < 12; step++ {
 			mbs, p2p, vpp := fuzzRank(src)
-			want, wantErr := new(Reorderer).InterReorderVPP(mbs, p2p, vpp)
+			want, wantErr := referenceInterReorderVPP(mbs, p2p, vpp)
 			got, gotErr := r.InterReorderVPP(mbs, p2p, vpp)
 			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-				t.Fatalf("step %d: error %v, fresh %v", step, gotErr, wantErr)
+				t.Fatalf("step %d: error %v, reference %v", step, gotErr, wantErr)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("step %d: %d microbatches, fresh %d", step, len(got), len(want))
+				t.Fatalf("step %d: %d microbatches, reference %d", step, len(got), len(want))
 			}
 			for i := range want {
 				if got[i].Index != want[i].Index || &got[i].Fwd[0] != &want[i].Fwd[0] || &got[i].Bwd[0] != &want[i].Bwd[0] {
-					t.Fatalf("step %d: position %d holds microbatch %d, fresh %d (or a copy of its stage times)",
+					t.Fatalf("step %d: position %d holds microbatch %d, reference %d (or a copy of its stage times)",
 						step, i, got[i].Index, want[i].Index)
 				}
 			}

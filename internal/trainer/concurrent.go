@@ -36,11 +36,12 @@ import (
 // the sequential reference at any worker count — the same contract as
 // the orchestrator's parallel plan search.
 //
-// What outlives what: preparedBatch.batch is fresh per iteration and
-// may be retained (Observation.Batch); its work/ranks live in one of
-// the runtime's two prepBufs until iteration i+2 is prepared; a pooled
-// scratch is held for one runRank or assign call and nothing backed by
-// it escapes (a traced rank's ops are copied into its outcome slot).
+// What outlives what: a corpus batch, its work and its ranks live in
+// one of the runtime's two prepBufs until iteration i+2 is prepared, so
+// nothing of an iteration escapes its Step unless copied — a controller
+// gets its own copy of the batch (Observation.Batch); a pooled scratch
+// is held for one runRank or assign call and nothing backed by it
+// escapes (a traced rank's ops are copied into its outcome slot).
 
 // preparedBatch is the front-end's output for one iteration: the
 // global batch, each sample's workload in batch order (the order
@@ -55,9 +56,12 @@ type preparedBatch struct {
 
 // prepBuf backs one preparedBatch: iteration i reads prep[i&1] while
 // the prefetch of i+1 (the one prepare ever outstanding) fills the
-// other. ranks slices work itself when ranks own contiguous blocks of
-// the batch, flat (work gathered rank-major) when Algorithm 1 assigned.
+// other. batch holds a corpus batch's samples (a live source's or a
+// trial's batch is theirs); ranks slices work itself when ranks own
+// contiguous blocks of the batch, flat (work gathered rank-major) when
+// Algorithm 1 assigned.
 type prepBuf struct {
+	batch      []data.Sample
 	work, flat []model.Workload
 	ranks      [][]model.Workload
 }
@@ -95,8 +99,9 @@ func (r *Runtime) prepare(iter int) preparedBatch {
 	case r.trial != nil:
 		p.batch = r.trial[iter%len(r.trial)]
 	default:
-		p.batch = r.cfg.Corpus.GlobalBatch(int64(iter), r.cfg.Spec.GlobalBatch)
-		p.batch = scenario.At(r.cfg.Scenario, iter).ShiftBatch(p.batch)
+		bs := r.cfg.Spec.GlobalBatch
+		buf.batch = r.cfg.Corpus.AppendBatch(buf.batch[:0], int64(iter)*int64(bs), bs)
+		p.batch = scenario.At(r.cfg.Scenario, iter).ShiftBatch(buf.batch)
 	}
 	buf.work = fold(buf.work[:0], p.batch, r.cfg.Spec.Profiler.Kernel())
 	p.err = r.assign(buf, dp, r.cfg.Reorder && src == nil)
@@ -142,7 +147,8 @@ var (
 // Algorithm 2 ordering, exact 1F1B simulation — under the iteration's
 // scenario perturbation. Pure with respect to runtime state (all
 // mutable state lives in the pooled scratch), so rank workers may run
-// concurrently. When tracing, the timeline is appended to ops.
+// concurrently. When tracing, the timeline is appended to ops;
+// otherwise none is recorded.
 func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scenario.Perturbation, ops []pipeline.Op) rankOutcome {
 	cfg := &r.cfg
 	m := cfg.Spec.Microbatch
@@ -190,7 +196,13 @@ func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scen
 			rows.Bwd[s][j] = mb.Bwd[s]
 		}
 	}
-	res, err := sc.sim.Simulate(pipeline.OneFOneB, rows)
+	var res *pipeline.Result
+	var err error
+	if cfg.Trace != nil {
+		res, err = sc.sim.Simulate(pipeline.OneFOneB, rows)
+	} else {
+		res, err = sc.sim.SimulateUntraced(rows)
+	}
 	if err != nil {
 		return rankOutcome{err: err}
 	}

@@ -25,8 +25,9 @@ type Observation struct {
 	// iteration-time spread across DP ranks (StragglerSpread).
 	Stats IterationStats
 	// Batch is the iteration's global batch after any workload shift —
-	// the observed sample-cost distribution. Controllers must treat the
-	// slice and its samples as read-only; the runtime retains them.
+	// the observed sample-cost distribution. The slice is the
+	// controller's own copy to keep; the samples share their
+	// subsequences with the corpus and must be treated as read-only.
 	Batch []data.Sample
 	// Pool is a point-in-time snapshot of the producer-pool counters
 	// (failovers, rejections, fetch latency) when a live pool is

@@ -3,6 +3,7 @@ package trainer
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/metrics"
@@ -338,7 +339,7 @@ func (j *Job) Step() error {
 		}
 	}
 	if ctl := r.cfg.Controller; ctl != nil {
-		obs := Observation{Iter: i, Stats: st, Batch: p.batch}
+		obs := Observation{Iter: i, Stats: st, Batch: slices.Clone(p.batch)}
 		if r.cfg.PoolStats != nil {
 			snap := r.cfg.PoolStats.Snapshot()
 			obs.Pool = &snap
