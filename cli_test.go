@@ -2,6 +2,7 @@ package disttrain
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -54,5 +55,40 @@ func TestCLIRejectsBadArguments(t *testing.T) {
 				t.Errorf("stdout not empty: %q", stdout.String())
 			}
 		})
+	}
+}
+
+// TestFleetCLIReportsCorruptPlanEntries plants one corrupt entry in a
+// populated -plan-cache-dir: the next disttrain-fleet run reads it as a
+// miss, re-searches, and says so on its durable plan cache line.
+func TestFleetCLIReportsCorruptPlanEntries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := filepath.Join(t.TempDir(), "disttrain-fleet")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/disttrain-fleet").CombinedOutput(); err != nil {
+		t.Fatalf("go build disttrain-fleet: %v\n%s", err, out)
+	}
+	dir := t.TempDir()
+	run := func() string {
+		t.Helper()
+		out, err := exec.Command(bin, "-nodes", "2", "-jobs", "1", "-job-nodes", "2-2", "-job-iters", "1", "-plan-cache-dir", dir).CombinedOutput()
+		if err != nil {
+			t.Fatalf("disttrain-fleet: %v\n%s", err, out)
+		}
+		return string(out)
+	}
+	if out := run(); !strings.Contains(out, "0 corrupt entries skipped") {
+		t.Fatalf("cold run does not report corrupt entries:\n%s", out)
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*.entry"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("cold run left entries %v (%v), want one", entries, err)
+	}
+	if err := os.WriteFile(entries[0], []byte("not a plan"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := run(); !strings.Contains(out, "1 corrupt entries skipped") {
+		t.Errorf("run over a corrupt entry does not report it:\n%s", out)
 	}
 }

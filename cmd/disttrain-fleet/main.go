@@ -36,8 +36,10 @@ import (
 	"disttrain/internal/experiments"
 	"disttrain/internal/fleet"
 	"disttrain/internal/model"
+	"disttrain/internal/orchestrator"
 	"disttrain/internal/prof"
 	"disttrain/internal/scenario"
+	"disttrain/internal/store"
 	"disttrain/internal/trainer"
 )
 
@@ -117,11 +119,17 @@ func main() {
 
 	tmpl := trainer.DistTrainConfig(spec, nil, corpus)
 	cfg := fleet.Config{
-		Cluster:      spec.Cluster,
-		Policy:       pol,
-		Workers:      *workers,
-		Trace:        *traceFile != "",
-		PlanCacheDir: *cacheDir,
+		Cluster: spec.Cluster,
+		Policy:  pol,
+		Workers: *workers,
+		Trace:   *traceFile != "",
+	}
+	var disk *store.Disk
+	if *cacheDir != "" {
+		if disk, err = store.OpenDisk(*cacheDir); err != nil {
+			fatal(err)
+		}
+		cfg.Cache = orchestrator.NewPersistentPlanCache(orchestrator.SearchOptions{}, disk)
 	}
 	for i := 0; i < *jobs; i++ {
 		cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
@@ -158,9 +166,9 @@ func main() {
 	fmt.Printf("fleet: %d nodes, %s policy, %d rounds, %d tenants\n",
 		*nodes, pol.Name(), res.Rounds, len(res.Jobs))
 	fmt.Printf("plan cache: %d searches, %d hits\n", res.PlanSearches, res.PlanHits)
-	if *cacheDir != "" {
-		fmt.Printf("durable plan cache (%s): %d warm hits, %d warm-seeded searches, %d candidates pruned\n",
-			*cacheDir, res.PlanWarmHits, res.PlanWarmSeeds, res.PlanPruned)
+	if disk != nil {
+		fmt.Printf("durable plan cache (%s): %d warm hits, %d warm-seeded searches, %d candidates pruned, %d corrupt entries skipped\n",
+			*cacheDir, res.PlanWarmHits, res.PlanWarmSeeds, res.PlanPruned, disk.CorruptSkips())
 	}
 	if res.Preprocess != nil {
 		fmt.Printf("shared preprocessing: %s\n", res.Preprocess)

@@ -1,0 +1,73 @@
+package fleet
+
+import (
+	"fmt"
+	"runtime/debug"
+	"testing"
+
+	"disttrain/internal/trainer"
+)
+
+// TestFleetAllocBudget pins what one fleet run allocates at the
+// geometries BenchmarkFleetThroughput and BenchmarkColdAdmissionStorm
+// time: K tenants on 2-node leases of a 2K-node cluster. K identical
+// tenants share one §4.3 search through the plan cache, and their
+// iterations scale as max(2, 32/K), so the count grows with the
+// tenants, not the iterations. The cold storm's 16 tenants have
+// distinct batches and arrive at round 0 on a fresh cache, so a run
+// pays 16 cold searches. The collector is off while a run is measured,
+// so no GC empties the trainer's sync.Pools mid-run. Each budget is the
+// recorded count plus max(1%, 8): one allocation more per tenant
+// breaks K = 64. Under the race detector sync.Pool drops entries at
+// random, so there is nothing to pin.
+func TestFleetAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name     string
+		k, iters int
+		distinct bool // distinct batches: one cold search per tenant
+		recorded float64
+	}{
+		{"K=1", 1, 32, false, 461},
+		{"K=4", 4, 8, false, 558},
+		{"K=16", 16, 2, false, 1004},
+		{"K=64", 64, 2, false, 3492},
+		{"cold storm", 16, 2, true, 3739},
+	} {
+		spec, corpus := buildSpec(t, 2*tc.k, 32)
+		cfg := Config{Cluster: spec.Cluster}
+		searches := int64(1)
+		for j := 0; j < tc.k; j++ {
+			js := spec
+			if tc.distinct {
+				js.GlobalBatch, searches = 32+8*j, int64(tc.k)
+			}
+			tmpl := trainer.DistTrainConfig(js, nil, corpus)
+			tmpl.Parallelism = 2
+			cfg.Jobs = append(cfg.Jobs, JobSpec{
+				Name: fmt.Sprintf("t%d", j), Train: tmpl,
+				Iters: tc.iters, MinNodes: 2, MaxNodes: 2,
+			})
+		}
+		got := testing.AllocsPerRun(5, func() {
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, jr := range res.Jobs {
+				if jr.Err != nil {
+					t.Fatal(jr.Err)
+				}
+			}
+			if res.PlanSearches != searches {
+				t.Fatalf("%s: fleet ran %d plan searches, want %d", tc.name, res.PlanSearches, searches)
+			}
+		})
+		if budget := tc.recorded + max(tc.recorded/100, 8); got > budget {
+			t.Errorf("%s: %v allocs per run, recorded %v, budget %.0f", tc.name, got, tc.recorded, budget)
+		}
+	}
+}

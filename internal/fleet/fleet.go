@@ -14,7 +14,6 @@ import (
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/preprocess"
 	"disttrain/internal/scenario"
-	"disttrain/internal/store"
 	"disttrain/internal/trainer"
 )
 
@@ -68,15 +67,11 @@ type Config struct {
 	// Cache, when non-nil, is the shared plan cache to consult (and
 	// warm); nil builds a private one with default search options (a
 	// caller who wants others builds the cache). Result search/hit
-	// counts are deltas over this run either way.
+	// counts are deltas over this run either way. A persistent cache
+	// over a store.Disk makes the control plane durable: a later run
+	// (or process) serves repeated specs with zero cold searches and
+	// warm-starts searches at new lease sizes from their neighbours.
 	Cache *orchestrator.PlanCache
-	// PlanCacheDir, when non-empty, makes the control plane durable:
-	// the fleet builds its plan cache over an on-disk store rooted
-	// there, so a later run (or process) serves repeated specs with
-	// zero cold searches and warm-starts searches at new lease sizes
-	// from their neighbours. Mutually exclusive with Cache — a caller
-	// supplying its own cache owns its persistence.
-	PlanCacheDir string
 	// Preprocess, when non-nil, attaches the fleet-shared
 	// disaggregated preprocessing tier: one producer fleet plus one
 	// multiplexing service every tenant sources its batches from, with
@@ -164,8 +159,7 @@ type Result struct {
 	PlanSearches, PlanHits int64
 	// PlanWarmHits, PlanWarmSeeds and PlanPruned are the warm-start
 	// deltas: specs served from the on-disk store with no search (zero
-	// unless the cache is persistent: Config.PlanCacheDir or a
-	// persistent Config.Cache), searches warm-started from a
+	// unless Config.Cache is persistent), searches warm-started from a
 	// neighbouring lease size's plan, and candidates the searches'
 	// bounds pruned.
 	PlanWarmHits, PlanWarmSeeds, PlanPruned int64
@@ -352,16 +346,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	cache := cfg.Cache
-	if cfg.PlanCacheDir != "" {
-		if cache != nil {
-			return nil, errors.New("fleet: Cache and PlanCacheDir are mutually exclusive")
-		}
-		st, err := store.OpenDisk(cfg.PlanCacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: plan cache dir: %w", err)
-		}
-		cache = orchestrator.NewPersistentPlanCache(orchestrator.SearchOptions{}, st)
-	}
 	if cache == nil {
 		cache = orchestrator.NewPlanCache(orchestrator.SearchOptions{})
 	}

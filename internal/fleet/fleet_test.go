@@ -14,6 +14,7 @@ import (
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/profiler"
 	"disttrain/internal/scenario"
+	"disttrain/internal/store"
 	"disttrain/internal/trainer"
 )
 
@@ -171,6 +172,17 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 }
 
+// diskCache is a fresh persistent plan cache over the store in dir, the
+// cache disttrain-fleet -plan-cache-dir hands the fleet.
+func diskCache(t *testing.T, dir string) *orchestrator.PlanCache {
+	t.Helper()
+	st, err := store.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return orchestrator.NewPersistentPlanCache(orchestrator.SearchOptions{}, st)
+}
+
 // TestFleetPlanCachePersistsAcrossRuns is the durable-control-plane
 // E2E gate: a second fleet run against a populated plan-cache dir
 // performs zero cold searches — every repeated spec is served from
@@ -181,7 +193,7 @@ func TestFleetPlanCachePersistsAcrossRuns(t *testing.T) {
 	dir := t.TempDir()
 	spec, corpus := buildSpec(t, 8, 32)
 	cfg := perturbedFleet(t, spec, corpus, 0)
-	cfg.PlanCacheDir = dir
+	cfg.Cache = diskCache(t, dir)
 	res1, err := runChecked(t, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +208,7 @@ func TestFleetPlanCachePersistsAcrossRuns(t *testing.T) {
 	// durable key is calibration content, not the pointer.
 	spec2, corpus2 := buildSpec(t, 8, 32)
 	cfg2 := perturbedFleet(t, spec2, corpus2, 0)
-	cfg2.PlanCacheDir = dir
+	cfg2.Cache = diskCache(t, dir)
 	res2, err := runChecked(t, cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -214,14 +226,6 @@ func TestFleetPlanCachePersistsAcrossRuns(t *testing.T) {
 		if !reflect.DeepEqual(res1.Jobs[i].Plan, res2.Jobs[i].Plan) {
 			t.Errorf("job %s: warm plan diverged from cold plan", res1.Jobs[i].Name)
 		}
-	}
-
-	// Supplying both a cache and a cache dir is a config error.
-	cfg3 := perturbedFleet(t, spec, corpus, 0)
-	cfg3.Cache = orchestrator.NewPlanCache(orchestrator.SearchOptions{})
-	cfg3.PlanCacheDir = dir
-	if _, err := runChecked(t, cfg3); err == nil {
-		t.Error("Cache + PlanCacheDir accepted, want config error")
 	}
 }
 

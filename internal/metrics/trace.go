@@ -322,8 +322,8 @@ func (t *Trace) WriteJSONFile(path string) error {
 // so a completed write survives power loss (a directory fsync failing
 // with EINVAL is tolerated: such filesystems order the rename
 // themselves). Its callers write a run's record — Trace.WriteJSONFile
-// and disttrain-benchjson's baseline; plan-cache entries need only
-// ReplaceFile's atomicity.
+// and disttrain-benchjson's recorded trajectory; plan-cache entries
+// need only ReplaceFile's atomicity.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	err := store.ReplaceFile(path, func(f *os.File) error {
 		if err := write(f); err != nil {

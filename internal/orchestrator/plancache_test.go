@@ -263,6 +263,36 @@ func TestPersistentPlanCacheCrossInstance(t *testing.T) {
 	}
 }
 
+// TestWarmPlanHitAllocBudget pins the restart path
+// BenchmarkWarmPlanSearch/warm times: a fresh persistent cache over a
+// populated store.Disk serves the spec with no search — one file read,
+// the integrity check and the decode. 52 were recorded in every one of
+// 5×200 runs, and the budget is 52: a warm hit falling back to a cold
+// search costs hundreds more, and one allocation more per hit fails.
+func TestWarmPlanHitAllocBudget(t *testing.T) {
+	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
+	st, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := SearchOptions{Parallelism: 1}
+	if _, err := NewPersistentPlanCache(opts, st).Plan(ctx, s); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		c := NewPersistentPlanCache(opts, st)
+		if _, err := c.Plan(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+		if c.Searches() != 0 || c.WarmHits() != 1 {
+			t.Fatalf("warm hit ran %d searches, %d warm hits; want 0 and 1", c.Searches(), c.WarmHits())
+		}
+	}); got > 52 {
+		t.Errorf("warm durable hit: %v allocs, recorded 52, budget 52", got)
+	}
+}
+
 // TestPersistentPlanCacheWarmSeed: a miss at size N finds the
 // incumbent at N−1 from the same spec family, seeds the search with
 // its strategy, and still returns the reference plan.

@@ -389,10 +389,10 @@ func TestDivisorTableMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// Allocation budgets, pinned by tier-1 and not only by bench-diff: one
-// feasible candidate costs the water-fill's allocation vector, the
-// rounded allocation and the Plan; a cold search costs that per
-// evaluated candidate plus its per-search tables.
+// Allocation budgets: one feasible candidate costs the water-fill's
+// allocation vector, the rounded allocation and the Plan; a cold
+// search (BenchmarkWarmPlanSearch/cold) costs that per evaluated
+// candidate plus its per-search tables.
 func TestPlanSearchAllocBudget(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining) // BenchmarkWarmPlanSearch's spec
 	sc := newSearchCtx(&s)

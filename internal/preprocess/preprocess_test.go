@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -285,13 +286,19 @@ func TestServerReordersWhenAsked(t *testing.T) {
 	}
 }
 
-// Figure 17's mechanism end to end over real TCP: a prefetching
-// consumer sees millisecond stalls while the co-located baseline pays
-// the full preprocessing cost inline.
+// Figure 17's mechanism end to end over real TCP: the producer works
+// ahead of a prefetching consumer, so the batch Next hands over was
+// built before the consumer asked for it, while the co-located
+// baseline builds the same batch inline. Samples from iteration 2 on
+// are held back, so the producer's work settles with iterations 0 and
+// 1 built and the readahead of 2 and 3 waiting at the gate.
 func TestDisaggregationBeatsColocated(t *testing.T) {
 	src := fixedSource{images: 4, resolution: 128, seqLen: 2048}
 	cfg := Config{Source: src, GlobalBatch: 4, DPSize: 1, Microbatch: 1, Workers: 8, Readahead: 2}
-	_, addr := startServer(t, cfg)
+	held := cfg
+	gate := make(chan struct{})
+	held.Source = gatedSource{src, 2 * 4, math.MaxInt64, gate}
+	srv, addr := startServer(t, held)
 
 	client, err := Dial(addr)
 	if err != nil {
@@ -302,29 +309,44 @@ func TestDisaggregationBeatsColocated(t *testing.T) {
 
 	pf := NewPrefetcher(client, 1, 2)
 	defer pf.Close()
+	// Opened before pf.Close, whose prefetcher waits on a held build.
+	defer close(gate)
 	if _, err := pf.Next(ctx); err != nil { // warm the pipeline
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the producer work ahead
-
-	start := time.Now()
-	if _, err := pf.Next(ctx); err != nil {
+	// The fourth build is iteration 3, which only the readahead of a
+	// fetch of iteration 1 starts — after iteration 1 was built.
+	for deadline := time.Now().Add(10 * time.Second); srv.builds.Load() < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("producer built %d iterations, want 4", srv.builds.Load())
+		}
+	}
+	before := srv.builds.Load()
+	rb, err := pf.Next(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	disagg := time.Since(start)
+	if got := srv.builds.Load(); got != before || rb.Iter != 1 {
+		t.Fatalf("Next returned iteration %d and built %d iterations, want iteration 1 built ahead", rb.Iter, got-before)
+	}
 
 	col, err := NewColocated(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start = time.Now()
-	if _, err := col.Fetch(ctx, 10); err != nil {
+	want, err := col.Fetch(ctx, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	coloc := time.Since(start)
-
-	if disagg*2 >= coloc {
-		t.Errorf("disaggregated fetch %v not clearly faster than co-located %v", disagg, coloc)
+	if len(rb.Microbatches) != len(want.Microbatches) {
+		t.Fatalf("disaggregated batch has %d microbatches, co-located %d", len(rb.Microbatches), len(want.Microbatches))
+	}
+	for j, mb := range want.Microbatches {
+		for k := range mb {
+			if !sameProcessed(rb.Microbatches[j][k], mb[k]) {
+				t.Fatalf("microbatch %d sample %d differs from the co-located fetch", j, k)
+			}
+		}
 	}
 }
 

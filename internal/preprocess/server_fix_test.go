@@ -216,14 +216,16 @@ func TestPrefetcherRedeliversTerminalError(t *testing.T) {
 	}
 }
 
-// gatedSource holds iteration 0's samples back until the gate opens.
+// gatedSource holds the samples in [from, to) back until the gate
+// opens.
 type gatedSource struct {
 	fixedSource
-	gate chan struct{}
+	from, to int64
+	gate     chan struct{}
 }
 
 func (g gatedSource) Sample(index int64) data.Sample {
-	if index < 4 {
+	if g.from <= index && index < g.to {
 		<-g.gate
 	}
 	return g.fixedSource.Sample(index)
@@ -235,7 +237,7 @@ func (g gatedSource) Sample(index int64) data.Sample {
 // build must still get it — they read the in-flight record, not the
 // cache.
 func TestRefetchBelowWatermarkServesWaiters(t *testing.T) {
-	src := gatedSource{fixedSource{images: 1, resolution: 32, seqLen: 128}, make(chan struct{})}
+	src := gatedSource{fixedSource{images: 1, resolution: 32, seqLen: 128}, 0, 4, make(chan struct{})}
 	srv, err := NewServer(Config{Source: src, GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -901,5 +902,64 @@ func TestServiceRegisterValidation(t *testing.T) {
 	svc.Close()
 	if _, err := svc.Register(TenantConfig{Name: "b"}); err == nil {
 		t.Fatal("closed service accepted a tenant")
+	}
+}
+
+// TestServiceFetchAllocBudget pins the shared fetch path at the
+// geometry BenchmarkServiceThroughput times: K tenants × DP 2 over TCP
+// from 2 producers, one iteration delivered to every rank per run —
+// admission, the failover ring, the cache partition, the wire round
+// trip and the producers' share of building it. The counts were the
+// same in every recorded run, but readahead and the rank goroutines
+// race the wire, so each budget is the recorded count plus 10%. Under
+// the race detector sync.Pool drops entries at random, so there is
+// nothing to pin.
+func TestServiceFetchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	const dp = 2
+	for _, tc := range []struct {
+		tenants  int
+		recorded float64
+	}{{1, 86}, {4, 224}} {
+		fleet, err := StartFleet(Config{
+			Source: faninShapeCorpus(t, data.LAION400M().Seed), GlobalBatch: 8,
+			DPSize: 1, Microbatch: 1, Workers: 4, Readahead: 1,
+		}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fleet.Close)
+		svc := testService(t, fleet, ServiceConfig{Capacity: 2 * tc.tenants * dp})
+		handles := make([]*Tenant, tc.tenants)
+		for i := range handles {
+			if handles[i], err = svc.Register(TenantConfig{Name: fmt.Sprintf("t%d", i), MaxInflight: dp, DP: dp}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx := context.Background()
+		iter := int64(0)
+		got := testing.AllocsPerRun(100, func() {
+			var wg sync.WaitGroup
+			errs := make([]error, tc.tenants*dp)
+			for ti, h := range handles {
+				for r := 0; r < dp; r++ {
+					wg.Add(1)
+					go func(slot int, h *Tenant, rank int) {
+						defer wg.Done()
+						_, errs[slot] = h.Fetch(ctx, iter, rank)
+					}(ti*dp+r, h, r)
+				}
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+			iter++
+		})
+		if budget := tc.recorded * 1.1; got > budget {
+			t.Errorf("%d tenants × DP %d: %v allocs per iteration, recorded %v, budget %.0f", tc.tenants, dp, got, tc.recorded, budget)
+		}
 	}
 }
