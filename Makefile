@@ -53,11 +53,22 @@ COVER_FLOOR ?= 73
 # tripped on became tier-1 budget tests, and disttrain-benchjson lost
 # its -diff comparison, its rate bands and its GOMAXPROCS recovery, and
 # disttrain-fleet -plan-cache-dir built its own durable cache in place
-# of fleet.Config.PlanCacheDir.
+# of fleet.Config.PlanCacheDir, and 16,421 once fleet tenants sharing a
+# corpus and batch geometry shared the prepared batch: the +208 are
+# trainer/batches.go (+162: BatchCache, its class, key and in-flight
+# entry, the live-runtime count, and the runtime's join, lookup and
+# fresh-slice build; 38 of them comment lines), trainer.go +20
+# (Config.Batches and its doc, the runtime's registration and Close),
+# concurrent.go +5 (prepare's shared branch), source.go +1 (trials never
+# share), fleet.go +3 (the run's cache, a leaked runtime closed, net of
+# roundInfo's one pass), table.go +1 (Leases replaces LeasedBy) and
+# preprocess/server.go +16 (floorLocked factored out of evictLocked so
+# a late readahead below the floor builds nothing) — fleet-steady
+# work_per_cpu_s 42.6k -> 63.4k, op_ms_p50 13.2 -> 9.0 ms.
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 16213
+LOC_CEILING ?= 16421
 
 .PHONY: all build fmt vet test race bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 

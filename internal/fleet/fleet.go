@@ -28,7 +28,9 @@ type JobSpec struct {
 	// lease (Config.Lease), overrides Plan with the shared plan
 	// cache's decision for that lease size, and replaces Trace with a
 	// private per-job trace (Config.Trace) — a shared one would
-	// interleave tenants nondeterministically. Scenario, Controller
+	// interleave tenants nondeterministically — and sets Batches to the
+	// run's one batch cache, so tenants reading one corpus at one batch
+	// geometry prepare each iteration once between them. Scenario, Controller
 	// and the DistTrain-vs-Megatron switches (Reorder, AsyncP2P,
 	// DisaggregatedPreprocess) are the tenant's own business and pass
 	// through untouched.
@@ -239,6 +241,11 @@ type runner struct {
 	admitted   int // tenants admitted this round
 	retired    int // tenants retired this round (their nodes freed)
 	fleetTrace *metrics.Trace
+
+	// batches is the run's one trainer batch cache, handed to every
+	// tenant; it lives and dies with the run, so no op's batches outlive
+	// it.
+	batches trainer.BatchCache
 
 	// The shared preprocessing tier (nil without Config.Preprocess).
 	producers *preprocess.Fleet
@@ -861,6 +868,7 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 		// Shaped schedulers price the run against the lease's concrete
 		// placement — the same cluster view leaseSpec planned it on.
 		tcfg.PlacementPricing = f.shaped
+		tcfg.Batches = &f.batches
 		// Tracing is fleet-owned: a template Trace shared by K tenants
 		// would interleave their lanes nondeterministically, so it is
 		// replaced by a private per-job trace (Config.Trace on) or
@@ -881,6 +889,7 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 		}
 		job, err := rt.NewJob(t.iters)
 		if err != nil {
+			rt.Close() // the tenant never holds it, so retire cannot
 			return err
 		}
 		t.rt, t.job = rt, job
@@ -961,16 +970,10 @@ func (f *runner) starveQueue() {
 
 // roundInfo snapshots the lease table for observers.
 func (f *runner) roundInfo() RoundInfo {
-	info := RoundInfo{
+	return RoundInfo{
 		Round:  f.round,
 		Free:   f.table.Free(),
 		Failed: f.table.Failed(),
-		Leases: map[int][]int{},
+		Leases: f.table.Leases(),
 	}
-	for _, t := range f.tenants {
-		if nodes := f.table.LeasedBy(t.id); len(nodes) > 0 {
-			info.Leases[t.id] = nodes
-		}
-	}
-	return info
 }

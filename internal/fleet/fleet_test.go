@@ -172,6 +172,54 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 }
 
+// TestFleetSharedBatchesMatchStandalone: K identical tenants read each
+// iteration's prepared batch off the run's batch cache, and a tenant
+// with a workload-shift scenario prepares its own; every tenant's
+// Result is byte-identical to a standalone trainer.Run of its plan on a
+// cluster of its lease size, at every worker count.
+func TestFleetSharedBatchesMatchStandalone(t *testing.T) {
+	const k, iters, leaseNodes = 4, 3, 2
+	spec, corpus := buildSpec(t, leaseNodes*(k+1), 32)
+	shift, err := scenario.Parse("workload-shift:iters=1-2,factor=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := trainer.DistTrainConfig(spec, nil, corpus)
+	tmpl.GradientDim = 4
+	shifted := tmpl
+	shifted.Scenario = shift
+	cfg := Config{Cluster: spec.Cluster}
+	for j := 0; j <= k; j++ {
+		js := JobSpec{Name: fmt.Sprintf("t%d", j), Train: tmpl, Iters: iters, MinNodes: leaseNodes, MaxNodes: leaseNodes}
+		if j == k {
+			js.Train = shifted
+		}
+		cfg.Jobs = append(cfg.Jobs, js)
+	}
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		res, err := runChecked(t, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jr := range res.Jobs {
+			if jr.Err != nil || jr.Result == nil {
+				t.Fatalf("workers %d: job %s: %v", workers, jr.Name, jr.Err)
+			}
+			ref := cfg.Jobs[jr.Spec].Train
+			ref.Spec.Cluster = cluster.Production(leaseNodes)
+			ref.Plan = jr.Plan
+			want, err := trainer.Run(ref, iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(jr.Result, want) {
+				t.Errorf("workers %d: job %s diverged from standalone:\ngot  %+v\nwant %+v", workers, jr.Name, jr.Result, want)
+			}
+		}
+	}
+}
+
 // diskCache is a fresh persistent plan cache over the store in dir, the
 // cache disttrain-fleet -plan-cache-dir hands the fleet.
 func diskCache(t *testing.T, dir string) *orchestrator.PlanCache {

@@ -92,12 +92,13 @@ func (t *leaseTable) LeasedCount() int {
 	return n
 }
 
-// LeasedBy returns the nodes tenant job holds, ascending.
-func (t *leaseTable) LeasedBy(job int) []int {
-	var out []int
+// Leases maps every tenant holding nodes to its nodes, ascending: one
+// walk over the owner slots, however many tenants there are.
+func (t *leaseTable) Leases() map[int][]int {
+	out := map[int][]int{}
 	for i, o := range t.owner {
-		if o == job {
-			out = append(out, i)
+		if o >= 0 {
+			out[o] = append(out[o], i)
 		}
 	}
 	return out

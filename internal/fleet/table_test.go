@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -136,20 +138,19 @@ func TestLeaseTableAccountingProperty(t *testing.T) {
 			if tb.LeasedCount() != len(shadowLeased(shadow)) {
 				return false
 			}
-			// Disjointness: every leased node has exactly the shadow owner.
+			// Disjointness: Leases gives every leased node exactly its
+			// shadow owner, each tenant's nodes ascending.
+			want := map[int][]int{}
 			for n, o := range shadow {
 				if o >= 0 {
-					owned := tb.LeasedBy(o)
-					found := false
-					for _, m := range owned {
-						if m == n {
-							found = true
-						}
-					}
-					if !found {
-						return false
-					}
+					want[o] = append(want[o], n)
 				}
+			}
+			for _, ns := range want {
+				slices.Sort(ns)
+			}
+			if !reflect.DeepEqual(tb.Leases(), want) {
+				return false
 			}
 		}
 		return true

@@ -342,7 +342,7 @@ func (s *Server) FetchTenant(tenant uint32, dp int, iter int64, rank int) (*Rank
 		s.evictLocked()
 	}
 	s.mu.Unlock()
-	perRank, err := s.iteration(iter, dp)
+	perRank, err := s.iteration(iter, dp, false)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +362,7 @@ func (s *Server) FetchTenant(tenant uint32, dp int, iter int64, rank int) (*Rank
 			select {
 			case <-s.closed:
 			default:
-				s.iteration(it, dp) //nolint:errcheck // best-effort warmup
+				s.iteration(it, dp, true) //nolint:errcheck // best-effort warmup
 			}
 		}()
 	}
@@ -385,8 +385,12 @@ type inflightBuild struct {
 }
 
 // iteration materialises (or waits for) one preprocessed iteration at
-// one DP width.
-func (s *Server) iteration(iter int64, dp int) ([][]Processed, error) {
+// one DP width. A readahead (ahead) of an iteration every rank has
+// fetched past — below the complete eviction floor — builds nothing
+// and returns nil. It checks under the s.mu that fetches raise the
+// floor under, so the last rank's fetch either waits on its build or
+// finds it skipped.
+func (s *Server) iteration(iter int64, dp int, ahead bool) ([][]Processed, error) {
 	key := buildKey{iter, dp}
 	s.mu.Lock()
 	if got, ok := s.cache[key]; ok {
@@ -397,6 +401,12 @@ func (s *Server) iteration(iter int64, dp int) ([][]Processed, error) {
 		s.mu.Unlock()
 		<-b.done
 		return b.out, b.err
+	}
+	if ahead {
+		if floor, complete := s.floorLocked(); complete && iter < floor {
+			s.mu.Unlock()
+			return nil, nil
+		}
 	}
 	b := &inflightBuild{done: make(chan struct{})}
 	s.inflight[key] = b
@@ -415,43 +425,15 @@ func (s *Server) iteration(iter int64, dp int) ([][]Processed, error) {
 	return b.out, b.err
 }
 
-// evictLocked bounds the cache against the minimum fetch watermark
-// across every tenant's ranks: an iteration is dropped only once every
-// rank of every known tenant has fetched past it. Evicting relative to
-// the newest build instead would rebuild a lagging rank's batch on
-// every fetch. Until every known tenant has had all of its DP ranks
-// fetch at least once there is no safe floor from the watermarks.
+// evictLocked bounds the cache against the eviction floor
+// (floorLocked): an iteration is dropped only once every rank of every
+// known tenant has fetched past it. Evicting relative to the newest
+// build instead would rebuild a lagging rank's batch on every fetch.
 // Either way cacheCap backstops the cache size — oldest iterations
 // drop first — so a dead or never-connecting rank cannot grow the
-// cache without bound. A rank that fetched nothing while this server
-// built more than cacheCap iterations is forgotten, and a tenant with no
-// rank left, so a retired tenant pins no floor and holds no entry. The
-// clock is builds, not iteration numbers: tenants count iterations
-// independently (every job starts at 0), so a live tenant far behind
-// another is not mistaken for a retired one. Callers hold s.mu.
+// cache without bound. Callers hold s.mu.
 func (s *Server) evictLocked() {
-	now := s.builds.Load()
-	floor, first := int64(0), true
-	ranksSeen := make(map[uint32]int, len(s.tenantDP))
-	for k, w := range s.watermark {
-		if now-w.at > int64(s.cacheCap) {
-			delete(s.watermark, k)
-			continue
-		}
-		ranksSeen[k.tenant]++
-		if first || w.iter < floor {
-			floor, first = w.iter, false
-		}
-	}
-	complete := len(ranksSeen) > 0
-	for tn, dp := range s.tenantDP {
-		if ranksSeen[tn] == 0 {
-			delete(s.tenantDP, tn)
-		} else if ranksSeen[tn] != dp {
-			complete = false
-		}
-	}
-	if complete {
+	if floor, complete := s.floorLocked(); complete {
 		for k := range s.cache {
 			if k.iter < floor {
 				delete(s.cache, k)
@@ -468,6 +450,40 @@ func (s *Server) evictLocked() {
 		}
 		delete(s.cache, oldest)
 	}
+}
+
+// floorLocked returns the minimum fetch watermark across every tenant's
+// ranks, and whether it is complete: until every known tenant has had
+// all of its DP ranks fetch at least once there is no safe floor from
+// the watermarks. A rank that fetched nothing while this server built
+// more than cacheCap iterations is forgotten, and a tenant with no rank
+// left, so a retired tenant pins no floor. The clock is builds, not
+// iteration numbers: tenants count iterations independently (every job
+// starts at 0), so a live tenant far behind another is not mistaken for
+// a retired one. Callers hold s.mu.
+func (s *Server) floorLocked() (floor int64, complete bool) {
+	now := s.builds.Load()
+	first := true
+	ranksSeen := make(map[uint32]int, len(s.tenantDP))
+	for k, w := range s.watermark {
+		if now-w.at > int64(s.cacheCap) {
+			delete(s.watermark, k)
+			continue
+		}
+		ranksSeen[k.tenant]++
+		if first || w.iter < floor {
+			floor, first = w.iter, false
+		}
+	}
+	complete = len(ranksSeen) > 0
+	for tn, dp := range s.tenantDP {
+		if ranksSeen[tn] == 0 {
+			delete(s.tenantDP, tn)
+		} else if ranksSeen[tn] != dp {
+			complete = false
+		}
+	}
+	return floor, complete
 }
 
 // build preprocesses one full iteration at one DP width: fetch raw

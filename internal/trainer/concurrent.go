@@ -36,9 +36,10 @@ import (
 // the sequential reference at any worker count — the same contract as
 // the orchestrator's parallel plan search.
 //
-// What outlives what: a corpus batch, its work and its ranks live in
-// one of the runtime's two prepBufs until iteration i+2 is prepared, so
-// nothing of an iteration escapes its Step unless copied — a controller
+// What outlives what: a private corpus batch, its work and its ranks
+// live in one of the runtime's two prepBufs until iteration i+2 is
+// prepared (a shared one is an immutable BatchCache entry), so nothing
+// of an iteration escapes its Step unless copied — a controller
 // gets its own copy of the batch (Observation.Batch); a pooled scratch
 // is held for one runRank or assign call and nothing backed by it
 // escapes (a traced rank's ops are copied into its outcome slot).
@@ -81,8 +82,9 @@ func fold(dst []model.Workload, samples []data.Sample, k *model.CostKernel) []mo
 // prepare fetches, folds and assigns the global batch of one
 // iteration: through Config.Source when set (a live producer pool hands
 // the batch over already assigned, rank after rank), else from the
-// synthetic corpus (or a trial's fixed batches) through Algorithm 1.
-// Scenario workload-shift events transform a corpus batch before
+// synthetic corpus (or a trial's fixed batches) through Algorithm 1,
+// read off Config.Batches when another runtime prepares the same corpus
+// batch. Scenario workload-shift events transform a corpus batch before
 // assignment, so Algorithm 1 balances the shifted costs — the drift the
 // re-planning controller watches for; live pools own their
 // preprocessing and see no scenario.
@@ -99,6 +101,9 @@ func (r *Runtime) prepare(iter int) preparedBatch {
 	case r.trial != nil:
 		p.batch = r.trial[iter%len(r.trial)]
 	default:
+		if sp, ok := r.shared(iter, dp); ok {
+			return sp
+		}
 		bs := r.cfg.Spec.GlobalBatch
 		buf.batch = r.cfg.Corpus.AppendBatch(buf.batch[:0], int64(iter)*int64(bs), bs)
 		p.batch = scenario.At(r.cfg.Scenario, iter).ShiftBatch(buf.batch)

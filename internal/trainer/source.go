@@ -33,6 +33,7 @@ func TrialMeanIterTime(cfg Config, batches [][]data.Sample) (float64, error) {
 	cfg.ProducerControl = nil
 	cfg.PoolStats = nil
 	cfg.GradientDim = 0
+	cfg.Batches = nil
 	rt, err := New(cfg)
 	if err != nil {
 		return 0, err

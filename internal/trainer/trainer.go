@@ -138,6 +138,17 @@ type Config struct {
 	// preprocessing degradation, link congestion, node failures; nil
 	// is the steady state.
 	Scenario scenario.Scenario
+	// Batches, when non-nil, shares prepared corpus batches with the
+	// other runtimes on it (the fleet hands one to every tenant of a
+	// run). An iteration is served from it only when the runtime has no
+	// Source, no Scenario and no trial batches, and at least one other
+	// live runtime reads the same Corpus through the same Spec.Profiler
+	// at the same Spec.GlobalBatch; every other iteration is prepared
+	// privately. An entry is keyed by its first sample, DP width and
+	// Reorder, is built once (a concurrent asker waits for it) into
+	// slices no runtime owns and is never written after, so results are
+	// byte-identical with or without it.
+	Batches *BatchCache
 	// Trace, when non-nil, receives the run's execution timeline in
 	// Chrome trace format (load in chrome://tracing or Perfetto).
 	Trace *metrics.Trace
@@ -276,6 +287,10 @@ type Runtime struct {
 	// scratch comes from the process-wide pools (concurrent.go).
 	prep     [2]prepBuf
 	outcomes []rankOutcome
+	// batches is cfg.Batches once joinBatches registered the runtime
+	// under class, nil when it prepares every batch privately.
+	batches *BatchCache
+	class   batchClass
 	// opLabels caches the fwd/bwd trace event names per microbatch
 	// index, as labels of cfg.Trace.
 	opLabels [2][]metrics.Label
@@ -312,6 +327,7 @@ func New(cfg Config) (*Runtime, error) {
 		tr.NameProcess(0, "runtime")
 		r.nameRankLanes(cfg.Plan.Modules[model.Backbone].Config.DP)
 	}
+	r.joinBatches()
 	return r, nil
 }
 
@@ -330,10 +346,14 @@ func (r *Runtime) nameRankLanes(dp int) {
 	}
 }
 
-// Close releases the checkpoint writer.
+// Close releases the checkpoint writer and leaves the batch cache.
 func (r *Runtime) Close() {
 	if r.ckpt != nil {
 		r.ckpt.Close()
+	}
+	if r.batches != nil {
+		r.batches.addLive(r.class, -1)
+		r.batches = nil
 	}
 }
 
