@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"disttrain/internal/model"
+	"disttrain/internal/window"
 )
 
 // Subsequence is one modality-contiguous run of tokens inside a packed
@@ -214,21 +215,20 @@ func (sp Spec) Validate() error {
 type Corpus struct {
 	spec Spec
 
-	mu sync.RWMutex
-	// cur takes new entries and prev, the generation before it, is
-	// still read; a full cur becomes prev and the old prev is dropped.
-	cur, prev map[int64]Sample
+	mu   sync.RWMutex
+	memo window.Window[int64, Sample] // a sample weighs 1
 }
 
-// memoGeneration bounds one memo generation, so the memo holds between
-// one and two of them (~1.5 KB a LAION sample, ~6 MB) however many
-// distinct indices a run streams through: a preprocessing producer
-// reads each index once and must not grow by what it has read. The
-// shared re-read windows callers have size it — fleet tenants sharing a
-// corpus re-read the same 128 samples within an op, calibration the
-// first 300, a trainer rewind at most checkpoint interval x global
-// batch; beyond the bound a re-read regenerates the same sample, at the
-// cost of its few dozen draws (NewRand seeds in closed form).
+// memoGeneration bounds one memo generation in samples, so the memo
+// holds between one and two of them (~1.5 KB a LAION sample, ~6 MB)
+// however many distinct indices a run streams through: a preprocessing
+// producer reads each index once and must not grow by what it has
+// read. The shared re-read windows callers have size it — fleet tenants
+// sharing a corpus re-read the same 128 samples within an op,
+// calibration the first 300, a trainer rewind at most checkpoint
+// interval x global batch; beyond the bound a re-read regenerates the
+// same sample, at the cost of its few dozen draws (NewRand seeds in
+// closed form).
 const memoGeneration = 2048
 
 // NewCorpus builds a corpus from a validated spec.
@@ -236,7 +236,7 @@ func NewCorpus(spec Spec) (*Corpus, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &Corpus{spec: spec}, nil
+	return &Corpus{spec: spec, memo: window.New[int64, Sample](memoGeneration)}, nil
 }
 
 // Spec returns the corpus specification.
@@ -263,25 +263,14 @@ func logNormal(rng *rand.Rand, median, sigma float64) float64 {
 // mutating).
 func (c *Corpus) Sample(index int64) Sample {
 	c.mu.RLock()
-	s, ok := c.cur[index]
-	if !ok {
-		s, ok = c.prev[index]
-	}
+	s, ok := c.memo.Get(index)
 	c.mu.RUnlock()
 	if ok {
 		return s
 	}
 	s = c.generate(index, NewRand(c.sampleSeed(index)))
 	c.mu.Lock()
-	if len(c.cur) >= memoGeneration {
-		// Rotate, reusing the dropped generation's buckets.
-		c.cur, c.prev = c.prev, c.cur
-		clear(c.cur)
-	}
-	if c.cur == nil {
-		c.cur = make(map[int64]Sample)
-	}
-	c.cur[index] = s
+	c.memo.Put(index, s, 1)
 	c.mu.Unlock()
 	return s
 }

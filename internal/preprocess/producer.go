@@ -7,10 +7,10 @@ import (
 )
 
 // producer is one in-process fleet member: a Server plus its TCP
-// listener. A restarted producer gets a fresh Server (empty cache, zero
-// watermarks) on its old address — exactly what a replacement CPU node
-// looks like, and safe because producers are stateless deterministic
-// functions of the request.
+// listener. A restarted producer gets a fresh Server (no iterations
+// built, no routes known) on its old address — exactly what a
+// replacement CPU node looks like, and safe because producers are
+// stateless deterministic functions of the request.
 type producer struct {
 	cfg Config
 

@@ -15,6 +15,7 @@ import (
 	"disttrain/internal/data"
 	"disttrain/internal/fanout"
 	"disttrain/internal/reorder"
+	"disttrain/internal/window"
 )
 
 // Protocol: every message is a length-prefixed frame —
@@ -67,14 +68,24 @@ type Config struct {
 	Readahead int
 }
 
-// producerCacheCap bounds a producer's iteration cache. The watermark
-// eviction keeps everything a lagging rank still needs; beyond
-// producerCacheCap iterations the oldest entries drop anyway, and a
-// rank silent while producerCacheCap iterations were built is
-// forgotten, so a stalled or retired rank costs a bounded cache, never
-// unbounded growth. A laggard farther behind rebuilds on return — a
-// cost event, not a correctness one.
-const producerCacheCap = 64
+// A producer keeps two bounded windows, neither of which tracks who is
+// still reading.
+const (
+	// producerGeneration bounds one generation of a producer's built
+	// iterations, each (iteration, DP width) weighing 1, so a producer
+	// holds between 16 and 32. The re-reads it serves are a tenant's
+	// slower ranks and late readahead (an iteration or two), a rewind to
+	// the last checkpoint (a few), and tenants at one width admitted up
+	// to 16 rounds apart. A laggard farther behind rebuilds its iteration
+	// once, for all its ranks — a cost event, not a correctness one.
+	producerGeneration = 16
+	// routeGeneration bounds one generation of readahead routes, each
+	// (tenant, rank) weighing 1 on its first fetch after a rotation. A
+	// live rank keeps its route unless 64 ranks new to this producer
+	// reach it between two of its fetches; a retired rank's is gone once
+	// 128 have.
+	routeGeneration = 64
+)
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -103,35 +114,29 @@ type RankBatch struct {
 }
 
 // Server is the producer: it preprocesses iterations on a worker pool,
-// caches them, and serves fetch requests over TCP.
+// keeps a window of the recent ones, and serves fetch requests over
+// TCP. What it keeps is bounded by generations, not by who still reads
+// it, so any consumer may fetch any (tenant, iteration, rank) and a
+// restarted or rewinding one finds recent iterations built.
 type Server struct {
 	cfg Config
-	// cacheCap starts at producerCacheCap; tests shrink it.
-	cacheCap int
 
-	mu       sync.Mutex
-	cache    map[buildKey][][]Processed // (iter, dp) -> [rank][mb*... flattened per rank]
-	inflight map[buildKey]*inflightBuild
-	// watermark tracks each (tenant, rank)'s highest fetched iteration
-	// and the route it arrives by (mark); the cache evicts only below the
-	// minimum across every tenant's ranks, so a lagging consumer never
-	// has its batch evicted and rebuilt under it — and one tenant's
-	// laggard holds the floor for every tenant's entries alike (the
-	// shared producer cache is not partitioned; the consumer-side
-	// Service cache is).
-	watermark map[wmKey]mark
-	// tenantDP remembers each tenant's last-seen DP width: the floor is
-	// only trusted once every rank of every known tenant has fetched.
-	tenantDP map[uint32]int
-	conns    map[net.Conn]struct{}
+	// batches holds recent iterations, each built once: (iter, dp) ->
+	// [rank][samples of the rank, microbatch-major].
+	batches window.Once[buildKey, iterBuild]
+
+	mu sync.Mutex
+	// routes holds each (tenant, rank)'s place and the route it arrives
+	// by, which readahead follows.
+	routes window.Window[wmKey, mark]
+	conns  map[net.Conn]struct{}
 
 	closed chan struct{}
 	once   sync.Once
 	wg     sync.WaitGroup
 
 	// builds counts iteration materialisations — the cache-behaviour
-	// observable the eviction tests pin, and the clock a silent rank is
-	// forgotten by.
+	// observable the tests pin.
 	builds atomic.Int64
 }
 
@@ -144,43 +149,47 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.Workers = 2 * cfg.DPSize
 	}
 	return &Server{
-		cfg:       cfg,
-		cacheCap:  producerCacheCap,
-		cache:     map[buildKey][][]Processed{},
-		inflight:  map[buildKey]*inflightBuild{},
-		watermark: map[wmKey]mark{},
-		tenantDP:  map[uint32]int{},
-		conns:     map[net.Conn]struct{}{},
-		closed:    make(chan struct{}),
+		cfg:     cfg,
+		batches: window.NewOnce[buildKey, iterBuild](producerGeneration),
+		routes:  window.New[wmKey, mark](routeGeneration),
+		conns:   map[net.Conn]struct{}{},
+		closed:  make(chan struct{}),
 	}, nil
 }
 
 // buildKey identifies one materialised iteration: tenants with
 // different DP widths split (and reorder) the same global batch
-// differently, so the cache is keyed by both.
+// differently, so the window is keyed by both.
 type buildKey struct {
 	iter int64
 	dp   int
 }
 
-// wmKey identifies one consumer rank of one tenant in the fetch
-// watermark.
+// iterBuild is one built iteration, or the error that failed it: a
+// failed build is as deterministic as a good one, so it is kept too.
+type iterBuild struct {
+	ranks [][]Processed
+	err   error
+}
+
+// wmKey identifies one consumer rank of one tenant in the routes.
 type wmKey struct {
 	tenant uint32
 	rank   int
 }
 
 // mark is one (tenant, rank)'s place at this server: the highest
-// iteration it fetched, the last two gaps between the iterations it
-// advanced to (0 until seen) and the build count at its last fetch.
-// Consumers send every fetch of an (iteration, width) to one primary
-// and fail over along a ring, so the gaps repeat with period two at
-// most — n on a healthy fleet of n, 1 on the survivor of two, 1 and n-1
-// alternating on a member absorbing its dead ring predecessor's share —
-// and readahead steps along them, the older gap first. Each rank keeps
-// its own route, so tenants at different iterations (jobs admitted at
-// different times each start at 0) never disturb each other's.
-type mark struct{ iter, gap, prev, at int64 }
+// iteration it fetched and the last two gaps between the iterations it
+// advanced to (0 until seen). Consumers send every fetch of an
+// (iteration, width) to one primary and fail over along a ring, so the
+// gaps repeat with period two at most — n on a healthy fleet of n, 1 on
+// the survivor of two, 1 and n-1 alternating on a member absorbing its
+// dead ring predecessor's share — and readahead steps along them, the
+// older gap first. Each rank keeps its own route, so tenants at
+// different iterations (jobs admitted at different times each start at
+// 0) never disturb each other's; a retired rank's route ages out of
+// the window with the generations.
+type mark struct{ iter, gap, prev int64 }
 
 // Close stops the server: no new work starts, active connections are
 // torn down, and Close blocks until every tracked goroutine (handlers
@@ -298,10 +307,9 @@ func (s *Server) handle(conn net.Conn) {
 // FetchTenant returns one (tenant, iteration, rank) batch split across
 // dp data-parallel ranks, materialising the iteration if needed and
 // kicking off readahead along the rank's route here. The tenant id
-// partitions the fetch watermark (each tenant's laggard is tracked
-// separately); dp must divide the global batch in multiples of the
-// microbatch — a deterministic protocol rejection otherwise, never a
-// failover.
+// keys the route (each tenant counts its own iterations); dp must
+// divide the global batch in multiples of the microbatch — a
+// deterministic protocol rejection otherwise, never a failover.
 func (s *Server) FetchTenant(tenant uint32, dp int, iter int64, rank int) (*RankBatch, error) {
 	if dp < 1 || s.cfg.GlobalBatch%(dp*s.cfg.Microbatch) != 0 {
 		return nil, fmt.Errorf("preprocess: DP*M=%d must divide BS=%d", dp*s.cfg.Microbatch, s.cfg.GlobalBatch)
@@ -315,34 +323,18 @@ func (s *Server) FetchTenant(tenant uint32, dp int, iter int64, rank int) (*Rank
 	default:
 	}
 	s.mu.Lock()
-	if prev, ok := s.tenantDP[tenant]; !ok || prev != dp {
-		// A tenant changing width (elastic lease resize) invalidates its
-		// stale rank watermarks: entries at ranks the new geometry no
-		// longer has would freeze the eviction floor forever.
-		for k := range s.watermark {
-			if k.tenant == tenant && k.rank >= dp {
-				delete(s.watermark, k)
-			}
-		}
-		s.tenantDP[tenant] = dp
-	}
 	wk := wmKey{tenant, rank}
-	w, seen := s.watermark[wk]
-	advanced := !seen || iter > w.iter
-	if advanced {
+	w, seen := s.routes.Get(wk)
+	if !seen || iter > w.iter {
 		if seen {
 			gap := iter - w.iter
 			w.prev, w.gap = cmp.Or(w.gap, gap), gap
 		}
 		w.iter = iter
 	}
-	w.at = s.builds.Load()
-	s.watermark[wk] = w
-	if advanced {
-		s.evictLocked()
-	}
+	s.routes.Put(wk, w, 1)
 	s.mu.Unlock()
-	perRank, err := s.iteration(iter, dp, false)
+	perRank, err := s.iteration(iter, dp)
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +354,7 @@ func (s *Server) FetchTenant(tenant uint32, dp int, iter int64, rank int) (*Rank
 			select {
 			case <-s.closed:
 			default:
-				s.iteration(it, dp, true) //nolint:errcheck // best-effort warmup
+				s.iteration(it, dp) //nolint:errcheck // best-effort warmup
 			}
 		}()
 	}
@@ -375,115 +367,15 @@ func (s *Server) FetchTenant(tenant uint32, dp int, iter int64, rank int) (*Rank
 	return rb, nil
 }
 
-// inflightBuild is one materialisation in progress. Waiters read the
-// result off the record, not the cache: a re-fetch below the watermark
-// floor (a restarted consumer) is evicted the moment it is cached.
-type inflightBuild struct {
-	done chan struct{}
-	out  [][]Processed
-	err  error
-}
-
-// iteration materialises (or waits for) one preprocessed iteration at
-// one DP width. A readahead (ahead) of an iteration every rank has
-// fetched past — below the complete eviction floor — builds nothing
-// and returns nil. It checks under the s.mu that fetches raise the
-// floor under, so the last rank's fetch either waits on its build or
-// finds it skipped.
-func (s *Server) iteration(iter int64, dp int, ahead bool) ([][]Processed, error) {
-	key := buildKey{iter, dp}
-	s.mu.Lock()
-	if got, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		return got, nil
-	}
-	if b, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		<-b.done
-		return b.out, b.err
-	}
-	if ahead {
-		if floor, complete := s.floorLocked(); complete && iter < floor {
-			s.mu.Unlock()
-			return nil, nil
-		}
-	}
-	b := &inflightBuild{done: make(chan struct{})}
-	s.inflight[key] = b
-	s.mu.Unlock()
-
-	b.out, b.err = s.build(iter, dp)
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if b.err == nil {
-		s.cache[key] = b.out
-		s.evictLocked()
-	}
-	s.mu.Unlock()
-	close(b.done)
-	return b.out, b.err
-}
-
-// evictLocked bounds the cache against the eviction floor
-// (floorLocked): an iteration is dropped only once every rank of every
-// known tenant has fetched past it. Evicting relative to the newest
-// build instead would rebuild a lagging rank's batch on every fetch.
-// Either way cacheCap backstops the cache size — oldest iterations
-// drop first — so a dead or never-connecting rank cannot grow the
-// cache without bound. Callers hold s.mu.
-func (s *Server) evictLocked() {
-	if floor, complete := s.floorLocked(); complete {
-		for k := range s.cache {
-			if k.iter < floor {
-				delete(s.cache, k)
-			}
-		}
-	}
-	for len(s.cache) > s.cacheCap {
-		var oldest buildKey
-		first := true
-		for k := range s.cache {
-			if first || k.iter < oldest.iter || (k.iter == oldest.iter && k.dp < oldest.dp) {
-				oldest, first = k, false
-			}
-		}
-		delete(s.cache, oldest)
-	}
-}
-
-// floorLocked returns the minimum fetch watermark across every tenant's
-// ranks, and whether it is complete: until every known tenant has had
-// all of its DP ranks fetch at least once there is no safe floor from
-// the watermarks. A rank that fetched nothing while this server built
-// more than cacheCap iterations is forgotten, and a tenant with no rank
-// left, so a retired tenant pins no floor. The clock is builds, not
-// iteration numbers: tenants count iterations independently (every job
-// starts at 0), so a live tenant far behind another is not mistaken for
-// a retired one. Callers hold s.mu.
-func (s *Server) floorLocked() (floor int64, complete bool) {
-	now := s.builds.Load()
-	first := true
-	ranksSeen := make(map[uint32]int, len(s.tenantDP))
-	for k, w := range s.watermark {
-		if now-w.at > int64(s.cacheCap) {
-			delete(s.watermark, k)
-			continue
-		}
-		ranksSeen[k.tenant]++
-		if first || w.iter < floor {
-			floor, first = w.iter, false
-		}
-	}
-	complete = len(ranksSeen) > 0
-	for tn, dp := range s.tenantDP {
-		if ranksSeen[tn] == 0 {
-			delete(s.tenantDP, tn)
-		} else if ranksSeen[tn] != dp {
-			complete = false
-		}
-	}
-	return floor, complete
+// iteration returns one preprocessed iteration at one DP width from
+// the window, building it — or waiting for the build in flight — when
+// it is not there.
+func (s *Server) iteration(iter int64, dp int) ([][]Processed, error) {
+	b := s.batches.Get(buildKey{iter, dp}, 1, func() iterBuild {
+		ranks, err := s.build(iter, dp)
+		return iterBuild{ranks, err}
+	})
+	return b.ranks, b.err
 }
 
 // build preprocesses one full iteration at one DP width: fetch raw

@@ -3,7 +3,6 @@ package preprocess
 import (
 	"context"
 	"errors"
-	"sort"
 	"testing"
 	"time"
 
@@ -42,94 +41,19 @@ func TestCloseWaitsForReadahead(t *testing.T) {
 	}
 }
 
-// The cache evicts against the minimum per-rank fetch watermark: a
-// rank lagging far behind the newest build keeps its batch cached
-// instead of having it evicted and rebuilt on every fetch.
-func TestEvictionHonoursLaggingRank(t *testing.T) {
-	cfg := Config{
-		Source:      fixedSource{images: 1, resolution: 32, seqLen: 128},
-		GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2,
-	}
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// Both ranks fetch iteration 0, then rank 0 races far ahead of the
-	// old Readahead+2 eviction horizon.
-	for rank := 0; rank < 2; rank++ {
-		if _, err := srv.FetchTenant(0, 2, 0, rank); err != nil {
+// fetchRanks fetches iteration iter for every rank of a DP-dp tenant.
+func fetchRanks(t *testing.T, srv *Server, tenant uint32, dp int, iter int64) {
+	t.Helper()
+	for rank := 0; rank < dp; rank++ {
+		if _, err := srv.FetchTenant(tenant, dp, iter, rank); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for iter := int64(1); iter <= 10; iter++ {
-		if _, err := srv.FetchTenant(0, 2, iter, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	builds := srv.builds.Load()
-	// Rank 1 is 10 iterations behind: its next batches must all be
-	// cache hits, not rebuilds.
-	for iter := int64(1); iter <= 10; iter++ {
-		if _, err := srv.FetchTenant(0, 2, iter, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := srv.builds.Load(); got != builds {
-		t.Fatalf("lagging rank forced %d rebuilds", got-builds)
-	}
-	// Once every rank passed an iteration, it leaves the cache.
-	srv.mu.Lock()
-	var cached []int64
-	for k := range srv.cache {
-		cached = append(cached, k.iter)
-	}
-	srv.mu.Unlock()
-	sort.Slice(cached, func(a, b int) bool { return cached[a] < cached[b] })
-	if len(cached) == 0 || cached[0] < 10 {
-		t.Errorf("cache retains iterations below the min watermark: %v", cached)
 	}
 }
 
-// cacheCap backstops the watermark eviction: a rank that never fetches
-// (a dead consumer) freezes the watermark floor, but the cache still
-// stays bounded — the oldest iterations drop first.
-func TestCacheCapBoundsDeadRank(t *testing.T) {
-	cfg := Config{
-		Source:      fixedSource{images: 1, resolution: 32, seqLen: 128},
-		GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2,
-	}
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.cacheCap = 4
-	for iter := int64(0); iter < 20; iter++ {
-		if _, err := srv.FetchTenant(0, 2, iter, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.mu.Lock()
-	n := len(srv.cache)
-	_, newestCached := srv.cache[buildKey{19, 2}]
-	srv.mu.Unlock()
-	if n > 4 {
-		t.Fatalf("cache grew to %d iterations with cacheCap 4", n)
-	}
-	if !newestCached {
-		t.Error("cap evicted the newest iteration instead of the oldest")
-	}
-}
-
-// A producer outlives its consumers: tenants that fetch once and retire
-// must neither grow the watermark maps by one entry per tenant id nor
-// pin the eviction floor with a frozen watermark. A rank more than
-// cacheCap iterations behind the newest fetch is forgotten, so once the
-// last retired tenant falls that far behind, the cache evicts below the
-// live tenant's floor again.
-func TestServerForgetsRetiredTenants(t *testing.T) {
+// windowServer is one producer of 4-sample batches, no readahead.
+func windowServer(t *testing.T) *Server {
+	t.Helper()
 	srv, err := NewServer(Config{
 		Source:      fixedSource{images: 1, resolution: 32, seqLen: 128},
 		GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2,
@@ -137,43 +61,113 @@ func TestServerForgetsRetiredTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	srv.cacheCap = 4
-	fetch := func(tenant uint32, iter int64) {
-		t.Helper()
-		for rank := 0; rank < 2; rank++ {
-			if _, err := srv.FetchTenant(tenant, 2, iter, rank); err != nil {
-				t.Fatal(err)
-			}
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// A rank lagging a generation behind its tenant's other rank finds
+// every batch it asks for built: it reads the window, not a rebuild.
+func TestEvictionHonoursLaggingRank(t *testing.T) {
+	srv := windowServer(t)
+	for iter := int64(0); iter <= producerGeneration; iter++ {
+		if _, err := srv.FetchTenant(0, 2, iter, 0); err != nil {
+			t.Fatal(err)
 		}
 	}
-	sizes := func() (watermarks, tenants int) {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return len(srv.watermark), len(srv.tenantDP)
+	builds := srv.builds.Load()
+	for iter := int64(0); iter <= producerGeneration; iter++ {
+		if _, err := srv.FetchTenant(0, 2, iter, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if got := srv.builds.Load(); got != builds {
+		t.Fatalf("a rank %d iterations behind forced %d rebuilds", producerGeneration, got-builds)
+	}
+}
+
+// The window is bounded by generations alone: a rank that never fetches
+// (a dead consumer) pins nothing, and after a stream of three
+// generations the producer holds exactly the last two.
+func TestCacheCapBoundsDeadRank(t *testing.T) {
+	srv := windowServer(t)
+	const n = 3 * producerGeneration
+	for iter := int64(0); iter < n; iter++ {
+		if _, err := srv.FetchTenant(0, 2, iter, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		iter   int64
+		builds int64
+	}{{n - 1, 0}, {n - 2*producerGeneration, 0}, {n - 2*producerGeneration - 1, 1}} {
+		before := srv.builds.Load()
+		if _, err := srv.FetchTenant(0, 2, c.iter, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.builds.Load() - before; got != c.builds {
+			t.Errorf("iteration %d after a stream to %d: %d builds, want %d", c.iter, n-1, got, c.builds)
+		}
+	}
+}
+
+// A producer outlives its consumers: 500 tenants that fetch once and
+// retire leave at most two generations of routes behind, the oldest
+// gone, while the live tenant fetching beside them keeps its own.
+func TestServerForgetsRetiredTenants(t *testing.T) {
+	srv := windowServer(t)
 	const retired = 500
 	for i := int64(0); i < retired; i++ {
-		fetch(0, i)           // the live tenant
-		fetch(uint32(1+i), i) // fetches once and leaves
-	}
-	// Left: the live tenant and the retired tenants of the last
-	// cacheCap+1 iterations, two ranks each.
-	if w, tn := sizes(); w > 2*(srv.cacheCap+2) || tn > srv.cacheCap+2 {
-		t.Fatalf("after %d retired tenants: %d watermarks, %d tenant widths", retired, w, tn)
-	}
-	last := int64(retired + srv.cacheCap)
-	for iter := int64(retired); iter <= last; iter++ {
-		fetch(0, iter)
-	}
-	if w, tn := sizes(); w != 2 || tn != 1 {
-		t.Fatalf("live tenant alone: %d watermarks, %d tenant widths, want 2 and 1", w, tn)
+		fetchRanks(t, srv, 0, 2, i)           // the live tenant
+		fetchRanks(t, srv, uint32(1+i), 2, i) // fetches once and leaves
 	}
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	for k := range srv.cache {
-		if k.iter < last {
-			t.Errorf("iteration %d cached below the live tenant's floor %d", k.iter, last)
+	kept := 0
+	for tn := uint32(1); tn <= retired; tn++ {
+		for rank := 0; rank < 2; rank++ {
+			if _, ok := srv.routes.Get(wmKey{tn, rank}); ok {
+				kept++
+			}
+		}
+	}
+	if kept < routeGeneration || kept > 2*routeGeneration {
+		t.Errorf("%d retired ranks' routes kept, want one to two generations (%d to %d)", kept, routeGeneration, 2*routeGeneration)
+	}
+	if _, ok := srv.routes.Get(wmKey{1, 0}); ok {
+		t.Error("the first retired tenant's route survived 999 newer ranks")
+	}
+	for rank := 0; rank < 2; rank++ {
+		if w, ok := srv.routes.Get(wmKey{0, rank}); !ok || w.iter != retired-1 || w.gap != 1 {
+			t.Errorf("live rank %d: route %+v (kept %v), want iteration %d by gaps of 1", rank, w, ok, retired-1)
+		}
+	}
+}
+
+// TestProducerServesRewindsAndStaggers counts one producer's builds at
+// DP 2 with 4-sample batches on three re-read shapes:
+//   - A consumer rewinding over its last 4 iterations rebuilds none.
+//   - A tenant 10 iterations behind its peer costs no extra build.
+//   - A laggard 70 behind, past the window, costs one build per
+//     iteration it fetches: both its ranks read that one build.
+func TestProducerServesRewindsAndStaggers(t *testing.T) {
+	srv := windowServer(t)
+	for _, iter := range []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 6, 7, 8, 9} {
+		fetchRanks(t, srv, 0, 2, iter)
+	}
+	if got := srv.builds.Load(); got != 10 {
+		t.Errorf("10 iterations and a 4-iteration rewind: %d builds, want 10", got)
+	}
+	const n = 400
+	for _, c := range []struct{ lag, builds int64 }{{10, n}, {70, n + n - 70}} {
+		srv := windowServer(t)
+		for s := int64(0); s < n; s++ {
+			fetchRanks(t, srv, 0, 2, s)
+			if s >= c.lag {
+				fetchRanks(t, srv, 1, 2, s-c.lag)
+			}
+		}
+		if got := srv.builds.Load(); got != c.builds {
+			t.Errorf("a tenant %d behind over %d iterations: %d builds, want %d", c.lag, n, got, c.builds)
 		}
 	}
 }
@@ -232,10 +226,9 @@ func (g gatedSource) Sample(index int64) data.Sample {
 }
 
 // A consumer restarted against a long-lived producer re-fetches
-// iterations below the watermark floor its previous run left behind:
-// the build is evicted the moment it is cached. Ranks waiting on that
-// build must still get it — they read the in-flight record, not the
-// cache.
+// iterations below the ones its previous run reached. Both ranks of the
+// re-fetch share its one build: the one that arrives second waits for
+// the first's.
 func TestRefetchBelowWatermarkServesWaiters(t *testing.T) {
 	src := gatedSource{fixedSource{images: 1, resolution: 32, seqLen: 128}, 0, 4, make(chan struct{})}
 	srv, err := NewServer(Config{Source: src, GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2})
@@ -259,7 +252,10 @@ func TestRefetchBelowWatermarkServesWaiters(t *testing.T) {
 	close(src.gate)
 	for rank := 0; rank < 2; rank++ {
 		if err := <-errs; err != nil {
-			t.Errorf("re-fetch below the watermark floor: %v", err)
+			t.Errorf("re-fetch below the previous run: %v", err)
 		}
+	}
+	if got := srv.builds.Load(); got != 2 {
+		t.Errorf("two iterations fetched by both ranks: %d builds, want 2", got)
 	}
 }

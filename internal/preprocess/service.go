@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"disttrain/internal/metrics"
+	"disttrain/internal/window"
 )
 
 // Service is the consumer side of disaggregated preprocessing (§5): one
@@ -28,9 +29,9 @@ import (
 //     (cumulative grants / weight, ties by registration order), so a
 //     weight-2 tenant gets twice the grant rate of a weight-1 tenant —
 //     weights come from fleet priority classes.
-//   - Partitioned caches: every tenant owns a private batch cache with
-//     its own watermark floor, so one tenant's lagging rank can never
-//     evict another tenant's batches.
+//   - Partitioned caches: every tenant owns a private window of its
+//     recent rank batches, bounded by generations of its own fetches,
+//     so one tenant's churn can never evict another tenant's batches.
 //
 // Every fetch has a deterministic primary member — a pure function of
 // (iteration, DP width) — so the fleet builds each iteration once and
@@ -44,10 +45,9 @@ type Service struct {
 	cfg     ServiceConfig
 	members []*poolMember
 	stats   *metrics.PoolStats // aggregate; tenants record into labeled children
-	// admitTimeout, cooldown and cacheCap start at the constants of the
-	// same names; tests shorten them.
+	// admitTimeout and cooldown start at the constants of the same
+	// names; tests shorten them.
 	admitTimeout, cooldown time.Duration
-	cacheCap               int
 
 	mu      sync.Mutex
 	tenants []*Tenant
@@ -59,7 +59,7 @@ type Service struct {
 // ServiceConfig parameterises a shared preprocessing service: its
 // producers, slot budget and counters. Its timeouts and per-tenant
 // cache bound are the constants admitTimeout, cooldown, dialTimeout,
-// fetchTimeout and cacheCap.
+// fetchTimeout and tenantGeneration.
 type ServiceConfig struct {
 	// Addrs lists the producer servers. Assignment and failover order
 	// are deterministic in this order.
@@ -109,12 +109,13 @@ const (
 	// fetchTimeout bounds one request round trip.
 	dialTimeout  = 2 * time.Second
 	fetchTimeout = 60 * time.Second
-	// cacheCap bounds each tenant's private batch cache in entries. The
-	// watermark eviction keeps what lagging ranks still need, but a rank
-	// that stops fetching freezes the floor; beyond cacheCap the oldest
-	// entries drop anyway — the same backstop the producer's cache
-	// carries.
-	cacheCap = 256
+	// tenantGeneration bounds one generation of a tenant's cached rank
+	// batches, each weighing 1, so a tenant holds between 16 and 32. The
+	// re-reads it serves are a failure rewind's re-fetch of the
+	// iterations since the last checkpoint, every rank of each: 16 rank
+	// batches are the last 8 iterations of a DP-2 tenant and the last 2
+	// of a DP-8 one.
+	tenantGeneration = 16
 )
 
 // errPoolSaturated reports a fetch rejected by bounded admission.
@@ -138,7 +139,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if stats == nil {
 		stats = &metrics.PoolStats{}
 	}
-	s := &Service{cfg: cfg, stats: stats, admitTimeout: admitTimeout, cooldown: cooldown, cacheCap: cacheCap}
+	s := &Service{cfg: cfg, stats: stats, admitTimeout: admitTimeout, cooldown: cooldown}
 	for _, addr := range cfg.Addrs {
 		s.members = append(s.members, &poolMember{addr: addr})
 	}
@@ -149,8 +150,8 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 func (s *Service) Snapshot() metrics.PoolSnapshot { return s.stats.Snapshot() }
 
 // Register adds a tenant and returns its fetch handle. Tenant ids are
-// assigned in registration order; a producer partitions its fetch
-// watermarks by the id, and WFQ breaks grant ties by it.
+// assigned in registration order; a producer keys its readahead routes
+// by the id, and WFQ breaks grant ties by it.
 func (s *Service) Register(cfg TenantConfig) (*Tenant, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("preprocess: tenant needs a name")
@@ -171,12 +172,12 @@ func (s *Service) Register(cfg TenantConfig) (*Tenant, error) {
 			return nil, fmt.Errorf("preprocess: tenant %q already registered", cfg.Name)
 		}
 	}
+	cache := window.New[tenantKey, *RankBatch](tenantGeneration)
 	t := &Tenant{
 		svc: s, id: len(s.tenants), name: cfg.Name,
 		weight: cfg.Weight, quota: cfg.MaxInflight,
-		cache:     map[tenantKey]*RankBatch{},
-		watermark: map[int]int64{},
-		stats:     s.stats.Labeled(cfg.Name),
+		cache: &cache,
+		stats: s.stats.Labeled(cfg.Name),
 	}
 	t.dp.Store(int64(cfg.DP))
 	s.tenants = append(s.tenants, t)
@@ -386,12 +387,11 @@ type Tenant struct {
 	closed   bool
 
 	// The tenant-private cache partition, guarded by the tenant's own
-	// lock: per-tenant watermark floors mean one tenant's laggard can
-	// never evict another tenant's batches.
-	cmu       sync.Mutex
-	cache     map[tenantKey]*RankBatch
-	watermark map[int]int64
-	stats     *metrics.PoolStats
+	// lock and nil once closed: only the tenant's own fetches rotate it,
+	// so another tenant's churn never evicts its batches.
+	cmu   sync.Mutex
+	cache *window.Window[tenantKey, *RankBatch]
+	stats *metrics.PoolStats
 }
 
 // MaxInflight returns the tenant's admission quota; callers fanning
@@ -418,39 +418,27 @@ func (t *Tenant) SetQuota(n int) {
 
 // SetDP announces the tenant's current data-parallel width: the
 // front-end calls it before fanning out, so elastic lease resizes
-// reshape the producer-side split without re-registering. Watermark
-// entries for ranks the new geometry no longer has are dropped so they
-// cannot freeze the eviction floor.
+// reshape the producer-side split without re-registering. Batches of
+// the old width stay cached until they rotate out.
 func (t *Tenant) SetDP(dp int) {
-	if dp < 1 {
-		return
+	if dp >= 1 {
+		t.dp.Store(int64(dp))
 	}
-	if t.dp.Swap(int64(dp)) == int64(dp) {
-		return
-	}
-	t.cmu.Lock()
-	for rank := range t.watermark {
-		if rank >= dp {
-			delete(t.watermark, rank)
-		}
-	}
-	t.cmu.Unlock()
 }
 
 // Snapshot returns the tenant's counters.
 func (t *Tenant) Snapshot() metrics.PoolSnapshot { return t.stats.Snapshot() }
 
-// Close retires the tenant: its cache partition and watermarks are
-// freed and later fetches fail fast (one already admitted finishes,
-// uncached). The id slot stays taken, so the other tenants' ids — the
-// producers' watermark partitions and the WFQ tie order — are
-// unchanged.
+// Close retires the tenant: its cache partition is freed and later
+// fetches fail fast (one already admitted finishes, uncached). The id
+// slot stays taken, so the other tenants' ids — the producers' route
+// keys and the WFQ tie order — are unchanged.
 func (t *Tenant) Close() {
 	t.svc.mu.Lock()
 	t.closed = true
 	t.svc.mu.Unlock()
 	t.cmu.Lock()
-	t.cache, t.watermark = nil, nil
+	t.cache = nil
 	t.cmu.Unlock()
 }
 
@@ -468,14 +456,17 @@ func (t *Tenant) Fetch(ctx context.Context, iter int64, rank int) (*RankBatch, e
 	defer t.svc.release(t)
 
 	key := tenantKey{iter, rank, dp}
+	var rb *RankBatch
 	t.cmu.Lock()
-	if rb, ok := t.cache[key]; ok {
-		t.cmu.Unlock()
+	if t.cache != nil { // nil once closed
+		rb, _ = t.cache.Get(key)
+	}
+	t.cmu.Unlock()
+	if rb != nil {
 		t.stats.RecordCacheHit()
 		t.stats.RecordFetch(0)
 		return rb, nil
 	}
-	t.cmu.Unlock()
 	t.stats.RecordCacheMiss()
 
 	start := time.Now()
@@ -487,45 +478,8 @@ func (t *Tenant) Fetch(ctx context.Context, iter int64, rank int) (*RankBatch, e
 
 	t.cmu.Lock()
 	if t.cache != nil { // nil once closed
-		t.cache[key] = rb
-		if w, ok := t.watermark[rank]; !ok || iter > w {
-			t.watermark[rank] = iter
-		}
-		t.evictLocked()
+		t.cache.Put(key, rb, 1)
 	}
 	t.cmu.Unlock()
 	return rb, nil
-}
-
-// evictLocked drops cache entries below the tenant's own minimum
-// per-rank fetch watermark — the same eviction contract as the
-// producer's cache: an iteration leaves the partition only once every
-// rank the tenant has seen fetched past it. cacheCap backstops the size
-// (oldest entries first) so a rank that stops fetching cannot freeze
-// the floor and grow the cache without bound. Callers hold t.cmu.
-func (t *Tenant) evictLocked() {
-	if len(t.watermark) > 0 {
-		min := int64(0)
-		first := true
-		for _, w := range t.watermark {
-			if first || w < min {
-				min, first = w, false
-			}
-		}
-		for k := range t.cache {
-			if k.iter < min {
-				delete(t.cache, k)
-			}
-		}
-	}
-	for len(t.cache) > t.svc.cacheCap {
-		var oldest tenantKey
-		first := true
-		for k := range t.cache {
-			if first || k.iter < oldest.iter || (k.iter == oldest.iter && k.rank < oldest.rank) {
-				oldest, first = k, false
-			}
-		}
-		delete(t.cache, oldest)
-	}
 }

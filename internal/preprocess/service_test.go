@@ -59,8 +59,8 @@ func oneTenant(t *testing.T, svc *Service) *Tenant {
 // A service fetch must return exactly what the in-process producer
 // computes for the same request: producers are stateless deterministic
 // functions of (iteration, dp, rank), so neither the route (which of
-// the three members, over TCP) nor the tenant id (which partitions the
-// producers' watermarks) can change the data.
+// the three members, over TCP) nor the tenant id (which keys the
+// producers' readahead routes) can change the data.
 func TestServiceMatchesInProcessServer(t *testing.T) {
 	fleet, err := StartFleet(fleetConfig(), 3)
 	if err != nil {
@@ -238,13 +238,18 @@ func TestReadaheadFollowsEachTenant(t *testing.T) {
 		t.Run(fmt.Sprintf("producers=%d", producers), func(t *testing.T) {
 			cfg := fleetConfig()
 			cfg.Readahead = 1
-			fleet, err := StartFleet(cfg, producers)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fleet := &Fleet{}
 			t.Cleanup(fleet.Close)
 			servers := make([]*Server, producers)
-			for i, p := range fleet.producers {
+			sources := make([]*startedSource, producers)
+			for i := range servers {
+				sources[i] = &startedSource{Source: cfg.Source, batch: int64(cfg.GlobalBatch), started: map[int64]bool{}}
+				p := &producer{cfg: cfg, addr: "127.0.0.1:0"}
+				p.cfg.Source = sources[i]
+				if err := p.start(); err != nil {
+					t.Fatal(err)
+				}
+				fleet.producers = append(fleet.producers, p)
 				servers[i] = p.srv
 			}
 			svc := testService(t, fleet, ServiceConfig{})
@@ -259,15 +264,12 @@ func TestReadaheadFollowsEachTenant(t *testing.T) {
 				}
 				return &job{tn: tn, next: at}
 			}
-			// prebuilt waits for the readahead that should hold iter on the
+			// prebuilt waits for the readahead that should build iter on the
 			// member fetchWithFailover asks first.
 			prebuilt := func(iter int64) bool {
-				srv := servers[(iter+dp*7919)%int64(producers)]
+				src := sources[(iter+dp*7919)%int64(producers)]
 				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-					srv.mu.Lock()
-					_, ok := srv.cache[buildKey{iter, dp}]
-					srv.mu.Unlock()
-					if ok {
+					if src.built(iter) {
 						return true
 					}
 				}
@@ -305,6 +307,31 @@ func TestReadaheadFollowsEachTenant(t *testing.T) {
 			}
 		})
 	}
+}
+
+// startedSource records the iterations a producer started building: a
+// build reads its batch's samples first to last, so the first sample of
+// a batch marks its iteration. Tenants here share one DP width.
+type startedSource struct {
+	Source
+	batch   int64
+	mu      sync.Mutex
+	started map[int64]bool
+}
+
+func (s *startedSource) Sample(index int64) data.Sample {
+	if index%s.batch == 0 {
+		s.mu.Lock()
+		s.started[index/s.batch] = true
+		s.mu.Unlock()
+	}
+	return s.Source.Sample(index)
+}
+
+func (s *startedSource) built(iter int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.started[iter]
 }
 
 // Bounded admission on the shared capacity: with every slot taken by a
@@ -345,7 +372,8 @@ func TestServiceBoundedAdmission(t *testing.T) {
 }
 
 // The tenant cache serves repeated fetches (failure-recovery rewinds)
-// and evicts against the minimum per-rank watermark.
+// from its window: a rank's earlier iteration is still a hit after the
+// rank moved on, and only two generations of newer fetches age it out.
 func TestServiceCacheHitAndWatermarkEviction(t *testing.T) {
 	fleet, err := StartFleet(fleetConfig(), 1)
 	if err != nil {
@@ -356,12 +384,14 @@ func TestServiceCacheHitAndWatermarkEviction(t *testing.T) {
 	tn := oneTenant(t, testService(t, fleet, ServiceConfig{Stats: stats}))
 
 	ctx := context.Background()
-	if _, err := tn.Fetch(ctx, 0, 0); err != nil {
-		t.Fatal(err)
+	fetch := func(iter int64) {
+		t.Helper()
+		if _, err := tn.Fetch(ctx, iter, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := tn.Fetch(ctx, 0, 0); err != nil {
-		t.Fatal(err)
-	}
+	fetch(0)
+	fetch(0)
 	snap := stats.Snapshot()
 	if snap.CacheHits != 1 || snap.CacheMisses != 1 {
 		t.Fatalf("cache hits/misses = %d/%d, want 1/1", snap.CacheHits, snap.CacheMisses)
@@ -369,47 +399,62 @@ func TestServiceCacheHitAndWatermarkEviction(t *testing.T) {
 	if snap.CacheHitRate != 0.5 {
 		t.Errorf("hit rate = %g, want 0.5", snap.CacheHitRate)
 	}
-	// Advance rank 0's watermark: iterations below it leave the cache.
+	// A rewind over the rank's last iterations is all hits.
 	for iter := int64(1); iter < 4; iter++ {
-		if _, err := tn.Fetch(ctx, iter, 0); err != nil {
-			t.Fatal(err)
-		}
+		fetch(iter)
 	}
-	if _, err := tn.Fetch(ctx, 0, 0); err != nil {
-		t.Fatal(err)
+	for iter := int64(0); iter < 4; iter++ {
+		fetch(iter)
 	}
-	if got := stats.Snapshot().CacheMisses; got != snap.CacheMisses+4 {
-		t.Errorf("evicted iteration 0 should re-fetch as a miss: misses = %d, want %d",
-			got, snap.CacheMisses+4)
+	if got := stats.Snapshot().CacheMisses; got != snap.CacheMisses+3 {
+		t.Errorf("a 4-iteration rewind missed: misses = %d, want %d", got, snap.CacheMisses+3)
+	}
+	// Two generations of newer fetches age iteration 0 out.
+	for iter := int64(4); iter < 4+2*tenantGeneration; iter++ {
+		fetch(iter)
+	}
+	before := stats.Snapshot().CacheMisses
+	fetch(0)
+	if got := stats.Snapshot().CacheMisses; got != before+1 {
+		t.Errorf("iteration 0 survived two generations of newer fetches: misses = %d, want %d", got, before+1)
 	}
 }
 
-// cacheCap backstops the tenant cache: a rank that stops fetching
-// freezes the watermark floor, but the cache still stays bounded.
+// The tenant cache is bounded by generations alone: a rank that stops
+// fetching pins nothing. Its batch ages out with its rank-mate's
+// fetches, while the newest ones stay.
 func TestServiceCacheCapBoundsStalledRank(t *testing.T) {
 	fleet, err := StartFleet(fleetConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	svc := testService(t, fleet, ServiceConfig{})
-	svc.cacheCap = 4
-	tn := oneTenant(t, svc)
+	stats := &metrics.PoolStats{}
+	tn := oneTenant(t, testService(t, fleet, ServiceConfig{Stats: stats}))
 
 	ctx := context.Background()
 	if _, err := tn.Fetch(ctx, 0, 1); err != nil { // rank 1 stalls at 0
 		t.Fatal(err)
 	}
-	for iter := int64(0); iter < 10; iter++ {
+	const n = 2 * tenantGeneration
+	for iter := int64(0); iter < n; iter++ {
 		if _, err := tn.Fetch(ctx, iter, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tn.cmu.Lock()
-	n := len(tn.cache)
-	tn.cmu.Unlock()
-	if n > 4 {
-		t.Fatalf("tenant cache grew to %d entries with cacheCap 4", n)
+	for _, c := range []struct {
+		iter  int64
+		rank  int
+		label string
+		miss  int64
+	}{{n - 1, 0, "the newest batch", 0}, {0, 1, "the stalled rank's batch", 1}} {
+		before := stats.Snapshot().CacheMisses
+		if _, err := tn.Fetch(ctx, c.iter, c.rank); err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.Snapshot().CacheMisses - before; got != c.miss {
+			t.Errorf("%s after %d newer fetches: %d misses, want %d", c.label, n, got, c.miss)
+		}
 	}
 }
 
@@ -469,14 +514,13 @@ func TestTenantCloseFreesCachePartition(t *testing.T) {
 	svc.mu.Lock()
 	tenants := append([]*Tenant(nil), svc.tenants...)
 	svc.mu.Unlock()
-	cached := 0
 	for _, tn := range tenants {
 		tn.cmu.Lock()
-		cached += len(tn.cache) + len(tn.watermark)
+		freed := tn.cache == nil
 		tn.cmu.Unlock()
-	}
-	if cached != 0 {
-		t.Errorf("%d cache/watermark entries survive %d register-fetch-close cycles", cached, cycles)
+		if !freed {
+			t.Errorf("closed tenant %s still holds its cache partition", tn.name)
+		}
 	}
 	if got := svc.Snapshot().Fetches; got != 2*cycles {
 		t.Errorf("fetches = %d, want %d (a closed tenant's fetch must not count)", got, 2*cycles)
@@ -753,9 +797,9 @@ func TestServiceQuotaSaturationIsolatesTenants(t *testing.T) {
 	}
 }
 
-// Cache partitions are per-tenant: one tenant racing far ahead must
-// never evict a lagging tenant's batches — the laggard's re-fetch is a
-// cache hit, not a rebuild.
+// Cache partitions are per-tenant: one tenant racing far ahead ages out
+// its own batches, never a lagging tenant's — the laggard's re-fetch is
+// a cache hit, not a rebuild.
 func TestServiceCachePartitioning(t *testing.T) {
 	fleet, err := StartFleet(fleetConfig(), 1)
 	if err != nil {
@@ -763,7 +807,6 @@ func TestServiceCachePartitioning(t *testing.T) {
 	}
 	t.Cleanup(fleet.Close)
 	svc := testService(t, fleet, ServiceConfig{})
-	svc.cacheCap = 4
 	lag, err := svc.Register(TenantConfig{Name: "laggard", DP: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -777,17 +820,17 @@ func TestServiceCachePartitioning(t *testing.T) {
 	if _, err := lag.Fetch(ctx, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	// The fast tenant churns far past its own cacheCap.
-	for iter := int64(0); iter < 12; iter++ {
+	// The fast tenant churns two generations past its own iteration 0.
+	for iter := int64(0); iter <= 2*tenantGeneration; iter++ {
 		if _, err := fast.Fetch(ctx, iter, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fast.cmu.Lock()
-	fastN := len(fast.cache)
-	fast.cmu.Unlock()
-	if fastN > 4 {
-		t.Fatalf("fast tenant's partition grew to %d entries with cacheCap 4", fastN)
+	if _, err := fast.Fetch(ctx, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := fast.Snapshot().CacheHits; got != 0 {
+		t.Fatalf("fast tenant's iteration 0 survived its own churn (%d hits)", got)
 	}
 	// The laggard's batch survived the other tenant's churn.
 	if _, err := lag.Fetch(ctx, 0, 0); err != nil {

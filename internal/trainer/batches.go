@@ -2,10 +2,12 @@ package trainer
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"disttrain/internal/data"
 	"disttrain/internal/model"
 	"disttrain/internal/profiler"
+	"disttrain/internal/window"
 )
 
 // BatchCache shares the corpus front-end among runtimes: a batch read,
@@ -17,19 +19,19 @@ import (
 // removes it, so a lone tenant keeps the private, allocation-free path.
 // The zero value is ready to use; it is safe for concurrent use.
 type BatchCache struct {
-	mu   sync.Mutex
-	live map[batchClass]int
-	// cur takes new entries and prev, the generation before it, is still
-	// read; once cur holds batchGeneration samples it becomes prev and
-	// the old prev is dropped, as in data.Corpus's memo.
-	cur, prev map[batchKey]*batchEntry
-	held      int // samples held by cur
+	mu      sync.Mutex
+	live    map[batchClass]int
+	entries window.Once[batchKey, preparedBatch] // made with live
 	// builds counts the entries built, the observable tests pin.
-	builds int
+	builds atomic.Int64
 }
 
 // batchGeneration bounds one cache generation in samples held, so the
-// cache holds between one and two of them.
+// cache holds between one and two of them. A batch is re-read by the
+// other runtimes of its class, which step the same iterations as far
+// apart as they were admitted: the re-read window is a span of the
+// corpus, the one data.Corpus's memo keeps, so the generations match
+// the memo's 2,048 samples (64 iterations of a 32-sample batch).
 const batchGeneration = 2048
 
 // batchClass is what two runtimes must share for their corpus batches
@@ -51,55 +53,28 @@ type batchKey struct {
 	balance bool
 }
 
-// batchEntry is one cached batch, built by the runtime that inserted
-// it; every other reader waits on ready, so concurrent first requests
-// build it once.
-type batchEntry struct {
-	ready sync.WaitGroup
-	batch preparedBatch
-}
-
 // addLive adds d (+1 at New, -1 at Close) to the class's live runtimes.
 func (c *BatchCache) addLive(class batchClass, d int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.live == nil {
 		c.live = map[batchClass]int{}
+		c.entries = window.NewOnce[batchKey, preparedBatch](batchGeneration)
 	}
 	if c.live[class] += d; c.live[class] == 0 {
 		delete(c.live, class)
 	}
 }
 
-// entry returns k's entry, nil while k's class has fewer than two live
-// runtimes. On a miss it inserts an empty entry the caller must build
-// and mark ready (fresh).
-func (c *BatchCache) entry(k batchKey) (e *batchEntry, fresh bool) {
+// sharing returns the cache's entries while class has two or more live
+// runtimes, nil otherwise.
+func (c *BatchCache) sharing(class batchClass) *window.Once[batchKey, preparedBatch] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.live[k.batchClass] < 2 {
-		return nil, false
+	if c.live[class] < 2 {
+		return nil
 	}
-	if e = c.cur[k]; e == nil {
-		e = c.prev[k]
-	}
-	if e != nil {
-		return e, false
-	}
-	if c.held >= batchGeneration {
-		c.cur, c.prev = c.prev, c.cur
-		clear(c.cur)
-		c.held = 0
-	}
-	if c.cur == nil {
-		c.cur = map[batchKey]*batchEntry{}
-	}
-	e = new(batchEntry)
-	e.ready.Add(1)
-	c.cur[k] = e
-	c.held += k.batch
-	c.builds++
-	return e, true
+	return &c.entries
 }
 
 // joinBatches registers r on cfg.Batches when its corpus batches can be
@@ -123,19 +98,13 @@ func (r *Runtime) shared(iter, dp int) (p preparedBatch, ok bool) {
 	if r.batches == nil {
 		return p, false
 	}
+	entries := r.batches.sharing(r.class)
+	if entries == nil {
+		return p, false
+	}
 	bs := r.class.batch
 	k := batchKey{batchClass: r.class, first: int64(iter) * int64(bs), dp: dp, balance: r.cfg.Reorder}
-	e, fresh := r.batches.entry(k)
-	switch {
-	case e == nil:
-		return p, false
-	case fresh:
-		e.batch = r.build(k)
-		e.ready.Done()
-	default:
-		e.ready.Wait()
-	}
-	p = e.batch
+	p = entries.Get(k, bs, func() preparedBatch { return r.build(k) })
 	p.iter = iter
 	return p, true
 }
@@ -145,6 +114,7 @@ func (r *Runtime) shared(iter, dp int) (p preparedBatch, ok bool) {
 // work and the rank-major gather, and the rank headers are an entry's
 // four allocations.
 func (r *Runtime) build(k batchKey) preparedBatch {
+	r.batches.builds.Add(1)
 	n := k.batch
 	if k.balance {
 		n *= 2

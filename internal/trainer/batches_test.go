@@ -103,8 +103,8 @@ func TestBatchCacheSharesEachBuild(t *testing.T) {
 		for _, rt := range rts {
 			check("runtime", mustRun(rt, false), want)
 		}
-		if c.builds != iters {
-			t.Errorf("%d runtimes in turn built %d batches for %d iterations", k, c.builds, iters)
+		if c.builds.Load() != iters {
+			t.Errorf("%d runtimes in turn built %d batches for %d iterations", k, c.builds.Load(), iters)
 		}
 		for _, rt := range rts {
 			rt.Close()
@@ -138,8 +138,8 @@ func TestBatchCacheSharesEachBuild(t *testing.T) {
 			}
 			check("concurrent runtime", got[i], want)
 		}
-		if c.builds != iters {
-			t.Errorf("%d concurrent runtimes built %d batches for %d iterations", k, c.builds, iters)
+		if c.builds.Load() != iters {
+			t.Errorf("%d concurrent runtimes built %d batches for %d iterations", k, c.builds.Load(), iters)
 		}
 	})
 
@@ -150,8 +150,8 @@ func TestBatchCacheSharesEachBuild(t *testing.T) {
 		lone, shifted := start(t, &c, nil), start(t, &c, shift)
 		check("lone runtime", mustRun(lone, false), want)
 		check("scenario runtime", mustRun(shifted, false), wantShift)
-		if c.builds != 0 {
-			t.Errorf("private runtimes built %d shared batches", c.builds)
+		if c.builds.Load() != 0 {
+			t.Errorf("private runtimes built %d shared batches", c.builds.Load())
 		}
 	})
 
@@ -163,50 +163,49 @@ func TestBatchCacheSharesEachBuild(t *testing.T) {
 		grown, kept := start(t, &c, nil), start(t, &c, nil)
 		check("resized runtime", mustRun(grown, true), wantGrow)
 		check("unresized runtime", mustRun(kept, false), want)
-		if c.builds != 5 {
-			t.Errorf("resize over two DP widths built %d batches, want 5", c.builds)
+		if c.builds.Load() != 5 {
+			t.Errorf("resize over two DP widths built %d batches, want 5", c.builds.Load())
 		}
 	})
 }
 
 // TestBatchCacheEntriesAndGenerations pins the cache's bookkeeping: no
-// entry while a class has one live runtime, one builder per key (a
-// second request reads the first entry), and entries rotating out by
-// samples held, two generations at most.
+// entries while a class has one live runtime, one build per key (a
+// second request reads the first build), and entries rotating out by
+// samples held: the newest key survives a stream that drops the oldest.
 func TestBatchCacheEntriesAndGenerations(t *testing.T) {
 	var c BatchCache
 	class := batchClass{batch: 1000}
 	key := func(i int) batchKey { return batchKey{batchClass: class, first: int64(i) * 1000} }
 	c.addLive(class, 1)
-	if e, _ := c.entry(key(0)); e != nil {
-		t.Fatal("a lone runtime's class got an entry")
+	if c.sharing(class) != nil {
+		t.Fatal("a lone runtime's class shares entries")
 	}
 	c.addLive(class, 1)
-	first, fresh := c.entry(key(0))
-	if first == nil || !fresh {
-		t.Fatal("a miss did not hand its caller a fresh entry to build")
+	entries := c.sharing(class)
+	builds := 0
+	get := func(i int) preparedBatch {
+		return entries.Get(key(i), class.batch, func() preparedBatch {
+			builds++
+			return preparedBatch{iter: i}
+		})
 	}
-	if again, fresh := c.entry(key(0)); again != first || fresh {
-		t.Error("a second request for one key was asked to build it again")
+	get(0)
+	if get(0); builds != 1 {
+		t.Error("a second request for one key built it again")
 	}
 	const n = 10
 	for i := 1; i < n; i++ {
-		c.entry(key(i))
+		get(i)
 	}
-	if held := 1000 * (len(c.cur) + len(c.prev)); held >= 2*(batchGeneration+1000) {
-		t.Errorf("cache holds %d samples, want under two generations", held)
-	}
-	if _, fresh := c.entry(key(n - 1)); fresh {
+	if get(n - 1); builds != n {
 		t.Error("newest entry lost")
 	}
-	if _, fresh := c.entry(key(0)); !fresh {
-		t.Error("oldest entry survived two rotations")
-	}
-	if c.builds != n+1 {
-		t.Errorf("%d builds for %d distinct keys and one rebuild", c.builds, n)
+	if get(0); builds != n+1 {
+		t.Errorf("the oldest entry survived %d samples put after it, two generations of %d", (n-1)*class.batch, batchGeneration)
 	}
 	c.addLive(class, -2)
-	if len(c.live) != 0 {
+	if len(c.live) != 0 || c.sharing(class) != nil {
 		t.Errorf("live classes after every runtime left: %v", c.live)
 	}
 }
