@@ -68,11 +68,17 @@ COVER_FLOOR ?= 73
 # once the data plane's four caches shared one generational window:
 # the new internal/window (+102) against the producer's watermark
 # floor, in-flight map and tenant widths and the tenant's watermarks
-# (server.go -108, service.go -46, batches.go -30, data.go -11).
+# (server.go -108, service.go -46, batches.go -30, data.go -11), and
+# 16,390 once tenants reading one shared batch under one plan shared its
+# rank outcomes: the +62 are the run key, the outcome window and
+# sharedRun (batches.go +39), the shared branch and the runRanks helper
+# (concurrent.go +13), the serial phases priced once per plan
+# (trainer.go +7) and the fleet's indexed loops (scheduler.go +3) —
+# fleet-steady work_per_cpu_s 47.1k -> 131.3k, op_ms_p50 13.1 -> 5.7 ms.
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 16328
+LOC_CEILING ?= 16390
 
 .PHONY: all build fmt vet test race bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 

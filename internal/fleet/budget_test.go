@@ -12,8 +12,9 @@ import (
 // geometries BenchmarkFleetThroughput and BenchmarkColdAdmissionStorm
 // time: K tenants on 2-node leases of a 2K-node cluster. K identical
 // tenants share one §4.3 search through the plan cache and each
-// iteration's prepared batch through the run's batch cache (4
-// allocations an entry; a lone tenant keeps its private buffers), and
+// iteration's prepared batch (4 allocations an entry) and, under their
+// one plan, its rank outcomes through the run's batch cache (a lone
+// tenant keeps its private buffers and outcome slots), and
 // their iterations scale as max(2, 32/K), so the count grows with the
 // tenants, not the iterations. The cold storm's 16 tenants have
 // distinct batches and arrive at round 0 on a fresh cache, so a run
@@ -34,9 +35,9 @@ func TestFleetAllocBudget(t *testing.T) {
 		recorded float64
 	}{
 		{"K=1", 1, 32, false, 461},
-		{"K=4", 4, 8, false, 558},
-		{"K=16", 16, 2, false, 888},
-		{"K=64", 64, 2, false, 2992},
+		{"K=4", 4, 8, false, 464},
+		{"K=16", 16, 2, false, 730},
+		{"K=64", 64, 2, false, 2306},
 		{"cold storm", 16, 2, true, 3739},
 	} {
 		spec, corpus := buildSpec(t, 2*tc.k, 32)

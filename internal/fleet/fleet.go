@@ -546,8 +546,8 @@ func (f *runner) newTenant(si int, class Class) {
 // first (in index order), then scenario arrival events — job-arrive,
 // priority-arrive, preempt-storm, herd — in schedule order.
 func (f *runner) enqueueArrivals() {
-	for i, js := range f.cfg.Jobs {
-		if js.Arrive == f.round {
+	for i := range f.cfg.Jobs {
+		if f.cfg.Jobs[i].Arrive == f.round {
 			f.newTenant(i, "")
 		}
 	}

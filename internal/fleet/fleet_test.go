@@ -172,51 +172,73 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 }
 
-// TestFleetSharedBatchesMatchStandalone: K identical tenants read each
-// iteration's prepared batch off the run's batch cache, and a tenant
-// with a workload-shift scenario prepares its own; every tenant's
-// Result is byte-identical to a standalone trainer.Run of its plan on a
-// cluster of its lease size, at every worker count.
+// TestFleetSharedBatchesMatchStandalone: tenants read each iteration's
+// prepared batch off the run's batch cache, and tenants under one plan
+// its rank outcomes too, while a tenant with a workload-shift scenario
+// prepares and simulates its own; every tenant's Result — and, traced,
+// its timeline byte for byte — is identical to a standalone trainer.Run
+// of its plan on a cluster of its lease size, at every worker count.
+// Mixed lease sizes give tenants of one batch class different plans.
 func TestFleetSharedBatchesMatchStandalone(t *testing.T) {
-	const k, iters, leaseNodes = 4, 3, 2
-	spec, corpus := buildSpec(t, leaseNodes*(k+1), 32)
+	const iters = 3
 	shift, err := scenario.Parse("workload-shift:iters=1-2,factor=3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmpl := trainer.DistTrainConfig(spec, nil, corpus)
-	tmpl.GradientDim = 4
-	shifted := tmpl
-	shifted.Scenario = shift
-	cfg := Config{Cluster: spec.Cluster}
-	for j := 0; j <= k; j++ {
-		js := JobSpec{Name: fmt.Sprintf("t%d", j), Train: tmpl, Iters: iters, MinNodes: leaseNodes, MaxNodes: leaseNodes}
-		if j == k {
-			js.Train = shifted
-		}
-		cfg.Jobs = append(cfg.Jobs, js)
-	}
-	for _, workers := range []int{1, 4} {
-		cfg.Workers = workers
-		res, err := runChecked(t, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, jr := range res.Jobs {
-			if jr.Err != nil || jr.Result == nil {
-				t.Fatalf("workers %d: job %s: %v", workers, jr.Name, jr.Err)
+	for _, tc := range []struct {
+		name   string
+		leases []int // the last tenant's scenario shifts its batches
+		trace  bool
+	}{
+		{"one plan", []int{2, 2, 2, 2, 2}, false},
+		{"one plan traced", []int{2, 2, 2, 2, 2}, true},
+		{"mixed leases traced", []int{2, 3, 4, 2, 3, 4, 2}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := 0
+			for _, n := range tc.leases {
+				nodes += n
 			}
-			ref := cfg.Jobs[jr.Spec].Train
-			ref.Spec.Cluster = cluster.Production(leaseNodes)
-			ref.Plan = jr.Plan
-			want, err := trainer.Run(ref, iters)
-			if err != nil {
-				t.Fatal(err)
+			spec, corpus := buildSpec(t, nodes, 32)
+			tmpl := trainer.DistTrainConfig(spec, nil, corpus)
+			tmpl.GradientDim = 4
+			cfg := Config{Cluster: spec.Cluster, Trace: tc.trace}
+			for j, n := range tc.leases {
+				js := JobSpec{Name: fmt.Sprintf("t%d", j), Train: tmpl, Iters: iters, MinNodes: n, MaxNodes: n}
+				if j == len(tc.leases)-1 {
+					js.Train.Scenario = shift
+				}
+				cfg.Jobs = append(cfg.Jobs, js)
 			}
-			if !reflect.DeepEqual(jr.Result, want) {
-				t.Errorf("workers %d: job %s diverged from standalone:\ngot  %+v\nwant %+v", workers, jr.Name, jr.Result, want)
+			for _, workers := range []int{1, 4} {
+				cfg.Workers = workers
+				res, err := runChecked(t, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, jr := range res.Jobs {
+					if jr.Err != nil || jr.Result == nil {
+						t.Fatalf("workers %d: job %s: %v", workers, jr.Name, jr.Err)
+					}
+					ref := cfg.Jobs[jr.Spec].Train
+					ref.Spec.Cluster = cluster.Production(tc.leases[jr.Spec])
+					ref.Plan = jr.Plan
+					if tc.trace {
+						ref.Trace = metrics.NewTrace()
+					}
+					want, err := trainer.Run(ref, iters)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(jr.Result, want) {
+						t.Errorf("workers %d: job %s diverged from standalone:\ngot  %+v\nwant %+v", workers, jr.Name, jr.Result, want)
+					}
+					if tc.trace && !bytes.Equal(traceBytes(t, jr.Trace), traceBytes(t, ref.Trace)) {
+						t.Errorf("workers %d: job %s: trace diverged from standalone", workers, jr.Name)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

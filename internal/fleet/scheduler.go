@@ -185,8 +185,8 @@ func (fairShareScheduler) Order(a, b JobView) bool { return false }
 // fairShare hands the remainder out by.
 func rankAmong(running []JobView, headID, id int) int {
 	rank := 0
-	for _, r := range running {
-		if r.ID < id {
+	for i := range running {
+		if running[i].ID < id {
 			rank++
 		}
 	}
@@ -212,7 +212,9 @@ func (fairShareScheduler) MakeRoom(ops Ops, head JobView) {
 		return
 	}
 	healthy := ops.Healthy()
-	for _, t := range ops.Running() {
+	running := ops.Running()
+	for i := range running {
+		t := &running[i]
 		if needed <= 0 {
 			return
 		}
@@ -243,7 +245,8 @@ func (fairShareScheduler) Rebalance(ops Ops) {
 	healthy := ops.Healthy()
 	running := ops.Running()
 	n := len(running)
-	for k, t := range running {
+	for k := range running {
+		t := &running[k]
 		free := ops.Free()
 		if len(free) == 0 {
 			return

@@ -7,6 +7,7 @@ import (
 	"disttrain/internal/data"
 	"disttrain/internal/model"
 	"disttrain/internal/profiler"
+	"disttrain/internal/scenario"
 	"disttrain/internal/window"
 )
 
@@ -14,16 +15,22 @@ import (
 // folded through the cost kernel and assigned by Algorithm 1 once per
 // (iteration, DP width) serves every runtime that would prepare the
 // same one — the data tier's one build per iteration (§5), for runtimes
-// without a live producer pool. Config.Batches says when an iteration
-// shares. New registers a runtime that can under its class and Close
-// removes it, so a lone tenant keeps the private, allocation-free path.
-// The zero value is ready to use; it is safe for concurrent use.
+// without a live producer pool. The ranks of a shared batch are
+// simulated once per run key too: a rank's outcome is a pure function
+// of its workloads and the plan prices runRank reads, so runtimes that
+// read one batch under one plan share one outcome vector.
+// Config.Batches says when an iteration shares. New registers a runtime
+// that can under its class and Close removes it, so a lone tenant keeps
+// the private, allocation-free path. The zero value is ready to use; it
+// is safe for concurrent use.
 type BatchCache struct {
 	mu      sync.Mutex
 	live    map[batchClass]int
 	entries window.Once[batchKey, preparedBatch] // made with live
-	// builds counts the entries built, the observable tests pin.
-	builds atomic.Int64
+	runs    window.Once[runKey, []rankOutcome]   // made with live
+	// builds counts the entries built and simulated the ranks the runs
+	// simulated, the observables tests pin.
+	builds, simulated atomic.Int64
 }
 
 // batchGeneration bounds one cache generation in samples held, so the
@@ -53,6 +60,18 @@ type batchKey struct {
 	balance bool
 }
 
+// runKey identifies one shared batch's rank outcomes: the batch and
+// everything runRank reads of the runtime. buildP2P prices every link
+// alike, so one link cost stands for the p2p vector. A joined runtime
+// has no Scenario, so its perturbation is always steady.
+type runKey struct {
+	batchKey
+	costs                   planCosts
+	stages, vpp, microbatch int
+	link                    float64
+	traced                  bool
+}
+
 // addLive adds d (+1 at New, -1 at Close) to the class's live runtimes.
 func (c *BatchCache) addLive(class batchClass, d int) {
 	c.mu.Lock()
@@ -60,6 +79,7 @@ func (c *BatchCache) addLive(class batchClass, d int) {
 	if c.live == nil {
 		c.live = map[batchClass]int{}
 		c.entries = window.NewOnce[batchKey, preparedBatch](batchGeneration)
+		c.runs = window.NewOnce[runKey, []rankOutcome](batchGeneration)
 	}
 	if c.live[class] += d; c.live[class] == 0 {
 		delete(c.live, class)
@@ -93,7 +113,7 @@ func (r *Runtime) joinBatches() {
 // shared returns iteration iter's corpus batch, assigned over dp ranks,
 // from the cache — building it on a miss — or ok false when the runtime
 // prepares privately: it is not registered, or its class has fewer than
-// two live runtimes.
+// two live runtimes. A shared batch carries its key.
 func (r *Runtime) shared(iter, dp int) (p preparedBatch, ok bool) {
 	if r.batches == nil {
 		return p, false
@@ -105,8 +125,27 @@ func (r *Runtime) shared(iter, dp int) (p preparedBatch, ok bool) {
 	bs := r.class.batch
 	k := batchKey{batchClass: r.class, first: int64(iter) * int64(bs), dp: dp, balance: r.cfg.Reorder}
 	p = entries.Get(k, bs, func() preparedBatch { return r.build(k) })
-	p.iter = iter
+	p.iter, p.key = iter, k
 	return p, true
+}
+
+// sharedRun returns the rank outcomes of p, a shared batch, under the
+// runtime's plan: the first asker of the run key simulates them into a
+// fresh slice, a concurrent asker waits for that run. The slice is
+// immutable once returned, so it never becomes r.outcomes, whose ops the
+// private path refills.
+func (r *Runtime) sharedRun(p preparedBatch, p2p []float64, pert scenario.Perturbation, workers int) []rankOutcome {
+	k := runKey{
+		batchKey: p.key, costs: r.costs, stages: r.stages,
+		vpp: r.cfg.Plan.Modules[model.Backbone].Config.VPP, microbatch: r.cfg.Spec.Microbatch,
+		link: p2p[0], traced: r.cfg.Trace != nil,
+	}
+	return r.batches.runs.Get(k, k.batch, func() []rankOutcome {
+		r.batches.simulated.Add(int64(len(p.ranks)))
+		out := make([]rankOutcome, len(p.ranks))
+		r.runRanks(out, p.ranks, p2p, pert, workers)
+		return out
+	})
 }
 
 // build prepares k's batch into fresh slices that no runtime owns:

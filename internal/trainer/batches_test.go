@@ -1,11 +1,14 @@
 package trainer
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"disttrain/internal/cluster"
+	"disttrain/internal/metrics"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/scenario"
@@ -207,5 +210,182 @@ func TestBatchCacheEntriesAndGenerations(t *testing.T) {
 	c.addLive(class, -2)
 	if len(c.live) != 0 || c.sharing(class) != nil {
 		t.Errorf("live classes after every runtime left: %v", c.live)
+	}
+}
+
+// TestBatchCacheSharesRankOutcomes pins the run half of the cache: K
+// runtimes reading one batch under one plan simulate each rank once
+// between them, whether they run in turn or race; a plan that differs
+// only in what runRank reads (the backbone's VPP, the module prices)
+// and a traced runtime beside an untraced one each simulate on their
+// own; and every runtime returns the Result and the trace bytes of its
+// private run. Not skipped under -short, so the race gate runs the
+// concurrent case.
+func TestBatchCacheSharesRankOutcomes(t *testing.T) {
+	spec, corpus := buildSpec(t, model.MLLM9B(), 4, 32, model.FullTraining)
+	plan, err := orchestrator.PlanDistTrain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vpp := *plan
+	vpp.Modules[model.Backbone].Config.VPP = 2
+	// The encoder and the generator trade GPU counts: the same stages
+	// and links, other prices.
+	swapped := *plan
+	enc, gen := &swapped.Modules[model.Encoder].Config, &swapped.Modules[model.Generator].Config
+	if enc.DP == gen.DP {
+		t.Fatal("fixture: swapping the encoder and generator pools changes nothing")
+	}
+	enc.DP, gen.DP = gen.DP, enc.DP
+	dp := int64(plan.Modules[model.Backbone].Config.DP)
+
+	const iters = 3
+	type runner struct {
+		plan   *orchestrator.Plan
+		traced bool
+	}
+	// run drives one runtime per runner on cache c (private runs on
+	// nil), in turn or at once, and returns each Result and trace.
+	run := func(t *testing.T, c *BatchCache, at bool, rs ...runner) ([]*Result, [][]byte) {
+		t.Helper()
+		rts := make([]*Runtime, len(rs))
+		for i, r := range rs {
+			cfg := DistTrainConfig(spec, r.plan, corpus)
+			cfg.GradientDim = 4
+			cfg.Batches = c
+			if r.traced {
+				cfg.Trace = metrics.NewTrace()
+			}
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			rts[i] = rt
+		}
+		res := make([]*Result, len(rs))
+		errs := make([]error, len(rs))
+		var wg sync.WaitGroup
+		for i, rt := range rts {
+			if !at {
+				res[i], errs[i] = rt.Run(iters)
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res[i], errs[i] = rt.Run(iters)
+			}()
+		}
+		wg.Wait()
+		traces := make([][]byte, len(rs))
+		for i, rt := range rts {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if tr := rt.cfg.Trace; tr != nil {
+				var buf bytes.Buffer
+				if err := tr.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				traces[i] = buf.Bytes()
+			}
+		}
+		return res, traces
+	}
+	private := func(t *testing.T, r runner) (*Result, []byte) {
+		res, traces := run(t, nil, false, r)
+		return res[0], traces[0]
+	}
+
+	for _, tc := range []struct {
+		name string
+		rs   []runner
+		runs int64 // distinct run keys
+	}{
+		{"one plan", []runner{{plan, false}, {plan, false}, {plan, false}, {plan, false}}, 1},
+		{"plans", []runner{{plan, false}, {&vpp, false}, {&swapped, false}, {plan, false}}, 3},
+		{"traced", []runner{{plan, true}, {plan, false}, {plan, true}}, 2},
+	} {
+		for _, at := range []bool{false, true} {
+			name := tc.name + " in turn"
+			if at {
+				name = tc.name + " at once"
+			}
+			t.Run(name, func(t *testing.T) {
+				var c BatchCache
+				got, traces := run(t, &c, at, tc.rs...)
+				for i, r := range tc.rs {
+					want, wantTrace := private(t, r)
+					if !reflect.DeepEqual(got[i], want) {
+						t.Errorf("runtime %d diverged from its private run:\ngot  %+v\nwant %+v", i, got[i], want)
+					}
+					if !bytes.Equal(traces[i], wantTrace) {
+						t.Errorf("runtime %d: trace diverged from its private run (%d vs %d bytes)", i, len(traces[i]), len(wantTrace))
+					}
+				}
+				if want := tc.runs * iters * dp; c.simulated.Load() != want {
+					t.Errorf("%d runtimes simulated %d ranks, want %d (%d run keys × %d iterations × DP %d)",
+						len(tc.rs), c.simulated.Load(), want, tc.runs, iters, dp)
+				}
+			})
+		}
+	}
+}
+
+// TestSharedOutcomesOutliveAPrivateIteration: a runtime that shared an
+// iteration's outcomes and then runs one privately (its class partner
+// left) refills its own outcome slots, never the shared vector, whose
+// ops other tenants' traces still read.
+func TestSharedOutcomesOutliveAPrivateIteration(t *testing.T) {
+	spec, corpus := buildSpec(t, model.MLLM9B(), 4, 32, model.FullTraining)
+	plan, err := orchestrator.PlanDistTrain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c BatchCache
+	start := func() *Runtime {
+		cfg := DistTrainConfig(spec, plan, corpus)
+		cfg.Batches = &c
+		cfg.Trace = metrics.NewTrace()
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		return rt
+	}
+	a, b := start(), start()
+	for _, rt := range []*Runtime{a, b} {
+		if _, err := rt.RunIterationSequential(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := a.prepare(0)
+	if p.key.corpus == nil {
+		t.Fatal("iteration 0 was not shared")
+	}
+	before := c.simulated.Load()
+	shared := a.sharedRun(p, a.p2p, scenario.At(nil, 0), 1)
+	if c.simulated.Load() != before {
+		t.Fatal("the shared outcomes were simulated again")
+	}
+	want := make([]rankOutcome, len(shared))
+	for d, o := range shared {
+		want[d] = o
+		want[d].ops = slices.Clone(o.ops)
+	}
+	if len(want[0].ops) == 0 {
+		t.Fatal("a traced run shared no ops")
+	}
+	b.Close()
+	if _, err := a.RunIterationSequential(1); err != nil {
+		t.Fatal(err)
+	}
+	if c.simulated.Load() != before {
+		t.Error("a lone runtime's iteration was simulated into the cache")
+	}
+	if !reflect.DeepEqual(shared, want) {
+		t.Error("a private iteration wrote the shared outcome vector")
 	}
 }

@@ -38,21 +38,26 @@ import (
 //
 // What outlives what: a private corpus batch, its work and its ranks
 // live in one of the runtime's two prepBufs until iteration i+2 is
-// prepared (a shared one is an immutable BatchCache entry), so nothing
-// of an iteration escapes its Step unless copied — a controller
-// gets its own copy of the batch (Observation.Batch); a pooled scratch
-// is held for one runRank or assign call and nothing backed by it
-// escapes (a traced rank's ops are copied into its outcome slot).
+// prepared, and its rank outcomes in the runtime's slots until the next
+// iteration refills them, so nothing of an iteration escapes its Step
+// unless copied — a controller gets its own copy of the batch
+// (Observation.Batch). A shared batch and its outcome vector are
+// immutable BatchCache entries that outlive the iteration: every
+// runtime reading them only reads. A pooled scratch is held for one
+// runRank or assign call and nothing backed by it escapes (a traced
+// rank's ops are copied into its outcome slot).
 
 // preparedBatch is the front-end's output for one iteration: the
 // global batch, each sample's workload in batch order (the order
 // iteration FLOPs sum in) and the same workloads gathered per DP rank.
+// key is a shared batch's BatchCache key, zero for a private batch.
 type preparedBatch struct {
 	iter  int
 	batch []data.Sample
 	work  []model.Workload
 	ranks [][]model.Workload
 	err   error
+	key   batchKey
 }
 
 // prepBuf backs one preparedBatch: iteration i reads prep[i&1] while
@@ -274,10 +279,10 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 
 	// Gradient synchronisation (ZeRO-1) per module, concurrent on
 	// disjoint GPU sets: the slowest exposed sync gates the iteration.
-	bd.GradSync = r.gradSync()
+	bd.GradSync = r.gradSyncS
 
 	// Optimizer step: memory-bound update of the local shard.
-	bd.Optimizer = r.optimizerStep()
+	bd.Optimizer = r.optimizerS
 
 	// Asynchronous checkpointing back-pressure.
 	if r.ckpt != nil && cfg.CheckpointEvery > 0 && p.iter > 0 && p.iter%cfg.CheckpointEvery == 0 {
@@ -374,14 +379,22 @@ func (r *Runtime) iteration(p preparedBatch, workers int) (IterationStats, error
 	}
 	pert := scenario.At(r.cfg.Scenario, p.iter)
 	p2p := r.iterP2P(pert)
+	if p.key.corpus != nil {
+		return r.finishIteration(p, pert, r.sharedRun(p, p2p, pert, workers))
+	}
 	// The outcome slots are reused across (serial) iterations: exactly
 	// one runRank overwrites each, refilling its previous ops buffer.
 	r.outcomes = slices.Grow(r.outcomes[:0], len(p.ranks))[:len(p.ranks)]
-	outcomes := r.outcomes
-	fanout.Run(context.Background(), workers, len(p.ranks), func(d int) {
-		outcomes[d] = r.runRank(d, p.ranks[d], p2p, pert, outcomes[d].ops[:0])
+	r.runRanks(r.outcomes, p.ranks, p2p, pert, workers)
+	return r.finishIteration(p, pert, r.outcomes)
+}
+
+// runRanks sets outcomes[d] to rank d's run over a worker pool of the
+// given size, refilling the ops buffer the slot held.
+func (r *Runtime) runRanks(outcomes []rankOutcome, ranks [][]model.Workload, p2p []float64, pert scenario.Perturbation, workers int) {
+	fanout.Run(context.Background(), workers, len(ranks), func(d int) {
+		outcomes[d] = r.runRank(d, ranks[d], p2p, pert, outcomes[d].ops[:0])
 	})
-	return r.finishIteration(p, pert, outcomes)
 }
 
 // RunIterationSequential is the single-threaded reference

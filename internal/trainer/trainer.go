@@ -146,8 +146,12 @@ type Config struct {
 	// at the same Spec.GlobalBatch; every other iteration is prepared
 	// privately. An entry is keyed by its first sample, DP width and
 	// Reorder, is built once (a concurrent asker waits for it) into
-	// slices no runtime owns and is never written after, so results are
-	// byte-identical with or without it.
+	// slices no runtime owns and is never written after. A shared
+	// batch's rank outcomes are simulated once per run key — the batch
+	// plus the plan's prices, stage count, backbone VPP, Spec.Microbatch,
+	// link cost and whether the runtime traces — and are just as
+	// immutable, so results and traces are byte-identical with or
+	// without it.
 	Batches *BatchCache
 	// Trace, when non-nil, receives the run's execution timeline in
 	// Chrome trace format (load in chrome://tracing or Perfetto).
@@ -276,6 +280,8 @@ type Runtime struct {
 	genStage int
 	p2p      []float64
 	costs    planCosts
+	// the serial phases' prices: exposed gradient sync, optimizer step
+	gradSyncS, optimizerS float64
 	// clock is the trace emission cursor in simulated seconds.
 	clock float64
 	// namedRanks tracks how many dp-rank trace lanes carry names, so a
@@ -439,6 +445,7 @@ func (r *Runtime) resolvePlan() {
 	fwdL, totL := p.Resolve(model.Backbone, lm.ModelParallelWidth()).Price(model.Workload{})
 	c.lmFwd = fwdL * mbs / float64(lm.PP)
 	c.lmBwd = (totL - fwdL) * mbs / float64(lm.PP)
+	r.gradSyncS, r.optimizerS = r.gradSync(), r.optimizerStep()
 }
 
 // microbatchWorkInto fills caller-provided stage slices (len r.stages)
