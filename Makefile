@@ -74,11 +74,16 @@ COVER_FLOOR ?= 73
 # sharedRun (batches.go +39), the shared branch and the runRanks helper
 # (concurrent.go +13), the serial phases priced once per plan
 # (trainer.go +7) and the fleet's indexed loops (scheduler.go +3) —
-# fleet-steady work_per_cpu_s 47.1k -> 131.3k, op_ms_p50 13.1 -> 5.7 ms.
+# fleet-steady work_per_cpu_s 47.1k -> 131.3k, op_ms_p50 13.1 -> 5.7 ms,
+# and 16,246 once the plan cache held its lock for a whole Plan call and
+# the search planned one spec at a time: the cache's singleflight
+# (claim/resolve/settle, the cancelled-search retry loop, the join hook)
+# and the engine's multi-spec batching (PlanMany, PlanRequest,
+# PlanResult), which synchronous admission had left without callers.
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 16390
+LOC_CEILING ?= 16246
 
 .PHONY: all build fmt vet test race bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 

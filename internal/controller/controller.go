@@ -332,12 +332,11 @@ func runSearch(cfg Config, incumbent orchestrator.Plan, shapes []model.SampleSha
 	}
 	spec := cfg.Train.Spec
 	spec.Profiler = fresh
-	r := orchestrator.PlanMany(context.Background(), []orchestrator.PlanRequest{{Spec: spec}},
-		orchestrator.SearchOptions{Parallelism: cfg.Parallelism})[0]
-	if r.Err != nil {
+	plan, err := orchestrator.Search(context.Background(), spec,
+		orchestrator.SearchOptions{Parallelism: cfg.Parallelism})
+	if err != nil {
 		return nil
 	}
-	plan := r.Plan
 	if samePlacement(&incumbent, plan) {
 		return nil
 	}

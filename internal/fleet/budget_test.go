@@ -34,11 +34,11 @@ func TestFleetAllocBudget(t *testing.T) {
 		distinct bool // distinct batches: one cold search per tenant
 		recorded float64
 	}{
-		{"K=1", 1, 32, false, 461},
-		{"K=4", 4, 8, false, 464},
-		{"K=16", 16, 2, false, 730},
-		{"K=64", 64, 2, false, 2306},
-		{"cold storm", 16, 2, true, 3739},
+		{"K=1", 1, 32, false, 446},
+		{"K=4", 4, 8, false, 447},
+		{"K=16", 16, 2, false, 713},
+		{"K=64", 64, 2, false, 2289},
+		{"cold storm", 16, 2, true, 3460},
 	} {
 		spec, corpus := buildSpec(t, 2*tc.k, 32)
 		cfg := Config{Cluster: spec.Cluster}

@@ -228,7 +228,6 @@ type tenant struct {
 // runner is one fleet run's mutable state.
 type runner struct {
 	cfg        Config
-	ctx        context.Context
 	sched      Scheduler
 	shaped     bool    // scheduler placements are priced (ShapedScheduler)
 	classes    []Class // validated per-JobSpec priority classes
@@ -358,7 +357,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	f := &runner{
 		cfg: cfg, sched: sched, shaped: shaped, classes: classes,
-		ctx:   context.Background(),
 		table: newLeaseTable(cfg.Cluster.Nodes),
 		cache: cache, events: events,
 	}
@@ -678,7 +676,7 @@ func (f *runner) suspend(t *tenant, reason string) {
 func (f *runner) resize(t *tenant, lease cluster.Lease, plan *orchestrator.Plan, reason string) error {
 	if plan == nil {
 		var err error
-		if plan, err = f.cache.Plan(f.ctx, f.leaseSpec(t, lease)); err != nil {
+		if plan, err = f.cache.Plan(context.Background(), f.leaseSpec(t, lease)); err != nil {
 			return err
 		}
 	}
@@ -853,7 +851,7 @@ func (f *runner) checkPlacement(l cluster.Lease, grant int) error {
 // hits. Errors leave whatever the tenant holds to the caller's retire
 // path.
 func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
-	plan, err := f.cache.Plan(f.ctx, f.leaseSpec(t, lease))
+	plan, err := f.cache.Plan(context.Background(), f.leaseSpec(t, lease))
 	if err != nil {
 		return err
 	}
@@ -935,7 +933,7 @@ func (f *runner) stepRunning() {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	fanout.Run(f.ctx, workers, len(run), func(i int) {
+	fanout.Run(context.Background(), workers, len(run), func(i int) {
 		run[i].stepErr = run[i].job.Step()
 	})
 	for _, t := range run {

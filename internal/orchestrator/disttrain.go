@@ -31,11 +31,11 @@ import (
 // reduce iteration time (§7.1).
 //
 // The enumeration runs on the parallel search engine (search.go) with
-// default options; call PlanMany for cancellation, a custom worker
-// count, per-candidate observation, a seed, or many specs at once.
+// default options; call Search for cancellation, a custom worker count
+// or per-candidate observation, and a PlanCache for reuse across
+// specs.
 func PlanDistTrain(s Spec) (*Plan, error) {
-	r := PlanMany(context.Background(), []PlanRequest{{Spec: s}}, SearchOptions{})[0]
-	return r.Plan, r.Err
+	return Search(context.Background(), s, SearchOptions{})
 }
 
 // selectBand is selectPlan's tie-break width: any candidate within 1%

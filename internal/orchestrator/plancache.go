@@ -14,16 +14,19 @@ import (
 )
 
 // PlanCache is the planning-as-a-service layer the multi-tenant fleet
-// runtime sits on: a fingerprint-keyed cache of §4.3 search results
-// with singleflight evaluation. A production cluster serves a stream
-// of training jobs (§7), and a stream is repetitive — K concurrent
-// jobs with identical specs (same model, batch geometry, lease size,
-// calibrated profile) would each pay the full strategy enumeration,
-// the planner's hot path (Table 3). The cache collapses them: the
-// first caller runs the search, every concurrent or later caller with
-// the same fingerprint blocks on (or reuses) that one search. Lease
-// resizes hit the same cache, so growing back to a previously planned
-// size is free.
+// runtime sits on: a fingerprint-keyed cache of §4.3 search results.
+// A production cluster serves a stream of training jobs (§7), and a
+// stream is repetitive — K jobs with identical specs (same model,
+// batch geometry, lease size, calibrated profile) would each pay the
+// full strategy enumeration, the planner's hot path (Table 3). The
+// cache collapses them: the first caller runs the search and every
+// later caller with the same fingerprint reuses it. Lease resizes hit
+// the same cache, so growing back to a previously planned size is free.
+//
+// A Plan call holds the cache's lock from lookup to outcome, so
+// concurrent callers are served one at a time: callers of one
+// fingerprint still pay one search, the rest waiting on the lock and
+// then hitting.
 //
 // A cache built with NewPersistentPlanCache additionally sits on a
 // durable store: successful plans are written through, and a later
@@ -37,12 +40,8 @@ type PlanCache struct {
 	opts  SearchOptions
 	store store.Store // nil for a purely in-memory cache
 
-	mu      sync.Mutex
-	entries map[string]*planEntry
-
-	// joinHook, when non-nil, runs after Plan joins an existing entry
-	// and before it waits on it — a test seam for the retry path.
-	joinHook func()
+	mu      sync.Mutex // held for a whole Plan call
+	entries map[string]planEntry
 
 	searches  atomic.Int64
 	hits      atomic.Int64
@@ -52,23 +51,18 @@ type PlanCache struct {
 	storeErrs atomic.Int64
 }
 
-// planEntry is one fingerprint's singleflight slot, created by the
-// caller that claims it. done closes when the outcome lands; plan/err
-// are written before the close and are safe to read after it. An
-// outcome cut short by a context leaves the map as it settles, so it
-// is only ever seen by callers already holding the entry.
+// planEntry is one fingerprint's outcome: exactly one of plan and err
+// is set.
 type planEntry struct {
-	done chan struct{}
 	plan *Plan
 	err  error
-	seed *Candidate // captured at claim, immutable afterwards
 }
 
 // NewPlanCache builds an empty in-memory cache; opts tunes every
 // search it runs (the chosen plans are independent of
 // opts.Parallelism).
 func NewPlanCache(opts SearchOptions) *PlanCache {
-	return &PlanCache{opts: opts, entries: make(map[string]*planEntry)}
+	return &PlanCache{opts: opts, entries: make(map[string]planEntry)}
 }
 
 // NewPersistentPlanCache builds a cache written through to st:
@@ -123,110 +117,47 @@ type planEnvelope struct {
 const planEnvelopeV = 1
 
 // Plan returns the §4.3 plan for the spec, running the search at most
-// once per fingerprint: concurrent callers with the same fingerprint
-// share a single evaluation (singleflight), and later callers reuse
-// the stored outcome. A persistent cache first consults the durable
-// store (a warm hit runs no search at all); a true miss runs the
-// search, warm-seeded from a neighbouring lease size when an incumbent
-// exists, and writes the result through. Infeasibility errors are
-// cached too — a spec that cannot be planned today cannot be planned
-// by retrying — but a search cut short by a context (cancellation,
-// deadline) is never cached, so a caller with a healthy context
-// retries instead of inheriting the poisoned outcome. The returned
-// plan is a private copy.
+// once per fingerprint: later callers reuse the stored outcome. A
+// persistent cache first consults the durable store (a warm hit runs
+// no search at all); a true miss runs the search, warm-seeded from a
+// neighbouring lease size when an incumbent exists, and writes the
+// result through. Infeasibility errors are cached too — a spec that
+// cannot be planned today cannot be planned by retrying — but a search
+// cut short by a context (cancellation, deadline) is returned and never
+// stored, so a later caller with a healthy context plans instead of
+// inheriting it. The returned plan is a private copy.
 func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
 	key := fingerprintSpec(s)
-	counted := false // a call is at most one hit, however often it loops
-	for {
-		e, claimed := c.claim(key, s)
-		if claimed {
-			c.resolve(ctx, e, key, s)
-		} else {
-			if !counted {
-				c.hits.Add(1)
-				counted = true
-			}
-			if c.joinHook != nil {
-				c.joinHook()
-			}
-			<-e.done
-		}
-		if e.err == nil {
-			cp := *e.plan // Plan holds no reference types: a value copy is private
-			return &cp, nil
-		}
-		// A search cut short by a context — possibly another caller's —
-		// was evicted as it settled: a caller whose own context is still
-		// healthy retries (and leads the next singleflight under it),
-		// everyone else propagates the error.
-		if !contextCut(e.err) || ctx.Err() != nil {
-			return nil, e.err
-		}
-	}
-}
-
-// contextCut reports whether err is a search cut short by a context
-// rather than an answer about the spec.
-func contextCut(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// claim returns the entry for key, registering a new one when the
-// fingerprint is unclaimed; claimed tells the caller it must resolve
-// the entry. The warm seed is captured here, before the entry exists,
-// so it depends only on what had settled before the claiming call.
-func (c *PlanCache) claim(key string, s Spec) (e *planEntry, claimed bool) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	c.mu.Unlock()
-	if ok {
-		return e, false
-	}
-	seed := c.neighborSeed(s)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		return e, false
-	}
-	e = &planEntry{done: make(chan struct{}), seed: seed}
-	c.entries[key] = e
-	return e, true
-}
-
-// resolve produces a claimed entry's outcome under the claiming
-// caller's context: a durable-store hit settles at once; anything else
-// runs the search, seeded with what the entry captured at claim, and
-// persists a successful plan before settling it.
-func (c *PlanCache) resolve(ctx context.Context, e *planEntry, key string, s Spec) {
-	if plan, ok := c.loadStored(key); ok {
+	e, ok := c.entries[key]
+	if ok {
+		c.hits.Add(1)
+	} else if plan, stored := c.loadStored(key); stored {
 		c.warmHits.Add(1)
-		e.plan = plan
-		c.settle(e, key)
-		return
+		e = planEntry{plan: plan}
+	} else {
+		seed := c.neighborSeed(s)
+		c.searches.Add(1)
+		if seed != nil {
+			c.warmSeeds.Add(1)
+		}
+		plan, pruned, _, err := search(ctx, s, seed, c.opts)
+		c.pruned.Add(int64(pruned))
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, err
+		}
+		if err == nil {
+			c.persist(key, plan)
+		}
+		e = planEntry{plan, err}
 	}
-	c.searches.Add(1)
-	if e.seed != nil {
-		c.warmSeeds.Add(1)
+	c.entries[key] = e
+	if e.err != nil {
+		return nil, e.err
 	}
-	res := PlanMany(ctx, []PlanRequest{{Spec: s, Seed: e.seed}}, c.opts)[0]
-	e.plan, e.err = res.Plan, res.Err
-	c.pruned.Add(int64(res.Pruned))
-	if e.err == nil {
-		c.persist(key, e.plan)
-	}
-	c.settle(e, key)
-}
-
-// settle wakes an entry's waiters. An outcome cut short by a context
-// is evicted first, so the next request for the fingerprint claims a
-// fresh entry instead of joining the poisoned one.
-func (c *PlanCache) settle(e *planEntry, key string) {
-	if contextCut(e.err) {
-		c.mu.Lock()
-		delete(c.entries, key)
-		c.mu.Unlock()
-	}
-	close(e.done)
+	cp := *e.plan // Plan holds no reference types: a value copy is private
+	return &cp, nil
 }
 
 // loadStored reads and decodes a durable entry. Any failure — store
@@ -254,8 +185,8 @@ func (c *PlanCache) loadStored(key string) (*Plan, bool) {
 }
 
 // persist writes a successful plan through to the durable store.
-// Write failures only increment StoreErrs — the in-memory entry is
-// already serving callers, and a cache that cannot persist is still a
+// Write failures only increment StoreErrs — the in-memory entry still
+// serves later callers, and a cache that cannot persist is still a
 // correct cache.
 func (c *PlanCache) persist(key string, plan *Plan) {
 	if c.store == nil {
@@ -299,29 +230,18 @@ func (c *PlanCache) neighborSeed(s Spec) *Candidate {
 	return nil
 }
 
-// incumbent returns a settled, successful plan for key — in memory,
-// else in the durable store — without blocking on in-flight searches.
+// incumbent returns a successful plan for key — in memory, else in the
+// durable store. The caller holds c.mu.
 func (c *PlanCache) incumbent(key string) *Plan {
-	c.mu.Lock()
-	e, found := c.entries[key]
-	c.mu.Unlock()
-	if !found {
-		plan, _ := c.loadStored(key)
-		return plan
+	if e, ok := c.entries[key]; ok {
+		return e.plan // nil for a cached failure
 	}
-	select {
-	case <-e.done:
-		if e.err == nil {
-			return e.plan
-		}
-	default: // still searching
-	}
-	return nil
+	plan, _ := c.loadStored(key)
+	return plan
 }
 
 // Searches returns how many real plan searches the cache ran; Hits how
-// many calls were served by an existing fingerprint (including callers
-// that blocked on an in-flight search, at most one per call).
+// many calls were served by an existing in-memory fingerprint.
 func (c *PlanCache) Searches() int64 { return c.searches.Load() }
 func (c *PlanCache) Hits() int64     { return c.hits.Load() }
 

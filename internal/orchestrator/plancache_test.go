@@ -158,53 +158,90 @@ func TestPlanCacheKeyedOnPlacement(t *testing.T) {
 	}
 }
 
-// TestPlanCacheHitsCountedOncePerCall pins the fix for the hit
-// double-count: a call that joins several searches cut short by their
-// leaders' contexts before leading its own must record at most one
-// hit — the old per-iteration counting inflated Hits past the call
-// count.
-func TestPlanCacheHitsCountedOncePerCall(t *testing.T) {
+// TestPlanCacheLockContract pins what makes the cache safe without a
+// singleflight: a Plan call holds the cache's lock from lookup to
+// outcome. The search runs under it, and a caller of the same
+// fingerprint that arrives mid-search waits on it instead of starting
+// a search of its own, then hits.
+func TestPlanCacheLockContract(t *testing.T) {
 	spec := cacheSpec(t, 4, 32)
-	c := NewPlanCache(SearchOptions{})
-	key := fingerprintSpec(spec)
-	// lead claims the fingerprint the way a concurrent caller would.
-	lead := func() *planEntry {
-		e, claimed := c.claim(key, spec)
-		if !claimed {
-			t.Fatal("fingerprint already claimed")
+	var c *PlanCache
+	var once sync.Once
+	var second *Plan
+	joined := make(chan struct{})
+	c = NewPlanCache(SearchOptions{Parallelism: 1, OnCandidate: func(Candidate, *Plan, error) {
+		if c.mu.TryLock() {
+			c.mu.Unlock()
+			t.Error("search ran without the cache's lock")
 		}
-		return e
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	leader := lead()
-	joins := 0
-	c.joinHook = func() {
-		// The call under test has joined leader; its search now dies with
-		// its context. The first time, another doomed leader takes the
-		// slot before the call retries; the second time the slot stays
-		// empty and the call leads the real search.
-		joins++
-		c.resolve(cancelled, leader, key, spec)
-		if joins < 2 {
-			leader = lead()
+		once.Do(func() {
+			go func() {
+				defer close(joined)
+				var err error
+				if second, err = c.Plan(context.Background(), spec); err != nil {
+					t.Error(err)
+				}
+			}()
+		})
+		select {
+		case <-joined:
+			t.Error("a caller of the fingerprint returned mid-search")
+		default:
 		}
-	}
-	plan, err := c.Plan(context.Background(), spec)
+	}})
+	got, err := c.Plan(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan == nil {
-		t.Fatal("no plan after retries")
+	<-joined
+	if !reflect.DeepEqual(second, got) {
+		t.Errorf("the waiting caller got a different plan:\ngot  %+v\nwant %+v", second, got)
 	}
-	if joins != 2 {
-		t.Fatalf("call joined %d cancelled searches, want 2", joins)
+	if c.Searches() != 1 || c.Hits() != 1 {
+		t.Errorf("%d searches, %d hits; want 1 and 1", c.Searches(), c.Hits())
 	}
-	if c.Hits() != 1 {
-		t.Errorf("one call through %d cancelled searches counted %d hits, want 1", joins, c.Hits())
+}
+
+// TestPlanCacheConcurrentFingerprints: K callers for each of three
+// fingerprints, all at once, run one search per fingerprint, and every
+// caller gets the sequential reference plan. It does not skip under
+// -short, so the race gate runs it.
+func TestPlanCacheConcurrentFingerprints(t *testing.T) {
+	base := cacheSpec(t, 4, 32)
+	const k = 4
+	var specs []Spec
+	var want []*Plan
+	for _, batch := range []int{32, 64, 96} {
+		s := base
+		s.GlobalBatch = batch
+		p, err := planDistTrainSequential(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs, want = append(specs, s), append(want, p)
 	}
-	if c.Searches() != 3 {
-		t.Errorf("Searches() = %d, want 3 (two cancelled, one real)", c.Searches())
+	c := NewPlanCache(SearchOptions{Parallelism: 2})
+	plans := make([]*Plan, len(specs)*k)
+	errs := make([]error, len(plans))
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			plans[i], errs[i] = c.Plan(context.Background(), specs[i%len(specs)])
+		}(i)
+	}
+	wg.Wait()
+	for i := range plans {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(plans[i], want[i%len(specs)]) {
+			t.Errorf("caller %d: plan diverged from the sequential reference", i)
+		}
+	}
+	if c.Searches() != 3 || c.Hits() != 3*k-3 || c.Len() != 3 {
+		t.Errorf("%d searches, %d hits, %d entries; want 3, %d and 3", c.Searches(), c.Hits(), c.Len(), 3*k-3)
 	}
 }
 
@@ -266,9 +303,11 @@ func TestPersistentPlanCacheCrossInstance(t *testing.T) {
 // TestWarmPlanHitAllocBudget pins the restart path
 // BenchmarkWarmPlanSearch/warm times: a fresh persistent cache over a
 // populated store.Disk serves the spec with no search — one file read,
-// the integrity check and the decode. 52 were recorded in every one of
-// 5×200 runs, and the budget is 52: a warm hit falling back to a cold
-// search costs hundreds more, and one allocation more per hit fails.
+// the integrity check and the decode. 52 were recorded while a hit
+// also fingerprinted its ±1 neighbours for a seed it never used; 32
+// since, in every one of 3×200 runs, and the budget is 32: a warm hit
+// falling back to a cold search costs hundreds more, and one
+// allocation more per hit fails.
 func TestWarmPlanHitAllocBudget(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	st, err := store.OpenDisk(t.TempDir())
@@ -288,8 +327,8 @@ func TestWarmPlanHitAllocBudget(t *testing.T) {
 		if c.Searches() != 0 || c.WarmHits() != 1 {
 			t.Fatalf("warm hit ran %d searches, %d warm hits; want 0 and 1", c.Searches(), c.WarmHits())
 		}
-	}); got > 52 {
-		t.Errorf("warm durable hit: %v allocs, recorded 52, budget 52", got)
+	}); got > 32 {
+		t.Errorf("warm durable hit: %v allocs, recorded 32, budget 32", got)
 	}
 }
 

@@ -47,19 +47,9 @@ type SearchOptions struct {
 	// plan is non-nil for feasible combinations, err explains
 	// infeasible ones (pruned candidates report ErrCandidatePruned).
 	// It is invoked from worker goroutines and must be safe for
-	// concurrent use.
+	// concurrent use. Under a PlanCache it runs under the cache's lock
+	// and must not call back into the cache.
 	OnCandidate func(c Candidate, plan *Plan, err error)
-}
-
-// PlanRequest is one PlanMany problem: the spec to plan and,
-// optionally, a candidate to evaluate in the search's first phase —
-// typically the incumbent strategy of a cached plan for a neighbouring
-// spec. A seed only ever tightens the search bound; it never changes
-// the chosen plan, and a seed outside the spec's strategy set is
-// ignored.
-type PlanRequest struct {
-	Spec Spec
-	Seed *Candidate
 }
 
 // sampleStride is the phase-1 probing interval. The enumeration order
@@ -104,176 +94,125 @@ func enumerateCandidates(s Spec, n int) []Candidate {
 	return out
 }
 
-// PlanMany is the engine's one entry point: it evaluates one
-// orchestration problem per request — a single plan, a fleet sweep, a
-// planner wave — on one shared worker pool, so a sweep saturates the
-// machine even when individual strategy spaces are small. Results are
-// positional; each entry carries either the plan or that request's own
-// error.
-//
-// Every search is the same two-phase branch-and-bound. Phase 1 probes
-// every sampleStride-th candidate — the plan built from its water-fill
-// seed, without the refine — then fully solves the request's seed and
+// Search runs the §4.3 search for one spec — PlanDistTrain with
+// cancellation, a custom worker count and per-candidate observation.
+func Search(ctx context.Context, s Spec, opts SearchOptions) (*Plan, error) {
+	plan, _, _, err := search(ctx, s, nil, opts)
+	return plan, err
+}
+
+// search is the engine: one spec's two-phase branch-and-bound. Phase
+// 1 probes every sampleStride-th candidate — the plan built from its
+// water-fill seed, without the refine — then fully solves the seed and
 // the fastest probe (the next-fastest when that solve fails). The
-// fastest of those solved plans is frozen as that spec's bound, and
-// phase 2 solves every other candidate, probed ones included, skipping
-// each whose lower bound provably exceeds every selectable time. The
-// bound is the time of a plan the sequential reference also produces,
-// so no pruned candidate can be the fastest plan or enter selectPlan's
-// tie-break band: plans are byte-identical to the tests' sequential
+// fastest of those solved plans is frozen as the bound, and phase 2
+// solves every other candidate, probed ones included, skipping each
+// whose lower bound provably exceeds every selectable time. The bound
+// is the time of a plan the sequential reference also produces, so no
+// pruned candidate can be the fastest plan or enter selectPlan's
+// tie-break band: the plan is byte-identical to the tests' sequential
 // reference, one unpruned solve per candidate.
 // Probes are ranked after their barrier with a lowest-index tie-break,
-// and the bound never moves after phase 1 and depends on the request
-// alone, so prune decisions (and the Pruned count) are the same at any
-// parallelism and whether a spec is planned alone or batched.
+// and the bound never moves after phase 1, so prune decisions (and the
+// pruned count) are the same at any parallelism.
 //
-// On cancellation, specs whose strategy set was already fully
-// evaluated still reduce to their (deterministic) plan; only specs
-// with unevaluated candidates report the cancellation error.
-func PlanMany(ctx context.Context, reqs []PlanRequest, opts SearchOptions) []PlanResult {
-	out := make([]PlanResult, len(reqs))
-
-	// Per-spec search state; invalid specs fail fast and contribute no
-	// work items.
-	type search struct {
-		ctx       searchCtx
-		cands     []Candidate
-		results   []*Plan
-		probeTime []float64    // probe time of every sampleStride-th candidate, +Inf if it built nothing
-		first     []int        // candidates phase 1 solved: the seed, then probes in time order
-		bound     float64      // +Inf until phase 1 is solved, fixed after it
-		done      atomic.Int64 // candidates evaluated so far
-		pruned    atomic.Int64 // candidates skipped by the bound
+// seed, typically the incumbent strategy of a cached plan for a
+// neighbouring spec, only ever tightens the bound; a seed outside the
+// spec's strategy set is ignored. It returns the plan or the spec's
+// error, the number of candidates the bound skipped, and the bound
+// itself (for tests). A search cancelled before every candidate was
+// evaluated reports the cancellation; one that finished still reduces
+// to its (deterministic) plan.
+func search(ctx context.Context, s Spec, seed *Candidate, opts SearchOptions) (*Plan, int, float64, error) {
+	if err := s.Validate(); err != nil {
+		return nil, 0, 0, err
 	}
-	searches := make([]*search, len(reqs))
-	type job struct{ spec, cand int }
-	var probes []job
-	for i := range reqs {
-		s := &reqs[i].Spec
-		if err := s.Validate(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		se := &search{ctx: newSearchCtx(s), bound: math.Inf(1)}
-		se.cands = se.ctx.strategySet()
-		se.results = make([]*Plan, len(se.cands))
-		se.probeTime = make([]float64, (len(se.cands)+sampleStride-1)/sampleStride)
-		searches[i] = se
-		if seed := reqs[i].Seed; seed != nil {
-			// A stale or cross-geometry seed is not in the set: ignored.
-			if c := slices.Index(se.cands, *seed); c >= 0 {
-				se.first = append(se.first, c)
-			}
-		}
-		for c := 0; c < len(se.cands); c += sampleStride {
-			probes = append(probes, job{spec: i, cand: c})
+	sc := newSearchCtx(&s)
+	cands := sc.strategySet()
+	results := make([]*Plan, len(cands))
+	// probeTime holds every sampleStride-th candidate's probe time, +Inf
+	// where the probe built nothing; first the candidates phase 1
+	// solved: the seed, then probes in time order.
+	probeTime := make([]float64, (len(cands)+sampleStride-1)/sampleStride)
+	var first []int
+	if seed != nil {
+		if c := slices.Index(cands, *seed); c >= 0 {
+			first = append(first, c)
 		}
 	}
+	bound := math.Inf(1) // fixed after phase 1
+	var done, pruned atomic.Int64
 
-	// solve evaluates one candidate against its spec's current bound.
-	solve := func(se *search, c int) {
-		plan, err := se.ctx.solveSubproblem(se.cands[c], se.bound, true)
+	// solve evaluates one candidate against the current bound.
+	solve := func(c int) {
+		plan, err := sc.solveSubproblem(cands[c], bound, true)
 		if err == nil {
-			se.results[c] = plan
+			results[c] = plan
 		} else if errors.Is(err, ErrCandidatePruned) {
-			se.pruned.Add(1)
+			pruned.Add(1)
 		}
-		se.done.Add(1)
+		done.Add(1)
 		if opts.OnCandidate != nil {
-			opts.OnCandidate(se.cands[c], plan, err)
+			opts.OnCandidate(cands[c], plan, err)
 		}
 	}
 
 	// Probes are not candidates' evaluations: they fill no result slot
 	// and are not reported to OnCandidate.
-	fanout.Run(ctx, opts.workers(), len(probes), func(j int) {
-		se := searches[probes[j].spec]
+	fanout.Run(ctx, opts.workers(), len(probeTime), func(k int) {
 		t := math.Inf(1)
-		if plan, err := se.ctx.solveSubproblem(se.cands[probes[j].cand], math.Inf(1), false); err == nil {
+		if plan, err := sc.solveSubproblem(cands[k*sampleStride], math.Inf(1), false); err == nil {
 			t = plan.IterTime
 		}
-		se.probeTime[probes[j].cand/sampleStride] = t
+		probeTime[k] = t
 	})
-	// Phase 1, one job per spec: solve the seed, then the probed
-	// candidates fastest first until one yields a plan.
-	fanout.Run(ctx, opts.workers(), len(searches), func(i int) {
-		se := searches[i]
-		if se == nil {
-			return
-		}
-		for _, c := range se.first {
-			solve(se, c)
-		}
-		order := make([]int, 0, len(se.probeTime))
-		for k, t := range se.probeTime {
-			if !math.IsInf(t, 1) {
-				order = append(order, k)
-			}
-		}
-		slices.SortStableFunc(order, func(a, b int) int {
-			return cmp.Compare(se.probeTime[a], se.probeTime[b])
-		})
-		for _, k := range order {
-			if ctx.Err() != nil {
-				return
-			}
-			c := k * sampleStride
-			if !slices.Contains(se.first, c) {
-				se.first = append(se.first, c)
-				solve(se, c)
-			}
-			if se.results[c] != nil {
-				break
-			}
-		}
-	})
-	// Phase barrier: the fastest plan phase 1 solved is each spec's
-	// fixed phase-2 bound.
-	var rest []job
-	for i, se := range searches {
-		if se == nil {
-			continue
-		}
-		for _, c := range se.first {
-			if p := se.results[c]; p != nil && p.IterTime < se.bound {
-				se.bound = p.IterTime
-			}
-		}
-		out[i].bound = se.bound
-		for c := range se.cands {
-			if !slices.Contains(se.first, c) {
-				rest = append(rest, job{spec: i, cand: c})
-			}
+	// Phase 1: solve the seed, then the probed candidates fastest first
+	// until one yields a plan.
+	if len(first) > 0 && ctx.Err() == nil {
+		solve(first[0])
+	}
+	order := make([]int, 0, len(probeTime))
+	for k, t := range probeTime {
+		if !math.IsInf(t, 1) {
+			order = append(order, k)
 		}
 	}
-	fanout.Run(ctx, opts.workers(), len(rest), func(j int) {
-		solve(searches[rest[j].spec], rest[j].cand)
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(probeTime[a], probeTime[b])
+	})
+	for _, k := range order {
+		if ctx.Err() != nil {
+			break
+		}
+		c := k * sampleStride
+		if !slices.Contains(first, c) {
+			first = append(first, c)
+			solve(c)
+		}
+		if results[c] != nil {
+			break
+		}
+	}
+	// Phase barrier: the fastest plan phase 1 solved is the fixed
+	// phase-2 bound.
+	for _, c := range first {
+		if p := results[c]; p != nil && p.IterTime < bound {
+			bound = p.IterTime
+		}
+	}
+	fanout.Run(ctx, opts.workers(), len(cands), func(c int) {
+		if !slices.Contains(first, c) {
+			solve(c)
+		}
 	})
 
-	for i, se := range searches {
-		if se == nil {
-			continue // spec failed validation above
-		}
-		// A spec reduces iff every candidate slot was filled; a late
-		// cancellation must not discard a search that already finished.
-		if int(se.done.Load()) != len(se.cands) {
-			out[i].Err = fmt.Errorf("orchestrator: plan search cancelled: %w", ctx.Err())
-			continue
-		}
-		out[i].Plan, out[i].Err = reducePlans(se.results)
-		out[i].Pruned = int(se.pruned.Load())
+	// A late cancellation must not discard a search that already
+	// finished.
+	if int(done.Load()) != len(cands) {
+		return nil, 0, bound, fmt.Errorf("orchestrator: plan search cancelled: %w", ctx.Err())
 	}
-	return out
-}
-
-// PlanResult is one PlanMany outcome: exactly one of Plan and Err is
-// set.
-type PlanResult struct {
-	Plan *Plan
-	Err  error
-	// Pruned counts candidates the phase-2 bound skipped.
-	Pruned int
-	bound  float64 // the phase-2 bound, for tests
+	plan, err := reducePlans(results)
+	return plan, int(pruned.Load()), bound, err
 }
 
 // reducePlans applies the selectPlan tie-breaking over the feasible

@@ -12,12 +12,6 @@ import (
 	"disttrain/internal/model"
 )
 
-// planOne is the one-spec, unseeded PlanMany call.
-func planOne(ctx context.Context, s Spec, opts SearchOptions) (*Plan, error) {
-	r := PlanMany(ctx, []PlanRequest{{Spec: s}}, opts)[0]
-	return r.Plan, r.Err
-}
-
 // TestPlanSearchEquivalence is the engine's core guarantee: the
 // parallel search returns a plan byte-identical to the sequential
 // reference at every parallelism level. Run under -race by the CI
@@ -40,7 +34,7 @@ func TestPlanSearchEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				got, err := planOne(context.Background(), s, SearchOptions{Parallelism: par})
+				got, err := Search(context.Background(), s, SearchOptions{Parallelism: par})
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
 				}
@@ -69,7 +63,7 @@ func TestPlanSearchCancellation(t *testing.T) {
 	t.Run("pre-cancelled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := planOne(ctx, s, SearchOptions{Parallelism: 4}); !errors.Is(err, context.Canceled) {
+		if _, err := Search(ctx, s, SearchOptions{Parallelism: 4}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("got %v, want context.Canceled", err)
 		}
 	})
@@ -85,7 +79,7 @@ func TestPlanSearchCancellation(t *testing.T) {
 				}
 			},
 		}
-		if _, err := planOne(ctx, s, opts); !errors.Is(err, context.Canceled) {
+		if _, err := Search(ctx, s, opts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("got %v, want context.Canceled", err)
 		}
 		if n := seen.Load(); n >= int64(len(enumerateCandidates(s, s.maxGPUs()))) {
@@ -100,7 +94,7 @@ func TestPlanSearchOnCandidate(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	total := len(enumerateCandidates(s, s.maxGPUs()))
 	var calls, feasible atomic.Int64
-	_, err := planOne(context.Background(), s, SearchOptions{
+	_, err := Search(context.Background(), s, SearchOptions{
 		Parallelism: 4,
 		OnCandidate: func(c Candidate, p *Plan, err error) {
 			calls.Add(1)
@@ -123,8 +117,9 @@ func TestPlanSearchOnCandidate(t *testing.T) {
 	}
 }
 
-// TestPlanMany: the fleet sweep returns, per spec, the same plan as a
-// standalone search, and isolates per-spec failures.
+// TestPlanMany: a sweep planned one spec at a time returns, per spec,
+// the plan of the sequential reference, and an invalid or infeasible
+// spec fails alone.
 func TestPlanMany(t *testing.T) {
 	small := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	big := newSpec(t, model.MLLM15B(), 16, 128, model.FullTraining)
@@ -133,41 +128,57 @@ func TestPlanMany(t *testing.T) {
 	tiny := newSpec(t, model.MLLM72B(), 12, 96, model.FullTraining)
 	tiny.MaxGPUs = 8 // feasibility failure: 72B cannot fit on one node
 
-	results := PlanMany(context.Background(),
-		[]PlanRequest{{Spec: small}, {Spec: bad}, {Spec: big}, {Spec: tiny}}, SearchOptions{Parallelism: 4})
-	if len(results) != 4 {
-		t.Fatalf("got %d results, want 4", len(results))
-	}
-	for i, s := range []Spec{small, big} {
-		r := results[i*2] // positions 0 and 2
-		if r.Err != nil {
-			t.Fatalf("spec %d: %v", i*2, r.Err)
+	opts := SearchOptions{Parallelism: 4}
+	for i, s := range []Spec{small, bad, big, tiny} {
+		plan, err := Search(context.Background(), s, opts)
+		if i%2 == 1 {
+			if err == nil || plan != nil {
+				t.Errorf("spec %d: want an error alone, got plan %+v, err %v", i, plan, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
 		}
 		want, err := planDistTrainSequential(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(r.Plan, want) {
-			t.Errorf("spec %d: sweep plan diverged from standalone plan", i*2)
+		if !reflect.DeepEqual(plan, want) {
+			t.Errorf("spec %d: sweep plan diverged from the sequential reference", i)
 		}
-	}
-	if results[1].Err == nil || results[1].Plan != nil {
-		t.Errorf("invalid spec: want error-only result, got %+v", results[1])
-	}
-	if results[3].Err == nil || results[3].Plan != nil {
-		t.Errorf("infeasible spec: want error-only result, got %+v", results[3])
 	}
 }
 
-// TestPlanManyCancellation: cancellation marks every undecided spec.
+// TestPlanManyCancellation: a search the context cut short reports the
+// cancellation, but one cancelled only after its last candidate was
+// evaluated still reduces to the reference plan.
 func TestPlanManyCancellation(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, r := range PlanMany(ctx, []PlanRequest{{Spec: s}, {Spec: s}}, SearchOptions{Parallelism: 2}) {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("got %v, want context.Canceled", r.Err)
-		}
+	if _, err := Search(ctx, s, SearchOptions{Parallelism: 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled: got %v, want context.Canceled", err)
+	}
+
+	want, err := planDistTrainSequential(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int64(len(enumerateCandidates(s, s.maxGPUs())))
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	var seen atomic.Int64
+	got, err := Search(ctx, s, SearchOptions{
+		Parallelism: 2,
+		OnCandidate: func(Candidate, *Plan, error) {
+			if seen.Add(1) == total {
+				cancel()
+			}
+		},
+	})
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("cancelled after the last candidate: err %v, plan diverged: %v", err, !reflect.DeepEqual(got, want))
 	}
 }
 

@@ -44,8 +44,7 @@ var twoPhaseShapes = []struct {
 // neighbouring cluster size, the optimum itself, or a candidate
 // outside the strategy set — the search returns a plan byte-identical
 // to the sequential reference and actually prunes work, and the prune
-// count depends on the request alone: not on the worker count, and not
-// on whether the spec is planned alone or batched with another. A seed
+// count depends on the spec and seed alone, not on the worker count. A seed
 // can only tighten the bound, so the optimal seed never prunes fewer
 // candidates than no seed. Phase 1's probe must find the optimum's
 // neighbourhood unaided: its bound lies within selectBand of the
@@ -64,15 +63,6 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The batch companion: a different geometry with its own seed,
-			// which must not leak into s's bound.
-			other := s
-			other.GlobalBatch = 2 * tc.batch
-			otherWant, err := planDistTrainSequential(other)
-			if err != nil {
-				t.Fatal(err)
-			}
-			otherSeed := seedFromPlan(otherWant)
 			// The bound must be a time the reference reaches, or it could
 			// prune a member of the reference's tie-break band.
 			fastest := math.Inf(1)
@@ -96,34 +86,24 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 			} {
 				pruned := -1
 				for _, par := range []int{1, 4} {
-					for _, batched := range []bool{false, true} {
-						reqs := []PlanRequest{{Spec: s, Seed: sc.seed}}
-						if batched {
-							reqs = append(reqs, PlanRequest{Spec: other, Seed: &otherSeed})
-						}
-						rs := PlanMany(context.Background(), reqs, SearchOptions{Parallelism: par})
-						for i, w := range []*Plan{want, otherWant}[:len(rs)] {
-							if rs[i].Err != nil {
-								t.Fatalf("%s par=%d batched=%v spec %d: %v", sc.name, par, batched, i, rs[i].Err)
-							}
-							if !reflect.DeepEqual(rs[i].Plan, w) {
-								t.Errorf("%s par=%d batched=%v spec %d: diverged from sequential reference:\ngot  %+v\nwant %+v",
-									sc.name, par, batched, i, rs[i].Plan, w)
-							}
-						}
-						if rs[0].Pruned == 0 {
-							t.Errorf("%s par=%d batched=%v: pruned nothing", sc.name, par, batched)
-						}
-						if b := rs[0].bound; b < fastest || b > want.IterTime*selectBand {
-							t.Errorf("%s par=%d batched=%v: phase-1 bound %g is not in [%g, the band of the chosen plan's %g]",
-								sc.name, par, batched, b, fastest, want.IterTime)
-						}
-						if pruned >= 0 && rs[0].Pruned != pruned {
-							t.Errorf("%s: prune count depends on parallelism or batching: %d (par=%d batched=%v) vs %d",
-								sc.name, rs[0].Pruned, par, batched, pruned)
-						}
-						pruned = rs[0].Pruned
+					plan, n, bound, err := search(context.Background(), s, sc.seed, SearchOptions{Parallelism: par})
+					if err != nil {
+						t.Fatalf("%s par=%d: %v", sc.name, par, err)
 					}
+					if !reflect.DeepEqual(plan, want) {
+						t.Errorf("%s par=%d: diverged from sequential reference:\ngot  %+v\nwant %+v", sc.name, par, plan, want)
+					}
+					if n == 0 {
+						t.Errorf("%s par=%d: pruned nothing", sc.name, par)
+					}
+					if bound < fastest || bound > want.IterTime*selectBand {
+						t.Errorf("%s par=%d: phase-1 bound %g is not in [%g, the band of the chosen plan's %g]",
+							sc.name, par, bound, fastest, want.IterTime)
+					}
+					if pruned >= 0 && n != pruned {
+						t.Errorf("%s: prune count depends on parallelism: %d (par=%d) vs %d", sc.name, n, par, pruned)
+					}
+					pruned = n
 				}
 				prunedBy[sc.name] = pruned
 			}

@@ -96,8 +96,8 @@ const (
 	// Herd submits Count near-identical instances of fleet job spec
 	// Job at round Start, each at the spec's own priority class — the
 	// thundering-herd admission burst of §7: K tenants whose plan
-	// searches share one §4.3 fingerprint, so a coalescing plan cache
-	// pays exactly one search. Fleet scope; fires once.
+	// searches share one §4.3 fingerprint, so the plan cache pays
+	// exactly one search. Fleet scope; fires once.
 	Herd
 )
 
