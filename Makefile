@@ -79,11 +79,15 @@ COVER_FLOOR ?= 73
 # the search planned one spec at a time: the cache's singleflight
 # (claim/resolve/settle, the cancelled-search retry loop, the join hook)
 # and the engine's multi-spec batching (PlanMany, PlanRequest,
-# PlanResult), which synchronous admission had left without callers.
+# PlanResult), which synchronous admission had left without callers,
+# and 16,245 once a traced iteration recorded its pipeline ops as one
+# span block over its rank outcomes: the block and its write-time
+# expansion (trace.go +19 net of Trace.Reserve) are paid for by
+# reserveTrace (job.go -17) and the trainer's own share (-3).
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 16246
+LOC_CEILING ?= 16245
 
 .PHONY: all build fmt vet test race bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 

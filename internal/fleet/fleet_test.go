@@ -545,3 +545,33 @@ func TestNoteCostsNothingUntraced(t *testing.T) {
 		t.Errorf("traced notes wrote\n%swant\n%s", got, want)
 	}
 }
+
+// TestFleetSharedTracedTenantsRecordEveryOp: two traced tenants of one
+// class on equal leases read each iteration's rank outcomes off the
+// run's batch cache, and each trace still holds every op of its run —
+// the event count pinned before tenants shared outcome vectors — in
+// the same bytes as the other's.
+func TestFleetSharedTracedTenantsRecordEveryOp(t *testing.T) {
+	const iters, events = 3, 590
+	spec, corpus := buildSpec(t, 4, 32)
+	tmpl := trainer.DistTrainConfig(spec, nil, corpus)
+	cfg := Config{Cluster: spec.Cluster, Trace: true}
+	for j := 0; j < 2; j++ {
+		cfg.Jobs = append(cfg.Jobs, JobSpec{Name: fmt.Sprintf("t%d", j), Train: tmpl, Iters: iters, MinNodes: 2, MaxNodes: 2})
+	}
+	res, err := runChecked(t, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jr := range res.Jobs {
+		if jr.Err != nil || jr.Trace == nil {
+			t.Fatalf("job %s: err %v, trace %v", jr.Name, jr.Err, jr.Trace)
+		}
+		if got := jr.Trace.Len(); got != events {
+			t.Errorf("job %s recorded %d events, want %d", jr.Name, got, events)
+		}
+	}
+	if !bytes.Equal(traceBytes(t, res.Jobs[0].Trace), traceBytes(t, res.Jobs[1].Trace)) {
+		t.Error("two tenants sharing every outcome vector wrote different timelines")
+	}
+}

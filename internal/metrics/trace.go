@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"sync"
 	"syscall"
@@ -29,7 +28,9 @@ import (
 // behind one mutex. Event names and categories are interned per trace
 // (a run has a few dozen distinct strings; the hot path records them
 // by Label), the rare Args maps live in a side table, and JSON exists
-// only while WriteJSON streams it out.
+// only while WriteJSON streams it out. One record holds its events by
+// reference: a span block (Batch.Spans), counted when recorded and
+// replayed off data its caller keeps immutable while WriteJSON runs.
 // The log is not sharded: every Trace has one writer at a time (the
 // trainer emits an iteration after its rank workers have joined, a
 // fleet hands each tenant a private trace and notes its own events on
@@ -41,15 +42,19 @@ import (
 type Label uint32
 
 // record is one event. ph 'X' is a complete (duration) event, 'i' an
-// instant, 'M' metadata; ts and dur are microseconds, per the format
-// spec. It holds no pointers, so the collector never scans the log.
+// instant, 'M' metadata, 's' a span block of cat events; ts and dur
+// are microseconds, per the format spec. It holds no pointers, so the
+// collector never scans the log.
 type record struct {
 	ts, dur   float64
 	name, cat Label // ids into traceLog.strs
 	pid, tid  int32
-	args      int32 // 1-based index into traceLog.args; 0 is none
+	args      int32 // 1-based index into traceLog.args (traceLog.spans for 's'); 0 is none
 	ph        byte
 }
+
+// SpanFunc takes one event of a span block, as Batch.Complete would.
+type SpanFunc func(name Label, pid, tid int, start, dur float64)
 
 // traceLog is the recorded state. Every slice is append-only, so a
 // copy of the struct is an immutable snapshot: later appends land
@@ -58,6 +63,7 @@ type traceLog struct {
 	recs   []record
 	strs   []string         // interned names and categories, by Label
 	args   []map[string]any // Args side table
+	spans  []func(SpanFunc) // span blocks' replays
 	segs   []segment        // merged traces, by position
 	n      int              // events, own and merged
 	maxPID int
@@ -84,24 +90,12 @@ type Trace struct {
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// Reserve pre-grows the log for n more events without recording
-// anything — callers that know the run length (iterations × ops per
-// iteration) preallocate capacity instead of amortized re-growing.
-func (t *Trace) Reserve(n int) {
-	if n <= 0 {
-		return
-	}
-	t.mu.Lock()
-	t.log.recs = slices.Grow(t.log.recs, n)
-	t.mu.Unlock()
-}
-
 // Complete records a duration event on the runtime lane (pid 0, tid
-// 0); the pipeline lanes are written through a Batch. start and dur are
-// in simulated seconds; the trace stores microseconds.
+// 0); the pipeline lanes are written as a Batch's span blocks. start
+// and dur are in simulated seconds; the trace stores microseconds.
 func (t *Trace) Complete(name, cat string, start, dur float64) {
 	b := t.Batch()
-	b.Complete(b.Label(name), b.Label(cat), 0, 0, start, dur)
+	b.Complete(b.Label(name), b.Label(cat), start, dur)
 	b.Done()
 }
 
@@ -122,8 +116,8 @@ func (t *Trace) NameProcess(pid int, name string) {
 
 // Batch is an open run of appends under one acquisition of the trace
 // lock, with names resolved to Labels by the caller: the trainer
-// records a whole iteration's pipeline ops through one, looking no
-// string up per op. Done closes it; the trace is locked until then.
+// records a whole iteration through one, its pipeline ops as one span
+// block. Done closes it; the trace is locked until then.
 type Batch struct{ t *Trace }
 
 // Batch opens a batch append.
@@ -135,9 +129,21 @@ func (t *Trace) Batch() Batch {
 // Label interns s in the batch's trace.
 func (b Batch) Label(s string) Label { return b.t.intern(s) }
 
-// Complete records a duration event on lane (pid, tid).
-func (b Batch) Complete(name, cat Label, pid, tid int, start, dur float64) {
-	b.t.add(record{ph: 'X', name: name, cat: cat, pid: int32(pid), tid: int32(tid), ts: start * 1e6, dur: dur * 1e6}, nil)
+// Complete records a duration event on the runtime lane.
+func (b Batch) Complete(name, cat Label, start, dur float64) {
+	b.t.add(record{ph: 'X', name: name, cat: cat, ts: start * 1e6, dur: dur * 1e6}, nil)
+}
+
+// Spans records a span block: n events of category cat on lanes up to
+// maxPID, counted now and handed to a SpanFunc by replay whenever the
+// trace is written — the same n each time, named by this trace's
+// labels — so the data replay reads must never change.
+func (b Batch) Spans(cat Label, maxPID, n int, replay func(SpanFunc)) {
+	l := &b.t.log
+	l.spans = append(l.spans, replay)
+	l.recs = append(l.recs, record{ph: 's', cat: cat, args: int32(len(l.spans))})
+	l.n += n
+	l.maxPID = max(l.maxPID, maxPID)
 }
 
 // Done releases the trace.
@@ -243,6 +249,10 @@ func (e *traceEncoder) log(l traceLog, pidShift int, prefix string) {
 	for i, s := range l.strs {
 		quoted[i], _ = json.Marshal(s)
 	}
+	var cat Label // of the block replaying
+	span := func(name Label, pid, tid int, start, dur float64) {
+		e.event(&l, quoted, &record{ph: 'X', name: name, cat: cat, pid: int32(pid), tid: int32(tid), ts: start * 1e6, dur: dur * 1e6}, pidShift, prefix)
+	}
 	seg := 0
 	for i := 0; e.err == nil; i++ {
 		for ; seg < len(l.segs) && l.segs[seg].at == i; seg++ {
@@ -252,39 +262,48 @@ func (e *traceEncoder) log(l traceLog, pidShift int, prefix string) {
 		if i == len(l.recs) {
 			return
 		}
-		r := &l.recs[i]
-		b := e.buf[:0]
-		if e.n > 0 {
-			b = append(b, ',')
+		if r := &l.recs[i]; r.ph == 's' {
+			cat = r.cat
+			l.spans[r.args-1](span)
+		} else {
+			e.event(&l, quoted, r, pidShift, prefix)
 		}
-		e.n++
-		b = append(append(b, `{"name":`...), quoted[r.name]...)
-		if l.strs[r.cat] != "" {
-			b = append(append(b, `,"cat":`...), quoted[r.cat]...)
-		}
-		b = append(append(append(b, `,"ph":"`...), r.ph), `","ts":`...)
-		b = e.float(b, r.ts)
-		if r.dur != 0 {
-			b = e.float(append(b, `,"dur":`...), r.dur)
-		}
-		b = strconv.AppendInt(append(b, `,"pid":`...), int64(int(r.pid)+pidShift), 10)
-		b = strconv.AppendInt(append(b, `,"tid":`...), int64(r.tid), 10)
-		if r.args != 0 {
-			args := l.args[r.args-1]
-			if r.ph == 'M' && prefix != "" { // a merged lane's process_name
-				name, _ := args["name"].(string)
-				args = map[string]any{"name": prefix + name}
-			}
-			j, err := json.Marshal(args)
-			if e.err == nil {
-				e.err = err
-			}
-			b = append(append(b, `,"args":`...), j...)
-		}
-		b = append(b, '}')
-		e.w.Write(b)
-		e.buf = b
 	}
+}
+
+// event writes one record of l as a JSON array element.
+func (e *traceEncoder) event(l *traceLog, quoted [][]byte, r *record, pidShift int, prefix string) {
+	b := e.buf[:0]
+	if e.n > 0 {
+		b = append(b, ',')
+	}
+	e.n++
+	b = append(append(b, `{"name":`...), quoted[r.name]...)
+	if l.strs[r.cat] != "" {
+		b = append(append(b, `,"cat":`...), quoted[r.cat]...)
+	}
+	b = append(append(append(b, `,"ph":"`...), r.ph), `","ts":`...)
+	b = e.float(b, r.ts)
+	if r.dur != 0 {
+		b = e.float(append(b, `,"dur":`...), r.dur)
+	}
+	b = strconv.AppendInt(append(b, `,"pid":`...), int64(int(r.pid)+pidShift), 10)
+	b = strconv.AppendInt(append(b, `,"tid":`...), int64(r.tid), 10)
+	if r.args != 0 {
+		args := l.args[r.args-1]
+		if r.ph == 'M' && prefix != "" { // a merged lane's process_name
+			name, _ := args["name"].(string)
+			args = map[string]any{"name": prefix + name}
+		}
+		j, err := json.Marshal(args)
+		if e.err == nil {
+			e.err = err
+		}
+		b = append(append(b, `,"args":`...), j...)
+	}
+	b = append(b, '}')
+	e.w.Write(b)
+	e.buf = b
 }
 
 // float appends f the way encoding/json formats a float64: shortest

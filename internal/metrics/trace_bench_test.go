@@ -21,34 +21,40 @@ const (
 // benchLabels are one trace's op names and category, resolved once —
 // the trainer caches them the same way across iterations.
 type benchLabels struct {
-	names    [2][benchMicrobatches]Label
+	names    [2][]Label
 	pipeline Label
 }
 
-func internBenchLabels(tr *Trace) (l benchLabels) {
+// internBenchLabels interns the op names of mbs microbatches.
+func internBenchLabels(tr *Trace, mbs int) (l benchLabels) {
 	b := tr.Batch()
 	defer b.Done()
-	for mb := range l.names[0] {
-		l.names[0][mb], l.names[1][mb] = b.Label(fmt.Sprintf("F%d", mb)), b.Label(fmt.Sprintf("B%d", mb))
+	for mb := 0; mb < mbs; mb++ {
+		l.names[0] = append(l.names[0], b.Label(fmt.Sprintf("F%d", mb)))
+		l.names[1] = append(l.names[1], b.Label(fmt.Sprintf("B%d", mb)))
 	}
 	l.pipeline = b.Label("pipeline")
 	return l
 }
 
-// recordIteration appends one iteration's pipeline ops as one batch.
+// recordIteration appends one iteration's pipeline ops, over as many
+// microbatches as l names, as one span block.
 func recordIteration(tr *Trace, l *benchLabels, clock float64) {
+	mbs := len(l.names[0])
 	b := tr.Batch()
 	defer b.Done()
-	for d := 0; d < benchRanks; d++ {
-		for mb := 0; mb < benchMicrobatches; mb++ {
-			for kind := range l.names {
-				for s := 0; s < benchStages; s++ {
-					start := clock + 0.001*float64(mb*benchStages+s)
-					b.Complete(l.names[kind][mb], l.pipeline, d+1, s, start, 0.00075)
+	b.Spans(l.pipeline, benchRanks, benchRanks*benchStages*mbs*2, func(span SpanFunc) {
+		for d := 0; d < benchRanks; d++ {
+			for mb := 0; mb < mbs; mb++ {
+				for kind := range l.names {
+					for s := 0; s < benchStages; s++ {
+						start := clock + 0.001*float64(mb*benchStages+s)
+						span(l.names[kind][mb], d+1, s, start, 0.00075)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // benchTenantTrace is one tenant's finished trace: named lanes and
@@ -62,10 +68,9 @@ func benchTenantTrace() *Trace {
 	return recordIterations(tr, benchTenantIters)
 }
 
-// recordIterations reserves and records n more iterations.
+// recordIterations records n more iterations.
 func recordIterations(tr *Trace, n int) *Trace {
-	l := internBenchLabels(tr)
-	tr.Reserve(n * benchIterEvents)
+	l := internBenchLabels(tr, benchMicrobatches)
 	for i := 0; i < n; i++ {
 		recordIteration(tr, &l, float64(i))
 	}
@@ -96,17 +101,16 @@ func reportPerEvent(b *testing.B, eventsPerOp int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*eventsPerOp), "ns/event")
 }
 
-// BenchmarkTraceRecord: one iteration's events into a reserved trace.
+// BenchmarkTraceRecord: one iteration's span block into a trace.
 func BenchmarkTraceRecord(b *testing.B) {
 	tr := NewTrace()
-	l := internBenchLabels(tr)
-	tr.Reserve(benchIterEvents)
+	l := internBenchLabels(tr, benchMicrobatches)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Rewind the log in place: the steady state (capacity reserved)
-		// without holding b.N iterations in memory.
-		tr.log.recs, tr.log.n = tr.log.recs[:0], 0
+		// Rewind the log in place: the steady state without holding b.N
+		// iterations in memory.
+		tr.log.recs, tr.log.spans, tr.log.n = tr.log.recs[:0], tr.log.spans[:0], 0
 		recordIteration(tr, &l, float64(i))
 	}
 	reportPerEvent(b, benchIterEvents)
@@ -124,7 +128,8 @@ func BenchmarkTraceMerge(b *testing.B) {
 	reportPerEvent(b, events)
 }
 
-// BenchmarkTraceWrite: that merged trace to io.Discard.
+// BenchmarkTraceWrite: that merged trace, made of span blocks, to
+// io.Discard.
 func BenchmarkTraceWrite(b *testing.B) {
 	merged := mergeTenants(benchTenantTraces())
 	b.ReportAllocs()
@@ -138,17 +143,20 @@ func BenchmarkTraceWrite(b *testing.B) {
 }
 
 // TestTraceAllocBudget pins the three allocation properties the log
-// was built for: recording an arg-less event into reserved capacity
-// allocates nothing, a merge costs the same whatever the source holds
-// (it copies no events), and so does a write whatever the number of
+// was built for: recording an iteration's span block costs the same
+// whatever the iteration holds (it copies no events), so does a merge
+// whatever the source holds, and so does a write whatever the number of
 // arg-less events (nothing is materialised per event).
 func TestTraceAllocBudget(t *testing.T) {
 	const runs = 5
-	tr := NewTrace()
-	l := internBenchLabels(tr)
-	tr.Reserve((runs + 1) * benchIterEvents)
-	if got := testing.AllocsPerRun(runs, func() { recordIteration(tr, &l, 1) }); got != 0 {
-		t.Errorf("recording %d reserved events allocated %v times, want 0", benchIterEvents, got)
+	recordAllocs := func(mbs int) float64 {
+		tr := NewTrace()
+		l := internBenchLabels(tr, mbs)
+		return testing.AllocsPerRun(runs, func() { recordIteration(tr, &l, 1) })
+	}
+	if s, l := recordAllocs(benchMicrobatches), recordAllocs(4*benchMicrobatches); s != l || l > 2 {
+		t.Errorf("recording an iteration allocated %v times at %d microbatches, %v at %d: want equal and at most 2",
+			s, benchMicrobatches, l, 4*benchMicrobatches)
 	}
 
 	small, large := benchTenantTrace(), recordIterations(benchTenantTrace(), 8)

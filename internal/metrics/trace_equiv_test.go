@@ -39,10 +39,11 @@ var (
 
 // FuzzTraceEquivalence drives the log and the reference recorder with
 // one byte-coded op sequence over four traces — six bytes an op: kind,
-// trace, four operands — and requires every trace to end up equal.
+// trace, four operands — and requires every trace to end up equal. A
+// span block is held to its events recorded one by one.
 func FuzzTraceEquivalence(f *testing.F) {
 	const (
-		complete, instant, nameProcess, reserve, merge = 0, 1, 2, 3, 4
+		complete, instant, nameProcess, spans, merge = 0, 1, 2, 3, 4
 	)
 	// Two named lanes with events, merged into trace 1 under a prefix;
 	// an event added to the source afterwards must stay out of trace 1.
@@ -55,11 +56,17 @@ func FuzzTraceEquivalence(f *testing.F) {
 	f.Add([]byte{
 		nameProcess, 0, 6, 0, 2, 0, complete, 0, 3, 0, 0, 2, merge, 1, 0, 2, 5, 0, nameProcess, 1, 7, 0, 0, 0,
 		merge, 2, 1, 4, 2, 0, merge, 2, 3, 1, 5, 0, merge, 2, 2, 1, 6, 0, merge, 0, 0, 0, 2, 0,
-		reserve, 2, 9, 0, 0, 0, instant, 2, 3, 3, 7, 0, merge, 1, 2, 6, 12, 0,
+		spans, 2, 9, 0, 0, 0, instant, 2, 3, 3, 7, 0, merge, 1, 2, 6, 12, 0,
 	})
 	// Prefixes whose bytes complete a rune across the join ("\xe2\x82" +
 	// "\xac" is "€"), and a timestamp JSON cannot carry.
 	f.Add([]byte{nameProcess, 0, 13, 0, 0, 0, merge, 1, 0, 0, 12, 0, complete, 2, 0, 0, 0, 10, merge, 1, 2, 1, 2, 0})
+	// A span block on named lanes merged under a prefix, a second block
+	// beside the merge, and that trace merged on into a third.
+	f.Add([]byte{
+		spans, 0, 3 + 9*4, 0, 7, 0x21, nameProcess, 0, 5, 0, 1, 0, merge, 1, 0, 2, 5, 0,
+		spans, 1, 8, 1, 3, 0x10, merge, 2, 1, 3, 5, 0,
+	})
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		const traces = 4
@@ -84,9 +91,31 @@ func FuzzTraceEquivalence(f *testing.F) {
 			case nameProcess:
 				got[i].NameProcess(pid, str(a))
 				want[i].NameProcess(pid, str(a))
-			case reserve:
-				got[i].Reserve(int(a) - 1)
-				want[i].Reserve(pid, int(a)-1)
+			case spans:
+				// A block of a%9 events in category a/9, stepping from
+				// b's name, c's lane and d's times, against the same
+				// events recorded one by one.
+				type event struct {
+					name     Label
+					pid, tid int
+					ts, dur  float64
+				}
+				cat, evs, maxPID := str(a/9), make([]event, a%9), 0
+				bt := got[i].Batch()
+				for j := range evs {
+					name, c := str(b+byte(j)), int(c)+j
+					ts := fuzzSeconds[(int(d&15)+j)%len(fuzzSeconds)]
+					dur := fuzzSeconds[(int(d>>4)+j)%len(fuzzSeconds)]
+					evs[j] = event{bt.Label(name), c % 5, c / 5 % 4, ts, dur}
+					maxPID = max(maxPID, c%5)
+					want[i].Complete(name, cat, c%5, c/5%4, ts, dur)
+				}
+				bt.Spans(bt.Label(cat), maxPID, len(evs), func(span SpanFunc) {
+					for _, e := range evs {
+						span(e.name, e.pid, e.tid, e.ts, e.dur)
+					}
+				})
+				bt.Done()
 			case merge:
 				src := int(a) % traces
 				if want[i].Len()+want[src].Len() > 4096 {

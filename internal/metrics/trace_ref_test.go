@@ -90,23 +90,6 @@ func (t *refTrace) bumpMaxPID(pid int) {
 	}
 }
 
-// Reserve pre-grows PID's lane for n more events without recording
-// anything — callers that know the run length (iterations × ops per
-// iteration) preallocate capacity instead of amortized re-growing.
-func (t *refTrace) Reserve(pid, n int) {
-	if n <= 0 {
-		return
-	}
-	l := t.lane(pid)
-	l.mu.Lock()
-	if free := cap(l.evs) - len(l.evs); free < n {
-		grown := make([]seqEvent, len(l.evs), len(l.evs)+n)
-		copy(grown, l.evs)
-		l.evs = grown
-	}
-	l.mu.Unlock()
-}
-
 // Complete records a duration event. start and dur are in simulated
 // seconds; the trace stores microseconds.
 func (t *refTrace) Complete(name, cat string, pid, tid int, start, dur float64) {

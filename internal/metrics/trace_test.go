@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -112,33 +113,6 @@ func TestTraceConcurrentWritersKeepOrder(t *testing.T) {
 	}
 }
 
-// TestTraceReserve: pre-growing the log records nothing, and the
-// reserved capacity absorbs that many appends without allocating.
-func TestTraceReserve(t *testing.T) {
-	tr := NewTrace()
-	completeOn(tr, "op", "x", 3, 0, 0, 1) // interns the strings
-	const runs, per = 10, 64
-	tr.Reserve((runs + 1) * per) // AllocsPerRun warms up with one extra run
-	if tr.Len() != 1 || tr.MaxPID() != 3 {
-		t.Fatalf("Reserve recorded: Len=%d MaxPID=%d", tr.Len(), tr.MaxPID())
-	}
-	if got := testing.AllocsPerRun(runs, func() {
-		for i := 0; i < per; i++ {
-			completeOn(tr, "op", "x", 3, 0, float64(i), 1)
-		}
-	}); got != 0 {
-		t.Errorf("%d reserved appends allocated %v times", per, got)
-	}
-	if want := 1 + (runs+1)*per; tr.Len() != want {
-		t.Errorf("Len = %d after the reserved appends, want %d", tr.Len(), want)
-	}
-	tr.Reserve(-1) // no-op, must not shrink or panic
-	tr.Reserve(0)
-	if tr.Len() != 1+(runs+1)*per {
-		t.Errorf("a no-op Reserve changed Len to %d", tr.Len())
-	}
-}
-
 // TestTraceDeterministicBytes: two traces recording the same event
 // sequence serialize byte-identically.
 // This is the recorder-level half of the fleet's merged-trace
@@ -169,13 +143,14 @@ func TestTraceDeterministicBytes(t *testing.T) {
 }
 
 // TestTraceSnapshotWhileWriting: merging and writing read a snapshot
-// of a log other goroutines are still appending to. Every merge must
+// of a log other goroutines are still appending to, span blocks
+// included. Every merge must
 // capture a consistent prefix — the merged count and the written
 // events agree — and the race detector must stay quiet (CI runs this
 // under -race).
 func TestTraceSnapshotWhileWriting(t *testing.T) {
 	src, dst := NewTrace(), NewTrace()
-	src.Reserve(64) // appends land in shared capacity first, then reallocate
+	src.log.recs = slices.Grow(src.log.recs, 64) // appends land in shared capacity first, then reallocate
 	var writers sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		writers.Add(1)
@@ -185,6 +160,13 @@ func TestTraceSnapshotWhileWriting(t *testing.T) {
 				completeOn(src, "op", "x", w, 0, float64(i), 1)
 				if i%50 == 0 {
 					src.Instant("mark", "x", float64(i), map[string]any{"i": i})
+					b := src.Batch()
+					name := b.Label("block")
+					b.Spans(b.Label("x"), w, 2, func(span SpanFunc) {
+						span(name, w, 0, float64(i), 1)
+						span(name, w, 1, float64(i), 1)
+					})
+					b.Done()
 				}
 			}
 		}(w)
@@ -204,15 +186,15 @@ func TestTraceSnapshotWhileWriting(t *testing.T) {
 	if got := len(decodeEvents(t, dst)); got != dst.Len() {
 		t.Errorf("merged trace wrote %d events, Len says %d", got, dst.Len())
 	}
-	if src.Len() != 4*(300+6) {
-		t.Errorf("source holds %d events, want %d", src.Len(), 4*(300+6))
+	if src.Len() != 4*(300+6+2*6) {
+		t.Errorf("source holds %d events, want %d", src.Len(), 4*(300+6+2*6))
 	}
 }
 
-// completeOn records a duration event on lane (pid, tid) through a
-// one-event batch, the way the trainer records pipeline ops.
+// completeOn records one duration event on lane (pid, tid) as a plain
+// record, the form Batch.Complete stores on the runtime lane.
 func completeOn(tr *Trace, name, cat string, pid, tid int, start, dur float64) {
-	b := tr.Batch()
-	b.Complete(b.Label(name), b.Label(cat), pid, tid, start, dur)
-	b.Done()
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.add(record{ph: 'X', name: tr.intern(name), cat: tr.intern(cat), pid: int32(pid), tid: int32(tid), ts: start * 1e6, dur: dur * 1e6}, nil)
 }

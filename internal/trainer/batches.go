@@ -132,8 +132,8 @@ func (r *Runtime) shared(iter, dp int) (p preparedBatch, ok bool) {
 // sharedRun returns the rank outcomes of p, a shared batch, under the
 // runtime's plan: the first asker of the run key simulates them into a
 // fresh slice, a concurrent asker waits for that run. The slice is
-// immutable once returned, so it never becomes r.outcomes, whose ops the
-// private path refills.
+// immutable once returned, so it never becomes r.outcomes, which the
+// private untraced path refills.
 func (r *Runtime) sharedRun(p preparedBatch, p2p []float64, pert scenario.Perturbation, workers int) []rankOutcome {
 	k := runKey{
 		batchKey: p.key, costs: r.costs, stages: r.stages,

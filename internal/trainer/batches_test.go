@@ -389,3 +389,96 @@ func TestSharedOutcomesOutliveAPrivateIteration(t *testing.T) {
 		t.Error("a private iteration wrote the shared outcome vector")
 	}
 }
+
+// TestTracedPrivateOutcomesOutliveTheirIteration: a lone traced
+// runtime (no BatchCache) hands each iteration's outcome vector to its
+// trace's span block, which renders it whenever the trace is written,
+// so no later iteration may simulate into it: the trace written after
+// iteration 1 is a prefix of the one written after iteration 4.
+func TestTracedPrivateOutcomesOutliveTheirIteration(t *testing.T) {
+	spec, corpus := buildSpec(t, model.MLLM9B(), 4, 32, model.FullTraining)
+	plan, err := orchestrator.PlanDistTrain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DistTrainConfig(spec, plan, corpus)
+	cfg.Trace = metrics.NewTrace()
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	j, err := rt.NewJob(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Finish()
+	write := func() []byte {
+		var buf bytes.Buffer
+		if err := cfg.Trace.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if err := j.Step(); err != nil {
+		t.Fatal(err)
+	}
+	first := write()
+	for !j.Done() {
+		if err := j.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := write()
+	events := bytes.TrimSuffix(first, []byte("]}\n"))
+	if len(last) <= len(first) || !bytes.HasPrefix(last, events) {
+		t.Errorf("the trace after iteration 1 (%d bytes) is not a prefix of the trace after iteration 4 (%d bytes): a later iteration rewrote recorded ops",
+			len(first), len(last))
+	}
+}
+
+// TestSharedTracedTenantsSimulateOnce: two traced runtimes of one
+// class stepping in turn on one BatchCache, the way fleet tenants do,
+// simulate each iteration's rank vector once between them, and each
+// trace still counts every op of its run: the event count pinned before
+// tenants shared outcome vectors.
+func TestSharedTracedTenantsSimulateOnce(t *testing.T) {
+	spec, corpus := buildSpec(t, model.MLLM9B(), 4, 32, model.FullTraining)
+	plan, err := orchestrator.PlanDistTrain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iters, events = 3, 594
+	var c BatchCache
+	jobs := make([]*Job, 2)
+	for i := range jobs {
+		cfg := DistTrainConfig(spec, plan, corpus)
+		cfg.Batches = &c
+		cfg.Trace = metrics.NewTrace()
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		if jobs[i], err = rt.NewJob(iters); err != nil {
+			t.Fatal(err)
+		}
+		defer jobs[i].Finish()
+	}
+	for it := 0; it < iters; it++ {
+		for _, j := range jobs {
+			if err := j.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dp := int64(plan.Modules[model.Backbone].Config.DP)
+	if want := iters * dp; c.simulated.Load() != want {
+		t.Errorf("two tenants simulated %d ranks, want %d (%d iterations × DP %d)", c.simulated.Load(), want, iters, dp)
+	}
+	for i, j := range jobs {
+		if got := j.r.cfg.Trace.Len(); got != events {
+			t.Errorf("tenant %d recorded %d events, want %d", i, got, events)
+		}
+	}
+}

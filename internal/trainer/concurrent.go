@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 
 	"disttrain/internal/data"
@@ -38,14 +39,15 @@ import (
 //
 // What outlives what: a private corpus batch, its work and its ranks
 // live in one of the runtime's two prepBufs until iteration i+2 is
-// prepared, and its rank outcomes in the runtime's slots until the next
-// iteration refills them, so nothing of an iteration escapes its Step
-// unless copied — a controller gets its own copy of the batch
-// (Observation.Batch). A shared batch and its outcome vector are
-// immutable BatchCache entries that outlive the iteration: every
-// runtime reading them only reads. A pooled scratch is held for one
-// runRank or assign call and nothing backed by it escapes (a traced
-// rank's ops are copied into its outcome slot).
+// prepared, and its untraced rank outcomes in the runtime's slots until
+// the next iteration refills them, so nothing else of an iteration
+// escapes its Step unless copied — a controller gets its own copy of
+// the batch (Observation.Batch). A traced outcome vector (fresh per
+// private iteration) and a shared batch with its outcome vector (a
+// BatchCache entry) are immutable and outlive the iteration: a trace's
+// span block and every runtime reading them only read. A pooled scratch
+// is held for one runRank or assign call and nothing backed by it
+// escapes (a traced rank's ops are copied out).
 
 // preparedBatch is the front-end's output for one iteration: the
 // global batch, each sample's workload in batch order (the order
@@ -157,9 +159,9 @@ var (
 // Algorithm 2 ordering, exact 1F1B simulation — under the iteration's
 // scenario perturbation. Pure with respect to runtime state (all
 // mutable state lives in the pooled scratch), so rank workers may run
-// concurrently. When tracing, the timeline is appended to ops;
-// otherwise none is recorded.
-func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scenario.Perturbation, ops []pipeline.Op) rankOutcome {
+// concurrently. When tracing, the timeline is copied into the
+// outcome's ops; otherwise none is recorded.
+func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scenario.Perturbation) rankOutcome {
 	cfg := &r.cfg
 	m := cfg.Spec.Microbatch
 	k := len(work) / m
@@ -218,7 +220,7 @@ func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scen
 	}
 	out := rankOutcome{iterTime: res.IterTime, bubble: res.MeanBubbleFraction()}
 	if cfg.Trace != nil {
-		out.ops = append(ops, res.Ops...)
+		out.ops = slices.Clone(res.Ops)
 	}
 	return out
 }
@@ -314,8 +316,9 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 }
 
 // emitTrace appends the iteration's timeline to the configured trace
-// as one batch: the serial phases on pid 0, every rank's pipeline ops
-// on pid d+1 (tid = stage), all offset by the run's wall-clock cursor.
+// as one batch: the serial phases on pid 0, and every rank's pipeline
+// ops on pid d+1 (tid = stage) as one span block over outcomes, which
+// must never change after; all offset by the run's wall-clock cursor.
 func (r *Runtime) emitTrace(stats IterationStats, outcomes []rankOutcome) {
 	if r.cfg.Trace == nil {
 		return
@@ -323,44 +326,39 @@ func (r *Runtime) emitTrace(stats IterationStats, outcomes []rankOutcome) {
 	tr := r.cfg.Trace.Batch()
 	defer tr.Done()
 	bd := stats.Breakdown
-	t := r.clock
 	if bd.PreprocessStall > 0 {
-		tr.Complete(tr.Label("preprocess"), tr.Label("data"), 0, 0, t, bd.PreprocessStall)
+		tr.Complete(tr.Label("preprocess"), tr.Label("data"), r.clock, bd.PreprocessStall)
 	}
-	pipeStart := t + bd.PreprocessStall
-	pipelineCat := tr.Label("pipeline")
-	for d, out := range outcomes {
-		for _, op := range out.ops {
-			tr.Complete(r.opLabel(tr, op.Kind, op.MB), pipelineCat, d+1, op.Stage, pipeStart+op.Start, op.End-op.Start)
+	pipeStart := r.clock + bd.PreprocessStall
+	n, mbs := 0, 0
+	for _, out := range outcomes {
+		n, mbs = n+len(out.ops), max(mbs, len(out.ops)/(2*r.stages))
+	}
+	for kind := range r.opNames {
+		for names := &r.opNames[kind]; len(*names) < mbs; {
+			*names = append(*names, tr.Label(pipeline.OpKind(kind).String()+strconv.Itoa(len(*names))))
 		}
 	}
+	names := r.opNames // only grows: the block keeps these slices
+	tr.Spans(tr.Label("pipeline"), len(outcomes), n, func(span metrics.SpanFunc) {
+		for d, out := range outcomes {
+			for _, op := range out.ops {
+				span(names[op.Kind][op.MB], d+1, op.Stage, pipeStart+op.Start, op.End-op.Start)
+			}
+		}
+	})
 	cur := pipeStart + bd.Pipeline
 	runtimeCat := tr.Label("runtime")
-	for _, phase := range []struct {
-		name string
-		dur  float64
-	}{
-		{"grad-sync", bd.GradSync},
-		{"optimizer", bd.Optimizer},
-		{"checkpoint-stall", bd.CheckpointStall},
-	} {
-		if phase.dur > 0 {
-			tr.Complete(tr.Label(phase.name), runtimeCat, 0, 0, cur, phase.dur)
+	for i, dur := range [...]float64{bd.GradSync, bd.Optimizer, bd.CheckpointStall} {
+		if dur > 0 {
+			tr.Complete(tr.Label(serialPhases[i]), runtimeCat, cur, dur)
 		}
-		cur += phase.dur
+		cur += dur
 	}
 }
 
-// opLabel returns the trace label of a pipeline op's name ("F3",
-// "B0"), cached per (kind, microbatch) for the runtime's one trace: no
-// Sprintf and no string lookup per recorded op.
-func (r *Runtime) opLabel(tr metrics.Batch, kind pipeline.OpKind, mb int) metrics.Label {
-	labels := &r.opLabels[kind]
-	for len(*labels) <= mb {
-		*labels = append(*labels, tr.Label(fmt.Sprintf("%s%d", kind, len(*labels))))
-	}
-	return (*labels)[mb]
-}
+// serialPhases names emitTrace's phases after the pipeline, in order.
+var serialPhases = [...]string{"grad-sync", "optimizer", "checkpoint-stall"}
 
 // workers resolves the rank-worker pool size.
 func (r *Runtime) workers() int {
@@ -382,18 +380,20 @@ func (r *Runtime) iteration(p preparedBatch, workers int) (IterationStats, error
 	if p.key.corpus != nil {
 		return r.finishIteration(p, pert, r.sharedRun(p, p2p, pert, workers))
 	}
-	// The outcome slots are reused across (serial) iterations: exactly
-	// one runRank overwrites each, refilling its previous ops buffer.
+	// Untraced, the outcome slots are reused across (serial) iterations;
+	// a traced iteration's go to its trace, so it takes fresh ones.
+	if r.cfg.Trace != nil {
+		r.outcomes = nil
+	}
 	r.outcomes = slices.Grow(r.outcomes[:0], len(p.ranks))[:len(p.ranks)]
 	r.runRanks(r.outcomes, p.ranks, p2p, pert, workers)
 	return r.finishIteration(p, pert, r.outcomes)
 }
 
-// runRanks sets outcomes[d] to rank d's run over a worker pool of the
-// given size, refilling the ops buffer the slot held.
+// runRanks sets outcomes[d] to rank d's run over a worker pool.
 func (r *Runtime) runRanks(outcomes []rankOutcome, ranks [][]model.Workload, p2p []float64, pert scenario.Perturbation, workers int) {
 	fanout.Run(context.Background(), workers, len(ranks), func(d int) {
-		outcomes[d] = r.runRank(d, ranks[d], p2p, pert, outcomes[d].ops[:0])
+		outcomes[d] = r.runRank(d, ranks[d], p2p, pert)
 	})
 }
 

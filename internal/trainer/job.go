@@ -77,24 +77,7 @@ func (r *Runtime) newJob(n int, prefetch bool) (*Job, error) {
 		j.grad = gradientAccumulator{Dim: r.cfg.GradientDim}
 		j.res.GradientSum = make([]int64, r.cfg.GradientDim)
 	}
-	r.reserveTrace(n)
 	return j, nil
-}
-
-// reserveTrace preallocates the trace's event capacity from the run
-// length: an iteration records a handful of serial phases and 2 ops
-// (fwd+bwd) per microbatch per stage — GlobalBatch/Microbatch
-// microbatches in all, however the plan splits them over DP ranks.
-func (r *Runtime) reserveTrace(n int) {
-	tr := r.cfg.Trace
-	if tr == nil {
-		return
-	}
-	mbs := 0
-	if r.cfg.Spec.Microbatch > 0 {
-		mbs = r.cfg.Spec.GlobalBatch / r.cfg.Spec.Microbatch
-	}
-	tr.Reserve(n*(2*mbs*r.stages+4) + 4)
 }
 
 // Done reports whether every iteration has executed. Finish is still

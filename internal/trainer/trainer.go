@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/comm"
@@ -289,17 +290,16 @@ type Runtime struct {
 	namedRanks int
 
 	// Per-runtime hot-loop state: the front-end's double-buffered
-	// workload slices and the per-iteration outcome slots. All other
-	// scratch comes from the process-wide pools (concurrent.go).
+	// workload slices and an untraced iteration's outcome slots. All
+	// other scratch comes from the process-wide pools (concurrent.go).
 	prep     [2]prepBuf
 	outcomes []rankOutcome
 	// batches is cfg.Batches once joinBatches registered the runtime
 	// under class, nil when it prepares every batch privately.
 	batches *BatchCache
 	class   batchClass
-	// opLabels caches the fwd/bwd trace event names per microbatch
-	// index, as labels of cfg.Trace.
-	opLabels [2][]metrics.Label
+	// opNames caches the F/B op names per microbatch as cfg.Trace labels.
+	opNames [2][]metrics.Label
 }
 
 // New validates the config and builds a runtime. A leased config is
@@ -344,11 +344,8 @@ func (r *Runtime) nameRankLanes(dp int) {
 	if tr == nil {
 		return
 	}
-	for d := r.namedRanks; d < dp; d++ {
-		tr.NameProcess(d+1, fmt.Sprintf("dp-rank %d", d))
-	}
-	if dp > r.namedRanks {
-		r.namedRanks = dp
+	for ; r.namedRanks < dp; r.namedRanks++ {
+		tr.NameProcess(r.namedRanks+1, "dp-rank "+strconv.Itoa(r.namedRanks))
 	}
 }
 
