@@ -83,13 +83,18 @@ COVER_FLOOR ?= 73
 # and 16,245 once a traced iteration recorded its pipeline ops as one
 # span block over its rank outcomes: the block and its write-time
 # expansion (trace.go +19 net of Trace.Reserve) are paid for by
-# reserveTrace (job.go -17) and the trainer's own share (-3).
+# reserveTrace (job.go -17) and the trainer's own share (-3), and
+# 16,000 once a checkpoint became a record on the trainer's runtime:
+# internal/dfs (the simulated file system, its writer goroutine and the
+# checkpoint codec, -240) went, its two pricing functions moved into
+# the trainer, and the save errors nothing could raise left the plan
+# switch path.
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 16245
+LOC_CEILING ?= 16000
 
-.PHONY: all build fmt vet test race bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
+.PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 
 all: build
 
@@ -122,6 +127,13 @@ test:
 # race gate fast; ci runs both.
 race:
 	$(GO) test -race -short ./...
+
+# determinism reruns the determinism gates on one P: a multi-core box
+# hides results that depend on goroutine scheduling (a checkpoint
+# count once did).
+DETERMINISM_TESTS = TestConcurrentRuntimeEquivalence|TestTraceByteIdenticalAcrossWorkers|TestFleetDeterminism|TestFleetOneJobEquivalence|TestPriorityDeterminism|TestFleetPreprocessDeterminism|TestControllerSteadyByteIdentical|TestCheckpointsSavedIsExact
+determinism:
+	GOMAXPROCS=1 $(GO) test -short -run '$(DETERMINISM_TESTS)' ./internal/...
 
 # bench is the smoke run: every benchmark once, no measurement loops.
 # -benchmem makes every run report B/op and allocs/op, so the smoke
@@ -245,4 +257,4 @@ loc-gate:
 	[ "$$total" -le "$(LOC_CEILING)" ] || \
 		{ echo "FAIL: $$total lines is over the $(LOC_CEILING)-line ceiling"; exit 1; }
 
-ci: build fmt vet staticcheck test race bench fuzz cover loc-gate
+ci: build fmt vet staticcheck test race determinism bench fuzz cover loc-gate

@@ -33,7 +33,7 @@ func main() {
 
 	// The scenario grammar is the CLI's -scenario flag: iteration
 	// windows are inclusive; the failure pays 20s of detection/restart
-	// before restoring the latest DFS checkpoint.
+	// before restoring the latest checkpoint.
 	sc, err := scenario.Parse(
 		"straggler:iters=1-2,rank=0,factor=3;" +
 			"congestion:iters=3-4,factor=5;" +

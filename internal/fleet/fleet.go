@@ -629,8 +629,8 @@ func (f *runner) failNode(node int) {
 			return
 		}
 	}
-	// The survivor set cannot run the job: suspend it. Progress (DFS
-	// checkpoints, optimizer state) stays with the runtime; the tenant
+	// The survivor set cannot run the job: suspend it. Progress (checkpoints,
+	// optimizer state) stays with the runtime; the tenant
 	// rejoins the queue ahead of never-started jobs and resumes when
 	// capacity returns.
 	f.suspend(t, "node failed")

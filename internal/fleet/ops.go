@@ -121,8 +121,8 @@ func (o schedOps) Grow(id int, take []int, reason string) bool {
 }
 
 // Preempt implements Ops: suspend a running tenant through the
-// node-failure suspend path. The lease is released, progress (DFS
-// checkpoints, optimizer state) stays with the runtime, and the
+// node-failure suspend path. The lease is released, progress
+// (checkpoints, optimizer state) stays with the runtime, and the
 // tenant rejoins the queue to resume later via the costed
 // checkpoint-restore resize.
 func (o schedOps) Preempt(id int, reason string) bool {

@@ -160,12 +160,14 @@ func TestRunningSnapshotAllocFree(t *testing.T) {
 	}
 }
 
-// TestRetireClosesRuntime is the regression test for the leaked
-// checkpoint writers: trainer.New starts one goroutine per runtime
-// with CheckpointEvery > 0 and only Runtime.Close stops it, so a fleet
-// that never closed its retired tenants' runtimes ended a 16-tenant
-// run with 16 goroutines more than it began with. The results must not
-// notice the close.
+// TestRetireClosesRuntime began as the regression test for leaked
+// checkpoint writers, one goroutine per checkpointing runtime that only
+// Runtime.Close stopped. A checkpoint is now a record on the runtime and
+// trainer.New starts no goroutine, so the goroutine count guards what a
+// tenant still runs on goroutines — its Job's one-ahead prepare and the
+// rank workers of each Step — which a retired tenant must leave drained.
+// The results must not notice the close, and every tenant reports its
+// one save (iteration 2 of 4).
 func TestRetireClosesRuntime(t *testing.T) {
 	spec, corpus := buildSpec(t, 8, 32)
 	config := func(every int) Config {
@@ -187,7 +189,7 @@ func TestRetireClosesRuntime(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("%d goroutines before the run, %d after: retired tenants leak their checkpoint writers", before, after)
+		t.Errorf("%d goroutines before the run, %d after: retired tenants leave goroutines running", before, after)
 	}
 	for _, jr := range res.Jobs {
 		if jr.Err != nil || jr.Result == nil || len(jr.Result.Iterations) != 4 || jr.Result.CheckpointsSaved != 1 {

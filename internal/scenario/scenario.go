@@ -38,7 +38,7 @@ const (
 	linkCongestion
 	// nodeFailure kills the training job at iteration Start: the
 	// runtime pays Downtime seconds of detection/restart, restores the
-	// latest DFS checkpoint, and re-executes the lost iterations.
+	// latest checkpoint, and re-executes the lost iterations.
 	nodeFailure
 	// ProducerFail kills one disaggregated-preprocessing producer at
 	// iteration Start: subsequent fetches assigned to it fail over to

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"disttrain/internal/data"
-	"disttrain/internal/dfs"
 	"disttrain/internal/fanout"
 	"disttrain/internal/metrics"
 	"disttrain/internal/model"
@@ -286,12 +285,10 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 	// Optimizer step: memory-bound update of the local shard.
 	bd.Optimizer = r.optimizerS
 
-	// Asynchronous checkpointing back-pressure.
-	if r.ckpt != nil && cfg.CheckpointEvery > 0 && p.iter > 0 && p.iter%cfg.CheckpointEvery == 0 {
-		state := []byte(fmt.Sprintf("iter-%d", p.iter))
-		if err := r.ckpt.Save(dfs.Checkpoint{Step: p.iter, State: state}); err != nil {
-			return IterationStats{}, err
-		}
+	// Checkpointing: a dedicated process writes asynchronously (§6), so
+	// only a write that outlasts the interval is exposed.
+	if cfg.CheckpointEvery > 0 && p.iter > 0 && p.iter%cfg.CheckpointEvery == 0 {
+		r.saveCheckpoint(p.iter, "iter-")
 		ckptSeconds := r.checkpointSeconds()
 		budget := float64(cfg.CheckpointEvery) * worstPipe
 		if ckptSeconds > budget {
@@ -438,21 +435,27 @@ func (r *Runtime) runLoop(n int, prefetch bool) (*Result, error) {
 	return j.Finish(), nil
 }
 
-// recoverFromFailure finds the resume point after a node failure. The
-// checkpoint writer is the paper's dedicated process (§6): it survives
-// training-node failures, so in-flight saves complete before the
-// restore reads the newest checkpoint. Without checkpointing (or
-// before the first save) training restarts from iteration 0.
+// saveCheckpoint records a checkpoint of step, tagged prefix+step.
+// Saves are monotone in step — a failure resumes past the newest step
+// and a plan switch saves the step before it — so the last save is the
+// newest.
+func (r *Runtime) saveCheckpoint(step int, prefix string) {
+	r.ckptStep = step
+	r.ckptBytes = 8 + len(prefix) + len(strconv.Itoa(step))
+	r.ckptSaved++
+}
+
+// recoverFromFailure finds the resume point after a node failure: the
+// step after the newest checkpoint, and the time to read it back. The
+// paper's dedicated checkpoint process (§6) survives training-node
+// failures, so every save made is there to restore. Without
+// checkpointing (or before the first save) training restarts from
+// iteration 0.
 func (r *Runtime) recoverFromFailure() (resume int, restoreSeconds float64) {
-	if r.ckpt == nil {
+	if r.ckptStep < 0 {
 		return 0, 0
 	}
-	r.ckpt.Flush()
-	ck, d, err := r.ckpt.Latest()
-	if err != nil {
-		return 0, 0
-	}
-	return ck.Step + 1, d
+	return r.ckptStep + 1, readSeconds(float64(r.ckptBytes), 1)
 }
 
 // checkPlan reports whether a controller-proposed plan can execute
@@ -475,24 +478,17 @@ func (r *Runtime) checkPlan(p *orchestrator.Plan) error {
 // reconfigure applies a checked controller plan switch at the boundary
 // before iteration iter: price the switch — a synchronous full
 // checkpoint write under the old geometry plus a restore read under
-// the new one, the PR recovery machinery without any lost work —
-// persist a real checkpoint when checkpointing is on (so a later
-// failure resumes past the switch), and rebuild the runtime's stage
-// geometry.
-func (r *Runtime) reconfigure(p *orchestrator.Plan, iter int) (float64, error) {
+// the new one, the recovery machinery without any lost work — record
+// the checkpoint when checkpointing is on (so a later failure resumes
+// past the switch), and rebuild the runtime's stage geometry.
+func (r *Runtime) reconfigure(p *orchestrator.Plan, iter int) float64 {
 	down := r.checkpointSeconds() // write: the outgoing geometry streams its state
-	if r.ckpt != nil && iter > 0 {
-		state := []byte(fmt.Sprintf("reconfig-%d", iter-1))
-		if err := r.ckpt.Save(dfs.Checkpoint{Step: iter - 1, State: state}); err != nil {
-			return 0, err
-		}
-		// The switch is synchronous: state must be durable before the
-		// restart, unlike the asynchronous steady-state checkpoints.
-		r.ckpt.Flush()
+	if r.cfg.CheckpointEvery > 0 && iter > 0 {
+		r.saveCheckpoint(iter-1, "reconfig-")
 	}
 	r.cfg.Plan = p
 	r.resolvePlan()
 	r.nameRankLanes(p.Modules[model.Backbone].Config.DP)
 	down += r.restoreSeconds() // read: the incoming geometry restores it
-	return down, nil
+	return down
 }

@@ -10,8 +10,8 @@ import (
 // orchestration made continuous. A Controller watches each iteration's
 // runtime signals and may hand the runtime a new orchestration plan to
 // apply at an iteration boundary — a costed reconfiguration priced
-// like failure recovery (checkpoint write + restore read through the
-// DFS), but with no lost work. The interface lives here so the
+// like failure recovery (checkpoint write + restore read priced at
+// DFS bandwidth), but with no lost work. The interface lives here so the
 // runtime depends only on the seam; internal/controller provides the
 // drift-detecting implementation.
 
@@ -85,6 +85,6 @@ type Replan struct {
 	Strategy string
 	Reason   string
 	// Downtime is the reconfiguration cost in simulated seconds:
-	// checkpoint write plus restore read through the DFS.
+	// checkpoint write plus restore read, priced at DFS bandwidth.
 	Downtime float64
 }

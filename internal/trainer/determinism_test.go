@@ -52,6 +52,11 @@ func TestConcurrentRuntimeEquivalence(t *testing.T) {
 			c.Scenario = stragglers
 			return c
 		}},
+		{"checkpointed", func() Config {
+			c := DistTrainConfig(spec, plan, corpus)
+			c.CheckpointEvery = 1
+			return c
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref, err := New(tc.mk())

@@ -156,19 +156,18 @@ func (j *Job) firePoolEvents(iter int) error {
 // + restore read), with any prefetched batch discarded — its DP
 // assignment was computed under the old geometry. An infeasible plan
 // (the seam is public: a controller may hand back anything) rejects
-// the switch and continues on the incumbent; only real runtime
-// failures (checkpoint write errors) abort.
-func (j *Job) applySwitch(i int, sw *PlanSwitch) error {
+// the switch and continues on the incumbent.
+func (j *Job) applySwitch(i int, sw *PlanSwitch) {
 	r := j.r
 	if err := r.checkPlan(sw.Plan); err != nil {
 		if tr := r.cfg.Trace; tr != nil {
 			tr.Instant("replan-rejected", "controller", r.clock,
 				map[string]any{"iter": i, "error": err.Error()})
 		}
-		return nil
+		return
 	}
 	j.discardPrefetch()
-	return j.switchPlan(i, sw.Plan, sw.Reason, "controller", "replan",
+	j.switchPlan(i, sw.Plan, sw.Reason, "controller", "replan",
 		map[string]any{"iter": i, "strategy": sw.Plan.Strategy, "reason": sw.Reason})
 }
 
@@ -177,12 +176,9 @@ func (j *Job) applySwitch(i int, sw *PlanSwitch) error {
 // charged to the job as downtime and recorded as a Replan. The trace
 // gets the caller's instant plus the reconfigure span on the caller's
 // lane. The caller has discarded any prefetched batch.
-func (j *Job) switchPlan(i int, p *orchestrator.Plan, reason, cat, event string, args map[string]any) error {
+func (j *Job) switchPlan(i int, p *orchestrator.Plan, reason, cat, event string, args map[string]any) {
 	r := j.r
-	down, err := r.reconfigure(p, i)
-	if err != nil {
-		return err
-	}
+	down := r.reconfigure(p, i)
 	j.res.PlanSwitches++
 	j.res.DowntimeSeconds += down
 	j.res.Replans = append(j.res.Replans, Replan{
@@ -193,7 +189,6 @@ func (j *Job) switchPlan(i int, p *orchestrator.Plan, reason, cat, event string,
 		tr.Complete("reconfigure", cat, r.clock, down)
 	}
 	r.clock += down
-	return nil
 }
 
 // Resize applies a new lease — grown or shrunk by the fleet scheduler
@@ -222,23 +217,20 @@ func (j *Job) Resize(l cluster.Lease, p *orchestrator.Plan, reason string) error
 	// batch.
 	j.discardPrefetch()
 	// The plan is checked, and the switch priced, under the incoming
-	// geometry; any failure — an infeasible plan, a reconfiguration
-	// checkpoint that did not write — puts the old spec back with the
-	// old lease and plan.
+	// geometry; an infeasible plan puts the old spec back with the old
+	// lease and plan.
 	old := r.cfg.Spec
 	r.cfg.Spec = old.ForLease(r.base, l, r.cfg.PlacementPricing)
 	err := r.checkPlan(p)
 	if err == nil && p.TotalGPUs() > l.GPUs(r.base) {
 		err = fmt.Errorf("trainer: resize plan wants %d GPUs, lease has %d", p.TotalGPUs(), l.GPUs(r.base))
 	}
-	if err == nil {
-		err = j.switchPlan(j.i, p, reason, "fleet", "lease-resize",
-			map[string]any{"iter": j.i, "nodes": l.NodeCount(), "reason": reason})
-	}
 	if err != nil {
 		r.cfg.Spec = old
 		return err
 	}
+	j.switchPlan(j.i, p, reason, "fleet", "lease-resize",
+		map[string]any{"iter": j.i, "nodes": l.NodeCount(), "reason": reason})
 	r.cfg.Lease = &l
 	if la, ok := r.cfg.Controller.(LeaseAware); ok {
 		la.LeaseChanged(j.i, r.cfg.Spec, p)
@@ -261,7 +253,7 @@ func (j *Job) Step() error {
 		return err
 	}
 	// A node failure interrupts the iteration it lands on: pay the
-	// downtime, restore the latest DFS checkpoint, re-execute the
+	// downtime, restore the latest checkpoint, re-execute the
 	// iterations lost since it. Each failure event fires once.
 	if ev, ok := pert.Failure(); ok && i > j.lastFailure {
 		j.lastFailure = i
@@ -284,9 +276,7 @@ func (j *Job) Step() error {
 	// switch (if any) applies as a costed reconfiguration.
 	if ctl := r.cfg.Controller; ctl != nil {
 		if sw := ctl.Pending(i); sw != nil && sw.Plan != nil {
-			if err := j.applySwitch(i, sw); err != nil {
-				return err
-			}
+			j.applySwitch(i, sw)
 		}
 	}
 	p := j.fetch(i)
@@ -358,9 +348,6 @@ func (j *Job) Finish() *Result {
 			res.TokensPerSec = float64(j.maxExecuted+1) * float64(r.cfg.Spec.GlobalBatch) * float64(r.cfg.Spec.Model.SeqLen) / wall
 		}
 	}
-	if r.ckpt != nil {
-		r.ckpt.Flush()
-		res.CheckpointsSaved = r.ckpt.Saved()
-	}
+	res.CheckpointsSaved = r.ckptSaved
 	return res
 }

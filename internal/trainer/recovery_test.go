@@ -8,9 +8,8 @@ import (
 )
 
 // TestFailureRecovery exercises the §6 fault-tolerance path: a training
-// run crashes, and a fresh runtime recovers the latest checkpoint from
-// the DFS and resumes from it, losing at most one checkpoint interval
-// of work.
+// run crashes, and a fresh runtime resumes from its latest checkpoint,
+// losing at most one checkpoint interval of work.
 func TestFailureRecovery(t *testing.T) {
 	spec, corpus := buildSpec(t, model.MLLM9B(), 4, 16, model.FullTraining)
 	plan, err := orchestrator.PlanDistTrain(spec)
@@ -19,7 +18,7 @@ func TestFailureRecovery(t *testing.T) {
 	}
 
 	// First run: train 7 iterations with a checkpoint every 2, then
-	// "crash" (the runtime simply goes away; the DFS survives).
+	// "crash" (the runtime simply goes away; its checkpoint survives).
 	cfg := DistTrainConfig(spec, plan, corpus)
 	cfg.CheckpointEvery = 2
 	rt, err := New(cfg)
@@ -31,33 +30,32 @@ func TestFailureRecovery(t *testing.T) {
 	}
 	rt.Close()
 
-	// Recovery: the DFS holds the last completed save (iteration 6).
-	ck, _, err := rt.ckpt.Latest()
-	if err != nil {
-		t.Fatalf("no checkpoint to recover: %v", err)
-	}
-	if ck.Step != 6 {
-		t.Fatalf("recovered step %d, want 6 (iterations 2,4,6 checkpointed)", ck.Step)
+	// Recovery: the last completed save is iteration 6.
+	step := rt.ckptStep
+	if step != 6 {
+		t.Fatalf("recovered step %d, want 6 (iterations 2,4,6 checkpointed)", step)
 	}
 
 	// Resume: a fresh runtime continues from the recovered step; the
-	// corpus is deterministic, so iteration ck.Step+1 sees exactly the
+	// corpus is deterministic, so iteration step+1 sees exactly the
 	// batch it would have seen without the crash.
 	rt2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt2.Close()
-	resumed, err := rt2.iteration(rt2.prepare(ck.Step+1), rt2.workers())
+	resumed, err := rt2.iteration(rt2.prepare(step+1), rt2.workers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := rt2.iteration(rt2.prepare(ck.Step+1), rt2.workers())
+	uninterrupted, err := Run(cfg, step+2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed.FLOPs != direct.FLOPs || resumed.Breakdown.Pipeline != direct.Breakdown.Pipeline {
-		t.Error("resumed iteration diverges from the uninterrupted schedule")
+	direct := uninterrupted.Iterations[step+1]
+	if resumed.FLOPs != direct.FLOPs || resumed.Breakdown != direct.Breakdown {
+		t.Errorf("resumed iteration %d diverges from the uninterrupted run:\nresumed %+v\ndirect  %+v",
+			step+1, resumed, direct)
 	}
 }
 
@@ -110,5 +108,34 @@ func TestCheckpointBackPressure(t *testing.T) {
 		if it.Breakdown.CheckpointStall <= 0 {
 			t.Errorf("iter %d: a checkpoint write longer than the iteration should surface back-pressure", it.Index)
 		}
+	}
+}
+
+// TestCheckpointsSavedIsExact pins the save count of a run that
+// checkpoints every iteration: one save per iteration after the
+// first, whatever the scheduler does. The count once came from a
+// writer goroutine that could supersede a queued save, so one core
+// lost saves by the dozen.
+func TestCheckpointsSavedIsExact(t *testing.T) {
+	spec, corpus := buildSpec(t, model.MLLM9B(), 4, 4, model.FullTraining)
+	plan, err := orchestrator.PlanDistTrain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DistTrainConfig(spec, plan, corpus)
+	cfg.CheckpointEvery = 1
+	const n = 200
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	res, err := rt.Run(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CheckpointsSaved != n-1 || rt.ckptStep != n-1 {
+		t.Errorf("%d iterations checkpointed every iteration: %d saves, newest step %d; want %d saves, newest %d",
+			n, res.CheckpointsSaved, rt.ckptStep, n-1, n-1)
 	}
 }

@@ -102,7 +102,7 @@ func TestCongestionAndPreprocessScenarios(t *testing.T) {
 
 // TestNodeFailureRecoveryScenario is the acceptance path: a seeded
 // node failure interrupts the run, the runtime restores the latest
-// DFS checkpoint, re-executes the lost iterations, and completes the
+// checkpoint, re-executes the lost iterations, and completes the
 // full schedule.
 func TestNodeFailureRecoveryScenario(t *testing.T) {
 	cfg, _ := scenarioConfig(t, 4, 16)
@@ -159,19 +159,15 @@ func TestNodeFailureRecoveryScenario(t *testing.T) {
 		t.Error("re-executed iteration diverged from its original run")
 	}
 
-	// Recovery really came from the DFS: the latest checkpoint at
-	// failure time was step 4 — after completion step 6 is saved too.
-	ck, _, err := rt.ckpt.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Step != 6 {
-		t.Errorf("latest checkpoint step = %d, want 6", ck.Step)
+	// Recovery really came from the checkpoint: the latest at failure
+	// time was step 4 — after completion step 6 is saved too.
+	if rt.ckptStep != 6 {
+		t.Errorf("latest checkpoint step = %d, want 6", rt.ckptStep)
 	}
 }
 
-// TestNodeFailureWithoutCheckpointsRestartsFromZero: no checkpoint
-// manager means the whole prefix is lost and re-executed.
+// TestNodeFailureWithoutCheckpointsRestartsFromZero: without
+// checkpointing the whole prefix is lost and re-executed.
 func TestNodeFailureWithoutCheckpointsRestartsFromZero(t *testing.T) {
 	cfg, _ := scenarioConfig(t, 4, 16)
 	sc, err := scenario.Parse("failure:iter=2,downtime=1")

@@ -3,10 +3,10 @@
 // (disaggregated or co-located preprocessing), reorder it (Algorithms 1
 // and 2), drive every data-parallel pipeline through the 1F1B schedule
 // with per-microbatch heterogeneous stage times, synchronise gradients
-// with ZeRO-1, step the optimizer, and asynchronously checkpoint to the
-// DFS. All GPU work is charged through the calibrated profiler; all
-// control decisions (assignment, ordering, straggler propagation) are
-// executed for real.
+// with ZeRO-1, step the optimizer, and checkpoint periodically. All GPU
+// work is charged through the calibrated profiler and every checkpoint
+// write and restore at DFS bandwidth; all control decisions
+// (assignment, ordering, straggler propagation) are executed for real.
 //
 // The runtime is a concurrent, event-driven engine: a batch/assignment
 // front-end (prefetched one iteration ahead by the async data service),
@@ -29,7 +29,6 @@ import (
 	"disttrain/internal/cluster"
 	"disttrain/internal/comm"
 	"disttrain/internal/data"
-	"disttrain/internal/dfs"
 	"disttrain/internal/metrics"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
@@ -62,7 +61,24 @@ const (
 	// Typed, so 1-syncOverlap rounds the way the float64 field it
 	// replaced did.
 	syncOverlap float64 = 0.7
+	// dfsWriteBps and dfsReadBps are the per-client bandwidths, in
+	// bytes/s, of the distributed file system checkpoints go to (§3),
+	// and dfsLatency its per-operation metadata latency in seconds.
+	dfsWriteBps, dfsReadBps = 3e9, 5e9
+	dfsLatency              = 2e-3
 )
+
+// writeSeconds returns the simulated time for clients to write bytes
+// to the DFS in parallel, equal shards.
+func writeSeconds(bytes float64, clients int) float64 {
+	return dfsLatency + bytes/(dfsWriteBps*float64(clients))
+}
+
+// readSeconds returns the simulated time for clients to read bytes
+// from the DFS in parallel, equal shards.
+func readSeconds(bytes float64, clients int) float64 {
+	return dfsLatency + bytes/(dfsReadBps*float64(clients))
+}
 
 // Config describes one training run.
 type Config struct {
@@ -98,8 +114,8 @@ type Config struct {
 	// off, Megatron-LM's synchronous batched send/receive exposes the
 	// full transfer on the critical path.
 	AsyncP2P bool
-	// CheckpointEvery saves a checkpoint every n iterations (0 = off) to
-	// a simulated DFS of the runtime's own.
+	// CheckpointEvery saves a checkpoint every n iterations (0 = off);
+	// a write that outlasts the interval stalls training.
 	CheckpointEvery int
 
 	// Source overrides the batch/assignment front-end: when non-nil,
@@ -220,7 +236,7 @@ type Recovery struct {
 	// FailedAt is the iteration the failure interrupted.
 	FailedAt int
 	// ResumedFrom is the first iteration re-executed after restoring
-	// the latest DFS checkpoint (0 when no checkpoint existed).
+	// the latest checkpoint (0 when no checkpoint existed).
 	ResumedFrom int
 	// Downtime is detection/restart plus the checkpoint restore read,
 	// in simulated seconds.
@@ -239,8 +255,7 @@ type Result struct {
 	MeanIterTime float64
 	MFU          float64
 	TokensPerSec float64
-	// CheckpointsSaved counts asynchronous checkpoints that reached the
-	// DFS.
+	// CheckpointsSaved counts the saves made: periodic and plan-switch.
 	CheckpointsSaved int
 	// Failures counts scenario-injected node failures survived;
 	// ReExecutedIterations the iterations redone after restores, and
@@ -268,8 +283,11 @@ type Result struct {
 // are not safe for concurrent use — the concurrency lives inside the
 // engine, not across callers.
 type Runtime struct {
-	cfg  Config
-	ckpt *dfs.CheckpointManager
+	cfg Config
+	// The checkpoint record: the newest saved step (-1 before the first
+	// save), that checkpoint's encoded size in bytes (an 8-byte step and
+	// its tag) and the saves made. A save is priced, not written.
+	ckptStep, ckptBytes, ckptSaved int
 	// trial (TrialMeanIterTime) replaces the corpus: i trains trial[i%len].
 	trial [][]data.Sample
 	// base is the shared cluster a leased run was scoped out of; the
@@ -323,12 +341,9 @@ func New(cfg Config) (*Runtime, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runtime{cfg: cfg, base: base}
+	r := &Runtime{cfg: cfg, base: base, ckptStep: -1}
 	r.llmFirst = 1
 	r.resolvePlan()
-	if cfg.CheckpointEvery > 0 {
-		r.ckpt = dfs.NewCheckpointManager(dfs.New())
-	}
 	if tr := r.cfg.Trace; tr != nil {
 		tr.NameProcess(0, "runtime")
 		r.nameRankLanes(cfg.Plan.Modules[model.Backbone].Config.DP)
@@ -349,11 +364,8 @@ func (r *Runtime) nameRankLanes(dp int) {
 	}
 }
 
-// Close releases the checkpoint writer and leaves the batch cache.
+// Close leaves the batch cache.
 func (r *Runtime) Close() {
-	if r.ckpt != nil {
-		r.ckpt.Close()
-	}
 	if r.batches != nil {
 		r.batches.addLive(r.class, -1)
 		r.batches = nil
@@ -363,8 +375,8 @@ func (r *Runtime) Close() {
 // Run builds a runtime for cfg, executes n iterations on the
 // concurrent engine and closes it: results are byte-identical to the
 // sequential reference (Runtime.RunSequential) at any worker count, and
-// scenario-injected node failures recover from the latest DFS
-// checkpoint and re-execute the lost iterations.
+// scenario-injected node failures recover from the latest checkpoint
+// and re-execute the lost iterations.
 func Run(cfg Config, n int) (*Result, error) {
 	rt, err := New(cfg)
 	if err != nil {
@@ -577,7 +589,7 @@ func (r *Runtime) checkpointSeconds() float64 {
 	if writers == 0 {
 		return 0
 	}
-	return dfs.WriteSeconds(bytes, writers)
+	return writeSeconds(bytes, writers)
 }
 
 // restoreSeconds prices reading one full training state back from the
@@ -587,7 +599,7 @@ func (r *Runtime) restoreSeconds() float64 {
 	if readers == 0 {
 		return 0
 	}
-	return dfs.ReadSeconds(bytes, readers)
+	return readSeconds(bytes, readers)
 }
 
 // batchFLOPs sums the model FLOPs executed for the batch under the

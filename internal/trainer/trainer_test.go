@@ -236,20 +236,12 @@ func TestCheckpointingSavesAsynchronously(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CheckpointsSaved == 0 {
-		t.Error("no checkpoints saved")
+	if res.CheckpointsSaved != 2 {
+		t.Errorf("%d checkpoints saved, want 2 (iterations 2 and 4)", res.CheckpointsSaved)
 	}
-	// Recovery: the latest checkpoint must be loadable.
-	mgr := rt.ckpt
-	if mgr == nil {
-		t.Fatal("no checkpoint manager")
-	}
-	ck, _, err := mgr.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Step != 4 {
-		t.Errorf("latest checkpoint step = %d, want 4", ck.Step)
+	// Recovery: the latest checkpoint is the newest save.
+	if rt.ckptStep != 4 {
+		t.Errorf("latest checkpoint step = %d, want 4", rt.ckptStep)
 	}
 }
 
