@@ -88,11 +88,15 @@ COVER_FLOOR ?= 73
 # internal/dfs (the simulated file system, its writer goroutine and the
 # checkpoint codec, -240) went, its two pricing functions moved into
 # the trainer, and the save errors nothing could raise left the plan
-# switch path.
+# switch path, and 16,005 once a tenant stepped a shared batch at a
+# cache hit's cost: the +5 are window.Once.Has and the one key helper
+# through which Job.launch asks it whether a batch still needs
+# building, net of batchFLOPs (folded into fold) and Runtime.shared
+# (folded into prepare) (fleet-steady work_per_cpu_s 134k -> 175k).
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 16000
+LOC_CEILING ?= 16005
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 
@@ -130,7 +134,8 @@ race:
 
 # determinism reruns the determinism gates on one P: a multi-core box
 # hides results that depend on goroutine scheduling (a checkpoint
-# count once did).
+# count once did). CI's `Tests (GOMAXPROCS=1)` step runs this target,
+# so DETERMINISM_TESTS is the one list of those gates.
 DETERMINISM_TESTS = TestConcurrentRuntimeEquivalence|TestTraceByteIdenticalAcrossWorkers|TestFleetDeterminism|TestFleetOneJobEquivalence|TestPriorityDeterminism|TestFleetPreprocessDeterminism|TestControllerSteadyByteIdentical|TestCheckpointsSavedIsExact
 determinism:
 	GOMAXPROCS=1 $(GO) test -short -run '$(DETERMINISM_TESTS)' ./internal/...

@@ -35,7 +35,7 @@ func TestFleetAllocBudget(t *testing.T) {
 		recorded float64
 	}{
 		{"K=1", 1, 32, false, 446},
-		{"K=4", 4, 8, false, 447},
+		{"K=4", 4, 8, false, 441},
 		{"K=16", 16, 2, false, 713},
 		{"K=64", 64, 2, false, 2289},
 		{"cold storm", 16, 2, true, 3460},

@@ -110,23 +110,17 @@ func (r *Runtime) joinBatches() {
 	c.addLive(r.class, 1)
 }
 
-// shared returns iteration iter's corpus batch, assigned over dp ranks,
-// from the cache — building it on a miss — or ok false when the runtime
-// prepares privately: it is not registered, or its class has fewer than
-// two live runtimes. A shared batch carries its key.
-func (r *Runtime) shared(iter, dp int) (p preparedBatch, ok bool) {
+// sharedKey returns iteration iter's cache key under the runtime's plan
+// and the entries to read it from, nil when the runtime prepares
+// privately: it is unregistered or alone in its class. prepare reads
+// and Job.launch asks through it, so the two cannot disagree.
+func (r *Runtime) sharedKey(iter int) (*window.Once[batchKey, preparedBatch], batchKey) {
 	if r.batches == nil {
-		return p, false
+		return nil, batchKey{}
 	}
-	entries := r.batches.sharing(r.class)
-	if entries == nil {
-		return p, false
-	}
-	bs := r.class.batch
-	k := batchKey{batchClass: r.class, first: int64(iter) * int64(bs), dp: dp, balance: r.cfg.Reorder}
-	p = entries.Get(k, bs, func() preparedBatch { return r.build(k) })
-	p.iter, p.key = iter, k
-	return p, true
+	dp := r.cfg.Plan.Modules[model.Backbone].Config.DP
+	k := batchKey{batchClass: r.class, first: int64(iter) * int64(r.class.batch), dp: dp, balance: r.cfg.Reorder}
+	return r.batches.sharing(r.class), k
 }
 
 // sharedRun returns the rank outcomes of p, a shared batch, under the
@@ -148,10 +142,10 @@ func (r *Runtime) sharedRun(p preparedBatch, p2p []float64, pert scenario.Pertur
 	})
 }
 
-// build prepares k's batch into fresh slices that no runtime owns:
-// with the entry, the samples, one workload backing for the batch-order
-// work and the rank-major gather, and the rank headers are an entry's
-// four allocations.
+// build prepares k's batch, with its FLOPs, into fresh slices that no
+// runtime owns: with the entry, the samples, one workload backing for
+// the batch-order work and the rank-major gather, and the rank headers
+// are an entry's four allocations.
 func (r *Runtime) build(k batchKey) preparedBatch {
 	r.batches.builds.Add(1)
 	n := k.batch
@@ -165,7 +159,8 @@ func (r *Runtime) build(k batchKey) preparedBatch {
 		flat:  backing[k.batch:k.batch:n],
 		ranks: make([][]model.Workload, 0, k.dp),
 	}
-	buf.work = fold(buf.work, buf.batch, k.prof.Kernel())
+	var flops float64
+	buf.work, flops = fold(buf.work, buf.batch, k.prof.Kernel())
 	err := r.assign(&buf, k.dp, k.balance)
-	return preparedBatch{batch: buf.batch, work: buf.work, ranks: buf.ranks, err: err}
+	return preparedBatch{batch: buf.batch, work: buf.work, ranks: buf.ranks, flops: flops, err: err}
 }

@@ -22,9 +22,10 @@ import (
 // This file is the concurrent iteration engine. One iteration splits
 // into three stages:
 //
-//  1. front-end: fetch the global batch and run Algorithm 1's DP-rank
-//     assignment — a pure function of the iteration index, which is
-//     what lets the async data service compute it one iteration ahead;
+//  1. front-end: fetch the global batch, run Algorithm 1's DP-rank
+//     assignment and sum its FLOPs — a pure function of the iteration
+//     index, which is what lets the async data service compute it one
+//     iteration ahead when it still needs computing (Job.launch);
 //  2. rank workers: per DP rank, build microbatches, apply Algorithm 2
 //     ordering, and simulate the exact 1F1B timeline — fanned out over
 //     a bounded worker pool (Config.Parallelism);
@@ -49,14 +50,15 @@ import (
 // escapes (a traced rank's ops are copied out).
 
 // preparedBatch is the front-end's output for one iteration: the
-// global batch, each sample's workload in batch order (the order
-// iteration FLOPs sum in) and the same workloads gathered per DP rank.
-// key is a shared batch's BatchCache key, zero for a private batch.
+// global batch, each sample's workload in batch order, their FLOPs and
+// the same workloads gathered per DP rank. key is a shared batch's
+// BatchCache key, zero for a private batch.
 type preparedBatch struct {
 	iter  int
 	batch []data.Sample
 	work  []model.Workload
 	ranks [][]model.Workload
+	flops float64
 	err   error
 	key   batchKey
 }
@@ -73,16 +75,23 @@ type prepBuf struct {
 	ranks      [][]model.Workload
 }
 
-// fold appends each sample's workload to dst: the one walk over a
-// sample's subsequences, made where the batch enters the runtime.
-func fold(dst []model.Workload, samples []data.Sample, k *model.CostKernel) []model.Workload {
+// fold appends each sample's workload to dst and returns their model
+// FLOPs, summed in batch order (the order that fixes the float sum): the
+// one walk over a sample's subsequences, made where the batch enters the
+// runtime.
+func fold(dst []model.Workload, samples []data.Sample, k *model.CostKernel) ([]model.Workload, float64) {
 	dst = slices.Grow(dst, len(samples))
+	var flops float64
 	for i := range samples {
 		var w model.Workload
 		samples[i].AddTo(&w, k)
 		dst = append(dst, w)
+		for _, mod := range model.Modules {
+			fwd, bwd := k.TrainFLOPs(mod, w)
+			flops += fwd + bwd
+		}
 	}
-	return dst
+	return dst, flops
 }
 
 // prepare fetches, folds and assigns the global batch of one
@@ -107,14 +116,16 @@ func (r *Runtime) prepare(iter int) preparedBatch {
 	case r.trial != nil:
 		p.batch = r.trial[iter%len(r.trial)]
 	default:
-		if sp, ok := r.shared(iter, dp); ok {
-			return sp
+		if entries, k := r.sharedKey(iter); entries != nil {
+			p = entries.Get(k, k.batch, func() preparedBatch { return r.build(k) })
+			p.iter, p.key = iter, k
+			return p
 		}
 		bs := r.cfg.Spec.GlobalBatch
 		buf.batch = r.cfg.Corpus.AppendBatch(buf.batch[:0], int64(iter)*int64(bs), bs)
 		p.batch = scenario.At(r.cfg.Scenario, iter).ShiftBatch(buf.batch)
 	}
-	buf.work = fold(buf.work[:0], p.batch, r.cfg.Spec.Profiler.Kernel())
+	buf.work, p.flops = fold(buf.work[:0], p.batch, r.cfg.Spec.Profiler.Kernel())
 	p.err = r.assign(buf, dp, r.cfg.Reorder && src == nil)
 	p.work, p.ranks = buf.work, buf.ranks
 	return p
@@ -296,15 +307,14 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 		}
 	}
 
-	flops := r.batchFLOPs(p.work)
 	total := bd.Total()
 	stats := IterationStats{
 		Index:           p.iter,
 		Breakdown:       bd,
 		BubbleFrac:      worstBubble,
 		StragglerSpread: (worstPipe - bestPipe) / math.Max(worstPipe, 1e-12),
-		FLOPs:           flops,
-		MFU:             metrics.MFU(flops, cfg.Plan.TotalGPUs(), spec.Cluster.GPU.PeakFLOPS, total),
+		FLOPs:           p.flops,
+		MFU:             metrics.MFU(p.flops, cfg.Plan.TotalGPUs(), spec.Cluster.GPU.PeakFLOPS, total),
 		Perturbed:       !pert.Steady(),
 	}
 	r.emitTrace(stats, outcomes)
@@ -404,10 +414,10 @@ func (r *Runtime) RunIterationSequential(iter int) (IterationStats, error) {
 }
 
 // Run executes n iterations on the concurrent engine and aggregates.
-// The async data service prefetches iteration i+1's batch and
-// Algorithm 1 assignment while iteration i trains; scenario-injected
-// node failures trigger checkpoint-restore recovery with the lost
-// iterations re-executed.
+// The async data service prepares iteration i+1's batch, unless a
+// runtime sharing it already has, while iteration i trains;
+// scenario-injected node failures trigger checkpoint-restore recovery
+// with the lost iterations re-executed.
 func (r *Runtime) Run(n int) (*Result, error) {
 	return r.runLoop(n, true)
 }

@@ -25,8 +25,8 @@ import (
 
 // Job is one training run in progress: the runtime plus the loop state
 // of its n-iteration run. A Job is not safe for concurrent use; the
-// concurrency lives inside Step (rank workers, prefetch), not across
-// callers — the same contract as Runtime.
+// concurrency lives inside Step (rank workers, an unbuilt batch's
+// prefetch), not across callers — the same contract as Runtime.
 type Job struct {
 	r *Runtime
 	n int
@@ -110,9 +110,14 @@ func (j *Job) fetch(i int) preparedBatch {
 	return j.r.prepare(i)
 }
 
-// launch starts the async prepare of iteration i.
+// launch starts the async prepare of iteration i unless its batch is
+// shared and already in the BatchCache, built or building: fetch reads
+// that one inline, where a prefetch would hide nothing.
 func (j *Job) launch(i int) {
 	if !j.prefetch || i >= j.n {
+		return
+	}
+	if entries, k := j.r.sharedKey(i); entries != nil && entries.Has(k) {
 		return
 	}
 	go func() { j.pending <- j.r.prepare(i) }()

@@ -9,7 +9,8 @@
 // (assignment, ordering, straggler propagation) are executed for real.
 //
 // The runtime is a concurrent, event-driven engine: a batch/assignment
-// front-end (prefetched one iteration ahead by the async data service),
+// front-end (prefetched one iteration ahead, while it still needs
+// building, by the async data service),
 // per-DP-rank pipeline workers on a bounded pool, and a deterministic
 // reduce that keeps results byte-identical to the pinned sequential
 // reference (RunIterationSequential / RunSequential) at any worker
@@ -600,19 +601,4 @@ func (r *Runtime) restoreSeconds() float64 {
 		return 0
 	}
 	return readSeconds(bytes, readers)
-}
-
-// batchFLOPs sums the model FLOPs executed for the batch under the
-// freeze setting, from the kernel that priced its stage times — sample
-// by sample in batch order, the order that fixes the float sum.
-func (r *Runtime) batchFLOPs(work []model.Workload) float64 {
-	k := r.cfg.Spec.Profiler.Kernel()
-	var total float64
-	for _, w := range work {
-		for _, mod := range model.Modules {
-			fwd, bwd := k.TrainFLOPs(mod, w)
-			total += fwd + bwd
-		}
-	}
-	return total
 }

@@ -272,7 +272,8 @@ func TestReorderingPreservesGradients(t *testing.T) {
 // sample once, sum in batch order — so the unmodified pricing oracle
 // (TestRuntimePricingMatchesReference) exercises the production path.
 func (r *Runtime) iterationFLOPs(batch []data.Sample) float64 {
-	return r.batchFLOPs(fold(nil, batch, r.cfg.Spec.Profiler.Kernel()))
+	_, flops := fold(nil, batch, r.cfg.Spec.Profiler.Kernel())
+	return flops
 }
 
 // TestMicrobatchWorkloadAddMatchesFold pins what lets runRank add M
@@ -284,7 +285,7 @@ func TestMicrobatchWorkloadAddMatchesFold(t *testing.T) {
 	k := spec.Profiler.Kernel()
 	for iter := int64(0); iter < 8; iter++ {
 		batch := corpus.GlobalBatch(iter, 48)
-		work := fold(nil, batch, k)
+		work, _ := fold(nil, batch, k)
 		for _, m := range []int{2, 3, 8} {
 			for j := 0; j+m <= len(batch); j += m {
 				var want model.Workload

@@ -82,6 +82,15 @@ func NewOnce[K comparable, V any](limit int) Once[K, V] {
 	return Once[K, V]{w: New[K, *built[V]](limit)}
 }
 
+// Has reports whether k is in the window, built or being built: whether
+// a Get of k now would wait or hit rather than build.
+func (o *Once[K, V]) Has(k K) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	_, ok := o.w.Get(k)
+	return ok
+}
+
 // Get returns k's value, calling build to make it if k is not in the
 // window; weight is the value's weight in the window. A build that
 // fails must say so in its value: it is kept like any other.

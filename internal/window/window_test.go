@@ -42,7 +42,11 @@ func weightIn(gen map[uint8]uint16, weights map[uint8]int) int {
 // small ones rotate every few puts. After every op the window must hold
 // each generation within limit plus the largest weight, count cur's
 // weight exactly, answer a hit with the last value put, and still hold
-// every key after which less than limit weight was put.
+// every key after which less than limit weight was put. A Once of the
+// same limit asks for every key put: its Has must say beforehand
+// whether the ask builds, and after every op agree with what its window
+// holds, hold every key after which less than limit weight was built
+// and hold no key never built.
 func FuzzWindow(f *testing.F) {
 	f.Add(uint8(3), []byte{1, 2, 2, 4, 1, 3, 3, 6, 9, 8, 1, 1})
 	f.Add(uint8(1), []byte{0, 0, 0, 1, 5, 2, 5, 3, 0, 4, 0, 5})
@@ -54,6 +58,8 @@ func FuzzWindow(f *testing.F) {
 		last := map[uint8]uint16{} // the model: every key's last value
 		weights := map[uint8]int{} // the model's weight per key put
 		after := map[uint8]int{}   // weight put since each key's last put
+		o := NewOnce[uint8, uint16](int(limit))
+		builtAfter := map[uint8]int{} // weight built since each key's last build
 		for i := 0; i+1 < len(ops); i += 2 {
 			k, arg := ops[i], ops[i+1]
 			if arg%2 == 0 {
@@ -63,6 +69,17 @@ func FuzzWindow(f *testing.F) {
 				}
 				w.Put(k, v, weight(k))
 				last[k], weights[k], after[k] = v, weight(k), 0
+				had, rebuilt := o.Has(k), false
+				o.Get(k, weight(k), func() uint16 { rebuilt = true; return v })
+				if rebuilt == had {
+					t.Fatalf("op %d: Has(%d) = %v before an ask that built: %v", i/2, k, had, rebuilt)
+				}
+				if rebuilt {
+					for other := range builtAfter {
+						builtAfter[other] += weight(k)
+					}
+					builtAfter[k] = 0
+				}
 			} else if v, ok := w.Get(k); ok && v != last[k] {
 				t.Fatalf("op %d: get %d = %d, last put %d", i/2, k, v, last[k])
 			}
@@ -77,6 +94,22 @@ func FuzzWindow(f *testing.F) {
 			for k, a := range after {
 				if _, ok := w.Get(k); !ok && a < int(limit) {
 					t.Fatalf("op %d: key %d dropped with only %d weight put after it (limit %d)", i/2, k, a, limit)
+				}
+			}
+			for k, a := range builtAfter {
+				_, held := o.w.Get(k)
+				if has := o.Has(k); has != held {
+					t.Fatalf("op %d: Has(%d) = %v, the window holds it: %v", i/2, k, has, held)
+				}
+				if !held && a < int(limit) {
+					t.Fatalf("op %d: Once dropped key %d with only %d weight built after it (limit %d)", i/2, k, a, limit)
+				}
+			}
+			for _, gen := range []map[uint8]*built[uint16]{o.w.cur, o.w.prev} {
+				for k := range gen {
+					if _, ok := builtAfter[k]; !ok || !o.Has(k) {
+						t.Fatalf("op %d: Once holds key %d, never built, and Has says %v", i/2, k, o.Has(k))
+					}
 				}
 			}
 		}
@@ -161,5 +194,40 @@ func TestOnceWaitersOutliveRotation(t *testing.T) {
 	}
 	if v := o.Get(0, 1, func() int { builds.Add(1); return 6 }); v != 6 || builds.Load() != 2 {
 		t.Errorf("a rotated-out key was not built again: got %d after %d builds", v, builds.Load())
+	}
+}
+
+// TestOnceHasWhileBuilding: Has is true for a key from the moment its
+// first asker starts the build, while askers of other keys see nothing
+// of it, and stays true once the value is built.
+func TestOnceHasWhileBuilding(t *testing.T) {
+	o := NewOnce[int, int](4)
+	if o.Has(1) {
+		t.Fatal("an empty window has key 1")
+	}
+	gate, started := make(chan struct{}), make(chan struct{})
+	done := make(chan int)
+	go func() {
+		done <- o.Get(1, 1, func() int {
+			close(started)
+			<-gate
+			return 3
+		})
+	}()
+	<-started
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !o.Has(1) || o.Has(2) {
+				t.Error("while key 1 builds, Has(1) must be true and Has(2) false")
+			}
+		}()
+	}
+	wg.Wait()
+	close(gate)
+	if v := <-done; v != 3 || !o.Has(1) {
+		t.Errorf("after the build: got %d, Has(1) = %v", v, o.Has(1))
 	}
 }
