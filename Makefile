@@ -92,11 +92,20 @@ COVER_FLOOR ?= 73
 # cache hit's cost: the +5 are window.Once.Has and the one key helper
 # through which Job.launch asks it whether a batch still needs
 # building, net of batchFLOPs (folded into fold) and Runtime.shared
-# (folded into prepare) (fleet-steady work_per_cpu_s 134k -> 175k).
+# (folded into prepare) (fleet-steady work_per_cpu_s 134k -> 175k),
+# and 16,083 once a plan-cache hit stopped hashing the spec: the +78
+# are the in-memory content key (plancache.go +45: planKey, the interned
+# (calibration, placement) class, validation before the lookup and the
+# fingerprint only for the durable store), model.MLLM.Equal (+17) in
+# place of reflect.DeepEqual, the profiler's Model/Frozen/Params
+# accessors (+14) and fingerprint.Hash.Sum staging its digest in place
+# (+5, paying for the class map's allocation on a durable warm hit),
+# net of the Options() copies the trainer and validation dropped (-3)
+# (fleet-steady work_per_cpu_s 192k -> 240k).
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 16005
+LOC_CEILING ?= 16083
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 
@@ -152,7 +161,8 @@ bench:
 # $(BENCH_JSON), written atomically. It gates nothing: each allocation
 # count is pinned by a tier-1 budget test in the package that owns the
 # path (TestFleetAllocBudget, TestServiceFetchAllocBudget,
-# TestWarmPlanHitAllocBudget, TestPlanSearchAllocBudget), and every
+# TestWarmPlanHitAllocBudget, TestMemPlanHitAllocBudget,
+# TestPlanSearchAllocBudget), and every
 # speed claim is made by the benchmark/ ledger's paired parent/change
 # runs. The smoke-only benchmarks (`make bench`) are not recorded.
 BENCH_JSON ?= BENCH_fleet.json

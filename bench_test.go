@@ -191,9 +191,12 @@ func BenchmarkServiceThroughput(b *testing.B) {
 // instance over a populated on-disk store (the restart path with it).
 // Every warm op asserts it ran zero searches and exactly one
 // store-served warm hit, so the measured gap is the real
-// load-and-decode path, not an accidental in-memory hit.
-// TestPlanSearchAllocBudget and TestWarmPlanHitAllocBudget
-// (internal/orchestrator) pin each variant's allocations.
+// load-and-decode path, not an accidental in-memory hit. The hit
+// variant is every admission after a template's first: one long-lived
+// in-memory cache serving the spec it already planned.
+// TestPlanSearchAllocBudget, TestWarmPlanHitAllocBudget and
+// TestMemPlanHitAllocBudget (internal/orchestrator) pin each variant's
+// allocations.
 func BenchmarkWarmPlanSearch(b *testing.B) {
 	spec := benchSpec(b, model.MLLM9B(), 12, 96)
 	opts := orchestrator.SearchOptions{Parallelism: 1}
@@ -236,6 +239,16 @@ func BenchmarkWarmPlanSearch(b *testing.B) {
 			plan, err := c.Plan(context.Background(), spec)
 			if err == nil && (c.Searches() != 0 || c.WarmHits() != 1) {
 				return nil, fmt.Errorf("warm op ran %d searches, %d warm hits; want 0 and 1", c.Searches(), c.WarmHits())
+			}
+			return plan, err
+		})
+	})
+	b.Run("hit", func(b *testing.B) {
+		c := orchestrator.NewPlanCache(opts)
+		run(b, func() (*orchestrator.Plan, error) {
+			plan, err := c.Plan(context.Background(), spec)
+			if err == nil && c.Searches() != 1 {
+				return nil, fmt.Errorf("hit op ran %d searches, want the first op's 1", c.Searches())
 			}
 			return plan, err
 		})

@@ -28,6 +28,7 @@ type Hash struct {
 	h   hash.Hash
 	buf [8]byte
 	str [64]byte // Str's staging chunk: one SHA-256 block
+	sum [sha256.Size]byte
 }
 
 // New returns an empty Hash seeded with the given domain tag, so hashes
@@ -81,8 +82,12 @@ func (h *Hash) Ints(v []int) {
 
 // Sum returns the hex digest. The 64-character lowercase-hex form is
 // filename-safe, so it doubles as the on-disk store key.
+// The digest and its hex form are staged in place, so the string is the
+// one allocation.
 func (h *Hash) Sum() string {
-	return hex.EncodeToString(h.h.Sum(nil))
+	var hexed [2 * sha256.Size]byte
+	hex.Encode(hexed[:], h.h.Sum(h.sum[:0]))
+	return string(hexed[:])
 }
 
 // Cluster encodes every cluster.Cluster field.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"disttrain/internal/model"
@@ -166,8 +167,7 @@ func TestFleetHerdLandingDeterminism(t *testing.T) {
 // feasible job.
 func TestFleetHerdFailureCoalesced(t *testing.T) {
 	spec, corpus := buildSpec(t, 4, 32)
-	badSpec := spec
-	badSpec.Model = model.MLLM72B() // cannot fit a 1-node lease
+	badSpec, _ := buildModelSpec(t, model.MLLM72B(), 4, 32) // cannot fit a 1-node lease
 	badTmpl := trainer.DistTrainConfig(badSpec, nil, corpus)
 	goodTmpl := trainer.DistTrainConfig(spec, nil, corpus)
 	res, err := runChecked(t, Config{
@@ -191,8 +191,8 @@ func TestFleetHerdFailureCoalesced(t *testing.T) {
 			good = jr
 			continue
 		}
-		if jr.Err == nil {
-			t.Fatalf("infeasible herd member %s was admitted", jr.Name)
+		if jr.Err == nil || !strings.Contains(jr.Err.Error(), "no feasible plan (cluster too small for the model)") {
+			t.Fatalf("infeasible herd member %s: got %v, want the search's infeasibility", jr.Name, jr.Err)
 		}
 		if firstErr == nil {
 			firstErr = jr.Err

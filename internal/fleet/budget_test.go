@@ -21,7 +21,8 @@ import (
 // pays 16 cold searches. The collector is off while a run is measured,
 // so no GC empties the trainer's sync.Pools mid-run. Each budget is the
 // recorded count plus max(1%, 8): one allocation more per tenant
-// breaks K = 64. Under the race detector sync.Pool drops entries at
+// breaks K = 64. The counts fell (K=64 from 2,289) when a plan-cache
+// hit stopped hashing the spec and validation stopped reflecting. Under the race detector sync.Pool drops entries at
 // random, so there is nothing to pin.
 func TestFleetAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -34,11 +35,11 @@ func TestFleetAllocBudget(t *testing.T) {
 		distinct bool // distinct batches: one cold search per tenant
 		recorded float64
 	}{
-		{"K=1", 1, 32, false, 446},
-		{"K=4", 4, 8, false, 441},
-		{"K=16", 16, 2, false, 713},
-		{"K=64", 64, 2, false, 2289},
-		{"cold storm", 16, 2, true, 3460},
+		{"K=1", 1, 32, false, 429},
+		{"K=4", 4, 8, false, 403},
+		{"K=16", 16, 2, false, 591},
+		{"K=64", 64, 2, false, 1831},
+		{"cold storm", 16, 2, true, 3158},
 	} {
 		spec, corpus := buildSpec(t, 2*tc.k, 32)
 		cfg := Config{Cluster: spec.Cluster}

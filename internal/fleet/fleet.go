@@ -569,7 +569,7 @@ func (f *runner) enqueueArrivals() {
 			}
 		case scenario.Herd:
 			// K near-identical tenants, same round, same plan
-			// fingerprint: one search, K-1 cache hits.
+			// cache key: one search, K-1 cache hits.
 			for k := 0; k < ev.Count; k++ {
 				f.newTenant(ev.Job, "")
 			}
@@ -846,10 +846,10 @@ func (f *runner) checkPlacement(l cluster.Lease, grant int) error {
 // start the tenant on it — a fresh tenant builds its runtime and Job, a
 // suspended one resumes through a costed lease resize. All instances of
 // a template share the template's spec (same profiler pointer, same
-// model and batch geometry), so equal lease sizes fingerprint
-// identically: K identical tenants pay for one §4.3 search and K-1
-// hits. Errors leave whatever the tenant holds to the caller's retire
-// path.
+// model and batch geometry), so equal lease sizes share one cache key:
+// K identical tenants pay for one §4.3 search and K-1 hits, each a spec
+// validation and a map lookup, hashing nothing. Errors leave whatever
+// the tenant holds to the caller's retire path.
 func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 	plan, err := f.cache.Plan(context.Background(), f.leaseSpec(t, lease))
 	if err != nil {

@@ -22,8 +22,14 @@ import (
 // node count.
 func buildSpec(t *testing.T, nodes, bs int) (orchestrator.Spec, *data.Corpus) {
 	t.Helper()
+	return buildModelSpec(t, model.MLLM9B(), nodes, bs)
+}
+
+// buildModelSpec is buildSpec for any model, timed by its own profiler.
+func buildModelSpec(t *testing.T, m model.MLLM, nodes, bs int) (orchestrator.Spec, *data.Corpus) {
+	t.Helper()
 	cl := cluster.Production(nodes)
-	p, err := profiler.New(profiler.DefaultOptions(cl, model.MLLM9B()))
+	p, err := profiler.New(profiler.DefaultOptions(cl, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +40,7 @@ func buildSpec(t *testing.T, nodes, bs int) (orchestrator.Spec, *data.Corpus) {
 	if err := p.Calibrate(corpus, 120); err != nil {
 		t.Fatal(err)
 	}
-	return orchestrator.Spec{Cluster: cl, Model: model.MLLM9B(), GlobalBatch: bs, Microbatch: 1, Profiler: p, VPP: 1}, corpus
+	return orchestrator.Spec{Cluster: cl, Model: m, GlobalBatch: bs, Microbatch: 1, Profiler: p, VPP: 1}, corpus
 }
 
 func traceBytes(t *testing.T, tr *metrics.Trace) []byte {

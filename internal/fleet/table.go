@@ -2,7 +2,7 @@
 // training jobs, places them on a shared cluster.Cluster through an
 // explicit lease table, elastically grows and shrinks their GPU
 // leases as tenants come and go (reusing the trainer's costed
-// checkpoint-reconfigure path), and shares one fingerprint-keyed plan
+// checkpoint-reconfigure path), and shares one content-keyed plan
 // cache so identical tenants pay for a single §4.3 search. DistTrain
 // runs on a production cluster that serves a stream of jobs (§7);
 // this package makes the repo's single-job runtime that cluster.

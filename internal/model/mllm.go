@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -127,6 +128,22 @@ func (m MLLM) Validate() error {
 			m.GenResolution, m.Generator.LatentScale)
 	}
 	return nil
+}
+
+// Equal reports whether o is the same model, field by field: the
+// check a plan spec makes against its profiler on every admission, so
+// it reflects nothing and copies nothing. Stage-channel lists compare by
+// content, as the plan fingerprint hashes them.
+func (m *MLLM) Equal(o *MLLM) bool {
+	g, og, v, ov := &m.Generator, &o.Generator, &m.VAE, &o.VAE
+	return m.Name == o.Name && m.Encoder == o.Encoder && m.InProj == o.InProj &&
+		m.Backbone == o.Backbone && m.OutProj == o.OutProj &&
+		g.Name == og.Name && g.LatentScale == og.LatentScale && g.LatentChannels == og.LatentChannels &&
+		slices.Equal(g.StageChannels, og.StageChannels) && g.DownBlocks == og.DownBlocks &&
+		g.UpBlocks == og.UpBlocks && g.AttentionFromStage == og.AttentionFromStage && g.ContextDim == og.ContextDim &&
+		v.Name == ov.Name && slices.Equal(v.StageChannels, ov.StageChannels) &&
+		v.BlocksPerStage == ov.BlocksPerStage && v.InChannels == ov.InChannels &&
+		m.GenResolution == o.GenResolution && m.SeqLen == o.SeqLen
 }
 
 // Params returns the parameter count of one module (projectors are

@@ -1,7 +1,10 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -329,4 +332,65 @@ func trainFLOPs(m MLLM, mod Module, s SampleShape, f FreezeSpec) (fwd, bwd float
 func fwdFLOPs(m MLLM, mod Module, s SampleShape) float64 {
 	fwd, _ := trainFLOPs(m, mod, s, FullTraining)
 	return fwd
+}
+
+// TestMLLMEqualSeesEveryField perturbs every leaf of a copy of MLLM-9B
+// in turn — each string, int and bool, each stage-channel entry and each
+// list's length — and requires Equal to tell the copy from the
+// original, so a field added to the model and not to Equal fails here.
+// An untouched copy with fresh StageChannels backing arrays is equal.
+func TestMLLMEqualSeesEveryField(t *testing.T) {
+	orig := MLLM9B()
+	fresh := func() MLLM {
+		m := MLLM9B()
+		m.Generator.StageChannels = slices.Clone(m.Generator.StageChannels)
+		m.VAE.StageChannels = slices.Clone(m.VAE.StageChannels)
+		return m
+	}
+	if m := fresh(); !m.Equal(&orig) || !orig.Equal(&m) {
+		t.Fatal("a copy with fresh slice backing arrays is not Equal")
+	}
+	type leaf struct {
+		path string
+		at   func(*MLLM) reflect.Value
+	}
+	var leaves []leaf
+	var collect func(path string, at func(*MLLM) reflect.Value, v reflect.Value)
+	collect = func(path string, at func(*MLLM) reflect.Value, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				collect(path+"."+v.Type().Field(i).Name, func(m *MLLM) reflect.Value { return at(m).Field(i) }, v.Field(i))
+			}
+		case reflect.Slice:
+			leaves = append(leaves, leaf{path + ".len", at})
+			for i := 0; i < v.Len(); i++ {
+				collect(fmt.Sprintf("%s[%d]", path, i), func(m *MLLM) reflect.Value { return at(m).Index(i) }, v.Index(i))
+			}
+		default:
+			leaves = append(leaves, leaf{path, at})
+		}
+	}
+	collect("MLLM", func(m *MLLM) reflect.Value { return reflect.ValueOf(m).Elem() }, reflect.ValueOf(orig))
+	for _, l := range leaves {
+		m := fresh()
+		switch v := l.at(&m); v.Kind() {
+		case reflect.String:
+			v.SetString(v.String() + "'")
+		case reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Slice:
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		default:
+			t.Fatalf("%s: no perturbation for kind %v", l.path, v.Kind())
+		}
+		if m.Equal(&orig) || orig.Equal(&m) {
+			t.Errorf("Equal misses %s", l.path)
+		}
+	}
+	if len(leaves) < 40 {
+		t.Errorf("walked %d leaves of MLLM; the walk lost fields", len(leaves))
+	}
 }

@@ -12,7 +12,6 @@ package orchestrator
 import (
 	"errors"
 	"fmt"
-	"reflect"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/model"
@@ -53,8 +52,8 @@ func (s Spec) Validate() error {
 	if s.Profiler == nil {
 		return errors.New("orchestrator: nil profiler")
 	}
-	// Seconds come from the profiler's model, FLOPs and memory from Spec.Model.
-	if pm := s.Profiler.Options().Model; !reflect.DeepEqual(s.Model, pm) {
+	// Both are read as the model; the plan cache keys it by the profiler's.
+	if pm := s.Profiler.Model(); !s.Model.Equal(pm) {
 		return fmt.Errorf("orchestrator: Spec.Model (%s) is not the model the profiler times (%s)", s.Model.Name, pm.Name)
 	}
 	if s.GlobalBatch <= 0 || s.Microbatch <= 0 {

@@ -8,25 +8,28 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"disttrain/internal/cluster"
 	"disttrain/internal/fingerprint"
 	"disttrain/internal/model"
 	"disttrain/internal/store"
 )
 
 // PlanCache is the planning-as-a-service layer the multi-tenant fleet
-// runtime sits on: a fingerprint-keyed cache of §4.3 search results.
+// runtime sits on: a content-keyed cache of §4.3 search results.
 // A production cluster serves a stream of training jobs (§7), and a
 // stream is repetitive — K jobs with identical specs (same model,
 // batch geometry, lease size, calibrated profile) would each pay the
 // full strategy enumeration, the planner's hot path (Table 3). The
 // cache collapses them: the first caller runs the search and every
-// later caller with the same fingerprint reuses it. Lease resizes hit
+// later caller with the same spec content reuses it. Lease resizes hit
 // the same cache, so growing back to a previously planned size is free.
 //
+// In memory a spec is keyed by its content (planKey), so a hit hashes
+// nothing; fingerprintSpec names it only to the durable store.
+//
 // A Plan call holds the cache's lock from lookup to outcome, so
-// concurrent callers are served one at a time: callers of one
-// fingerprint still pay one search, the rest waiting on the lock and
-// then hitting.
+// concurrent callers are served one at a time: callers of one spec
+// still pay one search, the rest waiting on the lock and then hitting.
 //
 // A cache built with NewPersistentPlanCache additionally sits on a
 // durable store: successful plans are written through, and a later
@@ -41,7 +44,8 @@ type PlanCache struct {
 	store store.Store // nil for a purely in-memory cache
 
 	mu      sync.Mutex // held for a whole Plan call
-	entries map[string]planEntry
+	entries map[planKey]planEntry
+	classes map[planClass]int // each pair's planKey.class
 
 	searches  atomic.Int64
 	hits      atomic.Int64
@@ -51,8 +55,24 @@ type PlanCache struct {
 	storeErrs atomic.Int64
 }
 
-// planEntry is one fingerprint's outcome: exactly one of plan and err
-// is set.
+// planKey is a validated spec's in-memory key: every field
+// fingerprintSpec hashes but the model, compared by value, so two
+// specs share an entry exactly when they share a fingerprint. The model
+// is covered by the calibration fingerprint, since a valid spec's model
+// is its profiler's. The spec's two strings are interned into class to
+// keep the key at 128 bytes: a map stores a larger key out of line, at
+// one allocation per insert.
+type planKey struct {
+	cluster                               cluster.Cluster
+	globalBatch, microbatch, maxGPUs, vpp int
+	class                                 int
+}
+
+// planClass is a spec's string content: the profiler's calibration
+// fingerprint and the lease's placement shape.
+type planClass struct{ calibration, placement string }
+
+// planEntry is one spec's outcome: exactly one of plan and err is set.
 type planEntry struct {
 	plan *Plan
 	err  error
@@ -62,7 +82,7 @@ type planEntry struct {
 // search it runs (the chosen plans are independent of
 // opts.Parallelism).
 func NewPlanCache(opts SearchOptions) *PlanCache {
-	return &PlanCache{opts: opts, entries: make(map[string]planEntry)}
+	return &PlanCache{opts: opts, entries: make(map[planKey]planEntry), classes: make(map[planClass]int)}
 }
 
 // NewPersistentPlanCache builds a cache written through to st:
@@ -75,15 +95,15 @@ func NewPersistentPlanCache(opts SearchOptions, st store.Store) *PlanCache {
 	return c
 }
 
-// fingerprintSpec derives the canonical cache key for a spec: a
-// content hash over every field the search reads — cluster shape and
-// fabric, model architecture, batch geometry, GPU budget, VPP,
-// placement shape, and the profiler's calibration fingerprint. No
-// pointer identity anywhere: two independently calibrated profilers
-// with identical options and calibration data share plans, and the key
-// is stable across processes (it doubles as the durable store's
-// filename). Cluster node identity is not part of a Spec, so two
-// leases of equal size over different nodes fingerprint identically
+// fingerprintSpec derives the spec's durable name: a content hash
+// over every field the search reads — cluster shape and fabric, model
+// architecture, batch geometry, GPU budget, VPP, placement shape, and
+// the profiler's calibration fingerprint. No pointer identity anywhere:
+// two independently calibrated profilers with identical options and
+// calibration data share plans, and the key is stable across processes
+// (it is the durable store's filename, computed only where the store
+// is read or written). Cluster node identity is not part of a Spec, so
+// two leases of equal size over different nodes fingerprint identically
 // under count-based policies (Placement empty); placement-aware fleets
 // set Placement to the lease's shape, keying a packed lease and a
 // fragmented one separately.
@@ -117,47 +137,69 @@ type planEnvelope struct {
 const planEnvelopeV = 1
 
 // Plan returns the §4.3 plan for the spec, running the search at most
-// once per fingerprint: later callers reuse the stored outcome. A
-// persistent cache first consults the durable store (a warm hit runs
-// no search at all); a true miss runs the search, warm-seeded from a
-// neighbouring lease size when an incumbent exists, and writes the
-// result through. Infeasibility errors are cached too — a spec that
-// cannot be planned today cannot be planned by retrying — but a search
-// cut short by a context (cancellation, deadline) is returned and never
-// stored, so a later caller with a healthy context plans instead of
-// inheriting it. The returned plan is a private copy.
+// once per spec content: later callers reuse the stored outcome. An
+// invalid spec returns its error uncached and uncounted. A persistent
+// cache then consults the durable store (a warm hit runs no search at
+// all); a true miss runs the search, warm-seeded from a neighbouring
+// lease size when an incumbent exists, and writes the result through.
+// Infeasibility errors are cached too — a spec that cannot be planned
+// today cannot be planned by retrying — but a search cut short by a
+// context (cancellation, deadline) is returned and never stored, so a
+// later caller with a healthy context plans instead of inheriting it.
+// The returned plan is a private copy.
 func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
-	key := fingerprintSpec(s)
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	key := c.key(&s)
 	e, ok := c.entries[key]
 	if ok {
 		c.hits.Add(1)
-	} else if plan, stored := c.loadStored(key); stored {
-		c.warmHits.Add(1)
-		e = planEntry{plan: plan}
 	} else {
-		seed := c.neighborSeed(s)
-		c.searches.Add(1)
-		if seed != nil {
-			c.warmSeeds.Add(1)
+		var name string // the durable store's key
+		if c.store != nil {
+			name = fingerprintSpec(s)
 		}
-		plan, pruned, _, err := search(ctx, s, seed, c.opts)
-		c.pruned.Add(int64(pruned))
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
+		if plan, stored := c.loadStored(name); stored {
+			c.warmHits.Add(1)
+			e = planEntry{plan: plan}
+		} else {
+			seed := c.neighborSeed(s)
+			c.searches.Add(1)
+			if seed != nil {
+				c.warmSeeds.Add(1)
+			}
+			plan, pruned, _, err := search(ctx, s, seed, c.opts)
+			c.pruned.Add(int64(pruned))
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return nil, err
+			}
+			if err == nil {
+				c.persist(name, plan)
+			}
+			e = planEntry{plan, err}
 		}
-		if err == nil {
-			c.persist(key, plan)
-		}
-		e = planEntry{plan, err}
+		c.entries[key] = e
 	}
-	c.entries[key] = e
 	if e.err != nil {
 		return nil, e.err
 	}
 	cp := *e.plan // Plan holds no reference types: a value copy is private
 	return &cp, nil
+}
+
+// key returns the in-memory key of a validated spec, interning its
+// class. The caller holds c.mu.
+func (c *PlanCache) key(s *Spec) planKey {
+	pc := planClass{s.Profiler.CalibrationFingerprint(), s.Placement}
+	class, ok := c.classes[pc]
+	if !ok {
+		class = len(c.classes)
+		c.classes[pc] = class
+	}
+	return planKey{s.Cluster, s.GlobalBatch, s.Microbatch, s.MaxGPUs, s.VPP, class}
 }
 
 // loadStored reads and decodes a durable entry. Any failure — store
@@ -218,7 +260,7 @@ func (c *PlanCache) neighborSeed(s Spec) *Candidate {
 		if ns.Placement != "" {
 			ns.Placement = strconv.Itoa(nodes)
 		}
-		if plan := c.incumbent(fingerprintSpec(ns)); plan != nil {
+		if plan := c.incumbent(&ns); plan != nil {
 			return &Candidate{
 				TPLM: plan.Modules[model.Backbone].Config.TP,
 				DPLM: plan.Modules[model.Backbone].Config.DP,
@@ -230,25 +272,28 @@ func (c *PlanCache) neighborSeed(s Spec) *Candidate {
 	return nil
 }
 
-// incumbent returns a successful plan for key — in memory, else in the
+// incumbent returns a successful plan for s — in memory, else in the
 // durable store. The caller holds c.mu.
-func (c *PlanCache) incumbent(key string) *Plan {
-	if e, ok := c.entries[key]; ok {
+func (c *PlanCache) incumbent(s *Spec) *Plan {
+	if e, ok := c.entries[c.key(s)]; ok {
 		return e.plan // nil for a cached failure
 	}
-	plan, _ := c.loadStored(key)
+	if c.store == nil {
+		return nil
+	}
+	plan, _ := c.loadStored(fingerprintSpec(*s))
 	return plan
 }
 
 // Searches returns how many real plan searches the cache ran; Hits how
-// many calls were served by an existing in-memory fingerprint.
+// many calls were served by an existing in-memory entry.
 func (c *PlanCache) Searches() int64 { return c.searches.Load() }
 func (c *PlanCache) Hits() int64     { return c.hits.Load() }
 
 // Coalesced is inert (always 0), kept only for benchmark/ until a later benchmark change deletes it.
 func (c *PlanCache) Coalesced() int64 { return 0 }
 
-// WarmHits counts fingerprints served from the durable store with no
+// WarmHits counts specs served from the durable store with no
 // search; WarmSeeds counts searches that started from a neighbouring
 // size's seed (a durable hit starts no search, so it never counts);
 // Pruned counts candidates the searches' bounds skipped; StoreErrs
@@ -258,7 +303,7 @@ func (c *PlanCache) WarmSeeds() int64 { return c.warmSeeds.Load() }
 func (c *PlanCache) Pruned() int64    { return c.pruned.Load() }
 func (c *PlanCache) StoreErrs() int64 { return c.storeErrs.Load() }
 
-// Len returns the number of distinct fingerprints planned so far.
+// Len returns the number of distinct specs planned so far.
 func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/data"
@@ -428,8 +430,9 @@ func TestPersistentPlanCacheCorruptEntry(t *testing.T) {
 	}
 }
 
-// TestSpecFieldSetPinned guards the fingerprint's completeness: a new
-// Spec field must be added to fingerprintSpec before this list.
+// TestSpecFieldSetPinned guards both cache keys' completeness: a new
+// Spec field must be hashed by fingerprintSpec and keyed by planKey
+// (with a row in TestPlanKeyMatchesFingerprint) before this list.
 func TestSpecFieldSetPinned(t *testing.T) {
 	want := []string{"Cluster", "Model", "GlobalBatch", "Microbatch",
 		"Profiler", "MaxGPUs", "VPP", "Placement"}
@@ -441,25 +444,157 @@ func TestSpecFieldSetPinned(t *testing.T) {
 	sort.Strings(got)
 	sort.Strings(want)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("orchestrator.Spec fields changed:\ngot  %v\nwant %v\nhash the new field in fingerprintSpec first", got, want)
+		t.Errorf("orchestrator.Spec fields changed:\ngot  %v\nwant %v\nhash the new field in fingerprintSpec and key it in planKey first", got, want)
+	}
+}
+
+// TestPlanKeyMatchesFingerprint varies each Spec field in turn: two
+// valid specs share an in-memory entry exactly when fingerprintSpec
+// gives them the same durable key. A model is varied with its own
+// profiler, since Plan rejects any other. The key stays at 128 bytes,
+// the largest a map stores inline.
+func TestPlanKeyMatchesFingerprint(t *testing.T) {
+	if size := unsafe.Sizeof(planKey{}); size > 128 {
+		t.Errorf("planKey is %d bytes: a map stores it out of line, one allocation per insert", size)
+	}
+	base := cacheSpec(t, 4, 32)
+	with := func(f func(*Spec)) Spec {
+		s := base
+		f(&s)
+		return s
+	}
+	m15 := newSpec(t, model.MLLM15B(), 4, 32, model.FullTraining)
+	rows := []struct {
+		field string
+		spec  Spec
+		same  bool
+	}{
+		{"none", base, true},
+		{"Cluster.Nodes", with(func(s *Spec) { s.Cluster.Nodes = 5 }), false},
+		{"Cluster.GPUsPerNode", with(func(s *Spec) { s.Cluster.GPUsPerNode = 4 }), false},
+		{"Cluster.GPU.Name", with(func(s *Spec) { s.Cluster.GPU.Name += "'" }), false},
+		{"Cluster.GPU.PeakFLOPS", with(func(s *Spec) { s.Cluster.GPU.PeakFLOPS *= 2 }), false},
+		{"Cluster.GPU.MemoryBytes", with(func(s *Spec) { s.Cluster.GPU.MemoryBytes *= 2 }), false},
+		{"Cluster.GPU.MemoryBWBytes", with(func(s *Spec) { s.Cluster.GPU.MemoryBWBytes *= 2 }), false},
+		{"Cluster.NVLinkBps", with(func(s *Spec) { s.Cluster.NVLinkBps *= 2 }), false},
+		{"Cluster.InterNodeBps", with(func(s *Spec) { s.Cluster.InterNodeBps *= 2 }), false},
+		{"Cluster.RailOptimized", with(func(s *Spec) { s.Cluster.RailOptimized = !s.Cluster.RailOptimized }), false},
+		{"Cluster.LinkLatency", with(func(s *Spec) { s.Cluster.LinkLatency *= 2 }), false},
+		{"Model", with(func(s *Spec) { s.Model, s.Profiler = m15.Model, m15.Profiler }), false},
+		{"GlobalBatch", with(func(s *Spec) { s.GlobalBatch = 64 }), false},
+		{"Microbatch", with(func(s *Spec) { s.Microbatch = 2 }), false},
+		{"Profiler", with(func(s *Spec) { s.Profiler = cacheSpec(t, 4, 32).Profiler }), true},
+		{"Profiler.calibration", with(func(s *Spec) {
+			s.Profiler = newSpec(t, model.MLLM9B(), 4, 32, model.FullTraining).Profiler // 300 samples, not 120
+		}), false},
+		{"Profiler.freeze", with(func(s *Spec) { s.Profiler = newSpec(t, model.MLLM9B(), 4, 32, model.LLMOnly).Profiler }), false},
+		{"MaxGPUs", with(func(s *Spec) { s.MaxGPUs = 24 }), false},
+		{"VPP", with(func(s *Spec) { s.VPP = 2 }), false},
+		{"VPP.zero", with(func(s *Spec) { s.VPP = 0 }), false},
+		{"Placement", with(func(s *Spec) { s.Placement = "3+1" }), false},
+	}
+	varied := make(map[string]bool)
+	for _, tc := range rows {
+		name, _, _ := strings.Cut(tc.field, ".")
+		varied[name] = true
+	}
+	for i, rt := 0, reflect.TypeOf(Spec{}); i < rt.NumField(); i++ {
+		if !varied[rt.Field(i).Name] {
+			t.Errorf("no row varies Spec.%s", rt.Field(i).Name)
+		}
+	}
+	for _, tc := range rows {
+		if err := tc.spec.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.field, err)
+		}
+		c := NewPlanCache(SearchOptions{})
+		sameKey := c.key(&base) == c.key(&tc.spec)
+		sameName := fingerprintSpec(base) == fingerprintSpec(tc.spec)
+		if sameKey != sameName || sameKey != tc.same {
+			t.Errorf("%s: same in-memory key %v, same fingerprint %v, want both %v", tc.field, sameKey, sameName, tc.same)
+		}
+	}
+}
+
+// TestPlanFingerprintGolden pins the durable key bytes of one
+// calibrated spec, recorded before the in-memory table stopped using
+// them: a moved fingerprint orphans every existing -plan-cache-dir.
+func TestPlanFingerprintGolden(t *testing.T) {
+	s := cacheSpec(t, 4, 32)
+	if got, want := fingerprintSpec(s), "2d4759d4ff7310c52630469851f8af3f8398944485214f975b31f8827da38297"; got != want {
+		t.Errorf("fingerprintSpec moved:\ngot  %s\nwant %s", got, want)
+	}
+	s.Placement, s.VPP, s.MaxGPUs = "3+1", 2, 24
+	if got, want := fingerprintSpec(s), "d0d4759afd198d6f25a6e41368b6ba24dfa17247d2ee9fd91afeba85181e18d2"; got != want {
+		t.Errorf("placed fingerprintSpec moved:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestPlanRejectsForeignModel: a spec whose Model is not its
+// profiler's never reaches the table — on a cold cache, and on one
+// already holding the matched spec's plan for the same lease, which its
+// key would otherwise hit. Neither counts a search or a hit.
+func TestPlanRejectsForeignModel(t *testing.T) {
+	matched := cacheSpec(t, 4, 32)
+	foreign := matched
+	foreign.Model = model.MLLM72B()
+	const want = "is not the model the profiler times"
+	c := NewPlanCache(SearchOptions{})
+	ctx := context.Background()
+	if _, err := c.Plan(ctx, foreign); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("cold cache: got %v, want the model mismatch", err)
+	}
+	if c.Searches() != 0 || c.Hits() != 0 || c.Len() != 0 {
+		t.Errorf("cold rejection: %d searches, %d hits, %d entries; want none", c.Searches(), c.Hits(), c.Len())
+	}
+	if _, err := c.Plan(ctx, matched); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Plan(ctx, foreign); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("warm cache: got %v, want the model mismatch", err)
+	}
+	if c.Searches() != 1 || c.Hits() != 0 || c.Len() != 1 {
+		t.Errorf("warm rejection: %d searches, %d hits, %d entries; want 1, 0, 1", c.Searches(), c.Hits(), c.Len())
+	}
+}
+
+// TestMemPlanHitAllocBudget pins BenchmarkWarmPlanSearch/hit, the
+// admission path of every tenant after a template's first: an in-memory
+// hit validates the spec and looks up its content key, so the returned
+// plan copy is its one allocation.
+func TestMemPlanHitAllocBudget(t *testing.T) {
+	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
+	c := NewPlanCache(SearchOptions{Parallelism: 1})
+	ctx := context.Background()
+	if _, err := c.Plan(ctx, s); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := c.Plan(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Errorf("in-memory hit: %v allocs, recorded 1, budget 1", got)
+	}
+	if c.Searches() != 1 {
+		t.Errorf("hits ran %d searches, want the first call's 1", c.Searches())
 	}
 }
 
 // TestPlanCacheCachesErrors: an unplannable spec fails once and the
 // failure is reused — retrying cannot make a cluster bigger.
 func TestPlanCacheCachesErrors(t *testing.T) {
-	spec := cacheSpec(t, 4, 32)
-	spec.Model = model.MLLM72B() // 72B on 4 nodes: no feasible plan
+	spec := newSpec(t, model.MLLM72B(), 4, 32, model.FullTraining) // 72B on 4 nodes: no feasible plan
 	c := NewPlanCache(SearchOptions{})
 	ctx := context.Background()
-	if _, err := c.Plan(ctx, spec); err == nil {
-		t.Fatal("72B planned on 4 nodes")
+	if _, err := c.Plan(ctx, spec); !errors.Is(err, errNoFeasiblePlan) {
+		t.Fatalf("72B on 4 nodes: got %v, want %v", err, errNoFeasiblePlan)
 	}
-	if _, err := c.Plan(ctx, spec); err == nil {
-		t.Fatal("cached failure lost")
+	if _, err := c.Plan(ctx, spec); !errors.Is(err, errNoFeasiblePlan) {
+		t.Fatalf("cached failure lost: %v", err)
 	}
-	if c.Searches() != 1 {
-		t.Errorf("failed search ran %d times", c.Searches())
+	if c.Searches() != 1 || c.Hits() != 1 {
+		t.Errorf("failed spec: %d searches, %d hits; want 1 and 1", c.Searches(), c.Hits())
 	}
 }
 
@@ -517,14 +652,13 @@ func TestPlanAsyncCoalescing(t *testing.T) {
 // fingerprint.
 func TestPlanAsyncFailureCoalesced(t *testing.T) {
 	good := cacheSpec(t, 4, 32)
-	bad := good
-	bad.Model = model.MLLM72B() // cannot fit a 4-node lease
+	bad := newSpec(t, model.MLLM72B(), 4, 32, model.FullTraining) // cannot fit a 4-node lease
 	c := NewPlanCache(SearchOptions{Parallelism: 2})
 	const k = 3
 	_, errs := planAll(c, bad, k)
 	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("caller %d: infeasible spec planned", i)
+		if !errors.Is(err, errNoFeasiblePlan) {
+			t.Fatalf("caller %d: got %v, want %v", i, err, errNoFeasiblePlan)
 		}
 		if err != errs[0] {
 			t.Errorf("caller %d saw a different error: %v vs %v", i, err, errs[0])

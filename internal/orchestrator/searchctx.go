@@ -70,8 +70,8 @@ func newSearchCtx(s *Spec) searchCtx {
 		sc.mfuFLOPs += (fwd + bwd) * float64(s.GlobalBatch)
 		sc.mem[mod] = moduleMemory{
 			budget: opts.Cluster.GPU.MemoryBytes * 0.92,
-			params: s.Model.Params(mod),
-			frozen: opts.Freeze.Frozen(mod),
+			params: s.Profiler.Params(mod),
+			frozen: s.Profiler.Frozen(mod),
 		}
 	}
 	sc.mem[model.Encoder].act = s.Model.Encoder.ActivationBytesPerToken() * float64(shape.TotalImageTokens()) * float64(s.Microbatch)

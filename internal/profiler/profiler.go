@@ -61,15 +61,17 @@ func DefaultOptions(cl cluster.Cluster, m model.MLLM) Options {
 // Profiler converts module workloads into seconds.
 //
 // Concurrency: query methods (CTrain, SampleForward, SampleTrain,
-// SampleCost, Resolve, Kernel, MeanShape, Options) and
-// resolved Rates are safe for concurrent use — the parallel plan-search
-// engine and the trainer's rank workers issue them from many goroutines
-// at once. Calibrate mutates the profiler's mean shape and must not run
-// concurrently with queries. Calibrate once, then share.
+// SampleCost, Resolve, Kernel, MeanShape, Options, Model, Frozen,
+// Params) and resolved Rates are safe for concurrent use — the
+// parallel plan-search engine and the trainer's rank workers issue them
+// from many goroutines at once. Calibrate mutates the profiler's mean
+// shape and must not run concurrently with queries. Calibrate once,
+// then share.
 type Profiler struct {
 	opts   Options
 	kernel model.CostKernel // compiled from (opts.Model, opts.Freeze)
 	rates  [3][4]Rate       // resolve at widths 1, 2, 4, 8
+	params [3]float64       // opts.Model.Params per module
 	// meanShape is the corpus-calibrated average sample composition,
 	// gathered by Calibrate (the manager "samples a subset of training
 	// data to analyze the data distribution").
@@ -95,6 +97,7 @@ func New(opts Options) (*Profiler, error) {
 	}
 	p := &Profiler{opts: opts, kernel: opts.Model.Compile(opts.Freeze)}
 	for _, mod := range model.Modules {
+		p.params[mod] = opts.Model.Params(mod)
 		for i := range p.rates[mod] {
 			p.rates[mod][i] = p.resolve(mod, 1<<i)
 		}
@@ -105,6 +108,17 @@ func New(opts Options) (*Profiler, error) {
 
 // Options returns the profiler's configuration.
 func (p *Profiler) Options() Options { return p.opts }
+
+// Model returns the profiled model in place, read-only: checking a
+// spec's model against it copies nothing.
+func (p *Profiler) Model() *model.MLLM { return &p.opts.Model }
+
+// Frozen reports whether the options' freeze setting freezes mod.
+func (p *Profiler) Frozen(mod model.Module) bool { return p.opts.Freeze.Frozen(mod) }
+
+// Params returns the profiled model's parameter count of mod
+// (model.MLLM.Params), computed once by New.
+func (p *Profiler) Params(mod model.Module) float64 { return p.params[mod] }
 
 // efficiency returns the fraction of peak FLOP/s a module achieves on
 // one GPU. Values are calibrated so the end-to-end evaluation

@@ -527,21 +527,21 @@ func (r *Runtime) assign(buf *prepBuf, dp int, balance bool) error {
 // across its DP group, partially hidden behind backward compute.
 func (r *Runtime) gradSync() float64 {
 	spec := &r.cfg.Spec
-	freeze := spec.Profiler.Options().Freeze
+	prof := spec.Profiler
 	cost := comm.CollectiveCost{
 		BandwidthBps: spec.Cluster.CrossNodeBandwidthPerGPU(),
 		Latency:      spec.Cluster.LinkLatency,
 	}
 	worst := 0.0
 	for _, mp := range r.cfg.Plan.Modules {
-		if freeze.Frozen(mp.Module) {
+		if prof.Frozen(mp.Module) {
 			continue
 		}
-		params := spec.Model.Params(mp.Module) / float64(mp.Config.ModelParallelWidth()*mp.Config.PP)
+		params := prof.Params(mp.Module) / float64(mp.Config.ModelParallelWidth()*mp.Config.PP)
 		dp := mp.Config.DP
 		if mp.Replicated {
 			dp = mp.GPUs() / mp.Config.PP
-			params = spec.Model.Params(mp.Module)
+			params = prof.Params(mp.Module)
 		}
 		t := comm.ZeRO1GradSync(cost, params, dp)
 		worst = math.Max(worst, t*(1-syncOverlap))
@@ -553,13 +553,12 @@ func (r *Runtime) gradSync() float64 {
 // reads+writes per locally owned parameter, memory-bound.
 func (r *Runtime) optimizerStep() float64 {
 	spec := &r.cfg.Spec
-	freeze := spec.Profiler.Options().Freeze
 	worst := 0.0
 	for _, mp := range r.cfg.Plan.Modules {
-		if freeze.Frozen(mp.Module) {
+		if spec.Profiler.Frozen(mp.Module) {
 			continue
 		}
-		shard := spec.Model.Params(mp.Module) / float64(mp.GPUs())
+		shard := spec.Profiler.Params(mp.Module) / float64(mp.GPUs())
 		t := shard * 32 / spec.Cluster.GPU.MemoryBWBytes
 		worst = math.Max(worst, t)
 	}
@@ -572,13 +571,12 @@ func (r *Runtime) optimizerStep() float64 {
 // so all of a trainable module's GPUs transfer their own shards in
 // parallel.
 func (r *Runtime) stateBytes() (bytes float64, clients int) {
-	spec := &r.cfg.Spec
-	freeze := spec.Profiler.Options().Freeze
+	prof := r.cfg.Spec.Profiler
 	for _, mp := range r.cfg.Plan.Modules {
-		if freeze.Frozen(mp.Module) {
+		if prof.Frozen(mp.Module) {
 			continue
 		}
-		bytes += spec.Model.Params(mp.Module) * (model.BytesPerParam + model.BytesPerOptimState)
+		bytes += prof.Params(mp.Module) * (model.BytesPerParam + model.BytesPerOptimState)
 		clients += mp.GPUs()
 	}
 	return bytes, clients
