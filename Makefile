@@ -101,11 +101,17 @@ COVER_FLOOR ?= 73
 # accessors (+14) and fingerprint.Hash.Sum staging its digest in place
 # (+5, paying for the class map's allocation on a durable warm hit),
 # net of the Options() copies the trainer and validation dropped (-3)
-# (fleet-steady work_per_cpu_s 192k -> 240k).
+# (fleet-steady work_per_cpu_s 192k -> 240k), and 15,989 once a training
+# run kept one level of concurrency (the async prepare): an iteration
+# simulates its ranks inline (Runtime.workers, the rank fan-out and
+# disttrain-sim -workers went), the controller runs its re-plan search
+# at the trigger (its goroutine, channel and LeaseChanged went, with
+# trainer.LeaseAware), and the fleet rejects a tenant controller
+# outright in place of its reflect-based sharing check.
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 16083
+LOC_CEILING ?= 15989
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 
@@ -145,7 +151,7 @@ race:
 # hides results that depend on goroutine scheduling (a checkpoint
 # count once did). CI's `Tests (GOMAXPROCS=1)` step runs this target,
 # so DETERMINISM_TESTS is the one list of those gates.
-DETERMINISM_TESTS = TestConcurrentRuntimeEquivalence|TestTraceByteIdenticalAcrossWorkers|TestFleetDeterminism|TestFleetOneJobEquivalence|TestPriorityDeterminism|TestFleetPreprocessDeterminism|TestControllerSteadyByteIdentical|TestCheckpointsSavedIsExact
+DETERMINISM_TESTS = TestConcurrentRuntimeEquivalence|TestTraceByteIdenticalToSequential|TestFleetDeterminism|TestFleetOneJobEquivalence|TestPriorityDeterminism|TestFleetPreprocessDeterminism|TestControllerSteadyByteIdentical|TestCheckpointsSavedIsExact
 determinism:
 	GOMAXPROCS=1 $(GO) test -short -run '$(DETERMINISM_TESTS)' ./internal/...
 

@@ -81,7 +81,6 @@ func BenchmarkFleetThroughput(b *testing.B) {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			spec := benchSpec(b, model.MLLM9B(), 2*jobs, 32)
 			tmpl := trainer.DistTrainConfig(spec, nil, corpus)
-			tmpl.Parallelism = 2 // rank workers per job; scaling comes from cross-job fan-out
 			cfg := fleet.Config{Cluster: spec.Cluster}
 			for j := 0; j < jobs; j++ {
 				cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
@@ -274,7 +273,6 @@ func BenchmarkColdAdmissionStorm(b *testing.B) {
 		js := spec
 		js.GlobalBatch = 32 + 8*j // distinct fingerprint, shared calibration
 		tmpl := trainer.DistTrainConfig(js, nil, corpus)
-		tmpl.Parallelism = 2
 		cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
 			Name: fmt.Sprintf("t%d", j), Train: tmpl,
 			Iters: itersPerJob, MinNodes: 2, MaxNodes: 2,

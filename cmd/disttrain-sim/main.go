@@ -52,7 +52,6 @@ func main() {
 		noReorder = flag.Bool("no-reorder", false, "disable dual-level data reordering")
 		colocate  = flag.Bool("colocate-preprocess", false, "co-locate preprocessing with training")
 		ckpt      = flag.Int("checkpoint-every", 0, "checkpoint interval in iterations (0 = off)")
-		workers   = flag.Int("workers", 0, "per-DP-rank pipeline worker pool size (0 = GOMAXPROCS)")
 		scenSpec  = flag.String("scenario", "", "scenario injection, e.g. 'straggler:iters=2-5,rank=0,factor=2.5; failure:iter=6', 'workload-shift:iters=4-9,factor=3', 'producer-fail:iter=2,producer=1' or 'random-stragglers:seed=7,ranks=8,prob=0.3,max=3'")
 		adapt     = flag.Bool("adapt", false, "enable the re-planning controller: drift re-runs the §4.3 orchestrator mid-run and switches plans at iteration boundaries")
 		replanThr = flag.Float64("replan-threshold", 0, "drift score that triggers a re-plan (0 = default 0.25; used with -adapt)")
@@ -107,7 +106,6 @@ func main() {
 		cfg.DisaggregatedPreprocess = false
 	}
 	cfg.CheckpointEvery = *ckpt
-	cfg.Parallelism = *workers
 	if *scenSpec != "" {
 		sc, err := scenario.Parse(*scenSpec)
 		if err != nil {
@@ -178,11 +176,7 @@ func main() {
 	var ctrl *controller.Controller
 	if *adapt {
 		var err error
-		ctrl, err = controller.New(controller.Config{
-			Train:       cfg,
-			Threshold:   *replanThr,
-			Parallelism: *workers,
-		})
+		ctrl, err = controller.New(controller.Config{Train: cfg, Threshold: *replanThr})
 		if err != nil {
 			fatal(err)
 		}

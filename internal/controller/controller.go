@@ -4,13 +4,13 @@
 // the observed per-sample cost distribution drifting away from the
 // profile the current plan was built on — and, when drift exceeds a
 // configured threshold, recalibrates the performance profiler from the
-// observed samples and re-runs the §4.3 orchestration search
-// *concurrently with training*. The search's winner must then prove
-// itself: incumbent and candidate are trial-evaluated on the observed
-// window under the full runtime cost model, and only a candidate that
-// beats the incumbent there is handed to the runtime — at a
-// deterministic iteration boundary, where it applies as a costed
-// reconfiguration (checkpoint write + restore read, no lost work).
+// observed samples and re-runs the §4.3 orchestration search at the
+// trigger. The search's winner must then prove itself: incumbent and
+// candidate are trial-evaluated on the observed window under the full
+// runtime cost model, and only a candidate that beats the incumbent
+// there is handed to the runtime — at a deterministic iteration
+// boundary, where it applies as a costed reconfiguration (checkpoint
+// write + restore read, no lost work).
 //
 // This is the model/data heterogeneity drift the paper argues must be
 // handled continuously (cf. Entrain's variable-heterogeneity
@@ -21,10 +21,10 @@
 //
 // Determinism contract: decisions are a pure function of the
 // observation sequence. The plan search is the engine's deterministic
-// parallel enumeration, the trigger is computed from deterministic
-// runtime stats, and the switch boundary is fixed at trigger +
-// 1 + applyDelay iterations (training overlaps the search; the runtime
-// blocks at the boundary if the search hasn't finished). Two identical
+// enumeration, run synchronously inside the Observe that triggers it;
+// the trigger is computed from deterministic runtime stats, and the
+// switch boundary is fixed at trigger + 1 + applyDelay iterations (the
+// time a deployment's search would overlap training). Two identical
 // runs therefore trigger, search and switch identically — which is
 // what lets the golden-trace test pin byte-identical timelines, and
 // the no-drift test pin byte-identical Results against a
@@ -52,9 +52,10 @@ const (
 
 // The controller's calibrated constants.
 const (
-	// applyDelay is how many iterations of training overlap the
-	// concurrent plan search before the switch boundary: a trigger while
-	// observing iteration i applies before iteration i+1+applyDelay.
+	// applyDelay is how many iterations train on the incumbent after
+	// the trigger's search, standing for the time a deployment's search
+	// overlaps training: a trigger while observing iteration i applies
+	// before iteration i+1+applyDelay.
 	applyDelay = 1
 	// maxReplans caps applied plan switches for a run. Triggered
 	// searches that decline to switch (no better plan under the
@@ -93,9 +94,6 @@ type Config struct {
 	// full window has been observed, and two triggers are at least two
 	// windows apart.
 	Window int
-	// Parallelism bounds the plan-search worker pool; values < 1 mean
-	// GOMAXPROCS. The chosen plan is independent of this value.
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -152,8 +150,7 @@ type record struct {
 	havePool               bool
 }
 
-// searchOutcome is what a concurrent re-planning search delivers at
-// its boundary.
+// searchOutcome is what a re-planning search delivers at its boundary.
 type searchOutcome struct {
 	plan *orchestrator.Plan
 	// refShape is the recalibrated mean shape the plan was built on —
@@ -162,13 +159,15 @@ type searchOutcome struct {
 	reason   string
 }
 
+// pendingSearch is a finished search waiting for its boundary; out is
+// nil when the search declined to switch.
 type pendingSearch struct {
 	applyAt int
-	ch      chan *searchOutcome
+	out     *searchOutcome
 }
 
 // Controller implements trainer.Controller: deterministic drift
-// detection, concurrent re-planning, boundary-synchronised switches.
+// detection, re-planning at the trigger, boundary-synchronised switches.
 type Controller struct {
 	cfg Config
 	// cooldown is the minimum number of iterations between triggers
@@ -191,11 +190,8 @@ type Controller struct {
 	reports  []DriftReport
 }
 
-// Assert the seams are satisfied.
-var (
-	_ trainer.Controller = (*Controller)(nil)
-	_ trainer.LeaseAware = (*Controller)(nil)
-)
+// Assert the seam is satisfied.
+var _ trainer.Controller = (*Controller)(nil)
 
 // New validates the config and builds a controller.
 func New(cfg Config) (*Controller, error) {
@@ -224,8 +220,8 @@ func shapeCost(p *profiler.Profiler, shape model.SampleShape) float64 {
 // Observe implements trainer.Controller. It folds the iteration into
 // the drift window and, when a full window's drift score exceeds the
 // threshold (outside the cooldown, below the re-plan cap, with no
-// search already in flight), launches the §4.3 search on a background
-// goroutine against a freshly recalibrated profiler.
+// search waiting for its boundary), runs the §4.3 search against a
+// freshly recalibrated profiler and schedules its outcome.
 func (c *Controller) Observe(obs trainer.Observation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -262,7 +258,7 @@ func (c *Controller) Observe(obs trainer.Observation) {
 	if rep.Score > c.cfg.Threshold {
 		rep.Triggered = true
 		c.lastTrig = obs.Iter
-		c.launchLocked(obs.Iter, rep)
+		c.searchLocked(obs.Iter, rep)
 	}
 	if len(c.reports) < 4096 {
 		c.reports = append(c.reports, rep)
@@ -298,20 +294,19 @@ func (c *Controller) driftLocked(iter int) DriftReport {
 	return rep
 }
 
-// launchLocked starts the concurrent re-planning search and schedules
-// its deterministic apply boundary.
-func (c *Controller) launchLocked(iter int, rep DriftReport) {
+// searchLocked runs the re-planning search over the window and
+// schedules its outcome for the deterministic apply boundary.
+func (c *Controller) searchLocked(iter int, rep DriftReport) {
 	var shapes []model.SampleShape
 	batches := make([][]data.Sample, 0, len(c.window))
 	for _, r := range c.window {
 		shapes = append(shapes, r.shapes...)
 		batches = append(batches, r.batch)
 	}
-	incumbent := *c.current
-	ch := make(chan *searchOutcome, 1) // buffered: never strands the search goroutine
-	c.pending = &pendingSearch{applyAt: iter + 1 + applyDelay, ch: ch}
-	cfg := c.cfg
-	go func() { ch <- runSearch(cfg, incumbent, shapes, batches, rep) }()
+	c.pending = &pendingSearch{
+		applyAt: iter + 1 + applyDelay,
+		out:     runSearch(c.cfg, *c.current, shapes, batches, rep),
+	}
 }
 
 // runSearch recalibrates a fresh profiler from the observed shapes,
@@ -332,8 +327,7 @@ func runSearch(cfg Config, incumbent orchestrator.Plan, shapes []model.SampleSha
 	}
 	spec := cfg.Train.Spec
 	spec.Profiler = fresh
-	plan, err := orchestrator.Search(context.Background(), spec,
-		orchestrator.SearchOptions{Parallelism: cfg.Parallelism})
+	plan, err := orchestrator.Search(context.Background(), spec, orchestrator.SearchOptions{})
 	if err != nil {
 		return nil
 	}
@@ -373,55 +367,26 @@ func samePlacement(a, b *orchestrator.Plan) bool {
 }
 
 // Pending implements trainer.Controller. At the scheduled boundary it
-// joins the concurrent search — blocking if training got there first —
-// and hands the runtime the switch, if the search produced one. The
-// drift reference and window reset on a switch: the new plan defines
-// the new normal.
+// hands the runtime the search's switch, if the search produced one.
+// The drift reference and window reset on a switch: the new plan
+// defines the new normal.
 func (c *Controller) Pending(iter int) *trainer.PlanSwitch {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	p := c.pending
 	if p == nil || iter != p.applyAt {
-		c.mu.Unlock()
 		return nil
 	}
 	c.pending = nil
-	c.mu.Unlock()
-
-	out := <-p.ch
+	out := p.out
 	if out == nil {
 		return nil
 	}
-	c.mu.Lock()
 	c.current = out.plan
 	c.refCost = shapeCost(c.cfg.Train.Spec.Profiler, out.refShape)
 	c.window = nil
 	c.applied++
-	c.mu.Unlock()
 	return &trainer.PlanSwitch{Plan: out.plan, Reason: out.reason}
-}
-
-// LeaseChanged implements trainer.LeaseAware: a fleet lease resize is
-// a reconfiguration the controller did not choose, so everything it
-// reasons relative to moves — the orchestration problem (the spec's
-// cluster is now the resized lease's subcluster), the incumbent plan,
-// and the drift reference the current window was scored against. The
-// controller adopts the new geometry as the new normal: it drops the
-// observation window, abandons any in-flight search (its boundary
-// would apply a plan built for the old geometry), and re-bases drift
-// on the profile the new plan was built under.
-func (c *Controller) LeaseChanged(iter int, spec orchestrator.Spec, plan *orchestrator.Plan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cfg.Train.Spec = spec
-	c.cfg.Train.Plan = plan
-	c.current = plan
-	c.refCost = shapeCost(spec.Profiler, spec.Profiler.MeanShape())
-	// Abandon any in-flight search: its boundary would apply a plan
-	// built for the old geometry. The channel is buffered, so the
-	// searcher's single send never blocks and the channel is simply
-	// collected.
-	c.window = nil
-	c.pending = nil
 }
 
 // CurrentPlan returns the incumbent plan (the latest applied switch,

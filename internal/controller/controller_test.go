@@ -181,53 +181,6 @@ func (f *fixedSwitch) Pending(iter int) *trainer.PlanSwitch {
 	return &trainer.PlanSwitch{Plan: f.plan, Reason: "test"}
 }
 
-// TestLeaseChangedResetsBaseline: a fleet lease resize moves the
-// orchestration problem under the controller's feet. LeaseChanged must
-// adopt the new spec and plan as the incumbent, drop the observation
-// window (its drift was scored against the old geometry), and abandon
-// any scheduled search boundary so a stale plan never applies.
-func TestLeaseChangedResetsBaseline(t *testing.T) {
-	spec, corpus := buildSpec(t, 4, 16)
-	plan := planFor(t, spec)
-	c, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Window: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := corpus.AppendBatch(nil, 0, 4)
-	c.Observe(trainer.Observation{Iter: 0, Batch: batch})
-	c.Observe(trainer.Observation{Iter: 1, Batch: batch})
-	// Fake an in-flight search scheduled for iter 3.
-	ch := make(chan *searchOutcome, 1)
-	ch <- nil
-	c.mu.Lock()
-	c.pending = &pendingSearch{applyAt: 3, ch: ch}
-	c.mu.Unlock()
-
-	smaller := spec
-	smaller.Cluster.Nodes = 2
-	newPlan := planFor(t, smaller)
-	c.LeaseChanged(2, smaller, newPlan)
-
-	if got := c.CurrentPlan(); got != newPlan {
-		t.Error("incumbent plan did not follow the lease change")
-	}
-	c.mu.Lock()
-	window, pending, train := len(c.window), c.pending, c.cfg.Train
-	c.mu.Unlock()
-	if window != 0 {
-		t.Errorf("window holds %d records after a lease change, want 0", window)
-	}
-	if pending != nil {
-		t.Error("stale search boundary survived the lease change")
-	}
-	if train.Spec.Cluster.Nodes != 2 || train.Plan != newPlan {
-		t.Errorf("controller's re-planning problem not rebased: %d nodes", train.Spec.Cluster.Nodes)
-	}
-	if sw := c.Pending(3); sw != nil {
-		t.Error("abandoned boundary still delivered a switch")
-	}
-}
-
 // triggered counts the drift reports that launched a search.
 func triggered(c *Controller) int {
 	n := 0

@@ -1,7 +1,7 @@
 // Package fanout is the repo's one cursor-fed worker pool: the plan
-// search's candidate workers, the fleet's tenant steps and the
-// trainer's rank workers and rank fetches all hand out indices through
-// it. Every caller writes outcomes to per-index slots and reduces them
+// search's candidate workers, the fleet's tenant steps, a producer's
+// sample workers and a live pool's rank fetches (trainer.PoolSource)
+// all hand out indices through it. Every caller writes outcomes to per-index slots and reduces them
 // in index order afterwards, which is what keeps results byte-identical
 // at any worker count.
 package fanout

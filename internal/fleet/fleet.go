@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sort"
 
@@ -30,10 +29,12 @@ type JobSpec struct {
 	// private per-job trace (Config.Trace) — a shared one would
 	// interleave tenants nondeterministically — and sets Batches to the
 	// run's one batch cache, so tenants reading one corpus at one batch
-	// geometry prepare each iteration once between them. Scenario, Controller
-	// and the DistTrain-vs-Megatron switches (Reorder, AsyncP2P,
+	// geometry prepare each iteration once between them. Scenario and the
+	// DistTrain-vs-Megatron switches (Reorder, AsyncP2P,
 	// DisaggregatedPreprocess) are the tenant's own business and pass
-	// through untouched.
+	// through untouched. Controller must be nil: a tenant's plan follows
+	// its lease, which the fleet scheduler resizes, so Run rejects a
+	// re-planning controller.
 	Train trainer.Config
 	// Iters is the run length in training iterations.
 	Iters int
@@ -324,32 +325,14 @@ func Run(cfg Config) (*Result, error) {
 				i, js.MinNodes, js.MaxNodes, cfg.Cluster.Nodes)
 		case js.Train.Spec.Cluster != cfg.Cluster:
 			return nil, fmt.Errorf("fleet: job %d's Train.Spec.Cluster differs from the shared fleet", i)
+		case js.Train.Controller != nil:
+			return nil, fmt.Errorf("fleet: job %d carries a Train.Controller; fleet tenants run none", i)
 		}
 		cls, err := ParseClass(string(js.Priority))
 		if err != nil {
 			return nil, fmt.Errorf("fleet: job %d: %w", i, err)
 		}
 		classes[i] = cls
-		// A controller is stateful per run: two tenants observing into
-		// one would mix their drift windows, and the Observe
-		// interleaving would depend on worker scheduling — breaking the
-		// determinism contract. Reject sharing across specs and any
-		// spec a job-arrive event would instantiate a second time.
-		if ctl := js.Train.Controller; ctl != nil {
-			if reflect.TypeOf(ctl).Comparable() {
-				for j := 0; j < i; j++ {
-					if o := cfg.Jobs[j].Train.Controller; o != nil &&
-						reflect.TypeOf(o).Comparable() && o == ctl {
-						return nil, fmt.Errorf("fleet: jobs %d and %d share one Train.Controller; controllers are per-tenant state", j, i)
-					}
-				}
-			}
-			for _, ev := range events {
-				if arrivalKind(ev.Kind) && ev.Job == i {
-					return nil, fmt.Errorf("fleet: job %d carries a Train.Controller but a %s event re-instantiates it; give each instance its own controller", i, ev.Kind)
-				}
-			}
-		}
 	}
 	cache := cfg.Cache
 	if cache == nil {
@@ -731,7 +714,7 @@ func (f *runner) retire(t *tenant, departed bool) {
 		t.result = t.job.Finish()
 	}
 	if t.rt != nil {
-		t.rt.Close() // stops the checkpoint writer trainer.New started
+		t.rt.Close() // leaves the run's batch cache
 	}
 	t.rt, t.job = nil, nil
 	// Finish drained the prefetch, so the tenant's pool counters are

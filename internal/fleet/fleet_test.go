@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"disttrain/internal/cluster"
@@ -467,6 +468,25 @@ func TestFleetConfigValidation(t *testing.T) {
 	cfg.Scenario = sc
 	if _, err := runChecked(t, cfg); err == nil {
 		t.Error("job-level event accepted in fleet scenario")
+	}
+}
+
+// idleController is a trainer.Controller that never switches.
+type idleController struct{}
+
+func (idleController) Observe(trainer.Observation)     {}
+func (idleController) Pending(int) *trainer.PlanSwitch { return nil }
+
+// TestFleetRejectsController: a tenant's plan follows its lease, so
+// Run refuses a JobSpec that carries a re-planning controller before
+// any round runs.
+func TestFleetRejectsController(t *testing.T) {
+	spec, corpus := buildSpec(t, 2, 16)
+	tmpl := trainer.DistTrainConfig(spec, nil, corpus)
+	tmpl.Controller = idleController{}
+	res, err := Run(Config{Cluster: spec.Cluster, Jobs: []JobSpec{{Train: tmpl, Iters: 1}}})
+	if err == nil || !strings.Contains(err.Error(), "Train.Controller") {
+		t.Fatalf("Run = %v, %v; want a Train.Controller rejection", res, err)
 	}
 }
 

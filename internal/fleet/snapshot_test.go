@@ -164,8 +164,8 @@ func TestRunningSnapshotAllocFree(t *testing.T) {
 // checkpoint writers, one goroutine per checkpointing runtime that only
 // Runtime.Close stopped. A checkpoint is now a record on the runtime and
 // trainer.New starts no goroutine, so the goroutine count guards what a
-// tenant still runs on goroutines — its Job's one-ahead prepare and the
-// rank workers of each Step — which a retired tenant must leave drained.
+// tenant still runs on a goroutine — its Job's one-ahead prepare —
+// which a retired tenant must leave drained.
 // The results must not notice the close, and every tenant reports its
 // one save (iteration 2 of 4).
 func TestRetireClosesRuntime(t *testing.T) {

@@ -32,10 +32,10 @@ import (
 // reference: a span block (Batch.Spans), counted when recorded and
 // replayed off data its caller keeps immutable while WriteJSON runs.
 // The log is not sharded: every Trace has one writer at a time (the
-// trainer emits an iteration after its rank workers have joined, a
-// fleet hands each tenant a private trace and notes its own events on
-// the runner goroutine), so append order is the log order and the
-// mutex is there for the race detector, not for throughput.
+// trainer emits an iteration from its run loop, a fleet hands each
+// tenant a private trace and notes its own events on the runner
+// goroutine), so append order is the log order and the mutex is there
+// for the race detector, not for throughput.
 
 // Label is an event name or category interned in one Trace: resolved
 // once, recorded by id. It means nothing to any other trace.

@@ -63,8 +63,8 @@ func DefaultOptions(cl cluster.Cluster, m model.MLLM) Options {
 // Concurrency: query methods (CTrain, SampleForward, SampleTrain,
 // SampleCost, Resolve, Kernel, MeanShape, Options, Model, Frozen,
 // Params) and resolved Rates are safe for concurrent use — the
-// parallel plan-search engine and the trainer's rank workers issue them
-// from many goroutines at once. Calibrate mutates the profiler's mean
+// parallel plan-search engine and the fleet's concurrently stepped
+// tenants issue them from many goroutines at once. Calibrate mutates the profiler's mean
 // shape and must not run concurrently with queries. Calibrate once,
 // then share.
 type Profiler struct {

@@ -128,7 +128,7 @@ func (r *Runtime) sharedKey(iter int) (*window.Once[batchKey, preparedBatch], ba
 // fresh slice, a concurrent asker waits for that run. The slice is
 // immutable once returned, so it never becomes r.outcomes, which the
 // private untraced path refills.
-func (r *Runtime) sharedRun(p preparedBatch, p2p []float64, pert scenario.Perturbation, workers int) []rankOutcome {
+func (r *Runtime) sharedRun(p preparedBatch, p2p []float64, pert scenario.Perturbation) []rankOutcome {
 	k := runKey{
 		batchKey: p.key, costs: r.costs, stages: r.stages,
 		vpp: r.cfg.Plan.Modules[model.Backbone].Config.VPP, microbatch: r.cfg.Spec.Microbatch,
@@ -137,7 +137,7 @@ func (r *Runtime) sharedRun(p preparedBatch, p2p []float64, pert scenario.Pertur
 	return r.batches.runs.Get(k, k.batch, func() []rankOutcome {
 		r.batches.simulated.Add(int64(len(p.ranks)))
 		out := make([]rankOutcome, len(p.ranks))
-		r.runRanks(out, p.ranks, p2p, pert, workers)
+		r.runRanks(out, p.ranks, p2p, pert)
 		return out
 	})
 }

@@ -367,7 +367,7 @@ func TestSharedOutcomesOutliveAPrivateIteration(t *testing.T) {
 		t.Fatal("iteration 0 was not shared")
 	}
 	before := c.simulated.Load()
-	shared := a.sharedRun(p, a.p2p, scenario.At(nil, 0), 1)
+	shared := a.sharedRun(p, a.p2p, scenario.At(nil, 0))
 	if c.simulated.Load() != before {
 		t.Fatal("the shared outcomes were simulated again")
 	}

@@ -1,16 +1,13 @@
 package trainer
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
 
 	"disttrain/internal/data"
-	"disttrain/internal/fanout"
 	"disttrain/internal/metrics"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
@@ -19,23 +16,23 @@ import (
 	"disttrain/internal/scenario"
 )
 
-// This file is the concurrent iteration engine. One iteration splits
-// into three stages:
+// This file is the iteration engine. One iteration splits into three
+// stages:
 //
 //  1. front-end: fetch the global batch, run Algorithm 1's DP-rank
 //     assignment and sum its FLOPs — a pure function of the iteration
 //     index, which is what lets the async data service compute it one
-//     iteration ahead when it still needs computing (Job.launch);
-//  2. rank workers: per DP rank, build microbatches, apply Algorithm 2
-//     ordering, and simulate the exact 1F1B timeline — fanned out over
-//     a bounded worker pool (Config.Parallelism);
+//     iteration ahead when it still needs computing (Job.launch), the
+//     one goroutine a run starts;
+//  2. ranks: per DP rank, in rank order, build microbatches, apply
+//     Algorithm 2 ordering, and simulate the exact 1F1B timeline;
 //  3. reduce: fold the per-rank outcomes in rank order into the
 //     iteration breakdown.
 //
-// Because every rank is evaluated independently and the reduce order
-// is fixed, the concurrent engine returns results byte-identical to
-// the sequential reference at any worker count — the same contract as
-// the orchestrator's parallel plan search.
+// Because the prefetched front-end is a pure function of its iteration
+// and the ranks and the reduce run in a fixed order, Run returns
+// results byte-identical to the sequential reference (RunSequential,
+// no prefetch).
 //
 // What outlives what: a private corpus batch, its work and its ranks
 // live in one of the runtime's two prepBufs until iteration i+2 is
@@ -140,7 +137,7 @@ type rankOutcome struct {
 	err error
 }
 
-// rankScratch is one rank worker's reusable buffers: microbatch
+// rankScratch is one rank run's reusable buffers: microbatch
 // headers, a flat float backing for their stage times and the
 // simulator's work rows (headed by rows: fwd then bwd), and the
 // Algorithm 2 and 1F1B scratch. assignScratch is the front-end's:
@@ -168,9 +165,9 @@ var (
 // runRank executes one DP rank's pipeline: microbatch construction,
 // Algorithm 2 ordering, exact 1F1B simulation — under the iteration's
 // scenario perturbation. Pure with respect to runtime state (all
-// mutable state lives in the pooled scratch), so rank workers may run
-// concurrently. When tracing, the timeline is copied into the
-// outcome's ops; otherwise none is recorded.
+// mutable state lives in the pooled scratch), so runtimes the fleet
+// steps concurrently may run it at once. When tracing, the timeline is
+// copied into the outcome's ops; otherwise none is recorded.
 func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scenario.Perturbation) rankOutcome {
 	cfg := &r.cfg
 	m := cfg.Spec.Microbatch
@@ -237,7 +234,7 @@ func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scen
 
 // finishIteration is the deterministic reduce: it folds the per-rank
 // outcome slots in rank order and prices the iteration's serial
-// phases. Both the sequential reference and the concurrent engine end
+// phases. Both the sequential reference and the prefetching run end
 // here, so their results agree bit for bit.
 func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, outcomes []rankOutcome) (IterationStats, error) {
 	cfg := &r.cfg
@@ -367,64 +364,52 @@ func (r *Runtime) emitTrace(stats IterationStats, outcomes []rankOutcome) {
 // serialPhases names emitTrace's phases after the pipeline, in order.
 var serialPhases = [...]string{"grad-sync", "optimizer", "checkpoint-stall"}
 
-// workers resolves the rank-worker pool size.
-func (r *Runtime) workers() int {
-	if r.cfg.Parallelism >= 1 {
-		return r.cfg.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// iteration executes one prepared iteration with the rank workers
-// fanned out over a pool of the given size; one worker or fewer runs
-// them inline on the calling goroutine — the pinned serial path.
-func (r *Runtime) iteration(p preparedBatch, workers int) (IterationStats, error) {
+// iteration executes one prepared iteration, its ranks inline in rank
+// order.
+func (r *Runtime) iteration(p preparedBatch) (IterationStats, error) {
 	if p.err != nil {
 		return IterationStats{}, p.err
 	}
 	pert := scenario.At(r.cfg.Scenario, p.iter)
 	p2p := r.iterP2P(pert)
 	if p.key.corpus != nil {
-		return r.finishIteration(p, pert, r.sharedRun(p, p2p, pert, workers))
+		return r.finishIteration(p, pert, r.sharedRun(p, p2p, pert))
 	}
-	// Untraced, the outcome slots are reused across (serial) iterations;
-	// a traced iteration's go to its trace, so it takes fresh ones.
+	// Untraced, the outcome slots are reused across iterations; a traced
+	// iteration's go to its trace, so it takes fresh ones.
 	if r.cfg.Trace != nil {
 		r.outcomes = nil
 	}
 	r.outcomes = slices.Grow(r.outcomes[:0], len(p.ranks))[:len(p.ranks)]
-	r.runRanks(r.outcomes, p.ranks, p2p, pert, workers)
+	r.runRanks(r.outcomes, p.ranks, p2p, pert)
 	return r.finishIteration(p, pert, r.outcomes)
 }
 
-// runRanks sets outcomes[d] to rank d's run over a worker pool.
-func (r *Runtime) runRanks(outcomes []rankOutcome, ranks [][]model.Workload, p2p []float64, pert scenario.Perturbation, workers int) {
-	fanout.Run(context.Background(), workers, len(ranks), func(d int) {
+// runRanks sets outcomes[d] to rank d's run.
+func (r *Runtime) runRanks(outcomes []rankOutcome, ranks [][]model.Workload, p2p []float64, pert scenario.Perturbation) {
+	for d := range ranks {
 		outcomes[d] = r.runRank(d, ranks[d], p2p, pert)
-	})
+	}
 }
 
-// RunIterationSequential is the single-threaded reference
-// implementation, kept as the equivalence baseline for the concurrent
-// engine (mirroring the planner's sequential reference): the
-// concurrent path must return byte-identical stats at any worker
-// count.
+// RunIterationSequential prepares and executes one iteration on the
+// calling goroutine: the single-iteration reference the tests and
+// trial evaluations use.
 func (r *Runtime) RunIterationSequential(iter int) (IterationStats, error) {
-	return r.iteration(r.prepare(iter), 1)
+	return r.iteration(r.prepare(iter))
 }
 
-// Run executes n iterations on the concurrent engine and aggregates.
-// The async data service prepares iteration i+1's batch, unless a
-// runtime sharing it already has, while iteration i trains;
-// scenario-injected node failures trigger checkpoint-restore recovery
-// with the lost iterations re-executed.
+// Run executes n iterations and aggregates. The async data service
+// prepares iteration i+1's batch, unless a runtime sharing it already
+// has, while iteration i trains; scenario-injected node failures
+// trigger checkpoint-restore recovery with the lost iterations
+// re-executed.
 func (r *Runtime) Run(n int) (*Result, error) {
 	return r.runLoop(n, true)
 }
 
-// RunSequential is the pinned serial counterpart of Run: no rank
-// workers, no prefetch. Byte-identical results; the reference tests
-// compare the concurrent engine against.
+// RunSequential is the pinned serial counterpart of Run: no prefetch.
+// Byte-identical results; the reference tests compare Run against.
 func (r *Runtime) RunSequential(n int) (*Result, error) {
 	return r.runLoop(n, false)
 }

@@ -49,12 +49,12 @@ type PlanSwitch struct {
 
 // Controller closes the adaptive loop at runtime. The runtime calls
 // Observe after every executed iteration and Pending immediately
-// before each iteration starts, both from the run loop goroutine;
-// implementations may run their re-planning search on background
-// goroutines and block in Pending at the boundary they scheduled —
-// that is what overlaps the §4.3 search with training. Decisions must
-// be deterministic in the observation sequence: two identical runs
-// must trigger, search and switch identically.
+// before each iteration starts, both from the run loop goroutine. A
+// controller may decide at one boundary and apply at a later one (the
+// switch delay a real deployment's concurrent search would take).
+// Decisions must be deterministic in the observation sequence: two
+// identical runs must trigger, search and switch identically. A
+// controller is per-run state: fleet tenants run none.
 type Controller interface {
 	// Observe feeds one completed iteration's signals.
 	Observe(Observation)
@@ -62,19 +62,6 @@ type Controller interface {
 	// iter executes, or nil. Returning a PlanSwitch with a nil Plan is
 	// equivalent to nil (a search that decided against switching).
 	Pending(iter int) *PlanSwitch
-}
-
-// LeaseAware is the optional Controller extension for fleet-leased
-// jobs: when the fleet scheduler resizes a job's GPU lease, the
-// runtime reconfigures (the costed checkpoint-reconfigure path) and
-// then notifies a LeaseAware controller with the new effective spec —
-// whose Cluster is the resized lease's subcluster — and the plan now
-// executing. Controllers must treat the change as a new normal: the
-// re-planning problem, the incumbent plan and any drift baseline all
-// moved. Called from the run-loop goroutine at the same boundary the
-// reconfiguration applied.
-type LeaseAware interface {
-	LeaseChanged(iter int, spec orchestrator.Spec, plan *orchestrator.Plan)
 }
 
 // Replan records one applied mid-run reconfiguration.

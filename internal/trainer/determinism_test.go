@@ -3,7 +3,6 @@ package trainer
 import (
 	"bytes"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"disttrain/internal/metrics"
@@ -13,11 +12,11 @@ import (
 )
 
 // TestConcurrentRuntimeEquivalence is the engine's core guarantee
-// (mirroring the plan search's TestPlanSearchEquivalence): the
-// concurrent runtime — rank workers plus the async data service —
-// produces a Result byte-identical to the pinned sequential reference
-// at every worker-pool size, steady state and under scenario
-// perturbation alike. Run under -race by the CI race gate.
+// (mirroring the plan search's TestPlanSearchEquivalence): Run, whose
+// async data service prepares the next batch on its own goroutine,
+// produces a Result byte-identical to the pinned sequential reference,
+// steady state and under scenario perturbation alike. Run under -race
+// by the CI race gate.
 func TestConcurrentRuntimeEquivalence(t *testing.T) {
 	spec, corpus := buildSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	plan, err := orchestrator.PlanDistTrain(spec)
@@ -69,54 +68,47 @@ func TestConcurrentRuntimeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				cfg := tc.mk()
-				cfg.Parallelism = par
-				rt, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := rt.Run(iters)
-				rt.Close()
-				if err != nil {
-					t.Fatalf("parallelism %d: %v", par, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("parallelism %d diverged from sequential reference:\ngot  %+v\nwant %+v", par, got, want)
-				}
-			}
-
-			// Single iterations agree too, at every index the run covered.
 			rt, err := New(tc.mk())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer rt.Close()
+			got, err := rt.Run(iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("Run diverged from sequential reference:\ngot  %+v\nwant %+v", got, want)
+			}
+
+			// Single iterations on a fresh runtime agree too, at every
+			// index the run covered.
+			one, err := New(tc.mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer one.Close()
 			for i := 0; i < iters; i++ {
-				seq, err := rt.RunIterationSequential(i)
+				st, err := one.RunIterationSequential(i)
 				if err != nil {
 					t.Fatal(err)
 				}
-				conc, err := rt.iteration(rt.prepare(i), rt.workers())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(seq, conc) {
-					t.Errorf("iteration %d: concurrent stats diverged:\ngot  %+v\nwant %+v", i, conc, seq)
+				if !reflect.DeepEqual(st, want.Iterations[i]) {
+					t.Errorf("iteration %d: single-iteration stats diverged:\ngot  %+v\nwant %+v", i, st, want.Iterations[i])
 				}
 			}
 		})
 	}
 }
 
-// TestTraceByteIdenticalAcrossWorkers pins the trace against the
-// scratch-reusing iteration loop: a trace-enabled run serializes
-// byte-identically to the pinned sequential reference at every
-// worker-pool size, steady state and perturbed alike. Rank workers
-// only hand their ops back; the iteration is recorded as one batch
-// after they join, so this is the test (run under -race by CI) that
-// the hand-off is ordered and the batch order is the rank order.
-func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
+// TestTraceByteIdenticalToSequential pins the trace against the
+// scratch-reusing iteration loop: a trace-enabled Run serializes
+// byte-identically to the pinned sequential reference, steady state
+// and perturbed alike. The prefetch goroutine records nothing; the
+// iteration is recorded as one batch in rank order on the run loop, so
+// this is the test (run under -race by CI) that the prefetched batch
+// hand-off leaves the trace as the serial loop writes it.
+func TestTraceByteIdenticalToSequential(t *testing.T) {
 	spec, corpus := buildSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	plan, err := orchestrator.PlanDistTrain(spec)
 	if err != nil {
@@ -140,9 +132,8 @@ func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			traceBytes := func(run func(*Runtime) error, par int) []byte {
+			traceBytes := func(run func(*Runtime) error) []byte {
 				cfg := tc.mk()
-				cfg.Parallelism = par
 				cfg.Trace = metrics.NewTrace()
 				rt, err := New(cfg)
 				if err != nil {
@@ -161,19 +152,16 @@ func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 			want := traceBytes(func(rt *Runtime) error {
 				_, err := rt.RunSequential(iters)
 				return err
-			}, 0)
+			})
 			if len(want) == 0 {
 				t.Fatal("sequential reference recorded no trace")
 			}
-			for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				got := traceBytes(func(rt *Runtime) error {
-					_, err := rt.Run(iters)
-					return err
-				}, par)
-				if !bytes.Equal(got, want) {
-					t.Errorf("parallelism %d: trace diverged from sequential reference (%d vs %d bytes)",
-						par, len(got), len(want))
-				}
+			got := traceBytes(func(rt *Runtime) error {
+				_, err := rt.Run(iters)
+				return err
+			})
+			if !bytes.Equal(got, want) {
+				t.Errorf("trace diverged from sequential reference (%d vs %d bytes)", len(got), len(want))
 			}
 		})
 	}

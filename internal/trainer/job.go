@@ -25,13 +25,13 @@ import (
 
 // Job is one training run in progress: the runtime plus the loop state
 // of its n-iteration run. A Job is not safe for concurrent use; the
-// concurrency lives inside Step (rank workers, an unbuilt batch's
-// prefetch), not across callers — the same contract as Runtime.
+// concurrency lives inside Step (an unbuilt batch's prefetch), not
+// across callers — the same contract as Runtime.
 type Job struct {
 	r *Runtime
 	n int
 	// prefetch is off only on the pinned serial reference
-	// (RunSequential), which also runs the rank workers inline.
+	// (RunSequential).
 	prefetch bool
 
 	res                  *Result
@@ -55,9 +55,9 @@ type Job struct {
 	finished bool
 }
 
-// NewJob builds a Job that will execute n iterations on the concurrent
-// engine with the async data service — the same path Run drives. The
-// fleet runtime advances it with Step and finalises with Finish.
+// NewJob builds a Job that will execute n iterations with the async
+// data service — the same path Run drives. The fleet runtime advances
+// it with Step and finalises with Finish.
 func (r *Runtime) NewJob(n int) (*Job, error) {
 	return r.newJob(n, true)
 }
@@ -237,9 +237,6 @@ func (j *Job) Resize(l cluster.Lease, p *orchestrator.Plan, reason string) error
 	j.switchPlan(j.i, p, reason, "fleet", "lease-resize",
 		map[string]any{"iter": j.i, "nodes": l.NodeCount(), "reason": reason})
 	r.cfg.Lease = &l
-	if la, ok := r.cfg.Controller.(LeaseAware); ok {
-		la.LeaseChanged(j.i, r.cfg.Spec, p)
-	}
 	return nil
 }
 
@@ -277,8 +274,8 @@ func (j *Job) Step() error {
 		return nil
 	}
 	// The re-planning controller gets the boundary before the
-	// iteration: a scheduled concurrent plan search joins here and the
-	// switch (if any) applies as a costed reconfiguration.
+	// iteration: a switch it scheduled for this boundary (if any)
+	// applies as a costed reconfiguration.
 	if ctl := r.cfg.Controller; ctl != nil {
 		if sw := ctl.Pending(i); sw != nil && sw.Plan != nil {
 			j.applySwitch(i, sw)
@@ -294,11 +291,7 @@ func (j *Job) Step() error {
 		}
 	}
 	j.launch(i + 1)
-	workers := 1
-	if j.prefetch {
-		workers = r.workers()
-	}
-	st, err := r.iteration(p, workers)
+	st, err := r.iteration(p)
 	if err != nil {
 		return err
 	}

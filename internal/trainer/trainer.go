@@ -8,14 +8,14 @@
 // write and restore at DFS bandwidth; all control decisions
 // (assignment, ordering, straggler propagation) are executed for real.
 //
-// The runtime is a concurrent, event-driven engine: a batch/assignment
-// front-end (prefetched one iteration ahead, while it still needs
-// building, by the async data service),
-// per-DP-rank pipeline workers on a bounded pool, and a deterministic
-// reduce that keeps results byte-identical to the pinned sequential
-// reference (RunIterationSequential / RunSequential) at any worker
-// count — the same engineering contract as the orchestrator's parallel
-// plan search. Scenario injection (internal/scenario) perturbs stage
+// The runtime has one level of concurrency: a batch/assignment front-end
+// prefetched one iteration ahead, while it still needs building, by the
+// async data service. The DP ranks' pipelines are simulated inline in
+// rank order and reduced in that order, so Run is byte-identical to the
+// pinned sequential reference (RunIterationSequential / RunSequential).
+// DistTrain's parallelism is across GPUs and disaggregated CPU nodes,
+// which the runtime prices; it is not goroutines inside one simulated
+// iteration. Scenario injection (internal/scenario) perturbs stage
 // compute, the data path, and the fabric, and can kill the job to
 // exercise checkpoint-restore recovery.
 package trainer
@@ -147,10 +147,9 @@ type Config struct {
 	// disables the accumulation.
 	GradientDim int
 
-	// Parallelism bounds the concurrent runtime's per-DP-rank pipeline
-	// worker pool; values < 1 mean GOMAXPROCS. The results are
-	// byte-identical at any value (pinned by test against the
-	// sequential reference).
+	// Parallelism is inert (ignored): an iteration simulates its DP
+	// ranks inline. Kept only for benchmark/ until a later benchmark
+	// change deletes it.
 	Parallelism int
 	// Scenario injects timed perturbation events — stragglers,
 	// preprocessing degradation, link congestion, node failures; nil
@@ -281,8 +280,8 @@ type Result struct {
 }
 
 // Runtime executes iterations for a fixed configuration. Its methods
-// are not safe for concurrent use — the concurrency lives inside the
-// engine, not across callers.
+// are not safe for concurrent use — the concurrency (the async data
+// service's prefetch) lives inside a Job's Step, not across callers.
 type Runtime struct {
 	cfg Config
 	// The checkpoint record: the newest saved step (-1 before the first
@@ -373,11 +372,11 @@ func (r *Runtime) Close() {
 	}
 }
 
-// Run builds a runtime for cfg, executes n iterations on the
-// concurrent engine and closes it: results are byte-identical to the
-// sequential reference (Runtime.RunSequential) at any worker count, and
-// scenario-injected node failures recover from the latest checkpoint
-// and re-execute the lost iterations.
+// Run builds a runtime for cfg, executes n iterations with the async
+// data service and closes it: results are byte-identical to the
+// sequential reference (Runtime.RunSequential), and scenario-injected
+// node failures recover from the latest checkpoint and re-execute the
+// lost iterations.
 func Run(cfg Config, n int) (*Result, error) {
 	rt, err := New(cfg)
 	if err != nil {
