@@ -1,7 +1,7 @@
 package disttrain
 
 // The root benchmark file holds the fleet, shared-preprocessing-service,
-// plan-cache and cold-admission loops `make bench-json` records into
+// plan-cache, cold-search and cold-admission loops `make bench-json` records into
 // BENCH_fleet.json as a trajectory of ns/op, B/op and allocs/op, plus
 // the one mechanism ablation nothing else measures, the StepCCL
 // executor. None of them gates anything: each allocation count is
@@ -198,7 +198,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 // allocations.
 func BenchmarkWarmPlanSearch(b *testing.B) {
 	spec := benchSpec(b, model.MLLM9B(), 12, 96)
-	opts := orchestrator.SearchOptions{Parallelism: 1}
+	var opts orchestrator.SearchOptions
 	// Warm the profiler's cost memo so both variants measure search
 	// vs load, not first-touch cost fills.
 	want, err := orchestrator.PlanDistTrain(spec)
@@ -251,6 +251,49 @@ func BenchmarkWarmPlanSearch(b *testing.B) {
 			}
 			return plan, err
 		})
+	})
+}
+
+// BenchmarkPlanSearch/table3 is the §4.3 search alone, cold: each op
+// plans Table 3's twelve shapes (three models at four scales, one model
+// per scale under a frozen setting, scoped out of one 192-node cluster
+// like benchmark/'s plan-sweep grid) with Search, which caches nothing.
+// TestPlanSearchAllocBudget (internal/orchestrator) pins one cold
+// search's allocations.
+func BenchmarkPlanSearch(b *testing.B) {
+	corpus, err := data.NewCorpus(data.LAION400M())
+	if err != nil {
+		b.Fatal(err)
+	}
+	models := []model.MLLM{model.MLLM9B(), model.MLLM15B(), model.MLLM72B()}
+	var specs []orchestrator.Spec
+	for row, scale := range [][2]int{{14, 240}, {41, 480}, {81, 960}, {162, 1920}} {
+		for i, m := range models {
+			cl := clusterpkg.Production(192)
+			opts := profiler.DefaultOptions(cl, m)
+			if i == row%len(models) {
+				opts.Freeze = model.FrozenSettings()[row]
+			}
+			p, err := profiler.New(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := p.Calibrate(corpus, 300); err != nil {
+				b.Fatal(err)
+			}
+			cl.Nodes = scale[0]
+			specs = append(specs, orchestrator.Spec{Cluster: cl, Model: m, GlobalBatch: scale[1], Microbatch: 1, Profiler: p, VPP: 1})
+		}
+	}
+	b.Run("table3", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, s := range specs {
+				if _, err := orchestrator.Search(context.Background(), s, orchestrator.SearchOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	})
 }
 

@@ -6,10 +6,9 @@
 //
 //	disttrain-plan -model 72b -nodes 162 -batch 1920 -strategy all
 //
-// The DistTrain planner runs on the parallel plan-search engine behind
-// a plan cache; tune each search's worker pool with -parallelism (0 =
-// GOMAXPROCS). A fleet sweep plans one task per cluster size, in
-// order, through the cache — a duplicate size is a cache hit:
+// The DistTrain planner runs on the best-first plan-search engine
+// behind a plan cache. A fleet sweep plans one task per cluster size,
+// in order, through the cache — a duplicate size is a cache hit:
 //
 //	disttrain-plan -model 9b -batch 128 -sweep 4,8,12,24
 package main
@@ -30,14 +29,13 @@ import (
 )
 
 var (
-	modelName   = flag.String("model", "9b", "model preset: 9b, 15b or 72b")
-	nodes       = flag.Int("nodes", 12, "cluster size in 8-GPU nodes")
-	batch       = flag.Int("batch", 128, "global batch size (samples per iteration)")
-	strategy    = flag.String("strategy", "all", "disttrain, megatron, distmm or all")
-	freeze      = flag.String("freeze", "full", "full, all-frozen, encoder-only, llm-only or generator-only")
-	parallelism = flag.Int("parallelism", 0, "plan-search worker count (0 = GOMAXPROCS)")
-	sweep       = flag.String("sweep", "", "comma-separated node counts to plan in order (overrides -nodes/-strategy)")
-	cacheDir    = flag.String("plan-cache-dir", "", "durable plan-cache directory: previously planned tasks load from disk instead of re-searching, and new sizes warm-start from their neighbours")
+	modelName = flag.String("model", "9b", "model preset: 9b, 15b or 72b")
+	nodes     = flag.Int("nodes", 12, "cluster size in 8-GPU nodes")
+	batch     = flag.Int("batch", 128, "global batch size (samples per iteration)")
+	strategy  = flag.String("strategy", "all", "disttrain, megatron, distmm or all")
+	freeze    = flag.String("freeze", "full", "full, all-frozen, encoder-only, llm-only or generator-only")
+	sweep     = flag.String("sweep", "", "comma-separated node counts to plan in order (overrides -nodes/-strategy)")
+	cacheDir  = flag.String("plan-cache-dir", "", "durable plan-cache directory: previously planned tasks load from disk instead of re-searching, and new sizes warm-start from their neighbours")
 )
 
 func main() {
@@ -68,7 +66,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	opts := orchestrator.SearchOptions{Parallelism: *parallelism}
+	var opts orchestrator.SearchOptions
 	cache := orchestrator.NewPlanCache(opts)
 	var disk *store.Disk
 	if *cacheDir != "" {

@@ -8,11 +8,11 @@ import (
 	"disttrain/internal/parallel"
 )
 
-// Reentrancy audit (parallel search engine): both baseline planners
-// are pure functions of the spec — they share no mutable state (each
-// builds its own searchCtx) and touch the profiler only through its
-// thread-safe query methods. Callers may therefore score baselines
-// concurrently with a DistTrain plan search.
+// Reentrancy audit: both baseline planners are pure functions of the
+// spec — they share no mutable state (each builds its own searchCtx)
+// and touch the profiler only through its thread-safe query methods.
+// Callers may therefore score baselines concurrently with a DistTrain
+// plan search.
 
 // megatronPPTable holds the §7.1 pipeline sizes: "we set the PP size of
 // the LLM backbone to 1, 2, and 10 for Llama3-7B, Llama3-13B, and

@@ -30,18 +30,17 @@ import (
 // which may deliberately leave GPUs unused when extra GPUs no longer
 // reduce iteration time (§7.1).
 //
-// The enumeration runs on the parallel search engine (search.go) with
-// default options; call Search for cancellation, a custom worker count
-// or per-candidate observation, and a PlanCache for reuse across
-// specs.
+// The enumeration runs on the best-first search engine (search.go)
+// with default options; call Search for cancellation or per-candidate
+// observation, and a PlanCache for reuse across specs.
 func PlanDistTrain(s Spec) (*Plan, error) {
 	return Search(context.Background(), s, SearchOptions{})
 }
 
 // selectBand is selectPlan's tie-break width: any candidate within 1%
 // of the fastest iteration time competes on GPU count (§7.1). The
-// branch-and-bound prune in solveSubproblem shares this constant — a
-// pruned candidate must be provably outside the band.
+// search's stop line shares this constant — a pruned candidate must be
+// provably outside the band.
 const selectBand = 1.01
 
 // pruneSlack guards the prune comparison against floating-point
@@ -98,9 +97,11 @@ var (
 	errRoundingOverBudget = errors.New("orchestrator: rounding exceeded budget")
 )
 
-// subproblemFor folds candidate c's constants into its convex program.
-// ppFloor is the backbone's memory floor at c's (TP, DP).
-func (sc *searchCtx) subproblemFor(c Candidate) (sub subproblem, ppFloor int, err error) {
+// subproblemFor folds the constants of the strategy set's i-th
+// candidate into its convex program. ppFloor is the backbone's memory
+// floor at the candidate's (TP, DP).
+func (sc *searchCtx) subproblemFor(i int) (sub subproblem, ppFloor int, err error) {
+	c := sc.cands[i]
 	tpLM, dpLM, wME, wMG := c.TPLM, c.DPLM, c.WME, c.WMG
 	s, m := sc.spec, sc.m
 	k := s.GlobalBatch / (dpLM * s.Microbatch) // microbatches per iteration
@@ -111,7 +112,7 @@ func (sc *searchCtx) subproblemFor(c Candidate) (sub subproblem, ppFloor int, er
 	cME := sc.cTrain(model.Encoder, wME)
 	cMG := sc.cTrain(model.Generator, wMG)
 
-	floor := sc.floors[[2]int{tpLM, dpLM}]
+	floor := sc.floors[i/(len(sc.tpSizes)*len(sc.tpSizes))] // i's shape block
 	if floor.err != nil {
 		return sub, 0, floor.err
 	}
@@ -138,22 +139,12 @@ func (sc *searchCtx) subproblemFor(c Candidate) (sub subproblem, ppFloor int, er
 	return sub, floor.pp, nil
 }
 
-// solveSubproblem handles one enumerated strategy combination of the
-// context's spec. It is called concurrently by the search engine's
-// workers and only reads the context.
-//
-// bound is a known-achievable iteration time (+Inf to disable):
-// candidates whose lower bound proves they cannot beat bound*selectBand
-// are skipped with ErrCandidatePruned before the water-fill. Without
-// refine, the plan is built straight from the water-fill seed: the
-// probe the search's first phase ranks candidates by.
-func (sc *searchCtx) solveSubproblem(c Candidate, bound float64, refine bool) (*Plan, error) {
-	sub, ppFloor, err := sc.subproblemFor(c)
+// solveSubproblem solves the strategy set's i-th candidate in full:
+// water-fill, refine, then build.
+func (sc *searchCtx) solveSubproblem(i int) (*Plan, error) {
+	sub, ppFloor, err := sc.subproblemFor(i)
 	if err != nil {
 		return nil, err
-	}
-	if !math.IsInf(bound, 1) && sc.lowerBound(c, &sub, ppFloor) > bound*selectBand*(1+pruneSlack) {
-		return nil, ErrCandidatePruned
 	}
 	// Stage 1: exact water-filling on the steady term gives the optimum
 	// of the dominant component.
@@ -162,12 +153,9 @@ func (sc *searchCtx) solveSubproblem(c Candidate, bound float64, refine bool) (*
 	if err != nil {
 		return nil, err
 	}
-	at := [3]float64{xs[0], xs[1], xs[2]}
-	if refine {
-		// Stage 2: 2-D golden-section refinement of the full objective.
-		at = sub.refine(at)
-	}
-	return sc.build(c, &sub, ppFloor, at)
+	// Stage 2: 2-D golden-section refinement of the full objective.
+	at := sub.refine([3]float64{xs[0], xs[1], xs[2]})
+	return sc.build(sc.cands[i], &sub, ppFloor, at)
 }
 
 // lowerBound bounds from below every iteration time candidate c can

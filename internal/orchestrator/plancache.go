@@ -36,9 +36,10 @@ import (
 // process (or a later cache instance) serves them as warm hits with
 // zero searches. On a true miss the cache warm-starts the search from
 // the incumbent plan of a neighbouring lease size (Nodes±1, same spec
-// family): the incumbent's strategy joins the search's first phase, so
-// its known iteration time tightens the bound that prunes the rest of
-// the enumeration, without ever changing the chosen plan.
+// family): the search solves the incumbent's strategy first. The
+// best-first search's stop line ends where the fastest plan puts it, so
+// the seed changes neither the chosen plan nor which other candidates
+// are solved.
 type PlanCache struct {
 	opts  SearchOptions
 	store store.Store // nil for a purely in-memory cache
@@ -78,9 +79,8 @@ type planEntry struct {
 	err  error
 }
 
-// NewPlanCache builds an empty in-memory cache; opts tunes every
-// search it runs (the chosen plans are independent of
-// opts.Parallelism).
+// NewPlanCache builds an empty in-memory cache; opts.OnCandidate
+// observes every search it runs.
 func NewPlanCache(opts SearchOptions) *PlanCache {
 	return &PlanCache{opts: opts, entries: make(map[planKey]planEntry), classes: make(map[planClass]int)}
 }

@@ -171,7 +171,7 @@ func TestPlanCacheLockContract(t *testing.T) {
 	var once sync.Once
 	var second *Plan
 	joined := make(chan struct{})
-	c = NewPlanCache(SearchOptions{Parallelism: 1, OnCandidate: func(Candidate, *Plan, error) {
+	c = NewPlanCache(SearchOptions{OnCandidate: func(Candidate, *Plan, error) {
 		if c.mu.TryLock() {
 			c.mu.Unlock()
 			t.Error("search ran without the cache's lock")
@@ -222,7 +222,7 @@ func TestPlanCacheConcurrentFingerprints(t *testing.T) {
 		}
 		specs, want = append(specs, s), append(want, p)
 	}
-	c := NewPlanCache(SearchOptions{Parallelism: 2})
+	c := NewPlanCache(SearchOptions{})
 	plans := make([]*Plan, len(specs)*k)
 	errs := make([]error, len(plans))
 	var wg sync.WaitGroup
@@ -317,7 +317,7 @@ func TestWarmPlanHitAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	opts := SearchOptions{Parallelism: 1}
+	opts := SearchOptions{}
 	if _, err := NewPersistentPlanCache(opts, st).Plan(ctx, s); err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +564,7 @@ func TestPlanRejectsForeignModel(t *testing.T) {
 // plan copy is its one allocation.
 func TestMemPlanHitAllocBudget(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
-	c := NewPlanCache(SearchOptions{Parallelism: 1})
+	c := NewPlanCache(SearchOptions{})
 	ctx := context.Background()
 	if _, err := c.Plan(ctx, s); err != nil {
 		t.Fatal(err)
@@ -627,7 +627,7 @@ func TestPlanAsyncCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewPlanCache(SearchOptions{Parallelism: 2})
+	c := NewPlanCache(SearchOptions{})
 	const k = 4
 	plans, errs := planAll(c, spec, k)
 	for i := range plans {
@@ -653,7 +653,7 @@ func TestPlanAsyncCoalescing(t *testing.T) {
 func TestPlanAsyncFailureCoalesced(t *testing.T) {
 	good := cacheSpec(t, 4, 32)
 	bad := newSpec(t, model.MLLM72B(), 4, 32, model.FullTraining) // cannot fit a 4-node lease
-	c := NewPlanCache(SearchOptions{Parallelism: 2})
+	c := NewPlanCache(SearchOptions{})
 	const k = 3
 	_, errs := planAll(c, bad, k)
 	for i, err := range errs {
@@ -725,7 +725,7 @@ func TestPlanCacheDoorsCountAlike(t *testing.T) {
 		t.Run(door.name, func(t *testing.T) {
 			st := store.NewMem()
 			for phase := range want { // cold store, then a restart over it
-				c := NewPersistentPlanCache(SearchOptions{Parallelism: 2}, st)
+				c := NewPersistentPlanCache(SearchOptions{}, st)
 				var plans []*Plan
 				for _, s := range seq {
 					got, errs := planAll(c, s, door.callers)

@@ -1,31 +1,25 @@
 package orchestrator
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"slices"
-	"sync/atomic"
 
-	"disttrain/internal/fanout"
 	"disttrain/internal/parallel"
 )
 
-// This file is the parallel plan-search engine behind PlanDistTrain.
-// The §4.3 adaptive algorithm is embarrassingly parallel: the strategy
-// set is finite and every (TP_lm, DP_lm, w_me, w_mg) combination
-// collapses to an independent convex subproblem. The engine splits
-// candidate generation from evaluation — a deterministic candidate
-// list feeds a bounded worker pool, results land in per-candidate
-// slots, and a sequential reduce applies the selectPlan tie-breaking
-// over the slots in enumeration order. Because each candidate is
-// evaluated independently (no cross-candidate floating-point
-// reduction) and the reduce order is fixed, the parallel search
-// returns a plan byte-identical to the sequential reference at any
-// parallelism level.
+// This file is the plan-search engine behind PlanDistTrain: a
+// sequential best-first branch-and-bound over the §4.3 strategy set.
+// Every (TP_lm, DP_lm, w_me, w_mg) combination collapses to an
+// independent convex subproblem with a cheap lower bound, so the engine
+// solves candidates in lower-bound order and stops once the next bound
+// lies beyond selectPlan's tie-break band around the fastest plan
+// solved so far. A sequential reduce applies the selectPlan
+// tie-breaking over the solved plans in enumeration order. Every
+// candidate that can be the fastest plan or enter the band is solved,
+// and each is solved exactly as the sequential reference solves it, so
+// the search returns a plan byte-identical to that reference.
 
 // Candidate is one strategy combination of the §4.3 enumeration:
 // the backbone's tensor- and data-parallel sizes plus the encoder and
@@ -40,30 +34,17 @@ func (c Candidate) String() string {
 
 // SearchOptions tunes the plan-search engine.
 type SearchOptions struct {
-	// Parallelism bounds the evaluation worker pool; values < 1 mean
-	// GOMAXPROCS. The chosen plan is independent of this value.
+	// Parallelism is inert (ignored): a search solves its candidates
+	// on the caller's goroutine. Kept only for benchmark/ until a later
+	// benchmark change deletes it.
 	Parallelism int
-	// OnCandidate, when non-nil, observes every evaluated candidate:
-	// plan is non-nil for feasible combinations, err explains
-	// infeasible ones (pruned candidates report ErrCandidatePruned).
-	// It is invoked from worker goroutines and must be safe for
-	// concurrent use. Under a PlanCache it runs under the cache's lock
-	// and must not call back into the cache.
+	// OnCandidate, when non-nil, observes every enumerated candidate
+	// once, on the caller's goroutine: plan is non-nil for feasible
+	// combinations, err explains infeasible ones. Candidates the bound
+	// skipped are reported with ErrCandidatePruned after the last
+	// solve. Under a PlanCache it runs under the cache's lock and must
+	// not call back into the cache.
 	OnCandidate func(c Candidate, plan *Plan, err error)
-}
-
-// sampleStride is the phase-1 probing interval. The enumeration order
-// is (TP_lm, DP_lm)-major with 16 (w_me, w_mg) combinations innermost,
-// so a stride of 8 lands two probes in every backbone shape's block.
-// A probe skips the refine, so probing every shape costs about as much
-// as solving a handful of candidates.
-const sampleStride = 8
-
-func (o SearchOptions) workers() int {
-	if o.Parallelism >= 1 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 var errNoFeasiblePlan = errors.New("orchestrator: no feasible plan (cluster too small for the model)")
@@ -77,13 +58,20 @@ var ErrCandidatePruned = errors.New("orchestrator: candidate pruned by search bo
 // enumerateCandidates materialises the finite strategy set in the
 // deterministic order of the original nested-loop enumeration. The
 // order is load-bearing: selectPlan's tie-breaking scans candidates in
-// this order, so both the sequential reference and the parallel reduce
-// must honour it.
+// this order, so both the sequential reference and the search's reduce
+// must honour it. Each backbone shape (TP_lm, DP_lm) owns one block of
+// len(tpSizes)² consecutive candidates.
 func enumerateCandidates(s Spec, n int) []Candidate {
 	tpSizes := parallel.TPSizes(s.Cluster.GPUsPerNode)
-	var out []Candidate
-	for _, tpLM := range tpSizes {
-		for _, dpLM := range dpCandidates(s, tpLM, n) {
+	dps := make([][]int, len(tpSizes))
+	size := 0
+	for i, tpLM := range tpSizes {
+		dps[i] = dpCandidates(s, tpLM, n)
+		size += len(dps[i]) * len(tpSizes) * len(tpSizes)
+	}
+	out := make([]Candidate, 0, size)
+	for i, tpLM := range tpSizes {
+		for _, dpLM := range dps[i] {
 			for _, wME := range tpSizes {
 				for _, wMG := range tpSizes {
 					out = append(out, Candidate{TPLM: tpLM, DPLM: dpLM, WME: wME, WMG: wMG})
@@ -95,34 +83,76 @@ func enumerateCandidates(s Spec, n int) []Candidate {
 }
 
 // Search runs the §4.3 search for one spec — PlanDistTrain with
-// cancellation, a custom worker count and per-candidate observation.
+// cancellation and per-candidate observation.
 func Search(ctx context.Context, s Spec, opts SearchOptions) (*Plan, error) {
 	plan, _, _, err := search(ctx, s, nil, opts)
 	return plan, err
 }
 
-// search is the engine: one spec's two-phase branch-and-bound. Phase
-// 1 probes every sampleStride-th candidate — the plan built from its
-// water-fill seed, without the refine — then fully solves the seed and
-// the fastest probe (the next-fastest when that solve fails). The
-// fastest of those solved plans is frozen as the bound, and phase 2
-// solves every other candidate, probed ones included, skipping each
-// whose lower bound provably exceeds every selectable time. The bound
-// is the time of a plan the sequential reference also produces, so no
-// pruned candidate can be the fastest plan or enter selectPlan's
-// tie-break band: the plan is byte-identical to the tests' sequential
-// reference, one unpruned solve per candidate.
-// Probes are ranked after their barrier with a lowest-index tie-break,
-// and the bound never moves after phase 1, so prune decisions (and the
-// pruned count) are the same at any parallelism.
+// boundKey is one candidate's place in the search's best-first order:
+// its lower bound, ties broken by enumeration index.
+type boundKey struct {
+	lb float64
+	i  int
+}
+
+func (a boundKey) less(b boundKey) bool {
+	return a.lb < b.lb || (a.lb == b.lb && a.i < b.i)
+}
+
+// boundHeap is a binary min-heap of boundKeys.
+type boundHeap []boundKey
+
+// down restores the heap property below position j.
+func (h boundHeap) down(j int) {
+	for {
+		l := 2*j + 1
+		if l >= len(h) {
+			return
+		}
+		if r := l + 1; r < len(h) && h[r].less(h[l]) {
+			l = r
+		}
+		if !h[l].less(h[j]) {
+			return
+		}
+		h[j], h[l] = h[l], h[j]
+		j = l
+	}
+}
+
+// pop removes and returns the smallest key.
+func (h *boundHeap) pop() boundKey {
+	old := *h
+	top, last := old[0], len(old)-1
+	old[0] = old[last]
+	*h = old[:last]
+	h.down(0)
+	return top
+}
+
+// search is the engine: one spec's best-first branch-and-bound. It
+// enumerates the strategy set once, reporting every candidate without
+// a subproblem, and heapifies the others by (lower bound, enumeration
+// index). It solves the seed first, then pops candidates in that order
+// and solves each in full — water-fill, refine, build — until the next
+// lower bound exceeds the fastest solved time·selectBand·(1+pruneSlack).
+// Bounds only rise along the pops and the fastest time only falls, so
+// every candidate whose bound lies under the final stop line is solved:
+// in particular the fastest plan and every member of selectPlan's
+// tie-break band, so the plan is byte-identical to the tests'
+// sequential reference. The candidates left in the heap are pruned.
 //
 // seed, typically the incumbent strategy of a cached plan for a
-// neighbouring spec, only ever tightens the bound; a seed outside the
-// spec's strategy set is ignored. It returns the plan or the spec's
-// error, the number of candidates the bound skipped, and the bound
-// itself (for tests). A search cancelled before every candidate was
-// evaluated reports the cancellation; one that finished still reduces
-// to its (deterministic) plan.
+// neighbouring spec, is solved first and at most once; a seed outside
+// the spec's strategy set is ignored. It cannot change which other
+// candidates are solved: the stop line ends where the fastest plan
+// puts it, so a seed outside the band costs one extra solve.
+// It returns the plan or the spec's error, the number of candidates
+// that had a subproblem but were never solved, and the fastest solved
+// time (for tests). A search cancelled before it reached the stop line
+// reports the cancellation; one that finished still reduces to its
+// (deterministic) plan.
 func search(ctx context.Context, s Spec, seed *Candidate, opts SearchOptions) (*Plan, int, float64, error) {
 	if err := s.Validate(); err != nil {
 		return nil, 0, 0, err
@@ -130,96 +160,66 @@ func search(ctx context.Context, s Spec, seed *Candidate, opts SearchOptions) (*
 	sc := newSearchCtx(&s)
 	cands := sc.strategySet()
 	results := make([]*Plan, len(cands))
-	// probeTime holds every sampleStride-th candidate's probe time, +Inf
-	// where the probe built nothing; first the candidates phase 1
-	// solved: the seed, then probes in time order.
-	probeTime := make([]float64, (len(cands)+sampleStride-1)/sampleStride)
-	var first []int
-	if seed != nil {
-		if c := slices.Index(cands, *seed); c >= 0 {
-			first = append(first, c)
-		}
-	}
-	bound := math.Inf(1) // fixed after phase 1
-	var done, pruned atomic.Int64
-
-	// solve evaluates one candidate against the current bound.
-	solve := func(c int) {
-		plan, err := sc.solveSubproblem(cands[c], bound, true)
-		if err == nil {
-			results[c] = plan
-		} else if errors.Is(err, ErrCandidatePruned) {
-			pruned.Add(1)
-		}
-		done.Add(1)
+	report := func(c int, plan *Plan, err error) {
 		if opts.OnCandidate != nil {
 			opts.OnCandidate(cands[c], plan, err)
 		}
 	}
+	best := math.Inf(1)
+	solve := func(c int) {
+		plan, err := sc.solveSubproblem(c)
+		if err == nil {
+			results[c] = plan
+			best = min(best, plan.IterTime)
+		}
+		report(c, plan, err)
+	}
 
-	// Probes are not candidates' evaluations: they fill no result slot
-	// and are not reported to OnCandidate.
-	fanout.Run(ctx, opts.workers(), len(probeTime), func(k int) {
-		t := math.Inf(1)
-		if plan, err := sc.solveSubproblem(cands[k*sampleStride], math.Inf(1), false); err == nil {
-			t = plan.IterTime
+	// seedAt is the seed's index once its subproblem exists: the one
+	// candidate solved out of order, which the heap must then skip.
+	seedAt := -1
+	h := make(boundHeap, 0, len(cands))
+	for c := range cands {
+		sub, ppFloor, err := sc.subproblemFor(c)
+		if err != nil {
+			report(c, nil, err)
+			continue
 		}
-		probeTime[k] = t
-	})
-	// Phase 1: solve the seed, then the probed candidates fastest first
-	// until one yields a plan.
-	if len(first) > 0 && ctx.Err() == nil {
-		solve(first[0])
-	}
-	order := make([]int, 0, len(probeTime))
-	for k, t := range probeTime {
-		if !math.IsInf(t, 1) {
-			order = append(order, k)
+		if seed != nil && cands[c] == *seed {
+			seedAt = c
 		}
+		h = append(h, boundKey{sc.lowerBound(cands[c], &sub, ppFloor), c})
 	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		return cmp.Compare(probeTime[a], probeTime[b])
-	})
-	for _, k := range order {
+	for j := len(h)/2 - 1; j >= 0; j-- {
+		h.down(j)
+	}
+	if seedAt >= 0 {
+		solve(seedAt)
+	}
+	for len(h) > 0 && !(h[0].lb > best*selectBand*(1+pruneSlack)) {
 		if ctx.Err() != nil {
-			break
+			return nil, 0, best, fmt.Errorf("orchestrator: plan search cancelled: %w", ctx.Err())
 		}
-		c := k * sampleStride
-		if !slices.Contains(first, c) {
-			first = append(first, c)
-			solve(c)
-		}
-		if results[c] != nil {
-			break
+		if k := h.pop(); k.i != seedAt {
+			solve(k.i)
 		}
 	}
-	// Phase barrier: the fastest plan phase 1 solved is the fixed
-	// phase-2 bound.
-	for _, c := range first {
-		if p := results[c]; p != nil && p.IterTime < bound {
-			bound = p.IterTime
+	pruned := 0
+	for _, k := range h {
+		if k.i != seedAt {
+			pruned++
+			report(k.i, nil, ErrCandidatePruned)
 		}
-	}
-	fanout.Run(ctx, opts.workers(), len(cands), func(c int) {
-		if !slices.Contains(first, c) {
-			solve(c)
-		}
-	})
-
-	// A late cancellation must not discard a search that already
-	// finished.
-	if int(done.Load()) != len(cands) {
-		return nil, 0, bound, fmt.Errorf("orchestrator: plan search cancelled: %w", ctx.Err())
 	}
 	plan, err := reducePlans(results)
-	return plan, int(pruned.Load()), bound, err
+	return plan, pruned, best, err
 }
 
 // reducePlans applies the selectPlan tie-breaking over the feasible
 // result slots in enumeration order — the deterministic reduce that
-// makes the parallel search equivalent to the sequential loop. It must
-// not mutate any candidate (solveSubproblem already stamps Strategy):
-// OnCandidate observers may have retained these pointers.
+// makes the best-first search equivalent to the sequential loop. It
+// must not mutate any candidate (solveSubproblem already stamps
+// Strategy): OnCandidate observers may have retained these pointers.
 func reducePlans(results []*Plan) (*Plan, error) {
 	feasible := make([]*Plan, 0, len(results))
 	for _, p := range results {

@@ -3,7 +3,6 @@ package orchestrator
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -13,9 +12,8 @@ import (
 )
 
 // TestPlanSearchEquivalence is the engine's core guarantee: the
-// parallel search returns a plan byte-identical to the sequential
-// reference at every parallelism level. Run under -race by the CI
-// race gate.
+// best-first search returns a plan byte-identical to the sequential
+// reference, whatever the inert Parallelism says.
 func TestPlanSearchEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -63,7 +61,7 @@ func TestPlanSearchCancellation(t *testing.T) {
 	t.Run("pre-cancelled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := Search(ctx, s, SearchOptions{Parallelism: 4}); !errors.Is(err, context.Canceled) {
+		if _, err := Search(ctx, s, SearchOptions{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("got %v, want context.Canceled", err)
 		}
 	})
@@ -72,7 +70,6 @@ func TestPlanSearchCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var seen atomic.Int64
 		opts := SearchOptions{
-			Parallelism: 2,
 			OnCandidate: func(Candidate, *Plan, error) {
 				if seen.Add(1) == 3 {
 					cancel() // pull the plug after a few evaluations
@@ -95,7 +92,6 @@ func TestPlanSearchOnCandidate(t *testing.T) {
 	total := len(enumerateCandidates(s, s.maxGPUs()))
 	var calls, feasible atomic.Int64
 	_, err := Search(context.Background(), s, SearchOptions{
-		Parallelism: 4,
 		OnCandidate: func(c Candidate, p *Plan, err error) {
 			calls.Add(1)
 			if (p == nil) == (err == nil) {
@@ -128,9 +124,8 @@ func TestPlanMany(t *testing.T) {
 	tiny := newSpec(t, model.MLLM72B(), 12, 96, model.FullTraining)
 	tiny.MaxGPUs = 8 // feasibility failure: 72B cannot fit on one node
 
-	opts := SearchOptions{Parallelism: 4}
 	for i, s := range []Spec{small, bad, big, tiny} {
-		plan, err := Search(context.Background(), s, opts)
+		plan, err := Search(context.Background(), s, SearchOptions{})
 		if i%2 == 1 {
 			if err == nil || plan != nil {
 				t.Errorf("spec %d: want an error alone, got plan %+v, err %v", i, plan, err)
@@ -157,7 +152,7 @@ func TestPlanManyCancellation(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Search(ctx, s, SearchOptions{Parallelism: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := Search(ctx, s, SearchOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled: got %v, want context.Canceled", err)
 	}
 
@@ -170,7 +165,6 @@ func TestPlanManyCancellation(t *testing.T) {
 	defer cancel()
 	var seen atomic.Int64
 	got, err := Search(ctx, s, SearchOptions{
-		Parallelism: 2,
 		OnCandidate: func(Candidate, *Plan, error) {
 			if seen.Add(1) == total {
 				cancel()
@@ -182,11 +176,11 @@ func TestPlanManyCancellation(t *testing.T) {
 	}
 }
 
-// planDistTrainSequential is the single-threaded reference
-// implementation of the §4.3 enumeration: the plain nested loop over
-// the strategy set, solving each subproblem inline. The parallel
-// engine must return byte-identical plans to this function
-// (TestPlanSearchEquivalence).
+// planDistTrainSequential is the reference implementation of the §4.3
+// enumeration: the plain loop over the strategy set, solving every
+// subproblem in full. The best-first engine must return byte-identical
+// plans to this function (TestPlanSearchEquivalence,
+// TestSearchSolvesOnlyTheBand).
 func planDistTrainSequential(s Spec) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -194,8 +188,8 @@ func planDistTrainSequential(s Spec) (*Plan, error) {
 	sc := newSearchCtx(&s)
 
 	var candidates []*Plan
-	for _, c := range sc.strategySet() {
-		cand, err := sc.solveSubproblem(c, math.Inf(1), true)
+	for i := range sc.strategySet() {
+		cand, err := sc.solveSubproblem(i)
 		if err != nil {
 			continue // infeasible combination
 		}

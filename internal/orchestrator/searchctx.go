@@ -16,8 +16,7 @@ import (
 // model FLOPs. The exported CheckMemory builds one for a single plan,
 // so searched and hand-built plans are checked by the same arithmetic.
 //
-// A searchCtx is read-only once built and safe to share across the
-// search's workers. It assumes spec.Validate() passed.
+// It assumes spec.Validate() passed.
 type searchCtx struct {
 	spec     *Spec
 	n        int     // GPU budget
@@ -28,10 +27,11 @@ type searchCtx struct {
 	divisors divisorTable // of the backbone's layer count
 	mem      [3]moduleMemory
 	mfuFLOPs float64 // model FLOPs per iteration, the MFU estimate's numerator
-	// floors holds llmMemoryFloor per backbone shape {TP, DP} of the
-	// strategy set; filled by strategySet, nil for a context that only
-	// evaluates plans.
-	floors map[[2]int]ppFloor
+	// cands is the strategy set and floors holds llmMemoryFloor per
+	// backbone shape, in the order of cands' shape blocks; both are
+	// filled by strategySet, nil for a context that only evaluates plans.
+	cands  []Candidate
+	floors []ppFloor
 }
 
 // moduleMemory is the plan-independent half of one module's §4.2
@@ -95,19 +95,18 @@ func (sc *searchCtx) cTrain(mod model.Module, width int) float64 {
 
 // strategySet enumerates the spec's candidates and records the backbone
 // memory floor of every shape among them: the floor depends only on
-// (TP, DP), and the 16 (w_me, w_mg) combinations of one shape all need
-// it. Call it before the context is shared with workers.
+// (TP, DP), and the len(tpSizes)² (w_me, w_mg) combinations of one
+// shape's block all need it.
 func (sc *searchCtx) strategySet() []Candidate {
-	cands := enumerateCandidates(*sc.spec, sc.n)
-	sc.floors = make(map[[2]int]ppFloor)
-	for _, c := range cands {
-		shape := [2]int{c.TPLM, c.DPLM}
-		if _, ok := sc.floors[shape]; !ok {
-			pp, err := sc.llmMemoryFloor(c.TPLM, c.DPLM)
-			sc.floors[shape] = ppFloor{pp, err}
-		}
+	sc.cands = enumerateCandidates(*sc.spec, sc.n)
+	block := len(sc.tpSizes) * len(sc.tpSizes)
+	sc.floors = make([]ppFloor, len(sc.cands)/block)
+	for k := range sc.floors {
+		c := sc.cands[k*block]
+		pp, err := sc.llmMemoryFloor(c.TPLM, c.DPLM)
+		sc.floors[k] = ppFloor{pp, err}
 	}
-	return cands
+	return sc.cands
 }
 
 // llmMemoryFloor returns the minimum PP for the backbone at (tp, dp):

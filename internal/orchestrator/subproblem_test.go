@@ -163,8 +163,8 @@ func TestSubproblemKernelMatchesOracle(t *testing.T) {
 		s := s
 		sc := newSearchCtx(&s)
 		solved := 0
-		for _, c := range sc.strategySet() {
-			sub, _, err := sc.subproblemFor(c)
+		for i, c := range sc.strategySet() {
+			sub, _, err := sc.subproblemFor(i)
 			if err != nil {
 				continue
 			}
@@ -282,12 +282,12 @@ func TestPruneBoundsAreLowerBounds(t *testing.T) {
 		s := s
 		sc := newSearchCtx(&s)
 		checked := 0
-		for _, c := range sc.strategySet() {
-			sub, ppFloor, err := sc.subproblemFor(c)
+		for i, c := range sc.strategySet() {
+			sub, ppFloor, err := sc.subproblemFor(i)
 			if err != nil {
 				continue
 			}
-			plan, err := sc.solveSubproblem(c, math.Inf(1), true)
+			plan, err := sc.solveSubproblem(i)
 			if err != nil {
 				continue
 			}
@@ -397,18 +397,18 @@ func TestPlanSearchAllocBudget(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining) // BenchmarkWarmPlanSearch's spec
 	sc := newSearchCtx(&s)
 	cands := sc.strategySet()
-	var feasible *Candidate
+	feasible := -1
 	for i := range cands {
-		if _, err := sc.solveSubproblem(cands[i], math.Inf(1), true); err == nil {
-			feasible = &cands[i]
+		if _, err := sc.solveSubproblem(i); err == nil {
+			feasible = i
 			break
 		}
 	}
-	if feasible == nil {
+	if feasible < 0 {
 		t.Fatal("no feasible candidate")
 	}
 	if got := testing.AllocsPerRun(20, func() {
-		if _, err := sc.solveSubproblem(*feasible, math.Inf(1), true); err != nil {
+		if _, err := sc.solveSubproblem(feasible); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 3 {
@@ -417,14 +417,15 @@ func TestPlanSearchAllocBudget(t *testing.T) {
 
 	// 7083 allocs/op were recorded for this cold search before the
 	// kernel, 367 before phase 1 probed instead of solving its sample,
-	// and 344 while the engine planned a batch of specs; the budget is
-	// the 325 measured since, plus 10%.
-	opts := SearchOptions{Parallelism: 1}
+	// 344 while the engine planned a batch of specs and 325 while it
+	// probed every 8th candidate and fanned the rest out over a worker
+	// pool; the budget is the 86 the best-first search measures, plus
+	// 10%.
 	if got := testing.AllocsPerRun(3, func() {
-		if _, err := Search(context.Background(), s, opts); err != nil {
+		if _, err := Search(context.Background(), s, SearchOptions{}); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 357 {
-		t.Errorf("cold search: %.0f allocs for %d candidates, budget 357", got, len(cands))
+	}); got > 94 {
+		t.Errorf("cold search: %.0f allocs for %d candidates, budget 94", got, len(cands))
 	}
 }

@@ -2,11 +2,16 @@ package orchestrator
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"disttrain/internal/cluster"
+	"disttrain/internal/data"
 	"disttrain/internal/model"
+	"disttrain/internal/profiler"
 )
 
 // seedFromPlan extracts a plan's strategy combination — the same
@@ -21,9 +26,8 @@ func seedFromPlan(p *Plan) Candidate {
 }
 
 // twoPhaseShapes are the bound-policy gate's specs. minPruned is the
-// unseeded prune count of the search whose first phase solved every
-// sampleStride-th candidate in full instead of probing it: probing must
-// not loosen the bound.
+// unseeded prune count of the two-phase search whose first phase
+// solved every 8th candidate in full: the search must never prune less.
 var twoPhaseShapes = []struct {
 	name      string
 	m         model.MLLM
@@ -44,11 +48,11 @@ var twoPhaseShapes = []struct {
 // neighbouring cluster size, the optimum itself, or a candidate
 // outside the strategy set — the search returns a plan byte-identical
 // to the sequential reference and actually prunes work, and the prune
-// count depends on the spec and seed alone, not on the worker count. A seed
-// can only tighten the bound, so the optimal seed never prunes fewer
-// candidates than no seed. Phase 1's probe must find the optimum's
-// neighbourhood unaided: its bound lies within selectBand of the
-// chosen plan, and the unseeded search prunes at least minPruned.
+// count depends on the spec and seed alone, not on the inert
+// Parallelism. A seed can only lower the stop line early, so the
+// optimal seed never prunes fewer candidates than no seed. The bound
+// the search stops at lies within selectBand of the chosen plan, and
+// the unseeded search prunes at least minPruned.
 func TestTwoPhaseSearchEquivalence(t *testing.T) {
 	for _, tc := range twoPhaseShapes {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,8 +71,8 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 			// prune a member of the reference's tie-break band.
 			fastest := math.Inf(1)
 			sc := newSearchCtx(&s)
-			for _, c := range sc.strategySet() {
-				if p, err := sc.solveSubproblem(c, math.Inf(1), true); err == nil {
+			for i := range sc.strategySet() {
+				if p, err := sc.solveSubproblem(i); err == nil {
 					fastest = min(fastest, p.IterTime)
 				}
 			}
@@ -97,7 +101,7 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 						t.Errorf("%s par=%d: pruned nothing", sc.name, par)
 					}
 					if bound < fastest || bound > want.IterTime*selectBand {
-						t.Errorf("%s par=%d: phase-1 bound %g is not in [%g, the band of the chosen plan's %g]",
+						t.Errorf("%s par=%d: search bound %g is not in [%g, the band of the chosen plan's %g]",
 							sc.name, par, bound, fastest, want.IterTime)
 					}
 					if pruned >= 0 && n != pruned {
@@ -118,5 +122,173 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 			}
 			t.Logf("pruned of %d candidates: %v", len(enumerateCandidates(s, s.maxGPUs())), prunedBy)
 		})
+	}
+}
+
+// bandOracle is the brute-force view of one spec's search: which
+// candidates have a subproblem, which of those fail their full solve,
+// and which lie in the band — a lower bound at most
+// fastest·selectBand·(1+pruneSlack), for the fastest time any candidate
+// reaches: the set a best-first search must solve and nothing more.
+type bandOracle struct {
+	cands                 []Candidate
+	hasSub, fails, inBand []bool
+	band, subs            int
+}
+
+func newBandOracle(s Spec) bandOracle {
+	sc := newSearchCtx(&s)
+	o := bandOracle{cands: sc.strategySet()}
+	n := len(o.cands)
+	o.hasSub, o.fails, o.inBand = make([]bool, n), make([]bool, n), make([]bool, n)
+	lbs := make([]float64, n)
+	fastest := math.Inf(1)
+	for i, c := range o.cands {
+		sub, ppFloor, err := sc.subproblemFor(i)
+		if err != nil {
+			continue
+		}
+		o.hasSub[i], lbs[i] = true, sc.lowerBound(c, &sub, ppFloor)
+		o.subs++
+		if p, err := sc.solveSubproblem(i); err == nil {
+			fastest = min(fastest, p.IterTime)
+		} else {
+			o.fails[i] = true
+		}
+	}
+	for i := range o.cands {
+		if o.hasSub[i] && lbs[i] <= fastest*selectBand*(1+pruneSlack) {
+			o.inBand[i] = true
+			o.band++
+		}
+	}
+	return o
+}
+
+// check runs the search with seed and asserts that it reports every
+// candidate exactly once, solves (reports without ErrCandidatePruned)
+// exactly the band plus a seed outside it, prunes the rest of the
+// candidates with a subproblem, and returns the reference plan.
+func (o bandOracle) check(t *testing.T, s Spec, seed *Candidate) {
+	t.Helper()
+	want, wantErr := planDistTrainSequential(s)
+	reports := map[Candidate]int{}
+	solved := map[Candidate]bool{}
+	plan, pruned, _, err := search(context.Background(), s, seed, SearchOptions{
+		OnCandidate: func(c Candidate, _ *Plan, err error) {
+			reports[c]++
+			solved[c] = !errors.Is(err, ErrCandidatePruned)
+		},
+	})
+	if !errors.Is(err, wantErr) || !reflect.DeepEqual(plan, want) {
+		t.Fatalf("diverged from sequential reference:\ngot  %+v, %v\nwant %+v, %v", plan, err, want, wantErr)
+	}
+	solves := 0
+	for i, c := range o.cands {
+		if reports[c] != 1 {
+			t.Fatalf("%v reported %d times, want once", c, reports[c])
+		}
+		if !o.hasSub[i] {
+			continue
+		}
+		wantSolved := o.inBand[i] || (seed != nil && c == *seed)
+		if solved[c] != wantSolved {
+			t.Fatalf("%v: solved %v, want %v (in band %v)", c, solved[c], wantSolved, o.inBand[i])
+		}
+		if solved[c] {
+			solves++
+		}
+	}
+	if pruned != o.subs-solves {
+		t.Fatalf("pruned %d, want the %d candidates with a subproblem less the %d solved", pruned, o.subs, solves)
+	}
+}
+
+// TestSearchSolvesOnlyTheBand is the best-first search's oracle: on
+// the plan-sweep specs one node either side of Table 3's sizes, the
+// two-phase gate's shapes and churn-shaped 9B leases, the search
+// returns the sequential reference's plan and solves exactly the
+// candidates whose lower bound lies in the band around the fastest
+// plan, found by brute force.
+func TestSearchSolvesOnlyTheBand(t *testing.T) {
+	var specs []Spec
+	sweep := sweepSpecs(t)
+	if testing.Short() {
+		sweep = sweep[:6]
+	}
+	for _, s := range sweep {
+		for _, d := range []int{-1, 0, 1} {
+			s.Cluster.Nodes += d
+			specs = append(specs, s)
+			s.Cluster.Nodes -= d
+		}
+	}
+	for _, tc := range twoPhaseShapes {
+		specs = append(specs, newSpec(t, tc.m, tc.nodes, tc.batch, tc.freeze))
+	}
+	for nodes := 2; nodes <= 6; nodes++ {
+		s := newSpec(t, model.MLLM9B(), nodes, 16, model.FullTraining)
+		for _, batch := range []int{16, 32, 48, 64} {
+			s.GlobalBatch = batch
+			specs = append(specs, s)
+		}
+	}
+	for _, s := range specs {
+		t.Run(fmt.Sprintf("%s-%dnode-batch%d", s.Model.Name, s.Cluster.Nodes, s.GlobalBatch), func(t *testing.T) {
+			o := newBandOracle(s)
+			if o.band == 0 {
+				t.Fatal("no candidate in the band")
+			}
+			o.check(t, s, nil)
+		})
+	}
+}
+
+// TestSearchSeedSolvedOnce: a seed is solved at most once and reported
+// once — the heap skips the candidate it already tried — whether its
+// full solve fails, it has no subproblem at all, or it lies inside or
+// outside the band; the search otherwise solves exactly the band. On
+// 16 GiB GPUs one 9B candidate's build fails outside the band; on
+// 12 GiB every build fails, so nothing bounds the search and the
+// failed seed's own key is popped too.
+func TestSearchSeedSolvedOnce(t *testing.T) {
+	corpus, err := data.NewCorpus(data.LAION400M())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		gib   float64
+		kinds int
+	}{{16, 4}, {12, 2}} {
+		cl := cluster.Production(4)
+		cl.GPU.MemoryBytes = tc.gib * (1 << 30)
+		p, err := profiler.New(profiler.DefaultOptions(cl, model.MLLM9B()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Calibrate(corpus, 300); err != nil {
+			t.Fatal(err)
+		}
+		s := Spec{Cluster: cl, Model: model.MLLM9B(), GlobalBatch: 32, Microbatch: 1, Profiler: p, VPP: 1}
+		o := newBandOracle(s)
+		seeds := map[string]int{}
+		for i := range o.cands {
+			switch {
+			case o.fails[i]:
+				seeds["failing-build"] = i
+			case !o.hasSub[i]:
+				seeds["no-subproblem"] = i
+			case o.inBand[i]:
+				seeds["in-band"] = i
+			default:
+				seeds["outside-band"] = i
+			}
+		}
+		if _, ok := seeds["failing-build"]; !ok || len(seeds) != tc.kinds {
+			t.Fatalf("%g GiB: want %d seed kinds with a failing build, got %v", tc.gib, tc.kinds, seeds)
+		}
+		for name, i := range seeds {
+			t.Run(fmt.Sprintf("%gGiB-%s", tc.gib, name), func(t *testing.T) { o.check(t, s, &o.cands[i]) })
+		}
 	}
 }
