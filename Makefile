@@ -110,11 +110,18 @@ COVER_FLOOR ?= 73
 # outright in place of its reflect-based sharing check, and 15,974 once
 # the §4.3 search went best-first: a heap of (lower bound, index) keys
 # replaced the probe phase and both worker-pool fan-outs, the backbone
-# floors became a slice, and disttrain-plan -parallelism went.
+# floors became a slice, and disttrain-plan -parallelism went, and
+# 15,994 once a tenant was admitted at class cost: the +20 are the
+# per-spec limits Run keeps in place of copying cfg.Jobs, the running
+# snapshot extended on admission (admitRunning) and served capped, the
+# lease table's exact-size Free/Failed/Leases (nodesOwnedBy, one backing
+# array), sortQueue's inversion pass and the Job's lazy prefetch
+# channel, net of leaseTable.Check and the counting loops that went
+# (fleet-steady work_per_cpu_s 228k -> 309k).
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 15974
+LOC_CEILING ?= 15994
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 

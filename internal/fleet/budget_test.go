@@ -26,8 +26,12 @@ import (
 // again (K=1 from 429, the cold storm from 3,158) when an iteration
 // stopped handing its ranks to a worker pool, and once more (K=1 from
 // 269, the cold storm from 2,998) when the §4.3 search went best-first
-// and lost its probe phase and worker pool. Under the race detector
-// sync.Pool drops entries at random, so there is nothing to pin.
+// and lost its probe phase and worker pool, and again on every row (K=64
+// from 1,740) when admission stopped copying templates, extended the
+// running snapshot instead of rebuilding it, sized the lease table's
+// results once and made a Job's prefetch channel only on use. Under the
+// race detector sync.Pool drops entries at random, so there is nothing
+// to pin.
 func TestFleetAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -39,11 +43,11 @@ func TestFleetAllocBudget(t *testing.T) {
 		distinct bool // distinct batches: one cold search per tenant
 		recorded float64
 	}{
-		{"K=1", 1, 32, false, 188},
-		{"K=4", 4, 8, false, 279},
-		{"K=16", 16, 2, false, 500},
-		{"K=64", 64, 2, false, 1740},
-		{"cold storm", 16, 2, true, 1443},
+		{"K=1", 1, 32, false, 182},
+		{"K=4", 4, 8, false, 258},
+		{"K=16", 16, 2, false, 421},
+		{"K=64", 64, 2, false, 1295},
+		{"cold storm", 16, 2, true, 1364},
 	} {
 		spec, corpus := buildSpec(t, 2*tc.k, 32)
 		cfg := Config{Cluster: spec.Cluster}

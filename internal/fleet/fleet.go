@@ -56,7 +56,9 @@ type Config struct {
 	// Cluster is the shared fleet every lease is carved out of.
 	Cluster cluster.Cluster
 	// Jobs are the submissions. Scenario job-arrive events may submit
-	// additional instances of any entry.
+	// additional instances of any entry. Run reads Jobs for the whole run
+	// and never writes it: MinNodes/MaxNodes defaults apply to the run
+	// alone, so one slice may drive fleets of different sizes.
 	Jobs []JobSpec
 	// Policy is the Scheduler deciding admission order, lease sizing
 	// and placement: one of the built-ins (FIFO, FairShare, Priority),
@@ -198,9 +200,8 @@ var legalMoves = [...][len(stateNames)]bool{
 }
 
 type tenant struct {
-	id, spec int
+	id, spec int // spec indexes Config.Jobs: the tenant's template
 	name     string
-	cfg      trainer.Config // instance copy of the template
 	iters    int
 	min, max int
 	class    Class
@@ -230,8 +231,8 @@ type tenant struct {
 type runner struct {
 	cfg        Config
 	sched      Scheduler
-	shaped     bool    // scheduler placements are priced (ShapedScheduler)
-	classes    []Class // validated per-JobSpec priority classes
+	shaped     bool         // scheduler placements are priced (ShapedScheduler)
+	specs      []specLimits // validated per-JobSpec class and node bounds
 	table      *leaseTable
 	cache      *orchestrator.PlanCache
 	events     []scenario.Event
@@ -264,9 +265,17 @@ type runner struct {
 	// gen is bumped by transition and resize — the only writers of
 	// tenant state and of a running tenant's lease — and by nothing
 	// else; runViews is Ops.Running's snapshot, current while
-	// runViewsGen == gen (both start at 0: no tenant runs, nil is right).
+	// runViewsGen == gen (both start at 0: no tenant runs, nil is right),
+	// and extended in place by admitRunning.
 	gen, runViewsGen uint64
 	runViews         []JobView
+}
+
+// specLimits is what Run derives from one JobSpec once, with defaults
+// applied: tenants copy these, not the spec.
+type specLimits struct {
+	class    Class
+	min, max int
 }
 
 // Run executes the fleet to completion: every submitted (and
@@ -302,27 +311,27 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("fleet: %s event needs Config.Preprocess (it acts on the shared producer fleet)", ev.Kind)
 		}
 	}
-	// Defaults land on a private copy: callers may reuse one Jobs
-	// slice across fleets (and cluster sizes) without this run's
+	// Defaults land in specs, never in cfg.Jobs: callers may reuse one
+	// Jobs slice across fleets (and cluster sizes) without this run's
 	// defaults sticking.
-	cfg.Jobs = append([]JobSpec(nil), cfg.Jobs...)
-	classes := make([]Class, len(cfg.Jobs))
+	specs := make([]specLimits, len(cfg.Jobs))
 	for i := range cfg.Jobs {
 		js := &cfg.Jobs[i]
-		if js.MinNodes == 0 {
-			js.MinNodes = 1
+		lo, hi := js.MinNodes, js.MaxNodes
+		if lo == 0 {
+			lo = 1
 		}
-		if js.MaxNodes == 0 {
-			js.MaxNodes = cfg.Cluster.Nodes
+		if hi == 0 {
+			hi = cfg.Cluster.Nodes
 		}
 		switch {
 		case js.Iters <= 0:
 			return nil, fmt.Errorf("fleet: job %d needs at least one iteration", i)
 		case js.Arrive < 0:
 			return nil, fmt.Errorf("fleet: job %d arrival round %d negative", i, js.Arrive)
-		case js.MinNodes < 1 || js.MinNodes > js.MaxNodes || js.MaxNodes > cfg.Cluster.Nodes:
+		case lo < 1 || lo > hi || hi > cfg.Cluster.Nodes:
 			return nil, fmt.Errorf("fleet: job %d wants [%d,%d] nodes on a %d-node fleet",
-				i, js.MinNodes, js.MaxNodes, cfg.Cluster.Nodes)
+				i, lo, hi, cfg.Cluster.Nodes)
 		case js.Train.Spec.Cluster != cfg.Cluster:
 			return nil, fmt.Errorf("fleet: job %d's Train.Spec.Cluster differs from the shared fleet", i)
 		case js.Train.Controller != nil:
@@ -332,14 +341,14 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: job %d: %w", i, err)
 		}
-		classes[i] = cls
+		specs[i] = specLimits{class: cls, min: lo, max: hi}
 	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = orchestrator.NewPlanCache(orchestrator.SearchOptions{})
 	}
 	f := &runner{
-		cfg: cfg, sched: sched, shaped: shaped, classes: classes,
+		cfg: cfg, sched: sched, shaped: shaped, specs: specs,
 		table: newLeaseTable(cfg.Cluster.Nodes),
 		cache: cache, events: events,
 	}
@@ -355,15 +364,11 @@ func Run(cfg Config) (*Result, error) {
 	baseWarmHits, baseWarmSeeds, basePruned := cache.WarmHits(), cache.WarmSeeds(), cache.Pruned()
 
 	lastRound := 0
-	for _, js := range cfg.Jobs {
-		if js.Arrive > lastRound {
-			lastRound = js.Arrive
-		}
+	for i := range cfg.Jobs {
+		lastRound = max(lastRound, cfg.Jobs[i].Arrive)
 	}
 	for _, ev := range events {
-		if ev.Start > lastRound {
-			lastRound = ev.Start
-		}
+		lastRound = max(lastRound, ev.Start)
 	}
 
 	for f.round = 0; ; f.round++ {
@@ -499,7 +504,7 @@ func arrivalKind(k scenario.Kind) bool {
 // newTenant submits one instance of job spec si to the queue, at the
 // given priority class.
 func (f *runner) newTenant(si int, class Class) {
-	js := f.cfg.Jobs[si]
+	js, lim := &f.cfg.Jobs[si], f.specs[si]
 	name := js.Name
 	if name == "" {
 		name = "job"
@@ -507,10 +512,9 @@ func (f *runner) newTenant(si int, class Class) {
 	t := &tenant{
 		id: len(f.tenants), spec: si,
 		name:  fmt.Sprintf("%s-%d", name, len(f.tenants)),
-		cfg:   js.Train,
 		iters: js.Iters,
-		min:   js.MinNodes, max: js.MaxNodes,
-		class:   f.classes[si],
+		min:   lim.min, max: lim.max,
+		class:   lim.class,
 		arrived: f.round, started: -1, finished: -1,
 		state: stateQueued,
 	}
@@ -740,26 +744,30 @@ func (f *runner) fail(t *tenant, kind string, err error) {
 // schedulers price the lease's concrete shape: a fragmented lease
 // loses rail alignment, and its plan is cached under that shape.
 func (f *runner) leaseSpec(t *tenant, l cluster.Lease) orchestrator.Spec {
-	return t.cfg.Spec.ForLease(f.cfg.Cluster, l, f.shaped)
+	return f.cfg.Jobs[t.spec].Train.Spec.ForLease(f.cfg.Cluster, l, f.shaped)
 }
 
 // sortQueue orders the admission queue by the scheduler's Order
 // (stable, so always-false comparators keep strict submission order).
 // No-op while queueDirty is clear: removals keep a sorted queue
 // sorted, so only key mutations (arrivals, requeues, preemptions,
-// aging) force a re-sort. Views are built on read and alias the lease,
-// so the comparator does not allocate.
+// aging) force a re-sort. A queue with no adjacent inversion is what
+// the stable sort would return, so a pass that finds none skips it;
+// under a constant Order (fifo, fair-share) it never finds one.
+// Views are built on read and alias the lease, so the comparator does
+// not allocate.
 func (f *runner) sortQueue() {
 	if !f.queueDirty {
 		return
 	}
 	f.queueDirty = false
-	if len(f.queue) < 2 {
-		return
+	q := f.queue
+	for i := 1; i < len(q); i++ {
+		if f.sched.Order(f.view(q[i]), f.view(q[i-1])) {
+			sort.SliceStable(q, func(i, j int) bool { return f.sched.Order(f.view(q[i]), f.view(q[j])) })
+			return
+		}
 	}
-	sort.SliceStable(f.queue, func(i, j int) bool {
-		return f.sched.Order(f.view(f.queue[i]), f.view(f.queue[j]))
-	})
 }
 
 // admit reserves leases for queued tenants in scheduler order until
@@ -842,7 +850,7 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 		return err
 	}
 	if t.rt == nil {
-		tcfg := t.cfg
+		tcfg := f.cfg.Jobs[t.spec].Train
 		l := lease
 		tcfg.Lease = &l
 		tcfg.Plan = plan
@@ -882,7 +890,7 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 	if t.started < 0 {
 		t.started = f.round
 	}
-	f.transition(t, stateRunning, "placed")
+	f.admitRunning(t)
 	f.note("job-start", noteInt("job", t.id), noteInt("nodes", lease.NodeCount()), noteStr("strategy", plan.Strategy))
 	return nil
 }

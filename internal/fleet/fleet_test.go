@@ -471,6 +471,45 @@ func TestFleetConfigValidation(t *testing.T) {
 	}
 }
 
+// TestRunLeavesCallerJobsUntouched pins that Run reads Config.Jobs and
+// never writes it: one Jobs slice with MinNodes/MaxNodes 0 drives an
+// 8-node fleet, then a 4-node one, and the defaults each run applies
+// (MaxNodes = the fleet) stay with that run. Between the runs the test
+// retargets each Train template at the smaller cluster, since a
+// template must name its fleet; the node bounds are left as they are.
+func TestRunLeavesCallerJobsUntouched(t *testing.T) {
+	jobs := make([]JobSpec, 2)
+	for _, nodes := range []int{8, 4} {
+		spec, corpus := buildSpec(t, nodes, 32)
+		for i := range jobs {
+			jobs[i].Name, jobs[i].Iters = "d", 2
+			jobs[i].Train = trainer.DistTrainConfig(spec, nil, corpus)
+		}
+		widest := 0
+		res, err := runChecked(t, Config{Cluster: spec.Cluster, Jobs: jobs, OnRound: func(ri RoundInfo) {
+			for _, l := range ri.Leases {
+				widest = max(widest, len(l))
+			}
+		}})
+		if err != nil {
+			t.Fatalf("%d-node fleet: %v", nodes, err)
+		}
+		for i, js := range jobs {
+			if js.MinNodes != 0 || js.MaxNodes != 0 {
+				t.Errorf("%d-node fleet: the caller's job %d reads [%d,%d] nodes after Run, want [0,0]", nodes, i, js.MinNodes, js.MaxNodes)
+			}
+		}
+		for _, jr := range res.Jobs {
+			if jr.Err != nil {
+				t.Fatalf("%d-node fleet: tenant %s: %v", nodes, jr.Name, jr.Err)
+			}
+		}
+		if widest != nodes {
+			t.Errorf("%d-node fleet: widest lease %d nodes, want MaxNodes 0 to default to the fleet's %d", nodes, widest, nodes)
+		}
+	}
+}
+
 // idleController is a trainer.Controller that never switches.
 type idleController struct{}
 

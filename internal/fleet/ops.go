@@ -26,15 +26,15 @@ func (f *runner) view(t *tenant) JobView {
 // trainer resizes and trace notes the built-in policies use.
 type schedOps struct{ f *runner }
 
-func (o schedOps) Healthy() int { return o.f.table.Nodes() - len(o.f.table.Failed()) }
-func (o schedOps) Free() []int  { return o.f.table.Free() }
-func (o schedOps) FreeCount() int {
-	return o.f.table.FreeCount()
-}
+func (o schedOps) Healthy() int   { return o.f.table.Nodes() - o.f.table.FailedCount() }
+func (o schedOps) Free() []int    { return o.f.table.Free() }
+func (o schedOps) FreeCount() int { return o.f.table.FreeCount() }
 
-// Running serves one exact-size snapshot per generation of tenant
-// state. A rebuild allocates rather than overwrites, so a scheduler
-// ranging over one result while it shrinks or preempts keeps its view.
+// Running serves one snapshot per generation of tenant state, capped
+// at its length: neither admitRunning's append nor a scheduler's
+// append onto a served slice can write where another caller reads. A
+// rebuild allocates rather than overwrites, so a scheduler ranging over
+// one result while it shrinks or preempts keeps its view.
 func (o schedOps) Running() []JobView {
 	f := o.f
 	if f.runViewsGen != f.gen {
@@ -46,7 +46,21 @@ func (o schedOps) Running() []JobView {
 			}
 		}
 	}
-	return f.runViews
+	n := len(f.runViews)
+	return f.runViews[:n:n]
+}
+
+// admitRunning is reserve's move of t to running. When the snapshot
+// was current and t's id sorts last, as a fresh tenant's does under
+// submission order, it gains t's view in place of a rebuild at the
+// next Running; any other placement leaves it stale, to be rebuilt.
+func (f *runner) admitRunning(t *tenant) {
+	current := f.runViewsGen == f.gen
+	f.transition(t, stateRunning, "placed")
+	if n := len(f.runViews); current && (n == 0 || f.runViews[n-1].ID < t.id) {
+		f.runViews = append(f.runViews, f.view(t))
+		f.runViewsGen = f.gen
+	}
 }
 
 // runningTenant resolves an Ops target id to a running tenant.

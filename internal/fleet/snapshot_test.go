@@ -160,6 +160,67 @@ func TestRunningSnapshotAllocFree(t *testing.T) {
 	}
 }
 
+// TestRunningSnapshotExtendsOnAdmission pins admitRunning's append:
+// placing tenants in id order extends the current snapshot instead of
+// rebuilding it, and the append never reaches a slice Running served
+// earlier — its length, capacity and contents stay — nor does a
+// scheduler's append onto a served slice reach the runner's next one.
+// Every snapshot deep-equals a fresh build, including after a
+// placement that cannot extend (a lower id than the last view's).
+func TestRunningSnapshotExtendsOnAdmission(t *testing.T) {
+	f := &runner{table: newLeaseTable(8)}
+	for i := 0; i < 5; i++ {
+		f.tenants = append(f.tenants, &tenant{id: i, name: "t", min: 1, max: 4, started: -1, state: stateQueued})
+	}
+	ops := schedOps{f}
+	fresh := func(what string, got []JobView) {
+		t.Helper()
+		if want := freshRunning(f); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Running() = %+v, a fresh build %+v", what, got, want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		f.admitRunning(f.tenants[i])
+		if f.runViewsGen != f.gen {
+			t.Fatalf("placing tenant %d left the snapshot stale: it was rebuilt, not extended", i)
+		}
+	}
+	held := ops.Running()
+	fresh("after three placements", held)
+	if len(held) != 3 || cap(held) != 3 {
+		t.Fatalf("Running() served len %d cap %d, want 3 and 3: a later append could write into it", len(held), cap(held))
+	}
+	want := append([]JobView(nil), held...)
+
+	f.admitRunning(f.tenants[3])
+	extended := ops.Running()
+	fresh("after the fourth placement", extended)
+	if &extended[0] != &held[0] {
+		t.Error("the fourth placement rebuilt the snapshot instead of extending it")
+	}
+	if len(held) != 3 || cap(held) != 3 || !reflect.DeepEqual(held, want) {
+		t.Errorf("the extension changed a snapshot served earlier: len %d cap %d %+v", len(held), cap(held), held)
+	}
+
+	// A scheduler appends onto both slices it was served.
+	_ = append(held, JobView{ID: 99, Name: "scheduler"})
+	_ = append(extended, JobView{ID: 98, Name: "scheduler"})
+	next := ops.Running()
+	fresh("after scheduler appends", next)
+	f.admitRunning(f.tenants[4])
+	fresh("after the fifth placement", ops.Running())
+
+	// Suspending tenant 1 and placing it again: id 1 sorts before the
+	// last view's, so the snapshot goes stale and is rebuilt.
+	f.transition(f.tenants[1], stateQueued, "test")
+	fresh("after a suspend", ops.Running())
+	f.admitRunning(f.tenants[1])
+	if f.runViewsGen == f.gen {
+		t.Error("placing tenant 1 after tenant 4 extended the snapshot out of id order")
+	}
+	fresh("after resuming tenant 1", ops.Running())
+}
+
 // TestRetireClosesRuntime began as the regression test for leaked
 // checkpoint writers, one goroutine per checkpointing runtime that only
 // Runtime.Close stopped. A checkpoint is now a record on the runtime and

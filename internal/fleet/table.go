@@ -49,57 +49,62 @@ func newLeaseTable(n int) *leaseTable {
 func (t *leaseTable) Nodes() int { return len(t.owner) }
 
 // Free returns the free node indices, ascending.
-func (t *leaseTable) Free() []int {
-	var out []int
-	for i, o := range t.owner {
-		if o == nodeFree {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (t *leaseTable) Free() []int { return t.nodesOwnedBy(nodeFree) }
 
 // Failed returns the failed node indices, ascending.
-func (t *leaseTable) Failed() []int {
-	var out []int
-	for i, o := range t.owner {
-		if o == nodeFailed {
+func (t *leaseTable) Failed() []int { return t.nodesOwnedBy(nodeFailed) }
+
+// FreeCount returns how many nodes are free.
+func (t *leaseTable) FreeCount() int { return t.count(nodeFree) }
+
+// FailedCount returns how many nodes are failed.
+func (t *leaseTable) FailedCount() int { return t.count(nodeFailed) }
+
+// LeasedCount returns how many nodes are leased across all tenants:
+// every slot neither free nor failed holds a tenant id.
+func (t *leaseTable) LeasedCount() int { return len(t.owner) - t.FreeCount() - t.FailedCount() }
+
+// count returns how many owner slots hold o.
+func (t *leaseTable) count(o int) int {
+	n := 0
+	for _, x := range t.owner {
+		if x == o {
+			n++
+		}
+	}
+	return n
+}
+
+// nodesOwnedBy returns the nodes whose owner slot holds o, ascending,
+// in one allocation of exactly their count.
+func (t *leaseTable) nodesOwnedBy(o int) []int {
+	out := make([]int, 0, t.count(o))
+	for i, x := range t.owner {
+		if x == o {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// FreeCount returns how many nodes are free.
-func (t *leaseTable) FreeCount() int {
-	n := 0
-	for _, o := range t.owner {
-		if o == nodeFree {
-			n++
-		}
-	}
-	return n
-}
-
-// LeasedCount returns how many nodes are leased across all tenants.
-func (t *leaseTable) LeasedCount() int {
-	n := 0
-	for _, o := range t.owner {
-		if o >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Leases maps every tenant holding nodes to its nodes, ascending: one
-// walk over the owner slots, however many tenants there are.
+// Leases maps every tenant holding nodes to its nodes, ascending. The
+// lists share one backing array of LeasedCount nodes, each capped at its
+// length; an owner's list is gathered by one walk from its first node.
 func (t *leaseTable) Leases() map[int][]int {
-	out := map[int][]int{}
+	leased := t.LeasedCount()
+	out := make(map[int][]int, leased) // at most one owner per node
+	buf := make([]int, 0, leased)
 	for i, o := range t.owner {
-		if o >= 0 {
-			out[o] = append(out[o], i)
+		if _, seen := out[o]; o < 0 || seen {
+			continue
 		}
+		start := len(buf)
+		for j := i; j < len(t.owner); j++ {
+			if t.owner[j] == o {
+				buf = append(buf, j)
+			}
+		}
+		out[o] = buf[start:len(buf):len(buf)]
 	}
 	return out
 }
@@ -194,16 +199,5 @@ func (t *leaseTable) Join(node int) error {
 		return fmt.Errorf("fleet: node %d is not failed (owner %d)", node, t.owner[node])
 	}
 	t.owner[node] = nodeFree
-	return nil
-}
-
-// Check verifies the table's conservation law: free + failed + leased
-// counts partition the fleet. With the owner-slot representation this
-// cannot fail; it exists so invariant tests state the property they
-// rely on.
-func (t *leaseTable) Check() error {
-	if got := t.FreeCount() + len(t.Failed()) + t.LeasedCount(); got != len(t.owner) {
-		return fmt.Errorf("fleet: node states sum to %d, fleet has %d", got, len(t.owner))
-	}
 	return nil
 }

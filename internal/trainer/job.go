@@ -48,6 +48,8 @@ type Job struct {
 	// The async data service: at most one outstanding prepare, consumed
 	// (or discarded, after a failure rewind or reconfiguration) before
 	// the next launches; pendingIter is its iteration, -1 for none.
+	// pending is made by the first launch: a job whose batches are all
+	// shared and already cached never needs it.
 	pendingIter int
 	pending     chan preparedBatch
 
@@ -68,10 +70,9 @@ func (r *Runtime) newJob(n int, prefetch bool) (*Job, error) {
 	}
 	j := &Job{
 		r: r, n: n, prefetch: prefetch,
-		res:         &Result{Strategy: r.cfg.Plan.Strategy, GPUs: r.cfg.Plan.TotalGPUs()},
+		res:         &Result{Strategy: r.cfg.Plan.Strategy, GPUs: r.cfg.Plan.TotalGPUs(), Iterations: make([]IterationStats, 0, n)},
 		maxExecuted: -1, lastFailure: -1, poolFired: -1,
 		pendingIter: -1,
-		pending:     make(chan preparedBatch, 1),
 	}
 	if r.cfg.GradientDim > 0 {
 		j.grad = gradientAccumulator{Dim: r.cfg.GradientDim}
@@ -119,6 +120,9 @@ func (j *Job) launch(i int) {
 	}
 	if entries, k := j.r.sharedKey(i); entries != nil && entries.Has(k) {
 		return
+	}
+	if j.pending == nil {
+		j.pending = make(chan preparedBatch, 1)
 	}
 	go func() { j.pending <- j.r.prepare(i) }()
 	j.pendingIter = i

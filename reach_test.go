@@ -55,8 +55,6 @@ func TestReachability(t *testing.T) {
 var reachAllow = map[string]string{
 	"trainer.Runtime.RunSequential": "the lock-step trainer the concurrent runtime is compared against",
 	"solve.MinimizeConvex1D":        "the golden section the subproblem kernel inlines, pinned to it bit for bit",
-	"fleet.leaseTable.Check":        "the lease-partition invariant the fleet tests assert every round",
-	"fleet.leaseTable.LeasedCount":  "the leased-node count the fleet tests assert",
 	"data.seededSource.Int63":       "rand.Source's method: math/rand.Rand calls it through that interface for Float64 and NormFloat64",
 }
 
