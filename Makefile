@@ -117,11 +117,17 @@ COVER_FLOOR ?= 73
 # lease table's exact-size Free/Failed/Leases (nodesOwnedBy, one backing
 # array), sortQueue's inversion pass and the Job's lazy prefetch
 # channel, net of leaseTable.Check and the counting loops that went
-# (fleet-steady work_per_cpu_s 228k -> 309k).
+# (fleet-steady work_per_cpu_s 228k -> 309k), and 15,108 once examples/
+# went: the ten walkthrough programs (-800; the CLIs run eight of them,
+# and the reordering and StepCCL timeline ones became 108 lines of
+# testable Example in _test.go files) and the library code only they
+# reached (-86: pipeline's Gantt and StageOps, reorder.IntraReorder,
+# the controller's CurrentPlan, and the prefetch depth, co-located
+# iteration and StepCCL remap and chunk arguments every call fixed).
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 15994
+LOC_CEILING ?= 15108
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 

@@ -2,12 +2,57 @@ package disttrain
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// clis holds the command binaries the tests below run, built once per
+// test binary into one directory that TestMain removes.
+var clis struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+// cliNames lists the commands clis builds.
+var cliNames = []string{"disttrain-sim", "disttrain-plan", "disttrain-fleet", "disttrain-data", "disttrain-bench"}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if clis.dir != "" {
+		os.RemoveAll(clis.dir)
+	}
+	os.Exit(code)
+}
+
+// buildCLIs builds every command in cliNames with one go build, the
+// first time a test asks, and returns the directory holding them.
+func buildCLIs(t *testing.T) string {
+	t.Helper()
+	clis.once.Do(func() {
+		if clis.dir, clis.err = os.MkdirTemp("", "disttrain-cli"); clis.err != nil {
+			return
+		}
+		args := []string{"build", "-o", clis.dir}
+		for _, cmd := range cliNames {
+			args = append(args, "./cmd/"+cmd)
+		}
+		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			clis.err = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if clis.err != nil {
+		t.Fatal(clis.err)
+	}
+	return clis.dir
+}
 
 // TestCLIRejectsBadArguments runs the real binaries on bad arguments —
 // the holes that used to panic, print a table of zeros, or silently
@@ -16,14 +61,9 @@ import (
 // line on stderr.
 func TestCLIRejectsBadArguments(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds five binaries")
+		t.Skip("builds the command binaries")
 	}
-	bin := t.TempDir()
-	for _, cmd := range []string{"disttrain-sim", "disttrain-plan", "disttrain-fleet", "disttrain-data", "disttrain-bench"} {
-		if out, err := exec.Command("go", "build", "-o", filepath.Join(bin, cmd), "./cmd/"+cmd).CombinedOutput(); err != nil {
-			t.Fatalf("go build %s: %v\n%s", cmd, err, out)
-		}
-	}
+	bin := buildCLIs(t)
 	for _, tc := range []struct {
 		cmd  string
 		args []string
@@ -63,12 +103,9 @@ func TestCLIRejectsBadArguments(t *testing.T) {
 // miss, re-searches, and says so on its durable plan cache line.
 func TestFleetCLIReportsCorruptPlanEntries(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a binary")
+		t.Skip("builds the command binaries")
 	}
-	bin := filepath.Join(t.TempDir(), "disttrain-fleet")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/disttrain-fleet").CombinedOutput(); err != nil {
-		t.Fatalf("go build disttrain-fleet: %v\n%s", err, out)
-	}
+	bin := filepath.Join(buildCLIs(t), "disttrain-fleet")
 	dir := t.TempDir()
 	run := func() string {
 		t.Helper()
@@ -90,5 +127,62 @@ func TestFleetCLIReportsCorruptPlanEntries(t *testing.T) {
 	}
 	if out := run(); !strings.Contains(out, "1 corrupt entries skipped") {
 		t.Errorf("run over a corrupt entry does not report it:\n%s", out)
+	}
+}
+
+// TestCLIWalkthroughs runs the README's walkthroughs end to end: the
+// producer pool failing over, a failure survived from a checkpoint, the
+// adaptive controller re-planning under a workload shift, and a fleet
+// losing and regaining a node. Each run must exit 0 and print the line
+// its section promises.
+func TestCLIWalkthroughs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the command binaries and trains through four scenarios")
+	}
+	bin := buildCLIs(t)
+	// count returns the integer the first submatch of re captures in
+	// out, or -1 when re does not match.
+	count := func(re, out string) int {
+		m := regexp.MustCompile(re).FindStringSubmatch(out)
+		if m == nil {
+			return -1
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	for _, tc := range []struct {
+		name  string
+		cmd   string
+		args  []string
+		check func(out string) bool
+	}{
+		{"producer pool", "disttrain-sim",
+			[]string{"-nodes", "4", "-batch", "16", "-iters", "6", "-local-producers", "3",
+				"-scenario", "producer-fail:iter=2,producer=1; producer-join:iter=4,producer=1"},
+			func(out string) bool { return count(`(?m)^producer pool:.* failovers (\d+)`, out) >= 1 }},
+		{"failure recovery", "disttrain-sim",
+			[]string{"-nodes", "4", "-batch", "16", "-iters", "8", "-checkpoint-every", "2",
+				"-scenario", "straggler:iters=2-4,rank=0,factor=3; failure:iter=6,downtime=20"},
+			func(out string) bool { return strings.Contains(out, "1 failures survived") }},
+		{"adaptive re-plan", "disttrain-sim",
+			[]string{"-nodes", "4", "-batch", "32", "-iters", "14", "-adapt",
+				"-scenario", "workload-shift:iters=2-13,factor=3"},
+			func(out string) bool { return regexp.MustCompile(`(?m)-> re-plan$`).MatchString(out) }},
+		{"fleet node churn", "disttrain-fleet",
+			[]string{"-scenario", "node-fail:iter=2,node=0; node-join:iter=4,node=0"},
+			func(out string) bool {
+				rows := regexp.MustCompile(`(?m)^  \S+ +rounds \d+\.\.\d+ `).FindAllString(out, -1)
+				return len(rows) > 0 && len(rows) == count(`(?m)^fleet: .* (\d+) tenants$`, out)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(bin, tc.cmd), tc.args...).CombinedOutput()
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", tc.cmd, err, out)
+			}
+			if !tc.check(string(out)) {
+				t.Errorf("%s %s: output lacks the promised line:\n%s", tc.cmd, strings.Join(tc.args, " "), out)
+			}
+		})
 	}
 }

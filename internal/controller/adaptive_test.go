@@ -64,7 +64,7 @@ func TestAdaptiveReplanEndToEnd(t *testing.T) {
 
 	off := runConfig(t, base, iters)
 
-	ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2}, 1)
+	ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, window: 2}, 1)
 	adaptive := base
 	adaptive.Controller = ctrl
 	on := runConfig(t, adaptive, iters)
@@ -107,7 +107,7 @@ func TestControllerSteadyByteIdentical(t *testing.T) {
 	}
 	want := runConfig(t, mk(), 6)
 
-	ctrl, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2})
+	ctrl, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestReconfigurationPreservesGradients(t *testing.T) {
 			if ref.GradientSum == nil {
 				t.Fatal("reference run produced no gradient sums")
 			}
-			ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.4, Window: 2}, 2)
+			ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.4, window: 2}, 2)
 			ctrl.cooldown = 3
 			cfg := mk()
 			cfg.Controller = ctrl
@@ -190,7 +190,7 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	}
 
 	run := func() []byte {
-		ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2}, 1)
+		ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, window: 2}, 1)
 		cfg := trainer.DistTrainConfig(spec, plan, corpus)
 		cfg.Scenario = sc
 		cfg.Controller = ctrl
@@ -240,7 +240,7 @@ func TestReplanAgainstEvaluateEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2}, 1)
+	ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, window: 2}, 1)
 	cfg := trainer.DistTrainConfig(spec, plan, corpus)
 	cfg.Scenario = sc
 	cfg.Controller = ctrl
@@ -248,7 +248,7 @@ func TestReplanAgainstEvaluateEstimate(t *testing.T) {
 	if res.PlanSwitches < 1 {
 		t.Fatalf("no switch: %+v", ctrl.Reports())
 	}
-	next := ctrl.CurrentPlan()
+	next := ctrl.current
 	if samePlacement(plan, next) {
 		t.Error("switch applied but placement unchanged")
 	}
@@ -282,7 +282,7 @@ func TestGoldenTraceBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, Window: 2}, 1)
+	ctrl := budgeted(t, Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Threshold: 0.5, window: 2}, 1)
 	cfg := trainer.DistTrainConfig(spec, plan, corpus)
 	cfg.Scenario = sc
 	cfg.Controller = ctrl

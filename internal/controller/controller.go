@@ -69,10 +69,11 @@ const (
 	minGain float64 = 0.02
 )
 
-// Config parameterises a re-planning controller: the run it watches,
-// the drift threshold and the observation window. The switch delay,
-// switch budget and minimum gain are the constants applyDelay,
-// maxReplans and minGain.
+// Config parameterises a re-planning controller: the run it watches
+// and the drift threshold. The window is defaultWindow (3); the package's
+// tests set the unexported window field to 2 for the golden trace. The
+// switch delay, switch budget and minimum gain are the constants
+// applyDelay, maxReplans and minGain.
 type Config struct {
 	// Train is the run's training configuration, used two ways: its
 	// Spec (cluster, model, batch geometry, calibrated profiler — the
@@ -89,19 +90,19 @@ type Config struct {
 	// 0.25. The score is the maximum of the three normalized drift
 	// signals (see DriftReport).
 	Threshold float64
-	// Window is how many recent iterations feed drift estimation (and
-	// profiler recalibration); 0 means 3. No decision fires before a
-	// full window has been observed, and two triggers are at least two
-	// windows apart.
-	Window int
+	// window is how many recent iterations feed drift estimation (and
+	// profiler recalibration); 0 means defaultWindow. No decision fires
+	// before a full window has been observed, and two triggers are at
+	// least two windows apart.
+	window int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Threshold == 0 {
 		c.Threshold = defaultThreshold
 	}
-	if c.Window == 0 {
-		c.Window = defaultWindow
+	if c.window == 0 {
+		c.window = defaultWindow
 	}
 	return c
 }
@@ -114,7 +115,7 @@ func (c Config) Validate() error {
 	if c.Threshold < 0 || math.IsNaN(c.Threshold) {
 		return fmt.Errorf("controller: threshold %g must be non-negative", c.Threshold)
 	}
-	if c.Window < 0 {
+	if c.window < 0 {
 		return fmt.Errorf("controller: window must be non-negative")
 	}
 	return nil
@@ -201,7 +202,7 @@ func New(cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	c := &Controller{
 		cfg:        cfg,
-		cooldown:   2 * cfg.Window,
+		cooldown:   2 * cfg.window,
 		maxReplans: maxReplans,
 		lastIter:   -1,
 		lastTrig:   math.MinInt32,
@@ -241,10 +242,10 @@ func (c *Controller) Observe(obs trainer.Observation) {
 		rec.poolFetches = obs.Pool.Fetches
 	}
 	c.window = append(c.window, rec)
-	if len(c.window) > c.cfg.Window {
-		c.window = c.window[len(c.window)-c.cfg.Window:]
+	if len(c.window) > c.cfg.window {
+		c.window = c.window[len(c.window)-c.cfg.window:]
 	}
-	if len(c.window) < c.cfg.Window || c.pending != nil {
+	if len(c.window) < c.cfg.window || c.pending != nil {
 		return
 	}
 	if c.applied >= c.maxReplans {
@@ -387,14 +388,6 @@ func (c *Controller) Pending(iter int) *trainer.PlanSwitch {
 	c.window = nil
 	c.applied++
 	return &trainer.PlanSwitch{Plan: out.plan, Reason: out.reason}
-}
-
-// CurrentPlan returns the incumbent plan (the latest applied switch,
-// or the initial plan).
-func (c *Controller) CurrentPlan() *orchestrator.Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.current
 }
 
 // Reports returns the drift evaluations in observation order.

@@ -52,7 +52,7 @@ func TestConfigValidate(t *testing.T) {
 	for _, mutate := range []func(*Config){
 		func(c *Config) { c.Train.Plan = nil },
 		func(c *Config) { c.Threshold = -1 },
-		func(c *Config) { c.Window = -1 },
+		func(c *Config) { c.window = -1 },
 		func(c *Config) { c.Train.Spec.Profiler = nil },
 	} {
 		bad := good
@@ -69,7 +69,7 @@ func TestConfigValidate(t *testing.T) {
 func TestObserveDedupesRewinds(t *testing.T) {
 	spec, corpus := buildSpec(t, 4, 16)
 	plan := planFor(t, spec)
-	c, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Window: 2})
+	c, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus), window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestObserveDedupesRewinds(t *testing.T) {
 func TestNoTriggerBelowThreshold(t *testing.T) {
 	spec, corpus := buildSpec(t, 4, 16)
 	plan := planFor(t, spec)
-	c, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus), Window: 2})
+	c, err := New(Config{Train: trainer.DistTrainConfig(spec, plan, corpus), window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

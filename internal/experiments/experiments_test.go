@@ -83,11 +83,15 @@ func TestNewSpecEndToEnd(t *testing.T) {
 // TestNewSpecFrozen checks NewSpec carries the freeze setting into a
 // plannable, trainable spec.
 func TestNewSpecFrozen(t *testing.T) {
-	spec, corpus, err := NewSpec(model.MLLM9B(), 4, 32, model.LLMOnly)
+	llmOnly, err := model.FreezeByName("llm-only")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := spec.Profiler.Options().Freeze; got != model.LLMOnly {
+	spec, corpus, err := NewSpec(model.MLLM9B(), 4, 32, llmOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := spec.Profiler.Options().Freeze; got != llmOnly {
 		t.Fatalf("profiler freeze = %+v, want llm-only", got)
 	}
 	plan, err := orchestrator.PlanDistTrain(spec)

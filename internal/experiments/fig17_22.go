@@ -87,7 +87,7 @@ func measurePreprocess(cfg preprocess.Config) (colocated, disagg time.Duration, 
 		return 0, 0, err
 	}
 	start := time.Now()
-	if _, err := col.Fetch(ctx, 0); err != nil {
+	if _, err := col.Fetch(ctx); err != nil {
 		return 0, 0, err
 	}
 	colocated = time.Since(start)
@@ -105,7 +105,7 @@ func measurePreprocess(cfg preprocess.Config) (colocated, disagg time.Duration, 
 		return 0, 0, err
 	}
 	defer client.Close()
-	pf := preprocess.NewPrefetcher(client, cfg.DPSize, 3)
+	pf := preprocess.NewPrefetcher(client, cfg.DPSize)
 	defer pf.Close()
 
 	if _, err := pf.Next(ctx); err != nil { // fills the pipeline
@@ -147,7 +147,6 @@ func fig22(quick bool) (*Table, error) {
 		Header: []string{"TP", "backbone", "w/o StepCCL", "StepCCL", "speedup"},
 		Notes:  []string{"paper: 1.10-1.12x at TP=4, 1.15-1.17x at TP=8"},
 	}
-	const chunks = 8
 	for _, tp := range []int{4, 8} {
 		for _, m := range model.Presets() {
 			cl := cluster.Production(1)
@@ -164,7 +163,7 @@ func fig22(quick bool) (*Table, error) {
 			// the module's own compute/comm ratio per microbatch.
 			full := noOv.SampleForward(model.Backbone, tp, model.SampleShape{})
 			commOnly := commExposed(noOv, tp, full)
-			hidden := stepccl.HiddenFraction(full-commOnly, commOnly, chunks)
+			hidden := stepccl.HiddenFraction(full-commOnly, commOnly)
 			withCommOpts := base
 			withCommOpts.StepCCLOverlap = hidden
 			ov, err := profiler.New(withCommOpts)

@@ -196,18 +196,20 @@ type FreezeSpec struct {
 	Encoder, Backbone, Generator bool // true = frozen
 }
 
-// The four frozen-training settings evaluated in §7.3 plus full training.
+// The four frozen-training settings evaluated in §7.3 plus full
+// training; programs reach the four through FrozenSettings and
+// FreezeByName.
 var (
 	FullTraining  = FreezeSpec{Name: "full"}
-	AllFrozen     = FreezeSpec{Name: "all-frozen", Encoder: true, Backbone: true, Generator: true}
-	EncoderOnly   = FreezeSpec{Name: "encoder-only", Backbone: true, Generator: true}
-	LLMOnly       = FreezeSpec{Name: "llm-only", Encoder: true, Generator: true}
-	GeneratorOnly = FreezeSpec{Name: "generator-only", Encoder: true, Backbone: true}
+	allFrozen     = FreezeSpec{Name: "all-frozen", Encoder: true, Backbone: true, Generator: true}
+	encoderOnly   = FreezeSpec{Name: "encoder-only", Backbone: true, Generator: true}
+	llmOnly       = FreezeSpec{Name: "llm-only", Encoder: true, Generator: true}
+	generatorOnly = FreezeSpec{Name: "generator-only", Encoder: true, Backbone: true}
 )
 
 // FrozenSettings lists the §7.3 experiment settings in paper order.
 func FrozenSettings() []FreezeSpec {
-	return []FreezeSpec{AllFrozen, EncoderOnly, LLMOnly, GeneratorOnly}
+	return []FreezeSpec{allFrozen, encoderOnly, llmOnly, generatorOnly}
 }
 
 // FreezeByName resolves a CLI freeze-setting name: full, all-frozen,

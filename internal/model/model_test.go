@@ -167,10 +167,10 @@ func TestFreezeBackwardFactors(t *testing.T) {
 		enc, llm, gen float64
 	}{
 		{FullTraining, 2, 2, 2},
-		{AllFrozen, 0, 1, 1},     // projectors-only: grads flow to both projectors
-		{EncoderOnly, 2, 1, 1},   // grads must traverse generator and backbone
-		{LLMOnly, 0, 2, 1},       // encoder skipped entirely
-		{GeneratorOnly, 0, 1, 2}, // backbone carries activation grads to in-projector
+		{allFrozen, 0, 1, 1},     // projectors-only: grads flow to both projectors
+		{encoderOnly, 2, 1, 1},   // grads must traverse generator and backbone
+		{llmOnly, 0, 2, 1},       // encoder skipped entirely
+		{generatorOnly, 0, 1, 2}, // backbone carries activation grads to in-projector
 	}
 	for _, c := range cases {
 		if got := c.spec.BackwardFactor(Encoder); got != c.enc {
@@ -293,7 +293,7 @@ func TestModuleTrainFLOPsFreezeInteraction(t *testing.T) {
 	s := SampleShape{ImageTokens: []int{1024, 1024}, GenImages: 1}
 
 	fwdFull, bwdFull := trainFLOPs(m, Generator, s, FullTraining)
-	fwdFrozen, bwdFrozen := trainFLOPs(m, Generator, s, AllFrozen)
+	fwdFrozen, bwdFrozen := trainFLOPs(m, Generator, s, allFrozen)
 	if fwdFull != fwdFrozen {
 		t.Error("freezing must not change forward cost")
 	}
@@ -309,7 +309,7 @@ func TestModuleTrainFLOPsFreezeInteraction(t *testing.T) {
 	}
 
 	// Encoder skips backward entirely when frozen.
-	_, encBwd := trainFLOPs(m, Encoder, s, LLMOnly)
+	_, encBwd := trainFLOPs(m, Encoder, s, llmOnly)
 	if encBwd != 0 {
 		t.Errorf("frozen encoder backward = %g, want 0", encBwd)
 	}

@@ -34,6 +34,15 @@ func newSpec(t *testing.T, m model.MLLM, nodes, globalBatch int, freeze model.Fr
 	return Spec{Cluster: cl, Model: m, GlobalBatch: globalBatch, Microbatch: 1, Profiler: p, VPP: 1}
 }
 
+// freezeSetting resolves a §7.3 freeze setting by its CLI name.
+func freezeSetting(name string) model.FreezeSpec {
+	f, err := model.FreezeByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 func TestSpecValidate(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 2, 16, model.FullTraining)
 	if err := s.Validate(); err != nil {
@@ -297,8 +306,8 @@ func TestTable3PlannerOverhead(t *testing.T) {
 
 func TestFrozenSettingsShiftAllocations(t *testing.T) {
 	m := model.MLLM9B()
-	encOnly := newSpec(t, m, 12, 96, model.EncoderOnly)
-	genOnly := newSpec(t, m, 12, 96, model.GeneratorOnly)
+	encOnly := newSpec(t, m, 12, 96, freezeSetting("encoder-only"))
+	genOnly := newSpec(t, m, 12, 96, freezeSetting("generator-only"))
 	pe, err := PlanDistTrain(encOnly)
 	if err != nil {
 		t.Fatal(err)

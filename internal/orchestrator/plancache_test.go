@@ -487,7 +487,7 @@ func TestPlanKeyMatchesFingerprint(t *testing.T) {
 		{"Profiler.calibration", with(func(s *Spec) {
 			s.Profiler = newSpec(t, model.MLLM9B(), 4, 32, model.FullTraining).Profiler // 300 samples, not 120
 		}), false},
-		{"Profiler.freeze", with(func(s *Spec) { s.Profiler = newSpec(t, model.MLLM9B(), 4, 32, model.LLMOnly).Profiler }), false},
+		{"Profiler.freeze", with(func(s *Spec) { s.Profiler = newSpec(t, model.MLLM9B(), 4, 32, freezeSetting("llm-only")).Profiler }), false},
 		{"MaxGPUs", with(func(s *Spec) { s.MaxGPUs = 24 }), false},
 		{"VPP", with(func(s *Spec) { s.VPP = 2 }), false},
 		{"VPP.zero", with(func(s *Spec) { s.VPP = 0 }), false},

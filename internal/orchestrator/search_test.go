@@ -23,7 +23,7 @@ func TestPlanSearchEquivalence(t *testing.T) {
 		freeze model.FreezeSpec
 	}{
 		{"9b-full", model.MLLM9B(), 12, 96, model.FullTraining},
-		{"15b-encoder-only", model.MLLM15B(), 16, 128, model.EncoderOnly},
+		{"15b-encoder-only", model.MLLM15B(), 16, 128, freezeSetting("encoder-only")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newSpec(t, tc.m, tc.nodes, tc.batch, tc.freeze)

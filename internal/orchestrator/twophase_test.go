@@ -40,7 +40,7 @@ var twoPhaseShapes = []struct {
 	{"lease-2node-batch96", model.MLLM9B(), 2, 96, model.FullTraining, 139},
 	{"9b-12node", model.MLLM9B(), 12, 96, model.FullTraining, 470},
 	{"9b-14node", model.MLLM9B(), 14, 64, model.FullTraining, 274},
-	{"15b-encoder-only", model.MLLM15B(), 16, 128, model.EncoderOnly, 266},
+	{"15b-encoder-only", model.MLLM15B(), 16, 128, freezeSetting("encoder-only"), 266},
 }
 
 // TestTwoPhaseSearchEquivalence is the engine's bound-policy gate.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Interval is one of the Figure 12 windows at the first pipeline stage:
@@ -27,7 +26,12 @@ func (iv Interval) Volume() float64 { return iv.End - iv.Start }
 // i-1 (or the end of the first forward, for i=1) to the start of
 // backward i at stage 0.
 func (r *Result) FirstStageIntervals() ([]Interval, error) {
-	ops := r.StageOps(0)
+	var ops []Op // stage 0's, in execution order
+	for _, op := range r.Ops {
+		if op.Stage == 0 {
+			ops = append(ops, op)
+		}
+	}
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
 
 	var bwd []Op
@@ -150,39 +154,4 @@ func (ip *IntervalPredictor) Append(fwd, bwd []float64) Interval {
 		end = start
 	}
 	return Interval{Index: ip.placed, Start: start, End: end}
-}
-
-// ganttWidth is the number of character cells Gantt maps the full
-// iteration onto.
-const ganttWidth = 100
-
-// Gantt renders the timeline as ASCII art, one row per stage — the
-// visual of Figures 4, 7, 10 and 12.
-func (r *Result) Gantt() string {
-	scale := ganttWidth / r.IterTime
-	var b strings.Builder
-	S := len(r.StageBusy)
-	for s := 0; s < S; s++ {
-		row := make([]byte, ganttWidth)
-		for i := range row {
-			row[i] = '.'
-		}
-		for _, op := range r.StageOps(s) {
-			lo := int(op.Start * scale)
-			hi := int(op.End * scale)
-			if hi >= ganttWidth {
-				hi = ganttWidth - 1
-			}
-			ch := byte('a' + op.MB%26)
-			if op.Kind == backward {
-				ch = byte('A' + op.MB%26)
-			}
-			for i := lo; i <= hi && i < ganttWidth; i++ {
-				row[i] = ch
-			}
-		}
-		fmt.Fprintf(&b, "stage %2d |%s| busy %4.0f%%\n", s, row, 100*(1-r.BubbleFraction(s)))
-	}
-	fmt.Fprintf(&b, "iteration time %.3f, mean bubble %.1f%%\n", r.IterTime, 100*r.MeanBubbleFraction())
-	return b.String()
 }

@@ -152,17 +152,6 @@ func (r *Result) MeanBubbleFraction() float64 {
 	return total / float64(len(r.StageBusy))
 }
 
-// StageOps returns the ops of one stage in execution order.
-func (r *Result) StageOps(stage int) []Op {
-	var out []Op
-	for _, op := range r.Ops {
-		if op.Stage == stage {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
 // opRef identifies an op for dependency wiring.
 type opRef struct {
 	stage int

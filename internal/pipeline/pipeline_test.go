@@ -147,13 +147,12 @@ func TestTimelineRespectsDependencies(t *testing.T) {
 			}
 		}
 		// No overlap within a stage.
-		for s := 0; s < S; s++ {
-			ops := res.StageOps(s)
-			for i := 1; i < len(ops); i++ {
-				if ops[i].Start < ops[i-1].End-1e-9 {
-					t.Fatalf("stage %d ops overlap", s)
-				}
+		last := make([]float64, S) // each stage's latest op end
+		for _, op := range res.Ops {
+			if op.Start < last[op.Stage]-1e-9 {
+				t.Fatalf("stage %d ops overlap", op.Stage)
 			}
+			last[op.Stage] = op.End
 		}
 	}
 }
@@ -289,36 +288,6 @@ func TestIntervalPredictorClone(t *testing.T) {
 	if ip.placed != 2 || c.placed != 2 {
 		t.Error("placed counts wrong")
 	}
-}
-
-func TestGanttRenders(t *testing.T) {
-	w := UniformWork([]float64{1, 1}, []float64{2, 2}, 3)
-	res, err := Simulate(OneFOneB, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := res.Gantt()
-	if len(g) == 0 {
-		t.Fatal("empty gantt")
-	}
-	for _, needle := range []string{"stage  0", "stage  1", "iteration time"} {
-		if !contains(g, needle) {
-			t.Errorf("gantt missing %q:\n%s", needle, g)
-		}
-	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(s) > 0 && indexOf(s, sub) >= 0)
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }
 
 // Property: iteration time is monotone — inflating any single op's

@@ -106,17 +106,20 @@ type fetchResult struct {
 	err error
 }
 
+// prefetchDepth is how many fetched batches a Prefetcher queues ahead
+// of its consumer: Figure 17 reads three after its warm-up fetch, and
+// each must already be queued for the stall it measures to be the
+// disaggregated one.
+const prefetchDepth = 3
+
 // NewPrefetcher starts prefetching rank 0's batches of a dp-wide
-// split (as tenant 0) from iteration 0 with the given queue depth.
-func NewPrefetcher(client *Client, dp, depth int) *Prefetcher {
-	if depth < 1 {
-		depth = 1
-	}
+// split (as tenant 0) from iteration 0.
+func NewPrefetcher(client *Client, dp int) *Prefetcher {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Prefetcher{
 		client:  client,
 		dp:      dp,
-		pending: make(chan fetchResult, depth),
+		pending: make(chan fetchResult, prefetchDepth),
 		cancel:  cancel,
 		done:    make(chan struct{}),
 	}

@@ -286,12 +286,24 @@ func TestServerReordersWhenAsked(t *testing.T) {
 	}
 }
 
+// shiftedSource reads its source's samples from an offset on.
+type shiftedSource struct {
+	Source
+	offset int64
+}
+
+func (s shiftedSource) Sample(index int64) data.Sample {
+	return s.Source.Sample(s.offset + index)
+}
+
 // Figure 17's mechanism end to end over real TCP: the producer works
 // ahead of a prefetching consumer, so the batch Next hands over was
 // built before the consumer asked for it, while the co-located
-// baseline builds the same batch inline. Samples from iteration 2 on
-// are held back, so the producer's work settles with iterations 0 and
-// 1 built and the readahead of 2 and 3 waiting at the gate.
+// baseline builds the same batch inline (its Fetch builds iteration 0,
+// so it reads a source shifted by one global batch). Samples from
+// iteration 2 on are held back, so the producer's work settles with
+// iterations 0 and 1 built and the readahead of 2 and 3 waiting at the
+// gate.
 func TestDisaggregationBeatsColocated(t *testing.T) {
 	src := fixedSource{images: 4, resolution: 128, seqLen: 2048}
 	cfg := Config{Source: src, GlobalBatch: 4, DPSize: 1, Microbatch: 1, Workers: 8, Readahead: 2}
@@ -307,7 +319,7 @@ func TestDisaggregationBeatsColocated(t *testing.T) {
 	defer client.Close()
 	ctx := context.Background()
 
-	pf := NewPrefetcher(client, 1, 2)
+	pf := NewPrefetcher(client, 1)
 	defer pf.Close()
 	// Opened before pf.Close, whose prefetcher waits on a held build.
 	defer close(gate)
@@ -330,11 +342,13 @@ func TestDisaggregationBeatsColocated(t *testing.T) {
 		t.Fatalf("Next returned iteration %d and built %d iterations, want iteration 1 built ahead", rb.Iter, got-before)
 	}
 
-	col, err := NewColocated(cfg)
+	shifted := cfg
+	shifted.Source = shiftedSource{src, int64(cfg.GlobalBatch)}
+	col, err := NewColocated(shifted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := col.Fetch(ctx, 1)
+	want, err := col.Fetch(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -616,20 +616,18 @@ func NewColocated(cfg Config) (*Colocated, error) {
 	return &Colocated{cfg: cfg}, nil
 }
 
-// Fetch preprocesses rank 0's batch of the iteration on the calling
+// Fetch preprocesses rank 0's batch of iteration 0 on the calling
 // goroutine, blocking the training loop for the full CPU cost.
-func (c *Colocated) Fetch(ctx context.Context, iter int64) (*RankBatch, error) {
-	bs := c.cfg.GlobalBatch
-	perRank := bs / c.cfg.DPSize
+func (c *Colocated) Fetch(ctx context.Context) (*RankBatch, error) {
+	perRank := c.cfg.GlobalBatch / c.cfg.DPSize
 	m := c.cfg.Microbatch
-	rb := &RankBatch{Iter: iter}
-	start := iter * int64(bs)
+	rb := &RankBatch{}
 	var mb []Processed
 	for i := 0; i < perRank; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := ProcessSample(c.cfg.Source.Sample(start + int64(i)))
+		p, err := ProcessSample(c.cfg.Source.Sample(int64(i)))
 		if err != nil {
 			return nil, err
 		}

@@ -188,7 +188,7 @@ func TestPrefetcherRedeliversTerminalError(t *testing.T) {
 
 	// A 3-wide split does not divide the 4-sample batch: the first
 	// fetch fails terminally.
-	pf := NewPrefetcher(client, 3, 2)
+	pf := NewPrefetcher(client, 3)
 	defer pf.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

@@ -65,10 +65,14 @@ func TestCalibrationFingerprintDiscriminates(t *testing.T) {
 		t.Error("different calibration sample counts collide")
 	}
 
+	encoderOnly, err := model.FreezeByName("encoder-only")
+	if err != nil {
+		t.Fatal(err)
+	}
 	mut := map[string]func(*Options){
 		"cluster": func(o *Options) { o.Cluster = cluster.Production(5) },
 		"model":   func(o *Options) { o.Model = model.MLLM15B() },
-		"freeze":  func(o *Options) { o.Freeze = model.EncoderOnly },
+		"freeze":  func(o *Options) { o.Freeze = encoderOnly },
 		"overlap": func(o *Options) { o.StepCCLOverlap = 0.5 },
 	}
 	for name, m := range mut {

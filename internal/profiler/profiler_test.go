@@ -122,7 +122,11 @@ func TestFreezeReducesTrainTime(t *testing.T) {
 	m := model.MLLM9B()
 	full := newProfiler(t, m)
 	opts := DefaultOptions(cluster.Production(12), m)
-	opts.Freeze = model.LLMOnly // encoder fully frozen
+	llmOnly, err := model.FreezeByName("llm-only")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Freeze = llmOnly // encoder fully frozen
 	frozen, err := New(opts)
 	if err != nil {
 		t.Fatal(err)

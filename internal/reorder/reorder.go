@@ -31,44 +31,9 @@ import (
 	"disttrain/internal/pipeline"
 )
 
-// IntraReorder is Algorithm 1: it partitions items across m data-
-// parallel groups, assigning each item (largest first) to the currently
-// least-loaded group, and returns the reordered sequence — the
-// concatenation of the groups — plus the per-group assignment. DP group
-// g consumes the g-th contiguous block of the returned order.
-//
-// size must be non-negative; ties keep the original order (stable).
-// size is evaluated exactly once per item.
-func IntraReorder[T any](items []T, size func(T) float64, m int) (ordered []T, groups [][]T, err error) {
-	if m <= 0 {
-		return nil, nil, fmt.Errorf("reorder: DP size %d must be positive", m)
-	}
-	if len(items) == 0 {
-		return nil, make([][]T, m), nil
-	}
-	sizes := make([]float64, len(items))
-	for i := range items {
-		sizes[i] = size(items[i])
-	}
-	var p Partitioner
-	idxGroups, err := p.Partition(sizes, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	groups = make([][]T, m)
-	ordered = make([]T, 0, len(items))
-	for g, ig := range idxGroups {
-		groups[g] = make([]T, len(ig))
-		for j, i := range ig {
-			groups[g][j] = items[i]
-		}
-		ordered = append(ordered, groups[g]...)
-	}
-	return ordered, groups, nil
-}
-
-// Partitioner runs Algorithm 1's LPT partition over item indices with
-// all scratch (index permutation, group assignments, group backing)
+// Partitioner runs Algorithm 1, intra-microbatch reordering: the LPT
+// partition of item indices across m data-parallel groups, with all
+// scratch (index permutation, group assignments, group backing)
 // reused across calls — the trainer's per-iteration assignment path
 // pools them so pricing and partitioning a global batch does not
 // allocate. Not safe for concurrent use; the returned groups alias
@@ -90,9 +55,10 @@ type Partitioner struct {
 	balGroups [][]int
 }
 
-// Partition splits item indices 0..len(sizes)-1 across m groups with
-// exactly IntraReorder's rule: stable descending sort by size, then
-// greedy least-loaded placement (lowest group index wins ties).
+// Partition splits item indices 0..len(sizes)-1 across m groups: a
+// stable descending sort by size, then each item (largest first) to
+// the least-loaded group (lowest group index wins ties). DP group g
+// consumes group g; sizes must be non-negative.
 func (p *Partitioner) Partition(sizes []float64, m int) ([][]int, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("reorder: DP size %d must be positive", m)

@@ -16,16 +16,16 @@ import (
 // --- Algorithm 1: intra-microbatch reordering ---
 
 func TestIntraReorderFigure11(t *testing.T) {
-	// Figure 6/11: four samples, sizes such that naive order [1,2 | 3,4]
+	// Figure 6/11: four samples, sizes such that naive order [0,1 | 2,3]
 	// puts the two big ones in DP1. LPT must split them.
-	sizes := map[int]float64{1: 10, 2: 3, 3: 9, 4: 2}
-	items := []int{1, 2, 3, 4}
-	ordered, groups, err := IntraReorder(items, func(i int) float64 { return sizes[i] }, 2)
+	sizes := []float64{10, 3, 9, 2}
+	var p Partitioner
+	groups, err := p.Partition(sizes, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordered) != 4 || len(groups) != 2 {
-		t.Fatalf("shape: %d items, %d groups", len(ordered), len(groups))
+	if n := len(slices.Concat(groups...)); n != 4 || len(groups) != 2 {
+		t.Fatalf("shape: %d items, %d groups", n, len(groups))
 	}
 	load := func(g []int) float64 {
 		s := 0.0
@@ -40,31 +40,28 @@ func TestIntraReorderFigure11(t *testing.T) {
 			groups[0], load(groups[0]), groups[1], load(groups[1]))
 	}
 	// Naive split straggler = 19; LPT must beat it.
-	naive := math.Max(sizes[1]+sizes[3], sizes[2]+sizes[4])
+	naive := math.Max(sizes[0]+sizes[2], sizes[1]+sizes[3])
 	if got := maxGroupLoad(groups, func(i int) float64 { return sizes[i] }); got >= naive {
 		t.Errorf("LPT max load %g not better than naive %g", got, naive)
 	}
 }
 
 func TestIntraReorderErrorsAndEdges(t *testing.T) {
-	if _, _, err := IntraReorder([]int{1}, func(int) float64 { return 1 }, 0); err == nil {
+	var p Partitioner
+	if _, err := p.Partition([]float64{1}, 0); err == nil {
 		t.Error("m=0 accepted")
 	}
-	ordered, groups, err := IntraReorder(nil, func(int) float64 { return 1 }, 3)
-	if err != nil || len(ordered) != 0 || len(groups) != 3 {
+	groups, err := p.Partition(nil, 3)
+	if err != nil || len(slices.Concat(groups...)) != 0 || len(groups) != 3 {
 		t.Error("empty input mishandled")
 	}
 	// More groups than items: still a valid partition.
-	_, groups, err = IntraReorder([]int{5, 6}, func(i int) float64 { return float64(i) }, 4)
+	groups, err = p.Partition([]float64{5, 6}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonEmpty := 0
-	for _, g := range groups {
-		nonEmpty += len(g)
-	}
-	if nonEmpty != 2 {
-		t.Errorf("items lost: %d placed", nonEmpty)
+	if placed := len(slices.Concat(groups...)); placed != 2 {
+		t.Errorf("items lost: %d placed", placed)
 	}
 }
 
@@ -73,23 +70,22 @@ func TestIntraReorderErrorsAndEdges(t *testing.T) {
 // brute-force optimum for small instances.
 func TestIntraReorderPermutationAndBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	var p Partitioner
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(8) + 2
 		m := rng.Intn(3) + 2
 		sizes := make([]float64, n)
-		items := make([]int, n)
-		for i := range items {
-			items[i] = i
+		for i := range sizes {
 			sizes[i] = rng.Float64()*10 + 0.1
 		}
 		size := func(i int) float64 { return sizes[i] }
-		ordered, groups, err := IntraReorder(items, size, m)
+		groups, err := p.Partition(sizes, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Permutation check.
 		seen := make([]bool, n)
-		for _, it := range ordered {
+		for _, it := range slices.Concat(groups...) {
 			if seen[it] {
 				t.Fatalf("item %d duplicated", it)
 			}

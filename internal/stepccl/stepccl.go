@@ -7,12 +7,11 @@
 //     all-gather are decomposed into chunk pairs; each chunk's GEMM
 //     starts once its slice of data has arrived, so all but the first
 //     transfer hides behind compute;
-//   - the layout-remap accounting (Figure 21): chunked arrival leaves
-//     the output in piece-major order, and restoring rank-major layout
-//     costs a pass that can itself overlap with weight-gradient compute;
 //   - a real concurrent executor that performs the chunked
 //     all-gather+GEMM with goroutines and verifies bit-identical
-//     results after remap.
+//     results after the layout remap of Figure 21 (chunked arrival
+//     leaves the output in piece-major order; the remap restores
+//     rank-major).
 package stepccl
 
 import (
@@ -21,41 +20,37 @@ import (
 	"math"
 )
 
-// Strawman returns the unoverlapped time: the full all-gather followed
-// by the full GEMM (Figure 20a).
-func Strawman(gemm, comm float64) float64 { return gemm + comm }
+// chunks is how many chunk pairs the timeline model splits a GEMM and
+// its all-gather into: the production count Figure 22 runs at.
+const chunks = 8
 
-// Overlapped returns the chunked-overlap time of Figure 20(b): the
+// strawman returns the unoverlapped time: the full all-gather followed
+// by the full GEMM (Figure 20a).
+func strawman(gemm, comm float64) float64 { return gemm + comm }
+
+// overlapped returns the chunked-overlap time of Figure 20(b): the
 // communication stream issues chunk transfers back to back while the
 // compute stream runs each chunk's GEMM as soon as its input lands.
-// remap is the layout-remap cost, of which remapOverlap (0..1) hides
-// behind independent compute (§A.1: "we further overlap the remap with
-// the computation of the weight gradients").
-func Overlapped(gemm, comm, remap float64, chunks int, remapOverlap float64) float64 {
-	if chunks < 1 {
-		chunks = 1
-	}
-	g := gemm / float64(chunks)
-	c := comm / float64(chunks)
+func overlapped(gemm, comm float64) float64 {
+	g := gemm / chunks
+	c := comm / chunks
 	commDone := 0.0
 	computeDone := 0.0
 	for i := 0; i < chunks; i++ {
 		commDone += c
 		computeDone = math.Max(computeDone, commDone) + g
 	}
-	exposedRemap := remap * (1 - clamp01(remapOverlap))
-	return computeDone + exposedRemap
+	return computeDone
 }
 
 // HiddenFraction returns the share of communication the overlap hides:
-// (strawman - overlapped) / comm, ignoring remap. The profiler's
-// StepCCLOverlap parameter is derived from this at production chunk
-// counts.
-func HiddenFraction(gemm, comm float64, chunks int) float64 {
+// (strawman - overlapped) / comm. Figure 22 derives the profiler's
+// StepCCLOverlap parameter from it.
+func HiddenFraction(gemm, comm float64) float64 {
 	if comm <= 0 {
 		return 1
 	}
-	saved := Strawman(gemm, comm) - Overlapped(gemm, comm, 0, chunks, 0)
+	saved := strawman(gemm, comm) - overlapped(gemm, comm)
 	return clamp01(saved / comm)
 }
 

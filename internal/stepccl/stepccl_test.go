@@ -7,80 +7,55 @@ import (
 )
 
 func TestStrawman(t *testing.T) {
-	if got := Strawman(3, 2); got != 5 {
-		t.Errorf("Strawman = %g", got)
+	if got := strawman(3, 2); got != 5 {
+		t.Errorf("strawman = %g", got)
 	}
 }
 
 func TestOverlappedLimits(t *testing.T) {
-	// One chunk degenerates to the strawman.
-	if got := Overlapped(3, 2, 0, 1, 0); got != 5 {
-		t.Errorf("1 chunk = %g, want 5", got)
-	}
-	// Compute-bound with many chunks: total -> comm_chunk + gemm.
-	got := Overlapped(8, 2, 0, 8, 0)
+	// Compute-bound: total -> comm_chunk + gemm.
+	got := overlapped(8, 2)
 	want := 2.0/8 + 8
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("compute-bound = %g, want %g", got, want)
 	}
 	// Comm-bound: total -> comm + gemm_chunk.
-	got = Overlapped(2, 8, 0, 8, 0)
+	got = overlapped(2, 8)
 	want = 8 + 2.0/8
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("comm-bound = %g, want %g", got, want)
 	}
 }
 
-func TestRemapAccounting(t *testing.T) {
-	base := Overlapped(8, 2, 1, 8, 0)
-	hidden := Overlapped(8, 2, 1, 8, 1)
-	if base-hidden != 1 {
-		t.Errorf("fully hidden remap should save its full cost: %g vs %g", base, hidden)
-	}
-	half := Overlapped(8, 2, 1, 8, 0.5)
-	if math.Abs(base-half-0.5) > 1e-12 {
-		t.Errorf("half-hidden remap off: %g", half)
-	}
-}
-
 func TestHiddenFraction(t *testing.T) {
 	// Compute-dominant workloads at production chunk counts hide nearly
 	// everything — the regime that justifies the profiler's 0.85.
-	h := HiddenFraction(10, 1.5, 8)
+	h := HiddenFraction(10, 1.5)
 	if h < 0.8 || h > 1 {
 		t.Errorf("hidden fraction = %.3f, want >0.8", h)
 	}
-	if got := HiddenFraction(1, 0, 4); got != 1 {
+	if got := HiddenFraction(1, 0); got != 1 {
 		t.Errorf("no comm should be fully hidden: %g", got)
 	}
 	// Comm-dominant: the overlap can hide at most ~gemm worth.
-	h = HiddenFraction(1, 10, 8)
+	h = HiddenFraction(1, 10)
 	if h > 0.2 {
 		t.Errorf("comm-bound hidden fraction = %.3f, want small", h)
 	}
 }
 
-// Properties: overlap never loses to the strawman and improves (weakly)
-// with chunk count.
+// Property: overlap never loses to the strawman, and never beats the
+// longer of its two streams.
 func TestOverlapProperties(t *testing.T) {
-	f := func(gRaw, cRaw uint16, chunksRaw uint8) bool {
+	f := func(gRaw, cRaw uint16) bool {
 		g := float64(gRaw)/100 + 0.01
 		c := float64(cRaw)/100 + 0.01
-		n := int(chunksRaw%16) + 1
-		ov := Overlapped(g, c, 0, n, 0)
-		if ov > Strawman(g, c)+1e-9 {
+		ov := overlapped(g, c)
+		if ov > strawman(g, c)+1e-9 {
 			return false
 		}
 		// Lower bound: can't beat max(gemm, comm) + one chunk of the other.
-		if ov < math.Max(g, c)-1e-9 {
-			return false
-		}
-		if n > 1 {
-			if ov > Overlapped(g, c, 0, n-1, 0)+1e-9 {
-				return false
-			}
-		}
-		return true
+		return ov >= math.Max(g, c)-1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -91,7 +91,11 @@ func refAggregateShape(samples []data.Sample) model.SampleShape {
 // plan (replicated width-1 modality modules) and the Megatron plan
 // (width 8), full and frozen training.
 func TestRuntimePricingMatchesReference(t *testing.T) {
-	for _, freeze := range []model.FreezeSpec{model.FullTraining, model.LLMOnly} {
+	for _, name := range []string{"full", "llm-only"} {
+		freeze, err := model.FreezeByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		spec, corpus := buildSpec(t, model.MLLM9B(), 4, 48, freeze)
 		for _, m := range []int{1, 3} {
 			spec.Microbatch = m

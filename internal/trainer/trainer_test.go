@@ -194,7 +194,11 @@ func TestPreprocessingDisaggregation(t *testing.T) {
 func TestFrozenTrainingReducesTimeAndFLOPs(t *testing.T) {
 	m := model.MLLM9B()
 	fullSpec, corpus := buildSpec(t, m, 12, 64, model.FullTraining)
-	frozenSpec, _ := buildSpec(t, m, 12, 64, model.AllFrozen)
+	allFrozen, err := model.FreezeByName("all-frozen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozenSpec, _ := buildSpec(t, m, 12, 64, allFrozen)
 
 	fullPlan, err := orchestrator.PlanDistTrain(fullSpec)
 	if err != nil {

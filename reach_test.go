@@ -18,10 +18,10 @@ import (
 )
 
 // TestReachability holds the library packages under internal/ to what
-// the programs use. The programs are the main packages under cmd/,
-// examples/ and benchmark/; tests never count as users. Both modules'
-// non-test sources are type-checked with go/types, and four passes run
-// over them:
+// the programs use. The programs are the main packages under cmd/ and
+// benchmark/; tests never count as users. Both modules' non-test
+// sources are type-checked with go/types, and four passes run over
+// them:
 //
 //   - funcs: every function and method is reached from a program's
 //     main or a package initialiser;
@@ -53,9 +53,13 @@ func TestReachability(t *testing.T) {
 // the reason. They are roots of the funcs pass, so what they call stays
 // too.
 var reachAllow = map[string]string{
-	"trainer.Runtime.RunSequential": "the lock-step trainer the concurrent runtime is compared against",
-	"solve.MinimizeConvex1D":        "the golden section the subproblem kernel inlines, pinned to it bit for bit",
-	"data.seededSource.Int63":       "rand.Source's method: math/rand.Rand calls it through that interface for Float64 and NormFloat64",
+	"trainer.Runtime.RunSequential":       "the lock-step trainer the concurrent runtime is compared against",
+	"solve.MinimizeConvex1D":              "the golden section the subproblem kernel inlines, pinned to it bit for bit",
+	"data.seededSource.Int63":             "rand.Source's method: math/rand.Rand calls it through that interface for Float64 and NormFloat64",
+	"pipeline.Result.FirstStageIntervals": "the simulated Figure 12 intervals TestIntervalPredictorMatchesSimulator checks the predictor against",
+	"stepccl.NewExecutor":                 "Figure 21's bit-identity check: TestExecutorCorrectness runs the executor",
+	"stepccl.Executor.RunStrawman":        "Figure 21's bit-identity check: the gather-then-GEMM result the overlapped run must equal",
+	"stepccl.Executor.RunOverlapped":      "Figure 21's bit-identity check: the chunked run and its layout remap",
 }
 
 // fieldAllow names the input fields the fields pass lets hold one
@@ -70,6 +74,7 @@ var fieldAllow = map[string]string{
 	"orchestrator.Spec.Microbatch": "benchmark/ writes it (benchmark/README.md: orchestrator.Spec)",
 	"orchestrator.Spec.MaxGPUs":    "benchmark/ writes it (benchmark/README.md: orchestrator.Spec)",
 	"orchestrator.Spec.VPP":        "benchmark/ writes it (benchmark/README.md: orchestrator.Spec)",
+	"trainer.Config.GradientDim":   "the §5 commutativity oracle the fleet, trainer and controller tests set",
 }
 
 // argAllow names the parameters the args pass lets every call fix, as
@@ -78,8 +83,6 @@ var fieldAllow = map[string]string{
 var argAllow = map[string]string{
 	"pipeline.Simulate.sch":    "benchmark/ calls it (benchmark/README.md: pipeline.Simulate, OneFOneB)",
 	"reorder.InterReorder.p2p": "benchmark/ calls it (benchmark/README.md: reorder.InterReorder)",
-	"reorder.IntraReorder.m":   "Algorithm 1's DP width: examples/reordering runs Figure 11's, the reorder tests 2 to 4",
-	"stepccl.NewExecutor":      "examples/stepccl's Figure 21 instance; the stepccl tests run the executor at other shapes",
 }
 
 // exportAllow names the exported package-level names the exports pass
@@ -87,6 +90,9 @@ var argAllow = map[string]string{
 // the reason.
 var exportAllow = map[string]string{
 	"solve.MinimizeConvex1D": "the golden section the orchestrator's subproblem tests pin the inlined kernel to",
+	"stepccl.Executor":       "Figure 21's bit-identity check, which only the stepccl tests run",
+	"stepccl.NewExecutor":    "Figure 21's bit-identity check, which only the stepccl tests run",
+	"stepccl.Matrix":         "Figure 21's bit-identity check, which only the stepccl tests run",
 }
 
 // stdlibCalls are the method names the standard library calls through
@@ -315,7 +321,7 @@ func (prog *program) checkFuncs(t *testing.T) {
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s is reached by no program under cmd/, examples/ or benchmark/: delete it, or list it in reachAllow with the test that needs it", d)
+		t.Errorf("%s is reached by no program under cmd/ or benchmark/: delete it, or list it in reachAllow with the test that needs it", d)
 	}
 }
 
