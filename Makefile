@@ -167,7 +167,7 @@ race:
 # hides results that depend on goroutine scheduling (a checkpoint
 # count once did). CI's `Tests (GOMAXPROCS=1)` step runs this target,
 # so DETERMINISM_TESTS is the one list of those gates.
-DETERMINISM_TESTS = TestConcurrentRuntimeEquivalence|TestTraceByteIdenticalToSequential|TestFleetDeterminism|TestFleetOneJobEquivalence|TestPriorityDeterminism|TestFleetPreprocessDeterminism|TestControllerSteadyByteIdentical|TestCheckpointsSavedIsExact
+DETERMINISM_TESTS = TestConcurrentRuntimeEquivalence|TestTraceByteIdenticalToSequential|TestFleetDeterminism|TestFleetOneJobEquivalence|TestPriorityDeterminism|TestFleetPreprocessDeterminism|TestControllerSteadyByteIdentical|TestCheckpointsSavedIsExact|TestFleetResolvesEachClassOnce
 determinism:
 	GOMAXPROCS=1 $(GO) test -short -run '$(DETERMINISM_TESTS)' ./internal/...
 
@@ -182,9 +182,9 @@ bench:
 # B/op and allocs/op, the median-ns/op sample of five per name — into
 # $(BENCH_JSON), written atomically. It gates nothing: each allocation
 # count is pinned by a tier-1 budget test in the package that owns the
-# path (TestFleetAllocBudget, TestServiceFetchAllocBudget,
-# TestWarmPlanHitAllocBudget, TestMemPlanHitAllocBudget,
-# TestPlanSearchAllocBudget), and every
+# path (TestFleetAllocBudget, TestNewAllocBudget,
+# TestServiceFetchAllocBudget, TestWarmPlanHitAllocBudget,
+# TestMemPlanHitAllocBudget, TestPlanSearchAllocBudget), and every
 # speed claim is made by the benchmark/ ledger's paired parent/change
 # runs. The smoke-only benchmarks (`make bench`) are not recorded.
 BENCH_JSON ?= BENCH_fleet.json

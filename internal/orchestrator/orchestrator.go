@@ -45,7 +45,7 @@ type Spec struct {
 }
 
 // Validate checks the spec.
-func (s Spec) Validate() error {
+func (s *Spec) Validate() error {
 	if err := s.Cluster.Validate(); err != nil {
 		return err
 	}
@@ -128,7 +128,7 @@ type Plan struct {
 }
 
 // TotalGPUs sums module allocations.
-func (p Plan) TotalGPUs() int {
+func (p *Plan) TotalGPUs() int {
 	t := 0
 	for _, m := range p.Modules {
 		t += m.GPUs()
@@ -136,7 +136,7 @@ func (p Plan) TotalGPUs() int {
 	return t
 }
 
-func (p Plan) String() string {
+func (p *Plan) String() string {
 	s := fmt.Sprintf("%s plan: %d GPUs, %d microbatches, est iter %.3fs, est MFU %.1f%%\n",
 		p.Strategy, p.TotalGPUs(), p.Microbatches, p.IterTime, 100*p.EstMFU)
 	for _, m := range p.Modules {

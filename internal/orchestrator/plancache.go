@@ -146,7 +146,9 @@ const planEnvelopeV = 1
 // today cannot be planned by retrying — but a search cut short by a
 // context (cancellation, deadline) is returned and never stored, so a
 // later caller with a healthy context plans instead of inheriting it.
-// The returned plan is a private copy.
+// Every call for one spec content returns the cache's one *Plan, which
+// is immutable: callers read it and never write it, so the runtimes
+// executing it may key on the pointer.
 func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -183,11 +185,7 @@ func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
 		}
 		c.entries[key] = e
 	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	cp := *e.plan // Plan holds no reference types: a value copy is private
-	return &cp, nil
+	return e.plan, e.err
 }
 
 // key returns the in-memory key of a validated spec, interning its

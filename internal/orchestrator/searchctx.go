@@ -175,7 +175,7 @@ func (sc *searchCtx) evaluate(p *Plan) error {
 	if dpLM <= 0 {
 		return errors.New("orchestrator: plan has no backbone DP")
 	}
-	total := p.Modules[0].GPUs() + p.Modules[1].GPUs() + p.Modules[2].GPUs() // TotalGPUs, without its by-value Plan
+	total := p.TotalGPUs()
 	if total > sc.n {
 		return fmt.Errorf("orchestrator: plan wants %d GPUs, budget %d", total, sc.n)
 	}

@@ -4,30 +4,33 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"disttrain/internal/cluster"
 	"disttrain/internal/data"
 	"disttrain/internal/model"
+	"disttrain/internal/orchestrator"
 	"disttrain/internal/profiler"
 	"disttrain/internal/scenario"
 	"disttrain/internal/window"
 )
 
-// BatchCache shares the corpus front-end among runtimes: a batch read,
-// folded through the cost kernel and assigned by Algorithm 1 once per
-// (iteration, DP width) serves every runtime that would prepare the
-// same one — the data tier's one build per iteration (§5), for runtimes
-// without a live producer pool. The ranks of a shared batch are
-// simulated once per run key too: a rank's outcome is a pure function
-// of its workloads and the plan prices runRank reads, so runtimes that
-// read one batch under one plan share one outcome vector.
-// Config.Batches says when an iteration shares. New registers a runtime
-// that can under its class and Close removes it, so a lone tenant keeps
-// the private, allocation-free path. The zero value is ready to use; it
-// is safe for concurrent use.
+// BatchCache shares what its runtimes resolve and prepare alike: each
+// class once for every runtime of its classKey, and a corpus batch
+// read, folded through the cost kernel and assigned by Algorithm 1 once
+// per (iteration, DP width) for every runtime that would prepare it —
+// the data tier's one build per iteration (§5), for runtimes without a
+// live producer pool. A shared batch's ranks are simulated once per run
+// key too: a rank's outcome is a pure function of its workloads and its
+// runtime's class. Config.Batches says when an iteration shares. New
+// counts a runtime that can among its batch class's live runtimes and
+// Close uncounts it, so a lone tenant keeps the private, allocation-free
+// path. The zero value is ready to use; it is safe for concurrent use.
 type BatchCache struct {
-	mu      sync.Mutex
-	live    map[batchClass]int
-	entries window.Once[batchKey, preparedBatch] // made with live
-	runs    window.Once[runKey, []rankOutcome]   // made with live
+	mu sync.Mutex
+	// classes maps each classKey to its class, and a key of a batch
+	// class alone to its first class, whose count is the batch class's.
+	classes map[classKey]*class
+	entries window.Once[batchKey, preparedBatch] // made with classes
+	runs    window.Once[runKey, []rankOutcome]   // made with classes
 	// builds counts the entries built and simulated the ranks the runs
 	// simulated, the observables tests pin.
 	builds, simulated atomic.Int64
@@ -35,7 +38,7 @@ type BatchCache struct {
 
 // batchGeneration bounds one cache generation in samples held, so the
 // cache holds between one and two of them. A batch is re-read by the
-// other runtimes of its class, which step the same iterations as far
+// other runtimes of its batch class, which step the same iterations as far
 // apart as they were admitted: the re-read window is a span of the
 // corpus, the one data.Corpus's memo keeps, so the generations match
 // the memo's 2,048 samples (64 iterations of a 32-sample batch).
@@ -50,7 +53,21 @@ type batchClass struct {
 	batch  int
 }
 
-// batchKey identifies one prepared corpus batch: the class, the batch's
+// classKey is what resolution and runRank read of a runtime: the plan
+// (by pointer: a plan cache hands out one per spec), the batch class,
+// the leased cluster and microbatch (one plan under two specs is two
+// classes) and two switches; the model is the profiler's. An int32
+// microbatch keeps it at 128 bytes: a map stores a larger key out of
+// line, at one allocation per insert.
+type classKey struct {
+	plan *orchestrator.Plan
+	batchClass
+	cluster           cluster.Cluster
+	microbatch        int32
+	reorder, asyncP2P bool
+}
+
+// batchKey identifies one prepared corpus batch: the batch class, the batch's
 // first sample index, and the assignment's DP width and balancing. An
 // entry is a pure function of its key.
 type batchKey struct {
@@ -60,67 +77,66 @@ type batchKey struct {
 	balance bool
 }
 
-// runKey identifies one shared batch's rank outcomes: the batch and
-// everything runRank reads of the runtime. buildP2P prices every link
-// alike, so one link cost stands for the p2p vector. A joined runtime
-// has no Scenario, so its perturbation is always steady.
+// runKey identifies one shared batch's rank outcomes: the class, which
+// fixes the batch class, DP width, balancing and everything runRank
+// reads of the runtime but whether it traces, and the batch's first
+// sample.
 type runKey struct {
-	batchKey
-	costs                   planCosts
-	stages, vpp, microbatch int
-	link                    float64
-	traced                  bool
+	class  int
+	first  int64
+	traced bool
 }
 
-// addLive adds d (+1 at New, -1 at Close) to the class's live runtimes.
-func (c *BatchCache) addLive(class batchClass, d int) {
+// class returns k's class, resolving it under the leased spec on first
+// use; a nil cache resolves a private one.
+func (c *BatchCache) class(k classKey, spec *orchestrator.Spec) *class {
+	if c == nil {
+		return resolve(k, spec)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.live == nil {
-		c.live = map[batchClass]int{}
+	if cls, ok := c.classes[k]; ok {
+		return cls
+	}
+	if c.classes == nil {
+		c.classes = map[classKey]*class{}
 		c.entries = window.NewOnce[batchKey, preparedBatch](batchGeneration)
 		c.runs = window.NewOnce[runKey, []rankOutcome](batchGeneration)
 	}
-	if c.live[class] += d; c.live[class] == 0 {
-		delete(c.live, class)
+	cls := resolve(k, spec)
+	first := classKey{batchClass: k.batchClass}
+	if c.classes[first] == nil {
+		c.classes[first] = cls
 	}
+	cls.id, cls.live, c.classes[k] = len(c.classes), &c.classes[first].own, cls
+	return cls
 }
 
-// sharing returns the cache's entries while class has two or more live
-// runtimes, nil otherwise.
-func (c *BatchCache) sharing(class batchClass) *window.Once[batchKey, preparedBatch] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.live[class] < 2 {
-		return nil
-	}
-	return &c.entries
+// classOf returns the runtime's class of plan under the leased spec:
+// Config.Batches's when the runtime joined them, else a private one.
+func (r *Runtime) classOf(spec *orchestrator.Spec, plan *orchestrator.Plan) *class {
+	return r.cfg.Batches.class(classKey{
+		plan: plan, batchClass: batchClass{corpus: r.cfg.Corpus, prof: spec.Profiler, batch: spec.GlobalBatch},
+		cluster: spec.Cluster, microbatch: int32(spec.Microbatch), reorder: r.cfg.Reorder, asyncP2P: r.cfg.AsyncP2P,
+	}, spec)
 }
 
-// joinBatches registers r on cfg.Batches when its corpus batches can be
-// shared: no live pool hands it batches and no scenario shifts them.
-// New calls it; Close undoes it.
-func (r *Runtime) joinBatches() {
-	c := r.cfg.Batches
-	if c == nil || r.cfg.Source != nil || r.cfg.Scenario != nil {
-		return
-	}
-	r.batches = c
-	r.class = batchClass{corpus: r.cfg.Corpus, prof: r.cfg.Spec.Profiler, batch: r.cfg.Spec.GlobalBatch}
-	c.addLive(r.class, 1)
-}
+// shares reports whether the class's batch class has two or more live
+// runtimes: whether its runtimes read shared batches.
+func (c *class) shares() bool { return c.live != nil && c.live.Load() >= 2 }
 
 // sharedKey returns iteration iter's cache key under the runtime's plan
 // and the entries to read it from, nil when the runtime prepares
-// privately: it is unregistered or alone in its class. prepare reads
+// privately: it is unregistered or alone in its batch class. prepare reads
 // and Job.launch asks through it, so the two cannot disagree.
 func (r *Runtime) sharedKey(iter int) (*window.Once[batchKey, preparedBatch], batchKey) {
-	if r.batches == nil {
+	c := r.cls
+	if r.cfg.Batches == nil || !c.shares() {
 		return nil, batchKey{}
 	}
-	dp := r.cfg.Plan.Modules[model.Backbone].Config.DP
-	k := batchKey{batchClass: r.class, first: int64(iter) * int64(r.class.batch), dp: dp, balance: r.cfg.Reorder}
-	return r.batches.sharing(r.class), k
+	dp := c.plan.Modules[model.Backbone].Config.DP
+	k := batchKey{batchClass: c.batchClass, first: int64(iter) * int64(c.batch), dp: dp, balance: c.reorder}
+	return &r.cfg.Batches.entries, k
 }
 
 // sharedRun returns the rank outcomes of p, a shared batch, under the
@@ -128,14 +144,12 @@ func (r *Runtime) sharedKey(iter int) (*window.Once[batchKey, preparedBatch], ba
 // fresh slice, a concurrent asker waits for that run. The slice is
 // immutable once returned, so it never becomes r.outcomes, which the
 // private untraced path refills.
-func (r *Runtime) sharedRun(p preparedBatch, p2p []float64, pert scenario.Perturbation) []rankOutcome {
-	k := runKey{
-		batchKey: p.key, costs: r.costs, stages: r.stages,
-		vpp: r.cfg.Plan.Modules[model.Backbone].Config.VPP, microbatch: r.cfg.Spec.Microbatch,
-		link: p2p[0], traced: r.cfg.Trace != nil,
-	}
-	return r.batches.runs.Get(k, k.batch, func() []rankOutcome {
-		r.batches.simulated.Add(int64(len(p.ranks)))
+func (r *Runtime) sharedRun(p *preparedBatch, p2p []float64, pert scenario.Perturbation) []rankOutcome {
+	c := r.cfg.Batches
+	bs := r.cls.batch
+	k := runKey{class: r.cls.id, first: int64(p.iter) * int64(bs), traced: r.cfg.Trace != nil}
+	return c.runs.Get(k, bs, func() []rankOutcome {
+		c.simulated.Add(int64(len(p.ranks)))
 		out := make([]rankOutcome, len(p.ranks))
 		r.runRanks(out, p.ranks, p2p, pert)
 		return out
@@ -147,7 +161,7 @@ func (r *Runtime) sharedRun(p preparedBatch, p2p []float64, pert scenario.Pertur
 // the batch-order work and the rank-major gather, and the rank headers
 // are an entry's four allocations.
 func (r *Runtime) build(k batchKey) preparedBatch {
-	r.batches.builds.Add(1)
+	r.cfg.Batches.builds.Add(1)
 	n := k.batch
 	if k.balance {
 		n *= 2

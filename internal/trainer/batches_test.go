@@ -111,10 +111,13 @@ func TestBatchCacheSharesEachBuild(t *testing.T) {
 			t.Errorf("%d runtimes in turn built %d batches for %d iterations", k, c.builds.Load(), iters)
 		}
 		for _, rt := range rts {
+			if rt.cls != rts[0].cls {
+				t.Error("runtimes of one plan and template resolved two classes")
+			}
 			rt.Close()
 		}
-		if len(c.live) != 0 {
-			t.Errorf("closed runtimes still live: %v", c.live)
+		if n := rts[0].cls.live.Load(); n != 0 {
+			t.Errorf("%d closed runtimes still live", n)
 		}
 	})
 
@@ -174,19 +177,28 @@ func TestBatchCacheSharesEachBuild(t *testing.T) {
 }
 
 // TestBatchCacheEntriesAndGenerations pins the cache's bookkeeping: no
-// entries while a class has one live runtime, one build per key (a
+// sharing while a class has one live runtime, one build per key (a
 // second request reads the first build), and entries rotating out by
 // samples held: the newest key survives a stream that drops the oldest.
 func TestBatchCacheEntriesAndGenerations(t *testing.T) {
+	spec, corpus := buildSpec(t, model.MLLM9B(), 4, 32, model.FullTraining)
+	plan, err := orchestrator.PlanDistTrain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var c BatchCache
+	cls := c.class(classKey{plan: plan, batchClass: batchClass{corpus: corpus, prof: spec.Profiler, batch: 32}}, &spec)
 	class := batchClass{batch: 1000}
 	key := func(i int) batchKey { return batchKey{batchClass: class, first: int64(i) * 1000} }
-	c.addLive(class, 1)
-	if c.sharing(class) != nil {
+	cls.live.Add(1)
+	if cls.shares() {
 		t.Fatal("a lone runtime's class shares entries")
 	}
-	c.addLive(class, 1)
-	entries := c.sharing(class)
+	cls.live.Add(1)
+	if !cls.shares() {
+		t.Fatal("two live runtimes' class shares no entries")
+	}
+	entries := &c.entries
 	builds := 0
 	get := func(i int) preparedBatch {
 		return entries.Get(key(i), class.batch, func() preparedBatch {
@@ -208,9 +220,9 @@ func TestBatchCacheEntriesAndGenerations(t *testing.T) {
 	if get(0); builds != n+1 {
 		t.Errorf("the oldest entry survived %d samples put after it, two generations of %d", (n-1)*class.batch, batchGeneration)
 	}
-	c.addLive(class, -2)
-	if len(c.live) != 0 || c.sharing(class) != nil {
-		t.Errorf("live classes after every runtime left: %v", c.live)
+	cls.live.Add(-2)
+	if n := cls.live.Load(); n != 0 || cls.shares() {
+		t.Errorf("%d live runtimes after every runtime left", n)
 	}
 }
 
@@ -244,6 +256,9 @@ func TestBatchCacheSharesRankOutcomes(t *testing.T) {
 	type runner struct {
 		plan   *orchestrator.Plan
 		traced bool
+		// rebuilt builds the template field by field rather than through
+		// DistTrainConfig: equal content, built apart.
+		rebuilt bool
 	}
 	// run drives one runtime per runner on cache c (private runs on
 	// nil), in turn or at once, and returns each Result and trace.
@@ -252,6 +267,9 @@ func TestBatchCacheSharesRankOutcomes(t *testing.T) {
 		rts := make([]*Runtime, len(rs))
 		for i, r := range rs {
 			cfg := DistTrainConfig(spec, r.plan, corpus)
+			if r.rebuilt {
+				cfg = Config{Spec: spec, Plan: r.plan, Corpus: corpus, Reorder: true, DisaggregatedPreprocess: true, AsyncP2P: true}
+			}
 			cfg.GradientDim = 4
 			cfg.Batches = c
 			if r.traced {
@@ -304,9 +322,10 @@ func TestBatchCacheSharesRankOutcomes(t *testing.T) {
 		rs   []runner
 		runs int64 // distinct run keys
 	}{
-		{"one plan", []runner{{plan, false}, {plan, false}, {plan, false}, {plan, false}}, 1},
-		{"plans", []runner{{plan, false}, {&vpp, false}, {&swapped, false}, {plan, false}}, 3},
-		{"traced", []runner{{plan, true}, {plan, false}, {plan, true}}, 2},
+		{"one plan", []runner{{plan, false, false}, {plan, false, false}, {plan, false, false}, {plan, false, false}}, 1},
+		{"equal templates", []runner{{plan, false, false}, {plan, false, true}}, 1},
+		{"plans", []runner{{plan, false, false}, {&vpp, false, false}, {&swapped, false, false}, {plan, false, false}}, 3},
+		{"traced", []runner{{plan, true, false}, {plan, false, false}, {plan, true, false}}, 2},
 	} {
 		for _, at := range []bool{false, true} {
 			name := tc.name + " in turn"
@@ -363,11 +382,11 @@ func TestSharedOutcomesOutliveAPrivateIteration(t *testing.T) {
 		}
 	}
 	p := a.prepare(0)
-	if p.key.corpus == nil {
+	if !p.shared {
 		t.Fatal("iteration 0 was not shared")
 	}
 	before := c.simulated.Load()
-	shared := a.sharedRun(p, a.p2p, scenario.At(nil, 0))
+	shared := a.sharedRun(&p, a.cls.p2p, scenario.At(nil, 0))
 	if c.simulated.Load() != before {
 		t.Fatal("the shared outcomes were simulated again")
 	}

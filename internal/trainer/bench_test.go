@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"disttrain/internal/cluster"
 	"disttrain/internal/data"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
@@ -64,6 +65,46 @@ func TestIterationAllocBudget(t *testing.T) {
 		}
 	}); got > budget {
 		t.Errorf("one iteration allocated %v times, recorded %s, budget %v", got, recorded, budget)
+	}
+}
+
+// TestNewAllocBudget pins what admitting a fleet tenant onto an already
+// resolved class allocates: trainer.New and NewJob for a 2-node lease
+// whose class another runtime resolved on the BatchCache. The runtime,
+// the Job, its Result and the Result's iteration slice are the recorded
+// 4, where 6 were while every runtime resolved its own plan (its link
+// vector) and copied its lease out of line. The budget is the recorded
+// count.
+func TestNewAllocBudget(t *testing.T) {
+	spec, corpus := buildSpec(t, model.MLLM9B(), 8, 32, model.FullTraining)
+	lease := cluster.NewLease(0, 1)
+	plan, err := orchestrator.PlanDistTrain(spec.ForLease(spec.Cluster, lease, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c BatchCache
+	cfg := DistTrainConfig(spec, plan, corpus)
+	cfg.Lease, cfg.Batches = &lease, &c
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	const recorded = 4
+	if got := testing.AllocsPerRun(100, func() {
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.cls != first.cls {
+			t.Fatal("a tenant of a resolved class resolved another")
+		}
+		if _, err := rt.NewJob(4); err != nil {
+			t.Fatal(err)
+		}
+		rt.Close()
+	}); got > recorded {
+		t.Errorf("New + NewJob on a resolved class allocated %v times, recorded %d", got, recorded)
 	}
 }
 

@@ -48,16 +48,16 @@ import (
 
 // preparedBatch is the front-end's output for one iteration: the
 // global batch, each sample's workload in batch order, their FLOPs and
-// the same workloads gathered per DP rank. key is a shared batch's
-// BatchCache key, zero for a private batch.
+// the same workloads gathered per DP rank. shared marks a BatchCache
+// entry.
 type preparedBatch struct {
-	iter  int
-	batch []data.Sample
-	work  []model.Workload
-	ranks [][]model.Workload
-	flops float64
-	err   error
-	key   batchKey
+	iter   int
+	batch  []data.Sample
+	work   []model.Workload
+	ranks  [][]model.Workload
+	flops  float64
+	err    error
+	shared bool
 }
 
 // prepBuf backs one preparedBatch: iteration i reads prep[i&1] while
@@ -101,7 +101,7 @@ func fold(dst []model.Workload, samples []data.Sample, k *model.CostKernel) ([]m
 // re-planning controller watches for; live pools own their
 // preprocessing and see no scenario.
 func (r *Runtime) prepare(iter int) preparedBatch {
-	dp := r.cfg.Plan.Modules[model.Backbone].Config.DP
+	dp := r.cls.plan.Modules[model.Backbone].Config.DP
 	buf := &r.prep[iter&1]
 	p := preparedBatch{iter: iter}
 	src := r.cfg.Source
@@ -115,14 +115,14 @@ func (r *Runtime) prepare(iter int) preparedBatch {
 	default:
 		if entries, k := r.sharedKey(iter); entries != nil {
 			p = entries.Get(k, k.batch, func() preparedBatch { return r.build(k) })
-			p.iter, p.key = iter, k
+			p.iter, p.shared = iter, true
 			return p
 		}
-		bs := r.cfg.Spec.GlobalBatch
+		bs := r.cls.batch
 		buf.batch = r.cfg.Corpus.AppendBatch(buf.batch[:0], int64(iter)*int64(bs), bs)
 		p.batch = scenario.At(r.cfg.Scenario, iter).ShiftBatch(buf.batch)
 	}
-	buf.work, p.flops = fold(buf.work[:0], p.batch, r.cfg.Spec.Profiler.Kernel())
+	buf.work, p.flops = fold(buf.work[:0], p.batch, r.cls.prof.Kernel())
 	p.err = r.assign(buf, dp, r.cfg.Reorder && src == nil)
 	p.work, p.ranks = buf.work, buf.ranks
 	return p
@@ -169,16 +169,16 @@ var (
 // steps concurrently may run it at once. When tracing, the timeline is
 // copied into the outcome's ops; otherwise none is recorded.
 func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scenario.Perturbation) rankOutcome {
-	cfg := &r.cfg
-	m := cfg.Spec.Microbatch
+	c := r.cls
+	m, stages := c.spec.Microbatch, c.stages
 	k := len(work) / m
 	sc := rankScratchPool.Get().(*rankScratch)
 	defer rankScratchPool.Put(sc)
 	// Flat layout: k*stages fwd + k*stages bwd microbatch times, then
 	// stages*k + stages*k simulator work rows.
-	sc.buf = slices.Grow(sc.buf[:0], 4*k*r.stages)[:4*k*r.stages]
+	sc.buf = slices.Grow(sc.buf[:0], 4*k*stages)[:4*k*stages]
 	sc.mbs = slices.Grow(sc.mbs[:0], k)[:k]
-	sc.rows = slices.Grow(sc.rows[:0], 2*r.stages)[:2*r.stages]
+	sc.rows = slices.Grow(sc.rows[:0], 2*stages)[:2*stages]
 	buf, mbs := sc.buf, sc.mbs
 	for j := 0; j < k; j++ {
 		// A microbatch of M samples: their workloads add up in sample
@@ -187,13 +187,13 @@ func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scen
 		for _, o := range work[j*m+1 : (j+1)*m] {
 			w.Add(o)
 		}
-		fwd := buf[2*j*r.stages : (2*j+1)*r.stages]
-		bwd := buf[(2*j+1)*r.stages : (2*j+2)*r.stages]
-		r.microbatchWorkInto(w, fwd, bwd)
+		fwd := buf[2*j*stages : (2*j+1)*stages]
+		bwd := buf[(2*j+1)*stages : (2*j+2)*stages]
+		c.microbatchWorkInto(w, fwd, bwd)
 		mbs[j] = reorder.Microbatch{Index: j, Fwd: fwd, Bwd: bwd}
 	}
-	if cfg.Reorder {
-		vpp := cfg.Plan.Modules[model.Backbone].Config.VPP
+	if c.reorder {
+		vpp := c.plan.Modules[model.Backbone].Config.VPP
 		var err error
 		mbs, err = sc.reo.InterReorderVPP(mbs, p2p, vpp)
 		if err != nil {
@@ -201,15 +201,15 @@ func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scen
 		}
 	}
 	rows := pipeline.Work{
-		Fwd:   sc.rows[:r.stages],
-		Bwd:   sc.rows[r.stages:],
+		Fwd:   sc.rows[:stages],
+		Bwd:   sc.rows[stages:],
 		P2P:   p2p,
-		Rates: pert.RateSchedules(d, r.stages),
+		Rates: pert.RateSchedules(d, stages),
 	}
-	flat := buf[2*k*r.stages:]
-	for s := 0; s < r.stages; s++ {
+	flat := buf[2*k*stages:]
+	for s := 0; s < stages; s++ {
 		rows.Fwd[s] = flat[s*k : (s+1)*k]
-		rows.Bwd[s] = flat[(r.stages+s)*k : (r.stages+s+1)*k]
+		rows.Bwd[s] = flat[(stages+s)*k : (stages+s+1)*k]
 		for j, mb := range mbs {
 			rows.Fwd[s][j] = mb.Fwd[s]
 			rows.Bwd[s][j] = mb.Bwd[s]
@@ -217,7 +217,7 @@ func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scen
 	}
 	var res *pipeline.Result
 	var err error
-	if cfg.Trace != nil {
+	if r.cfg.Trace != nil {
 		res, err = sc.sim.Simulate(pipeline.OneFOneB, rows)
 	} else {
 		res, err = sc.sim.SimulateUntraced(rows)
@@ -226,7 +226,7 @@ func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scen
 		return rankOutcome{err: err}
 	}
 	out := rankOutcome{iterTime: res.IterTime, bubble: res.MeanBubbleFraction()}
-	if cfg.Trace != nil {
+	if r.cfg.Trace != nil {
 		out.ops = slices.Clone(res.Ops)
 	}
 	return out
@@ -236,9 +236,9 @@ func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scen
 // outcome slots in rank order and prices the iteration's serial
 // phases. Both the sequential reference and the prefetching run end
 // here, so their results agree bit for bit.
-func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, outcomes []rankOutcome) (IterationStats, error) {
-	cfg := &r.cfg
-	spec := &cfg.Spec
+func (r *Runtime) finishIteration(p *preparedBatch, pert scenario.Perturbation, outcomes []rankOutcome) (IterationStats, error) {
+	cfg, c := &r.cfg, r.cls
+	spec := &c.spec
 	var bd metrics.Breakdown
 
 	// Data arrival. Disaggregated preprocessing only pays the
@@ -247,7 +247,7 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 	// with training and only the overflow plus CPU interference is
 	// exposed (§2.3, Figure 17). Scenario degradation scales the data
 	// path either way.
-	dp := cfg.Plan.Modules[model.Backbone].Config.DP
+	dp := c.plan.Modules[model.Backbone].Config.DP
 	perRank := len(p.batch) / dp
 	ppFactor := pert.PreprocessFactor()
 	colocatedCPU := 0.0
@@ -288,19 +288,18 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 
 	// Gradient synchronisation (ZeRO-1) per module, concurrent on
 	// disjoint GPU sets: the slowest exposed sync gates the iteration.
-	bd.GradSync = r.gradSyncS
+	bd.GradSync = c.gradSyncS
 
 	// Optimizer step: memory-bound update of the local shard.
-	bd.Optimizer = r.optimizerS
+	bd.Optimizer = c.optimizerS
 
 	// Checkpointing: a dedicated process writes asynchronously (§6), so
 	// only a write that outlasts the interval is exposed.
 	if cfg.CheckpointEvery > 0 && p.iter > 0 && p.iter%cfg.CheckpointEvery == 0 {
 		r.saveCheckpoint(p.iter, "iter-")
-		ckptSeconds := r.checkpointSeconds()
 		budget := float64(cfg.CheckpointEvery) * worstPipe
-		if ckptSeconds > budget {
-			bd.CheckpointStall = ckptSeconds - budget
+		if c.checkpointS > budget {
+			bd.CheckpointStall = c.checkpointS - budget
 		}
 	}
 
@@ -311,7 +310,7 @@ func (r *Runtime) finishIteration(p preparedBatch, pert scenario.Perturbation, o
 		BubbleFrac:      worstBubble,
 		StragglerSpread: (worstPipe - bestPipe) / math.Max(worstPipe, 1e-12),
 		FLOPs:           p.flops,
-		MFU:             metrics.MFU(p.flops, cfg.Plan.TotalGPUs(), spec.Cluster.GPU.PeakFLOPS, total),
+		MFU:             metrics.MFU(p.flops, c.gpus, spec.Cluster.GPU.PeakFLOPS, total),
 		Perturbed:       !pert.Steady(),
 	}
 	r.emitTrace(stats, outcomes)
@@ -336,7 +335,7 @@ func (r *Runtime) emitTrace(stats IterationStats, outcomes []rankOutcome) {
 	pipeStart := r.clock + bd.PreprocessStall
 	n, mbs := 0, 0
 	for _, out := range outcomes {
-		n, mbs = n+len(out.ops), max(mbs, len(out.ops)/(2*r.stages))
+		n, mbs = n+len(out.ops), max(mbs, len(out.ops)/(2*r.cls.stages))
 	}
 	for kind := range r.opNames {
 		for names := &r.opNames[kind]; len(*names) < mbs; {
@@ -366,13 +365,13 @@ var serialPhases = [...]string{"grad-sync", "optimizer", "checkpoint-stall"}
 
 // iteration executes one prepared iteration, its ranks inline in rank
 // order.
-func (r *Runtime) iteration(p preparedBatch) (IterationStats, error) {
+func (r *Runtime) iteration(p *preparedBatch) (IterationStats, error) {
 	if p.err != nil {
 		return IterationStats{}, p.err
 	}
 	pert := scenario.At(r.cfg.Scenario, p.iter)
 	p2p := r.iterP2P(pert)
-	if p.key.corpus != nil {
+	if p.shared {
 		return r.finishIteration(p, pert, r.sharedRun(p, p2p, pert))
 	}
 	// Untraced, the outcome slots are reused across iterations; a traced
@@ -396,7 +395,8 @@ func (r *Runtime) runRanks(outcomes []rankOutcome, ranks [][]model.Workload, p2p
 // calling goroutine: the single-iteration reference the tests and
 // trial evaluations use.
 func (r *Runtime) RunIterationSequential(iter int) (IterationStats, error) {
-	return r.iteration(r.prepare(iter))
+	p := r.prepare(iter)
+	return r.iteration(&p)
 }
 
 // Run executes n iterations and aggregates. The async data service
@@ -450,12 +450,11 @@ func (r *Runtime) recoverFromFailure() (resume int, restoreSeconds float64) {
 	if r.ckptStep < 0 {
 		return 0, 0
 	}
-	return r.ckptStep + 1, readSeconds(float64(r.ckptBytes), 1)
+	return r.ckptStep + 1, dfsLatency + float64(r.ckptBytes)/dfsReadBps
 }
 
-// checkPlan reports whether a controller-proposed plan can execute
-// under the runtime's spec.
-func (r *Runtime) checkPlan(p *orchestrator.Plan) error {
+// checkPlan reports whether a plan can execute under spec.
+func checkPlan(spec *orchestrator.Spec, p *orchestrator.Plan) error {
 	if p == nil {
 		return fmt.Errorf("trainer: nil reconfiguration plan")
 	}
@@ -463,27 +462,26 @@ func (r *Runtime) checkPlan(p *orchestrator.Plan) error {
 	if lm.DP < 1 || lm.PP < 1 {
 		return fmt.Errorf("trainer: reconfiguration plan has degenerate backbone config %v", lm.String())
 	}
-	if bs := r.cfg.Spec.GlobalBatch; bs%(lm.DP*r.cfg.Spec.Microbatch) != 0 {
+	if bs := spec.GlobalBatch; bs%(lm.DP*spec.Microbatch) != 0 {
 		return fmt.Errorf("trainer: reconfiguration plan DP_lm=%d * M=%d does not divide BS=%d",
-			lm.DP, r.cfg.Spec.Microbatch, bs)
+			lm.DP, spec.Microbatch, bs)
 	}
 	return nil
 }
 
-// reconfigure applies a checked controller plan switch at the boundary
+// reconfigure applies a checked plan switch onto cls at the boundary
 // before iteration iter: price the switch — a synchronous full
 // checkpoint write under the old geometry plus a restore read under
 // the new one, the recovery machinery without any lost work — record
 // the checkpoint when checkpointing is on (so a later failure resumes
-// past the switch), and rebuild the runtime's stage geometry.
-func (r *Runtime) reconfigure(p *orchestrator.Plan, iter int) float64 {
-	down := r.checkpointSeconds() // write: the outgoing geometry streams its state
+// past the switch), and point the runtime at the new class.
+func (r *Runtime) reconfigure(cls *class, iter int) float64 {
+	down := r.cls.checkpointS // write: the outgoing geometry streams its state
 	if r.cfg.CheckpointEvery > 0 && iter > 0 {
 		r.saveCheckpoint(iter-1, "reconfig-")
 	}
-	r.cfg.Plan = p
-	r.resolvePlan()
-	r.nameRankLanes(p.Modules[model.Backbone].Config.DP)
-	down += r.restoreSeconds() // read: the incoming geometry restores it
+	r.cls = cls
+	r.nameRankLanes(cls.plan.Modules[model.Backbone].Config.DP)
+	down += cls.restoreS // read: the incoming geometry restores it
 	return down
 }

@@ -70,7 +70,7 @@ func (r *Runtime) newJob(n int, prefetch bool) (*Job, error) {
 	}
 	j := &Job{
 		r: r, n: n, prefetch: prefetch,
-		res:         &Result{Strategy: r.cfg.Plan.Strategy, GPUs: r.cfg.Plan.TotalGPUs(), Iterations: make([]IterationStats, 0, n)},
+		res:         &Result{Strategy: r.cls.plan.Strategy, GPUs: r.cls.gpus, Iterations: make([]IterationStats, 0, n)},
 		maxExecuted: -1, lastFailure: -1, poolFired: -1,
 		pendingIter: -1,
 	}
@@ -168,7 +168,7 @@ func (j *Job) firePoolEvents(iter int) error {
 // the switch and continues on the incumbent.
 func (j *Job) applySwitch(i int, sw *PlanSwitch) {
 	r := j.r
-	if err := r.checkPlan(sw.Plan); err != nil {
+	if err := checkPlan(&r.cls.spec, sw.Plan); err != nil {
 		if tr := r.cfg.Trace; tr != nil {
 			tr.Instant("replan-rejected", "controller", r.clock,
 				map[string]any{"iter": i, "error": err.Error()})
@@ -176,22 +176,22 @@ func (j *Job) applySwitch(i int, sw *PlanSwitch) {
 		return
 	}
 	j.discardPrefetch()
-	j.switchPlan(i, sw.Plan, sw.Reason, "controller", "replan",
+	j.switchPlan(i, r.classOf(&r.cls.spec, sw.Plan), sw.Reason, "controller", "replan",
 		map[string]any{"iter": i, "strategy": sw.Plan.Strategy, "reason": sw.Reason})
 }
 
-// switchPlan is the one costed reconfiguration, at the boundary before
-// iteration i: the checkpoint write and restore read are priced,
+// switchPlan is the one costed reconfiguration onto cls, at the boundary
+// before iteration i: the checkpoint write and restore read are priced,
 // charged to the job as downtime and recorded as a Replan. The trace
 // gets the caller's instant plus the reconfigure span on the caller's
 // lane. The caller has discarded any prefetched batch.
-func (j *Job) switchPlan(i int, p *orchestrator.Plan, reason, cat, event string, args map[string]any) {
+func (j *Job) switchPlan(i int, cls *class, reason, cat, event string, args map[string]any) {
 	r := j.r
-	down := r.reconfigure(p, i)
+	down := r.reconfigure(cls, i)
 	j.res.PlanSwitches++
 	j.res.DowntimeSeconds += down
 	j.res.Replans = append(j.res.Replans, Replan{
-		AppliedAt: i, Strategy: p.Strategy, Reason: reason, Downtime: down,
+		AppliedAt: i, Strategy: cls.plan.Strategy, Reason: reason, Downtime: down,
 	})
 	if tr := r.cfg.Trace; tr != nil {
 		tr.Instant(event, cat, r.clock, args)
@@ -217,7 +217,8 @@ func (j *Job) Resize(l cluster.Lease, p *orchestrator.Plan, reason string) error
 	if r.cfg.Lease == nil {
 		return errors.New("trainer: resize on a job without a lease")
 	}
-	if err := l.Validate(r.base); err != nil {
+	base := r.cfg.Spec.Cluster // the template's: the shared cluster
+	if err := l.Validate(base); err != nil {
 		return err
 	}
 	// Drain the async prepare before touching any runtime state it
@@ -226,21 +227,18 @@ func (j *Job) Resize(l cluster.Lease, p *orchestrator.Plan, reason string) error
 	// batch.
 	j.discardPrefetch()
 	// The plan is checked, and the switch priced, under the incoming
-	// geometry; an infeasible plan puts the old spec back with the old
-	// lease and plan.
-	old := r.cfg.Spec
-	r.cfg.Spec = old.ForLease(r.base, l, r.cfg.PlacementPricing)
-	err := r.checkPlan(p)
-	if err == nil && p.TotalGPUs() > l.GPUs(r.base) {
-		err = fmt.Errorf("trainer: resize plan wants %d GPUs, lease has %d", p.TotalGPUs(), l.GPUs(r.base))
+	// geometry; an infeasible plan leaves the old lease and class.
+	spec := r.cfg.Spec.ForLease(base, l, r.cfg.PlacementPricing)
+	err := checkPlan(&spec, p)
+	if err == nil && p.TotalGPUs() > l.GPUs(base) {
+		err = fmt.Errorf("trainer: resize plan wants %d GPUs, lease has %d", p.TotalGPUs(), l.GPUs(base))
 	}
 	if err != nil {
-		r.cfg.Spec = old
 		return err
 	}
-	j.switchPlan(j.i, p, reason, "fleet", "lease-resize",
+	j.switchPlan(j.i, r.classOf(&spec, p), reason, "fleet", "lease-resize",
 		map[string]any{"iter": j.i, "nodes": l.NodeCount(), "reason": reason})
-	r.cfg.Lease = &l
+	r.lease = l
 	return nil
 }
 
@@ -295,7 +293,7 @@ func (j *Job) Step() error {
 		}
 	}
 	j.launch(i + 1)
-	st, err := r.iteration(p)
+	st, err := r.iteration(&p)
 	if err != nil {
 		return err
 	}
@@ -336,18 +334,18 @@ func (j *Job) Finish() *Result {
 	j.finished = true
 	j.discardPrefetch()
 	r := j.r
-	res := j.res
+	spec, res := &r.cls.spec, j.res
 	if executed := float64(len(res.Iterations)); executed > 0 {
 		res.MeanIterTime = j.timeSum / executed
 		wall := j.timeSum + res.DowntimeSeconds
-		res.MFU = metrics.MFU(j.usefulFlops, res.GPUs, r.cfg.Spec.Cluster.GPU.PeakFLOPS, wall)
+		res.MFU = metrics.MFU(j.usefulFlops, res.GPUs, spec.Cluster.GPU.PeakFLOPS, wall)
 		if res.Failures == 0 && res.PlanSwitches == 0 {
-			res.TokensPerSec = metrics.Throughput(r.cfg.Spec.GlobalBatch, r.cfg.Spec.Model.SeqLen, res.MeanIterTime)
+			res.TokensPerSec = metrics.Throughput(spec.GlobalBatch, spec.Model.SeqLen, res.MeanIterTime)
 		} else {
 			// Useful tokens over total wall-clock: redone iterations,
 			// recovery downtime and reconfiguration downtime all cost
 			// throughput — they don't produce tokens twice (or at all).
-			res.TokensPerSec = float64(j.maxExecuted+1) * float64(r.cfg.Spec.GlobalBatch) * float64(r.cfg.Spec.Model.SeqLen) / wall
+			res.TokensPerSec = float64(j.maxExecuted+1) * float64(spec.GlobalBatch) * float64(spec.Model.SeqLen) / wall
 		}
 	}
 	res.CheckpointsSaved = r.ckptSaved

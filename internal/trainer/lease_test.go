@@ -284,7 +284,7 @@ func TestPlanChangeRepricesLikeFreshRuntime(t *testing.T) {
 	var want []IterationStats
 	fresh := start(eight, to, nil)
 	for i := 1; i < 3; i++ {
-		st, err := fresh.iteration(fresh.prepare(i))
+		st, err := fresh.RunIterationSequential(i)
 		if err != nil {
 			t.Fatal(err)
 		}

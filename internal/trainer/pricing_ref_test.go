@@ -18,8 +18,8 @@ import (
 // uncompiled formulas by FuzzSamplePricing.
 
 func refMicrobatchWorkInto(r *Runtime, shape model.SampleShape, fwd, bwd []float64) {
-	spec := r.cfg.Spec
-	plan := r.cfg.Plan
+	spec := r.cls.spec
+	plan := r.cls.plan
 	p := spec.Profiler
 	mbs := float64(spec.Microbatch)
 	dpLM := float64(plan.Modules[model.Backbone].Config.DP)
@@ -40,7 +40,7 @@ func refMicrobatchWorkInto(r *Runtime, shape model.SampleShape, fwd, bwd []float
 	totL := p.SampleTrain(model.Backbone, lm.Config.ModelParallelWidth(), shape)
 	perStageF := fwdL * mbs / float64(lm.Config.PP)
 	perStageB := (totL - fwdL) * mbs / float64(lm.Config.PP)
-	for s := r.llmFirst; s < r.genStage; s++ {
+	for s := llmFirst; s < r.cls.genStage; s++ {
 		fwd[s] = perStageF
 		bwd[s] = perStageB
 	}
@@ -51,23 +51,23 @@ func refMicrobatchWorkInto(r *Runtime, shape model.SampleShape, fwd, bwd []float
 	scaleG := float64(wG) * dpLM * mbs / float64(gen.GPUs())
 	fwdG := p.SampleForward(model.Generator, wG, shape)
 	totG := p.SampleTrain(model.Generator, wG, shape)
-	fwd[r.genStage] = fwdG * scaleG
-	bwd[r.genStage] = (totG - fwdG) * scaleG
+	fwd[r.cls.genStage] = fwdG * scaleG
+	bwd[r.cls.genStage] = (totG - fwdG) * scaleG
 }
 
 func refSampleCost(r *Runtime, s data.Sample) float64 {
-	p := r.cfg.Spec.Profiler
+	p := r.cls.prof
 	sh := s.Shape()
 	return p.SampleTrain(model.Encoder, 1, sh) + p.SampleTrain(model.Generator, 1, sh)
 }
 
 func refIterationFLOPs(r *Runtime, batch []data.Sample) float64 {
-	freeze := r.cfg.Spec.Profiler.Options().Freeze
+	freeze := r.cls.prof.Options().Freeze
 	var total float64
 	for _, s := range batch {
 		shape := s.Shape()
 		for _, mod := range model.Modules {
-			k := r.cfg.Spec.Model.Compile(freeze)
+			k := r.cls.spec.Model.Compile(freeze)
 			fwd, bwd := k.TrainFLOPs(mod, k.Fold(shape))
 			total += fwd + bwd
 		}
@@ -111,14 +111,15 @@ func TestRuntimePricingMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				batch := corpus.GlobalBatch(2, spec.GlobalBatch)
-				got, want := make([]float64, 2*rt.stages), make([]float64, 2*rt.stages)
+				stages := rt.cls.stages
+				got, want := make([]float64, 2*stages), make([]float64, 2*stages)
 				for j := 0; j+m <= len(batch); j += m {
 					var w model.Workload
 					for _, s := range batch[j : j+m] {
 						s.AddTo(&w, spec.Profiler.Kernel())
 					}
-					rt.microbatchWorkInto(w, got[:rt.stages], got[rt.stages:])
-					refMicrobatchWorkInto(rt, refAggregateShape(batch[j:j+m]), want[:rt.stages], want[rt.stages:])
+					rt.cls.microbatchWorkInto(w, got[:stages], got[stages:])
+					refMicrobatchWorkInto(rt, refAggregateShape(batch[j:j+m]), want[:stages], want[stages:])
 					for i := range got {
 						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 							t.Fatalf("%s %s M=%d microbatch at %d, stage slot %d: got %v, reference %v",

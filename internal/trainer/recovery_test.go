@@ -44,7 +44,7 @@ func TestFailureRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt2.Close()
-	resumed, err := rt2.iteration(rt2.prepare(step + 1))
+	resumed, err := rt2.RunIterationSequential(step + 1)
 	if err != nil {
 		t.Fatal(err)
 	}

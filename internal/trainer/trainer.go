@@ -26,6 +26,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync/atomic"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/comm"
@@ -68,18 +69,6 @@ const (
 	dfsWriteBps, dfsReadBps = 3e9, 5e9
 	dfsLatency              = 2e-3
 )
-
-// writeSeconds returns the simulated time for clients to write bytes
-// to the DFS in parallel, equal shards.
-func writeSeconds(bytes float64, clients int) float64 {
-	return dfsLatency + bytes/(dfsWriteBps*float64(clients))
-}
-
-// readSeconds returns the simulated time for clients to read bytes
-// from the DFS in parallel, equal shards.
-func readSeconds(bytes float64, clients int) float64 {
-	return dfsLatency + bytes/(dfsReadBps*float64(clients))
-}
 
 // Config describes one training run.
 type Config struct {
@@ -155,20 +144,22 @@ type Config struct {
 	// preprocessing degradation, link congestion, node failures; nil
 	// is the steady state.
 	Scenario scenario.Scenario
-	// Batches, when non-nil, shares prepared corpus batches with the
-	// other runtimes on it (the fleet hands one to every tenant of a
-	// run). An iteration is served from it only when the runtime has no
-	// Source, no Scenario and no trial batches, and at least one other
+	// Batches, when non-nil, shares resolved plans and prepared corpus
+	// batches with the other runtimes on it (the fleet hands one to
+	// every tenant of a run), unless the runtime has a Source or a
+	// Scenario. A plan is resolved once per class: the *Plan, Corpus,
+	// Spec.Profiler, Spec.GlobalBatch, leased cluster, Spec.Microbatch,
+	// Reorder and AsyncP2P. An iteration is served from it only when,
+	// besides, the runtime has no trial batches and at least one other
 	// live runtime reads the same Corpus through the same Spec.Profiler
 	// at the same Spec.GlobalBatch; every other iteration is prepared
 	// privately. An entry is keyed by its first sample, DP width and
 	// Reorder, is built once (a concurrent asker waits for it) into
 	// slices no runtime owns and is never written after. A shared
-	// batch's rank outcomes are simulated once per run key — the batch
-	// plus the plan's prices, stage count, backbone VPP, Spec.Microbatch,
-	// link cost and whether the runtime traces — and are just as
-	// immutable, so results and traces are byte-identical with or
-	// without it.
+	// batch's rank outcomes are simulated once per run key (the class,
+	// the batch's first sample and whether the runtime traces) and are
+	// just as immutable, so results and traces are byte-identical with
+	// or without it.
 	Batches *BatchCache
 	// Trace, when non-nil, receives the run's execution timeline in
 	// Chrome trace format (load in chrome://tracing or Perfetto).
@@ -197,7 +188,7 @@ func MegatronConfig(spec orchestrator.Spec, plan *orchestrator.Plan, corpus *dat
 }
 
 // Validate checks the configuration.
-func (c Config) Validate() error {
+func (c *Config) Validate() error {
 	if c.Plan == nil {
 		return errors.New("trainer: nil plan")
 	}
@@ -283,24 +274,20 @@ type Result struct {
 // are not safe for concurrent use — the concurrency (the async data
 // service's prefetch) lives inside a Job's Step, not across callers.
 type Runtime struct {
-	cfg Config
+	// cfg is the config New was given, its Lease pointing at lease, the
+	// current one, and its Batches nil unless the runtime joined them; the
+	// leased spec and the plan in force are cls's.
+	cfg   Config
+	lease cluster.Lease
+	// cls is the runtime's class, shared and never written: New and
+	// every plan switch point it at the plan in force.
+	cls *class
 	// The checkpoint record: the newest saved step (-1 before the first
 	// save), that checkpoint's encoded size in bytes (an 8-byte step and
 	// its tag) and the saves made. A save is priced, not written.
 	ckptStep, ckptBytes, ckptSaved int
 	// trial (TrialMeanIterTime) replaces the corpus: i trains trial[i%len].
 	trial [][]data.Sample
-	// base is the shared cluster a leased run was scoped out of; the
-	// zero value (standalone runs) is never read.
-	base cluster.Cluster
-	// stage geometry and prices of cfg.Plan, set by resolvePlan
-	stages   int
-	llmFirst int // index of first LLM stage
-	genStage int
-	p2p      []float64
-	costs    planCosts
-	// the serial phases' prices: exposed gradient sync, optimizer step
-	gradSyncS, optimizerS float64
 	// clock is the trace emission cursor in simulated seconds.
 	clock float64
 	// namedRanks tracks how many dp-rank trace lanes carry names, so a
@@ -312,10 +299,6 @@ type Runtime struct {
 	// other scratch comes from the process-wide pools (concurrent.go).
 	prep     [2]prepBuf
 	outcomes []rankOutcome
-	// batches is cfg.Batches once joinBatches registered the runtime
-	// under class, nil when it prepares every batch privately.
-	batches *BatchCache
-	class   batchClass
 	// opNames caches the F/B op names per microbatch as cfg.Trace labels.
 	opNames [2][]metrics.Label
 }
@@ -326,29 +309,33 @@ type Runtime struct {
 // so a job on an n-node lease executes byte-identically to a
 // standalone run on an n-node cluster.
 func New(cfg Config) (*Runtime, error) {
-	base := cfg.Spec.Cluster
-	if cfg.Lease != nil {
-		if err := cfg.Lease.Validate(base); err != nil {
+	r := &Runtime{cfg: cfg, ckptStep: -1}
+	spec := &cfg.Spec
+	if l := cfg.Lease; l != nil {
+		base := cfg.Spec.Cluster
+		if err := l.Validate(base); err != nil {
 			return nil, err
 		}
-		lease := *cfg.Lease // defensive copy: Resize swaps the pointer
-		cfg.Lease = &lease
-		cfg.Spec = cfg.Spec.ForLease(base, lease, cfg.PlacementPricing)
-		if cfg.Plan != nil && cfg.Plan.TotalGPUs() > lease.GPUs(base) {
-			return nil, fmt.Errorf("trainer: plan wants %d GPUs, lease holds %d", cfg.Plan.TotalGPUs(), lease.GPUs(base))
+		r.lease, r.cfg.Lease = *l, &r.lease // a copy: Resize rewrites it
+		leased := cfg.Spec.ForLease(base, *l, cfg.PlacementPricing)
+		spec = &leased
+		if cfg.Plan != nil && cfg.Plan.TotalGPUs() > l.GPUs(base) {
+			return nil, fmt.Errorf("trainer: plan wants %d GPUs, lease holds %d", cfg.Plan.TotalGPUs(), l.GPUs(base))
 		}
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Runtime{cfg: cfg, base: base, ckptStep: -1}
-	r.llmFirst = 1
-	r.resolvePlan()
+	if cfg.Source != nil || cfg.Scenario != nil {
+		r.cfg.Batches = nil // a live pool hands it batches, a scenario shifts them
+	}
+	if r.cls = r.classOf(spec, cfg.Plan); r.cls.live != nil {
+		r.cls.live.Add(1)
+	}
 	if tr := r.cfg.Trace; tr != nil {
 		tr.NameProcess(0, "runtime")
 		r.nameRankLanes(cfg.Plan.Modules[model.Backbone].Config.DP)
 	}
-	r.joinBatches()
 	return r, nil
 }
 
@@ -366,9 +353,9 @@ func (r *Runtime) nameRankLanes(dp int) {
 
 // Close leaves the batch cache.
 func (r *Runtime) Close() {
-	if r.batches != nil {
-		r.batches.addLive(r.class, -1)
-		r.batches = nil
+	if r.cfg.Batches != nil {
+		r.cls.live.Add(-1)
+		r.cfg.Batches = nil
 	}
 }
 
@@ -386,12 +373,75 @@ func Run(cfg Config, n int) (*Result, error) {
 	return rt.Run(n)
 }
 
+// class is one plan resolved for execution under one leased spec: its
+// stage geometry and every price the runtime reads of it. A BatchCache
+// resolves it once for all the runtimes of its classKey, and a runtime
+// that shares nothing resolves a private one; it is never written
+// after, so the runtimes of a class point at one.
+type class struct {
+	classKey
+	id   int               // its index in the BatchCache: a run key's class
+	spec orchestrator.Spec // the leased spec
+	live *atomic.Int64     // the batch class's live runtimes; nil when private
+	own  atomic.Int64      // live, for its batch class's first class
+	// stage geometry and prices of the plan
+	stages, genStage int
+	p2p              []float64
+	costs            planCosts
+	gpus             int
+	// the serial phases' prices: exposed gradient sync, optimizer step;
+	// and one full training state's checkpoint write and restore read
+	gradSyncS, optimizerS, checkpointS, restoreS float64
+}
+
+// llmFirst is the index of the first LLM stage.
+const llmFirst = 1
+
+// resolve derives k's class under its leased spec.
+func resolve(k classKey, spec *orchestrator.Spec) *class {
+	c := &class{classKey: k, spec: *spec, gpus: k.plan.TotalGPUs()}
+	p, plan := spec.Profiler, k.plan
+	lm := plan.Modules[model.Backbone].Config
+	c.stages = 1 + lm.PP + 1
+	c.genStage = c.stages - 1
+	c.p2p = c.buildP2P()
+	mbs := float64(spec.Microbatch)
+	edge := func(mod model.Module) (profiler.Rate, float64) {
+		mp := plan.Modules[mod]
+		w := mp.Config.ModelParallelWidth()
+		return p.Resolve(mod, w), float64(w) * float64(lm.DP) * mbs / float64(mp.GPUs())
+	}
+	cc := &c.costs
+	cc.enc, cc.scaleE = edge(model.Encoder)
+	cc.gen, cc.scaleG = edge(model.Generator)
+	fwdL, totL := p.Resolve(model.Backbone, lm.ModelParallelWidth()).Price(model.Workload{})
+	cc.lmFwd = fwdL * mbs / float64(lm.PP)
+	cc.lmBwd = (totL - fwdL) * mbs / float64(lm.PP)
+	c.gradSyncS, c.optimizerS = c.gradSync(), c.optimizerStep()
+	// One full training state, trainable parameters plus optimizer state,
+	// streams from every GPU of its trainable modules: ZeRO-1 makes
+	// their optimizer shards disjoint.
+	var bytes float64
+	clients := 0
+	for _, mp := range plan.Modules {
+		if !p.Frozen(mp.Module) {
+			bytes += p.Params(mp.Module) * (model.BytesPerParam + model.BytesPerOptimState)
+			clients += mp.GPUs()
+		}
+	}
+	if n := float64(clients); clients > 0 { // equal shards, in parallel
+		c.checkpointS = dfsLatency + bytes/(dfsWriteBps*n)
+		c.restoreS = dfsLatency + bytes/(dfsReadBps*n)
+	}
+	return c
+}
+
 // buildP2P prices the inter-stage activation transfers. Links between
 // parallelism units ride the communication brokers over RDMA; LLM-
 // internal links are plain pipeline sends. Asynchronous sends hide
 // most of the transfer (§6); synchronous batched sends expose it all.
-func (r *Runtime) buildP2P() []float64 {
-	spec := &r.cfg.Spec
+func (c *class) buildP2P() []float64 {
+	spec := &c.spec
 	m := spec.Model
 	bytesLM := float64(spec.Microbatch) * float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2
 	cost := comm.CollectiveCost{
@@ -399,10 +449,10 @@ func (r *Runtime) buildP2P() []float64 {
 		Latency:      spec.Cluster.LinkLatency,
 	}
 	exposed := 1.0
-	if r.cfg.AsyncP2P {
+	if c.asyncP2P {
 		exposed = asyncP2PExposed
 	}
-	p2p := make([]float64, r.stages-1)
+	p2p := make([]float64, c.stages-1)
 	for i := range p2p {
 		p2p[i] = cost.P2P(bytesLM) * exposed
 	}
@@ -413,66 +463,41 @@ func (r *Runtime) buildP2P() []float64 {
 // scaled by whatever congestion the scenario injects. The steady state
 // reuses the shared slice so the unperturbed path allocates nothing.
 func (r *Runtime) iterP2P(pert scenario.Perturbation) []float64 {
-	f := pert.P2PFactor()
+	f, p2p := pert.P2PFactor(), r.cls.p2p
 	if f == 1 {
-		return r.p2p
+		return p2p
 	}
-	scaled := make([]float64, len(r.p2p))
-	for i, v := range r.p2p {
+	scaled := make([]float64, len(p2p))
+	for i, v := range p2p {
 		scaled[i] = v * f
 	}
 	return scaled
 }
 
 // planCosts is what pricing a microbatch reads of the profiler and the
-// plan, resolved once per plan: no query, lock or map per sample.
+// plan, resolved once per class: no query, lock or map per sample.
 type planCosts struct {
 	enc, gen       profiler.Rate
 	scaleE, scaleG float64 // per-LLM-rank share of the encoder / generator pool
 	lmFwd, lmBwd   float64 // one LLM stage: fixed-length packed sequences (§2.3) price alike
 }
 
-// resolvePlan derives everything the runtime caches of cfg.Plan; New
-// and reconfigure, the two places the plan is set, call it.
-func (r *Runtime) resolvePlan() {
-	spec, plan := &r.cfg.Spec, r.cfg.Plan
-	p := spec.Profiler
-	lm := plan.Modules[model.Backbone].Config
-	r.stages = 1 + lm.PP + 1
-	r.genStage = r.stages - 1
-	r.p2p = r.buildP2P()
-
-	mbs := float64(spec.Microbatch)
-	edge := func(mod model.Module) (profiler.Rate, float64) {
-		mp := plan.Modules[mod]
-		w := mp.Config.ModelParallelWidth()
-		return p.Resolve(mod, w), float64(w) * float64(lm.DP) * mbs / float64(mp.GPUs())
-	}
-	c := &r.costs
-	c.enc, c.scaleE = edge(model.Encoder)
-	c.gen, c.scaleG = edge(model.Generator)
-	fwdL, totL := p.Resolve(model.Backbone, lm.ModelParallelWidth()).Price(model.Workload{})
-	c.lmFwd = fwdL * mbs / float64(lm.PP)
-	c.lmBwd = (totL - fwdL) * mbs / float64(lm.PP)
-	r.gradSyncS, r.optimizerS = r.gradSync(), r.optimizerStep()
-}
-
-// microbatchWorkInto fills caller-provided stage slices (len r.stages)
+// microbatchWorkInto fills caller-provided stage slices (len c.stages)
 // with the per-stage fwd/bwd durations of one microbatch (one sample
 // when M=1), charging each module's share of its workload through the
 // plan's resolved rates and allocation ratios.
-func (r *Runtime) microbatchWorkInto(w model.Workload, fwd, bwd []float64) {
-	c := &r.costs
-	fwdE, totE := c.enc.Price(w)
-	fwd[0] = fwdE * c.scaleE
-	bwd[0] = (totE - fwdE) * c.scaleE
-	for s := r.llmFirst; s < r.genStage; s++ {
-		fwd[s] = c.lmFwd
-		bwd[s] = c.lmBwd
+func (c *class) microbatchWorkInto(w model.Workload, fwd, bwd []float64) {
+	cc := &c.costs
+	fwdE, totE := cc.enc.Price(w)
+	fwd[0] = fwdE * cc.scaleE
+	bwd[0] = (totE - fwdE) * cc.scaleE
+	for s := llmFirst; s < c.genStage; s++ {
+		fwd[s] = cc.lmFwd
+		bwd[s] = cc.lmBwd
 	}
-	fwdG, totG := c.gen.Price(w)
-	fwd[r.genStage] = fwdG * c.scaleG
-	bwd[r.genStage] = (totG - fwdG) * c.scaleG
+	fwdG, totG := cc.gen.Price(w)
+	fwd[c.genStage] = fwdG * cc.scaleG
+	bwd[c.genStage] = (totG - fwdG) * cc.scaleG
 }
 
 // assign distributes buf.work, the folded global batch, across dp
@@ -500,7 +525,7 @@ func (r *Runtime) assign(buf *prepBuf, dp int, balance bool) error {
 	defer assignScratchPool.Put(sc)
 	sc.costs = slices.Grow(sc.costs[:0], len(work))[:len(work)]
 	for i, w := range work {
-		sc.costs[i] = r.cfg.Spec.Profiler.SampleCost(w)
+		sc.costs[i] = r.cls.prof.SampleCost(w)
 	}
 	groups, err := sc.part.Partition(sc.costs, dp)
 	if err != nil {
@@ -524,15 +549,15 @@ func (r *Runtime) assign(buf *prepBuf, dp int, balance bool) error {
 // gradSync returns the exposed gradient/parameter synchronisation time:
 // each module reduce-scatters gradients and all-gathers parameters
 // across its DP group, partially hidden behind backward compute.
-func (r *Runtime) gradSync() float64 {
-	spec := &r.cfg.Spec
+func (c *class) gradSync() float64 {
+	spec := &c.spec
 	prof := spec.Profiler
 	cost := comm.CollectiveCost{
 		BandwidthBps: spec.Cluster.CrossNodeBandwidthPerGPU(),
 		Latency:      spec.Cluster.LinkLatency,
 	}
 	worst := 0.0
-	for _, mp := range r.cfg.Plan.Modules {
+	for _, mp := range c.plan.Modules {
 		if prof.Frozen(mp.Module) {
 			continue
 		}
@@ -550,10 +575,10 @@ func (r *Runtime) gradSync() float64 {
 
 // optimizerStep prices the ZeRO-1 sharded Adam update: ~32 bytes of
 // reads+writes per locally owned parameter, memory-bound.
-func (r *Runtime) optimizerStep() float64 {
-	spec := &r.cfg.Spec
+func (c *class) optimizerStep() float64 {
+	spec := &c.spec
 	worst := 0.0
-	for _, mp := range r.cfg.Plan.Modules {
+	for _, mp := range c.plan.Modules {
 		if spec.Profiler.Frozen(mp.Module) {
 			continue
 		}
@@ -562,40 +587,4 @@ func (r *Runtime) optimizerStep() float64 {
 		worst = math.Max(worst, t)
 	}
 	return worst
-}
-
-// stateBytes returns the bytes of one full training state — trainable
-// parameters plus optimizer state — and the GPUs that stream it.
-// ZeRO-1 makes optimizer shards disjoint across every GPU of a module,
-// so all of a trainable module's GPUs transfer their own shards in
-// parallel.
-func (r *Runtime) stateBytes() (bytes float64, clients int) {
-	prof := r.cfg.Spec.Profiler
-	for _, mp := range r.cfg.Plan.Modules {
-		if prof.Frozen(mp.Module) {
-			continue
-		}
-		bytes += prof.Params(mp.Module) * (model.BytesPerParam + model.BytesPerOptimState)
-		clients += mp.GPUs()
-	}
-	return bytes, clients
-}
-
-// checkpointSeconds prices one full checkpoint write to the DFS.
-func (r *Runtime) checkpointSeconds() float64 {
-	bytes, writers := r.stateBytes()
-	if writers == 0 {
-		return 0
-	}
-	return writeSeconds(bytes, writers)
-}
-
-// restoreSeconds prices reading one full training state back from the
-// DFS — the recovery (and plan-switch) restore path.
-func (r *Runtime) restoreSeconds() float64 {
-	bytes, readers := r.stateBytes()
-	if readers == 0 {
-		return 0
-	}
-	return readSeconds(bytes, readers)
 }

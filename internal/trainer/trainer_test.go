@@ -276,7 +276,7 @@ func TestReorderingPreservesGradients(t *testing.T) {
 // sample once, sum in batch order — so the unmodified pricing oracle
 // (TestRuntimePricingMatchesReference) exercises the production path.
 func (r *Runtime) iterationFLOPs(batch []data.Sample) float64 {
-	_, flops := fold(nil, batch, r.cfg.Spec.Profiler.Kernel())
+	_, flops := fold(nil, batch, r.cls.prof.Kernel())
 	return flops
 }
 
