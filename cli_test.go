@@ -98,9 +98,10 @@ func TestCLIRejectsBadArguments(t *testing.T) {
 	}
 }
 
-// TestFleetCLIReportsCorruptPlanEntries plants one corrupt entry in a
-// populated -plan-cache-dir: the next disttrain-fleet run reads it as a
-// miss, re-searches, and says so on its durable plan cache line.
+// TestFleetCLIReportsCorruptPlanEntries flips a bit inside the one
+// record of a populated -plan-cache-dir's log: the next disttrain-fleet
+// run reads it as a miss, re-searches, and says so on its durable plan
+// cache line.
 func TestFleetCLIReportsCorruptPlanEntries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the command binaries")
@@ -118,11 +119,13 @@ func TestFleetCLIReportsCorruptPlanEntries(t *testing.T) {
 	if out := run(); !strings.Contains(out, "0 corrupt entries skipped") {
 		t.Fatalf("cold run does not report corrupt entries:\n%s", out)
 	}
-	entries, err := filepath.Glob(filepath.Join(dir, "*.entry"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("cold run left entries %v (%v), want one", entries, err)
+	log := filepath.Join(dir, "entries.log")
+	b, err := os.ReadFile(log)
+	if err != nil || bytes.Count(b, []byte("disttrain-store/v2 ")) != 1 {
+		t.Fatalf("cold run left a log of %d records (%v), want one", bytes.Count(b, []byte("disttrain-store/v2 ")), err)
 	}
-	if err := os.WriteFile(entries[0], []byte("not a plan"), 0o644); err != nil {
+	b[len(b)/2] ^= 0x01 // a bit flip inside the plan
+	if err := os.WriteFile(log, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if out := run(); !strings.Contains(out, "1 corrupt entries skipped") {

@@ -112,9 +112,7 @@ func parse(r io.Reader) (*Report, error) {
 	return report, sc.Err()
 }
 
-// writeAtomic lands the report through the shared temp-file+rename
-// helper the trace writers use, so a failure mid-encode never leaves
-// a truncated file.
+// writeAtomic writes the report through metrics.WriteFileAtomic.
 func writeAtomic(path string, report *Report) error {
 	return metrics.WriteFileAtomic(path, func(w io.Writer) error { return encode(w, report) })
 }

@@ -238,8 +238,6 @@ func main() {
 	}
 
 	if trace != nil {
-		// Atomic write (temp file + rename): a failure mid-encode must
-		// never leave a truncated timeline at the destination.
 		if err := trace.WriteJSONFile(*traceFile); err != nil {
 			fatal(err)
 		}

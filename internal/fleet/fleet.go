@@ -73,9 +73,7 @@ type Config struct {
 	// warm); nil builds a private one with default search options (a
 	// caller who wants others builds the cache). Result search/hit
 	// counts are deltas over this run either way. A persistent cache
-	// over a store.Disk makes the control plane durable: a later run
-	// (or process) serves repeated specs with zero cold searches and
-	// warm-starts searches at new lease sizes from their neighbours.
+	// over a store.Disk makes the control plane durable.
 	Cache *orchestrator.PlanCache
 	// Preprocess, when non-nil, attaches the fleet-shared
 	// disaggregated preprocessing tier: one producer fleet plus one

@@ -12,8 +12,6 @@ import (
 	"strconv"
 	"sync"
 	"syscall"
-
-	"disttrain/internal/store"
 )
 
 // Chrome-trace-format timeline emission: the runtime records every
@@ -327,29 +325,30 @@ func (e *traceEncoder) float(b []byte, f float64) []byte {
 	return b
 }
 
-// WriteJSONFile writes the trace to path atomically: the JSON is
-// encoded into a temporary file in the same directory and renamed into
-// place only after a successful encode+sync, so a failure mid-write
-// never leaves a truncated or corrupt timeline behind (the bare
-// os.Create + encode it replaces did exactly that).
+// WriteJSONFile writes the trace to path through WriteFileAtomic, so a
+// failure mid-write never leaves a truncated timeline behind.
 func (t *Trace) WriteJSONFile(path string) error {
 	return WriteFileAtomic(path, t.WriteJSON)
 }
 
-// WriteFileAtomic is store.ReplaceFile made durable: it fsyncs the
-// temporary file before the rename and the parent directory after it,
-// so a completed write survives power loss (a directory fsync failing
-// with EINVAL is tolerated: such filesystems order the rename
-// themselves). Its callers write a run's record — Trace.WriteJSONFile
-// and disttrain-benchjson's recorded trajectory; plan-cache entries
-// need only ReplaceFile's atomicity.
+// WriteFileAtomic fills a temporary file next to path through write,
+// fsyncs it, renames it over path and fsyncs the directory (tolerating
+// EINVAL, on filesystems that order the rename themselves): readers see
+// the old file or the new one, and a completed write survives power
+// loss. A failure removes the temporary file and leaves path alone.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	err := store.ReplaceFile(path, func(f *os.File) error {
-		if err := write(f); err != nil {
-			return err
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err == nil {
+		if err = write(f); err == nil {
+			err = f.Sync()
 		}
-		return f.Sync()
-	})
+		if err = errors.Join(err, f.Close()); err == nil {
+			err = os.Rename(f.Name(), path)
+		}
+		if err != nil {
+			os.Remove(f.Name())
+		}
+	}
 	if err == nil {
 		if d, derr := os.Open(filepath.Dir(path)); derr == nil {
 			if err = d.Sync(); errors.Is(err, syscall.EINVAL) {

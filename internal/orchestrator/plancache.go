@@ -32,14 +32,9 @@ import (
 // still pay one search, the rest waiting on the lock and then hitting.
 //
 // A cache built with NewPersistentPlanCache additionally sits on a
-// durable store: successful plans are written through, and a later
-// process (or a later cache instance) serves them as warm hits with
-// zero searches. On a true miss the cache warm-starts the search from
-// the incumbent plan of a neighbouring lease size (Nodes±1, same spec
-// family): the search solves the incumbent's strategy first. The
-// best-first search's stop line ends where the fastest plan puts it, so
-// the seed changes neither the chosen plan nor which other candidates
-// are solved.
+// durable store: a later process serves stored plans as warm hits
+// with zero searches, and a true miss warm-starts from a neighbouring
+// lease size's incumbent (neighborSeed).
 type PlanCache struct {
 	opts  SearchOptions
 	store store.Store // nil for a purely in-memory cache
@@ -101,7 +96,7 @@ func NewPersistentPlanCache(opts SearchOptions, st store.Store) *PlanCache {
 // the profiler's calibration fingerprint. No pointer identity anywhere:
 // two independently calibrated profilers with identical options and
 // calibration data share plans, and the key is stable across processes
-// (it is the durable store's filename, computed only where the store
+// (it is the durable store's key, computed only where the store
 // is read or written). Cluster node identity is not part of a Spec, so
 // two leases of equal size over different nodes fingerprint identically
 // under count-based policies (Placement empty); placement-aware fleets

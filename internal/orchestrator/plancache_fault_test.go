@@ -1,6 +1,7 @@
 package orchestrator
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -15,51 +17,47 @@ import (
 )
 
 // faultStore is a store.Disk whose Puts go through fault, which leaves
-// the directory in the state a failure or crash at one point of the
-// write would, and returns what the writer would have seen.
+// the log in the state a failure or crash at one point of the append
+// would, and returns what the writer would have seen.
 type faultStore struct {
 	*store.Disk
 	t     *testing.T
 	dir   string
-	fault func(t *testing.T, d *store.Disk, path, key string, payload []byte) error
+	fault func(t *testing.T, d *store.Disk, log, key string, payload []byte) error
 }
 
 func (s *faultStore) Put(key string, payload []byte) error {
-	return s.fault(s.t, s.Disk, filepath.Join(s.dir, key+".entry"), key, payload)
+	return s.fault(s.t, s.Disk, filepath.Join(s.dir, "entries.log"), key, payload)
 }
 
 // errCrash stands for a put the process never returned from.
 var errCrash = errors.New("process crashed mid-put")
 
-// truncate cuts the file at path to keep(size) bytes.
-func truncate(t *testing.T, path string, keep func(size int64) int64) {
+// rewrite replaces the log at path with edit of its bytes.
+func rewrite(t *testing.T, path string, edit func(log []byte) []byte) {
 	t.Helper()
-	info, err := os.Stat(path)
+	log, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, keep(info.Size())); err != nil {
+	if err := os.WriteFile(path, edit(log), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// strayTemp leaves what a put that died between writing its temporary
-// file and renaming it leaves: half an entry under a temporary name.
-func strayTemp(t *testing.T, path string, payload []byte) {
-	t.Helper()
-	if err := os.WriteFile(path+".tmp-crashed", payload[:len(payload)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+// flip returns edit's bit flip of the byte at at(log).
+func flip(at func(log []byte) int) func([]byte) []byte {
+	return func(log []byte) []byte { log[at(log)] ^= 0x01; return log }
 }
 
-// TestPlanCacheStoreFaults injects a fault into the disk store's write
-// at each point it can fail or crash, and holds the plan cache to
-// its contract through all of them: the caller still gets the correct
-// plan and a failed put counts one StoreErrs; a reopened cache reads
-// the damage as a miss (a counted corrupt skip where an entry is
-// damaged) or, when a complete old entry survived, as that entry; the
-// re-search heals the entry so a third instance warm-hits; and only a
-// crash leaves a temporary file behind.
+// TestPlanCacheStoreFaults injects a fault into the disk store's append
+// at each point it can fail, crash or be damaged, and holds the plan
+// cache to its contract through all of them: the caller still gets the
+// correct plan and a failed put counts one StoreErrs; a reopened cache
+// reads the damage as a miss (counted once a re-put follows the damaged
+// record) or, when a complete old record survived, as that record; the
+// re-search heals the entry so a third instance warm-hits; and the
+// directory never holds anything but the log.
 func TestPlanCacheStoreFaults(t *testing.T) {
 	spec := cacheSpec(t, 4, 32)
 	ctx := context.Background()
@@ -69,57 +67,54 @@ func TestPlanCacheStoreFaults(t *testing.T) {
 	}
 	for _, f := range []struct {
 		name  string
-		fault func(t *testing.T, d *store.Disk, path, key string, payload []byte) error
-		// fails: the writer saw an error; corrupt: a damaged entry is on
-		// disk; old: a complete entry is on disk; crashed: a stray
-		// temporary file is on disk.
-		fails, corrupt, old, crashed bool
+		fault func(t *testing.T, d *store.Disk, log, key string, payload []byte) error
+		// fails: the writer saw an error; corrupt: a damaged record is
+		// in the log; old: a complete record of the key is in the log.
+		fails, corrupt, old bool
 	}{
 		{name: "ENOSPC", fails: true,
-			fault: func(_ *testing.T, _ *store.Disk, path, _ string, _ []byte) error {
-				return &fs.PathError{Op: "write", Path: path, Err: syscall.ENOSPC}
+			fault: func(_ *testing.T, _ *store.Disk, log, _ string, _ []byte) error {
+				return &fs.PathError{Op: "write", Path: log, Err: syscall.ENOSPC}
 			}},
 		{name: "short write", fails: true, corrupt: true,
-			fault: func(t *testing.T, d *store.Disk, path, key string, payload []byte) error {
+			fault: func(t *testing.T, d *store.Disk, log, key string, payload []byte) error {
 				if err := d.Put(key, payload); err != nil {
 					return err
 				}
-				truncate(t, path, func(n int64) int64 { return n / 2 })
+				rewrite(t, log, func(b []byte) []byte { return b[:len(b)-len(payload)/2] })
 				return io.ErrShortWrite
 			}},
-		{name: "crash before rename", fails: true, crashed: true,
-			fault: func(t *testing.T, _ *store.Disk, path, _ string, payload []byte) error {
-				strayTemp(t, path, payload)
-				return errCrash
-			}},
-		{name: "crash before rename over an old entry", fails: true, old: true, crashed: true,
-			fault: func(t *testing.T, d *store.Disk, path, key string, payload []byte) error {
+		{name: "crash mid-append over an old record", fails: true, old: true,
+			fault: func(t *testing.T, d *store.Disk, log, key string, payload []byte) error {
 				if err := d.Put(key, payload); err != nil { // an earlier put of the key completed
 					return err
 				}
-				strayTemp(t, path, payload)
+				rewrite(t, log, func(b []byte) []byte { return append(b, b[:len(b)/2]...) })
 				return errCrash
 			}},
-		{name: "crash after rename, truncated payload", corrupt: true,
-			fault: func(t *testing.T, d *store.Disk, path, key string, payload []byte) error {
+		{name: "payload bit flip", corrupt: true,
+			fault: func(t *testing.T, d *store.Disk, log, key string, payload []byte) error {
 				err := d.Put(key, payload)
-				truncate(t, path, func(n int64) int64 { return n - 7 })
+				rewrite(t, log, flip(func(b []byte) int { return len(b) - len(payload)/2 }))
 				return err
 			}},
-		{name: "crash after rename, zero-length file", corrupt: true,
-			fault: func(t *testing.T, d *store.Disk, path, key string, payload []byte) error {
+		{name: "key bit flip", corrupt: true,
+			fault: func(t *testing.T, d *store.Disk, log, key string, payload []byte) error {
 				err := d.Put(key, payload)
-				truncate(t, path, func(int64) int64 { return 0 })
+				rewrite(t, log, flip(func(b []byte) int { return bytes.Index(b, []byte(key)) }))
 				return err
 			}},
-		{name: "failed rename", fails: true,
-			fault: func(t *testing.T, d *store.Disk, path, key string, payload []byte) error {
-				// A real Disk.Put failure: a directory squats on the entry's path.
-				if err := os.MkdirAll(filepath.Join(path, "squatter"), 0o755); err != nil {
+		{name: "directory squats on the log", fails: true,
+			fault: func(t *testing.T, d *store.Disk, log, key string, payload []byte) error {
+				// A real Disk.Put failure: the log cannot be opened.
+				if err := os.MkdirAll(filepath.Join(log, "squatter"), 0o755); err != nil {
 					t.Fatal(err)
 				}
 				err := d.Put(key, payload)
-				if err := os.RemoveAll(path); err != nil {
+				if err == nil || !strings.HasPrefix(err.Error(), "store: put "+key+": ") {
+					t.Errorf("put onto a squatter: err = %v, want a \"store: put %s: \" error", err, key)
+				}
+				if err := os.RemoveAll(log); err != nil {
 					t.Fatal(err)
 				}
 				return err
@@ -160,8 +155,10 @@ func TestPlanCacheStoreFaults(t *testing.T) {
 
 			c1 := plan(&faultStore{Disk: open(), t: t, dir: dir, fault: f.fault})
 			expect("faulted put: StoreErrs", c1.StoreErrs(), count(f.fails))
-			temps, _ := filepath.Glob(filepath.Join(dir, "*.entry.tmp-*"))
-			expect("temporary files left", int64(len(temps)), count(f.crashed))
+			files, err := os.ReadDir(dir)
+			if err != nil || len(files) > 1 || len(files) == 1 && files[0].Name() != "entries.log" {
+				t.Errorf("directory holds %v (%v), want only entries.log", files, err)
+			}
 
 			d2 := open()
 			c2 := plan(d2)

@@ -1,17 +1,14 @@
 // Package store is the persistent control plane's storage seam: a
 // minimal key-value Store interface with two backends — an in-memory
-// map for ephemeral runs and tests, and an on-disk directory whose
-// entries are written atomically (temp file + rename) and
-// integrity-checked on load. The orchestrator's plan cache persists
-// through this seam; ReplaceFile, its atomic write, also underlies
-// metrics.WriteFileAtomic.
+// map for ephemeral runs and tests, and an on-disk append-only log of
+// integrity-checked records. The orchestrator's plan cache persists
+// through this seam.
 //
 // The contract every backend honours:
 //
-//   - Get never returns a torn or corrupt payload. Entries that fail
-//     the integrity check are counted (Disk.CorruptSkips) and treated
-//     as absent, so one bad file degrades to a cache miss instead of
-//     poisoning startup.
+//   - Get never returns a torn or corrupt payload. Damaged entries are
+//     counted (Disk.CorruptSkips) and treated as absent, so damage
+//     degrades to a cache miss instead of poisoning startup.
 //   - Put is last-write-wins under concurrent writers, and a reader
 //     concurrent with any number of writers sees exactly one complete
 //     payload (never a mix).
@@ -31,16 +28,13 @@ type Store interface {
 	// key is absent or its entry failed the integrity check; err is
 	// reserved for real I/O failures.
 	Get(key string) (payload []byte, ok bool, err error)
-	// Put atomically replaces the entry under key with payload. The
-	// entry survives process exit; it may be lost on power loss, which
-	// reads as a miss.
+	// Put replaces the entry under key with payload.
 	Put(key string, payload []byte) error
 }
 
-// validateKey enforces the portable key alphabet shared by all
-// backends, so a key that works in memory also names a file on disk:
-// non-empty, and every byte from [A-Za-z0-9._-], not starting with a
-// dot.
+// validateKey enforces the key alphabet shared by all backends, so a
+// key that works in memory also fits a log record's header: non-empty,
+// and every byte from [A-Za-z0-9._-], not starting with a dot.
 func validateKey(key string) error {
 	if key == "" {
 		return fmt.Errorf("store: empty key")
@@ -95,11 +89,4 @@ func (s *Mem) Put(key string, payload []byte) error {
 	defer s.mu.Unlock()
 	s.m[key] = append([]byte(nil), payload...)
 	return nil
-}
-
-// Len returns the number of stored entries.
-func (s *Mem) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
 }

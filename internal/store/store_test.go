@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -108,74 +109,103 @@ func openDisk(t *testing.T, dir string) *Disk {
 	return d
 }
 
-// TestDiskCorruptionPaths is the integrity-model gate: truncated
-// entries, bit flips and garbage headers must all read as counted
-// misses, never as payloads and never as errors that poison startup.
+// TestDiskCorruptionPaths is the integrity-model gate: a torn,
+// truncated, bit-flipped or foreign stretch of the log must read as a
+// miss counted once bytes follow it, never as a payload and never as an
+// error that poisons startup, and the record after it must survive.
 func TestDiskCorruptionPaths(t *testing.T) {
-	dir := t.TempDir()
-	d := openDisk(t, dir)
 	payload := bytes.Repeat([]byte("plan-bytes "), 100)
-	if err := d.Put("victim", payload); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "victim.entry")
-	original, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, mutate := range map[string]func([]byte) []byte{
-		"truncated payload": func(b []byte) []byte { return b[:len(b)-7] },
-		"truncated header":  func(b []byte) []byte { return b[:10] },
-		"bit flip":          func(b []byte) []byte { c := append([]byte(nil), b...); c[len(c)-1] ^= 0x40; return c },
-		"garbage":           func([]byte) []byte { return []byte("not an entry at all") },
-		"wrong magic": func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			copy(c, "DISTTRAIN-STORE/v9")
-			return c
-		},
-		"empty file": func([]byte) []byte { return nil },
+	victim := appendRecord("victim", payload)
+	bystander := appendRecord("bystander", []byte("intact"))
+	flip := func(i int) []byte { c := bytes.Clone(victim); c[i] ^= 0x40; return c }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, tc := range []struct {
+		name string
+		log  []byte
+		// skips: CorruptSkips after a Get; healed: after the victim's
+		// re-put, and on a reopen of the healed log.
+		skips, healed int64
+	}{
+		{"truncated payload", cat(victim[:len(victim)-7], bystander), 1, 1},
+		{"truncated header", cat(victim[:10], bystander), 1, 1},
+		{"bit flip", cat(flip(len(victim)-2), bystander), 1, 1},
+		{"lost trailer", cat(victim[:len(victim)-1], bystander), 1, 1},
+		{"key bit flip", cat(flip(len(entryMagic)), bystander), 1, 1},
+		{"length bit flip", cat(flip(bytes.IndexByte(victim, ' ')+len(" victim ")), bystander), 1, 1},
+		{"garbage", cat([]byte("not an entry at all"), bystander), 1, 1},
+		{"wrong magic", cat([]byte("DISTTRAIN-STORE/v9 "), victim[len(entryMagic):], bystander), 1, 1},
+		{"empty file", nil, 0, 0},
+		{"torn tail", cat(bystander, victim[:len(victim)-7]), 0, 1},
+		{"damaged tail", cat(bystander, flip(len(victim)-2)), 0, 1},
 	} {
-		t.Run(name, func(t *testing.T) {
-			before := d.CorruptSkips()
-			if err := os.WriteFile(path, mutate(original), 0o644); err != nil {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "entries.log"), tc.log, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			d := openDisk(t, dir)
 			got, ok, err := d.Get("victim")
-			if err != nil {
-				t.Fatalf("corrupt entry returned error %v, want counted miss", err)
+			if err != nil || ok {
+				t.Fatalf("damaged victim: got %q ok=%v err=%v, want a plain miss", got, ok, err)
 			}
-			if ok {
-				t.Fatalf("corrupt entry returned payload %q", got)
+			if got, ok, err := d.Get("bystander"); err != nil || ok != (tc.log != nil) || ok && string(got) != "intact" {
+				t.Fatalf("bystander: got %q ok=%v err=%v, want it intact where it was written", got, ok, err)
 			}
-			if n := d.CorruptSkips() - before; n != 1 {
-				t.Fatalf("corrupt read counted %d skips, want 1", n)
+			if n := d.CorruptSkips(); n != tc.skips {
+				t.Fatalf("damaged log counted %d skips, want %d", n, tc.skips)
 			}
-			// A rewrite heals the slot.
+			// A re-put heals the key, here and for a reopened store.
 			if err := d.Put("victim", payload); err != nil {
 				t.Fatal(err)
 			}
-			got, ok, err = d.Get("victim")
-			if err != nil || !ok || !bytes.Equal(got, payload) {
-				t.Fatalf("healed entry: got %d bytes ok=%v err=%v", len(got), ok, err)
+			for i, d := range []*Disk{d, openDisk(t, dir)} {
+				got, ok, err := d.Get("victim")
+				if err != nil || !ok || !bytes.Equal(got, payload) {
+					t.Fatalf("healed victim (store %d): got %d bytes ok=%v err=%v", i, len(got), ok, err)
+				}
+				if n := d.CorruptSkips(); n != tc.healed {
+					t.Errorf("healed log (store %d) counted %d skips, want %d", i, n, tc.healed)
+				}
 			}
 		})
 	}
-	if d.CorruptSkips() != 6 {
-		t.Errorf("CorruptSkips() = %d, want 6", d.CorruptSkips())
+}
+
+// TestDiskIgnoresV1Entries: a directory from the one-file-per-key
+// format reads as a cold cache, not as damage.
+func TestDiskIgnoresV1Entries(t *testing.T) {
+	dir := t.TempDir()
+	v1 := "disttrain-store/v1 " + strings.Repeat("0", 64) + " 2\nok"
+	if err := os.WriteFile(filepath.Join(dir, "k.entry"), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := openDisk(t, dir)
+	if got, ok, err := d.Get("k"); ok || err != nil || d.CorruptSkips() != 0 {
+		t.Fatalf("v1 entry: got %q ok=%v err=%v skips=%d, want an uncounted miss", got, ok, err, d.CorruptSkips())
 	}
 }
 
-// TestDiskConcurrentWriters hammers one key from many writers while
-// readers spin, under -race: every successful read must observe exactly
-// one writer's complete payload (last-write-wins, never a torn read).
-// Large payloads make torn writes observable if atomicity ever breaks.
+// TestDiskConcurrentWriters hammers two keys from many writers through
+// two Disks over one directory while readers spin on both, under -race:
+// every read observes one complete payload some writer put, N puts
+// leave one file holding exactly their N records, and afterwards each
+// instance reads every key's latest record in log order. Large
+// payloads make torn or interleaved appends observable.
 func TestDiskConcurrentWriters(t *testing.T) {
-	d := openDisk(t, t.TempDir())
+	dir := t.TempDir()
+	disks := []*Disk{openDisk(t, dir), openDisk(t, dir)}
 	const writers, rounds = 4, 8
+	key := func(i int) string { return fmt.Sprintf("k%d", i%2) }
+	records := make(map[string]string) // every record put -> its key
 	payloads := make(map[string]bool)
+	var size int
 	for w := 0; w < writers; w++ {
-		payloads[string(writerPayload(w))] = true
+		for i := 0; i < rounds; i++ {
+			rec := appendRecord(key(i), writerPayload(w, i))
+			records[string(rec)] = key(i)
+			payloads[string(writerPayload(w, i))] = true
+			size += len(rec)
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -183,15 +213,15 @@ func TestDiskConcurrentWriters(t *testing.T) {
 	tornErr := make(chan string, 16)
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
-		go func() {
+		go func(d *Disk) {
 			defer wg.Done()
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				got, ok, err := d.Get("contested")
+				got, ok, err := d.Get(key(i))
 				if err != nil {
 					tornErr <- fmt.Sprintf("reader error: %v", err)
 					return
@@ -201,7 +231,7 @@ func TestDiskConcurrentWriters(t *testing.T) {
 					return
 				}
 			}
-		}()
+		}(disks[r])
 	}
 	var werr sync.Map
 	var wwg sync.WaitGroup
@@ -210,7 +240,7 @@ func TestDiskConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wwg.Done()
 			for i := 0; i < rounds; i++ {
-				if err := d.Put("contested", writerPayload(w)); err != nil {
+				if err := disks[(w+i)%2].Put(key(i), writerPayload(w, i)); err != nil {
 					werr.Store(w, err)
 					return
 				}
@@ -229,58 +259,112 @@ func TestDiskConcurrentWriters(t *testing.T) {
 		t.Errorf("writer %v: %v", k, v)
 		return true
 	})
-	got, ok, err := d.Get("contested")
-	if err != nil || !ok || !payloads[string(got)] {
-		t.Fatalf("final read: ok=%v err=%v payload-known=%v", ok, err, payloads[string(got)])
+
+	files, err := os.ReadDir(dir)
+	if err != nil || len(files) != 1 || files[0].Name() != "entries.log" {
+		t.Fatalf("%d puts left %v (%v), want one entries.log", writers*rounds, files, err)
 	}
-	if d.CorruptSkips() != 0 {
-		t.Errorf("concurrent writers produced %d corrupt reads", d.CorruptSkips())
+	log, err := os.ReadFile(filepath.Join(dir, "entries.log"))
+	if err != nil || len(log) != size {
+		t.Fatalf("log holds %d bytes (%v), want the %d bytes of %d records", len(log), err, size, writers*rounds)
+	}
+	// Walk the log record by record: each must be one that was put,
+	// whole, and the last one of a key is its latest.
+	latest := make(map[string][]byte)
+	for off := 0; off < len(log); {
+		at := off + bytes.IndexByte(log[off:], '\n') + 1 // the payload's offset
+		end := at + len(writerPayload(0, 0)) + 1
+		k, ok := records[string(log[off:end])]
+		if !ok {
+			t.Fatalf("offset %d holds no record that was put", off)
+		}
+		latest[k] = log[at : end-1]
+		off = end
+	}
+	for i, d := range disks {
+		for k, want := range latest {
+			if got, ok, err := d.Get(k); err != nil || !ok || !bytes.Equal(got, want) {
+				t.Errorf("store %d, key %s: ok=%v err=%v, not the latest record in log order", i, k, ok, err)
+			}
+		}
+		if d.CorruptSkips() != 0 {
+			t.Errorf("store %d: concurrent writers produced %d corrupt reads", i, d.CorruptSkips())
+		}
 	}
 }
 
-func writerPayload(w int) []byte {
-	return bytes.Repeat([]byte{byte('a' + w)}, 64<<10)
+// writerPayload is writer w's round-i payload: 64 KB, distinct per
+// (w, i).
+func writerPayload(w, i int) []byte {
+	return append([]byte{byte(i)}, bytes.Repeat([]byte{byte('a' + w)}, 64<<10)...)
 }
 
-// TestDiskPutFailure: a Put whose rename fails (a directory squats on
-// the entry's path) names the store and key in its error, leaves the
-// squatter alone and removes its temporary file.
+// TestDiskPutFailure: a Put that cannot open the log (a directory
+// squats on it) names the store and key in its error, leaves the
+// squatter alone and creates nothing beside it.
 func TestDiskPutFailure(t *testing.T) {
 	dir := t.TempDir()
 	d := openDisk(t, dir)
-	if err := os.MkdirAll(filepath.Join(dir, "victim.entry", "squatter"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "entries.log", "squatter"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	err := d.Put("victim", []byte("payload"))
 	if err == nil || !strings.HasPrefix(err.Error(), "store: put victim: ") {
 		t.Fatalf("Put onto a directory: err = %v, want a \"store: put victim: \" error", err)
 	}
-	if temps, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(temps) != 0 {
-		t.Fatalf("failed Put left temp files %v", temps)
+	if files, _ := os.ReadDir(dir); len(files) != 1 || !files[0].IsDir() {
+		t.Fatalf("failed Put left %v, want only the squatter", files)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "entries.log", "squatter")); err != nil {
+		t.Fatalf("failed Put disturbed the squatter: %v", err)
 	}
 }
 
-// FuzzDecodeEntry holds the integrity check to its contract, which is
-// the whole of what an unsynced entry promises: decodeEntry never
-// panics, an encoded entry decodes to its payload, and any one-byte
-// mutation or truncation of an entry is rejected or decodes to the
-// identical payload.
-func FuzzDecodeEntry(f *testing.F) {
-	f.Add([]byte(`{"v":1,"plan":"x"}`), 0, byte(0x01), 7)
-	f.Add([]byte{}, 5, byte(' '), 0)
-	f.Add(bytes.Repeat([]byte("plan-bytes "), 100), 19, byte('\n'^' '), 90)
-	f.Fuzz(func(t *testing.T, payload []byte, pos int, xor byte, cut int) {
-		decodeEntry(payload) // arbitrary bytes: must not panic
-		entry := encodeEntry(payload)
-		if got, ok := decodeEntry(entry); !ok || !bytes.Equal(got, payload) {
-			t.Fatalf("round trip: got %q ok=%v, want %q", got, ok, payload)
+// unmagic strips every record magic from b, so a payload cannot carry
+// a record of its own.
+func unmagic(b []byte) []byte {
+	for bytes.Contains(b, []byte(entryMagic)) {
+		b = bytes.ReplaceAll(b, []byte(entryMagic), nil)
+	}
+	return b
+}
+
+// FuzzLogScan holds the scanner to its contract, the whole of what an
+// unsynced log promises: arbitrary bytes never panic it; a log of known
+// puts, bit-flipped or cut anywhere, indexes only payloads that were
+// put under their keys; and an intact record after garbage, or after a
+// torn record, is recovered.
+func FuzzLogScan(f *testing.F) {
+	f.Add([]byte("not a record"), []byte(`{"v":1,"plan":"x"}`), []byte("second"), 0, byte(0x01), 7)
+	f.Add(appendRecord("k", []byte("x"))[:30], []byte{}, []byte("b"), 19, byte('\n'^' '), 90)
+	f.Add(bytes.Repeat([]byte(entryMagic), 3), bytes.Repeat([]byte("plan-bytes "), 100), []byte{}, 25, byte('3'^'9'), 0)
+	f.Fuzz(func(t *testing.T, garbage, a, b []byte, pos int, xor byte, cut int) {
+		scan(garbage, make(map[string][]byte)) // must not panic
+		a, b = unmagic(a), unmagic(b)
+		log := bytes.Join([][]byte{appendRecord("a", a), appendRecord("b", b), appendRecord("a", b)}, nil)
+		index := make(map[string][]byte)
+		if used, corrupt := scan(log, index); used != len(log) || corrupt != 0 ||
+			!bytes.Equal(index["a"], b) || !bytes.Equal(index["b"], b) {
+			t.Fatalf("intact log: used %d of %d, %d corrupt, index %q", used, len(log), corrupt, index)
 		}
-		mutated := bytes.Clone(entry)
+		mutated := bytes.Clone(log)
 		mutated[uint(pos)%uint(len(mutated))] ^= xor
-		truncated := entry[:uint(cut)%uint(len(entry)+1)]
-		for name, raw := range map[string][]byte{"mutated": mutated, "truncated": truncated} {
-			if got, ok := decodeEntry(raw); ok && !bytes.Equal(got, payload) {
-				t.Fatalf("%s entry accepted with payload %q, want %q", name, got, payload)
+		put := map[string][][]byte{"a": {a, b}, "b": {b}}
+		for _, damaged := range [][]byte{mutated, log[:uint(cut)%uint(len(log)+1)]} {
+			index := make(map[string][]byte)
+			scan(damaged, index)
+			for k, p := range index {
+				if !slices.ContainsFunc(put[k], func(q []byte) bool { return bytes.Equal(p, q) }) {
+					t.Fatalf("damaged log indexed %q under %q, which was never put there", p, k)
+				}
+			}
+		}
+		last := appendRecord("z", a)
+		for _, prefix := range [][]byte{garbage, log[:uint(cut)%uint(len(log))]} {
+			index := make(map[string][]byte)
+			buf := append(bytes.Clone(prefix), last...)
+			if used, _ := scan(buf, index); used != len(buf) || !bytes.Equal(index["z"], a) {
+				t.Fatalf("record after %d damaged bytes: used %d of %d, recovered %v", len(prefix), used, len(buf), bytes.Equal(index["z"], a))
 			}
 		}
 	})
