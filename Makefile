@@ -251,7 +251,8 @@ staticcheck:
 # (the replies a client parses, the byte streams a producer's
 # connection handler reads) and the scenario grammar — four rewrites
 # against the code they replaced, bit for bit: the pixel kernel against
-# the staged decode/resize/pack helpers (corrupted streams included),
+# the staged decode/resize/pack helpers (corrupted streams included)
+# and its word-at-a-time filter on arbitrary pixels,
 # the §4.3 subproblem kernel against its closure-based oracle, the
 # trace log against the sharded recorder and the compiled sample cost
 # model against the formulas it was compiled from — the search's prune
@@ -266,6 +267,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseBatch -fuzztime=5s ./internal/preprocess
 	$(GO) test -run='^$$' -fuzz=FuzzServerRequest -fuzztime=5s ./internal/preprocess
 	$(GO) test -run='^$$' -fuzz=FuzzPixelKernel -fuzztime=5s ./internal/preprocess
+	$(GO) test -run='^$$' -fuzz=FuzzPatchFilter -fuzztime=5s ./internal/preprocess
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzSubproblemRefine -fuzztime=5s ./internal/orchestrator
 	$(GO) test -run='^$$' -fuzz=FuzzDiscreteBound -fuzztime=5s ./internal/orchestrator

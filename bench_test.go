@@ -112,8 +112,9 @@ func BenchmarkFleetThroughput(b *testing.B) {
 // one 2-producer service through the WFQ admission path and the real
 // TCP wire protocol. Each op delivers one training iteration to every
 // tenant (all DP ranks fetched concurrently). The corpus is shrunken
-// LAION (the pixel pipeline runs for real) so the number tracks
-// multiplexing overhead, not image decode throughput.
+// LAION and the pixel pipeline runs for real: ProcessSample's readahead
+// builds take ~90% of the CPU, so the number tracks the pixel kernel
+// first and the multiplexing and wire overhead second.
 // TestServiceFetchAllocBudget (internal/preprocess) pins each op's
 // allocations.
 func BenchmarkServiceThroughput(b *testing.B) {

@@ -79,8 +79,7 @@ func ProcessSample(s data.Sample) (Processed, error) {
 		case data.Text:
 			// Tokenised text: 2 bytes per token id.
 			for i := 0; i < ss.Tokens; i++ {
-				id := uint16((s.Index + int64(i)) % 32000)
-				out.TokenPayload = append(out.TokenPayload, byte(id), byte(id>>8))
+				out.TokenPayload = binary.LittleEndian.AppendUint16(out.TokenPayload, uint16((s.Index+int64(i))%32000))
 			}
 			out.TextTokens += int32(ss.Tokens)
 		}
@@ -96,11 +95,10 @@ func ProcessSample(s data.Sample) (Processed, error) {
 // resolution (cameras don't shoot patch grids): synthesise and decode
 // at 2x, then resize down — the production decode-then-resize path.
 func (sc *pixelScratch) appendImage(dst []byte, seed uint64, resolution int) ([]byte, error) {
-	srcRes := resolution * 2
 	if resolution <= 0 {
-		return nil, fmt.Errorf("preprocess: cannot resize %d -> %d", srcRes, resolution)
+		return nil, fmt.Errorf("preprocess: cannot resize %d -> %d", 2*resolution, resolution)
 	}
-	pixels := srcRes * srcRes
+	pixels := 4 * resolution * resolution
 	sc.comp = appendCompressed(sc.comp[:0], seed, pixels)
 	if need := pixels*3 + decodeSlack; cap(sc.rgb) < need {
 		sc.rgb = make([]byte, need)
@@ -119,34 +117,35 @@ func appendCompressed(dst []byte, seed uint64, pixels int) []byte {
 	z := seed | 1
 	for remaining := pixels; remaining > 0; {
 		z = z*6364136223846793005 + 1442695040888963407
-		run := int(z>>59)%15 + 1 // 1..15 pixel runs
+		run := int(z>>59%15) + 1 // 1..15 pixel runs
 		if run > remaining {
 			run = remaining
 		}
-		dst = append(dst, byte(run), byte(z>>16), byte(z>>24), byte(z>>32))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(z>>8)&^0xff|uint32(run)) // run, z>>16, z>>24, z>>32
 		remaining -= run
 	}
 	return dst
 }
 
-// decodeSlack is how far past a run's first byte decodeInto's 8-byte
-// stores always land: two 8-pixel groups, enough for the 15-pixel runs
-// the codec emits without a data-dependent branch. What overshoots the
-// run lands in the next run, which overwrites it, or in this slack
+// decodeSlack is how far past a nonempty run's first byte decodeInto's
+// 8-byte stores always land: two 8-pixel groups, enough for the 15-pixel
+// runs the codec emits without a data-dependent branch. What overshoots
+// the run lands in the next run, which overwrites it, or in this slack
 // after the final one.
 const decodeSlack = 48
 
 // decodeInto expands an RLE payload into the first pixels*3 bytes of
-// dst, which must be decodeSlack longer. A stream that decodes to any
-// other length is rejected; no store lands outside dst.
+// dst, which must be decodeSlack longer, as six word stores into one
+// bounds-checked window per 16 pixels of a run. A stream that decodes
+// to any other length is rejected; no store lands outside dst.
 func decodeInto(dst, comp []byte, pixels int) error {
 	want := pixels * 3
 	dst = dst[:want+decodeSlack]
 	o := 0
 	for ; len(comp) >= 4; comp = comp[4:] {
 		run := binary.LittleEndian.Uint32(comp) // count, r, g, b
-		n := int(run&0xff) * 3
-		if o+n > want {
+		end := o + int(run&0xff)*3
+		if end > want {
 			// Over-long: count what the stream claims, store none of it.
 			for ; len(comp) >= 4; comp = comp[4:] {
 				o += int(comp[0]) * 3
@@ -156,21 +155,18 @@ func decodeInto(dst, comp []byte, pixels int) error {
 		// The pixel as a 24-bit word, then the three words an RGB
 		// pattern takes to realign: bytes rgbrgbrg brgbrgbr gbrgbrgb.
 		p := uint64(run >> 8)
-		w0 := p | p<<24 | p<<48
-		w1 := p>>16 | p<<8 | p<<32 | p<<56
-		w2 := p>>8 | p<<16 | p<<40
-		for g, left := dst[o:], n; ; g, left = g[48:], left-48 {
-			binary.LittleEndian.PutUint64(g, w0)
-			binary.LittleEndian.PutUint64(g[8:], w1)
-			binary.LittleEndian.PutUint64(g[16:], w2)
-			binary.LittleEndian.PutUint64(g[24:], w0)
-			binary.LittleEndian.PutUint64(g[32:], w1)
-			binary.LittleEndian.PutUint64(g[40:], w2)
-			if left <= 48 {
-				break // at once, for the codec's own runs
-			}
+		w0 := p * (1 | 1<<24 | 1<<48)
+		w1, w2 := p>>16|w0<<8, p>>8|w0<<16
+		for ; o < end; o += decodeSlack {
+			w := (*[decodeSlack]byte)(dst[o:])
+			binary.LittleEndian.PutUint64(w[:], w0)
+			binary.LittleEndian.PutUint64(w[8:], w1)
+			binary.LittleEndian.PutUint64(w[16:], w2)
+			binary.LittleEndian.PutUint64(w[24:], w0)
+			binary.LittleEndian.PutUint64(w[32:], w1)
+			binary.LittleEndian.PutUint64(w[40:], w2)
 		}
-		o += n
+		o = end
 	}
 	if o != want {
 		return fmt.Errorf("preprocess: decoded %d bytes, want %d", o, want)
@@ -184,26 +180,34 @@ func decodeInto(dst, comp []byte, pixels int) error {
 // consumes). Each mean truncates twice, once per filter, exactly as a
 // resize followed by a pack would.
 func appendPatchTokens(dst, rgb []byte, resolution int) []byte {
-	const (
-		p     = model.PatchSize
-		patch = p * 6 // bytes of one source row under one patch
-	)
-	side := resolution / p
-	stride := resolution * 6 // bytes per source row
+	const p = model.PatchSize
+	side, stride := resolution/p, resolution*6 // patches a side, bytes per source row
 	for py := 0; py < side; py++ {
 		for px := 0; px < side; px++ {
-			var sr, sg, sb uint32
-			for dy := 0; dy < p; dy++ {
-				o := (py*p+dy)*2*stride + px*patch
-				top, bot := (*[patch]byte)(rgb[o:]), (*[patch]byte)(rgb[o+stride:])
-				for x := 0; x < patch; x += 6 {
-					sr += (uint32(top[x]) + uint32(top[x+3]) + uint32(bot[x]) + uint32(bot[x+3])) / 4
-					sg += (uint32(top[x+1]) + uint32(top[x+4]) + uint32(bot[x+1]) + uint32(bot[x+4])) / 4
-					sb += (uint32(top[x+2]) + uint32(top[x+5]) + uint32(bot[x+2]) + uint32(bot[x+5])) / 4
-				}
-			}
-			dst = append(dst, byte(sr/(p*p)), byte(sg/(p*p)), byte(sb/(p*p)))
+			s := patchSum(rgb[py*p*2*stride+px*p*6:], stride)
+			dst = append(dst, byte(s&0xffff/(p*p)), byte(s>>32/(p*p)), byte(s>>16&0xffff/(p*p)))
 		}
 	}
 	return dst
+}
+
+// patchSum sums the truncated 2x2 means of the patch whose top source
+// row starts rgb in 16-bit lanes r, b, g (a call of its own keeps the
+// loop's words in registers). A word's low six bytes hold a row's pixel
+// pair; every second word is read 4 bytes on, never past the patch.
+func patchSum(rgb []byte, stride int) (s uint64) {
+	const patch, m = model.PatchSize * 6, 0x00ff_00ff_00ff     // bytes of a source row under a patch; bytes 0, 2, 4 as lanes
+	const _ = uint16(model.PatchSize * model.PatchSize * 0xff) // a patch's lane sum fits its lane
+	quad := func(t, b uint64) uint64 {
+		e, d := t&m+b&m, t>>8&m+b>>8&m                     // lanes r0 b0 g1, g0 r1 b1
+		return (e + d>>16 + d<<32) >> 2 & 0x3fff_3fff_3fff // one destination pixel's r, b, g: 2x2 sums /4
+	}
+	for o := 0; o < model.PatchSize*2*stride; o += 2 * stride {
+		top, bot := (*[patch]byte)(rgb[o:]), (*[patch]byte)(rgb[o+stride:])
+		for x := 0; x < patch-11; x += 12 {
+			s += quad(binary.LittleEndian.Uint64(top[x:x+8:x+8]), binary.LittleEndian.Uint64(bot[x:x+8:x+8])) +
+				quad(binary.LittleEndian.Uint64(top[x+4:x+12:x+12])>>16, binary.LittleEndian.Uint64(bot[x+4:x+12:x+12])>>16)
+		}
+	}
+	return s
 }

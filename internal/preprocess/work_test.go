@@ -2,6 +2,7 @@ package preprocess
 
 import (
 	"bytes"
+	"fmt"
 	"runtime/debug"
 	"testing"
 
@@ -149,10 +150,84 @@ func FuzzPixelKernel(f *testing.F) {
 	})
 }
 
+// FuzzPatchFilter holds the 2x2/patch filter to the staged resize and
+// pack on arbitrary pixels, tiled from the input over an image of
+// 1-8 patches a side. Unlike an RLE image's, neighbouring pixels
+// differ, so a carry between the filter's lanes shows; the image is
+// exactly its pixels long, so a read past its end panics.
+func FuzzPatchFilter(f *testing.F) {
+	f.Add(uint8(0), []byte{0xff})
+	f.Add(uint8(1), []byte{0xff, 0, 0xff, 0xfe, 1})
+	f.Add(uint8(3), []byte{0, 0xff, 0xff, 0xff, 0xff, 0, 0x80})
+	f.Fuzz(func(t *testing.T, tiles uint8, raw []byte) {
+		res := (int(tiles)%8 + 1) * model.PatchSize
+		rgb := make([]byte, 4*res*res*3)
+		for i := range rgb {
+			if len(raw) > 0 {
+				rgb[i] = raw[i%len(raw)]
+			}
+		}
+		half, err := resizeRGB(rgb, 2*res, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := appendPatchTokens(nil, rgb, res), packPatches(half, res); !bytes.Equal(got, want) {
+			t.Fatalf("res %d: filter tokens %v, staged %v", res, got, want)
+		}
+	})
+}
+
+// TestPixelKernelWorstCaseLanes runs the images at the ends of the
+// filter's 16-bit lanes through the kernel's decode and filter and
+// through the staged pipeline, byte for byte: all 0xff (a patch lane
+// sums to 256 x 255 = 65,280, the most it holds), all 0x00, and
+// one-pixel runs alternating black and white (every 2x2 block mixes
+// both), up to the 2048-pixel decode of a full-resolution LAION image.
+func TestPixelKernelWorstCaseLanes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  byte
+		a, b byte
+	}{
+		{"white", 255, 0xff, 0xff},
+		{"black", 15, 0, 0},
+		{"alternating", 1, 0, 0xff},
+	} {
+		for _, res := range []int{16, 64, 1024} {
+			srcRes, pixels := 2*res, 4*res*res
+			var comp []byte
+			for left, odd := pixels, false; left > 0; left, odd = left-int(tc.run), !odd {
+				v := tc.a
+				if odd {
+					v = tc.b
+				}
+				comp = append(comp, byte(min(left, int(tc.run))), v, v, v)
+			}
+			want, err := decodeImage(comp, srcRes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			half, err := resizeRGB(want, srcRes, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rgb := make([]byte, pixels*3+decodeSlack)
+			if err := decodeInto(rgb, comp, pixels); err != nil || !bytes.Equal(rgb[:pixels*3], want) {
+				t.Fatalf("%s res %d: decode differs from the staged decoder (err %v)", tc.name, res, err)
+			}
+			if got := appendPatchTokens(nil, rgb[:pixels*3], res); !bytes.Equal(got, packPatches(half, res)) {
+				t.Fatalf("%s res %d: filter tokens differ from the staged resize and pack", tc.name, res)
+			}
+		}
+	}
+}
+
 var sinkProcessed Processed
 
 // BenchmarkProcessSample is the producer's per-sample kernel on the
-// fanin corpus shape (~11 images of 32-64 pixels per sample).
+// fanin corpus shape: LAION's 64-pixel resolution floor clamps the
+// 48-pixel median, so every image is 64 pixels (decoded at 128), ~11
+// images and ~182k stored pixels per sample.
 func BenchmarkProcessSample(b *testing.B) {
 	c := faninShapeCorpus(b, 1)
 	samples := make([]data.Sample, 64)
@@ -167,5 +242,37 @@ func BenchmarkProcessSample(b *testing.B) {
 			b.Fatal(err)
 		}
 		sinkProcessed = p
+	}
+}
+
+// BenchmarkPixelStages times the kernel's three loops one at a time on
+// one image, at the fanin shape's 64 pixels and at 512; bytes are the
+// image's decoded bytes, so MB/s compares across stages.
+func BenchmarkPixelStages(b *testing.B) {
+	for _, res := range []int{64, 512} {
+		pixels := 4 * res * res
+		comp := appendCompressed(nil, 42, pixels)
+		rgb := make([]byte, pixels*3+decodeSlack)
+		if err := decodeInto(rgb, comp, pixels); err != nil { // the filter's input when run alone
+			b.Fatal(err)
+		}
+		tokens := make([]byte, 0, 3*model.ImageTokens(res))
+		for _, st := range []struct {
+			name string
+			run  func() error
+		}{
+			{"compress", func() error { comp = appendCompressed(comp[:0], 42, pixels); return nil }},
+			{"decode", func() error { return decodeInto(rgb, comp, pixels) }},
+			{"filter", func() error { tokens = appendPatchTokens(tokens[:0], rgb, res); return nil }},
+		} {
+			b.Run(fmt.Sprintf("%s/res=%d", st.name, res), func(b *testing.B) {
+				b.SetBytes(int64(pixels * 3))
+				for i := 0; i < b.N; i++ {
+					if err := st.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
