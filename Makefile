@@ -127,11 +127,23 @@ COVER_FLOOR ?= 73
 # and still 15,108 once the disk store became one append-only log per
 # directory: the scan and the incremental index are paid for by the
 # per-file codec, store.ReplaceFile (folded into
-# metrics.WriteFileAtomic), the unused Mem.Len and redundant docs.
+# metrics.WriteFileAtomic), the unused Mem.Len and redundant docs, and
+# 15,185 once a trace kept only what it must: the +77 are
+# metrics/trace.go +78 (the process-wide label table and Intern, the
+# typed Arg with Int and Str, the encoding/json string escaper and the
+# sorted-key args writer, net of the per-trace label index, the Args map
+# side table and the per-write label quoting), metrics.go +3 (the
+# package doc) and the trainer +26 (the process-wide F<mb>/B<mb> table,
+# the package-level phase labels and the class's once-resolved
+# execution order), net of pipeline -9 (Order and the times-only Span
+# in place of the op-copy path, SimulateUntraced and the per-call
+# dependency loop) and fleet.noteArg (-21) — fleet-churn work_per_cpu_s
+# 16.6k -> 18.7k, a traced churn op 1.18x an untraced one's CPU ->
+# 1.04x.
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 15108
+LOC_CEILING ?= 15185
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 
@@ -258,7 +270,8 @@ staticcheck:
 # model against the formulas it was compiled from — the search's prune
 # bound against brute force over every constructible allocation, and
 # the two scratch-owning kernels, one long-lived Simulator / Reorderer
-# against a fresh one per call, and the corpus's closed-form generator
+# against a fresh one per call, the shared 1F1B execution order against
+# the loop that found it as it ran, and the corpus's closed-form generator
 # against math/rand (the seeded corpora always run in plain `make
 # test`) — and the plan store's log scanner, the whole of what an
 # unsynced log promises, and the data plane's generational window
@@ -274,6 +287,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceEquivalence -fuzztime=5s ./internal/metrics
 	$(GO) test -run='^$$' -fuzz=FuzzSamplePricing -fuzztime=5s ./internal/profiler
 	$(GO) test -run='^$$' -fuzz=FuzzSimulatorReuse -fuzztime=5s ./internal/pipeline
+	$(GO) test -run='^$$' -fuzz=FuzzExecOrder -fuzztime=5s ./internal/pipeline
 	$(GO) test -run='^$$' -fuzz=FuzzReordererReuse -fuzztime=5s ./internal/reorder
 	$(GO) test -run='^$$' -fuzz=FuzzSeededRand -fuzztime=5s ./internal/data
 	$(GO) test -run='^$$' -fuzz=FuzzLogScan -fuzztime=5s ./internal/store

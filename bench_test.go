@@ -69,19 +69,26 @@ func BenchmarkStepCCLExecutor(b *testing.B) {
 // 1/4/16/64 concurrent jobs — identical tenants on 2-node leases, so the
 // shared plan cache collapses every run to a single §4.3 search.
 // Iterations per job scale inversely with the job count (floor 2) so
-// every sub-benchmark op performs comparable total work.
+// every sub-benchmark op performs comparable total work; jobs=16/traced
+// is jobs=16 recording every tenant's timeline and merging them.
 // TestFleetAllocBudget (internal/fleet) pins each op's allocations.
 func BenchmarkFleetThroughput(b *testing.B) {
 	corpus, err := data.NewCorpus(data.LAION400M())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, jobs := range []int{1, 4, 16, 64} {
-		itersPerJob := max(2, 32/jobs)
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+	for _, tc := range []struct {
+		jobs  int
+		trace bool
+	}{{1, false}, {4, false}, {16, false}, {64, false}, {16, true}} {
+		jobs, itersPerJob, name := tc.jobs, max(2, 32/tc.jobs), fmt.Sprintf("jobs=%d", tc.jobs)
+		if tc.trace {
+			name += "/traced"
+		}
+		b.Run(name, func(b *testing.B) {
 			spec := benchSpec(b, model.MLLM9B(), 2*jobs, 32)
 			tmpl := trainer.DistTrainConfig(spec, nil, corpus)
-			cfg := fleet.Config{Cluster: spec.Cluster}
+			cfg := fleet.Config{Cluster: spec.Cluster, Trace: tc.trace}
 			for j := 0; j < jobs; j++ {
 				cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
 					Name: fmt.Sprintf("t%d", j), Train: tmpl,

@@ -464,33 +464,11 @@ func fleetEvents(s scenario.Scenario) ([]scenario.Event, error) {
 	return evs, nil
 }
 
-// noteArg is one key of a note's payload, by value: the Args map the
-// trace wants is built only when a trace is attached, so an untraced
-// fleet does not pay for the events it drops.
-type noteArg struct {
-	key   string
-	str   string
-	num   int
-	isStr bool
-}
-
-func noteInt(key string, v int) noteArg    { return noteArg{key: key, num: v} }
-func noteStr(key string, v string) noteArg { return noteArg{key: key, str: v, isStr: true} }
-
 // note emits a scheduler-lane trace instant at the current round.
-func (f *runner) note(name string, args ...noteArg) {
-	if f.fleetTrace == nil {
-		return
+func (f *runner) note(name string, args ...metrics.Arg) {
+	if f.fleetTrace != nil {
+		f.fleetTrace.Instant(name, "fleet", float64(f.round), args...)
 	}
-	m := make(map[string]any, len(args))
-	for _, a := range args {
-		if a.isStr {
-			m[a.key] = a.str
-		} else {
-			m[a.key] = a.num
-		}
-	}
-	f.fleetTrace.Instant(name, "fleet", float64(f.round), m)
 }
 
 // arrivalKind reports whether a fleet-scope event kind instantiates
@@ -522,7 +500,7 @@ func (f *runner) newTenant(si int, class Class) {
 	f.tenants = append(f.tenants, t)
 	f.queue = append(f.queue, t)
 	f.queueDirty = true
-	f.note("job-arrive", noteInt("job", t.id), noteStr("name", t.name), noteStr("class", t.class.String()))
+	f.note("job-arrive", metrics.Int("job", t.id), metrics.Str("name", t.name), metrics.Str("class", t.class.String()))
 }
 
 // enqueueArrivals submits this round's arrivals: Config.Jobs entries
@@ -539,7 +517,7 @@ func (f *runner) enqueueArrivals() {
 			continue
 		}
 		if ev.Job < 0 || ev.Job >= len(f.cfg.Jobs) {
-			f.note("job-arrive-ignored", noteInt("job", ev.Job), noteStr("reason", "no such job spec"))
+			f.note("job-arrive-ignored", metrics.Int("job", ev.Job), metrics.Str("reason", "no such job spec"))
 			continue
 		}
 		switch ev.Kind {
@@ -574,10 +552,10 @@ func (f *runner) applyEvents() {
 	for _, ev := range f.events {
 		if ev.Kind == scenario.FleetNodeJoin && ev.Start == f.round {
 			if err := f.table.Join(ev.Node); err != nil {
-				f.note("node-join-ignored", noteInt("node", ev.Node), noteStr("reason", err.Error()))
+				f.note("node-join-ignored", metrics.Int("node", ev.Node), metrics.Str("reason", err.Error()))
 				continue
 			}
-			f.note("node-join", noteInt("node", ev.Node))
+			f.note("node-join", metrics.Int("node", ev.Node))
 		}
 	}
 	for _, ev := range f.events {
@@ -597,10 +575,10 @@ func (f *runner) applyEvents() {
 func (f *runner) failNode(node int) {
 	owner, err := f.table.Fail(node)
 	if err != nil {
-		f.note("node-fail-ignored", noteInt("node", node), noteStr("reason", err.Error()))
+		f.note("node-fail-ignored", metrics.Int("node", node), metrics.Str("reason", err.Error()))
 		return
 	}
-	f.note("node-fail", noteInt("node", node), noteInt("owner", owner))
+	f.note("node-fail", metrics.Int("node", node), metrics.Int("owner", owner))
 	if owner < 0 {
 		return
 	}
@@ -610,7 +588,7 @@ func (f *runner) failNode(node int) {
 	if shrunk := t.lease.Without(node); shrunk.NodeCount() >= t.min {
 		reason := fmt.Sprintf("node %d failed: lease shrinks to %d nodes", node, shrunk.NodeCount())
 		if f.resize(t, shrunk, nil, reason) == nil {
-			f.note("lease-shrink", noteInt("job", t.id), noteInt("nodes", shrunk.NodeCount()))
+			f.note("lease-shrink", metrics.Int("job", t.id), metrics.Int("nodes", shrunk.NodeCount()))
 			return
 		}
 	}
@@ -620,7 +598,7 @@ func (f *runner) failNode(node int) {
 	// capacity returns.
 	f.suspend(t, "node failed")
 	f.requeueFront(t)
-	f.note("job-suspend", noteInt("job", t.id))
+	f.note("job-suspend", metrics.Int("job", t.id))
 }
 
 // transition is the one writer of tenant state. Every move between
@@ -691,7 +669,7 @@ func (f *runner) requeueFront(t *tenant) {
 // departJob terminates tenant id at this round.
 func (f *runner) departJob(id int) {
 	if id < 0 || id >= len(f.tenants) || f.tenants[id].state == stateDone {
-		f.note("job-depart-ignored", noteInt("job", id))
+		f.note("job-depart-ignored", metrics.Int("job", id))
 		return
 	}
 	t := f.tenants[id]
@@ -704,7 +682,7 @@ func (f *runner) departJob(id int) {
 		}
 	}
 	f.retire(t, true)
-	f.note("job-depart", noteInt("job", id))
+	f.note("job-depart", metrics.Int("job", id))
 }
 
 // retire finalises a tenant and frees its lease. The result and trace
@@ -733,7 +711,7 @@ func (f *runner) retire(t *tenant, departed bool) {
 func (f *runner) fail(t *tenant, kind string, err error) {
 	t.err = err
 	f.retire(t, false)
-	f.note(kind, noteInt("job", t.id), noteStr("reason", err.Error()))
+	f.note(kind, metrics.Int("job", t.id), metrics.Str("reason", err.Error()))
 }
 
 // leaseSpec scopes the tenant's training spec to a lease — the exact
@@ -889,7 +867,7 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 		t.started = f.round
 	}
 	f.admitRunning(t)
-	f.note("job-start", noteInt("job", t.id), noteInt("nodes", lease.NodeCount()), noteStr("strategy", plan.Strategy))
+	f.note("job-start", metrics.Int("job", t.id), metrics.Int("nodes", lease.NodeCount()), metrics.Str("strategy", plan.Strategy))
 	return nil
 }
 
@@ -938,7 +916,7 @@ func (f *runner) completeFinished() {
 	for _, t := range f.tenants {
 		if t.state == stateRunning && t.job.Done() {
 			f.retire(t, false)
-			f.note("job-done", noteInt("job", t.id))
+			f.note("job-done", metrics.Int("job", t.id))
 		}
 	}
 }
@@ -950,7 +928,7 @@ func (f *runner) starveQueue() {
 		t.err = fmt.Errorf("fleet: %s starved: %d free of %d nodes, needs %d",
 			t.name, f.table.FreeCount(), f.table.Nodes(), t.min)
 		f.retire(t, false)
-		f.note("job-starved", noteInt("job", t.id))
+		f.note("job-starved", metrics.Int("job", t.id))
 	}
 	f.queue = nil
 }

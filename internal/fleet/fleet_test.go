@@ -587,16 +587,16 @@ func mustParse(t *testing.T, spec string) scenario.Scenario {
 	return sc
 }
 
-// TestNoteCostsNothingUntraced: a note's payload travels by value and
-// becomes an Args map only when a trace is attached, so an untraced
-// fleet allocates nothing for the events it drops — and a traced one
-// writes the same sorted-key args a map literal did.
+// TestNoteCostsNothingUntraced: a note's payload travels by value as
+// typed Args, copied into the log only when a trace is attached, so an
+// untraced fleet allocates nothing for the events it drops — and a
+// traced one writes the same sorted-key args a map literal did.
 func TestNoteCostsNothingUntraced(t *testing.T) {
 	f := &runner{round: 3}
 	name, reason := "g7", "preempted by high"
 	emit := func() {
-		f.note("job-arrive", noteInt("job", 300), noteStr("name", name), noteStr("class", classHigh.String()))
-		f.note("job-preempt", noteInt("job", 300), noteStr("reason", reason))
+		f.note("job-arrive", metrics.Int("job", 300), metrics.Str("name", name), metrics.Str("class", classHigh.String()))
+		f.note("job-preempt", metrics.Int("job", 300), metrics.Str("reason", reason))
 	}
 	if got := testing.AllocsPerRun(100, emit); got != 0 {
 		t.Errorf("two notes with tracing off allocated %v times, want 0", got)

@@ -181,3 +181,24 @@ func TestGoldenTraceBytes(t *testing.T) {
 		goldenCompare(t, fx.name+"_trace_digest", b.String())
 	}
 }
+
+// TestTracedRerunInternsNoLabel: trace labels are process-wide and never
+// freed, so a fleet must draw them from a bounded set — a second
+// identical traced run of the priority fixture interns no new label.
+// Its tenants step on four workers, so `make race` also checks the
+// interning they do concurrently. Labels are numbered in interning
+// order, so the probes interned around the rerun read the table's
+// growth off their own Labels.
+func TestTracedRerunInternsNoLabel(t *testing.T) {
+	run := func() {
+		if _, err := runChecked(t, priorityFleet(t, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	before := metrics.Intern("probe: before the rerun")
+	run()
+	if after := metrics.Intern("probe: after the rerun"); after != before+1 {
+		t.Errorf("the rerun interned %d new labels", after-before-1)
+	}
+}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"disttrain/internal/cluster"
+	"disttrain/internal/metrics"
 )
 
 // view builds the tenant's scheduler snapshot on read, so there is no
@@ -102,7 +103,7 @@ func (o schedOps) Shrink(id int, drop []int, reason string) bool {
 		f.fail(t, "job-failed", err)
 		return false
 	}
-	f.note("lease-shrink", noteInt("job", t.id), noteInt("nodes", shrunk.NodeCount()))
+	f.note("lease-shrink", metrics.Int("job", t.id), metrics.Int("nodes", shrunk.NodeCount()))
 	return true
 }
 
@@ -130,7 +131,7 @@ func (o schedOps) Grow(id int, take []int, reason string) bool {
 		f.fail(t, "job-failed", err)
 		return false
 	}
-	f.note("lease-grow", noteInt("job", t.id), noteInt("nodes", grown.NodeCount()))
+	f.note("lease-grow", metrics.Int("job", t.id), metrics.Int("nodes", grown.NodeCount()))
 	return true
 }
 
@@ -149,6 +150,6 @@ func (o schedOps) Preempt(id int, reason string) bool {
 	t.preempts++
 	f.queue = append(f.queue, t)
 	f.queueDirty = true
-	f.note("job-preempt", noteInt("job", t.id), noteStr("reason", reason))
+	f.note("job-preempt", metrics.Int("job", t.id), metrics.Str("reason", reason))
 	return true
 }

@@ -132,7 +132,7 @@ func (f *runner) registerTenant(t *tenant, tcfg *trainer.Config, nodes int) erro
 	t.pool = handle
 	tcfg.Source = &trainer.PoolSource{Pool: handle, Samples: tcfg.Corpus}
 	tcfg.DisaggregatedPreprocess = true
-	f.note("pool-register", noteInt("job", t.id), noteInt("weight", t.class.Rank()+1), noteInt("quota", f.quotaFor(nodes)))
+	f.note("pool-register", metrics.Int("job", t.id), metrics.Int("weight", t.class.Rank()+1), metrics.Int("quota", f.quotaFor(nodes)))
 	return nil
 }
 
@@ -162,10 +162,10 @@ func (f *runner) producerEvent(ev scenario.Event) {
 		err = f.producers.JoinProducer(ev.Producer)
 	}
 	if err != nil {
-		f.note(ev.Kind.String()+"-ignored", noteInt("producer", ev.Producer), noteStr("reason", err.Error()))
+		f.note(ev.Kind.String()+"-ignored", metrics.Int("producer", ev.Producer), metrics.Str("reason", err.Error()))
 		return
 	}
-	f.note(ev.Kind.String(), noteInt("producer", ev.Producer))
+	f.note(ev.Kind.String(), metrics.Int("producer", ev.Producer))
 }
 
 // snapshotPool captures a retiring tenant's preprocessing counters and
@@ -181,5 +181,5 @@ func (f *runner) snapshotPool(t *tenant) {
 	snap := t.pool.Snapshot()
 	t.poolSnap = &snap
 	t.pool.Close()
-	f.note("pool-stats", noteInt("job", t.id), noteInt("fetches", int(snap.Fetches)))
+	f.note("pool-stats", metrics.Int("job", t.id), metrics.Int("fetches", int(snap.Fetches)))
 }

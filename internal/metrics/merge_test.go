@@ -18,7 +18,7 @@ func TestTraceAppendOffset(t *testing.T) {
 	job.NameProcess(0, "runtime")
 	job.NameProcess(1, "dp-rank 0")
 	completeOn(job, "fwd0", "pipeline", 1, 2, 0.5, 0.25)
-	job.Instant("replan", "controller", 1.0, map[string]any{"iter": 3})
+	job.Instant("replan", "controller", 1.0, Int("iter", 3))
 
 	merged := NewTrace()
 	merged.AppendOffset(job, 10, "jobA/")

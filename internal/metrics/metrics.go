@@ -1,7 +1,10 @@
 // Package metrics computes the evaluation quantities of §7: Model
 // FLOPs Utilization (MFU), training throughput in tokens per second,
 // and iteration-time breakdowns, plus small summary-statistics helpers
-// shared by the experiment harnesses.
+// shared by the experiment harnesses. It also records the Chrome-trace
+// timelines (Trace): event and process names are Labels of one
+// process-wide intern table, an instant's payload is typed Args copied
+// into the log, and span blocks replay timelines their callers keep.
 package metrics
 
 import (

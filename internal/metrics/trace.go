@@ -9,9 +9,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
+	"unicode/utf8"
 )
 
 // Chrome-trace-format timeline emission: the runtime records every
@@ -23,32 +26,83 @@ import (
 // whose thread IDs are pipeline stages.
 //
 // A Trace is one append-only log of fixed-size, pointer-free records
-// behind one mutex. Event names and categories are interned per trace
-// (a run has a few dozen distinct strings; the hot path records them
-// by Label), the rare Args maps live in a side table, and JSON exists
-// only while WriteJSON streams it out. One record holds its events by
-// reference: a span block (Batch.Spans), counted when recorded and
-// replayed off data its caller keeps immutable while WriteJSON runs.
-// The log is not sharded: every Trace has one writer at a time (the
-// trainer emits an iteration from its run loop, a fleet hands each
-// tenant a private trace and notes its own events on the runner
-// goroutine), so append order is the log order and the mutex is there
-// for the race detector, not for throughput.
+// behind one mutex. Event names, categories and process names are
+// Labels of one process-wide intern table (a program has a few dozen
+// distinct strings; the hot path records them by Label), an instant's
+// typed Args are copied into the log, and JSON exists only while
+// WriteJSON streams it out. One record holds its events by reference: a
+// span block (Batch.Spans), counted when recorded and replayed off data
+// its caller keeps immutable while WriteJSON runs. The log is not
+// sharded: every Trace has one writer at a time (the trainer emits an
+// iteration from its run loop, a fleet hands each tenant a private
+// trace and notes its own events on the runner goroutine), so append
+// order is the log order and the mutex is there for the race detector,
+// not for throughput.
 
-// Label is an event name or category interned in one Trace: resolved
-// once, recorded by id. It means nothing to any other trace.
+// Label is an interned event name, category or process name: resolved
+// once, recorded by id, the same in every trace. Label 0 is "".
 type Label uint32
 
+// labels is the process-wide intern table. It only grows, so a Label
+// means one string for the life of the process, and a copy of strs and
+// quoted is a snapshot later interning never rewrites.
+var labels = struct {
+	sync.RWMutex
+	ids    map[string]Label
+	strs   []string
+	quoted [][]byte // strs as encoding/json writes them
+}{ids: map[string]Label{"": 0}, strs: []string{""}, quoted: [][]byte{[]byte(`""`)}}
+
+// Intern returns s's Label, adding s to the table on first use. Safe
+// for concurrent use; an interned string is never freed, so intern
+// names from a bounded set and pass open-ended values as Args.
+func Intern(s string) Label {
+	labels.RLock()
+	id, ok := labels.ids[s]
+	labels.RUnlock()
+	if ok {
+		return id
+	}
+	labels.Lock()
+	defer labels.Unlock()
+	if id, ok = labels.ids[s]; !ok {
+		id = Label(len(labels.strs))
+		labels.ids[s] = id
+		labels.strs = append(labels.strs, s)
+		labels.quoted = append(labels.quoted, quote(nil, s))
+	}
+	return id
+}
+
+// processName names every lane-naming metadata event.
+var processName = Intern("process_name")
+
+// Arg is one key of an instant's payload: an int or a string, copied
+// into the log when recorded.
+type Arg struct {
+	key, str string
+	num      int
+	isStr    bool
+}
+
+// Int is an int-valued Arg.
+func Int(key string, v int) Arg { return Arg{key: key, num: v} }
+
+// Str is a string-valued Arg.
+func Str(key, v string) Arg { return Arg{key: key, str: v, isStr: true} }
+
 // record is one event. ph 'X' is a complete (duration) event, 'i' an
-// instant, 'M' metadata, 's' a span block of cat events; ts and dur
-// are microseconds, per the format spec. It holds no pointers, so the
-// collector never scans the log.
+// instant, 'M' a process name, 's' a span block of cat events; ts and
+// dur are microseconds, per the format spec. It holds no pointers, so
+// the collector never scans the log.
 type record struct {
 	ts, dur   float64
-	name, cat Label // ids into traceLog.strs
+	name, cat Label
 	pid, tid  int32
-	args      int32 // 1-based index into traceLog.args (traceLog.spans for 's'); 0 is none
-	ph        byte
+	// 'i': its Args are traceLog.args[arg : arg+nargs]; 'M': the
+	// process name's Label; 's': its replay's index in traceLog.spans.
+	arg, nargs int32
+	ph         byte
 }
 
 // SpanFunc takes one event of a span block, as Batch.Complete would.
@@ -59,8 +113,7 @@ type SpanFunc func(name Label, pid, tid int, start, dur float64)
 // beyond the copy's lengths and never rewrite what it can see.
 type traceLog struct {
 	recs   []record
-	strs   []string         // interned names and categories, by Label
-	args   []map[string]any // Args side table
+	args   []Arg            // instants' Args, back to back
 	spans  []func(SpanFunc) // span blocks' replays
 	segs   []segment        // merged traces, by position
 	n      int              // events, own and merged
@@ -80,9 +133,8 @@ type segment struct {
 // Trace accumulates trace events; safe for concurrent use. PIDs and
 // TIDs are small non-negative lane numbers (stored as int32).
 type Trace struct {
-	mu     sync.Mutex
-	log    traceLog
-	labels map[string]Label // the interning index over log.strs
+	mu  sync.Mutex
+	log traceLog
 }
 
 // NewTrace returns an empty trace.
@@ -92,23 +144,28 @@ func NewTrace() *Trace { return &Trace{} }
 // 0); the pipeline lanes are written as a Batch's span blocks. start
 // and dur are in simulated seconds; the trace stores microseconds.
 func (t *Trace) Complete(name, cat string, start, dur float64) {
+	n, c := Intern(name), Intern(cat)
 	b := t.Batch()
-	b.Complete(b.Label(name), b.Label(cat), start, dur)
+	b.Complete(n, c, start, dur)
 	b.Done()
 }
 
 // Instant records a point event on the runtime lane (pid 0) at start
-// seconds.
-func (t *Trace) Instant(name, cat string, start float64, args map[string]any) {
+// seconds. Its args are written as a JSON object, in key order; of two
+// Args with one key the later wins.
+func (t *Trace) Instant(name, cat string, start float64, args ...Arg) {
+	n, c := Intern(name), Intern(cat)
 	t.mu.Lock()
-	t.add(record{ph: 'i', name: t.intern(name), cat: t.intern(cat), ts: start * 1e6}, args)
+	t.add(record{ph: 'i', name: n, cat: c, ts: start * 1e6, arg: int32(len(t.log.args)), nargs: int32(len(args))})
+	t.log.args = append(t.log.args, args...)
 	t.mu.Unlock()
 }
 
 // NameProcess attaches a human-readable name to a pid lane.
 func (t *Trace) NameProcess(pid int, name string) {
+	n := Intern(name)
 	t.mu.Lock()
-	t.add(record{ph: 'M', name: t.intern("process_name"), cat: t.intern(""), pid: int32(pid)}, map[string]any{"name": name})
+	t.add(record{ph: 'M', name: processName, pid: int32(pid), arg: int32(n)})
 	t.mu.Unlock()
 }
 
@@ -124,22 +181,19 @@ func (t *Trace) Batch() Batch {
 	return Batch{t}
 }
 
-// Label interns s in the batch's trace.
-func (b Batch) Label(s string) Label { return b.t.intern(s) }
-
 // Complete records a duration event on the runtime lane.
 func (b Batch) Complete(name, cat Label, start, dur float64) {
-	b.t.add(record{ph: 'X', name: name, cat: cat, ts: start * 1e6, dur: dur * 1e6}, nil)
+	b.t.add(record{ph: 'X', name: name, cat: cat, ts: start * 1e6, dur: dur * 1e6})
 }
 
 // Spans records a span block: n events of category cat on lanes up to
 // maxPID, counted now and handed to a SpanFunc by replay whenever the
-// trace is written — the same n each time, named by this trace's
-// labels — so the data replay reads must never change.
+// trace is written — the same n each time — so the data replay reads
+// must never change.
 func (b Batch) Spans(cat Label, maxPID, n int, replay func(SpanFunc)) {
 	l := &b.t.log
 	l.spans = append(l.spans, replay)
-	l.recs = append(l.recs, record{ph: 's', cat: cat, args: int32(len(l.spans))})
+	l.recs = append(l.recs, record{ph: 's', cat: cat, arg: int32(len(l.spans) - 1)})
 	l.n += n
 	l.maxPID = max(l.maxPID, maxPID)
 }
@@ -147,31 +201,13 @@ func (b Batch) Spans(cat Label, maxPID, n int, replay func(SpanFunc)) {
 // Done releases the trace.
 func (b Batch) Done() { b.t.mu.Unlock() }
 
-// add appends one record, its Args (if any) in the side table; the
-// caller holds t.mu.
-func (t *Trace) add(r record, args map[string]any) {
-	if len(args) > 0 {
-		t.log.args = append(t.log.args, args)
-		r.args = int32(len(t.log.args))
-	}
+// add appends one record; the caller holds t.mu.
+func (t *Trace) add(r record) {
 	t.log.recs = append(t.log.recs, r)
 	t.log.n++
 	if pid := int(r.pid); pid > t.log.maxPID {
 		t.log.maxPID = pid
 	}
-}
-
-func (t *Trace) intern(s string) Label {
-	id, ok := t.labels[s]
-	if !ok {
-		if t.labels == nil {
-			t.labels = make(map[string]Label, 64) // a run's few dozen names, without rehashing
-		}
-		id = Label(len(t.log.strs))
-		t.log.strs = append(t.log.strs, s)
-		t.labels[s] = id
-	}
-	return id
 }
 
 // snapshot returns the log as of now.
@@ -215,15 +251,19 @@ func (t *Trace) AppendOffset(src *Trace, pidBase int, prefix string) {
 // WriteJSON emits the Chrome trace file ({"traceEvents": [...]}),
 // streamed record by record: byte for byte what encoding/json writes
 // for the equivalent []struct{name, cat, ph, ts, dur, pid, tid, args}
-// (cat, dur and args omitted when empty), without building it. A value
-// JSON cannot carry (a NaN timestamp, an unencodable Args value) is
-// returned as encoding/json's error, after a partial write.
+// (cat, dur and args omitted when empty, args a map[string]any), without
+// building it. A value JSON cannot carry (a NaN timestamp) is returned
+// as encoding/json's error, after a partial write.
 func (t *Trace) WriteJSON(w io.Writer) error {
 	// A merged fleet trace is megabytes: the default 4 KB buffer would
 	// be a write call every ~40 events.
 	e := traceEncoder{w: bufio.NewWriterSize(w, 64<<10)}
+	l := t.snapshot()
+	labels.RLock() // after the snapshot: every Label it holds is in the table
+	e.strs, e.quoted = labels.strs, labels.quoted
+	labels.RUnlock()
 	e.w.WriteString(`{"traceEvents":[`)
-	e.log(t.snapshot(), 0, "")
+	e.log(l, 0, "")
 	if e.err != nil {
 		return e.err
 	}
@@ -233,23 +273,21 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 
 // traceEncoder streams a log's events as JSON array elements.
 type traceEncoder struct {
-	w   *bufio.Writer
-	buf []byte // one event's scratch
-	n   int    // events written so far
-	err error  // first value JSON cannot carry (NaN, ±Inf, a bad Args value)
+	w      *bufio.Writer
+	strs   []string // the label table, as of the write
+	quoted [][]byte
+	buf    []byte // one event's scratch
+	sorted []Arg  // one instant's Args, in key order
+	n      int    // events written so far
+	err    error  // first value JSON cannot carry (NaN, ±Inf)
 }
 
 // log writes l's events, merged segments at their positions, with the
 // PID shift and process-name prefix of the merges it is nested in.
 func (e *traceEncoder) log(l traceLog, pidShift int, prefix string) {
-	// Each interned string is encoded once, not once per event.
-	quoted := make([][]byte, len(l.strs))
-	for i, s := range l.strs {
-		quoted[i], _ = json.Marshal(s)
-	}
 	var cat Label // of the block replaying
 	span := func(name Label, pid, tid int, start, dur float64) {
-		e.event(&l, quoted, &record{ph: 'X', name: name, cat: cat, pid: int32(pid), tid: int32(tid), ts: start * 1e6, dur: dur * 1e6}, pidShift, prefix)
+		e.event(&l, &record{ph: 'X', name: name, cat: cat, pid: int32(pid), tid: int32(tid), ts: start * 1e6, dur: dur * 1e6}, pidShift, prefix)
 	}
 	seg := 0
 	for i := 0; e.err == nil; i++ {
@@ -262,23 +300,23 @@ func (e *traceEncoder) log(l traceLog, pidShift int, prefix string) {
 		}
 		if r := &l.recs[i]; r.ph == 's' {
 			cat = r.cat
-			l.spans[r.args-1](span)
+			l.spans[r.arg](span)
 		} else {
-			e.event(&l, quoted, r, pidShift, prefix)
+			e.event(&l, r, pidShift, prefix)
 		}
 	}
 }
 
 // event writes one record of l as a JSON array element.
-func (e *traceEncoder) event(l *traceLog, quoted [][]byte, r *record, pidShift int, prefix string) {
+func (e *traceEncoder) event(l *traceLog, r *record, pidShift int, prefix string) {
 	b := e.buf[:0]
 	if e.n > 0 {
 		b = append(b, ',')
 	}
 	e.n++
-	b = append(append(b, `{"name":`...), quoted[r.name]...)
-	if l.strs[r.cat] != "" {
-		b = append(append(b, `,"cat":`...), quoted[r.cat]...)
+	b = append(append(b, `{"name":`...), e.quoted[r.name]...)
+	if r.cat != 0 {
+		b = append(append(b, `,"cat":`...), e.quoted[r.cat]...)
 	}
 	b = append(append(append(b, `,"ph":"`...), r.ph), `","ts":`...)
 	b = e.float(b, r.ts)
@@ -287,21 +325,61 @@ func (e *traceEncoder) event(l *traceLog, quoted [][]byte, r *record, pidShift i
 	}
 	b = strconv.AppendInt(append(b, `,"pid":`...), int64(int(r.pid)+pidShift), 10)
 	b = strconv.AppendInt(append(b, `,"tid":`...), int64(r.tid), 10)
-	if r.args != 0 {
-		args := l.args[r.args-1]
-		if r.ph == 'M' && prefix != "" { // a merged lane's process_name
-			name, _ := args["name"].(string)
-			args = map[string]any{"name": prefix + name}
-		}
-		j, err := json.Marshal(args)
-		if e.err == nil {
-			e.err = err
-		}
-		b = append(append(b, `,"args":`...), j...)
+	switch {
+	case r.ph == 'M': // a merged lane's name takes its merges' prefix
+		b = append(quote(append(b, `,"args":{"name":`...), prefix+e.strs[r.arg]), '}')
+	case r.nargs > 0:
+		b = e.args(append(b, `,"args":`...), l.args[r.arg:r.arg+r.nargs])
 	}
 	b = append(b, '}')
 	e.w.Write(b)
 	e.buf = b
+}
+
+// args appends an instant's Args the way encoding/json writes the
+// map[string]any they stand for: keys in order, the last of equal keys
+// kept.
+func (e *traceEncoder) args(b []byte, args []Arg) []byte {
+	s := append(e.sorted[:0], args...)
+	slices.SortStableFunc(s, func(x, y Arg) int { return strings.Compare(x.key, y.key) })
+	sep := byte('{')
+	for i, a := range s {
+		if i+1 < len(s) && s[i+1].key == a.key {
+			continue
+		}
+		b = append(quote(append(b, sep), a.key), ':')
+		if a.isStr {
+			b = quote(b, a.str)
+		} else {
+			b = strconv.AppendInt(b, int64(a.num), 10)
+		}
+		sep = ','
+	}
+	e.sorted = s
+	return append(b, '}')
+}
+
+// quote appends s as encoding/json writes a string: HTML-escaped,
+// U+2028 and U+2029 escaped, each invalid UTF-8 byte as U+FFFD.
+func quote(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for i := 0; i < len(s); {
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch i += size; {
+		case c == utf8.RuneError && size == 1:
+			b = append(b, `\ufffd`...)
+		case c == '\\' || c == '"':
+			b = append(b, '\\', byte(c))
+		case c == '\b' || c == '\t' || c == '\n' || c == '\f' || c == '\r':
+			b = append(b, '\\', "btn_fr"[c-'\b'])
+		case c < 0x20 || c == '<' || c == '>' || c == '&' || c == '\u2028' || c == '\u2029':
+			b = append(b, '\\', 'u', hex[c>>12], hex[c>>8&15], hex[c>>4&15], hex[c&15])
+		default:
+			b = append(b, s[i-size:i]...)
+		}
+	}
+	return append(b, '"')
 }
 
 // float appends f the way encoding/json formats a float64: shortest

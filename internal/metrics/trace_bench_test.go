@@ -18,22 +18,20 @@ const (
 	benchTenants     = 24
 )
 
-// benchLabels are one trace's op names and category, resolved once —
-// the trainer caches them the same way across iterations.
+// benchLabels are the op names and category, interned once — the
+// trainer keeps its own the same way, in package-level tables.
 type benchLabels struct {
 	names    [2][]Label
 	pipeline Label
 }
 
 // internBenchLabels interns the op names of mbs microbatches.
-func internBenchLabels(tr *Trace, mbs int) (l benchLabels) {
-	b := tr.Batch()
-	defer b.Done()
+func internBenchLabels(mbs int) (l benchLabels) {
 	for mb := 0; mb < mbs; mb++ {
-		l.names[0] = append(l.names[0], b.Label(fmt.Sprintf("F%d", mb)))
-		l.names[1] = append(l.names[1], b.Label(fmt.Sprintf("B%d", mb)))
+		l.names[0] = append(l.names[0], Intern(fmt.Sprintf("F%d", mb)))
+		l.names[1] = append(l.names[1], Intern(fmt.Sprintf("B%d", mb)))
 	}
-	l.pipeline = b.Label("pipeline")
+	l.pipeline = Intern("pipeline")
 	return l
 }
 
@@ -68,10 +66,12 @@ func benchTenantTrace() *Trace {
 	return recordIterations(tr, benchTenantIters)
 }
 
-// recordIterations records n more iterations.
+// recordIterations records n more iterations, each after a lease
+// resize's instant.
 func recordIterations(tr *Trace, n int) *Trace {
-	l := internBenchLabels(tr, benchMicrobatches)
+	l := internBenchLabels(benchMicrobatches)
 	for i := 0; i < n; i++ {
+		tr.Instant("lease-resize", "fleet", float64(i), Int("iter", i), Int("nodes", 2), Str("reason", "grown to 2 nodes"))
 		recordIteration(tr, &l, float64(i))
 	}
 	return tr
@@ -104,7 +104,7 @@ func reportPerEvent(b *testing.B, eventsPerOp int) {
 // BenchmarkTraceRecord: one iteration's span block into a trace.
 func BenchmarkTraceRecord(b *testing.B) {
 	tr := NewTrace()
-	l := internBenchLabels(tr, benchMicrobatches)
+	l := internBenchLabels(benchMicrobatches)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -151,7 +151,7 @@ func TestTraceAllocBudget(t *testing.T) {
 	const runs = 5
 	recordAllocs := func(mbs int) float64 {
 		tr := NewTrace()
-		l := internBenchLabels(tr, mbs)
+		l := internBenchLabels(mbs)
 		return testing.AllocsPerRun(runs, func() { recordIteration(tr, &l, 1) })
 	}
 	if s, l := recordAllocs(benchMicrobatches), recordAllocs(4*benchMicrobatches); s != l || l > 2 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -34,7 +35,10 @@ var (
 	// Seconds; the recorder stores them times 1e6, which puts 1e15 and
 	// 1e-13 on encoding/json's two format switches.
 	fuzzSeconds = []float64{0, math.Copysign(0, -1), 0.25, 1.5, -3, 123.456789125, 1e15, 1e-13, 5e-324, math.MaxFloat64 / 1e6, math.NaN(), math.Inf(1)}
-	fuzzArgs    = []map[string]any{nil, {}, {"iter": 3}, {"b": "<x>", "a": 1.5}, {"name": "not-a-process"}}
+	// Typed instant payloads: escapes in keys and values, negative ints,
+	// keys out of order and repeated (the later one wins, as in a map).
+	fuzzArgs = [][]Arg{nil, {}, {Int("iter", 3)}, {Str("b", "<x>"), Int("a", -15)}, {Str("name", "not-a-process")},
+		{Int("job", 1), Str("reason", "a&b\u2028c\xff"), Int("job", -2)}, {Str("\xff", ">"), Str("\xfe", "<"), Str("k\u2028", "\xe2\x82")}}
 )
 
 // FuzzTraceEquivalence drives the log and the reference recorder with
@@ -85,9 +89,18 @@ func FuzzTraceEquivalence(f *testing.F) {
 				completeOn(got[i], str(a), str(b), pid, tid, ts, dur)
 				want[i].Complete(str(a), str(b), pid, tid, ts, dur)
 			case instant:
-				args := fuzzArgs[int(d>>4)%len(fuzzArgs)]
-				got[i].Instant(str(a), str(b), ts, args)
-				want[i].Instant(str(a), str(b), 0, ts, args)
+				// A table payload, then c%4 Args keyed and valued from
+				// the string table, ints alternating with strings.
+				args := slices.Clone(fuzzArgs[int(d>>4)%len(fuzzArgs)])
+				for j := 0; j < int(c%4); j++ {
+					if key := str(c/4 + byte(j)); j%2 == 0 {
+						args = append(args, Int(key, int(int8(a))-j))
+					} else {
+						args = append(args, Str(key, str(a+byte(j))))
+					}
+				}
+				got[i].Instant(str(a), str(b), ts, args...)
+				want[i].Instant(str(a), str(b), 0, ts, args...)
 			case nameProcess:
 				got[i].NameProcess(pid, str(a))
 				want[i].NameProcess(pid, str(a))
@@ -101,16 +114,16 @@ func FuzzTraceEquivalence(f *testing.F) {
 					ts, dur  float64
 				}
 				cat, evs, maxPID := str(a/9), make([]event, a%9), 0
-				bt := got[i].Batch()
 				for j := range evs {
 					name, c := str(b+byte(j)), int(c)+j
 					ts := fuzzSeconds[(int(d&15)+j)%len(fuzzSeconds)]
 					dur := fuzzSeconds[(int(d>>4)+j)%len(fuzzSeconds)]
-					evs[j] = event{bt.Label(name), c % 5, c / 5 % 4, ts, dur}
+					evs[j] = event{Intern(name), c % 5, c / 5 % 4, ts, dur}
 					maxPID = max(maxPID, c%5)
 					want[i].Complete(name, cat, c%5, c/5%4, ts, dur)
 				}
-				bt.Spans(bt.Label(cat), maxPID, len(evs), func(span SpanFunc) {
+				bt := got[i].Batch()
+				bt.Spans(Intern(cat), maxPID, len(evs), func(span SpanFunc) {
 					for _, e := range evs {
 						span(e.name, e.pid, e.tid, e.ts, e.dur)
 					}
@@ -138,11 +151,12 @@ func FuzzTraceEquivalence(f *testing.F) {
 func TestTraceEncoderCorners(t *testing.T) {
 	floats := []float64{0, math.Copysign(0, -1), 1e21, 999999999999999868928, 1e-6, 1e-7, -1e-7, 1.5e-9,
 		123456789.125, 5e-324, math.MaxFloat64, -math.MaxFloat64, 1, 100, 0.1}
-	names := []string{"F0", "<", "&", ">", `"`, `a\b`, "\u2028", "\u2029", "\xff", "tab\t", "nul\x00", "é", ""}
+	names := []string{"F0", "<", "&", ">", `"`, `a\b`, "\u2028", "\u2029", "\xff", "tab\t", "nul\x00", "é", "",
+		"\b\f\r\n", "\x1f\x7f", "\ufffd", "\xef\xbf", "a<b>&c"}
 	for _, f := range floats {
 		for _, name := range names {
-			args := map[string]any{name: name, "f": f}
-			ev := TraceEvent{Name: name, Cat: name, Ph: "i", TS: f, Dur: f, PID: 7, TID: 2, Args: args}
+			args := []Arg{Str(name, name), Int("neg", -12345)}
+			ev := TraceEvent{Name: name, Cat: name, Ph: "i", TS: f, Dur: f, PID: 7, TID: 2, Args: argMap(args)}
 			one, err := json.Marshal(ev)
 			if err != nil {
 				t.Fatal(err)
@@ -150,9 +164,10 @@ func TestTraceEncoderCorners(t *testing.T) {
 			want := `{"traceEvents":[` + string(one) + "," + string(one) + "]}\n"
 
 			tr := NewTrace()
-			r := record{ph: 'i', name: tr.intern(name), cat: tr.intern(name), pid: 7, tid: 2, ts: f, dur: f}
-			tr.add(r, args) // raw microseconds: no *1e6
-			tr.add(r, args)
+			r := record{ph: 'i', name: Intern(name), cat: Intern(name), pid: 7, tid: 2, ts: f, dur: f, nargs: int32(len(args))}
+			tr.add(r) // raw microseconds: no *1e6
+			tr.add(r)
+			tr.log.args = args
 			var got bytes.Buffer
 			if err := tr.WriteJSON(&got); err != nil {
 				t.Fatal(err)
@@ -165,9 +180,28 @@ func TestTraceEncoderCorners(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		_, want := json.Marshal(TraceEvent{TS: f})
 		tr := NewTrace()
-		tr.add(record{ph: 'X', name: tr.intern("op"), cat: tr.intern(""), ts: f}, nil)
+		tr.add(record{ph: 'X', name: Intern("op"), ts: f})
 		if err := tr.WriteJSON(new(bytes.Buffer)); err == nil || want == nil || err.Error() != want.Error() {
 			t.Errorf("ts=%g: error %v, encoding/json says %v", f, err, want)
 		}
+	}
+}
+
+// TestInstantCopiesArgs: Instant copies its Args into the log, so a
+// caller reusing or rewriting its slice afterwards changes nothing
+// written — and of two Args with one key the later is written, as a map
+// literal would keep it.
+func TestInstantCopiesArgs(t *testing.T) {
+	args := []Arg{Int("iter", 3), Str("reason", "grown"), Int("iter", 4)}
+	tr := NewTrace()
+	tr.Instant("lease-resize", "fleet", 2, args...)
+	args[0], args[1], args[2] = Int("iter", 99), Str("zzz", "rewritten"), Str("a", "b")
+	want := `{"traceEvents":[{"name":"lease-resize","cat":"fleet","ph":"i","ts":2000000,"pid":0,"tid":0,"args":{"iter":4,"reason":"grown"}}]}` + "\n"
+	var got bytes.Buffer
+	if err := tr.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want {
+		t.Errorf("after the caller rewrote its args:\ngot  %swant %s", got.String(), want)
 	}
 }

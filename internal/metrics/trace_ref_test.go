@@ -9,7 +9,8 @@ import (
 )
 
 // The reference recorder: the sharded per-lane recorder trace.go
-// replaced, kept verbatim (type names aside) as the oracle
+// replaced, kept verbatim (type names aside, and an instant's typed Args
+// turned into the map they stand for) as the oracle
 // FuzzTraceEquivalence and the encoder corner table hold the log to.
 // It materialises []TraceEvent and encodes it through encoding/json,
 // which is the definition of the bytes WriteJSON must produce.
@@ -97,8 +98,22 @@ func (t *refTrace) Complete(name, cat string, pid, tid int, start, dur float64) 
 }
 
 // Instant records a point event at start seconds.
-func (t *refTrace) Instant(name, cat string, pid int, start float64, args map[string]any) {
-	t.add(TraceEvent{Name: name, Cat: cat, Ph: "i", TS: start * 1e6, PID: pid, Args: args})
+func (t *refTrace) Instant(name, cat string, pid int, start float64, args ...Arg) {
+	t.add(TraceEvent{Name: name, Cat: cat, Ph: "i", TS: start * 1e6, PID: pid, Args: argMap(args)})
+}
+
+// argMap is the map[string]any typed Args stand for: the last of equal
+// keys wins.
+func argMap(args []Arg) map[string]any {
+	m := make(map[string]any, len(args))
+	for _, a := range args {
+		if a.isStr {
+			m[a.key] = a.str
+		} else {
+			m[a.key] = a.num
+		}
+	}
+	return m
 }
 
 // NameProcess attaches a human-readable name to a pid lane.

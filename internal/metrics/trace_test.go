@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"slices"
 	"sync"
@@ -30,7 +31,7 @@ func TestTraceWriteJSON(t *testing.T) {
 	tr.NameProcess(0, "runtime")
 	tr.Complete("preprocess", "data", 0, 0.25)
 	completeOn(tr, "F0", "pipeline", 1, 2, 0.25, 0.1)
-	tr.Instant("failure", "scenario", 1.5, map[string]any{"iter": 3})
+	tr.Instant("failure", "scenario", 1.5, Int("iter", 3))
 
 	decoded := decodeEvents(t, tr)
 	if len(decoded) != tr.Len() || tr.Len() != 4 {
@@ -125,7 +126,7 @@ func TestTraceDeterministicBytes(t *testing.T) {
 			pid := i % 3
 			completeOn(tr, "op", "x", pid, i%2, float64(i), 0.5)
 			if i%7 == 0 {
-				tr.Instant("mark", "x", float64(i), map[string]any{"i": i})
+				tr.Instant("mark", "x", float64(i), Int("i", i))
 			}
 		}
 		return tr
@@ -159,10 +160,10 @@ func TestTraceSnapshotWhileWriting(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				completeOn(src, "op", "x", w, 0, float64(i), 1)
 				if i%50 == 0 {
-					src.Instant("mark", "x", float64(i), map[string]any{"i": i})
+					src.Instant("mark", "x", float64(i), Int("i", i))
 					b := src.Batch()
-					name := b.Label("block")
-					b.Spans(b.Label("x"), w, 2, func(span SpanFunc) {
+					name := Intern("block")
+					b.Spans(Intern("x"), w, 2, func(span SpanFunc) {
 						span(name, w, 0, float64(i), 1)
 						span(name, w, 1, float64(i), 1)
 					})
@@ -196,5 +197,45 @@ func TestTraceSnapshotWhileWriting(t *testing.T) {
 func completeOn(tr *Trace, name, cat string, pid, tid int, start, dur float64) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	tr.add(record{ph: 'X', name: tr.intern(name), cat: tr.intern(cat), pid: int32(pid), tid: int32(tid), ts: start * 1e6, dur: dur * 1e6}, nil)
+	tr.add(record{ph: 'X', name: Intern(name), cat: Intern(cat), pid: int32(pid), tid: int32(tid), ts: start * 1e6, dur: dur * 1e6})
+}
+
+// TestInternConcurrent: goroutines interning the same fresh strings at
+// once, and naming lanes with them while another goroutine writes the
+// trace, agree on one Label per string, and the race detector stays
+// quiet (CI runs this under -race).
+func TestInternConcurrent(t *testing.T) {
+	tr := NewTrace()
+	got := make([][]Label, 4)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				name := fmt.Sprintf("TestInternConcurrent %d", i)
+				got[w] = append(got[w], Intern(name))
+				tr.NameProcess(w, name)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 10; i++ {
+			if err := tr.WriteJSON(io.Discard); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	for w := range got {
+		if !slices.Equal(got[w], got[0]) {
+			t.Fatalf("goroutine %d got other Labels than goroutine 0", w)
+		}
+	}
+	if n := len(decodeEvents(t, tr)); n != 4*100 {
+		t.Errorf("wrote %d lane names, want %d", n, 4*100)
+	}
 }

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Interval is one of the Figure 12 windows at the first pipeline stage:
@@ -21,26 +20,25 @@ type Interval struct {
 // Volume returns the window span.
 func (iv Interval) Volume() float64 { return iv.End - iv.Start }
 
-// FirstStageIntervals extracts the Figure 12 intervals from a completed
+// FirstStageIntervals extracts the Figure 12 intervals from a traced
 // 1F1B simulation. Interval i (1-based) spans from the end of backward
 // i-1 (or the end of the first forward, for i=1) to the start of
 // backward i at stage 0.
 func (r *Result) FirstStageIntervals() ([]Interval, error) {
-	var ops []Op // stage 0's, in execution order
-	for _, op := range r.Ops {
-		if op.Stage == 0 {
-			ops = append(ops, op)
-		}
+	if len(r.Spans) != len(r.Order) {
+		return nil, fmt.Errorf("pipeline: an untraced timeline has no intervals")
 	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Start < ops[j].Start })
-
-	var bwd []Op
-	var fwd []Op
-	for _, op := range ops {
+	// Stage 0's ops run in program order, so its spans are in time
+	// order.
+	var bwd, fwd []Span
+	for i, op := range r.Order {
+		if op.Stage != 0 {
+			continue
+		}
 		if op.Kind == backward {
-			bwd = append(bwd, op)
+			bwd = append(bwd, r.Spans[i])
 		} else {
-			fwd = append(fwd, op)
+			fwd = append(fwd, r.Spans[i])
 		}
 	}
 	if len(fwd) == 0 || len(bwd) == 0 {

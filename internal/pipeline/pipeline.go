@@ -7,10 +7,16 @@
 // interval-prediction dynamic program that Algorithm 2's GETINTERVAL
 // uses.
 //
+// A timeline is times only. The order the ops run in depends on the
+// pipeline's shape alone (Order), so a simulation writes each op's
+// start and end, a Span, into a slice the caller owns, and a reader
+// pairs Spans[i] with Order[i].
+//
 // Aliasing: a Result from the package-level Simulate is the caller's
-// to keep; one from a Simulator's Simulate or SimulateUntraced aliases
-// that simulator's buffers (Ops, StageBusy) until its next call. Either
-// way Result.Work still points at the caller's rows.
+// to keep; one from a Simulator's Simulate aliases that simulator's
+// buffers (Order, StageBusy) until its next call, and its Spans are the
+// slice the caller passed. Either way Result.Work still points at the
+// caller's rows.
 package pipeline
 
 import (
@@ -43,14 +49,16 @@ func (k OpKind) String() string {
 	return "B"
 }
 
-// Op is one executed unit of work in the timeline.
+// Op is one unit of work: a stage's forward or backward of one
+// microbatch.
 type Op struct {
 	Stage int
 	MB    int // microbatch index in schedule order, 0-based
 	Kind  OpKind
-	Start float64
-	End   float64
 }
+
+// Span is when one op ran, in seconds from the start of the pipeline.
+type Span struct{ Start, End float64 }
 
 // Work holds the per-stage, per-microbatch compute durations.
 // Fwd[s][m] is the forward time of microbatch m at stage s; Bwd is the
@@ -123,8 +131,10 @@ func (w *Work) p2p(link int) float64 {
 // Result is a completed simulation.
 type Result struct {
 	Work Work
-	// Ops in execution order per stage.
-	Ops []Op
+	// Order is the op execution order and Spans[i] when Order[i] ran;
+	// Spans is nil for an untraced simulation.
+	Order []Op
+	Spans []Span
 	// IterTime is the makespan of the pipeline (excludes optimizer).
 	IterTime float64
 	// StageBusy is total compute time per stage.
@@ -152,45 +162,45 @@ func (r *Result) MeanBubbleFraction() float64 {
 	return total / float64(len(r.StageBusy))
 }
 
-// opRef identifies an op for dependency wiring.
-type opRef struct {
-	stage int
-	mb    int
-	kind  OpKind
+// progOp returns the op at position p of stage s's fixed 1F1B
+// program (2l ops): warmup forwards, alternating forward/backward, then
+// cooldown backwards.
+func progOp(s, p, stages, l int) Op {
+	warmup := min(stages-s-1, l)
+	switch {
+	case p < warmup:
+		return Op{s, p, forward}
+	case p >= 2*l-warmup:
+		return Op{s, p - l, backward}
+	case (p-warmup)%2 == 0:
+		return Op{s, (p + warmup) / 2, forward}
+	}
+	return Op{s, (p - warmup) / 2, backward}
 }
 
-// appendStageProgram appends one stage's fixed 1F1B op order — 2l ops
-// — to prog, so Simulate can lay all stage programs out in a single
-// backing slice.
-func appendStageProgram(prog []opRef, stage, stages, l int) []opRef {
-	warmup := min(stages-stage-1, l)
-	for m := 0; m < warmup; m++ {
-		prog = append(prog, opRef{stage, m, forward})
-	}
-	for i := 0; i < l-warmup; i++ {
-		prog = append(prog, opRef{stage, warmup + i, forward})
-		prog = append(prog, opRef{stage, i, backward})
-	}
-	for m := l - warmup; m < l; m++ {
-		prog = append(prog, opRef{stage, m, backward})
-	}
-	return prog
+// Order returns the execution order of a 1F1B pipeline of the given
+// shape: the stages' programs interleaved as their cross-stage
+// dependencies allow, stage by stage in repeated passes. The loop
+// advances on completion, never on times, so every Work of one shape —
+// whatever its durations, links and rates — runs its ops in this
+// order.
+func Order(stages, microbatches int) []Op {
+	return slices.Clip(new(Simulator).orderFor(stages, microbatches))
 }
 
-// Simulator owns every buffer a simulation fills — completion tables,
-// stage programs and clocks, the Result with its StageBusy and op
-// timeline — so a long-lived one stops allocating once it has seen its
-// largest shape. Not safe for concurrent use; the zero value is ready.
+// Simulator owns every buffer a simulation fills — the execution order
+// of its last shape, completion tables, stage clocks, the Result with
+// its StageBusy — so a long-lived one stops allocating once it has seen
+// its largest shape. Not safe for concurrent use; the zero value is
+// ready.
 type Simulator struct {
-	// Op completion times, indexed stage*l+mb; done marks executed ops
-	// (an end time of 0 is legal for zero-duration work).
-	endF, endB   []float64
-	doneF, doneB []bool
-	prog         []opRef // every stage's program (2l ops each), back to back
-	progS, progL int     // the (stages, microbatches) prog was built for
-	pos          []int   // next unexecuted op per stage
-	stageClock   []float64
-	res          Result
+	order      []Op
+	ordS, ordL int       // the (stages, microbatches) order was built for
+	done       []bool    // orderFor's: forwards then backwards, stage*l+mb
+	pos        []int     // orderFor's: next unplaced op per stage
+	end        []float64 // op completion times, indexed as done
+	stageClock []float64
+	res        Result
 }
 
 // zeroed resizes a scratch slice to n zero elements, reusing capacity.
@@ -200,111 +210,93 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// Simulate computes the exact 1F1B timeline over the given work (the
-// schedule argument can only name OneFOneB). The dependency structure is:
+// orderFor returns the execution order of an S-stage, l-microbatch
+// pipeline in the simulator's buffer, rebuilt when the shape changes.
+// An op is placed once its stage's previous op and its cross-stage
+// dependency are:
 //
-//	F(s,m) after F(s-1,m) + p2p  and the stage's previous op
-//	B(s,m) after B(s+1,m) + p2p  (last stage: after F(s,m)) and the
-//	       stage's previous op
-//
-// Op order within a stage is fixed by the schedule; a stage blocked on
-// a dependency idles (a pipeline bubble). The returned Result aliases
-// the simulator's scratch, valid until its next call — copy out what
-// must outlive it. A failed call leaves the simulator usable.
-func (sim *Simulator) Simulate(_ Schedule, w Work) (*Result, error) {
-	return sim.simulate(w, true)
+//	F(s,m) after F(s-1,m)
+//	B(s,m) after B(s+1,m)  (last stage: after F(s,m))
+func (sim *Simulator) orderFor(S, l int) []Op {
+	if S == sim.ordS && l == sim.ordL {
+		return sim.order
+	}
+	n := 2 * S * l
+	done, pos := zeroed(sim.done, n), zeroed(sim.pos, S)
+	ready := func(op Op) bool {
+		i := op.Stage*l + op.MB
+		switch {
+		case op.Kind == forward:
+			return op.Stage == 0 || done[i-l]
+		case op.Stage == S-1:
+			return done[i]
+		}
+		return done[S*l+i+l]
+	}
+	order := slices.Grow(sim.order[:0], n)
+	for len(order) < n {
+		placed := len(order)
+		for s := 0; s < S; s++ {
+			for ; pos[s] < 2*l; pos[s]++ {
+				op := progOp(s, pos[s], S, l)
+				if !ready(op) {
+					break
+				}
+				done[int(op.Kind)*S*l+op.Stage*l+op.MB] = true
+				order = append(order, op)
+			}
+		}
+		if len(order) == placed {
+			panic("pipeline: 1F1B schedule deadlocked")
+		}
+	}
+	sim.order, sim.done, sim.pos = order, done, pos
+	sim.ordS, sim.ordL = S, l
+	return order
 }
 
-// SimulateUntraced is Simulate without the op timeline: the same
-// IterTime and StageBusy, bit for bit, and an empty Result.Ops — for
-// callers that read only the totals.
-func (sim *Simulator) SimulateUntraced(w Work) (*Result, error) {
-	return sim.simulate(w, false)
-}
-
-// simulate runs the 1F1B loop, appending every executed op to
-// Result.Ops when record is set.
-func (sim *Simulator) simulate(w Work, record bool) (*Result, error) {
+// Simulate computes the exact 1F1B timeline over the given work. Ops
+// run in Order: each starts when its stage is free and its
+// cross-stage dependency has ended, plus the link's p2p time; a stage
+// blocked on a dependency idles (a pipeline bubble). spans, when
+// non-nil, must hold one Span per op (2 × stages × microbatches) and
+// receives the timeline; nil simulates only the totals, the same
+// IterTime and StageBusy bit for bit. The returned Result aliases the
+// simulator's scratch (and spans), valid until its next call — copy out
+// what must outlive it. A failed call leaves the simulator usable.
+func (sim *Simulator) Simulate(w Work, spans []Span) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	S, l := w.Stages(), w.Microbatches()
-
-	sim.endF, sim.endB = zeroed(sim.endF, S*l), zeroed(sim.endB, S*l)
-	sim.doneF, sim.doneB = zeroed(sim.doneF, S*l), zeroed(sim.doneB, S*l)
-	sim.pos, sim.stageClock = zeroed(sim.pos, S), zeroed(sim.stageClock, S)
-	endF, endB, doneF, doneB := sim.endF, sim.endB, sim.doneF, sim.doneB
-	pos, stageClock := sim.pos, sim.stageClock
-	if S != sim.progS || l != sim.progL {
-		sim.prog = slices.Grow(sim.prog[:0], 2*S*l)
-		for s := 0; s < S; s++ {
-			sim.prog = appendStageProgram(sim.prog, s, S, l)
-		}
-		sim.progS, sim.progL = S, l
+	if spans != nil && len(spans) != 2*S*l {
+		return nil, fmt.Errorf("pipeline: %d spans for %d ops", len(spans), 2*S*l)
 	}
-	prog := sim.prog
-
-	duration := func(r opRef) float64 {
-		if r.kind == forward {
-			return w.Fwd[r.stage][r.mb]
-		}
-		return w.Bwd[r.stage][r.mb]
-	}
-	// depEnd returns the cross-stage dependency completion time; ok is
-	// false if the dependency has not executed yet.
-	depEnd := func(r opRef) (float64, bool) {
-		if r.kind == forward {
-			if r.stage == 0 {
-				return 0, true
-			}
-			i := (r.stage-1)*l + r.mb
-			return endF[i] + w.p2p(r.stage-1), doneF[i]
-		}
-		if r.stage == S-1 {
-			i := r.stage*l + r.mb
-			return endF[i], doneF[i]
-		}
-		i := (r.stage+1)*l + r.mb
-		return endB[i] + w.p2p(r.stage), doneB[i]
-	}
+	order, n := sim.orderFor(S, l), S*l
+	sim.end, sim.stageClock = zeroed(sim.end, 2*n), zeroed(sim.stageClock, S)
+	end, stageClock := sim.end, sim.stageClock
 
 	res := &sim.res
-	*res = Result{Work: w, StageBusy: zeroed(res.StageBusy, S), Ops: res.Ops[:0]}
-	if record {
-		res.Ops = slices.Grow(res.Ops, 2*S*l)
-	}
-	remaining := 2 * S * l
-	for remaining > 0 {
-		advanced := false
-		for s := 0; s < S; s++ {
-			for pos[s] < 2*l {
-				r := prog[s*2*l+pos[s]]
-				dep, ok := depEnd(r)
-				if !ok {
-					break
-				}
-				start := max(stageClock[s], dep)
-				d := duration(r)
-				finish := w.finish(s, start, d)
-				if r.kind == forward {
-					endF[r.stage*l+r.mb] = finish
-					doneF[r.stage*l+r.mb] = true
-				} else {
-					endB[r.stage*l+r.mb] = finish
-					doneB[r.stage*l+r.mb] = true
-				}
-				stageClock[s] = finish
-				res.StageBusy[s] += busy(start, finish, d, w.rate(s))
-				if record {
-					res.Ops = append(res.Ops, Op{Stage: s, MB: r.mb, Kind: r.kind, Start: start, End: finish})
-				}
-				pos[s]++
-				remaining--
-				advanced = true
-			}
+	*res = Result{Work: w, Order: order, Spans: spans, StageBusy: zeroed(res.StageBusy, S)}
+	for k, op := range order {
+		s, i := op.Stage, op.Stage*l+op.MB
+		var dep float64
+		d := w.Fwd[s][op.MB]
+		switch {
+		case op.Kind == backward && s == S-1:
+			dep, d = end[i], w.Bwd[s][op.MB]
+		case op.Kind == backward:
+			dep, d = end[n+i+l]+w.p2p(s), w.Bwd[s][op.MB]
+		case s > 0:
+			dep = end[i-l] + w.p2p(s-1)
 		}
-		if !advanced {
-			return nil, fmt.Errorf("pipeline: schedule deadlocked with %d ops remaining", remaining)
+		start := max(stageClock[s], dep)
+		finish := w.finish(s, start, d)
+		end[int(op.Kind)*n+i] = finish
+		stageClock[s] = finish
+		res.StageBusy[s] += busy(start, finish, d, w.rate(s))
+		if spans != nil {
+			spans[k] = Span{start, finish}
 		}
 	}
 	for _, c := range stageClock {
@@ -313,7 +305,8 @@ func (sim *Simulator) simulate(w Work, record bool) (*Result, error) {
 	return res, nil
 }
 
-// Simulate simulates on a fresh Simulator: the Result is the caller's.
+// Simulate simulates on a fresh Simulator (the schedule argument can
+// only name OneFOneB), timeline included: the Result is the caller's.
 func Simulate(sch Schedule, w Work) (*Result, error) {
-	return new(Simulator).Simulate(sch, w)
+	return new(Simulator).Simulate(w, make([]Span, 2*w.Stages()*w.Microbatches()))
 }

@@ -21,6 +21,21 @@ func UniformWork(fwd, bwd []float64, microbatches int) Work {
 	return w
 }
 
+// timedOp is one op of a simulated timeline, with its times.
+type timedOp struct {
+	Op
+	Start, End float64
+}
+
+// timeline pairs a traced result's order with its spans.
+func timeline(res *Result) []timedOp {
+	out := make([]timedOp, len(res.Order))
+	for i, op := range res.Order {
+		out[i] = timedOp{op, res.Spans[i].Start, res.Spans[i].End}
+	}
+	return out
+}
+
 func repeat(v float64, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
@@ -86,7 +101,7 @@ func TestOpCountsAndConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Ops); got != 2*S*l {
+	if got := len(res.Spans); got != 2*S*l {
 		t.Fatalf("op count %d, want %d", got, 2*S*l)
 	}
 	// Each stage's busy time equals the sum of its durations.
@@ -124,10 +139,10 @@ func TestTimelineRespectsDependencies(t *testing.T) {
 			t.Fatal(err)
 		}
 		endOf := map[[3]int]float64{}
-		for _, op := range res.Ops {
+		for _, op := range timeline(res) {
 			endOf[[3]int{op.Stage, op.MB, int(op.Kind)}] = op.End
 		}
-		for _, op := range res.Ops {
+		for _, op := range timeline(res) {
 			if op.Kind == forward && op.Stage > 0 {
 				dep := endOf[[3]int{op.Stage - 1, op.MB, int(forward)}] + w.P2P[op.Stage-1]
 				if op.Start < dep-1e-9 {
@@ -148,7 +163,7 @@ func TestTimelineRespectsDependencies(t *testing.T) {
 		}
 		// No overlap within a stage.
 		last := make([]float64, S) // each stage's latest op end
-		for _, op := range res.Ops {
+		for _, op := range timeline(res) {
 			if op.Start < last[op.Stage]-1e-9 {
 				t.Fatalf("stage %d ops overlap", op.Stage)
 			}

@@ -62,7 +62,7 @@ func TestSimulateNilRatesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.IterTime != base.IterTime || !reflect.DeepEqual(got.Ops, base.Ops) ||
+	if got.IterTime != base.IterTime || !reflect.DeepEqual(timeline(got), timeline(base)) ||
 		!reflect.DeepEqual(got.StageBusy, base.StageBusy) {
 		t.Error("empty rate schedules changed the timeline")
 	}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -70,20 +71,18 @@ func sameResult(t *testing.T, step int, got, want *Result) {
 	if math.Float64bits(got.IterTime) != math.Float64bits(want.IterTime) {
 		t.Fatalf("step %d: IterTime %v, fresh %v", step, got.IterTime, want.IterTime)
 	}
-	if len(got.StageBusy) != len(want.StageBusy) || len(got.Ops) != len(want.Ops) {
-		t.Fatalf("step %d: shape (%d stages, %d ops), fresh (%d, %d)", step,
-			len(got.StageBusy), len(got.Ops), len(want.StageBusy), len(want.Ops))
+	if len(got.StageBusy) != len(want.StageBusy) || !slices.Equal(got.Order, want.Order) || len(got.Spans) != len(want.Spans) {
+		t.Fatalf("step %d: shape (%d stages, %d ops, %d spans), fresh (%d, %d, %d)", step,
+			len(got.StageBusy), len(got.Order), len(got.Spans), len(want.StageBusy), len(want.Order), len(want.Spans))
 	}
 	for s := range want.StageBusy {
 		if math.Float64bits(got.StageBusy[s]) != math.Float64bits(want.StageBusy[s]) {
 			t.Fatalf("step %d: StageBusy[%d] %v, fresh %v", step, s, got.StageBusy[s], want.StageBusy[s])
 		}
 	}
-	for i, op := range want.Ops {
-		g := got.Ops[i]
-		if g.Stage != op.Stage || g.MB != op.MB || g.Kind != op.Kind ||
-			math.Float64bits(g.Start) != math.Float64bits(op.Start) || math.Float64bits(g.End) != math.Float64bits(op.End) {
-			t.Fatalf("step %d: op %d %+v, fresh %+v", step, i, g, op)
+	for i, sp := range want.Spans {
+		if g := got.Spans[i]; math.Float64bits(g.Start) != math.Float64bits(sp.Start) || math.Float64bits(g.End) != math.Float64bits(sp.End) {
+			t.Fatalf("step %d: op %d %+v ran %+v, fresh %+v", step, i, want.Order[i], g, sp)
 		}
 	}
 }
@@ -95,7 +94,7 @@ func sameResult(t *testing.T, step int, got, want *Result) {
 // invisible, and a failed call must leave the scratch usable. Each
 // input also runs untraced on the same Simulator, which must give the
 // same error text, or the same IterTime and StageBusy bit for bit and
-// no ops.
+// no spans.
 func FuzzSimulatorReuse(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{7, 39, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -107,22 +106,19 @@ func FuzzSimulatorReuse(f *testing.F) {
 		for step := 0; step < 12; step++ {
 			w := fuzzWork(src)
 			want, wantErr := Simulate(OneFOneB, w)
-			got, gotErr := sim.Simulate(OneFOneB, w)
+			got, gotErr := sim.Simulate(w, make([]Span, 2*w.Stages()*w.Microbatches()))
 			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 				t.Fatalf("step %d: error %v, fresh %v", step, gotErr, wantErr)
 			}
 			if wantErr == nil {
 				sameResult(t, step, got, want)
 			}
-			quiet, quietErr := sim.SimulateUntraced(w)
+			quiet, quietErr := sim.Simulate(w, nil)
 			if (quietErr == nil) != (wantErr == nil) || (quietErr != nil && quietErr.Error() != wantErr.Error()) {
 				t.Fatalf("step %d: untraced error %v, traced %v", step, quietErr, wantErr)
 			}
 			if wantErr == nil {
-				if len(quiet.Ops) != 0 {
-					t.Fatalf("step %d: untraced simulation recorded %d ops", step, len(quiet.Ops))
-				}
-				sameResult(t, step, quiet, &Result{IterTime: want.IterTime, StageBusy: want.StageBusy})
+				sameResult(t, step, quiet, &Result{Order: want.Order, IterTime: want.IterTime, StageBusy: want.StageBusy})
 			}
 		}
 	})
@@ -136,20 +132,24 @@ func TestSimulatorAllocFree(t *testing.T) {
 	big.P2P = []float64{0.1, 0.1, 0.1, 0.1, 0.1}
 	small := UniformWork([]float64{1, 2}, []float64{2, 4}, 5)
 	small.Rates = []RateSchedule{{{Until: 3, Rate: 0.5}}, nil}
+	spans := map[int][]Span{6: make([]Span, 2*6*16), 2: make([]Span, 2*2*5)}
 	var sim Simulator
-	if _, err := sim.Simulate(OneFOneB, big); err != nil {
+	if _, err := sim.Simulate(big, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(50, func() {
 		for _, w := range []Work{big, small, big, small} {
-			if _, err := sim.Simulate(OneFOneB, w); err != nil {
+			if _, err := sim.Simulate(w, spans[w.Stages()]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sim.SimulateUntraced(w); err != nil {
+			if _, err := sim.Simulate(w, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}); got != 0 {
 		t.Errorf("a warm Simulator allocated %v times per 8 simulations, want 0", got)
+	}
+	if _, err := sim.Simulate(big, spans[2]); err == nil {
+		t.Error("a span slice of the wrong length was accepted")
 	}
 }

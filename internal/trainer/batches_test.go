@@ -393,10 +393,10 @@ func TestSharedOutcomesOutliveAPrivateIteration(t *testing.T) {
 	want := make([]rankOutcome, len(shared))
 	for d, o := range shared {
 		want[d] = o
-		want[d].ops = slices.Clone(o.ops)
+		want[d].spans = slices.Clone(o.spans)
 	}
-	if len(want[0].ops) == 0 {
-		t.Fatal("a traced run shared no ops")
+	if len(want[0].spans) == 0 {
+		t.Fatal("a traced run shared no spans")
 	}
 	b.Close()
 	if _, err := a.RunIterationSequential(1); err != nil {

@@ -2,10 +2,13 @@ package trainer
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/data"
+	"disttrain/internal/metrics"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
 )
@@ -145,5 +148,42 @@ func TestObservedBatchesOutliveTheIteration(t *testing.T) {
 			t.Errorf("iteration %d's observed batch no longer holds its samples (first index %d, want %d)",
 				i, b[0].Index, want[0].Index)
 		}
+	}
+}
+
+// TestTracedIterationAllocBudget pins what recording an iteration adds:
+// the traced iteration's fresh outcome slots, each rank's exact-size
+// span slice and the span block's replay closure — 6 allocations and
+// 3,840 bytes per sequential fleet-steady iteration (its 4 DP ranks),
+// where 6 and 8,944 were while each rank copied 40-byte ops out of the
+// simulator. The trace's own log grows geometrically, so it amortises
+// to next to nothing. The budgets are the recorded counts, the bytes
+// with 10% slack, measured with the collector off so no GC empties the
+// scratch pools; the race detector's pool drops make them unpinnable
+// there.
+func TestTracedIterationAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rt := steadyRuntime(t)
+	rt.cfg.Trace = metrics.NewTrace()
+	step := func() {
+		if _, err := rt.RunIterationSequential(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs, recorded, recordedBytes = 100, 6, 3840
+	if got := testing.AllocsPerRun(runs, step); got > recorded {
+		t.Errorf("one traced iteration allocated %v times, recorded %d", got, recorded)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > recordedBytes*11/10 {
+		t.Errorf("one traced iteration allocated %d bytes, recorded %d", got, recordedBytes)
 	}
 }

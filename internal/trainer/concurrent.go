@@ -44,7 +44,7 @@ import (
 // BatchCache entry) are immutable and outlive the iteration: a trace's
 // span block and every runtime reading them only read. A pooled scratch
 // is held for one runRank or assign call and nothing backed by it
-// escapes (a traced rank's ops are copied out).
+// escapes (a traced rank's spans are its own).
 
 // preparedBatch is the front-end's output for one iteration: the
 // global batch, each sample's workload in batch order, their FLOPs and
@@ -132,9 +132,9 @@ func (r *Runtime) prepare(iter int) preparedBatch {
 type rankOutcome struct {
 	iterTime float64
 	bubble   float64
-	// ops is the rank's full timeline, copied out only when tracing.
-	ops []pipeline.Op
-	err error
+	// spans times the rank's ops, in its class's order; traced only.
+	spans []pipeline.Span
+	err   error
 }
 
 // rankScratch is one rank run's reusable buffers: microbatch
@@ -166,8 +166,9 @@ var (
 // Algorithm 2 ordering, exact 1F1B simulation — under the iteration's
 // scenario perturbation. Pure with respect to runtime state (all
 // mutable state lives in the pooled scratch), so runtimes the fleet
-// steps concurrently may run it at once. When tracing, the timeline is
-// copied into the outcome's ops; otherwise none is recorded.
+// steps concurrently may run it at once. When tracing, the simulator
+// times the ops into the outcome's own spans; otherwise none are
+// recorded.
 func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scenario.Perturbation) rankOutcome {
 	c := r.cls
 	m, stages := c.spec.Microbatch, c.stages
@@ -215,21 +216,15 @@ func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scen
 			rows.Bwd[s][j] = mb.Bwd[s]
 		}
 	}
-	var res *pipeline.Result
-	var err error
+	var spans []pipeline.Span
 	if r.cfg.Trace != nil {
-		res, err = sc.sim.Simulate(pipeline.OneFOneB, rows)
-	} else {
-		res, err = sc.sim.SimulateUntraced(rows)
+		spans = make([]pipeline.Span, 2*k*stages)
 	}
+	res, err := sc.sim.Simulate(rows, spans)
 	if err != nil {
 		return rankOutcome{err: err}
 	}
-	out := rankOutcome{iterTime: res.IterTime, bubble: res.MeanBubbleFraction()}
-	if r.cfg.Trace != nil {
-		out.ops = slices.Clone(res.Ops)
-	}
-	return out
+	return rankOutcome{iterTime: res.IterTime, bubble: res.MeanBubbleFraction(), spans: spans}
 }
 
 // finishIteration is the deterministic reduce: it folds the per-rank
@@ -326,42 +321,61 @@ func (r *Runtime) emitTrace(stats IterationStats, outcomes []rankOutcome) {
 	if r.cfg.Trace == nil {
 		return
 	}
+	order, stages := r.cls.execOrder(), r.cls.stages
+	if n := len(outcomes[0].spans); n != len(order) { // a live pool's batch of another size
+		order = pipeline.Order(stages, n/(2*stages))
+	}
+	names := opNames(len(order) / (2 * stages))
 	tr := r.cfg.Trace.Batch()
 	defer tr.Done()
 	bd := stats.Breakdown
 	if bd.PreprocessStall > 0 {
-		tr.Complete(tr.Label("preprocess"), tr.Label("data"), r.clock, bd.PreprocessStall)
+		tr.Complete(labelPreprocess, labelData, r.clock, bd.PreprocessStall)
 	}
 	pipeStart := r.clock + bd.PreprocessStall
-	n, mbs := 0, 0
-	for _, out := range outcomes {
-		n, mbs = n+len(out.ops), max(mbs, len(out.ops)/(2*r.cls.stages))
-	}
-	for kind := range r.opNames {
-		for names := &r.opNames[kind]; len(*names) < mbs; {
-			*names = append(*names, tr.Label(pipeline.OpKind(kind).String()+strconv.Itoa(len(*names))))
-		}
-	}
-	names := r.opNames // only grows: the block keeps these slices
-	tr.Spans(tr.Label("pipeline"), len(outcomes), n, func(span metrics.SpanFunc) {
+	tr.Spans(labelPipeline, len(outcomes), len(outcomes)*len(order), func(span metrics.SpanFunc) {
 		for d, out := range outcomes {
-			for _, op := range out.ops {
-				span(names[op.Kind][op.MB], d+1, op.Stage, pipeStart+op.Start, op.End-op.Start)
+			for i, sp := range out.spans {
+				op := order[i]
+				span(names[op.Kind][op.MB], d+1, op.Stage, pipeStart+sp.Start, sp.End-sp.Start)
 			}
 		}
 	})
 	cur := pipeStart + bd.Pipeline
-	runtimeCat := tr.Label("runtime")
 	for i, dur := range [...]float64{bd.GradSync, bd.Optimizer, bd.CheckpointStall} {
 		if dur > 0 {
-			tr.Complete(tr.Label(serialPhases[i]), runtimeCat, cur, dur)
+			tr.Complete(serialPhases[i], labelRuntime, cur, dur)
 		}
 		cur += dur
 	}
 }
 
-// serialPhases names emitTrace's phases after the pipeline, in order.
-var serialPhases = [...]string{"grad-sync", "optimizer", "checkpoint-stall"}
+// The labels emitTrace records, interned once per process: the serial
+// phases after the pipeline, in order, and their categories.
+var (
+	serialPhases                = [...]metrics.Label{metrics.Intern("grad-sync"), metrics.Intern("optimizer"), metrics.Intern("checkpoint-stall")}
+	labelRuntime, labelPipeline = metrics.Intern("runtime"), metrics.Intern("pipeline")
+	labelPreprocess, labelData  = metrics.Intern("preprocess"), metrics.Intern("data")
+)
+
+// opLabels names the pipeline ops of every runtime, F<mb> and B<mb> by
+// kind and microbatch. It only grows, so a copy is never rewritten.
+var opLabels struct {
+	sync.Mutex
+	names [2][]metrics.Label
+}
+
+// opNames returns the op names of at least mbs microbatches.
+func opNames(mbs int) [2][]metrics.Label {
+	opLabels.Lock()
+	defer opLabels.Unlock()
+	for kind := range opLabels.names {
+		for names := &opLabels.names[kind]; len(*names) < mbs; {
+			*names = append(*names, metrics.Intern(pipeline.OpKind(kind).String()+strconv.Itoa(len(*names))))
+		}
+	}
+	return opLabels.names
+}
 
 // iteration executes one prepared iteration, its ranks inline in rank
 // order.

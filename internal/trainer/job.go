@@ -154,7 +154,7 @@ func (j *Job) firePoolEvents(iter int) error {
 			}
 		}
 		if tr := r.cfg.Trace; tr != nil {
-			tr.Instant(ev.Kind.String(), "scenario", r.clock, map[string]any{"iter": iter, "producer": ev.Producer})
+			tr.Instant(ev.Kind.String(), "scenario", r.clock, metrics.Int("iter", iter), metrics.Int("producer", ev.Producer))
 		}
 	}
 	return nil
@@ -170,14 +170,13 @@ func (j *Job) applySwitch(i int, sw *PlanSwitch) {
 	r := j.r
 	if err := checkPlan(&r.cls.spec, sw.Plan); err != nil {
 		if tr := r.cfg.Trace; tr != nil {
-			tr.Instant("replan-rejected", "controller", r.clock,
-				map[string]any{"iter": i, "error": err.Error()})
+			tr.Instant("replan-rejected", "controller", r.clock, metrics.Int("iter", i), metrics.Str("error", err.Error()))
 		}
 		return
 	}
 	j.discardPrefetch()
 	j.switchPlan(i, r.classOf(&r.cls.spec, sw.Plan), sw.Reason, "controller", "replan",
-		map[string]any{"iter": i, "strategy": sw.Plan.Strategy, "reason": sw.Reason})
+		metrics.Int("iter", i), metrics.Str("strategy", sw.Plan.Strategy), metrics.Str("reason", sw.Reason))
 }
 
 // switchPlan is the one costed reconfiguration onto cls, at the boundary
@@ -185,7 +184,7 @@ func (j *Job) applySwitch(i int, sw *PlanSwitch) {
 // charged to the job as downtime and recorded as a Replan. The trace
 // gets the caller's instant plus the reconfigure span on the caller's
 // lane. The caller has discarded any prefetched batch.
-func (j *Job) switchPlan(i int, cls *class, reason, cat, event string, args map[string]any) {
+func (j *Job) switchPlan(i int, cls *class, reason, cat, event string, args ...metrics.Arg) {
 	r := j.r
 	down := r.reconfigure(cls, i)
 	j.res.PlanSwitches++
@@ -194,7 +193,7 @@ func (j *Job) switchPlan(i int, cls *class, reason, cat, event string, args map[
 		AppliedAt: i, Strategy: cls.plan.Strategy, Reason: reason, Downtime: down,
 	})
 	if tr := r.cfg.Trace; tr != nil {
-		tr.Instant(event, cat, r.clock, args)
+		tr.Instant(event, cat, r.clock, args...)
 		tr.Complete("reconfigure", cat, r.clock, down)
 	}
 	r.clock += down
@@ -237,7 +236,7 @@ func (j *Job) Resize(l cluster.Lease, p *orchestrator.Plan, reason string) error
 		return err
 	}
 	j.switchPlan(j.i, r.classOf(&spec, p), reason, "fleet", "lease-resize",
-		map[string]any{"iter": j.i, "nodes": l.NodeCount(), "reason": reason})
+		metrics.Int("iter", j.i), metrics.Int("nodes", l.NodeCount()), metrics.Str("reason", reason))
 	r.lease = l
 	return nil
 }
@@ -268,7 +267,7 @@ func (j *Job) Step() error {
 		j.res.ReExecutedIterations += i - resume
 		j.res.Recoveries = append(j.res.Recoveries, Recovery{FailedAt: i, ResumedFrom: resume, Downtime: down})
 		if tr := r.cfg.Trace; tr != nil {
-			tr.Instant("node-failure", "scenario", r.clock, map[string]any{"iter": i})
+			tr.Instant("node-failure", "scenario", r.clock, metrics.Int("iter", i))
 			tr.Complete("recovery", "scenario", r.clock, down)
 		}
 		r.clock += down

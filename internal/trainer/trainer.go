@@ -26,6 +26,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"disttrain/internal/cluster"
@@ -34,6 +35,7 @@ import (
 	"disttrain/internal/metrics"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
+	"disttrain/internal/pipeline"
 	"disttrain/internal/preprocess"
 	"disttrain/internal/profiler"
 	"disttrain/internal/scenario"
@@ -299,8 +301,6 @@ type Runtime struct {
 	// other scratch comes from the process-wide pools (concurrent.go).
 	prep     [2]prepBuf
 	outcomes []rankOutcome
-	// opNames caches the F/B op names per microbatch as cfg.Trace labels.
-	opNames [2][]metrics.Label
 }
 
 // New validates the config and builds a runtime. A leased config is
@@ -387,11 +387,24 @@ type class struct {
 	// stage geometry and prices of the plan
 	stages, genStage int
 	p2p              []float64
-	costs            planCosts
-	gpus             int
+	// order is a rank's 1F1B op execution order, which a traced rank's
+	// spans time: resolved by execOrder on first use
+	order     []pipeline.Op
+	orderOnce sync.Once
+	costs     planCosts
+	gpus      int
 	// the serial phases' prices: exposed gradient sync, optimizer step;
 	// and one full training state's checkpoint write and restore read
 	gradSyncS, optimizerS, checkpointS, restoreS float64
+}
+
+// execOrder returns the class's op execution order.
+func (c *class) execOrder() []pipeline.Op {
+	c.orderOnce.Do(func() {
+		dp := c.plan.Modules[model.Backbone].Config.DP
+		c.order = pipeline.Order(c.stages, c.batch/dp/c.spec.Microbatch)
+	})
+	return c.order
 }
 
 // llmFirst is the index of the first LLM stage.
