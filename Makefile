@@ -9,141 +9,12 @@ GO ?= go
 # change in.
 COVER_FLOOR ?= 73
 
-# LOC_CEILING is the line-count gate: `make loc` measured 18,373 when
-# the gate was added (PR 21), 18,430 after PR 22, whose +57 are the
-# scratch-owning Simulator / Reorderer and the trainer's one-walk
-# front-end (fleet-steady op_ms_p50 52 -> 21 ms), 18,297 after PR 23's
-# data-plane ownership pass, and 18,325 after PR 24, whose +28 are the
-# scratch-backed pixel kernel, the two-generation corpus memo and the
-# PoolStats latency ring (preprocess-fanin op_ms_p50 12.1 -> 3.2 ms,
-# peak_rss_mb 35-43 -> 27-29), net of the build semaphore and the
-# Series methods they made dead, 17,209 once what no program reaches
-# was deleted (the broker actor, the parallel.Unit layer, the VPP
-# simulator and GPipe arm, the profiler's interpolation tables and four
-# never-varied profiler options; TestReachability keeps it that way),
-# and 17,246 once fetches were routed by (iteration, DP width): the +37
-# are the route each (tenant, rank) watermark carries for readahead to
-# follow and the forgetting of watermarks retired tenants leave behind
-# (preprocess-fanin work_per_cpu_s 1,168 -> 2,243, each iteration built
-# once in the fleet instead of once per producer), 17,235 once the
-# search's first phase probed instead of solving and one bound over the
-# backbone's constructible sizes replaced four continuous ones, and
-# 17,105 once every option no program set became a constant and every
-# name, parameter and field the reachability guard found went, and
-# 17,225 once corpus samples were seeded in closed form: the +120 are
-# data.NewRand, a math/rand source exact to the draw that skips the
-# legacy source's 1,841-step seeding loop (37 of them the derivation
-# and docs in comments), which took fleet-churn work_per_cpu_s from
-# 5,536 to 7,897 and a cold Corpus.Sample from ~15 to ~4 µs, and
-# 16,928 once the root disttrain.go facade (66 re-exported names over
-# internal/) was deleted and every program imported the owning package,
-# and still 16,928 once plan-store puts stopped fsyncing: deleting the
-# store's corruption hook paid for splitting store.ReplaceFile (the
-# unsynced temp file + rename) out of the durable
-# metrics.WriteFileAtomic, and 16,376 once admission planned
-# synchronously at reservation and the planning state, the planner
-# pool, the async ticket door and plan-ahead speculation were deleted,
-# and 16,468 once a trainer iteration stopped paying for work it does
-# not need: the +92 are Algorithms 1 and 2 sorting pointer-free
-# (sizeRank, index) keys and the Reorderer ordering input positions,
-# the untraced Simulator.SimulateUntraced path and its cached stage
-# program, and the corpus's pooled subsequence scratch and AppendBatch
-# (fleet-steady work_per_cpu_s 30.4k -> 37.9k, op_ms_p50 17.9 -> 14.5 ms),
-# and 16,213 once the root rate gate went: the allocation counts it
-# tripped on became tier-1 budget tests, and disttrain-benchjson lost
-# its -diff comparison, its rate bands and its GOMAXPROCS recovery, and
-# disttrain-fleet -plan-cache-dir built its own durable cache in place
-# of fleet.Config.PlanCacheDir, and 16,421 once fleet tenants sharing a
-# corpus and batch geometry shared the prepared batch: the +208 are
-# trainer/batches.go (+162: BatchCache, its class, key and in-flight
-# entry, the live-runtime count, and the runtime's join, lookup and
-# fresh-slice build; 38 of them comment lines), trainer.go +20
-# (Config.Batches and its doc, the runtime's registration and Close),
-# concurrent.go +5 (prepare's shared branch), source.go +1 (trials never
-# share), fleet.go +3 (the run's cache, a leaked runtime closed, net of
-# roundInfo's one pass), table.go +1 (Leases replaces LeasedBy) and
-# preprocess/server.go +16 (floorLocked factored out of evictLocked so
-# a late readahead below the floor builds nothing) — fleet-steady
-# work_per_cpu_s 42.6k -> 63.4k, op_ms_p50 13.2 -> 9.0 ms, and 16,328
-# once the data plane's four caches shared one generational window:
-# the new internal/window (+102) against the producer's watermark
-# floor, in-flight map and tenant widths and the tenant's watermarks
-# (server.go -108, service.go -46, batches.go -30, data.go -11), and
-# 16,390 once tenants reading one shared batch under one plan shared its
-# rank outcomes: the +62 are the run key, the outcome window and
-# sharedRun (batches.go +39), the shared branch and the runRanks helper
-# (concurrent.go +13), the serial phases priced once per plan
-# (trainer.go +7) and the fleet's indexed loops (scheduler.go +3) —
-# fleet-steady work_per_cpu_s 47.1k -> 131.3k, op_ms_p50 13.1 -> 5.7 ms,
-# and 16,246 once the plan cache held its lock for a whole Plan call and
-# the search planned one spec at a time: the cache's singleflight
-# (claim/resolve/settle, the cancelled-search retry loop, the join hook)
-# and the engine's multi-spec batching (PlanMany, PlanRequest,
-# PlanResult), which synchronous admission had left without callers,
-# and 16,245 once a traced iteration recorded its pipeline ops as one
-# span block over its rank outcomes: the block and its write-time
-# expansion (trace.go +19 net of Trace.Reserve) are paid for by
-# reserveTrace (job.go -17) and the trainer's own share (-3), and
-# 16,000 once a checkpoint became a record on the trainer's runtime:
-# internal/dfs (the simulated file system, its writer goroutine and the
-# checkpoint codec, -240) went, its two pricing functions moved into
-# the trainer, and the save errors nothing could raise left the plan
-# switch path, and 16,005 once a tenant stepped a shared batch at a
-# cache hit's cost: the +5 are window.Once.Has and the one key helper
-# through which Job.launch asks it whether a batch still needs
-# building, net of batchFLOPs (folded into fold) and Runtime.shared
-# (folded into prepare) (fleet-steady work_per_cpu_s 134k -> 175k),
-# and 16,083 once a plan-cache hit stopped hashing the spec: the +78
-# are the in-memory content key (plancache.go +45: planKey, the interned
-# (calibration, placement) class, validation before the lookup and the
-# fingerprint only for the durable store), model.MLLM.Equal (+17) in
-# place of reflect.DeepEqual, the profiler's Model/Frozen/Params
-# accessors (+14) and fingerprint.Hash.Sum staging its digest in place
-# (+5, paying for the class map's allocation on a durable warm hit),
-# net of the Options() copies the trainer and validation dropped (-3)
-# (fleet-steady work_per_cpu_s 192k -> 240k), and 15,989 once a training
-# run kept one level of concurrency (the async prepare): an iteration
-# simulates its ranks inline (Runtime.workers, the rank fan-out and
-# disttrain-sim -workers went), the controller runs its re-plan search
-# at the trigger (its goroutine, channel and LeaseChanged went, with
-# trainer.LeaseAware), and the fleet rejects a tenant controller
-# outright in place of its reflect-based sharing check, and 15,974 once
-# the §4.3 search went best-first: a heap of (lower bound, index) keys
-# replaced the probe phase and both worker-pool fan-outs, the backbone
-# floors became a slice, and disttrain-plan -parallelism went, and
-# 15,994 once a tenant was admitted at class cost: the +20 are the
-# per-spec limits Run keeps in place of copying cfg.Jobs, the running
-# snapshot extended on admission (admitRunning) and served capped, the
-# lease table's exact-size Free/Failed/Leases (nodesOwnedBy, one backing
-# array), sortQueue's inversion pass and the Job's lazy prefetch
-# channel, net of leaseTable.Check and the counting loops that went
-# (fleet-steady work_per_cpu_s 228k -> 309k), and 15,108 once examples/
-# went: the ten walkthrough programs (-800; the CLIs run eight of them,
-# and the reordering and StepCCL timeline ones became 108 lines of
-# testable Example in _test.go files) and the library code only they
-# reached (-86: pipeline's Gantt and StageOps, reorder.IntraReorder,
-# the controller's CurrentPlan, and the prefetch depth, co-located
-# iteration and StepCCL remap and chunk arguments every call fixed),
-# and still 15,108 once the disk store became one append-only log per
-# directory: the scan and the incremental index are paid for by the
-# per-file codec, store.ReplaceFile (folded into
-# metrics.WriteFileAtomic), the unused Mem.Len and redundant docs, and
-# 15,185 once a trace kept only what it must: the +77 are
-# metrics/trace.go +78 (the process-wide label table and Intern, the
-# typed Arg with Int and Str, the encoding/json string escaper and the
-# sorted-key args writer, net of the per-trace label index, the Args map
-# side table and the per-write label quoting), metrics.go +3 (the
-# package doc) and the trainer +26 (the process-wide F<mb>/B<mb> table,
-# the package-level phase labels and the class's once-resolved
-# execution order), net of pipeline -9 (Order and the times-only Span
-# in place of the op-copy path, SimulateUntraced and the per-call
-# dependency loop) and fleet.noteArg (-21) — fleet-churn work_per_cpu_s
-# 16.6k -> 18.7k, a traced churn op 1.18x an untraced one's CPU ->
-# 1.04x.
+# LOC_CEILING is the line-count gate on `make loc`, added at 18,373 in
+# PR 21; CHANGES.md records each later PR's count.
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 15185
+LOC_CEILING ?= 15178
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 

@@ -22,7 +22,7 @@ var clis struct {
 }
 
 // cliNames lists the commands clis builds.
-var cliNames = []string{"disttrain-sim", "disttrain-plan", "disttrain-fleet", "disttrain-data", "disttrain-bench"}
+var cliNames = []string{"disttrain-sim", "disttrain-plan", "disttrain-fleet", "disttrain-data", "disttrain-bench", "disttrain-preprocd"}
 
 func TestMain(m *testing.M) {
 	code := m.Run()
@@ -58,7 +58,8 @@ func buildCLIs(t *testing.T) string {
 // the holes that used to panic, print a table of zeros, or silently
 // regenerate every experiment, and the names the model, freeze, policy,
 // strategy and experiment lookups refuse: each must exit 1 with one
-// line on stderr.
+// line on stderr and nothing on stdout (disttrain-preprocd refuses
+// before it opens a listener).
 func TestCLIRejectsBadArguments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the command binaries")
@@ -78,6 +79,8 @@ func TestCLIRejectsBadArguments(t *testing.T) {
 		{"disttrain-data", []string{"-samples", "-1"}, "disttrain-data: -samples must be at least 1\n"},
 		{"disttrain-bench", []string{"fig13"}, "disttrain-bench: unexpected argument \"fig13\" (select an experiment with -experiment)\n"},
 		{"disttrain-bench", []string{"-experiment", "nope"}, "disttrain-bench: nope: experiments: unknown experiment nope\n"},
+		{"disttrain-preprocd", []string{"-model", "7b"}, "disttrain-preprocd: unknown model \"7b\" (want 9b, 15b or 72b)\n"},
+		{"disttrain-preprocd", []string{"-freeze", "nope"}, "disttrain-preprocd: unknown freeze setting \"nope\"\n"},
 	} {
 		t.Run(tc.cmd+" "+strings.Join(tc.args, " "), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -1,7 +1,9 @@
 // Command disttrain-preprocd runs the disaggregated data preprocessing
 // producer: a TCP service that decodes, resizes and packs multimodal
-// samples on CPU, applies both reordering levels, and streams
-// training-ready microbatches to GPU consumers (§5.1).
+// samples on CPU, balances them across the consumer's DP ranks with
+// Algorithm 1 priced as disttrain-sim's trainer prices -model and
+// -freeze, and streams training-ready microbatches to GPU consumers
+// (§5.1), which run Algorithm 2.
 //
 // -addr accepts a comma-separated list to run a whole producer pool in
 // one process — each address gets its own independent (stateless)
@@ -11,7 +13,7 @@
 //
 // Examples:
 //
-//	disttrain-preprocd -addr :7420 -batch 128 -reorder
+//	disttrain-preprocd -addr :7420 -batch 128 -model 72b
 //	disttrain-preprocd -addr :7420,:7421,:7422 -batch 128
 package main
 
@@ -25,7 +27,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"disttrain/internal/data"
+	"disttrain/internal/experiments"
+	"disttrain/internal/model"
 	"disttrain/internal/preprocess"
 	"disttrain/internal/prof"
 )
@@ -35,8 +38,8 @@ func main() {
 		addrs     = flag.String("addr", "127.0.0.1:7420", "listen address, or comma-separated list for a pool")
 		batch     = flag.Int("batch", 128, "global batch size")
 		micro     = flag.Int("micro", 1, "microbatch size")
-		reorderOn = flag.Bool("reorder", true, "apply Algorithms 1 and 2")
-		stages    = flag.Int("stages", 4, "pipeline stages (for Algorithm 2's interval model)")
+		modelName = flag.String("model", "9b", "model preset whose sample cost Algorithm 1 balances: 9b, 15b or 72b")
+		freeze    = flag.String("freeze", "full", "freeze setting (§7.3) of that cost")
 		workers   = flag.Int("workers", 16, "preprocessing worker goroutines per producer")
 		readahead = flag.Int("readahead", 2, "iterations to prefetch")
 	)
@@ -47,19 +50,27 @@ func main() {
 		fatal(err)
 	}
 
-	corpus, err := data.NewCorpus(data.LAION400M())
+	m, err := model.ByName(*modelName)
+	if err != nil {
+		fatal(err)
+	}
+	fr, err := model.FreezeByName(*freeze)
+	if err != nil {
+		fatal(err)
+	}
+	// A sample's cost is priced at width 1: any node count prices alike.
+	spec, corpus, err := experiments.NewSpec(m, 1, *batch, fr)
 	if err != nil {
 		fatal(err)
 	}
 	cfg := preprocess.Config{
-		Source:         corpus,
-		GlobalBatch:    *batch,
-		DPSize:         1, // fetches carry their own width; this only has to validate
-		Microbatch:     *micro,
-		Reorder:        *reorderOn,
-		PipelineStages: *stages,
-		Workers:        *workers,
-		Readahead:      *readahead,
+		Source:      corpus,
+		GlobalBatch: *batch,
+		DPSize:      1, // fetches carry their own width; this only has to validate
+		Microbatch:  *micro,
+		Cost:        spec.Profiler.Cost,
+		Workers:     *workers,
+		Readahead:   *readahead,
 	}
 
 	var servers []*preprocess.Server
@@ -81,8 +92,8 @@ func main() {
 		}
 		servers = append(servers, srv)
 		listeners = append(listeners, ln)
-		fmt.Printf("disttrain-preprocd: serving %d-sample batches on %s (reorder=%v)\n",
-			*batch, ln.Addr(), *reorderOn)
+		fmt.Printf("disttrain-preprocd: serving %d-sample batches on %s (%s, freeze %s)\n",
+			*batch, ln.Addr(), m.Name, fr.Name)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

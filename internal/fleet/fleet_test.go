@@ -350,10 +350,10 @@ func TestFleetChurnSemantics(t *testing.T) {
 	}
 }
 
-// TestFleetPlanCacheSingleflight pins the speed win: K concurrent
+// TestFleetIdenticalTenantsSearchOnce pins the speed win: K concurrent
 // tenants with identical specs and equal lease sizes pay for exactly
 // one §4.3 plan search — the other K-1 admissions are cache hits.
-func TestFleetPlanCacheSingleflight(t *testing.T) {
+func TestFleetIdenticalTenantsSearchOnce(t *testing.T) {
 	const k = 4
 	spec, corpus := buildSpec(t, 2*k, 32)
 	tmpl := trainer.DistTrainConfig(spec, nil, corpus)

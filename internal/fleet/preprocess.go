@@ -42,9 +42,10 @@ type PreprocessConfig struct {
 
 // PreprocessFor derives the shared-tier configuration for a fleet whose
 // jobs share tmpl's corpus and batch geometry: n producers, each
-// serving tenant-keyed fetches at the tenant's own DP width.
-// Reordering is off — the producer's Algorithm 2 interval model is
-// plan-dependent, and tenants on elastic leases have no single plan.
+// serving tenant-keyed fetches at the tenant's own DP width in
+// contiguous blocks, with no Cost: tenants of different model or
+// freeze setting price a sample differently, and a producer builds one
+// split per (iteration, DP width), whoever fetches it.
 func PreprocessFor(tmpl trainer.Config, n int) *PreprocessConfig {
 	return &PreprocessConfig{
 		Producers: n,

@@ -36,13 +36,13 @@ func cacheSpec(t *testing.T, nodes, bs int) Spec {
 	return Spec{Cluster: cl, Model: model.MLLM9B(), GlobalBatch: bs, Microbatch: 1, Profiler: p, VPP: 1}
 }
 
-// TestPlanCacheSingleflight pins the cache contract: K concurrent
+// TestPlanCacheConcurrentCallersShareOnePlan pins the cache contract: K concurrent
 // callers with one fingerprint run exactly one search and every caller
 // gets the cache's one (correct) plan pointer, which runtimes key their
 // resolved classes on. That the shared plan is never written is held
 // by TestFleetResolvesEachClassOnce, which compares every plan cached
 // over a fleet run with resizes to a fresh search.
-func TestPlanCacheSingleflight(t *testing.T) {
+func TestPlanCacheConcurrentCallersShareOnePlan(t *testing.T) {
 	spec := cacheSpec(t, 4, 32)
 	want, err := PlanDistTrain(spec)
 	if err != nil {
@@ -622,13 +622,12 @@ func planAll(c *PlanCache, s Spec, k int) ([]*Plan, []error) {
 	return plans, errs
 }
 
-// TestPlanAsyncCoalescing: K requests for one fingerprint issued
-// asynchronously, each from its own goroutine, against a cache whose
-// search runs on two workers, run exactly one search — the first
-// claims the entry, the other K-1 join it as hits — and every caller
-// gets the plan a serial search finds. Once settled, a further request
-// is one plain hit.
-func TestPlanAsyncCoalescing(t *testing.T) {
+// TestPlanCacheConcurrentCallersCountHits: K requests for one
+// fingerprint, each from its own goroutine, run exactly one search —
+// the first takes the entry, the other K-1 count as hits — and every
+// caller gets the plan a serial search finds. Once settled, a further
+// request is one plain hit.
+func TestPlanCacheConcurrentCallersCountHits(t *testing.T) {
 	spec := cacheSpec(t, 4, 32)
 	want, err := NewPlanCache(SearchOptions{}).Plan(context.Background(), spec)
 	if err != nil {
@@ -653,11 +652,11 @@ func TestPlanAsyncCoalescing(t *testing.T) {
 	}
 }
 
-// TestPlanAsyncFailureCoalesced: when a coalesced search fails, every
-// concurrent caller sees the one cached error from the single search,
-// a later caller reuses it, and the failure poisons no other
+// TestPlanCacheSharesCachedFailure: when the one search of a
+// fingerprint fails, every concurrent caller sees its one cached
+// error, a later caller reuses it, and the failure poisons no other
 // fingerprint.
-func TestPlanAsyncFailureCoalesced(t *testing.T) {
+func TestPlanCacheSharesCachedFailure(t *testing.T) {
 	good := cacheSpec(t, 4, 32)
 	bad := newSpec(t, model.MLLM72B(), 4, 32, model.FullTraining) // cannot fit a 4-node lease
 	c := NewPlanCache(SearchOptions{})

@@ -113,10 +113,10 @@ func TestPlanSearchOnCandidate(t *testing.T) {
 	}
 }
 
-// TestPlanMany: a sweep planned one spec at a time returns, per spec,
+// TestSearchSweepMatchesSequential: a sweep planned one spec at a time returns, per spec,
 // the plan of the sequential reference, and an invalid or infeasible
 // spec fails alone.
-func TestPlanMany(t *testing.T) {
+func TestSearchSweepMatchesSequential(t *testing.T) {
 	small := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	big := newSpec(t, model.MLLM15B(), 16, 128, model.FullTraining)
 	bad := small
@@ -145,10 +145,10 @@ func TestPlanMany(t *testing.T) {
 	}
 }
 
-// TestPlanManyCancellation: a search the context cut short reports the
+// TestSearchCancellation: a search the context cut short reports the
 // cancellation, but one cancelled only after its last candidate was
 // evaluated still reduces to the reference plan.
-func TestPlanManyCancellation(t *testing.T) {
+func TestSearchCancellation(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

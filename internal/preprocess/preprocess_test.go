@@ -13,6 +13,7 @@ import (
 
 	"disttrain/internal/data"
 	"disttrain/internal/model"
+	"disttrain/internal/reorder"
 )
 
 // fixedSource produces samples with a fixed image count and resolution
@@ -140,7 +141,7 @@ func TestProcessSample(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	src := fixedSource{images: 1, resolution: 32, seqLen: 128}
-	good := Config{Source: src, GlobalBatch: 8, DPSize: 2, Microbatch: 1, PipelineStages: 3}
+	good := Config{Source: src, GlobalBatch: 8, DPSize: 2, Microbatch: 1}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -153,12 +154,6 @@ func TestConfigValidate(t *testing.T) {
 	bad.GlobalBatch = 7 // not divisible by DP*M
 	if err := bad.Validate(); err == nil {
 		t.Error("indivisible batch accepted")
-	}
-	bad = good
-	bad.Reorder = true
-	bad.PipelineStages = 1
-	if err := bad.Validate(); err == nil {
-		t.Error("reorder without stages accepted")
 	}
 }
 
@@ -232,8 +227,13 @@ func TestServerReordersWhenAsked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A cost superlinear in image tokens, like attention's.
+	cost := func(s data.Sample) float64 {
+		n := float64(s.TotalImageTokens())
+		return n*n + 64*float64(s.GenImages)
+	}
 	cfg := Config{Source: corpus, GlobalBatch: 16, DPSize: 2, Microbatch: 1,
-		Reorder: true, PipelineStages: 4, Workers: 8}
+		Cost: cost, Workers: 8}
 	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -266,12 +266,29 @@ func TestServerReordersWhenAsked(t *testing.T) {
 	if len(seen) != 16 {
 		t.Fatalf("saw %d samples, want 16", len(seen))
 	}
-	// Load balance: modality tokens per rank are closer than the
-	// block assignment would give.
+	// Each rank holds Algorithm 1's group over the configured cost, in
+	// group order: the trainer's own assignment of the batch.
+	costs := make([]float64, 16)
+	for i := range costs {
+		costs[i] = cost(corpus.Sample(int64(i)))
+	}
+	var part reorder.Partitioner
+	groups, err := part.Assign(costs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d, rb := range []*RankBatch{a, b} {
+		for j, mb := range rb.Microbatches {
+			if got := mb[0].SampleIndex; got != int64(groups[d][j]) {
+				t.Errorf("rank %d microbatch %d holds sample %d, Algorithm 1 puts %d there", d, j, got, groups[d][j])
+			}
+		}
+	}
+	// Load balance: the configured cost per rank is within 25%.
 	load := func(rb *RankBatch) (t float64) {
 		for _, mb := range rb.Microbatches {
 			for _, p := range mb {
-				t += float64(p.ImageTokens)
+				t += cost(corpus.Sample(p.SampleIndex))
 			}
 		}
 		return

@@ -55,10 +55,11 @@ type Config struct {
 	// and the worker-pool default. GlobalBatch must divide evenly across
 	// DPSize ranks in multiples of Microbatch.
 	GlobalBatch, DPSize, Microbatch int
-	// Reorder applies Algorithm 1 across ranks and Algorithm 2 within
-	// each rank (using a token-count cost proxy over PipelineStages).
-	Reorder        bool
-	PipelineStages int
+	// Cost prices a raw sample for Algorithm 1, which then balances
+	// each iteration across the DP ranks of every fetch; nil splits
+	// the batch into contiguous rank blocks. The trainer runs
+	// Algorithm 2 on what it receives.
+	Cost func(data.Sample) float64
 	// Workers bounds the goroutines one iteration's samples are
 	// preprocessed on, the building one included (default 2*DPSize).
 	Workers int
@@ -96,8 +97,6 @@ func (c Config) Validate() error {
 		return errors.New("preprocess: non-positive batch geometry")
 	case c.GlobalBatch%(c.DPSize*c.Microbatch) != 0:
 		return fmt.Errorf("preprocess: DP*M=%d must divide BS=%d", c.DPSize*c.Microbatch, c.GlobalBatch)
-	case c.Reorder && c.PipelineStages < 2:
-		return errors.New("preprocess: reordering needs at least 2 pipeline stages")
 	}
 	return nil
 }
@@ -158,7 +157,7 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // buildKey identifies one materialised iteration: tenants with
-// different DP widths split (and reorder) the same global batch
+// different DP widths split (and balance) the same global batch
 // differently, so the window is keyed by both.
 type buildKey struct {
 	iter int64
@@ -379,8 +378,8 @@ func (s *Server) iteration(iter int64, dp int) ([][]Processed, error) {
 }
 
 // build preprocesses one full iteration at one DP width: fetch raw
-// samples, run the pixel pipeline on the worker pool, then apply both
-// reordering levels.
+// samples, run the pixel pipeline on the worker pool, then assign them
+// to ranks.
 func (s *Server) build(iter int64, dp int) ([][]Processed, error) {
 	s.builds.Add(1)
 	bs := s.cfg.GlobalBatch
@@ -409,68 +408,31 @@ func (s *Server) build(iter int64, dp int) ([][]Processed, error) {
 
 	perRank := len(processed) / dp
 	out := make([][]Processed, dp)
-	if !s.cfg.Reorder {
+	if s.cfg.Cost == nil {
 		for d := range out {
 			out[d] = processed[d*perRank : (d+1)*perRank]
 		}
 		return out, nil
 	}
-	// Algorithm 1 across ranks, with the modality token count as the
-	// heterogeneous-cost proxy: price every sample once, then partition
-	// and rebalance over indices. LPT balances load but may leave ranks
-	// of unequal cardinality; the rebalance moves the surplus
-	// smallest-cost first (the least damage to the balance), preserving
-	// the sample multiset.
-	costs := make([]float64, len(processed))
-	for i := range processed {
-		costs[i] = modalitySize(processed[i])
+	// Algorithm 1 across ranks, priced as the trainer prices it: each
+	// rank's samples in group order, exactly the trainer's own
+	// assignment of a corpus batch.
+	costs := make([]float64, bs)
+	for i := range raw {
+		costs[i] = s.cfg.Cost(raw[i])
 	}
 	var part reorder.Partitioner
-	idxGroups, err := part.Partition(costs, dp)
+	groups, err := part.Assign(costs, dp)
 	if err != nil {
 		return nil, err
 	}
-	idxGroups = part.Rebalance(idxGroups, perRank, costs)
-	// Algorithm 2 within each rank over a stage-time proxy: encoder
-	// time tracks image tokens, generator time tracks generated images,
-	// the LLM stages are constant.
-	for d, group := range idxGroups {
-		mbs := make([]reorder.Microbatch, len(group))
-		for j, i := range group {
-			p := processed[i]
-			fwd := make([]float64, s.cfg.PipelineStages)
-			bwd := make([]float64, s.cfg.PipelineStages)
-			for st := range fwd {
-				switch st {
-				case 0:
-					fwd[st] = float64(p.ImageTokens)
-				case s.cfg.PipelineStages - 1:
-					fwd[st] = 1024 * float64(p.GenImages)
-				default:
-					fwd[st] = 8192
-				}
-				bwd[st] = 2 * fwd[st]
-			}
-			mbs[j] = reorder.Microbatch{Index: j, Fwd: fwd, Bwd: bwd}
+	for d, g := range groups {
+		out[d] = make([]Processed, len(g))
+		for j, i := range g {
+			out[d][j] = processed[i]
 		}
-		order, err := reorder.InterReorder(mbs, nil)
-		if err != nil {
-			return nil, err
-		}
-		reordered := make([]Processed, len(order))
-		for j, mb := range order {
-			reordered[j] = processed[group[mb.Index]]
-		}
-		out[d] = reordered
 	}
 	return out, nil
-}
-
-// modalitySize is the heterogeneous-cost proxy of a processed sample:
-// modality tokens plus a fixed charge per generated image. Algorithm
-// 1's partition and the rebalance both order by it.
-func modalitySize(p Processed) float64 {
-	return float64(p.ImageTokens) + 64*float64(p.GenImages)
 }
 
 // --- wire helpers ---

@@ -61,10 +61,10 @@ func DefaultOptions(cl cluster.Cluster, m model.MLLM) Options {
 // Profiler converts module workloads into seconds.
 //
 // Concurrency: query methods (CTrain, SampleForward, SampleTrain,
-// SampleCost, Resolve, Kernel, MeanShape, Options, Model, Frozen,
-// Params) and resolved Rates are safe for concurrent use — the
-// parallel plan-search engine and the fleet's concurrently stepped
-// tenants issue them from many goroutines at once. Calibrate mutates the profiler's mean
+// SampleCost, Cost, Resolve, Kernel, MeanShape, Options, Model, Frozen,
+// Params) and resolved Rates are safe for concurrent use — the plan
+// search, the fleet's concurrently stepped tenants and the producers'
+// builds issue them from many goroutines at once. Calibrate mutates the profiler's mean
 // shape and must not run concurrently with queries. Calibrate once,
 // then share.
 type Profiler struct {
@@ -240,6 +240,14 @@ func (p *Profiler) SampleCost(w model.Workload) float64 {
 	_, enc := p.rates[model.Encoder][0].Price(w)
 	_, gen := p.rates[model.Generator][0].Price(w)
 	return enc + gen
+}
+
+// Cost is SampleCost of a corpus sample folded through the kernel: the
+// size Algorithm 1 balances, wherever it runs.
+func (p *Profiler) Cost(s data.Sample) float64 {
+	var w model.Workload
+	s.AddTo(&w, &p.kernel)
+	return p.SampleCost(w)
 }
 
 // Calibrate samples the corpus and records the mean sample shape. n is

@@ -192,6 +192,19 @@ func (p *Partitioner) Rebalance(groups [][]int, perRank int, sizes []float64) []
 	return p.balGroups[:m]
 }
 
+// Assign is Algorithm 1 as a DP assignment: the LPT partition of
+// sizes across m groups, then the rebalance to len(sizes)/m items each
+// (every rank must own exactly K*M samples for synchronous 1F1B). m
+// must divide len(sizes). The returned groups alias the partitioner's
+// scratch, valid until its next call.
+func (p *Partitioner) Assign(sizes []float64, m int) ([][]int, error) {
+	groups, err := p.Partition(sizes, m)
+	if err != nil {
+		return nil, err
+	}
+	return p.Rebalance(groups, len(sizes)/m, sizes), nil
+}
+
 // grow resizes a scratch slice to length n, reusing capacity.
 func grow[T any](s []T, n int) []T {
 	return slices.Grow(s[:0], n)[:n]

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -146,65 +147,87 @@ func TestRunWithProducerPoolSurvivesChurn(t *testing.T) {
 	}
 }
 
-// With reordering off on both sides, the producer's block assignment
-// is exactly the synthetic front-end's: the pool-backed runtime and
-// the corpus-backed runtime must produce byte-identical results — the
-// BatchSource seam is behaviour-preserving.
+// Producers built from PreprocessConfigFor assign each iteration as
+// the trainer assigns a corpus batch — contiguous blocks with
+// reordering off, Algorithm 1 over the profiler's sample cost with it
+// on — and the trainer runs Algorithm 2 on either: the pool-backed
+// runtime and the corpus-backed runtime must produce byte-identical
+// results, so the BatchSource seam is behaviour-preserving.
 func TestPoolSourceMatchesSyntheticFrontEnd(t *testing.T) {
 	h := newPoolHarness(t)
-	h.pcfg.Reorder = false
 	const iters = 3
+	for _, reorderOn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reorder=%v", reorderOn), func(t *testing.T) {
+			base := DistTrainConfig(h.spec, h.plan, h.corpus)
+			base.Reorder = reorderOn
+			pcfg, err := PreprocessConfigFor(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet, err := preprocess.StartFleet(pcfg, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fleet.Close()
+			tenant := h.tenant(t, fleet, preprocess.ServiceConfig{})
 
-	fleet, err := preprocess.StartFleet(h.pcfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-	tenant := h.tenant(t, fleet, preprocess.ServiceConfig{})
+			pooled := base
+			pooled.Source = &PoolSource{Pool: tenant, Samples: h.corpus}
 
-	base := DistTrainConfig(h.spec, h.plan, h.corpus)
-	base.Reorder = false
-
-	pooled := base
-	pooled.Source = &PoolSource{Pool: tenant, Samples: h.corpus}
-
-	runCfg := func(cfg Config) *Result {
-		res, err := Run(cfg, iters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := runCfg(base), runCfg(pooled)
-	if !reflect.DeepEqual(a.Iterations, b.Iterations) {
-		t.Errorf("pool-backed front-end diverged from synthetic:\n got %+v\nwant %+v",
-			b.Iterations, a.Iterations)
+			runCfg := func(cfg Config) *Result {
+				res, err := Run(cfg, iters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			a, b := runCfg(base), runCfg(pooled)
+			if !reflect.DeepEqual(a.Iterations, b.Iterations) {
+				t.Errorf("pool-backed front-end diverged from synthetic:\n got %+v\nwant %+v",
+					b.Iterations, a.Iterations)
+			}
+		})
 	}
 }
 
 // TestPreprocessConfigFor pins the producer configuration a training
 // configuration derives: its corpus and batch geometry, the backbone's
-// DP width, and the backbone's PP stages plus the encoder and generator
-// stages Algorithm 2 fills; an unplanned configuration is refused.
+// DP width, and a Cost that prices every sample as the trainer's
+// Algorithm 1 does with reordering on and is nil with it off; an
+// unplanned configuration is refused.
 func TestPreprocessConfigFor(t *testing.T) {
 	spec, corpus := buildSpec(t, model.MLLM9B(), 4, 16, model.FullTraining)
 	plan, err := orchestrator.PlanDistTrain(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcfg, err := PreprocessConfigFor(DistTrainConfig(spec, plan, corpus))
+	cfg := DistTrainConfig(spec, plan, corpus)
+	pcfg, err := PreprocessConfigFor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lm := plan.Modules[model.Backbone].Config
-	if pcfg.DPSize != lm.DP || pcfg.PipelineStages != lm.PP+2 {
-		t.Errorf("DPSize %d, PipelineStages %d; plan has DP %d, PP %d", pcfg.DPSize, pcfg.PipelineStages, lm.DP, lm.PP)
+	if pcfg.DPSize != lm.DP {
+		t.Errorf("DPSize %d; plan has DP %d", pcfg.DPSize, lm.DP)
 	}
-	if pcfg.Source != preprocess.Source(corpus) || pcfg.GlobalBatch != spec.GlobalBatch || pcfg.Microbatch != spec.Microbatch || !pcfg.Reorder {
+	if pcfg.Source != preprocess.Source(corpus) || pcfg.GlobalBatch != spec.GlobalBatch || pcfg.Microbatch != spec.Microbatch || pcfg.Cost == nil {
 		t.Errorf("producer config %+v does not follow the training config", pcfg)
+	}
+	prof := spec.Profiler
+	for i := int64(0); i < 64; i++ {
+		s := corpus.Sample(i)
+		var w model.Workload
+		s.AddTo(&w, prof.Kernel())
+		if got, want := pcfg.Cost(s), prof.SampleCost(w); got != want {
+			t.Fatalf("sample %d: Cost %g, profiler prices %g", i, got, want)
+		}
 	}
 	if err := pcfg.Validate(); err != nil {
 		t.Error(err)
+	}
+	cfg.Reorder = false
+	if pcfg, err = PreprocessConfigFor(cfg); err != nil || pcfg.Cost != nil {
+		t.Errorf("reordering off: Cost set (%v)", err)
 	}
 	if _, err := PreprocessConfigFor(DistTrainConfig(spec, nil, corpus)); err == nil {
 		t.Error("unplanned config accepted")

@@ -56,8 +56,9 @@ func TrialMeanIterTime(cfg Config, batches [][]data.Sample) (float64, error) {
 // preprocessed batch is fetched (with failover) through the trainer's
 // tenant handle, then mapped back to corpus samples by index so the
 // runtime can price the iteration's compute. The producers own
-// assignment and reordering; the trainer consumes their decisions —
-// the §5 division of labour.
+// Algorithm 1, the assignment of samples to DP ranks; the trainer runs
+// Algorithm 2 on each rank's microbatches with the plan's real stage
+// times — the §5 division of labour.
 type PoolSource struct {
 	// Pool is the trainer's tenant handle on a preprocess.Service (the
 	// only tenant of its own service, or one of a fleet's).
@@ -70,23 +71,25 @@ type PoolSource struct {
 
 // PreprocessConfigFor derives the producer configuration matching a
 // training configuration: same corpus, batch geometry from the spec,
-// DP size and pipeline stage count from the plan, reordering as
-// configured. Producers built from it serve batches a PoolSource over
-// cfg can consume directly.
+// DP size from the plan and, with reordering on, Algorithm 1 priced by
+// the spec's profiler exactly as the trainer prices a corpus batch.
+// Producers built from it serve batches a PoolSource over cfg can
+// consume directly.
 func PreprocessConfigFor(cfg Config) (preprocess.Config, error) {
 	if cfg.Plan == nil {
 		return preprocess.Config{}, errors.New("trainer: config has no plan")
 	}
-	lm := cfg.Plan.Modules[model.Backbone].Config
-	return preprocess.Config{
-		Source:         cfg.Corpus,
-		GlobalBatch:    cfg.Spec.GlobalBatch,
-		DPSize:         lm.DP,
-		Microbatch:     cfg.Spec.Microbatch,
-		Reorder:        cfg.Reorder,
-		PipelineStages: 1 + lm.PP + 1,
-		Readahead:      1,
-	}, nil
+	pcfg := preprocess.Config{
+		Source:      cfg.Corpus,
+		GlobalBatch: cfg.Spec.GlobalBatch,
+		DPSize:      cfg.Plan.Modules[model.Backbone].Config.DP,
+		Microbatch:  cfg.Spec.Microbatch,
+		Readahead:   1,
+	}
+	if cfg.Reorder {
+		pcfg.Cost = cfg.Spec.Profiler.Cost
+	}
+	return pcfg, nil
 }
 
 // Assign returns iteration iter's global batch as the producers split

@@ -531,23 +531,18 @@ func (r *Runtime) assign(buf *prepBuf, dp int, balance bool) error {
 		}
 		return nil
 	}
-	// Price every sample exactly once, then partition and rebalance
-	// over indices with a pooled partitioner and gather the workloads
-	// rank by rank.
+	// Price every sample exactly once, then assign indices with a
+	// pooled partitioner and gather the workloads rank by rank.
 	sc := assignScratchPool.Get().(*assignScratch)
 	defer assignScratchPool.Put(sc)
 	sc.costs = slices.Grow(sc.costs[:0], len(work))[:len(work)]
 	for i, w := range work {
 		sc.costs[i] = r.cls.prof.SampleCost(w)
 	}
-	groups, err := sc.part.Partition(sc.costs, dp)
+	groups, err := sc.part.Assign(sc.costs, dp)
 	if err != nil {
 		return err
 	}
-	// The LPT partition balances load but may leave groups of unequal
-	// cardinality; rebalance counts while preserving the size ordering
-	// (each rank must own exactly K*M samples for synchronous 1F1B).
-	groups = sc.part.Rebalance(groups, perRank, sc.costs)
 	buf.flat = slices.Grow(buf.flat[:0], len(work))
 	for _, g := range groups {
 		n := len(buf.flat)
