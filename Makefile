@@ -14,7 +14,7 @@ COVER_FLOOR ?= 73
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 15178
+LOC_CEILING ?= 15327
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 
@@ -139,7 +139,8 @@ staticcheck:
 # the §4.3 subproblem kernel against its closure-based oracle, the
 # trace log against the sharded recorder and the compiled sample cost
 # model against the formulas it was compiled from — the search's prune
-# bound against brute force over every constructible allocation, and
+# bound and its per-shape block bound against brute force over every
+# constructible allocation, and
 # the two scratch-owning kernels, one long-lived Simulator / Reorderer
 # against a fresh one per call, the shared 1F1B execution order against
 # the loop that found it as it ran, and the corpus's closed-form generator
@@ -155,6 +156,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzSubproblemRefine -fuzztime=5s ./internal/orchestrator
 	$(GO) test -run='^$$' -fuzz=FuzzDiscreteBound -fuzztime=5s ./internal/orchestrator
+	$(GO) test -run='^$$' -fuzz=FuzzBlockBound -fuzztime=5s ./internal/orchestrator
 	$(GO) test -run='^$$' -fuzz=FuzzTraceEquivalence -fuzztime=5s ./internal/metrics
 	$(GO) test -run='^$$' -fuzz=FuzzSamplePricing -fuzztime=5s ./internal/profiler
 	$(GO) test -run='^$$' -fuzz=FuzzSimulatorReuse -fuzztime=5s ./internal/pipeline

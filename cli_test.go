@@ -138,7 +138,8 @@ func TestFleetCLIReportsCorruptPlanEntries(t *testing.T) {
 
 // TestCLIWalkthroughs runs the README's walkthroughs end to end: the
 // producer pool failing over, a failure survived from a checkpoint, the
-// adaptive controller re-planning under a workload shift, and a fleet
+// adaptive controller re-planning under a workload shift and switching
+// to the new plan, and a fleet
 // losing and regaining a node. Each run must exit 0 and print the line
 // its section promises.
 func TestCLIWalkthroughs(t *testing.T) {
@@ -173,7 +174,11 @@ func TestCLIWalkthroughs(t *testing.T) {
 		{"adaptive re-plan", "disttrain-sim",
 			[]string{"-nodes", "4", "-batch", "32", "-iters", "14", "-adapt",
 				"-scenario", "workload-shift:iters=2-13,factor=3"},
-			func(out string) bool { return regexp.MustCompile(`(?m)-> re-plan$`).MatchString(out) }},
+			func(out string) bool {
+				return regexp.MustCompile(`(?m)-> re-plan$`).MatchString(out) &&
+					count(`(?m) (\d+) plan switches$`, out) >= 1 &&
+					regexp.MustCompile(`(?m)^replan before iter \d+ -> disttrain `).MatchString(out)
+			}},
 		{"fleet node churn", "disttrain-fleet",
 			[]string{"-scenario", "node-fail:iter=2,node=0; node-join:iter=4,node=0"},
 			func(out string) bool {

@@ -72,21 +72,6 @@ func selectPlan(candidates []*Plan) *Plan {
 	return best
 }
 
-// dpCandidates enumerates DP_lm values: factors of BS/M (so every DP
-// rank sees the same microbatch count) that fit the fleet alongside at
-// least one PP stage.
-func dpCandidates(s Spec, tpLM, n int) []int {
-	maxDP := n / tpLM
-	total := s.GlobalBatch / s.Microbatch
-	var out []int
-	for dp := 1; dp <= maxDP && dp <= total; dp++ {
-		if total%dp == 0 {
-			out = append(out, dp)
-		}
-	}
-	return out
-}
-
 // Why a strategy combination yields no plan. Static values: a cold
 // search rejects hundreds of combinations and reports each to its
 // OnCandidate observer.
@@ -97,46 +82,87 @@ var (
 	errRoundingOverBudget = errors.New("orchestrator: rounding exceeded budget")
 )
 
+// noSubproblem says why the member (wME, wMG) of shape sh has no
+// convex program, or returns nil: the integer checks of subproblemFor,
+// which also classify the members of a shape the search never
+// expanded.
+func (sc *searchCtx) noSubproblem(sh *shape, wME, wMG int) error {
+	if sh.k < 1 {
+		return errNoMicrobatch
+	}
+	if sh.err != nil {
+		return sh.err
+	}
+	if wME+sh.tp*sh.dp*sh.floor+wMG > sc.n {
+		return errLowerExceedsBudget
+	}
+	return nil
+}
+
 // subproblemFor folds the constants of the strategy set's i-th
 // candidate into its convex program. ppFloor is the backbone's memory
 // floor at the candidate's (TP, DP).
 func (sc *searchCtx) subproblemFor(i int) (sub subproblem, ppFloor int, err error) {
-	c := sc.cands[i]
-	tpLM, dpLM, wME, wMG := c.TPLM, c.DPLM, c.WME, c.WMG
-	s, m := sc.spec, sc.m
-	k := s.GlobalBatch / (dpLM * s.Microbatch) // microbatches per iteration
-	if k < 1 {
-		return sub, 0, errNoMicrobatch
+	nt := len(sc.tpSizes)
+	sh := &sc.shapes[i/(nt*nt)]
+	me, mg := i/nt%nt, i%nt
+	if err := sc.noSubproblem(sh, sc.tpSizes[me], sc.tpSizes[mg]); err != nil {
+		return sub, 0, err
 	}
-	cLM := sc.cTrain(model.Backbone, tpLM)
-	cME := sc.cTrain(model.Encoder, wME)
-	cMG := sc.cTrain(model.Generator, wMG)
+	return sc.fold(sh, me, mg), sh.floor, nil
+}
 
-	floor := sc.floors[i/(len(sc.tpSizes)*len(sc.tpSizes))] // i's shape block
-	if floor.err != nil {
-		return sub, 0, floor.err
-	}
-	sub = subproblem{
+// fold builds the convex program of shape sh's member with widths
+// tpSizes[me] and tpSizes[mg], unchecked.
+func (sc *searchCtx) fold(sh *shape, me, mg int) subproblem {
+	m, dp, cLM := sc.m, float64(sh.dp), sh.cLM
+	wME, cME := float64(sc.tpSizes[me]), sc.cTrainTP[model.Encoder][me]
+	wMG, cMG := float64(sc.tpSizes[mg]), sc.cTrainTP[model.Generator][mg]
+	return subproblem{
 		// Warm-up terms (Eq. 1): M*C_lm/VPP + DP_lm*M*w/x * C (PP_me = 1
 		// for the modality modules).
 		base: m * cLM / float64(sc.vpp),
-		a:    float64(dpLM) * m * float64(wME) * cME,
-		c:    float64(dpLM) * m * float64(wMG) * cMG,
+		a:    dp * m * wME * cME,
+		c:    dp * m * wMG * cMG,
 		// Steady-phase weights: T_mod = w_mod / alloc.
 		w: [3]float64{
-			float64(dpLM) * float64(wME) * m * cME,  // x: encoder
-			float64(dpLM) * float64(tpLM) * m * cLM, // y: backbone
-			float64(dpLM) * float64(wMG) * m * cMG,  // z: generator
+			dp * wME * m * cME,            // x: encoder
+			dp * float64(sh.tp) * m * cLM, // y: backbone
+			dp * wMG * m * cMG,            // z: generator
 		},
-		kk:     float64(k - 1),
+		kk:     float64(sh.k - 1),
 		budget: float64(sc.n),
 		// Lower bounds: memory floors and granularity minimums.
-		lower: [3]float64{float64(wME), float64(tpLM * dpLM * floor.pp), float64(wMG)},
+		lower: [3]float64{wME, float64(sh.tp * sh.dp * sh.floor), wMG},
 	}
-	if sub.lower[0]+sub.lower[1]+sub.lower[2] > sub.budget {
-		return sub, 0, errLowerExceedsBudget
+}
+
+// blockBound lower-bounds every member of shape block b: discreteBound
+// at the block's cheapest modality constants — a, c, w[0] and w[2]
+// each the minimum over the widths — over every PP a member can take,
+// up to the cap of the narrowest (w_me, w_mg). Square roots, sums,
+// products and quotients of IEEE floats are monotone in their
+// operands, and a member's divisors are a subset of these, so the
+// bound is ≤ each member's discreteBound and hence its lowerBound.
+// +Inf: no member has a subproblem stage 3 can build from.
+func (sc *searchCtx) blockBound(b int) float64 {
+	sh := &sc.shapes[b]
+	unit := sh.tp * sh.dp
+	if sh.err != nil || sh.k < 1 {
+		return math.Inf(1)
 	}
-	return sub, floor.pp, nil
+	pps := sc.divisors.between(sh.floor, (sc.n-2*sc.tpSizes[0])/unit)
+	if len(pps) == 0 {
+		return math.Inf(1)
+	}
+	// a and w[0] depend on w_me alone, c and w[2] on w_mg alone.
+	sub := sc.fold(sh, 0, 0)
+	for t := 1; t < len(sc.tpSizes); t++ {
+		m := sc.fold(sh, t, t)
+		sub.a, sub.w[0] = min(sub.a, m.a), min(sub.w[0], m.w[0])
+		sub.c, sub.w[2] = min(sub.c, m.c), min(sub.w[2], m.w[2])
+	}
+	return sub.discreteBound(unit, pps)
 }
 
 // solveSubproblem solves the strategy set's i-th candidate in full:
@@ -155,7 +181,7 @@ func (sc *searchCtx) solveSubproblem(i int) (*Plan, error) {
 	}
 	// Stage 2: 2-D golden-section refinement of the full objective.
 	at := sub.refine([3]float64{xs[0], xs[1], xs[2]})
-	return sc.build(sc.cands[i], &sub, ppFloor, at)
+	return sc.build(sc.candidate(i), &sub, ppFloor, at)
 }
 
 // lowerBound bounds from below every iteration time candidate c can

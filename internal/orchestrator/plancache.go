@@ -168,7 +168,7 @@ func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
 			if seed != nil {
 				c.warmSeeds.Add(1)
 			}
-			plan, pruned, _, err := search(ctx, s, seed, c.opts)
+			plan, pruned, _, _, err := search(ctx, s, seed, c.opts)
 			c.pruned.Add(int64(pruned))
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, err

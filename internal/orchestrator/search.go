@@ -5,8 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"disttrain/internal/parallel"
+	"slices"
 )
 
 // This file is the plan-search engine behind PlanDistTrain: a
@@ -15,11 +14,15 @@ import (
 // independent convex subproblem with a cheap lower bound, so the engine
 // solves candidates in lower-bound order and stops once the next bound
 // lies beyond selectPlan's tie-break band around the fastest plan
-// solved so far. A sequential reduce applies the selectPlan
-// tie-breaking over the solved plans in enumeration order. Every
-// candidate that can be the fastest plan or enter the band is solved,
-// and each is solved exactly as the sequential reference solves it, so
-// the search returns a plan byte-identical to that reference.
+// solved so far. The search has two levels: a backbone shape
+// (TP_lm, DP_lm) enters the heap as one key whose bound is below
+// every one of its candidates', and only a shape popped under the stop
+// line has its candidates' subproblems and bounds built. A sequential
+// reduce applies the selectPlan tie-breaking over the solved plans in
+// enumeration order. Every candidate that can be the fastest plan or
+// enter the band is solved, and each is solved exactly as the
+// sequential reference solves it, so the search returns a plan
+// byte-identical to that reference.
 
 // Candidate is one strategy combination of the §4.3 enumeration:
 // the backbone's tensor- and data-parallel sizes plus the encoder and
@@ -40,10 +43,13 @@ type SearchOptions struct {
 	Parallelism int
 	// OnCandidate, when non-nil, observes every enumerated candidate
 	// once, on the caller's goroutine: plan is non-nil for feasible
-	// combinations, err explains infeasible ones. Candidates the bound
-	// skipped are reported with ErrCandidatePruned after the last
-	// solve. Under a PlanCache it runs under the cache's lock and must
-	// not call back into the cache.
+	// combinations, err explains infeasible ones. The candidates of a
+	// shape the search expanded are reported as it expands and solves
+	// them; candidates the bound skipped, and every candidate of a shape
+	// it never expanded, are reported after the last solve (pruned ones
+	// with ErrCandidatePruned, the rest with their infeasibility error).
+	// Under a PlanCache it runs under the cache's lock and must not
+	// call back into the cache.
 	OnCandidate func(c Candidate, plan *Plan, err error)
 }
 
@@ -55,42 +61,17 @@ var errNoFeasiblePlan = errors.New("orchestrator: no feasible plan (cluster too 
 // to OnCandidate observers in place of an infeasibility error.
 var ErrCandidatePruned = errors.New("orchestrator: candidate pruned by search bound")
 
-// enumerateCandidates materialises the finite strategy set in the
-// deterministic order of the original nested-loop enumeration. The
-// order is load-bearing: selectPlan's tie-breaking scans candidates in
-// this order, so both the sequential reference and the search's reduce
-// must honour it. Each backbone shape (TP_lm, DP_lm) owns one block of
-// len(tpSizes)² consecutive candidates.
-func enumerateCandidates(s Spec, n int) []Candidate {
-	tpSizes := parallel.TPSizes(s.Cluster.GPUsPerNode)
-	dps := make([][]int, len(tpSizes))
-	size := 0
-	for i, tpLM := range tpSizes {
-		dps[i] = dpCandidates(s, tpLM, n)
-		size += len(dps[i]) * len(tpSizes) * len(tpSizes)
-	}
-	out := make([]Candidate, 0, size)
-	for i, tpLM := range tpSizes {
-		for _, dpLM := range dps[i] {
-			for _, wME := range tpSizes {
-				for _, wMG := range tpSizes {
-					out = append(out, Candidate{TPLM: tpLM, DPLM: dpLM, WME: wME, WMG: wMG})
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Search runs the §4.3 search for one spec — PlanDistTrain with
 // cancellation and per-candidate observation.
 func Search(ctx context.Context, s Spec, opts SearchOptions) (*Plan, error) {
-	plan, _, _, err := search(ctx, s, nil, opts)
+	plan, _, _, _, err := search(ctx, s, nil, opts)
 	return plan, err
 }
 
-// boundKey is one candidate's place in the search's best-first order:
-// its lower bound, ties broken by enumeration index.
+// boundKey is one candidate's or shape's place in the search's
+// best-first order: its lower bound, ties broken by i — a candidate's
+// enumeration index, or ^b for shape block b, so a shape pops before
+// the candidates on an equal bound.
 type boundKey struct {
 	lb float64
 	i  int
@@ -121,6 +102,19 @@ func (h boundHeap) down(j int) {
 	}
 }
 
+// push adds a key.
+func (h *boundHeap) push(k boundKey) {
+	*h = append(*h, k)
+	for j := len(*h) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !(*h)[j].less((*h)[p]) {
+			return
+		}
+		(*h)[j], (*h)[p] = (*h)[p], (*h)[j]
+		j = p
+	}
+}
+
 // pop removes and returns the smallest key.
 func (h *boundHeap) pop() boundKey {
 	old := *h
@@ -131,17 +125,20 @@ func (h *boundHeap) pop() boundKey {
 	return top
 }
 
-// search is the engine: one spec's best-first branch-and-bound. It
-// enumerates the strategy set once, reporting every candidate without
-// a subproblem, and heapifies the others by (lower bound, enumeration
-// index). It solves the seed first, then pops candidates in that order
-// and solves each in full — water-fill, refine, build — until the next
-// lower bound exceeds the fastest solved time·selectBand·(1+pruneSlack).
-// Bounds only rise along the pops and the fastest time only falls, so
-// every candidate whose bound lies under the final stop line is solved:
-// in particular the fastest plan and every member of selectPlan's
-// tie-break band, so the plan is byte-identical to the tests'
-// sequential reference. The candidates left in the heap are pruned.
+// search is the engine: one spec's two-level best-first
+// branch-and-bound. The heap starts with one key per backbone shape,
+// its blockBound. The seed is solved first; then keys pop until the
+// next bound exceeds the fastest solved time·selectBand·(1+pruneSlack).
+// A popped shape is expanded (its candidates without a subproblem are
+// reported, the others pushed by lower bound), a popped candidate is
+// solved in full. A shape's bound is ≤ its candidates' and pops first
+// on a tie, so candidates pop in the (lower bound, index) order of a
+// heap holding them all. Bounds only rise along the pops and the
+// fastest time only falls, so every candidate whose bound lies under
+// the final stop line is solved: in particular the fastest plan and
+// every member of selectPlan's tie-break band, so the plan is
+// byte-identical to the tests' sequential reference. What is left in
+// the heap is pruned.
 //
 // seed, typically the incumbent strategy of a cached plan for a
 // neighbouring spec, is solved first and at most once; a seed outside
@@ -149,86 +146,143 @@ func (h *boundHeap) pop() boundKey {
 // candidates are solved: the stop line ends where the fastest plan
 // puts it, so a seed outside the band costs one extra solve.
 // It returns the plan or the spec's error, the number of candidates
-// that had a subproblem but were never solved, and the fastest solved
-// time (for tests). A search cancelled before it reached the stop line
-// reports the cancellation; one that finished still reduces to its
-// (deterministic) plan.
-func search(ctx context.Context, s Spec, seed *Candidate, opts SearchOptions) (*Plan, int, float64, error) {
+// that had a subproblem but were never solved, and, for tests, the
+// number of shapes expanded and the fastest solved time. A search
+// cancelled before it reached the stop line reports the cancellation;
+// one that finished still reduces to its (deterministic) plan.
+func search(ctx context.Context, s Spec, seed *Candidate, opts SearchOptions) (*Plan, int, int, float64, error) {
 	if err := s.Validate(); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
-	sc := newSearchCtx(&s)
-	cands := sc.strategySet()
-	results := make([]*Plan, len(cands))
-	report := func(c int, plan *Plan, err error) {
-		if opts.OnCandidate != nil {
-			opts.OnCandidate(cands[c], plan, err)
+	r := bestFirst{sc: newSearchCtx(&s), obs: opts.OnCandidate, best: math.Inf(1), seedAt: -1}
+	r.sc.strategySet()
+	r.h = make(boundHeap, len(r.sc.shapes), 2*len(r.sc.shapes))
+	r.solved = make([]solvedPlan, 0, len(r.sc.tpSizes)*len(r.sc.tpSizes))
+	for b := range r.sc.shapes {
+		r.h[b] = boundKey{r.sc.blockBound(b), ^b}
+	}
+	for j := len(r.h)/2 - 1; j >= 0; j-- {
+		r.h.down(j)
+	}
+	if seed != nil {
+		if i := r.sc.indexOf(*seed); i >= 0 {
+			if _, _, err := r.sc.subproblemFor(i); err == nil {
+				r.seedAt = i
+				r.solve(i)
+			}
 		}
 	}
-	best := math.Inf(1)
-	solve := func(c int) {
-		plan, err := sc.solveSubproblem(c)
-		if err == nil {
-			results[c] = plan
-			best = min(best, plan.IterTime)
-		}
-		report(c, plan, err)
-	}
-
-	// seedAt is the seed's index once its subproblem exists: the one
-	// candidate solved out of order, which the heap must then skip.
-	seedAt := -1
-	h := make(boundHeap, 0, len(cands))
-	for c := range cands {
-		sub, ppFloor, err := sc.subproblemFor(c)
-		if err != nil {
-			report(c, nil, err)
-			continue
-		}
-		if seed != nil && cands[c] == *seed {
-			seedAt = c
-		}
-		h = append(h, boundKey{sc.lowerBound(cands[c], &sub, ppFloor), c})
-	}
-	for j := len(h)/2 - 1; j >= 0; j-- {
-		h.down(j)
-	}
-	if seedAt >= 0 {
-		solve(seedAt)
-	}
-	for len(h) > 0 && !(h[0].lb > best*selectBand*(1+pruneSlack)) {
+	expanded := 0
+	for len(r.h) > 0 && !(r.h[0].lb > r.best*selectBand*(1+pruneSlack)) {
 		if ctx.Err() != nil {
-			return nil, 0, best, fmt.Errorf("orchestrator: plan search cancelled: %w", ctx.Err())
+			return nil, 0, 0, r.best, fmt.Errorf("orchestrator: plan search cancelled: %w", ctx.Err())
 		}
-		if k := h.pop(); k.i != seedAt {
-			solve(k.i)
-		}
-	}
-	pruned := 0
-	for _, k := range h {
-		if k.i != seedAt {
-			pruned++
-			report(k.i, nil, ErrCandidatePruned)
+		if k := r.h.pop(); k.i < 0 {
+			r.expand(^k.i)
+			expanded++
+		} else {
+			r.solve(k.i)
 		}
 	}
-	plan, err := reducePlans(results)
-	return plan, pruned, best, err
+	pruned := r.prune()
+	plan, err := reducePlans(r.solved)
+	return plan, pruned, expanded, r.best, err
 }
 
-// reducePlans applies the selectPlan tie-breaking over the feasible
-// result slots in enumeration order — the deterministic reduce that
-// makes the best-first search equivalent to the sequential loop. It
-// must not mutate any candidate (solveSubproblem already stamps
-// Strategy): OnCandidate observers may have retained these pointers.
-func reducePlans(results []*Plan) (*Plan, error) {
-	feasible := make([]*Plan, 0, len(results))
-	for _, p := range results {
-		if p != nil {
-			feasible = append(feasible, p)
+// bestFirst is one search's state.
+type bestFirst struct {
+	sc     searchCtx
+	obs    func(Candidate, *Plan, error)
+	h      boundHeap
+	solved []solvedPlan // in solve order
+	best   float64      // the fastest solved time
+	seedAt int          // the seed's index once solved, else -1
+}
+
+// solvedPlan is a feasible candidate's plan and enumeration index.
+type solvedPlan struct {
+	i    int
+	plan *Plan
+}
+
+func (r *bestFirst) report(i int, plan *Plan, err error) {
+	if r.obs != nil {
+		r.obs(r.sc.candidate(i), plan, err)
+	}
+}
+
+// solve solves candidate i in full and reports it.
+func (r *bestFirst) solve(i int) {
+	plan, err := r.sc.solveSubproblem(i)
+	if err == nil {
+		r.solved = append(r.solved, solvedPlan{i, plan})
+		r.best = min(r.best, plan.IterTime)
+	}
+	r.report(i, plan, err)
+}
+
+// expand builds shape block b's subproblems: it reports the members
+// without one and pushes the others by their lower bound. The seed,
+// already solved, is skipped.
+func (r *bestFirst) expand(b int) {
+	bs := len(r.sc.tpSizes) * len(r.sc.tpSizes)
+	for i := b * bs; i < (b+1)*bs; i++ {
+		if i == r.seedAt {
+			continue
+		}
+		sub, ppFloor, err := r.sc.subproblemFor(i)
+		if err != nil {
+			r.report(i, nil, err)
+			continue
+		}
+		r.h.push(boundKey{r.sc.lowerBound(r.sc.candidate(i), &sub, ppFloor), i})
+	}
+}
+
+// prune counts, and reports when observed, what the search left in the
+// heap: a candidate key is pruned, and so is each member of an
+// unexpanded shape that passes subproblemFor's integer checks; the
+// other members are reported with the error those checks give.
+func (r *bestFirst) prune() int {
+	pruned := 0
+	for _, k := range r.h {
+		if k.i >= 0 {
+			pruned++
+			r.report(k.i, nil, ErrCandidatePruned)
+			continue
+		}
+		sh := &r.sc.shapes[^k.i]
+		i := ^k.i * len(r.sc.tpSizes) * len(r.sc.tpSizes)
+		for _, wME := range r.sc.tpSizes {
+			for _, wMG := range r.sc.tpSizes {
+				if i != r.seedAt {
+					err := r.sc.noSubproblem(sh, wME, wMG)
+					if err == nil {
+						pruned++
+						err = ErrCandidatePruned
+					}
+					r.report(i, nil, err)
+				}
+				i++
+			}
 		}
 	}
-	if len(feasible) == 0 {
+	return pruned
+}
+
+// reducePlans applies the selectPlan tie-breaking over the solved
+// plans in enumeration order — the deterministic reduce that makes the
+// best-first search equivalent to the sequential loop. It must not
+// mutate any candidate (solveSubproblem already stamps Strategy):
+// OnCandidate observers may have retained these pointers.
+func reducePlans(solved []solvedPlan) (*Plan, error) {
+	if len(solved) == 0 {
 		return nil, errNoFeasiblePlan
+	}
+	slices.SortFunc(solved, func(a, b solvedPlan) int { return a.i - b.i })
+	feasible := make([]*Plan, len(solved))
+	for j, sp := range solved {
+		feasible[j] = sp.plan
 	}
 	return selectPlan(feasible), nil
 }

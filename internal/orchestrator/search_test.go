@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"disttrain/internal/model"
+	"disttrain/internal/parallel"
 )
 
 // TestPlanSearchEquivalence is the engine's core guarantee: the
@@ -199,4 +200,74 @@ func planDistTrainSequential(s Spec) (*Plan, error) {
 		return nil, errNoFeasiblePlan
 	}
 	return selectPlan(candidates), nil
+}
+
+// enumerateCandidates materialises the strategy set in the order of
+// the original nested-loop enumeration: TP_lm, DP_lm, w_me, w_mg. It is
+// the reference the block table's index arithmetic must reproduce
+// (TestStrategySetMatchesEnumeration).
+func enumerateCandidates(s Spec, n int) []Candidate {
+	tpSizes := parallel.TPSizes(s.Cluster.GPUsPerNode)
+	var out []Candidate
+	for _, tpLM := range tpSizes {
+		for _, dpLM := range dpCandidates(s, tpLM, n) {
+			for _, wME := range tpSizes {
+				for _, wMG := range tpSizes {
+					out = append(out, Candidate{TPLM: tpLM, DPLM: dpLM, WME: wME, WMG: wMG})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// dpCandidates enumerates DP_lm values: factors of BS/M (so every DP
+// rank sees the same microbatch count) that fit the fleet alongside at
+// least one PP stage.
+func dpCandidates(s Spec, tpLM, n int) []int {
+	maxDP := n / tpLM
+	total := s.GlobalBatch / s.Microbatch
+	var out []int
+	for dp := 1; dp <= maxDP && dp <= total; dp++ {
+		if total%dp == 0 {
+			out = append(out, dp)
+		}
+	}
+	return out
+}
+
+// TestStrategySetMatchesEnumeration: the block table resolves every
+// index to the nested-loop enumeration's candidate, indexOf inverts
+// it, and each shape's floor is llmMemoryFloor's, on small and odd
+// leases, batches with few and many factors, and Table 3's sizes.
+func TestStrategySetMatchesEnumeration(t *testing.T) {
+	base := newSpec(t, model.MLLM9B(), 4, 16, model.FullTraining)
+	for _, tc := range []struct{ nodes, batch, maxGPUs int }{
+		{1, 16, 0}, {1, 16, 3}, {2, 7, 0}, {3, 96, 0}, {4, 16, 0}, {12, 96, 0}, {14, 240, 0}, {162, 1920, 0}, {6, 1, 0},
+	} {
+		s := base
+		s.Cluster.Nodes, s.GlobalBatch, s.MaxGPUs = tc.nodes, tc.batch, tc.maxGPUs
+		sc := newSearchCtx(&s)
+		want := enumerateCandidates(s, sc.n)
+		if got := sc.strategySet(); got != len(want) {
+			t.Fatalf("%+v: %d candidates, enumeration has %d", tc, got, len(want))
+		}
+		for i, c := range want {
+			if got := sc.candidate(i); got != c {
+				t.Fatalf("%+v: candidate %d is %v, want %v", tc, i, got, c)
+			}
+			if got := sc.indexOf(c); got != i {
+				t.Fatalf("%+v: indexOf(%v) = %d, want %d", tc, c, got, i)
+			}
+		}
+		for _, sh := range sc.shapes {
+			pp, err := sc.llmMemoryFloor(sh.tp, sh.dp)
+			if pp != sh.floor || (err == nil) != (sh.floor > 0) {
+				t.Fatalf("%+v: shape %+v, llmMemoryFloor %d, %v", tc, sh, pp, err)
+			}
+		}
+		if sc.indexOf(Candidate{TPLM: 3, DPLM: 1, WME: 1, WMG: 1}) != -1 || sc.indexOf(Candidate{TPLM: 1, DPLM: 1, WME: 3, WMG: 1}) != -1 {
+			t.Errorf("%+v: a candidate outside the strategy set has an index", tc)
+		}
+	}
 }

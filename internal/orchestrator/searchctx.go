@@ -4,13 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"disttrain/internal/model"
 	"disttrain/internal/parallel"
 )
 
 // searchCtx is everything about one spec that all of its candidates
-// share, derived once: a §4.3 search scores ~1400 strategy combinations
+// share, derived once: a §4.3 search bounds ~90 backbone shapes and
+// scores the few hundred strategy combinations of those it expands
 // against the same spec, and none of them should copy the 512-byte
 // Spec, re-validate it, re-query the profiler or re-derive
 // model FLOPs. The exported CheckMemory builds one for a single plan,
@@ -27,11 +29,20 @@ type searchCtx struct {
 	divisors divisorTable // of the backbone's layer count
 	mem      [3]moduleMemory
 	mfuFLOPs float64 // model FLOPs per iteration, the MFU estimate's numerator
-	// cands is the strategy set and floors holds llmMemoryFloor per
-	// backbone shape, in the order of cands' shape blocks; both are
-	// filled by strategySet, nil for a context that only evaluates plans.
-	cands  []Candidate
-	floors []ppFloor
+	// shapes is the strategy set's block table, filled by strategySet,
+	// nil for a context that only evaluates plans.
+	shapes []shape
+}
+
+// shape is one backbone shape (TP_lm, DP_lm) of the strategy set: the
+// block of len(tpSizes)² consecutive candidates, one per (w_me, w_mg),
+// that share its memory floor.
+type shape struct {
+	tp, dp int
+	k      int     // microbatches per iteration, BS/(DP_lm·M)
+	floor  int     // llmMemoryFloor's PP, 0 when no divisor fits
+	err    error   // llmMemoryFloor's error
+	cLM    float64 // C_lm(TP)
 }
 
 // moduleMemory is the plan-independent half of one module's §4.2
@@ -41,11 +52,6 @@ type moduleMemory struct {
 	act    float64 // activation bytes of one microbatch across the whole module
 	params float64
 	frozen bool
-}
-
-type ppFloor struct {
-	pp  int
-	err error
 }
 
 func newSearchCtx(s *Spec) searchCtx {
@@ -93,20 +99,71 @@ func (sc *searchCtx) cTrain(mod model.Module, width int) float64 {
 	return sc.spec.Profiler.CTrain(mod, width)
 }
 
-// strategySet enumerates the spec's candidates and records the backbone
-// memory floor of every shape among them: the floor depends only on
-// (TP, DP), and the len(tpSizes)² (w_me, w_mg) combinations of one
-// shape's block all need it.
-func (sc *searchCtx) strategySet() []Candidate {
-	sc.cands = enumerateCandidates(*sc.spec, sc.n)
-	block := len(sc.tpSizes) * len(sc.tpSizes)
-	sc.floors = make([]ppFloor, len(sc.cands)/block)
-	for k := range sc.floors {
-		c := sc.cands[k*block]
-		pp, err := sc.llmMemoryFloor(c.TPLM, c.DPLM)
-		sc.floors[k] = ppFloor{pp, err}
+// strategySet fills the block table in the deterministic order of the
+// original nested-loop enumeration — TP_lm, then DP_lm over the factors
+// of BS/M that fit the fleet alongside one PP stage, then w_me, then
+// w_mg — and returns the number of candidates. The order is
+// load-bearing: selectPlan's tie-breaking scans candidates in it. The
+// DP_lm values of a wider TP_lm are a prefix of the narrowest's, so
+// only the narrowest scans BS/M's factors.
+func (sc *searchCtx) strategySet() int {
+	total := sc.spec.GlobalBatch / sc.spec.Microbatch
+	maxDP := min(sc.n/sc.tpSizes[0], total)
+	dps := 0
+	for dp := 1; dp <= maxDP; dp++ {
+		if total%dp == 0 {
+			dps++
+		}
 	}
-	return sc.cands
+	sc.shapes = make([]shape, 0, dps*len(sc.tpSizes))
+	for dp := 1; dp <= maxDP; dp++ {
+		if total%dp == 0 {
+			sc.shapes = append(sc.shapes, sc.shapeAt(0, dp))
+		}
+	}
+	for t := 1; t < len(sc.tpSizes); t++ {
+		for _, narrow := range sc.shapes[:dps] {
+			if narrow.dp > sc.n/sc.tpSizes[t] {
+				break
+			}
+			sc.shapes = append(sc.shapes, sc.shapeAt(t, narrow.dp))
+		}
+	}
+	return len(sc.shapes) * len(sc.tpSizes) * len(sc.tpSizes)
+}
+
+// shapeAt is the block table's entry for TP_lm = tpSizes[t] at dp.
+func (sc *searchCtx) shapeAt(t, dp int) shape {
+	tp := sc.tpSizes[t]
+	floor, err := sc.llmMemoryFloor(tp, dp)
+	return shape{
+		tp: tp, dp: dp, k: sc.spec.GlobalBatch / (dp * sc.spec.Microbatch),
+		floor: floor, err: err, cLM: sc.cTrainTP[model.Backbone][t],
+	}
+}
+
+// candidate resolves the strategy set's i-th candidate through the
+// block table.
+func (sc *searchCtx) candidate(i int) Candidate {
+	nt := len(sc.tpSizes)
+	sh := &sc.shapes[i/(nt*nt)]
+	return Candidate{TPLM: sh.tp, DPLM: sh.dp, WME: sc.tpSizes[i/nt%nt], WMG: sc.tpSizes[i%nt]}
+}
+
+// indexOf is candidate's inverse: c's index in the strategy set, or -1
+// when c lies outside it.
+func (sc *searchCtx) indexOf(c Candidate) int {
+	me, mg := slices.Index(sc.tpSizes, c.WME), slices.Index(sc.tpSizes, c.WMG)
+	if me < 0 || mg < 0 {
+		return -1
+	}
+	nt := len(sc.tpSizes)
+	for b, sh := range sc.shapes {
+		if sh.tp == c.TPLM && sh.dp == c.DPLM {
+			return (b*nt+me)*nt + mg
+		}
+	}
+	return -1
 }
 
 // llmMemoryFloor returns the minimum PP for the backbone at (tp, dp):
@@ -118,7 +175,19 @@ func (sc *searchCtx) llmMemoryFloor(tp, dp int) (int, error) {
 			return pp, nil
 		}
 	}
-	return 0, fmt.Errorf("orchestrator: %s cannot fit at TP=%d DP=%d", sc.spec.Model.Backbone.Name, tp, dp)
+	return 0, errNoFit{sc.spec.Model.Backbone.Name, tp, dp}
+}
+
+// errNoFit says the backbone fits at no PP. A §4.3 search records it
+// for dozens of shapes of a large model and reads it only for an
+// observer, so the message is worded only when read.
+type errNoFit struct {
+	backbone string
+	tp, dp   int
+}
+
+func (e errNoFit) Error() string {
+	return fmt.Sprintf("orchestrator: %s cannot fit at TP=%d DP=%d", e.backbone, e.tp, e.dp)
 }
 
 // footprint is one module's §4.2 per-GPU memory: parameters+gradients,

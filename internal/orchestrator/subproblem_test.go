@@ -163,7 +163,8 @@ func TestSubproblemKernelMatchesOracle(t *testing.T) {
 		s := s
 		sc := newSearchCtx(&s)
 		solved := 0
-		for i, c := range sc.strategySet() {
+		for i := range sc.strategySet() {
+			c := sc.candidate(i)
 			sub, _, err := sc.subproblemFor(i)
 			if err != nil {
 				continue
@@ -261,7 +262,8 @@ func FuzzSubproblemRefine(f *testing.F) {
 // exceeds the time of the plan a candidate actually produces, on every
 // candidate of the plan-sweep specs one node either side of Table 3's
 // sizes and of the two-phase gate's shapes. Only float ordering may
-// separate them, and by less than pruneSlack.
+// separate them, and by less than pruneSlack. Each shape's blockBound
+// lies at or below the smallest lower bound among its candidates.
 func TestPruneBoundsAreLowerBounds(t *testing.T) {
 	var specs []Spec
 	sweep := sweepSpecs(t)
@@ -281,17 +283,26 @@ func TestPruneBoundsAreLowerBounds(t *testing.T) {
 	for _, s := range specs {
 		s := s
 		sc := newSearchCtx(&s)
+		n := sc.strategySet()
+		bs := n / len(sc.shapes)
+		minLB := make([]float64, len(sc.shapes))
+		for b := range minLB {
+			minLB[b] = math.Inf(1)
+		}
 		checked := 0
-		for i, c := range sc.strategySet() {
+		for i := range n {
+			c := sc.candidate(i)
 			sub, ppFloor, err := sc.subproblemFor(i)
 			if err != nil {
 				continue
 			}
+			lb := sc.lowerBound(c, &sub, ppFloor)
+			minLB[i/bs] = min(minLB[i/bs], lb)
 			plan, err := sc.solveSubproblem(i)
 			if err != nil {
 				continue
 			}
-			if lb := sc.lowerBound(c, &sub, ppFloor); lb > plan.IterTime*(1+pruneSlack) {
+			if lb > plan.IterTime*(1+pruneSlack) {
 				t.Fatalf("%s nodes=%d %v: lower bound %g exceeds the produced plan's %g",
 					s.Model.Name, s.Cluster.Nodes, c, lb, plan.IterTime)
 			}
@@ -299,6 +310,12 @@ func TestPruneBoundsAreLowerBounds(t *testing.T) {
 		}
 		if checked == 0 {
 			t.Errorf("%s nodes=%d: no candidate produced a plan", s.Model.Name, s.Cluster.Nodes)
+		}
+		for b, sh := range sc.shapes {
+			if bb := sc.blockBound(b); bb > minLB[b] {
+				t.Fatalf("%s nodes=%d TP=%d DP=%d: block bound %g exceeds its smallest candidate bound %g",
+					s.Model.Name, s.Cluster.Nodes, sh.tp, sh.dp, bb, minLB[b])
+			}
 		}
 	}
 }
@@ -336,6 +353,72 @@ func FuzzDiscreteBound(f *testing.F) {
 		if lb > best*(1+pruneSlack) {
 			t.Fatalf("%+v unit=%d layers=%d floor=%d w_me=%d w_mg=%d: bound %g above the best constructible %g",
 				sub, u, nLayers, ppFloor, wME, wMG, lb, best)
+		}
+	})
+}
+
+// FuzzBlockBound checks blockBound on one hand-built shape against
+// its members: for random DP_lm, TP_lm, microbatch size, VPP, K,
+// per-width C tables, budgets, layer counts and memory floors, the
+// block's bound must not exceed any member's lowerBound — exactly, as
+// the bound is the same IEEE arithmetic on operands no larger — nor,
+// beyond pruneSlack, the objective at any allocation stage 3 could
+// build for any member (brute force, as in FuzzDiscreteBound).
+func FuzzBlockBound(f *testing.F) {
+	// dp, tp, mb, vpp, k, budget, layers, floor, C_lm, C_me(1,2,4,8), C_mg(1,2,4,8)
+	f.Add(uint8(2), uint8(1), uint8(0), uint8(0), uint16(29), uint8(96), uint8(40), uint8(2),
+		3.0, 1.0, 0.6, 0.35, 0.2, 2.0, 1.1, 0.6, 0.3)
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), uint16(239), uint8(127), uint8(80), uint8(4),
+		40.0, 3.0, 3.5, 0.1, 9.0, 5.0, 0.2, 4.5, 7.0) // cheapest widths differ per module
+	f.Add(uint8(15), uint8(3), uint8(3), uint8(3), uint16(0), uint8(64), uint8(60), uint8(7),
+		1e-9, 1e9, 1e-9, 1.0, 1.0, 1e9, 1e9, 1e-9, 1.0) // K = 0: no microbatch
+	f.Add(uint8(3), uint8(2), uint8(0), uint8(0), uint16(7), uint8(9), uint8(32), uint8(1),
+		1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0) // budget too small for most members
+	f.Fuzz(func(t *testing.T, dp, tp, mb, vpp uint8, k uint16, budget, layers, floor uint8,
+		cLM, e0, e1, e2, e3, g0, g1, g2, g3 float64) {
+		pos := func(v float64) float64 {
+			v = math.Abs(v)
+			if math.IsNaN(v) || v < 1e-9 {
+				return 1e-9
+			}
+			return min(v, 1e9)
+		}
+		tpSizes := []int{1, 2, 4, 8}
+		nLayers := int(layers)%96 + 1
+		sh := shape{tp: tpSizes[tp%4], dp: int(dp)%16 + 1, k: int(k) % 1024, floor: int(floor)%nLayers + 1, cLM: pos(cLM)}
+		s := Spec{Microbatch: int(mb)%4 + 1}
+		s.GlobalBatch = sh.k * sh.dp * s.Microbatch
+		sc := searchCtx{
+			spec: &s, n: int(budget)%128 + 1, m: float64(s.Microbatch), vpp: int(vpp)%4 + 1,
+			tpSizes: tpSizes, divisors: divisorsOf(nLayers), shapes: []shape{sh},
+		}
+		sc.cTrainTP[model.Encoder] = []float64{pos(e0), pos(e1), pos(e2), pos(e3)}
+		sc.cTrainTP[model.Backbone] = []float64{sh.cLM, sh.cLM, sh.cLM, sh.cLM}
+		sc.cTrainTP[model.Generator] = []float64{pos(g0), pos(g1), pos(g2), pos(g3)}
+
+		bound := sc.blockBound(0)
+		unit := sh.tp * sh.dp
+		for i := range len(tpSizes) * len(tpSizes) {
+			sub, ppFloor, err := sc.subproblemFor(i)
+			if err != nil {
+				continue
+			}
+			c := sc.candidate(i)
+			if lb := sc.lowerBound(c, &sub, ppFloor); bound > lb {
+				t.Fatalf("%+v %v: block bound %g above the member's lower bound %g", sh, c, bound, lb)
+			}
+			best := math.Inf(1)
+			for _, pp := range sc.divisors.between(ppFloor, nLayers) {
+				y := unit * pp
+				for x := c.WME; x+y+c.WMG <= sc.n; x += c.WME {
+					for z := c.WMG; x+y+z <= sc.n; z += c.WMG {
+						best = min(best, sub.objective(float64(x), float64(y), float64(z)))
+					}
+				}
+			}
+			if bound > best*(1+pruneSlack) {
+				t.Fatalf("%+v %v: block bound %g above the member's best constructible %g", sh, c, bound, best)
+			}
 		}
 	})
 }
@@ -417,15 +500,15 @@ func TestPlanSearchAllocBudget(t *testing.T) {
 
 	// 7083 allocs/op were recorded for this cold search before the
 	// kernel, 367 before phase 1 probed instead of solving its sample,
-	// 344 while the engine planned a batch of specs and 325 while it
+	// 344 while the engine planned a batch of specs, 325 while it
 	// probed every 8th candidate and fanned the rest out over a worker
-	// pool; the budget is the 86 the best-first search measures, plus
-	// 10%.
+	// pool and 86 while the best-first search bounded every candidate;
+	// the budget is the 63 the two-level search measures, plus 10%.
 	if got := testing.AllocsPerRun(3, func() {
 		if _, err := Search(context.Background(), s, SearchOptions{}); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 94 {
-		t.Errorf("cold search: %.0f allocs for %d candidates, budget 94", got, len(cands))
+	}); got > 69 {
+		t.Errorf("cold search: %.0f allocs for %d candidates, budget 69", got, cands)
 	}
 }

@@ -90,7 +90,7 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 			} {
 				pruned := -1
 				for _, par := range []int{1, 4} {
-					plan, n, bound, err := search(context.Background(), s, sc.seed, SearchOptions{Parallelism: par})
+					plan, n, _, bound, err := search(context.Background(), s, sc.seed, SearchOptions{Parallelism: par})
 					if err != nil {
 						t.Fatalf("%s par=%d: %v", sc.name, par, err)
 					}
@@ -129,16 +129,19 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 // candidates have a subproblem, which of those fail their full solve,
 // and which lie in the band — a lower bound at most
 // fastest·selectBand·(1+pruneSlack), for the fastest time any candidate
-// reaches: the set a best-first search must solve and nothing more.
+// reaches: the set a best-first search must solve and nothing more —
+// and how many shapes have a blockBound at most that stop line: the
+// shapes it must expand and nothing more.
 type bandOracle struct {
 	cands                 []Candidate
 	hasSub, fails, inBand []bool
-	band, subs            int
+	band, subs, blocks    int
 }
 
 func newBandOracle(s Spec) bandOracle {
 	sc := newSearchCtx(&s)
-	o := bandOracle{cands: sc.strategySet()}
+	sc.strategySet()
+	o := bandOracle{cands: enumerateCandidates(s, sc.n)}
 	n := len(o.cands)
 	o.hasSub, o.fails, o.inBand = make([]bool, n), make([]bool, n), make([]bool, n)
 	lbs := make([]float64, n)
@@ -162,19 +165,26 @@ func newBandOracle(s Spec) bandOracle {
 			o.band++
 		}
 	}
+	for b := range sc.shapes {
+		if !(sc.blockBound(b) > fastest*selectBand*(1+pruneSlack)) {
+			o.blocks++
+		}
+	}
 	return o
 }
 
 // check runs the search with seed and asserts that it reports every
 // candidate exactly once, solves (reports without ErrCandidatePruned)
 // exactly the band plus a seed outside it, prunes the rest of the
-// candidates with a subproblem, and returns the reference plan.
+// candidates with a subproblem, and returns the reference plan. It
+// expands exactly the oracle's shapes, and without an observer it
+// prunes as many candidates.
 func (o bandOracle) check(t *testing.T, s Spec, seed *Candidate) {
 	t.Helper()
 	want, wantErr := planDistTrainSequential(s)
 	reports := map[Candidate]int{}
 	solved := map[Candidate]bool{}
-	plan, pruned, _, err := search(context.Background(), s, seed, SearchOptions{
+	plan, pruned, expanded, _, err := search(context.Background(), s, seed, SearchOptions{
 		OnCandidate: func(c Candidate, _ *Plan, err error) {
 			reports[c]++
 			solved[c] = !errors.Is(err, ErrCandidatePruned)
@@ -201,6 +211,12 @@ func (o bandOracle) check(t *testing.T, s Spec, seed *Candidate) {
 	}
 	if pruned != o.subs-solves {
 		t.Fatalf("pruned %d, want the %d candidates with a subproblem less the %d solved", pruned, o.subs, solves)
+	}
+	if expanded != o.blocks {
+		t.Fatalf("expanded %d shapes, want the %d whose block bound lies under the stop line", expanded, o.blocks)
+	}
+	if _, unobserved, _, _, _ := search(context.Background(), s, seed, SearchOptions{}); unobserved != pruned {
+		t.Fatalf("pruned %d without an observer, %d with one", unobserved, pruned)
 	}
 }
 
