@@ -55,7 +55,6 @@ func main() {
 		policy    = flag.String("policy", "fair-share", "scheduling policy: "+strings.Join(fleet.SchedulerNames(), ", "))
 		priority  = flag.String("priority", "", "comma-separated priority classes (low, normal, high), one per job (default all normal)")
 		scenSpec  = flag.String("scenario", "", "fleet-scope scenario, e.g. 'job-arrive:iter=2,job=0; node-fail:iter=3,node=1; priority-arrive:iter=4,job=0,class=high; preempt-storm:iter=5,job=1,count=2'")
-		workers   = flag.Int("workers", 0, "per-round job-step worker pool size (0 = GOMAXPROCS)")
 		traceFile = flag.String("trace", "", "write the merged fleet timeline (Chrome trace format) to this file")
 		producers = flag.Int("producers", 0, "shared preprocessing producers (0 = no shared tier); jobs fetch batches over TCP with per-tenant quotas and weighted fair queueing")
 		slots     = flag.Int("preprocess-slots", 2, "per-tenant admission quota per leased node on the shared tier")
@@ -121,7 +120,6 @@ func main() {
 	cfg := fleet.Config{
 		Cluster: spec.Cluster,
 		Policy:  pol,
-		Workers: *workers,
 		Trace:   *traceFile != "",
 	}
 	var disk *store.Disk

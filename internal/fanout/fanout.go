@@ -1,9 +1,8 @@
-// Package fanout is the repo's one cursor-fed worker pool: the plan
-// search's candidate workers, the fleet's tenant steps, a producer's
-// sample workers and a live pool's rank fetches (trainer.PoolSource)
-// all hand out indices through it. Every caller writes outcomes to per-index slots and reduces them
-// in index order afterwards, which is what keeps results byte-identical
-// at any worker count.
+// Package fanout is the repo's one cursor-fed worker pool, for the two
+// real I/O seams: a producer's sample workers (preprocess.Server) and a
+// live pool's rank fetches (trainer.PoolSource). Both write outcomes
+// to per-index slots and reduce them in index order afterwards, which
+// is what keeps results byte-identical at any worker count.
 package fanout
 
 import (

@@ -34,9 +34,13 @@ import (
 // stopped resolving its own plan and copying its lease out of line,
 // and again (K=1 from 181, the cold storm from 1,350) when a cold
 // search stopped materialising its whole strategy set and bounded each
-// backbone shape before building its candidates.
-// The traced row records every tenant's timeline and merges them: 629
-// allocations (645 before that search change), where 1,613 were while each rank copied its ops out of
+// backbone shape before building its candidates, and on every row (K=1
+// from 165, K=64 from 1,087, the cold storm from 1,085) when a round
+// stopped fanning its tenant steps out over goroutines and a Job
+// stopped prefetching its next batch on one.
+// The traced row records every tenant's timeline and merges them: 579
+// allocations (629 before the prefetch went, 645 before that search
+// change), where 1,613 were while each rank copied its ops out of
 // the simulator, each trace kept its own label index, each runtime
 // labelled its op names and each lane name and fleet note built a map.
 // Under the race detector sync.Pool drops entries at random, so there
@@ -53,12 +57,12 @@ func TestFleetAllocBudget(t *testing.T) {
 		traced   bool
 		recorded float64
 	}{
-		{"K=1", 1, 32, false, false, 165},
-		{"K=4", 4, 8, false, false, 224},
-		{"K=16", 16, 2, false, false, 357},
-		{"K=64", 64, 2, false, false, 1087},
-		{"cold storm", 16, 2, true, false, 1085},
-		{"K=16 traced", 16, 2, false, true, 629},
+		{"K=1", 1, 32, false, false, 96},
+		{"K=4", 4, 8, false, false, 189},
+		{"K=16", 16, 2, false, false, 307},
+		{"K=64", 64, 2, false, false, 893},
+		{"cold storm", 16, 2, true, false, 971},
+		{"K=16 traced", 16, 2, false, true, 579},
 	} {
 		spec, corpus := buildSpec(t, 2*tc.k, 32)
 		cfg := Config{Cluster: spec.Cluster, Trace: tc.traced}

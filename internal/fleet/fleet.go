@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"disttrain/internal/cluster"
-	"disttrain/internal/fanout"
 	"disttrain/internal/metrics"
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/preprocess"
@@ -82,9 +80,9 @@ type Config struct {
 	// quotas. Scenario producer-fail / producer-join events require it
 	// (they act on the shared producer fleet).
 	Preprocess *PreprocessConfig
-	// Workers bounds the per-round tenant-step worker pool; values < 1
-	// mean GOMAXPROCS. Results and traces are byte-identical at any
-	// value.
+	// Workers is inert (ignored): a round steps its tenants in
+	// submission order on Run's goroutine. Kept only for benchmark/ until
+	// a later benchmark change deletes it.
 	Workers int
 	// Planners is inert (ignored), kept only for benchmark/ until a later benchmark change deletes it.
 	Planners int
@@ -697,8 +695,8 @@ func (f *runner) retire(t *tenant, departed bool) {
 		t.rt.Close() // leaves the run's batch cache
 	}
 	t.rt, t.job = nil, nil
-	// Finish drained the prefetch, so the tenant's pool counters are
-	// quiescent — snapshot them now, exactly once.
+	// No fetch is in flight between Steps, so the tenant's pool
+	// counters are quiescent — snapshot them now, exactly once.
 	f.snapshotPool(t)
 	f.transition(t, stateDone, "retire")
 	t.finished = f.round
@@ -888,21 +886,13 @@ func (f *runner) running() []*tenant {
 func (f *runner) runningCount() int { return len(f.running()) }
 
 // stepRunning advances every running tenant by one training iteration
-// (or one recovery rewind), fanned out over the bounded worker pool.
-// Each tenant's Step touches only its own state, and outcomes land in
-// per-tenant slots, so the fan-out is deterministic at any pool size.
+// (or one recovery rewind) in submission order, then retires the
+// tenants whose step failed.
 func (f *runner) stepRunning() {
 	run := f.running()
-	if len(run) == 0 {
-		return
+	for _, t := range run {
+		t.stepErr = t.job.Step()
 	}
-	workers := f.cfg.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fanout.Run(context.Background(), workers, len(run), func(i int) {
-		run[i].stepErr = run[i].job.Step()
-	})
 	for _, t := range run {
 		if t.stepErr != nil {
 			f.fail(t, "job-failed", t.stepErr)

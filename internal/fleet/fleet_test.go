@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -112,7 +111,7 @@ func TestFleetOneJobEquivalence(t *testing.T) {
 // repeatedly: three tenants under fair-share, a node failure that
 // suspends one tenant mid-run, a rejoin, a scenario-driven arrival and
 // an early departure.
-func perturbedFleet(t *testing.T, spec orchestrator.Spec, corpus *data.Corpus, workers int) Config {
+func perturbedFleet(t *testing.T, spec orchestrator.Spec, corpus *data.Corpus) Config {
 	t.Helper()
 	sc, err := scenario.Parse("node-fail:iter=2,node=6; node-join:iter=4,node=6; job-arrive:iter=3,job=1; job-depart:iter=4,job=0")
 	if err != nil {
@@ -128,16 +127,15 @@ func perturbedFleet(t *testing.T, spec orchestrator.Spec, corpus *data.Corpus, w
 		},
 		Policy:   FairShare,
 		Scenario: sc,
-		Workers:  workers,
 		Trace:    true,
 	}
 }
 
 // TestFleetDeterminism pins the K-job contract: results and the merged
-// fleet trace are byte-identical across repeated runs and across
-// worker-pool sizes, even under fleet-scope churn (node failure +
-// rejoin, scenario arrival, departure) with elastic fair-share
-// resizes. Run under -race by the CI race gate.
+// fleet trace are byte-identical across repeated runs, even under
+// fleet-scope churn (node failure + rejoin, scenario arrival,
+// departure) with elastic fair-share resizes. The determinism gate
+// reruns it at GOMAXPROCS=1; TestGoldenTraceBytes pins the trace.
 func TestFleetDeterminism(t *testing.T) {
 	spec, corpus := buildSpec(t, 8, 32)
 	type outcome struct {
@@ -152,17 +150,17 @@ func TestFleetDeterminism(t *testing.T) {
 		return outcome{jobs: jobs, trace: traceBytes(t, r.Trace)}
 	}
 	var want outcome
-	for i, workers := range []int{1, 1, 4, runtime.GOMAXPROCS(0)} {
-		res, err := runChecked(t, perturbedFleet(t, spec, corpus, workers))
+	for i := range 2 {
+		res, err := runChecked(t, perturbedFleet(t, spec, corpus))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, jr := range res.Jobs {
 			if jr.Err != nil {
-				t.Fatalf("workers %d: job %s failed: %v", workers, jr.Name, jr.Err)
+				t.Fatalf("run %d: job %s failed: %v", i, jr.Name, jr.Err)
 			}
 			if jr.Result == nil {
-				t.Fatalf("workers %d: job %s has no result", workers, jr.Name)
+				t.Fatalf("run %d: job %s has no result", i, jr.Name)
 			}
 		}
 		got := strip(res)
@@ -171,10 +169,10 @@ func TestFleetDeterminism(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(got.jobs, want.jobs) {
-			t.Errorf("workers %d: job results diverged", workers)
+			t.Error("repeated run: job results diverged")
 		}
 		if !bytes.Equal(got.trace, want.trace) {
-			t.Errorf("workers %d: merged trace diverged (%d vs %d bytes)", workers, len(got.trace), len(want.trace))
+			t.Errorf("repeated run: merged trace diverged (%d vs %d bytes)", len(got.trace), len(want.trace))
 		}
 	}
 }
@@ -184,7 +182,7 @@ func TestFleetDeterminism(t *testing.T) {
 // its rank outcomes too, while a tenant with a workload-shift scenario
 // prepares and simulates its own; every tenant's Result — and, traced,
 // its timeline byte for byte — is identical to a standalone trainer.Run
-// of its plan on a cluster of its lease size, at every worker count.
+// of its plan on a cluster of its lease size.
 // Mixed lease sizes give tenants of one batch class different plans.
 func TestFleetSharedBatchesMatchStandalone(t *testing.T) {
 	const iters = 3
@@ -217,32 +215,29 @@ func TestFleetSharedBatchesMatchStandalone(t *testing.T) {
 				}
 				cfg.Jobs = append(cfg.Jobs, js)
 			}
-			for _, workers := range []int{1, 4} {
-				cfg.Workers = workers
-				res, err := runChecked(t, cfg)
+			res, err := runChecked(t, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, jr := range res.Jobs {
+				if jr.Err != nil || jr.Result == nil {
+					t.Fatalf("job %s: %v", jr.Name, jr.Err)
+				}
+				ref := cfg.Jobs[jr.Spec].Train
+				ref.Spec.Cluster = cluster.Production(tc.leases[jr.Spec])
+				ref.Plan = jr.Plan
+				if tc.trace {
+					ref.Trace = metrics.NewTrace()
+				}
+				want, err := trainer.Run(ref, iters)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, jr := range res.Jobs {
-					if jr.Err != nil || jr.Result == nil {
-						t.Fatalf("workers %d: job %s: %v", workers, jr.Name, jr.Err)
-					}
-					ref := cfg.Jobs[jr.Spec].Train
-					ref.Spec.Cluster = cluster.Production(tc.leases[jr.Spec])
-					ref.Plan = jr.Plan
-					if tc.trace {
-						ref.Trace = metrics.NewTrace()
-					}
-					want, err := trainer.Run(ref, iters)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(jr.Result, want) {
-						t.Errorf("workers %d: job %s diverged from standalone:\ngot  %+v\nwant %+v", workers, jr.Name, jr.Result, want)
-					}
-					if tc.trace && !bytes.Equal(traceBytes(t, jr.Trace), traceBytes(t, ref.Trace)) {
-						t.Errorf("workers %d: job %s: trace diverged from standalone", workers, jr.Name)
-					}
+				if !reflect.DeepEqual(jr.Result, want) {
+					t.Errorf("job %s diverged from standalone:\ngot  %+v\nwant %+v", jr.Name, jr.Result, want)
+				}
+				if tc.trace && !bytes.Equal(traceBytes(t, jr.Trace), traceBytes(t, ref.Trace)) {
+					t.Errorf("job %s: trace diverged from standalone", jr.Name)
 				}
 			}
 		})
@@ -269,7 +264,7 @@ func diskCache(t *testing.T, dir string) *orchestrator.PlanCache {
 func TestFleetPlanCachePersistsAcrossRuns(t *testing.T) {
 	dir := t.TempDir()
 	spec, corpus := buildSpec(t, 8, 32)
-	cfg := perturbedFleet(t, spec, corpus, 0)
+	cfg := perturbedFleet(t, spec, corpus)
 	cfg.Cache = diskCache(t, dir)
 	res1, err := runChecked(t, cfg)
 	if err != nil {
@@ -284,7 +279,7 @@ func TestFleetPlanCachePersistsAcrossRuns(t *testing.T) {
 	// A fresh profiler with identical calibration must still hit: the
 	// durable key is calibration content, not the pointer.
 	spec2, corpus2 := buildSpec(t, 8, 32)
-	cfg2 := perturbedFleet(t, spec2, corpus2, 0)
+	cfg2 := perturbedFleet(t, spec2, corpus2)
 	cfg2.Cache = diskCache(t, dir)
 	res2, err := runChecked(t, cfg2)
 	if err != nil {
@@ -312,7 +307,7 @@ func TestFleetPlanCachePersistsAcrossRuns(t *testing.T) {
 // iterations, and the scenario arrival produced a third tenant.
 func TestFleetChurnSemantics(t *testing.T) {
 	spec, corpus := buildSpec(t, 8, 32)
-	res, err := runChecked(t, perturbedFleet(t, spec, corpus, 0))
+	res, err := runChecked(t, perturbedFleet(t, spec, corpus))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +418,7 @@ func TestFleetFairShareGrowsOnCompletion(t *testing.T) {
 // the OnRound seam the invariants ride on actually fires.
 func TestFleetLeaseInvariantE2E(t *testing.T) {
 	spec, corpus := buildSpec(t, 8, 32)
-	cfg := perturbedFleet(t, spec, corpus, 0)
+	cfg := perturbedFleet(t, spec, corpus)
 	rounds := 0
 	cfg.OnRound = func(RoundInfo) { rounds++ }
 	if _, err := runChecked(t, cfg); err != nil {

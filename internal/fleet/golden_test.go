@@ -161,7 +161,7 @@ func TestGoldenTraceBytes(t *testing.T) {
 	}{
 		{"fifo", fifoGoldenFleet},
 		{"fairshare", fairShareGoldenFleet},
-		{"priority", func(t *testing.T) Config { return priorityFleet(t, 0) }},
+		{"priority", func(t *testing.T) Config { return priorityFleet(t) }},
 	} {
 		cfg := fx.cfg(t)
 		cfg.Trace = true
@@ -185,13 +185,12 @@ func TestGoldenTraceBytes(t *testing.T) {
 // TestTracedRerunInternsNoLabel: trace labels are process-wide and never
 // freed, so a fleet must draw them from a bounded set — a second
 // identical traced run of the priority fixture interns no new label.
-// Its tenants step on four workers, so `make race` also checks the
-// interning they do concurrently. Labels are numbered in interning
+// Labels are numbered in interning
 // order, so the probes interned around the rerun read the table's
 // growth off their own Labels.
 func TestTracedRerunInternsNoLabel(t *testing.T) {
 	run := func() {
-		if _, err := runChecked(t, priorityFleet(t, 4)); err != nil {
+		if _, err := runChecked(t, priorityFleet(t)); err != nil {
 			t.Fatal(err)
 		}
 	}

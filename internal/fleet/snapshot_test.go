@@ -84,10 +84,10 @@ func TestRunningSnapshotMatchesFreshBuild(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"node-fail+depart/fair-share", perturbedFleet(t, spec, corpus, 0)},
+		{"node-fail+depart/fair-share", perturbedFleet(t, spec, corpus)},
 		{"shrink-grow/fair-share", fairShareGoldenFleet(t)},
 		{"node-fail/fifo", fifoGoldenFleet(t)},
-		{"preempt-storm/priority", priorityFleet(t, 0)},
+		{"preempt-storm/priority", priorityFleet(t)},
 		{"herd/fifo", herdConfig(t, 8, 4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,12 +9,11 @@
 //
 // Determinism is the contract, exactly as everywhere else in the
 // repo: the fleet advances in rounds — every running job executes one
-// training iteration per round, fanned out over a bounded worker pool
-// with per-tenant result slots — and all scheduling decisions
-// (admission order, placement, resize targets, event application) are
-// pure functions of the configuration and the round number. A 1-job
-// fleet run is byte-identical to the standalone trainer; a K-job run
-// is byte-identical to itself at any worker count.
+// training iteration per round, in submission order on Run's goroutine
+// — and all scheduling decisions (admission order, placement, resize
+// targets, event application) are pure functions of the configuration
+// and the round number. A 1-job fleet run is byte-identical to the
+// standalone trainer; a K-job run is byte-identical to itself.
 package fleet
 
 import "fmt"

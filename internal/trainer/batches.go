@@ -125,20 +125,6 @@ func (r *Runtime) classOf(spec *orchestrator.Spec, plan *orchestrator.Plan) *cla
 // runtimes: whether its runtimes read shared batches.
 func (c *class) shares() bool { return c.live != nil && c.live.Load() >= 2 }
 
-// sharedKey returns iteration iter's cache key under the runtime's plan
-// and the entries to read it from, nil when the runtime prepares
-// privately: it is unregistered or alone in its batch class. prepare reads
-// and Job.launch asks through it, so the two cannot disagree.
-func (r *Runtime) sharedKey(iter int) (*window.Once[batchKey, preparedBatch], batchKey) {
-	c := r.cls
-	if r.cfg.Batches == nil || !c.shares() {
-		return nil, batchKey{}
-	}
-	dp := c.plan.Modules[model.Backbone].Config.DP
-	k := batchKey{batchClass: c.batchClass, first: int64(iter) * int64(c.batch), dp: dp, balance: c.reorder}
-	return &r.cfg.Batches.entries, k
-}
-
 // sharedRun returns the rank outcomes of p, a shared batch, under the
 // runtime's plan: the first asker of the run key simulates them into a
 // fresh slice, a concurrent asker waits for that run. The slice is

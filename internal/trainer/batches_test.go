@@ -2,7 +2,6 @@ package trainer
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -163,9 +162,9 @@ func TestBatchCacheSharesEachBuild(t *testing.T) {
 	})
 
 	t.Run("resize", func(t *testing.T) {
-		// The grown runtime builds iteration 0 at the old width, 1 at
-		// both (its discarded prefetch ran first) and 2 at the new one;
-		// the other then builds only iteration 2 at the old width.
+		// The grown runtime builds iteration 0 at the old width and 1
+		// and 2 at the new one; the other then builds 1 and 2 at the old
+		// width.
 		var c BatchCache
 		grown, kept := start(t, &c, nil), start(t, &c, nil)
 		check("resized runtime", mustRun(grown, true), wantGrow)
@@ -500,95 +499,5 @@ func TestSharedTracedTenantsSimulateOnce(t *testing.T) {
 		if got := j.r.cfg.Trace.Len(); got != events {
 			t.Errorf("tenant %d recorded %d events, want %d", i, got, events)
 		}
-	}
-}
-
-// TestLaunchPrefetchesOnlyWhatNeedsBuilding pins Job.launch's rule.
-// Four runtimes of one class stepping in lock-step rounds on one
-// BatchCache prefetch each shared batch once between them — the first
-// to step launches it, the rest find it in the cache and read it inline
-// — so after every round but the last exactly one Job has a prepare
-// pending, and the cache has built each iteration stepped or prefetched
-// once. A lone class member and a runtime with a scenario prepare
-// privately and prefetch on every step. Each round waits out a launched
-// prepare before the next runtime steps, so which runtime finds its
-// batch in flight does not depend on scheduling. Every runtime returns
-// its private RunSequential's Result, FLOPs to the bit.
-func TestLaunchPrefetchesOnlyWhatNeedsBuilding(t *testing.T) {
-	spec, corpus := buildSpec(t, model.MLLM9B(), 4, 32, model.FullTraining)
-	plan, err := orchestrator.PlanDistTrain(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shift, err := scenario.Parse("workload-shift:iters=1-2,factor=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const iters = 4
-	start := func(c *BatchCache, sc scenario.Scenario) *Runtime {
-		cfg := DistTrainConfig(spec, plan, corpus)
-		cfg.GradientDim = 4
-		cfg.Scenario = sc
-		cfg.Batches = c
-		rt, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(rt.Close)
-		return rt
-	}
-	for _, tc := range []struct {
-		name    string
-		scs     []scenario.Scenario // one runtime each
-		pending int                 // jobs with a prepare pending after each round but the last
-		builds  func(rounds int) int64
-	}{
-		{"one class", make([]scenario.Scenario, 4), 1, func(r int) int64 { return int64(min(r+1, iters)) }},
-		{"private", []scenario.Scenario{nil, shift}, 2, func(int) int64 { return 0 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var c BatchCache
-			jobs := make([]*Job, len(tc.scs))
-			for i, sc := range tc.scs {
-				if jobs[i], err = start(&c, sc).NewJob(iters); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for r := 0; r < iters; r++ {
-				pending := 0
-				for _, j := range jobs {
-					if err := j.Step(); err != nil {
-						t.Fatal(err)
-					}
-					if j.pendingIter >= 0 {
-						// Wait for the prepare to finish, and hand it back.
-						p := <-j.pending
-						j.pending <- p
-						pending++
-					}
-				}
-				if want := tc.pending * min(1, iters-1-r); pending != want {
-					t.Errorf("round %d: %d jobs have a prepare pending, want %d", r, pending, want)
-				}
-				if got, want := c.builds.Load(), tc.builds(r+1); got != want {
-					t.Errorf("round %d: %d shared batches built, want %d", r, got, want)
-				}
-			}
-			for i, j := range jobs {
-				got := j.Finish()
-				want, err := start(nil, tc.scs[i]).RunSequential(iters)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for it := range want.Iterations {
-					if g, w := got.Iterations[it].FLOPs, want.Iterations[it].FLOPs; math.Float64bits(g) != math.Float64bits(w) {
-						t.Errorf("runtime %d iteration %d: FLOPs %v, RunSequential %v", i, it, g, w)
-					}
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("runtime %d diverged from its RunSequential:\ngot  %+v\nwant %+v", i, got, want)
-				}
-			}
-		})
 	}
 }

@@ -16,28 +16,25 @@ import (
 	"disttrain/internal/scenario"
 )
 
-// This file is the iteration engine. One iteration splits into three
-// stages:
+// This file is the iteration engine. One iteration runs on the caller's
+// goroutine in three stages:
 //
 //  1. front-end: fetch the global batch, run Algorithm 1's DP-rank
 //     assignment and sum its FLOPs — a pure function of the iteration
-//     index, which is what lets the async data service compute it one
-//     iteration ahead when it still needs computing (Job.launch), the
-//     one goroutine a run starts;
+//     index, so a failure rewind re-prepares the identical batch;
 //  2. ranks: per DP rank, in rank order, build microbatches, apply
 //     Algorithm 2 ordering, and simulate the exact 1F1B timeline;
 //  3. reduce: fold the per-rank outcomes in rank order into the
 //     iteration breakdown.
 //
-// Because the prefetched front-end is a pure function of its iteration
-// and the ranks and the reduce run in a fixed order, Run returns
-// results byte-identical to the sequential reference (RunSequential,
-// no prefetch).
+// Disaggregated preprocessing (§5) keeps data work off the simulated
+// training path; it is priced (finishIteration's PreprocessStall), not
+// overlapped on the host.
 //
 // What outlives what: a private corpus batch, its work and its ranks
-// live in one of the runtime's two prepBufs until iteration i+2 is
-// prepared, and its untraced rank outcomes in the runtime's slots until
-// the next iteration refills them, so nothing else of an iteration
+// live in the runtime's prepBuf until the next iteration is prepared,
+// and its untraced rank outcomes in the runtime's slots until the next
+// iteration refills them, so nothing else of an iteration
 // escapes its Step unless copied — a controller gets its own copy of
 // the batch (Observation.Batch). A traced outcome vector (fresh per
 // private iteration) and a shared batch with its outcome vector (a
@@ -60,12 +57,10 @@ type preparedBatch struct {
 	shared bool
 }
 
-// prepBuf backs one preparedBatch: iteration i reads prep[i&1] while
-// the prefetch of i+1 (the one prepare ever outstanding) fills the
-// other. batch holds a corpus batch's samples (a live source's or a
-// trial's batch is theirs); ranks slices work itself when ranks own
-// contiguous blocks of the batch, flat (work gathered rank-major) when
-// Algorithm 1 assigned.
+// prepBuf backs one private preparedBatch. batch holds a corpus
+// batch's samples (a live source's or a trial's batch is theirs); ranks
+// slices work itself when ranks own contiguous blocks of the batch,
+// flat (work gathered rank-major) when Algorithm 1 assigned.
 type prepBuf struct {
 	batch      []data.Sample
 	work, flat []model.Workload
@@ -102,7 +97,7 @@ func fold(dst []model.Workload, samples []data.Sample, k *model.CostKernel) ([]m
 // preprocessing and see no scenario.
 func (r *Runtime) prepare(iter int) preparedBatch {
 	dp := r.cls.plan.Modules[model.Backbone].Config.DP
-	buf := &r.prep[iter&1]
+	buf := &r.prep
 	p := preparedBatch{iter: iter}
 	src := r.cfg.Source
 	switch {
@@ -113,12 +108,13 @@ func (r *Runtime) prepare(iter int) preparedBatch {
 	case r.trial != nil:
 		p.batch = r.trial[iter%len(r.trial)]
 	default:
-		if entries, k := r.sharedKey(iter); entries != nil {
-			p = entries.Get(k, k.batch, func() preparedBatch { return r.build(k) })
+		c, bs := r.cls, r.cls.batch
+		if r.cfg.Batches != nil && c.shares() {
+			k := batchKey{batchClass: c.batchClass, first: int64(iter) * int64(bs), dp: dp, balance: c.reorder}
+			p = r.cfg.Batches.entries.Get(k, bs, func() preparedBatch { return r.build(k) })
 			p.iter, p.shared = iter, true
 			return p
 		}
-		bs := r.cls.batch
 		buf.batch = r.cfg.Corpus.AppendBatch(buf.batch[:0], int64(iter)*int64(bs), bs)
 		p.batch = scenario.At(r.cfg.Scenario, iter).ShiftBatch(buf.batch)
 	}
@@ -165,8 +161,8 @@ var (
 // runRank executes one DP rank's pipeline: microbatch construction,
 // Algorithm 2 ordering, exact 1F1B simulation — under the iteration's
 // scenario perturbation. Pure with respect to runtime state (all
-// mutable state lives in the pooled scratch), so runtimes the fleet
-// steps concurrently may run it at once. When tracing, the simulator
+// mutable state lives in the pooled scratch), so runtimes on separate
+// goroutines may run it at once. When tracing, the simulator
 // times the ops into the outcome's own spans; otherwise none are
 // recorded.
 func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scenario.Perturbation) rankOutcome {
@@ -229,8 +225,7 @@ func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scen
 
 // finishIteration is the deterministic reduce: it folds the per-rank
 // outcome slots in rank order and prices the iteration's serial
-// phases. Both the sequential reference and the prefetching run end
-// here, so their results agree bit for bit.
+// phases.
 func (r *Runtime) finishIteration(p *preparedBatch, pert scenario.Perturbation, outcomes []rankOutcome) (IterationStats, error) {
 	cfg, c := &r.cfg, r.cls
 	spec := &c.spec
@@ -413,26 +408,13 @@ func (r *Runtime) RunIterationSequential(iter int) (IterationStats, error) {
 	return r.iteration(&p)
 }
 
-// Run executes n iterations and aggregates. The async data service
-// prepares iteration i+1's batch, unless a runtime sharing it already
-// has, while iteration i trains; scenario-injected node failures
-// trigger checkpoint-restore recovery with the lost iterations
-// re-executed.
-func (r *Runtime) Run(n int) (*Result, error) {
-	return r.runLoop(n, true)
-}
-
-// RunSequential is the pinned serial counterpart of Run: no prefetch.
-// Byte-identical results; the reference tests compare Run against.
-func (r *Runtime) RunSequential(n int) (*Result, error) {
-	return r.runLoop(n, false)
-}
-
-// runLoop drives a Job to completion: the loop body lives in
+// Run executes n iterations on the calling goroutine and aggregates;
+// scenario-injected node failures trigger checkpoint-restore recovery
+// with the lost iterations re-executed. The loop body lives in
 // (*Job).Step so the fleet runtime can interleave many jobs over one
 // shared cluster; a standalone run is simply the 1-job schedule.
-func (r *Runtime) runLoop(n int, prefetch bool) (*Result, error) {
-	j, err := r.newJob(n, prefetch)
+func (r *Runtime) Run(n int) (*Result, error) {
+	j, err := r.NewJob(n)
 	if err != nil {
 		return nil, err
 	}

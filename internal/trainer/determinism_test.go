@@ -11,12 +11,11 @@ import (
 	"disttrain/internal/scenario"
 )
 
-// TestConcurrentRuntimeEquivalence is the engine's core guarantee
-// (mirroring the plan search's TestPlanSearchEquivalence): Run, whose
-// async data service prepares the next batch on its own goroutine,
-// produces a Result byte-identical to the pinned sequential reference,
-// steady state and under scenario perturbation alike. Run under -race
-// by the CI race gate.
+// TestConcurrentRuntimeEquivalence is the engine's core guarantee: Run
+// on a fresh runtime returns a Result byte-identical to a repeated run,
+// and every iteration's stats equal a single iteration run alone on
+// another fresh runtime, steady state and under scenario perturbation
+// alike. The determinism gate reruns it at GOMAXPROCS=1.
 func TestConcurrentRuntimeEquivalence(t *testing.T) {
 	spec, corpus := buildSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	plan, err := orchestrator.PlanDistTrain(spec)
@@ -63,7 +62,7 @@ func TestConcurrentRuntimeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ref.Close()
-			want, err := ref.RunSequential(iters)
+			want, err := ref.Run(iters)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +77,7 @@ func TestConcurrentRuntimeEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("Run diverged from sequential reference:\ngot  %+v\nwant %+v", got, want)
+				t.Errorf("repeated Run diverged:\ngot  %+v\nwant %+v", got, want)
 			}
 
 			// Single iterations on a fresh runtime agree too, at every
@@ -103,11 +102,10 @@ func TestConcurrentRuntimeEquivalence(t *testing.T) {
 
 // TestTraceByteIdenticalToSequential pins the trace against the
 // scratch-reusing iteration loop: a trace-enabled Run serializes
-// byte-identically to the pinned sequential reference, steady state
-// and perturbed alike. The prefetch goroutine records nothing; the
-// iteration is recorded as one batch in rank order on the run loop, so
-// this is the test (run under -race by CI) that the prefetched batch
-// hand-off leaves the trace as the serial loop writes it.
+// byte-identically to the same iterations run one by one
+// (RunIterationSequential) and to a repeated Run, steady state and
+// perturbed alike. The Job loop records nothing of its own on a run
+// without failures, pool events or a controller.
 func TestTraceByteIdenticalToSequential(t *testing.T) {
 	spec, corpus := buildSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	plan, err := orchestrator.PlanDistTrain(spec)
@@ -150,18 +148,25 @@ func TestTraceByteIdenticalToSequential(t *testing.T) {
 				return buf.Bytes()
 			}
 			want := traceBytes(func(rt *Runtime) error {
-				_, err := rt.RunSequential(iters)
-				return err
+				for i := 0; i < iters; i++ {
+					if _, err := rt.RunIterationSequential(i); err != nil {
+						return err
+					}
+				}
+				return nil
 			})
 			if len(want) == 0 {
-				t.Fatal("sequential reference recorded no trace")
+				t.Fatal("single iterations recorded no trace")
 			}
-			got := traceBytes(func(rt *Runtime) error {
+			run := func(rt *Runtime) error {
 				_, err := rt.Run(iters)
 				return err
-			})
-			if !bytes.Equal(got, want) {
-				t.Errorf("trace diverged from sequential reference (%d vs %d bytes)", len(got), len(want))
+			}
+			if got := traceBytes(run); !bytes.Equal(got, want) {
+				t.Errorf("Run's trace diverged from its iterations run one by one (%d vs %d bytes)", len(got), len(want))
+			}
+			if got := traceBytes(run); !bytes.Equal(got, want) {
+				t.Errorf("repeated Run's trace diverged (%d vs %d bytes)", len(got), len(want))
 			}
 		})
 	}

@@ -19,20 +19,17 @@ import (
 // run loop's state machine made explicit, advanced one pass at a time
 // by Step, with Resize applying a lease change as a costed
 // reconfiguration (checkpoint write + restore read — the same path
-// controller plan switches ride). Run and RunSequential drive a Job to
-// completion themselves, so a standalone run and a fleet-driven 1-job
-// run execute byte-identical code.
+// controller plan switches ride). Run drives a Job to completion
+// itself, so a standalone run and a fleet-driven 1-job run execute
+// byte-identical code.
 
 // Job is one training run in progress: the runtime plus the loop state
-// of its n-iteration run. A Job is not safe for concurrent use; the
-// concurrency lives inside Step (an unbuilt batch's prefetch), not
-// across callers — the same contract as Runtime.
+// of its n-iteration run. A Job is not safe for concurrent use, and
+// Step runs on the caller's goroutine: it starts none of its own unless
+// a live producer pool fans its rank fetches out (PoolSource.Assign).
 type Job struct {
 	r *Runtime
 	n int
-	// prefetch is off only on the pinned serial reference
-	// (RunSequential).
-	prefetch bool
 
 	res                  *Result
 	timeSum, usefulFlops float64
@@ -45,34 +42,21 @@ type Job struct {
 	maxExecuted, lastFailure, poolFired int
 	grad                                gradientAccumulator
 
-	// The async data service: at most one outstanding prepare, consumed
-	// (or discarded, after a failure rewind or reconfiguration) before
-	// the next launches; pendingIter is its iteration, -1 for none.
-	// pending is made by the first launch: a job whose batches are all
-	// shared and already cached never needs it.
-	pendingIter int
-	pending     chan preparedBatch
-
 	i        int
 	finished bool
 }
 
-// NewJob builds a Job that will execute n iterations with the async
-// data service — the same path Run drives. The fleet runtime advances
-// it with Step and finalises with Finish.
+// NewJob builds a Job that will execute n iterations — the same path
+// Run drives. The fleet runtime advances it with Step and finalises
+// with Finish.
 func (r *Runtime) NewJob(n int) (*Job, error) {
-	return r.newJob(n, true)
-}
-
-func (r *Runtime) newJob(n int, prefetch bool) (*Job, error) {
 	if n <= 0 {
 		return nil, errors.New("trainer: need at least one iteration")
 	}
 	j := &Job{
-		r: r, n: n, prefetch: prefetch,
+		r: r, n: n,
 		res:         &Result{Strategy: r.cls.plan.Strategy, GPUs: r.cls.gpus, Iterations: make([]IterationStats, 0, n)},
 		maxExecuted: -1, lastFailure: -1, poolFired: -1,
-		pendingIter: -1,
 	}
 	if r.cfg.GradientDim > 0 {
 		j.grad = gradientAccumulator{Dim: r.cfg.GradientDim}
@@ -89,52 +73,13 @@ func (j *Job) Done() bool { return j.i >= j.n }
 // Step will execute (or rewind across).
 func (j *Job) Iteration() int { return j.i }
 
-// discardPrefetch drains an outstanding prepare whose assignment is no
-// longer valid (failure rewind, plan switch, lease change).
-func (j *Job) discardPrefetch() {
-	if j.pendingIter >= 0 {
-		<-j.pending
-		j.pendingIter = -1
-	}
-}
-
-// fetch returns iteration i's prepared batch, consuming the prefetched
-// one when it matches.
-func (j *Job) fetch(i int) preparedBatch {
-	if was := j.pendingIter; was >= 0 {
-		p := <-j.pending
-		j.pendingIter = -1
-		if was == i {
-			return p
-		}
-	}
-	return j.r.prepare(i)
-}
-
-// launch starts the async prepare of iteration i unless its batch is
-// shared and already in the BatchCache, built or building: fetch reads
-// that one inline, where a prefetch would hide nothing.
-func (j *Job) launch(i int) {
-	if !j.prefetch || i >= j.n {
-		return
-	}
-	if entries, k := j.r.sharedKey(i); entries != nil && entries.Has(k) {
-		return
-	}
-	if j.pending == nil {
-		j.pending = make(chan preparedBatch, 1)
-	}
-	go func() { j.pending <- j.r.prepare(i) }()
-	j.pendingIter = i
-}
-
 // firePoolEvents dispatches iteration iter's pool-membership events:
 // producer-fail kills a live pool member (subsequent fetches fail
 // over), producer-join restores one. Each event fires once, even
-// across failure-recovery rewinds. It runs before the iteration's
-// batch is fetched — for the prefetched path that means before
-// launch(iter), one loop pass early — so an event at iteration N
-// deterministically affects iteration N's fetches.
+// across failure-recovery rewinds. It runs at the start of the
+// iteration's Step, before its batch is fetched, so an event at
+// iteration N is recorded at N's start and affects every one of N's
+// fetches.
 func (j *Job) firePoolEvents(iter int) error {
 	if iter <= j.poolFired {
 		return nil
@@ -162,10 +107,9 @@ func (j *Job) firePoolEvents(iter int) error {
 
 // applySwitch reconfigures onto a controller-chosen plan at the
 // boundary before iteration i: a costed plan switch (checkpoint write
-// + restore read), with any prefetched batch discarded — its DP
-// assignment was computed under the old geometry. An infeasible plan
-// (the seam is public: a controller may hand back anything) rejects
-// the switch and continues on the incumbent.
+// + restore read). An infeasible plan (the seam is public: a
+// controller may hand back anything) rejects the switch and continues
+// on the incumbent.
 func (j *Job) applySwitch(i int, sw *PlanSwitch) {
 	r := j.r
 	if err := checkPlan(&r.cls.spec, sw.Plan); err != nil {
@@ -174,7 +118,6 @@ func (j *Job) applySwitch(i int, sw *PlanSwitch) {
 		}
 		return
 	}
-	j.discardPrefetch()
 	j.switchPlan(i, r.classOf(&r.cls.spec, sw.Plan), sw.Reason, "controller", "replan",
 		metrics.Int("iter", i), metrics.Str("strategy", sw.Plan.Strategy), metrics.Str("reason", sw.Reason))
 }
@@ -183,7 +126,7 @@ func (j *Job) applySwitch(i int, sw *PlanSwitch) {
 // before iteration i: the checkpoint write and restore read are priced,
 // charged to the job as downtime and recorded as a Replan. The trace
 // gets the caller's instant plus the reconfigure span on the caller's
-// lane. The caller has discarded any prefetched batch.
+// lane.
 func (j *Job) switchPlan(i int, cls *class, reason, cat, event string, args ...metrics.Arg) {
 	r := j.r
 	down := r.reconfigure(cls, i)
@@ -220,11 +163,6 @@ func (j *Job) Resize(l cluster.Lease, p *orchestrator.Plan, reason string) error
 	if err := l.Validate(base); err != nil {
 		return err
 	}
-	// Drain the async prepare before touching any runtime state it
-	// may read (same ordering as applySwitch). Discarding is
-	// semantically free: a later fetch re-prepares the identical
-	// batch.
-	j.discardPrefetch()
 	// The plan is checked, and the switch priced, under the incoming
 	// geometry; an infeasible plan leaves the old lease and class.
 	spec := r.cfg.Spec.ForLease(base, l, r.cfg.PlacementPricing)
@@ -242,9 +180,8 @@ func (j *Job) Resize(l cluster.Lease, p *orchestrator.Plan, reason string) error
 }
 
 // Step executes one pass of the run loop: either the next iteration
-// (with its pool events, controller boundary, prefetch hand-off and
-// observation), or a failure-recovery rewind. Calling Step after Done
-// is an error.
+// (with its pool events, controller boundary and observation), or a
+// failure-recovery rewind. Calling Step after Done is an error.
 func (j *Job) Step() error {
 	if j.Done() {
 		return errors.New("trainer: step after completion")
@@ -282,16 +219,7 @@ func (j *Job) Step() error {
 			j.applySwitch(i, sw)
 		}
 	}
-	p := j.fetch(i)
-	// The next iteration's pool events fire before its prefetch
-	// launches, so a producer killed "at iteration i+1" is dead for
-	// every one of iteration i+1's fetches.
-	if i+1 < j.n {
-		if err := j.firePoolEvents(i + 1); err != nil {
-			return err
-		}
-	}
-	j.launch(i + 1)
+	p := r.prepare(i)
 	st, err := r.iteration(&p)
 	if err != nil {
 		return err
@@ -331,7 +259,6 @@ func (j *Job) Finish() *Result {
 		return j.res
 	}
 	j.finished = true
-	j.discardPrefetch()
 	r := j.r
 	spec, res := &r.cls.spec, j.res
 	if executed := float64(len(res.Iterations)); executed > 0 {

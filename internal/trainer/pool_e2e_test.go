@@ -1,6 +1,8 @@
 package trainer
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -143,6 +145,92 @@ func TestRunWithProducerPoolSurvivesChurn(t *testing.T) {
 	for _, it := range res.Iterations {
 		if it.Perturbed {
 			t.Errorf("iteration %d marked perturbed by pool churn", it.Index)
+		}
+	}
+}
+
+// observer is a Controller that only records what it observes.
+type observer struct{ obs []Observation }
+
+func (o *observer) Observe(ob Observation)  { o.obs = append(o.obs, ob) }
+func (o *observer) Pending(int) *PlanSwitch { return nil }
+
+// TestPoolEventsFireAtTheirIteration pins when a pool event acts: a
+// producer killed at iteration N is recorded at iteration N's start —
+// the timestamp of N's data-arrival span — and the pool counters a
+// controller observes after each iteration hold exactly that
+// iteration's fetches and everything before: none of iteration N's
+// fetches fails over before N runs, and every one of them fails over
+// during N, because the killed producer is N's primary.
+func TestPoolEventsFireAtTheirIteration(t *testing.T) {
+	h := newPoolHarness(t)
+	const producers, n, iters = 2, 2, 4
+	fleet, err := preprocess.StartFleet(h.pcfg, producers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	stats := &metrics.PoolStats{}
+	tenant := h.tenant(t, fleet, preprocess.ServiceConfig{Stats: stats})
+	dp := h.pcfg.DPSize
+	primary := (n + dp*7919) % producers // every rank of (n, dp) asks it first
+	sc, err := scenario.Parse(fmt.Sprintf("producer-fail:iter=%d,producer=%d", n, primary))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &observer{}
+	cfg := DistTrainConfig(h.spec, h.plan, h.corpus)
+	cfg.Source = &PoolSource{Pool: tenant, Samples: h.corpus}
+	cfg.Scenario, cfg.ProducerControl = sc, fleet
+	cfg.PoolStats, cfg.Controller = stats, obs
+	cfg.Trace = metrics.NewTrace()
+	if _, err := Run(cfg, iters); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := cfg.Trace.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string
+			Ts   float64
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	var arrivals, fails []float64
+	for _, ev := range file.TraceEvents {
+		switch ev.Name {
+		case "preprocess":
+			arrivals = append(arrivals, ev.Ts)
+		case "producer-fail":
+			fails = append(fails, ev.Ts)
+		}
+	}
+	if len(arrivals) != iters || len(fails) != 1 {
+		t.Fatalf("trace holds %d data-arrival spans and %d producer-fail instants, want %d and 1", len(arrivals), len(fails), iters)
+	}
+	if fails[0] != arrivals[n] {
+		t.Errorf("producer-fail at iteration %d recorded at %gµs, iteration %d starts at %gµs", n, fails[0], n, arrivals[n])
+	}
+
+	if len(obs.obs) != iters {
+		t.Fatalf("controller observed %d iterations, want %d", len(obs.obs), iters)
+	}
+	for i, ob := range obs.obs {
+		if ob.Pool == nil {
+			t.Fatalf("iteration %d observed no pool counters", i)
+		}
+		wantFailovers := int64(0)
+		if i >= n {
+			wantFailovers = int64(dp)
+		}
+		if ob.Pool.Fetches != int64((i+1)*dp) || ob.Pool.Failovers != wantFailovers {
+			t.Errorf("after iteration %d: %d fetches and %d failovers, want %d and %d",
+				i, ob.Pool.Fetches, ob.Pool.Failovers, (i+1)*dp, wantFailovers)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TrialMeanIterTime prices one iteration per given global batch under
-// cfg's plan with the sequential engine — no prefetch, no scenario, no
+// cfg's plan with the runtime's engine — no scenario, no
 // traces, no checkpoints — and returns the mean iteration time. The
 // re-planning controller scores candidate plans on the observed window
 // with it: the full runtime cost model (reordering imperfection,
@@ -94,11 +94,10 @@ func PreprocessConfigFor(cfg Config) (preprocess.Config, error) {
 
 // Assign returns iteration iter's global batch as the producers split
 // it across dp data-parallel ranks: the concatenation, in rank order,
-// of dp equally long rank batches. Deterministic in iter — the async
-// data service prefetches and failure recovery re-fetches, and both
-// observe identical batches. Rank fetches fan out concurrently, bounded
-// by the tenant's admission quota so the front-end itself never trips
-// the pool-saturated rejection.
+// of dp equally long rank batches. Deterministic in iter — failure
+// recovery re-fetches and observes identical batches. Rank fetches fan
+// out concurrently, bounded by the tenant's admission quota so the
+// front-end itself never trips the pool-saturated rejection.
 func (ps *PoolSource) Assign(iter, dp int) ([]data.Sample, error) {
 	if ps.Pool == nil || ps.Samples == nil {
 		return nil, fmt.Errorf("trainer: PoolSource needs both Pool and Samples")

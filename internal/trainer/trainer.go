@@ -8,14 +8,12 @@
 // write and restore at DFS bandwidth; all control decisions
 // (assignment, ordering, straggler propagation) are executed for real.
 //
-// The runtime has one level of concurrency: a batch/assignment front-end
-// prefetched one iteration ahead, while it still needs building, by the
-// async data service. The DP ranks' pipelines are simulated inline in
-// rank order and reduced in that order, so Run is byte-identical to the
-// pinned sequential reference (RunIterationSequential / RunSequential).
-// DistTrain's parallelism is across GPUs and disaggregated CPU nodes,
-// which the runtime prices; it is not goroutines inside one simulated
-// iteration. Scenario injection (internal/scenario) perturbs stage
+// A run is one goroutine: each iteration prepares its batch, simulates
+// the DP ranks' pipelines inline in rank order and reduces them in that
+// order. DistTrain's parallelism is across GPUs and disaggregated CPU
+// nodes, which the runtime prices; it is not goroutines on the host.
+// The one exception is a live producer pool (PoolSource), whose rank
+// fetches are real I/O and fan out. Scenario injection (internal/scenario) perturbs stage
 // compute, the data path, and the fabric, and can kill the job to
 // exercise checkpoint-restore recovery.
 package trainer
@@ -273,8 +271,8 @@ type Result struct {
 }
 
 // Runtime executes iterations for a fixed configuration. Its methods
-// are not safe for concurrent use — the concurrency (the async data
-// service's prefetch) lives inside a Job's Step, not across callers.
+// are not safe for concurrent use; separate runtimes may run on
+// separate goroutines.
 type Runtime struct {
 	// cfg is the config New was given, its Lease pointing at lease, the
 	// current one, and its Batches nil unless the runtime joined them; the
@@ -296,10 +294,10 @@ type Runtime struct {
 	// plan switch that grows DP names only the new lanes.
 	namedRanks int
 
-	// Per-runtime hot-loop state: the front-end's double-buffered
-	// workload slices and an untraced iteration's outcome slots. All
-	// other scratch comes from the process-wide pools (concurrent.go).
-	prep     [2]prepBuf
+	// Per-runtime hot-loop state: the front-end's workload slices and an
+	// untraced iteration's outcome slots. All other scratch comes from
+	// the process-wide pools (concurrent.go).
+	prep     prepBuf
 	outcomes []rankOutcome
 }
 
@@ -359,10 +357,8 @@ func (r *Runtime) Close() {
 	}
 }
 
-// Run builds a runtime for cfg, executes n iterations with the async
-// data service and closes it: results are byte-identical to the
-// sequential reference (Runtime.RunSequential), and scenario-injected
-// node failures recover from the latest checkpoint and re-execute the
+// Run builds a runtime for cfg, executes n iterations and closes it;
+// scenario-injected node failures recover from the latest checkpoint and re-execute the
 // lost iterations.
 func Run(cfg Config, n int) (*Result, error) {
 	rt, err := New(cfg)

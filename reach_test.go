@@ -53,7 +53,6 @@ func TestReachability(t *testing.T) {
 // the reason. They are roots of the funcs pass, so what they call stays
 // too.
 var reachAllow = map[string]string{
-	"trainer.Runtime.RunSequential":       "the lock-step trainer the concurrent runtime is compared against",
 	"solve.MinimizeConvex1D":              "the golden section the subproblem kernel inlines, pinned to it bit for bit",
 	"data.seededSource.Int63":             "rand.Source's method: math/rand.Rand calls it through that interface for Float64 and NormFloat64",
 	"pipeline.Result.FirstStageIntervals": "the simulated Figure 12 intervals TestIntervalPredictorMatchesSimulator checks the predictor against",
