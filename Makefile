@@ -14,7 +14,7 @@ COVER_FLOOR ?= 73
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 15195
+LOC_CEILING ?= 15239
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 
@@ -80,7 +80,10 @@ bench:
 # TestServiceFetchAllocBudget, TestWarmPlanHitAllocBudget,
 # TestMemPlanHitAllocBudget, TestPlanSearchAllocBudget), and every
 # speed claim is made by the benchmark/ ledger's paired parent/change
-# runs. The smoke-only benchmarks (`make bench`) are not recorded.
+# runs. The recorded ns/op are absolute times from one session on a
+# box whose speed drifts, so values from two sessions are not
+# comparable: speed evidence comes only from benchmark/'s paired runs.
+# The smoke-only benchmarks (`make bench`) are not recorded.
 BENCH_JSON ?= BENCH_fleet.json
 bench-json:
 	$(GO) test -bench='FleetThroughput|ServiceThroughput|PlanSearch|ColdAdmissionStorm' -count=5 -benchmem -run='^$$' . > bench.out
@@ -143,7 +146,8 @@ staticcheck:
 # against the code they replaced, bit for bit: the pixel kernel against
 # the staged decode/resize/pack helpers (corrupted streams included)
 # and its word-at-a-time filter on arbitrary pixels,
-# the §4.3 subproblem kernel against its closure-based oracle, the
+# the §4.3 subproblem kernel against its closure-based oracle and the
+# allocation rounding's kept ratios against its dividing loops, the
 # trace log against the sharded recorder and the compiled sample cost
 # model against the formulas it was compiled from — the search's prune
 # bound and its per-shape block bound against brute force over every
@@ -162,6 +166,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPatchFilter -fuzztime=5s ./internal/preprocess
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzSubproblemRefine -fuzztime=5s ./internal/orchestrator
+	$(GO) test -run='^$$' -fuzz=FuzzRoundAllocation -fuzztime=5s ./internal/solve
 	$(GO) test -run='^$$' -fuzz=FuzzDiscreteBound -fuzztime=5s ./internal/orchestrator
 	$(GO) test -run='^$$' -fuzz=FuzzBlockBound -fuzztime=5s ./internal/orchestrator
 	$(GO) test -run='^$$' -fuzz=FuzzTraceEquivalence -fuzztime=5s ./internal/metrics

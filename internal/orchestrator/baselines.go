@@ -39,7 +39,7 @@ func PlanMegatron(s Spec) (*Plan, error) {
 	if !ok {
 		// Fallback for non-preset backbones: the memory floor at DP=1.
 		var err error
-		ppLM, err = sc.llmMemoryFloor(tp, 1)
+		ppLM, err = sc.llmMemoryFloor(tp, 1, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +114,7 @@ func PlanDistMM(s Spec) (*Plan, error) {
 	if dp == 0 {
 		return nil, errors.New("orchestrator: distmm cannot fit one backbone replica")
 	}
-	ppFloor, err := sc.llmMemoryFloor(tp, dp)
+	ppFloor, err := sc.llmMemoryFloor(tp, dp, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -371,7 +371,7 @@ func TestMemoryFloorRejectsTinyCluster(t *testing.T) {
 	// states at DP=1, PP=1; the floor must force PP > 1.
 	s := newSpec(t, model.MLLM72B(), 12, 40, model.FullTraining)
 	sc := newSearchCtx(&s)
-	pp, err := sc.llmMemoryFloor(8, 1)
+	pp, err := sc.llmMemoryFloor(8, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,36 +238,59 @@ func dpCandidates(s Spec, tpLM, n int) []int {
 
 // TestStrategySetMatchesEnumeration: the block table resolves every
 // index to the nested-loop enumeration's candidate, indexOf inverts
-// it, and each shape's floor is llmMemoryFloor's, on small and odd
-// leases, batches with few and many factors, and Table 3's sizes.
+// it, and each shape's floor — walked down from the previous shape's
+// by llmMemoryFloor — is its full scan's, as is a walk from any
+// divisor (one that does not fit falls back to the scan). The cases
+// are small and odd leases, batches with few and many factors, and
+// Table 3's sizes, for all three models under full training and every
+// frozen setting. The 72B backbone fits nowhere on its narrowest
+// shapes (errNoFit), where the walk restarts from the scan.
 func TestStrategySetMatchesEnumeration(t *testing.T) {
-	base := newSpec(t, model.MLLM9B(), 4, 16, model.FullTraining)
-	for _, tc := range []struct{ nodes, batch, maxGPUs int }{
-		{1, 16, 0}, {1, 16, 3}, {2, 7, 0}, {3, 96, 0}, {4, 16, 0}, {12, 96, 0}, {14, 240, 0}, {162, 1920, 0}, {6, 1, 0},
-	} {
-		s := base
-		s.Cluster.Nodes, s.GlobalBatch, s.MaxGPUs = tc.nodes, tc.batch, tc.maxGPUs
-		sc := newSearchCtx(&s)
-		want := enumerateCandidates(s, sc.n)
-		if got := sc.strategySet(); got != len(want) {
-			t.Fatalf("%+v: %d candidates, enumeration has %d", tc, got, len(want))
-		}
-		for i, c := range want {
-			if got := sc.candidate(i); got != c {
-				t.Fatalf("%+v: candidate %d is %v, want %v", tc, i, got, c)
+	noFit, walked := 0, 0
+	for _, m := range []model.MLLM{model.MLLM9B(), model.MLLM15B(), model.MLLM72B()} {
+		for _, freeze := range append([]model.FreezeSpec{model.FullTraining}, model.FrozenSettings()...) {
+			base := newSpec(t, m, 4, 16, freeze)
+			for _, tc := range []struct{ nodes, batch, maxGPUs int }{
+				{1, 16, 0}, {1, 16, 3}, {2, 7, 0}, {3, 96, 0}, {4, 16, 0}, {12, 96, 0}, {14, 240, 0}, {162, 1920, 0}, {6, 1, 0},
+			} {
+				s := base
+				s.Cluster.Nodes, s.GlobalBatch, s.MaxGPUs = tc.nodes, tc.batch, tc.maxGPUs
+				sc := newSearchCtx(&s)
+				want := enumerateCandidates(s, sc.n)
+				if got := sc.strategySet(); got != len(want) {
+					t.Fatalf("%s %s %+v: %d candidates, enumeration has %d", m.Name, freeze.Name, tc, got, len(want))
+				}
+				for i, c := range want {
+					if got := sc.candidate(i); got != c {
+						t.Fatalf("%s %s %+v: candidate %d is %v, want %v", m.Name, freeze.Name, tc, i, got, c)
+					}
+					if got := sc.indexOf(c); got != i {
+						t.Fatalf("%s %s %+v: indexOf(%v) = %d, want %d", m.Name, freeze.Name, tc, c, got, i)
+					}
+				}
+				for j, sh := range sc.shapes {
+					pp, err := sc.llmMemoryFloor(sh.tp, sh.dp, 0)
+					if pp != sh.floor || (err == nil) != (sh.floor > 0) || (err == nil) != (sh.err == nil) {
+						t.Fatalf("%s %s %+v: shape %+v, llmMemoryFloor %d, %v", m.Name, freeze.Name, tc, sh, pp, err)
+					}
+					for _, prev := range sc.divisors {
+						if got, _ := sc.llmMemoryFloor(sh.tp, sh.dp, prev); got != pp {
+							t.Fatalf("%s %s %+v: shape %+v, walk from %d finds %d, scan %d", m.Name, freeze.Name, tc, sh, prev, got, pp)
+						}
+					}
+					if err != nil {
+						noFit++
+					} else if j > 0 && sc.shapes[j-1].tp == sh.tp && sc.shapes[j-1].floor > 1 {
+						walked++
+					}
+				}
+				if sc.indexOf(Candidate{TPLM: 3, DPLM: 1, WME: 1, WMG: 1}) != -1 || sc.indexOf(Candidate{TPLM: 1, DPLM: 1, WME: 3, WMG: 1}) != -1 {
+					t.Errorf("%s %s %+v: a candidate outside the strategy set has an index", m.Name, freeze.Name, tc)
+				}
 			}
-			if got := sc.indexOf(c); got != i {
-				t.Fatalf("%+v: indexOf(%v) = %d, want %d", tc, c, got, i)
-			}
 		}
-		for _, sh := range sc.shapes {
-			pp, err := sc.llmMemoryFloor(sh.tp, sh.dp)
-			if pp != sh.floor || (err == nil) != (sh.floor > 0) {
-				t.Fatalf("%+v: shape %+v, llmMemoryFloor %d, %v", tc, sh, pp, err)
-			}
-		}
-		if sc.indexOf(Candidate{TPLM: 3, DPLM: 1, WME: 1, WMG: 1}) != -1 || sc.indexOf(Candidate{TPLM: 1, DPLM: 1, WME: 3, WMG: 1}) != -1 {
-			t.Errorf("%+v: a candidate outside the strategy set has an index", tc)
-		}
+	}
+	if noFit == 0 || walked == 0 {
+		t.Errorf("%d shapes fit nowhere and %d floors walked down from a floor above 1; the cases must exercise both", noFit, walked)
 	}
 }

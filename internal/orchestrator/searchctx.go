@@ -132,10 +132,15 @@ func (sc *searchCtx) strategySet() int {
 	return len(sc.shapes) * len(sc.tpSizes) * len(sc.tpSizes)
 }
 
-// shapeAt is the block table's entry for TP_lm = tpSizes[t] at dp.
+// shapeAt is the block table's entry for TP_lm = tpSizes[t] at dp. The
+// table's last shape, when it has the same TP_lm, is the next smaller
+// DP_lm's, and its floor starts llmMemoryFloor's walk.
 func (sc *searchCtx) shapeAt(t, dp int) shape {
-	tp := sc.tpSizes[t]
-	floor, err := sc.llmMemoryFloor(tp, dp)
+	tp, prev := sc.tpSizes[t], 0
+	if n := len(sc.shapes); n > 0 && sc.shapes[n-1].tp == tp {
+		prev = sc.shapes[n-1].floor
+	}
+	floor, err := sc.llmMemoryFloor(tp, dp, prev)
 	return shape{
 		tp: tp, dp: dp, k: sc.spec.GlobalBatch / (dp * sc.spec.Microbatch),
 		floor: floor, err: err, cLM: sc.cTrainTP[model.Backbone][t],
@@ -166,12 +171,44 @@ func (sc *searchCtx) indexOf(c Candidate) int {
 	return -1
 }
 
+// floorMargin is how far over the budget a footprint must lie for
+// llmMemoryFloor's walk to conclude that no smaller PP fits either.
+const floorMargin = 1e-12
+
 // llmMemoryFloor returns the minimum PP for the backbone at (tp, dp):
 // the smallest divisor of the layer count whose per-GPU footprint fits.
-func (sc *searchCtx) llmMemoryFloor(tp, dp int) (int, error) {
-	for _, pp := range sc.divisors {
+// prev, when it is the floor at the same TP and a smaller DP (a larger
+// DP only shards the optimizer state wider) and fits here, starts a
+// walk down the divisors; otherwise, or when the walk cannot decide,
+// the divisors are scanned from the smallest. The walk finds exactly
+// the scan's floor: the parameter and optimizer terms are correctly
+// rounded quotients of PP-independent numerators by TP·PP·DP, and the
+// activation term is act/TP but for two roundings, so a smaller PP's
+// footprint is at least (1−6u) times a larger one's (u = 2⁻⁵³). A
+// divisor over the budget by floorMargin thus proves that none below
+// it fits; one over by less sends the walk to the scan.
+func (sc *searchCtx) llmMemoryFloor(tp, dp, prev int) (int, error) {
+	budget := sc.mem[model.Backbone].budget
+	footprint := func(pp int) float64 {
 		mp := ModulePlan{Module: model.Backbone, Config: parallel.Plain(tp, pp, dp)}
-		if sc.fits(&mp) {
+		return sc.footprint(&mp)
+	}
+	if j := slices.Index(sc.divisors, prev); j >= 0 && !(footprint(prev) > budget) {
+		for ; j > 0; j-- {
+			fp := footprint(sc.divisors[j-1])
+			if fp > budget*(1+floorMargin) {
+				return sc.divisors[j], nil
+			}
+			if fp > budget {
+				break
+			}
+		}
+		if j == 0 {
+			return sc.divisors[0], nil
+		}
+	}
+	for _, pp := range sc.divisors {
+		if !(footprint(pp) > budget) {
 			return pp, nil
 		}
 	}
@@ -204,10 +241,10 @@ func (sc *searchCtx) footprint(mp *ModulePlan) float64 {
 }
 
 // fits enforces the §4.2 memory constraint for one module: its
-// footprint must not exceed the per-GPU budget. The search's floor scan
-// calls it for every divisor that does not fit, so it reports a bool;
-// checkMemory words the rejection. Written as "not over" so that an
-// empty hand-built module's NaN footprint passes, as it always has.
+// footprint must not exceed the per-GPU budget; checkMemory words the
+// rejection. Written as "not over" so that an empty hand-built
+// module's NaN footprint passes, as it always has (llmMemoryFloor
+// compares the same way).
 func (sc *searchCtx) fits(mp *ModulePlan) bool {
 	return !(sc.footprint(mp) > sc.mem[mp.Module].budget)
 }

@@ -28,10 +28,6 @@ type subproblem struct {
 	lower  [3]float64 // memory floors and granularity minimums
 }
 
-func (p *subproblem) warmup(x, z float64) float64 {
-	return p.base + p.a/x + p.c/z
-}
-
 func (p *subproblem) objective(x, y, z float64) float64 {
 	steady := p.w[0] / x
 	if t := p.w[1] / y; t > steady {
@@ -40,7 +36,7 @@ func (p *subproblem) objective(x, y, z float64) float64 {
 	if t := p.w[2] / z; t > steady {
 		steady = t
 	}
-	return p.warmup(x, z) + steady*p.kk
+	return p.base + p.a/x + p.c/z + steady*p.kk
 }
 
 // discreteBound lower-bounds every plan stage 3 can build from this
@@ -85,62 +81,58 @@ func goldenTol(b float64) float64 {
 	return 1e-4 * b
 }
 
-// xTerms is everything the objective needs from x alone, hoisted out of
-// the inner z loop.
-type xTerms struct {
-	warm   float64 // base + a/x
-	steady float64 // w[0]/x
-	rest   float64 // budget − x
-}
-
-// at evaluates the objective at (x, rest−z, z); +Inf when the backbone
-// would fall below its lower bound. c/z serves both the warm-up and the
-// steady term when their numerators are the same float.
-func (p *subproblem) at(h xTerms, z float64) float64 {
-	y := h.rest - z
-	if y < p.lower[1] {
-		return math.Inf(1)
-	}
-	cz := p.c / z
-	steady := cz
-	if p.c != p.w[2] {
-		steady = p.w[2] / z
-	}
-	if t := p.w[1] / y; t > steady {
-		steady = t
-	}
-	if h.steady > steady {
-		steady = h.steady
-	}
-	return h.warm + cz + steady*p.kk
-}
-
 // minOverZ is the inner golden section: the z minimising the objective
 // at fixed x, and the objective there. +Inf when x leaves the generator
 // no room above its lower bound.
+//
+// The search spends most of its time here. at, the objective at
+// (x, rest−z, z) over constants held in locals, is small enough for the
+// compiler to inline, so a golden step evaluates its point without a
+// call. c/z serves both the warm-up and the steady term when their
+// numerators are the same float: one division fewer per point.
 func (p *subproblem) minOverZ(x float64) (z, f float64) {
 	zHi := p.budget - p.lower[1] - x
 	if zHi <= p.lower[2] {
 		return 0, math.Inf(1)
 	}
-	h := xTerms{warm: p.base + p.a/x, steady: p.w[0] / x, rest: p.budget - x}
+	warm, steadyX, rest := p.base+p.a/x, p.w[0]/x, p.budget-x
+	cNum, wy, wz, yLo, kk := p.c, p.w[1], p.w[2], p.lower[1], p.kk
+	shared := cNum == wz
+	at := func(z float64) float64 {
+		y := rest - z
+		if y < yLo {
+			return math.Inf(1)
+		}
+		cz := cNum / z
+		steady := cz
+		if !shared {
+			steady = wz / z
+		}
+		if t := wy / y; t > steady {
+			steady = t
+		}
+		if steadyX > steady {
+			steady = steadyX
+		}
+		return warm + cz + steady*kk
+	}
 	a, b := p.lower[2], zHi
 	c := b - (b-a)*invPhi
 	d := a + (b-a)*invPhi
-	fc, fd := p.at(h, c), p.at(h, d)
+	fc, fd := at(c), at(d)
 	for b-a > goldenTol(b) {
 		if fc < fd {
 			b, d, fd = d, c, fc
 			c = b - (b-a)*invPhi
-			fc = p.at(h, c)
+			fc = at(c)
 		} else {
 			a, c, fc = c, d, fd
 			d = a + (b-a)*invPhi
-			fd = p.at(h, d)
+			fd = at(d)
 		}
 	}
 	z = (a + b) / 2
-	return z, p.at(h, z)
+	return z, at(z)
 }
 
 // refine is stage 2 of the subproblem: nested golden-section over

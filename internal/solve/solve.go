@@ -10,11 +10,12 @@
 //
 // Reentrancy: every entry point is a pure function of its arguments —
 // value receivers, no package-level mutable state, fresh output slices
-// on every call. The parallel plan-search engine calls Solve and
-// RoundAllocation from many goroutines at once (its subproblem kernel
-// carries its own inlined copy of MinimizeConvex1D, pinned to this one
-// bit for bit by the orchestrator's tests); callers only need their own
-// callback closures to be goroutine-safe.
+// on every call. A plan search runs on one goroutine, but fleets and
+// plan caches on separate goroutines search at once, so Solve and
+// RoundAllocation may run concurrently with themselves; callers only
+// need their own callback closures to be goroutine-safe. The
+// orchestrator's subproblem kernel carries its own inlined copy of
+// MinimizeConvex1D, pinned to this one bit for bit by its tests.
 // TestSolveReentrancy pins this property under the race detector.
 package solve
 
@@ -173,15 +174,21 @@ func sum(xs []float64) float64 {
 // unit), guaranteeing each variable keeps at least one granule and the
 // total never exceeds the budget. Leftover granules go to the variable
 // whose weight/x ratio (the objective's argmax) is largest.
+//
+// Each loop keeps the ratio it compares for every variable and
+// recomputes only the entry of the variable it just moved: the same
+// quotients of the same operands as dividing afresh on every granule.
 func RoundAllocation(x []float64, weights []float64, granule []int, budget int) []int {
 	n := len(x)
 	out := make([]int, n)
+	var small [3]float64 // the orchestrator's three variables: no allocation
+	ratio := small[:]
+	if n > len(small) {
+		ratio = make([]float64, n)
+	}
 	used := 0
 	for i := 0; i < n; i++ {
-		g := granule[i]
-		if g <= 0 {
-			g = 1
-		}
+		g := max(granule[i], 1)
 		k := int(x[i]) / g
 		if k < 1 {
 			k = 1
@@ -189,61 +196,57 @@ func RoundAllocation(x []float64, weights []float64, granule []int, budget int) 
 		out[i] = k * g
 		used += out[i]
 	}
-	// Shrink the least-loaded variables if rounding overshot.
+	// Shrink the least-loaded variables if rounding overshot: ratio[i]
+	// is variable i's after giving up one granule.
+	if used > budget {
+		for i := 0; i < n; i++ {
+			ratio[i] = weights[i] / float64(out[i]-max(granule[i], 1))
+		}
+	}
 	for used > budget {
 		best := -1
 		bestRatio := math.Inf(1)
 		for i := 0; i < n; i++ {
-			g := granule[i]
-			if g <= 0 {
-				g = 1
-			}
-			if out[i] <= g {
+			if out[i] <= max(granule[i], 1) {
 				continue
 			}
-			ratio := weights[i] / float64(out[i]-g)
-			if ratio < bestRatio {
-				bestRatio = ratio
+			if ratio[i] < bestRatio {
+				bestRatio = ratio[i]
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		g := granule[best]
-		if g <= 0 {
-			g = 1
-		}
+		g := max(granule[best], 1)
 		out[best] -= g
 		used -= g
+		ratio[best] = weights[best] / float64(out[best]-g)
 	}
-	// Hand spare granules to the current bottleneck.
+	// Hand spare granules to the current bottleneck: ratio[i] is
+	// variable i's at its allocation.
+	for i := 0; i < n; i++ {
+		ratio[i] = weights[i] / float64(out[i])
+	}
 	for {
 		best := -1
 		bestRatio := 0.0
 		for i := 0; i < n; i++ {
-			g := granule[i]
-			if g <= 0 {
-				g = 1
-			}
-			if used+g > budget {
+			if used+max(granule[i], 1) > budget {
 				continue
 			}
-			ratio := weights[i] / float64(out[i])
-			if ratio > bestRatio {
-				bestRatio = ratio
+			if ratio[i] > bestRatio {
+				bestRatio = ratio[i]
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		g := granule[best]
-		if g <= 0 {
-			g = 1
-		}
+		g := max(granule[best], 1)
 		out[best] += g
 		used += g
+		ratio[best] = weights[best] / float64(out[best])
 	}
 	return out
 }

@@ -22,17 +22,18 @@ const entryMagic = "disttrain-store/v2 "
 // payload>\n<payload>\n" (the last newline keeps a torn record from
 // borrowing the next one's first bytes); a key's last intact record is
 // its entry. Put appends a record in one write and holds no descriptor
-// open; each Get first indexes what any writer appended since the last
-// scan. Nothing is fsynced, so power loss may tear or lose the tail. A
-// stretch that is not an intact record counts one CorruptSkips once
-// bytes follow it (until then a writer may still be appending it), and
-// the scan resumes at the next magic. Nothing is compacted: the plan
+// open; each Get, and a Put that finds bytes beside its own, first
+// indexes what any writer appended since the last scan. Nothing is
+// fsynced, so power loss may tear or lose the tail. A stretch that is
+// not an intact record counts one CorruptSkips once bytes follow it
+// (until then a writer may still be appending it), and the scan
+// resumes at the next magic. Nothing is compacted: the plan
 // cache appends a key again only after it read as missing or corrupt.
 type Disk struct {
 	log     string
 	corrupt atomic.Int64
 	mu      sync.Mutex
-	index   map[string][]byte // key -> its last intact payload scanned
+	index   map[string][]byte // key -> its last intact payload scanned or put
 	scanned int64             // log bytes indexed so far
 }
 
@@ -64,7 +65,9 @@ func (d *Disk) Get(key string) ([]byte, bool, error) {
 	return bytes.Clone(p), ok, nil
 }
 
-// Put appends key's record to the log in one write and indexes it.
+// Put appends key's record to the log in one write and indexes it: as
+// written when the log grew by exactly the record since the last scan,
+// else by a scan, which also indexes what others appended.
 func (d *Disk) Put(key string, payload []byte) error {
 	if err := validateKey(key); err != nil {
 		return err
@@ -76,9 +79,18 @@ func (d *Disk) Put(key string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: put %s: %w", key, err)
 	}
-	_, err = f.Write(rec)
+	var info fs.FileInfo
+	if _, err = f.Write(rec); err == nil {
+		info, err = f.Stat()
+	}
 	if err = errors.Join(err, f.Close()); err == nil {
-		err = d.catchUp() // indexes the record and anything appended before it
+		if info.Size() == d.scanned+int64(len(rec)) {
+			end := len(rec) - 1 // the payload ends before the record's last newline
+			d.index[key] = rec[end-len(payload) : end : end]
+			d.scanned = info.Size()
+			return nil
+		}
+		err = d.catchUp()
 	}
 	if err != nil {
 		return fmt.Errorf("store: put %s: %w", key, err)

@@ -171,6 +171,66 @@ func TestDiskCorruptionPaths(t *testing.T) {
 	}
 }
 
+// TestDiskPutIndexesOnlyItsOwnGrowth: a Put indexes its own record
+// directly only when the log grew by exactly that record. Another
+// Disk's appends between two of this one's puts, or a torn tail left
+// before a put, must still be scanned: every key reads its latest
+// record, from this instance and from a reopened one, and the torn
+// stretch counts one CorruptSkips once the put follows it.
+func TestDiskPutIndexesOnlyItsOwnGrowth(t *testing.T) {
+	put := func(t *testing.T, d *Disk, key, payload string) {
+		t.Helper()
+		b := []byte(payload)
+		if err := d.Put(key, b); err != nil {
+			t.Fatal(err)
+		}
+		copy(b, "XXXX") // the store must hold its own copy
+	}
+	expect := func(t *testing.T, dir string, d *Disk, want map[string]string, skips int64) {
+		t.Helper()
+		for i, d := range []*Disk{d, openDisk(t, dir)} {
+			for key, payload := range want {
+				if got, ok, err := d.Get(key); err != nil || !ok || string(got) != payload {
+					t.Errorf("store %d: Get(%s) = %q ok=%v err=%v, want %q", i, key, got, ok, err, payload)
+				}
+			}
+			if n := d.CorruptSkips(); n != skips {
+				t.Errorf("store %d: %d corrupt skips, want %d", i, n, skips)
+			}
+		}
+	}
+	t.Run("another writer", func(t *testing.T) {
+		dir := t.TempDir()
+		a, b := openDisk(t, dir), openDisk(t, dir)
+		put(t, a, "k1", "a-first")
+		put(t, b, "k2", "b-only")
+		put(t, b, "k1", "b-over-a")
+		put(t, a, "k3", "a-after-b") // the log grew by b's two records and this one
+		expect(t, dir, a, map[string]string{"k1": "b-over-a", "k2": "b-only", "k3": "a-after-b"}, 0)
+		put(t, a, "k1", "a-last") // the log grew by this record alone
+		expect(t, dir, a, map[string]string{"k1": "a-last", "k2": "b-only", "k3": "a-after-b"}, 0)
+		expect(t, dir, b, map[string]string{"k1": "a-last", "k2": "b-only", "k3": "a-after-b"}, 0)
+	})
+	t.Run("torn tail", func(t *testing.T) {
+		dir := t.TempDir()
+		d := openDisk(t, dir)
+		put(t, d, "k1", "intact")
+		torn := appendRecord("k1", []byte("torn-over-intact"))
+		f, err := os.OpenFile(filepath.Join(dir, "entries.log"), os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(torn[:len(torn)-5]); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		put(t, d, "k2", "after-the-tear")
+		expect(t, dir, d, map[string]string{"k1": "intact", "k2": "after-the-tear"}, 1)
+	})
+}
+
 // TestDiskIgnoresV1Entries: a directory from the one-file-per-key
 // format reads as a cold cache, not as damage.
 func TestDiskIgnoresV1Entries(t *testing.T) {
