@@ -142,16 +142,15 @@ staticcheck:
 # fuzz smoke: hammer the user-facing parsers with generated inputs for
 # a few seconds each — the preprocessing wire protocol from both ends
 # (the replies a client parses, the byte streams a producer's
-# connection handler reads) and the scenario grammar — four rewrites
+# connection handler reads) and the scenario grammar — rewrites
 # against the code they replaced, bit for bit: the pixel kernel against
 # the staged decode/resize/pack helpers (corrupted streams included)
-# and its word-at-a-time filter on arbitrary pixels,
-# the §4.3 subproblem kernel against its closure-based oracle and the
-# allocation rounding's kept ratios against its dividing loops, the
-# trace log against the sharded recorder and the compiled sample cost
-# model against the formulas it was compiled from — the search's prune
-# bound and its per-shape block bound against brute force over every
-# constructible allocation, and
+# and its word-at-a-time filter on arbitrary pixels, the trace log
+# against the sharded recorder and the compiled sample cost model
+# against the formulas it was compiled from — the search's prune bound
+# and its per-shape block bound against brute force over every
+# constructible allocation, the planner's monotonicity in cluster size
+# (more nodes never plan slower beyond the 1% band), and
 # the two scratch-owning kernels, one long-lived Simulator / Reorderer
 # against a fresh one per call, the shared 1F1B execution order against
 # the loop that found it as it ran, and the corpus's closed-form generator
@@ -165,8 +164,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPixelKernel -fuzztime=5s ./internal/preprocess
 	$(GO) test -run='^$$' -fuzz=FuzzPatchFilter -fuzztime=5s ./internal/preprocess
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario
-	$(GO) test -run='^$$' -fuzz=FuzzSubproblemRefine -fuzztime=5s ./internal/orchestrator
-	$(GO) test -run='^$$' -fuzz=FuzzRoundAllocation -fuzztime=5s ./internal/solve
 	$(GO) test -run='^$$' -fuzz=FuzzDiscreteBound -fuzztime=5s ./internal/orchestrator
 	$(GO) test -run='^$$' -fuzz=FuzzBlockBound -fuzztime=5s ./internal/orchestrator
 	$(GO) test -run='^$$' -fuzz=FuzzPlanMonotone -fuzztime=5s ./internal/orchestrator

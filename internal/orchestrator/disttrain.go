@@ -7,7 +7,6 @@ import (
 
 	"disttrain/internal/model"
 	"disttrain/internal/parallel"
-	"disttrain/internal/solve"
 )
 
 // PlanDistTrain runs the adaptive model orchestration algorithm of
@@ -16,19 +15,19 @@ import (
 //  1. enumerate the finite strategy set — TP_lm in {1,2,4,8}, DP_lm
 //     over the factors of BS/M that fit the fleet, and the
 //     encoder/generator group widths in {1,2,4,8};
-//  2. for each combination, the non-convex problem collapses to a
-//     convex subproblem in the allocations (x, y, z): minimise
-//     warm-up(x,z) + max(w_lm/y, w_me/x, w_mg/z)*(K-1) on the capped
-//     simplex with memory-derived lower bounds — solved to optimality
-//     by water-filling plus a 2-D golden-section refinement of the
-//     warm-up term;
-//  3. round allocations to the unit granularities (TP*DP for the LLM,
-//     group width for encoder/generator), re-evaluate the exact integer
-//     objective, and keep the argmin.
+//  2. for each combination, the non-convex problem collapses to one in
+//     the allocations (x, y, z): minimise warm-up(x,z) +
+//     max(w_lm/y, w_me/x, w_mg/z)*(K-1) over x and z multiples of the
+//     group widths and y = TP_lm·DP_lm·PP for a layer divisor PP, within
+//     the budget and the memory floors. The backbone takes one of a few
+//     sizes and every term is non-increasing in x and z, so the integer
+//     optimum is a short enumeration over (PP, x) with z largest — solved
+//     exactly, where the paper's CVX relaxation (§6) rounds;
+//  3. keep §7.1's rule over every buildable point: find the fastest time
+//     T*, then take the fewest GPUs within T*·selectBand.
 //
-// The result is the plan with the smallest estimated iteration time,
-// which may deliberately leave GPUs unused when extra GPUs no longer
-// reduce iteration time (§7.1).
+// The result may deliberately leave GPUs unused when extra GPUs no
+// longer reduce iteration time (§7.1).
 //
 // The enumeration runs on the best-first search engine (search.go)
 // with default options; call Search for cancellation or per-candidate
@@ -37,10 +36,10 @@ func PlanDistTrain(s Spec) (*Plan, error) {
 	return Search(context.Background(), s, SearchOptions{})
 }
 
-// selectBand is selectPlan's tie-break width: any candidate within 1%
-// of the fastest iteration time competes on GPU count (§7.1). The
-// search's stop line shares this constant — a pruned candidate must be
-// provably outside the band.
+// selectBand is §7.1's tie-break width: any buildable point within 1%
+// of the fastest iteration time competes on GPU count. The search's
+// stop line shares this constant — a pruned candidate must be provably
+// outside the band.
 const selectBand = 1.01
 
 // pruneSlack guards the prune comparison against floating-point
@@ -48,44 +47,20 @@ const selectBand = 1.01
 // bound clears bound*selectBand by this relative margin.
 const pruneSlack = 1e-9
 
-// selectPlan picks the fastest candidate, then trades within a 1%
-// iteration-time band for the fewest GPUs: "DistTrain intentionally
-// allocates fewer resources in some cases because adding more GPUs
-// yields no further improvements... freeing the remaining GPUs for
-// concurrent tasks" (§7.1).
-func selectPlan(candidates []*Plan) *Plan {
-	fastest := candidates[0]
-	for _, c := range candidates[1:] {
-		if c.IterTime < fastest.IterTime {
-			fastest = c
-		}
-	}
-	best := fastest
-	for _, c := range candidates {
-		if c.IterTime <= fastest.IterTime*selectBand {
-			if c.TotalGPUs() < best.TotalGPUs() ||
-				(c.TotalGPUs() == best.TotalGPUs() && c.IterTime < best.IterTime) {
-				best = c
-			}
-		}
-	}
-	return best
-}
-
 // Why a strategy combination yields no plan. Static values: a cold
 // search rejects hundreds of combinations and reports each to its
 // OnCandidate observer.
 var (
 	errNoMicrobatch       = errors.New("orchestrator: fewer than one microbatch")
 	errLowerExceedsBudget = errors.New("orchestrator: lower bounds exceed budget")
-	errNoValidPP          = errors.New("orchestrator: no valid PP for backbone")
-	errRoundingOverBudget = errors.New("orchestrator: rounding exceeded budget")
 )
 
 // noSubproblem says why the member (wME, wMG) of shape sh has no
-// convex program, or returns nil: the integer checks of subproblemFor,
+// buildable point, or returns nil: the integer checks of subproblemFor,
 // which also classify the members of a shape the search never
-// expanded.
+// expanded. A member that passes can build at least its lower bounds:
+// the memory-floor PP and the fewest GPUs at which each modality
+// module fits.
 func (sc *searchCtx) noSubproblem(sh *shape, wME, wMG int) error {
 	if sh.k < 1 {
 		return errNoMicrobatch
@@ -93,14 +68,21 @@ func (sc *searchCtx) noSubproblem(sh *shape, wME, wMG int) error {
 	if sh.err != nil {
 		return sh.err
 	}
-	if wME+sh.tp*sh.dp*sh.floor+wMG > sc.n {
+	if sc.lowest(model.Encoder, wME)+sh.tp*sh.dp*sh.floor+sc.lowest(model.Generator, wMG) > sc.n {
 		return errLowerExceedsBudget
 	}
 	return nil
 }
 
+// lowest is the fewest GPUs a replicated modality module of width w
+// can take: the smallest multiple of w at or above fitFrom, so more
+// than the budget when the module fits nowhere.
+func (sc *searchCtx) lowest(mod model.Module, w int) int {
+	return max(sc.fitFrom[mod]+w-1, w) / w * w
+}
+
 // subproblemFor folds the constants of the strategy set's i-th
-// candidate into its convex program. ppFloor is the backbone's memory
+// candidate into the objective its bounds relax. ppFloor is the backbone's memory
 // floor at the candidate's (TP, DP).
 func (sc *searchCtx) subproblemFor(i int) (sub subproblem, ppFloor int, err error) {
 	nt := len(sc.tpSizes)
@@ -112,7 +94,7 @@ func (sc *searchCtx) subproblemFor(i int) (sub subproblem, ppFloor int, err erro
 	return sc.fold(sh, me, mg), sh.floor, nil
 }
 
-// fold builds the convex program of shape sh's member with widths
+// fold builds the objective of shape sh's member with widths
 // tpSizes[me] and tpSizes[mg], unchecked.
 func (sc *searchCtx) fold(sh *shape, me, mg int) subproblem {
 	m, dp, cLM := sc.m, float64(sh.dp), sh.cLM
@@ -132,8 +114,6 @@ func (sc *searchCtx) fold(sh *shape, me, mg int) subproblem {
 		},
 		kk:     float64(sh.k - 1),
 		budget: float64(sc.n),
-		// Lower bounds: memory floors and granularity minimums.
-		lower: [3]float64{wME, float64(sh.tp * sh.dp * sh.floor), wMG},
 	}
 }
 
@@ -144,7 +124,7 @@ func (sc *searchCtx) fold(sh *shape, me, mg int) subproblem {
 // products and quotients of IEEE floats are monotone in their
 // operands, and a member's divisors are a subset of these, so the
 // bound is ≤ each member's discreteBound and hence its lowerBound.
-// +Inf: no member has a subproblem stage 3 can build from.
+// +Inf: no member has a buildable point.
 func (sc *searchCtx) blockBound(b int) float64 {
 	sh := &sc.shapes[b]
 	unit := sh.tp * sh.dp
@@ -165,38 +145,28 @@ func (sc *searchCtx) blockBound(b int) float64 {
 	return sub.discreteBound(unit, pps)
 }
 
-// solveSubproblem solves the strategy set's i-th candidate in full:
-// water-fill, refine, then build.
+// solveSubproblem solves the strategy set's i-th candidate exactly:
+// the plan at its fastest buildable point.
 func (sc *searchCtx) solveSubproblem(i int) (*Plan, error) {
-	sub, ppFloor, err := sc.subproblemFor(i)
+	g, err := sc.gridFor(i)
 	if err != nil {
 		return nil, err
 	}
-	// Stage 1: exact water-filling on the steady term gives the optimum
-	// of the dominant component.
-	wf := solve.WaterFillProblem{Weights: sub.w[:], Lower: sub.lower[:], Budget: sub.budget}
-	xs, _, err := wf.Solve()
-	if err != nil {
-		return nil, err
-	}
-	// Stage 2: 2-D golden-section refinement of the full objective.
-	at := sub.refine([3]float64{xs[0], xs[1], xs[2]})
-	return sc.build(sc.candidate(i), &sub, ppFloor, at)
+	return sc.build(i, g.fastest())
 }
 
 // lowerBound bounds from below every iteration time candidate c can
-// reach — including the exact integer time, because evaluate's
-// stage/warm-up algebra equals the subproblem objective at the rounded
-// allocation for plans of the searched shape (up to float ordering,
-// which pruneSlack absorbs). A candidate whose lower bound exceeds an
-// achievable time's selectBand can be neither the fastest plan nor
-// inside selectPlan's tie-break band. +Inf: stage 3 can build nothing.
+// reach at a buildable point. The subproblem objective is evaluate's
+// stage/warm-up algebra, up to float ordering (which pruneSlack
+// absorbs). A candidate whose lower bound exceeds an achievable time's
+// selectBand can be neither the fastest plan nor inside the band.
+// +Inf: c can build nothing.
 //
-// Both bounds use what stage 3 can build: x a positive multiple of wME,
-// z of wMG (RoundAllocation never rounds below one granule), and
-// y = TP·DP·pp for a divisor pp of the layer count at least ppFloor,
-// with x + y + z <= n — so pp is also at most the largest divisor that
-// leaves one granule each to the modality modules.
+// Both bounds range over a superset of the buildable points: x a
+// positive multiple of wME, z of wMG, and y = TP·DP·pp for a divisor pp
+// of the layer count at least ppFloor, with x + y + z <= n — so pp is
+// also at most the largest divisor that leaves one granule each to the
+// modality modules.
 func (sc *searchCtx) lowerBound(c Candidate, sub *subproblem, ppFloor int) float64 {
 	unit, n := c.TPLM*c.DPLM, sc.n
 	pps := sc.divisors.between(ppFloor, (n-c.WME-c.WMG)/unit)
@@ -212,36 +182,15 @@ func (sc *searchCtx) lowerBound(c Candidate, sub *subproblem, ppFloor int) float
 	return max(sub.objective(float64(xCap), float64(yCap), float64(zCap)), sub.discreteBound(unit, pps))
 }
 
-// build is stage 3: round the continuous allocation to unit
-// granularities, snap the backbone's PP to a layer divisor, and score
-// the resulting plan exactly.
-func (sc *searchCtx) build(c Candidate, sub *subproblem, ppFloor int, at [3]float64) (*Plan, error) {
-	tpLM, dpLM, wME, wMG := c.TPLM, c.DPLM, c.WME, c.WMG
-	n := sc.n
-	granule := [3]int{wME, tpLM * dpLM, wMG}
-	alloc := solve.RoundAllocation(at[:], sub.w[:], granule[:], n)
-
-	// The backbone's PP must divide its layer count: snap down, then
-	// hand freed GPUs to the bottleneck modality module.
-	ppLM := alloc[1] / (tpLM * dpLM)
-	if ppLM < ppFloor {
-		ppLM = ppFloor
-	}
-	ppLM = sc.divisors.snapPPToLayers(ppLM, ppFloor)
-	if ppLM == 0 {
-		return nil, errNoValidPP
-	}
-	alloc[1] = ppLM * tpLM * dpLM
-	if alloc[0]+alloc[1]+alloc[2] > n {
-		return nil, errRoundingOverBudget
-	}
-
+// build makes candidate i's plan at point p and scores it exactly.
+func (sc *searchCtx) build(i int, p point) (*Plan, error) {
+	c := sc.candidate(i)
 	plan := &Plan{
 		Strategy: "disttrain",
 		Modules: [3]ModulePlan{
-			{Module: model.Encoder, Config: parallel.Config{TP: wME, PP: 1, DP: alloc[0] / wME, VPP: 1}, Replicated: true},
-			{Module: model.Backbone, Config: parallel.Config{TP: tpLM, PP: ppLM, DP: dpLM, VPP: sc.vpp, SP: true}},
-			{Module: model.Generator, Config: parallel.Config{TP: wMG, PP: 1, DP: alloc[2] / wMG, VPP: 1}, Replicated: true},
+			{Module: model.Encoder, Config: parallel.Config{TP: c.WME, PP: 1, DP: p.x / c.WME, VPP: 1}, Replicated: true},
+			{Module: model.Backbone, Config: parallel.Config{TP: c.TPLM, PP: p.pp, DP: c.DPLM, VPP: sc.vpp, SP: true}},
+			{Module: model.Generator, Config: parallel.Config{TP: c.WMG, PP: 1, DP: p.z / c.WMG, VPP: 1}, Replicated: true},
 		},
 	}
 	if err := sc.evaluate(plan); err != nil {

@@ -2,8 +2,8 @@
 // orchestration (§4): the formulation of training time per iteration
 // (Eq. 1: warm-up, Eq. 2: steady phase), the resource and GPU-memory
 // constraints, and the adaptive algorithm of §4.3 that enumerates the
-// finite (TP, DP) strategy set and solves each simplified convex
-// subproblem to optimality. The two baselines of the evaluation —
+// finite (TP, DP) strategy set and solves each candidate's allocation
+// exactly over the integers. The two baselines of the evaluation —
 // Megatron-LM's monolithic orchestration (§2.1) and DistMM*'s
 // FLOPs-proportional allocation (§7.2) — live here too so every
 // strategy is scored by exactly the same objective.

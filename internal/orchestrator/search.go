@@ -6,23 +6,25 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"disttrain/internal/model"
 )
 
 // This file is the plan-search engine behind PlanDistTrain: a
 // sequential best-first branch-and-bound over the §4.3 strategy set.
-// Every (TP_lm, DP_lm, w_me, w_mg) combination collapses to an
-// independent convex subproblem with a cheap lower bound, so the engine
+// Every (TP_lm, DP_lm, w_me, w_mg) combination is an independent
+// integer allocation problem with a cheap lower bound, so the engine
 // solves candidates in lower-bound order and stops once the next bound
-// lies beyond selectPlan's tie-break band around the fastest plan
-// solved so far. The search has two levels: a backbone shape
-// (TP_lm, DP_lm) enters the heap as one key whose bound is below
-// every one of its candidates', and only a shape popped under the stop
-// line has its candidates' subproblems and bounds built. A sequential
-// reduce applies the selectPlan tie-breaking over the solved plans in
-// enumeration order. Every candidate that can be the fastest plan or
-// enter the band is solved, and each is solved exactly as the
-// sequential reference solves it, so the search returns a plan
-// byte-identical to that reference.
+// lies beyond §7.1's tie-break band around the fastest plan solved so
+// far. The search has two levels: a backbone shape (TP_lm, DP_lm)
+// enters the heap as one key whose bound is below every one of its
+// candidates', and only a shape popped under the stop line has its
+// candidates' subproblems and bounds built. A sequential reduce then
+// applies §7.1's rule over the solved candidates' points in enumeration
+// order. Every candidate that can hold the fastest plan or a point in
+// the band is solved, and each exactly, so the search returns a plan
+// byte-identical to the sequential reference and to brute force over
+// every buildable point.
 
 // Candidate is one strategy combination of the §4.3 enumeration:
 // the backbone's tensor- and data-parallel sizes plus the encoder and
@@ -56,8 +58,8 @@ type SearchOptions struct {
 var errNoFeasiblePlan = errors.New("orchestrator: no feasible plan (cluster too small for the model)")
 
 // ErrCandidatePruned marks a strategy combination skipped by the
-// branch-and-bound bound: its convex lower bound proved it can neither
-// be the fastest plan nor enter selectPlan's tie-break band. Reported
+// branch-and-bound bound: its lower bound proved it can neither hold
+// the fastest plan nor a point in §7.1's tie-break band. Reported
 // to OnCandidate observers in place of an infeasibility error.
 var ErrCandidatePruned = errors.New("orchestrator: candidate pruned by search bound")
 
@@ -131,12 +133,12 @@ func (h *boundHeap) pop() boundKey {
 // next bound exceeds the fastest solved time·selectBand·(1+pruneSlack).
 // A popped shape is expanded (its candidates without a subproblem are
 // reported, the others pushed by lower bound), a popped candidate is
-// solved in full. A shape's bound is ≤ its candidates' and pops first
+// solved exactly. A shape's bound is ≤ its candidates' and pops first
 // on a tie, so candidates pop in the (lower bound, index) order of a
 // heap holding them all. Bounds only rise along the pops and the
 // fastest time only falls, so every candidate whose bound lies under
 // the final stop line is solved: in particular the fastest plan and
-// every member of selectPlan's tie-break band, so the plan is
+// every candidate with a point in the tie-break band, so the plan is
 // byte-identical to the tests' sequential reference. What is left in
 // the heap is pruned.
 //
@@ -185,7 +187,7 @@ func search(ctx context.Context, s Spec, seed *Candidate, opts SearchOptions) (*
 		}
 	}
 	pruned := r.prune()
-	plan, err := reducePlans(r.solved)
+	plan, err := r.sc.reducePlans(r.solved)
 	return plan, pruned, expanded, r.best, err
 }
 
@@ -211,7 +213,7 @@ func (r *bestFirst) report(i int, plan *Plan, err error) {
 	}
 }
 
-// solve solves candidate i in full and reports it.
+// solve solves candidate i exactly and reports it.
 func (r *bestFirst) solve(i int) {
 	plan, err := r.sc.solveSubproblem(i)
 	if err == nil {
@@ -270,19 +272,41 @@ func (r *bestFirst) prune() int {
 	return pruned
 }
 
-// reducePlans applies the selectPlan tie-breaking over the solved
-// plans in enumeration order — the deterministic reduce that makes the
-// best-first search equivalent to the sequential loop. It must not
-// mutate any candidate (solveSubproblem already stamps Strategy):
-// OnCandidate observers may have retained these pointers.
-func reducePlans(solved []solvedPlan) (*Plan, error) {
+// reducePlans is §7.1's rule over every buildable point of the solved
+// candidates: with T* the fastest solved time, the fewest GPUs among
+// points at most T*·selectBand, ties to the faster and then to the
+// first in enumeration order — candidate, then PP, x and z. A candidate
+// the search pruned has no point in that band, and neither has a solved
+// one whose fastest point lies outside it. The winner's plan is its
+// candidate's solved plan when the two points agree, else built anew:
+// a solved plan is never mutated, since OnCandidate observers may have
+// retained it.
+func (sc *searchCtx) reducePlans(solved []solvedPlan) (*Plan, error) {
 	if len(solved) == 0 {
 		return nil, errNoFeasiblePlan
 	}
 	slices.SortFunc(solved, func(a, b solvedPlan) int { return a.i - b.i })
-	feasible := make([]*Plan, len(solved))
-	for j, sp := range solved {
-		feasible[j] = sp.plan
+	limit := math.Inf(1)
+	for _, sp := range solved {
+		limit = min(limit, sp.plan.IterTime)
 	}
-	return selectPlan(feasible), nil
+	limit *= selectBand
+	var win point
+	winAt, winGPUs := -1, 0
+	for j, sp := range solved {
+		if sp.plan.IterTime > limit {
+			continue
+		}
+		g, _ := sc.gridFor(sp.i)
+		p, _ := g.fewest(limit)
+		if n := g.gpus(p); winAt < 0 || n < winGPUs || (n == winGPUs && p.t < win.t) {
+			win, winAt, winGPUs = p, j, n
+		}
+	}
+	sp := solved[winAt]
+	if m := &sp.plan.Modules; m[model.Backbone].Config.PP == win.pp &&
+		m[model.Encoder].GPUs() == win.x && m[model.Generator].GPUs() == win.z {
+		return sp.plan, nil
+	}
+	return sc.build(sp.i, win)
 }

@@ -179,27 +179,22 @@ func TestSearchCancellation(t *testing.T) {
 
 // planDistTrainSequential is the reference implementation of the §4.3
 // enumeration: the plain loop over the strategy set, solving every
-// subproblem in full. The best-first engine must return byte-identical
-// plans to this function (TestPlanSearchEquivalence,
-// TestSearchSolvesOnlyTheBand).
+// candidate, then the engine's §7.1 reduce. The best-first engine must
+// return byte-identical plans to this function
+// (TestPlanSearchEquivalence, TestSearchSolvesOnlyTheBand);
+// TestDistTrainMatchesBruteForce holds both to brute force.
 func planDistTrainSequential(s Spec) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	sc := newSearchCtx(&s)
-
-	var candidates []*Plan
+	var solved []solvedPlan
 	for i := range sc.strategySet() {
-		cand, err := sc.solveSubproblem(i)
-		if err != nil {
-			continue // infeasible combination
+		if p, err := sc.solveSubproblem(i); err == nil {
+			solved = append(solved, solvedPlan{i, p})
 		}
-		candidates = append(candidates, cand)
 	}
-	if len(candidates) == 0 {
-		return nil, errNoFeasiblePlan
-	}
-	return selectPlan(candidates), nil
+	return sc.reducePlans(solved)
 }
 
 // enumerateCandidates materialises the strategy set in the order of

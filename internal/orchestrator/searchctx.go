@@ -32,6 +32,10 @@ type searchCtx struct {
 	// shapes is the strategy set's block table, filled by strategySet,
 	// nil for a context that only evaluates plans.
 	shapes []shape
+	// fitFrom is, per modality module, the fewest GPUs at which it fits
+	// replicated (n+1 when it fits nowhere), filled by strategySet; 0
+	// reads as fitting everywhere.
+	fitFrom [3]int
 }
 
 // shape is one backbone shape (TP_lm, DP_lm) of the strategy set: the
@@ -103,7 +107,7 @@ func (sc *searchCtx) cTrain(mod model.Module, width int) float64 {
 // original nested-loop enumeration — TP_lm, then DP_lm over the factors
 // of BS/M that fit the fleet alongside one PP stage, then w_me, then
 // w_mg — and returns the number of candidates. The order is
-// load-bearing: selectPlan's tie-breaking scans candidates in it. The
+// load-bearing: §7.1's tie-breaking scans candidates in it. The
 // DP_lm values of a wider TP_lm are a prefix of the narrowest's, so
 // only the narrowest scans BS/M's factors.
 func (sc *searchCtx) strategySet() int {
@@ -128,6 +132,17 @@ func (sc *searchCtx) strategySet() int {
 			}
 			sc.shapes = append(sc.shapes, sc.shapeAt(t, narrow.dp))
 		}
+	}
+	// A replicated module's footprint depends on its GPU count alone,
+	// not its width, and only falls as it grows: ZeRO-1 shards the
+	// optimizer state over every copy. So one scan per module finds the
+	// floor every candidate's x or z starts from.
+	for _, mod := range []model.Module{model.Encoder, model.Generator} {
+		g := 1
+		for g <= sc.n && !sc.fits(&ModulePlan{Module: mod, Config: parallel.Plain(1, 1, g), Replicated: true}) {
+			g++
+		}
+		sc.fitFrom[mod] = g
 	}
 	return len(sc.shapes) * len(sc.tpSizes) * len(sc.tpSizes)
 }
@@ -310,7 +325,9 @@ func (sc *searchCtx) evaluate(p *Plan) error {
 		}
 	}
 	// Eq. 2: steady phase = bottleneck stage time * (microbatches - 1).
-	steady *= float64(p.Microbatches - 1)
+	// The conversion keeps the product from fusing into the sum below,
+	// as in grid.at, which must reach the same time.
+	steady = float64(steady * float64(p.Microbatches-1))
 
 	p.Warmup, p.Steady = warmup, steady
 	p.IterTime = warmup + steady

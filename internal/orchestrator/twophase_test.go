@@ -126,10 +126,11 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 }
 
 // bandOracle is the brute-force view of one spec's search: which
-// candidates have a subproblem, which of those fail their full solve,
-// and which lie in the band — a lower bound at most
-// fastest·selectBand·(1+pruneSlack), for the fastest time any candidate
-// reaches: the set a best-first search must solve and nothing more —
+// candidates have a subproblem, which of those fail their exact solve
+// (none should), and which lie in the band — a lower bound at most
+// fastest·selectBand·(1+pruneSlack), for the fastest time any
+// candidate's exact solve reaches: the set a best-first search must
+// solve and nothing more —
 // and how many shapes have a blockBound at most that stop line: the
 // shapes it must expand and nothing more.
 type bandOracle struct {
@@ -176,12 +177,18 @@ func newBandOracle(s Spec) bandOracle {
 // check runs the search with seed and asserts that it reports every
 // candidate exactly once, solves (reports without ErrCandidatePruned)
 // exactly the band plus a seed outside it, prunes the rest of the
-// candidates with a subproblem, and returns the reference plan. It
-// expands exactly the oracle's shapes, and without an observer it
-// prunes as many candidates.
+// candidates with a subproblem, and returns the reference plan: the
+// brute-force plan on up to 64 GPUs, the sequential reference (held to
+// brute force by TestDistTrainMatchesBruteForce) beyond. It expands
+// exactly the oracle's shapes, and without an observer it prunes as
+// many candidates.
 func (o bandOracle) check(t *testing.T, s Spec, seed *Candidate) {
 	t.Helper()
-	want, wantErr := planDistTrainSequential(s)
+	ref := planDistTrainSequential
+	if s.maxGPUs() <= 64 {
+		ref = bruteForcePlan
+	}
+	want, wantErr := ref(s)
 	reports := map[Candidate]int{}
 	solved := map[Candidate]bool{}
 	plan, pruned, expanded, _, err := search(context.Background(), s, seed, SearchOptions{
@@ -261,12 +268,16 @@ func TestSearchSolvesOnlyTheBand(t *testing.T) {
 }
 
 // TestSearchSeedSolvedOnce: a seed is solved at most once and reported
-// once — the heap skips the candidate it already tried — whether its
-// full solve fails, it has no subproblem at all, or it lies inside or
-// outside the band; the search otherwise solves exactly the band. On
-// 16 GiB GPUs one 9B candidate's build fails outside the band; on
-// 12 GiB every build fails, so nothing bounds the search and the
-// failed seed's own key is popped too.
+// once — the heap skips the candidate it already tried — whether it has
+// no subproblem at all or lies inside or outside the band; the search
+// otherwise solves exactly the band. No solve fails: a candidate passes
+// noSubproblem only when its lower bounds — the backbone's memory-floor
+// PP and the fewest GPUs at which each modality module fits — fit the
+// budget, and the enumeration starts from exactly that point. Small
+// GPUs are where that shows: on 16 GiB the 9B encoder fits only from 3
+// GPUs, which once failed a rounded build; on 12 GiB it fits on none of
+// the 32, so no candidate has a subproblem and the search fails whatever
+// the seed.
 func TestSearchSeedSolvedOnce(t *testing.T) {
 	corpus, err := data.NewCorpus(data.LAION400M())
 	if err != nil {
@@ -275,7 +286,7 @@ func TestSearchSeedSolvedOnce(t *testing.T) {
 	for _, tc := range []struct {
 		gib   float64
 		kinds int
-	}{{16, 4}, {12, 2}} {
+	}{{16, 3}, {12, 1}} {
 		cl := cluster.Production(4)
 		cl.GPU.MemoryBytes = tc.gib * (1 << 30)
 		p, err := profiler.New(profiler.DefaultOptions(cl, model.MLLM9B()))
@@ -288,10 +299,10 @@ func TestSearchSeedSolvedOnce(t *testing.T) {
 		s := Spec{Cluster: cl, Model: model.MLLM9B(), GlobalBatch: 32, Microbatch: 1, Profiler: p, VPP: 1}
 		o := newBandOracle(s)
 		seeds := map[string]int{}
-		for i := range o.cands {
+		for i, c := range o.cands {
 			switch {
 			case o.fails[i]:
-				seeds["failing-build"] = i
+				t.Fatalf("%g GiB: %v has a subproblem but its solve fails", tc.gib, c)
 			case !o.hasSub[i]:
 				seeds["no-subproblem"] = i
 			case o.inBand[i]:
@@ -300,8 +311,8 @@ func TestSearchSeedSolvedOnce(t *testing.T) {
 				seeds["outside-band"] = i
 			}
 		}
-		if _, ok := seeds["failing-build"]; !ok || len(seeds) != tc.kinds {
-			t.Fatalf("%g GiB: want %d seed kinds with a failing build, got %v", tc.gib, tc.kinds, seeds)
+		if len(seeds) != tc.kinds {
+			t.Fatalf("%g GiB: want %d seed kinds, got %v", tc.gib, tc.kinds, seeds)
 		}
 		for name, i := range seeds {
 			t.Run(fmt.Sprintf("%gGiB-%s", tc.gib, name), func(t *testing.T) { o.check(t, s, &o.cands[i]) })

@@ -1,22 +1,19 @@
 // Package solve is a miniature disciplined-convex toolkit standing in
 // for the CVX solver the paper uses (§6: "formulates the disaggregated
 // model orchestration problem using Disciplined Convex Programming
-// [and] employs the CVX solver"). The orchestrator's simplified
-// subproblem — minimise a max of c_i/x_i terms over a capped simplex
-// with lower bounds — admits an exact water-filling solution, so no
-// general-purpose solver is needed; this package provides that solver
-// plus the golden-section search the orchestrator's subproblem kernel
-// inlines.
+// [and] employs the CVX solver"). Its one solver water-fills the
+// continuous relaxation of the §4.3 subproblem — minimise a max of
+// c_i/x_i terms over a capped simplex with lower bounds — exactly.
 //
-// Reentrancy: every entry point is a pure function of its arguments —
-// value receivers, no package-level mutable state, fresh output slices
-// on every call. A plan search runs on one goroutine, but fleets and
-// plan caches on separate goroutines search at once, so Solve and
-// RoundAllocation may run concurrently with themselves; callers only
-// need their own callback closures to be goroutine-safe. The
-// orchestrator's subproblem kernel carries its own inlined copy of
-// MinimizeConvex1D, pinned to this one bit for bit by its tests.
-// TestSolveReentrancy pins this property under the race detector.
+// The planner no longer calls it: the orchestrator solves each
+// candidate exactly over the integers, which is cheaper than relaxing
+// and rounding. Its only caller is benchmark/'s solve.waterfill_us
+// ledger line; the package goes when that line does.
+//
+// Reentrancy: Solve is a pure function of its receiver — a value
+// receiver, no package-level mutable state, a fresh output slice on
+// every call — so it may run concurrently with itself.
+// TestSolveReentrancy pins this under the race detector.
 package solve
 
 import (
@@ -48,29 +45,6 @@ func bisect(lo, hi float64, feasible func(float64) bool) (float64, error) {
 		}
 	}
 	return hi, nil
-}
-
-// MinimizeConvex1D minimises a unimodal (convex) function on [lo, hi]
-// by golden-section search and returns the minimising argument.
-func MinimizeConvex1D(lo, hi, tol float64, f func(float64) float64) float64 {
-	const phi = 1.618033988749895
-	invPhi := 1 / phi
-	a, b := lo, hi
-	c := b - (b-a)*invPhi
-	d := a + (b-a)*invPhi
-	fc, fd := f(c), f(d)
-	for b-a > tol*math.Max(1, math.Abs(b)) {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - (b-a)*invPhi
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + (b-a)*invPhi
-			fd = f(d)
-		}
-	}
-	return (a + b) / 2
 }
 
 // WaterFillProblem is the simplified convex subproblem of §4.3:
@@ -167,86 +141,4 @@ func sum(xs []float64) float64 {
 		t += x
 	}
 	return t
-}
-
-// RoundAllocation rounds a continuous GPU allocation down to integer
-// multiples of the per-variable granularity (TP*DP for a parallelism
-// unit), guaranteeing each variable keeps at least one granule and the
-// total never exceeds the budget. Leftover granules go to the variable
-// whose weight/x ratio (the objective's argmax) is largest.
-//
-// Each loop keeps the ratio it compares for every variable and
-// recomputes only the entry of the variable it just moved: the same
-// quotients of the same operands as dividing afresh on every granule.
-func RoundAllocation(x []float64, weights []float64, granule []int, budget int) []int {
-	n := len(x)
-	out := make([]int, n)
-	var small [3]float64 // the orchestrator's three variables: no allocation
-	ratio := small[:]
-	if n > len(small) {
-		ratio = make([]float64, n)
-	}
-	used := 0
-	for i := 0; i < n; i++ {
-		g := max(granule[i], 1)
-		k := int(x[i]) / g
-		if k < 1 {
-			k = 1
-		}
-		out[i] = k * g
-		used += out[i]
-	}
-	// Shrink the least-loaded variables if rounding overshot: ratio[i]
-	// is variable i's after giving up one granule.
-	if used > budget {
-		for i := 0; i < n; i++ {
-			ratio[i] = weights[i] / float64(out[i]-max(granule[i], 1))
-		}
-	}
-	for used > budget {
-		best := -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < n; i++ {
-			if out[i] <= max(granule[i], 1) {
-				continue
-			}
-			if ratio[i] < bestRatio {
-				bestRatio = ratio[i]
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		g := max(granule[best], 1)
-		out[best] -= g
-		used -= g
-		ratio[best] = weights[best] / float64(out[best]-g)
-	}
-	// Hand spare granules to the current bottleneck: ratio[i] is
-	// variable i's at its allocation.
-	for i := 0; i < n; i++ {
-		ratio[i] = weights[i] / float64(out[i])
-	}
-	for {
-		best := -1
-		bestRatio := 0.0
-		for i := 0; i < n; i++ {
-			if used+max(granule[i], 1) > budget {
-				continue
-			}
-			if ratio[i] > bestRatio {
-				bestRatio = ratio[i]
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		g := max(granule[best], 1)
-		out[best] += g
-		used += g
-		ratio[best] = weights[best] / float64(out[best])
-	}
-	return out
 }

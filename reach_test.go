@@ -53,7 +53,6 @@ func TestReachability(t *testing.T) {
 // the reason. They are roots of the funcs pass, so what they call stays
 // too.
 var reachAllow = map[string]string{
-	"solve.MinimizeConvex1D":              "the golden section the subproblem kernel inlines, pinned to it bit for bit",
 	"data.seededSource.Int63":             "rand.Source's method: math/rand.Rand calls it through that interface for Float64 and NormFloat64",
 	"pipeline.Result.FirstStageIntervals": "the simulated Figure 12 intervals TestIntervalPredictorMatchesSimulator checks the predictor against",
 	"stepccl.NewExecutor":                 "Figure 21's bit-identity check: TestExecutorCorrectness runs the executor",
@@ -88,10 +87,9 @@ var argAllow = map[string]string{
 // lets live without a reference from outside their package, each with
 // the reason.
 var exportAllow = map[string]string{
-	"solve.MinimizeConvex1D": "the golden section the orchestrator's subproblem tests pin the inlined kernel to",
-	"stepccl.Executor":       "Figure 21's bit-identity check, which only the stepccl tests run",
-	"stepccl.NewExecutor":    "Figure 21's bit-identity check, which only the stepccl tests run",
-	"stepccl.Matrix":         "Figure 21's bit-identity check, which only the stepccl tests run",
+	"stepccl.Executor":    "Figure 21's bit-identity check, which only the stepccl tests run",
+	"stepccl.NewExecutor": "Figure 21's bit-identity check, which only the stepccl tests run",
+	"stepccl.Matrix":      "Figure 21's bit-identity check, which only the stepccl tests run",
 }
 
 // stdlibCalls are the method names the standard library calls through
