@@ -82,8 +82,8 @@ func (sc *searchCtx) lowest(mod model.Module, w int) int {
 }
 
 // subproblemFor folds the constants of the strategy set's i-th
-// candidate into the objective its bounds relax. ppFloor is the backbone's memory
-// floor at the candidate's (TP, DP).
+// candidate into the objective its bounds relax. ppFloor is the
+// backbone's memory floor at the candidate's (TP, DP).
 func (sc *searchCtx) subproblemFor(i int) (sub subproblem, ppFloor int, err error) {
 	nt := len(sc.tpSizes)
 	sh := &sc.shapes[i/(nt*nt)]

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"disttrain/internal/model"
 )
 
 // This file is the plan-search engine behind PlanDistTrain: a
@@ -277,10 +275,9 @@ func (r *bestFirst) prune() int {
 // points at most T*·selectBand, ties to the faster and then to the
 // first in enumeration order — candidate, then PP, x and z. A candidate
 // the search pruned has no point in that band, and neither has a solved
-// one whose fastest point lies outside it. The winner's plan is its
-// candidate's solved plan when the two points agree, else built anew:
-// a solved plan is never mutated, since OnCandidate observers may have
-// retained it.
+// one whose fastest point lies outside it. The winner's plan is built
+// anew: a solved plan is never mutated, since OnCandidate observers may
+// have retained it.
 func (sc *searchCtx) reducePlans(solved []solvedPlan) (*Plan, error) {
 	if len(solved) == 0 {
 		return nil, errNoFeasiblePlan
@@ -292,21 +289,16 @@ func (sc *searchCtx) reducePlans(solved []solvedPlan) (*Plan, error) {
 	}
 	limit *= selectBand
 	var win point
-	winAt, winGPUs := -1, 0
-	for j, sp := range solved {
+	winI, winGPUs := -1, 0
+	for _, sp := range solved {
 		if sp.plan.IterTime > limit {
 			continue
 		}
-		g, _ := sc.gridFor(sp.i)
-		p, _ := g.fewest(limit)
-		if n := g.gpus(p); winAt < 0 || n < winGPUs || (n == winGPUs && p.t < win.t) {
-			win, winAt, winGPUs = p, j, n
+		g, _ := sc.gridFor(sp.i) // it was solved, so it has a grid
+		p := g.fewest(limit)
+		if n := g.gpus(p); winI < 0 || n < winGPUs || (n == winGPUs && p.t < win.t) {
+			win, winI, winGPUs = p, sp.i, n
 		}
 	}
-	sp := solved[winAt]
-	if m := &sp.plan.Modules; m[model.Backbone].Config.PP == win.pp &&
-		m[model.Encoder].GPUs() == win.x && m[model.Generator].GPUs() == win.z {
-		return sp.plan, nil
-	}
-	return sc.build(sp.i, win)
+	return sc.build(winI, win)
 }

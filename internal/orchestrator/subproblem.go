@@ -38,8 +38,9 @@ func (p *subproblem) objective(x, y, z float64) float64 {
 	return p.base + p.a/x + p.c/z + steady*p.kk
 }
 
-// discreteBound lower-bounds every plan the candidate can build. The backbone takes y = unit·pp GPUs for one of the layer
-// divisors pps, leaving x + z <= budget − y to the modality modules, so
+// discreteBound lower-bounds every plan the candidate can build. The
+// backbone takes y = unit·pp GPUs for one of the layer divisors pps,
+// leaving x + z <= budget − y to the modality modules, so
 // by Cauchy–Schwarz a/x + c/z >= (√a+√c)²/(budget−y) and by the mediant
 // max(w[0]/x, w[2]/z) >= (w[0]+w[2])/(budget−y); the minimum over the
 // constructible y is the bound. Knowing that y only takes the
@@ -148,10 +149,10 @@ func (g *grid) fastest() point {
 
 // fewest is the grid's point with the fewest GPUs among those at most
 // limit, ties to the faster and then to the first in (PP, x, z) order;
-// false when no point clears limit. At each (PP, x) only the smallest z
-// that clears can win, and it never grows with x, so one cursor walks z
-// down across a PP's row.
-func (g *grid) fewest(limit float64) (point, bool) {
+// the caller ensures one clears limit. At each (PP, x) only the
+// smallest z that clears can win, and it never grows with x, so one
+// cursor walks z down across a PP's row.
+func (g *grid) fewest(limit float64) point {
 	var best point
 	found := false
 	for _, pp := range g.pps {
@@ -177,7 +178,7 @@ func (g *grid) fewest(limit float64) (point, bool) {
 			}
 		}
 	}
-	return best, found
+	return best
 }
 
 // gpus is point p's GPU count.

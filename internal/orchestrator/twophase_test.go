@@ -275,9 +275,9 @@ func TestSearchSolvesOnlyTheBand(t *testing.T) {
 // PP and the fewest GPUs at which each modality module fits — fit the
 // budget, and the enumeration starts from exactly that point. Small
 // GPUs are where that shows: on 16 GiB the 9B encoder fits only from 3
-// GPUs, which once failed a rounded build; on 12 GiB it fits on none of
-// the 32, so no candidate has a subproblem and the search fails whatever
-// the seed.
+// GPUs, above a width-1 or width-2 group's one granule; on 12 GiB it
+// fits on none of the 32, so no candidate has a subproblem and the
+// search fails whatever the seed.
 func TestSearchSeedSolvedOnce(t *testing.T) {
 	corpus, err := data.NewCorpus(data.LAION400M())
 	if err != nil {
