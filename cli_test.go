@@ -197,3 +197,80 @@ func TestCLIWalkthroughs(t *testing.T) {
 		})
 	}
 }
+
+// readmeRuns returns the `go run ./cmd/<name> …` commands of the shell
+// blocks in a README, one per command: continuation lines joined,
+// quoted arguments and # comments dropped.
+func readmeRuns(readme string) []string {
+	quoted := regexp.MustCompile(`'[^']*'|"[^"]*"`)
+	var runs []string
+	inShell, cmd := false, ""
+	for _, line := range strings.Split(readme, "\n") {
+		if strings.HasPrefix(line, "```") {
+			inShell = line == "```sh" || line == "```bash"
+			continue
+		}
+		if !inShell {
+			continue
+		}
+		line = quoted.ReplaceAllString(line, "")
+		if i := strings.Index(line, "#"); i >= 0 {
+			line = line[:i]
+		}
+		line = strings.TrimSpace(line)
+		if cmd == "" && !strings.HasPrefix(line, "go run ./cmd/") {
+			continue
+		}
+		cmd += " " + strings.TrimSuffix(line, `\`)
+		if !strings.HasSuffix(line, `\`) {
+			runs = append(runs, strings.TrimSpace(cmd))
+			cmd = ""
+		}
+	}
+	return runs
+}
+
+// TestREADMEFlagsExist holds the README to the binaries it documents:
+// every `go run ./cmd/<name> …` line in its shell blocks names only
+// flags that the built command's -h usage lists.
+func TestREADMEFlagsExist(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the command binaries")
+	}
+	bin := buildCLIs(t)
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := readmeRuns(string(readme))
+	if len(runs) == 0 {
+		t.Fatal("README.md has no `go run ./cmd/...` line in a shell block")
+	}
+	usageFlag := regexp.MustCompile(`(?m)^  -([\w-]+)`)
+	known := map[string]map[string]bool{}
+	for _, run := range runs {
+		fields := strings.Fields(run)
+		name := strings.TrimPrefix(fields[2], "./cmd/")
+		if known[name] == nil {
+			// -h prints the usage and exits 0 (flag.ExitOnError).
+			out, err := exec.Command(filepath.Join(bin, name), "-h").CombinedOutput()
+			if err != nil {
+				t.Fatalf("%s -h: %v (is it in cliNames?)\n%s", name, err, out)
+			}
+			known[name] = map[string]bool{}
+			for _, m := range usageFlag.FindAllStringSubmatch(string(out), -1) {
+				known[name][m[1]] = true
+			}
+		}
+		for _, f := range fields[3:] {
+			if !strings.HasPrefix(f, "-") {
+				continue
+			}
+			opt, _, _ := strings.Cut(strings.TrimLeft(f, "-"), "=")
+			if !known[name][opt] {
+				t.Errorf("README runs %q: %s has no flag -%s", run, name, opt)
+			}
+		}
+	}
+	t.Logf("%d README commands checked", len(runs))
+}

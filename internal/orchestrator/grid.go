@@ -6,64 +6,6 @@ import (
 	"disttrain/internal/model"
 )
 
-// subproblem is one strategy combination's objective (§4.3) with
-// every per-candidate constant folded in:
-//
-//	base + a/x + c/z + max(w[0]/x, w[1]/y, w[2]/z)·kk,  x + y + z <= budget
-//
-// The first three terms are the Eq. 1 warm-up (PP_me = PP_mg = 1), the
-// max is the Eq. 2 steady phase over kk = K−1 microbatches. All weights
-// are positive and finite, which is what lets the methods compare
-// instead of calling math.Max. It serves only the search's prune
-// bounds: objective at an integer corner and discreteBound, which have
-// to stay below every buildable point's time (FuzzDiscreteBound checks
-// the latter against brute force). The candidate's exact solve is its
-// grid, which scores points with evaluate's own arithmetic.
-type subproblem struct {
-	base   float64    // M·C_lm/VPP: the backbone's warm-up share
-	a, c   float64    // warm-up numerators of the encoder (x) and generator (z)
-	w      [3]float64 // steady-phase weights: T_mod = w[mod]/alloc
-	kk     float64    // K−1
-	budget float64
-}
-
-func (p *subproblem) objective(x, y, z float64) float64 {
-	steady := p.w[0] / x
-	if t := p.w[1] / y; t > steady {
-		steady = t
-	}
-	if t := p.w[2] / z; t > steady {
-		steady = t
-	}
-	return p.base + p.a/x + p.c/z + steady*p.kk
-}
-
-// discreteBound lower-bounds every plan the candidate can build. The
-// backbone takes y = unit·pp GPUs for one of the layer divisors pps,
-// leaving x + z <= budget − y to the modality modules, so
-// by Cauchy–Schwarz a/x + c/z >= (√a+√c)²/(budget−y) and by the mediant
-// max(w[0]/x, w[2]/z) >= (w[0]+w[2])/(budget−y); the minimum over the
-// constructible y is the bound. Knowing that y only takes the
-// backbone's few divisor sizes is what makes it tight where continuous
-// relaxations are loose.
-func (p *subproblem) discreteBound(unit int, pps divisorTable) float64 {
-	r := math.Sqrt(p.a) + math.Sqrt(p.c)
-	warm, side := r*r, p.w[0]+p.w[2]
-	lb := math.Inf(1)
-	for _, pp := range pps {
-		y := float64(unit * pp)
-		rest := p.budget - y
-		steady := side / rest
-		if t := p.w[1] / y; t > steady {
-			steady = t
-		}
-		if b := p.base + warm/rest + steady*p.kk; b < lb {
-			lb = b
-		}
-	}
-	return lb
-}
-
 // point is one buildable integer allocation of a candidate — the
 // backbone's PP, the encoder's x GPUs and the generator's z — and its
 // iteration time t.
@@ -75,9 +17,11 @@ type point struct {
 // grid is one candidate's buildable integer points: the backbone at PP
 // pp in pps (y = unit·pp GPUs), the encoder on x GPUs and the generator
 // on z, x and z multiples of the group widths wME and wMG from xLo and
-// zLo (the fewest at which each module fits), x + y + z <= n. It
-// scores a point with evaluate's operations in evaluate's order, so a
-// time it compares is the time of the plan build makes there.
+// zLo (the fewest at which each module fits), x + y + z <= n. It is the
+// candidate's only form of its §4.3 objective: the exact solve and the
+// search's prune bound both read it. It scores a point with evaluate's
+// operations in evaluate's order, so a time it compares is the time of
+// the plan build makes there.
 type grid struct {
 	n, unit, wME, wMG int
 	xLo, zLo          int
@@ -87,24 +31,35 @@ type grid struct {
 }
 
 // gridFor is the strategy set's i-th candidate's grid. A candidate
-// that passes noSubproblem has at least the point (pps[0], xLo, zLo).
+// that passes noGrid has at least the point (pps[0], xLo, zLo).
 func (sc *searchCtx) gridFor(i int) (grid, error) {
 	nt := len(sc.tpSizes)
 	sh := &sc.shapes[i/(nt*nt)]
 	me, mg := i/nt%nt, i%nt
-	wME, wMG := sc.tpSizes[me], sc.tpSizes[mg]
-	if err := sc.noSubproblem(sh, wME, wMG); err != nil {
+	if err := sc.noGrid(sh, me, mg); err != nil {
 		return grid{}, err
 	}
+	return sc.newGrid(sh, me, mg, sc.stageNum(sh, model.Encoder, me), sc.stageNum(sh, model.Generator, mg)), nil
+}
+
+// newGrid is shape sh's grid with the encoder at width tpSizes[me] and
+// the generator at tpSizes[mg], from their floors, with stage-time
+// numerators encNum and genNum. Unchecked: noGrid says whether it has
+// a point.
+func (sc *searchCtx) newGrid(sh *shape, me, mg int, encNum, genNum float64) grid {
 	g := grid{
-		n: sc.n, unit: sh.tp * sh.dp, wME: wME, wMG: wMG,
-		xLo: sc.lowest(model.Encoder, wME), zLo: sc.lowest(model.Generator, wMG),
-		encNum: float64(sh.dp) * float64(wME) * sc.m * sc.cTrainTP[model.Encoder][me],
-		genNum: float64(sh.dp) * float64(wMG) * sc.m * sc.cTrainTP[model.Generator][mg],
-		cm:     sh.cLM * sc.m, vpp: float64(sc.vpp), kk: float64(sh.k - 1),
+		n: sc.n, unit: sh.tp * sh.dp, wME: sc.tpSizes[me], wMG: sc.tpSizes[mg],
+		xLo: sc.xLo[me], zLo: sc.zLo[mg], encNum: encNum, genNum: genNum,
+		cm: sh.cLM * sc.m, vpp: float64(sc.vpp), kk: float64(sh.k - 1),
 	}
 	g.pps = sc.divisors.between(sh.floor, (g.n-g.xLo-g.zLo)/g.unit)
-	return g, nil
+	return g
+}
+
+// stageNum is DP_lm·w·M·C(w) for modality module mod of shape sh at
+// width w = tpSizes[t]: its stage time times its GPUs.
+func (sc *searchCtx) stageNum(sh *shape, mod model.Module, t int) float64 {
+	return float64(sh.dp) * float64(sc.tpSizes[t]) * sc.m * sc.cTrainTP[mod][t]
 }
 
 // backbone is the backbone's stage time and warm-up share at PP pp.
@@ -127,6 +82,44 @@ func (g *grid) at(x, z int, tLM, wLM float64) float64 {
 		steady = tg
 	}
 	return te + wLM + tg + float64(steady*g.kk)
+}
+
+// bound lower-bounds the time of every point of the grid without
+// visiting them: the minimum over its PPs of the larger of two bounds
+// on the points at that PP, which leaves x + z <= n − y to the
+// modality modules.
+//   - Relaxing x and z to reals: by Cauchy–Schwarz
+//     encNum/x + genNum/z >= (√encNum+√genNum)²/(n−y), and by the
+//     mediant max(encNum/x, genNum/z) >= (encNum+genNum)/(n−y). It
+//     sums in another order than at, so it may exceed the best point's
+//     time by rounding, which pruneSlack absorbs.
+//   - at at the integer corner: x and z each the largest multiple of
+//     their width that the other's floor leaves. No point at this PP
+//     has a larger x or z, and at is non-increasing in both, so this
+//     bound is exact.
+//
+// +Inf: the grid has no PP.
+func (g *grid) bound() float64 {
+	r := math.Sqrt(g.encNum) + math.Sqrt(g.genNum)
+	warm, side := r*r, g.encNum+g.genNum
+	lb := math.Inf(1)
+	for _, pp := range g.pps {
+		y := g.unit * pp
+		tLM, wLM := g.backbone(pp)
+		rest := float64(g.n - y)
+		steady := side / rest
+		if tLM > steady {
+			steady = tLM
+		}
+		b := wLM + warm/rest + steady*g.kk
+		if c := g.at((g.n-y-g.zLo)/g.wME*g.wME, (g.n-y-g.xLo)/g.wMG*g.wMG, tLM, wLM); c > b {
+			b = c
+		}
+		if b < lb {
+			lb = b
+		}
+	}
+	return lb
 }
 
 // fastest is the grid's fastest point, the first in (PP, x) order on

@@ -11,15 +11,15 @@ import (
 // This file is the plan-search engine behind PlanDistTrain: a
 // sequential best-first branch-and-bound over the §4.3 strategy set.
 // Every (TP_lm, DP_lm, w_me, w_mg) combination is an independent
-// integer allocation problem with a cheap lower bound, so the engine
-// solves candidates in lower-bound order and stops once the next bound
-// lies beyond §7.1's tie-break band around the fastest plan solved so
-// far. The search has two levels: a backbone shape (TP_lm, DP_lm)
-// enters the heap as one key whose bound is below every one of its
-// candidates', and only a shape popped under the stop line has its
-// candidates' subproblems and bounds built. A sequential reduce then
-// applies §7.1's rule over the solved candidates' points in enumeration
-// order. Every candidate that can hold the fastest plan or a point in
+// integer allocation problem, its grid, with a cheap lower bound
+// (grid.bound), so the engine solves candidates in lower-bound order
+// and stops once the next bound lies beyond §7.1's tie-break band
+// around the fastest plan solved so far. The search has two levels: a
+// backbone shape (TP_lm, DP_lm) enters the heap as one key whose bound
+// is below every one of its candidates', and only a shape popped under
+// the stop line has its candidates' grids and bounds built. A
+// sequential reduce then applies §7.1's rule over the solved
+// candidates' points in enumeration order. Every candidate that can hold the fastest plan or a point in
 // the band is solved, and each exactly, so the search returns a plan
 // byte-identical to the sequential reference and to brute force over
 // every buildable point.
@@ -129,7 +129,7 @@ func (h *boundHeap) pop() boundKey {
 // branch-and-bound. The heap starts with one key per backbone shape,
 // its blockBound. The seed is solved first; then keys pop until the
 // next bound exceeds the fastest solved time·selectBand·(1+pruneSlack).
-// A popped shape is expanded (its candidates without a subproblem are
+// A popped shape is expanded (its candidates without a grid are
 // reported, the others pushed by lower bound), a popped candidate is
 // solved exactly. A shape's bound is ≤ its candidates' and pops first
 // on a tie, so candidates pop in the (lower bound, index) order of a
@@ -146,7 +146,7 @@ func (h *boundHeap) pop() boundKey {
 // candidates are solved: the stop line ends where the fastest plan
 // puts it, so a seed outside the band costs one extra solve.
 // It returns the plan or the spec's error, the number of candidates
-// that had a subproblem but were never solved, and, for tests, the
+// that had a grid but were never solved, and, for tests, the
 // number of shapes expanded and the fastest solved time. A search
 // cancelled before it reached the stop line reports the cancellation;
 // one that finished still reduces to its (deterministic) plan.
@@ -166,7 +166,7 @@ func search(ctx context.Context, s Spec, seed *Candidate, opts SearchOptions) (*
 	}
 	if seed != nil {
 		if i := r.sc.indexOf(*seed); i >= 0 {
-			if _, _, err := r.sc.subproblemFor(i); err == nil {
+			if _, err := r.sc.gridFor(i); err == nil {
 				r.seedAt = i
 				r.solve(i)
 			}
@@ -213,7 +213,7 @@ func (r *bestFirst) report(i int, plan *Plan, err error) {
 
 // solve solves candidate i exactly and reports it.
 func (r *bestFirst) solve(i int) {
-	plan, err := r.sc.solveSubproblem(i)
+	plan, err := r.sc.solveCandidate(i)
 	if err == nil {
 		r.solved = append(r.solved, solvedPlan{i, plan})
 		r.best = min(r.best, plan.IterTime)
@@ -221,28 +221,28 @@ func (r *bestFirst) solve(i int) {
 	r.report(i, plan, err)
 }
 
-// expand builds shape block b's subproblems: it reports the members
-// without one and pushes the others by their lower bound. The seed,
-// already solved, is skipped.
+// expand builds shape block b's grids: it reports the members without
+// one and pushes the others by their grid's bound. The seed, already
+// solved, is skipped.
 func (r *bestFirst) expand(b int) {
 	bs := len(r.sc.tpSizes) * len(r.sc.tpSizes)
 	for i := b * bs; i < (b+1)*bs; i++ {
 		if i == r.seedAt {
 			continue
 		}
-		sub, ppFloor, err := r.sc.subproblemFor(i)
+		g, err := r.sc.gridFor(i)
 		if err != nil {
 			r.report(i, nil, err)
 			continue
 		}
-		r.h.push(boundKey{r.sc.lowerBound(r.sc.candidate(i), &sub, ppFloor), i})
+		r.h.push(boundKey{g.bound(), i})
 	}
 }
 
 // prune counts, and reports when observed, what the search left in the
 // heap: a candidate key is pruned, and so is each member of an
-// unexpanded shape that passes subproblemFor's integer checks; the
-// other members are reported with the error those checks give.
+// unexpanded shape that passes noGrid's integer checks; the other
+// members are reported with the error those checks give.
 func (r *bestFirst) prune() int {
 	pruned := 0
 	for _, k := range r.h {
@@ -253,10 +253,10 @@ func (r *bestFirst) prune() int {
 		}
 		sh := &r.sc.shapes[^k.i]
 		i := ^k.i * len(r.sc.tpSizes) * len(r.sc.tpSizes)
-		for _, wME := range r.sc.tpSizes {
-			for _, wMG := range r.sc.tpSizes {
+		for me := range r.sc.tpSizes {
+			for mg := range r.sc.tpSizes {
 				if i != r.seedAt {
-					err := r.sc.noSubproblem(sh, wME, wMG)
+					err := r.sc.noGrid(sh, me, mg)
 					if err == nil {
 						pruned++
 						err = ErrCandidatePruned

@@ -190,7 +190,7 @@ func planDistTrainSequential(s Spec) (*Plan, error) {
 	sc := newSearchCtx(&s)
 	var solved []solvedPlan
 	for i := range sc.strategySet() {
-		if p, err := sc.solveSubproblem(i); err == nil {
+		if p, err := sc.solveCandidate(i); err == nil {
 			solved = append(solved, solvedPlan{i, p})
 		}
 	}

@@ -32,11 +32,16 @@ type searchCtx struct {
 	// shapes is the strategy set's block table, filled by strategySet,
 	// nil for a context that only evaluates plans.
 	shapes []shape
-	// fitFrom is, per modality module, the fewest GPUs at which it fits
-	// replicated (n+1 when it fits nowhere), filled by strategySet; 0
-	// reads as fitting everywhere.
-	fitFrom [3]int
+	// xLo and zLo are the encoder's and generator's floors per width
+	// tpSizes[t]: the fewest GPUs a replicated group of that width can
+	// take, filled by setFloors. Fixed-size, so a search's tables cost
+	// no allocation.
+	xLo, zLo [maxWidths]int
 }
+
+// maxWidths bounds len(tpSizes): a power of two that fits an int is at
+// most 2⁶².
+const maxWidths = 63
 
 // shape is one backbone shape (TP_lm, DP_lm) of the strategy set: the
 // block of len(tpSizes)² consecutive candidates, one per (w_me, w_mg),
@@ -137,14 +142,26 @@ func (sc *searchCtx) strategySet() int {
 	// not its width, and only falls as it grows: ZeRO-1 shards the
 	// optimizer state over every copy. So one scan per module finds the
 	// floor every candidate's x or z starts from.
-	for _, mod := range []model.Module{model.Encoder, model.Generator} {
+	fitFrom := func(mod model.Module) int {
 		g := 1
 		for g <= sc.n && !sc.fits(&ModulePlan{Module: mod, Config: parallel.Plain(1, 1, g), Replicated: true}) {
 			g++
 		}
-		sc.fitFrom[mod] = g
+		return g
 	}
+	sc.setFloors(fitFrom(model.Encoder), fitFrom(model.Generator))
 	return len(sc.shapes) * len(sc.tpSizes) * len(sc.tpSizes)
+}
+
+// setFloors fills the floor tables from the fewest GPUs at which the
+// encoder and the generator fit replicated (n+1 when nowhere): at each
+// width, the smallest multiple of it at or above that count, so more
+// than the budget when the module fits nowhere.
+func (sc *searchCtx) setFloors(encFrom, genFrom int) {
+	for t, w := range sc.tpSizes {
+		sc.xLo[t] = max(encFrom+w-1, w) / w * w
+		sc.zLo[t] = max(genFrom+w-1, w) / w * w
+	}
 }
 
 // shapeAt is the block table's entry for TP_lm = tpSizes[t] at dp. The

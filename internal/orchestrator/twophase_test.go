@@ -72,7 +72,7 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 			fastest := math.Inf(1)
 			sc := newSearchCtx(&s)
 			for i := range sc.strategySet() {
-				if p, err := sc.solveSubproblem(i); err == nil {
+				if p, err := sc.solveCandidate(i); err == nil {
 					fastest = min(fastest, p.IterTime)
 				}
 			}
@@ -126,7 +126,7 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 }
 
 // bandOracle is the brute-force view of one spec's search: which
-// candidates have a subproblem, which of those fail their exact solve
+// candidates have a grid, which of those fail their exact solve
 // (none should), and which lie in the band — a lower bound at most
 // fastest·selectBand·(1+pruneSlack), for the fastest time any
 // candidate's exact solve reaches: the set a best-first search must
@@ -134,9 +134,9 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 // and how many shapes have a blockBound at most that stop line: the
 // shapes it must expand and nothing more.
 type bandOracle struct {
-	cands                 []Candidate
-	hasSub, fails, inBand []bool
-	band, subs, blocks    int
+	cands                  []Candidate
+	hasGrid, fails, inBand []bool
+	band, grids, blocks    int
 }
 
 func newBandOracle(s Spec) bandOracle {
@@ -144,24 +144,24 @@ func newBandOracle(s Spec) bandOracle {
 	sc.strategySet()
 	o := bandOracle{cands: enumerateCandidates(s, sc.n)}
 	n := len(o.cands)
-	o.hasSub, o.fails, o.inBand = make([]bool, n), make([]bool, n), make([]bool, n)
+	o.hasGrid, o.fails, o.inBand = make([]bool, n), make([]bool, n), make([]bool, n)
 	lbs := make([]float64, n)
 	fastest := math.Inf(1)
-	for i, c := range o.cands {
-		sub, ppFloor, err := sc.subproblemFor(i)
+	for i := range o.cands {
+		g, err := sc.gridFor(i)
 		if err != nil {
 			continue
 		}
-		o.hasSub[i], lbs[i] = true, sc.lowerBound(c, &sub, ppFloor)
-		o.subs++
-		if p, err := sc.solveSubproblem(i); err == nil {
+		o.hasGrid[i], lbs[i] = true, g.bound()
+		o.grids++
+		if p, err := sc.solveCandidate(i); err == nil {
 			fastest = min(fastest, p.IterTime)
 		} else {
 			o.fails[i] = true
 		}
 	}
 	for i := range o.cands {
-		if o.hasSub[i] && lbs[i] <= fastest*selectBand*(1+pruneSlack) {
+		if o.hasGrid[i] && lbs[i] <= fastest*selectBand*(1+pruneSlack) {
 			o.inBand[i] = true
 			o.band++
 		}
@@ -177,7 +177,7 @@ func newBandOracle(s Spec) bandOracle {
 // check runs the search with seed and asserts that it reports every
 // candidate exactly once, solves (reports without ErrCandidatePruned)
 // exactly the band plus a seed outside it, prunes the rest of the
-// candidates with a subproblem, and returns the reference plan: the
+// candidates with a grid, and returns the reference plan: the
 // brute-force plan on up to 64 GPUs, the sequential reference (held to
 // brute force by TestDistTrainMatchesBruteForce) beyond. It expands
 // exactly the oracle's shapes, and without an observer it prunes as
@@ -205,7 +205,7 @@ func (o bandOracle) check(t *testing.T, s Spec, seed *Candidate) {
 		if reports[c] != 1 {
 			t.Fatalf("%v reported %d times, want once", c, reports[c])
 		}
-		if !o.hasSub[i] {
+		if !o.hasGrid[i] {
 			continue
 		}
 		wantSolved := o.inBand[i] || (seed != nil && c == *seed)
@@ -216,8 +216,8 @@ func (o bandOracle) check(t *testing.T, s Spec, seed *Candidate) {
 			solves++
 		}
 	}
-	if pruned != o.subs-solves {
-		t.Fatalf("pruned %d, want the %d candidates with a subproblem less the %d solved", pruned, o.subs, solves)
+	if pruned != o.grids-solves {
+		t.Fatalf("pruned %d, want the %d candidates with a grid less the %d solved", pruned, o.grids, solves)
 	}
 	if expanded != o.blocks {
 		t.Fatalf("expanded %d shapes, want the %d whose block bound lies under the stop line", expanded, o.blocks)
@@ -269,14 +269,14 @@ func TestSearchSolvesOnlyTheBand(t *testing.T) {
 
 // TestSearchSeedSolvedOnce: a seed is solved at most once and reported
 // once — the heap skips the candidate it already tried — whether it has
-// no subproblem at all or lies inside or outside the band; the search
+// no grid at all or lies inside or outside the band; the search
 // otherwise solves exactly the band. No solve fails: a candidate passes
-// noSubproblem only when its lower bounds — the backbone's memory-floor
+// noGrid only when its lower bounds — the backbone's memory-floor
 // PP and the fewest GPUs at which each modality module fits — fit the
 // budget, and the enumeration starts from exactly that point. Small
 // GPUs are where that shows: on 16 GiB the 9B encoder fits only from 3
 // GPUs, above a width-1 or width-2 group's one granule; on 12 GiB it
-// fits on none of the 32, so no candidate has a subproblem and the
+// fits on none of the 32, so no candidate has a grid and the
 // search fails whatever the seed.
 func TestSearchSeedSolvedOnce(t *testing.T) {
 	corpus, err := data.NewCorpus(data.LAION400M())
@@ -302,8 +302,8 @@ func TestSearchSeedSolvedOnce(t *testing.T) {
 		for i, c := range o.cands {
 			switch {
 			case o.fails[i]:
-				t.Fatalf("%g GiB: %v has a subproblem but its solve fails", tc.gib, c)
-			case !o.hasSub[i]:
+				t.Fatalf("%g GiB: %v has a grid but its solve fails", tc.gib, c)
+			case !o.hasGrid[i]:
 				seeds["no-subproblem"] = i
 			case o.inBand[i]:
 				seeds["in-band"] = i
