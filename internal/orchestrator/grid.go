@@ -96,7 +96,7 @@ func (g *grid) at(x, z int, tLM, wLM float64) float64 {
 //   - at at the integer corner: x and z each the largest multiple of
 //     their width that the other's floor leaves. No point at this PP
 //     has a larger x or z, and at is non-increasing in both, so this
-//     bound is exact.
+//     bound holds exactly, with no rounding slack.
 //
 // +Inf: the grid has no PP.
 func (g *grid) bound() float64 {
@@ -112,6 +112,9 @@ func (g *grid) bound() float64 {
 			steady = tLM
 		}
 		b := wLM + warm/rest + steady*g.kk
+		if b >= lb {
+			continue // the corner could only raise this PP's bound
+		}
 		if c := g.at((g.n-y-g.zLo)/g.wME*g.wME, (g.n-y-g.xLo)/g.wMG*g.wMG, tLM, wLM); c > b {
 			b = c
 		}

@@ -19,10 +19,10 @@ import (
 // is below every one of its candidates', and only a shape popped under
 // the stop line has its candidates' grids and bounds built. A
 // sequential reduce then applies §7.1's rule over the solved
-// candidates' points in enumeration order. Every candidate that can hold the fastest plan or a point in
-// the band is solved, and each exactly, so the search returns a plan
-// byte-identical to the sequential reference and to brute force over
-// every buildable point.
+// candidates' points in enumeration order. Every candidate that can
+// hold the fastest plan or a point in the band is solved, and each
+// exactly, so the search returns a plan byte-identical to the
+// sequential reference and to brute force over every buildable point.
 
 // Candidate is one strategy combination of the §4.3 enumeration:
 // the backbone's tensor- and data-parallel sizes plus the encoder and
