@@ -115,12 +115,7 @@ func (g *grid) bound() float64 {
 		if b >= lb {
 			continue // the corner could only raise this PP's bound
 		}
-		if c := g.at((g.n-y-g.zLo)/g.wME*g.wME, (g.n-y-g.xLo)/g.wMG*g.wMG, tLM, wLM); c > b {
-			b = c
-		}
-		if b < lb {
-			lb = b
-		}
+		lb = min(lb, max(b, g.at((g.n-y-g.zLo)/g.wME*g.wME, (g.n-y-g.xLo)/g.wMG*g.wMG, tLM, wLM)))
 	}
 	return lb
 }
