@@ -146,14 +146,15 @@ func TestPruneBoundsAreLowerBounds(t *testing.T) {
 	}
 }
 
-// FuzzGridBound checks grid.bound against brute force over every
-// point of a random grid: for random budgets, backbone shapes, layer
-// counts, memory floors, group widths, modality floors (often above
-// the widths), stage-time numerators, microbatch sizes, VPP and K, the
-// bound must not exceed the fastest point's time beyond pruneSlack,
+// FuzzDiscreteBound checks grid.bound, the bound over a candidate's
+// discrete grid, against brute force over every point of a random
+// grid: for random budgets, backbone shapes, layer counts, memory
+// floors, group widths, modality floors (often above the widths),
+// stage-time numerators, microbatch sizes, VPP and K, the bound must
+// not exceed the fastest point's time beyond pruneSlack,
 // grid.fastest must find that time exactly, and noGrid must pass
 // exactly when the grid has a point.
-func FuzzGridBound(f *testing.F) {
+func FuzzDiscreteBound(f *testing.F) {
 	// n, tp, dp, k, layers, floor, mb, vpp, me, mg, encFrom, genFrom, encNum, genNum, C_lm
 	f.Add(uint8(96), uint8(3), uint8(1), uint16(29), uint8(40), uint8(1), uint8(0), uint8(0),
 		uint8(0), uint8(0), uint8(1), uint8(1), 3.0, 5.0, 40.0)
@@ -192,7 +193,7 @@ func FuzzGridBound(f *testing.F) {
 // modality floors, the block's bound must not exceed any member's
 // grid.bound — exactly, as the bound is the same IEEE arithmetic on
 // operands no larger — nor, beyond pruneSlack, the fastest point a
-// member could build (brute force, as in FuzzGridBound).
+// member could build (brute force, as in FuzzDiscreteBound).
 func FuzzBlockBound(f *testing.F) {
 	// dp, tp, mb, vpp, k, budget, layers, floor, encFrom, genFrom, C_lm, C_me(1,2,4,8), C_mg(1,2,4,8)
 	f.Add(uint8(2), uint8(1), uint8(0), uint8(0), uint16(29), uint8(96), uint8(40), uint8(2), uint8(1), uint8(1),
