@@ -73,6 +73,7 @@ func TestCLIRejectsBadArguments(t *testing.T) {
 		{"disttrain-sim", []string{"-model", "7b"}, "disttrain-sim: unknown model \"7b\" (want 9b, 15b or 72b)\n"},
 		{"disttrain-sim", []string{"-strategy", "nope"}, "disttrain-sim: unknown strategy \"nope\"\n"},
 		{"disttrain-plan", []string{"-freeze", "nope"}, "disttrain-plan: unknown freeze setting \"nope\"\n"},
+		{"disttrain-plan", []string{"-strategy", "nope", "-nodes", "2", "-batch", "16"}, "disttrain-plan: unknown strategy \"nope\"\n"},
 		{"disttrain-fleet", []string{"-jobs", "-1"}, "disttrain-fleet: -jobs must be at least 1\n"},
 		{"disttrain-fleet", []string{"-policy", "nope"}, "disttrain-fleet: fleet: unknown policy \"nope\" (registered: [fair-share fifo priority])\n"},
 		{"disttrain-data", []string{"-samples", "0"}, "disttrain-data: -samples must be at least 1\n"},
@@ -139,12 +140,12 @@ func TestFleetCLIReportsCorruptPlanEntries(t *testing.T) {
 // TestCLIWalkthroughs runs the README's walkthroughs end to end: the
 // producer pool failing over, a failure survived from a checkpoint, the
 // adaptive controller re-planning under a workload shift and switching
-// to the new plan, and a fleet
-// losing and regaining a node. Each run must exit 0 and print the line
-// its section promises.
+// to the new plan, a fleet losing and regaining a node, and a durable
+// plan sweep run cold and then again over its cache directory. Each
+// run must exit 0 and print the line its section promises.
 func TestCLIWalkthroughs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds the command binaries and trains through four scenarios")
+		t.Skip("builds the command binaries, trains through four scenarios and plans a sweep twice")
 	}
 	bin := buildCLIs(t)
 	// count returns the integer the first submatch of re captures in
@@ -196,6 +197,27 @@ func TestCLIWalkthroughs(t *testing.T) {
 			}
 		})
 	}
+	// The cold sweep searches its four distinct sizes, and its cache's
+	// observer counts what their bounds pruned; the restart serves all
+	// four from disk, so it searches and prunes nothing.
+	t.Run("durable plan sweep", func(t *testing.T) {
+		dir := t.TempDir()
+		summary := regexp.MustCompile(`(?m)^plan cache: (\d+) searches, (\d+) warm hits, \d+ warm-seeded, (\d+) candidates pruned, 0 corrupt entries skipped$`)
+		for _, want := range []struct {
+			searches, warmHits string
+			pruned             bool
+		}{{"4", "0", true}, {"0", "4", false}} {
+			out, err := exec.Command(filepath.Join(bin, "disttrain-plan"),
+				"-model", "9b", "-batch", "128", "-sweep", "4,8,8,12,24", "-plan-cache-dir", dir).CombinedOutput()
+			if err != nil {
+				t.Fatalf("disttrain-plan: %v\n%s", err, out)
+			}
+			m := summary.FindStringSubmatch(string(out))
+			if m == nil || m[1] != want.searches || m[2] != want.warmHits || (m[3] != "0") != want.pruned {
+				t.Errorf("want %s searches, %s warm hits and pruning %v:\n%s", want.searches, want.warmHits, want.pruned, out)
+			}
+		}
+	})
 }
 
 // readmeRuns returns the `go run ./cmd/<name> …` commands of the shell

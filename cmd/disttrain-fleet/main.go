@@ -27,6 +27,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -123,11 +124,18 @@ func main() {
 		Trace:   *traceFile != "",
 	}
 	var disk *store.Disk
+	var pruned int64 // candidates the durable cache's searches pruned, as its observer counts them
 	if *cacheDir != "" {
 		if disk, err = store.OpenDisk(*cacheDir); err != nil {
 			fatal(err)
 		}
-		cfg.Cache = orchestrator.NewPersistentPlanCache(orchestrator.SearchOptions{}, disk)
+		cfg.Cache = orchestrator.NewPersistentPlanCache(orchestrator.SearchOptions{
+			OnCandidate: func(_ orchestrator.Candidate, _ *orchestrator.Plan, err error) {
+				if errors.Is(err, orchestrator.ErrCandidatePruned) {
+					pruned++
+				}
+			},
+		}, disk)
 	}
 	for i := 0; i < *jobs; i++ {
 		cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
@@ -166,7 +174,7 @@ func main() {
 	fmt.Printf("plan cache: %d searches, %d hits\n", res.PlanSearches, res.PlanHits)
 	if disk != nil {
 		fmt.Printf("durable plan cache (%s): %d warm hits, %d warm-seeded searches, %d candidates pruned, %d corrupt entries skipped\n",
-			*cacheDir, res.PlanWarmHits, res.PlanWarmSeeds, res.PlanPruned, disk.CorruptSkips())
+			*cacheDir, cfg.Cache.WarmHits(), res.PlanWarmSeeds, pruned, disk.CorruptSkips())
 	}
 	if res.Preprocess != nil {
 		fmt.Printf("shared preprocessing: %s\n", res.Preprocess)

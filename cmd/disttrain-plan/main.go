@@ -15,9 +15,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -66,7 +68,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var opts orchestrator.SearchOptions
+	// The searches report every candidate to the cache's observer; the
+	// summary line counts the ones their bounds pruned.
+	var pruned int64
+	opts := orchestrator.SearchOptions{OnCandidate: func(_ orchestrator.Candidate, _ *orchestrator.Plan, err error) {
+		if errors.Is(err, orchestrator.ErrCandidatePruned) {
+			pruned++
+		}
+	}}
 	cache := orchestrator.NewPlanCache(opts)
 	var disk *store.Disk
 	if *cacheDir != "" {
@@ -80,16 +89,9 @@ func run() error {
 		if err := runSweep(m, fr, *batch, *sweep, cache); err != nil {
 			return err
 		}
-		reportCache(cache, disk)
+		reportCache(cache, disk, pruned)
 		return nil
 	}
-
-	spec, _, err := experiments.NewSpec(m, *nodes, *batch, fr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("task: %s on %d GPUs, global batch %d, freeze=%s\n\n",
-		m.Name, *nodes*8, *batch, fr.Name)
 
 	type planner struct {
 		name string
@@ -102,6 +104,15 @@ func run() error {
 		{"megatron", orchestrator.PlanMegatron},
 		{"distmm", orchestrator.PlanDistMM},
 	}
+	if *strategy != "all" && !slices.ContainsFunc(strategies, func(p planner) bool { return p.name == *strategy }) {
+		return fmt.Errorf("unknown strategy %q", *strategy)
+	}
+	spec, _, err := experiments.NewSpec(m, *nodes, *batch, fr)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("task: %s on %d GPUs, global batch %d, freeze=%s\n\n",
+		m.Name, *nodes*8, *batch, fr.Name)
 	for _, p := range strategies {
 		if *strategy != "all" && *strategy != p.name {
 			continue
@@ -113,15 +124,16 @@ func run() error {
 		}
 		fmt.Println(plan)
 	}
-	reportCache(cache, disk)
+	reportCache(cache, disk, pruned)
 	return nil
 }
 
-// reportCache summarises the plan cache's work and, when it persists
-// to disk (non-nil disk), the corrupt entries it read as misses.
-func reportCache(cache *orchestrator.PlanCache, disk *store.Disk) {
+// reportCache summarises the plan cache's work, with the pruned
+// candidates its observer counted, and, when it persists to disk
+// (non-nil disk), the corrupt entries it read as misses.
+func reportCache(cache *orchestrator.PlanCache, disk *store.Disk, pruned int64) {
 	fmt.Printf("plan cache: %d searches, %d warm hits, %d warm-seeded, %d candidates pruned",
-		cache.Searches(), cache.WarmHits(), cache.WarmSeeds(), cache.Pruned())
+		cache.Searches(), cache.WarmHits(), cache.WarmSeeds(), pruned)
 	if disk != nil {
 		fmt.Printf(", %d corrupt entries skipped", disk.CorruptSkips())
 	}

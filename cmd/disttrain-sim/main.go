@@ -123,7 +123,7 @@ func main() {
 	// producer fleet — external (-preproc) or in-process
 	// (-local-producers, controllable by producer-fail/join events) —
 	// through a one-tenant preprocessing service.
-	var poolStats *metrics.PoolStats
+	var pool *preprocess.Tenant
 	if *preproc != "" || *localProd > 0 {
 		if *preproc != "" && *localProd > 0 {
 			fatal(fmt.Errorf("-preproc and -local-producers are mutually exclusive"))
@@ -152,22 +152,16 @@ func main() {
 				}
 			}
 		}
-		poolStats = &metrics.PoolStats{}
-		svc, err := preprocess.NewService(preprocess.ServiceConfig{
-			Addrs: addrs,
-			Stats: poolStats,
-		})
+		svc, err := preprocess.NewService(preprocess.ServiceConfig{Addrs: addrs})
 		if err != nil {
 			fatal(err)
 		}
 		defer svc.Close()
-		tenant, err := svc.Register(preprocess.TenantConfig{Name: "sim", DP: pcfg.DPSize})
-		if err != nil {
+		if pool, err = svc.Register(preprocess.TenantConfig{Name: "sim", DP: pcfg.DPSize}); err != nil {
 			fatal(err)
 		}
-		cfg.Source = &trainer.PoolSource{Pool: tenant, Samples: cfg.Corpus}
+		cfg.Source = &trainer.PoolSource{Pool: pool, Samples: cfg.Corpus}
 		cfg.DisaggregatedPreprocess = true
-		cfg.PoolStats = poolStats
 	}
 
 	// Adaptive re-planning: the controller watches drift and re-runs
@@ -233,8 +227,8 @@ func main() {
 			}
 		}
 	}
-	if poolStats != nil {
-		fmt.Printf("producer pool: %s\n", poolStats.Snapshot())
+	if pool != nil {
+		fmt.Printf("producer pool: %s\n", pool.Snapshot())
 	}
 
 	if trace != nil {

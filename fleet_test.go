@@ -61,7 +61,7 @@ func TestFacadeFleet(t *testing.T) {
 		}
 	}
 	// The shared cache is warm for the next fleet with the same spec.
-	if cache.Len() != 1 {
-		t.Errorf("cache holds %d fingerprints", cache.Len())
+	if cache.Searches() != 1 {
+		t.Errorf("cache searched %d specs", cache.Searches())
 	}
 }

@@ -2,12 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"disttrain/internal/model"
+	"disttrain/internal/orchestrator"
 	"disttrain/internal/trainer"
 )
 
@@ -72,8 +74,9 @@ func TestFleetHerdCoalescing(t *testing.T) {
 // TestFleetPipelinedByteIdentity is the admission contract while other
 // tenants train: a herd and a scenario arrival are planned and placed
 // at their reservation rounds while admitted tenants step, and the
-// Results, plan-cache counters and merged trace are byte-identical
-// across repeated runs, each on a fresh plan cache.
+// Results, plan-cache counters, pruned candidates (as the cache's
+// observer counts them) and merged trace are byte-identical across
+// repeated runs, each on a fresh plan cache.
 func TestFleetPipelinedByteIdentity(t *testing.T) {
 	spec, corpus := buildSpec(t, 8, 32)
 	type outcome struct {
@@ -84,6 +87,14 @@ func TestFleetPipelinedByteIdentity(t *testing.T) {
 	var want outcome
 	for i := range 2 {
 		cfg := perturbedFleet(t, spec, corpus)
+		var pruned int64
+		cfg.Cache = orchestrator.NewPlanCache(orchestrator.SearchOptions{
+			OnCandidate: func(_ orchestrator.Candidate, _ *orchestrator.Plan, err error) {
+				if errors.Is(err, orchestrator.ErrCandidatePruned) {
+					pruned++
+				}
+			},
+		})
 		cfg.Scenario = mustParse(t, "herd:iter=1,job=1,count=1; job-arrive:iter=3,job=1; node-fail:iter=2,node=6; node-join:iter=4,node=6")
 		res, err := runChecked(t, cfg)
 		if err != nil {
@@ -101,7 +112,7 @@ func TestFleetPipelinedByteIdentity(t *testing.T) {
 		got := outcome{
 			jobs: jobs, trace: traceBytes(t, res.Trace),
 			searches: res.PlanSearches, hits: res.PlanHits,
-			warmSeeds: res.PlanWarmSeeds, prunedCand: res.PlanPruned,
+			warmSeeds: res.PlanWarmSeeds, prunedCand: pruned,
 		}
 		if i == 0 {
 			if len(jobs) != 4 || got.hits == 0 {

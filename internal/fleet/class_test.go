@@ -166,8 +166,8 @@ func TestFleetResolvesEachClassOnce(t *testing.T) {
 
 	// The cache holds the two lease sizes' plans, and each still equals
 	// a fresh search's.
-	if cache.Len() != 2 {
-		t.Fatalf("the cache holds %d plans, want 2", cache.Len())
+	if cache.Searches() != 2 {
+		t.Fatalf("the cache searched %d specs, want 2", cache.Searches())
 	}
 	for _, l := range []cluster.Lease{cluster.NewLease(0, 1), cluster.NewLease(0, 1, 2)} {
 		s := spec.ForLease(spec.Cluster, l, false)

@@ -158,12 +158,11 @@ type Result struct {
 	// PlanSearches and PlanHits are the plan cache's delta over this
 	// run: searches actually executed vs calls served from the cache.
 	PlanSearches, PlanHits int64
-	// PlanWarmHits, PlanWarmSeeds and PlanPruned are the warm-start
-	// deltas: specs served from the on-disk store with no search (zero
-	// unless Config.Cache is persistent), searches warm-started from a
-	// neighbouring lease size's plan, and candidates the searches'
-	// bounds pruned.
-	PlanWarmHits, PlanWarmSeeds, PlanPruned int64
+	// PlanWarmSeeds counts the searches warm-started from a
+	// neighbouring lease size's plan. A persistent Config.Cache reports
+	// its own warm hits, and its OnCandidate observer what the searches
+	// pruned.
+	PlanWarmSeeds int64
 	// PlanCoalesced is inert (always 0), kept only for benchmark/ until a later benchmark change deletes it.
 	PlanCoalesced int64
 	// Trace is the merged fleet timeline (per-job lanes PID-offset
@@ -247,7 +246,6 @@ type runner struct {
 	// The shared preprocessing tier (nil without Config.Preprocess).
 	producers *preprocess.Fleet
 	service   *preprocess.Service
-	poolStats *metrics.PoolStats
 
 	// queueDirty marks that an Order key of some queued tenant may have
 	// changed since the last sortQueue: set by arrivals, requeues,
@@ -357,7 +355,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	defer f.stopPreprocess()
 	baseSearches, baseHits := cache.Searches(), cache.Hits()
-	baseWarmHits, baseWarmSeeds, basePruned := cache.WarmHits(), cache.WarmSeeds(), cache.Pruned()
+	baseWarmSeeds := cache.WarmSeeds()
 
 	lastRound := 0
 	for i := range cfg.Jobs {
@@ -404,9 +402,7 @@ func Run(cfg Config) (*Result, error) {
 		Rounds:        f.round + 1,
 		PlanSearches:  cache.Searches() - baseSearches,
 		PlanHits:      cache.Hits() - baseHits,
-		PlanWarmHits:  cache.WarmHits() - baseWarmHits,
 		PlanWarmSeeds: cache.WarmSeeds() - baseWarmSeeds,
-		PlanPruned:    cache.Pruned() - basePruned,
 	}
 	for _, t := range f.tenants {
 		res.Jobs = append(res.Jobs, JobResult{
@@ -418,8 +414,8 @@ func Run(cfg Config) (*Result, error) {
 			Result: t.result, Trace: t.trace, Pool: t.poolSnap, Err: t.err,
 		})
 	}
-	if f.poolStats != nil {
-		snap := f.poolStats.Snapshot()
+	if f.service != nil {
+		snap := f.service.Snapshot()
 		res.Preprocess = &snap
 	}
 	if cfg.Trace {

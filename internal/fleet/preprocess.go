@@ -66,9 +66,9 @@ func (pc *PreprocessConfig) slotsPerNode() int {
 	return pc.SlotsPerNode
 }
 
-// startPreprocess brings up the shared tier: the producer fleet, the
-// multiplexing service, and the aggregate stats collector per-tenant
-// counters roll up into.
+// startPreprocess brings up the shared tier: the producer fleet and
+// the multiplexing service, whose Snapshot aggregates every tenant's
+// counters.
 func (f *runner) startPreprocess() error {
 	pc := f.cfg.Preprocess
 	if pc == nil {
@@ -85,7 +85,6 @@ func (f *runner) startPreprocess() error {
 	if err != nil {
 		return fmt.Errorf("fleet: start producers: %w", err)
 	}
-	f.poolStats = &metrics.PoolStats{}
 	// The service's own default capacity (2 slots per producer) sizes a
 	// single tenant's pool. The shared tier must admit every tenant's
 	// quota at once: leases cover at most the whole cluster, so the
@@ -94,7 +93,6 @@ func (f *runner) startPreprocess() error {
 	svc, err := preprocess.NewService(preprocess.ServiceConfig{
 		Addrs:    producers.Addrs(),
 		Capacity: f.quotaFor(f.cfg.Cluster.Nodes),
-		Stats:    f.poolStats,
 	})
 	if err != nil {
 		producers.Close()

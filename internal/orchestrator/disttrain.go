@@ -96,14 +96,15 @@ func (sc *searchCtx) blockBound(b int) float64 {
 	return g.bound()
 }
 
-// solveCandidate solves the strategy set's i-th candidate exactly: the
-// plan at its fastest buildable point.
-func (sc *searchCtx) solveCandidate(i int) (*Plan, error) {
+// solveCandidate solves the strategy set's i-th candidate exactly: its
+// grid and the plan at its fastest buildable point.
+func (sc *searchCtx) solveCandidate(i int) (solvedPlan, error) {
 	g, err := sc.gridFor(i)
 	if err != nil {
-		return nil, err
+		return solvedPlan{}, err
 	}
-	return sc.build(i, g.fastest())
+	plan, err := sc.build(i, g.fastest())
+	return solvedPlan{i, g, plan}, err
 }
 
 // build makes candidate i's plan at point p and scores it exactly.

@@ -124,13 +124,13 @@ func TestPruneBoundsAreLowerBounds(t *testing.T) {
 			}
 			lb := g.bound()
 			minLB[i/bs] = min(minLB[i/bs], lb)
-			plan, err := sc.solveCandidate(i)
+			sp, err := sc.solveCandidate(i)
 			if err != nil {
 				continue
 			}
-			if lb > plan.IterTime*(1+pruneSlack) {
+			if lb > sp.plan.IterTime*(1+pruneSlack) {
 				t.Fatalf("%s nodes=%d %v: lower bound %g exceeds the produced plan's %g",
-					s.Model.Name, s.Cluster.Nodes, sc.candidate(i), lb, plan.IterTime)
+					s.Model.Name, s.Cluster.Nodes, sc.candidate(i), lb, sp.plan.IterTime)
 			}
 			checked++
 		}

@@ -47,7 +47,6 @@ type PlanCache struct {
 	hits      atomic.Int64
 	warmHits  atomic.Int64
 	warmSeeds atomic.Int64
-	pruned    atomic.Int64
 	storeErrs atomic.Int64
 }
 
@@ -168,8 +167,7 @@ func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
 			if seed != nil {
 				c.warmSeeds.Add(1)
 			}
-			plan, pruned, _, _, err := search(ctx, s, seed, c.opts)
-			c.pruned.Add(int64(pruned))
+			plan, err := search(ctx, s, seed, c.opts)
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, err
 			}
@@ -289,16 +287,8 @@ func (c *PlanCache) Coalesced() int64 { return 0 }
 // WarmHits counts specs served from the durable store with no
 // search; WarmSeeds counts searches that started from a neighbouring
 // size's seed (a durable hit starts no search, so it never counts);
-// Pruned counts candidates the searches' bounds skipped; StoreErrs
-// counts store failures the cache degraded around.
+// StoreErrs counts store failures the cache degraded around. What the
+// searches' bounds pruned is reported to the cache's OnCandidate.
 func (c *PlanCache) WarmHits() int64  { return c.warmHits.Load() }
 func (c *PlanCache) WarmSeeds() int64 { return c.warmSeeds.Load() }
-func (c *PlanCache) Pruned() int64    { return c.pruned.Load() }
 func (c *PlanCache) StoreErrs() int64 { return c.storeErrs.Load() }
-
-// Len returns the number of distinct specs planned so far.
-func (c *PlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

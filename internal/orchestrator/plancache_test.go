@@ -78,8 +78,8 @@ func TestPlanCacheConcurrentCallersShareOnePlan(t *testing.T) {
 	if c.Searches()+c.Hits() != k {
 		t.Errorf("searches %d + hits %d != %d calls", c.Searches(), c.Hits(), k)
 	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d fingerprints, want 1", c.Len())
+	if len(c.entries) != 1 {
+		t.Errorf("cache holds %d fingerprints, want 1", len(c.entries))
 	}
 	// A later hit returns the same pointer too.
 	again, err := c.Plan(context.Background(), spec)
@@ -247,8 +247,8 @@ func TestPlanCacheConcurrentFingerprints(t *testing.T) {
 			t.Errorf("caller %d: plan diverged from the sequential reference", i)
 		}
 	}
-	if c.Searches() != 3 || c.Hits() != 3*k-3 || c.Len() != 3 {
-		t.Errorf("%d searches, %d hits, %d entries; want 3, %d and 3", c.Searches(), c.Hits(), c.Len(), 3*k-3)
+	if c.Searches() != 3 || c.Hits() != 3*k-3 || len(c.entries) != 3 {
+		t.Errorf("%d searches, %d hits, %d entries; want 3, %d and 3", c.Searches(), c.Hits(), len(c.entries), 3*k-3)
 	}
 }
 
@@ -349,10 +349,12 @@ func TestPersistentPlanCacheWarmSeed(t *testing.T) {
 	spec5.Cluster.Nodes = 5
 	ctx := context.Background()
 
-	c := NewPersistentPlanCache(SearchOptions{}, store.NewMem())
+	pruned := 0
+	c := NewPersistentPlanCache(SearchOptions{OnCandidate: countPruned(&pruned)}, store.NewMem())
 	if _, err := c.Plan(ctx, spec4); err != nil {
 		t.Fatal(err)
 	}
+	pruned = 0
 	if c.WarmSeeds() != 0 {
 		t.Fatalf("first plan had nothing to seed from, recorded %d warm seeds", c.WarmSeeds())
 	}
@@ -363,7 +365,7 @@ func TestPersistentPlanCacheWarmSeed(t *testing.T) {
 	if c.WarmSeeds() != 1 {
 		t.Errorf("neighbouring size recorded %d warm seeds, want 1", c.WarmSeeds())
 	}
-	if c.Pruned() == 0 {
+	if pruned == 0 {
 		t.Error("warm-seeded search pruned no candidates")
 	}
 	want, err := planDistTrainSequential(spec5)
@@ -550,8 +552,8 @@ func TestPlanRejectsForeignModel(t *testing.T) {
 	if _, err := c.Plan(ctx, foreign); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("cold cache: got %v, want the model mismatch", err)
 	}
-	if c.Searches() != 0 || c.Hits() != 0 || c.Len() != 0 {
-		t.Errorf("cold rejection: %d searches, %d hits, %d entries; want none", c.Searches(), c.Hits(), c.Len())
+	if c.Searches() != 0 || c.Hits() != 0 || len(c.entries) != 0 {
+		t.Errorf("cold rejection: %d searches, %d hits, %d entries; want none", c.Searches(), c.Hits(), len(c.entries))
 	}
 	if _, err := c.Plan(ctx, matched); err != nil {
 		t.Fatal(err)
@@ -559,8 +561,8 @@ func TestPlanRejectsForeignModel(t *testing.T) {
 	if _, err := c.Plan(ctx, foreign); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("warm cache: got %v, want the model mismatch", err)
 	}
-	if c.Searches() != 1 || c.Hits() != 0 || c.Len() != 1 {
-		t.Errorf("warm rejection: %d searches, %d hits, %d entries; want 1, 0, 1", c.Searches(), c.Hits(), c.Len())
+	if c.Searches() != 1 || c.Hits() != 0 || len(c.entries) != 1 {
+		t.Errorf("warm rejection: %d searches, %d hits, %d entries; want 1, 0, 1", c.Searches(), c.Hits(), len(c.entries))
 	}
 }
 
@@ -693,8 +695,8 @@ func TestPlanCacheCancelledNotCached(t *testing.T) {
 	if _, err := c.Plan(cancelled, spec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Plan: got %v, want context.Canceled", err)
 	}
-	if c.Len() != 0 {
-		t.Errorf("cancelled search left %d cache entries", c.Len())
+	if len(c.entries) != 0 {
+		t.Errorf("cancelled search left %d cache entries", len(c.entries))
 	}
 	plan, err := c.Plan(context.Background(), spec)
 	if err != nil || plan == nil {
@@ -707,7 +709,8 @@ func TestPlanCacheCancelledNotCached(t *testing.T) {
 
 // TestPlanCacheDoorsCountAlike: a request sequence — cold sizes,
 // warm-seeded neighbours, a repeat — then a restart over the same
-// store leaves exact search, warm-seed, prune and warm-hit counts, and
+// store leaves exact search, warm-seed, warm-hit and prune counts (the
+// last as the cache's observer counts them), and
 // the restart serves the same plans. The counts and plans are the same
 // whether each request comes from one caller or from a herd of
 // concurrent callers: only the hit count depends on how many ask. A
@@ -731,7 +734,8 @@ func TestPlanCacheDoorsCountAlike(t *testing.T) {
 		t.Run(door.name, func(t *testing.T) {
 			st := store.NewMem()
 			for phase := range want { // cold store, then a restart over it
-				c := NewPersistentPlanCache(SearchOptions{}, st)
+				pruned := 0
+				c := NewPersistentPlanCache(SearchOptions{OnCandidate: countPruned(&pruned)}, st)
 				var plans []*Plan
 				for _, s := range seq {
 					got, errs := planAll(c, s, door.callers)
@@ -750,7 +754,7 @@ func TestPlanCacheDoorsCountAlike(t *testing.T) {
 				} else if !reflect.DeepEqual(plans, wantPlans) {
 					t.Errorf("phase %d: plans diverged from the first phase's", phase)
 				}
-				got := counts{c.Searches(), c.WarmSeeds(), c.Pruned(), c.WarmHits()}
+				got := counts{c.Searches(), c.WarmSeeds(), int64(pruned), c.WarmHits()}
 				if want[phase] == (counts{}) {
 					want[phase] = got
 				} else if got != want[phase] {

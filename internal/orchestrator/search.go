@@ -64,8 +64,7 @@ var ErrCandidatePruned = errors.New("orchestrator: candidate pruned by search bo
 // Search runs the §4.3 search for one spec — PlanDistTrain with
 // cancellation and per-candidate observation.
 func Search(ctx context.Context, s Spec, opts SearchOptions) (*Plan, error) {
-	plan, _, _, _, err := search(ctx, s, nil, opts)
-	return plan, err
+	return search(ctx, s, nil, opts)
 }
 
 // boundKey is one candidate's or shape's place in the search's
@@ -125,10 +124,31 @@ func (h *boundHeap) pop() boundKey {
 	return top
 }
 
-// search is the engine: one spec's two-level best-first
-// branch-and-bound. The heap starts with one key per backbone shape,
-// its blockBound. The seed is solved first; then keys pop until the
-// next bound exceeds the fastest solved time·selectBand·(1+pruneSlack).
+// search is the engine: it validates the spec and runs one
+// best-first search over it, reporting to opts.OnCandidate.
+func search(ctx context.Context, s Spec, seed *Candidate, opts SearchOptions) (*Plan, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	var r bestFirst
+	return r.run(ctx, &s, seed, opts.OnCandidate)
+}
+
+// bestFirst is one search's state.
+type bestFirst struct {
+	sc       searchCtx
+	obs      func(Candidate, *Plan, error)
+	h        boundHeap
+	solved   []solvedPlan // in solve order
+	best     float64      // the fastest solved time
+	seedAt   int          // the seed's index once solved, else -1
+	expanded int          // shapes popped and expanded
+}
+
+// run is one spec's two-level best-first branch-and-bound, observed
+// by obs when non-nil. The heap starts with one key per backbone
+// shape, its blockBound. The seed is solved first; then keys pop until
+// the next bound exceeds the fastest solved time·selectBand·(1+pruneSlack).
 // A popped shape is expanded (its candidates without a grid are
 // reported, the others pushed by lower bound), a popped candidate is
 // solved exactly. A shape's bound is ≤ its candidates' and pops first
@@ -138,23 +158,18 @@ func (h *boundHeap) pop() boundKey {
 // the final stop line is solved: in particular the fastest plan and
 // every candidate with a point in the tie-break band, so the plan is
 // byte-identical to the tests' sequential reference. What is left in
-// the heap is pruned.
+// the heap is pruned, and reported as such to obs.
 //
 // seed, typically the incumbent strategy of a cached plan for a
 // neighbouring spec, is solved first and at most once; a seed outside
 // the spec's strategy set is ignored. It cannot change which other
 // candidates are solved: the stop line ends where the fastest plan
 // puts it, so a seed outside the band costs one extra solve.
-// It returns the plan or the spec's error, the number of candidates
-// that had a grid but were never solved, and, for tests, the
-// number of shapes expanded and the fastest solved time. A search
-// cancelled before it reached the stop line reports the cancellation;
-// one that finished still reduces to its (deterministic) plan.
-func search(ctx context.Context, s Spec, seed *Candidate, opts SearchOptions) (*Plan, int, int, float64, error) {
-	if err := s.Validate(); err != nil {
-		return nil, 0, 0, 0, err
-	}
-	r := bestFirst{sc: newSearchCtx(&s), obs: opts.OnCandidate, best: math.Inf(1), seedAt: -1}
+// A search cancelled before it reached the stop line reports the
+// cancellation; one that finished still reduces to its
+// (deterministic) plan.
+func (r *bestFirst) run(ctx context.Context, s *Spec, seed *Candidate, obs func(Candidate, *Plan, error)) (*Plan, error) {
+	*r = bestFirst{sc: newSearchCtx(s), obs: obs, best: math.Inf(1), seedAt: -1}
 	r.sc.strategySet()
 	r.h = make(boundHeap, len(r.sc.shapes), 2*len(r.sc.shapes))
 	r.solved = make([]solvedPlan, 0, len(r.sc.tpSizes)*len(r.sc.tpSizes))
@@ -172,36 +187,28 @@ func search(ctx context.Context, s Spec, seed *Candidate, opts SearchOptions) (*
 			}
 		}
 	}
-	expanded := 0
 	for len(r.h) > 0 && !(r.h[0].lb > r.best*selectBand*(1+pruneSlack)) {
 		if ctx.Err() != nil {
-			return nil, 0, 0, r.best, fmt.Errorf("orchestrator: plan search cancelled: %w", ctx.Err())
+			return nil, fmt.Errorf("orchestrator: plan search cancelled: %w", ctx.Err())
 		}
 		if k := r.h.pop(); k.i < 0 {
 			r.expand(^k.i)
-			expanded++
+			r.expanded++
 		} else {
 			r.solve(k.i)
 		}
 	}
-	pruned := r.prune()
-	plan, err := r.sc.reducePlans(r.solved)
-	return plan, pruned, expanded, r.best, err
+	if r.obs != nil {
+		r.prune()
+	}
+	return r.sc.reducePlans(r.solved)
 }
 
-// bestFirst is one search's state.
-type bestFirst struct {
-	sc     searchCtx
-	obs    func(Candidate, *Plan, error)
-	h      boundHeap
-	solved []solvedPlan // in solve order
-	best   float64      // the fastest solved time
-	seedAt int          // the seed's index once solved, else -1
-}
-
-// solvedPlan is a feasible candidate's plan and enumeration index.
+// solvedPlan is a feasible candidate's enumeration index, grid and
+// plan at its fastest point.
 type solvedPlan struct {
 	i    int
+	g    grid
 	plan *Plan
 }
 
@@ -213,12 +220,12 @@ func (r *bestFirst) report(i int, plan *Plan, err error) {
 
 // solve solves candidate i exactly and reports it.
 func (r *bestFirst) solve(i int) {
-	plan, err := r.sc.solveCandidate(i)
+	sp, err := r.sc.solveCandidate(i)
 	if err == nil {
-		r.solved = append(r.solved, solvedPlan{i, plan})
-		r.best = min(r.best, plan.IterTime)
+		r.solved = append(r.solved, sp)
+		r.best = min(r.best, sp.plan.IterTime)
 	}
-	r.report(i, plan, err)
+	r.report(i, sp.plan, err)
 }
 
 // expand builds shape block b's grids: it reports the members without
@@ -239,15 +246,13 @@ func (r *bestFirst) expand(b int) {
 	}
 }
 
-// prune counts, and reports when observed, what the search left in the
-// heap: a candidate key is pruned, and so is each member of an
-// unexpanded shape that passes noGrid's integer checks; the other
-// members are reported with the error those checks give.
-func (r *bestFirst) prune() int {
-	pruned := 0
+// prune reports to the observer what the search left in the heap: a
+// candidate key is pruned, and so is each member of an unexpanded
+// shape that passes noGrid's integer checks; the other members are
+// reported with the error those checks give.
+func (r *bestFirst) prune() {
 	for _, k := range r.h {
 		if k.i >= 0 {
-			pruned++
 			r.report(k.i, nil, ErrCandidatePruned)
 			continue
 		}
@@ -258,7 +263,6 @@ func (r *bestFirst) prune() int {
 				if i != r.seedAt {
 					err := r.sc.noGrid(sh, me, mg)
 					if err == nil {
-						pruned++
 						err = ErrCandidatePruned
 					}
 					r.report(i, nil, err)
@@ -267,7 +271,6 @@ func (r *bestFirst) prune() int {
 			}
 		}
 	}
-	return pruned
 }
 
 // reducePlans is §7.1's rule over every buildable point of the solved
@@ -294,9 +297,8 @@ func (sc *searchCtx) reducePlans(solved []solvedPlan) (*Plan, error) {
 		if sp.plan.IterTime > limit {
 			continue
 		}
-		g, _ := sc.gridFor(sp.i) // it was solved, so it has a grid
-		p := g.fewest(limit)
-		if n := g.gpus(p); winI < 0 || n < winGPUs || (n == winGPUs && p.t < win.t) {
+		p := sp.g.fewest(limit)
+		if n := sp.g.gpus(p); winI < 0 || n < winGPUs || (n == winGPUs && p.t < win.t) {
 			win, winI, winGPUs = p, sp.i, n
 		}
 	}

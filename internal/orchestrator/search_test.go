@@ -190,8 +190,8 @@ func planDistTrainSequential(s Spec) (*Plan, error) {
 	sc := newSearchCtx(&s)
 	var solved []solvedPlan
 	for i := range sc.strategySet() {
-		if p, err := sc.solveCandidate(i); err == nil {
-			solved = append(solved, solvedPlan{i, p})
+		if sp, err := sc.solveCandidate(i); err == nil {
+			solved = append(solved, sp)
 		}
 	}
 	return sc.reducePlans(solved)

@@ -25,6 +25,16 @@ func seedFromPlan(p *Plan) Candidate {
 	}
 }
 
+// countPruned is an observer that counts the candidates reported
+// pruned into n, the count disttrain-plan prints.
+func countPruned(n *int) func(Candidate, *Plan, error) {
+	return func(_ Candidate, _ *Plan, err error) {
+		if errors.Is(err, ErrCandidatePruned) {
+			*n++
+		}
+	}
+}
+
 // twoPhaseShapes are the bound-policy gate's specs. minPruned is the
 // unseeded prune count of the two-phase search whose first phase
 // solved every 8th candidate in full: the search must never prune less.
@@ -72,8 +82,8 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 			fastest := math.Inf(1)
 			sc := newSearchCtx(&s)
 			for i := range sc.strategySet() {
-				if p, err := sc.solveCandidate(i); err == nil {
-					fastest = min(fastest, p.IterTime)
+				if sp, err := sc.solveCandidate(i); err == nil {
+					fastest = min(fastest, sp.plan.IterTime)
 				}
 			}
 
@@ -90,7 +100,8 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 			} {
 				pruned := -1
 				for _, par := range []int{1, 4} {
-					plan, n, _, bound, err := search(context.Background(), s, sc.seed, SearchOptions{Parallelism: par})
+					n := 0
+					plan, err := search(context.Background(), s, sc.seed, SearchOptions{Parallelism: par, OnCandidate: countPruned(&n)})
 					if err != nil {
 						t.Fatalf("%s par=%d: %v", sc.name, par, err)
 					}
@@ -100,16 +111,20 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 					if n == 0 {
 						t.Errorf("%s par=%d: pruned nothing", sc.name, par)
 					}
-					if bound < fastest || bound > want.IterTime*selectBand {
-						t.Errorf("%s par=%d: search bound %g is not in [%g, the band of the chosen plan's %g]",
-							sc.name, par, bound, fastest, want.IterTime)
-					}
 					if pruned >= 0 && n != pruned {
 						t.Errorf("%s: prune count depends on parallelism: %d (par=%d) vs %d", sc.name, n, par, pruned)
 					}
 					pruned = n
 				}
 				prunedBy[sc.name] = pruned
+				var r bestFirst
+				if _, err := r.run(context.Background(), &s, sc.seed, nil); err != nil {
+					t.Fatalf("%s: %v", sc.name, err)
+				}
+				if r.best < fastest || r.best > want.IterTime*selectBand {
+					t.Errorf("%s: search bound %g is not in [%g, the band of the chosen plan's %g]",
+						sc.name, r.best, fastest, want.IterTime)
+				}
 			}
 			if prunedBy["optimal"] < prunedBy["no-seed"] {
 				t.Errorf("optimal seed loosened the bound: pruned %d < unseeded %d", prunedBy["optimal"], prunedBy["no-seed"])
@@ -154,8 +169,8 @@ func newBandOracle(s Spec) bandOracle {
 		}
 		o.hasGrid[i], lbs[i] = true, g.bound()
 		o.grids++
-		if p, err := sc.solveCandidate(i); err == nil {
-			fastest = min(fastest, p.IterTime)
+		if sp, err := sc.solveCandidate(i); err == nil {
+			fastest = min(fastest, sp.plan.IterTime)
 		} else {
 			o.fails[i] = true
 		}
@@ -180,8 +195,8 @@ func newBandOracle(s Spec) bandOracle {
 // candidates with a grid, and returns the reference plan: the
 // brute-force plan on up to 64 GPUs, the sequential reference (held to
 // brute force by TestDistTrainMatchesBruteForce) beyond. It expands
-// exactly the oracle's shapes, and without an observer it prunes as
-// many candidates.
+// exactly the oracle's shapes, and without an observer it returns the
+// same plan and expands as many shapes.
 func (o bandOracle) check(t *testing.T, s Spec, seed *Candidate) {
 	t.Helper()
 	ref := planDistTrainSequential
@@ -191,11 +206,14 @@ func (o bandOracle) check(t *testing.T, s Spec, seed *Candidate) {
 	want, wantErr := ref(s)
 	reports := map[Candidate]int{}
 	solved := map[Candidate]bool{}
-	plan, pruned, expanded, _, err := search(context.Background(), s, seed, SearchOptions{
-		OnCandidate: func(c Candidate, _ *Plan, err error) {
-			reports[c]++
-			solved[c] = !errors.Is(err, ErrCandidatePruned)
-		},
+	pruned := 0
+	var r bestFirst
+	plan, err := r.run(context.Background(), &s, seed, func(c Candidate, _ *Plan, err error) {
+		reports[c]++
+		solved[c] = !errors.Is(err, ErrCandidatePruned)
+		if !solved[c] {
+			pruned++
+		}
 	})
 	if !errors.Is(err, wantErr) || !reflect.DeepEqual(plan, want) {
 		t.Fatalf("diverged from sequential reference:\ngot  %+v, %v\nwant %+v, %v", plan, err, want, wantErr)
@@ -219,11 +237,15 @@ func (o bandOracle) check(t *testing.T, s Spec, seed *Candidate) {
 	if pruned != o.grids-solves {
 		t.Fatalf("pruned %d, want the %d candidates with a grid less the %d solved", pruned, o.grids, solves)
 	}
-	if expanded != o.blocks {
-		t.Fatalf("expanded %d shapes, want the %d whose block bound lies under the stop line", expanded, o.blocks)
+	if r.expanded != o.blocks {
+		t.Fatalf("expanded %d shapes, want the %d whose block bound lies under the stop line", r.expanded, o.blocks)
 	}
-	if _, unobserved, _, _, _ := search(context.Background(), s, seed, SearchOptions{}); unobserved != pruned {
-		t.Fatalf("pruned %d without an observer, %d with one", unobserved, pruned)
+	var unobserved bestFirst
+	if p, err := unobserved.run(context.Background(), &s, seed, nil); !reflect.DeepEqual(p, plan) || !errors.Is(err, wantErr) {
+		t.Fatalf("without an observer: %+v, %v; with one %+v, %v", p, err, plan, wantErr)
+	}
+	if unobserved.expanded != r.expanded {
+		t.Fatalf("expanded %d shapes without an observer, %d with one", unobserved.expanded, r.expanded)
 	}
 }
 

@@ -57,7 +57,7 @@ type Service struct {
 }
 
 // ServiceConfig parameterises a shared preprocessing service: its
-// producers, slot budget and counters. Its timeouts and per-tenant
+// producers and slot budget. Its timeouts and per-tenant
 // cache bound are the constants admitTimeout, cooldown, dialTimeout,
 // fetchTimeout and tenantGeneration.
 type ServiceConfig struct {
@@ -68,10 +68,6 @@ type ServiceConfig struct {
 	// producer-side concurrency the weighted fair queue arbitrates
 	// (default 2*len(Addrs)).
 	Capacity int
-	// Stats, when non-nil, receives the aggregate counters; per-tenant
-	// counters land in labeled children (metrics.PoolStats.Labeled).
-	// Nil builds a private aggregate, still readable via Snapshot.
-	Stats *metrics.PoolStats
 }
 
 // TenantConfig registers one tenant with the service.
@@ -135,11 +131,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 2 * len(cfg.Addrs)
 	}
-	stats := cfg.Stats
-	if stats == nil {
-		stats = &metrics.PoolStats{}
-	}
-	s := &Service{cfg: cfg, stats: stats, admitTimeout: admitTimeout, cooldown: cooldown}
+	s := &Service{cfg: cfg, stats: &metrics.PoolStats{}, admitTimeout: admitTimeout, cooldown: cooldown}
 	for _, addr := range cfg.Addrs {
 		s.members = append(s.members, &poolMember{addr: addr})
 	}

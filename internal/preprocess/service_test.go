@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"disttrain/internal/data"
-	"disttrain/internal/metrics"
 )
 
 // testService builds a service over the fleet whose failed producers
@@ -118,8 +117,8 @@ func TestServiceFailoverAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	stats := &metrics.PoolStats{}
-	tn := oneTenant(t, testService(t, fleet, ServiceConfig{Stats: stats}))
+	svc := testService(t, fleet, ServiceConfig{})
+	tn := oneTenant(t, svc)
 
 	ctx := context.Background()
 	fetchAll := func(lo, hi int64) {
@@ -133,7 +132,7 @@ func TestServiceFailoverAndRecovery(t *testing.T) {
 		}
 	}
 	fetchAll(0, 2)
-	if got := stats.Snapshot().Failovers; got != 0 {
+	if got := svc.Snapshot().Failovers; got != 0 {
 		t.Fatalf("healthy fleet recorded %d failovers", got)
 	}
 
@@ -141,7 +140,7 @@ func TestServiceFailoverAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	fetchAll(2, 6) // primaries rotate over all members, so some land on 1
-	snap := stats.Snapshot()
+	snap := svc.Snapshot()
 	if snap.Failovers == 0 {
 		t.Fatal("no failovers recorded with a dead producer")
 	}
@@ -151,7 +150,7 @@ func TestServiceFailoverAndRecovery(t *testing.T) {
 	}
 	time.Sleep(80 * time.Millisecond) // past the failure cooldown
 	fetchAll(6, 10)
-	after := stats.Snapshot()
+	after := svc.Snapshot()
 	if after.Fetches != 20 {
 		t.Fatalf("fetches = %d, want 20", after.Fetches)
 	}
@@ -345,8 +344,7 @@ func TestServiceBoundedAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	stats := &metrics.PoolStats{}
-	svc := testService(t, fleet, ServiceConfig{Capacity: 1, Stats: stats})
+	svc := testService(t, fleet, ServiceConfig{Capacity: 1})
 	svc.admitTimeout = 30 * time.Millisecond
 	tn := oneTenant(t, svc)
 
@@ -363,7 +361,7 @@ func TestServiceBoundedAdmission(t *testing.T) {
 	if _, err := tn.Fetch(ctx, 0, 1); !errors.Is(err, errPoolSaturated) {
 		t.Fatalf("saturated service returned %v, want errPoolSaturated", err)
 	}
-	if got := stats.Snapshot().Rejections; got != 1 {
+	if got := svc.Snapshot().Rejections; got != 1 {
 		t.Errorf("rejections = %d, want 1", got)
 	}
 	if err := <-done; err != nil {
@@ -380,8 +378,8 @@ func TestServiceCacheHitAndWatermarkEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	stats := &metrics.PoolStats{}
-	tn := oneTenant(t, testService(t, fleet, ServiceConfig{Stats: stats}))
+	svc := testService(t, fleet, ServiceConfig{})
+	tn := oneTenant(t, svc)
 
 	ctx := context.Background()
 	fetch := func(iter int64) {
@@ -392,7 +390,7 @@ func TestServiceCacheHitAndWatermarkEviction(t *testing.T) {
 	}
 	fetch(0)
 	fetch(0)
-	snap := stats.Snapshot()
+	snap := svc.Snapshot()
 	if snap.CacheHits != 1 || snap.CacheMisses != 1 {
 		t.Fatalf("cache hits/misses = %d/%d, want 1/1", snap.CacheHits, snap.CacheMisses)
 	}
@@ -406,16 +404,16 @@ func TestServiceCacheHitAndWatermarkEviction(t *testing.T) {
 	for iter := int64(0); iter < 4; iter++ {
 		fetch(iter)
 	}
-	if got := stats.Snapshot().CacheMisses; got != snap.CacheMisses+3 {
+	if got := svc.Snapshot().CacheMisses; got != snap.CacheMisses+3 {
 		t.Errorf("a 4-iteration rewind missed: misses = %d, want %d", got, snap.CacheMisses+3)
 	}
 	// Two generations of newer fetches age iteration 0 out.
 	for iter := int64(4); iter < 4+2*tenantGeneration; iter++ {
 		fetch(iter)
 	}
-	before := stats.Snapshot().CacheMisses
+	before := svc.Snapshot().CacheMisses
 	fetch(0)
-	if got := stats.Snapshot().CacheMisses; got != before+1 {
+	if got := svc.Snapshot().CacheMisses; got != before+1 {
 		t.Errorf("iteration 0 survived two generations of newer fetches: misses = %d, want %d", got, before+1)
 	}
 }
@@ -429,8 +427,8 @@ func TestServiceCacheCapBoundsStalledRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	stats := &metrics.PoolStats{}
-	tn := oneTenant(t, testService(t, fleet, ServiceConfig{Stats: stats}))
+	svc := testService(t, fleet, ServiceConfig{})
+	tn := oneTenant(t, svc)
 
 	ctx := context.Background()
 	if _, err := tn.Fetch(ctx, 0, 1); err != nil { // rank 1 stalls at 0
@@ -448,11 +446,11 @@ func TestServiceCacheCapBoundsStalledRank(t *testing.T) {
 		label string
 		miss  int64
 	}{{n - 1, 0, "the newest batch", 0}, {0, 1, "the stalled rank's batch", 1}} {
-		before := stats.Snapshot().CacheMisses
+		before := svc.Snapshot().CacheMisses
 		if _, err := tn.Fetch(ctx, c.iter, c.rank); err != nil {
 			t.Fatal(err)
 		}
-		if got := stats.Snapshot().CacheMisses - before; got != c.miss {
+		if got := svc.Snapshot().CacheMisses - before; got != c.miss {
 			t.Errorf("%s after %d newer fetches: %d misses, want %d", c.label, n, got, c.miss)
 		}
 	}
@@ -466,15 +464,15 @@ func TestServiceServerErrorDoesNotFailOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	stats := &metrics.PoolStats{}
-	tn := oneTenant(t, testService(t, fleet, ServiceConfig{Stats: stats}))
+	svc := testService(t, fleet, ServiceConfig{})
+	tn := oneTenant(t, svc)
 
 	_, err = tn.Fetch(context.Background(), 0, 99)
 	var se *serverError
 	if !errors.As(err, &se) {
 		t.Fatalf("bad rank returned %v, want serverError", err)
 	}
-	if got := stats.Snapshot().Failovers; got != 0 {
+	if got := svc.Snapshot().Failovers; got != 0 {
 		t.Errorf("server error triggered %d failovers", got)
 	}
 }
@@ -757,8 +755,7 @@ func TestServiceQuotaSaturationIsolatesTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	stats := &metrics.PoolStats{}
-	svc := testService(t, fleet, ServiceConfig{Stats: stats})
+	svc := testService(t, fleet, ServiceConfig{})
 	svc.admitTimeout = 30 * time.Millisecond
 	a, err := svc.Register(TenantConfig{Name: "a", MaxInflight: 1, DP: 2})
 	if err != nil {

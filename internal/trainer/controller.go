@@ -29,9 +29,9 @@ type Observation struct {
 	// controller's own copy to keep; the samples share their
 	// subsequences with the corpus and must be treated as read-only.
 	Batch []data.Sample
-	// Pool is a point-in-time snapshot of the producer-pool counters
-	// (failovers, rejections, fetch latency) when a live pool is
-	// attached (Config.PoolStats); nil otherwise.
+	// Pool is a point-in-time snapshot of the producer-pool tenant's
+	// counters (failovers, rejections, fetch latency) when the run
+	// fetches through one (Config.Source.Pool); nil otherwise.
 	Pool *metrics.PoolSnapshot
 }
 

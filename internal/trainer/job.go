@@ -240,8 +240,8 @@ func (j *Job) Step() error {
 	}
 	if ctl := r.cfg.Controller; ctl != nil {
 		obs := Observation{Iter: i, Stats: st, Batch: slices.Clone(p.batch)}
-		if r.cfg.PoolStats != nil {
-			snap := r.cfg.PoolStats.Snapshot()
+		if src := r.cfg.Source; src != nil && src.Pool != nil {
+			snap := src.Pool.Snapshot()
 			obs.Pool = &snap
 		}
 		ctl.Observe(obs)

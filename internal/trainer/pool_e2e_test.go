@@ -56,11 +56,10 @@ func newPoolHarness(t *testing.T) *poolHarness {
 }
 
 // tenant registers the trainer as the only tenant of a fresh service
-// over the fleet.
-func (h *poolHarness) tenant(t *testing.T, fleet *preprocess.Fleet, cfg preprocess.ServiceConfig) *preprocess.Tenant {
+// over the fleet, so its counters are the service's.
+func (h *poolHarness) tenant(t *testing.T, fleet *preprocess.Fleet) *preprocess.Tenant {
 	t.Helper()
-	cfg.Addrs = fleet.Addrs()
-	svc, err := preprocess.NewService(cfg)
+	svc, err := preprocess.NewService(preprocess.ServiceConfig{Addrs: fleet.Addrs()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +80,7 @@ func (h *poolHarness) run(t *testing.T, producers, iters int, scenSpec string) (
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	stats := &metrics.PoolStats{}
-	tenant := h.tenant(t, fleet, preprocess.ServiceConfig{Stats: stats})
+	tenant := h.tenant(t, fleet)
 
 	cfg := DistTrainConfig(h.spec, h.plan, h.corpus)
 	cfg.Source = &PoolSource{Pool: tenant, Samples: h.corpus}
@@ -98,7 +96,7 @@ func (h *poolHarness) run(t *testing.T, producers, iters int, scenSpec string) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, stats.Snapshot()
+	return res, tenant.Snapshot()
 }
 
 // The acceptance pin for elastic preprocessing: the concurrent trainer
@@ -170,8 +168,7 @@ func TestPoolEventsFireAtTheirIteration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	stats := &metrics.PoolStats{}
-	tenant := h.tenant(t, fleet, preprocess.ServiceConfig{Stats: stats})
+	tenant := h.tenant(t, fleet)
 	dp := h.pcfg.DPSize
 	primary := (n + dp*7919) % producers // every rank of (n, dp) asks it first
 	sc, err := scenario.Parse(fmt.Sprintf("producer-fail:iter=%d,producer=%d", n, primary))
@@ -182,7 +179,7 @@ func TestPoolEventsFireAtTheirIteration(t *testing.T) {
 	cfg := DistTrainConfig(h.spec, h.plan, h.corpus)
 	cfg.Source = &PoolSource{Pool: tenant, Samples: h.corpus}
 	cfg.Scenario, cfg.ProducerControl = sc, fleet
-	cfg.PoolStats, cfg.Controller = stats, obs
+	cfg.Controller = obs
 	cfg.Trace = metrics.NewTrace()
 	if _, err := Run(cfg, iters); err != nil {
 		t.Fatal(err)
@@ -257,7 +254,7 @@ func TestPoolSourceMatchesSyntheticFrontEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fleet.Close()
-			tenant := h.tenant(t, fleet, preprocess.ServiceConfig{})
+			tenant := h.tenant(t, fleet)
 
 			pooled := base
 			pooled.Source = &PoolSource{Pool: tenant, Samples: h.corpus}

@@ -31,7 +31,6 @@ func TrialMeanIterTime(cfg Config, batches [][]data.Sample) (float64, error) {
 	cfg.CheckpointEvery = 0
 	cfg.Source = nil
 	cfg.ProducerControl = nil
-	cfg.PoolStats = nil
 	cfg.GradientDim = 0
 	cfg.Batches = nil
 	rt, err := New(cfg)

@@ -125,10 +125,6 @@ type Config struct {
 	// reconfiguration (internal/controller implements drift-triggered
 	// re-planning). Nil runs the plan chosen ahead of time, unchanged.
 	Controller Controller
-	// PoolStats, when non-nil alongside a live producer pool, is
-	// snapshotted into every controller Observation so failover and
-	// rejection counts can contribute to drift detection.
-	PoolStats *metrics.PoolStats
 	// GradientDim, when positive, accumulates the exact (wrap-around
 	// int64) pseudo-gradient of every first-execution iteration's
 	// global batch into Result.GradientSum — the §5 commutativity
