@@ -14,7 +14,7 @@ COVER_FLOOR ?= 73
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 15048
+LOC_CEILING ?= 14756
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 
@@ -158,23 +158,45 @@ staticcheck:
 # test`) — and the plan store's log scanner, the whole of what an
 # unsynced log promises, and the data plane's generational window
 # against a map that keeps every put.
+#
+# FUZZ_TARGETS is the one list of those targets, package:name, and CI's
+# fuzz step runs this target. It first fails when a `func Fuzz…` in any
+# package is missing from the list, or the list names no fuzz test
+# (`go test -list`), so a new or renamed target cannot silently go
+# unfuzzed.
+FUZZ_TARGETS = \
+	./internal/preprocess:FuzzParseBatch \
+	./internal/preprocess:FuzzServerRequest \
+	./internal/preprocess:FuzzPixelKernel \
+	./internal/preprocess:FuzzPatchFilter \
+	./internal/scenario:FuzzScenarioParse \
+	./internal/orchestrator:FuzzDiscreteBound \
+	./internal/orchestrator:FuzzBlockBound \
+	./internal/orchestrator:FuzzPlanMonotone \
+	./internal/metrics:FuzzTraceEquivalence \
+	./internal/profiler:FuzzSamplePricing \
+	./internal/pipeline:FuzzSimulatorReuse \
+	./internal/pipeline:FuzzExecOrder \
+	./internal/reorder:FuzzReordererReuse \
+	./internal/data:FuzzSeededRand \
+	./internal/store:FuzzLogScan \
+	./internal/window:FuzzWindow
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzParseBatch -fuzztime=5s ./internal/preprocess
-	$(GO) test -run='^$$' -fuzz=FuzzServerRequest -fuzztime=5s ./internal/preprocess
-	$(GO) test -run='^$$' -fuzz=FuzzPixelKernel -fuzztime=5s ./internal/preprocess
-	$(GO) test -run='^$$' -fuzz=FuzzPatchFilter -fuzztime=5s ./internal/preprocess
-	$(GO) test -run='^$$' -fuzz=FuzzScenarioParse -fuzztime=5s ./internal/scenario
-	$(GO) test -run='^$$' -fuzz=FuzzDiscreteBound -fuzztime=5s ./internal/orchestrator
-	$(GO) test -run='^$$' -fuzz=FuzzBlockBound -fuzztime=5s ./internal/orchestrator
-	$(GO) test -run='^$$' -fuzz=FuzzPlanMonotone -fuzztime=5s ./internal/orchestrator
-	$(GO) test -run='^$$' -fuzz=FuzzTraceEquivalence -fuzztime=5s ./internal/metrics
-	$(GO) test -run='^$$' -fuzz=FuzzSamplePricing -fuzztime=5s ./internal/profiler
-	$(GO) test -run='^$$' -fuzz=FuzzSimulatorReuse -fuzztime=5s ./internal/pipeline
-	$(GO) test -run='^$$' -fuzz=FuzzExecOrder -fuzztime=5s ./internal/pipeline
-	$(GO) test -run='^$$' -fuzz=FuzzReordererReuse -fuzztime=5s ./internal/reorder
-	$(GO) test -run='^$$' -fuzz=FuzzSeededRand -fuzztime=5s ./internal/data
-	$(GO) test -run='^$$' -fuzz=FuzzLogScan -fuzztime=5s ./internal/store
-	$(GO) test -run='^$$' -fuzz=FuzzWindow -fuzztime=5s ./internal/window
+	@listed=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$listed"; exit 1; }; \
+	found=$$(echo "$$listed" | awk '/^Fuzz/ { n[++k] = $$1; next } \
+		/^ok/ { p = $$2; sub(/^disttrain/, ".", p); for (i = 1; i <= k; i++) print p ":" n[i]; k = 0 }'); \
+	for t in $$found; do \
+		case " $(strip $(FUZZ_TARGETS)) " in *" $$t "*) ;; \
+		*) echo "FAIL: $$t is missing from FUZZ_TARGETS"; exit 1 ;; esac; \
+	done; \
+	for t in $(FUZZ_TARGETS); do \
+		echo "$$found" | grep -qx "$$t" || \
+			{ echo "FAIL: FUZZ_TARGETS names $$t, which is no fuzz test"; exit 1; }; \
+	done
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test -run='^$$' -fuzz="^$${t#*:}\$$" -fuzztime=5s "$${t%%:*}" || exit 1; \
+	done
 
 # cover fails when total statement coverage regresses below
 # COVER_FLOOR. Writes cover.out for per-package reporting.

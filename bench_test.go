@@ -116,7 +116,7 @@ func BenchmarkFleetThroughput(b *testing.B) {
 
 // BenchmarkServiceThroughput measures the fleet-shared preprocessing
 // tier end to end: K tenants multiplexing tenant-keyed fetches over
-// one 2-producer service through the WFQ admission path and the real
+// one 2-producer service through per-tenant caches and the real
 // TCP wire protocol. Each op delivers one training iteration to every
 // tenant (all DP ranks fetched concurrently). The corpus is shrunken
 // LAION and the pixel pipeline runs for real: ProcessSample's readahead
@@ -148,19 +148,14 @@ func BenchmarkServiceThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer fleet.Close()
-			svc, err := preprocess.NewService(preprocess.ServiceConfig{
-				Addrs:    fleet.Addrs(),
-				Capacity: 2 * tenants * dp,
-			})
+			svc, err := preprocess.NewService(preprocess.ServiceConfig{Addrs: fleet.Addrs()})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer svc.Close()
 			handles := make([]*preprocess.Tenant, tenants)
 			for i := range handles {
-				handles[i], err = svc.Register(preprocess.TenantConfig{
-					Name: fmt.Sprintf("t%d", i), MaxInflight: dp, DP: dp,
-				})
+				handles[i], err = svc.Register(preprocess.TenantConfig{Name: fmt.Sprintf("t%d", i), DP: dp})
 				if err != nil {
 					b.Fatal(err)
 				}

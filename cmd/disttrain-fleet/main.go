@@ -57,8 +57,7 @@ func main() {
 		priority  = flag.String("priority", "", "comma-separated priority classes (low, normal, high), one per job (default all normal)")
 		scenSpec  = flag.String("scenario", "", "fleet-scope scenario, e.g. 'job-arrive:iter=2,job=0; node-fail:iter=3,node=1; priority-arrive:iter=4,job=0,class=high; preempt-storm:iter=5,job=1,count=2'")
 		traceFile = flag.String("trace", "", "write the merged fleet timeline (Chrome trace format) to this file")
-		producers = flag.Int("producers", 0, "shared preprocessing producers (0 = no shared tier); jobs fetch batches over TCP with per-tenant quotas and weighted fair queueing")
-		slots     = flag.Int("preprocess-slots", 2, "per-tenant admission quota per leased node on the shared tier")
+		producers = flag.Int("producers", 0, "shared preprocessing producers (0 = no shared tier); jobs fetch batches over TCP, each through its own cache partition")
 		cacheDir  = flag.String("plan-cache-dir", "", "durable plan-cache directory: plans persist across runs, repeated specs skip the search entirely, and new lease sizes warm-start from their neighbours")
 	)
 	profile := prof.Register(flag.CommandLine)
@@ -145,9 +144,7 @@ func main() {
 		})
 	}
 	if *producers > 0 {
-		pc := fleet.PreprocessFor(tmpl, *producers)
-		pc.SlotsPerNode = *slots
-		cfg.Preprocess = pc
+		cfg.Preprocess = fleet.PreprocessFor(tmpl, *producers)
 	}
 	if *scenSpec != "" {
 		sc, err := scenario.Parse(*scenSpec)
@@ -206,8 +203,7 @@ func main() {
 			fmt.Printf("  downtime %.2fs", r.DowntimeSeconds)
 		}
 		if jr.Pool != nil {
-			fmt.Printf("  pool fetches %d failovers %d rejected %d",
-				jr.Pool.Fetches, jr.Pool.Failovers, jr.Pool.Rejections)
+			fmt.Printf("  pool fetches %d failovers %d", jr.Pool.Fetches, jr.Pool.Failovers)
 		}
 		fmt.Println()
 	}

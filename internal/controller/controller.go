@@ -1,6 +1,6 @@
 // Package controller closes DistTrain's §4.3 adaptive loop at runtime:
 // it watches per-iteration training signals — the iteration-time
-// spread across DP ranks, producer-pool failover/rejection counts, and
+// spread across DP ranks, producer-pool failover counts, and
 // the observed per-sample cost distribution drifting away from the
 // profile the current plan was built on — and, when drift exceeds a
 // configured threshold, recalibrates the performance profiler from the
@@ -132,7 +132,7 @@ type DriftReport struct {
 	// SpreadDrift is the windowed mean iteration-time spread across DP
 	// ranks ((max-min)/max pipeline time).
 	SpreadDrift float64
-	// PoolDrift is the windowed producer-pool failover+rejection count
+	// PoolDrift is the windowed producer-pool failover count
 	// over fetches (0 without a pool).
 	PoolDrift float64
 	// Score is the trigger metric: max of the three signals.
@@ -143,12 +143,12 @@ type DriftReport struct {
 
 // record is one observed iteration folded into the window.
 type record struct {
-	iter                   int
-	batch                  []data.Sample // the observed global batch (read-only)
-	shapes                 []model.SampleShape
-	spread                 float64
-	poolMoves, poolFetches int64 // cumulative counters at observation time
-	havePool               bool
+	iter                       int
+	batch                      []data.Sample // the observed global batch (read-only)
+	shapes                     []model.SampleShape
+	spread                     float64
+	poolFailovers, poolFetches int64 // cumulative counters at observation time
+	havePool                   bool
 }
 
 // searchOutcome is what a re-planning search delivers at its boundary.
@@ -238,7 +238,7 @@ func (c *Controller) Observe(obs trainer.Observation) {
 	}
 	if obs.Pool != nil {
 		rec.havePool = true
-		rec.poolMoves = obs.Pool.Failovers + obs.Pool.Rejections
+		rec.poolFailovers = obs.Pool.Failovers
 		rec.poolFetches = obs.Pool.Fetches
 	}
 	c.window = append(c.window, rec)
@@ -286,8 +286,8 @@ func (c *Controller) driftLocked(iter int) DriftReport {
 	first, last := c.window[0], c.window[len(c.window)-1]
 	if first.havePool && last.havePool {
 		if df := last.poolFetches - first.poolFetches; df > 0 {
-			rep.PoolDrift = float64(last.poolMoves-first.poolMoves) / float64(df)
-		} else if last.poolMoves > first.poolMoves {
+			rep.PoolDrift = float64(last.poolFailovers-first.poolFailovers) / float64(df)
+		} else if last.poolFailovers > first.poolFailovers {
 			rep.PoolDrift = 1
 		}
 	}

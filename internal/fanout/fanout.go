@@ -1,8 +1,8 @@
-// Package fanout is the repo's one cursor-fed worker pool, for the two
-// real I/O seams: a producer's sample workers (preprocess.Server) and a
-// live pool's rank fetches (trainer.PoolSource). Both write outcomes
-// to per-index slots and reduce them in index order afterwards, which
-// is what keeps results byte-identical at any worker count.
+// Package fanout is the repo's one cursor-fed worker pool, for its one
+// real parallel seam: a producer's sample workers (preprocess.Server
+// .build). They write outcomes to per-index slots, reduced in index
+// order afterwards, which is what keeps results byte-identical at any
+// worker count.
 package fanout
 
 import (

@@ -75,9 +75,8 @@ type Config struct {
 	Cache *orchestrator.PlanCache
 	// Preprocess, when non-nil, attaches the fleet-shared
 	// disaggregated preprocessing tier: one producer fleet plus one
-	// multiplexing service every tenant sources its batches from, with
-	// priority-weighted fair queueing and lease-scaled admission
-	// quotas. Scenario producer-fail / producer-join events require it
+	// multiplexing service every tenant sources its batches from.
+	// Scenario producer-fail / producer-join events require it
 	// (they act on the shared producer fleet).
 	Preprocess *PreprocessConfig
 	// Workers is inert (ignored): a round steps its tenants in
@@ -590,7 +589,7 @@ func (f *runner) failNode(node int) {
 	// optimizer state) stays with the runtime; the tenant
 	// rejoins the queue ahead of never-started jobs and resumes when
 	// capacity returns.
-	f.suspend(t, "node failed")
+	f.transition(t, stateQueued, "node failed")
 	f.requeueFront(t)
 	f.note("job-suspend", metrics.Int("job", t.id))
 }
@@ -616,20 +615,11 @@ func (f *runner) transition(t *tenant, to int, reason string) {
 	f.gen++
 }
 
-// suspend takes a running tenant back to queued. A suspended tenant
-// holds no nodes, so it earns no admission quota either; resumption
-// re-grants it with the new lease.
-func (f *runner) suspend(t *tenant, reason string) {
-	f.transition(t, stateQueued, reason)
-	f.resizeQuota(t, 0)
-}
-
 // resize is the one costed lease change of a tenant that has run: the
 // plan for the new lease (asked of the shared cache when the caller
 // holds none), the trainer's checkpoint-reconfigure, then the tenant's
-// lease, plan, resize count and the admission quota the lease size
-// earns. An error leaves the tenant on its old lease and plan. Lease
-// table accounting stays with the caller.
+// lease, plan and resize count. An error leaves the tenant on its old
+// lease and plan. Lease table accounting stays with the caller.
 func (f *runner) resize(t *tenant, lease cluster.Lease, plan *orchestrator.Plan, reason string) error {
 	if plan == nil {
 		var err error
@@ -643,7 +633,6 @@ func (f *runner) resize(t *tenant, lease cluster.Lease, plan *orchestrator.Plan,
 	t.lease, t.plan = lease, plan
 	t.resizes++
 	f.gen++
-	f.resizeQuota(t, lease.NodeCount())
 	return nil
 }
 
@@ -839,7 +828,7 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 		}
 		// With a shared preprocessing tier, the tenant registers on the
 		// service and sources its batches through its handle.
-		if err := f.registerTenant(t, &tcfg, lease.NodeCount()); err != nil {
+		if err := f.registerTenant(t, &tcfg); err != nil {
 			return err
 		}
 		rt, err := trainer.New(tcfg)

@@ -17,8 +17,8 @@ import (
 // without a live producer pool, never have more goroutines than when
 // they started — sampled in every OnRound and after every Job.Step, on
 // one P, where a goroutine a step started has not yet run to its end.
-// Only the real I/O seams (a producer's build, a live pool's rank
-// fetches) start goroutines.
+// Only the one real parallel seam, a producer's build, starts
+// goroutines.
 func TestRunStartsNoGoroutine(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec, corpus := buildSpec(t, 8, 32)

@@ -146,7 +146,7 @@ func (o schedOps) Preempt(id int, reason string) bool {
 	if t == nil {
 		return false
 	}
-	f.suspend(t, "preempted")
+	f.transition(t, stateQueued, "preempted")
 	t.preempts++
 	f.queue = append(f.queue, t)
 	f.queueDirty = true

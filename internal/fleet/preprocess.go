@@ -14,11 +14,8 @@ import (
 // preprocessing tier to a fleet run: one elastic in-process producer
 // fleet plus one preprocess.Service multiplexing every tenant's
 // (tenant, iteration, rank) fetches over it. Tenants are registered at
-// first placement — weight from the job's priority class, admission
-// quota scaled to its lease — and their quotas resize alongside every
-// lease resize, so the fair share of the shared CPU tier tracks the
-// fair share of the GPU fleet. The service's timeouts and cache bound
-// are the preprocess package's constants.
+// first placement. The service's timeouts and cache bound are the
+// preprocess package's constants.
 type PreprocessConfig struct {
 	// Producers is how many producer servers the fleet starts.
 	Producers int
@@ -30,14 +27,6 @@ type PreprocessConfig struct {
 	// jobs whose GlobalBatch is not divisible by their DP×Microbatch get
 	// a deterministic producer rejection.
 	Server preprocess.Config
-	// SlotsPerNode scales per-tenant admission quotas with lease size:
-	// quota = SlotsPerNode × leased nodes (default 2). A tenant
-	// saturating its quota has the fetch rejected as pool-saturated;
-	// other tenants keep fetching. The shared service's capacity is the
-	// cluster-wide slot budget (SlotsPerNode × cluster nodes), not the
-	// service's single-tenant sizing: admission must gate per tenant,
-	// not on the fleet's aggregate demand.
-	SlotsPerNode int
 }
 
 // PreprocessFor derives the shared-tier configuration for a fleet whose
@@ -59,13 +48,6 @@ func PreprocessFor(tmpl trainer.Config, n int) *PreprocessConfig {
 	}
 }
 
-func (pc *PreprocessConfig) slotsPerNode() int {
-	if pc.SlotsPerNode <= 0 {
-		return 2
-	}
-	return pc.SlotsPerNode
-}
-
 // startPreprocess brings up the shared tier: the producer fleet and
 // the multiplexing service, whose Snapshot aggregates every tenant's
 // counters.
@@ -85,15 +67,7 @@ func (f *runner) startPreprocess() error {
 	if err != nil {
 		return fmt.Errorf("fleet: start producers: %w", err)
 	}
-	// The service's own default capacity (2 slots per producer) sizes a
-	// single tenant's pool. The shared tier must admit every tenant's
-	// quota at once: leases cover at most the whole cluster, so the
-	// cluster-wide slot budget is the capacity at which admission is
-	// gated per tenant (by quota), never by the fleet's aggregate demand.
-	svc, err := preprocess.NewService(preprocess.ServiceConfig{
-		Addrs:    producers.Addrs(),
-		Capacity: f.quotaFor(f.cfg.Cluster.Nodes),
-	})
+	svc, err := preprocess.NewService(preprocess.ServiceConfig{Addrs: producers.Addrs()})
 	if err != nil {
 		producers.Close()
 		return fmt.Errorf("fleet: start preprocessing service: %w", err)
@@ -114,37 +88,20 @@ func (f *runner) stopPreprocess() {
 
 // registerTenant gives a fresh tenant its handle on the shared service
 // and rebases its training config onto it: the trainer's PoolSource
-// fetches through the tenant handle. Weights come from the priority
-// class (low 1×, normal 2×, high 3×), quotas from the lease size.
-func (f *runner) registerTenant(t *tenant, tcfg *trainer.Config, nodes int) error {
+// fetches through the tenant handle.
+func (f *runner) registerTenant(t *tenant, tcfg *trainer.Config) error {
 	if f.service == nil {
 		return nil
 	}
-	handle, err := f.service.Register(preprocess.TenantConfig{
-		Name:        t.name,
-		Weight:      t.class.Rank() + 1,
-		MaxInflight: f.quotaFor(nodes),
-	})
+	handle, err := f.service.Register(preprocess.TenantConfig{Name: t.name})
 	if err != nil {
 		return err
 	}
 	t.pool = handle
 	tcfg.Source = &trainer.PoolSource{Pool: handle, Samples: tcfg.Corpus}
 	tcfg.DisaggregatedPreprocess = true
-	f.note("pool-register", metrics.Int("job", t.id), metrics.Int("weight", t.class.Rank()+1), metrics.Int("quota", f.quotaFor(nodes)))
+	f.note("pool-register", metrics.Int("job", t.id))
 	return nil
-}
-
-// quotaFor is the admission quota a lease of the given size earns.
-func (f *runner) quotaFor(nodes int) int {
-	return f.cfg.Preprocess.slotsPerNode() * nodes
-}
-
-// resizeQuota tracks a lease resize on the tenant's admission quota.
-func (f *runner) resizeQuota(t *tenant, nodes int) {
-	if t.pool != nil {
-		t.pool.SetQuota(f.quotaFor(nodes))
-	}
 }
 
 // producerEvent fires one fleet-scope producer-fail / producer-join

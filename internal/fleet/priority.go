@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"sort"
+
+	"disttrain/internal/cluster"
 )
 
 // Class is a job's priority class. The empty string means classNormal,
@@ -161,55 +163,38 @@ func (p *priorityScheduler) PlaceNodes(ops Ops, _ JobView, grant int) []int {
 // growth would only create more preemption churn later.
 func (p *priorityScheduler) Rebalance(ops Ops) {}
 
-// nodeRun is a maximal stretch of consecutive free node indices.
-type nodeRun struct{ first, count int }
-
-// freeRuns decomposes an ascending free list into maximal consecutive
-// runs.
-func freeRuns(free []int) []nodeRun {
-	var runs []nodeRun
-	for _, n := range free {
-		if len(runs) > 0 && runs[len(runs)-1].first+runs[len(runs)-1].count == n {
-			runs[len(runs)-1].count++
-			continue
-		}
-		runs = append(runs, nodeRun{first: n, count: 1})
-	}
-	return runs
-}
-
 // packNodes chooses grant nodes from the free set, minimising
 // fragmentation: the smallest single run that holds the whole grant
 // (lowest index on ties — best fit), else whole runs largest-first
 // (lowest index on ties) until the grant is covered, taking the tail
 // run's lowest indices.
 func packNodes(free []int, grant int) []int {
-	runs := freeRuns(free)
+	runs := cluster.Lease{Nodes: free}.Runs()
 	best := -1
 	for i, r := range runs {
-		if r.count < grant {
+		if r.Count < grant {
 			continue
 		}
-		if best < 0 || r.count < runs[best].count {
+		if best < 0 || r.Count < runs[best].Count {
 			best = i
 		}
 	}
 	if best >= 0 {
 		out := make([]int, 0, grant)
-		for n := runs[best].first; len(out) < grant; n++ {
+		for n := runs[best].First; len(out) < grant; n++ {
 			out = append(out, n)
 		}
 		return out
 	}
 	sort.SliceStable(runs, func(i, j int) bool {
-		if runs[i].count != runs[j].count {
-			return runs[i].count > runs[j].count
+		if runs[i].Count != runs[j].Count {
+			return runs[i].Count > runs[j].Count
 		}
-		return runs[i].first < runs[j].first
+		return runs[i].First < runs[j].First
 	})
 	out := make([]int, 0, grant)
 	for _, r := range runs {
-		for n := r.first; n < r.first+r.count && len(out) < grant; n++ {
+		for n := r.First; n < r.First+r.Count && len(out) < grant; n++ {
 			out = append(out, n)
 		}
 		if len(out) == grant {

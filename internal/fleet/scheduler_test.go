@@ -130,9 +130,6 @@ func TestPackNodes(t *testing.T) {
 			t.Errorf("packNodes(%v, %d) = %v, want %v", tc.free, tc.grant, got, tc.want)
 		}
 	}
-	if got := freeRuns([]int{0, 1, 5, 6, 7}); !reflect.DeepEqual(got, []nodeRun{{0, 2}, {5, 3}}) {
-		t.Errorf("freeRuns = %v", got)
-	}
 }
 
 // TestPriorityOrderAging pins the effective-priority arithmetic: class

@@ -15,15 +15,13 @@ const latencyWindow = 1024
 
 // PoolStats collects the consumer-side observables of an elastic
 // preprocessing producer pool: fetch latency, failovers away from the
-// deterministic primary, admission rejections, and the pool cache's
-// hit rate. All methods are safe for concurrent use; the pool records
-// from every in-flight fetch.
+// deterministic primary, and the pool cache's hit rate. All methods are
+// safe for concurrent use; the pool records from every in-flight fetch.
 type PoolStats struct {
-	fetches    atomic.Int64
-	failovers  atomic.Int64
-	rejections atomic.Int64
-	cacheHits  atomic.Int64
-	cacheMiss  atomic.Int64
+	fetches   atomic.Int64
+	failovers atomic.Int64
+	cacheHits atomic.Int64
+	cacheMiss atomic.Int64
 
 	// Mean and max are exact over every fetch (a running sum and max);
 	// recent is the ring the p99 is taken over, written at latN modulo
@@ -86,14 +84,6 @@ func (p *PoolStats) RecordFailover() {
 	}
 }
 
-// RecordRejection records one fetch rejected by bounded admission.
-func (p *PoolStats) RecordRejection() {
-	p.rejections.Add(1)
-	if p.parent != nil {
-		p.parent.RecordRejection()
-	}
-}
-
 // RecordCacheHit and RecordCacheMiss track the pool-side batch cache.
 func (p *PoolStats) RecordCacheHit() {
 	p.cacheHits.Add(1)
@@ -116,7 +106,8 @@ type PoolSnapshot struct {
 	// Failovers counts fetches that left their primary producer —
 	// because it was marked down or because an attempt on it failed.
 	Failovers int64
-	// Rejections counts fetches refused by bounded admission.
+	// Rejections is inert (always 0), kept only for benchmark/ until a
+	// later benchmark change deletes it.
 	Rejections int64
 	// CacheHits / CacheMisses describe the pool-side batch cache;
 	// CacheHitRate is hits over lookups (0 when no lookups happened).
@@ -135,7 +126,6 @@ func (p *PoolStats) Snapshot() PoolSnapshot {
 	s := PoolSnapshot{
 		Fetches:     p.fetches.Load(),
 		Failovers:   p.failovers.Load(),
-		Rejections:  p.rejections.Load(),
 		CacheHits:   p.cacheHits.Load(),
 		CacheMisses: p.cacheMiss.Load(),
 	}
@@ -153,7 +143,7 @@ func (p *PoolStats) Snapshot() PoolSnapshot {
 }
 
 func (s PoolSnapshot) String() string {
-	return fmt.Sprintf("fetches %d (mean %.1fms, p99 %.1fms) | failovers %d | rejected %d | cache %.0f%% hit",
+	return fmt.Sprintf("fetches %d (mean %.1fms, p99 %.1fms) | failovers %d | cache %.0f%% hit",
 		s.Fetches, s.MeanFetchSeconds*1e3, s.P99FetchSeconds*1e3,
-		s.Failovers, s.Rejections, 100*s.CacheHitRate)
+		s.Failovers, 100*s.CacheHitRate)
 }

@@ -12,14 +12,13 @@ func TestPoolStatsSnapshot(t *testing.T) {
 	s.RecordFetch(0.010)
 	s.RecordFetch(0.030)
 	s.RecordFailover()
-	s.RecordRejection()
 	s.RecordCacheHit()
 	s.RecordCacheMiss()
 	s.RecordCacheMiss()
 	s.RecordCacheMiss()
 
 	snap := s.Snapshot()
-	if snap.Fetches != 2 || snap.Failovers != 1 || snap.Rejections != 1 {
+	if snap.Fetches != 2 || snap.Failovers != 1 {
 		t.Errorf("counters = %+v", snap)
 	}
 	if snap.CacheHits != 1 || snap.CacheMisses != 3 {

@@ -189,7 +189,7 @@ func TestFleetBuildsEachIterationOnce(t *testing.T) {
 				svc := testService(t, fleet, ServiceConfig{})
 				var handles []*Tenant
 				for i := 0; i < tenants; i++ {
-					tn, err := svc.Register(TenantConfig{Name: fmt.Sprintf("t%d", i), MaxInflight: dp, DP: dp})
+					tn, err := svc.Register(TenantConfig{Name: fmt.Sprintf("t%d", i), DP: dp})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -257,7 +257,7 @@ func TestReadaheadFollowsEachTenant(t *testing.T) {
 				next, fetches int64
 			}
 			start := func(name string, at int64) *job {
-				tn, err := svc.Register(TenantConfig{Name: name, MaxInflight: dp, DP: dp})
+				tn, err := svc.Register(TenantConfig{Name: name, DP: dp})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -331,42 +331,6 @@ func (s *startedSource) built(iter int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.started[iter]
-}
-
-// Bounded admission on the shared capacity: with every slot taken by a
-// fetch in flight, the next one is rejected with errPoolSaturated
-// instead of queueing unboundedly.
-func TestServiceBoundedAdmission(t *testing.T) {
-	cfg := fleetConfig()
-	cfg.Source = slowSource{fixedSource{images: 1, resolution: 32, seqLen: 128}, 300 * time.Millisecond}
-	fleet, err := StartFleet(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fleet.Close)
-	svc := testService(t, fleet, ServiceConfig{Capacity: 1})
-	svc.admitTimeout = 30 * time.Millisecond
-	tn := oneTenant(t, svc)
-
-	ctx := context.Background()
-	started := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		close(started)
-		_, err := tn.Fetch(ctx, 0, 0) // slow build holds the only slot
-		done <- err
-	}()
-	<-started
-	time.Sleep(20 * time.Millisecond)
-	if _, err := tn.Fetch(ctx, 0, 1); !errors.Is(err, errPoolSaturated) {
-		t.Fatalf("saturated service returned %v, want errPoolSaturated", err)
-	}
-	if got := svc.Snapshot().Rejections; got != 1 {
-		t.Errorf("rejections = %d, want 1", got)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("admitted fetch failed: %v", err)
-	}
 }
 
 // The tenant cache serves repeated fetches (failure-recovery rewinds)
@@ -574,226 +538,6 @@ func TestServiceTenantsAtDifferentDPWidths(t *testing.T) {
 	}
 }
 
-// The weighted fair queue drains contended admissions deterministically:
-// smallest virtual finish tag (grants/weight) first, ties to the lower
-// tenant id, FIFO within a tenant. With weights 2:1 and arrival order
-// A,A,A,A,B,B,B,B on one slot, the grant order is A A B A A B B B.
-func TestServiceWFQGrantOrder(t *testing.T) {
-	svc, err := NewService(ServiceConfig{Addrs: []string{"127.0.0.1:1"}, Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := svc.Register(TenantConfig{Name: "a", Weight: 2, MaxInflight: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := svc.Register(TenantConfig{Name: "b", Weight: 1, MaxInflight: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	svc.mu.Lock()
-	svc.shared = svc.cfg.Capacity // saturate the tier
-	var all []*svcWaiter
-	for _, tn := range []*Tenant{a, a, a, a, b, b, b, b} {
-		w := &svcWaiter{t: tn, ch: make(chan struct{})}
-		svc.waiters = append(svc.waiters, w)
-		all = append(all, w)
-	}
-	svc.mu.Unlock()
-
-	granted := map[*svcWaiter]bool{}
-	var order []string
-	for i := 0; i < len(all); i++ {
-		svc.mu.Lock()
-		svc.shared-- // one fetch finished, its slot frees
-		svc.grantLocked()
-		for _, w := range all {
-			if w.granted && !granted[w] {
-				granted[w] = true
-				order = append(order, w.t.name)
-			}
-		}
-		svc.mu.Unlock()
-	}
-	want := []string{"a", "a", "b", "a", "a", "b", "b", "b"}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("grant order %v, want %v", order, want)
-		}
-	}
-}
-
-// admissionHarness is a service with one shared slot, held by tenant a,
-// and no producers behind it: acquire/release only.
-func admissionHarness(t *testing.T) (svc *Service, a, b *Tenant) {
-	t.Helper()
-	svc, err := NewService(ServiceConfig{Addrs: []string{"127.0.0.1:1"}, Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
-	if a, err = svc.Register(TenantConfig{Name: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if b, err = svc.Register(TenantConfig{Name: "b"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.acquire(context.Background(), a); err != nil {
-		t.Fatal(err)
-	}
-	return svc, a, b
-}
-
-// queue starts one acquire for tn and returns once it is waiting.
-func queue(t *testing.T, svc *Service, ctx context.Context, tn *Tenant) <-chan error {
-	t.Helper()
-	svc.mu.Lock()
-	want := len(svc.waiters) + 1
-	svc.mu.Unlock()
-	errc := make(chan error, 1)
-	go func() { errc <- svc.acquire(ctx, tn) }()
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		svc.mu.Lock()
-		n := len(svc.waiters)
-		svc.mu.Unlock()
-		if n == want {
-			return errc
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("acquire never queued (%d waiters, want %d)", n, want)
-		}
-	}
-}
-
-// granted waits for a queued acquire to be admitted.
-func granted(t *testing.T, errc <-chan error) {
-	t.Helper()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("queued fetch admitted with %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter stalled behind a cancelled fetch")
-	}
-}
-
-// assertIdle checks slot conservation once nothing is in flight.
-func assertIdle(t *testing.T, svc *Service) {
-	t.Helper()
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	sum := 0
-	for _, tn := range svc.tenants {
-		sum += tn.inflight
-	}
-	if svc.shared != 0 || sum != 0 || len(svc.waiters) != 0 {
-		t.Fatalf("idle service holds shared=%d, sum(inflight)=%d, waiters=%d; want all 0",
-			svc.shared, sum, len(svc.waiters))
-	}
-}
-
-// A fetch cancelled while it waits for admission gives nothing back
-// (it held nothing) and must not stall the waiter behind it.
-func TestServiceCancelWhileQueuedConservesSlots(t *testing.T) {
-	svc, a, b := admissionHarness(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancelled := queue(t, svc, ctx, b)
-	behind := queue(t, svc, context.Background(), b)
-
-	cancel()
-	if err := <-cancelled; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
-	}
-	svc.release(a)
-	granted(t, behind)
-	svc.release(b)
-	assertIdle(t, svc)
-}
-
-// A grant that races its fetch's cancellation: the slot was handed
-// over before the waiter could withdraw, so the fetch owns it (acquire
-// reports success whichever select arm wins), its release hands the
-// slot on, and nothing leaks.
-func TestServiceGrantRacingCancelConservesSlots(t *testing.T) {
-	svc, a, b := admissionHarness(t)
-	for i := 0; i < 100; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		raced := queue(t, svc, ctx, b)
-		behind := queue(t, svc, context.Background(), b)
-
-		// release(a) with the cancel inside the critical section: the
-		// waiter wakes to a closed grant channel and a done context.
-		svc.mu.Lock()
-		a.inflight--
-		svc.shared--
-		svc.grantLocked()
-		cancel()
-		svc.mu.Unlock()
-
-		if err := <-raced; err != nil {
-			t.Fatalf("round %d: granted-then-cancelled fetch returned %v, want the slot", i, err)
-		}
-		svc.release(b)
-		granted(t, behind)
-		svc.release(b)
-		assertIdle(t, svc)
-		if err := svc.acquire(context.Background(), a); err != nil { // re-arm
-			t.Fatal(err)
-		}
-	}
-}
-
-// Per-tenant quotas isolate tenants: a tenant saturating its own quota
-// is rejected with errPoolSaturated (and only its rejection counter
-// moves) while another tenant keeps fetching through the same shared
-// tier.
-func TestServiceQuotaSaturationIsolatesTenants(t *testing.T) {
-	fleet, err := StartFleet(fleetConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fleet.Close)
-	svc := testService(t, fleet, ServiceConfig{})
-	svc.admitTimeout = 30 * time.Millisecond
-	a, err := svc.Register(TenantConfig{Name: "a", MaxInflight: 1, DP: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := svc.Register(TenantConfig{Name: "b", MaxInflight: 2, DP: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	// Pin tenant A's only admission slot, as an in-flight fetch would.
-	if err := svc.acquire(ctx, a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Fetch(ctx, 0, 0); !errors.Is(err, errPoolSaturated) {
-		t.Fatalf("saturated tenant fetched with %v, want errPoolSaturated", err)
-	}
-	if _, err := b.Fetch(ctx, 0, 0); err != nil {
-		t.Fatalf("tenant b starved by tenant a's saturation: %v", err)
-	}
-	svc.release(a)
-
-	if got := a.Snapshot().Rejections; got != 1 {
-		t.Errorf("tenant a rejections = %d, want 1", got)
-	}
-	if got := b.Snapshot().Rejections; got != 0 {
-		t.Errorf("tenant b rejections = %d, want 0", got)
-	}
-	if got := svc.Snapshot().Rejections; got != 1 {
-		t.Errorf("aggregate rejections = %d, want 1", got)
-	}
-	// The freed quota admits tenant A again.
-	if _, err := a.Fetch(ctx, 0, 1); err != nil {
-		t.Fatalf("tenant a still rejected after its slot freed: %v", err)
-	}
-}
-
 // Cache partitions are per-tenant: one tenant racing far ahead ages out
 // its own batches, never a lagging tenant's — the laggard's re-fetch is
 // a cache hit, not a rebuild.
@@ -838,32 +582,30 @@ func TestServiceCachePartitioning(t *testing.T) {
 	}
 }
 
-// Quota resizes act immediately: shrinking to zero blocks the tenant
-// (rejection after admitTimeout), growing re-grants queued waiters.
-func TestServiceSetQuota(t *testing.T) {
-	fleet, err := StartFleet(fleetConfig(), 1)
+// Service.Close fails every later fetch fast, before the tenant's cache
+// or any producer is consulted: a cached key is refused like any other,
+// and no failover is counted against the closed members.
+func TestServiceCloseFailsFetchFast(t *testing.T) {
+	fleet, err := StartFleet(fleetConfig(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
 	svc := testService(t, fleet, ServiceConfig{})
-	svc.admitTimeout = 30 * time.Millisecond
-	tn, err := svc.Register(TenantConfig{Name: "t", DP: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tn := oneTenant(t, svc)
 
 	ctx := context.Background()
-	tn.SetQuota(0)
-	if _, err := tn.Fetch(ctx, 0, 0); !errors.Is(err, errPoolSaturated) {
-		t.Fatalf("zero-quota tenant fetched with %v, want errPoolSaturated", err)
-	}
-	tn.SetQuota(2)
-	if got := tn.MaxInflight(); got != 2 {
-		t.Fatalf("MaxInflight = %d after SetQuota(2)", got)
-	}
 	if _, err := tn.Fetch(ctx, 0, 0); err != nil {
-		t.Fatalf("re-grown tenant still rejected: %v", err)
+		t.Fatal(err)
+	}
+	svc.Close()
+	for _, rank := range []int{0, 1} { // 0 is cached, 1 never fetched
+		if _, err := tn.Fetch(ctx, 0, rank); !errors.Is(err, errServiceClosed) {
+			t.Errorf("rank %d after Service.Close: %v, want errServiceClosed", rank, err)
+		}
+	}
+	if got := svc.Snapshot(); got.Failovers != 0 || got.Fetches != 1 {
+		t.Errorf("closed service recorded %d fetches and %d failovers, want 1 and 0", got.Fetches, got.Failovers)
 	}
 }
 
@@ -971,10 +713,10 @@ func TestServiceFetchAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(fleet.Close)
-		svc := testService(t, fleet, ServiceConfig{Capacity: 2 * tc.tenants * dp})
+		svc := testService(t, fleet, ServiceConfig{})
 		handles := make([]*Tenant, tc.tenants)
 		for i := range handles {
-			if handles[i], err = svc.Register(TenantConfig{Name: fmt.Sprintf("t%d", i), MaxInflight: dp, DP: dp}); err != nil {
+			if handles[i], err = svc.Register(TenantConfig{Name: fmt.Sprintf("t%d", i), DP: dp}); err != nil {
 				t.Fatal(err)
 			}
 		}

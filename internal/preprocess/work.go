@@ -4,8 +4,11 @@
 // pack modality tokens, apply both reordering levels, and stream
 // ready-to-train microbatches to the GPU nodes over RPC. The producer
 // here is a real TCP service doing real pixel work on synthetic image
-// payloads; the consumer is a prefetching client; the co-located mode
-// used by the monolithic baseline runs the same work inline.
+// payloads; the consumer is a Service whose tenants fetch rank
+// batches through private caches, failing over across producers (the
+// Figure 17 experiment streams through a Prefetcher instead); the
+// co-located mode used by the monolithic baseline runs the same work
+// inline.
 package preprocess
 
 import (

@@ -25,8 +25,7 @@ import (
 
 // Job is one training run in progress: the runtime plus the loop state
 // of its n-iteration run. A Job is not safe for concurrent use, and
-// Step runs on the caller's goroutine: it starts none of its own unless
-// a live producer pool fans its rank fetches out (PoolSource.Assign).
+// Step runs on the caller's goroutine and starts none of its own.
 type Job struct {
 	r *Runtime
 	n int

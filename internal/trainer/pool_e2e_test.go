@@ -104,15 +104,14 @@ func (h *poolHarness) run(t *testing.T, producers, iters int, scenSpec string) (
 // mid-run by a scenario event and later rejoins, and the results are
 // identical to the single-producer reference — elasticity changes who
 // serves, never what trains. The tenant metrics must show the churn as
-// failovers, and nothing else: same fetch count, no rejections.
+// failovers, and nothing else: same fetch count.
 func TestRunWithProducerPoolSurvivesChurn(t *testing.T) {
 	h := newPoolHarness(t)
 	const iters = 6
 
 	ref, refSnap := h.run(t, 1, iters, "")
-	if refSnap.Failovers != 0 || refSnap.Rejections != 0 {
-		t.Fatalf("healthy reference run recorded failovers=%d rejections=%d",
-			refSnap.Failovers, refSnap.Rejections)
+	if refSnap.Failovers != 0 {
+		t.Fatalf("healthy reference run recorded %d failovers", refSnap.Failovers)
 	}
 	if want := int64(iters * h.pcfg.DPSize); refSnap.Fetches != want {
 		t.Fatalf("reference run fetched %d rank batches, want %d (iterations x DP)", refSnap.Fetches, want)
@@ -135,7 +134,7 @@ func TestRunWithProducerPoolSurvivesChurn(t *testing.T) {
 	if snap.Failovers < 1 {
 		t.Errorf("producer churn recorded %d failovers, want >= 1", snap.Failovers)
 	}
-	if snap.Fetches != refSnap.Fetches || snap.Rejections != 0 || snap.MeanFetchSeconds < 0 {
+	if snap.Fetches != refSnap.Fetches || snap.MeanFetchSeconds < 0 {
 		t.Errorf("implausible pool metrics: %+v (reference fetched %d)", snap, refSnap.Fetches)
 	}
 	// No iteration is cost-perturbed: pool membership is not a cost

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"disttrain/internal/data"
-	"disttrain/internal/fanout"
 	"disttrain/internal/model"
 	"disttrain/internal/preprocess"
 )
@@ -94,52 +93,40 @@ func PreprocessConfigFor(cfg Config) (preprocess.Config, error) {
 // Assign returns iteration iter's global batch as the producers split
 // it across dp data-parallel ranks: the concatenation, in rank order,
 // of dp equally long rank batches. Deterministic in iter — failure
-// recovery re-fetches and observes identical batches. Rank fetches fan
-// out concurrently, bounded by the tenant's admission quota so the
-// front-end itself never trips the pool-saturated rejection.
+// recovery re-fetches and observes identical batches. Ranks are
+// fetched in rank order on the caller's goroutine: every rank of one
+// (iteration, DP width) asks the same primary producer, whose
+// connection carries one request at a time.
 func (ps *PoolSource) Assign(iter, dp int) ([]data.Sample, error) {
 	if ps.Pool == nil || ps.Samples == nil {
 		return nil, fmt.Errorf("trainer: PoolSource needs both Pool and Samples")
 	}
-	// The tenant learns the current geometry before the fan-out:
+	// The tenant learns the current geometry before its fetches:
 	// elastic resizes and plan switches reshape the producer-side split
 	// without re-registering.
 	ps.Pool.SetDP(dp)
-	ranks := make([][]data.Sample, dp)
-	errs := make([]error, dp)
-	fanout.Run(context.Background(), ps.Pool.MaxInflight(), dp, func(d int) {
-		ranks[d], errs[d] = ps.fetchRank(iter, d)
-	})
-	for _, err := range errs {
+	var batch []data.Sample
+	perRank := 0
+	for d := 0; d < dp; d++ {
+		rb, err := ps.Pool.Fetch(context.Background(), int64(iter), d)
 		if err != nil {
 			return nil, err
 		}
-	}
-	perRank := len(ranks[0])
-	batch := make([]data.Sample, 0, perRank*dp)
-	for d := range ranks {
-		if len(ranks[d]) != perRank {
-			return nil, fmt.Errorf("trainer: pool rank %d delivered %d samples, rank 0 delivered %d",
-				d, len(ranks[d]), perRank)
+		start := len(batch)
+		for _, mb := range rb.Microbatches {
+			for _, p := range mb {
+				batch = append(batch, ps.Samples.Sample(p.SampleIndex))
+			}
 		}
-		batch = append(batch, ranks[d]...)
+		n := len(batch) - start
+		if n == 0 {
+			return nil, fmt.Errorf("trainer: pool delivered empty batch for iter %d rank %d", iter, d)
+		}
+		if d == 0 {
+			perRank = n
+		} else if n != perRank {
+			return nil, fmt.Errorf("trainer: pool rank %d delivered %d samples, rank 0 delivered %d", d, n, perRank)
+		}
 	}
 	return batch, nil
-}
-
-func (ps *PoolSource) fetchRank(iter, d int) ([]data.Sample, error) {
-	rb, err := ps.Pool.Fetch(context.Background(), int64(iter), d)
-	if err != nil {
-		return nil, err
-	}
-	var out []data.Sample
-	for _, mb := range rb.Microbatches {
-		for _, p := range mb {
-			out = append(out, ps.Samples.Sample(p.SampleIndex))
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("trainer: pool delivered empty batch for iter %d rank %d", iter, d)
-	}
-	return out, nil
 }

@@ -12,8 +12,8 @@
 // the DP ranks' pipelines inline in rank order and reduces them in that
 // order. DistTrain's parallelism is across GPUs and disaggregated CPU
 // nodes, which the runtime prices; it is not goroutines on the host.
-// The one exception is a live producer pool (PoolSource), whose rank
-// fetches are real I/O and fan out. Scenario injection (internal/scenario) perturbs stage
+// A live producer pool (PoolSource) fetches its ranks over TCP in rank
+// order on the same goroutine. Scenario injection (internal/scenario) perturbs stage
 // compute, the data path, and the fabric, and can kill the job to
 // exercise checkpoint-restore recovery.
 package trainer
