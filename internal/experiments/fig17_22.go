@@ -38,7 +38,7 @@ func (f fixedShapeSource) Sample(index int64) data.Sample {
 
 // fig17 measures real preprocessing overhead per iteration on the
 // training side, with and without disaggregation, over the real TCP
-// producer/consumer. DP size is 1, matching §7.3.
+// producer and the preprocessing Service. DP size is 1, matching §7.3.
 func fig17(quick bool) (*Table, error) {
 	t := &Table{
 		ID:     "fig17",
@@ -81,47 +81,68 @@ func fig17(quick bool) (*Table, error) {
 func measurePreprocess(cfg preprocess.Config) (colocated, disagg time.Duration, err error) {
 	ctx := context.Background()
 
-	// Co-located: the training loop runs the pixel pipeline inline.
-	col, err := preprocess.NewColocated(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
+	// Co-located: the training loop runs the pixel pipeline inline over
+	// rank 0's samples of iteration 0.
 	start := time.Now()
-	if _, err := col.Fetch(ctx); err != nil {
-		return 0, 0, err
+	for i := 0; i < cfg.GlobalBatch/cfg.DPSize; i++ {
+		if _, err := preprocess.ProcessSample(cfg.Source.Sample(int64(i))); err != nil {
+			return 0, 0, err
+		}
 	}
 	colocated = time.Since(start)
 
-	// Disaggregated: a producer on a loopback TCP socket works ahead; we
-	// measure the steady-state stall of the consumer.
+	// Disaggregated: a one-tenant Service over a producer on a loopback
+	// TCP socket, which works ahead; we measure the steady-state stall
+	// of the consumer.
 	fleet, err := preprocess.StartFleet(cfg, 1)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer fleet.Close()
-
-	client, err := preprocess.Dial(fleet.Addrs()[0])
+	svc, err := preprocess.NewService(preprocess.ServiceConfig{Addrs: fleet.Addrs()})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer client.Close()
-	pf := preprocess.NewPrefetcher(client, cfg.DPSize)
-	defer pf.Close()
-
-	if _, err := pf.Next(ctx); err != nil { // fills the pipeline
+	defer svc.Close()
+	tenant, err := svc.Register(preprocess.TenantConfig{Name: "fig17", DP: cfg.DPSize})
+	if err != nil {
 		return 0, 0, err
 	}
+	// fetchAhead pulls one iteration into the tenant's cache while the
+	// trainer computes, as a data loader overlaps fetching with
+	// training.
+	fetchAhead := func(iter int64) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := tenant.Fetch(ctx, iter, 0)
+			done <- err
+		}()
+		return done
+	}
+
+	if _, err := tenant.Fetch(ctx, 0, 0); err != nil { // fills the pipeline
+		return 0, 0, err
+	}
+	ahead := fetchAhead(1)
 	// Let the producer populate its readahead window, as it would while
 	// the first training iteration computes.
 	time.Sleep(colocated + 50*time.Millisecond)
 	var samples []time.Duration
-	for i := 0; i < 3; i++ {
+	for iter := int64(1); iter <= 3; iter++ {
 		start = time.Now()
-		if _, err := pf.Next(ctx); err != nil {
+		err := <-ahead
+		if err == nil {
+			_, err = tenant.Fetch(ctx, iter, 0) // a cache hit
+		}
+		if err != nil {
 			return 0, 0, err
 		}
 		samples = append(samples, time.Since(start))
+		ahead = fetchAhead(iter + 1)
 		time.Sleep(colocated) // the training compute window
+	}
+	if err := <-ahead; err != nil {
+		return 0, 0, err
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
 	disagg = samples[len(samples)/2]

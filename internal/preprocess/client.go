@@ -4,46 +4,96 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 )
 
-// Client is the consumer side of disaggregated preprocessing: the GPU
-// training process fetches ready microbatches over TCP.
+// Client is the consumer side of disaggregated preprocessing: one
+// connection to one producer, over which the GPU training process
+// fetches ready microbatches. It dials lazily, drops its connection on
+// a transport failure so the next request re-dials (a restarted
+// producer is reached again without a new Client), and keeps the
+// failure cooldown a Service skips it during.
 type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	// timeout bounds one request round trip.
-	timeout time.Duration
+	addr string
+	// connect bounds one connection attempt (0 means the operating
+	// system default); roundTrip bounds one request.
+	connect, roundTrip time.Duration
+
+	mu        sync.Mutex
+	conn      net.Conn // nil until dialed and after a transport failure
+	br        *bufio.Reader
+	bw        *bufio.Writer
+	downUntil time.Time // end of the failure cooldown
+	closed    bool
 }
+
+var errClientClosed = errors.New("preprocess: client closed")
 
 // Dial connects to a producer under the operating system's connect
 // timeout, bounding each request round trip at 120 s.
-func Dial(addr string) (*Client, error) { return dial(addr, 0, 120*time.Second) }
-
-// dial is the one place a connection gets its timeouts: connect bounds
-// the connection attempt (0 means the operating system default),
-// roundTrip one request. The Service dials with short bounds so a dead
-// producer fails over in milliseconds, not minutes.
-func dial(addr string, connect, roundTrip time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, connect)
-	if err != nil {
-		return nil, fmt.Errorf("preprocess: dial %s: %w", addr, err)
+func Dial(addr string) (*Client, error) {
+	c := &Client{addr: addr, roundTrip: 120 * time.Second}
+	if err := c.dial(); err != nil {
+		return nil, err
 	}
-	return &Client{
-		conn:    conn,
-		br:      bufio.NewReaderSize(conn, 1<<20),
-		bw:      bufio.NewWriter(conn),
-		timeout: roundTrip,
-	}, nil
+	return c, nil
 }
 
-// Close tears down the connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// dial opens the connection; the caller holds mu or is the client's
+// only user.
+func (c *Client) dial() error {
+	conn, err := net.DialTimeout("tcp", c.addr, c.connect)
+	if err != nil {
+		return fmt.Errorf("preprocess: dial %s: %w", c.addr, err)
+	}
+	c.conn = conn
+	c.br = bufio.NewReaderSize(conn, 1<<20)
+	c.bw = bufio.NewWriter(conn)
+	return nil
+}
+
+// drop tears the connection down; the caller holds mu.
+func (c *Client) drop() error {
+	if c.conn == nil {
+		return nil
+	}
+	err := c.conn.Close()
+	c.conn, c.br, c.bw = nil, nil, nil
+	return err
+}
+
+// Close tears down the connection; later requests fail. The closed
+// flag is set under the lock requests dial under, so a request racing
+// Close either never dials or has its fresh connection closed here.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	return c.drop()
+}
+
+// available reports whether the client is outside its failure cooldown.
+// It waits behind a request in flight on purpose: a lock-free read let
+// preprocess-fanin's concurrent rank fetches queue on the connection
+// instead, and measured 2-3% slower per op.
+func (c *Client) available(now time.Time) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return now.After(c.downUntil)
+}
+
+// markDown opens the failure cooldown until the given time.
+func (c *Client) markDown(until time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if until.After(c.downUntil) {
+		c.downUntil = until
+	}
+}
 
 // FetchTenant requests one (tenant, iteration, rank) batch split
 // across dp data-parallel ranks. Requests on one client are serialised;
@@ -55,16 +105,34 @@ func (c *Client) FetchTenant(ctx context.Context, tenant uint32, dp int, iter in
 	req = binary.BigEndian.AppendUint32(req, uint32(dp))
 	req = binary.BigEndian.AppendUint64(req, uint64(iter))
 	req = binary.BigEndian.AppendUint32(req, uint32(rank))
-	return c.roundTrip(ctx, req)
-}
 
-// roundTrip sends one request frame and parses the answer, under the
-// client's request serialisation and round-trip deadline.
-func (c *Client) roundTrip(ctx context.Context, req []byte) (*RankBatch, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return nil, errClientClosed
+	}
+	if c.conn == nil {
+		if err := c.dial(); err != nil {
+			return nil, err
+		}
+	}
+	rb, err := c.roundTripLocked(ctx, req)
+	if err != nil {
+		var se *serverError
+		if !errors.As(err, &se) {
+			// Transport failure: the connection is suspect either way.
+			// A serverError is a protocol answer; the connection stays.
+			c.drop()
+		}
+		return nil, err
+	}
+	return rb, nil
+}
 
-	deadline := time.Now().Add(c.timeout)
+// roundTripLocked sends one request frame and parses the answer under
+// the round-trip deadline; the caller holds mu.
+func (c *Client) roundTripLocked(ctx context.Context, req []byte) (*RankBatch, error) {
+	deadline := time.Now().Add(c.roundTrip)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
@@ -82,94 +150,4 @@ func (c *Client) roundTrip(ctx context.Context, req []byte) (*RankBatch, error) 
 		return nil, err
 	}
 	return parseBatch(body)
-}
-
-// Prefetcher overlaps fetching with training: while the trainer
-// consumes iteration i, the prefetcher is already pulling iteration
-// i+1 — this is what turns data-arrival stalls from seconds into
-// milliseconds (Figure 17).
-type Prefetcher struct {
-	client *Client
-	dp     int
-
-	pending chan fetchResult
-	cancel  context.CancelFunc
-	done    chan struct{}
-	// terminal is the error that stopped the loop; published before
-	// pending closes, so Next re-delivers it forever once the queue
-	// drains instead of blocking on a channel nothing feeds.
-	terminal error
-}
-
-type fetchResult struct {
-	rb  *RankBatch
-	err error
-}
-
-// prefetchDepth is how many fetched batches a Prefetcher queues ahead
-// of its consumer: Figure 17 reads three after its warm-up fetch, and
-// each must already be queued for the stall it measures to be the
-// disaggregated one.
-const prefetchDepth = 3
-
-// NewPrefetcher starts prefetching rank 0's batches of a dp-wide
-// split (as tenant 0) from iteration 0.
-func NewPrefetcher(client *Client, dp int) *Prefetcher {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := &Prefetcher{
-		client:  client,
-		dp:      dp,
-		pending: make(chan fetchResult, prefetchDepth),
-		cancel:  cancel,
-		done:    make(chan struct{}),
-	}
-	go p.loop(ctx)
-	return p
-}
-
-func (p *Prefetcher) loop(ctx context.Context) {
-	defer close(p.done)
-	// Closing pending after the terminal error is queued hands every
-	// subsequent Next the stored error (the close is the happens-before
-	// edge for p.terminal).
-	defer close(p.pending)
-	for iter := int64(0); ; iter++ {
-		rb, err := p.client.FetchTenant(ctx, 0, p.dp, iter, 0)
-		if err != nil {
-			p.terminal = err
-			select {
-			case <-ctx.Done():
-			case p.pending <- fetchResult{nil, err}:
-			}
-			return
-		}
-		select {
-		case <-ctx.Done():
-			p.terminal = ctx.Err()
-			return
-		case p.pending <- fetchResult{rb, nil}:
-		}
-	}
-}
-
-// Next returns the next iteration's batch, typically instantly because
-// the producer worked ahead. Once the prefetch loop has died — broken
-// producer, cancelled context — Next returns the terminal error on
-// every subsequent call rather than blocking forever.
-func (p *Prefetcher) Next(ctx context.Context) (*RankBatch, error) {
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case r, ok := <-p.pending:
-		if !ok {
-			return nil, p.terminal // set before pending closed, on every path
-		}
-		return r.rb, r.err
-	}
-}
-
-// Close stops prefetching.
-func (p *Prefetcher) Close() {
-	p.cancel()
-	<-p.done
 }

@@ -4,9 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -303,31 +303,31 @@ func TestServerReordersWhenAsked(t *testing.T) {
 	}
 }
 
-// shiftedSource reads its source's samples from an offset on.
-type shiftedSource struct {
+// readCounter counts the samples a producer reads per iteration: a
+// build reads each sample of its batch once.
+type readCounter struct {
 	Source
-	offset int64
+	batch int64
+	reads [8]atomic.Int32
 }
 
-func (s shiftedSource) Sample(index int64) data.Sample {
-	return s.Source.Sample(s.offset + index)
+func (r *readCounter) Sample(index int64) data.Sample {
+	if it := index / r.batch; it < int64(len(r.reads)) {
+		r.reads[it].Add(1)
+	}
+	return r.Source.Sample(index)
 }
 
 // Figure 17's mechanism end to end over real TCP: the producer works
-// ahead of a prefetching consumer, so the batch Next hands over was
-// built before the consumer asked for it, while the co-located
-// baseline builds the same batch inline (its Fetch builds iteration 0,
-// so it reads a source shifted by one global batch). Samples from
-// iteration 2 on are held back, so the producer's work settles with
-// iterations 0 and 1 built and the readahead of 2 and 3 waiting at the
-// gate.
+// ahead of the consumer, so the batch a Client fetches next was built
+// before it asked (the fetch reads no sample again), while the
+// co-located baseline runs ProcessSample inline over the same samples
+// and gets the same bytes.
 func TestDisaggregationBeatsColocated(t *testing.T) {
 	src := fixedSource{images: 4, resolution: 128, seqLen: 2048}
-	cfg := Config{Source: src, GlobalBatch: 4, DPSize: 1, Microbatch: 1, Workers: 8, Readahead: 2}
-	held := cfg
-	gate := make(chan struct{})
-	held.Source = gatedSource{src, 2 * 4, math.MaxInt64, gate}
-	srv, addr := startServer(t, held)
+	counted := &readCounter{Source: src, batch: 4}
+	cfg := Config{Source: counted, GlobalBatch: 4, DPSize: 1, Microbatch: 1, Workers: 8, Readahead: 2}
+	_, addr := startServer(t, cfg)
 
 	client, err := Dial(addr)
 	if err != nil {
@@ -335,49 +335,64 @@ func TestDisaggregationBeatsColocated(t *testing.T) {
 	}
 	defer client.Close()
 	ctx := context.Background()
-
-	pf := NewPrefetcher(client, 1)
-	defer pf.Close()
-	// Opened before pf.Close, whose prefetcher waits on a held build.
-	defer close(gate)
-	if _, err := pf.Next(ctx); err != nil { // warm the pipeline
+	if _, err := client.FetchTenant(ctx, 0, 1, 0, 0); err != nil { // warm the pipeline
 		t.Fatal(err)
 	}
-	// The fourth build is iteration 3, which only the readahead of a
-	// fetch of iteration 1 starts — after iteration 1 was built.
-	for deadline := time.Now().Add(10 * time.Second); srv.builds.Load() < 4; time.Sleep(time.Millisecond) {
+	// Iteration 1 is the warm-up fetch's readahead.
+	for deadline := time.Now().Add(10 * time.Second); counted.reads[1].Load() < 4; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("producer built %d iterations, want 4", srv.builds.Load())
+			t.Fatalf("producer read %d of iteration 1's 4 samples ahead", counted.reads[1].Load())
 		}
 	}
-	before := srv.builds.Load()
-	rb, err := pf.Next(ctx)
+	rb, err := client.FetchTenant(ctx, 0, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.builds.Load(); got != before || rb.Iter != 1 {
-		t.Fatalf("Next returned iteration %d and built %d iterations, want iteration 1 built ahead", rb.Iter, got-before)
+	if got := counted.reads[1].Load(); got != 4 || rb.Iter != 1 {
+		t.Fatalf("fetch returned iteration %d and the producer read iteration 1's samples %d times, want iteration 1 built ahead once", rb.Iter, got)
 	}
 
-	shifted := cfg
-	shifted.Source = shiftedSource{src, int64(cfg.GlobalBatch)}
-	col, err := NewColocated(shifted)
-	if err != nil {
-		t.Fatal(err)
+	if len(rb.Microbatches) != cfg.GlobalBatch {
+		t.Fatalf("disaggregated batch has %d microbatches, want %d", len(rb.Microbatches), cfg.GlobalBatch)
 	}
-	want, err := col.Fetch(ctx)
-	if err != nil {
-		t.Fatal(err)
+	for j, mb := range rb.Microbatches {
+		want, err := ProcessSample(src.Sample(int64(cfg.GlobalBatch + j)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(mb) != 1 || !sameProcessed(mb[0], want) {
+			t.Fatalf("microbatch %d differs from the co-located ProcessSample", j)
+		}
 	}
-	if len(rb.Microbatches) != len(want.Microbatches) {
-		t.Fatalf("disaggregated batch has %d microbatches, co-located %d", len(rb.Microbatches), len(want.Microbatches))
-	}
-	for j, mb := range want.Microbatches {
-		for k := range mb {
-			if !sameProcessed(rb.Microbatches[j][k], mb[k]) {
-				t.Fatalf("microbatch %d sample %d differs from the co-located fetch", j, k)
+}
+
+// TestFanOutEvaluatesEveryIndexOnce holds at every pool size, including
+// the inline path (workers <= 1) and a pool wider than the work.
+func TestFanOutEvaluatesEveryIndexOnce(t *testing.T) {
+	const n = 37
+	for _, workers := range []int{-1, 0, 1, 2, 4, n + 3} {
+		hits := make([]atomic.Int32, n)
+		fanOut(workers, n, func(i int) { hits[i].Add(1) })
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Errorf("workers %d: index %d evaluated %d times", workers, i, got)
 			}
 		}
+	}
+}
+
+// TestFanOutInlineKeepsIndexOrder pins the serial reference path: one
+// worker runs on the calling goroutine, in index order.
+func TestFanOutInlineKeepsIndexOrder(t *testing.T) {
+	var order []int
+	fanOut(1, 5, func(i int) { order = append(order, i) })
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("inline order %v", order)
+		}
+	}
+	if len(order) != 5 {
+		t.Fatalf("inline run evaluated %d of 5 indices", len(order))
 	}
 }
 

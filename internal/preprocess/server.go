@@ -3,7 +3,6 @@ package preprocess
 import (
 	"bufio"
 	"cmp"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"disttrain/internal/data"
-	"disttrain/internal/fanout"
 	"disttrain/internal/reorder"
 	"disttrain/internal/window"
 )
@@ -51,9 +49,8 @@ type Config struct {
 	Source Source
 	// GlobalBatch and Microbatch shape each iteration's assignment.
 	// Every fetch names its own DP width, so DPSize splits nothing a
-	// Server serves: it is the co-located baseline's split (Colocated)
-	// and the worker-pool default. GlobalBatch must divide evenly across
-	// DPSize ranks in multiples of Microbatch.
+	// Server serves: it is the worker-pool default. GlobalBatch must
+	// divide evenly across DPSize ranks in multiples of Microbatch.
 	GlobalBatch, DPSize, Microbatch int
 	// Cost prices a raw sample for Algorithm 1, which then balances
 	// each iteration across the DP ranks of every fetch; nil splits
@@ -397,7 +394,7 @@ func (s *Server) build(iter int64, dp int) ([][]Processed, error) {
 	// op_ms_p50 3.06 ms (per-sample goroutines) vs 3.11 ms (this), each
 	// side's runs spread over 2.7-3.5 ms, and peak_rss_mb 28.4-28.9 vs
 	// 28.5-29.0, so the repo's one worker pool stays the only one.
-	fanout.Run(context.Background(), s.cfg.Workers, bs, func(i int) {
+	fanOut(s.cfg.Workers, bs, func(i int) {
 		processed[i], errs[i] = ProcessSample(raw[i])
 	})
 	for _, err := range errs {
@@ -433,6 +430,45 @@ func (s *Server) build(iter int64, dp int) ([][]Processed, error) {
 		}
 	}
 	return out, nil
+}
+
+// fanOut is the repo's one worker pool: it evaluates eval(0..n-1) on
+// at most workers goroutines, handing out indices through an atomic
+// cursor, and returns once every index has finished. The calling
+// goroutine is one of the workers, so only workers-1 are spawned; one
+// worker or fewer runs inline, in index order. Outcomes go to
+// per-index slots reduced in index order afterwards, which keeps a
+// build byte-identical at any worker count.
+func fanOut(workers, n int, eval func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			eval(i)
+		}
+		return
+	}
+	var cursor atomic.Int64
+	drain := func() {
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			eval(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			drain()
+		}()
+	}
+	drain()
+	wg.Wait()
 }
 
 // --- wire helpers ---
@@ -560,44 +596,6 @@ func parseBatch(body []byte) (*RankBatch, error) {
 			mb = append(mb, p)
 		}
 		rb.Microbatches = append(rb.Microbatches, mb)
-	}
-	return rb, nil
-}
-
-// Colocated runs the identical preprocessing pipeline synchronously on
-// the caller — the monolithic baseline whose stall Figure 17 measures.
-type Colocated struct {
-	cfg Config
-}
-
-// NewColocated builds the inline preprocessor.
-func NewColocated(cfg Config) (*Colocated, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &Colocated{cfg: cfg}, nil
-}
-
-// Fetch preprocesses rank 0's batch of iteration 0 on the calling
-// goroutine, blocking the training loop for the full CPU cost.
-func (c *Colocated) Fetch(ctx context.Context) (*RankBatch, error) {
-	perRank := c.cfg.GlobalBatch / c.cfg.DPSize
-	m := c.cfg.Microbatch
-	rb := &RankBatch{}
-	var mb []Processed
-	for i := 0; i < perRank; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p, err := ProcessSample(c.cfg.Source.Sample(int64(i)))
-		if err != nil {
-			return nil, err
-		}
-		mb = append(mb, p)
-		if len(mb) == m {
-			rb.Microbatches = append(rb.Microbatches, mb)
-			mb = nil
-		}
 	}
 	return rb, nil
 }

@@ -1,7 +1,6 @@
 package preprocess
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -169,44 +168,6 @@ func TestProducerServesRewindsAndStaggers(t *testing.T) {
 		if got := srv.builds.Load(); got != c.builds {
 			t.Errorf("a tenant %d behind over %d iterations: %d builds, want %d", c.lag, n, got, c.builds)
 		}
-	}
-}
-
-// Once the prefetch loop dies, Next must re-deliver the terminal error
-// on every call instead of blocking on a channel nothing feeds.
-func TestPrefetcherRedeliversTerminalError(t *testing.T) {
-	cfg := Config{
-		Source:      fixedSource{images: 1, resolution: 32, seqLen: 128},
-		GlobalBatch: 4, DPSize: 2, Microbatch: 1, Workers: 2,
-	}
-	_, addr := startServer(t, cfg)
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	// A 3-wide split does not divide the 4-sample batch: the first
-	// fetch fails terminally.
-	pf := NewPrefetcher(client, 3)
-	defer pf.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	first := func() error { _, err := pf.Next(ctx); return err }
-	if err := first(); err == nil {
-		t.Fatal("bad split prefetch succeeded")
-	}
-	// The queue is drained now; every further Next must return the same
-	// terminal error immediately, not block until the context dies.
-	start := time.Now()
-	for i := 0; i < 3; i++ {
-		if _, err := pf.Next(ctx); err == nil || errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("call %d: got %v, want re-delivered terminal error", i, err)
-		}
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("drained prefetcher blocked for %v", d)
 	}
 }
 

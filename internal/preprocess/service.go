@@ -29,7 +29,7 @@ import (
 // request, which is exactly what makes preprocessing elastically
 // scalable.
 type Service struct {
-	members []*poolMember
+	members []*Client
 	stats   *metrics.PoolStats // aggregate; tenants record into labeled children
 	// cooldown starts at the constant of the same name; tests shorten
 	// it.
@@ -97,7 +97,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	s := &Service{stats: &metrics.PoolStats{}, cooldown: cooldown}
 	for _, addr := range cfg.Addrs {
-		s.members = append(s.members, &poolMember{addr: addr})
+		s.members = append(s.members, &Client{addr: addr, connect: dialTimeout, roundTrip: fetchTimeout})
 	}
 	return s, nil
 }
@@ -138,7 +138,7 @@ func (s *Service) Register(cfg TenantConfig) (*Tenant, error) {
 func (s *Service) Close() {
 	s.closed.Store(true)
 	for _, m := range s.members {
-		m.close()
+		m.Close()
 	}
 }
 
@@ -168,7 +168,7 @@ func (s *Service) fetchWithFailover(ctx context.Context, t *Tenant, dp int, iter
 			t.stats.RecordFailover()
 			continue
 		}
-		rb, err := m.fetchTenant(ctx, uint32(t.id), dp, iter, rank)
+		rb, err := m.FetchTenant(ctx, uint32(t.id), dp, iter, rank)
 		if err == nil {
 			return rb, nil
 		}

@@ -666,6 +666,91 @@ func TestServiceFailoverAcrossTenants(t *testing.T) {
 	}
 }
 
+// A Dial'd client survives its producer's restart: the request that
+// finds the old connection dead fails with a transport error and drops
+// it, and the next one re-dials the producer on its old address.
+func TestClientRedialsRestartedProducer(t *testing.T) {
+	cfg := fleetConfig()
+	fleet, err := StartFleet(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	client, err := Dial(fleet.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx := context.Background()
+	if _, err := client.FetchTenant(ctx, 0, 2, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.FailProducer(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fleet.JoinProducer(0); err != nil {
+		t.Fatal(err)
+	}
+	var se *serverError
+	if _, err := client.FetchTenant(ctx, 0, 2, 1, 0); err == nil || errors.As(err, &se) {
+		t.Fatalf("fetch over the stale connection: %v, want a transport error", err)
+	}
+	got, err := client.FetchTenant(ctx, 0, 2, 1, 0)
+	if err != nil {
+		t.Fatalf("fetch after the producer restarted: %v", err)
+	}
+	ref, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	want, err := ref.FetchTenant(0, 2, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBatch(t, got), encodeBatch(t, want)) {
+		t.Fatal("re-dialed fetch differs from the in-process producer's batch")
+	}
+}
+
+// A request racing Client.Close either sees the client closed and never
+// dials, or dials first and has its fresh connection closed by Close:
+// no connection outlives Close, so the producer's handlers all end.
+func TestClientCloseRacesLazyDial(t *testing.T) {
+	srv, addr := startServer(t, fleetConfig())
+	ctx := context.Background()
+	for round := 0; round < 20; round++ {
+		c := &Client{addr: addr, connect: dialTimeout, roundTrip: fetchTimeout}
+		var wg sync.WaitGroup
+		for rank := 0; rank < 4; rank++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.FetchTenant(ctx, 0, 2, int64(round), rank%2) //nolint:errcheck // racing Close
+			}()
+		}
+		c.Close()
+		wg.Wait()
+		c.mu.Lock()
+		open := c.conn != nil
+		c.mu.Unlock()
+		if open {
+			t.Fatalf("round %d: a connection outlived Close", round)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		n := len(srv.conns)
+		srv.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("producer still serves %d connections of closed clients", n)
+		}
+	}
+}
+
 // Duplicate tenant names and registration after Close are rejected.
 func TestServiceRegisterValidation(t *testing.T) {
 	svc, err := NewService(ServiceConfig{Addrs: []string{"127.0.0.1:1"}})

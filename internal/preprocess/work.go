@@ -5,10 +5,9 @@
 // ready-to-train microbatches to the GPU nodes over RPC. The producer
 // here is a real TCP service doing real pixel work on synthetic image
 // payloads; the consumer is a Service whose tenants fetch rank
-// batches through private caches, failing over across producers (the
-// Figure 17 experiment streams through a Prefetcher instead); the
-// co-located mode used by the monolithic baseline runs the same work
-// inline.
+// batches through private caches, failing over across producers, each
+// producer reached through one Client; Figure 17's co-located baseline
+// runs the same work (ProcessSample) inline.
 package preprocess
 
 import (
