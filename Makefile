@@ -14,7 +14,7 @@ COVER_FLOOR ?= 73
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 14616
+LOC_CEILING ?= 14574
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 
@@ -103,7 +103,6 @@ profile: build
 	@mkdir -p $(PROF_DIR)
 	$(GO) run ./cmd/disttrain-fleet -nodes $$(( 2 * $(PROF_JOBS) )) -jobs $(PROF_JOBS) \
 		-job-iters $(PROF_ITERS) -job-nodes 2-2 -batch 32 -trace $(PROF_DIR)/fleet-trace.json \
-		-plan-cache-dir $(PROF_DIR)/plan-cache \
 		-cpuprofile $(PROF_DIR)/fleet-cpu.pprof \
 		-memprofile $(PROF_DIR)/fleet-mem.pprof \
 		-mutexprofile $(PROF_DIR)/fleet-mutex.pprof

@@ -292,7 +292,7 @@ func BenchmarkPlanSearch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, s := range specs {
-				if _, err := orchestrator.Search(context.Background(), s, orchestrator.SearchOptions{}); err != nil {
+				if _, err := orchestrator.Search(s, orchestrator.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -27,7 +27,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -37,10 +36,8 @@ import (
 	"disttrain/internal/experiments"
 	"disttrain/internal/fleet"
 	"disttrain/internal/model"
-	"disttrain/internal/orchestrator"
 	"disttrain/internal/prof"
 	"disttrain/internal/scenario"
-	"disttrain/internal/store"
 	"disttrain/internal/trainer"
 )
 
@@ -58,7 +55,6 @@ func main() {
 		scenSpec  = flag.String("scenario", "", "fleet-scope scenario, e.g. 'job-arrive:iter=2,job=0; node-fail:iter=3,node=1; priority-arrive:iter=4,job=0,class=high; preempt-storm:iter=5,job=1,count=2'")
 		traceFile = flag.String("trace", "", "write the merged fleet timeline (Chrome trace format) to this file")
 		producers = flag.Int("producers", 0, "shared preprocessing producers (0 = no shared tier); jobs fetch batches over TCP, each through its own cache partition")
-		cacheDir  = flag.String("plan-cache-dir", "", "durable plan-cache directory: plans persist across runs, repeated specs skip the search entirely, and new lease sizes warm-start from their neighbours")
 	)
 	profile := prof.Register(flag.CommandLine)
 	flag.Parse()
@@ -122,20 +118,6 @@ func main() {
 		Policy:  pol,
 		Trace:   *traceFile != "",
 	}
-	var disk *store.Disk
-	var pruned int64 // candidates the durable cache's searches pruned, as its observer counts them
-	if *cacheDir != "" {
-		if disk, err = store.OpenDisk(*cacheDir); err != nil {
-			fatal(err)
-		}
-		cfg.Cache = orchestrator.NewPersistentPlanCache(orchestrator.SearchOptions{
-			OnCandidate: func(_ orchestrator.Candidate, _ *orchestrator.Plan, err error) {
-				if errors.Is(err, orchestrator.ErrCandidatePruned) {
-					pruned++
-				}
-			},
-		}, disk)
-	}
 	for i := 0; i < *jobs; i++ {
 		cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
 			Name: fmt.Sprintf("job%d", i), Train: tmpl, Iters: *jobIters,
@@ -169,10 +151,6 @@ func main() {
 	fmt.Printf("fleet: %d nodes, %s policy, %d rounds, %d tenants\n",
 		*nodes, pol.Name(), res.Rounds, len(res.Jobs))
 	fmt.Printf("plan cache: %d searches, %d hits\n", res.PlanSearches, res.PlanHits)
-	if disk != nil {
-		fmt.Printf("durable plan cache (%s): %d warm hits, %d warm-seeded searches, %d candidates pruned, %d corrupt entries skipped\n",
-			*cacheDir, cfg.Cache.WarmHits(), res.PlanWarmSeeds, pruned, disk.CorruptSkips())
-	}
 	if res.Preprocess != nil {
 		fmt.Printf("shared preprocessing: %s\n", res.Preprocess)
 	}

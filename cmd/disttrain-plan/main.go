@@ -27,7 +27,6 @@ import (
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/prof"
-	"disttrain/internal/store"
 )
 
 var (
@@ -37,7 +36,6 @@ var (
 	strategy  = flag.String("strategy", "all", "disttrain, megatron, distmm or all")
 	freeze    = flag.String("freeze", "full", "full, all-frozen, encoder-only, llm-only or generator-only")
 	sweep     = flag.String("sweep", "", "comma-separated node counts to plan in order (overrides -nodes/-strategy)")
-	cacheDir  = flag.String("plan-cache-dir", "", "durable plan-cache directory: previously planned tasks load from disk instead of re-searching, and new sizes warm-start from their neighbours")
 )
 
 func main() {
@@ -77,19 +75,12 @@ func run() error {
 		}
 	}}
 	cache := orchestrator.NewPlanCache(opts)
-	var disk *store.Disk
-	if *cacheDir != "" {
-		if disk, err = store.OpenDisk(*cacheDir); err != nil {
-			return err
-		}
-		cache = orchestrator.NewPersistentPlanCache(opts, disk)
-	}
 
 	if *sweep != "" {
 		if err := runSweep(m, fr, *batch, *sweep, cache); err != nil {
 			return err
 		}
-		reportCache(cache, disk, pruned)
+		reportCache(cache, pruned)
 		return nil
 	}
 
@@ -124,25 +115,18 @@ func run() error {
 		}
 		fmt.Println(plan)
 	}
-	reportCache(cache, disk, pruned)
+	reportCache(cache, pruned)
 	return nil
 }
 
 // reportCache summarises the plan cache's work, with the pruned
-// candidates its observer counted, and, when it persists to disk
-// (non-nil disk), the corrupt entries it read as misses.
-func reportCache(cache *orchestrator.PlanCache, disk *store.Disk, pruned int64) {
-	fmt.Printf("plan cache: %d searches, %d warm hits, %d warm-seeded, %d candidates pruned",
-		cache.Searches(), cache.WarmHits(), cache.WarmSeeds(), pruned)
-	if disk != nil {
-		fmt.Printf(", %d corrupt entries skipped", disk.CorruptSkips())
-	}
-	fmt.Println()
+// candidates its observer counted.
+func reportCache(cache *orchestrator.PlanCache, pruned int64) {
+	fmt.Printf("plan cache: %d searches, %d candidates pruned\n", cache.Searches(), pruned)
 }
 
 // runSweep plans the model at every requested cluster size, in order,
-// through the cache: a repeated size is a hit, and sizes an earlier
-// run left in the durable cache load from disk. Prints a comparison
+// through the cache: a repeated size is a hit. Prints a comparison
 // table.
 func runSweep(m model.MLLM, fr model.FreezeSpec, batch int, sweep string, cache *orchestrator.PlanCache) error {
 	var nodeCounts []int

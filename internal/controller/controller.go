@@ -32,7 +32,6 @@
 package controller
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -328,7 +327,7 @@ func runSearch(cfg Config, incumbent orchestrator.Plan, shapes []model.SampleSha
 	}
 	spec := cfg.Train.Spec
 	spec.Profiler = fresh
-	plan, err := orchestrator.Search(context.Background(), spec, orchestrator.SearchOptions{})
+	plan, err := orchestrator.Search(spec, orchestrator.SearchOptions{})
 	if err != nil {
 		return nil
 	}

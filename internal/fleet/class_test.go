@@ -35,7 +35,7 @@ func (w *classWatcher) Rebalance(ops Ops) {
 	seen := map[int]uintptr{}
 	for _, t := range w.f.tenants {
 		if t.state == stateRunning {
-			seen[t.id] = classOf(t.rt)
+			seen[t.ID] = classOf(t.rt)
 		}
 	}
 	w.rounds = append(w.rounds, seen)
@@ -171,7 +171,7 @@ func TestFleetResolvesEachClassOnce(t *testing.T) {
 	}
 	for _, l := range []cluster.Lease{cluster.NewLease(0, 1), cluster.NewLease(0, 1, 2)} {
 		s := spec.ForLease(spec.Cluster, l, false)
-		fresh, err := orchestrator.Search(ctx, s, orchestrator.SearchOptions{})
+		fresh, err := orchestrator.Search(s, orchestrator.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

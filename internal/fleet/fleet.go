@@ -68,10 +68,10 @@ type Config struct {
 	// JobSpec's Train.Scenario.
 	Scenario scenario.Scenario
 	// Cache, when non-nil, is the shared plan cache to consult (and
-	// warm); nil builds a private one with default search options (a
-	// caller who wants others builds the cache). Result search/hit
-	// counts are deltas over this run either way. A persistent cache
-	// over a store.Disk makes the control plane durable.
+	// warm); nil builds a private in-memory one with default search
+	// options. Result search/hit counts are deltas over this run either
+	// way. Only benchmark/ sets it, to a persistent cache over a
+	// store.Disk, until a later benchmark change deletes the store.
 	Cache *orchestrator.PlanCache
 	// Preprocess, when non-nil, attaches the fleet-shared
 	// disaggregated preprocessing tier: one producer fleet plus one
@@ -193,32 +193,21 @@ var legalMoves = [...][len(stateNames)]bool{
 	stateDone:    {},
 }
 
+// tenant is one submission's run state. Its JobResult is the record
+// Run returns, kept current as the tenant moves: JobResult.Spec indexes
+// Config.Jobs (the tenant's template), and Priority is its class.
 type tenant struct {
-	id, spec int // spec indexes Config.Jobs: the tenant's template
-	name     string
+	JobResult
+
 	iters    int
 	min, max int
-	class    Class
+	waited   int // full rounds queued since last enqueue
 
-	arrived, started, finished int
-	departed                   bool
-	resizes                    int
-	waited                     int // full rounds queued since last enqueue
-	preempts                   int
-
-	rt       *trainer.Runtime
-	job      *trainer.Job
-	lease    cluster.Lease
-	plan     *orchestrator.Plan
-	trace    *metrics.Trace
-	result   *trainer.Result
-	pool     *preprocess.Tenant
-	poolSnap *metrics.PoolSnapshot
-	err      error
-
-	strategy string
-	state    int
-	stepErr  error
+	rt      *trainer.Runtime
+	job     *trainer.Job
+	pool    *preprocess.Tenant
+	state   int
+	stepErr error
 }
 
 // runner is one fleet run's mutable state.
@@ -404,14 +393,7 @@ func Run(cfg Config) (*Result, error) {
 		PlanWarmSeeds: cache.WarmSeeds() - baseWarmSeeds,
 	}
 	for _, t := range f.tenants {
-		res.Jobs = append(res.Jobs, JobResult{
-			Name: t.name, Spec: t.spec, ID: t.id,
-			Arrived: t.arrived, Started: t.started, Finished: t.finished,
-			Departed: t.departed, Resizes: t.resizes,
-			Priority: t.class, Preemptions: t.preempts,
-			Lease: t.lease, Strategy: t.strategy, Plan: t.plan,
-			Result: t.result, Trace: t.trace, Pool: t.poolSnap, Err: t.err,
-		})
+		res.Jobs = append(res.Jobs, t.JobResult)
 	}
 	if f.service != nil {
 		snap := f.service.Snapshot()
@@ -421,11 +403,11 @@ func Run(cfg Config) (*Result, error) {
 		merged := metrics.NewTrace()
 		base := 0
 		for _, t := range f.tenants {
-			if t.trace == nil {
+			if t.Trace == nil {
 				continue
 			}
-			merged.AppendOffset(t.trace, base, t.name+"/")
-			base += t.trace.MaxPID() + 1
+			merged.AppendOffset(t.Trace, base, t.Name+"/")
+			base += t.Trace.MaxPID() + 1
 		}
 		merged.AppendOffset(f.fleetTrace, base, "fleet/")
 		res.Trace = merged
@@ -479,21 +461,22 @@ func (f *runner) newTenant(si int, class Class) {
 		name = "job"
 	}
 	t := &tenant{
-		id: len(f.tenants), spec: si,
-		name:  fmt.Sprintf("%s-%d", name, len(f.tenants)),
+		JobResult: JobResult{
+			Name: fmt.Sprintf("%s-%d", name, len(f.tenants)), Spec: si, ID: len(f.tenants),
+			Arrived: f.round, Started: -1, Finished: -1,
+			Priority: lim.class,
+		},
 		iters: js.Iters,
 		min:   lim.min, max: lim.max,
-		class:   lim.class,
-		arrived: f.round, started: -1, finished: -1,
 		state: stateQueued,
 	}
 	if class != "" {
-		t.class = class
+		t.Priority = class
 	}
 	f.tenants = append(f.tenants, t)
 	f.queue = append(f.queue, t)
 	f.queueDirty = true
-	f.note("job-arrive", metrics.Int("job", t.id), metrics.Str("name", t.name), metrics.Str("class", t.class.String()))
+	f.note("job-arrive", metrics.Int("job", t.ID), metrics.Str("name", t.Name), metrics.Str("class", t.Priority.String()))
 }
 
 // enqueueArrivals submits this round's arrivals: Config.Jobs entries
@@ -578,10 +561,10 @@ func (f *runner) failNode(node int) {
 	// Only a running tenant holds nodes. It shrinks onto the survivors
 	// when they can still run the job.
 	t := f.tenants[owner]
-	if shrunk := t.lease.Without(node); shrunk.NodeCount() >= t.min {
+	if shrunk := t.Lease.Without(node); shrunk.NodeCount() >= t.min {
 		reason := fmt.Sprintf("node %d failed: lease shrinks to %d nodes", node, shrunk.NodeCount())
 		if f.resize(t, shrunk, nil, reason) == nil {
-			f.note("lease-shrink", metrics.Int("job", t.id), metrics.Int("nodes", shrunk.NodeCount()))
+			f.note("lease-shrink", metrics.Int("job", t.ID), metrics.Int("nodes", shrunk.NodeCount()))
 			return
 		}
 	}
@@ -591,7 +574,7 @@ func (f *runner) failNode(node int) {
 	// capacity returns.
 	f.transition(t, stateQueued, "node failed")
 	f.requeueFront(t)
-	f.note("job-suspend", metrics.Int("job", t.id))
+	f.note("job-suspend", metrics.Int("job", t.ID))
 }
 
 // transition is the one writer of tenant state. Every move between
@@ -604,11 +587,11 @@ func (f *runner) failNode(node int) {
 func (f *runner) transition(t *tenant, to int, reason string) {
 	if !legalMoves[t.state][to] {
 		panic(fmt.Sprintf("fleet: illegal move %s -> %s of tenant %s at round %d (%s)",
-			stateNames[t.state], stateNames[to], t.name, f.round, reason))
+			stateNames[t.state], stateNames[to], t.Name, f.round, reason))
 	}
 	if to == stateQueued || to == stateDone {
-		f.table.Release(t.id)
-		t.lease = cluster.Lease{}
+		f.table.Release(t.ID)
+		t.Lease = cluster.Lease{}
 	}
 	t.state = to
 	t.waited = 0
@@ -630,8 +613,8 @@ func (f *runner) resize(t *tenant, lease cluster.Lease, plan *orchestrator.Plan,
 	if err := t.job.Resize(lease, plan, reason); err != nil {
 		return err
 	}
-	t.lease, t.plan = lease, plan
-	t.resizes++
+	t.Lease, t.Plan = lease, plan
+	t.Resizes++
 	f.gen++
 	return nil
 }
@@ -640,7 +623,7 @@ func (f *runner) resize(t *tenant, lease cluster.Lease, plan *orchestrator.Plan,
 // entry, keeping suspended tenants among themselves in id order.
 func (f *runner) requeueFront(t *tenant) {
 	at := 0
-	for at < len(f.queue) && f.queue[at].started >= 0 && f.queue[at].id < t.id {
+	for at < len(f.queue) && f.queue[at].Started >= 0 && f.queue[at].ID < t.ID {
 		at++
 	}
 	f.queue = append(f.queue, nil)
@@ -673,8 +656,8 @@ func (f *runner) departJob(id int) {
 // fleet does not keep (and the GC does not re-mark) every runtime it
 // ever ran.
 func (f *runner) retire(t *tenant, departed bool) {
-	if t.job != nil && t.result == nil {
-		t.result = t.job.Finish()
+	if t.job != nil && t.Result == nil {
+		t.Result = t.job.Finish()
 	}
 	if t.rt != nil {
 		t.rt.Close() // leaves the run's batch cache
@@ -684,17 +667,17 @@ func (f *runner) retire(t *tenant, departed bool) {
 	// counters are quiescent — snapshot them now, exactly once.
 	f.snapshotPool(t)
 	f.transition(t, stateDone, "retire")
-	t.finished = f.round
-	t.departed = departed
+	t.Finished = f.round
+	t.Departed = departed
 	f.retired++
 }
 
 // fail retires a tenant on an admission or runtime error, with the
 // scheduler-lane note naming what kind of failure it was.
 func (f *runner) fail(t *tenant, kind string, err error) {
-	t.err = err
+	t.Err = err
 	f.retire(t, false)
-	f.note(kind, metrics.Int("job", t.id), metrics.Str("reason", err.Error()))
+	f.note(kind, metrics.Int("job", t.ID), metrics.Str("reason", err.Error()))
 }
 
 // leaseSpec scopes the tenant's training spec to a lease — the exact
@@ -703,7 +686,7 @@ func (f *runner) fail(t *tenant, kind string, err error) {
 // schedulers price the lease's concrete shape: a fragmented lease
 // loses rail alignment, and its plan is cached under that shape.
 func (f *runner) leaseSpec(t *tenant, l cluster.Lease) orchestrator.Spec {
-	return f.cfg.Jobs[t.spec].Train.Spec.ForLease(f.cfg.Cluster, l, f.shaped)
+	return f.cfg.Jobs[t.Spec].Train.Spec.ForLease(f.cfg.Cluster, l, f.shaped)
 }
 
 // sortQueue orders the admission queue by the scheduler's Order
@@ -805,11 +788,11 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 	if err != nil {
 		return err
 	}
-	if err := f.table.Acquire(t.id, lease.Nodes); err != nil {
+	if err := f.table.Acquire(t.ID, lease.Nodes); err != nil {
 		return err
 	}
 	if t.rt == nil {
-		tcfg := f.cfg.Jobs[t.spec].Train
+		tcfg := f.cfg.Jobs[t.Spec].Train
 		l := lease
 		tcfg.Lease = &l
 		tcfg.Plan = plan
@@ -823,8 +806,8 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 		// dropped (off).
 		tcfg.Trace = nil
 		if f.cfg.Trace {
-			t.trace = metrics.NewTrace()
-			tcfg.Trace = t.trace
+			t.Trace = metrics.NewTrace()
+			tcfg.Trace = t.Trace
 		}
 		// With a shared preprocessing tier, the tenant registers on the
 		// service and sources its batches through its handle.
@@ -841,16 +824,16 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 			return err
 		}
 		t.rt, t.job = rt, job
-		t.strategy = plan.Strategy
-		t.lease, t.plan = lease, plan
+		t.Strategy = plan.Strategy
+		t.Lease, t.Plan = lease, plan
 	} else if err := f.resize(t, lease, plan, fmt.Sprintf("resumed on %d nodes", lease.NodeCount())); err != nil {
 		return err
 	}
-	if t.started < 0 {
-		t.started = f.round
+	if t.Started < 0 {
+		t.Started = f.round
 	}
 	f.admitRunning(t)
-	f.note("job-start", metrics.Int("job", t.id), metrics.Int("nodes", lease.NodeCount()), metrics.Str("strategy", plan.Strategy))
+	f.note("job-start", metrics.Int("job", t.ID), metrics.Int("nodes", lease.NodeCount()), metrics.Str("strategy", plan.Strategy))
 	return nil
 }
 
@@ -891,7 +874,7 @@ func (f *runner) completeFinished() {
 	for _, t := range f.tenants {
 		if t.state == stateRunning && t.job.Done() {
 			f.retire(t, false)
-			f.note("job-done", metrics.Int("job", t.id))
+			f.note("job-done", metrics.Int("job", t.ID))
 		}
 	}
 }
@@ -900,10 +883,10 @@ func (f *runner) completeFinished() {
 // running tenant will free capacity and no future event can add any.
 func (f *runner) starveQueue() {
 	for _, t := range f.queue {
-		t.err = fmt.Errorf("fleet: %s starved: %d free of %d nodes, needs %d",
-			t.name, f.table.FreeCount(), f.table.Nodes(), t.min)
+		t.Err = fmt.Errorf("fleet: %s starved: %d free of %d nodes, needs %d",
+			t.Name, f.table.FreeCount(), f.table.Nodes(), t.min)
 		f.retire(t, false)
-		f.note("job-starved", metrics.Int("job", t.id))
+		f.note("job-starved", metrics.Int("job", t.ID))
 	}
 	f.queue = nil
 }

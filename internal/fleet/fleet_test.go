@@ -246,7 +246,7 @@ func TestFleetSharedBatchesMatchStandalone(t *testing.T) {
 }
 
 // diskCache is a fresh persistent plan cache over the store in dir, the
-// cache disttrain-fleet -plan-cache-dir hands the fleet.
+// cache benchmark/'s fleet-churn workload hands the fleet.
 func diskCache(t *testing.T, dir string) *orchestrator.PlanCache {
 	t.Helper()
 	st, err := store.OpenDisk(dir)

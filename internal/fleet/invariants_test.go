@@ -99,11 +99,11 @@ func TestTransitionLegality(t *testing.T) {
 		for to := range stateNames {
 			name := stateNames[from] + "->" + stateNames[to]
 			f := &runner{table: newLeaseTable(4), round: 7}
-			tn := &tenant{id: 0, name: "probe-0", state: from, waited: 3}
+			tn := &tenant{JobResult: JobResult{Name: "probe-0"}, state: from, waited: 3}
 			holds := from == stateRunning
 			if holds {
-				tn.lease = cluster.NewLease(1, 2)
-				if err := f.table.Acquire(tn.id, tn.lease.Nodes); err != nil {
+				tn.Lease = cluster.NewLease(1, 2)
+				if err := f.table.Acquire(tn.ID, tn.Lease.Nodes); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -133,8 +133,8 @@ func TestTransitionLegality(t *testing.T) {
 			}
 			// Queued and done hold no nodes, and a queued tenant brings
 			// none into running: every legal move leaves the table free.
-			if got := f.table.FreeCount(); got != 4 || tn.lease.NodeCount() != 0 {
-				t.Errorf("%s: %d nodes free, lease %v; want all 4 free", name, got, tn.lease)
+			if got := f.table.FreeCount(); got != 4 || tn.Lease.NodeCount() != 0 {
+				t.Errorf("%s: %d nodes free, lease %v; want all 4 free", name, got, tn.Lease)
 			}
 		}
 	}

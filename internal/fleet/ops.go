@@ -13,12 +13,12 @@ import (
 // copy before mutating).
 func (f *runner) view(t *tenant) JobView {
 	return JobView{
-		ID: t.id, Name: t.name, Priority: t.class,
+		ID: t.ID, Name: t.Name, Priority: t.Priority,
 		Min: t.min, Max: t.max,
-		Arrived: t.arrived, Started: t.started,
+		Arrived: t.Arrived, Started: t.Started,
 		Waited:    t.waited,
-		Suspended: t.state == stateQueued && t.started >= 0,
-		Nodes:     t.lease.Nodes,
+		Suspended: t.state == stateQueued && t.Started >= 0,
+		Nodes:     t.Lease.Nodes,
 	}
 }
 
@@ -58,7 +58,7 @@ func (o schedOps) Running() []JobView {
 func (f *runner) admitRunning(t *tenant) {
 	current := f.runViewsGen == f.gen
 	f.transition(t, stateRunning, "placed")
-	if n := len(f.runViews); current && (n == 0 || f.runViews[n-1].ID < t.id) {
+	if n := len(f.runViews); current && (n == 0 || f.runViews[n-1].ID < t.ID) {
 		f.runViews = append(f.runViews, f.view(t))
 		f.runViewsGen = f.gen
 	}
@@ -84,7 +84,7 @@ func (o schedOps) Shrink(id int, drop []int, reason string) bool {
 	if t == nil || len(drop) == 0 {
 		return false
 	}
-	shrunk := t.lease
+	shrunk := t.Lease
 	for _, n := range drop {
 		if !shrunk.Contains(n) {
 			return false
@@ -97,13 +97,13 @@ func (o schedOps) Shrink(id int, drop []int, reason string) bool {
 	if f.resize(t, shrunk, nil, reason) != nil {
 		return false
 	}
-	if err := f.table.ReleaseNodes(t.id, drop); err != nil {
+	if err := f.table.ReleaseNodes(t.ID, drop); err != nil {
 		// Table and tenant state diverged: fail loudly via the tenant
 		// rather than corrupting accounting.
 		f.fail(t, "job-failed", err)
 		return false
 	}
-	f.note("lease-shrink", metrics.Int("job", t.id), metrics.Int("nodes", shrunk.NodeCount()))
+	f.note("lease-shrink", metrics.Int("job", t.ID), metrics.Int("nodes", shrunk.NodeCount()))
 	return true
 }
 
@@ -120,18 +120,18 @@ func (o schedOps) Grow(id int, take []int, reason string) bool {
 			return false
 		}
 	}
-	grown := cluster.NewLease(append(append([]int(nil), t.lease.Nodes...), take...)...)
-	if grown.NodeCount() != t.lease.NodeCount()+len(take) {
+	grown := cluster.NewLease(append(append([]int(nil), t.Lease.Nodes...), take...)...)
+	if grown.NodeCount() != t.Lease.NodeCount()+len(take) {
 		return false // duplicate nodes in take
 	}
 	if f.resize(t, grown, nil, reason) != nil {
 		return false
 	}
-	if err := f.table.Acquire(t.id, take); err != nil {
+	if err := f.table.Acquire(t.ID, take); err != nil {
 		f.fail(t, "job-failed", err)
 		return false
 	}
-	f.note("lease-grow", metrics.Int("job", t.id), metrics.Int("nodes", grown.NodeCount()))
+	f.note("lease-grow", metrics.Int("job", t.ID), metrics.Int("nodes", grown.NodeCount()))
 	return true
 }
 
@@ -147,9 +147,9 @@ func (o schedOps) Preempt(id int, reason string) bool {
 		return false
 	}
 	f.transition(t, stateQueued, "preempted")
-	t.preempts++
+	t.Preemptions++
 	f.queue = append(f.queue, t)
 	f.queueDirty = true
-	f.note("job-preempt", metrics.Int("job", t.id), metrics.Str("reason", reason))
+	f.note("job-preempt", metrics.Int("job", t.ID), metrics.Str("reason", reason))
 	return true
 }

@@ -93,14 +93,14 @@ func (f *runner) registerTenant(t *tenant, tcfg *trainer.Config) error {
 	if f.service == nil {
 		return nil
 	}
-	handle, err := f.service.Register(preprocess.TenantConfig{Name: t.name})
+	handle, err := f.service.Register(preprocess.TenantConfig{Name: t.Name})
 	if err != nil {
 		return err
 	}
 	t.pool = handle
 	tcfg.Source = &trainer.PoolSource{Pool: handle, Samples: tcfg.Corpus}
 	tcfg.DisaggregatedPreprocess = true
-	f.note("pool-register", metrics.Int("job", t.id))
+	f.note("pool-register", metrics.Int("job", t.ID))
 	return nil
 }
 
@@ -136,7 +136,7 @@ func (f *runner) snapshotPool(t *tenant) {
 		return
 	}
 	snap := t.pool.Snapshot()
-	t.poolSnap = &snap
+	t.Pool = &snap
 	t.pool.Close()
-	f.note("pool-stats", metrics.Int("job", t.id), metrics.Int("fetches", int(snap.Fetches)))
+	f.note("pool-stats", metrics.Int("job", t.ID), metrics.Int("fetches", int(snap.Fetches)))
 }

@@ -211,7 +211,7 @@ func TestSnapshotPoolClosesRetiredTenant(t *testing.T) {
 	}
 	tn := &tenant{pool: handle}
 	(&runner{}).snapshotPool(tn)
-	if tn.poolSnap == nil {
+	if tn.Pool == nil {
 		t.Fatal("retired tenant has no pool snapshot")
 	}
 	_, err = handle.Fetch(context.Background(), 0, 0)

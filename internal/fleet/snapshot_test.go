@@ -130,7 +130,7 @@ func TestRunningSnapshotMatchesFreshBuild(t *testing.T) {
 func TestRunningSnapshotAllocFree(t *testing.T) {
 	f := &runner{table: newLeaseTable(8)}
 	for i := 0; i < 3; i++ {
-		tn := &tenant{id: i, name: "t", min: 1, max: 4, started: -1, state: stateQueued}
+		tn := &tenant{JobResult: JobResult{Name: "t", ID: i, Started: -1}, min: 1, max: 4, state: stateQueued}
 		f.tenants = append(f.tenants, tn)
 	}
 	ops := schedOps{f}
@@ -170,7 +170,7 @@ func TestRunningSnapshotAllocFree(t *testing.T) {
 func TestRunningSnapshotExtendsOnAdmission(t *testing.T) {
 	f := &runner{table: newLeaseTable(8)}
 	for i := 0; i < 5; i++ {
-		f.tenants = append(f.tenants, &tenant{id: i, name: "t", min: 1, max: 4, started: -1, state: stateQueued})
+		f.tenants = append(f.tenants, &tenant{JobResult: JobResult{Name: "t", ID: i, Started: -1}, min: 1, max: 4, state: stateQueued})
 	}
 	ops := schedOps{f}
 	fresh := func(what string, got []JobView) {

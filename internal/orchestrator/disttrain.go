@@ -1,7 +1,6 @@
 package orchestrator
 
 import (
-	"context"
 	"errors"
 	"math"
 
@@ -30,10 +29,10 @@ import (
 // longer reduce iteration time (§7.1).
 //
 // The enumeration runs on the best-first search engine (search.go)
-// with default options; call Search for cancellation or per-candidate
-// observation, and a PlanCache for reuse across specs.
+// with default options; call Search for per-candidate observation, and
+// a PlanCache for reuse across specs.
 func PlanDistTrain(s Spec) (*Plan, error) {
-	return Search(context.Background(), s, SearchOptions{})
+	return Search(s, SearchOptions{})
 }
 
 // selectBand is §7.1's tie-break width: any buildable point within 1%

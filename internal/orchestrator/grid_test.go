@@ -1,7 +1,6 @@
 package orchestrator
 
 import (
-	"context"
 	"math"
 	"slices"
 	"testing"
@@ -319,7 +318,7 @@ func TestPlanSearchAllocBudget(t *testing.T) {
 	// candidates allocate nothing, so the budget, 31 plus 10%, fails a
 	// change that allocates per candidate or per bound.
 	if got := testing.AllocsPerRun(3, func() {
-		if _, err := Search(context.Background(), s, SearchOptions{}); err != nil {
+		if _, err := Search(s, SearchOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 34 {

@@ -3,7 +3,6 @@ package orchestrator
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -137,13 +136,13 @@ const planEnvelopeV = 1
 // all); a true miss runs the search, warm-seeded from a neighbouring
 // lease size when an incumbent exists, and writes the result through.
 // Infeasibility errors are cached too — a spec that cannot be planned
-// today cannot be planned by retrying — but a search cut short by a
-// context (cancellation, deadline) is returned and never stored, so a
-// later caller with a healthy context plans instead of inheriting it.
+// today cannot be planned by retrying. ctx is ignored: a search always
+// runs to completion. It is kept only for benchmark/ until a later
+// benchmark change deletes it.
 // Every call for one spec content returns the cache's one *Plan, which
 // is immutable: callers read it and never write it, so the runtimes
 // executing it may key on the pointer.
-func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
+func (c *PlanCache) Plan(_ context.Context, s Spec) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -167,10 +166,7 @@ func (c *PlanCache) Plan(ctx context.Context, s Spec) (*Plan, error) {
 			if seed != nil {
 				c.warmSeeds.Add(1)
 			}
-			plan, err := search(ctx, s, seed, c.opts)
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
+			plan, err := search(s, seed, c.opts)
 			if err == nil {
 				c.persist(name, plan)
 			}

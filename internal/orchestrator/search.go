@@ -1,7 +1,6 @@
 package orchestrator
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -62,9 +61,9 @@ var errNoFeasiblePlan = errors.New("orchestrator: no feasible plan (cluster too 
 var ErrCandidatePruned = errors.New("orchestrator: candidate pruned by search bound")
 
 // Search runs the §4.3 search for one spec — PlanDistTrain with
-// cancellation and per-candidate observation.
-func Search(ctx context.Context, s Spec, opts SearchOptions) (*Plan, error) {
-	return search(ctx, s, nil, opts)
+// per-candidate observation.
+func Search(s Spec, opts SearchOptions) (*Plan, error) {
+	return search(s, nil, opts)
 }
 
 // boundKey is one candidate's or shape's place in the search's
@@ -126,12 +125,12 @@ func (h *boundHeap) pop() boundKey {
 
 // search is the engine: it validates the spec and runs one
 // best-first search over it, reporting to opts.OnCandidate.
-func search(ctx context.Context, s Spec, seed *Candidate, opts SearchOptions) (*Plan, error) {
+func search(s Spec, seed *Candidate, opts SearchOptions) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	var r bestFirst
-	return r.run(ctx, &s, seed, opts.OnCandidate)
+	return r.run(&s, seed, opts.OnCandidate)
 }
 
 // bestFirst is one search's state.
@@ -165,10 +164,7 @@ type bestFirst struct {
 // the spec's strategy set is ignored. It cannot change which other
 // candidates are solved: the stop line ends where the fastest plan
 // puts it, so a seed outside the band costs one extra solve.
-// A search cancelled before it reached the stop line reports the
-// cancellation; one that finished still reduces to its
-// (deterministic) plan.
-func (r *bestFirst) run(ctx context.Context, s *Spec, seed *Candidate, obs func(Candidate, *Plan, error)) (*Plan, error) {
+func (r *bestFirst) run(s *Spec, seed *Candidate, obs func(Candidate, *Plan, error)) (*Plan, error) {
 	*r = bestFirst{sc: newSearchCtx(s), obs: obs, best: math.Inf(1), seedAt: -1}
 	r.sc.strategySet()
 	r.h = make(boundHeap, len(r.sc.shapes), 2*len(r.sc.shapes))
@@ -188,9 +184,6 @@ func (r *bestFirst) run(ctx context.Context, s *Spec, seed *Candidate, obs func(
 		}
 	}
 	for len(r.h) > 0 && !(r.h[0].lb > r.best*selectBand*(1+pruneSlack)) {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("orchestrator: plan search cancelled: %w", ctx.Err())
-		}
 		if k := r.h.pop(); k.i < 0 {
 			r.expand(^k.i)
 			r.expanded++

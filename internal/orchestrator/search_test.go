@@ -1,8 +1,6 @@
 package orchestrator
 
 import (
-	"context"
-	"errors"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -33,7 +31,7 @@ func TestPlanSearchEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				got, err := Search(context.Background(), s, SearchOptions{Parallelism: par})
+				got, err := Search(s, SearchOptions{Parallelism: par})
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
 				}
@@ -54,45 +52,13 @@ func TestPlanSearchEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlanSearchCancellation: a cancelled context aborts the search
-// with context.Canceled instead of returning a partial plan.
-func TestPlanSearchCancellation(t *testing.T) {
-	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
-
-	t.Run("pre-cancelled", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := Search(ctx, s, SearchOptions{}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("got %v, want context.Canceled", err)
-		}
-	})
-
-	t.Run("mid-search", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		var seen atomic.Int64
-		opts := SearchOptions{
-			OnCandidate: func(Candidate, *Plan, error) {
-				if seen.Add(1) == 3 {
-					cancel() // pull the plug after a few evaluations
-				}
-			},
-		}
-		if _, err := Search(ctx, s, opts); !errors.Is(err, context.Canceled) {
-			t.Fatalf("got %v, want context.Canceled", err)
-		}
-		if n := seen.Load(); n >= int64(len(enumerateCandidates(s, s.maxGPUs()))) {
-			t.Errorf("cancellation did not stop the search early (%d candidates evaluated)", n)
-		}
-	})
-}
-
 // TestPlanSearchOnCandidate: the observer sees every enumerated
 // candidate exactly once, and feasible callbacks carry plans.
 func TestPlanSearchOnCandidate(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
 	total := len(enumerateCandidates(s, s.maxGPUs()))
 	var calls, feasible atomic.Int64
-	_, err := Search(context.Background(), s, SearchOptions{
+	_, err := Search(s, SearchOptions{
 		OnCandidate: func(c Candidate, p *Plan, err error) {
 			calls.Add(1)
 			if (p == nil) == (err == nil) {
@@ -126,7 +92,7 @@ func TestSearchSweepMatchesSequential(t *testing.T) {
 	tiny.MaxGPUs = 8 // feasibility failure: 72B cannot fit on one node
 
 	for i, s := range []Spec{small, bad, big, tiny} {
-		plan, err := Search(context.Background(), s, SearchOptions{})
+		plan, err := Search(s, SearchOptions{})
 		if i%2 == 1 {
 			if err == nil || plan != nil {
 				t.Errorf("spec %d: want an error alone, got plan %+v, err %v", i, plan, err)
@@ -143,37 +109,6 @@ func TestSearchSweepMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(plan, want) {
 			t.Errorf("spec %d: sweep plan diverged from the sequential reference", i)
 		}
-	}
-}
-
-// TestSearchCancellation: a search the context cut short reports the
-// cancellation, but one cancelled only after its last candidate was
-// evaluated still reduces to the reference plan.
-func TestSearchCancellation(t *testing.T) {
-	s := newSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Search(ctx, s, SearchOptions{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled: got %v, want context.Canceled", err)
-	}
-
-	want, err := planDistTrainSequential(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := int64(len(enumerateCandidates(s, s.maxGPUs())))
-	ctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
-	var seen atomic.Int64
-	got, err := Search(ctx, s, SearchOptions{
-		OnCandidate: func(Candidate, *Plan, error) {
-			if seen.Add(1) == total {
-				cancel()
-			}
-		},
-	})
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("cancelled after the last candidate: err %v, plan diverged: %v", err, !reflect.DeepEqual(got, want))
 	}
 }
 

@@ -1,7 +1,6 @@
 package orchestrator
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -101,7 +100,7 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 				pruned := -1
 				for _, par := range []int{1, 4} {
 					n := 0
-					plan, err := search(context.Background(), s, sc.seed, SearchOptions{Parallelism: par, OnCandidate: countPruned(&n)})
+					plan, err := search(s, sc.seed, SearchOptions{Parallelism: par, OnCandidate: countPruned(&n)})
 					if err != nil {
 						t.Fatalf("%s par=%d: %v", sc.name, par, err)
 					}
@@ -118,7 +117,7 @@ func TestTwoPhaseSearchEquivalence(t *testing.T) {
 				}
 				prunedBy[sc.name] = pruned
 				var r bestFirst
-				if _, err := r.run(context.Background(), &s, sc.seed, nil); err != nil {
+				if _, err := r.run(&s, sc.seed, nil); err != nil {
 					t.Fatalf("%s: %v", sc.name, err)
 				}
 				if r.best < fastest || r.best > want.IterTime*selectBand {
@@ -208,7 +207,7 @@ func (o bandOracle) check(t *testing.T, s Spec, seed *Candidate) {
 	solved := map[Candidate]bool{}
 	pruned := 0
 	var r bestFirst
-	plan, err := r.run(context.Background(), &s, seed, func(c Candidate, _ *Plan, err error) {
+	plan, err := r.run(&s, seed, func(c Candidate, _ *Plan, err error) {
 		reports[c]++
 		solved[c] = !errors.Is(err, ErrCandidatePruned)
 		if !solved[c] {
@@ -241,7 +240,7 @@ func (o bandOracle) check(t *testing.T, s Spec, seed *Candidate) {
 		t.Fatalf("expanded %d shapes, want the %d whose block bound lies under the stop line", r.expanded, o.blocks)
 	}
 	var unobserved bestFirst
-	if p, err := unobserved.run(context.Background(), &s, seed, nil); !reflect.DeepEqual(p, plan) || !errors.Is(err, wantErr) {
+	if p, err := unobserved.run(&s, seed, nil); !reflect.DeepEqual(p, plan) || !errors.Is(err, wantErr) {
 		t.Fatalf("without an observer: %+v, %v; with one %+v, %v", p, err, plan, wantErr)
 	}
 	if unobserved.expanded != r.expanded {

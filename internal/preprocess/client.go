@@ -13,10 +13,11 @@ import (
 
 // Client is the consumer side of disaggregated preprocessing: one
 // connection to one producer, over which the GPU training process
-// fetches ready microbatches. It dials lazily, drops its connection on
-// a transport failure so the next request re-dials (a restarted
-// producer is reached again without a new Client), and keeps the
-// failure cooldown a Service skips it during.
+// fetches ready microbatches. It dials lazily, re-dials once when a
+// reused connection fails before any reply byte (a restarted producer
+// is reached again without a failed fetch), drops its connection on
+// any other transport failure so the next request re-dials, and keeps
+// the failure cooldown a Service skips it during.
 type Client struct {
 	addr string
 	// connect bounds one connection attempt (0 means the operating
@@ -111,12 +112,23 @@ func (c *Client) FetchTenant(ctx context.Context, tenant uint32, dp int, iter in
 	if c.closed {
 		return nil, errClientClosed
 	}
-	if c.conn == nil {
+	reused := c.conn != nil
+	if !reused {
 		if err := c.dial(); err != nil {
 			return nil, err
 		}
 	}
-	rb, err := c.roundTripLocked(ctx, req)
+	rb, replied, err := c.roundTripLocked(ctx, req)
+	if err != nil && reused && !replied && !isTimeout(err) {
+		// A reused connection that fails before any reply byte is most
+		// often one a restarted producer closed: re-dial and resend
+		// once. Producers are deterministic functions of the request,
+		// so the resend cannot change what the fetch returns.
+		c.drop()
+		if err = c.dial(); err == nil {
+			rb, _, err = c.roundTripLocked(ctx, req)
+		}
+	}
 	if err != nil {
 		var se *serverError
 		if !errors.As(err, &se) {
@@ -130,24 +142,37 @@ func (c *Client) FetchTenant(ctx context.Context, tenant uint32, dp int, iter in
 }
 
 // roundTripLocked sends one request frame and parses the answer under
-// the round-trip deadline; the caller holds mu.
-func (c *Client) roundTripLocked(ctx context.Context, req []byte) (*RankBatch, error) {
+// the round-trip deadline; replied reports whether any reply byte
+// arrived. The caller holds mu.
+func (c *Client) roundTripLocked(ctx context.Context, req []byte) (rb *RankBatch, replied bool, err error) {
 	deadline := time.Now().Add(c.roundTrip)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
 	if err := c.conn.SetDeadline(deadline); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := writeFrame(c.bw, req); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := c.bw.Flush(); err != nil {
-		return nil, err
+		return nil, false, err
+	}
+	if _, err := c.br.Peek(1); err != nil {
+		return nil, false, err
 	}
 	body, err := readFrame(c.br, maxFrame)
 	if err != nil {
-		return nil, err
+		return nil, true, err
 	}
-	return parseBatch(body)
+	rb, err = parseBatch(body)
+	return rb, true, err
+}
+
+// isTimeout reports whether err is a deadline expiring: the producer
+// may be alive but slow, so resending would only wait out the deadline
+// again.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }

@@ -380,12 +380,13 @@ func TestSharedOutcomesOutliveAPrivateIteration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := a.prepare(0)
+	steady := scenario.At(nil, 0)
+	p := a.prepare(0, steady)
 	if !p.shared {
 		t.Fatal("iteration 0 was not shared")
 	}
 	before := c.simulated.Load()
-	shared := a.sharedRun(&p, a.cls.p2p, scenario.At(nil, 0))
+	shared := a.sharedRun(&p, a.cls.p2p, steady)
 	if c.simulated.Load() != before {
 		t.Fatal("the shared outcomes were simulated again")
 	}

@@ -94,8 +94,9 @@ func fold(dst []model.Workload, samples []data.Sample, k *model.CostKernel) ([]m
 // batch. Scenario workload-shift events transform a corpus batch before
 // assignment, so Algorithm 1 balances the shifted costs — the drift the
 // re-planning controller watches for; live pools own their
-// preprocessing and see no scenario.
-func (r *Runtime) prepare(iter int) preparedBatch {
+// preprocessing and see no scenario. pert is the scenario resolved at
+// iter.
+func (r *Runtime) prepare(iter int, pert scenario.Perturbation) preparedBatch {
 	dp := r.cls.plan.Modules[model.Backbone].Config.DP
 	buf := &r.prep
 	p := preparedBatch{iter: iter}
@@ -116,7 +117,7 @@ func (r *Runtime) prepare(iter int) preparedBatch {
 			return p
 		}
 		buf.batch = r.cfg.Corpus.AppendBatch(buf.batch[:0], int64(iter)*int64(bs), bs)
-		p.batch = scenario.At(r.cfg.Scenario, iter).ShiftBatch(buf.batch)
+		p.batch = pert.ShiftBatch(buf.batch)
 	}
 	buf.work, p.flops = fold(buf.work[:0], p.batch, r.cls.prof.Kernel())
 	p.err = r.assign(buf, dp, r.cfg.Reorder && src == nil)
@@ -372,13 +373,12 @@ func opNames(mbs int) [2][]metrics.Label {
 	return opLabels.names
 }
 
-// iteration executes one prepared iteration, its ranks inline in rank
-// order.
-func (r *Runtime) iteration(p *preparedBatch) (IterationStats, error) {
+// iteration executes one prepared iteration under pert, the scenario
+// resolved at its index, its ranks inline in rank order.
+func (r *Runtime) iteration(p *preparedBatch, pert scenario.Perturbation) (IterationStats, error) {
 	if p.err != nil {
 		return IterationStats{}, p.err
 	}
-	pert := scenario.At(r.cfg.Scenario, p.iter)
 	p2p := r.iterP2P(pert)
 	if p.shared {
 		return r.finishIteration(p, pert, r.sharedRun(p, p2p, pert))
@@ -404,8 +404,9 @@ func (r *Runtime) runRanks(outcomes []rankOutcome, ranks [][]model.Workload, p2p
 // calling goroutine: the single-iteration reference the tests and
 // trial evaluations use.
 func (r *Runtime) RunIterationSequential(iter int) (IterationStats, error) {
-	p := r.prepare(iter)
-	return r.iteration(&p)
+	pert := scenario.At(r.cfg.Scenario, iter)
+	p := r.prepare(iter, pert)
+	return r.iteration(&p, pert)
 }
 
 // Run executes n iterations on the calling goroutine and aggregates;

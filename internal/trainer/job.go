@@ -78,14 +78,14 @@ func (j *Job) Iteration() int { return j.i }
 // across failure-recovery rewinds. It runs at the start of the
 // iteration's Step, before its batch is fetched, so an event at
 // iteration N is recorded at N's start and affects every one of N's
-// fetches.
-func (j *Job) firePoolEvents(iter int) error {
+// fetches. pert is the scenario resolved at iter.
+func (j *Job) firePoolEvents(iter int, pert scenario.Perturbation) error {
 	if iter <= j.poolFired {
 		return nil
 	}
 	j.poolFired = iter
 	r := j.r
-	for _, ev := range scenario.At(r.cfg.Scenario, iter).PoolEvents() {
+	for _, ev := range pert.PoolEvents() {
 		if pc := r.cfg.ProducerControl; pc != nil {
 			var err error
 			if ev.Kind == scenario.ProducerFail {
@@ -188,7 +188,7 @@ func (j *Job) Step() error {
 	r := j.r
 	i := j.i
 	pert := scenario.At(r.cfg.Scenario, i)
-	if err := j.firePoolEvents(i); err != nil {
+	if err := j.firePoolEvents(i, pert); err != nil {
 		return err
 	}
 	// A node failure interrupts the iteration it lands on: pay the
@@ -218,8 +218,8 @@ func (j *Job) Step() error {
 			j.applySwitch(i, sw)
 		}
 	}
-	p := r.prepare(i)
-	st, err := r.iteration(&p)
+	p := r.prepare(i, pert)
+	st, err := r.iteration(&p, pert)
 	if err != nil {
 		return err
 	}

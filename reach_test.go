@@ -58,6 +58,7 @@ var reachAllow = map[string]string{
 	"stepccl.NewExecutor":                 "Figure 21's bit-identity check: TestExecutorCorrectness runs the executor",
 	"stepccl.Executor.RunStrawman":        "Figure 21's bit-identity check: the gather-then-GEMM result the overlapped run must equal",
 	"stepccl.Executor.RunOverlapped":      "Figure 21's bit-identity check: the chunked run and its layout remap",
+	"store.Disk.CorruptSkips":             "the store tests' observable of a skipped record; goes with internal/store (ROADMAP item 5)",
 }
 
 // fieldAllow names the input fields the fields pass lets hold one
