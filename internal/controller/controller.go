@@ -142,7 +142,6 @@ type DriftReport struct {
 
 // record is one observed iteration folded into the window.
 type record struct {
-	iter                       int
 	batch                      []data.Sample // the observed global batch (read-only)
 	shapes                     []model.SampleShape
 	spread                     float64
@@ -230,7 +229,7 @@ func (c *Controller) Observe(obs trainer.Observation) {
 	}
 	c.lastIter = obs.Iter
 
-	rec := record{iter: obs.Iter, batch: obs.Batch, spread: obs.Stats.StragglerSpread}
+	rec := record{batch: obs.Batch, spread: obs.Stats.StragglerSpread}
 	rec.shapes = make([]model.SampleShape, len(obs.Batch))
 	for i, s := range obs.Batch {
 		rec.shapes[i] = s.Shape()
@@ -359,7 +358,7 @@ func runSearch(cfg Config, incumbent orchestrator.Plan, shapes []model.SampleSha
 // parallelism decisions.
 func samePlacement(a, b *orchestrator.Plan) bool {
 	for i := range a.Modules {
-		if a.Modules[i].Config != b.Modules[i].Config || a.Modules[i].Replicated != b.Modules[i].Replicated {
+		if a.Modules[i].Config != b.Modules[i].Config {
 			return false
 		}
 	}

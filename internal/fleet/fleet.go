@@ -284,11 +284,6 @@ func Run(cfg Config) (*Result, error) {
 		shaped = ss.ShapedPlacement()
 	}
 	for _, ev := range events {
-		if ev.Kind == scenario.PreemptStorm || ev.Kind == scenario.PriorityArrive {
-			if _, err := ParseClass(ev.Class); err != nil {
-				return nil, fmt.Errorf("fleet: %s event: %w", ev.Kind, err)
-			}
-		}
 		if (ev.Kind == scenario.ProducerFail || ev.Kind == scenario.ProducerJoin) && cfg.Preprocess == nil {
 			return nil, fmt.Errorf("fleet: %s event needs Config.Preprocess (it acts on the shared producer fleet)", ev.Kind)
 		}

@@ -15,7 +15,6 @@ func (f *runner) view(t *tenant) JobView {
 	return JobView{
 		ID: t.ID, Name: t.Name, Priority: t.Priority,
 		Min: t.min, Max: t.max,
-		Arrived: t.Arrived, Started: t.Started,
 		Waited:    t.waited,
 		Suspended: t.state == stateQueued && t.Started >= 0,
 		Nodes:     t.Lease.Nodes,

@@ -18,9 +18,6 @@ type JobView struct {
 	// Nodes aliases the tenant's current lease — read-only, copy before
 	// sorting or editing; nil while queued.
 	Nodes []int
-	// Arrived is the round the tenant entered the queue; Started the
-	// round it was first placed (-1 if never).
-	Arrived, Started int
 	// Waited counts full rounds spent in the queue since the tenant
 	// last entered it — the aging input. It resets on placement.
 	Waited int

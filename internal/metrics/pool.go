@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -23,13 +22,13 @@ type PoolStats struct {
 	cacheHits atomic.Int64
 	cacheMiss atomic.Int64
 
-	// Mean and max are exact over every fetch (a running sum and max);
-	// recent is the ring the p99 is taken over, written at latN modulo
-	// latencyWindow once full.
-	mu             sync.Mutex
-	latN           int
-	latSum, latMax float64
-	recent         series
+	// The mean is exact over every fetch (a running sum); recent is the
+	// ring the p99 is taken over, written at latN modulo latencyWindow
+	// once full.
+	mu     sync.Mutex
+	latN   int
+	latSum float64
+	recent series
 
 	// parent, when non-nil, receives a copy of every record — labeled
 	// children roll up into the aggregate they were created from.
@@ -68,7 +67,6 @@ func (p *PoolStats) RecordFetch(seconds float64) {
 	}
 	p.latN++
 	p.latSum += seconds
-	p.latMax = math.Max(p.latMax, seconds)
 	p.mu.Unlock()
 	if p.parent != nil {
 		p.parent.RecordFetch(seconds)
@@ -114,10 +112,9 @@ type PoolSnapshot struct {
 	CacheHits    int64
 	CacheMisses  int64
 	CacheHitRate float64
-	// MeanFetchSeconds / MaxFetchSeconds summarise every successful
-	// fetch's latency; P99FetchSeconds the most recent 1,024.
+	// MeanFetchSeconds summarises every successful fetch's latency;
+	// P99FetchSeconds the most recent 1,024.
 	MeanFetchSeconds float64
-	MaxFetchSeconds  float64
 	P99FetchSeconds  float64
 }
 
@@ -136,7 +133,6 @@ func (p *PoolStats) Snapshot() PoolSnapshot {
 	if p.latN > 0 {
 		s.MeanFetchSeconds = p.latSum / float64(p.latN)
 	}
-	s.MaxFetchSeconds = p.latMax
 	s.P99FetchSeconds = p.recent.P99()
 	p.mu.Unlock()
 	return s

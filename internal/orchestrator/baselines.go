@@ -58,9 +58,9 @@ func PlanMegatron(s Spec) (*Plan, error) {
 	plan := &Plan{
 		Strategy: "megatron-lm",
 		Modules: [3]ModulePlan{
-			{Module: model.Encoder, Config: parallel.Plain(tp, 1, dp), Replicated: true},
+			{Module: model.Encoder, Config: parallel.Plain(tp, 1, dp)},
 			{Module: model.Backbone, Config: parallel.Plain(tp, ppLM, dp)},
-			{Module: model.Generator, Config: parallel.Plain(tp, 1, dp), Replicated: true},
+			{Module: model.Generator, Config: parallel.Plain(tp, 1, dp)},
 		},
 	}
 	if err := sc.evaluate(plan); err != nil {
@@ -137,9 +137,9 @@ func PlanDistMM(s Spec) (*Plan, error) {
 	plan := &Plan{
 		Strategy: "distmm*",
 		Modules: [3]ModulePlan{
-			{Module: model.Encoder, Config: parallel.Plain(modalityWidth, 1, x), Replicated: true},
+			{Module: model.Encoder, Config: parallel.Plain(modalityWidth, 1, x)},
 			{Module: model.Backbone, Config: parallel.Plain(tp, pp, dp)},
-			{Module: model.Generator, Config: parallel.Plain(modalityWidth, 1, z), Replicated: true},
+			{Module: model.Generator, Config: parallel.Plain(modalityWidth, 1, z)},
 		},
 	}
 	if err := sc.evaluate(plan); err != nil {

@@ -112,9 +112,9 @@ func (sc *searchCtx) build(i int, p point) (*Plan, error) {
 	plan := &Plan{
 		Strategy: "disttrain",
 		Modules: [3]ModulePlan{
-			{Module: model.Encoder, Config: parallel.Config{TP: c.WME, PP: 1, DP: p.x / c.WME, VPP: 1}, Replicated: true},
+			{Module: model.Encoder, Config: parallel.Config{TP: c.WME, PP: 1, DP: p.x / c.WME, VPP: 1}},
 			{Module: model.Backbone, Config: parallel.Config{TP: c.TPLM, PP: p.pp, DP: c.DPLM, VPP: sc.vpp, SP: true}},
-			{Module: model.Generator, Config: parallel.Config{TP: c.WMG, PP: 1, DP: p.z / c.WMG, VPP: 1}, Replicated: true},
+			{Module: model.Generator, Config: parallel.Config{TP: c.WMG, PP: 1, DP: p.z / c.WMG, VPP: 1}},
 		},
 	}
 	if err := sc.evaluate(plan); err != nil {

@@ -101,12 +101,11 @@ func (s Spec) vpp() int {
 }
 
 // ModulePlan is the resource and parallelism decision for one module.
+// The encoder and generator groups replicate the model across the
+// group instead of TP-sharding it (§7.1); the backbone shards it.
 type ModulePlan struct {
 	Module model.Module
 	Config parallel.Config
-	// Replicated marks encoder/generator groups that replicate the
-	// model across the group instead of TP-sharding it (§7.1).
-	Replicated bool
 }
 
 // GPUs returns the module's GPU count (x, y or z).
@@ -119,12 +118,11 @@ type Plan struct {
 	// Microbatches is the per-iteration microbatch count per LLM
 	// pipeline: BS / (DP_lm * M).
 	Microbatches int
-	// Estimated objective breakdown (seconds).
-	Warmup, Steady, IterTime float64
+	// IterTime is the estimated iteration time (seconds), Eq. 1's
+	// warm-up plus Eq. 2's steady phase.
+	IterTime float64
 	// EstMFU is the analytic Model FLOPs Utilization estimate.
 	EstMFU float64
-	// Brokers[0] bridges encoder->backbone, Brokers[1] backbone->generator.
-	Brokers [2]int
 }
 
 // TotalGPUs sums module allocations.
@@ -141,7 +139,7 @@ func (p *Plan) String() string {
 		p.Strategy, p.TotalGPUs(), p.Microbatches, p.IterTime, 100*p.EstMFU)
 	for _, m := range p.Modules {
 		mode := "tp"
-		if m.Replicated {
+		if m.Module != model.Backbone {
 			mode = "replicated"
 		}
 		s += fmt.Sprintf("  %-9s %4d GPUs  %-22s (%s)\n", m.Module, m.GPUs(), m.Config, mode)
@@ -155,11 +153,4 @@ func (p *Plan) String() string {
 func CheckMemory(s Spec, p Plan) error {
 	sc := newSearchCtx(&s)
 	return sc.checkMemory(&p)
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

@@ -102,21 +102,6 @@ func checkPlanFeasible(t *testing.T, s Spec, p *Plan) {
 	if p.IterTime <= 0 || p.EstMFU <= 0 || p.EstMFU >= 1 {
 		t.Errorf("%s: implausible estimates iter=%g mfu=%g", p.Strategy, p.IterTime, p.EstMFU)
 	}
-	// Broker counts are the gcd of adjacent DP sizes (§6).
-	dpEnc, dpGen := p.Modules[model.Encoder].Config.DP, p.Modules[model.Generator].Config.DP
-	if want := [2]int{gcdRef(dpEnc, dp), gcdRef(dp, dpGen)}; p.Brokers != want {
-		t.Errorf("%s: brokers %v, want gcd of adjacent DP sizes %v (DP %d/%d/%d)", p.Strategy, p.Brokers, want, dpEnc, dp, dpGen)
-	}
-}
-
-// gcdRef is the greatest common divisor of two positive sizes by
-// search, independent of the Euclid loop the plan's broker counts use.
-func gcdRef(a, b int) int {
-	d := min(a, b)
-	for a%d != 0 || b%d != 0 {
-		d--
-	}
-	return d
 }
 
 func TestAllPlannersProduceFeasiblePlans(t *testing.T) {
@@ -250,12 +235,12 @@ func bruteForcePlan(s Spec) (*Plan, error) {
 					continue
 				}
 				for x := c.WME; x+bb.GPUs()+c.WMG <= sc.n; x += c.WME {
-					enc := ModulePlan{Module: model.Encoder, Config: parallel.Config{TP: c.WME, PP: 1, DP: x / c.WME, VPP: 1}, Replicated: true}
+					enc := ModulePlan{Module: model.Encoder, Config: parallel.Config{TP: c.WME, PP: 1, DP: x / c.WME, VPP: 1}}
 					if !sc.fits(&enc) {
 						continue
 					}
 					for z := c.WMG; x+bb.GPUs()+z <= sc.n; z += c.WMG {
-						gen := ModulePlan{Module: model.Generator, Config: parallel.Config{TP: c.WMG, PP: 1, DP: z / c.WMG, VPP: 1}, Replicated: true}
+						gen := ModulePlan{Module: model.Generator, Config: parallel.Config{TP: c.WMG, PP: 1, DP: z / c.WMG, VPP: 1}}
 						p := Plan{Strategy: "disttrain", Modules: [3]ModulePlan{enc, bb, gen}}
 						if sc.fits(&gen) && sc.evaluate(&p) == nil {
 							f(&p)
@@ -409,18 +394,18 @@ func TestEvaluateRejectsBadPlans(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 2, 16, model.FullTraining)
 	// Oversubscribed.
 	p := &Plan{Modules: [3]ModulePlan{
-		{Module: model.Encoder, Config: parallel.Plain(1, 1, 100), Replicated: true},
+		{Module: model.Encoder, Config: parallel.Plain(1, 1, 100)},
 		{Module: model.Backbone, Config: parallel.Plain(8, 1, 2)},
-		{Module: model.Generator, Config: parallel.Plain(1, 1, 1), Replicated: true},
+		{Module: model.Generator, Config: parallel.Plain(1, 1, 1)},
 	}}
 	if err := evaluatePlan(s, p); err == nil {
 		t.Error("oversubscribed plan accepted")
 	}
 	// DP does not divide BS.
 	p2 := &Plan{Modules: [3]ModulePlan{
-		{Module: model.Encoder, Config: parallel.Plain(1, 1, 1), Replicated: true},
+		{Module: model.Encoder, Config: parallel.Plain(1, 1, 1)},
 		{Module: model.Backbone, Config: parallel.Plain(1, 1, 3)},
-		{Module: model.Generator, Config: parallel.Plain(1, 1, 1), Replicated: true},
+		{Module: model.Generator, Config: parallel.Plain(1, 1, 1)},
 	}}
 	if err := evaluatePlan(s, p2); err == nil {
 		t.Error("indivisible DP accepted")

@@ -144,7 +144,7 @@ func (sc *searchCtx) strategySet() int {
 	// floor every candidate's x or z starts from.
 	fitFrom := func(mod model.Module) int {
 		g := 1
-		for g <= sc.n && !sc.fits(&ModulePlan{Module: mod, Config: parallel.Plain(1, 1, g), Replicated: true}) {
+		for g <= sc.n && !sc.fits(&ModulePlan{Module: mod, Config: parallel.Plain(1, 1, g)}) {
 			g++
 		}
 		return g
@@ -265,7 +265,7 @@ func (sc *searchCtx) footprint(mp *ModulePlan) float64 {
 	mem := &sc.mem[mp.Module]
 	gpus := mp.Config.GPUs()
 	dp := mp.Config.DP
-	if mp.Replicated {
+	if mp.Module != model.Backbone {
 		// Every GPU of a replicated group holds a full model copy.
 		dp = gpus / mp.Config.PP
 	}
@@ -346,7 +346,6 @@ func (sc *searchCtx) evaluate(p *Plan) error {
 	// as in grid.at, which must reach the same time.
 	steady = float64(steady * float64(p.Microbatches-1))
 
-	p.Warmup, p.Steady = warmup, steady
 	p.IterTime = warmup + steady
 	// MFU: model FLOPs executed per iteration over fleet capacity for the
 	// estimated iteration time.
@@ -354,8 +353,6 @@ func (sc *searchCtx) evaluate(p *Plan) error {
 	if p.IterTime > 0 {
 		p.EstMFU = sc.mfuFLOPs / (float64(total) * s.Cluster.GPU.PeakFLOPS * p.IterTime)
 	}
-	p.Brokers[0] = gcd(p.Modules[model.Encoder].Config.DP, dpLM)
-	p.Brokers[1] = gcd(dpLM, p.Modules[model.Generator].Config.DP)
 	return nil
 }
 

@@ -10,7 +10,6 @@ import (
 // opens when the first forward completes). Forwards scheduled inside
 // the window "fill" it; the remainder is a pipeline bubble.
 type Interval struct {
-	Index    int // 1-based, matching the paper's interval_i
 	Start    float64
 	End      float64
 	Filled   float64 // forward compute inside the window
@@ -52,7 +51,7 @@ func (r *Result) FirstStageIntervals() ([]Interval, error) {
 		} else {
 			start = bwd[i-1].End
 		}
-		iv := Interval{Index: i + 1, Start: start, End: bwd[i].Start}
+		iv := Interval{Start: start, End: bwd[i].Start}
 		for _, f := range fwd {
 			overlap := math.Min(f.End, iv.End) - math.Max(f.Start, iv.Start)
 			if overlap > 0 {
@@ -151,5 +150,5 @@ func (ip *IntervalPredictor) Append(fwd, bwd []float64) Interval {
 	if end < start {
 		end = start
 	}
-	return Interval{Index: ip.placed, Start: start, End: end}
+	return Interval{Start: start, End: end}
 }

@@ -15,8 +15,7 @@
 // Aliasing: a Result from the package-level Simulate is the caller's
 // to keep; one from a Simulator's Simulate aliases that simulator's
 // buffers (Order, StageBusy) until its next call, and its Spans are the
-// slice the caller passed. Either way Result.Work still points at the
-// caller's rows.
+// slice the caller passed.
 package pipeline
 
 import (
@@ -130,7 +129,6 @@ func (w *Work) p2p(link int) float64 {
 
 // Result is a completed simulation.
 type Result struct {
-	Work Work
 	// Order is the op execution order and Spans[i] when Order[i] ran;
 	// Spans is nil for an untraced simulation.
 	Order []Op
@@ -277,7 +275,7 @@ func (sim *Simulator) Simulate(w Work, spans []Span) (*Result, error) {
 	end, stageClock := sim.end, sim.stageClock
 
 	res := &sim.res
-	*res = Result{Work: w, Order: order, Spans: spans, StageBusy: zeroed(res.StageBusy, S)}
+	*res = Result{Order: order, Spans: spans, StageBusy: zeroed(res.StageBusy, S)}
 	for k, op := range order {
 		s, i := op.Stage, op.Stage*l+op.MB
 		var dep float64

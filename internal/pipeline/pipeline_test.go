@@ -212,9 +212,9 @@ func TestFirstStageIntervals(t *testing.T) {
 		t.Fatalf("got %d intervals, want %d", len(ivs), l)
 	}
 	// Figure 12: the last p-1 intervals are unfilled (no forwards left).
-	for _, iv := range ivs[l-S+1:] {
-		if iv.Filled > 1e-9 {
-			t.Errorf("interval %d should be unfilled, has %g fill", iv.Index, iv.Filled)
+	for i := l - S + 1; i < l; i++ {
+		if ivs[i].Filled > 1e-9 {
+			t.Errorf("interval %d should be unfilled, has %g fill", i+1, ivs[i].Filled)
 		}
 	}
 	// Earlier intervals are filled with forwards.

@@ -291,7 +291,7 @@ type Schedule struct {
 	events []Event
 }
 
-// New builds a fixed-event schedule. Events are validated eagerly.
+// newSchedule builds a fixed-event schedule. Events are validated eagerly.
 func newSchedule(name string, events ...Event) (*Schedule, error) {
 	for _, e := range events {
 		if err := e.Validate(); err != nil {

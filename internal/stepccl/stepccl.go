@@ -44,8 +44,9 @@ func overlapped(gemm, comm float64) float64 {
 }
 
 // HiddenFraction returns the share of communication the overlap hides:
-// (strawman - overlapped) / comm. Figure 22 derives the profiler's
-// StepCCLOverlap parameter from it.
+// (strawman - overlapped) / comm. Figure 22 reports it. The profiler's
+// StepCCLOverlap does not come from it: that is a hand-set 0.85
+// (profiler.DefaultOptions), which nothing derives yet.
 func HiddenFraction(gemm, comm float64) float64 {
 	if comm <= 0 {
 		return 1
@@ -64,15 +65,15 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Matrix is a dense row-major float32 matrix.
+// Matrix is a dense row-major float32 matrix of len(Data)/Cols rows.
 type Matrix struct {
-	Rows, Cols int
-	Data       []float32
+	Cols int
+	Data []float32
 }
 
 // newMatrix allocates a zero matrix.
 func newMatrix(rows, cols int) *Matrix {
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
+	return &Matrix{Cols: cols, Data: make([]float32, rows*cols)}
 }
 
 // FillDeterministic populates the matrix from a seed, so executor runs

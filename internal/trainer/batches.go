@@ -162,5 +162,5 @@ func (r *Runtime) build(k batchKey) preparedBatch {
 	var flops float64
 	buf.work, flops = fold(buf.work, buf.batch, k.prof.Kernel())
 	err := r.assign(&buf, k.dp, k.balance)
-	return preparedBatch{batch: buf.batch, work: buf.work, ranks: buf.ranks, flops: flops, err: err}
+	return preparedBatch{batch: buf.batch, ranks: buf.ranks, flops: flops, err: err}
 }

@@ -44,13 +44,11 @@ import (
 // escapes (a traced rank's spans are its own).
 
 // preparedBatch is the front-end's output for one iteration: the
-// global batch, each sample's workload in batch order, their FLOPs and
-// the same workloads gathered per DP rank. shared marks a BatchCache
-// entry.
+// global batch, its samples' workloads gathered per DP rank and their
+// FLOPs. shared marks a BatchCache entry.
 type preparedBatch struct {
 	iter   int
 	batch  []data.Sample
-	work   []model.Workload
 	ranks  [][]model.Workload
 	flops  float64
 	err    error
@@ -121,7 +119,7 @@ func (r *Runtime) prepare(iter int, pert scenario.Perturbation) preparedBatch {
 	}
 	buf.work, p.flops = fold(buf.work[:0], p.batch, r.cls.prof.Kernel())
 	p.err = r.assign(buf, dp, r.cfg.Reorder && src == nil)
-	p.work, p.ranks = buf.work, buf.ranks
+	p.ranks = buf.ranks
 	return p
 }
 

@@ -563,7 +563,7 @@ func (c *class) gradSync() float64 {
 		}
 		params := prof.Params(mp.Module) / float64(mp.Config.ModelParallelWidth()*mp.Config.PP)
 		dp := mp.Config.DP
-		if mp.Replicated {
+		if mp.Module != model.Backbone {
 			dp = mp.GPUs() / mp.Config.PP
 			params = prof.Params(mp.Module)
 		}

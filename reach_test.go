@@ -20,7 +20,7 @@ import (
 // TestReachability holds the library packages under internal/ to what
 // the programs use. The programs are the main packages under cmd/ and
 // benchmark/; tests never count as users. Both modules' non-test
-// sources are type-checked with go/types, and four passes run over
+// sources are type-checked with go/types, and five passes run over
 // them:
 //
 //   - funcs: every function and method is reached from a program's
@@ -32,7 +32,9 @@ import (
 //   - args: no parameter receives the same constant at every call;
 //   - exports: every exported package-level name is referenced outside
 //     its package, or spelled in the signature of a name that is; each
-//     library package reports its findings in a subtest of its name.
+//     library package reports its findings in a subtest of its name;
+//   - reads: every field of a library struct that is written is also
+//     read.
 //
 // What a pass finds is deleted, folded into a constant or unexported.
 // A survivor is listed in its pass's allow-list with the reason it
@@ -47,6 +49,7 @@ func TestReachability(t *testing.T) {
 	t.Run("fields", func(t *testing.T) { prog.checkFields(t) })
 	t.Run("args", func(t *testing.T) { prog.checkArgs(t) })
 	t.Run("exports", func(t *testing.T) { prog.checkExports(t) })
+	t.Run("reads", func(t *testing.T) { prog.checkReads(t) })
 }
 
 // reachAllow names the functions no program calls that stay, each with
@@ -91,6 +94,18 @@ var exportAllow = map[string]string{
 	"stepccl.Executor":    "Figure 21's bit-identity check, which only the stepccl tests run",
 	"stepccl.NewExecutor": "Figure 21's bit-identity check, which only the stepccl tests run",
 	"stepccl.Matrix":      "Figure 21's bit-identity check, which only the stepccl tests run",
+}
+
+// readAllow names the fields the reads pass lets no program read, as
+// pkg.Type.Field, each with the reason.
+var readAllow = map[string]string{
+	"orchestrator.bestFirst.expanded":        "the count of shapes the search expanded, a test observable like the builds counters: TestTwoPhaseSearchEquivalence reads it",
+	"fleet.Config.Workers":                   "inert: only benchmark/ writes it; goes with item 4(3) (ROADMAP)",
+	"fleet.Config.Planners":                  "inert: only benchmark/ writes it; goes with item 4(3) (ROADMAP)",
+	"orchestrator.SearchOptions.Parallelism": "inert: only benchmark/ writes it; goes with item 4(3) (ROADMAP)",
+	"trainer.Config.Parallelism":             "inert: only benchmark/ writes it; goes with item 4(3) (ROADMAP)",
+	"preprocess.ServiceConfig.Capacity":      "inert: only benchmark/ writes it; goes with item 4(3) (ROADMAP)",
+	"preprocess.TenantConfig.MaxInflight":    "inert: only benchmark/ writes it; goes with item 4(3) (ROADMAP)",
 }
 
 // stdlibCalls are the method names the standard library calls through
@@ -180,9 +195,11 @@ func (l *srcLoader) Import(path string) (*types.Package, error) {
 	}
 	if p.types == nil {
 		p.info = &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Instances:  map[*ast.Ident]types.Instance{},
 		}
 		conf := types.Config{Importer: l}
 		var err error
@@ -847,5 +864,177 @@ func (prog *program) checkExports(t *testing.T) {
 				t.Errorf("%s is referenced by nothing outside its package and spelled in no referenced signature: unexport or delete it, or list it in exportAllow with the reason", s)
 			}
 		})
+	}
+}
+
+// checkReads is the reads pass. A use of a field writes it when it is
+// the target of an assignment, an op-assign, an increment or a range
+// clause, or the slice, array or map an element store indexes
+// (x.f[i] = v), and when a composite literal keys or fills it. Every
+// other use reads it, &x.f included, and so does a selector that
+// reaches a field or method through it as an embedded field. Hashing
+// and equality read every field of a struct type that keys a map, is
+// compared with == or !=, or instantiates a comparable type parameter
+// (a map inside a generic type). The fields of a generic type are matched
+// through Origin. Fields of anonymous struct types are not checked, and
+// reads through reflection (encoding/json, fmt's %v) are not seen.
+func (prog *program) checkReads(t *testing.T) {
+	type field struct {
+		key           string
+		pos           token.Pos
+		written, read bool
+	}
+	fields := map[*types.Var]*field{}
+	for _, p := range prog.order {
+		if !p.lib() {
+			continue
+		}
+		for _, obj := range p.info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					v := st.Field(i)
+					fields[v] = &field{key: p.types.Name() + "." + tn.Name() + "." + v.Name(), pos: v.Pos()}
+				}
+			}
+		}
+	}
+	lookup := func(obj types.Object) *field {
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			return fields[v.Origin()]
+		}
+		return nil
+	}
+	deref := func(typ types.Type) types.Type {
+		if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+			return ptr.Elem()
+		}
+		return typ
+	}
+	var hashed func(typ types.Type)
+	hashed = func(typ types.Type) {
+		switch u := typ.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := lookup(u.Field(i)); f != nil {
+					f.read = true
+				}
+				hashed(u.Field(i).Type())
+			}
+		case *types.Array:
+			hashed(u.Elem())
+		}
+	}
+	for _, p := range prog.order {
+		info := p.info
+		for e, tv := range info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				hashed(m.Key())
+			}
+			if b, ok := e.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+				hashed(info.Types[b.X].Type)
+			}
+		}
+		for id, inst := range info.Instances {
+			var tparams *types.TypeParamList
+			switch obj := info.Uses[id].(type) {
+			case *types.TypeName:
+				tparams = obj.Type().(*types.Named).TypeParams()
+			case *types.Func:
+				tparams = obj.Origin().Type().(*types.Signature).TypeParams()
+			}
+			for i := 0; i < tparams.Len(); i++ {
+				if tparams.At(i).Constraint().Underlying().(*types.Interface).IsComparable() {
+					hashed(inst.TypeArgs.At(i))
+				}
+			}
+		}
+		for _, file := range p.files {
+			targets := map[*ast.SelectorExpr]bool{}
+			var target func(e ast.Expr)
+			target = func(e ast.Expr) {
+				switch e := ast.Unparen(e).(type) {
+				case *ast.SelectorExpr:
+					targets[e] = true
+				case *ast.IndexExpr:
+					target(e.X)
+				}
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						target(l)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.RangeStmt:
+					if n.Key != nil {
+						target(n.Key)
+					}
+					if n.Value != nil {
+						target(n.Value)
+					}
+				}
+				return true
+			})
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := deref(info.Types[n].Type).Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, el := range n.Elts {
+						v := types.Object(st.Field(i))
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							v = info.Uses[kv.Key.(*ast.Ident)]
+						}
+						if f := lookup(v); f != nil {
+							f.written = true
+						}
+					}
+				case *ast.SelectorExpr:
+					if f := lookup(info.Uses[n.Sel]); f != nil {
+						if targets[n] {
+							f.written = true
+						} else {
+							f.read = true
+						}
+					}
+					if s := info.Selections[n]; s != nil {
+						typ := s.Recv()
+						for _, i := range s.Index()[:len(s.Index())-1] {
+							v := deref(typ).Underlying().(*types.Struct).Field(i)
+							if f := lookup(v); f != nil {
+								f.read = true
+							}
+							typ = v.Type()
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	used := map[string]bool{}
+	var found []string
+	for _, f := range fields {
+		if !f.written || f.read {
+			continue
+		}
+		if readAllow[f.key] != "" {
+			used[f.key] = true
+			continue
+		}
+		found = append(found, fmt.Sprintf("%s: %s", prog.fset.Position(f.pos), f.key))
+	}
+	stale(t, "readAllow", readAllow, used)
+	sort.Strings(found)
+	for _, s := range found {
+		t.Errorf("%s is written but read by no program under cmd/ or benchmark/: delete it, or list it in readAllow with the reason", s)
 	}
 }
