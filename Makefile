@@ -5,16 +5,16 @@ GO ?= go
 
 # COVER_FLOOR is the total-coverage gate: measured ~72% when the gate
 # was added (PR 4), raised to 73 with the fleet runtime (PR 5, measured
-# above it). Raise it as coverage grows; never lower it to get a
-# change in.
-COVER_FLOOR ?= 73
+# above it), and to 83 in PR 64 (84.2% measured). Raise it as coverage
+# grows; never lower it to get a change in.
+COVER_FLOOR ?= 83
 
 # LOC_CEILING is the line-count gate on `make loc`, added at 18,373 in
 # PR 21; CHANGES.md records each later PR's count.
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 14544
+LOC_CEILING ?= 14472
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 

@@ -271,7 +271,7 @@ func Run(cfg Config) (*Result, error) {
 	if len(cfg.Jobs) == 0 {
 		return nil, errors.New("fleet: no jobs submitted")
 	}
-	events, err := fleetEvents(cfg.Scenario)
+	events, err := fleetEvents(cfg.Scenario, cfg.Preprocess != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +282,6 @@ func Run(cfg Config) (*Result, error) {
 	shaped := false
 	if ss, ok := sched.(ShapedScheduler); ok {
 		shaped = ss.ShapedPlacement()
-	}
-	for _, ev := range events {
-		if (ev.Kind == scenario.ProducerFail || ev.Kind == scenario.ProducerJoin) && cfg.Preprocess == nil {
-			return nil, fmt.Errorf("fleet: %s event needs Config.Preprocess (it acts on the shared producer fleet)", ev.Kind)
-		}
 	}
 	// Defaults land in specs, never in cfg.Jobs: callers may reuse one
 	// Jobs slice across fleets (and cluster sizes) without this run's
@@ -410,8 +405,9 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// fleetEvents extracts and validates the fleet-scope event schedule.
-func fleetEvents(s scenario.Scenario) ([]scenario.Event, error) {
+// fleetEvents extracts and validates the fleet-scope event schedule;
+// producer events need the shared preprocessing tier.
+func fleetEvents(s scenario.Scenario, preprocess bool) ([]scenario.Event, error) {
 	if s == nil {
 		return nil, nil
 	}
@@ -425,6 +421,9 @@ func fleetEvents(s scenario.Scenario) ([]scenario.Event, error) {
 		// they act on its own producers (Train.Scenario); here they act
 		// on the fleet-shared producer tier.
 		if e.Kind == scenario.ProducerFail || e.Kind == scenario.ProducerJoin {
+			if !preprocess {
+				return nil, fmt.Errorf("fleet: %s event needs Config.Preprocess (it acts on the shared producer fleet)", e.Kind)
+			}
 			continue
 		}
 		if !e.Kind.FleetScope() {
@@ -476,7 +475,11 @@ func (f *runner) newTenant(si int, class Class) {
 
 // enqueueArrivals submits this round's arrivals: Config.Jobs entries
 // first (in index order), then scenario arrival events — job-arrive,
-// priority-arrive, preempt-storm, herd — in schedule order.
+// priority-arrive, preempt-storm, herd — in schedule order. The kinds
+// differ only in count and class, and the parser's defaults leave a
+// job-arrive or priority-arrive with no count (one instance) and a
+// job-arrive or herd with no class (the spec's). A herd's K tenants
+// share one plan cache key: one search, K-1 cache hits.
 func (f *runner) enqueueArrivals() {
 	for i := range f.cfg.Jobs {
 		if f.cfg.Jobs[i].Arrive == f.round {
@@ -491,22 +494,8 @@ func (f *runner) enqueueArrivals() {
 			f.note("job-arrive-ignored", metrics.Int("job", ev.Job), metrics.Str("reason", "no such job spec"))
 			continue
 		}
-		switch ev.Kind {
-		case scenario.JobArrive:
-			f.newTenant(ev.Job, "")
-		case scenario.PriorityArrive:
-			// Class validated at Run; "" inherits the spec's class.
+		for k := 0; k < max(ev.Count, 1); k++ {
 			f.newTenant(ev.Job, Class(ev.Class))
-		case scenario.PreemptStorm:
-			for k := 0; k < ev.Count; k++ {
-				f.newTenant(ev.Job, Class(ev.Class))
-			}
-		case scenario.Herd:
-			// K near-identical tenants, same round, same plan
-			// cache key: one search, K-1 cache hits.
-			for k := 0; k < ev.Count; k++ {
-				f.newTenant(ev.Job, "")
-			}
 		}
 	}
 }
@@ -558,7 +547,7 @@ func (f *runner) failNode(node int) {
 	t := f.tenants[owner]
 	if shrunk := t.Lease.Without(node); shrunk.NodeCount() >= t.min {
 		reason := fmt.Sprintf("node %d failed: lease shrinks to %d nodes", node, shrunk.NodeCount())
-		if f.resize(t, shrunk, nil, reason) == nil {
+		if f.resize(t, shrunk, nil, nil, nil, reason) == nil {
 			f.note("lease-shrink", metrics.Int("job", t.ID), metrics.Int("nodes", shrunk.NodeCount()))
 			return
 		}
@@ -593,24 +582,37 @@ func (f *runner) transition(t *tenant, to int, reason string) {
 	f.gen++
 }
 
-// resize is the one costed lease change of a tenant that has run: the
-// plan for the new lease (asked of the shared cache when the caller
-// holds none), the trainer's checkpoint-reconfigure, then the tenant's
-// lease, plan and resize count. An error leaves the tenant on its old
-// lease and plan. Lease table accounting stays with the caller.
-func (f *runner) resize(t *tenant, lease cluster.Lease, plan *orchestrator.Plan, reason string) error {
-	if plan == nil {
-		var err error
-		if plan, err = f.cache.Plan(context.Background(), f.leaseSpec(t, lease)); err != nil {
-			return err
-		}
+// resize is the one costed lease change of a tenant that has run, and
+// it moves the tenant's lease and the lease table together. It takes
+// the nodes in take out of the free pool, plans the new lease through
+// the shared cache when the caller holds no plan, runs the trainer's
+// checkpoint-reconfigure, then records the tenant's lease, plan and
+// resize count and frees the nodes in drop. An error before that gives
+// take back and leaves the tenant on its old lease and plan. A drop the
+// table refuses means the table and the tenant diverged: the tenant
+// fails loudly rather than corrupting accounting.
+func (f *runner) resize(t *tenant, lease cluster.Lease, take, drop []int, plan *orchestrator.Plan, reason string) error {
+	if err := f.table.Acquire(t.ID, take); err != nil {
+		return err
 	}
-	if err := t.job.Resize(lease, plan, reason); err != nil {
+	var err error
+	if plan == nil {
+		plan, err = f.cache.Plan(context.Background(), f.leaseSpec(t, lease))
+	}
+	if err == nil {
+		err = t.job.Resize(lease, plan, reason)
+	}
+	if err != nil {
+		f.table.ReleaseNodes(t.ID, take) // just acquired: cannot fail
 		return err
 	}
 	t.Lease, t.Plan = lease, plan
 	t.Resizes++
 	f.gen++
+	if err := f.table.ReleaseNodes(t.ID, drop); err != nil {
+		f.fail(t, "job-failed", err)
+		return err
+	}
 	return nil
 }
 
@@ -728,14 +730,20 @@ func (f *runner) admit() {
 		if grant < t.min {
 			return // the head blocks the queue
 		}
-		nodes := f.sched.PlaceNodes(ops, v, grant)
-		lease := cluster.NewLease(nodes...)
+		lease := cluster.NewLease(f.sched.PlaceNodes(ops, v, grant)...)
 		// Two ways the head can never run, one exit. An invalid placement
-		// is a bug in the scheduler, not the tenant: failing the tenant
-		// loudly beats corrupting the lease table. A lease unplannable at
-		// its granted size (model too big for MinNodes, degenerate batch
-		// geometry) stays unplannable. Either way the queue keeps moving.
-		err := f.checkPlacement(lease, grant)
+		// (other than grant nodes, or nodes the table's Acquire refuses) is
+		// a bug in the scheduler, not the tenant: failing the tenant loudly
+		// beats corrupting the lease table. A lease unplannable at its
+		// granted size (model too big for MinNodes, degenerate batch
+		// geometry) stays unplannable, and retiring the tenant gives its
+		// nodes back. Either way the queue keeps moving.
+		var err error
+		if lease.NodeCount() != grant {
+			err = fmt.Errorf("placed %d nodes, granted %d", lease.NodeCount(), grant)
+		} else {
+			err = f.table.Acquire(t.ID, lease.Nodes)
+		}
 		if err != nil {
 			err = fmt.Errorf("fleet: scheduler %s: %w", f.sched.Name(), err)
 		} else {
@@ -750,40 +758,18 @@ func (f *runner) admit() {
 	}
 }
 
-// checkPlacement validates a scheduler's PlaceNodes result: exactly
-// grant distinct nodes, all currently free.
-func (f *runner) checkPlacement(l cluster.Lease, grant int) error {
-	if l.NodeCount() != grant {
-		return fmt.Errorf("placed %d nodes, granted %d", l.NodeCount(), grant)
-	}
-	prev := -1
-	for _, n := range l.Nodes {
-		if n == prev {
-			return fmt.Errorf("node %d placed twice", n)
-		}
-		prev = n
-		if f.table.ownerOf(n) != nodeFree {
-			return fmt.Errorf("placed node %d is not free", n)
-		}
-	}
-	return nil
-}
-
-// reserve is admission, one synchronous step: plan the granted lease
-// through the shared cache, take the lease out of the free pool, and
-// start the tenant on it — a fresh tenant builds its runtime and Job, a
-// suspended one resumes through a costed lease resize. All instances of
-// a template share the template's spec (same profiler pointer, same
-// model and batch geometry), so equal lease sizes share one cache key:
-// K identical tenants pay for one §4.3 search and K-1 hits, each a spec
+// reserve is the rest of admission, one synchronous step: plan the
+// lease admit acquired through the shared cache and start the tenant on
+// it — a fresh tenant builds its runtime and Job, a suspended one
+// resumes through a costed lease resize. All instances of a template
+// share the template's spec (same profiler pointer, same model and
+// batch geometry), so equal lease sizes share one cache key: K
+// identical tenants pay for one §4.3 search and K-1 hits, each a spec
 // validation and a map lookup, hashing nothing. Errors leave whatever
 // the tenant holds to the caller's retire path.
 func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 	plan, err := f.cache.Plan(context.Background(), f.leaseSpec(t, lease))
 	if err != nil {
-		return err
-	}
-	if err := f.table.Acquire(t.ID, lease.Nodes); err != nil {
 		return err
 	}
 	if t.rt == nil {
@@ -821,7 +807,7 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 		t.rt, t.job = rt, job
 		t.Strategy = plan.Strategy
 		t.Lease, t.Plan = lease, plan
-	} else if err := f.resize(t, lease, plan, fmt.Sprintf("resumed on %d nodes", lease.NodeCount())); err != nil {
+	} else if err := f.resize(t, lease, nil, nil, plan, fmt.Sprintf("resumed on %d nodes", lease.NodeCount())); err != nil {
 		return err
 	}
 	if t.Started < 0 {

@@ -93,13 +93,7 @@ func (o schedOps) Shrink(id int, drop []int, reason string) bool {
 	if shrunk.NodeCount() == 0 {
 		return false // shrink-to-nothing is a preemption, not a resize
 	}
-	if f.resize(t, shrunk, nil, reason) != nil {
-		return false
-	}
-	if err := f.table.ReleaseNodes(t.ID, drop); err != nil {
-		// Table and tenant state diverged: fail loudly via the tenant
-		// rather than corrupting accounting.
-		f.fail(t, "job-failed", err)
+	if f.resize(t, shrunk, nil, drop, nil, reason) != nil {
 		return false
 	}
 	f.note("lease-shrink", metrics.Int("job", t.ID), metrics.Int("nodes", shrunk.NodeCount()))
@@ -107,27 +101,16 @@ func (o schedOps) Shrink(id int, drop []int, reason string) bool {
 }
 
 // Grow implements Ops: a costed resize extending a running tenant's
-// lease by the given free nodes.
+// lease by the given free nodes. resize refuses nodes that are not
+// free and nodes listed twice.
 func (o schedOps) Grow(id int, take []int, reason string) bool {
 	f := o.f
 	t := o.runningTenant(id)
 	if t == nil || len(take) == 0 {
 		return false
 	}
-	for _, n := range take {
-		if f.table.ownerOf(n) != nodeFree {
-			return false
-		}
-	}
 	grown := cluster.NewLease(append(append([]int(nil), t.Lease.Nodes...), take...)...)
-	if grown.NodeCount() != t.Lease.NodeCount()+len(take) {
-		return false // duplicate nodes in take
-	}
-	if f.resize(t, grown, nil, reason) != nil {
-		return false
-	}
-	if err := f.table.Acquire(t.ID, take); err != nil {
-		f.fail(t, "job-failed", err)
+	if f.resize(t, grown, take, nil, nil, reason) != nil {
 		return false
 	}
 	f.note("lease-grow", metrics.Int("job", t.ID), metrics.Int("nodes", grown.NodeCount()))

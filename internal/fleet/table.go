@@ -163,15 +163,6 @@ func (t *leaseTable) Release(job int) []int {
 	return out
 }
 
-// ownerOf returns the node's owner slot (nodeFree, nodeFailed, or a
-// tenant id); out-of-range nodes read as failed.
-func (t *leaseTable) ownerOf(node int) int {
-	if node < 0 || node >= len(t.owner) {
-		return nodeFailed
-	}
-	return t.owner[node]
-}
-
 // Fail marks a node failed and returns its previous owner (nodeFree
 // when it was free). Failing an already-failed node is an error — a
 // node cannot die twice without rejoining in between.

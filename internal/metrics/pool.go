@@ -30,31 +30,15 @@ type PoolStats struct {
 	latSum float64
 	recent series
 
-	// parent, when non-nil, receives a copy of every record — labeled
-	// children roll up into the aggregate they were created from.
+	// parent, when non-nil, receives a copy of every record — children
+	// roll up into the aggregate they were created from.
 	parent *PoolStats
-
-	lmu     sync.Mutex
-	labeled map[string]*PoolStats
 }
 
-// Labeled returns (creating on first use) the named child collector.
-// Records into a child also land in this aggregate, so a shared
-// preprocessing service keeps one aggregate plus per-tenant breakdowns
-// from one collector tree.
-func (p *PoolStats) Labeled(name string) *PoolStats {
-	p.lmu.Lock()
-	defer p.lmu.Unlock()
-	if p.labeled == nil {
-		p.labeled = map[string]*PoolStats{}
-	}
-	c, ok := p.labeled[name]
-	if !ok {
-		c = &PoolStats{parent: p}
-		p.labeled[name] = c
-	}
-	return c
-}
+// Child returns a new child collector. Records into a child also land
+// in this aggregate, so a shared preprocessing service keeps one
+// aggregate plus one child per tenant.
+func (p *PoolStats) Child() *PoolStats { return &PoolStats{parent: p} }
 
 // RecordFetch records one successful fetch and its latency in seconds.
 func (p *PoolStats) RecordFetch(seconds float64) {

@@ -72,7 +72,7 @@ func TestPoolStatsConcurrent(t *testing.T) {
 // recent window.
 func TestPoolStatsLatencyBounded(t *testing.T) {
 	var s PoolStats
-	child := s.Labeled("t0")
+	child := s.Child()
 	const n = 100_000
 	for i := 0; i < n; i++ {
 		child.RecordFetch(0.001) // 1 ms, except one early 1 s outlier

@@ -30,7 +30,7 @@ import (
 // scalable.
 type Service struct {
 	members []*Client
-	stats   *metrics.PoolStats // aggregate; tenants record into labeled children
+	stats   *metrics.PoolStats // aggregate; each tenant records into its own child
 	// cooldown starts at the constant of the same name; tests shorten
 	// it.
 	cooldown time.Duration
@@ -126,7 +126,7 @@ func (s *Service) Register(cfg TenantConfig) (*Tenant, error) {
 	t := &Tenant{
 		svc: s, id: len(s.tenants), name: cfg.Name,
 		cache: &cache,
-		stats: s.stats.Labeled(cfg.Name),
+		stats: s.stats.Child(),
 	}
 	t.dp.Store(int64(cfg.DP))
 	s.tenants = append(s.tenants, t)

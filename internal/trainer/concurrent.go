@@ -398,15 +398,6 @@ func (r *Runtime) runRanks(outcomes []rankOutcome, ranks [][]model.Workload, p2p
 	}
 }
 
-// RunIterationSequential prepares and executes one iteration on the
-// calling goroutine: the single-iteration reference the tests and
-// trial evaluations use.
-func (r *Runtime) RunIterationSequential(iter int) (IterationStats, error) {
-	pert := scenario.At(r.cfg.Scenario, iter)
-	p := r.prepare(iter, pert)
-	return r.iteration(&p, pert)
-}
-
 // Run executes n iterations on the calling goroutine and aggregates;
 // scenario-injected node failures trigger checkpoint-restore recovery
 // with the lost iterations re-executed. The loop body lives in

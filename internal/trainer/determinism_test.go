@@ -11,6 +11,14 @@ import (
 	"disttrain/internal/scenario"
 )
 
+// RunIterationSequential prepares and executes one iteration on the
+// calling goroutine: the single-iteration reference the tests use.
+func (r *Runtime) RunIterationSequential(iter int) (IterationStats, error) {
+	pert := scenario.At(r.cfg.Scenario, iter)
+	p := r.prepare(iter, pert)
+	return r.iteration(&p, pert)
+}
+
 // TestConcurrentRuntimeEquivalence is the engine's core guarantee: Run
 // on a fresh runtime returns a Result byte-identical to a repeated run,
 // and every iteration's stats equal a single iteration run alone on

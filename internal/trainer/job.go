@@ -174,7 +174,6 @@ func (j *Job) Resize(l cluster.Lease, p *orchestrator.Plan, reason string) error
 	}
 	j.switchPlan(j.i, r.classOf(&spec, p), reason, "fleet", "lease-resize",
 		metrics.Int("iter", j.i), metrics.Int("nodes", l.NodeCount()), metrics.Str("reason", reason))
-	r.lease = l
 	return nil
 }
 

@@ -108,15 +108,15 @@ func TestJobResizeContract(t *testing.T) {
 	if err := lj.Resize(cluster.NewLease(0), bigPlan, "x"); err == nil {
 		t.Error("plan larger than the lease accepted")
 	}
-	if got := lj.r.cfg.Lease; got == nil || !reflect.DeepEqual(*got, lease) {
-		t.Fatalf("rejected resizes moved the lease: %v", got)
+	if got := lj.r.cls.spec.Cluster.Nodes; got != lease.NodeCount() {
+		t.Fatalf("rejected resizes moved the priced geometry to %d nodes", got)
 	}
 	grown := cluster.NewLease(0, 1, 2, 3, 4, 5, 6, 7)
 	if err := lj.Resize(grown, bigPlan, "grow to 8 nodes"); err != nil {
 		t.Fatal(err)
 	}
-	if got := lj.r.cfg.Lease; got == nil || !reflect.DeepEqual(*got, grown) {
-		t.Fatalf("lease after grow = %v", got)
+	if got := lj.r.cls.spec.Cluster.Nodes; got != grown.NodeCount() {
+		t.Fatalf("priced geometry after grow = %d nodes, want %d", got, grown.NodeCount())
 	}
 	for !lj.Done() {
 		if err := lj.Step(); err != nil {

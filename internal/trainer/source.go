@@ -38,15 +38,11 @@ func TrialMeanIterTime(cfg Config, batches [][]data.Sample) (float64, error) {
 	}
 	defer rt.Close()
 	rt.trial = batches
-	var sum float64
-	for i := range batches {
-		st, err := rt.RunIterationSequential(i)
-		if err != nil {
-			return 0, err
-		}
-		sum += st.Breakdown.Total()
+	res, err := rt.Run(len(batches))
+	if err != nil {
+		return 0, err
 	}
-	return sum / float64(len(batches)), nil
+	return res.MeanIterTime, nil
 }
 
 // PoolSource sources each iteration's microbatches from a live

@@ -270,11 +270,10 @@ type Result struct {
 // are not safe for concurrent use; separate runtimes may run on
 // separate goroutines.
 type Runtime struct {
-	// cfg is the config New was given, its Lease pointing at lease, the
-	// current one, and its Batches nil unless the runtime joined them; the
-	// leased spec and the plan in force are cls's.
-	cfg   Config
-	lease cluster.Lease
+	// cfg is the config New was given, its Batches nil unless the
+	// runtime joined them; the leased spec and the plan in force are
+	// cls's, and Lease is only checked against nil (Job.Resize).
+	cfg Config
 	// cls is the runtime's class, shared and never written: New and
 	// every plan switch point it at the plan in force.
 	cls *class
@@ -310,7 +309,6 @@ func New(cfg Config) (*Runtime, error) {
 		if err := l.Validate(base); err != nil {
 			return nil, err
 		}
-		r.lease, r.cfg.Lease = *l, &r.lease // a copy: Resize rewrites it
 		leased := cfg.Spec.ForLease(base, *l, cfg.PlacementPricing)
 		spec = &leased
 		if cfg.Plan != nil && cfg.Plan.TotalGPUs() > l.GPUs(base) {
