@@ -14,7 +14,7 @@ COVER_FLOOR ?= 83
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 14472
+LOC_CEILING ?= 14420
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
 
@@ -155,8 +155,10 @@ staticcheck:
 # the loop that found it as it ran, and the corpus's closed-form generator
 # against math/rand (the seeded corpora always run in plain `make
 # test`) — and the plan store's log scanner, the whole of what an
-# unsynced log promises, and the data plane's generational window
-# against a map that keeps every put.
+# unsynced log promises, the data plane's generational window
+# against a map that keeps every put, and the fleet lease table's
+# incrementally kept free list, counts and snapshot against a scan of
+# its owner slots.
 #
 # FUZZ_TARGETS is the one list of those targets, package:name, and CI's
 # fuzz step runs this target. It first fails when a `func Fuzz…` in any
@@ -179,7 +181,8 @@ FUZZ_TARGETS = \
 	./internal/reorder:FuzzReordererReuse \
 	./internal/data:FuzzSeededRand \
 	./internal/store:FuzzLogScan \
-	./internal/window:FuzzWindow
+	./internal/window:FuzzWindow \
+	./internal/fleet:FuzzLeaseTable
 fuzz:
 	@listed=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$listed"; exit 1; }; \
 	found=$$(echo "$$listed" | awk '/^Fuzz/ { n[++k] = $$1; next } \

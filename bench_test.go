@@ -2,9 +2,9 @@ package disttrain
 
 // The root benchmark file holds the fleet, shared-preprocessing-service,
 // plan-cache, cold-search and cold-admission loops `make bench-json` records into
-// BENCH_fleet.json as a trajectory of ns/op, B/op and allocs/op, plus
-// the one mechanism ablation nothing else measures, the StepCCL
-// executor. None of them gates anything: each allocation count is
+// BENCH_fleet.json as a trajectory of ns/op, B/op and allocs/op (the
+// StepCCL executor's ablation lives with its tests, in
+// internal/stepccl). None of them gates anything: each allocation count is
 // pinned by a tier-1 budget test in the package that owns the path,
 // every speed claim is made by the benchmark/ ledger's paired runs,
 // and the paper's tables and figures are experiments pinned by goldens
@@ -22,7 +22,6 @@ import (
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/preprocess"
 	"disttrain/internal/profiler"
-	"disttrain/internal/stepccl"
 	"disttrain/internal/store"
 	"disttrain/internal/trainer"
 
@@ -46,31 +45,15 @@ func benchSpec(b *testing.B, m model.MLLM, nodes, bs int) orchestrator.Spec {
 	return orchestrator.Spec{Cluster: cl, Model: m, GlobalBatch: bs, Microbatch: 1, Profiler: p, VPP: 1}
 }
 
-// BenchmarkStepCCLExecutor compares the strawman and overlapped
-// executors on a realistic shard shape.
-func BenchmarkStepCCLExecutor(b *testing.B) {
-	e, err := stepccl.NewExecutor(8, 8, 64, 512, 512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("strawman", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.RunStrawman()
-		}
-	})
-	b.Run("overlapped", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.RunOverlapped()
-		}
-	})
-}
-
 // BenchmarkFleetThroughput sweeps the multi-tenant fleet runtime over
 // 1/4/16/64 concurrent jobs — identical tenants on 2-node leases, so the
 // shared plan cache collapses every run to a single §4.3 search.
 // Iterations per job scale inversely with the job count (floor 2) so
 // every sub-benchmark op performs comparable total work; jobs=16/traced
-// is jobs=16 recording every tenant's timeline and merging them.
+// is jobs=16 recording every tenant's timeline and merging them, and
+// jobs=256/nodes=64 is the queued shape of benchmark/'s fleet-steady:
+// 256 tenants of 4 iterations under FairShare wait for 32 2-node leases,
+// so admission and the per-round bookkeeping run 256 times per op.
 // TestFleetAllocBudget (internal/fleet) pins each op's allocations.
 func BenchmarkFleetThroughput(b *testing.B) {
 	corpus, err := data.NewCorpus(data.LAION400M())
@@ -78,21 +61,27 @@ func BenchmarkFleetThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, tc := range []struct {
-		jobs  int
-		trace bool
-	}{{1, false}, {4, false}, {16, false}, {64, false}, {16, true}} {
-		jobs, itersPerJob, name := tc.jobs, max(2, 32/tc.jobs), fmt.Sprintf("jobs=%d", tc.jobs)
+		jobs, nodes, iters int
+		trace              bool
+	}{{1, 2, 32, false}, {4, 8, 8, false}, {16, 32, 2, false}, {64, 128, 2, false}, {16, 32, 2, true}, {256, 64, 4, false}} {
+		jobs, name := tc.jobs, fmt.Sprintf("jobs=%d", tc.jobs)
+		if tc.nodes != 2*jobs {
+			name += fmt.Sprintf("/nodes=%d", tc.nodes)
+		}
 		if tc.trace {
 			name += "/traced"
 		}
 		b.Run(name, func(b *testing.B) {
-			spec := benchSpec(b, model.MLLM9B(), 2*jobs, 32)
+			spec := benchSpec(b, model.MLLM9B(), tc.nodes, 32)
 			tmpl := trainer.DistTrainConfig(spec, nil, corpus)
 			cfg := fleet.Config{Cluster: spec.Cluster, Trace: tc.trace}
+			if tc.nodes != 2*jobs {
+				cfg.Policy = fleet.FairShare
+			}
 			for j := 0; j < jobs; j++ {
 				cfg.Jobs = append(cfg.Jobs, fleet.JobSpec{
 					Name: fmt.Sprintf("t%d", j), Train: tmpl,
-					Iters: itersPerJob, MinNodes: 2, MaxNodes: 2,
+					Iters: tc.iters, MinNodes: 2, MaxNodes: 2,
 				})
 			}
 			b.ResetTimer()

@@ -5,12 +5,15 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"disttrain/internal/metrics"
 	"disttrain/internal/trainer"
 )
 
 // TestFleetAllocBudget pins what one fleet run allocates at the
 // geometries BenchmarkFleetThroughput and BenchmarkColdAdmissionStorm
-// time: K tenants on 2-node leases of a 2K-node cluster. K identical
+// time: K tenants on 2-node leases of a 2K-node cluster, and
+// fleet-steady's queued shape, 256 tenants of 4 iterations waiting
+// under FairShare for the 32 leases of a 64-node cluster. K identical
 // tenants share one §4.3 search through the plan cache and each
 // iteration's prepared batch (4 allocations an entry) and, under their
 // one plan, its rank outcomes through the run's batch cache (a lone
@@ -37,12 +40,19 @@ import (
 // backbone shape before building its candidates, and on every row (K=1
 // from 165, K=64 from 1,087, the cold storm from 1,085) when a round
 // stopped fanning its tenant steps out over goroutines and a Job
-// stopped prefetching its next batch on one.
-// The traced row records every tenant's timeline and merges them: 579
-// allocations (629 before the prefetch went, 645 before that search
-// change), where 1,613 were while each rank copied its ops out of
-// the simulator, each trace kept its own label index, each runtime
-// labelled its op names and each lane name and fleet note built a map.
+// stopped prefetching its next batch on one, and on every row (K=1
+// from 66, K=4 from 159, K=16 from 277, K=64 from 863, the cold storm
+// from 713, the traced row from 549 and K=256 from 3,225, each as
+// measured before the change, below its recorded count by then) when
+// the lease table stopped building its free list per call, a tenant
+// became a slot of one slab named without fmt, a runtime pointed at its
+// tenant's lease and Running left room for the round's admissions.
+// The traced row records every tenant's timeline and merges them: 445
+// allocations (579 before the table change, 629 before the prefetch
+// went, 645 before that search change), where 1,613 were while each
+// rank copied its ops out of the simulator, each trace kept its own
+// label index, each runtime labelled its op names and each lane name
+// and fleet note built a map.
 // Under the race detector sync.Pool drops entries at random, so there
 // is nothing to pin.
 func TestFleetAllocBudget(t *testing.T) {
@@ -56,16 +66,24 @@ func TestFleetAllocBudget(t *testing.T) {
 		distinct bool // distinct batches: one cold search per tenant
 		traced   bool
 		recorded float64
+		nodes    int // 0: two per tenant, under FIFO; else FairShare
 	}{
-		{"K=1", 1, 32, false, false, 96},
-		{"K=4", 4, 8, false, false, 189},
-		{"K=16", 16, 2, false, false, 307},
-		{"K=64", 64, 2, false, false, 893},
-		{"cold storm", 16, 2, true, false, 971},
-		{"K=16 traced", 16, 2, false, true, 579},
+		{"K=1", 1, 32, false, false, 64, 0},
+		{"K=4", 4, 8, false, false, 133, 0},
+		{"K=16", 16, 2, false, false, 173, 0},
+		{"K=64", 64, 2, false, false, 465, 0},
+		{"cold storm", 16, 2, true, false, 629, 0},
+		{"K=16 traced", 16, 2, false, true, 445, 0},
+		{"K=256 on 64 nodes", 256, 4, false, false, 1637, 64},
 	} {
-		spec, corpus := buildSpec(t, 2*tc.k, 32)
-		cfg := Config{Cluster: spec.Cluster, Trace: tc.traced}
+		nodes, policy := tc.nodes, Scheduler(nil)
+		if nodes == 0 {
+			nodes = 2 * tc.k
+		} else {
+			policy = FairShare
+		}
+		spec, corpus := buildSpec(t, nodes, 32)
+		cfg := Config{Cluster: spec.Cluster, Trace: tc.traced, Policy: policy}
 		searches := int64(1)
 		for j := 0; j < tc.k; j++ {
 			js := spec
@@ -96,5 +114,29 @@ func TestFleetAllocBudget(t *testing.T) {
 		if budget := tc.recorded + max(tc.recorded/100, 8); got > budget {
 			t.Errorf("%s: %v allocs per run, recorded %v, budget %.0f", tc.name, got, tc.recorded, budget)
 		}
+	}
+}
+
+// TestQueuedTenantAllocs pins what an arrival costs: its name, built
+// without fmt, and nothing else — the tenant is a slot of the run's
+// slab, and its scheduler-lane note, with tracing off, keeps its args on
+// the caller's stack.
+func TestQueuedTenantAllocs(t *testing.T) {
+	const n = 64
+	f := &runner{
+		cfg:     Config{Jobs: []JobSpec{{Name: "t", Iters: 1}}},
+		specs:   []specLimits{{class: classNormal, min: 1, max: 1}},
+		tenants: make([]*tenant, 0, n), slab: make([]tenant, n), queue: make([]*tenant, 0, n),
+	}
+	if got := testing.AllocsPerRun(n/2, func() { f.newTenant(0, "") }); got != 1 {
+		t.Errorf("an arrival allocated %v times, want 1 (its name)", got)
+	}
+	if tn := f.tenants[len(f.tenants)-1]; tn.Name != fmt.Sprintf("t-%d", tn.ID) {
+		t.Errorf("tenant %d named %q", tn.ID, tn.Name)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		f.note("job-start", metrics.Int("job", 3), metrics.Str("strategy", f.tenants[0].Name))
+	}); got != 0 {
+		t.Errorf("an untraced note allocated %v times, want 0", got)
 	}
 }

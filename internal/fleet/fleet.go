@@ -1,15 +1,19 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/metrics"
 	"disttrain/internal/orchestrator"
 	"disttrain/internal/preprocess"
+	"disttrain/internal/profiler"
 	"disttrain/internal/scenario"
 	"disttrain/internal/trainer"
 )
@@ -97,7 +101,8 @@ type Config struct {
 // SequentialPlanners is inert, kept only for benchmark/ until a later benchmark change deletes it.
 const SequentialPlanners = -1
 
-// RoundInfo is one round's lease-table snapshot.
+// RoundInfo is one round's lease-table snapshot. Rounds between two
+// lease changes share one: its slices and map are read-only.
 type RoundInfo struct {
 	Round  int
 	Free   []int
@@ -216,10 +221,12 @@ type runner struct {
 	sched      Scheduler
 	shaped     bool         // scheduler placements are priced (ShapedScheduler)
 	specs      []specLimits // validated per-JobSpec class and node bounds
+	leased     map[leaseKey]*orchestrator.Spec
 	table      *leaseTable
 	cache      *orchestrator.PlanCache
 	events     []scenario.Event
 	tenants    []*tenant
+	slab       []tenant // tenant i is &slab[i]: one array for every arrival
 	queue      []*tenant
 	round      int
 	admitted   int // tenants admitted this round
@@ -237,12 +244,17 @@ type runner struct {
 
 	// queueDirty marks that an Order key of some queued tenant may have
 	// changed since the last sortQueue: set by arrivals, requeues,
-	// preemptions and round-start aging; cleared by sortQueue. When the
-	// flag is clear the queue is already in scheduler order (popping the
-	// head preserves it), so admit's per-pass stable re-sort — the
-	// identity on a sorted queue — is skipped entirely.
-	queueDirty bool
-	runBuf     []*tenant // running() scratch, reused across rounds
+	// preemptions and, unless agingKeepsOrder, round-start aging; cleared
+	// by sortQueue. When the flag is clear the queue is already in
+	// scheduler order (popping the head preserves it), so admit's
+	// per-pass stable re-sort — the identity on a sorted queue — is
+	// skipped entirely. agingKeepsOrder marks the built-in schedulers,
+	// whose Order reads Waited not at all or as the difference of two
+	// waits, so aging every queued tenant by a round keeps the order.
+	queueDirty, agingKeepsOrder bool
+	// live holds the running tenants in submission order, kept by
+	// transition; runBuf is running()'s copy of it.
+	live, runBuf []*tenant
 
 	// gen is bumped by transition and resize — the only writers of
 	// tenant state and of a running tenant's lease — and by nothing
@@ -254,10 +266,22 @@ type runner struct {
 }
 
 // specLimits is what Run derives from one JobSpec once, with defaults
-// applied: tenants copy these, not the spec.
+// applied: tenants copy these, not the spec. modelOK: the template's
+// model is its profiler's, as a valid spec's must be.
 type specLimits struct {
 	class    Class
 	min, max int
+	modelOK  bool
+}
+
+// leaseKey is what a leased spec is a function of, for a template whose
+// model is its profiler's on the fleet's cluster (Run holds every
+// template to it): profiler, batch geometry, node count and, when
+// placements are priced, shape.
+type leaseKey struct {
+	prof                     *profiler.Profiler
+	batch, micro, vpp, nodes int
+	shape                    string
 }
 
 // Run executes the fleet to completion: every submitted (and
@@ -313,17 +337,30 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: job %d: %w", i, err)
 		}
-		specs[i] = specLimits{class: cls, min: lo, max: hi}
+		s := &js.Train.Spec
+		specs[i] = specLimits{class: cls, min: lo, max: hi, modelOK: s.Profiler != nil && s.Model.Equal(s.Profiler.Model())}
 	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = orchestrator.NewPlanCache(orchestrator.SearchOptions{})
 	}
+	arrivals := len(cfg.Jobs)
+	for _, ev := range events {
+		if arrivalKind(ev.Kind) && ev.Job >= 0 && ev.Job < len(cfg.Jobs) {
+			arrivals += max(ev.Count, 1)
+		}
+	}
 	f := &runner{
 		cfg: cfg, sched: sched, shaped: shaped, specs: specs,
-		table: newLeaseTable(cfg.Cluster.Nodes),
-		cache: cache, events: events,
+		leased: map[leaseKey]*orchestrator.Spec{},
+		table:  newLeaseTable(cfg.Cluster.Nodes),
+		cache:  cache, events: events,
+		tenants: make([]*tenant, 0, arrivals), slab: make([]tenant, arrivals),
 	}
+	// A running tenant holds a node: no more run than there are nodes.
+	run := make([]*tenant, 2*cfg.Cluster.Nodes)
+	f.live, f.runBuf = run[:0:cfg.Cluster.Nodes], run[cfg.Cluster.Nodes:cfg.Cluster.Nodes]
+	f.agingKeepsOrder = sched == fifo || sched == FairShare || sched == Priority
 	if cfg.Trace {
 		f.fleetTrace = metrics.NewTrace()
 		f.fleetTrace.NameProcess(0, "scheduler")
@@ -348,10 +385,10 @@ func Run(cfg Config) (*Result, error) {
 		// Queue aging: tenants still queued from earlier rounds have
 		// waited one more full round (this round's arrivals start at 0).
 		// Waited is an Order key (aging promotion), so aging dirties the
-		// queue order.
+		// queue order unless the scheduler's order cannot move with it.
 		for _, t := range f.queue {
 			t.waited++
-			f.queueDirty = true
+			f.queueDirty = f.queueDirty || !f.agingKeepsOrder
 		}
 		f.enqueueArrivals()
 		f.applyEvents()
@@ -362,7 +399,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		f.stepRunning()
 		f.completeFinished()
-		if f.round >= lastRound && f.runningCount() == 0 {
+		if f.round >= lastRound && len(f.live) == 0 {
 			if len(f.queue) == 0 {
 				break
 			}
@@ -382,8 +419,9 @@ func Run(cfg Config) (*Result, error) {
 		PlanHits:      cache.Hits() - baseHits,
 		PlanWarmSeeds: cache.WarmSeeds() - baseWarmSeeds,
 	}
-	for _, t := range f.tenants {
-		res.Jobs = append(res.Jobs, t.JobResult)
+	res.Jobs = make([]JobResult, len(f.tenants))
+	for i, t := range f.tenants {
+		res.Jobs[i] = t.JobResult
 	}
 	if f.service != nil {
 		snap := f.service.Snapshot()
@@ -447,16 +485,19 @@ func arrivalKind(k scenario.Kind) bool {
 }
 
 // newTenant submits one instance of job spec si to the queue, at the
-// given priority class.
+// given priority class. The tenant is the next slot of the run's slab;
+// its name, "<spec name>-<id>", is its one allocation.
 func (f *runner) newTenant(si int, class Class) {
-	js, lim := &f.cfg.Jobs[si], f.specs[si]
+	js, lim, id := &f.cfg.Jobs[si], f.specs[si], len(f.tenants)
 	name := js.Name
 	if name == "" {
 		name = "job"
 	}
-	t := &tenant{
+	var buf [48]byte
+	t := &f.slab[id]
+	*t = tenant{
 		JobResult: JobResult{
-			Name: fmt.Sprintf("%s-%d", name, len(f.tenants)), Spec: si, ID: len(f.tenants),
+			Name: string(strconv.AppendInt(append(append(buf[:0], name...), '-'), int64(id), 10)), Spec: si, ID: id,
 			Arrived: f.round, Started: -1, Finished: -1,
 			Priority: lim.class,
 		},
@@ -574,8 +615,14 @@ func (f *runner) transition(t *tenant, to int, reason string) {
 			stateNames[t.state], stateNames[to], t.Name, f.round, reason))
 	}
 	if to == stateQueued || to == stateDone {
-		f.table.Release(t.ID)
+		f.table.Release(t.ID, t.Lease.Nodes)
 		t.Lease = cluster.Lease{}
+	}
+	byID := func(x *tenant, id int) int { return cmp.Compare(x.ID, id) }
+	if i, found := slices.BinarySearchFunc(f.live, t.ID, byID); to == stateRunning {
+		f.live = slices.Insert(f.live, i, t)
+	} else if found {
+		f.live = slices.Delete(f.live, i, i+1)
 	}
 	t.state = to
 	t.waited = 0
@@ -597,7 +644,7 @@ func (f *runner) resize(t *tenant, lease cluster.Lease, take, drop []int, plan *
 	}
 	var err error
 	if plan == nil {
-		plan, err = f.cache.Plan(context.Background(), f.leaseSpec(t, lease))
+		plan, err = f.cache.Plan(context.Background(), *f.leaseSpec(t, lease))
 	}
 	if err == nil {
 		err = t.job.Resize(lease, plan, reason)
@@ -681,9 +728,23 @@ func (f *runner) fail(t *tenant, kind string, err error) {
 // spec the plan cache keys on for that lease and, by the same
 // Spec.ForLease, the one the tenant's runtime prices. Placement-scoring
 // schedulers price the lease's concrete shape: a fragmented lease
-// loses rail alignment, and its plan is cached under that shape.
-func (f *runner) leaseSpec(t *tenant, l cluster.Lease) orchestrator.Spec {
-	return f.cfg.Jobs[t.Spec].Train.Spec.ForLease(f.cfg.Cluster, l, f.shaped)
+// loses rail alignment, and its plan is cached under that shape. The
+// spec is interned per leaseKey and never written after; a template
+// whose model is not its profiler's gets its own, which Plan rejects.
+func (f *runner) leaseSpec(t *tenant, l cluster.Lease) *orchestrator.Spec {
+	tmpl := &f.cfg.Jobs[t.Spec].Train.Spec
+	k := leaseKey{tmpl.Profiler, tmpl.GlobalBatch, tmpl.Microbatch, tmpl.VPP, l.NodeCount(), ""}
+	if f.shaped {
+		k.shape = l.Shape()
+	}
+	s, ok := f.leased[k]
+	if !ok || !f.specs[t.Spec].modelOK {
+		spec := tmpl.ForLease(f.cfg.Cluster, l, f.shaped)
+		if s = &spec; f.specs[t.Spec].modelOK {
+			f.leased[k] = s
+		}
+	}
+	return s
 }
 
 // sortQueue orders the admission queue by the scheduler's Order
@@ -692,20 +753,24 @@ func (f *runner) leaseSpec(t *tenant, l cluster.Lease) orchestrator.Spec {
 // sorted, so only key mutations (arrivals, requeues, preemptions,
 // aging) force a re-sort. A queue with no adjacent inversion is what
 // the stable sort would return, so a pass that finds none skips it;
-// under a constant Order (fifo, fair-share) it never finds one.
-// Views are built on read and alias the lease, so the comparator does
-// not allocate.
+// under a constant Order (fifo, fair-share) it never finds one. The
+// pass builds each tenant's view once; views are built on read and
+// alias the lease, so the comparator does not allocate. admit calls it
+// on a non-empty queue.
 func (f *runner) sortQueue() {
 	if !f.queueDirty {
 		return
 	}
 	f.queueDirty = false
 	q := f.queue
-	for i := 1; i < len(q); i++ {
-		if f.sched.Order(f.view(q[i]), f.view(q[i-1])) {
+	prev := f.view(q[0])
+	for _, t := range q[1:] {
+		v := f.view(t)
+		if f.sched.Order(v, prev) {
 			sort.SliceStable(q, func(i, j int) bool { return f.sched.Order(f.view(q[i]), f.view(q[j])) })
 			return
 		}
+		prev = v
 	}
 }
 
@@ -747,6 +812,7 @@ func (f *runner) admit() {
 		if err != nil {
 			err = fmt.Errorf("fleet: scheduler %s: %w", f.sched.Name(), err)
 		} else {
+			t.Lease = lease // the table's nodes and the tenant's lease move together
 			err = f.reserve(t, lease)
 		}
 		f.queue = f.queue[1:]
@@ -761,21 +827,21 @@ func (f *runner) admit() {
 // reserve is the rest of admission, one synchronous step: plan the
 // lease admit acquired through the shared cache and start the tenant on
 // it — a fresh tenant builds its runtime and Job, a suspended one
-// resumes through a costed lease resize. All instances of a template
-// share the template's spec (same profiler pointer, same model and
-// batch geometry), so equal lease sizes share one cache key: K
-// identical tenants pay for one §4.3 search and K-1 hits, each a spec
-// validation and a map lookup, hashing nothing. Errors leave whatever
-// the tenant holds to the caller's retire path.
+// resumes through a costed lease resize. The tenants of a template on
+// leases of one shape share one interned leased spec (leaseSpec), so
+// K identical tenants make one §4.3 search and K-1 cache hits, one
+// Plan call each. Their runtimes share one trainer class (plan, leased
+// spec, prices), which trainer.New resolves and validates the config
+// of once; a later tenant's runtime points at it. Errors leave
+// whatever the tenant holds to the caller's retire path.
 func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
-	plan, err := f.cache.Plan(context.Background(), f.leaseSpec(t, lease))
+	plan, err := f.cache.Plan(context.Background(), *f.leaseSpec(t, lease))
 	if err != nil {
 		return err
 	}
 	if t.rt == nil {
 		tcfg := f.cfg.Jobs[t.Spec].Train
-		l := lease
-		tcfg.Lease = &l
+		tcfg.Lease = &t.Lease // read in New; after, only checked for nil
 		tcfg.Plan = plan
 		// Shaped schedulers price the run against the lease's concrete
 		// placement — the same cluster view leaseSpec planned it on.
@@ -805,8 +871,7 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 			return err
 		}
 		t.rt, t.job = rt, job
-		t.Strategy = plan.Strategy
-		t.Lease, t.Plan = lease, plan
+		t.Strategy, t.Plan = plan.Strategy, plan
 	} else if err := f.resize(t, lease, nil, nil, plan, fmt.Sprintf("resumed on %d nodes", lease.NodeCount())); err != nil {
 		return err
 	}
@@ -818,21 +883,13 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 	return nil
 }
 
-// running returns the running tenants in submission order. The
-// returned slice aliases a runner-owned scratch buffer valid until the
-// next call — callers never hold it across another running() call.
+// running returns a copy of live, so the caller may retire tenants as
+// it ranges. The copy is runner-owned scratch, valid until the next
+// call.
 func (f *runner) running() []*tenant {
-	out := f.runBuf[:0]
-	for _, t := range f.tenants {
-		if t.state == stateRunning {
-			out = append(out, t)
-		}
-	}
-	f.runBuf = out
-	return out
+	f.runBuf = append(f.runBuf[:0], f.live...)
+	return f.runBuf
 }
-
-func (f *runner) runningCount() int { return len(f.running()) }
 
 // stepRunning advances every running tenant by one training iteration
 // (or one recovery rewind) in submission order, then retires the
@@ -852,8 +909,8 @@ func (f *runner) stepRunning() {
 // completeFinished finalises tenants whose run is done and frees their
 // leases for next round's admissions and growth.
 func (f *runner) completeFinished() {
-	for _, t := range f.tenants {
-		if t.state == stateRunning && t.job.Done() {
+	for _, t := range f.running() {
+		if t.job.Done() {
 			f.retire(t, false)
 			f.note("job-done", metrics.Int("job", t.ID))
 		}
@@ -865,19 +922,16 @@ func (f *runner) completeFinished() {
 func (f *runner) starveQueue() {
 	for _, t := range f.queue {
 		t.Err = fmt.Errorf("fleet: %s starved: %d free of %d nodes, needs %d",
-			t.Name, f.table.FreeCount(), f.table.Nodes(), t.min)
+			t.Name, f.table.FreeCount(), len(f.table.owner), t.min)
 		f.retire(t, false)
 		f.note("job-starved", metrics.Int("job", t.ID))
 	}
 	f.queue = nil
 }
 
-// roundInfo snapshots the lease table for observers.
+// roundInfo is the lease table's snapshot at this round.
 func (f *runner) roundInfo() RoundInfo {
-	return RoundInfo{
-		Round:  f.round,
-		Free:   f.table.Free(),
-		Failed: f.table.Failed(),
-		Leases: f.table.Leases(),
-	}
+	ri := f.table.snapshot()
+	ri.Round = f.round
+	return ri
 }

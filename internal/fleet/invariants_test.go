@@ -44,14 +44,16 @@ func checkRound(t *testing.T, nodes int, info RoundInfo) {
 // was built from and when it ran) every lease any tenant held in any
 // round is held to its [MinNodes, MaxNodes] envelope, and belongs to a
 // tenant that had started and not yet finished: nodes are held only by
-// running tenants.
+// running tenants. Rounds may share a snapshot, so each is deep-copied
+// as it is delivered and compared with the kept value after the run: a
+// later round that wrote into a shared snapshot fails here.
 func runChecked(t *testing.T, cfg Config) (*Result, error) {
 	t.Helper()
-	var rounds []RoundInfo
+	var rounds, copies []RoundInfo
 	observe := cfg.OnRound
 	cfg.OnRound = func(info RoundInfo) {
 		checkRound(t, cfg.Cluster.Nodes, info)
-		rounds = append(rounds, info)
+		rounds, copies = append(rounds, info), append(copies, cloneInfo(info))
 		if observe != nil {
 			observe(info)
 		}
@@ -63,7 +65,10 @@ func runChecked(t *testing.T, cfg Config) (*Result, error) {
 	if len(rounds) != res.Rounds {
 		t.Errorf("OnRound fired %d times over %d rounds", len(rounds), res.Rounds)
 	}
-	for _, info := range rounds {
+	for i, info := range rounds {
+		if !sameInfo(info, copies[i]) || info.Round != copies[i].Round {
+			t.Errorf("round %d's snapshot changed after delivery: %+v, delivered %+v", copies[i].Round, info, copies[i])
+		}
 		for id, ns := range info.Leases {
 			jr := res.Jobs[id]
 			if jr.Started < 0 || info.Round < jr.Started || info.Round > jr.Finished {

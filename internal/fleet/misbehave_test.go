@@ -29,13 +29,13 @@ func (m *misbehaver) PlaceNodes(ops Ops, head JobView, grant int) []int {
 
 // leaseState is what a refused Ops call must leave as it was: the free
 // set, each running tenant's lease as its view reads it, and the lease
-// table's own per-tenant map.
+// table's own per-tenant map, scanned from its owner slots.
 func leaseState(ops Ops) (free []int, views map[int][]int, table map[int][]int) {
 	views = map[int][]int{}
 	for _, v := range ops.Running() {
 		views[v.ID] = slices.Clone(v.Nodes)
 	}
-	return ops.Free(), views, ops.(schedOps).f.table.Leases()
+	return slices.Clone(ops.Free()), views, scanTable(ops.(schedOps).f.table).Leases
 }
 
 func (m *misbehaver) Rebalance(ops Ops) {

@@ -26,7 +26,7 @@ func (f *runner) view(t *tenant) JobView {
 // trainer resizes and trace notes the built-in policies use.
 type schedOps struct{ f *runner }
 
-func (o schedOps) Healthy() int   { return o.f.table.Nodes() - o.f.table.FailedCount() }
+func (o schedOps) Healthy() int   { return len(o.f.table.owner) - o.f.table.FailedCount() }
 func (o schedOps) Free() []int    { return o.f.table.Free() }
 func (o schedOps) FreeCount() int { return o.f.table.FreeCount() }
 
@@ -34,19 +34,20 @@ func (o schedOps) FreeCount() int { return o.f.table.FreeCount() }
 // at its length: neither admitRunning's append nor a scheduler's
 // append onto a served slice can write where another caller reads. A
 // rebuild allocates rather than overwrites, so a scheduler ranging over
-// one result while it shrinks or preempts keeps its view.
+// one result while it shrinks or preempts keeps its view. It leaves
+// room for an admission per free node, for admitRunning to extend into.
 func (o schedOps) Running() []JobView {
 	f := o.f
 	if f.runViewsGen != f.gen {
-		f.runViews, f.runViewsGen = nil, f.gen
-		if run := f.running(); len(run) > 0 {
-			f.runViews = make([]JobView, len(run))
-			for i, t := range run {
-				f.runViews[i] = f.view(t)
-			}
+		f.runViews, f.runViewsGen = make([]JobView, len(f.live), len(f.live)+f.table.FreeCount()), f.gen
+		for i, t := range f.live {
+			f.runViews[i] = f.view(t)
 		}
 	}
 	n := len(f.runViews)
+	if n == 0 {
+		return nil
+	}
 	return f.runViews[:n:n]
 }
 
@@ -102,14 +103,17 @@ func (o schedOps) Shrink(id int, drop []int, reason string) bool {
 
 // Grow implements Ops: a costed resize extending a running tenant's
 // lease by the given free nodes. resize refuses nodes that are not
-// free and nodes listed twice.
+// free and nodes listed twice. take may alias Free's result, which the
+// table rewrites as it acquires them, so resize gets a copy.
 func (o schedOps) Grow(id int, take []int, reason string) bool {
 	f := o.f
 	t := o.runningTenant(id)
 	if t == nil || len(take) == 0 {
 		return false
 	}
-	grown := cluster.NewLease(append(append([]int(nil), t.Lease.Nodes...), take...)...)
+	nodes := append(append(make([]int, 0, t.Lease.NodeCount()+len(take)), t.Lease.Nodes...), take...)
+	take = nodes[t.Lease.NodeCount():]
+	grown := cluster.NewLease(nodes...)
 	if f.resize(t, grown, take, nil, nil, reason) != nil {
 		return false
 	}

@@ -1,6 +1,10 @@
 package fleet
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // JobView is a scheduler's read-only view of one tenant. Schedulers
 // never touch tenants directly: they read views and act through Ops,
@@ -38,7 +42,8 @@ type Ops interface {
 	// Healthy is the fleet size excluding failed nodes.
 	Healthy() int
 	// Free returns the free node indices, ascending; FreeCount their
-	// count without the copy.
+	// count. The slice is shared, read-only and capped, valid until the
+	// next lease change: copy before editing or keeping it.
 	Free() []int
 	FreeCount() int
 	// Running returns the running tenants in submission order. The
@@ -179,14 +184,9 @@ func (fairShareScheduler) Order(a, b JobView) bool { return false }
 
 // rankAmong returns id's rank (by ascending job id) within the active
 // set formed by the running tenants plus the queue head — the k that
-// fairShare hands the remainder out by.
+// fairShare hands the remainder out by. Running views ascend by id.
 func rankAmong(running []JobView, headID, id int) int {
-	rank := 0
-	for i := range running {
-		if running[i].ID < id {
-			rank++
-		}
-	}
+	rank, _ := slices.BinarySearchFunc(running, id, func(v JobView, id int) int { return cmp.Compare(v.ID, id) })
 	if headID < id {
 		rank++
 	}

@@ -16,7 +16,10 @@
 // standalone trainer; a K-job run is byte-identical to itself.
 package fleet
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Node ownership markers in the lease table.
 const (
@@ -30,71 +33,57 @@ const (
 // leasing structurally impossible; the methods reject every transition
 // that would need it — acquiring a non-free node, rejoining a node
 // that never failed — so a scheduling bug surfaces as an error, not as
-// two tenants pricing the same GPUs.
+// two tenants pricing the same GPUs. Every write keeps the ascending
+// free list, the failed count and a version current, so only snapshot
+// scans the owner slots, and only when the version moved.
 type leaseTable struct {
-	owner []int // per node: nodeFree, nodeFailed, or owning tenant id
+	owner       []int // per node: nodeFree, nodeFailed, or owning tenant id
+	free        []int // ascending, in an array of len(owner)
+	failed      int
+	version     uint64    // bumped by every change of an owner slot
+	snap        RoundInfo // the table at snapVersion; never written after
+	snapVersion uint64
 }
 
 // newLeaseTable builds a table of n free nodes.
 func newLeaseTable(n int) *leaseTable {
-	t := &leaseTable{owner: make([]int, n)}
+	buf := make([]int, 2*n)
+	t := &leaseTable{owner: buf[:n:n], free: buf[n:], version: 1}
 	for i := range t.owner {
-		t.owner[i] = nodeFree
+		t.owner[i], t.free[i] = nodeFree, i
 	}
 	return t
 }
 
-// Nodes returns the table size.
-func (t *leaseTable) Nodes() int { return len(t.owner) }
-
-// Free returns the free node indices, ascending.
-func (t *leaseTable) Free() []int { return t.nodesOwnedBy(nodeFree) }
-
-// Failed returns the failed node indices, ascending.
-func (t *leaseTable) Failed() []int { return t.nodesOwnedBy(nodeFailed) }
+// Free returns the free node indices, ascending: the table's own list,
+// capped at its length, read-only and valid until the next write.
+func (t *leaseTable) Free() []int { return t.free[:len(t.free):len(t.free)] }
 
 // FreeCount returns how many nodes are free.
-func (t *leaseTable) FreeCount() int { return t.count(nodeFree) }
+func (t *leaseTable) FreeCount() int { return len(t.free) }
 
 // FailedCount returns how many nodes are failed.
-func (t *leaseTable) FailedCount() int { return t.count(nodeFailed) }
+func (t *leaseTable) FailedCount() int { return t.failed }
 
-// LeasedCount returns how many nodes are leased across all tenants:
-// every slot neither free nor failed holds a tenant id.
-func (t *leaseTable) LeasedCount() int { return len(t.owner) - t.FreeCount() - t.FailedCount() }
+// LeasedCount returns how many nodes are leased across all tenants.
+func (t *leaseTable) LeasedCount() int { return len(t.owner) - len(t.free) - t.failed }
 
-// count returns how many owner slots hold o.
-func (t *leaseTable) count(o int) int {
-	n := 0
-	for _, x := range t.owner {
-		if x == o {
-			n++
-		}
+// snapshot returns the table as a RoundInfo without its round: free and
+// failed nodes, and every tenant holding nodes mapped to them, each
+// ascending, the lease lists capped slices of one array. It is rebuilt
+// by one scan when the version moved and shared otherwise.
+func (t *leaseTable) snapshot() RoundInfo {
+	if t.snapVersion == t.version {
+		return t.snap
 	}
-	return n
-}
-
-// nodesOwnedBy returns the nodes whose owner slot holds o, ascending,
-// in one allocation of exactly their count.
-func (t *leaseTable) nodesOwnedBy(o int) []int {
-	out := make([]int, 0, t.count(o))
-	for i, x := range t.owner {
-		if x == o {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Leases maps every tenant holding nodes to its nodes, ascending. The
-// lists share one backing array of LeasedCount nodes, each capped at its
-// length; an owner's list is gathered by one walk from its first node.
-func (t *leaseTable) Leases() map[int][]int {
 	leased := t.LeasedCount()
-	out := make(map[int][]int, leased) // at most one owner per node
+	s := RoundInfo{Free: slices.Clone(t.Free()), Failed: make([]int, 0, t.failed), Leases: make(map[int][]int, leased)}
 	buf := make([]int, 0, leased)
 	for i, o := range t.owner {
-		if _, seen := out[o]; o < 0 || seen {
+		if o == nodeFailed {
+			s.Failed = append(s.Failed, i)
+		}
+		if _, seen := s.Leases[o]; o < 0 || seen {
 			continue
 		}
 		start := len(buf)
@@ -103,14 +92,25 @@ func (t *leaseTable) Leases() map[int][]int {
 				buf = append(buf, j)
 			}
 		}
-		out[o] = buf[start:len(buf):len(buf)]
+		s.Leases[o] = buf[start:len(buf):len(buf)]
 	}
-	return out
+	t.snap, t.snapVersion = s, t.version
+	return s
+}
+
+// freeNode returns node n to the free list, keeping it ascending.
+func (t *leaseTable) freeNode(n int) {
+	t.owner[n] = nodeFree
+	i, _ := slices.BinarySearch(t.free, n)
+	t.free = slices.Insert(t.free, i, n) // within len(owner): no growth
+	t.version++
 }
 
 // Acquire leases the given free nodes to the tenant. It is
 // all-or-nothing: any node that is failed, out of range, or owned —
 // by anyone, including the tenant itself — rejects the whole call.
+// nodes may alias Free's result: they are read before the free list is
+// rewritten.
 func (t *leaseTable) Acquire(job int, nodes []int) error {
 	if job < 0 {
 		return fmt.Errorf("fleet: tenant id %d negative", job)
@@ -131,9 +131,14 @@ func (t *leaseTable) Acquire(job int, nodes []int) error {
 			}
 		}
 	}
+	if len(nodes) == 0 {
+		return nil
+	}
 	for _, n := range nodes {
 		t.owner[n] = job
 	}
+	t.free = slices.DeleteFunc(t.free, func(n int) bool { return t.owner[n] != nodeFree })
+	t.version++
 	return nil
 }
 
@@ -145,22 +150,19 @@ func (t *leaseTable) ReleaseNodes(job int, nodes []int) error {
 			return fmt.Errorf("fleet: tenant %d does not own node %d", job, n)
 		}
 	}
-	for _, n := range nodes {
-		t.owner[n] = nodeFree
-	}
+	t.Release(job, nodes)
 	return nil
 }
 
-// Release frees every node the tenant holds and returns them.
-func (t *leaseTable) Release(job int) []int {
-	var out []int
-	for i, o := range t.owner {
-		if o == job {
-			t.owner[i] = nodeFree
-			out = append(out, i)
+// Release frees those of nodes the tenant holds, skipping the rest.
+// Given the tenant's lease that is every node it holds: a node leaves
+// a lease only through a resize, which frees it, or by failing.
+func (t *leaseTable) Release(job int, nodes []int) {
+	for _, n := range nodes {
+		if n >= 0 && n < len(t.owner) && t.owner[n] == job {
+			t.freeNode(n)
 		}
 	}
-	return out
 }
 
 // Fail marks a node failed and returns its previous owner (nodeFree
@@ -174,7 +176,13 @@ func (t *leaseTable) Fail(node int) (owner int, err error) {
 		return 0, fmt.Errorf("fleet: node %d already failed", node)
 	}
 	owner = t.owner[node]
+	if owner == nodeFree {
+		i, _ := slices.BinarySearch(t.free, node)
+		t.free = slices.Delete(t.free, i, i+1)
+	}
 	t.owner[node] = nodeFailed
+	t.failed++
+	t.version++
 	return owner, nil
 }
 
@@ -188,6 +196,7 @@ func (t *leaseTable) Join(node int) error {
 	if t.owner[node] != nodeFailed {
 		return fmt.Errorf("fleet: node %d is not failed (owner %d)", node, t.owner[node])
 	}
-	t.owner[node] = nodeFree
+	t.failed--
+	t.freeNode(node)
 	return nil
 }

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -45,8 +47,11 @@ func TestLeaseTableBasics(t *testing.T) {
 	if err := tb.Acquire(2, []int{1}); err == nil {
 		t.Fatal("rejoined node leased twice")
 	}
-	if got := tb.Release(0); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("Release(0) = %v (node 1 failed while leased, so only node 0 remains)", got)
+	// Node 1 failed while leased, so releasing tenant 0's lease frees
+	// only node 0.
+	tb.Release(0, []int{0, 1})
+	if got := tb.snapshot(); !slices.Equal(got.Free, []int{0, 2, 3}) || len(got.Leases) != 1 {
+		t.Fatalf("after Release(0): %+v", got)
 	}
 }
 
@@ -60,6 +65,10 @@ func TestLeaseTableBasics(t *testing.T) {
 // owner map.
 func TestLeaseTableAccountingProperty(t *testing.T) {
 	const nodes, tenants = 9, 4
+	all := make([]int, nodes)
+	for n := range all {
+		all[n] = n
+	}
 	prop := func(seed int64, ops []uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tb := newLeaseTable(nodes)
@@ -91,12 +100,14 @@ func TestLeaseTableAccountingProperty(t *testing.T) {
 					}
 				}
 			case 1: // release everything the tenant holds
-				freed := tb.Release(job)
-				for _, n := range freed {
-					if shadow[n] != job {
-						return false
+				tb.Release(job, all)
+				for n, o := range shadow {
+					if o == job {
+						if tb.owner[n] != nodeFree {
+							return false
+						}
+						delete(shadow, n)
 					}
-					delete(shadow, n)
 				}
 			case 2: // fail
 				owner, err := tb.Fail(node)
@@ -129,7 +140,7 @@ func TestLeaseTableAccountingProperty(t *testing.T) {
 				}
 			}
 			// Conservation: states partition the fleet.
-			if tb.FreeCount()+len(tb.Failed())+tb.LeasedCount() != nodes {
+			if tb.FreeCount()+tb.FailedCount()+tb.LeasedCount() != nodes {
 				return false
 			}
 			if tb.LeasedCount() != len(shadowLeased(shadow)) {
@@ -146,7 +157,7 @@ func TestLeaseTableAccountingProperty(t *testing.T) {
 			for _, ns := range want {
 				slices.Sort(ns)
 			}
-			got := tb.Leases()
+			got := tb.snapshot().Leases
 			if !reflect.DeepEqual(got, want) {
 				return false
 			}
@@ -198,4 +209,134 @@ func TestPolicyNames(t *testing.T) {
 	if want := `fleet: unknown policy "nope" (registered: [fair-share fifo priority])`; err == nil || err.Error() != want {
 		t.Errorf("LookupScheduler(nope) error = %v, want %s", err, want)
 	}
+}
+
+// scanTable is the oracle the table's maintained state is held to: its
+// free and failed nodes and its leases, from one scan of the owner
+// slots.
+func scanTable(tb *leaseTable) RoundInfo {
+	s := RoundInfo{Leases: map[int][]int{}}
+	for n, o := range tb.owner {
+		switch o {
+		case nodeFree:
+			s.Free = append(s.Free, n)
+		case nodeFailed:
+			s.Failed = append(s.Failed, n)
+		default:
+			s.Leases[o] = append(s.Leases[o], n)
+		}
+	}
+	return s
+}
+
+// sameInfo reports whether two snapshots hold the same nodes, ignoring
+// the round and nil against empty.
+func sameInfo(a, b RoundInfo) bool {
+	return slices.Equal(a.Free, b.Free) && slices.Equal(a.Failed, b.Failed) &&
+		maps.EqualFunc(a.Leases, b.Leases, slices.Equal[[]int])
+}
+
+// cloneInfo deep-copies a snapshot.
+func cloneInfo(ri RoundInfo) RoundInfo {
+	c := RoundInfo{Round: ri.Round, Free: slices.Clone(ri.Free), Failed: slices.Clone(ri.Failed), Leases: map[int][]int{}}
+	for id, ns := range ri.Leases {
+		c.Leases[id] = slices.Clone(ns)
+	}
+	return c
+}
+
+// checkTable holds what the table keeps current on every write — the
+// free list, the counts and the snapshot — to a scan of its owner
+// slots.
+func checkTable(tb *leaseTable) error {
+	want := scanTable(tb)
+	leased := 0
+	for _, ns := range want.Leases {
+		leased += len(ns)
+	}
+	free := tb.Free()
+	switch {
+	case !slices.Equal(free, want.Free) || cap(free) != len(free):
+		return fmt.Errorf("Free() = %v (cap %d), scan %v", free, cap(free), want.Free)
+	case tb.FreeCount() != len(want.Free) || tb.FailedCount() != len(want.Failed) || tb.LeasedCount() != leased:
+		return fmt.Errorf("counts free %d failed %d leased %d, scan %d %d %d",
+			tb.FreeCount(), tb.FailedCount(), tb.LeasedCount(), len(want.Free), len(want.Failed), leased)
+	}
+	snap := tb.snapshot()
+	if !sameInfo(snap, want) {
+		return fmt.Errorf("snapshot %+v, scan %+v", snap, want)
+	}
+	for _, ns := range snap.Leases {
+		if cap(ns) != len(ns) {
+			return fmt.Errorf("snapshot lease %v not capped (cap %d)", ns, cap(ns))
+		}
+	}
+	return nil
+}
+
+// FuzzLeaseTable drives the table through arbitrary Acquire,
+// ReleaseNodes, Release, Fail and Join sequences — acquiring slices of
+// Free's own result and failing leased nodes among them — and after
+// every operation holds the free list, the counts and the snapshot to a
+// scan of the owner slots. A refused operation must leave the owner
+// slots as they were, and a snapshot once returned must never change.
+// Each tenant's lease is tracked the way the runner tracks it, keeping
+// a node that failed while leased, and Release of it must leave the
+// tenant holding nothing.
+func FuzzLeaseTable(f *testing.F) {
+	f.Add([]byte{0, 0, 15, 3, 5, 4, 2, 1, 19, 0, 9, 2})
+	f.Add([]byte{40, 1, 3, 1, 5, 1, 35, 0, 13, 1, 4, 7, 2, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const nodes, tenants = 9, 4
+		tb := newLeaseTable(nodes)
+		leases := make([][]int, tenants) // each tenant's lease, failed nodes kept
+		old, oldCopy := tb.snapshot(), cloneInfo(tb.snapshot())
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i], int(ops[i+1])
+			job, node := int(op/5)%tenants, arg%nodes
+			before := slices.Clone(tb.owner)
+			var err error
+			switch op % 5 {
+			case 0: // acquire: a run from node, or a prefix of Free itself
+				var req []int
+				if free := tb.Free(); arg >= nodes && len(free) > 0 {
+					req = free[:1+arg%len(free)]
+				} else {
+					for n := node; n < nodes && len(req) < 1+int(op/20)%3; n++ {
+						req = append(req, n)
+					}
+				}
+				owned := slices.Clone(req)
+				if err = tb.Acquire(job, req); err == nil {
+					leases[job] = append(leases[job], owned...)
+				}
+			case 1:
+				if err = tb.ReleaseNodes(job, []int{node}); err == nil {
+					leases[job] = slices.DeleteFunc(leases[job], func(n int) bool { return n == node })
+				}
+			case 2:
+				tb.Release(job, leases[job])
+				leases[job] = nil
+				for n, o := range tb.owner {
+					if o == job {
+						t.Fatalf("op %d: tenant %d still holds node %d after releasing its lease", i/2, job, n)
+					}
+				}
+			case 3:
+				_, err = tb.Fail(node)
+			case 4:
+				err = tb.Join(node)
+			}
+			if err != nil && !slices.Equal(tb.owner, before) {
+				t.Fatalf("op %d: refused (%v) but owners moved %v -> %v", i/2, err, before, tb.owner)
+			}
+			if err := checkTable(tb); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
+			}
+			if !sameInfo(old, oldCopy) {
+				t.Fatalf("op %d: an earlier snapshot changed: %+v, was %+v", i/2, old, oldCopy)
+			}
+			old, oldCopy = tb.snapshot(), cloneInfo(tb.snapshot())
+		}
+	})
 }

@@ -76,14 +76,15 @@ func (s *Spec) Validate() error {
 // fingerprint; otherwise only the node count matters, so equal-size
 // leases share a spec wherever their nodes land. The lease is the GPU
 // budget: MaxGPUs is cleared.
-func (s Spec) ForLease(base cluster.Cluster, l cluster.Lease, placed bool) Spec {
+func (s *Spec) ForLease(base cluster.Cluster, l cluster.Lease, placed bool) (out Spec) {
+	out = *s
 	if placed {
-		s.Cluster, s.Placement = l.Placed(base), l.Shape()
+		out.Cluster, out.Placement = l.Placed(base), l.Shape()
 	} else {
-		s.Cluster, s.Placement = l.Subcluster(base), ""
+		out.Cluster, out.Placement = l.Subcluster(base), ""
 	}
-	s.MaxGPUs = 0
-	return s
+	out.MaxGPUs = 0
+	return out
 }
 
 func (s Spec) maxGPUs() int {
@@ -128,8 +129,8 @@ type Plan struct {
 // TotalGPUs sums module allocations.
 func (p *Plan) TotalGPUs() int {
 	t := 0
-	for _, m := range p.Modules {
-		t += m.GPUs()
+	for i := range p.Modules {
+		t += p.Modules[i].GPUs()
 	}
 	return t
 }

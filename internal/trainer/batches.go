@@ -29,6 +29,7 @@ type BatchCache struct {
 	// classes maps each classKey to its class, and a key of a batch
 	// class alone to its first class, whose count is the batch class's.
 	classes map[classKey]*class
+	last    *class                               // the latest lookup's: comparing its key beats hashing one
 	entries window.Once[batchKey, preparedBatch] // made with classes
 	runs    window.Once[runKey, []rankOutcome]   // made with classes
 	// builds counts the entries built and simulated the ranks the runs
@@ -87,38 +88,51 @@ type runKey struct {
 	traced bool
 }
 
-// class returns k's class, resolving it under the leased spec on first
-// use; a nil cache resolves a private one.
-func (c *BatchCache) class(k classKey, spec *orchestrator.Spec) *class {
-	if c == nil {
-		return resolve(k, spec)
+// class returns k's class. A class not yet resolved runs check first
+// (New's validation; nil for a spec scoped from a resolved class's), so
+// a config is validated once per class; a nil cache resolves a private
+// class on every call.
+func (c *BatchCache) class(k classKey, spec *orchestrator.Spec, check func() error) (*class, error) {
+	if c != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.last == nil || c.last.classKey != k {
+			c.last = c.classes[k]
+		}
+		if c.last != nil {
+			return c.last, nil
+		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cls, ok := c.classes[k]; ok {
-		return cls
+	if check != nil {
+		if err := check(); err != nil {
+			return nil, err
+		}
+	}
+	cls := resolve(k, spec)
+	if c == nil {
+		return cls, nil
 	}
 	if c.classes == nil {
 		c.classes = map[classKey]*class{}
 		c.entries = window.NewOnce[batchKey, preparedBatch](batchGeneration)
 		c.runs = window.NewOnce[runKey, []rankOutcome](batchGeneration)
 	}
-	cls := resolve(k, spec)
 	first := classKey{batchClass: k.batchClass}
 	if c.classes[first] == nil {
 		c.classes[first] = cls
 	}
 	cls.id, cls.live, c.classes[k] = len(c.classes), &c.classes[first].own, cls
-	return cls
+	c.last = cls
+	return cls, nil
 }
 
 // classOf returns the runtime's class of plan under the leased spec:
 // Config.Batches's when the runtime joined them, else a private one.
-func (r *Runtime) classOf(spec *orchestrator.Spec, plan *orchestrator.Plan) *class {
+func (r *Runtime) classOf(spec *orchestrator.Spec, plan *orchestrator.Plan, check func() error) (*class, error) {
 	return r.cfg.Batches.class(classKey{
 		plan: plan, batchClass: batchClass{corpus: r.cfg.Corpus, prof: spec.Profiler, batch: spec.GlobalBatch},
 		cluster: spec.Cluster, microbatch: int32(spec.Microbatch), reorder: r.cfg.Reorder, asyncP2P: r.cfg.AsyncP2P,
-	}, spec)
+	}, spec, check)
 }
 
 // shares reports whether the class's batch class has two or more live

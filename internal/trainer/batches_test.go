@@ -186,7 +186,7 @@ func TestBatchCacheEntriesAndGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c BatchCache
-	cls := c.class(classKey{plan: plan, batchClass: batchClass{corpus: corpus, prof: spec.Profiler, batch: 32}}, &spec)
+	cls, _ := c.class(classKey{plan: plan, batchClass: batchClass{corpus: corpus, prof: spec.Profiler, batch: 32}}, &spec, nil)
 	class := batchClass{batch: 1000}
 	key := func(i int) batchKey { return batchKey{batchClass: class, first: int64(i) * 1000} }
 	cls.live.Add(1)

@@ -117,7 +117,8 @@ func (j *Job) applySwitch(i int, sw *PlanSwitch) {
 		}
 		return
 	}
-	j.switchPlan(i, r.classOf(&r.cls.spec, sw.Plan), sw.Reason, "controller", "replan",
+	cls, _ := r.classOf(&r.cls.spec, sw.Plan, nil) // no check: no error
+	j.switchPlan(i, cls, sw.Reason, "controller", "replan",
 		metrics.Int("iter", i), metrics.Str("strategy", sw.Plan.Strategy), metrics.Str("reason", sw.Reason))
 }
 
@@ -163,8 +164,9 @@ func (j *Job) Resize(l cluster.Lease, p *orchestrator.Plan, reason string) error
 		return err
 	}
 	// The plan is checked, and the switch priced, under the incoming
-	// geometry; an infeasible plan leaves the old lease and class.
-	spec := r.cfg.Spec.ForLease(base, l, r.cfg.PlacementPricing)
+	// geometry, scoped from the class's validated spec; an infeasible
+	// plan leaves the old lease and class.
+	spec := r.cls.spec.ForLease(base, l, r.cfg.PlacementPricing)
 	err := checkPlan(&spec, p)
 	if err == nil && p.TotalGPUs() > l.GPUs(base) {
 		err = fmt.Errorf("trainer: resize plan wants %d GPUs, lease has %d", p.TotalGPUs(), l.GPUs(base))
@@ -172,7 +174,8 @@ func (j *Job) Resize(l cluster.Lease, p *orchestrator.Plan, reason string) error
 	if err != nil {
 		return err
 	}
-	j.switchPlan(j.i, r.classOf(&spec, p), reason, "fleet", "lease-resize",
+	cls, _ := r.classOf(&spec, p, nil) // no check: no error
+	j.switchPlan(j.i, cls, reason, "fleet", "lease-resize",
 		metrics.Int("iter", j.i), metrics.Int("nodes", l.NodeCount()), metrics.Str("reason", reason))
 	return nil
 }

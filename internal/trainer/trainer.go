@@ -300,7 +300,10 @@ type Runtime struct {
 // rescoped first: the runtime's effective cluster becomes the lease's
 // subcluster (or its placement-priced view under PlacementPricing),
 // so a job on an n-node lease executes byte-identically to a
-// standalone run on an n-node cluster.
+// standalone run on an n-node cluster. The config is validated when its
+// class is resolved: a runtime of a resolved class reads nothing of
+// cfg.Spec the class key does not hold (a resize scopes the class's
+// spec), so only the lease and GradientDim are checked again.
 func New(cfg Config) (*Runtime, error) {
 	r := &Runtime{cfg: cfg, ckptStep: -1}
 	spec := &cfg.Spec
@@ -315,14 +318,18 @@ func New(cfg Config) (*Runtime, error) {
 			return nil, fmt.Errorf("trainer: plan wants %d GPUs, lease holds %d", cfg.Plan.TotalGPUs(), l.GPUs(base))
 		}
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Source != nil || cfg.Scenario != nil {
 		r.cfg.Batches = nil // a live pool hands it batches, a scenario shifts them
 	}
-	if r.cls = r.classOf(spec, cfg.Plan); r.cls.live != nil {
-		r.cls.live.Add(1)
+	cls, err := r.classOf(spec, cfg.Plan, cfg.Validate)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.GradientDim < 0 { // the one field Validate reads that no class key holds
+		return nil, cfg.Validate()
+	}
+	if r.cls = cls; cls.live != nil {
+		cls.live.Add(1)
 	}
 	if tr := r.cfg.Trace; tr != nil {
 		tr.NameProcess(0, "runtime")

@@ -58,9 +58,6 @@ func TestReachability(t *testing.T) {
 var reachAllow = map[string]string{
 	"data.seededSource.Int63":             "rand.Source's method: math/rand.Rand calls it through that interface for Float64 and NormFloat64",
 	"pipeline.Result.FirstStageIntervals": "the simulated Figure 12 intervals TestIntervalPredictorMatchesSimulator checks the predictor against",
-	"stepccl.NewExecutor":                 "Figure 21's bit-identity check: TestExecutorCorrectness runs the executor",
-	"stepccl.Executor.RunStrawman":        "Figure 21's bit-identity check: the gather-then-GEMM result the overlapped run must equal",
-	"stepccl.Executor.RunOverlapped":      "Figure 21's bit-identity check: the chunked run and its layout remap",
 	"store.Disk.CorruptSkips":             "the store tests' observable of a skipped record; goes with internal/store (ROADMAP item 5)",
 }
 
@@ -90,11 +87,7 @@ var argAllow = map[string]string{
 // exportAllow names the exported package-level names the exports pass
 // lets live without a reference from outside their package, each with
 // the reason.
-var exportAllow = map[string]string{
-	"stepccl.Executor":    "Figure 21's bit-identity check, which only the stepccl tests run",
-	"stepccl.NewExecutor": "Figure 21's bit-identity check, which only the stepccl tests run",
-	"stepccl.Matrix":      "Figure 21's bit-identity check, which only the stepccl tests run",
-}
+var exportAllow = map[string]string{}
 
 // readAllow names the fields the reads pass lets no program read, as
 // pkg.Type.Field, each with the reason.
