@@ -93,6 +93,27 @@ func TestCalibrationFingerprintDiscriminates(t *testing.T) {
 	}
 }
 
+// TestCalibrationFingerprintPinned pins the hex of a calibrated
+// profile under full training and each frozen setting: the durable
+// plan cache names its entries by it, so a change in how any field is
+// encoded orphans every stored plan unless the domain is bumped.
+func TestCalibrationFingerprintPinned(t *testing.T) {
+	want := map[string]string{
+		"full":           "9675f9640d7a4b818fe31f663aef1c463bcf8ede4dd1cc603778e541bc6d6c75",
+		"all-frozen":     "b1c1f80db0b7f0bc691f8e0c525c0d4856bc7f8601d9728b622e903b0b54a632",
+		"encoder-only":   "84e4929d5e022d1f22b568b15e5f63ff0f9283ec75d311e34b1ffb96ea770919",
+		"llm-only":       "569084741cc02a2c4a483c311fc80a7cf37307768513585f16f1b71a9867a0b5",
+		"generator-only": "815e0a92ad724ce9c8a3e86ffddc1bdd74f266029afb1e552a336d98cc35813e",
+	}
+	for _, f := range append([]model.FreezeSpec{model.FullTraining}, model.FrozenSettings()...) {
+		opts := DefaultOptions(cluster.Production(4), model.MLLM9B())
+		opts.Freeze = f
+		if got := calibratedWith(t, opts, 50).CalibrationFingerprint(); got != want[f.Name] {
+			t.Errorf("%s: fingerprint %s, want %s", f.Name, got, want[f.Name])
+		}
+	}
+}
+
 // TestOptionsFieldSetPinned mirrors the fingerprint package's guard:
 // new Options fields must enter computeFingerprint before this list.
 func TestOptionsFieldSetPinned(t *testing.T) {
