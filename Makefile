@@ -14,9 +14,9 @@ COVER_FLOOR ?= 83
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 14420
+LOC_CEILING ?= 14418
 
-.PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-gate profile profile-plan staticcheck ci
+.PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-code loc-gate profile profile-plan staticcheck ci
 
 all: build
 
@@ -213,6 +213,12 @@ cover:
 # CHANGES.md entry quotes: lines of non-test Go outside benchmark/.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
+
+# loc-code is loc without blank and comment-only lines: the code a
+# simplicity PR removes, which deleting a comment does not shrink.
+loc-code:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | \
+		grep -Ev '^[[:space:]]*(//.*)?$$' | wc -l
 
 # loc-gate fails when that number grows past LOC_CEILING.
 loc-gate:

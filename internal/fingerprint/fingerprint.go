@@ -125,9 +125,9 @@ func Model(h *Hash, m model.MLLM) {
 // Freeze encodes every model.FreezeSpec field.
 func Freeze(h *Hash, f model.FreezeSpec) {
 	h.Str(f.Name)
-	h.Bool(f.Encoder)
-	h.Bool(f.Backbone)
-	h.Bool(f.Generator)
+	for _, frozen := range f.Frozen { // Encoder, Backbone, Generator
+		h.Bool(frozen)
+	}
 }
 
 // Shape encodes every model.SampleShape field.

@@ -28,7 +28,7 @@ func TestEncodedFieldSetsPinned(t *testing.T) {
 		{model.ProjectorConfig{}, []string{"InDim", "Hidden", "OutDim"}},
 		{model.DiffusionConfig{}, []string{"Name", "LatentScale", "LatentChannels", "StageChannels", "DownBlocks", "UpBlocks", "AttentionFromStage", "ContextDim"}},
 		{model.VAEConfig{}, []string{"Name", "StageChannels", "BlocksPerStage", "InChannels"}},
-		{model.FreezeSpec{}, []string{"Name", "Encoder", "Backbone", "Generator"}},
+		{model.FreezeSpec{}, []string{"Name", "Frozen"}},
 		{model.SampleShape{}, []string{"ImageTokens", "GenImages"}},
 	} {
 		rt := reflect.TypeOf(tc.typ)

@@ -1,9 +1,8 @@
 package fleet
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"sort"
 )
 
 // JobView is a scheduler's read-only view of one tenant. Schedulers
@@ -186,7 +185,7 @@ func (fairShareScheduler) Order(a, b JobView) bool { return false }
 // set formed by the running tenants plus the queue head — the k that
 // fairShare hands the remainder out by. Running views ascend by id.
 func rankAmong(running []JobView, headID, id int) int {
-	rank, _ := slices.BinarySearchFunc(running, id, func(v JobView, id int) int { return cmp.Compare(v.ID, id) })
+	rank := sort.Search(len(running), func(i int) bool { return running[i].ID >= id }) // by index: a JobView is large
 	if headID < id {
 		rank++
 	}
@@ -261,9 +260,9 @@ func (fairShareScheduler) Rebalance(ops Ops) {
 // fairShare is the k-th (by ascending job id) active tenant's share of
 // the healthy fleet: healthy/tenants, with the remainder handed out
 // one node each to the lowest-id tenants so no healthy node idles
-// while a tenant sits below its MaxNodes. Always at least 1. (The
-// pre-redesign fairTarget floored the division for everyone, stranding
-// healthy%tenants nodes — 5 nodes across 3 tenants left 2 idle.)
+// while a tenant sits below its MaxNodes (flooring the division for
+// everyone would strand healthy%tenants nodes: 5 nodes across 3
+// tenants would leave 2 idle). Always at least 1.
 func fairShare(healthy, tenants, k int) int {
 	if tenants < 1 {
 		tenants = 1

@@ -24,17 +24,24 @@ const (
 // Modules lists the pipeline-ordered modules.
 var Modules = [...]Module{Encoder, Backbone, Generator}
 
+// Modalities lists the modality modules, encoder then generator: the
+// ones a plan replicates across their group at PP 1 (§4.1). Per-module
+// pairs of the search and the runtime are [2] arrays in this order.
+var Modalities = [...]Module{Encoder, Generator}
+
+var moduleNames = [numModules]string{"encoder", "backbone", "generator"}
+
 func (m Module) String() string {
-	switch m {
-	case Encoder:
-		return "encoder"
-	case Backbone:
-		return "backbone"
-	case Generator:
-		return "generator"
+	if m >= 0 && m < numModules {
+		return moduleNames[m]
 	}
 	return fmt.Sprintf("module(%d)", int(m))
 }
+
+// Replicated reports whether every GPU of the module's group holds a
+// full copy of it, as the modality modules do; the backbone instead
+// shards across TP×PP and its DP_lm is the plan's main DP.
+func (m Module) Replicated() bool { return m != Backbone }
 
 // ProjectorConfig is the MLP projector linking modules (input projector
 // after the encoder, output projector before the generator). Projectors
@@ -192,8 +199,8 @@ func (m MLLM) BackboneFwdFLOPs() float64 { return m.Backbone.FwdFLOPs(m.SeqLen) 
 // (§7.3). Frozen modules still run forward passes but skip weight
 // gradients; projectors always train.
 type FreezeSpec struct {
-	Name                         string
-	Encoder, Backbone, Generator bool // true = frozen
+	Name   string
+	Frozen [numModules]bool // indexed by Module; true = frozen
 }
 
 // The four frozen-training settings evaluated in §7.3 plus full
@@ -201,10 +208,10 @@ type FreezeSpec struct {
 // FreezeByName.
 var (
 	FullTraining  = FreezeSpec{Name: "full"}
-	allFrozen     = FreezeSpec{Name: "all-frozen", Encoder: true, Backbone: true, Generator: true}
-	encoderOnly   = FreezeSpec{Name: "encoder-only", Backbone: true, Generator: true}
-	llmOnly       = FreezeSpec{Name: "llm-only", Encoder: true, Generator: true}
-	generatorOnly = FreezeSpec{Name: "generator-only", Encoder: true, Backbone: true}
+	allFrozen     = FreezeSpec{Name: "all-frozen", Frozen: [numModules]bool{true, true, true}}
+	encoderOnly   = FreezeSpec{Name: "encoder-only", Frozen: [numModules]bool{Backbone: true, Generator: true}}
+	llmOnly       = FreezeSpec{Name: "llm-only", Frozen: [numModules]bool{Encoder: true, Generator: true}}
+	generatorOnly = FreezeSpec{Name: "generator-only", Frozen: [numModules]bool{Encoder: true, Backbone: true}}
 )
 
 // FrozenSettings lists the §7.3 experiment settings in paper order.
@@ -223,19 +230,6 @@ func FreezeByName(name string) (FreezeSpec, error) {
 	return FreezeSpec{}, fmt.Errorf("unknown freeze setting %q", name)
 }
 
-// Frozen reports whether the given module is frozen.
-func (f FreezeSpec) Frozen(mod Module) bool {
-	switch mod {
-	case Encoder:
-		return f.Encoder
-	case Backbone:
-		return f.Backbone
-	case Generator:
-		return f.Generator
-	}
-	return false
-}
-
 // BackwardFactor returns the module's backward cost as a multiple of its
 // forward cost under this freeze setting.
 //
@@ -248,7 +242,7 @@ func (f FreezeSpec) Frozen(mod Module) bool {
 // generator always run at least factor 1, while a frozen encoder runs
 // factor 0 (nothing trainable is upstream of it).
 func (f FreezeSpec) BackwardFactor(mod Module) float64 {
-	if !f.Frozen(mod) {
+	if !f.Frozen[mod] {
 		return 2
 	}
 	if mod == Encoder {

@@ -55,13 +55,10 @@ func PlanMegatron(s Spec) (*Plan, error) {
 		return nil, errors.New("orchestrator: no DP divides the global batch")
 	}
 
-	plan := &Plan{
-		Strategy: "megatron-lm",
-		Modules: [3]ModulePlan{
-			{Module: model.Encoder, Config: parallel.Plain(tp, 1, dp)},
-			{Module: model.Backbone, Config: parallel.Plain(tp, ppLM, dp)},
-			{Module: model.Generator, Config: parallel.Plain(tp, 1, dp)},
-		},
+	plan := &Plan{Strategy: "megatron-lm"}
+	plan.Modules[model.Backbone].Config = parallel.Plain(tp, ppLM, dp)
+	for _, mod := range model.Modalities {
+		plan.Modules[mod].Config = parallel.Plain(tp, 1, dp)
 	}
 	if err := sc.evaluate(plan); err != nil {
 		return nil, err
@@ -88,7 +85,7 @@ func PlanDistMM(s Spec) (*Plan, error) {
 	kern := s.Profiler.Kernel()
 	work := kern.Fold(s.Profiler.MeanShape())
 
-	flops := make([]float64, 3)
+	var flops [len(model.Modules)]float64
 	var total float64
 	for _, mod := range model.Modules {
 		fwd, bwd := kern.TrainFLOPs(mod, work)
@@ -97,7 +94,7 @@ func PlanDistMM(s Spec) (*Plan, error) {
 	}
 
 	// Proportional targets, floored at one group each.
-	targets := make([]int, 3)
+	var targets [len(model.Modules)]int
 	for _, mod := range model.Modules {
 		targets[mod] = int(float64(n) * flops[mod] / total)
 		if targets[mod] < modalityWidth {
@@ -123,24 +120,23 @@ func PlanDistMM(s Spec) (*Plan, error) {
 		return nil, errors.New("orchestrator: distmm cannot satisfy backbone memory floor")
 	}
 
-	x := targets[model.Encoder]
-	z := targets[model.Generator]
 	// FLOPs-proportional allocation ignores batch divisibility; shrink
-	// the modality shares if the total overflows the budget.
-	for x+tp*dp*pp+z > n && x > modalityWidth {
-		x--
+	// the modality shares, encoder first, if the total overflows the
+	// budget.
+	var xz [2]int
+	for j, mod := range model.Modalities {
+		xz[j] = targets[mod]
 	}
-	for x+tp*dp*pp+z > n && z > modalityWidth {
-		z--
+	for j := range xz {
+		for xz[0]+tp*dp*pp+xz[1] > n && xz[j] > modalityWidth {
+			xz[j]--
+		}
 	}
 
-	plan := &Plan{
-		Strategy: "distmm*",
-		Modules: [3]ModulePlan{
-			{Module: model.Encoder, Config: parallel.Plain(modalityWidth, 1, x)},
-			{Module: model.Backbone, Config: parallel.Plain(tp, pp, dp)},
-			{Module: model.Generator, Config: parallel.Plain(modalityWidth, 1, z)},
-		},
+	plan := &Plan{Strategy: "distmm*"}
+	plan.Modules[model.Backbone].Config = parallel.Plain(tp, pp, dp)
+	for j, mod := range model.Modalities {
+		plan.Modules[mod].Config = parallel.Plain(modalityWidth, 1, xz[j])
 	}
 	if err := sc.evaluate(plan); err != nil {
 		return nil, err

@@ -54,19 +54,20 @@ var (
 	errLowerExceedsBudget = errors.New("orchestrator: lower bounds exceed budget")
 )
 
-// noGrid says why member (tpSizes[me], tpSizes[mg]) of shape sh has
-// no buildable point, or returns nil; it also classifies the members
-// of a shape the search never expanded. A member that passes can build
-// at least its lower bounds: the memory-floor PP and the fewest GPUs
-// at which each modality module fits.
-func (sc *searchCtx) noGrid(sh *shape, me, mg int) error {
+// noGrid says why the member of shape sh whose modality modules take
+// widths tpSizes[t[j]] has no buildable point, or returns nil; it also
+// classifies the members of a shape the search never expanded. A
+// member that passes can build at least its lower bounds: the
+// memory-floor PP and the fewest GPUs at which each modality module
+// fits.
+func (sc *searchCtx) noGrid(sh *shape, t [2]int) error {
 	if sh.k < 1 {
 		return errNoMicrobatch
 	}
 	if sh.err != nil {
 		return sh.err
 	}
-	if sc.xLo[me]+sh.tp*sh.dp*sh.floor+sc.zLo[mg] > sc.n {
+	if sc.lo[0][t[0]]+sh.tp*sh.dp*sh.floor+sc.lo[1][t[1]] > sc.n {
 		return errLowerExceedsBudget
 	}
 	return nil
@@ -74,9 +75,9 @@ func (sc *searchCtx) noGrid(sh *shape, me, mg int) error {
 
 // blockBound lower-bounds every member of shape block b without
 // building their grids: it is grid.bound on one grid that holds every
-// member's points, the encoder's and generator's stage-time numerators
-// each the minimum over the widths, and both modules on width
-// tpSizes[0] (which divides every other) from its floors, the lowest.
+// member's points, each modality module's stage-time numerator the
+// minimum over the widths, and both on width tpSizes[0] (which divides
+// every other) from its floors, the lowest.
 // Square roots, sums, products and quotients of IEEE floats are
 // monotone in their operands, and every member's PPs, x caps and z
 // caps lie within this grid's, so the bound is at most each member's
@@ -86,12 +87,13 @@ func (sc *searchCtx) blockBound(b int) float64 {
 	if sh.err != nil || sh.k < 1 {
 		return math.Inf(1)
 	}
-	enc, gen := math.Inf(1), math.Inf(1)
+	num := [2]float64{math.Inf(1), math.Inf(1)}
 	for t := range sc.tpSizes {
-		enc = min(enc, sc.stageNum(sh, model.Encoder, t))
-		gen = min(gen, sc.stageNum(sh, model.Generator, t))
+		for j, mod := range model.Modalities {
+			num[j] = min(num[j], sc.stageNum(sh, mod, t))
+		}
 	}
-	g := sc.newGrid(sh, 0, 0, enc, gen)
+	g := sc.newGrid(sh, [2]int{}, num)
 	return g.bound()
 }
 
@@ -108,14 +110,12 @@ func (sc *searchCtx) solveCandidate(i int) (solvedPlan, error) {
 
 // build makes candidate i's plan at point p and scores it exactly.
 func (sc *searchCtx) build(i int, p point) (*Plan, error) {
-	c := sc.candidate(i)
-	plan := &Plan{
-		Strategy: "disttrain",
-		Modules: [3]ModulePlan{
-			{Module: model.Encoder, Config: parallel.Config{TP: c.WME, PP: 1, DP: p.x / c.WME, VPP: 1}},
-			{Module: model.Backbone, Config: parallel.Config{TP: c.TPLM, PP: p.pp, DP: c.DPLM, VPP: sc.vpp, SP: true}},
-			{Module: model.Generator, Config: parallel.Config{TP: c.WMG, PP: 1, DP: p.z / c.WMG, VPP: 1}},
-		},
+	sh, t := sc.member(i)
+	plan := &Plan{Strategy: "disttrain"}
+	plan.Modules[model.Backbone].Config = parallel.Config{TP: sh.tp, PP: p.pp, DP: sh.dp, VPP: sc.vpp, SP: true}
+	for j, mod := range model.Modalities {
+		w := sc.tpSizes[t[j]]
+		plan.Modules[mod].Config = parallel.Config{TP: w, PP: 1, DP: p.xz[j] / w, VPP: 1}
 	}
 	if err := sc.evaluate(plan); err != nil {
 		return nil, err

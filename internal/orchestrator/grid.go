@@ -7,52 +7,57 @@ import (
 )
 
 // point is one buildable integer allocation of a candidate — the
-// backbone's PP, the encoder's x GPUs and the generator's z — and its
-// iteration time t.
+// backbone's PP and the modality modules' GPUs xz, the encoder's x and
+// the generator's z — and its iteration time t.
 type point struct {
-	pp, x, z int
-	t        float64
+	pp int
+	xz [2]int
+	t  float64
 }
 
 // grid is one candidate's buildable integer points: the backbone at PP
 // pp in pps (y = unit·pp GPUs), the encoder on x GPUs and the generator
-// on z, x and z multiples of the group widths wME and wMG from xLo and
-// zLo (the fewest at which each module fits), x + y + z <= n. It is the
-// candidate's only form of its §4.3 objective: the exact solve and the
-// search's prune bound both read it. It scores a point with evaluate's
-// operations in evaluate's order, so a time it compares is the time of
-// the plan build makes there.
+// on z, each a multiple of its group width w from its floor lo (the
+// fewest at which it fits), x + y + z <= n. The modality pairs are
+// ordered like model.Modalities. It is the candidate's only form of
+// its §4.3 objective: the exact solve and the search's prune bound
+// both read it. It scores a point with evaluate's operations in
+// evaluate's order, so a time it compares is the time of the plan
+// build makes there.
 type grid struct {
-	n, unit, wME, wMG int
-	xLo, zLo          int
-	pps               divisorTable
-	encNum, genNum    float64 // DP_lm·w·M·C(w): the encoder's and generator's stage time times their GPUs
-	cm, vpp, kk       float64 // C_lm·M, VPP and K−1
+	n, unit     int
+	w, lo       [2]int
+	pps         divisorTable
+	num         [2]float64 // DP_lm·w·M·C(w): each modality module's stage time times its GPUs
+	cm, vpp, kk float64    // C_lm·M, VPP and K−1
 }
 
 // gridFor is the strategy set's i-th candidate's grid. A candidate
-// that passes noGrid has at least the point (pps[0], xLo, zLo).
+// that passes noGrid has at least the point (pps[0], lo).
 func (sc *searchCtx) gridFor(i int) (grid, error) {
-	nt := len(sc.tpSizes)
-	sh := &sc.shapes[i/(nt*nt)]
-	me, mg := i/nt%nt, i%nt
-	if err := sc.noGrid(sh, me, mg); err != nil {
+	sh, t := sc.member(i)
+	if err := sc.noGrid(sh, t); err != nil {
 		return grid{}, err
 	}
-	return sc.newGrid(sh, me, mg, sc.stageNum(sh, model.Encoder, me), sc.stageNum(sh, model.Generator, mg)), nil
+	var num [2]float64
+	for j, mod := range model.Modalities {
+		num[j] = sc.stageNum(sh, mod, t[j])
+	}
+	return sc.newGrid(sh, t, num), nil
 }
 
-// newGrid is shape sh's grid with the encoder at width tpSizes[me] and
-// the generator at tpSizes[mg], from their floors, with stage-time
-// numerators encNum and genNum. Unchecked: noGrid says whether it has
-// a point.
-func (sc *searchCtx) newGrid(sh *shape, me, mg int, encNum, genNum float64) grid {
+// newGrid is shape sh's grid with each modality module at width
+// tpSizes[t[j]], from its floor, with stage-time numerators num.
+// Unchecked: noGrid says whether it has a point.
+func (sc *searchCtx) newGrid(sh *shape, t [2]int, num [2]float64) grid {
 	g := grid{
-		n: sc.n, unit: sh.tp * sh.dp, wME: sc.tpSizes[me], wMG: sc.tpSizes[mg],
-		xLo: sc.xLo[me], zLo: sc.zLo[mg], encNum: encNum, genNum: genNum,
+		n: sc.n, unit: sh.tp * sh.dp, num: num,
 		cm: sh.cLM * sc.m, vpp: float64(sc.vpp), kk: float64(sh.k - 1),
 	}
-	g.pps = sc.divisors.between(sh.floor, (g.n-g.xLo-g.zLo)/g.unit)
+	for j := range t {
+		g.w[j], g.lo[j] = sc.tpSizes[t[j]], sc.lo[j][t[j]]
+	}
+	g.pps = sc.divisors.between(sh.floor, (g.n-g.lo[0]-g.lo[1])/g.unit)
 	return g
 }
 
@@ -61,6 +66,10 @@ func (sc *searchCtx) newGrid(sh *shape, me, mg int, encNum, genNum float64) grid
 func (sc *searchCtx) stageNum(sh *shape, mod model.Module, t int) float64 {
 	return float64(sh.dp) * float64(sc.tpSizes[t]) * sc.m * sc.cTrainTP[mod][t]
 }
+
+// fill is the most GPUs modality module j can take within room: the
+// largest multiple of its width.
+func (g *grid) fill(j, room int) int { return room / g.w[j] * g.w[j] }
 
 // backbone is the backbone's stage time and warm-up share at PP pp.
 func (g *grid) backbone(pp int) (t, warm float64) {
@@ -73,7 +82,7 @@ func (g *grid) backbone(pp int) (t, warm float64) {
 // term is non-increasing in x and in z, and so is the time, since IEEE
 // arithmetic is monotone in each operand.
 func (g *grid) at(x, z int, tLM, wLM float64) float64 {
-	te, tg := g.encNum/float64(x), g.genNum/float64(z)
+	te, tg := g.num[0]/float64(x), g.num[1]/float64(z)
 	steady := te
 	if tLM > steady {
 		steady = tLM
@@ -88,9 +97,9 @@ func (g *grid) at(x, z int, tLM, wLM float64) float64 {
 // visiting them: the minimum over its PPs of the larger of two bounds
 // on the points at that PP, which leaves x + z <= n − y to the
 // modality modules.
-//   - Relaxing x and z to reals: by Cauchy–Schwarz
-//     encNum/x + genNum/z >= (√encNum+√genNum)²/(n−y), and by the
-//     mediant max(encNum/x, genNum/z) >= (encNum+genNum)/(n−y). It
+//   - Relaxing x and z to reals: with a, b the encoder's and the
+//     generator's num, by Cauchy–Schwarz a/x + b/z >= (√a+√b)²/(n−y),
+//     and by the mediant max(a/x, b/z) >= (a+b)/(n−y). It
 //     sums in another order than at, so it may exceed the best point's
 //     time by rounding, which pruneSlack absorbs.
 //   - at at the integer corner: x and z each the largest multiple of
@@ -100,8 +109,8 @@ func (g *grid) at(x, z int, tLM, wLM float64) float64 {
 //
 // +Inf: the grid has no PP.
 func (g *grid) bound() float64 {
-	r := math.Sqrt(g.encNum) + math.Sqrt(g.genNum)
-	warm, side := r*r, g.encNum+g.genNum
+	r := math.Sqrt(g.num[0]) + math.Sqrt(g.num[1])
+	warm, side := r*r, g.num[0]+g.num[1]
 	lb := math.Inf(1)
 	for _, pp := range g.pps {
 		y := g.unit * pp
@@ -115,7 +124,7 @@ func (g *grid) bound() float64 {
 		if b >= lb {
 			continue // the corner could only raise this PP's bound
 		}
-		lb = min(lb, max(b, g.at((g.n-y-g.zLo)/g.wME*g.wME, (g.n-y-g.xLo)/g.wMG*g.wMG, tLM, wLM)))
+		lb = min(lb, max(b, g.at(g.fill(0, g.n-y-g.lo[1]), g.fill(1, g.n-y-g.lo[0]), tLM, wLM)))
 	}
 	return lb
 }
@@ -128,10 +137,10 @@ func (g *grid) fastest() point {
 	for _, pp := range g.pps {
 		y := g.unit * pp
 		tLM, wLM := g.backbone(pp)
-		for x := g.xLo; x+y+g.zLo <= g.n; x += g.wME {
-			z := (g.n - y - x) / g.wMG * g.wMG
+		for x := g.lo[0]; x+y+g.lo[1] <= g.n; x += g.w[0] {
+			z := g.fill(1, g.n-y-x)
 			if t := g.at(x, z, tLM, wLM); t < best.t {
-				best = point{pp, x, z, t}
+				best = point{pp, [2]int{x, z}, t}
 			}
 		}
 	}
@@ -150,20 +159,20 @@ func (g *grid) fewest(limit float64) point {
 		y := g.unit * pp
 		tLM, wLM := g.backbone(pp)
 		z := g.n
-		for x := g.xLo; x+y+g.zLo <= g.n; x += g.wME {
-			z = min(z, (g.n-y-x)/g.wMG*g.wMG)
+		for x := g.lo[0]; x+y+g.lo[1] <= g.n; x += g.w[0] {
+			z = min(z, g.fill(1, g.n-y-x))
 			t := g.at(x, z, tLM, wLM)
 			if t > limit {
 				continue
 			}
-			for z-g.wMG >= g.zLo {
-				tz := g.at(x, z-g.wMG, tLM, wLM)
+			for z-g.w[1] >= g.lo[1] {
+				tz := g.at(x, z-g.w[1], tLM, wLM)
 				if tz > limit {
 					break
 				}
-				z, t = z-g.wMG, tz
+				z, t = z-g.w[1], tz
 			}
-			p := point{pp, x, z, t}
+			p := point{pp, [2]int{x, z}, t}
 			if n := g.gpus(p); !found || n < g.gpus(best) || (n == g.gpus(best) && t < best.t) {
 				best, found = p, true
 			}
@@ -173,4 +182,4 @@ func (g *grid) fewest(limit float64) point {
 }
 
 // gpus is point p's GPU count.
-func (g *grid) gpus(p point) int { return g.unit*p.pp + p.x + p.z }
+func (g *grid) gpus(p point) int { return g.unit*p.pp + p.xz[0] + p.xz[1] }

@@ -62,7 +62,7 @@ func fuzzCtx(n, layers, mb, vpp, encFrom, genFrom int) searchCtx {
 	sc := searchCtx{
 		n: n, m: float64(mb), vpp: vpp, tpSizes: []int{1, 2, 4, 8}, divisors: divisorsOf(layers),
 	}
-	sc.setFloors(encFrom, genFrom)
+	sc.setFloors([2]int{encFrom, genFrom})
 	return sc
 }
 
@@ -75,8 +75,8 @@ func bruteFastest(g *grid, ds divisorTable, floor int) float64 {
 	for _, pp := range ds.between(floor, g.n) {
 		y := g.unit * pp
 		tLM, wLM := g.backbone(pp)
-		for x := g.xLo; x+y+g.zLo <= g.n; x += g.wME {
-			for z := g.zLo; x+y+z <= g.n; z += g.wMG {
+		for x := g.lo[0]; x+y+g.lo[1] <= g.n; x += g.w[0] {
+			for z := g.lo[1]; x+y+z <= g.n; z += g.w[1] {
 				best = min(best, g.at(x, z, tLM, wLM))
 			}
 		}
@@ -170,12 +170,12 @@ func FuzzDiscreteBound(f *testing.F) {
 		sc := fuzzCtx(int(n)%128+1, int(layers)%96+1, int(mb)%4+1, int(vpp)%4+1, int(encFrom)%130+1, int(genFrom)%130+1)
 		sh := shape{tp: 1 << (tp % 4), dp: int(dp)%16 + 1, k: int(k)%1024 + 1, cLM: fuzzPos(cLM)}
 		sh.floor = sc.divisors[int(floor)%len(sc.divisors)]
-		wi, gi := int(me)%4, int(mg)%4
-		g := sc.newGrid(&sh, wi, gi, fuzzPos(encNum), fuzzPos(genNum))
+		wi := [2]int{int(me) % 4, int(mg) % 4}
+		g := sc.newGrid(&sh, wi, [2]float64{fuzzPos(encNum), fuzzPos(genNum)})
 
 		best := bruteFastest(&g, sc.divisors, sh.floor)
-		if has := !math.IsInf(best, 1); has != (sc.noGrid(&sh, wi, gi) == nil) {
-			t.Fatalf("%+v %+v: noGrid says %v, brute force finds a point: %v", sh, g, sc.noGrid(&sh, wi, gi), has)
+		if has := !math.IsInf(best, 1); has != (sc.noGrid(&sh, wi) == nil) {
+			t.Fatalf("%+v %+v: noGrid says %v, brute force finds a point: %v", sh, g, sc.noGrid(&sh, wi), has)
 		}
 		if lb := g.bound(); lb > best*(1+pruneSlack) {
 			t.Fatalf("%+v %+v: bound %g above the fastest point's %g", sh, g, lb, best)

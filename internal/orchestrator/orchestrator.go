@@ -101,16 +101,26 @@ func (s Spec) vpp() int {
 	return s.VPP
 }
 
-// ModulePlan is the resource and parallelism decision for one module.
-// The encoder and generator groups replicate the model across the
-// group instead of TP-sharding it (§7.1); the backbone shards it.
+// ModulePlan is the resource and parallelism decision for one module,
+// the row of Plan.Modules its model.Module indexes. The modality
+// modules replicate the model across their group instead of
+// TP-sharding it (§7.1); the backbone shards it.
 type ModulePlan struct {
-	Module model.Module
 	Config parallel.Config
 }
 
 // GPUs returns the module's GPU count (x, y or z).
 func (mp ModulePlan) GPUs() int { return mp.Config.GPUs() }
+
+// Copies is how many model copies the row of module mod holds, the
+// group its gradients synchronise over: every GPU of a replicated
+// group holds a full copy, and the backbone holds DP_lm.
+func (mp ModulePlan) Copies(mod model.Module) int {
+	if mod.Replicated() {
+		return mp.GPUs() / mp.Config.PP
+	}
+	return mp.Config.DP
+}
 
 // Plan is a complete orchestration decision.
 type Plan struct {
@@ -138,12 +148,12 @@ func (p *Plan) TotalGPUs() int {
 func (p *Plan) String() string {
 	s := fmt.Sprintf("%s plan: %d GPUs, %d microbatches, est iter %.3fs, est MFU %.1f%%\n",
 		p.Strategy, p.TotalGPUs(), p.Microbatches, p.IterTime, 100*p.EstMFU)
-	for _, m := range p.Modules {
-		mode := "tp"
-		if m.Module != model.Backbone {
+	for _, mod := range model.Modules {
+		mode, m := "tp", &p.Modules[mod]
+		if mod.Replicated() {
 			mode = "replicated"
 		}
-		s += fmt.Sprintf("  %-9s %4d GPUs  %-22s (%s)\n", m.Module, m.GPUs(), m.Config, mode)
+		s += fmt.Sprintf("  %-9s %4d GPUs  %-22s (%s)\n", mod, m.GPUs(), m.Config, mode)
 	}
 	return s
 }

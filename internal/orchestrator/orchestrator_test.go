@@ -230,19 +230,19 @@ func bruteForcePlan(s Spec) (*Plan, error) {
 	each := func(f func(p *Plan)) {
 		for _, c := range enumerateCandidates(s, sc.n) {
 			for _, pp := range divisorsOf(s.Model.Backbone.Layers) {
-				bb := ModulePlan{Module: model.Backbone, Config: parallel.Config{TP: c.TPLM, PP: pp, DP: c.DPLM, VPP: sc.vpp, SP: true}}
-				if !sc.fits(&bb) {
+				bb := ModulePlan{Config: parallel.Config{TP: c.TPLM, PP: pp, DP: c.DPLM, VPP: sc.vpp, SP: true}}
+				if !sc.fits(model.Backbone, &bb) {
 					continue
 				}
 				for x := c.WME; x+bb.GPUs()+c.WMG <= sc.n; x += c.WME {
-					enc := ModulePlan{Module: model.Encoder, Config: parallel.Config{TP: c.WME, PP: 1, DP: x / c.WME, VPP: 1}}
-					if !sc.fits(&enc) {
+					enc := ModulePlan{Config: parallel.Config{TP: c.WME, PP: 1, DP: x / c.WME, VPP: 1}}
+					if !sc.fits(model.Encoder, &enc) {
 						continue
 					}
 					for z := c.WMG; x+bb.GPUs()+z <= sc.n; z += c.WMG {
-						gen := ModulePlan{Module: model.Generator, Config: parallel.Config{TP: c.WMG, PP: 1, DP: z / c.WMG, VPP: 1}}
+						gen := ModulePlan{Config: parallel.Config{TP: c.WMG, PP: 1, DP: z / c.WMG, VPP: 1}}
 						p := Plan{Strategy: "disttrain", Modules: [3]ModulePlan{enc, bb, gen}}
-						if sc.fits(&gen) && sc.evaluate(&p) == nil {
+						if sc.fits(model.Generator, &gen) && sc.evaluate(&p) == nil {
 							f(&p)
 						}
 					}
@@ -316,9 +316,9 @@ func TestMegatronUsesPaperConfig(t *testing.T) {
 			t.Errorf("%s: megatron PP=%d, want %d (§7.1)", m.Name, lm.PP, want[m.Name])
 		}
 		// Monolithic: same TP and DP across all modules.
-		for _, mp := range p.Modules {
+		for mod, mp := range p.Modules {
 			if mp.Config.TP != lm.TP || mp.Config.DP != lm.DP {
-				t.Errorf("%s: module %v deviates from monolithic strategy", m.Name, mp.Module)
+				t.Errorf("%s: module %v deviates from monolithic strategy", m.Name, model.Module(mod))
 			}
 		}
 	}
@@ -394,18 +394,18 @@ func TestEvaluateRejectsBadPlans(t *testing.T) {
 	s := newSpec(t, model.MLLM9B(), 2, 16, model.FullTraining)
 	// Oversubscribed.
 	p := &Plan{Modules: [3]ModulePlan{
-		{Module: model.Encoder, Config: parallel.Plain(1, 1, 100)},
-		{Module: model.Backbone, Config: parallel.Plain(8, 1, 2)},
-		{Module: model.Generator, Config: parallel.Plain(1, 1, 1)},
+		model.Encoder:   {Config: parallel.Plain(1, 1, 100)},
+		model.Backbone:  {Config: parallel.Plain(8, 1, 2)},
+		model.Generator: {Config: parallel.Plain(1, 1, 1)},
 	}}
 	if err := evaluatePlan(s, p); err == nil {
 		t.Error("oversubscribed plan accepted")
 	}
 	// DP does not divide BS.
 	p2 := &Plan{Modules: [3]ModulePlan{
-		{Module: model.Encoder, Config: parallel.Plain(1, 1, 1)},
-		{Module: model.Backbone, Config: parallel.Plain(1, 1, 3)},
-		{Module: model.Generator, Config: parallel.Plain(1, 1, 1)},
+		model.Encoder:   {Config: parallel.Plain(1, 1, 1)},
+		model.Backbone:  {Config: parallel.Plain(1, 1, 3)},
+		model.Generator: {Config: parallel.Plain(1, 1, 1)},
 	}}
 	if err := evaluatePlan(s, p2); err == nil {
 		t.Error("indivisible DP accepted")

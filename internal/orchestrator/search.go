@@ -249,19 +249,16 @@ func (r *bestFirst) prune() {
 			r.report(k.i, nil, ErrCandidatePruned)
 			continue
 		}
-		sh := &r.sc.shapes[^k.i]
-		i := ^k.i * len(r.sc.tpSizes) * len(r.sc.tpSizes)
-		for me := range r.sc.tpSizes {
-			for mg := range r.sc.tpSizes {
-				if i != r.seedAt {
-					err := r.sc.noGrid(sh, me, mg)
-					if err == nil {
-						err = ErrCandidatePruned
-					}
-					r.report(i, nil, err)
-				}
-				i++
+		bs := len(r.sc.tpSizes) * len(r.sc.tpSizes)
+		for i := ^k.i * bs; i < (^k.i+1)*bs; i++ {
+			if i == r.seedAt {
+				continue
 			}
+			err := r.sc.noGrid(r.sc.member(i))
+			if err == nil {
+				err = ErrCandidatePruned
+			}
+			r.report(i, nil, err)
 		}
 	}
 }

@@ -32,11 +32,11 @@ type searchCtx struct {
 	// shapes is the strategy set's block table, filled by strategySet,
 	// nil for a context that only evaluates plans.
 	shapes []shape
-	// xLo and zLo are the encoder's and generator's floors per width
-	// tpSizes[t]: the fewest GPUs a replicated group of that width can
-	// take, filled by setFloors. Fixed-size, so a search's tables cost
-	// no allocation.
-	xLo, zLo [maxWidths]int
+	// lo holds each modality module's floor per width tpSizes[t],
+	// ordered like model.Modalities: the fewest GPUs a replicated group
+	// of that width can take, filled by setFloors. Fixed-size, so a
+	// search's tables cost no allocation.
+	lo [2][maxWidths]int
 }
 
 // maxWidths bounds len(tpSizes): a power of two that fits an int is at
@@ -142,25 +142,27 @@ func (sc *searchCtx) strategySet() int {
 	// not its width, and only falls as it grows: ZeRO-1 shards the
 	// optimizer state over every copy. So one scan per module finds the
 	// floor every candidate's x or z starts from.
-	fitFrom := func(mod model.Module) int {
+	var from [2]int
+	for j, mod := range model.Modalities {
 		g := 1
-		for g <= sc.n && !sc.fits(&ModulePlan{Module: mod, Config: parallel.Plain(1, 1, g)}) {
+		for g <= sc.n && !sc.fits(mod, &ModulePlan{Config: parallel.Plain(1, 1, g)}) {
 			g++
 		}
-		return g
+		from[j] = g
 	}
-	sc.setFloors(fitFrom(model.Encoder), fitFrom(model.Generator))
+	sc.setFloors(from)
 	return len(sc.shapes) * len(sc.tpSizes) * len(sc.tpSizes)
 }
 
-// setFloors fills the floor tables from the fewest GPUs at which the
-// encoder and the generator fit replicated (n+1 when nowhere): at each
-// width, the smallest multiple of it at or above that count, so more
-// than the budget when the module fits nowhere.
-func (sc *searchCtx) setFloors(encFrom, genFrom int) {
+// setFloors fills the floor tables from the fewest GPUs at which each
+// modality module fits replicated (n+1 when nowhere): at each width,
+// the smallest multiple of it at or above that count, so more than the
+// budget when the module fits nowhere.
+func (sc *searchCtx) setFloors(from [2]int) {
 	for t, w := range sc.tpSizes {
-		sc.xLo[t] = max(encFrom+w-1, w) / w * w
-		sc.zLo[t] = max(genFrom+w-1, w) / w * w
+		for j, f := range from {
+			sc.lo[j][t] = max(f+w-1, w) / w * w
+		}
 	}
 }
 
@@ -179,12 +181,18 @@ func (sc *searchCtx) shapeAt(t, dp int) shape {
 	}
 }
 
-// candidate resolves the strategy set's i-th candidate through the
-// block table.
-func (sc *searchCtx) candidate(i int) Candidate {
+// member resolves the strategy set's i-th candidate through the block
+// table: its shape and its modality modules' width indices into
+// tpSizes, ordered like model.Modalities.
+func (sc *searchCtx) member(i int) (*shape, [2]int) {
 	nt := len(sc.tpSizes)
-	sh := &sc.shapes[i/(nt*nt)]
-	return Candidate{TPLM: sh.tp, DPLM: sh.dp, WME: sc.tpSizes[i/nt%nt], WMG: sc.tpSizes[i%nt]}
+	return &sc.shapes[i/(nt*nt)], [2]int{i / nt % nt, i % nt}
+}
+
+// candidate is the strategy set's i-th candidate.
+func (sc *searchCtx) candidate(i int) Candidate {
+	sh, t := sc.member(i)
+	return Candidate{TPLM: sh.tp, DPLM: sh.dp, WME: sc.tpSizes[t[0]], WMG: sc.tpSizes[t[1]]}
 }
 
 // indexOf is candidate's inverse: c's index in the strategy set, or -1
@@ -222,8 +230,8 @@ const floorMargin = 1e-12
 func (sc *searchCtx) llmMemoryFloor(tp, dp, prev int) (int, error) {
 	budget := sc.mem[model.Backbone].budget
 	footprint := func(pp int) float64 {
-		mp := ModulePlan{Module: model.Backbone, Config: parallel.Plain(tp, pp, dp)}
-		return sc.footprint(&mp)
+		mp := ModulePlan{Config: parallel.Plain(tp, pp, dp)}
+		return sc.footprint(model.Backbone, &mp)
 	}
 	if j := slices.Index(sc.divisors, prev); j >= 0 && !(footprint(prev) > budget) {
 		for ; j > 0; j-- {
@@ -259,17 +267,12 @@ func (e errNoFit) Error() string {
 	return fmt.Sprintf("orchestrator: %s cannot fit at TP=%d DP=%d", e.backbone, e.tp, e.dp)
 }
 
-// footprint is one module's §4.2 per-GPU memory: parameters+gradients,
-// ZeRO-1 optimizer shards and 1F1B peak activations.
-func (sc *searchCtx) footprint(mp *ModulePlan) float64 {
-	mem := &sc.mem[mp.Module]
-	gpus := mp.Config.GPUs()
-	dp := mp.Config.DP
-	if mp.Module != model.Backbone {
-		// Every GPU of a replicated group holds a full model copy.
-		dp = gpus / mp.Config.PP
-	}
-	return model.MemoryForParams(mem.params, gpus, dp, mp.Config.PP, mem.act, mem.frozen).Total()
+// footprint is module mod's §4.2 per-GPU memory on row mp:
+// parameters+gradients of its model copies, ZeRO-1 optimizer shards
+// and 1F1B peak activations.
+func (sc *searchCtx) footprint(mod model.Module, mp *ModulePlan) float64 {
+	mem := &sc.mem[mod]
+	return model.MemoryForParams(mem.params, mp.GPUs(), mp.Copies(mod), mp.Config.PP, mem.act, mem.frozen).Total()
 }
 
 // fits enforces the §4.2 memory constraint for one module: its
@@ -277,27 +280,27 @@ func (sc *searchCtx) footprint(mp *ModulePlan) float64 {
 // rejection. Written as "not over" so that an empty hand-built
 // module's NaN footprint passes, as it always has (llmMemoryFloor
 // compares the same way).
-func (sc *searchCtx) fits(mp *ModulePlan) bool {
-	return !(sc.footprint(mp) > sc.mem[mp.Module].budget)
+func (sc *searchCtx) fits(mod model.Module, mp *ModulePlan) bool {
+	return !(sc.footprint(mod, mp) > sc.mem[mod].budget)
 }
 
 func (sc *searchCtx) checkMemory(p *Plan) error {
-	for i := range p.Modules {
-		if mp := &p.Modules[i]; !sc.fits(mp) {
+	for _, mod := range model.Modules {
+		if mp := &p.Modules[mod]; !sc.fits(mod, mp) {
 			return fmt.Errorf("orchestrator: %v needs %.1f GiB/GPU, capacity %.1f GiB",
-				mp.Module, sc.footprint(mp)/(1<<30), sc.mem[mp.Module].budget/(1<<30))
+				mod, sc.footprint(mod, mp)/(1<<30), sc.mem[mod].budget/(1<<30))
 		}
 	}
 	return nil
 }
 
-// stageTime returns T_mod: the per-PP-stage time of the module for one
-// microbatch, using the paper's §4.2 formulas with the fwd+bwd C
-// functions.
-func (sc *searchCtx) stageTime(mp *ModulePlan, dpLM int) float64 {
+// stageTime returns T_mod: the per-PP-stage time of module mod on row
+// mp for one microbatch, using the paper's §4.2 formulas with the
+// fwd+bwd C functions.
+func (sc *searchCtx) stageTime(mod model.Module, mp *ModulePlan, dpLM int) float64 {
 	width := mp.Config.ModelParallelWidth()
-	c := sc.cTrain(mp.Module, width)
-	if mp.Module == model.Backbone {
+	c := sc.cTrain(mod, width)
+	if !mod.Replicated() {
 		return c * sc.m / float64(mp.Config.PP)
 	}
 	// T = DP_lm * TP * M / alloc * C(TP)  (alloc = TP*DP*PP)
@@ -329,11 +332,11 @@ func (sc *searchCtx) evaluate(p *Plan) error {
 	// Eq. 1: warm-up = sum over modules of T_mod * PP_mod, with the LLM
 	// term divided by VPP (§4.3).
 	var warmup, steady float64
-	for i := range p.Modules {
-		mp := &p.Modules[i]
-		t := sc.stageTime(mp, dpLM)
+	for _, mod := range model.Modules {
+		mp := &p.Modules[mod]
+		t := sc.stageTime(mod, mp, dpLM)
 		w := t * float64(mp.Config.PP)
-		if mp.Module == model.Backbone {
+		if !mod.Replicated() {
 			w /= float64(sc.vpp)
 		}
 		warmup += w

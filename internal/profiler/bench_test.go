@@ -31,8 +31,8 @@ func pricingFixture(tb testing.TB) (*profiler.Profiler, [3]profiler.Rate, data.S
 		tb.Fatal(err)
 	}
 	var rates [3]profiler.Rate
-	for _, mp := range plan.Modules {
-		rates[mp.Module] = p.Resolve(mp.Module, mp.Config.ModelParallelWidth())
+	for mod, mp := range plan.Modules {
+		rates[mod] = p.Resolve(model.Module(mod), mp.Config.ModelParallelWidth())
 	}
 	return p, rates, corpus.Sample(7)
 }

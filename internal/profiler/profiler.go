@@ -114,7 +114,7 @@ func (p *Profiler) Options() Options { return p.opts }
 func (p *Profiler) Model() *model.MLLM { return &p.opts.Model }
 
 // Frozen reports whether the options' freeze setting freezes mod.
-func (p *Profiler) Frozen(mod model.Module) bool { return p.opts.Freeze.Frozen(mod) }
+func (p *Profiler) Frozen(mod model.Module) bool { return p.opts.Freeze.Frozen[mod] }
 
 // Params returns the profiled model's parameter count of mod
 // (model.MLLM.Params), computed once by New.
@@ -143,7 +143,7 @@ func efficiency(mod model.Module, width int) float64 {
 // sequence-parallel collectives; replicated modules do not communicate
 // within the group.
 func (p *Profiler) tpComm(mod model.Module, tp int) float64 {
-	if tp <= 1 || mod != model.Backbone {
+	if tp <= 1 || mod.Replicated() {
 		return 0
 	}
 	m := &p.opts.Model
@@ -201,7 +201,7 @@ func (r Rate) Price(w model.Workload) (fwd, train float64) {
 	fwdFLOPs, bwdFLOPs := r.k.TrainFLOPs(r.mod, w)
 	fwd = fwdFLOPs / r.flops
 	train = (fwdFLOPs + bwdFLOPs) / r.flops
-	if r.mod != model.Backbone { // replicas take whole images: imbalanced when images % width != 0
+	if r.mod.Replicated() { // replicas take whole images: imbalanced when images % width != 0
 		n := w.Images
 		if r.mod == model.Generator {
 			n = w.GenImages

@@ -12,16 +12,14 @@ import (
 )
 
 // This file is the Job seam: one training run as a schedulable unit.
-// Historically the runtime owned its whole run loop (and, implicitly,
-// the whole cluster); the multi-tenant fleet runtime (internal/fleet)
-// needs to interleave many runs over one shared cluster and resize
-// their GPU leases at iteration boundaries. Job is that refactor: the
-// run loop's state machine made explicit, advanced one pass at a time
-// by Step, with Resize applying a lease change as a costed
-// reconfiguration (checkpoint write + restore read — the same path
-// controller plan switches ride). Run drives a Job to completion
-// itself, so a standalone run and a fleet-driven 1-job run execute
-// byte-identical code.
+// The multi-tenant fleet runtime (internal/fleet) interleaves many
+// runs over one shared cluster and resizes their GPU leases at
+// iteration boundaries, so the run loop's state machine is explicit,
+// advanced one pass at a time by Step, with Resize applying a lease
+// change as a costed reconfiguration (checkpoint write + restore read,
+// the same path controller plan switches ride). Run drives a Job to
+// completion itself, so a standalone run and a fleet-driven 1-job run
+// execute byte-identical code.
 
 // Job is one training run in progress: the runtime plus the loop state
 // of its n-iteration run. A Job is not safe for concurrent use, and

@@ -40,7 +40,7 @@ func refMicrobatchWorkInto(r *Runtime, shape model.SampleShape, fwd, bwd []float
 	totL := p.SampleTrain(model.Backbone, lm.Config.ModelParallelWidth(), shape)
 	perStageF := fwdL * mbs / float64(lm.Config.PP)
 	perStageB := (totL - fwdL) * mbs / float64(lm.Config.PP)
-	for s := llmFirst; s < r.cls.genStage; s++ {
+	for s := 1; s < r.cls.stages-1; s++ {
 		fwd[s] = perStageF
 		bwd[s] = perStageB
 	}
@@ -51,8 +51,8 @@ func refMicrobatchWorkInto(r *Runtime, shape model.SampleShape, fwd, bwd []float
 	scaleG := float64(wG) * dpLM * mbs / float64(gen.GPUs())
 	fwdG := p.SampleForward(model.Generator, wG, shape)
 	totG := p.SampleTrain(model.Generator, wG, shape)
-	fwd[r.cls.genStage] = fwdG * scaleG
-	bwd[r.cls.genStage] = (totG - fwdG) * scaleG
+	fwd[r.cls.stages-1] = fwdG * scaleG
+	bwd[r.cls.stages-1] = (totG - fwdG) * scaleG
 }
 
 func refSampleCost(r *Runtime, s data.Sample) float64 {

@@ -81,8 +81,8 @@ type Config struct {
 	// fleet: the runtime prices collectives, checkpoints and plans
 	// against the lease's subcluster, and the fleet scheduler
 	// (internal/fleet) may grow or shrink the lease mid-run through
-	// (*Job).Resize. Nil is the historical standalone behaviour —
-	// equivalent to a lease covering every node of Spec.Cluster.
+	// (*Job).Resize. Nil runs standalone, as a lease covering every
+	// node of Spec.Cluster.
 	Lease *cluster.Lease
 	// PlacementPricing, with a Lease, prices the run against the
 	// lease's concrete placement (cluster.Lease.Placed — a fragmented
@@ -382,8 +382,8 @@ type class struct {
 	live *atomic.Int64     // the batch class's live runtimes; nil when private
 	own  atomic.Int64      // live, for its batch class's first class
 	// stage geometry and prices of the plan
-	stages, genStage int
-	p2p              []float64
+	stages int
+	p2p    []float64
 	// order is a rank's 1F1B op execution order, which a traced rank's
 	// spans time: resolved by execOrder on first use
 	order     []pipeline.Op
@@ -404,26 +404,20 @@ func (c *class) execOrder() []pipeline.Op {
 	return c.order
 }
 
-// llmFirst is the index of the first LLM stage.
-const llmFirst = 1
-
 // resolve derives k's class under its leased spec.
 func resolve(k classKey, spec *orchestrator.Spec) *class {
 	c := &class{classKey: k, spec: *spec, gpus: k.plan.TotalGPUs()}
 	p, plan := spec.Profiler, k.plan
 	lm := plan.Modules[model.Backbone].Config
 	c.stages = 1 + lm.PP + 1
-	c.genStage = c.stages - 1
 	c.p2p = c.buildP2P()
 	mbs := float64(spec.Microbatch)
-	edge := func(mod model.Module) (profiler.Rate, float64) {
+	cc := &c.costs
+	for j, mod := range model.Modalities {
 		mp := plan.Modules[mod]
 		w := mp.Config.ModelParallelWidth()
-		return p.Resolve(mod, w), float64(w) * float64(lm.DP) * mbs / float64(mp.GPUs())
+		cc.rate[j], cc.scale[j] = p.Resolve(mod, w), float64(w)*float64(lm.DP)*mbs/float64(mp.GPUs())
 	}
-	cc := &c.costs
-	cc.enc, cc.scaleE = edge(model.Encoder)
-	cc.gen, cc.scaleG = edge(model.Generator)
 	fwdL, totL := p.Resolve(model.Backbone, lm.ModelParallelWidth()).Price(model.Workload{})
 	cc.lmFwd = fwdL * mbs / float64(lm.PP)
 	cc.lmBwd = (totL - fwdL) * mbs / float64(lm.PP)
@@ -433,10 +427,10 @@ func resolve(k classKey, spec *orchestrator.Spec) *class {
 	// their optimizer shards disjoint.
 	var bytes float64
 	clients := 0
-	for _, mp := range plan.Modules {
-		if !p.Frozen(mp.Module) {
-			bytes += p.Params(mp.Module) * (model.BytesPerParam + model.BytesPerOptimState)
-			clients += mp.GPUs()
+	for _, mod := range model.Modules {
+		if !p.Frozen(mod) {
+			bytes += p.Params(mod) * (model.BytesPerParam + model.BytesPerOptimState)
+			clients += plan.Modules[mod].GPUs()
 		}
 	}
 	if n := float64(clients); clients > 0 { // equal shards, in parallel
@@ -487,9 +481,9 @@ func (r *Runtime) iterP2P(pert scenario.Perturbation) []float64 {
 // planCosts is what pricing a microbatch reads of the profiler and the
 // plan, resolved once per class: no query, lock or map per sample.
 type planCosts struct {
-	enc, gen       profiler.Rate
-	scaleE, scaleG float64 // per-LLM-rank share of the encoder / generator pool
-	lmFwd, lmBwd   float64 // one LLM stage: fixed-length packed sequences (§2.3) price alike
+	rate         [2]profiler.Rate // the modality modules', ordered like model.Modalities
+	scale        [2]float64       // per-LLM-rank share of each modality module's pool
+	lmFwd, lmBwd float64          // one LLM stage: fixed-length packed sequences (§2.3) price alike
 }
 
 // microbatchWorkInto fills caller-provided stage slices (len c.stages)
@@ -498,16 +492,15 @@ type planCosts struct {
 // plan's resolved rates and allocation ratios.
 func (c *class) microbatchWorkInto(w model.Workload, fwd, bwd []float64) {
 	cc := &c.costs
-	fwdE, totE := cc.enc.Price(w)
-	fwd[0] = fwdE * cc.scaleE
-	bwd[0] = (totE - fwdE) * cc.scaleE
-	for s := llmFirst; s < c.genStage; s++ {
+	for s := 1; s < c.stages-1; s++ {
 		fwd[s] = cc.lmFwd
 		bwd[s] = cc.lmBwd
 	}
-	fwdG, totG := cc.gen.Price(w)
-	fwd[c.genStage] = fwdG * cc.scaleG
-	bwd[c.genStage] = (totG - fwdG) * cc.scaleG
+	for j, s := range [2]int{0, c.stages - 1} { // the encoder's and generator's stages
+		f, tot := cc.rate[j].Price(w)
+		fwd[s] = f * cc.scale[j]
+		bwd[s] = (tot - f) * cc.scale[j]
+	}
 }
 
 // assign distributes buf.work, the folded global batch, across dp
@@ -562,17 +555,16 @@ func (c *class) gradSync() float64 {
 		Latency:      spec.Cluster.LinkLatency,
 	}
 	worst := 0.0
-	for _, mp := range c.plan.Modules {
-		if prof.Frozen(mp.Module) {
+	for _, mod := range model.Modules {
+		if prof.Frozen(mod) {
 			continue
 		}
-		params := prof.Params(mp.Module) / float64(mp.Config.ModelParallelWidth()*mp.Config.PP)
-		dp := mp.Config.DP
-		if mp.Module != model.Backbone {
-			dp = mp.GPUs() / mp.Config.PP
-			params = prof.Params(mp.Module)
+		mp := &c.plan.Modules[mod]
+		params := prof.Params(mod) // a replicated group's copies are whole
+		if !mod.Replicated() {
+			params /= float64(mp.Config.ModelParallelWidth() * mp.Config.PP)
 		}
-		t := comm.ZeRO1GradSync(cost, params, dp)
+		t := comm.ZeRO1GradSync(cost, params, mp.Copies(mod))
 		worst = math.Max(worst, t*(1-syncOverlap))
 	}
 	return worst
@@ -583,11 +575,11 @@ func (c *class) gradSync() float64 {
 func (c *class) optimizerStep() float64 {
 	spec := &c.spec
 	worst := 0.0
-	for _, mp := range c.plan.Modules {
-		if spec.Profiler.Frozen(mp.Module) {
+	for _, mod := range model.Modules {
+		if spec.Profiler.Frozen(mod) {
 			continue
 		}
-		shard := spec.Profiler.Params(mp.Module) / float64(mp.GPUs())
+		shard := spec.Profiler.Params(mod) / float64(c.plan.Modules[mod].GPUs())
 		t := shard * 32 / spec.Cluster.GPU.MemoryBWBytes
 		worst = math.Max(worst, t)
 	}
