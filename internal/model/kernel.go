@@ -1,13 +1,14 @@
 package model
 
-// The one statement of the per-sample FLOPs formulas: an MLLM and a
-// FreezeSpec compile once into a CostKernel of constants, a sample
-// folds through it image by image into a Workload, and a module's FLOPs
-// are a few multiply-adds on the pair (the value methods delegate
-// here). Only constant prefixes are hoisted, so results are bit-identical
-// to the formulas on the configs (FuzzSamplePricing, internal/profiler).
+// The one module table: an MLLM and a FreezeSpec compile once into a
+// CostKernel, one row of constants per module — its parameter count,
+// per-sample FLOPs, activation bytes and replica balance unit — a
+// sample folds through it image by image into a Workload, and a
+// module's costs are a few multiply-adds of its row on the workload.
+// Only constant prefixes are hoisted, so results are bit-identical to
+// the formulas on the configs (FuzzSamplePricing, internal/profiler).
 
-// transformerKernel is a TransformerConfig compiled for FwdFLOPsPerToken.
+// transformerKernel is a TransformerConfig compiled for FwdFLOPs.
 type transformerKernel struct {
 	matmul float64 // 2·L·ParamsPerLayer: matrix multiplies contribute 2·params
 	attn   float64 // L·2 (causal) or L·4 (bidirectional, halved after the s·h product)
@@ -27,7 +28,7 @@ func (c TransformerConfig) compile() transformerKernel {
 	return t
 }
 
-// perToken is FwdFLOPsPerToken. Per token per layer QK^T and the
+// perToken is forward FLOPs per token. Per token per layer QK^T and the
 // attention-weighted V sum are 2·s·h FLOPs each; causal masking halves
 // the effective length, and the bidirectional encoder costs the same.
 func (t transformerKernel) perToken(seqLen int) float64 {
@@ -39,30 +40,47 @@ func (t transformerKernel) perToken(seqLen int) float64 {
 }
 
 // CostKernel is an MLLM under a FreezeSpec compiled to the constants
-// the per-sample cost formulas read. Read-only, so safe to share.
+// the per-sample cost formulas read: one row per Module, indexed like
+// Modules. Read-only, so safe to share.
 type CostKernel struct {
-	enc      transformerKernel
-	inProj   float64             // input-projector FLOPs per image token
-	backbone float64             // BackboneFwdFLOPs: independent of the modality mix
-	outProj  float64             // output projector over the packed sequence
-	unet     float64             // one UNet denoising pass per generated image
-	unetVAE  float64             // the same plus the frozen VAE encode
-	bwd      [numModules]float64 // FreezeSpec.BackwardFactor
+	enc  transformerKernel // the encoder's ViT passes, folded image by image
+	rows [numModules]moduleRow
+}
+
+// moduleRow is one module's costs (§4.1–4.2), each a sum of the row's
+// coefficients times a workload's counts, added in field order; a zero
+// term adds exactly, so every module reads the one expression.
+type moduleRow struct {
+	params float64 // co-located projectors (and the frozen VAE) included, per §4.1
+	// Forward FLOPs: fixed + vit·ViT passes + perToken·image tokens +
+	// perGen·generated images. Backward: bwd times the same sum with
+	// perGenBwd, the generated-image FLOPs on the gradient path.
+	fixed, vit, perToken, perGen, perGenBwd, bwd float64
+	// Activation bytes: actFixed + actToken·image tokens +
+	// actGen·generated images, at least one.
+	actFixed, actToken, actGen float64
+	byGen                      bool // replicas take whole generated images, not whole images
 }
 
 // Compile builds the model's cost kernel under a freeze setting.
 func (m MLLM) Compile(f FreezeSpec) CostKernel {
 	unet := m.Generator.FwdFLOPsPerImage(m.GenResolution)
-	k := CostKernel{
-		enc:      m.Encoder.compile(),
-		inProj:   m.InProj.FwdFLOPsPerToken(),
-		backbone: m.BackboneFwdFLOPs(),
-		outProj:  float64(m.SeqLen) * m.OutProj.FwdFLOPsPerToken(),
-		unet:     unet,
-		unetVAE:  unet + m.VAE.EncodeFLOPsPerImage(m.GenResolution),
-	}
+	k := CostKernel{enc: m.Encoder.compile(), rows: [numModules]moduleRow{
+		Encoder: {params: m.Encoder.Params() + m.InProj.Params(), vit: 1,
+			perToken: m.InProj.FwdFLOPsPerToken(), actToken: m.Encoder.ActivationBytesPerToken()},
+		// The backbone's cost is independent of the modality mix.
+		Backbone: {params: m.Backbone.Params(), fixed: m.Backbone.FwdFLOPs(m.SeqLen),
+			actFixed: m.Backbone.ActivationBytesPerToken() * float64(m.SeqLen)},
+		// The generator runs the output projector over the packed
+		// sequence, then per generated image a frozen VAE encode (no
+		// gradient path) and one UNet pass.
+		Generator: {params: m.Generator.Params() + m.OutProj.Params() + m.VAE.Params(),
+			fixed:  float64(m.SeqLen) * m.OutProj.FwdFLOPsPerToken(),
+			perGen: unet + m.VAE.EncodeFLOPsPerImage(m.GenResolution), perGenBwd: unet,
+			actGen: m.Generator.ActivationBytesPerImage(m.GenResolution), byGen: true},
+	}}
 	for _, mod := range Modules {
-		k.bwd[mod] = f.BackwardFactor(mod)
+		k.rows[mod].bwd = f.BackwardFactor(mod)
 	}
 	return k
 }
@@ -105,19 +123,30 @@ func (k *CostKernel) Fold(s SampleShape) Workload {
 }
 
 // TrainFLOPs returns forward and backward FLOPs of one workload in a
-// module. The encoder adds the input projector over all image tokens to
-// the ViT passes; the generator runs the output projector plus, per
-// generated image, a frozen VAE encode and one UNet pass. Backward is
-// the freeze factor of forward, the VAE (no gradient path) excluded.
+// module: the row's sums over the workload.
 func (k *CostKernel) TrainFLOPs(mod Module, w Workload) (fwd, bwd float64) {
-	switch mod {
-	case Encoder:
-		fwd = w.vit + float64(w.tokens)*k.inProj
-	case Backbone:
-		fwd = k.backbone
-	case Generator:
-		fwd = k.outProj + float64(w.GenImages)*k.unetVAE
-		return fwd, k.bwd[mod] * (k.outProj + float64(w.GenImages)*k.unet)
+	r := &k.rows[mod]
+	base := r.fixed + r.vit*w.vit + r.perToken*float64(w.tokens)
+	gens := float64(w.GenImages)
+	return base + r.perGen*gens, r.bwd * (base + r.perGenBwd*gens)
+}
+
+// Params returns the parameter count of one module.
+func (k *CostKernel) Params(mod Module) float64 { return k.rows[mod].params }
+
+// ActivationBytes returns the activation bytes a workload holds in a
+// module while it is in flight under 1F1B.
+func (k *CostKernel) ActivationBytes(mod Module, w Workload) float64 {
+	r := &k.rows[mod]
+	return r.actFixed + r.actToken*float64(w.tokens) + r.actGen*float64(max(w.GenImages, 1))
+}
+
+// ReplicaUnits returns how many whole units the replicas of a module's
+// group divide a workload into: images for the encoder, generated
+// images for the generator.
+func (k *CostKernel) ReplicaUnits(mod Module, w Workload) int {
+	if k.rows[mod].byGen {
+		return w.GenImages
 	}
-	return fwd, k.bwd[mod] * fwd
+	return w.Images
 }

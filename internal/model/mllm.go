@@ -153,21 +153,6 @@ func (m *MLLM) Equal(o *MLLM) bool {
 		m.GenResolution == o.GenResolution && m.SeqLen == o.SeqLen
 }
 
-// Params returns the parameter count of one module (projectors are
-// accounted with the module they are co-located with: input projector
-// with the encoder, output projector with the generator, per §4.1).
-func (m MLLM) Params(mod Module) float64 {
-	switch mod {
-	case Encoder:
-		return m.Encoder.Params() + m.InProj.Params()
-	case Backbone:
-		return m.Backbone.Params()
-	case Generator:
-		return m.Generator.Params() + m.OutProj.Params() + m.VAE.Params()
-	}
-	return 0
-}
-
 // SampleShape characterises one training sample's modality composition:
 // how many image subsequences it interleaves and how many tokens each
 // contributes. Text tokens fill the remainder of the fixed SeqLen
@@ -189,11 +174,10 @@ func (s SampleShape) TotalImageTokens() int {
 	return t
 }
 
-// BackboneFwdFLOPs returns forward FLOPs for the LLM backbone over one
-// packed sequence. It is independent of the sample's modality mix —
-// the root cause of the paper's observation that LLM stage time is
-// constant while encoder/generator stage times vary (Figure 3).
-func (m MLLM) BackboneFwdFLOPs() float64 { return m.Backbone.FwdFLOPs(m.SeqLen) }
+// BoundaryBytes returns one packed sequence's bf16 hidden states at the
+// backbone's width: what a pipeline stage hands the next, and what the
+// backbone's sequence-parallel collectives move per layer.
+func (m *MLLM) BoundaryBytes() float64 { return float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2 }
 
 // FreezeSpec captures which modules are frozen during a training phase
 // (§7.3). Frozen modules still run forward passes but skip weight

@@ -97,9 +97,10 @@ func TestMLLMTotals(t *testing.T) {
 		if err := c.m.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.m.Name, err)
 		}
+		k := c.m.Compile(FullTraining)
 		gotB := 0.0 // the "9B" in MLLM-9B: every module's parameters
 		for _, mod := range Modules {
-			gotB += c.m.Params(mod) / 1e9
+			gotB += k.Params(mod) / 1e9
 		}
 		if math.Abs(gotB-c.wantB)/c.wantB > 0.20 {
 			t.Errorf("%s = %.2fB params, want ~%.0fB", c.m.Name, gotB, c.wantB)
@@ -140,8 +141,8 @@ func TestFigure3CostShape(t *testing.T) {
 	light := SampleShape{ImageTokens: []int{1024}, GenImages: 1}
 	heavy := SampleShape{ImageTokens: []int{4096, 4096, 4096, 4096}, GenImages: 4}
 
-	if m.BackboneFwdFLOPs() != m.BackboneFwdFLOPs() {
-		t.Fatal("backbone cost must be deterministic")
+	if fwdFLOPs(m, Backbone, light) != fwdFLOPs(m, Backbone, heavy) {
+		t.Fatal("backbone cost must not depend on the modality mix")
 	}
 	encLight, encHeavy := fwdFLOPs(m, Encoder, light), fwdFLOPs(m, Encoder, heavy)
 	if encHeavy <= 4*encLight {
@@ -187,7 +188,8 @@ func TestFreezeBackwardFactors(t *testing.T) {
 
 func TestMemoryModelZeRO1(t *testing.T) {
 	m := MLLM72B()
-	p := m.Params(Backbone)
+	k := m.Compile(FullTraining)
+	p := k.Params(Backbone)
 
 	// 70B backbone on y GPUs with DP=2, PP=10, TP=4: y = 80.
 	act := m.Backbone.ActivationBytesPerToken() * float64(m.SeqLen)

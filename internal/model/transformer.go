@@ -118,16 +118,11 @@ func (c TransformerConfig) Params() float64 {
 	return p
 }
 
-// FwdFLOPsPerToken returns dense forward FLOPs for one token at the given
-// context length. Matrix multiplies contribute 2*params; attention adds
-// the score/context products, which depend on sequence length.
-func (c TransformerConfig) FwdFLOPsPerToken(seqLen int) float64 {
-	return c.compile().perToken(seqLen)
-}
-
-// FwdFLOPs returns forward FLOPs for a whole sequence of the given length.
+// FwdFLOPs returns dense forward FLOPs for a whole sequence of the given
+// length. Matrix multiplies contribute 2*params; attention adds the
+// score/context products, which depend on sequence length.
 func (c TransformerConfig) FwdFLOPs(seqLen int) float64 {
-	return float64(seqLen) * c.FwdFLOPsPerToken(seqLen)
+	return float64(seqLen) * c.compile().perToken(seqLen)
 }
 
 // Precision constants for mixed-precision training (§3: DistTrain uses

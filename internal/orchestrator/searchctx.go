@@ -28,6 +28,7 @@ type searchCtx struct {
 	cTrainTP [3][]float64 // C_mod(width) for every width in tpSizes
 	divisors divisorTable // of the backbone's layer count
 	mem      [3]moduleMemory
+	budget   float64 // per-GPU capacity of the cluster's SKU, less the 8% runtime reserve
 	mfuFLOPs float64 // model FLOPs per iteration, the MFU estimate's numerator
 	// shapes is the strategy set's block table, filled by strategySet,
 	// nil for a context that only evaluates plans.
@@ -57,17 +58,14 @@ type shape struct {
 // moduleMemory is the plan-independent half of one module's §4.2
 // memory constraint.
 type moduleMemory struct {
-	budget float64 // per-GPU capacity of the cluster's SKU, less the 8% runtime reserve
 	act    float64 // activation bytes of one microbatch across the whole module
 	params float64
 	frozen bool
 }
 
 func newSearchCtx(s *Spec) searchCtx {
-	opts := s.Profiler.Options()
-	shape := s.Profiler.MeanShape()
 	kern := s.Profiler.Kernel()
-	work := kern.Fold(shape)
+	work := kern.Fold(s.Profiler.MeanShape())
 	sc := searchCtx{
 		spec:     s,
 		n:        s.maxGPUs(),
@@ -75,6 +73,7 @@ func newSearchCtx(s *Spec) searchCtx {
 		vpp:      s.vpp(),
 		tpSizes:  parallel.TPSizes(s.Cluster.GPUsPerNode),
 		divisors: divisorsOf(s.Model.Backbone.Layers),
+		budget:   s.Profiler.Options().Cluster.GPU.MemoryBytes * 0.92,
 	}
 	for _, mod := range model.Modules {
 		sc.cTrainTP[mod] = make([]float64, len(sc.tpSizes))
@@ -84,15 +83,11 @@ func newSearchCtx(s *Spec) searchCtx {
 		fwd, bwd := kern.TrainFLOPs(mod, work)
 		sc.mfuFLOPs += (fwd + bwd) * float64(s.GlobalBatch)
 		sc.mem[mod] = moduleMemory{
-			budget: opts.Cluster.GPU.MemoryBytes * 0.92,
-			params: s.Profiler.Params(mod),
+			act:    kern.ActivationBytes(mod, work) * float64(s.Microbatch),
+			params: kern.Params(mod),
 			frozen: s.Profiler.Frozen(mod),
 		}
 	}
-	sc.mem[model.Encoder].act = s.Model.Encoder.ActivationBytesPerToken() * float64(shape.TotalImageTokens()) * float64(s.Microbatch)
-	sc.mem[model.Backbone].act = s.Model.Backbone.ActivationBytesPerToken() * float64(s.Model.SeqLen) * float64(s.Microbatch)
-	sc.mem[model.Generator].act = s.Model.Generator.ActivationBytesPerImage(s.Model.GenResolution) *
-		float64(max(shape.GenImages, 1)) * float64(s.Microbatch)
 	return sc
 }
 
@@ -228,7 +223,7 @@ const floorMargin = 1e-12
 // divisor over the budget by floorMargin thus proves that none below
 // it fits; one over by less sends the walk to the scan.
 func (sc *searchCtx) llmMemoryFloor(tp, dp, prev int) (int, error) {
-	budget := sc.mem[model.Backbone].budget
+	budget := sc.budget
 	footprint := func(pp int) float64 {
 		mp := ModulePlan{Config: parallel.Plain(tp, pp, dp)}
 		return sc.footprint(model.Backbone, &mp)
@@ -281,14 +276,14 @@ func (sc *searchCtx) footprint(mod model.Module, mp *ModulePlan) float64 {
 // module's NaN footprint passes, as it always has (llmMemoryFloor
 // compares the same way).
 func (sc *searchCtx) fits(mod model.Module, mp *ModulePlan) bool {
-	return !(sc.footprint(mod, mp) > sc.mem[mod].budget)
+	return !(sc.footprint(mod, mp) > sc.budget)
 }
 
 func (sc *searchCtx) checkMemory(p *Plan) error {
 	for _, mod := range model.Modules {
 		if mp := &p.Modules[mod]; !sc.fits(mod, mp) {
 			return fmt.Errorf("orchestrator: %v needs %.1f GiB/GPU, capacity %.1f GiB",
-				mod, sc.footprint(mod, mp)/(1<<30), sc.mem[mod].budget/(1<<30))
+				mod, sc.footprint(mod, mp)/(1<<30), sc.budget/(1<<30))
 		}
 	}
 	return nil

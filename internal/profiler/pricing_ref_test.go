@@ -8,17 +8,17 @@ import (
 )
 
 // This file is the pricing oracle: the cost formulas as they read
-// before they were compiled into model.CostKernel and Rate — the
+// before they were compiled into model.CostKernel's rows and Rate — the
 // bodies of TransformerConfig.FwdFLOPsPerToken, MLLM.EncoderFwdFLOPs /
 // GeneratorFwdFLOPs / generatorTrainableFwdFLOPs / ModuleTrainFLOPs /
-// ModuleFwdFLOPs and Profiler.efficiency / tpComm / SampleForward /
-// SampleTrain, verbatim but for receivers becoming parameters and the
-// deployment options the profiler no longer has (replicated encoder and
-// generator, sequence parallelism, the cluster's SKU for every module)
-// becoming their one value. They
-// re-derive every constant from the configs on every call, which is
-// what made them slow and what makes them a reference: the compiled
-// path must agree with them bit for bit (FuzzSamplePricing).
+// ModuleFwdFLOPs / Params, Profiler.efficiency / tpComm / SampleForward /
+// SampleTrain and the plan search's activation-memory lines, verbatim
+// but for receivers becoming parameters and the deployment options the
+// profiler no longer has (replicated encoder and generator, sequence
+// parallelism, the cluster's SKU for every module) becoming their one
+// value. They re-derive every constant from the configs on every call,
+// which is what made them slow and what makes them a reference: the
+// compiled path must agree with them bit for bit (FuzzSamplePricing).
 
 func refFwdFLOPsPerToken(c model.TransformerConfig, seqLen int) float64 {
 	h := float64(c.HiddenSize)
@@ -159,4 +159,27 @@ func refSampleTrain(p *Profiler, mod model.Module, width int, s model.SampleShap
 		commMult = 2
 	}
 	return t + commMult*refTPComm(p, mod, width, 1)
+}
+
+func refParams(m model.MLLM, mod model.Module) float64 {
+	switch mod {
+	case model.Encoder:
+		return m.Encoder.Params() + m.InProj.Params()
+	case model.Backbone:
+		return m.Backbone.Params()
+	case model.Generator:
+		return m.Generator.Params() + m.OutProj.Params() + m.VAE.Params()
+	}
+	return 0
+}
+
+// refActivationBytes is one microbatch's activation bytes across the
+// whole module, for microbatches of samples of the given shape.
+func refActivationBytes(m model.MLLM, mod model.Module, shape model.SampleShape, microbatch int) float64 {
+	var act [3]float64
+	act[model.Encoder] = m.Encoder.ActivationBytesPerToken() * float64(shape.TotalImageTokens()) * float64(microbatch)
+	act[model.Backbone] = m.Backbone.ActivationBytesPerToken() * float64(m.SeqLen) * float64(microbatch)
+	act[model.Generator] = m.Generator.ActivationBytesPerImage(m.GenResolution) *
+		float64(max(shape.GenImages, 1)) * float64(microbatch)
+	return act[mod]
 }

@@ -76,6 +76,11 @@ func checkPricing(t *testing.T, p *Profiler, s model.SampleShape, w model.Worklo
 		gotF, gotB := p.kernel.TrainFLOPs(mod, w)
 		same(gotF, wantF, "%v kernel fwd FLOPs", mod)
 		same(gotB, wantB, "%v kernel bwd FLOPs", mod)
+		same(p.kernel.Params(mod), refParams(p.opts.Model, mod), "%v params", mod)
+		for _, mb := range []int{1, 3} { // as the plan search scales a mean-shape row
+			same(p.kernel.ActivationBytes(mod, w)*float64(mb), refActivationBytes(p.opts.Model, mod, s, mb),
+				"%v activation bytes at microbatch %d", mod, mb)
+		}
 		for _, width := range pricingWidths {
 			r := p.Resolve(mod, width)
 			fwd, train := r.Price(w)
@@ -100,7 +105,8 @@ func sampleOf(s model.SampleShape) data.Sample {
 	return out
 }
 
-// FuzzSamplePricing holds the compiled cost model — CostKernel, Rate,
+// FuzzSamplePricing holds the compiled cost model — CostKernel's rows
+// (FLOPs, parameters, activation bytes), Rate,
 // the SampleForward/SampleTrain wrappers, SampleCost and the
 // data.Sample walk — to the formulas it was compiled
 // from (pricing_ref_test.go) on byte-driven shapes: b[0] picks 0-12

@@ -61,17 +61,17 @@ func DefaultOptions(cl cluster.Cluster, m model.MLLM) Options {
 // Profiler converts module workloads into seconds.
 //
 // Concurrency: query methods (CTrain, SampleForward, SampleTrain,
-// SampleCost, Cost, Resolve, Kernel, MeanShape, Options, Model, Frozen,
-// Params) and resolved Rates are safe for concurrent use — the plan
-// search, the fleet's concurrently stepped tenants and the producers'
-// builds issue them from many goroutines at once. Calibrate mutates the profiler's mean
-// shape and must not run concurrently with queries. Calibrate once,
-// then share.
+// SampleCost, Cost, Resolve, Kernel, MeanShape, Options, Model, Frozen)
+// and resolved Rates are safe for concurrent use. The callers that run
+// in parallel are standalone runtimes stepped on separate goroutines,
+// and producer builds, each on its own connection's or readahead's
+// goroutine, pricing samples through Cost (the fleet steps every tenant
+// on Run's goroutine). Calibrate mutates the profiler's mean shape and
+// must not run concurrently with queries. Calibrate once, then share.
 type Profiler struct {
 	opts   Options
 	kernel model.CostKernel // compiled from (opts.Model, opts.Freeze)
 	rates  [3][4]Rate       // resolve at widths 1, 2, 4, 8
-	params [3]float64       // opts.Model.Params per module
 	// meanShape is the corpus-calibrated average sample composition,
 	// gathered by Calibrate (the manager "samples a subset of training
 	// data to analyze the data distribution").
@@ -97,7 +97,6 @@ func New(opts Options) (*Profiler, error) {
 	}
 	p := &Profiler{opts: opts, kernel: opts.Model.Compile(opts.Freeze)}
 	for _, mod := range model.Modules {
-		p.params[mod] = opts.Model.Params(mod)
 		for i := range p.rates[mod] {
 			p.rates[mod][i] = p.resolve(mod, 1<<i)
 		}
@@ -116,26 +115,22 @@ func (p *Profiler) Model() *model.MLLM { return &p.opts.Model }
 // Frozen reports whether the options' freeze setting freezes mod.
 func (p *Profiler) Frozen(mod model.Module) bool { return p.opts.Freeze.Frozen[mod] }
 
-// Params returns the profiled model's parameter count of mod
-// (model.MLLM.Params), computed once by New.
-func (p *Profiler) Params(mod model.Module) float64 { return p.params[mod] }
+// efficiencies is the fraction of peak FLOP/s each module achieves on
+// one GPU, calibrated so the end-to-end evaluation reproduces the
+// paper's MFU bands (EXPERIMENTS.md): ViT's smaller GEMMs near 0.57,
+// dense 8K-context transformer GEMMs near 0.68 of bf16 peak, and the
+// generator mix (UNet convolutions plus the memory-bound VAE) near 0.44.
+var efficiencies = [len(model.Modules)]float64{0.57, 0.68, 0.44}
 
-// efficiency returns the fraction of peak FLOP/s a module achieves on
-// one GPU. Values are calibrated so the end-to-end evaluation
-// reproduces the paper's MFU bands (EXPERIMENTS.md): dense 8K-context
-// transformer GEMMs near 0.68 of bf16 peak, degraded as tensor
-// parallelism shrinks the backbone's per-GPU matrix shards; ViT's
-// smaller GEMMs near 0.57 and the generator mix (UNet convolutions plus
-// the memory-bound VAE) near 0.44, replicated at full kernel size on
-// every GPU.
+// efficiency returns a module's efficiency at a width: replicas keep
+// full-size kernels on every GPU, while tensor parallelism shrinks the
+// backbone's per-GPU matrix shards.
 func efficiency(mod model.Module, width int) float64 {
-	switch mod {
-	case model.Encoder:
-		return 0.57
-	case model.Generator:
-		return 0.44
+	e := efficiencies[mod]
+	if !mod.Replicated() {
+		e *= 1 - 0.02*math.Log2(float64(width))
 	}
-	return 0.68 * (1 - 0.02*math.Log2(float64(width)))
+	return e
 }
 
 // tpComm returns the exposed tensor-parallel communication time for one
@@ -151,8 +146,7 @@ func (p *Profiler) tpComm(mod model.Module, tp int) float64 {
 		BandwidthBps: p.opts.Cluster.GroupBandwidth(tp),
 		Latency:      p.opts.Cluster.LinkLatency,
 	}
-	actBytes := float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2
-	per := comm.TPOverheadPerLayer(cost, actBytes, tp, p.opts.StepCCLOverlap)
+	per := comm.TPOverheadPerLayer(cost, m.BoundaryBytes(), tp, p.opts.StepCCLOverlap)
 	return per * float64(m.Backbone.Layers)
 }
 
@@ -201,12 +195,8 @@ func (r Rate) Price(w model.Workload) (fwd, train float64) {
 	fwdFLOPs, bwdFLOPs := r.k.TrainFLOPs(r.mod, w)
 	fwd = fwdFLOPs / r.flops
 	train = (fwdFLOPs + bwdFLOPs) / r.flops
-	if r.mod.Replicated() { // replicas take whole images: imbalanced when images % width != 0
-		n := w.Images
-		if r.mod == model.Generator {
-			n = w.GenImages
-		}
-		b := balanceFactor(n, r.width)
+	if r.mod.Replicated() { // replicas take whole units: imbalanced when units % width != 0
+		b := balanceFactor(r.k.ReplicaUnits(r.mod, w), r.width)
 		fwd *= b
 		train *= b
 	}
@@ -237,9 +227,12 @@ func (p *Profiler) SampleTrain(mod model.Module, width int, s model.SampleShape)
 // plus generator train seconds at width 1 — the size Algorithm 1
 // orders samples by and the re-planning controller measures drift in.
 func (p *Profiler) SampleCost(w model.Workload) float64 {
-	_, enc := p.rates[model.Encoder][0].Price(w)
-	_, gen := p.rates[model.Generator][0].Price(w)
-	return enc + gen
+	var cost float64
+	for _, mod := range model.Modalities {
+		_, train := p.rates[mod][0].Price(w)
+		cost += train
+	}
+	return cost
 }
 
 // Cost is SampleCost of a corpus sample folded through the kernel: the

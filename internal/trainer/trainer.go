@@ -429,7 +429,7 @@ func resolve(k classKey, spec *orchestrator.Spec) *class {
 	clients := 0
 	for _, mod := range model.Modules {
 		if !p.Frozen(mod) {
-			bytes += p.Params(mod) * (model.BytesPerParam + model.BytesPerOptimState)
+			bytes += p.Kernel().Params(mod) * (model.BytesPerParam + model.BytesPerOptimState)
 			clients += plan.Modules[mod].GPUs()
 		}
 	}
@@ -446,8 +446,7 @@ func resolve(k classKey, spec *orchestrator.Spec) *class {
 // most of the transfer (§6); synchronous batched sends expose it all.
 func (c *class) buildP2P() []float64 {
 	spec := &c.spec
-	m := spec.Model
-	bytesLM := float64(spec.Microbatch) * float64(m.SeqLen) * float64(m.Backbone.HiddenSize) * 2
+	bytesLM := float64(spec.Microbatch) * spec.Model.BoundaryBytes()
 	cost := comm.CollectiveCost{
 		BandwidthBps: spec.Cluster.CrossNodeBandwidthPerGPU(),
 		Latency:      spec.Cluster.LinkLatency,
@@ -560,7 +559,7 @@ func (c *class) gradSync() float64 {
 			continue
 		}
 		mp := &c.plan.Modules[mod]
-		params := prof.Params(mod) // a replicated group's copies are whole
+		params := prof.Kernel().Params(mod) // a replicated group's copies are whole
 		if !mod.Replicated() {
 			params /= float64(mp.Config.ModelParallelWidth() * mp.Config.PP)
 		}
@@ -579,7 +578,7 @@ func (c *class) optimizerStep() float64 {
 		if spec.Profiler.Frozen(mod) {
 			continue
 		}
-		shard := spec.Profiler.Params(mod) / float64(c.plan.Modules[mod].GPUs())
+		shard := spec.Profiler.Kernel().Params(mod) / float64(c.plan.Modules[mod].GPUs())
 		t := shard * 32 / spec.Cluster.GPU.MemoryBWBytes
 		worst = math.Max(worst, t)
 	}
