@@ -14,7 +14,7 @@ COVER_FLOOR ?= 83
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 14413
+LOC_CEILING ?= 14379
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-code loc-gate profile profile-plan staticcheck ci
 
@@ -227,4 +227,4 @@ loc-gate:
 	[ "$$total" -le "$(LOC_CEILING)" ] || \
 		{ echo "FAIL: $$total lines is over the $(LOC_CEILING)-line ceiling"; exit 1; }
 
-ci: build fmt vet staticcheck test race determinism bench fuzz cover loc-gate
+ci: build fmt vet staticcheck test race determinism bench profile profile-plan fuzz cover loc-gate

@@ -208,8 +208,7 @@ type tenant struct {
 	min, max int
 	waited   int // full rounds queued since last enqueue
 
-	rt      *trainer.Runtime
-	job     *trainer.Job
+	rt      *trainer.Runtime // the armed run, nil until started and after retire
 	pool    *preprocess.Tenant
 	state   int
 	stepErr error
@@ -647,7 +646,7 @@ func (f *runner) resize(t *tenant, lease cluster.Lease, take, drop []int, plan *
 		plan, err = f.cache.Plan(context.Background(), *f.leaseSpec(t, lease))
 	}
 	if err == nil {
-		err = t.job.Resize(lease, plan, reason)
+		err = t.rt.Resize(lease, plan, reason)
 	}
 	if err != nil {
 		f.table.ReleaseNodes(t.ID, take) // just acquired: cannot fail
@@ -696,17 +695,14 @@ func (f *runner) departJob(id int) {
 }
 
 // retire finalises a tenant and frees its lease. The result and trace
-// are all that outlive it: the runtime and Job are dropped, so a long
-// fleet does not keep (and the GC does not re-mark) every runtime it
-// ever ran.
+// are all that outlive it: the runtime is dropped, so a long fleet does
+// not keep (and the GC does not re-mark) every runtime it ever ran.
 func (f *runner) retire(t *tenant, departed bool) {
-	if t.job != nil && t.Result == nil {
-		t.Result = t.job.Finish()
-	}
 	if t.rt != nil {
+		t.Result = t.rt.Finish()
 		t.rt.Close() // leaves the run's batch cache
+		t.rt = nil
 	}
-	t.rt, t.job = nil, nil
 	// No fetch is in flight between Steps, so the tenant's pool
 	// counters are quiescent — snapshot them now, exactly once.
 	f.snapshotPool(t)
@@ -826,7 +822,7 @@ func (f *runner) admit() {
 
 // reserve is the rest of admission, one synchronous step: plan the
 // lease admit acquired through the shared cache and start the tenant on
-// it — a fresh tenant builds its runtime and Job, a suspended one
+// it — a fresh tenant builds and arms its runtime, a suspended one
 // resumes through a costed lease resize. The tenants of a template on
 // leases of one shape share one interned leased spec (leaseSpec), so
 // K identical tenants make one §4.3 search and K-1 cache hits, one
@@ -865,12 +861,11 @@ func (f *runner) reserve(t *tenant, lease cluster.Lease) error {
 		if err != nil {
 			return err
 		}
-		job, err := rt.NewJob(t.iters)
-		if err != nil {
+		if _, err := rt.NewJob(t.iters); err != nil {
 			rt.Close() // the tenant never holds it, so retire cannot
 			return err
 		}
-		t.rt, t.job = rt, job
+		t.rt = rt
 		t.Strategy, t.Plan = plan.Strategy, plan
 	} else if err := f.resize(t, lease, nil, nil, plan, fmt.Sprintf("resumed on %d nodes", lease.NodeCount())); err != nil {
 		return err
@@ -897,7 +892,7 @@ func (f *runner) running() []*tenant {
 func (f *runner) stepRunning() {
 	run := f.running()
 	for _, t := range run {
-		t.stepErr = t.job.Step()
+		t.stepErr = t.rt.Step()
 	}
 	for _, t := range run {
 		if t.stepErr != nil {
@@ -910,7 +905,7 @@ func (f *runner) stepRunning() {
 // leases for next round's admissions and growth.
 func (f *runner) completeFinished() {
 	for _, t := range f.running() {
-		if t.job.Done() {
+		if t.rt.Done() {
 			f.retire(t, false)
 			f.note("job-done", metrics.Int("job", t.ID))
 		}

@@ -56,7 +56,7 @@ func traceBytes(t *testing.T, tr *metrics.Trace) []byte {
 // TestFleetOneJobEquivalence is the refactor's core guarantee: a fleet
 // of exactly one job whose lease covers the whole shared cluster
 // produces a Result and a trace byte-identical to the standalone
-// trainer on that cluster — the Job seam changed how the loop is
+// trainer on that cluster — stepping it from the fleet changed how the loop is
 // driven, never what it computes.
 func TestFleetOneJobEquivalence(t *testing.T) {
 	spec, corpus := buildSpec(t, 4, 32)

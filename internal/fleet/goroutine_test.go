@@ -15,7 +15,7 @@ import (
 // TestRunStartsNoGoroutine pins that a run is one goroutine: a fleet
 // without the shared preprocessing tier, and a standalone runtime
 // without a live producer pool, never have more goroutines than when
-// they started — sampled in every OnRound and after every Job.Step, on
+// they started — sampled in every OnRound and after every Step, on
 // one P, where a goroutine a step started has not yet run to its end.
 // Only the one real parallel seam, a producer's build, starts
 // goroutines.

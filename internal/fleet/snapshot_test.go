@@ -225,7 +225,7 @@ func TestRunningSnapshotExtendsOnAdmission(t *testing.T) {
 // checkpoint writers, one goroutine per checkpointing runtime that only
 // Runtime.Close stopped. A checkpoint is now a record on the runtime and
 // trainer.New starts no goroutine, so the goroutine count guards what a
-// tenant still runs on a goroutine — its Job's one-ahead prepare —
+// tenant still runs on a goroutine — its runtime's one-ahead prepare —
 // which a retired tenant must leave drained.
 // The results must not notice the close, and every tenant reports its
 // one save (iteration 2 of 4).
@@ -260,10 +260,10 @@ func TestRetireClosesRuntime(t *testing.T) {
 }
 
 // TestRetiredTenantsKeepResultsAndTraces guards retire dropping each
-// tenant's runtime and Job: sixteen identical tenants on 2-node leases
+// tenant's runtime: sixteen identical tenants on 2-node leases
 // retire in four waves with the GC run every round, and every tenant's
 // JobResult.Result and trace must still equal every other's — what its
-// Job.Finish returned and what its runtime recorded — with the merged
+// Finish returned and what its runtime recorded — with the merged
 // trace carrying all of their events.
 func TestRetiredTenantsKeepResultsAndTraces(t *testing.T) {
 	spec, corpus := buildSpec(t, 8, 32)

@@ -47,9 +47,6 @@ type Partitioner struct {
 	flat   []int
 	groups [][]int
 	// Rebalance scratch.
-	asc       []int
-	ascOff    []int
-	heads     []int
 	surplus   []int
 	balFlat   []int
 	balGroups [][]int
@@ -107,68 +104,21 @@ func (p *Partitioner) Partition(sizes []float64, m int) ([][]int, error) {
 
 // Rebalance trims each group to perRank entries and redistributes the
 // surplus to underfull groups (smallest size first), preserving the
-// index multiset. It produces exactly the order a stable ascending
-// sort of the trimmed tails would — without sorting: Partition builds
-// every group in non-increasing size order, so each tail's ascending
-// order falls out of a backwards walk (runs of equal sizes kept in
-// forward order), and the global order out of a k-way merge that
-// breaks ties toward the lower group. The returned groups alias the
-// partitioner's scratch, valid until its next call.
+// index multiset: the trimmed tails, gathered in group order, are
+// stably sorted by size, ascending, and refill the groups in order.
+// The returned groups alias the partitioner's scratch, valid until its
+// next call.
 func (p *Partitioner) Rebalance(groups [][]int, perRank int, sizes []float64) [][]int {
 	m := len(groups)
-	total := 0
 	n := 0
+	p.surplus = p.surplus[:0]
 	for _, g := range groups {
 		n += len(g)
 		if len(g) > perRank {
-			total += len(g) - perRank
+			p.surplus = append(p.surplus, g[perRank:]...)
 		}
 	}
-	// Ascending per-group tails, concatenated; ascOff[d] marks group
-	// d's region.
-	p.ascOff = grow(p.ascOff, m+1)
-	p.asc = grow(p.asc, total)
-	pos := 0
-	for d, g := range groups {
-		p.ascOff[d] = pos
-		if len(g) <= perRank {
-			continue
-		}
-		tail := g[perRank:]
-		i := len(tail) - 1
-		for i >= 0 {
-			j := i
-			for j > 0 && sizes[tail[j-1]] == sizes[tail[i]] {
-				j--
-			}
-			for t := j; t <= i; t++ {
-				p.asc[pos] = tail[t]
-				pos++
-			}
-			i = j - 1
-		}
-	}
-	p.ascOff[m] = pos
-	// K-way merge: smallest size first, ties to the lower group — the
-	// stable-sort emission order.
-	p.surplus = grow(p.surplus, total)
-	p.heads = grow(p.heads, m)
-	for d := 0; d < m; d++ {
-		p.heads[d] = p.ascOff[d]
-	}
-	for t := 0; t < total; t++ {
-		best := -1
-		for d := 0; d < m; d++ {
-			if p.heads[d] >= p.ascOff[d+1] {
-				continue
-			}
-			if best == -1 || sizes[p.asc[p.heads[d]]] < sizes[p.asc[p.heads[best]]] {
-				best = d
-			}
-		}
-		p.surplus[t] = p.asc[p.heads[best]]
-		p.heads[best]++
-	}
+	slices.SortStableFunc(p.surplus, func(a, b int) int { return cmp.Compare(sizes[a], sizes[b]) })
 	// Rebuild balanced groups in a second flat backing: kept prefixes,
 	// then surplus refills in group order.
 	p.balFlat = grow(p.balFlat, n)
@@ -182,7 +132,7 @@ func (p *Partitioner) Rebalance(groups [][]int, perRank int, sizes []float64) []
 		}
 		start := off
 		off += copy(p.balFlat[off:], kept)
-		for off-start < perRank && si < total {
+		for off-start < perRank && si < len(p.surplus) {
 			p.balFlat[off] = p.surplus[si]
 			si++
 			off++

@@ -601,10 +601,9 @@ func referenceRebalance(groups [][]int, perRank int, sizes []float64) [][]int {
 }
 
 // TestPartitionerMatchesReference fuzzes the scratch-reusing
-// Partitioner (sort-free Rebalance, reused backing slices) against the
-// reference implementations on size distributions dominated by ties —
-// the case where any stability bug in the backwards tie-block walk or
-// the k-way merge would surface. One Partitioner is reused across all
+// Partitioner (in-place stable sort in Rebalance, reused backing
+// slices) against the reference implementations on size distributions
+// dominated by ties — the case where any stability bug would surface. One Partitioner is reused across all
 // trials, so stale scratch from a previous shape would also be caught.
 func TestPartitionerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

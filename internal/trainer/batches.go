@@ -126,13 +126,15 @@ func (c *BatchCache) class(k classKey, spec *orchestrator.Spec, check func() err
 	return cls, nil
 }
 
-// classOf returns the runtime's class of plan under the leased spec:
-// Config.Batches's when the runtime joined them, else a private one.
-func (r *Runtime) classOf(spec *orchestrator.Spec, plan *orchestrator.Plan, check func() error) (*class, error) {
-	return r.cfg.Batches.class(classKey{
-		plan: plan, batchClass: batchClass{corpus: r.cfg.Corpus, prof: spec.Profiler, batch: spec.GlobalBatch},
-		cluster: spec.Cluster, microbatch: int32(spec.Microbatch), reorder: r.cfg.Reorder, asyncP2P: r.cfg.AsyncP2P,
-	}, spec, check)
+// rescope returns the runtime's class of plan under spec, a scoping of
+// its class's spec: only the plan and the leased cluster differ from
+// its class's key. The spec was validated with the class, so there is
+// no check and no error.
+func (r *Runtime) rescope(spec *orchestrator.Spec, plan *orchestrator.Plan) *class {
+	k := r.cls.classKey
+	k.plan, k.cluster = plan, spec.Cluster
+	cls, _ := r.batches.class(k, spec, nil)
+	return cls
 }
 
 // shares reports whether the class's batch class has two or more live
@@ -145,9 +147,9 @@ func (c *class) shares() bool { return c.live != nil && c.live.Load() >= 2 }
 // immutable once returned, so it never becomes r.outcomes, which the
 // private untraced path refills.
 func (r *Runtime) sharedRun(p *preparedBatch, p2p []float64, pert scenario.Perturbation) []rankOutcome {
-	c := r.cfg.Batches
+	c := r.batches
 	bs := r.cls.batch
-	k := runKey{class: r.cls.id, first: int64(p.iter) * int64(bs), traced: r.cfg.Trace != nil}
+	k := runKey{class: r.cls.id, first: int64(p.iter) * int64(bs), traced: r.trace != nil}
 	return c.runs.Get(k, bs, func() []rankOutcome {
 		c.simulated.Add(int64(len(p.ranks)))
 		out := make([]rankOutcome, len(p.ranks))
@@ -161,7 +163,7 @@ func (r *Runtime) sharedRun(p *preparedBatch, p2p []float64, pert scenario.Pertu
 // the batch-order work and the rank-major gather, and the rank headers
 // are an entry's four allocations.
 func (r *Runtime) build(k batchKey) preparedBatch {
-	r.cfg.Batches.builds.Add(1)
+	r.batches.builds.Add(1)
 	n := k.batch
 	if k.balance {
 		n *= 2

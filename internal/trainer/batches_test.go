@@ -301,7 +301,7 @@ func TestBatchCacheSharesRankOutcomes(t *testing.T) {
 			if errs[i] != nil {
 				t.Fatal(errs[i])
 			}
-			if tr := rt.cfg.Trace; tr != nil {
+			if tr := rt.trace; tr != nil {
 				var buf bytes.Buffer
 				if err := tr.WriteJSON(&buf); err != nil {
 					t.Fatal(err)
@@ -470,7 +470,7 @@ func TestSharedTracedTenantsSimulateOnce(t *testing.T) {
 	}
 	const iters, events = 3, 594
 	var c BatchCache
-	jobs := make([]*Job, 2)
+	jobs := make([]*Runtime, 2)
 	for i := range jobs {
 		cfg := DistTrainConfig(spec, plan, corpus)
 		cfg.Batches = &c
@@ -497,7 +497,7 @@ func TestSharedTracedTenantsSimulateOnce(t *testing.T) {
 		t.Errorf("two tenants simulated %d ranks, want %d (%d iterations × DP %d)", c.simulated.Load(), want, iters, dp)
 	}
 	for i, j := range jobs {
-		if got := j.r.cfg.Trace.Len(); got != events {
+		if got := j.trace.Len(); got != events {
 			t.Errorf("tenant %d recorded %d events, want %d", i, got, events)
 		}
 	}

@@ -74,8 +74,9 @@ func TestIterationAllocBudget(t *testing.T) {
 // TestNewAllocBudget pins what admitting a fleet tenant onto an already
 // resolved class allocates: trainer.New and NewJob for a 2-node lease
 // whose class another runtime resolved on the BatchCache. The runtime,
-// the Job, its Result and the Result's iteration slice are the recorded
-// 4, where 6 were while every runtime resolved its own plan (its link
+// its Result and the Result's iteration slice are the recorded 3,
+// where 4 were while the run loop's state was a Job apart from its
+// runtime, and 6 while every runtime resolved its own plan (its link
 // vector) and copied its lease out of line. The budget is the recorded
 // count.
 func TestNewAllocBudget(t *testing.T) {
@@ -93,7 +94,7 @@ func TestNewAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer first.Close()
-	const recorded = 4
+	const recorded = 3
 	if got := testing.AllocsPerRun(100, func() {
 		rt, err := New(cfg)
 		if err != nil {
@@ -167,7 +168,7 @@ func TestTracedIterationAllocBudget(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rt := steadyRuntime(t)
-	rt.cfg.Trace = metrics.NewTrace()
+	rt.trace = metrics.NewTrace()
 	step := func() {
 		if _, err := rt.RunIterationSequential(1); err != nil {
 			t.Fatal(err)

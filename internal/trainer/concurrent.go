@@ -98,7 +98,7 @@ func (r *Runtime) prepare(iter int, pert scenario.Perturbation) preparedBatch {
 	dp := r.cls.plan.Modules[model.Backbone].Config.DP
 	buf := &r.prep
 	p := preparedBatch{iter: iter}
-	src := r.cfg.Source
+	src := r.source
 	switch {
 	case src != nil:
 		if p.batch, p.err = src.Assign(iter, dp); p.err != nil {
@@ -108,17 +108,17 @@ func (r *Runtime) prepare(iter int, pert scenario.Perturbation) preparedBatch {
 		p.batch = r.trial[iter%len(r.trial)]
 	default:
 		c, bs := r.cls, r.cls.batch
-		if r.cfg.Batches != nil && c.shares() {
+		if r.batches != nil && c.shares() {
 			k := batchKey{batchClass: c.batchClass, first: int64(iter) * int64(bs), dp: dp, balance: c.reorder}
-			p = r.cfg.Batches.entries.Get(k, bs, func() preparedBatch { return r.build(k) })
+			p = r.batches.entries.Get(k, bs, func() preparedBatch { return r.build(k) })
 			p.iter, p.shared = iter, true
 			return p
 		}
-		buf.batch = r.cfg.Corpus.AppendBatch(buf.batch[:0], int64(iter)*int64(bs), bs)
+		buf.batch = c.corpus.AppendBatch(buf.batch[:0], int64(iter)*int64(bs), bs)
 		p.batch = pert.ShiftBatch(buf.batch)
 	}
 	buf.work, p.flops = fold(buf.work[:0], p.batch, r.cls.prof.Kernel())
-	p.err = r.assign(buf, dp, r.cfg.Reorder && src == nil)
+	p.err = r.assign(buf, dp, r.cls.reorder && src == nil)
 	p.ranks = buf.ranks
 	return p
 }
@@ -212,7 +212,7 @@ func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scen
 		}
 	}
 	var spans []pipeline.Span
-	if r.cfg.Trace != nil {
+	if r.trace != nil {
 		spans = make([]pipeline.Span, 2*k*stages)
 	}
 	res, err := sc.sim.Simulate(rows, spans)
@@ -226,7 +226,7 @@ func (r *Runtime) runRank(d int, work []model.Workload, p2p []float64, pert scen
 // outcome slots in rank order and prices the iteration's serial
 // phases.
 func (r *Runtime) finishIteration(p *preparedBatch, pert scenario.Perturbation, outcomes []rankOutcome) (IterationStats, error) {
-	cfg, c := &r.cfg, r.cls
+	c := r.cls
 	spec := &c.spec
 	var bd metrics.Breakdown
 
@@ -240,7 +240,7 @@ func (r *Runtime) finishIteration(p *preparedBatch, pert scenario.Perturbation, 
 	perRank := len(p.batch) / dp
 	ppFactor := pert.PreprocessFactor()
 	colocatedCPU := 0.0
-	if cfg.DisaggregatedPreprocess {
+	if r.disaggregated {
 		tokens := float64(perRank) * float64(spec.Model.SeqLen)
 		bd.PreprocessStall = (tokens*2/spec.Cluster.CrossNodeBandwidthPerGPU() + preprocessFetchLatency) * ppFactor
 	} else {
@@ -270,7 +270,7 @@ func (r *Runtime) finishIteration(p *preparedBatch, pert scenario.Perturbation, 
 	// pipeline time; the rest of the CPU work stalls training, and
 	// whatever does overlap still interferes with the host-side
 	// training path.
-	if !cfg.DisaggregatedPreprocess {
+	if !r.disaggregated {
 		hidden := math.Min(colocatedCPU, colocOverlapCapacity*worstPipe)
 		bd.PreprocessStall = (colocatedCPU - hidden) + colocInterference*hidden
 	}
@@ -284,9 +284,9 @@ func (r *Runtime) finishIteration(p *preparedBatch, pert scenario.Perturbation, 
 
 	// Checkpointing: a dedicated process writes asynchronously (§6), so
 	// only a write that outlasts the interval is exposed.
-	if cfg.CheckpointEvery > 0 && p.iter > 0 && p.iter%cfg.CheckpointEvery == 0 {
+	if every := r.checkpointEvery; every > 0 && p.iter > 0 && p.iter%every == 0 {
 		r.saveCheckpoint(p.iter, "iter-")
-		budget := float64(cfg.CheckpointEvery) * worstPipe
+		budget := float64(every) * worstPipe
 		if c.checkpointS > budget {
 			bd.CheckpointStall = c.checkpointS - budget
 		}
@@ -312,7 +312,7 @@ func (r *Runtime) finishIteration(p *preparedBatch, pert scenario.Perturbation, 
 // ops on pid d+1 (tid = stage) as one span block over outcomes, which
 // must never change after; all offset by the run's wall-clock cursor.
 func (r *Runtime) emitTrace(stats IterationStats, outcomes []rankOutcome) {
-	if r.cfg.Trace == nil {
+	if r.trace == nil {
 		return
 	}
 	order, stages := r.cls.execOrder(), r.cls.stages
@@ -320,7 +320,7 @@ func (r *Runtime) emitTrace(stats IterationStats, outcomes []rankOutcome) {
 		order = pipeline.Order(stages, n/(2*stages))
 	}
 	names := opNames(len(order) / (2 * stages))
-	tr := r.cfg.Trace.Batch()
+	tr := r.trace.Batch()
 	defer tr.Done()
 	bd := stats.Breakdown
 	if bd.PreprocessStall > 0 {
@@ -383,7 +383,7 @@ func (r *Runtime) iteration(p *preparedBatch, pert scenario.Perturbation) (Itera
 	}
 	// Untraced, the outcome slots are reused across iterations; a traced
 	// iteration's go to its trace, so it takes fresh ones.
-	if r.cfg.Trace != nil {
+	if r.trace != nil {
 		r.outcomes = nil
 	}
 	r.outcomes = slices.Grow(r.outcomes[:0], len(p.ranks))[:len(p.ranks)]
@@ -400,20 +400,19 @@ func (r *Runtime) runRanks(outcomes []rankOutcome, ranks [][]model.Workload, p2p
 
 // Run executes n iterations on the calling goroutine and aggregates;
 // scenario-injected node failures trigger checkpoint-restore recovery
-// with the lost iterations re-executed. The loop body lives in
-// (*Job).Step so the fleet runtime can interleave many jobs over one
-// shared cluster; a standalone run is simply the 1-job schedule.
+// with the lost iterations re-executed. The loop body lives in Step so
+// the fleet runtime can interleave many runs over one shared cluster;
+// a standalone run is simply the 1-job schedule.
 func (r *Runtime) Run(n int) (*Result, error) {
-	j, err := r.NewJob(n)
-	if err != nil {
+	if _, err := r.NewJob(n); err != nil {
 		return nil, err
 	}
-	for !j.Done() {
-		if err := j.Step(); err != nil {
+	for !r.Done() {
+		if err := r.Step(); err != nil {
 			return nil, err
 		}
 	}
-	return j.Finish(), nil
+	return r.Finish(), nil
 }
 
 // saveCheckpoint records a checkpoint of step, tagged prefix+step.
@@ -463,7 +462,7 @@ func checkPlan(spec *orchestrator.Spec, p *orchestrator.Plan) error {
 // past the switch), and point the runtime at the new class.
 func (r *Runtime) reconfigure(cls *class, iter int) float64 {
 	down := r.cls.checkpointS // write: the outgoing geometry streams its state
-	if r.cfg.CheckpointEvery > 0 && iter > 0 {
+	if r.checkpointEvery > 0 && iter > 0 {
 		r.saveCheckpoint(iter-1, "reconfig-")
 	}
 	r.cls = cls

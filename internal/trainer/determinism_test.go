@@ -14,7 +14,7 @@ import (
 // RunIterationSequential prepares and executes one iteration on the
 // calling goroutine: the single-iteration reference the tests use.
 func (r *Runtime) RunIterationSequential(iter int) (IterationStats, error) {
-	pert := scenario.At(r.cfg.Scenario, iter)
+	pert := scenario.At(r.scenario, iter)
 	p := r.prepare(iter, pert)
 	return r.iteration(&p, pert)
 }
@@ -112,7 +112,7 @@ func TestConcurrentRuntimeEquivalence(t *testing.T) {
 // scratch-reusing iteration loop: a trace-enabled Run serializes
 // byte-identically to the same iterations run one by one
 // (RunIterationSequential) and to a repeated Run, steady state and
-// perturbed alike. The Job loop records nothing of its own on a run
+// perturbed alike. The run loop records nothing of its own on a run
 // without failures, pool events or a controller.
 func TestTraceByteIdenticalToSequential(t *testing.T) {
 	spec, corpus := buildSpec(t, model.MLLM9B(), 12, 96, model.FullTraining)

@@ -3,11 +3,13 @@ package trainer
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/model"
 	"disttrain/internal/orchestrator"
+	"disttrain/internal/scenario"
 )
 
 // TestLeasedRunMatchesStandalone pins the lease seam: a job holding an
@@ -108,14 +110,14 @@ func TestJobResizeContract(t *testing.T) {
 	if err := lj.Resize(cluster.NewLease(0), bigPlan, "x"); err == nil {
 		t.Error("plan larger than the lease accepted")
 	}
-	if got := lj.r.cls.spec.Cluster.Nodes; got != lease.NodeCount() {
+	if got := lj.cls.spec.Cluster.Nodes; got != lease.NodeCount() {
 		t.Fatalf("rejected resizes moved the priced geometry to %d nodes", got)
 	}
 	grown := cluster.NewLease(0, 1, 2, 3, 4, 5, 6, 7)
 	if err := lj.Resize(grown, bigPlan, "grow to 8 nodes"); err != nil {
 		t.Fatal(err)
 	}
-	if got := lj.r.cls.spec.Cluster.Nodes; got != grown.NodeCount() {
+	if got := lj.cls.spec.Cluster.Nodes; got != grown.NodeCount() {
 		t.Fatalf("priced geometry after grow = %d nodes, want %d", got, grown.NodeCount())
 	}
 	for !lj.Done() {
@@ -178,8 +180,8 @@ func TestJobAppliesAndRejectsPlanSwitches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.n != 3 || j.Iteration() != 0 || j.r.clock != 0 {
-			t.Fatalf("fresh job state: n=%d i=%d clock=%g", j.n, j.Iteration(), j.r.clock)
+		if j.n != 3 || j.Iteration() != 0 || j.clock != 0 {
+			t.Fatalf("fresh job state: n=%d i=%d clock=%g", j.n, j.Iteration(), j.clock)
 		}
 		for !j.Done() {
 			if err := j.Step(); err != nil {
@@ -189,7 +191,7 @@ func TestJobAppliesAndRejectsPlanSwitches(t *testing.T) {
 		// The clock cursor covers every executed iteration plus the
 		// downtime charged: a rejected switch adds nothing, an applied
 		// one charges its reconfiguration.
-		clock, res := j.r.clock, j.Finish()
+		clock, res := j.clock, j.Finish()
 		if want := simulatedWall(res); math.Abs(clock-want) > 1e-9*want {
 			t.Fatalf("clock %g, iterations + downtime %g", clock, want)
 		}
@@ -242,10 +244,85 @@ func TestJobAppliesAndRejectsPlanSwitches(t *testing.T) {
 	}
 }
 
+// TestNewJobRearmsRuntime: the run loop's state lives on the runtime,
+// so NewJob on a runtime that already ran re-arms it. The Result the
+// earlier run handed out must stay untouched, the re-armed run must
+// equal a fresh runtime's — its failure rewinds to its own checkpoints,
+// not to the earlier run's newer ones — and an invalid NewJob must
+// leave an armed run as it was, still stepping.
+func TestNewJobRearmsRuntime(t *testing.T) {
+	spec, corpus := buildSpec(t, model.MLLM9B(), 4, 32, model.FullTraining)
+	plan, err := orchestrator.PlanDistTrain(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail, err := scenario.Parse("failure:iter=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DistTrainConfig(spec, plan, corpus)
+	cfg.GradientDim, cfg.CheckpointEvery, cfg.Scenario = 4, 1, fail
+	fresh, err := Run(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	first, err := rt.Run(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := cloneResult(first)
+	second, err := rt.Run(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, kept) {
+		t.Errorf("re-arming changed the first Result:\n got %+v\nwant %+v", first, kept)
+	}
+	if !reflect.DeepEqual(second, fresh) {
+		t.Errorf("re-armed run differs from a fresh runtime's:\n got %+v\nwant %+v", second, fresh)
+	}
+
+	if _, err := rt.NewJob(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.NewJob(0); err == nil {
+		t.Error("NewJob(0) on an armed runtime accepted")
+	}
+	if rt.Iteration() != 1 || rt.Done() {
+		t.Fatalf("NewJob(0) moved the armed run: iteration %d, done %v", rt.Iteration(), rt.Done())
+	}
+	for !rt.Done() {
+		if err := rt.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if third := rt.Finish(); !reflect.DeepEqual(third, fresh) {
+		t.Errorf("run after a rejected NewJob differs from a fresh runtime's:\n got %+v\nwant %+v", third, fresh)
+	}
+}
+
+// cloneResult returns a deep copy of r.
+func cloneResult(r *Result) *Result {
+	c := *r
+	c.Iterations = slices.Clone(r.Iterations)
+	c.Recoveries = slices.Clone(r.Recoveries)
+	c.Replans = slices.Clone(r.Replans)
+	c.GradientSum = slices.Clone(r.GradientSum)
+	return &c
+}
+
 // TestPlanChangeRepricesLikeFreshRuntime is the staleness check on
 // what the runtime resolves once per plan (stage geometry, link
 // prices, the encoder/generator rates and the backbone stage pair):
-// after a controller plan switch or a Job.Resize onto a plan with
+// after a controller plan switch or a Resize onto a plan with
 // other encoder/generator widths and another DP, every later iteration
 // reports the IterationStats of a fresh Runtime built on that plan.
 func TestPlanChangeRepricesLikeFreshRuntime(t *testing.T) {

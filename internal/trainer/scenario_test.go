@@ -192,7 +192,7 @@ func TestNodeFailureWithoutCheckpointsRestartsFromZero(t *testing.T) {
 	}
 }
 
-// TestOverlappingRewindsFireEachEventOnce pins the Job's three
+// TestOverlappingRewindsFireEachEventOnce pins the run loop's three
 // high-water marks: two failures whose rewinds both restart from zero
 // replay iterations 0..1 twice and 2 once more, with pool events
 // sitting inside the replayed window. Every fire-once event must fire
@@ -361,7 +361,7 @@ func TestClockIndependentOfTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return j.r.clock, j.Finish()
+		return j.clock, j.Finish()
 	}
 	plain, res := run(nil)
 	traced, _ := run(metrics.NewTrace())

@@ -11,28 +11,27 @@ import (
 )
 
 // TrialMeanIterTime prices one iteration per given global batch under
-// cfg's plan with the runtime's engine — no scenario, no
-// traces, no checkpoints — and returns the mean iteration time. The
-// re-planning controller scores candidate plans on the observed window
-// with it: the full runtime cost model (reordering imperfection,
-// straggler spread from data heterogeneity, exposed P2P, gradient
-// sync, preprocessing stalls) routinely disagrees with the planner's
-// analytic Eq. 1/Eq. 2 estimate on which of two close plans is
-// faster, and the runtime model is the one MeanIterTime is measured
-// in. Deterministic: same cfg and batches, same answer.
+// cfg's plan with the runtime's engine and returns the mean iteration
+// time. A trial reads only the fields that price an iteration — Spec,
+// Plan, Corpus, Lease, PlacementPricing and the three technique
+// switches — so it runs no scenario, trace, checkpoint, controller,
+// live source or shared batch of cfg's. The re-planning controller
+// scores candidate plans on the observed window with it: the full
+// runtime cost model (reordering imperfection, straggler spread from
+// data heterogeneity, exposed P2P, gradient sync, preprocessing
+// stalls) routinely disagrees with the planner's analytic Eq. 1/Eq. 2
+// estimate on which of two close plans is faster, and the runtime
+// model is the one MeanIterTime is measured in. Deterministic: same
+// cfg and batches, same answer.
 func TrialMeanIterTime(cfg Config, batches [][]data.Sample) (float64, error) {
 	if len(batches) == 0 {
 		return 0, errors.New("trainer: trial needs at least one batch")
 	}
-	cfg.Scenario = nil
-	cfg.Controller = nil
-	cfg.Trace = nil
-	cfg.CheckpointEvery = 0
-	cfg.Source = nil
-	cfg.ProducerControl = nil
-	cfg.GradientDim = 0
-	cfg.Batches = nil
-	rt, err := New(cfg)
+	rt, err := New(Config{
+		Spec: cfg.Spec, Plan: cfg.Plan, Corpus: cfg.Corpus,
+		Lease: cfg.Lease, PlacementPricing: cfg.PlacementPricing,
+		Reorder: cfg.Reorder, DisaggregatedPreprocess: cfg.DisaggregatedPreprocess, AsyncP2P: cfg.AsyncP2P,
+	})
 	if err != nil {
 		return 0, err
 	}

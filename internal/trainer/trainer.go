@@ -81,7 +81,7 @@ type Config struct {
 	// fleet: the runtime prices collectives, checkpoints and plans
 	// against the lease's subcluster, and the fleet scheduler
 	// (internal/fleet) may grow or shrink the lease mid-run through
-	// (*Job).Resize. Nil runs standalone, as a lease covering every
+	// Runtime.Resize. Nil runs standalone, as a lease covering every
 	// node of Spec.Cluster.
 	Lease *cluster.Lease
 	// PlacementPricing, with a Lease, prices the run against the
@@ -266,20 +266,42 @@ type Result struct {
 	GradientSum []int64
 }
 
-// Runtime executes iterations for a fixed configuration. Its methods
-// are not safe for concurrent use; separate runtimes may run on
-// separate goroutines.
+// Runtime is one training run: the class it executes, the settings of
+// the Config it was built from that no class holds, and the loop state
+// of the run NewJob armed. Its methods are not safe for concurrent
+// use, and Step runs on the caller's goroutine and starts none of its
+// own; separate runtimes may run on separate goroutines.
 type Runtime struct {
-	// cfg is the config New was given, its Batches nil unless the
-	// runtime joined them; the leased spec and the plan in force are
-	// cls's, and Lease is only checked against nil (Job.Resize).
-	cfg Config
 	// cls is the runtime's class, shared and never written: New and
-	// every plan switch point it at the plan in force.
+	// every plan switch point it at the plan in force. It holds
+	// everything of the Config a class keys on — the leased spec, the
+	// plan, the corpus, Reorder and AsyncP2P — so the runtime reads
+	// those from it alone.
 	cls *class
-	// The checkpoint record: the newest saved step (-1 before the first
-	// save), that checkpoint's encoded size in bytes (an 8-byte step and
-	// its tag) and the saves made. A save is priced, not written.
+
+	// The Config fields the run reads after New that no class holds.
+	// batches is nil unless the runtime joined them.
+	batches         *BatchCache
+	trace           *metrics.Trace
+	source          *PoolSource
+	scenario        scenario.Scenario
+	controller      Controller
+	producers       *preprocess.Fleet
+	checkpointEvery int
+	disaggregated   bool
+	// leased says the run holds a lease; Resize rescopes the class's
+	// spec from base, the shared cluster, priced by placement when
+	// placed (Config.PlacementPricing).
+	leased, placed bool
+	base           cluster.Cluster
+	// grad accumulates Result.GradientSum when its Dim
+	// (Config.GradientDim) is positive.
+	grad gradientAccumulator
+
+	// The armed run's checkpoint record: the newest saved step (-1
+	// before the first save), that checkpoint's encoded size in bytes (an
+	// 8-byte step and its tag) and the saves made. A save is priced, not
+	// written.
 	ckptStep, ckptBytes, ckptSaved int
 	// trial (TrialMeanIterTime) replaces the corpus: i trains trial[i%len].
 	trial [][]data.Sample
@@ -294,6 +316,20 @@ type Runtime struct {
 	// the process-wide pools (concurrent.go).
 	prep     prepBuf
 	outcomes []rankOutcome
+
+	// The armed run (job.go): n iterations, i the next boundary, and
+	// res the Result it fills, with the sums Finish aggregates.
+	n, i                 int
+	res                  *Result
+	timeSum, usefulFlops float64
+	// Iterations execute in order and a failure rewind only goes back,
+	// so "has iteration i happened before" is a high-water mark, -1
+	// before the first: maxExecuted is the highest iteration completed,
+	// lastFailure the highest whose node failure fired, poolFired the
+	// highest whose pool events fired. Fire-once events cover exactly
+	// their Start iteration, so a replayed window re-fires nothing.
+	maxExecuted, lastFailure, poolFired int
+	finished                            bool
 }
 
 // New validates the config and builds a runtime. A leased config is
@@ -305,23 +341,31 @@ type Runtime struct {
 // cfg.Spec the class key does not hold (a resize scopes the class's
 // spec), so only the lease and GradientDim are checked again.
 func New(cfg Config) (*Runtime, error) {
-	r := &Runtime{cfg: cfg, ckptStep: -1}
+	r := &Runtime{
+		batches: cfg.Batches, trace: cfg.Trace, source: cfg.Source, scenario: cfg.Scenario,
+		controller: cfg.Controller, producers: cfg.ProducerControl,
+		checkpointEvery: cfg.CheckpointEvery, disaggregated: cfg.DisaggregatedPreprocess,
+		grad: gradientAccumulator{Dim: cfg.GradientDim},
+	}
 	spec := &cfg.Spec
 	if l := cfg.Lease; l != nil {
-		base := cfg.Spec.Cluster
-		if err := l.Validate(base); err != nil {
+		r.leased, r.placed, r.base = true, cfg.PlacementPricing, cfg.Spec.Cluster
+		if err := l.Validate(r.base); err != nil {
 			return nil, err
 		}
-		leased := cfg.Spec.ForLease(base, *l, cfg.PlacementPricing)
+		leased := cfg.Spec.ForLease(r.base, *l, r.placed)
 		spec = &leased
-		if cfg.Plan != nil && cfg.Plan.TotalGPUs() > l.GPUs(base) {
-			return nil, fmt.Errorf("trainer: plan wants %d GPUs, lease holds %d", cfg.Plan.TotalGPUs(), l.GPUs(base))
+		if cfg.Plan != nil && cfg.Plan.TotalGPUs() > l.GPUs(r.base) {
+			return nil, fmt.Errorf("trainer: plan wants %d GPUs, lease holds %d", cfg.Plan.TotalGPUs(), l.GPUs(r.base))
 		}
 	}
 	if cfg.Source != nil || cfg.Scenario != nil {
-		r.cfg.Batches = nil // a live pool hands it batches, a scenario shifts them
+		r.batches = nil // a live pool hands it batches, a scenario shifts them
 	}
-	cls, err := r.classOf(spec, cfg.Plan, cfg.Validate)
+	cls, err := r.batches.class(classKey{
+		plan: cfg.Plan, batchClass: batchClass{corpus: cfg.Corpus, prof: spec.Profiler, batch: spec.GlobalBatch},
+		cluster: spec.Cluster, microbatch: int32(spec.Microbatch), reorder: cfg.Reorder, asyncP2P: cfg.AsyncP2P,
+	}, spec, cfg.Validate)
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +375,7 @@ func New(cfg Config) (*Runtime, error) {
 	if r.cls = cls; cls.live != nil {
 		cls.live.Add(1)
 	}
-	if tr := r.cfg.Trace; tr != nil {
+	if tr := r.trace; tr != nil {
 		tr.NameProcess(0, "runtime")
 		r.nameRankLanes(cfg.Plan.Modules[model.Backbone].Config.DP)
 	}
@@ -341,7 +385,7 @@ func New(cfg Config) (*Runtime, error) {
 // nameRankLanes labels dp-rank trace lanes up to dp, naming each lane
 // at most once across plan switches.
 func (r *Runtime) nameRankLanes(dp int) {
-	tr := r.cfg.Trace
+	tr := r.trace
 	if tr == nil {
 		return
 	}
@@ -352,9 +396,9 @@ func (r *Runtime) nameRankLanes(dp int) {
 
 // Close leaves the batch cache.
 func (r *Runtime) Close() {
-	if r.cfg.Batches != nil {
+	if r.batches != nil {
 		r.cls.live.Add(-1)
-		r.cfg.Batches = nil
+		r.batches = nil
 	}
 }
 
