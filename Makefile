@@ -14,7 +14,7 @@ COVER_FLOOR ?= 83
 # ROADMAP aim 2 wants the number to shrink, so lower it when a PR
 # removes code; raising it is a deliberate edit that says in CHANGES.md
 # what the added lines buy.
-LOC_CEILING ?= 14379
+LOC_CEILING ?= 14494
 
 .PHONY: all build fmt vet test race determinism bench bench-json fuzz cover loc loc-code loc-gate profile profile-plan staticcheck ci
 
@@ -172,6 +172,7 @@ FUZZ_TARGETS = \
 	./internal/preprocess:FuzzPatchFilter \
 	./internal/scenario:FuzzScenarioParse \
 	./internal/orchestrator:FuzzDiscreteBound \
+	./internal/orchestrator:FuzzGridWalk \
 	./internal/orchestrator:FuzzBlockBound \
 	./internal/orchestrator:FuzzPlanMonotone \
 	./internal/metrics:FuzzTraceEquivalence \

@@ -214,6 +214,9 @@ func (fairShareScheduler) MakeRoom(ops Ops, head JobView) {
 		if needed <= 0 {
 			return
 		}
+		if len(t.Nodes) <= t.Min {
+			continue // its floor below is at least t.Min: no excess
+		}
 		run := ops.Running()
 		floor := clamp(fairShare(healthy, len(run)+1, rankAmong(run, head.ID, t.ID)), t.Min, t.Max)
 		excess := len(t.Nodes) - floor

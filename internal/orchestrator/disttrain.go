@@ -20,15 +20,18 @@ import (
 //     group widths and y = TP_lm·DP_lm·PP for a layer divisor PP, within
 //     the budget and the memory floors. The backbone takes one of a few
 //     sizes and every term is non-increasing in x and z, so the integer
-//     optimum is a short enumeration over (PP, x) with z largest — solved
-//     exactly, where the paper's CVX relaxation (§6) rounds;
+//     optimum has z largest, and a run of x can hold no point faster
+//     than its corner (largest x, smallest x's z): a branch-and-bound
+//     walk over (PP, x) skips each run whose corner the best point so
+//     far beats, ties broken by (t, PP, x) — solved exactly, where the
+//     paper's CVX relaxation (§6) rounds;
 //  3. keep §7.1's rule over every buildable point: find the fastest time
 //     T*, then take the fewest GPUs within T*·selectBand.
 //
 // The result may deliberately leave GPUs unused when extra GPUs no
 // longer reduce iteration time (§7.1).
 //
-// The enumeration runs on the best-first search engine (search.go)
+// The search over candidates runs on the best-first engine (search.go)
 // with default options; call Search for per-candidate observation, and
 // a PlanCache for reuse across specs.
 func PlanDistTrain(s Spec) (*Plan, error) {

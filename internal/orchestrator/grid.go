@@ -129,56 +129,165 @@ func (g *grid) bound() float64 {
 	return lb
 }
 
-// fastest is the grid's fastest point, the first in (PP, x) order on
-// a tie. At each (PP, x) the generator takes the largest z that fits:
-// no smaller z is faster.
+// The walks score runs of at most leafRun points of x one by one; a
+// longer run is bounded at its corner first and split only when the
+// bound cannot rule it out. A row of at most shortRow points is walked
+// plainly: a seed or a bound would cost more there than it saves.
+const (
+	leafRun  = 8
+	shortRow = 32
+)
+
+// row is one PP of the grid: the backbone's y GPUs, the room n − y it
+// leaves, and the backbone's stage time and warm-up share.
+type row struct {
+	pp, y, room int
+	tLM, wLM    float64
+}
+
+func (g *grid) row(pp int) row {
+	y := g.unit * pp
+	tLM, wLM := g.backbone(pp)
+	return row{pp, y, g.n - y, tLM, wLM}
+}
+
+// long says whether the row whose backbone takes y GPUs has more than
+// shortRow points of x.
+func (g *grid) long(y int) bool { return g.n-y-g.lo[0]-g.lo[1] >= shortRow*g.w[0] }
+
+// before says whether (pp, x) comes before point p in (PP, x) order.
+func before(pp, x int, p point) bool { return pp < p.pp || pp == p.pp && x < p.xz[0] }
+
+// fastest is the grid's fastest point, the first in (PP, x) order on a
+// tie. At each (PP, x) the generator takes the largest z that fits: no
+// smaller z is faster. Since at is non-increasing in x and z, no point
+// of a run of a row, its x in [xa, xb], is faster than its corner
+// at(xb, fill(n − y − xa)), so the walk skips a run whose corner is
+// slower than the best point so far, or ties it and starts after it.
+// Comparing by (t, PP, x) lets seeds come first: in each long row, the
+// points nearest the relaxation's optima x = (n − y)·a/(a+b) and
+// (n − y)·√a/(√a+√b), a and b the modules' num.
 func (g *grid) fastest() point {
 	best := point{t: math.Inf(1)}
+	a, b := g.num[0], g.num[1]
 	for _, pp := range g.pps {
-		y := g.unit * pp
-		tLM, wLM := g.backbone(pp)
-		for x := g.lo[0]; x+y+g.lo[1] <= g.n; x += g.w[0] {
-			z := g.fill(1, g.n-y-x)
-			if t := g.at(x, z, tLM, wLM); t < best.t {
-				best = point{pp, [2]int{x, z}, t}
-			}
+		if !g.long(g.unit * pp) {
+			break // rows shorten as PP grows
+		}
+		r := g.row(pp)
+		for _, f := range [2]float64{a / (a + b), math.Sqrt(a) / (math.Sqrt(a) + math.Sqrt(b))} {
+			k := min(max(int(math.Round((float64(r.room)*f-float64(g.lo[0]))/float64(g.w[0]))), 0), (r.room-g.lo[0]-g.lo[1])/g.w[0])
+			x := g.lo[0] + k*g.w[0]
+			g.fastIn(&best, r, x, x)
 		}
 	}
+	for _, pp := range g.pps {
+		r := g.row(pp)
+		g.fastIn(&best, r, g.lo[0], r.room-g.lo[1])
+	}
 	return best
+}
+
+// fastIn raises best to the first in (t, PP, x) order of itself and
+// row r's points with x from xa, a point of the row, to xb.
+func (g *grid) fastIn(best *point, r row, xa, xb int) {
+	if xb-xa < leafRun*g.w[0] || !g.long(r.y) {
+		p := *best
+		for x := xa; x <= xb; x += g.w[0] {
+			z := g.fill(1, r.room-x)
+			if t := g.at(x, z, r.tLM, r.wLM); t < p.t || t == p.t && before(r.pp, x, p) {
+				p = point{r.pp, [2]int{x, z}, t}
+			}
+		}
+		*best = p
+		return
+	}
+	if lb := g.at(xb, g.fill(1, r.room-xa), r.tLM, r.wLM); lb > best.t || lb == best.t && !before(r.pp, xa, *best) {
+		return
+	}
+	m := xa + (xb-xa)/g.w[0]/2*g.w[0]
+	g.fastIn(best, r, xa, m)
+	g.fastIn(best, r, m+g.w[0], xb)
 }
 
 // fewest is the grid's point with the fewest GPUs among those at most
 // limit, ties to the faster and then to the first in (PP, x, z) order;
 // the caller ensures one clears limit. At each (PP, x) only the
-// smallest z that clears can win, and it never grows with x, so one
-// cursor walks z down across a PP's row.
+// smallest z that clears can win, and only if it is at most hi, the z
+// that would tie the best GPU count so far. The walk visits (PP, x) in
+// order and skips a run, its x in [xa, xb], that cannot win: with hi
+// taken at xa and ζ the smallest z <= hi at which at(xb, ζ) clears, a
+// point of the run that can win has z >= ζ, so at least y + xa + ζ
+// GPUs, and is no faster than the corner at(xb, hi). No ζ: none can
+// win.
 func (g *grid) fewest(limit float64) point {
-	var best point
-	found := false
+	best, most := point{t: math.Inf(1)}, math.MaxInt
 	for _, pp := range g.pps {
-		y := g.unit * pp
-		tLM, wLM := g.backbone(pp)
-		z := g.n
-		for x := g.lo[0]; x+y+g.lo[1] <= g.n; x += g.w[0] {
-			z = min(z, g.fill(1, g.n-y-x))
-			t := g.at(x, z, tLM, wLM)
-			if t > limit {
-				continue
-			}
-			for z-g.w[1] >= g.lo[1] {
-				tz := g.at(x, z-g.w[1], tLM, wLM)
-				if tz > limit {
-					break
-				}
-				z, t = z-g.w[1], tz
-			}
-			p := point{pp, [2]int{x, z}, t}
-			if n := g.gpus(p); !found || n < g.gpus(best) || (n == g.gpus(best) && t < best.t) {
-				best, found = p, true
+		r := g.row(pp)
+		g.fewIn(&best, &most, r, g.lo[0], r.room-g.lo[1], g.lo[1], limit)
+	}
+	return best
+}
+
+// fewIn raises best, of most GPUs, to the winner among row r's points
+// with x from xa, a point of the row, to xb, none of which clears limit
+// below z = zlo.
+func (g *grid) fewIn(best *point, most *int, r row, xa, xb, zlo int, limit float64) {
+	if xb-xa >= leafRun*g.w[0] && g.long(r.y) {
+		hi := g.fill(1, min(r.room, *most-r.y)-xa)
+		if hi < zlo {
+			return
+		}
+		corner := g.at(xb, hi, r.tLM, r.wLM)
+		if corner > limit {
+			return
+		}
+		if zlo, _ = g.least(xb, zlo, hi, corner, r, limit); r.y+xa+zlo == *most && corner >= best.t {
+			return
+		}
+		m := xa + (xb-xa)/g.w[0]/2*g.w[0]
+		g.fewIn(best, most, r, xa, m, zlo, limit)
+		g.fewIn(best, most, r, m+g.w[0], xb, zlo, limit)
+		return
+	}
+	for x := xa; x <= xb; x += g.w[0] {
+		hi := g.fill(1, min(r.room, *most-r.y)-x)
+		if hi < zlo {
+			return // and at every larger x
+		}
+		if t := g.at(x, hi, r.tLM, r.wLM); t <= limit {
+			z, t := g.least(x, zlo, hi, t, r, limit)
+			if n := r.y + x + z; n < *most || n == *most && t < best.t {
+				*best, *most = point{r.pp, [2]int{x, z}, t}, n
 			}
 		}
 	}
-	return best
+}
+
+// least is the smallest z in [lo, hi], a multiple of the generator's
+// width, whose time at x in row r clears limit, and that time, given t,
+// hi's time, which clears. It steps down from hi in doubling strides
+// while the time clears, then bisects the stride that did not: a step
+// or two when z barely moves, logarithmic when it moves far.
+func (g *grid) least(x, lo, hi int, t float64, r row, limit float64) (int, float64) {
+	for step := g.w[1]; lo < hi; step *= 2 {
+		mid := max(lo, hi-step)
+		tm := g.at(x, mid, r.tLM, r.wLM)
+		if tm > limit {
+			lo = mid + g.w[1]
+			break
+		}
+		hi, t = mid, tm
+	}
+	for lo < hi {
+		mid := lo + (hi-lo)/g.w[1]/2*g.w[1]
+		if tm := g.at(x, mid, r.tLM, r.wLM); tm <= limit {
+			hi, t = mid, tm
+		} else {
+			lo = mid + g.w[1]
+		}
+	}
+	return hi, t
 }
 
 // gpus is point p's GPU count.

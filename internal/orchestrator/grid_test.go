@@ -66,6 +66,18 @@ func fuzzCtx(n, layers, mb, vpp, encFrom, genFrom int) searchCtx {
 	return sc
 }
 
+// fuzzGrid maps FuzzDiscreteBound's and FuzzGridWalk's inputs onto a
+// search context, one backbone shape, the modality modules' width
+// indices and the grid they span.
+func fuzzGrid(n, tp, dp uint8, k uint16, layers, floor, mb, vpp, me, mg, encFrom, genFrom uint8,
+	encNum, genNum, cLM float64) (searchCtx, shape, [2]int, grid) {
+	sc := fuzzCtx(int(n)%128+1, int(layers)%96+1, int(mb)%4+1, int(vpp)%4+1, int(encFrom)%130+1, int(genFrom)%130+1)
+	sh := shape{tp: 1 << (tp % 4), dp: int(dp)%16 + 1, k: int(k)%1024 + 1, cLM: fuzzPos(cLM)}
+	sh.floor = sc.divisors[int(floor)%len(sc.divisors)]
+	wi := [2]int{int(me) % 4, int(mg) % 4}
+	return sc, sh, wi, sc.newGrid(&sh, wi, [2]float64{fuzzPos(encNum), fuzzPos(genNum)})
+}
+
 // bruteFastest is the fastest time over every buildable point of g,
 // found without g.pps: every divisor pp of the layer count at least
 // floor, and x and z every multiple of their widths from their floors,
@@ -167,12 +179,7 @@ func FuzzDiscreteBound(f *testing.F) {
 		uint8(0), uint8(0), uint8(6), uint8(6), 1.0, 1.0, 1.0) // floors exceed the budget
 	f.Fuzz(func(t *testing.T, n, tp, dp uint8, k uint16, layers, floor, mb, vpp, me, mg, encFrom, genFrom uint8,
 		encNum, genNum, cLM float64) {
-		sc := fuzzCtx(int(n)%128+1, int(layers)%96+1, int(mb)%4+1, int(vpp)%4+1, int(encFrom)%130+1, int(genFrom)%130+1)
-		sh := shape{tp: 1 << (tp % 4), dp: int(dp)%16 + 1, k: int(k)%1024 + 1, cLM: fuzzPos(cLM)}
-		sh.floor = sc.divisors[int(floor)%len(sc.divisors)]
-		wi := [2]int{int(me) % 4, int(mg) % 4}
-		g := sc.newGrid(&sh, wi, [2]float64{fuzzPos(encNum), fuzzPos(genNum)})
-
+		sc, sh, wi, g := fuzzGrid(n, tp, dp, k, layers, floor, mb, vpp, me, mg, encFrom, genFrom, encNum, genNum, cLM)
 		best := bruteFastest(&g, sc.divisors, sh.floor)
 		if has := !math.IsInf(best, 1); has != (sc.noGrid(&sh, wi) == nil) {
 			t.Fatalf("%+v %+v: noGrid says %v, brute force finds a point: %v", sh, g, sc.noGrid(&sh, wi), has)
@@ -182,6 +189,90 @@ func FuzzDiscreteBound(f *testing.F) {
 		}
 		if p := g.fastest(); p.t != best {
 			t.Fatalf("%+v %+v: fastest finds %g, brute force %g", sh, g, p.t, best)
+		}
+	})
+}
+
+// plainFastest is grid.fastest as a plain walk over every (PP, x):
+// the reference the pruned walk must match point for point.
+func plainFastest(g *grid) point {
+	best := point{t: math.Inf(1)}
+	for _, pp := range g.pps {
+		y := g.unit * pp
+		tLM, wLM := g.backbone(pp)
+		for x := g.lo[0]; x+y+g.lo[1] <= g.n; x += g.w[0] {
+			z := g.fill(1, g.n-y-x)
+			if t := g.at(x, z, tLM, wLM); t < best.t {
+				best = point{pp, [2]int{x, z}, t}
+			}
+		}
+	}
+	return best
+}
+
+// plainFewest is grid.fewest as a plain walk over every (PP, x), one
+// cursor walking z down across a PP's row: the reference the pruned
+// walk must match point for point.
+func plainFewest(g *grid, limit float64) point {
+	var best point
+	found := false
+	for _, pp := range g.pps {
+		y := g.unit * pp
+		tLM, wLM := g.backbone(pp)
+		z := g.n
+		for x := g.lo[0]; x+y+g.lo[1] <= g.n; x += g.w[0] {
+			z = min(z, g.fill(1, g.n-y-x))
+			t := g.at(x, z, tLM, wLM)
+			if t > limit {
+				continue
+			}
+			for z-g.w[1] >= g.lo[1] {
+				tz := g.at(x, z-g.w[1], tLM, wLM)
+				if tz > limit {
+					break
+				}
+				z, t = z-g.w[1], tz
+			}
+			p := point{pp, [2]int{x, z}, t}
+			if n := g.gpus(p); !found || n < g.gpus(best) || (n == g.gpus(best) && t < best.t) {
+				best, found = p, true
+			}
+		}
+	}
+	return best
+}
+
+// FuzzGridWalk holds the pruned walks to the plain ones on random
+// grids (FuzzDiscreteBound's generator): grid.fastest must return the
+// very point plainFastest does — PP, x, z and time, so a slip in the
+// (t, PP, x) tie order shows — and grid.fewest the very point
+// plainFewest does at limits T*, T*·selectBand and T*·(1+1e-12).
+func FuzzGridWalk(f *testing.F) {
+	// n, tp, dp, k, layers, floor, mb, vpp, me, mg, encFrom, genFrom, encNum, genNum, C_lm
+	f.Add(uint8(96), uint8(3), uint8(1), uint16(29), uint8(40), uint8(1), uint8(0), uint8(0),
+		uint8(0), uint8(0), uint8(1), uint8(1), 3.0, 5.0, 40.0)
+	f.Add(uint8(2), uint8(0), uint8(0), uint16(0), uint8(0), uint8(0), uint8(0), uint8(0),
+		uint8(0), uint8(0), uint8(1), uint8(1), 1.0, 1.0, 1.0) // a one-point grid
+	f.Add(uint8(64), uint8(1), uint8(1), uint16(65535), uint8(59), uint8(4), uint8(3), uint8(3),
+		uint8(2), uint8(1), uint8(21), uint8(13), 1e-9, 1e9, 12.5) // floors far above the widths
+	f.Add(uint8(127), uint8(0), uint8(0), uint16(63), uint8(1), uint8(0), uint8(0), uint8(0),
+		uint8(0), uint8(0), uint8(1), uint8(1), 1e-9, 1e-9, 1e9) // equal num the backbone absorbs: every point ties
+	f.Add(uint8(127), uint8(0), uint8(0), uint16(63), uint8(1), uint8(0), uint8(0), uint8(0),
+		uint8(0), uint8(0), uint8(1), uint8(1), 2.0, 2.0, 1e-9) // equal num: x and z swapped tie
+	f.Fuzz(func(t *testing.T, n, tp, dp uint8, k uint16, layers, floor, mb, vpp, me, mg, encFrom, genFrom uint8,
+		encNum, genNum, cLM float64) {
+		_, sh, _, g := fuzzGrid(n, tp, dp, k, layers, floor, mb, vpp, me, mg, encFrom, genFrom, encNum, genNum, cLM)
+		want := plainFastest(&g)
+		if got := g.fastest(); got != want {
+			t.Fatalf("%+v %+v: fastest %+v, the plain walk %+v", sh, g, got, want)
+		}
+		if math.IsInf(want.t, 1) {
+			return
+		}
+		for _, limit := range []float64{want.t, want.t * selectBand, want.t * (1 + 1e-12)} {
+			if got, want := g.fewest(limit), plainFewest(&g, limit); got != want {
+				t.Fatalf("%+v %+v: fewest(%g) %+v, the plain walk %+v", sh, g, limit, got, want)
+			}
 		}
 	})
 }
